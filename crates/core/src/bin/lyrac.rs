@@ -836,8 +836,16 @@ fn print_rollout(report: &RolloutReport) {
         "no-op"
     };
     println!(
-        "rollout: epoch {} {outcome} in {:?}",
-        report.epoch, report.elapsed
+        "rollout: epoch {} {outcome} in {:?} (staging {:?}, {} entr{} re-planned)",
+        report.epoch,
+        report.elapsed,
+        report.stage,
+        report.entries_planned,
+        if report.entries_planned == 1 {
+            "y"
+        } else {
+            "ies"
+        },
     );
     println!(
         "  channel: {} attempt(s), {} retr{}, {} dropped, {} ack-lost, {} duplicated, \

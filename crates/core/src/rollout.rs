@@ -34,9 +34,11 @@
 //! message from an abandoned attempt can never corrupt a later one.
 //!
 //! Failover re-sync ([`Runtime::fail_switch`] / [`Runtime::fail_link`])
-//! runs on the same engine: the surviving entry layout is re-planned,
-//! staged, and committed as a transaction, which gives re-sync retry and
-//! rollback semantics for free.
+//! runs on the same engine and through the same staging function as a
+//! placement rollout: the next epoch is laid out from the shards the
+//! switches already serve — only entries some surviving path lost sight of
+//! are re-planned — and committed as a transaction, which gives re-sync
+//! retry and rollback semantics for free.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
@@ -52,7 +54,7 @@ use crate::channel::{
     ControlChannel, ControlMsg, ControlOp, Delivery, EntryOp, ReliableChannel, Rng,
 };
 use crate::fault::PlacementDiff;
-use crate::runtime::{plan_entries, Runtime, RuntimeError, SwitchState};
+use crate::runtime::{stage_layout, Runtime, RuntimeError, StagedLayout, SwitchState};
 use crate::CompileOutput;
 
 /// Tuning knobs for one rollout: retry budget, backoff shape, jitter seed,
@@ -647,12 +649,21 @@ pub struct RolloutReport {
     pub snapshot_prepares: u64,
     /// Instructions that changed host between the old and new placements.
     pub instr_churn: usize,
+    /// Logical entries staging handed to the first-fit planner: those some
+    /// surviving flow path had lost sight of. Everything else stayed in the
+    /// shard it was in. A count, not a time — the deterministic form of
+    /// "staging is O(moved entries)".
+    pub entries_planned: u64,
     /// Per-switch phase record.
     pub switches: Vec<SwitchRollout>,
     /// Structured diagnostics (LYR056x) describing any failure and the
     /// rollback, in occurrence order.
     pub diagnostics: Vec<Diagnostic>,
-    /// End-to-end wall clock.
+    /// Wall clock spent before the first prepare message: staging the
+    /// next-epoch layout and diffing it against the serving state. Part of
+    /// [`RolloutReport::elapsed`].
+    pub stage: Duration,
+    /// End-to-end wall clock: stage + prepare + commit + finalize.
     pub elapsed: Duration,
 }
 
@@ -694,6 +705,10 @@ impl RolloutReport {
             Value::Number(self.forced_rollbacks as f64),
         );
         o.push("instr_churn", Value::Number(self.instr_churn as f64));
+        o.push(
+            "entries_planned",
+            Value::Number(self.entries_planned as f64),
+        );
         o.push("prepare_bytes", Value::Number(self.prepare_bytes as f64));
         o.push("delta_prepares", Value::Number(self.delta_prepares as f64));
         o.push(
@@ -701,6 +716,7 @@ impl RolloutReport {
             Value::Number(self.snapshot_prepares as f64),
         );
         o.push("channel", Value::Object(channel));
+        o.push("stage_us", Value::Number(self.stage.as_micros() as f64));
         o.push("elapsed_us", Value::Number(self.elapsed.as_micros() as f64));
         o.push(
             "switches",
@@ -992,41 +1008,70 @@ impl<'a> Runtime<'a> {
             ))
             .with_code(codes::ROLLOUT_GATED));
         }
-        let entries = self.logical_entries();
-        // Stage the complete next-epoch layout: fresh states under the new
-        // placement for surviving switches, empty states (a flush) for
-        // live switches the new placement dropped.
-        let mut staged: BTreeMap<String, DataPlaneState> = BTreeMap::new();
-        for sw in new_output.placement.switches.keys() {
-            if self.faults.switch_failed(sw) {
-                continue;
+        let report = self.stage(new_output, None, true, channel, config, store)?;
+        if report.committed {
+            self.output = new_output;
+        }
+        Ok(report)
+    }
+
+    /// The one staging path behind [`Runtime::apply_rollout`],
+    /// [`Runtime::fail_switch`] and [`Runtime::fail_link`]: lay out the
+    /// next epoch under `output` and the current fault set from the shards
+    /// the switches already serve ([`stage_layout`] — `lost` is a switch
+    /// that just died, whose shards survive only as entries to re-home),
+    /// then run the result through the two-phase transaction. Staging sends
+    /// nothing and changes no switch; the rollout's clock and
+    /// [`Phase::Rollout`] start here, so the report accounts for it.
+    ///
+    /// A placement rollout resets global registers (`reset_globals`); a
+    /// failover re-sync under the serving placement carries them over —
+    /// the program did not change — and keeps no intent log.
+    fn stage(
+        &mut self,
+        output: &'a CompileOutput,
+        lost: Option<(&str, &DataPlaneState)>,
+        reset_globals: bool,
+        channel: &mut dyn ControlChannel,
+        config: &RolloutConfig,
+        store: Option<&mut dyn IntentStore>,
+    ) -> Result<RolloutReport, RuntimeError> {
+        let t0 = Instant::now();
+        if let Some(obs) = &self.observer {
+            obs.on_phase_start(Phase::Rollout);
+        }
+        let staged = match stage_layout(output, &self.faults, &self.states, lost, reset_globals) {
+            Ok(staged) => staged,
+            Err(e) => {
+                if let Some(obs) = &self.observer {
+                    obs.on_phase_end(Phase::Rollout, t0.elapsed());
+                }
+                return Err(
+                    RuntimeError::new(format!("prepare validation failed: {}", e.message))
+                        .with_code(codes::ROLLOUT_PREPARE_FAILED),
+                );
             }
-            staged.insert(sw.clone(), SwitchState::fresh(new_output, 0).dp);
-        }
-        for sw in self.states.keys() {
-            staged.entry(sw.clone()).or_default();
-        }
-        plan_entries(new_output, &self.faults, &mut staged, &entries).map_err(|e| {
-            RuntimeError::new(format!("prepare validation failed: {}", e.message))
-                .with_code(codes::ROLLOUT_PREPARE_FAILED)
-        })?;
-        // A switch the new placement adds gets a live (empty) state first,
-        // at the current epoch, so it participates in the transaction.
-        for sw in staged.keys() {
+        };
+        // A switch the placement adds gets a live (empty) state first, at
+        // the current epoch, so it participates in the transaction.
+        for sw in staged.states.keys() {
             if !self.states.contains_key(sw) {
                 self.states
-                    .insert(sw.clone(), SwitchState::fresh(new_output, self.epoch));
+                    .insert(sw.clone(), SwitchState::fresh(output, self.epoch));
                 // A fresh switch has no retained base to delta against;
                 // its first prepare carries a full snapshot.
                 self.needs_snapshot.insert(sw.clone());
             }
         }
-        let churn =
-            PlacementDiff::between(&self.output.placement, &new_output.placement).total_churn();
+        let churn = PlacementDiff::between(&self.output.placement, &output.placement).total_churn();
         let mut journal = Journal::new(store, config.crash.clone());
-        let report = self.two_phase(staged, churn, channel, config, &mut journal)?;
-        if report.committed {
-            self.output = new_output;
+        let mut report = self.two_phase(staged, t0, churn, channel, config, &mut journal)?;
+        // Read the clock once the staged states are released, so the
+        // report covers the whole call.
+        report.elapsed = t0.elapsed();
+        if let Some(obs) = &self.observer {
+            obs.on_phase_end(Phase::Rollout, report.elapsed);
+            obs.on_rollout(&report);
         }
         Ok(report)
     }
@@ -1045,12 +1090,11 @@ impl<'a> Runtime<'a> {
         if self.faults.switch_failed(switch) {
             return Ok(RolloutReport::noop(self.epoch));
         }
-        // Capture the logical view *before* the switch dies — its shard
-        // contributes the entries that must move.
-        let entries = self.logical_entries();
-        self.states.remove(switch);
+        // The dead switch's shards outlive it only as entries to re-home.
+        let lost = self.states.remove(switch);
         self.faults.add_switch(switch);
-        self.resync_rollout(entries, channel, config)
+        let lost = lost.as_ref().map(|st| (switch, &st.dp));
+        self.stage(self.output, lost, false, channel, config, None)
     }
 
     /// Fail a switch at runtime: its shards are lost, paths through it
@@ -1083,9 +1127,8 @@ impl<'a> Runtime<'a> {
         if self.faults.link_failed(a, b) {
             return Ok(RolloutReport::noop(self.epoch));
         }
-        let entries = self.logical_entries();
         self.faults.add_link(a, b);
-        self.resync_rollout(entries, channel, config)
+        self.stage(self.output, None, false, channel, config, None)
     }
 
     /// Fail a link at runtime (reliable channel); see
@@ -1135,51 +1178,6 @@ impl<'a> Runtime<'a> {
         Ok(())
     }
 
-    /// Re-plan the logical entry set onto the current (post-fault)
-    /// topology and roll the result out. The planner is seeded with the
-    /// surviving shard contents, so entries still covered on all their
-    /// paths stay put — only lost coverage moves.
-    pub(crate) fn resync_rollout(
-        &mut self,
-        entries: Vec<(String, u64, u64)>,
-        channel: &mut dyn ControlChannel,
-        config: &RolloutConfig,
-    ) -> Result<RolloutReport, RuntimeError> {
-        // O(pages) copy-on-write clones: staging every switch copies page
-        // directories, never entries. The planner then rebuilds state only
-        // for switches whose entry coverage actually moved; every other
-        // staged state keeps sharing pages with the serving one, so its
-        // delta is empty and its prepare is a single open-epoch batch.
-        let mut staged: BTreeMap<String, DataPlaneState> = self
-            .states
-            .iter()
-            .map(|(sw, st)| (sw.clone(), st.dp.clone()))
-            .collect();
-        let touched =
-            plan_entries(self.output, &self.faults, &mut staged, &entries).map_err(|e| {
-                RuntimeError::new(format!("re-sync planning failed: {}", e.message))
-                    .with_code(codes::ROLLOUT_PREPARE_FAILED)
-            })?;
-        // Untouched switches must still share every page with their
-        // serving state — the re-plan must not rebuild them wholesale.
-        debug_assert!(
-            staged.iter().all(|(sw, dp)| {
-                touched.contains(sw)
-                    || self.states.get(sw).is_none_or(|st| {
-                        dp.externs.len() == st.dp.externs.len()
-                            && dp
-                                .externs
-                                .iter()
-                                .zip(&st.dp.externs)
-                                .all(|((an, at), (bn, bt))| an == bn && at.same_pages(bt))
-                    })
-            }),
-            "re-sync rebuilt extern state for a switch the re-plan did not touch"
-        );
-        let mut journal = Journal::new(None, config.crash.clone());
-        self.two_phase(staged, 0, channel, config, &mut journal)
-    }
-
     /// The transaction core: prepare every target switch, then commit them
     /// all, rolling everything back on any exhausted message budget. A
     /// channel failure *is* a result here, reported through
@@ -1189,16 +1187,17 @@ impl<'a> Runtime<'a> {
     /// [`Runtime::recover`].
     fn two_phase(
         &mut self,
-        staged: BTreeMap<String, DataPlaneState>,
+        staged: StagedLayout,
+        t0: Instant,
         instr_churn: usize,
         channel: &mut dyn ControlChannel,
         config: &RolloutConfig,
         journal: &mut Journal<'_>,
     ) -> Result<RolloutReport, RuntimeError> {
-        let t0 = Instant::now();
-        if let Some(obs) = &self.observer {
-            obs.on_phase_start(Phase::Rollout);
-        }
+        let StagedLayout {
+            states: staged,
+            entries_planned,
+        } = staged;
         // Allocate the next epoch. Rolled-back epochs are burned: the
         // counter never rewinds, so message epochs are unique per attempt.
         self.epoch_counter += 1;
@@ -1207,6 +1206,7 @@ impl<'a> Runtime<'a> {
         let mut report = RolloutReport {
             epoch,
             instr_churn,
+            entries_planned,
             ..Default::default()
         };
         let targets: Vec<String> = staged.keys().cloned().collect();
@@ -1237,6 +1237,7 @@ impl<'a> Runtime<'a> {
         })?;
         journal.boundary(CrashPoint::BeforePrepare)?;
 
+        report.stage = t0.elapsed();
         let mut failure: Option<(lyra_diag::Code, String)> = None;
         // --- Phase 1: prepare -------------------------------------------
         // Delta by default: each switch receives only the batched entry
@@ -1453,11 +1454,6 @@ impl<'a> Runtime<'a> {
         // switch-held state (what `audit_switches` diffs against) is
         // refreshed from the finalized states.
         self.refresh_expected();
-        report.elapsed = t0.elapsed();
-        if let Some(obs) = &self.observer {
-            obs.on_phase_end(Phase::Rollout, report.elapsed);
-            obs.on_rollout(&report);
-        }
         Ok(report)
     }
 }
@@ -1715,10 +1711,75 @@ mod tests {
             "\"messages_sent\"",
             "\"retries\"",
             "\"late_replays\"",
+            "\"stage_us\"",
+            "\"elapsed_us\"",
+            "\"entries_planned\"",
             "\"switches\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+    }
+
+    #[test]
+    fn report_clock_covers_staging_and_counts_what_was_planned() {
+        let compiler = Compiler::new();
+        let req = lb_request();
+        let prior = compiler.compile(&req).unwrap();
+        let mut rt = Runtime::new(&prior);
+        for k in 0..32 {
+            rt.install("conn_table", k, k + 1).unwrap();
+        }
+        // Agg4 loses its replica of one key behind the controller's back:
+        // once Agg3 dies, that key is the only entry any path lost.
+        rt.inject_drift(
+            "Agg4",
+            &crate::DriftOp::Remove {
+                table: "conn_table".into(),
+                key: 7,
+            },
+        )
+        .unwrap();
+        let agg4 = rt.shard("Agg4", "conn_table").unwrap().clone();
+        let resync = rt
+            .fail_switch_with_channel(
+                "Agg3",
+                &mut ReliableChannel::new(),
+                &RolloutConfig::default(),
+            )
+            .unwrap();
+        assert!(resync.committed, "{resync:?}");
+        assert_eq!(resync.entries_planned, 1, "{resync:?}");
+        assert_eq!(rt.shard("Agg4", "conn_table").unwrap().get(7), Some(8));
+        assert_eq!(rt.logical_entries().len(), 32);
+        // The clock starts before staging: stage is part of elapsed.
+        assert!(resync.stage > Duration::ZERO);
+        let phases: Duration = resync.switches.iter().map(|s| s.prepare + s.commit).sum();
+        assert!(
+            resync.elapsed >= resync.stage + phases,
+            "elapsed {:?} < stage {:?} + prepare/commit {phases:?}",
+            resync.elapsed,
+            resync.stage
+        );
+        // Re-rolling the serving placement finds every path covered: no
+        // entry reaches the planner and no shard is rebuilt.
+        let agg4_after = rt.shard("Agg4", "conn_table").unwrap().clone();
+        assert!(
+            !agg4_after.same_pages(&agg4),
+            "re-homing a key must copy its page, not write through it"
+        );
+        let again = rt
+            .apply_rollout(
+                &prior,
+                &mut ReliableChannel::new(),
+                &RolloutConfig::default(),
+            )
+            .unwrap();
+        assert!(again.committed, "{again:?}");
+        assert_eq!(again.entries_planned, 0, "{again:?}");
+        assert!(rt
+            .shard("Agg4", "conn_table")
+            .unwrap()
+            .same_pages(&agg4_after));
     }
 
     #[test]

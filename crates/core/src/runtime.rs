@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use lyra_diag::Code;
-use lyra_ir::{execute, DataPlaneState, Effect, InstrId, PacketState};
+use lyra_ir::{execute, DataPlaneState, Effect, ExternTable, InstrId, PacketState};
 use lyra_topo::FaultSet;
 
 use crate::{CompileObserver, CompileOutput};
@@ -136,31 +136,13 @@ pub struct Runtime<'a> {
     pub(crate) observer: Option<Arc<dyn CompileObserver>>,
 }
 
-/// Compute the switches that must receive logical entry `(table, key)` so
-/// every surviving flow path sees it — the §5.8 placement decision, shared
-/// between live [`Runtime::install`] and the rollout engine's staged-layout
-/// planner so both place entries identically.
-///
-/// `holds(sw)` reports whether the switch already holds the key;
-/// `used(sw)` reports how many keys its shard of `table` currently holds.
-pub(crate) fn entry_targets(
-    output: &CompileOutput,
-    faults: &FaultSet,
-    table: &str,
-    key: u64,
-    holds: impl Fn(&str) -> bool,
-    used: impl Fn(&str) -> u64,
-) -> Result<Vec<String>, RuntimeError> {
-    let _ = key; // the key itself does not influence shard choice
-    EntryPlanner::new(output, faults, table)?.targets(holds, used)
-}
-
-/// The per-table placement context of [`entry_targets`], hoisted out of the
-/// per-entry loop: the surviving holders, the surviving flow paths that can
-/// reach the table, and each holder's shard capacity depend only on the
-/// placement and the fault set — never on the key — so million-entry bulk
-/// operations build this once and reuse it for every entry instead of
-/// re-cloning every flow path per key.
+/// The per-table placement context of the §5.8 entry-placement decision,
+/// shared between live [`Runtime::install`] and the rollout engine's
+/// staging ([`stage_layout`]) so both place entries identically: the
+/// surviving holders, the surviving flow paths that can reach the table,
+/// and each holder's shard capacity depend only on the placement and the
+/// fault set — never on the key — so bulk operations build this once per
+/// table instead of re-cloning every flow path per key.
 pub(crate) struct EntryPlanner {
     table: String,
     holders: Vec<String>,
@@ -224,6 +206,7 @@ impl EntryPlanner {
     /// The switches one logical entry must land on so every surviving flow
     /// path sees it. `holds(sw)` reports whether the switch already holds
     /// the key; `used(sw)` reports how many keys its shard currently holds.
+    /// The key itself does not influence shard choice.
     pub(crate) fn targets(
         &self,
         holds: impl Fn(&str) -> bool,
@@ -257,60 +240,211 @@ impl EntryPlanner {
         }
         Ok(targets)
     }
+
+    /// [`EntryPlanner::targets`] for `key` against per-switch states: a
+    /// switch holds the key, and uses capacity, by what its shard of this
+    /// table in `shard_of(switch)` says.
+    fn targets_in<'s>(
+        &self,
+        key: u64,
+        shard_of: impl Fn(&str) -> Option<&'s DataPlaneState>,
+    ) -> Result<Vec<String>, RuntimeError> {
+        let shard = |sw: &str| shard_of(sw).and_then(|dp| dp.externs.get(&self.table));
+        self.targets(
+            |sw| shard(sw).is_some_and(|t| t.contains_key(key)),
+            |sw| shard(sw).map_or(0, |t| t.len() as u64),
+        )
+    }
 }
 
-/// Place every logical entry into `staged` (per-switch data-plane states)
-/// under `output`'s placement and the given fault set. Entries already
-/// covered on all their surviving paths are no-ops, so seeding `staged`
-/// with the current shard contents reproduces the idempotent-replay
-/// semantics of a control-plane re-sync. Returns the switches that
-/// received at least one entry.
-pub(crate) fn plan_entries(
+/// One switch's shard of one extern table as staging found it.
+struct Shard<'s> {
+    switch: &'s str,
+    entries: &'s ExternTable,
+    /// The next epoch keeps serving this shard from this switch (its staged
+    /// state starts as a page-sharing clone). A shard that is not kept —
+    /// the switch died, the placement no longer hosts the table there, or
+    /// shrank it below what the shard holds — only contributes entries.
+    kept: bool,
+}
+
+/// The next-epoch layout one staging pass produced.
+pub(crate) struct StagedLayout {
+    /// Next-epoch data-plane state per switch: every live switch plus
+    /// every unfailed switch of the placement.
+    pub(crate) states: BTreeMap<String, DataPlaneState>,
+    /// Logical entries handed to the first-fit planner: those some
+    /// surviving flow path had lost sight of.
+    pub(crate) entries_planned: u64,
+}
+
+/// Stage the next epoch's per-switch state under `output`'s placement and
+/// the given fault set, shard by shard rather than entry by entry.
+///
+/// Every live switch's next-epoch state starts as an O(pages) clone of the
+/// shards it already serves. A shard is *kept* iff the placement still
+/// hosts its table on that switch with capacity for what the shard holds;
+/// any other shard — and every shard of `lost`, a switch that just died —
+/// is dropped and only contributes its entries. One k-way merge per table
+/// over all its shards then finds the entries some surviving flow path no
+/// longer sees (no kept shard on the path holds them), and only those go
+/// through the first-fit [`EntryPlanner`], in key order. Entries covered on
+/// every path are no-ops for the planner anyway, so skipping them changes
+/// no decision; what it changes is that an untouched switch keeps sharing
+/// every page with its serving state, so its rollout delta costs O(pages).
+/// A table whose shards all lie on every surviving path is not walked at
+/// all.
+///
+/// Replicas that disagree on a key's value converge on the first shard's
+/// in switch order — the value [`Runtime::logical_entries`] reports.
+///
+/// `reset_globals` restarts global registers at zero, sized from `output`
+/// (a re-flashed device); otherwise live switches carry theirs over.
+pub(crate) fn stage_layout(
     output: &CompileOutput,
     faults: &FaultSet,
-    staged: &mut BTreeMap<String, DataPlaneState>,
-    entries: &[(String, u64, u64)],
-) -> Result<Vec<String>, RuntimeError> {
-    let mut touched: Vec<String> = Vec::new();
-    // One placement context per table for the whole batch — at a million
-    // entries, rebuilding holders and flow paths per entry is the
-    // difference between milliseconds and minutes.
-    let mut planners: BTreeMap<&str, EntryPlanner> = BTreeMap::new();
-    for (table, key, value) in entries {
-        let planner = match planners.get(table.as_str()) {
-            Some(p) => p,
-            None => {
-                let p = EntryPlanner::new(output, faults, table)?;
-                planners.entry(table.as_str()).or_insert(p)
-            }
-        };
-        let targets = planner.targets(
-            |sw| {
-                staged
-                    .get(sw)
-                    .and_then(|dp| dp.externs.get(table))
-                    .map(|t| t.contains_key(*key))
-                    .unwrap_or(false)
-            },
-            |sw| {
-                staged
-                    .get(sw)
-                    .and_then(|dp| dp.externs.get(table))
-                    .map(|t| t.len() as u64)
-                    .unwrap_or(0)
-            },
-        )?;
-        for sw in targets {
-            staged
-                .entry(sw.clone())
-                .or_default()
-                .install(table, *key, *value);
-            if !touched.contains(&sw) {
-                touched.push(sw);
-            }
+    serving: &BTreeMap<String, SwitchState>,
+    lost: Option<(&str, &DataPlaneState)>,
+    reset_globals: bool,
+) -> Result<StagedLayout, RuntimeError> {
+    let mut states: BTreeMap<String, DataPlaneState> = output
+        .placement
+        .switches
+        .keys()
+        .filter(|sw| !faults.switch_failed(sw))
+        .map(|sw| (sw.clone(), SwitchState::fresh(output, 0).dp))
+        .collect();
+    for (sw, st) in serving {
+        // Live switches the placement dropped stage an empty state: a flush.
+        let dp = states.entry(sw.clone()).or_default();
+        if !reset_globals {
+            dp.globals = st.dp.globals.clone();
         }
     }
-    Ok(touched)
+
+    // Every shard of every table, in switch order (the merged view's value
+    // rule). A switch is `touched` once its staged extern state is no
+    // longer a plain clone of what it serves.
+    let mut sources: BTreeMap<&str, &DataPlaneState> = serving
+        .iter()
+        .map(|(sw, st)| (sw.as_str(), &st.dp))
+        .collect();
+    sources.extend(lost);
+    let mut shards: BTreeMap<&str, Vec<Shard<'_>>> = BTreeMap::new();
+    let mut touched: BTreeSet<String> = BTreeSet::new();
+    for (&switch, &dp) in &sources {
+        let hosted = output
+            .placement
+            .switches
+            .get(switch)
+            .filter(|_| serving.contains_key(switch) && !faults.switch_failed(switch));
+        for (table, entries) in &dp.externs {
+            let kept = hosted
+                .and_then(|plan| plan.extern_entries.get(table))
+                .is_some_and(|&capacity| entries.len() as u64 <= capacity);
+            if kept {
+                // O(pages): the clone shares every page with the shard.
+                states
+                    .entry(switch.to_string())
+                    .or_default()
+                    .externs
+                    .insert(table.clone(), entries.clone());
+            } else {
+                touched.insert(switch.to_string());
+            }
+            shards.entry(table).or_default().push(Shard {
+                switch,
+                entries,
+                kept,
+            });
+        }
+    }
+
+    let mut entries_planned = 0u64;
+    for (&table, shards) in &shards {
+        let shards: Vec<&Shard<'_>> = shards.iter().filter(|s| !s.entries.is_empty()).collect();
+        if shards.is_empty() {
+            continue;
+        }
+        let planner = EntryPlanner::new(output, faults, table)?;
+        // What each surviving path can see: the kept shards on it. Paths
+        // with the same view are one case.
+        let mut views: Vec<Vec<usize>> = planner
+            .paths
+            .iter()
+            .map(|path| {
+                (0..shards.len())
+                    .filter(|&i| shards[i].kept && path.iter().any(|sw| sw == shards[i].switch))
+                    .collect()
+            })
+            .collect();
+        views.sort();
+        views.dedup();
+        if views.iter().all(|view| view.len() == shards.len()) {
+            continue; // every shard is on every path: nothing can be out of sight
+        }
+        let tables: Vec<&ExternTable> = shards.iter().map(|s| s.entries).collect();
+        let mut failure: Option<RuntimeError> = None;
+        ExternTable::merge_walk(&tables, |key, held| {
+            let Some(value) = held.iter().flatten().next().copied() else {
+                return;
+            };
+            if failure.is_some() {
+                return; // the walk cannot stop early; the rest is skipped
+            }
+            let mut place = |states: &mut BTreeMap<String, DataPlaneState>, switch: &str| {
+                states
+                    .entry(switch.to_string())
+                    .or_default()
+                    .install(table, key, value);
+                if !touched.contains(switch) {
+                    touched.insert(switch.to_string());
+                }
+            };
+            // Replicas that disagree converge on the first shard's value.
+            for (shard, _) in shards
+                .iter()
+                .zip(held)
+                .filter(|(s, v)| s.kept && v.is_some_and(|v| v != value))
+            {
+                place(&mut states, shard.switch);
+            }
+            if views
+                .iter()
+                .all(|view| view.iter().any(|&i| held[i].is_some()))
+            {
+                return;
+            }
+            entries_planned += 1;
+            match planner.targets_in(key, |sw| states.get(sw)) {
+                Ok(targets) => targets.iter().for_each(|sw| place(&mut states, sw)),
+                Err(e) => failure = Some(e),
+            }
+        });
+        if let Some(e) = failure {
+            return Err(e);
+        }
+    }
+    // Switches staging did not touch must still share every page with
+    // their serving state, so their rollout delta is found in O(pages).
+    debug_assert!(
+        states.iter().all(|(sw, dp)| {
+            touched.contains(sw)
+                || serving.get(sw).is_none_or(|st| {
+                    dp.externs.len() == st.dp.externs.len()
+                        && dp
+                            .externs
+                            .iter()
+                            .zip(&st.dp.externs)
+                            .all(|((an, at), (bn, bt))| an == bn && at.same_pages(bt))
+                })
+        }),
+        "staging rebuilt extern state for a switch it did not touch"
+    );
+    Ok(StagedLayout {
+        states,
+        entries_planned,
+    })
 }
 
 impl<'a> Runtime<'a> {
@@ -397,20 +531,27 @@ impl<'a> Runtime<'a> {
     }
 
     /// All logical entries currently installed, as `(table, key, value)`
-    /// triples (the union over every shard — the control plane's view).
+    /// triples in `(table, key)` order (the union over every shard — the
+    /// control plane's view): per table, one k-way merge of its sorted
+    /// shards. Where replicas disagree on a value, the first shard in
+    /// switch order wins. An inspection view for tests, examples and health
+    /// snapshots; the rollout engine stages from the shards themselves.
     pub fn logical_entries(&self) -> Vec<(String, u64, u64)> {
-        let mut merged: BTreeMap<(String, u64), u64> = BTreeMap::new();
+        let mut shards: BTreeMap<&String, Vec<&ExternTable>> = BTreeMap::new();
         for st in self.states.values() {
             for (table, entries) in &st.dp.externs {
-                for (k, v) in entries {
-                    merged.entry((table.clone(), k)).or_insert(v);
-                }
+                shards.entry(table).or_default().push(entries);
             }
         }
+        let mut merged = Vec::new();
+        for (table, shards) in shards {
+            ExternTable::merge_walk(&shards, |key, held| {
+                if let Some(&value) = held.iter().flatten().next() {
+                    merged.push((table.clone(), key, value));
+                }
+            });
+        }
         merged
-            .into_iter()
-            .map(|((table, k), v)| (table, k, v))
-            .collect()
     }
 
     /// Install a logical entry into `table`. The control plane does not
@@ -431,42 +572,8 @@ impl<'a> Runtime<'a> {
         key: u64,
         value: u64,
     ) -> Result<Vec<String>, RuntimeError> {
-        let targets = entry_targets(
-            self.output,
-            &self.faults,
-            table,
-            key,
-            |sw| {
-                self.states
-                    .get(sw)
-                    .and_then(|st| st.dp.externs.get(table))
-                    .map(|t| t.contains_key(key))
-                    .unwrap_or(false)
-            },
-            |sw| {
-                self.states
-                    .get(sw)
-                    .and_then(|st| st.dp.externs.get(table))
-                    .map(|t| t.len() as u64)
-                    .unwrap_or(0)
-            },
-        )?;
-        for sw in &targets {
-            // A chosen holder always has live state: entry_targets only
-            // proposes unfailed placement switches, which `new` seeded and
-            // only `fail_switch` removes.
-            let st = self.states.get_mut(sw).ok_or_else(|| {
-                RuntimeError::new(format!("internal: placement switch `{sw}` has no state"))
-            })?;
-            st.dp.install(table, key, value);
-            // Mirror into the controller's expected shadow so the
-            // anti-entropy audit knows this switch should hold the entry.
-            self.expected
-                .entry(sw.clone())
-                .or_default()
-                .install(table, key, value);
-        }
-        Ok(targets)
+        let planner = EntryPlanner::new(self.output, &self.faults, table)?;
+        self.install_planned(&planner, key, value)
     }
 
     /// Bulk [`Runtime::install`]: place every `(key, value)` entry of
@@ -484,44 +591,48 @@ impl<'a> Runtime<'a> {
         let planner = EntryPlanner::new(self.output, &self.faults, table)?;
         let mut placed = 0u64;
         for &(key, value) in entries {
-            let targets = planner.targets(
-                |sw| {
-                    self.states
-                        .get(sw)
-                        .and_then(|st| st.dp.externs.get(table))
-                        .map(|t| t.contains_key(key))
-                        .unwrap_or(false)
-                },
-                |sw| {
-                    self.states
-                        .get(sw)
-                        .and_then(|st| st.dp.externs.get(table))
-                        .map(|t| t.len() as u64)
-                        .unwrap_or(0)
-                },
-            )?;
-            for sw in &targets {
-                let st = self.states.get_mut(sw).ok_or_else(|| {
-                    RuntimeError::new(format!("internal: placement switch `{sw}` has no state"))
-                })?;
-                st.dp.install(table, key, value);
-                self.expected
-                    .entry(sw.clone())
-                    .or_default()
-                    .install(table, key, value);
-                placed += 1;
-            }
+            placed += self.install_planned(&planner, key, value)?.len() as u64;
         }
         Ok(placed)
     }
 
+    /// Place one entry of `planner`'s table on the switches it chooses.
+    fn install_planned(
+        &mut self,
+        planner: &EntryPlanner,
+        key: u64,
+        value: u64,
+    ) -> Result<Vec<String>, RuntimeError> {
+        let targets = planner.targets_in(key, |sw| self.states.get(sw).map(|st| &st.dp))?;
+        for sw in &targets {
+            // A chosen holder always has live state: the planner only
+            // proposes unfailed placement switches, which `new` seeded and
+            // only `fail_switch` removes.
+            let st = self.states.get_mut(sw).ok_or_else(|| {
+                RuntimeError::new(format!("internal: placement switch `{sw}` has no state"))
+            })?;
+            st.dp.install(&planner.table, key, value);
+            // Mirror into the controller's expected shadow so the
+            // anti-entropy audit knows this switch should hold the entry.
+            self.expected
+                .entry(sw.clone())
+                .or_default()
+                .install(&planner.table, key, value);
+        }
+        Ok(targets)
+    }
+
+    /// The shard of `table` that `switch` serves (`None` when it holds
+    /// none). Clones of it share its pages, so holding one across a
+    /// rollout shows, via [`ExternTable::same_pages`], whether the rollout
+    /// left the shard alone.
+    pub fn shard(&self, switch: &str, table: &str) -> Option<&ExternTable> {
+        self.states.get(switch)?.dp.externs.get(table)
+    }
+
     /// Entries currently installed in `table` on `switch`.
     pub fn installed_on(&self, switch: &str, table: &str) -> u64 {
-        self.states
-            .get(switch)
-            .and_then(|st| st.dp.externs.get(table))
-            .map(|t| t.len() as u64)
-            .unwrap_or(0)
+        self.shard(switch, table).map_or(0, |t| t.len() as u64)
     }
 
     /// Inject a packet along `path` (switch names in traversal order).
@@ -712,6 +823,31 @@ mod tests {
             vec![
                 ("conn_table".to_string(), 1, 10),
                 ("conn_table".to_string(), 2, 20)
+            ]
+        );
+    }
+
+    #[test]
+    fn logical_entries_are_key_ordered_and_the_first_shard_wins() {
+        let out = lb_output();
+        let mut rt = Runtime::new(&out);
+        for key in [9, 2, 5] {
+            rt.install("conn_table", key, key * 10).unwrap();
+        }
+        // Agg3 and Agg4 replicate every key; corrupt one on each.
+        let corrupt = |key, value| crate::DriftOp::Corrupt {
+            table: "conn_table".into(),
+            key,
+            value,
+        };
+        rt.inject_drift("Agg3", &corrupt(2, 0xaaa)).unwrap();
+        rt.inject_drift("Agg4", &corrupt(5, 0xbbb)).unwrap();
+        assert_eq!(
+            rt.logical_entries(),
+            vec![
+                ("conn_table".to_string(), 2, 0xaaa),
+                ("conn_table".to_string(), 5, 50),
+                ("conn_table".to_string(), 9, 90),
             ]
         );
     }

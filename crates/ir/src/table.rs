@@ -242,6 +242,41 @@ impl ExternTable {
         }
     }
 
+    /// K-way merge of sorted tables: `f(key, held)` fires once per distinct
+    /// key of the union, in ascending key order, with `held[i]` the value
+    /// `tables[i]` maps the key to (`None` where it has no entry). One
+    /// linear pass over every page, O(entries × tables); nothing is
+    /// allocated per key. This is how the control plane reads several
+    /// shards of one logical table as one table — which shards hold a key,
+    /// and whether the replicas agree on its value — without flattening
+    /// them into a map first.
+    pub fn merge_walk(tables: &[&Self], mut f: impl FnMut(u64, &[Option<u64>])) {
+        // Per table: the unread tail of its current page (empty once the
+        // table is exhausted — pages themselves never are) and the pages
+        // after it.
+        let mut later: Vec<_> = tables.iter().map(|t| t.pages.iter()).collect();
+        let mut next_page =
+            move |i: usize| -> &[(u64, u64)] { later[i].next().map_or(&[], |page| page) };
+        let mut heads: Vec<&[(u64, u64)]> = (0..tables.len()).map(&mut next_page).collect();
+        let mut held = vec![None; tables.len()];
+        while let Some(key) = heads
+            .iter()
+            .filter_map(|head| head.first().map(|&(k, _)| k))
+            .min()
+        {
+            for (i, slot) in held.iter_mut().enumerate() {
+                *slot = match heads[i].split_first() {
+                    Some((&(k, value), tail)) if k == key => {
+                        heads[i] = if tail.is_empty() { next_page(i) } else { tail };
+                        Some(value)
+                    }
+                    _ => None,
+                };
+            }
+            f(key, &held);
+        }
+    }
+
     /// True when the two tables share every page by pointer — a cheap
     /// sufficient (not necessary) condition for equality, used to skip
     /// work on untouched switches.
@@ -413,6 +448,33 @@ mod tests {
                 (4, None, Some(4)),
             ]
         );
+    }
+
+    #[test]
+    fn merge_walk_visits_the_union_once_in_key_order() {
+        // Three overlapping shards spanning several pages, one of them
+        // empty, with one replica disagreeing on a value.
+        let a = table_of((0..3000u64).map(|k| (k * 2, k)));
+        let b = table_of((0..3000u64).map(|k| (k * 3, k)));
+        let mut c = a.clone();
+        c.insert(4, 0xdead);
+        let empty = ExternTable::new();
+        let mut reference: BTreeMap<u64, Vec<Option<u64>>> = BTreeMap::new();
+        let tables = [&a, &empty, &b, &c];
+        for (i, t) in tables.iter().enumerate() {
+            for (k, v) in t.iter() {
+                reference.entry(k).or_insert_with(|| vec![None; 4])[i] = Some(v);
+            }
+        }
+        let mut seen = Vec::new();
+        ExternTable::merge_walk(&tables, |k, held| seen.push((k, held.to_vec())));
+        assert!(seen.windows(2).all(|w| w[0].0 < w[1].0), "not ascending");
+        assert_eq!(seen, reference.into_iter().collect::<Vec<_>>());
+        let at4 = &seen.iter().find(|(k, _)| *k == 4).unwrap().1;
+        assert_eq!(at4, &vec![Some(2), None, None, Some(0xdead)]);
+        // No tables, or only empty ones: silent.
+        ExternTable::merge_walk(&[], |_, _| panic!("fired on no tables"));
+        ExternTable::merge_walk(&[&empty, &empty], |_, _| panic!("fired on empty tables"));
     }
 
     #[test]

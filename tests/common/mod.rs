@@ -67,3 +67,107 @@ pub fn scaled_entries(n: usize, seed: u64) -> Vec<(u64, u64)> {
     }
     entries
 }
+
+/// The from-scratch planner, kept as the differential reference for the
+/// rollout engine's shard-level staging: a fresh deployment of `output`
+/// with the same faults applied while it is still empty, then every
+/// logical entry placed one at a time by the first-fit `install` planner —
+/// what staging did for every rollout before it learned to keep shards.
+/// `Err` is the planner's own (a table that does not fit).
+pub fn replan_from_scratch<'a>(
+    output: &'a lyra::CompileOutput,
+    faults: &lyra_topo::FaultSet,
+    entries: &[(String, u64, u64)],
+) -> Result<lyra::Runtime<'a>, lyra::RuntimeError> {
+    // A failover placement no longer names the elements it was compiled
+    // around; there is nothing of theirs to fail.
+    let unless_unknown = |failed: Result<Vec<String>, lyra::RuntimeError>| match failed {
+        Err(e) if e.code != Some(lyra_diag::codes::SCOPE_UNKNOWN_SWITCH) => Err(e),
+        _ => Ok(()),
+    };
+    let mut rt = lyra::Runtime::new(output);
+    for switch in faults.failed_switches() {
+        unless_unknown(rt.fail_switch(switch))?;
+    }
+    for (a, b) in faults.failed_links() {
+        unless_unknown(rt.fail_link(a, b))?;
+    }
+    for (table, key, value) in entries {
+        rt.install(table, *key, *value)?;
+    }
+    Ok(rt)
+}
+
+/// Assert the layout invariants every control-plane operation must leave
+/// behind, over `switches` (every switch that could hold a shard):
+///
+/// * every logical entry is present, with its logical value, on at least
+///   one holder of every surviving flow path that reaches its table (with
+///   no path left, every holder is its own path);
+/// * no shard exceeds the capacity the placement gives it;
+/// * a switch the placement hosts no shard of a table on holds none of it.
+pub fn assert_layout_sound(rt: &lyra::Runtime<'_>, switches: &[&str], what: &str) {
+    let (out, faults) = (rt.output(), rt.faults());
+    let capacity = |sw: &str, table: &str| {
+        out.placement
+            .switches
+            .get(sw)
+            .filter(|_| !faults.switch_failed(sw))
+            .and_then(|plan| plan.extern_entries.get(table))
+            .copied()
+    };
+    let logical = rt.logical_entries();
+    let mut tables: Vec<&str> = out
+        .placement
+        .switches
+        .values()
+        .flat_map(|plan| plan.extern_entries.keys())
+        .chain(logical.iter().map(|(table, _, _)| table))
+        .map(String::as_str)
+        .collect();
+    tables.sort_unstable();
+    tables.dedup();
+    for table in tables {
+        for &sw in switches {
+            let held = rt.installed_on(sw, table);
+            match capacity(sw, table) {
+                Some(cap) => assert!(
+                    held <= cap,
+                    "{what}: `{sw}` holds {held} entries of `{table}`, capacity {cap}"
+                ),
+                None => assert_eq!(
+                    held, 0,
+                    "{what}: `{sw}` hosts no shard of `{table}` but holds {held} entries"
+                ),
+            }
+        }
+        let holders: Vec<&str> = switches
+            .iter()
+            .copied()
+            .filter(|sw| capacity(sw, table).is_some())
+            .collect();
+        let mut paths: Vec<Vec<&str>> = out
+            .flow_paths
+            .values()
+            .flatten()
+            .filter(|p| faults.path_survives(p))
+            .map(|p| p.iter().map(String::as_str).collect::<Vec<_>>())
+            .filter(|p| p.iter().any(|sw| holders.contains(sw)))
+            .collect();
+        if paths.is_empty() {
+            paths = holders.iter().map(|&h| vec![h]).collect();
+        }
+        for (_, key, value) in logical.iter().filter(|(t, _, _)| t == table) {
+            for path in &paths {
+                let seen = path.iter().any(|sw| {
+                    holders.contains(sw)
+                        && rt.shard(sw, table).and_then(|s| s.get(*key)) == Some(*value)
+                });
+                assert!(
+                    seen,
+                    "{what}: `{table}[{key}]` = {value:#x} is out of sight of path {path:?}"
+                );
+            }
+        }
+    }
+}
