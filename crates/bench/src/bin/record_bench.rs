@@ -7,9 +7,12 @@
 //! * `BENCH_fig10.json` — per-case median wall time / conflicts /
 //!   decisions at k ∈ {4, 8, 16, 32} (plus a best-effort k = 48 NetCache
 //!   MULTI-SW row), a monolithic-vs-sequential-vs-portfolio-vs-cached
-//!   comparison on the hardest case (LB MULTI-SW at k = 16) and a
+//!   comparison on the hardest case (LB MULTI-SW at k = 16), a
 //!   `rollout` section (p50 transactional prepare+commit latency applying
-//!   a failover placement to the running k = 16 LB deployment);
+//!   a failover placement to the running k = 16 LB deployment) and a
+//!   `failover.recompile` section (`recompile_for_faults` after Agg1 dies
+//!   at k = 16 against compiling the survivor network from scratch, with
+//!   the solve route taken);
 //! * `BENCH_fig9.json` — per-program median compile time, conflicts, and
 //!   synthesis-cache hit rate on a single-switch target.
 //!
@@ -24,7 +27,9 @@
 //! `BENCH_fig10.json` baseline — CI's cheap performance-regression
 //! tripwire. Two datacenter-scale tripwires ride along: NetCache MULTI-SW
 //! must stay within 2× of its snapshot at k = 16 and under one second
-//! absolute at k = 32. The data-plane tripwire also runs: the compiled
+//! absolute at k = 32. A `Feasible` failover recompile must take the
+//! carried-over route and must not be slower than compiling the survivor
+//! network from scratch. The data-plane tripwire also runs: the compiled
 //! engine must beat the interpreter by a fixed floor and a lossy rollout
 //! under traffic must show zero mixed-epoch exposure. `--pps-smoke` runs
 //! only that data-plane tripwire.
@@ -294,7 +299,85 @@ fn record_fig10() -> Object {
     root.push("rollout", Value::Object(record_rollout()));
     root.push("recovery", Value::Object(record_recovery()));
     root.push("mttr", Value::Object(record_mttr()));
+    let mut failover = Object::new();
+    failover.push("recompile", Value::Array(record_failover_recompile()));
+    root.push("failover", Value::Object(failover));
     root
+}
+
+/// Pod size of the failover-recompile rows.
+const FAILOVER_K: usize = 16;
+
+/// One failover recompile against its from-scratch alternative.
+struct FailoverRow {
+    /// p50 of `recompile_for_faults` with Agg1 dead.
+    recompile: Duration,
+    /// p50 of a cold compile of the survivor network.
+    survivors_cold: Duration,
+    /// Route and solver decisions of the last recompile.
+    route: &'static str,
+    decisions: u64,
+}
+
+/// Recompile `case` at k = 16 around a dead Agg1, `samples` times, and
+/// compile the network without Agg1 from scratch as often.
+fn measure_failover_recompile(case: &Case, samples: usize) -> FailoverRow {
+    let k = FAILOVER_K;
+    let scopes = scopes_for(k, &case.program, case.multi);
+    let req = CompileRequest::new(&case.program, &scopes, pod(k));
+    let compiler = Compiler::new();
+    let healthy = compiler.compile(&req).expect("healthy compile");
+    let faults = FaultSet::new().with_switch("Agg1");
+    let mut recompiles = Vec::with_capacity(samples);
+    let (mut route, mut decisions) = ("cached", 0);
+    for _ in 0..samples {
+        let t = Instant::now();
+        let r = compiler
+            .recompile_for_faults(&req, &healthy, &faults)
+            .expect("Agg1 failover recompile");
+        recompiles.push(t.elapsed());
+        route = r.output.stats.route_name();
+        decisions = r.output.solver.decisions;
+    }
+    // The same network with Agg1 gone, as a compile that never saw it.
+    let survivors = pod(k).degrade(&faults).topology;
+    let survivor_scopes = scopes.replace("(Agg1,", "(");
+    let cold = measure(
+        &Compiler::new(),
+        &case.program,
+        &survivor_scopes,
+        &survivors,
+        SolveProfile::default(),
+        samples,
+    );
+    FailoverRow {
+        recompile: p50(recompiles),
+        survivors_cold: cold.median,
+        route,
+        decisions,
+    }
+}
+
+fn record_failover_recompile() -> Vec<Value> {
+    let mut rows = Vec::new();
+    for case in cases().iter().filter(|c| c.multi) {
+        let row = measure_failover_recompile(case, SAMPLES);
+        println!(
+            "failover recompile {:<20} k={FAILOVER_K} Agg1 dead: p50 {:?} by the {} route \
+             ({} decisions), survivors from scratch {:?}",
+            case.name, row.recompile, row.route, row.decisions, row.survivors_cold
+        );
+        let mut o = Object::new();
+        o.push("name", Value::str(case.name));
+        o.push("k", Value::Number(FAILOVER_K as f64));
+        o.push("failed", Value::str("Agg1"));
+        o.push("p50_recompile_ms", Value::Number(ms(row.recompile)));
+        o.push("survivors_cold_ms", Value::Number(ms(row.survivors_cold)));
+        o.push("route", Value::str(row.route));
+        o.push("decisions", Value::Number(row.decisions as f64));
+        rows.push(Value::Object(o));
+    }
+    rows
 }
 
 /// Entries installed before each measured rollout, spread across keys.
@@ -1329,6 +1412,28 @@ fn smoke() -> usize {
     );
     if p50 > bound {
         failures += 1;
+    }
+
+    // Failover-recompile tripwire: under `Feasible` the prior placement is
+    // carried onto the survivors, which costs one encode and no search —
+    // so a recompile that misses the route, or is slower than compiling
+    // the survivor network from scratch, has regressed. No baseline: the
+    // two sides are measured here, back to back.
+    for case in cases().iter().filter(|c| c.multi) {
+        let row = measure_failover_recompile(case, 3);
+        let regressed = row.route != "carried-over" || row.recompile > row.survivors_cold;
+        let status = if regressed { "REGRESSED" } else { "ok" };
+        println!(
+            "smoke failover recompile {:<20} k={FAILOVER_K}: {:.2} ms by the {} route \
+             (survivors from scratch {:.2} ms) {status}",
+            case.name,
+            ms(row.recompile),
+            row.route,
+            ms(row.survivors_cold)
+        );
+        if regressed {
+            failures += 1;
+        }
     }
 
     // Datacenter-scale tripwires: the symmetry-breaking + decomposition

@@ -707,6 +707,13 @@ fn drive_rollout(
     let r = compiler
         .recompile_for_faults(req, out, &faults)
         .map_err(|e| format!("failover recompilation failed: {e}"))?;
+    println!(
+        "failover recompile: {} route, {} decisions, {} instruction(s) and {} entry slot(s) moved",
+        r.output.stats.route_name(),
+        r.output.solver.decisions,
+        r.diff.total_churn(),
+        r.diff.entry_churn()
+    );
     let mut rt = Runtime::new(out);
     // Seed a few synthetic entries per extern table so the rollout has
     // live state to carry across the epoch flip.
@@ -1162,9 +1169,10 @@ fn main() -> ExitCode {
             out.stats.total
         );
         println!(
-            "  solver [{}]: {} decisions, {} conflicts, {} clauses deleted in {} reduction(s), \
-             {} worker(s) spawned ({} cancelled)",
+            "  solver [{}]: {} route, {} decisions, {} conflicts, {} clauses deleted in {} \
+             reduction(s), {} worker(s) spawned ({} cancelled)",
             profile.strategy,
+            out.stats.route_name(),
             out.solver.decisions,
             out.solver.conflicts,
             out.solver.clauses_deleted,

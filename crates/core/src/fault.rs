@@ -5,9 +5,14 @@
 //! original [`CompileRequest`], its successful [`CompileOutput`], and a
 //! [`FaultSet`], it degrades the topology, checks each algorithm scope's
 //! survivability ([`scope_health`]), and recompiles against the survivors
-//! seeded with the prior placement — so instructions on healthy switches
-//! tend to stay put and the churn the control plane must push is minimal.
-//! The result carries a [`PlacementDiff`] naming exactly that churn.
+//! from the prior placement. Under [`crate::Objective::Feasible`] the prior
+//! placement restricted to the survivors is verified against the survivor
+//! model and returned unsearched ([`crate::SolveRoute::CarriedOver`]), so
+//! instructions and shards on healthy switches stay put: the
+//! [`PlacementDiff`] the result carries has nothing `added`, and `removed`
+//! and `resharded` name dead switches only. Under an optimizing objective
+//! the recompile is a search hinted with the prior placement, where they
+//! tend to stay put.
 
 use std::collections::BTreeMap;
 
@@ -215,9 +220,9 @@ impl PlacementDiff {
 
     /// Total table entries the re-shard moves: the sum of per-switch entry
     /// count deltas across every re-sharded extern. This is the number a
-    /// delta rollout's wire traffic scales with, so the incremental solver
-    /// hints exist to keep it proportional to what the fault destroyed —
-    /// not the fleet's total entry count.
+    /// delta rollout's wire traffic scales with, so a failover recompile
+    /// keeps it proportional to what the fault destroyed — not the fleet's
+    /// total entry count.
     pub fn entry_churn(&self) -> u64 {
         self.resharded
             .values()
@@ -246,8 +251,9 @@ pub struct FaultRecompile {
 
 impl Compiler {
     /// Recompile `req` (which previously produced `prior`) onto the network
-    /// surviving `faults`, seeded with the prior placement so healthy
-    /// switches keep their code wherever the constraints still allow.
+    /// surviving `faults`, from the prior placement: healthy switches keep
+    /// their code and shards (always under `Feasible`, wherever the
+    /// constraints still allow under an optimizing objective).
     ///
     /// Fails with [`CompileError::Scope`] when the fault set names unknown
     /// elements (`LYR0205`), leaves some algorithm's scope with no
@@ -404,11 +410,11 @@ mod tests {
         let r = compiler
             .recompile_for_faults(&req, &prior, &faults)
             .unwrap();
-        // The integer stability hints keep every surviving shard where it
-        // was: churn counts the dead switch's entries leaving (once) and
-        // landing on survivors (once) — 2x the lost shard — and nothing
-        // else. Without the hints the solver is free to re-deal all 1024
-        // entries from scratch.
+        // The carried-over placement keeps every surviving shard where it
+        // was: churn counts the dead switch's entries leaving — at most
+        // 2x the lost shard if they also had to land on survivors — and
+        // nothing else. A from-scratch solve is free to re-deal all 1024
+        // entries.
         let churn = r.diff.entry_churn();
         assert!(
             churn <= 2 * lost,

@@ -101,7 +101,7 @@ pub use lyra_codegen::{Artifact, CodeSummary};
 pub use lyra_diag::{Diagnostic, Phase, SourceId, SourceMap};
 pub use lyra_solver::{ClauseStore, SearchStats};
 pub use lyra_synth::{
-    Backend, DegradeRung, EncodeOptions, Objective, P4Options, Placement, SolveProfile,
+    Backend, DegradeRung, EncodeOptions, Objective, P4Options, Placement, SolveProfile, SolveRoute,
     SolverStrategy,
 };
 pub use lyra_topo::{DegradeReport, FaultSet, ScopeHealth};
@@ -241,6 +241,10 @@ pub struct CompileStats {
     pub warm_hits: u64,
     /// Warm-start clause-store misses this compile.
     pub warm_misses: u64,
+    /// Which route produced the placement: the previous placement carried
+    /// over unsearched, a quotient solve, or the monolithic search. `None`
+    /// when every synthesis was served from the [`SynthCache`].
+    pub solve_route: Option<SolveRoute>,
 }
 
 impl CompileStats {
@@ -248,6 +252,12 @@ impl CompileStats {
     /// preprocessor + code analyzer" grouping.
     pub fn frontend(&self) -> Duration {
         self.parse + self.check + self.lower
+    }
+
+    /// Name of [`CompileStats::solve_route`] for reports; `"cached"` when
+    /// the synthesis cache answered instead of a route.
+    pub fn route_name(&self) -> &'static str {
+        self.solve_route.map_or("cached", SolveRoute::name)
     }
 
     /// Phase/duration pairs in pipeline order.
@@ -402,6 +412,7 @@ impl CompileSession {
         o.push("solver", Value::Object(solver));
         o.push("synth_cache", Value::Object(cache));
         o.push("warm_start", Value::Object(warm));
+        o.push("solve_route", Value::str(self.stats.route_name()));
         o.push(
             "utilization",
             Value::Array(self.utilization.iter().map(|u| u.to_json()).collect()),
@@ -683,8 +694,10 @@ impl Compiler {
     }
 
     /// Recompile after a program change, seeded with the previous solved
-    /// placement so unchanged instructions tend to stay on their switches
-    /// (§8 "Synthesizing incremental changes").
+    /// placement (§8 "Synthesizing incremental changes"): if it still
+    /// places the program it is returned as it is
+    /// ([`SolveRoute::CarriedOver`]), otherwise it hints the search so
+    /// unchanged instructions tend to stay on their switches.
     pub fn compile_incremental(
         &self,
         req: &CompileRequest,
@@ -713,10 +726,10 @@ impl Compiler {
     }
 
     /// Synthesize through the cache (when configured): consult it by
-    /// content key, fall back to a real [`lyra_synth::synthesize_full`]
-    /// run, and memoize successes. Returns the result plus whether it was
-    /// a cache hit — a hit spent no solver effort, so the caller must not
-    /// absorb its (historical) [`SearchStats`].
+    /// content key, fall back to a real [`lyra_synth::synthesize_limited`]
+    /// run, and memoize successes. Returns the result plus the route that
+    /// run took, `None` for a cache hit — a hit spent no solver effort, so
+    /// the caller must not absorb its (historical) [`SearchStats`].
     #[allow(clippy::too_many_arguments)]
     fn synthesize_cached(
         &self,
@@ -727,17 +740,17 @@ impl Compiler {
         strategy: lyra_synth::SolverStrategy,
         previous: Option<&Placement>,
         limits: &lyra_synth::SynthLimits,
-    ) -> Result<(Arc<lyra_synth::SynthResult>, bool), lyra_synth::SynthError> {
+    ) -> Result<(Arc<lyra_synth::SynthResult>, Option<SolveRoute>), lyra_synth::SynthError> {
         let key = self
             .cache
             .as_ref()
             .map(|_| cache::synth_key(ir, topo, scopes, opts, &self.backend));
         if let (Some(cache), Some(key)) = (&self.cache, key) {
             if let Some(hit) = cache.lookup(key) {
-                return Ok((hit, true));
+                return Ok((hit, None));
             }
         }
-        let result = Arc::new(lyra_synth::synthesize_limited(
+        let (result, route) = lyra_synth::synthesize_limited(
             ir,
             topo,
             scopes,
@@ -746,7 +759,8 @@ impl Compiler {
             strategy,
             previous,
             limits,
-        )?);
+        )?;
+        let result = Arc::new(result);
         // Degraded results never enter the cache: the key ignores limits,
         // so a later unlimited compile of the same problem must not be
         // served a watchdog fallback placement.
@@ -755,7 +769,7 @@ impl Compiler {
                 cache.insert(key, result.clone());
             }
         }
-        Ok((result, false))
+        Ok((result, Some(route)))
     }
 
     fn compile_inner(
@@ -898,66 +912,68 @@ impl Compiler {
             .all(|s| s.deploy == lyra_lang::DeployMode::PerSwitch)
             && matches!(self.encode.objective, Objective::Feasible);
         let t1 = Instant::now();
-        let (placement, artifacts, solver, t_synth, t_codegen, hits, misses, degraded) =
-            if all_per_sw {
-                self.compile_per_switch(&ir, req, &resolved, &encode_opts, &limits)?
-            } else {
-                if let Some(obs) = &self.observer {
-                    obs.on_phase_start(Phase::Solve);
-                }
-                let (synth, was_hit) = self
-                    .synthesize_cached(
-                        &ir,
-                        &req.topology,
-                        &resolved,
-                        &encode_opts,
-                        profile.strategy,
-                        previous,
-                        &limits,
-                    )
-                    .map_err(|e| CompileError::Synth(e.to_diagnostics()))?;
-                let t_synth = t1.elapsed();
-                if let Some(obs) = &self.observer {
-                    obs.on_phase_end(Phase::Solve, t_synth);
-                }
-                // A cache hit spent no solver effort this compile — its stats
-                // belong to the run that populated the cache.
-                let solver = if was_hit {
+        let BackEnd {
+            placement,
+            artifacts,
+            solver,
+            t_synth,
+            t_codegen,
+            hits,
+            misses,
+            degraded,
+            route,
+        } = if all_per_sw {
+            self.compile_per_switch(&ir, req, &resolved, &encode_opts, &limits)?
+        } else {
+            if let Some(obs) = &self.observer {
+                obs.on_phase_start(Phase::Solve);
+            }
+            let (synth, route) = self
+                .synthesize_cached(
+                    &ir,
+                    &req.topology,
+                    &resolved,
+                    &encode_opts,
+                    profile.strategy,
+                    previous,
+                    &limits,
+                )
+                .map_err(|e| CompileError::Synth(e.to_diagnostics()))?;
+            let t_synth = t1.elapsed();
+            if let Some(obs) = &self.observer {
+                obs.on_phase_end(Phase::Solve, t_synth);
+            }
+            let was_hit = route.is_none();
+            let (artifacts, t_codegen) = self.phase(Phase::Codegen, || {
+                lyra_codegen::generate(&ir, &req.topology, &synth).map_err(|e| {
+                    CompileError::Codegen(vec![Diagnostic::error(codes::CODEGEN, e.to_string())])
+                })
+            });
+            BackEnd {
+                placement: synth.placement.clone(),
+                artifacts: artifacts?,
+                // A cache hit spent no solver effort this compile — its
+                // stats belong to the run that populated the cache — and
+                // its rung (always `None` by the cache invariant) must not
+                // be confused with this compile's own outcome.
+                solver: if was_hit {
                     SearchStats::default()
                 } else {
                     synth.stats
-                };
-                let (hits, misses) = match (&self.cache, was_hit) {
-                    (None, _) => (0, 0),
-                    (Some(_), true) => (1, 0),
-                    (Some(_), false) => (0, 1),
-                };
-                let (artifacts, t_codegen) = self.phase(Phase::Codegen, || {
-                    lyra_codegen::generate(&ir, &req.topology, &synth).map_err(|e| {
-                        CompileError::Codegen(vec![Diagnostic::error(
-                            codes::CODEGEN,
-                            e.to_string(),
-                        )])
-                    })
-                });
-                // A hit's rung (always `None` by the cache invariant) must
-                // not be confused with this compile's own outcome.
-                let degraded = if was_hit { None } else { synth.degraded };
-                (
-                    synth.placement.clone(),
-                    artifacts?,
-                    solver,
-                    t_synth,
-                    t_codegen,
-                    hits,
-                    misses,
-                    degraded,
-                )
-            };
+                },
+                degraded: if was_hit { None } else { synth.degraded },
+                t_synth,
+                t_codegen,
+                hits: (self.cache.is_some() && was_hit) as u64,
+                misses: (self.cache.is_some() && !was_hit) as u64,
+                route,
+            }
+        };
         stats.synth = t_synth;
         stats.codegen = t_codegen;
         stats.synth_cache_hits = hits;
         stats.synth_cache_misses = misses;
+        stats.solve_route = route;
         stats.warm_hits = self.warm.hit_count().saturating_sub(warm_before.0);
         stats.warm_misses = self.warm.miss_count().saturating_sub(warm_before.1);
 
@@ -1011,7 +1027,6 @@ impl Compiler {
     /// PER-SW fast path: group scope switches by (ASIC model, set of
     /// algorithms), synthesize one representative per group, and replicate
     /// the plan to every member.
-    #[allow(clippy::type_complexity)]
     fn compile_per_switch(
         &self,
         ir: &IrProgram,
@@ -1019,19 +1034,7 @@ impl Compiler {
         resolved: &[ResolvedScope],
         opts: &EncodeOptions,
         limits: &lyra_synth::SynthLimits,
-    ) -> Result<
-        (
-            Placement,
-            Vec<Artifact>,
-            SearchStats,
-            Duration,
-            Duration,
-            u64,
-            u64,
-            Option<DegradeRung>,
-        ),
-        CompileError,
-    > {
+    ) -> Result<BackEnd, CompileError> {
         use std::collections::BTreeMap;
         let t1 = Instant::now();
         if let Some(obs) = &self.observer {
@@ -1069,7 +1072,8 @@ impl Compiler {
                 })
                 .collect()
         };
-        type SynthOutcome = Result<(Arc<lyra_synth::SynthResult>, bool), lyra_synth::SynthError>;
+        type SynthOutcome =
+            Result<(Arc<lyra_synth::SynthResult>, Option<SolveRoute>), lyra_synth::SynthError>;
         let mut synth_results: Vec<SynthOutcome> = Vec::with_capacity(group_list.len());
         if group_list.len() > 1 {
             let results = std::thread::scope(|s| {
@@ -1115,12 +1119,16 @@ impl Compiler {
         let mut t_codegen = Duration::ZERO;
         let (mut hits, mut misses) = (0u64, 0u64);
         let mut degraded: Option<DegradeRung> = None;
+        let mut route: Option<SolveRoute> = None;
         for ((_, members), synth) in group_list.iter().zip(synth_results) {
             let rep = members[0];
-            let (synth, was_hit) = synth.map_err(|e| CompileError::Synth(e.to_diagnostics()))?;
-            if was_hit {
+            let (synth, ran) = synth.map_err(|e| CompileError::Synth(e.to_diagnostics()))?;
+            if ran.is_none() {
                 hits += 1;
             } else {
+                // Single-switch PER-SW groups have nothing to carry over
+                // or to quotient: every group that ran ran monolithic.
+                route = ran;
                 // A cache hit spent no solver effort and, by the cache's
                 // only-store-clean-results invariant, cannot have degraded
                 // *this* compile — so the rung (like the stats) is absorbed
@@ -1160,10 +1168,32 @@ impl Compiler {
             obs.on_phase_start(Phase::Codegen);
             obs.on_phase_end(Phase::Codegen, t_codegen);
         }
-        Ok((
-            placement, artifacts, solver, t_synth, t_codegen, hits, misses, degraded,
-        ))
+        Ok(BackEnd {
+            placement,
+            artifacts,
+            solver,
+            t_synth,
+            t_codegen,
+            hits,
+            misses,
+            degraded,
+            route,
+        })
     }
+}
+
+/// What the back-end (synthesis + code generation) of one compile
+/// produced, on either driver path.
+struct BackEnd {
+    placement: Placement,
+    artifacts: Vec<Artifact>,
+    solver: SearchStats,
+    t_synth: Duration,
+    t_codegen: Duration,
+    hits: u64,
+    misses: u64,
+    degraded: Option<DegradeRung>,
+    route: Option<SolveRoute>,
 }
 
 /// The more-degraded of two ladder rungs (greedy first-fit is worse than a
@@ -1327,6 +1357,14 @@ mod tests {
         assert_eq!(hit.stats.synth_cache_hits, 1);
         assert_eq!(hit.degraded, None, "cache hit must not report a rung");
         assert_eq!(hit.solver.decisions, 0);
+        // No route ran, and the session JSON says so by name.
+        assert_eq!(clean.stats.solve_route, Some(SolveRoute::Monolithic));
+        assert_eq!(hit.stats.solve_route, None);
+        let json = hit.session().to_json();
+        assert_eq!(
+            json.get("solve_route").and_then(|v| v.as_str()),
+            Some("cached")
+        );
     }
 
     #[test]

@@ -146,8 +146,9 @@ pub struct Encoded {
     /// Switch-used variables (for objectives).
     pub switch_used: BTreeMap<SwitchId, lyra_solver::BoolId>,
     /// Table-validity variables: (switch, algorithm, table) → `V` bool.
-    /// Recorded so a solution on one switch can be replicated onto an
-    /// interchangeable one (quotient solving).
+    /// Recorded (like `switch_used` and `table_depth`) so
+    /// [`crate::place::lift`] can derive the auxiliaries of a placement
+    /// instead of searching for them.
     pub table_valid: BTreeMap<(SwitchId, String, String), lyra_solver::BoolId>,
     /// Table-depth variables: (switch, algorithm, table) → depth int.
     pub table_depth: BTreeMap<(SwitchId, String, String), lyra_solver::IntId>,
@@ -286,33 +287,34 @@ pub fn encode(
             }
         }
 
-        // Synthesize the conditional implementation per switch.
+        // Synthesize the conditional implementation once per target
+        // language — it depends on the algorithm and the language alone —
+        // and give every switch speaking that language a copy.
+        let mut p4: Option<(TableGroup, ParserHoists)> = None;
+        let mut npl: Option<(TableGroup, NplExtras)> = None;
         for &(s, ref chip) in &prog_switches {
-            let unit = match chip.lang {
+            let (group, hoists, npl) = match chip.lang {
                 TargetLang::P414 | TargetLang::P416 => {
-                    let (group, hoists) = synthesize_p4(ir, alg, &deps, &all_instrs, &opts.p4);
-                    SynthUnit {
-                        alg: scope.algorithm.clone(),
-                        switch: s,
-                        chip: chip.clone(),
-                        group,
-                        hoists,
-                        npl: None,
-                    }
+                    let (group, hoists) = p4
+                        .get_or_insert_with(|| synthesize_p4(ir, alg, &deps, &all_instrs, &opts.p4))
+                        .clone();
+                    (group, hoists, None)
                 }
                 TargetLang::Npl => {
-                    let (group, extras) = synthesize_npl(ir, alg, &deps, &all_instrs);
-                    SynthUnit {
-                        alg: scope.algorithm.clone(),
-                        switch: s,
-                        chip: chip.clone(),
-                        group,
-                        hoists: ParserHoists::default(),
-                        npl: Some(extras),
-                    }
+                    let (group, extras) = npl
+                        .get_or_insert_with(|| synthesize_npl(ir, alg, &deps, &all_instrs))
+                        .clone();
+                    (group, ParserHoists::default(), Some(extras))
                 }
             };
-            enc.units.push(unit);
+            enc.units.push(SynthUnit {
+                alg: scope.algorithm.clone(),
+                switch: s,
+                chip: chip.clone(),
+                group,
+                hoists,
+                npl,
+            });
         }
 
         enc.deps.insert(scope.algorithm.clone(), deps);

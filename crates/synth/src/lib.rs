@@ -14,7 +14,8 @@
 //!   dependency, and co-location constraints;
 //! * [`backend`] — the native CDCL(T) solver;
 //! * [`place`] — solution → per-switch [`Placement`], including Algorithm
-//!   2's carried values (bridge headers between cooperating switches);
+//!   2's carried values (bridge headers between cooperating switches), and
+//!   back: [`place::lift`] completes a placement into a full assignment;
 //! * [`explain`] — post-UNSAT necessary-condition analysis naming the
 //!   violated constraint family (memory, stages, PHV, tables).
 //!
@@ -44,7 +45,7 @@ use std::sync::Arc;
 
 use lyra_diag::{codes, Diagnostic};
 use lyra_ir::IrProgram;
-use lyra_solver::{ClauseStore, Outcome, SearchStats, Solution};
+use lyra_solver::{ClauseStore, Outcome, SearchStats};
 use lyra_topo::{interchangeable_classes, ResolvedScope, SwitchId, Topology};
 
 /// Synthesis failure.
@@ -151,6 +152,43 @@ impl std::fmt::Display for DegradeRung {
     }
 }
 
+/// Which route through [`synthesize_limited`] produced a placement.
+/// Orthogonal to [`DegradeRung`]: the rung says how far down the watchdog
+/// ladder the monolithic route had to go, the route says whether the
+/// solver saw the full problem at all. Every route ends in the same check,
+/// [`Solution::satisfies`](lyra_solver::Solution::satisfies) on the full
+/// model (the monolithic search runs it as its own last step).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolveRoute {
+    /// The previous placement, restricted to the switches that still
+    /// exist, verified against the new model: no search at all.
+    CarriedOver,
+    /// One representative per interchangeable-switch class was solved and
+    /// the solution replicated onto the class members.
+    Quotient,
+    /// The solver searched the full model (hinted with the previous
+    /// placement when there is one), down the degradation ladder if the
+    /// limits required it.
+    Monolithic,
+}
+
+impl SolveRoute {
+    /// Stable name for reports (`lyrac`, session JSON, `record_bench`).
+    pub fn name(self) -> &'static str {
+        match self {
+            SolveRoute::CarriedOver => "carried-over",
+            SolveRoute::Quotient => "quotient",
+            SolveRoute::Monolithic => "monolithic",
+        }
+    }
+}
+
+impl std::fmt::Display for SolveRoute {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 /// Result of a successful synthesis run.
 #[derive(Debug)]
 pub struct SynthResult {
@@ -177,10 +215,12 @@ pub fn synthesize(
     synthesize_hinted(ir, topo, scopes, opts, backend, None)
 }
 
-/// [`synthesize`] seeded with a previous placement: instruction deployment
-/// variables get phase hints matching the old solution, so unchanged parts
-/// of the program tend to stay where they were (§8 "Synthesizing
-/// incremental changes"). Only the native backend honors hints.
+/// [`synthesize`] seeded with a previous placement (§8 "Synthesizing
+/// incremental changes"): under [`Objective::Feasible`] a previous
+/// placement that still satisfies the model is returned as it is; otherwise
+/// the deployment variables get phase hints matching it, so unchanged parts
+/// of the program tend to stay where they were. Only the native backend
+/// honors hints.
 pub fn synthesize_hinted(
     ir: &IrProgram,
     topo: &Topology,
@@ -221,6 +261,7 @@ pub fn synthesize_full(
         previous,
         &SynthLimits::default(),
     )
+    .map(|(result, _route)| result)
 }
 
 /// Watchdog limits on a synthesis run, plus the scale accelerations
@@ -370,9 +411,24 @@ impl SynthLimits {
 }
 
 /// [`synthesize_full`] under [`SynthLimits`], with graceful degradation.
+/// Also reports the [`SolveRoute`] that produced the placement.
 ///
-/// The program is encoded **once**; on [`Outcome::Unknown`] from the
-/// requested strategy the ladder walks down on the same model:
+/// Three routes are tried in order, and each is accepted only by
+/// [`Solution::satisfies`](lyra_solver::Solution::satisfies) on the full model:
+///
+/// 1. **carry-over** — a previous placement under [`Objective::Feasible`]
+///    is lifted onto the new encoding ([`place::lift_placement`]) and, if
+///    it verifies, returned with no search at all. This is the failover
+///    case: faults only remove flow paths, and every constraint family is
+///    per switch or per path, so the prior placement restricted to the
+///    survivors is still feasible.
+/// 2. **quotient** — cold compiles of symmetric MULTI-SW problems
+///    ([`SynthLimits::decomposition`]).
+/// 3. **monolithic** — the solver on the full model, hinted with the
+///    previous placement when there is one, under the degradation ladder.
+///
+/// The ladder encodes the program **once**; on [`Outcome::Unknown`] from
+/// the requested strategy it walks down on the same model:
 ///
 /// 1. the requested strategy (portfolio by default) under the deadline;
 /// 2. one sequential search with aggressive restarts, given `grace` extra
@@ -394,15 +450,31 @@ pub fn synthesize_limited(
     strategy: SolverStrategy,
     previous: Option<&Placement>,
     limits: &SynthLimits,
-) -> Result<SynthResult, SynthError> {
-    // Quotient fast path: for symmetric MULTI-SW problems, solve over one
-    // representative per interchangeable-switch class, replicate, and
-    // verify against the full model. Any failure (ineligible topology,
-    // solver timeout, verification mismatch) falls through to the
-    // monolithic ladder below — the quotient can only ever *add* a faster
-    // route to the same verified answer. Incremental re-solves (with a
-    // previous placement as hints) stay monolithic: replication would
-    // override the stability hints.
+) -> Result<(SynthResult, SolveRoute), SynthError> {
+    // Route order: carry-over, quotient, monolithic ladder. The first two
+    // can only ever *add* a faster way to an answer the third would also
+    // accept: each builds a candidate assignment without searching the
+    // full model and keeps it only if `Solution::satisfies` holds on the
+    // full encoding — the check the monolithic search ends in as well — so
+    // neither changes what is solvable. Any miss (nothing to carry over,
+    // ineligible topology, solver timeout, verification mismatch) falls
+    // through to the next route.
+    //
+    // The carry-over route needs `Objective::Feasible`: under an
+    // optimizing objective the survivors may admit a smaller optimum than
+    // the prior placement. It ignores the deadline — it does no search.
+    // Per-stage detail variables are not in `Encoded`'s maps, so a lift
+    // could never verify with them.
+    let carried = previous
+        .filter(|_| opts.objective == Objective::Feasible && !opts.stage_detail)
+        .and_then(|prev| try_carry_over(ir, topo, scopes, opts, prev));
+    if let Some(res) = carried {
+        return Ok((res, SolveRoute::CarriedOver));
+    }
+
+    // The quotient route is for cold compiles: a previous placement that
+    // did not carry over (a program edit, an objective) is better served
+    // by the hinted search below than by per-class-uniform replication.
     let mut quotient_stats = SearchStats::default();
     if limits.decomposition
         && previous.is_none()
@@ -417,7 +489,7 @@ pub fn synthesize_limited(
             let (result, stats) =
                 try_quotient(ir, topo, scopes, opts, backend, strategy, limits, &classes);
             match result {
-                Some(res) => return Ok(res),
+                Some(res) => return Ok((res, SolveRoute::Quotient)),
                 // Carry any effort the failed attempt spent into the
                 // monolithic run's totals, so reporting stays honest.
                 None => quotient_stats = stats,
@@ -426,45 +498,24 @@ pub fn synthesize_limited(
     }
 
     let enc = encode(ir, topo, scopes, opts).map_err(SynthError::Encode)?;
-    let hints: Vec<(lyra_solver::BoolId, bool)> = match previous {
-        Some(prev) => enc
-            .instr_var
-            .iter()
-            .map(|((alg, sw, instr), &var)| {
-                let name = &topo.switch(*sw).name;
-                let was_there = prev
-                    .switches
-                    .get(name)
-                    .and_then(|p| p.instrs.get(alg))
-                    .map(|is| is.contains(instr))
-                    .unwrap_or(false);
-                (var, was_there)
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-    // Integer stability hints: the previous placement's per-switch entry
-    // shard sizes, keyed to this encoding's extern-count variables. The
-    // solver branches to these sizes first where the new topology still
-    // admits them, so a fault re-plan moves only the entries the fault
-    // forces to move instead of re-dealing every shard from scratch.
-    let int_hints: Vec<(lyra_solver::IntId, i64)> = match previous {
-        Some(prev) => enc
-            .extern_var
-            .iter()
-            .map(|((e, sw), &var)| {
-                let name = &topo.switch(*sw).name;
-                let count = prev
-                    .switches
-                    .get(name)
-                    .and_then(|p| p.extern_entries.get(e))
-                    .copied()
-                    .unwrap_or(0);
-                (var, count as i64)
-            })
-            .collect(),
-        None => Vec::new(),
-    };
+    // Stability hints for the search: the previous placement's deployment
+    // booleans as phase hints and its per-switch entry shard sizes as
+    // integer value hints, keyed to this encoding's variables. The solver
+    // branches to these first where the new model still admits them, so a
+    // re-plan moves only what the change forces to move instead of
+    // re-dealing every shard from scratch.
+    let mut hints: Vec<(lyra_solver::BoolId, bool)> = Vec::new();
+    let mut int_hints: Vec<(lyra_solver::IntId, i64)> = Vec::new();
+    if let Some(prev) = previous {
+        hints.extend(enc.instr_var.iter().map(|((alg, sw, instr), &var)| {
+            (var, prev.deploys(&topo.switch(*sw).name, alg, *instr))
+        }));
+        int_hints.extend(
+            enc.extern_var
+                .iter()
+                .map(|((e, sw), &var)| (var, prev.shard_size(&topo.switch(*sw).name, e) as i64)),
+        );
+    }
 
     // Rung 1: the requested strategy under the configured limits.
     let mut total = quotient_stats;
@@ -486,12 +537,15 @@ pub fn synthesize_limited(
     total.absorb(stats);
     let finish = |enc: Encoded, sol, total, degraded| {
         let placement = place::extract(&enc, ir, topo, &sol);
-        Ok(SynthResult {
-            placement,
-            encoded: enc,
-            stats: total,
-            degraded,
-        })
+        Ok((
+            SynthResult {
+                placement,
+                encoded: enc,
+                stats: total,
+                degraded,
+            },
+            SolveRoute::Monolithic,
+        ))
     };
     match outcome {
         Outcome::Sat(sol) => return finish(enc, sol, total, None),
@@ -550,13 +604,57 @@ pub fn synthesize_limited(
     }
 }
 
+/// The full-model encoding the search-free routes verify against: symmetry
+/// chains off, because the lex tie-breaking prefixes are internal to the
+/// monolithic encoding (not recorded in [`Encoded`]'s maps, so no lift
+/// could populate them) and a carried-over or replicated placement need
+/// not be the lex-canonical member of its orbit.
+fn encode_unchained(
+    ir: &IrProgram,
+    topo: &Topology,
+    scopes: &[ResolvedScope],
+    opts: &EncodeOptions,
+) -> Option<Encoded> {
+    let mut opts = opts.clone();
+    opts.symmetry_breaking = false;
+    encode(ir, topo, scopes, &opts).ok()
+}
+
+/// Carry-over: lift `previous` onto the encoding of the new problem and
+/// keep it if — and only if — it satisfies the whole model. `None` on any
+/// miss (an encoding error, a constraint or an integer bound violated);
+/// the caller then solves as if this route did not exist, at the cost of
+/// one encode.
+fn try_carry_over(
+    ir: &IrProgram,
+    topo: &Topology,
+    scopes: &[ResolvedScope],
+    opts: &EncodeOptions,
+    previous: &Placement,
+) -> Option<SynthResult> {
+    let enc = encode_unchained(ir, topo, scopes, opts)?;
+    let sol = place::lift_placement(&enc, topo, previous);
+    // The load-bearing check, as in `try_quotient`.
+    if !sol.satisfies(&enc.model) {
+        return None;
+    }
+    Some(SynthResult {
+        placement: place::extract(&enc, ir, topo, &sol),
+        encoded: enc,
+        stats: SearchStats::default(),
+        degraded: None,
+    })
+}
+
 /// Quotient solving: collapse every interchangeable-switch class to its
 /// smallest member, solve the (much smaller) quotient encoding, replicate
-/// the representative's assignment onto every class member, and verify the
-/// replicated solution against the *full* encoding with
-/// [`Solution::satisfies`]. Returns `(None, effort)` whenever anything
-/// disqualifies the attempt — the caller falls back to the monolithic
-/// solve, so this path never changes what is solvable, only how fast.
+/// the representative's placement onto every class member
+/// ([`place::lift`]), and verify the lifted solution against the *full*
+/// encoding with
+/// [`Solution::satisfies`](lyra_solver::Solution::satisfies). Returns
+/// `(None, effort)` whenever anything disqualifies the attempt — the caller
+/// falls back to the monolithic solve, so this path never changes what is
+/// solvable, only how fast.
 ///
 /// Soundness does not rest on the class analysis: whatever the quotient
 /// produces is accepted *only* after the full model check passes, so a
@@ -566,10 +664,8 @@ pub fn synthesize_limited(
 /// per-class-constant assignment satisfying the quotient constraints
 /// satisfies the full path/resource families too.
 ///
-/// The quotient encodes with symmetry breaking *off*: lex tie-breaking aux
-/// variables are internal to the monolithic encoding and are not recorded
-/// in [`Encoded`]'s maps, so replication could not populate them; and the
-/// quotient has already collapsed the orbits lex ordering would prune.
+/// Both models encode with symmetry breaking *off* ([`encode_unchained`]);
+/// the quotient has already collapsed the orbits lex ordering would prune.
 #[allow(clippy::too_many_arguments)]
 fn try_quotient(
     ir: &IrProgram,
@@ -625,12 +721,10 @@ fn try_quotient(
         return (None, SearchStats::default()); // quotient is no smaller
     }
 
-    let mut q_opts = opts.clone();
-    q_opts.symmetry_breaking = false;
-    let Ok(full) = encode(ir, topo, scopes, &q_opts) else {
+    let Some(full) = encode_unchained(ir, topo, scopes, opts) else {
         return (None, SearchStats::default());
     };
-    let Ok(q_enc) = encode(ir, topo, &q_scopes, &q_opts) else {
+    let Some(q_enc) = encode_unchained(ir, topo, &q_scopes, opts) else {
         return (None, SearchStats::default());
     };
 
@@ -656,41 +750,24 @@ fn try_quotient(
         return (None, stats);
     };
 
-    // Replicate: every full-model variable takes its representative's
-    // value; anything unmapped keeps a safe default and is caught by the
-    // verification below.
-    let replicate = || -> Option<Solution> {
-        let mut bools = vec![false; full.model.num_bools()];
-        let mut ints: Vec<i64> = full.model.int_decls().map(|(_, d)| d.lo).collect();
-        for ((alg, sw, instr), &v) in &full.instr_var {
-            let q = q_enc.instr_var.get(&(alg.clone(), rep(*sw), *instr))?;
-            bools[v.index()] = q_sol.bool(*q);
-        }
-        for ((e, sw), &v) in &full.extern_var {
-            let q = q_enc.extern_var.get(&(e.clone(), rep(*sw)))?;
-            ints[v.index()] = q_sol.int(*q);
-        }
-        for (&sw, &v) in &full.switch_used {
-            let q = q_enc.switch_used.get(&rep(sw))?;
-            bools[v.index()] = q_sol.bool(*q);
-        }
-        for ((sw, alg, table), &v) in &full.table_valid {
-            let q = q_enc
-                .table_valid
-                .get(&(rep(*sw), alg.clone(), table.clone()))?;
-            bools[v.index()] = q_sol.bool(*q);
-        }
-        for ((sw, alg, table), &v) in &full.table_depth {
-            let q = q_enc
-                .table_depth
-                .get(&(rep(*sw), alg.clone(), table.clone()))?;
-            ints[v.index()] = q_sol.int(*q);
-        }
-        Some(Solution::from_parts(bools, ints))
-    };
-    let Some(sol) = replicate() else {
-        return (None, stats);
-    };
+    // Replicate: every member deploys what its representative deploys and
+    // hosts as many entries; anything unmapped hosts nothing and is caught
+    // by the verification below.
+    let sol = place::lift(
+        &full,
+        |alg, sw, instr| {
+            q_enc
+                .instr_var
+                .get(&(alg.to_string(), rep(sw), instr))
+                .is_some_and(|&q| q_sol.bool(q))
+        },
+        |e, sw| {
+            q_enc
+                .extern_var
+                .get(&(e.to_string(), rep(sw)))
+                .map_or(0, |&q| q_sol.int(q))
+        },
+    );
     // The load-bearing check: the replicated assignment must satisfy every
     // constraint of the full encoding, or the quotient result is discarded.
     if !sol.satisfies(&full.model) {
@@ -887,7 +964,7 @@ mod tests {
             grace: std::time::Duration::ZERO,
             ..Default::default()
         };
-        let res = synthesize_limited(
+        let (res, route) = synthesize_limited(
             &ir,
             &topo,
             &scopes,
@@ -899,6 +976,7 @@ mod tests {
         )
         .expect("ladder must produce a degraded placement, not fail");
         assert_eq!(res.degraded, Some(DegradeRung::GreedyFirstFit));
+        assert_eq!(route, SolveRoute::Monolithic);
         // The greedy placement still covers every flow path's extern needs.
         let total_conn: u64 = res
             .placement
@@ -918,7 +996,7 @@ mod tests {
             grace: std::time::Duration::from_secs(30),
             ..Default::default()
         };
-        let res = synthesize_limited(
+        let (res, _) = synthesize_limited(
             &ir,
             &topo,
             &scopes,
@@ -933,6 +1011,66 @@ mod tests {
         // ladder stops at the sequential-restarts rung with a placement
         // that satisfies the full constraint model.
         assert_eq!(res.degraded, Some(DegradeRung::SequentialRestarts));
+    }
+
+    /// `synthesize_limited` with default options, strategy and limits.
+    fn resynthesize(
+        setup: &(IrProgram, Topology, Vec<ResolvedScope>),
+        opts: &EncodeOptions,
+        previous: &Placement,
+    ) -> (SynthResult, SolveRoute) {
+        let (ir, topo, scopes) = setup;
+        synthesize_limited(
+            ir,
+            topo,
+            scopes,
+            opts,
+            &Backend::Native,
+            SolverStrategy::Sequential,
+            Some(previous),
+            &SynthLimits::default(),
+        )
+        .expect("the LB problem is feasible")
+    }
+
+    #[test]
+    fn feasible_previous_placement_is_carried_over_unsearched() {
+        let setup = lb_setup();
+        let opts = EncodeOptions::default();
+        let first = synthesize(&setup.0, &setup.1, &setup.2, &opts, &Backend::Native).unwrap();
+        let (second, route) = resynthesize(&setup, &opts, &first.placement);
+        assert_eq!(route, SolveRoute::CarriedOver);
+        assert_eq!(second.placement, first.placement);
+        assert_eq!(second.stats, SearchStats::default());
+        assert_eq!(second.degraded, None);
+    }
+
+    #[test]
+    fn infeasible_or_optimizing_previous_placement_falls_back_to_search() {
+        let setup = lb_setup();
+        let opts = EncodeOptions::default();
+        let first = synthesize(&setup.0, &setup.1, &setup.2, &opts, &Backend::Native).unwrap();
+        // An under-placed shard violates the per-path entry sums.
+        let mut broken = first.placement.clone();
+        let plan = broken
+            .switches
+            .values_mut()
+            .find(|p| p.extern_entries.contains_key("conn_table"))
+            .expect("some switch hosts conn_table");
+        *plan.extern_entries.get_mut("conn_table").unwrap() -= 1;
+        let (res, route) = resynthesize(&setup, &opts, &broken);
+        assert_eq!(route, SolveRoute::Monolithic);
+        assert!(
+            place::lift_placement(&res.encoded, &setup.1, &res.placement)
+                .satisfies(&res.encoded.model)
+        );
+        // A smaller optimum may exist, so an objective always searches.
+        let min = EncodeOptions {
+            objective: Objective::MinSwitches,
+            ..Default::default()
+        };
+        let (_, route) = resynthesize(&setup, &min, &first.placement);
+        assert_eq!(route, SolveRoute::Monolithic);
     }
 
     #[test]

@@ -5,6 +5,15 @@
 //! hit/miss bit so a downstream switch can decide whether to look up its
 //! shard ("Lyra adds the first ConnTable's entry hit/miss information to
 //! the header").
+//!
+//! [`lift`] is the inverse direction: it completes a choice of deployment
+//! booleans and extern entry counts into a full assignment of the encoded
+//! model, deriving every definitional auxiliary instead of searching for
+//! it. It is the one way a placement becomes an assignment — the
+//! carry-over route lifts the previous [`Placement`]
+//! ([`lift_placement`]), the quotient route lifts the representatives'
+//! solution — and its output is only ever accepted after
+//! [`Solution::satisfies`] on the whole model.
 
 use std::collections::BTreeMap;
 
@@ -13,7 +22,7 @@ use lyra_ir::{InstrId, IrProgram, Operand};
 use lyra_solver::Solution;
 use lyra_topo::{SwitchId, Topology};
 
-use crate::encode::Encoded;
+use crate::encode::{Encoded, SynthUnit};
 use crate::table::SynthTable;
 
 /// A value that must travel in the packet header between switches
@@ -69,6 +78,95 @@ impl Placement {
             .filter(|p| !p.instrs.is_empty())
             .count()
     }
+
+    /// True when instruction `instr` of `alg` is deployed on `switch`.
+    pub fn deploys(&self, switch: &str, alg: &str, instr: InstrId) -> bool {
+        self.switches
+            .get(switch)
+            .and_then(|p| p.instrs.get(alg))
+            .is_some_and(|is| is.contains(&instr))
+    }
+
+    /// Entries of `extern_name` hosted on `switch` (0 when not hosted).
+    pub fn shard_size(&self, switch: &str, extern_name: &str) -> u64 {
+        self.switches
+            .get(switch)
+            .and_then(|p| p.extern_entries.get(extern_name))
+            .copied()
+            .unwrap_or(0)
+    }
+}
+
+/// Which tables of `unit` a deployment makes valid (`V_t = ⋁ f_s(i)`).
+fn valid_tables(unit: &SynthUnit, deployed: impl Fn(InstrId) -> bool) -> Vec<bool> {
+    let valid = |t: &SynthTable| t.instrs.iter().any(|&i| deployed(i));
+    unit.group.tables.iter().map(valid).collect()
+}
+
+/// Complete a placement choice — `deployed(algorithm, switch, instr)` for
+/// the `f_s(I)` booleans, `entries(extern, switch)` for the `E_{e,s}`
+/// counts — into a full assignment of `enc.model`. The definitional
+/// auxiliaries are derived, not searched: `V[s][t]` is the OR of the
+/// table's member instructions, `used[s]` the OR of the switch's
+/// instructions, `depth[s][t]` the longest chain over valid `depends_on`
+/// ([`TableGroup::chain_depths`](crate::TableGroup::chain_depths)).
+/// Variables `enc` keeps no map for (symmetry-chain prefixes, per-stage
+/// detail) stay at `false` / their lower bound.
+///
+/// The result is a *candidate*: it satisfies the model exactly when the
+/// choice is a feasible placement, and callers must check
+/// [`Solution::satisfies`] before using it.
+pub fn lift(
+    enc: &Encoded,
+    deployed: impl Fn(&str, SwitchId, InstrId) -> bool,
+    entries: impl Fn(&str, SwitchId) -> i64,
+) -> Solution {
+    let mut bools = vec![false; enc.model.num_bools()];
+    let mut ints: Vec<i64> = enc.model.int_decls().map(|(_, d)| d.lo).collect();
+    for ((alg, sw, i), &v) in &enc.instr_var {
+        if deployed(alg, *sw, *i) {
+            bools[v.index()] = true;
+            if let Some(&used) = enc.switch_used.get(sw) {
+                bools[used.index()] = true;
+            }
+        }
+    }
+    for ((e, sw), &v) in &enc.extern_var {
+        ints[v.index()] = entries(e, *sw);
+    }
+    for unit in &enc.units {
+        let valid = valid_tables(unit, |i| {
+            enc.instr_var
+                .get(&(unit.alg.clone(), unit.switch, i))
+                .is_some_and(|v| bools[v.index()])
+        });
+        let depth = unit.group.chain_depths(&valid);
+        for (ti, t) in unit.group.tables.iter().enumerate() {
+            if !valid[ti] {
+                continue;
+            }
+            let key = (unit.switch, unit.alg.clone(), t.name.clone());
+            if let Some(&v) = enc.table_valid.get(&key) {
+                bools[v.index()] = true;
+            }
+            if let Some(&d) = enc.table_depth.get(&key) {
+                ints[d.index()] = depth[ti] as i64;
+            }
+        }
+    }
+    Solution::from_parts(bools, ints)
+}
+
+/// [`lift`] with the choices read from a previous [`Placement`] by switch
+/// *name*: a switch of the placement that `enc` has no variables for (it
+/// died, or left the scope) contributes nothing, and a switch the
+/// placement never used hosts nothing.
+pub fn lift_placement(enc: &Encoded, topo: &Topology, placement: &Placement) -> Solution {
+    lift(
+        enc,
+        |alg, sw, i| placement.deploys(&topo.switch(sw).name, alg, i),
+        |e, sw| placement.shard_size(&topo.switch(sw).name, e) as i64,
+    )
 }
 
 /// Extract the placement from a solved model.
@@ -105,7 +203,10 @@ pub fn extract(enc: &Encoded, ir: &IrProgram, topo: &Topology, sol: &Solution) -
         plan.extern_entries.insert(e.clone(), count);
     }
 
-    // Valid tables per switch, with extern entries substituted.
+    // Valid tables per switch, with extern entries substituted, and the
+    // longest dependency chain among them (per unit, as the encoder's
+    // `depth[s][t]` variables are).
+    let mut chains: BTreeMap<String, u64> = BTreeMap::new();
     for unit in &enc.units {
         let sw_name = topo.switch(unit.switch).name.clone();
         let Some(plan) = placement.switches.get_mut(&sw_name) else {
@@ -119,17 +220,19 @@ pub fn extract(enc: &Encoded, ir: &IrProgram, topo: &Topology, sol: &Solution) -
         if deployed.is_empty() {
             continue;
         }
-        for t in &unit.group.tables {
-            if t.instrs.iter().any(|i| deployed.contains(i)) {
-                let mut t = t.clone();
-                if let Some(e) = t.extern_name() {
-                    if let Some(&count) = plan.extern_entries.get(e) {
-                        t.entries = count;
-                    }
+        let valid = valid_tables(unit, |i| deployed.contains(&i));
+        for (t, _) in unit.group.tables.iter().zip(&valid).filter(|(_, &v)| v) {
+            let mut t = t.clone();
+            if let Some(e) = t.extern_name() {
+                if let Some(&count) = plan.extern_entries.get(e) {
+                    t.entries = count;
                 }
-                plan.tables.push(t);
             }
+            plan.tables.push(t);
         }
+        let chain = unit.group.chain_depths(&valid).into_iter().max();
+        let longest = chains.entry(sw_name).or_default();
+        *longest = (*longest).max(chain.unwrap_or(0));
         if !unit.hoists.instrs.is_empty() {
             let hoisted: Vec<InstrId> = unit
                 .hoists
@@ -174,23 +277,7 @@ pub fn extract(enc: &Encoded, ir: &IrProgram, topo: &Topology, sol: &Solution) -
                 .map(|t| chip.table_blocks(t.entries, t.match_width))
                 .sum();
         }
-        // Longest dependency chain among deployed tables.
-        let name_index: BTreeMap<&str, usize> = plan
-            .tables
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.name.as_str(), i))
-            .collect();
-        let _ = name_index;
-        let mut depth = vec![1u64; plan.tables.len()];
-        for i in 0..plan.tables.len() {
-            for &d in &plan.tables[i].depends_on {
-                if d < depth.len() && d < i {
-                    depth[i] = depth[i].max(depth[d] + 1);
-                }
-            }
-        }
-        usage.longest_code_path = depth.into_iter().max().unwrap_or(0);
+        usage.longest_code_path = chains.get(name).copied().unwrap_or(0);
         usage.stages = usage.longest_code_path;
         plan.usage = usage;
     }

@@ -265,13 +265,23 @@ impl TableGroup {
         self.tables = reordered;
     }
 
-    /// Recompute the dependency critical path (in tables). Edges may point
-    /// in either index direction as long as the graph is acyclic (run
-    /// [`TableGroup::fuse_cycles`] first).
-    pub fn compute_critical_path(&mut self) {
-        let n = self.tables.len();
-        let mut depth = vec![0u64; n];
-        fn dfs(tables: &[SynthTable], depth: &mut [u64], v: usize, guard: usize) -> u64 {
+    /// Longest dependency chain ending at each table, counting only the
+    /// tables `valid` marks as deployed: `1 + max` over a valid table's
+    /// valid `depends_on`, and 0 for a table that is not deployed. This is
+    /// the least assignment of the encoder's `depth[s][t]` variables, and
+    /// the one computation behind the critical path, the lifted solver
+    /// assignment ([`crate::place::lift`]) and the stage usage reported by
+    /// [`crate::place::extract`]. Edges may point in either index direction
+    /// as long as the graph is acyclic (run [`TableGroup::fuse_cycles`]
+    /// first); a residual cycle is cut at an arbitrary edge.
+    pub fn chain_depths(&self, valid: &[bool]) -> Vec<u64> {
+        fn dfs(
+            tables: &[SynthTable],
+            valid: &[bool],
+            depth: &mut [u64],
+            v: usize,
+            guard: usize,
+        ) -> u64 {
             if depth[v] != 0 {
                 return depth[v];
             }
@@ -280,18 +290,26 @@ impl TableGroup {
             }
             let mut best = 1u64;
             for &d in &tables[v].depends_on {
-                if d < tables.len() && d != v {
-                    best = best.max(1 + dfs(tables, depth, d, guard - 1));
+                if d < tables.len() && d != v && valid[d] {
+                    best = best.max(1 + dfs(tables, valid, depth, d, guard - 1));
                 }
             }
             depth[v] = best;
             best
         }
-        let mut max = 0u64;
-        for v in 0..n {
-            max = max.max(dfs(&self.tables, &mut depth, v, n));
+        let n = self.tables.len();
+        let mut depth = vec![0u64; n];
+        for v in (0..n).filter(|&v| valid[v]) {
+            dfs(&self.tables, valid, &mut depth, v, n);
         }
-        self.critical_path = max;
+        depth
+    }
+
+    /// Recompute the dependency critical path (in tables): the longest
+    /// chain with every table deployed.
+    pub fn compute_critical_path(&mut self) {
+        let all = vec![true; self.tables.len()];
+        self.critical_path = self.chain_depths(&all).into_iter().max().unwrap_or(0);
     }
 
     /// Total table count.
@@ -343,6 +361,26 @@ mod tests {
         assert_eq!(g.critical_path, 3);
         assert_eq!(g.table_count(), 3);
         assert_eq!(g.action_count(), 3);
+    }
+
+    #[test]
+    fn chain_depths_skip_undeployed_tables() {
+        // a <- b <- c, and d depending on both a and c.
+        let g = TableGroup {
+            tables: vec![
+                mk_table("a", vec![]),
+                mk_table("b", vec![0]),
+                mk_table("c", vec![1]),
+                mk_table("d", vec![0, 2]),
+            ],
+            registers: 0,
+            critical_path: 0,
+        };
+        assert_eq!(g.chain_depths(&[true; 4]), vec![1, 2, 3, 4]);
+        // Without b the chain through it is cut: c starts over, and an
+        // undeployed table has no depth.
+        assert_eq!(g.chain_depths(&[true, false, true, true]), vec![1, 0, 1, 2]);
+        assert_eq!(g.chain_depths(&[false; 4]), vec![0; 4]);
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! * **failover recompilation** — `Compiler::recompile_for_faults`
 //!   produces a new placement on the survivors; every surviving flow path
 //!   must forward exactly like the unsplit reference algorithm running
-//!   against the full logical table;
+//!   against the full logical table. Under the `Feasible` objective the
+//!   recompile must also take the carried-over route: no solver decisions,
+//!   nothing added anywhere, changes on dead switches only — and the
+//!   negatives (an objective, a program edit, a greedy-degraded prior)
+//!   must not carry over and must still compile;
 //! * **runtime failure** — `Runtime::fail_switch` / `fail_link` re-sync
 //!   entries onto surviving shards; surviving paths must keep hitting.
 //!
@@ -25,8 +29,9 @@ use std::time::{Duration, Instant};
 
 use lyra::{
     replay_under_recovery, run_selfheal, ChaosSchedule, CompileRequest, Compiler, CrashPlan,
-    CrashPoint, DriftOp, HealthConfig, HealthState, IntentStore, LossyChannel, MemIntentStore,
-    ReliableChannel, ReplayConfig, RolloutConfig, Runtime, SelfHealConfig, SolveProfile, Target,
+    CrashPoint, DegradeRung, DriftOp, HealthConfig, HealthState, IntentStore, LossyChannel,
+    MemIntentStore, Objective, ReliableChannel, ReplayConfig, RolloutConfig, Runtime,
+    SelfHealConfig, SolveProfile, SolveRoute, Target,
 };
 use lyra_ir::{execute_all, DataPlaneState, Effect, PacketState};
 use lyra_lang::parse_scopes;
@@ -187,6 +192,25 @@ fn failover_recompilation_preserves_semantics_across_200_scenarios() {
                 "scenario {scenario}: placement uses failed switch {dead}"
             );
         }
+        // Under `Feasible` the prior placement is carried onto the
+        // survivors unsearched, so survivors stay put: nothing is added,
+        // and code and shards change on dead switches only.
+        assert_eq!(
+            r.output.stats.solve_route,
+            Some(SolveRoute::CarriedOver),
+            "scenario {scenario}: {faults:?}"
+        );
+        assert_eq!(r.output.solver.decisions, 0, "scenario {scenario}");
+        assert!(r.diff.added.is_empty(), "scenario {scenario}: {:?}", r.diff);
+        let changed =
+            (r.diff.removed.keys()).chain(r.diff.resharded.values().flatten().map(|c| &c.switch));
+        for sw in changed {
+            assert!(
+                faults.switch_failed(sw),
+                "scenario {scenario}: survivor {sw} changed: {:?}",
+                r.diff
+            );
+        }
         // Install random entries through the runtime and probe random keys
         // (some hit, some miss) on every surviving path.
         let mut rt = Runtime::new(&r.output);
@@ -208,6 +232,83 @@ fn failover_recompilation_preserves_semantics_across_200_scenarios() {
         checked += 1;
     }
     assert!(checked >= 200, "ran only {checked} scenarios");
+}
+
+/// Recompiles that must *not* take the carried-over route, and must still
+/// compile: an optimizing objective (the survivors may admit a smaller
+/// optimum), an edited algorithm through `compile_incremental` (the prior
+/// no longer places the program), and a prior from the greedy rung that
+/// the model rejects (greedy checks coarse capacity only).
+#[test]
+fn objective_edit_and_greedy_prior_do_not_carry_over() {
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network())
+        .with_solve_profile(SolveProfile::fast());
+    let faults = FaultSet::new().with_switch("Agg3");
+
+    let compiler = Compiler::new().with_objective(Objective::MinSwitches);
+    let prior = compiler.compile(&req).expect("healthy compile");
+    let r = compiler
+        .recompile_for_faults(&req, &prior, &faults)
+        .expect("recompile under an objective");
+    assert_eq!(r.output.stats.solve_route, Some(SolveRoute::Monolithic));
+    assert!(!r.output.placement.switches.contains_key("Agg3"));
+
+    let compiler = Compiler::new();
+    let prior = compiler.compile(&req).expect("healthy compile");
+    let edited = LB.replace("copy_to_cpu();", "copy_to_cpu(); ipv4.ttl = 64;");
+    assert_ne!(edited, LB, "the edit must apply");
+    let edited_req = CompileRequest::new(&edited, LB_SCOPES, figure1_network())
+        .with_solve_profile(SolveProfile::fast());
+    let out = compiler
+        .compile_incremental(&edited_req, &prior.placement)
+        .expect("incremental compile of the edit");
+    assert_eq!(out.stats.solve_route, Some(SolveRoute::Monolithic));
+    out.validate_all().expect("edited program validates");
+
+    // A dependency chain deeper than one Tofino-64Q's twelve stages: the
+    // solver splits it across the two hops, greedy first-fit hosts it
+    // whole on the first.
+    let decls: String = (0..=16).map(|i| format!("bit[32] x{i};\n")).collect();
+    let chain: String = (1..=16)
+        .map(|i| format!("x{i} = x{} + {i};\n", i - 1))
+        .collect();
+    let deep = format!(
+        "pipeline[P]{{deep}};\nalgorithm deep {{\n{decls}x0 = ipv4.srcAddr;\n{chain}\
+         ipv4.dstAddr = x16;\n}}"
+    );
+    let topo = fat_tree_pod(4, "tofino-64q", "tofino-64q");
+    let scopes = "deep: [ ToR*,Agg* | MULTI-SW | (Agg1,Agg2->ToR1,ToR2) ]";
+    let ir = lyra_ir::frontend(&deep).expect("deep chain lowers");
+    let resolved: Vec<_> = parse_scopes(scopes)
+        .unwrap()
+        .iter()
+        .map(|s| resolve_scope(&topo, s).unwrap())
+        .collect();
+    let expired = lyra_synth::SynthLimits {
+        deadline: Some(Instant::now() - Duration::from_millis(1)),
+        grace: Duration::ZERO,
+        ..Default::default()
+    };
+    let (greedy, _) = lyra_synth::synthesize_limited(
+        &ir,
+        &topo,
+        &resolved,
+        &lyra_synth::EncodeOptions::default(),
+        &lyra_synth::Backend::Native,
+        lyra_synth::SolverStrategy::Sequential,
+        None,
+        &expired,
+    )
+    .expect("greedy rung answers");
+    assert_eq!(greedy.degraded, Some(DegradeRung::GreedyFirstFit));
+    let deep_req =
+        CompileRequest::new(&deep, scopes, topo).with_solve_profile(SolveProfile::fast());
+    let out = Compiler::new()
+        .compile_incremental(&deep_req, &greedy.placement)
+        .expect("search replaces the greedy prior");
+    assert_eq!(out.stats.solve_route, Some(SolveRoute::Monolithic));
+    assert_eq!(out.degraded, None);
+    assert_ne!(out.placement, greedy.placement);
 }
 
 /// The same scenarios injected at runtime (shards die live, entries
