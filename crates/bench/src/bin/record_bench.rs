@@ -12,7 +12,10 @@
 //!   a failover placement to the running k = 16 LB deployment) and a
 //!   `failover.recompile` section (`recompile_for_faults` after Agg1 dies
 //!   at k = 16 against compiling the survivor network from scratch, with
-//!   the solve route taken);
+//!   the solve route taken) and a `solver.propagation` section (the three
+//!   `MinSwitches` placements of the benchmark's `compile_tight` workload:
+//!   solve time, propagations and linear-constraint visits, with symmetry
+//!   chains off, and before event-driven propagation);
 //! * `BENCH_fig9.json` — per-program median compile time, conflicts, and
 //!   synthesis-cache hit rate on a single-switch target.
 //!
@@ -29,17 +32,19 @@
 //! must stay within 2× of its snapshot at k = 16 and under one second
 //! absolute at k = 32. A `Feasible` failover recompile must take the
 //! carried-over route and must not be slower than compiling the survivor
-//! network from scratch. The data-plane tripwire also runs: the compiled
-//! engine must beat the interpreter by a fixed floor and a lossy rollout
-//! under traffic must show zero mixed-epoch exposure. `--pps-smoke` runs
-//! only that data-plane tripwire.
+//! network from scratch. Propagation is bounded by count, not by the clock:
+//! each `MinSwitches` placement within 50 000 linear visits (LB 5.5 M k = 4
+//! made 60 M), NetCache k = 8 within two per propagation. The data-plane
+//! tripwire also runs: the compiled engine must beat the interpreter by a
+//! fixed floor and a lossy rollout under traffic must show zero mixed-epoch
+//! exposure. `--pps-smoke` runs only that data-plane tripwire.
 
 use std::time::{Duration, Instant};
 
 use lyra::{
     replay_compiled, replay_interpreted, replay_under_rollout, run_selfheal, ChaosSchedule,
     CompileRequest, Compiler, CrashPlan, CrashPoint, DriftOp, HealthConfig, LossyChannel,
-    MemIntentStore, ReliableChannel, ReplayConfig, ReplayReport, RolloutConfig, Runtime,
+    MemIntentStore, Objective, ReliableChannel, ReplayConfig, ReplayReport, RolloutConfig, Runtime,
     SelfHealConfig, SolveProfile, SolverStrategy, SynthCache, Target,
 };
 use lyra_apps::{figure9_corpus, programs};
@@ -63,6 +68,11 @@ const SMOKE_SCALE_FACTOR: f64 = 2.0;
 const SMOKE_SCALE_GRACE_MS: f64 = 100.0;
 /// Smoke mode: hard wall-time budget for NetCache MULTI-SW at k = 32.
 const SMOKE_K32_BUDGET_MS: f64 = 1000.0;
+/// Smoke mode: linear-constraint visits any `MinSwitches` tripwire compile
+/// may make.
+const SMOKE_LINEAR_VISITS: u64 = 50_000;
+/// Smoke mode: visits per propagation NetCache k = 8 `MinSwitches` may make.
+const SMOKE_VISITS_PER_PROPAGATION: f64 = 2.0;
 
 struct Case {
     name: &'static str,
@@ -302,7 +312,129 @@ fn record_fig10() -> Object {
     let mut failover = Object::new();
     failover.push("recompile", Value::Array(record_failover_recompile()));
     root.push("failover", Value::Object(failover));
+    let mut solver = Object::new();
+    solver.push("propagation", Value::Array(record_propagation()));
+    root.push("solver", Value::Object(solver));
     root
+}
+
+/// One of the benchmark's three `MinSwitches` placements (`compile_tight`),
+/// with what the full-sweep propagation it replaced spent on it: the solve
+/// phase's p50 and the constraint visits of one sequential compile with
+/// symmetry chains, at the parent commit (656b846) on the recording host.
+struct PropagationCase {
+    name: &'static str,
+    program: String,
+    k: usize,
+    before_solve_ms: f64,
+    before_visits: u64,
+}
+
+fn propagation_cases() -> Vec<PropagationCase> {
+    vec![
+        PropagationCase {
+            name: "LB[3000000](MULTI-SW) min-switches",
+            program: programs::load_balancer(3_000_000),
+            k: 6,
+            before_solve_ms: 8.45,
+            before_visits: 133_777,
+        },
+        PropagationCase {
+            name: "LB[5500000](MULTI-SW) min-switches",
+            program: programs::load_balancer(5_500_000),
+            k: 4,
+            before_solve_ms: 2271.7,
+            before_visits: 60_596_636,
+        },
+        PropagationCase {
+            name: "NetCache(MULTI-SW) min-switches",
+            program: programs::netcache(),
+            k: 8,
+            before_solve_ms: 240.3,
+            before_visits: 5_523_430,
+        },
+    ]
+}
+
+/// Solve-phase p50 and the (deterministic) solver counters of `samples`
+/// cold sequential `MinSwitches` compiles, symmetry chains on or off.
+fn measure_propagation(
+    case: &PropagationCase,
+    chains: bool,
+    samples: usize,
+) -> (Duration, lyra::SearchStats) {
+    let scopes = scopes_for(case.k, &case.program, true);
+    let mut solves = Vec::with_capacity(samples);
+    let mut counters = lyra::SearchStats::default();
+    for _ in 0..samples {
+        let req = CompileRequest::new(&case.program, &scopes, pod(case.k))
+            .with_solve_profile(SolveProfile::fast().with_symmetry_breaking(chains));
+        let out = Compiler::new()
+            .with_objective(Objective::MinSwitches)
+            .compile(&req)
+            .expect("benchmark workload compiles");
+        solves.push(out.stats.synth);
+        counters = out.solver;
+    }
+    (p50(solves), counters)
+}
+
+fn visits_per_propagation(s: &lyra::SearchStats) -> f64 {
+    s.linear_visits as f64 / s.propagations.max(1) as f64
+}
+
+fn record_propagation() -> Vec<Value> {
+    let mut rows = Vec::new();
+    for case in propagation_cases() {
+        let (solve, s) = measure_propagation(&case, true, SAMPLES);
+        let (solve_off, s_off) = measure_propagation(&case, false, SAMPLES);
+        println!(
+            "propagation {:<36} k={}: solve p50 {:?} (was {:.1} ms), {} propagations, {} linear \
+             visits (was {}), {} creep check(s); chains off: {:?}, {} propagations",
+            case.name,
+            case.k,
+            solve,
+            case.before_solve_ms,
+            s.propagations,
+            s.linear_visits,
+            case.before_visits,
+            s.creep_checks,
+            solve_off,
+            s_off.propagations
+        );
+        let counters = |mut o: Object, solve: Duration, s: &lyra::SearchStats| {
+            o.push("solve_ms", Value::Number(ms(solve)));
+            o.push("decisions", Value::Number(s.decisions as f64));
+            o.push("propagations", Value::Number(s.propagations as f64));
+            o.push("conflicts", Value::Number(s.conflicts as f64));
+            o.push("linear_visits", Value::Number(s.linear_visits as f64));
+            o.push(
+                "visits_per_propagation",
+                Value::Number(visits_per_propagation(s)),
+            );
+            o.push("creep_checks", Value::Number(s.creep_checks as f64));
+            o
+        };
+        let mut before = Object::new();
+        before.push("commit", Value::str("656b846"));
+        before.push("solve_ms", Value::Number(case.before_solve_ms));
+        before.push("linear_visits", Value::Number(case.before_visits as f64));
+        before.push(
+            "visits_per_propagation",
+            Value::Number(case.before_visits as f64 / s.propagations.max(1) as f64),
+        );
+        let mut o = Object::new();
+        o.push("name", Value::str(case.name));
+        o.push("k", Value::Number(case.k as f64));
+        let mut o = counters(o, solve, &s);
+        o.push(
+            "symmetry_chains_off",
+            Value::Object(counters(Object::new(), solve_off, &s_off)),
+        );
+        o.push("before", Value::Object(before));
+        rows.push(Value::Object(o));
+    }
+    rows
 }
 
 /// Pod size of the failover-recompile rows.
@@ -1430,6 +1562,31 @@ fn smoke() -> usize {
             ms(row.recompile),
             row.route,
             ms(row.survivors_cold)
+        );
+        if regressed {
+            failures += 1;
+        }
+    }
+
+    // Propagation tripwire, on counts (they repeat exactly; the clock does
+    // not): bounds propagation must visit the constraints a change touched,
+    // and a creeping cycle must be refuted by its weight. The full sweep
+    // made 60 M visits on LB 5.5 M k=4 and over a hundred per propagation
+    // on NetCache k=8.
+    for case in propagation_cases() {
+        let (_, s) = measure_propagation(&case, true, 1);
+        let regressed = s.linear_visits > SMOKE_LINEAR_VISITS
+            || (case.name.starts_with("NetCache")
+                && visits_per_propagation(&s) > SMOKE_VISITS_PER_PROPAGATION);
+        let status = if regressed { "REGRESSED" } else { "ok" };
+        println!(
+            "smoke propagation {:<36} k={}: {} linear visits, {:.2} per propagation, {} creep \
+             check(s) {status}",
+            case.name,
+            case.k,
+            s.linear_visits,
+            visits_per_propagation(&s),
+            s.creep_checks
         );
         if regressed {
             failures += 1;

@@ -1170,7 +1170,8 @@ fn main() -> ExitCode {
         );
         println!(
             "  solver [{}]: {} route, {} decisions, {} conflicts, {} clauses deleted in {} \
-             reduction(s), {} worker(s) spawned ({} cancelled)",
+             reduction(s), {} worker(s) spawned ({} cancelled), {} linear visit(s) for {} \
+             propagation(s) ({} bound update(s), {} creep check(s))",
             profile.strategy,
             out.stats.route_name(),
             out.solver.decisions,
@@ -1179,6 +1180,10 @@ fn main() -> ExitCode {
             out.solver.reductions,
             out.solver.workers_spawned,
             out.solver.workers_cancelled,
+            out.solver.linear_visits,
+            out.solver.propagations,
+            out.solver.bound_updates,
+            out.solver.creep_checks,
         );
         println!(
             "  synth cache: {} hit(s), {} miss(es)",

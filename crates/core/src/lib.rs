@@ -398,6 +398,18 @@ impl CompileSession {
             "workers_cancelled",
             Value::Number(self.solver.workers_cancelled as f64),
         );
+        solver.push(
+            "linear_visits",
+            Value::Number(self.solver.linear_visits as f64),
+        );
+        solver.push(
+            "bound_updates",
+            Value::Number(self.solver.bound_updates as f64),
+        );
+        solver.push(
+            "creep_checks",
+            Value::Number(self.solver.creep_checks as f64),
+        );
         let mut cache = Object::new();
         cache.push("hits", Value::Number(self.stats.synth_cache_hits as f64));
         cache.push(
@@ -1430,6 +1442,9 @@ mod tests {
             "clauses_deleted",
             "workers_spawned",
             "workers_cancelled",
+            "linear_visits",
+            "bound_updates",
+            "creep_checks",
         ] {
             assert!(solver.get(key).is_some(), "missing solver.{key}");
         }

@@ -169,13 +169,14 @@ pub trait Solver: Send + Sync {
     /// Minimize `objective` subject to the model, by branch-and-bound where
     /// each bound-tightening round goes through [`Solver::solve_flat`] (so
     /// every round benefits from the engine's scheduling and, per-round
-    /// fingerprint, from warm starts).
+    /// fingerprint, from warm starts). This is the crate's only
+    /// branch-and-bound loop.
     fn minimize(
         &self,
         model: &Model,
         objective: &crate::expr::Ix,
         ctx: &SolveCtx,
-    ) -> (Option<(Solution, i64)>, SearchStats) {
+    ) -> (Minimized, SearchStats) {
         let flat = flatten_with_objective(model, Some(objective));
         let obj_terms = flat.objective.clone().expect("objective lowered");
         let mut extra: Vec<BoundConstraint> = Vec::new();
@@ -184,18 +185,59 @@ pub trait Solver: Send + Sync {
         loop {
             let (outcome, raw, stats) = self.solve_flat(&flat, &extra, ctx);
             total.absorb(stats);
-            match outcome {
+            let stop = match outcome {
                 Outcome::Sat(_) => {
                     let raw = raw.expect("raw assignment accompanies Sat");
                     let value = raw.eval_lin(&obj_terms) + flat.objective_constant;
                     best = Some((raw.extract(&flat), value));
                     // Require strictly better: Σ ≤ value - constant - 1.
                     extra.push((obj_terms.clone(), value - flat.objective_constant - 1));
+                    continue;
                 }
-                _ => return (best, total),
-            }
+                Outcome::Unsat => match best {
+                    Some((sol, value)) => Minimized::Optimal(sol, value),
+                    None => Minimized::Infeasible,
+                },
+                Outcome::Unknown => Minimized::Truncated(best),
+            };
+            return (stop, total);
         }
     }
+}
+
+/// Why a branch-and-bound minimization stopped, with what it holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Minimized {
+    /// A model with this objective value, and a refutation of anything
+    /// better.
+    Optimal(Solution, i64),
+    /// The constraints themselves were refuted.
+    Infeasible,
+    /// A round ran out of budget, deadline, or was cancelled: the best model
+    /// found so far, if any round found one, and no proof either way.
+    Truncated(Option<(Solution, i64)>),
+}
+
+impl Minimized {
+    /// The best model found and its objective value, proved optimal or not.
+    pub fn best(self) -> Option<(Solution, i64)> {
+        match self {
+            Minimized::Optimal(sol, value) => Some((sol, value)),
+            Minimized::Infeasible => None,
+            Minimized::Truncated(best) => best,
+        }
+    }
+}
+
+/// Minimize `objective` subject to the model's constraints with one
+/// sequential search per branch-and-bound round and default limits.
+///
+/// Returns the best solution found together with its objective value.
+pub fn minimize(model: &Model, objective: &crate::expr::Ix) -> Option<(Solution, i64)> {
+    Sequential
+        .minimize(model, objective, &SolveCtx::default())
+        .0
+        .best()
 }
 
 /// Warm lookup key for a formula under the active bounds.
@@ -751,8 +793,16 @@ mod tests {
             &Portfolio { workers: 3 },
             &Decomposed { workers: 2 },
         ] {
-            let (best, _) = engine.minimize(&m, &obj, &ctx);
-            assert_eq!(best.expect("feasible").1, 23, "engine {}", engine.name());
+            let (min, stats) = engine.minimize(&m, &obj, &ctx);
+            assert!(
+                matches!(min, Minimized::Optimal(_, 23)),
+                "engine {}: {min:?}",
+                engine.name()
+            );
+            if engine.name() == "portfolio" {
+                // One race per bound round: the model, then the refutation.
+                assert!(stats.workers_spawned >= 6, "{stats:?}");
+            }
         }
     }
 }

@@ -19,7 +19,8 @@
 //!   backjumping, activity-ordered decisions with phase saving, geometric
 //!   restarts, bounds-consistency propagation on active linear atoms, and
 //!   interval splitting for any integers left unfixed;
-//! * [`minimize`] wraps `solve` in a branch-and-bound loop.
+//! * [`minimize`] ([`Solver::minimize`] on the sequential engine) wraps the
+//!   search in the crate's one branch-and-bound loop.
 //!
 //! Every entry point reports [`SearchStats`] (decisions, propagations,
 //! conflicts, learned clauses, restarts) so the compile driver can expose
@@ -55,17 +56,15 @@ pub mod portfolio;
 pub mod search;
 
 pub use decompose::{
-    BoundConstraint, ClauseStore, Decomposed, Portfolio, Sequential, SolveCtx, Solver,
+    minimize, BoundConstraint, ClauseStore, Decomposed, Minimized, Portfolio, Sequential, SolveCtx,
+    Solver,
 };
 pub use expr::{Bx, Ix, LinExpr};
 pub use flatten::{flatten, FlatModel, FlatVar};
 pub use model::{BoolId, IntId, Model, Solution};
-pub use portfolio::{
-    minimize_portfolio, solve_flat_portfolio, solve_flat_portfolio_warm, solve_portfolio,
-};
+pub use portfolio::{solve_flat_portfolio, solve_flat_portfolio_warm, solve_portfolio};
 pub use search::{
-    minimize, solve, solve_flat, solve_flat_warm, RawAssignment, SearchStats, SolverConfig,
-    WarmStart,
+    solve, solve_flat, solve_flat_warm, RawAssignment, SearchStats, SolverConfig, WarmStart,
 };
 
 /// Outcome of a solver invocation.

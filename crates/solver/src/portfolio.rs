@@ -21,8 +21,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::flatten::{flatten, flatten_with_objective, FlatModel, FlatVar};
-use crate::model::{Model, Solution};
+use crate::flatten::{flatten, FlatModel, FlatVar};
+use crate::model::Model;
 use crate::search::{solve_flat_warm, RawAssignment, SearchStats, SolverConfig, WarmStart};
 use crate::Outcome;
 
@@ -195,38 +195,6 @@ pub fn solve_portfolio(
     (outcome, stats)
 }
 
-/// Branch-and-bound minimization where every round — the initial model and
-/// each bound-tightening solve — is a portfolio race. Semantically
-/// identical to [`crate::search::minimize_with`]: the returned objective
-/// value is optimal; only which optimal *model* carries it may differ.
-pub fn minimize_portfolio(
-    model: &Model,
-    objective: &crate::expr::Ix,
-    cfg: &SolverConfig,
-    workers: usize,
-) -> (Option<(Solution, i64)>, SearchStats) {
-    let flat = flatten_with_objective(model, Some(objective));
-    let obj_terms = flat.objective.clone().expect("objective lowered");
-    let mut extra: Vec<(Vec<(i64, FlatVar)>, i64)> = Vec::new();
-    let mut best: Option<(Solution, i64)> = None;
-    let mut total = SearchStats::default();
-    loop {
-        let (outcome, raw, stats) = solve_flat_portfolio(&flat, cfg, &extra, workers);
-        total.absorb(stats);
-        match outcome {
-            Outcome::Sat(_) => {
-                let raw = raw.expect("raw assignment accompanies Sat");
-                let value = raw.eval_lin(&obj_terms) + flat.objective_constant;
-                let sol = raw.extract(&flat);
-                best = Some((sol, value));
-                // Require strictly better: Σ obj_terms ≤ value - constant - 1.
-                extra.push((obj_terms.clone(), value - flat.objective_constant - 1));
-            }
-            _ => return (best, total),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,20 +253,6 @@ mod tests {
         assert!(outcome.is_sat());
         assert_eq!(stats.workers_spawned, 1);
         assert_eq!(stats.workers_cancelled, 0);
-    }
-
-    #[test]
-    fn minimize_portfolio_matches_sequential_value() {
-        let mut m = Model::new();
-        let x = m.int_var("x", 0, 100);
-        let y = m.int_var("y", 0, 100);
-        m.require(Ix::var(x).add(Ix::var(y)).ge(Ix::lit(23)));
-        let obj = Ix::var(x).add(Ix::var(y));
-        let cfg = SolverConfig::default();
-        let (seq, _) = crate::search::minimize_with(&m, &obj, &cfg);
-        let (par, stats) = minimize_portfolio(&m, &obj, &cfg, 4);
-        assert_eq!(seq.unwrap().1, par.unwrap().1);
-        assert!(stats.workers_spawned >= 4, "one race per bound round");
     }
 
     #[test]

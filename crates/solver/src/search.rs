@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::flatten::{flatten, flatten_with_objective, FlatModel, FlatVar, Lit};
+use crate::flatten::{flatten, FlatModel, FlatVar, Lit};
 use crate::model::{Model, Solution};
 use crate::Outcome;
 
@@ -97,8 +97,8 @@ impl Default for SolverConfig {
 /// Counters describing a finished search.
 ///
 /// Returned by every solver entry point and aggregated across
-/// branch-and-bound iterations by [`minimize_with`]; the compile driver
-/// surfaces them on `CompileOutput` so long solves are observable.
+/// branch-and-bound iterations by [`crate::Solver::minimize`]; the compile
+/// driver surfaces them on `CompileOutput` so long solves are observable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Boolean and integer decisions made.
@@ -121,6 +121,13 @@ pub struct SearchStats {
     /// Portfolio workers whose results were discarded — either cancelled
     /// mid-search or finished after another worker already won the race.
     pub workers_cancelled: u64,
+    /// Linear constraints visited by bounds propagation (one visit = one
+    /// recomputation of a constraint's slack and the bounds it implies).
+    pub linear_visits: u64,
+    /// Integer bounds tightened (by propagation or by an integer split).
+    pub bound_updates: u64,
+    /// Negative-cycle checks run by the creep guard.
+    pub creep_checks: u64,
 }
 
 impl SearchStats {
@@ -140,6 +147,9 @@ impl SearchStats {
         self.clauses_deleted += other.clauses_deleted;
         self.workers_spawned += other.workers_spawned;
         self.workers_cancelled += other.workers_cancelled;
+        self.linear_visits += other.linear_visits;
+        self.bound_updates += other.bound_updates;
+        self.creep_checks += other.creep_checks;
     }
 }
 
@@ -148,45 +158,6 @@ pub fn solve(model: &Model) -> Outcome {
     let flat = flatten(model);
     let (outcome, _, _) = solve_flat(&flat, &SolverConfig::default(), &[]);
     finish(model, outcome)
-}
-
-/// Minimize `objective` subject to the model's constraints, by iterated
-/// solving with a tightening bound (branch-and-bound).
-///
-/// Returns the best solution found together with its objective value.
-pub fn minimize(model: &Model, objective: &crate::expr::Ix) -> Option<(Solution, i64)> {
-    minimize_with(model, objective, &SolverConfig::default()).0
-}
-
-/// [`minimize`] with an explicit configuration.
-///
-/// Also returns the [`SearchStats`] summed over every branch-and-bound
-/// iteration, so callers can report total solver effort.
-pub fn minimize_with(
-    model: &Model,
-    objective: &crate::expr::Ix,
-    cfg: &SolverConfig,
-) -> (Option<(Solution, i64)>, SearchStats) {
-    let flat = flatten_with_objective(model, Some(objective));
-    let obj_terms = flat.objective.clone().expect("objective lowered");
-    let mut extra: Vec<(Vec<(i64, FlatVar)>, i64)> = Vec::new();
-    let mut best: Option<(Solution, i64)> = None;
-    let mut total = SearchStats::default();
-    loop {
-        let (outcome, raw, stats) = solve_flat(&flat, cfg, &extra);
-        total.absorb(stats);
-        match outcome {
-            Outcome::Sat(_) => {
-                let raw = raw.expect("raw assignment accompanies Sat");
-                let value = raw.eval_lin(&obj_terms) + flat.objective_constant;
-                let sol = raw.extract(&flat);
-                best = Some((sol, value));
-                // Require strictly better: Σ obj_terms ≤ value - constant - 1.
-                extra.push((obj_terms.clone(), value - flat.objective_constant - 1));
-            }
-            _ => return (best, total),
-        }
-    }
 }
 
 fn finish(model: &Model, outcome: Outcome) -> Outcome {
@@ -323,6 +294,163 @@ enum Conflict {
     Theory,
 }
 
+/// An active linear constraint `sign · Σ terms ≤ k`. The terms are borrowed
+/// from the flat model's atom (or from a branch-and-bound bound); `sign` is
+/// −1 for an atom assigned false, whose negation `−Σ ≤ −k − 1` is active.
+#[derive(Clone, Copy)]
+struct ActiveLin<'a> {
+    terms: &'a [(i64, FlatVar)],
+    sign: i64,
+    k: i64,
+}
+
+/// Active-constraint indices whose inputs changed since their last visit:
+/// a bitset, so they come back out in ascending index order.
+#[derive(Default)]
+struct DirtySet {
+    words: Vec<u64>,
+}
+
+impl DirtySet {
+    fn insert(&mut self, i: usize) {
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        self.words[w] |= bit;
+    }
+
+    /// Remove and return the smallest member `≥ from`.
+    fn take_from(&mut self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut word = *self.words.get(w)? & (!0u64 << (from % 64));
+        while word == 0 {
+            w += 1;
+            word = *self.words.get(w)?;
+        }
+        self.words[w] &= !(word & word.wrapping_neg());
+        Some(w * 64 + word.trailing_zeros() as usize)
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+}
+
+/// Indexed binary max-heap of SAT variables, ordered by activity with the
+/// lower variable index first among equals — the order a linear scan for
+/// "highest activity, first found" visits them in.
+struct VarHeap {
+    heap: Vec<u32>,
+    /// Position of each variable in `heap`; `u32::MAX` when absent.
+    pos: Vec<u32>,
+}
+
+impl VarHeap {
+    /// A heap holding every variable `0..act.len()`.
+    fn full(act: &[f64]) -> Self {
+        let n = act.len() as u32;
+        let mut h = VarHeap {
+            heap: (0..n).collect(),
+            pos: (0..n).collect(),
+        };
+        h.rebuild(act);
+        h
+    }
+
+    fn before(act: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (act[a as usize], act[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn place(&mut self, i: usize, v: u32) {
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_up(&mut self, mut i: usize, act: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::before(act, v, self.heap[parent]) {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, v);
+    }
+
+    fn sift_down(&mut self, mut i: usize, act: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= self.heap.len() {
+                break;
+            }
+            if child + 1 < self.heap.len()
+                && Self::before(act, self.heap[child + 1], self.heap[child])
+            {
+                child += 1;
+            }
+            if !Self::before(act, self.heap[child], v) {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, v);
+    }
+
+    /// Restore the heap order after activities changed wholesale.
+    fn rebuild(&mut self, act: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, act);
+        }
+    }
+
+    /// Insert `v` unless it is already present.
+    fn insert(&mut self, v: u32, act: &[f64]) {
+        if self.pos[v as usize] == u32::MAX {
+            self.heap.push(v);
+            self.sift_up(self.heap.len() - 1, act);
+        }
+    }
+
+    /// `v`'s activity went up: move it toward the root if it is present.
+    fn raised(&mut self, v: u32, act: &[f64]) {
+        let i = self.pos[v as usize];
+        if i != u32::MAX {
+            self.sift_up(i as usize, act);
+        }
+    }
+
+    fn pop(&mut self, act: &[f64]) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("heap has a first element");
+        self.pos[top as usize] = u32::MAX;
+        if top != last {
+            self.place(0, last);
+            self.sift_down(0, act);
+        }
+        Some(top)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Searches on this thread propagate with the full-sweep reference
+    /// schedule (see [`Search::propagate_linear_full_sweep`]).
+    static FULL_SWEEP: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Visits one [`Search::propagate_linear`] call may spend per active
+/// constraint (plus a fixed allowance) before the creep guard checks for a
+/// negative cycle. A call that converges normally visits each constraint a
+/// handful of times; one that creeps visits them once per unit of domain.
+const CREEP_VISITS_PER_CONSTRAINT: usize = 8;
+const CREEP_VISITS_BASE: usize = 64;
+
 struct Search<'a> {
     flat: &'a FlatModel,
     cfg: &'a SolverConfig,
@@ -341,8 +469,14 @@ struct Search<'a> {
     trail: Vec<TrailItem>,
     /// Trail mark at the start of each decision level (level 0 excluded).
     level_marks: Vec<usize>,
-    /// Active linear constraints as (terms, k) meaning Σ ≤ k.
-    active: Vec<(Vec<(i64, FlatVar)>, i64)>,
+    /// Active linear constraints, a stack: bounds first, then atoms in the
+    /// order their variables were assigned.
+    active: Vec<ActiveLin<'a>>,
+    /// Per variable and direction (see [`Search::occ_slot`]), the stack of
+    /// active constraints a change of that bound can disturb.
+    occ: Vec<Vec<u32>>,
+    /// Active constraints to revisit.
+    dirty: DirtySet,
     queue: std::collections::VecDeque<(Lit, Reason)>,
     /// Integer split stack (post-boolean phase).
     int_splits: Vec<IntSplit>,
@@ -351,6 +485,13 @@ struct Search<'a> {
     /// VSIDS-lite activity per variable.
     activity: Vec<f64>,
     activity_inc: f64,
+    /// Decision order: holds every unassigned variable (and, lazily, some
+    /// assigned ones that `pick_bool` discards when they surface).
+    order: VarHeap,
+    /// Conflict-analysis scratch: variables already in the resolvent, and
+    /// the list of them to reset afterwards.
+    seen: Vec<bool>,
+    seen_vars: Vec<u32>,
     saved_phase: Vec<bool>,
     conflicts_since_restart: u64,
     restart_limit: u64,
@@ -374,11 +515,17 @@ impl<'a> Search<'a> {
     fn new(
         flat: &'a FlatModel,
         cfg: &'a SolverConfig,
-        extra: &[(Vec<(i64, FlatVar)>, i64)],
+        extra: &'a [(Vec<(i64, FlatVar)>, i64)],
         warm: Option<&WarmStart>,
     ) -> Self {
         let nvars = flat.num_sat_vars;
         let num_clauses = flat.clauses.len();
+        // A warm bundle's activity applies only when its dimensions match
+        // this formula (see the seeding below).
+        let activity = match warm {
+            Some(w) if w.activity.len() == nvars => w.activity.clone(),
+            _ => vec![0.0; nvars],
+        };
         let mut s = Search {
             flat,
             cfg,
@@ -393,7 +540,9 @@ impl<'a> Search<'a> {
             num_original_clauses: flat.clauses.len(),
             trail: Vec::new(),
             level_marks: Vec::new(),
-            active: extra.to_vec(),
+            active: Vec::new(),
+            occ: vec![Vec::new(); 2 * (flat.int_bounds.len() + flat.num_model_bools)],
+            dirty: DirtySet::default(),
             queue: std::collections::VecDeque::new(),
             int_splits: Vec::new(),
             int_hint: {
@@ -405,8 +554,11 @@ impl<'a> Search<'a> {
                 }
                 hints
             },
-            activity: vec![0.0; nvars],
+            order: VarHeap::full(&activity),
+            activity,
             activity_inc: 1.0,
+            seen: vec![false; nvars],
+            seen_vars: Vec::new(),
             saved_phase: vec![cfg.default_phase; nvars],
             conflicts_since_restart: 0,
             restart_limit: cfg.restart_interval,
@@ -430,17 +582,14 @@ impl<'a> Search<'a> {
             }
         }
         if let Some(w) = warm {
-            // Warm-start seeding. Phases and activity apply only when the
-            // bundle's dimensions match this formula exactly (they always
-            // do under fingerprint-keyed lookup; anything else is stale and
-            // silently dropped). Clauses are installed as learned clauses —
+            // Warm-start seeding. Phases (like the activity above) apply
+            // only when the bundle's dimensions match this formula exactly
+            // (they always do under fingerprint-keyed lookup; anything else
+            // is stale and silently dropped). Clauses are installed as learned clauses —
             // watched, LBD-scored, and eligible for the usual database
             // reduction — before `init_watches` wires the watch lists.
             if w.phases.len() == nvars {
                 s.saved_phase.copy_from_slice(&w.phases);
-            }
-            if w.activity.len() == nvars {
-                s.activity.copy_from_slice(&w.activity);
             }
             for (cl, lbd) in &w.clauses {
                 if cl.len() >= 2 && cl.iter().all(|l| (l.var() as usize) < nvars) {
@@ -455,6 +604,13 @@ impl<'a> Search<'a> {
             if (v as usize) < s.saved_phase.len() {
                 s.saved_phase[v as usize] = phase;
             }
+        }
+        for (terms, k) in extra {
+            s.activate(ActiveLin {
+                terms,
+                sign: 1,
+                k: *k,
+            });
         }
         s.init_watches();
         s
@@ -504,6 +660,11 @@ impl<'a> Search<'a> {
                 *a *= 1e-100;
             }
             self.activity_inc *= 1e-100;
+            // Rescaling can flush small activities to equal values, which
+            // reorders them by index.
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.raised(var, &self.activity);
         }
     }
 
@@ -625,24 +786,28 @@ impl<'a> Search<'a> {
         true
     }
 
-    fn run(&mut self) -> (Outcome, Option<RawAssignment>) {
-        if self.deadline_expired() {
-            return (Outcome::Unknown, None);
-        }
-        // Top-level units and empty clauses.
+    /// Enqueue the original unit clauses and propagate at level 0. False
+    /// when that already refutes the formula.
+    fn propagate_units(&mut self) -> bool {
         for ci in 0..self.num_original_clauses {
             let cl = &self.clauses[ci];
             if cl.is_empty() {
-                return (Outcome::Unsat, None);
+                return false;
             }
             if cl.len() == 1 {
                 let lit = cl[0];
                 self.queue.push_back((lit, Reason::Clause(ci)));
             }
         }
-        if let Some(conflict) = self.propagate() {
-            let _ = conflict;
-            return (Outcome::Unsat, None); // conflict at level 0
+        self.propagate().is_none()
+    }
+
+    fn run(&mut self) -> (Outcome, Option<RawAssignment>) {
+        if self.deadline_expired() {
+            return (Outcome::Unknown, None);
+        }
+        if !self.propagate_units() {
+            return (Outcome::Unsat, None);
         }
         loop {
             if self.cancelled || self.stats.decisions > self.cfg.max_decisions {
@@ -677,17 +842,15 @@ impl<'a> Search<'a> {
 
     // ---- decisions -------------------------------------------------------
 
-    fn pick_bool(&self) -> Option<u32> {
-        let mut best: Option<(u32, f64)> = None;
-        for v in 0..self.assign.len() {
-            if self.assign[v] == -1 {
-                let a = self.activity[v];
-                if best.map(|(_, ba)| a > ba).unwrap_or(true) {
-                    best = Some((v as u32, a));
-                }
+    /// The unassigned variable of highest activity, lowest index among
+    /// equals. It leaves the heap; `undo_to` puts it back.
+    fn pick_bool(&mut self) -> Option<u32> {
+        while let Some(v) = self.order.pop(&self.activity) {
+            if self.assign[v as usize] == -1 {
+                return Some(v);
             }
         }
-        best.map(|(v, _)| v)
+        None
     }
 
     fn pick_int(&self) -> Option<u32> {
@@ -723,8 +886,9 @@ impl<'a> Search<'a> {
     }
 
     fn all_lo_satisfies(&self) -> bool {
-        self.active.iter().all(|(terms, k)| {
-            let sum: i64 = terms
+        self.active.iter().all(|lin| {
+            let sum: i64 = lin
+                .terms
                 .iter()
                 .map(|&(c, v)| {
                     c * match v {
@@ -733,7 +897,7 @@ impl<'a> Search<'a> {
                     }
                 })
                 .sum();
-            sum <= *k
+            lin.sign * sum <= lin.k
         })
     }
 
@@ -883,47 +1047,47 @@ impl<'a> Search<'a> {
 
     /// 1-UIP conflict analysis. `None` means the conflict is at level 0.
     fn analyze(&mut self, conflict_clause: usize) -> Option<Vec<Lit>> {
+        let learned = self.resolve_to_uip(conflict_clause);
+        for v in self.seen_vars.drain(..) {
+            self.seen[v as usize] = false;
+        }
+        learned
+    }
+
+    /// Absorb clause `ci`'s literals into the running resolvent: literals
+    /// below the current level join `learned`, current-level ones are
+    /// counted, level-0 facts drop out.
+    fn absorb(
+        &mut self,
+        ci: usize,
+        skip: Option<u32>,
+        learned: &mut Vec<Lit>,
+        current_count: &mut usize,
+    ) {
+        let current = self.decision_level();
+        for j in 0..self.clauses[ci].len() {
+            let l = self.clauses[ci][j];
+            let v = l.var();
+            if Some(v) == skip || self.seen[v as usize] {
+                continue;
+            }
+            self.seen[v as usize] = true;
+            self.seen_vars.push(v);
+            self.bump(v);
+            let lv = self.level[v as usize];
+            if lv == current {
+                *current_count += 1;
+            } else if lv > 0 {
+                learned.push(l);
+            }
+        }
+    }
+
+    fn resolve_to_uip(&mut self, conflict_clause: usize) -> Option<Vec<Lit>> {
         let current = self.decision_level();
         let mut learned: Vec<Lit> = Vec::new();
-        let mut seen = vec![false; self.assign.len()];
         let mut current_count = 0usize;
-        let mut to_process: Vec<Lit> = self.clauses[conflict_clause].clone();
-
-        // Absorb a clause's literals into the running resolvent.
-        let absorb = |lits: &[Lit],
-                      skip: Option<u32>,
-                      seen: &mut Vec<bool>,
-                      learned: &mut Vec<Lit>,
-                      current_count: &mut usize,
-                      this: &mut Self| {
-            for &l in lits {
-                let v = l.var();
-                if Some(v) == skip || seen[v as usize] {
-                    continue;
-                }
-                seen[v as usize] = true;
-                this.bump(v);
-                let lv = this.level[v as usize];
-                if lv == 0 {
-                    continue; // level-0 facts drop out
-                }
-                if lv == current {
-                    *current_count += 1;
-                } else {
-                    learned.push(l);
-                }
-            }
-        };
-
-        absorb(
-            &to_process.clone(),
-            None,
-            &mut seen,
-            &mut learned,
-            &mut current_count,
-            self,
-        );
-        to_process.clear();
+        self.absorb(conflict_clause, None, &mut learned, &mut current_count);
 
         // Walk the trail backwards, resolving current-level literals.
         let mut trail_idx = self.trail.len();
@@ -939,7 +1103,7 @@ impl<'a> Search<'a> {
             while trail_idx > 0 {
                 trail_idx -= 1;
                 if let TrailItem::Sat(v) = self.trail[trail_idx] {
-                    if seen[v as usize] && self.level[v as usize] == current {
+                    if self.seen[v as usize] && self.level[v as usize] == current {
                         found = Some(v);
                         break;
                     }
@@ -961,15 +1125,7 @@ impl<'a> Search<'a> {
             match self.reason[v as usize] {
                 Reason::Clause(ci) => {
                     self.bump_clause(ci);
-                    let lits = self.clauses[ci].clone();
-                    absorb(
-                        &lits,
-                        Some(v),
-                        &mut seen,
-                        &mut learned,
-                        &mut current_count,
-                        self,
-                    );
+                    self.absorb(ci, Some(v), &mut learned, &mut current_count);
                 }
                 Reason::Decision | Reason::Theory => {
                     // Cannot resolve through this literal: no clause
@@ -1032,6 +1188,8 @@ impl<'a> Search<'a> {
             self.trail
                 .push(TrailItem::IntLo(var, self.lo[var as usize]));
             self.lo[var as usize] = v;
+            self.stats.bound_updates += 1;
+            self.mark_dirty(self.occ_slot(FlatVar::Int(var), 1));
         }
     }
 
@@ -1040,7 +1198,41 @@ impl<'a> Search<'a> {
             self.trail
                 .push(TrailItem::IntHi(var, self.hi[var as usize]));
             self.hi[var as usize] = v;
+            self.stats.bound_updates += 1;
+            self.mark_dirty(self.occ_slot(FlatVar::Int(var), -1));
         }
+    }
+
+    /// Index into `occ` for "constraints in which `v` has a coefficient of
+    /// `c`'s sign". A constraint's slack depends on the lower bound of its
+    /// positive-coefficient variables and the upper bound of its negative
+    /// ones, so a raised lower bound (or a boolean assigned true) disturbs
+    /// the even slot's constraints and a lowered upper bound (or a boolean
+    /// assigned false) the odd slot's. The bounds a constraint *derives*
+    /// are the opposite ones, which is why visiting it does not mark it.
+    fn occ_slot(&self, v: FlatVar, c: i64) -> usize {
+        let var = match v {
+            FlatVar::Int(i) => i as usize,
+            FlatVar::Bool(b) => self.lo.len() + b as usize,
+        };
+        2 * var + (c < 0) as usize
+    }
+
+    fn mark_dirty(&mut self, slot: usize) {
+        for &ci in &self.occ[slot] {
+            self.dirty.insert(ci as usize);
+        }
+    }
+
+    /// Push a constraint onto the active stack, dirty.
+    fn activate(&mut self, lin: ActiveLin<'a>) {
+        let ci = self.active.len();
+        for &(c, v) in lin.terms {
+            let slot = self.occ_slot(v, lin.sign * c);
+            self.occ[slot].push(ci as u32);
+        }
+        self.active.push(lin);
+        self.dirty.insert(ci);
     }
 
     /// Propagate the queue to fixpoint. `Some(conflict)` on failure.
@@ -1084,18 +1276,25 @@ impl<'a> Search<'a> {
                 self.reason[var as usize] = reason;
                 self.saved_phase[var as usize] = !lit.is_neg();
                 self.trail.push(TrailItem::Sat(var));
+                // Atom and Tseitin variables sit above the model's own
+                // booleans and are in no linear term.
+                if (var as usize) < self.flat.num_model_bools {
+                    let c = if lit.is_neg() { -1 } else { 1 };
+                    self.mark_dirty(self.occ_slot(FlatVar::Bool(var), c));
+                }
                 // Activate the atom if this variable guards one.
                 if let Some(&ai) = self.flat.atom_of_var.get(&var) {
                     let atom = &self.flat.atoms[ai];
-                    let (terms, k) = if lit.is_neg() {
-                        (
-                            atom.terms.iter().map(|&(c, v)| (-c, v)).collect::<Vec<_>>(),
-                            -atom.k - 1,
-                        )
+                    let (sign, k) = if lit.is_neg() {
+                        (-1, -atom.k - 1)
                     } else {
-                        (atom.terms.clone(), atom.k)
+                        (1, atom.k)
                     };
-                    self.active.push((terms, k));
+                    self.activate(ActiveLin {
+                        terms: &atom.terms,
+                        sign,
+                        k,
+                    });
                     self.trail.push(TrailItem::Activated);
                 }
                 // Visit clauses watching the falsified literal.
@@ -1169,71 +1368,188 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Bounds-consistency fixpoint over active linear constraints.
+    /// Bounds-consistency fixpoint over the active linear constraints.
     /// `Ok(true)` if boolean literals were enqueued, `Err(())` on conflict.
+    ///
+    /// Only dirty constraints are visited, in ascending index order with
+    /// wrap-around — the order in which repeated sweeps over every
+    /// constraint would have reached them, a clean constraint's visit
+    /// being a no-op.
     fn propagate_linear(&mut self) -> Result<bool, ()> {
-        let mut enqueued = false;
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for ci in 0..self.active.len() {
-                let (terms, k) = {
-                    let (t, k) = &self.active[ci];
-                    (t.clone(), *k)
-                };
-                let mut min_sum = 0i64;
-                for &(c, v) in &terms {
-                    min_sum += self.min_contrib(c, v);
-                }
-                if min_sum > k {
+        #[cfg(test)]
+        if FULL_SWEEP.with(|f| f.get()) {
+            return self.propagate_linear_full_sweep();
+        }
+        let budget = CREEP_VISITS_BASE + CREEP_VISITS_PER_CONSTRAINT * self.active.len();
+        let mut visits = 0usize;
+        let mut cursor = 0usize;
+        loop {
+            let Some(ci) = self
+                .dirty
+                .take_from(cursor)
+                .or_else(|| self.dirty.take_from(0))
+            else {
+                return Ok(false);
+            };
+            cursor = ci + 1;
+            self.stats.linear_visits += 1;
+            visits += 1;
+            // Creep guard: bounds that chase each other round a cycle move
+            // one unit per lap. Past the budget, decide by the cycle's
+            // weight instead of by walking the domain. No boolean changes
+            // inside this call, so one check per call is enough.
+            if visits == budget {
+                self.stats.creep_checks += 1;
+                if self.has_negative_cycle() {
                     return Err(());
                 }
-                for &(c, v) in &terms {
-                    let others = min_sum - self.min_contrib(c, v);
-                    let slack = k - others; // need c·v ≤ slack
-                    match v {
-                        FlatVar::Int(idx) => {
-                            if c > 0 {
-                                let ub = slack.div_euclid(c);
-                                if ub < self.hi[idx as usize] {
-                                    self.set_hi(idx, ub);
-                                    if self.hi[idx as usize] < self.lo[idx as usize] {
-                                        return Err(());
-                                    }
-                                    changed = true;
-                                }
-                            } else if c < 0 {
-                                let lb = neg_div_ceil(slack, c);
-                                if lb > self.lo[idx as usize] {
-                                    self.set_lo(idx, lb);
-                                    if self.hi[idx as usize] < self.lo[idx as usize] {
-                                        return Err(());
-                                    }
-                                    changed = true;
-                                }
+            }
+            if self.visit(ci)? {
+                return Ok(true);
+            }
+        }
+    }
+
+    /// Reference schedule: sweep every active constraint, again and again,
+    /// until a whole sweep tightens nothing. No creep guard.
+    #[cfg(test)]
+    fn propagate_linear_full_sweep(&mut self) -> Result<bool, ()> {
+        loop {
+            let before = self.stats.bound_updates;
+            for ci in 0..self.active.len() {
+                self.stats.linear_visits += 1;
+                if self.visit(ci)? {
+                    return Ok(true);
+                }
+            }
+            if self.stats.bound_updates == before {
+                return Ok(false);
+            }
+        }
+    }
+
+    /// Tighten every bound constraint `ci` implies under the current
+    /// bounds and assignment. `Ok(true)` if boolean literals were enqueued,
+    /// `Err(())` if the constraint cannot be satisfied.
+    fn visit(&mut self, ci: usize) -> Result<bool, ()> {
+        let ActiveLin { terms, sign, k } = self.active[ci];
+        let mut min_sum = 0i64;
+        for &(c, v) in terms {
+            min_sum += self.min_contrib(sign * c, v);
+        }
+        if min_sum > k {
+            return Err(());
+        }
+        let mut enqueued = false;
+        for &(c, v) in terms {
+            let c = sign * c;
+            let others = min_sum - self.min_contrib(c, v);
+            let slack = k - others; // need c·v ≤ slack
+            match v {
+                FlatVar::Int(idx) => {
+                    if c > 0 {
+                        let ub = slack.div_euclid(c);
+                        if ub < self.hi[idx as usize] {
+                            self.set_hi(idx, ub);
+                            if self.hi[idx as usize] < self.lo[idx as usize] {
+                                return Err(());
                             }
                         }
-                        FlatVar::Bool(b) => {
-                            let assigned = self.assign[b as usize];
-                            if assigned != -1 {
-                                continue;
-                            }
-                            if c > 0 && slack < c {
-                                self.queue.push_back((Lit::neg(b), Reason::Theory));
-                                enqueued = true;
-                            } else if c < 0 && slack < 0 {
-                                self.queue.push_back((Lit::pos(b), Reason::Theory));
-                                enqueued = true;
+                    } else if c < 0 {
+                        let lb = neg_div_ceil(slack, c);
+                        if lb > self.lo[idx as usize] {
+                            self.set_lo(idx, lb);
+                            if self.hi[idx as usize] < self.lo[idx as usize] {
+                                return Err(());
                             }
                         }
                     }
                 }
-                if enqueued {
-                    return Ok(true);
+                FlatVar::Bool(b) => {
+                    if self.assign[b as usize] != -1 {
+                        continue;
+                    }
+                    if c > 0 && slack < c {
+                        self.queue.push_back((Lit::neg(b), Reason::Theory));
+                        enqueued = true;
+                    } else if c < 0 && slack < 0 {
+                        self.queue.push_back((Lit::pos(b), Reason::Theory));
+                        enqueued = true;
+                    }
                 }
             }
         }
-        Ok(false)
+        Ok(enqueued)
+    }
+
+    /// Must this `propagate_linear` call end in a conflict? True when the
+    /// active two-variable unit-coefficient constraints (assigned booleans
+    /// folded into the right-hand side) are infeasible whatever the bounds.
+    ///
+    /// With nodes `+x` (2i) and `−x` (2i+1), `a + b ≤ w` over nodes is the
+    /// pair of difference constraints `a − ¬b ≤ w`, `b − ¬a ≤ w`. Those
+    /// have a real solution iff the graph has no negative cycle, and any
+    /// bounds fixpoint with non-empty domains is such a solution (`+x ↦ hi`,
+    /// `−x ↦ −lo`) — so with a negative cycle propagation cannot reach a
+    /// fixpoint, however long it takes to find that out.
+    ///
+    /// It could still stop early by forcing a boolean, which is a different
+    /// search path from the conflict. So the check abstains (false) when
+    /// any active constraint ties an unassigned boolean to an integer. The
+    /// caller has by then visited every constraint that was dirty on entry,
+    /// so whatever is visited from here on was disturbed by an integer
+    /// bound; if none of those mentions an unassigned boolean, none can
+    /// force one, and conflict is the only way out.
+    fn has_negative_cycle(&self) -> bool {
+        let mut edges: Vec<(u32, u32, i64)> = Vec::new();
+        for lin in &self.active {
+            let mut w = lin.k;
+            let mut nodes = [0u32; 2];
+            let (mut ints, mut unit, mut open_bool) = (0, true, false);
+            for &(c, v) in lin.terms {
+                let c = lin.sign * c;
+                match v {
+                    FlatVar::Bool(b) => match self.assign[b as usize] {
+                        1 => w -= c,
+                        0 => {}
+                        _ => open_bool = true,
+                    },
+                    FlatVar::Int(i) => {
+                        if ints < 2 {
+                            nodes[ints] = 2 * i + (c < 0) as u32;
+                        }
+                        ints += 1;
+                        unit &= c.abs() == 1;
+                    }
+                }
+            }
+            if open_bool && ints > 0 {
+                return false;
+            }
+            if ints == 2 && unit {
+                edges.push((nodes[1] ^ 1, nodes[0], w));
+                edges.push((nodes[0] ^ 1, nodes[1], w));
+            }
+        }
+        // Bellman–Ford from a virtual source at distance 0 from every
+        // node. Two edges add at most four nodes, so `2·|edges|` bounds the
+        // node count; a relaxation still possible after that many rounds
+        // follows a negative cycle.
+        let mut dist = vec![0i64; 2 * self.lo.len()];
+        for _ in 0..2 * edges.len() {
+            let mut relaxed = false;
+            for &(from, to, w) in &edges {
+                let d = dist[from as usize] + w;
+                if d < dist[to as usize] {
+                    dist[to as usize] = d;
+                    relaxed = true;
+                }
+            }
+            if !relaxed {
+                return false;
+            }
+        }
+        !edges.is_empty()
     }
 
     fn min_contrib(&self, c: i64, v: FlatVar) -> i64 {
@@ -1256,14 +1572,26 @@ impl<'a> Search<'a> {
     fn undo_to(&mut self, mark: usize) {
         while self.trail.len() > mark {
             match self.trail.pop().unwrap() {
-                TrailItem::Sat(v) => self.assign[v as usize] = -1,
+                TrailItem::Sat(v) => {
+                    self.assign[v as usize] = -1;
+                    self.order.insert(v, &self.activity);
+                }
                 TrailItem::IntLo(v, old) => self.lo[v as usize] = old,
                 TrailItem::IntHi(v, old) => self.hi[v as usize] = old,
                 TrailItem::Activated => {
-                    self.active.pop();
+                    // The newest constraint is the last entry of each
+                    // occurrence stack it was pushed on.
+                    let lin = self.active.pop().expect("an activation to undo");
+                    for &(c, v) in lin.terms {
+                        let slot = self.occ_slot(v, lin.sign * c);
+                        self.occ[slot].pop();
+                    }
                 }
             }
         }
+        // Every mark the trail holds was taken at a propagation fixpoint,
+        // where no surviving constraint has anything left to do.
+        self.dirty.clear();
         self.queue.clear();
     }
 
@@ -1289,6 +1617,9 @@ fn neg_div_ceil(a: i64, c: i64) -> i64 {
         q
     }
 }
+
+#[cfg(test)]
+mod linear_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1390,7 +1721,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.int_var("x", 0, 100);
         m.require(Ix::var(x).ge(Ix::lit(37)));
-        let (sol, v) = minimize(&m, &Ix::var(x)).unwrap();
+        let (sol, v) = crate::minimize(&m, &Ix::var(x)).unwrap();
         assert_eq!(v, 37);
         assert_eq!(sol.int(x), 37);
     }
@@ -1402,7 +1733,7 @@ mod tests {
         m.require(Bx::exactly_one(vec![Bx::var(f[0]), Bx::var(f[1])]));
         m.require(Bx::exactly_one(vec![Bx::var(f[1]), Bx::var(f[2])]));
         let obj = Ix::sum(f.iter().map(|&v| Ix::bool01(v)).collect());
-        let (sol, v) = minimize(&m, &obj).unwrap();
+        let (sol, v) = crate::minimize(&m, &obj).unwrap();
         assert_eq!(v, 1);
         assert!(sol.bool(f[1]));
     }

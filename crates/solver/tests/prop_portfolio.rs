@@ -13,7 +13,8 @@ mod common;
 
 use common::{gen_model, Rng};
 use lyra_solver::{
-    minimize_portfolio, solve, solve_portfolio, Ix, Outcome, SearchStats, SolverConfig,
+    solve, solve_portfolio, Ix, Minimized, Outcome, Portfolio, SearchStats, Sequential, SolveCtx,
+    Solver, SolverConfig,
 };
 
 /// Worker counts exercised per case: a degenerate race, a typical race,
@@ -50,15 +51,15 @@ fn portfolio_agrees_with_sequential_on_sat_unsat() {
 #[test]
 fn portfolio_minimize_matches_sequential_objective() {
     let mut rng = Rng::new(0x5eed_0004);
-    let cfg = SolverConfig::default();
+    let ctx = SolveCtx::default();
     for case in 0..200 {
         let m = gen_model(&mut rng);
         let obj = Ix::sum(m.int_decls().map(|(id, _)| Ix::var(id)).collect());
-        let (seq, _) = lyra_solver::search::minimize_with(&m, &obj, &cfg);
+        let (seq, _) = Sequential.minimize(&m, &obj, &ctx);
         let workers = WORKER_COUNTS[case % WORKER_COUNTS.len()];
-        let (par, _) = minimize_portfolio(&m, &obj, &cfg, workers);
+        let (par, _) = Portfolio { workers }.minimize(&m, &obj, &ctx);
         match (&seq, &par) {
-            (Some((_, seq_v)), Some((par_sol, par_v))) => {
+            (Minimized::Optimal(_, seq_v), Minimized::Optimal(par_sol, par_v)) => {
                 assert_eq!(
                     seq_v, par_v,
                     "case {case}: minimized objective diverged (workers={workers})"
@@ -69,12 +70,8 @@ fn portfolio_minimize_matches_sequential_objective() {
                 );
                 assert_eq!(par_sol.eval_ix(&obj), *par_v, "case {case}");
             }
-            (None, None) => {} // both UNSAT
-            (s, p) => panic!(
-                "case {case}: sequential={:?} portfolio={:?}",
-                s.as_ref().map(|(_, v)| v),
-                p.as_ref().map(|(_, v)| v)
-            ),
+            (Minimized::Infeasible, Minimized::Infeasible) => {}
+            (s, p) => panic!("case {case}: sequential={s:?} portfolio={p:?}"),
         }
     }
 }

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use lyra_solver::decompose::{Decomposed, Portfolio, Sequential, SolveCtx, Solver};
+use lyra_solver::decompose::{Decomposed, Minimized, Portfolio, Sequential, SolveCtx, Solver};
 use lyra_solver::{ClauseStore, Ix, Model, Outcome, SearchStats, Solution, SolverConfig};
 
 /// Which solver to use. Only the native solver exists today; the enum is
@@ -131,10 +131,11 @@ pub struct SolveLimits {
 
 /// [`solve_with_strategy`] under explicit [`SolveLimits`].
 ///
-/// A minimization that times out after finding at least one model returns
-/// that model as [`Outcome::Sat`] — possibly non-optimal, which is exactly
-/// the degraded-result contract. A minimization that times out before any
-/// model returns [`Outcome::Unknown`], not `Unsat`: expiry proves nothing.
+/// A minimization truncated (deadline, decision budget, cancellation) after
+/// finding at least one model returns that model as [`Outcome::Sat`] —
+/// possibly non-optimal, which is exactly the degraded-result contract. One
+/// truncated before any model returns [`Outcome::Unknown`], not `Unsat`: a
+/// spent budget proves nothing.
 pub fn solve_with_limits(
     model: &Model,
     objective: Option<&Ix>,
@@ -182,25 +183,16 @@ pub fn solve_with_limits(
                 Some(obj) => {
                     let (res, stats) = engine.minimize(model, obj, &ctx);
                     let outcome = match res {
-                        Some((sol, _)) => Outcome::Sat(sol),
-                        // `None` is a refutation only if no limit could
-                        // have truncated the search.
-                        None if limits.expired() => Outcome::Unknown,
-                        None => Outcome::Unsat,
+                        Minimized::Optimal(sol, _) | Minimized::Truncated(Some((sol, _))) => {
+                            Outcome::Sat(sol)
+                        }
+                        Minimized::Infeasible => Outcome::Unsat,
+                        Minimized::Truncated(None) => Outcome::Unknown,
                     };
                     (outcome, stats)
                 }
             }
         }
-    }
-}
-
-impl SolveLimits {
-    /// Has the wall-clock deadline passed? (Used to keep a truncated
-    /// minimization from being misread as a refutation.)
-    fn expired(&self) -> bool {
-        self.deadline
-            .is_some_and(|d| std::time::Instant::now() >= d)
     }
 }
 

@@ -662,6 +662,60 @@ fn one_ms_deadline_on_k16_lb_returns_promptly_and_degraded() {
     );
 }
 
+/// A spent decision budget under an objective degrades, it does not
+/// refute: three decisions on NetCache over a k = 8 pod under
+/// `MinSwitches` used to come back as an `LYR040x` infeasibility
+/// explanation for a satisfiable problem (the branch-and-bound loop
+/// reported the truncated first round as "no model"). The ladder must take
+/// over, as it does for the same budget without an objective.
+#[test]
+fn decision_budget_under_an_objective_degrades_instead_of_refuting() {
+    let k = 8;
+    let names = |p: &str| {
+        (1..=k / 2)
+            .map(|i| format!("{p}{i}"))
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let scopes = format!(
+        "netcache: [ ToR*,Agg* | MULTI-SW | ({}->{}) ]",
+        names("Agg"),
+        names("ToR")
+    );
+    let program = lyra_apps::programs::netcache();
+    for objective in [Objective::Feasible, Objective::MinSwitches] {
+        // Monolithic and sequential, so the budget meets the search the
+        // objective runs (the quotient route has its own, smaller one).
+        let req = CompileRequest::new(&program, &scopes, fat_tree_pod(k, "tofino-32q", "trident4"))
+            .with_solve_profile(
+                SolveProfile::fast()
+                    .with_decomposition(false)
+                    .with_decision_budget(3),
+            );
+        let out = Compiler::new()
+            .with_objective(objective.clone())
+            .compile(&req)
+            .unwrap_or_else(|e| {
+                panic!(
+                    "{objective:?}: a spent budget is not a refutation: {:?}",
+                    e.diagnostics()
+                )
+            });
+        assert_eq!(
+            out.degraded,
+            Some(DegradeRung::SequentialRestarts),
+            "{objective:?}"
+        );
+        assert!(
+            out.warnings
+                .iter()
+                .any(|w| w.code == Some(lyra_diag::codes::DEGRADED)),
+            "{objective:?}: degraded output must carry LYR0550"
+        );
+        out.validate_all().expect("degraded placement validates");
+    }
+}
+
 /// Controller crash-and-restart chaos: ≥150 seeded scenarios crash the
 /// controller at every rollout phase boundary (and after the Nth journaled
 /// intent) under a heavily lossy channel, then restart it over the SAME
