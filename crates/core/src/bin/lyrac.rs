@@ -532,8 +532,8 @@ fn replay_config(args: &Args) -> ReplayConfig {
 /// Print a replay report in the human CLI format.
 fn print_replay(label: &str, report: &ReplayReport) {
     println!(
-        "replay[{label}]: {} packet(s) on {} worker(s) in {:?} — {:.0} pps",
-        report.delivered, report.workers, report.elapsed, report.pps
+        "replay[{label}]: {} packet(s) on {} worker(s) in {:?} (bring-up {:?}) — {:.0} pps",
+        report.delivered, report.workers, report.elapsed, report.bring_up, report.pps
     );
     if report.refused_epoch_mismatch > 0 || report.mixed_epoch_exposure > 0 {
         println!(

@@ -15,6 +15,7 @@
 //! exist to survive).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use lyra_ir::DataPlaneState;
 
@@ -81,10 +82,13 @@ pub enum ControlOp {
         base_epoch: u64,
         /// Entry-level changes, applied in order.
         ops: Vec<EntryOp>,
-        /// The complete global register arrays of the new epoch
-        /// (globals are tiny next to million-entry tables, so they ride
-        /// whole in batch 0 and empty afterwards).
-        globals: BTreeMap<String, Vec<u64>>,
+        /// The complete global register arrays of the new epoch, whole
+        /// in batch 0 and empty afterwards. They are not small — NetCache
+        /// declares 21 MB of registers per switch — so in-process they
+        /// ride as shared pointers to the staged state's arrays, and
+        /// [`ControlOp::wire_bytes`] still *models* their full size, as
+        /// a real wire would carry it.
+        globals: BTreeMap<String, Arc<Vec<u64>>>,
         /// Position of this batch in the prepare stream for this switch.
         batch_index: u32,
         /// Total batches in the stream (for acknowledgement accounting).

@@ -25,6 +25,17 @@
 //!   remnants a crashed controller left behind while the restarted
 //!   controller drives them to all-commit or all-rollback.
 //!
+//! ## Bring-up
+//!
+//! Building a plane copies no table entry and no register: every
+//! [`TableSnapshot`] shares the runtime's `ExternTable` pages and `Arc`'d
+//! register arrays, and because every writer of either copies on write
+//! (`Runtime::install`, the interpreter's register writes, delta prepares
+//! on the mirror), a built plane is a consistent snapshot of the runtime
+//! at the moment it was built. What bring-up does cost — bytecode
+//! compilation plus O(pages) pointer copies — is reported per replay as
+//! [`ReplayReport::bring_up`].
+//!
 //! ## Epoch pinning
 //!
 //! Each worker caches the per-switch serving planes and revalidates the
@@ -159,10 +170,12 @@ impl CompiledDeployment {
 }
 
 /// Everything one switch serves for one epoch: the compiled programs and a
-/// sealed, sorted snapshot of its tables and global registers. Immutable
-/// once built — epoch flips swap the `Arc`, never mutate in place. (Delta
-/// prepares mutate the *staged* plane via `Arc::make_mut` before it is
-/// ever served, which is why this is `Clone`.)
+/// sealed snapshot of its tables and global registers, which shares its
+/// storage with the runtime state it was taken from. Immutable once built
+/// — epoch flips swap the `Arc`, never mutate in place. (Delta prepares
+/// mutate the *staged* plane via `Arc::make_mut` before it is ever served,
+/// which is why this is `Clone`; the mutation itself is copy-on-write per
+/// page, so it never reaches the serving plane's or the runtime's pages.)
 #[derive(Clone)]
 struct EpochPlane {
     epoch: u64,
@@ -372,21 +385,19 @@ impl LiveTrafficPlane {
                 ..
             } => {
                 if *batch_index == 0 {
-                    // Opening batch: clone the *serving* snapshot once
-                    // (sorted-array memcpy, never repeated per batch),
-                    // swap in the next epoch's globals, and fold the ops
-                    // in — the full next-epoch `DataPlaneState` is never
-                    // materialized on the mirror. Same guards as the
-                    // switch agent, plus the delta-specific check that
-                    // the serving epoch is the base the diff was cut
-                    // against.
+                    // Opening batch: clone the *serving* snapshot (an
+                    // O(pages) pointer copy that shares every page with
+                    // it), point it at the next epoch's globals, and fold
+                    // the ops in copy-on-write — the staged snapshot ends
+                    // up owning only the pages the delta touched. Same
+                    // guards as the switch agent, plus the delta-specific
+                    // check that the serving epoch is the base the diff
+                    // was cut against.
                     let newer_than_active = msg.epoch > ctl.epoch;
                     let not_stale = ctl.staged.as_ref().is_none_or(|(e, _)| msg.epoch >= *e);
                     if newer_than_active && not_stale && *base_epoch == ctl.epoch {
                         let mut snap = read_lock(&self.serving[i]).snap.clone();
-                        let mut gdp = DataPlaneState::new();
-                        gdp.globals = globals.clone();
-                        snap.globals = self.layout.globals_from(&gdp);
+                        snap.globals = self.layout.shared_globals(globals);
                         apply_delta_ops(&self.layout, &mut snap, ops);
                         let plane = Arc::new(EpochPlane {
                             epoch: msg.epoch,
@@ -614,6 +625,10 @@ pub struct ReplayReport {
     pub digest: u64,
     /// Worker threads used.
     pub workers: usize,
+    /// Time spent before the first packet: compiling the deployment(s) to
+    /// bytecode and building the plane the workers read. Not part of
+    /// `elapsed`.
+    pub bring_up: Duration,
     /// Wall-clock time of the replay.
     pub elapsed: Duration,
     /// Delivered packets per second.
@@ -626,7 +641,8 @@ impl ReplayReport {
         format!(
             "{{\"packets\":{},\"delivered\":{},\"refused_epoch_mismatch\":{},\
              \"mixed_epoch_exposure\":{},\"worker_panics\":{},\"effects\":{},\
-             \"digest\":\"{:#x}\",\"workers\":{},\"elapsed_us\":{},\"pps\":{:.0}}}",
+             \"digest\":\"{:#x}\",\"workers\":{},\"bring_up_us\":{},\"elapsed_us\":{},\
+             \"pps\":{:.0}}}",
             self.packets,
             self.delivered,
             self.refused_epoch_mismatch,
@@ -635,6 +651,7 @@ impl ReplayReport {
             self.effects,
             self.digest,
             self.workers,
+            self.bring_up.as_micros(),
             self.elapsed.as_micros(),
             self.pps,
         )
@@ -778,6 +795,7 @@ fn aggregate(
     outs: Vec<WorkerOut>,
     worker_panics: u64,
     workers: usize,
+    bring_up: Duration,
     elapsed: Duration,
 ) -> ReplayReport {
     let mut report = ReplayReport {
@@ -789,6 +807,7 @@ fn aggregate(
         effects: 0,
         digest: 0,
         workers,
+        bring_up,
         elapsed,
         pps: 0.0,
     };
@@ -804,26 +823,23 @@ fn aggregate(
     report
 }
 
-fn run_replay(plane: &LiveTrafficPlane, cfg: &ReplayConfig) -> ReplayReport {
+/// Replay seeded traffic through the *compiled* engine on a static plane
+/// (no rollout in flight) and measure throughput.
+pub fn replay_compiled(rt: &Runtime<'_>, cfg: &ReplayConfig) -> ReplayReport {
+    let built = Instant::now();
+    let dep = CompiledDeployment::new(rt.output());
+    let plane = LiveTrafficPlane::for_replay(rt, &dep);
     let workers = cfg.workers.max(1);
     let next = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
     let t0 = Instant::now();
     let (outs, panics) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
-            .map(|_| s.spawn(|| run_worker(plane, cfg, &next, &stop)))
+            .map(|_| s.spawn(|| run_worker(&plane, cfg, &next, &stop)))
             .collect();
         join_workers(handles)
     });
-    aggregate(outs, panics, workers, t0.elapsed())
-}
-
-/// Replay seeded traffic through the *compiled* engine on a static plane
-/// (no rollout in flight) and measure throughput.
-pub fn replay_compiled(rt: &Runtime<'_>, cfg: &ReplayConfig) -> ReplayReport {
-    let dep = CompiledDeployment::new(rt.output());
-    let plane = LiveTrafficPlane::for_replay(rt, &dep);
-    run_replay(&plane, cfg)
+    aggregate(outs, panics, workers, t0 - built, t0.elapsed())
 }
 
 /// Replay the *same* seeded traffic through the reference interpreter,
@@ -831,6 +847,7 @@ pub fn replay_compiled(rt: &Runtime<'_>, cfg: &ReplayConfig) -> ReplayReport {
 /// [`Runtime::inject`]: one persistent mutable [`DataPlaneState`] clone per
 /// switch, shared packet state across hops.
 pub fn replay_interpreted(rt: &Runtime<'_>, cfg: &ReplayConfig) -> ReplayReport {
+    let built = Instant::now();
     let output = rt.output();
     let dep = CompiledDeployment::new(output);
     let layout = dep.layout.clone();
@@ -900,6 +917,7 @@ pub fn replay_interpreted(rt: &Runtime<'_>, cfg: &ReplayConfig) -> ReplayReport 
         effects,
         digest: 0,
         workers: 1,
+        bring_up: t0 - built,
         elapsed,
         pps: delivered as f64 / elapsed.as_secs_f64().max(1e-9),
     }
@@ -924,6 +942,7 @@ pub fn replay_under_rollout<'a>(
     rollout_cfg: &RolloutConfig,
     replay_cfg: &ReplayConfig,
 ) -> Result<RolloutReplayOutcome, RuntimeError> {
+    let built = Instant::now();
     let layout = Arc::new(ProgramLayout::unioned(&[&rt.output().ir, &new_output.ir]));
     let dep_cur = CompiledDeployment::with_layout(rt.output(), layout.clone());
     let dep_next = CompiledDeployment::with_layout(new_output, layout);
@@ -961,7 +980,7 @@ pub fn replay_under_rollout<'a>(
     let (outs, panics) = outs;
     let rollout = rollout?;
     Ok(RolloutReplayOutcome {
-        replay: aggregate(outs, panics, workers, elapsed),
+        replay: aggregate(outs, panics, workers, t0 - built, elapsed),
         rollout,
     })
 }
@@ -997,6 +1016,7 @@ pub fn replay_under_recovery<'a>(
     rollout_cfg: &RolloutConfig,
     replay_cfg: &ReplayConfig,
 ) -> Result<RecoveryReplayOutcome, RuntimeError> {
+    let built = Instant::now();
     let layout = Arc::new(ProgramLayout::unioned(&[&rt.output().ir, &new_output.ir]));
     let dep_cur = CompiledDeployment::with_layout(rt.output(), layout.clone());
     let dep_next = CompiledDeployment::with_layout(new_output, layout);
@@ -1034,7 +1054,7 @@ pub fn replay_under_recovery<'a>(
     let (outs, panics) = outs;
     let recovery = recovery?;
     Ok(RecoveryReplayOutcome {
-        replay: aggregate(outs, panics, workers, elapsed),
+        replay: aggregate(outs, panics, workers, t0 - built, elapsed),
         recovery,
     })
 }
@@ -1169,6 +1189,276 @@ mod tests {
                 assert_eq!(epoch, epoch_before, "{sw} must serve the prior epoch");
             }
         }
+    }
+
+    /// The LB with a table big enough that every shard spans several
+    /// pages, and enough entries installed to fill them.
+    fn paged_lb() -> CompileOutput {
+        let program = LB.replace("[64] conn_table", "[8192] conn_table");
+        Compiler::new()
+            .compile(
+                &CompileRequest::new(&program, LB_SCOPES, figure1_network())
+                    .with_solve_profile(SolveProfile::fast()),
+            )
+            .unwrap()
+    }
+
+    fn install_paged(rt: &mut Runtime<'_>) {
+        let entries: Vec<(u64, u64)> = (0..8192u64).map(|k| (k * 7, k + 1)).collect();
+        rt.install_many("conn_table", &entries).unwrap();
+    }
+
+    /// A switch serving a `conn_table` shard.
+    fn shard_holder<'o>(out: &'o CompileOutput, rt: &Runtime<'_>) -> &'o String {
+        let mut holders = out.placement.switches.keys();
+        holders
+            .find(|sw| rt.shard(sw, "conn_table").is_some())
+            .unwrap()
+    }
+
+    /// The snapshot switch `sw` currently serves.
+    fn serving_snap(plane: &LiveTrafficPlane, sw: &str) -> TableSnapshot {
+        read_lock(&plane.serving[plane.index[sw]]).snap.clone()
+    }
+
+    /// A single-switch program whose digest depends on a register (read
+    /// into `seen`) and whose effects depend on a table (misses punt).
+    const COUNTER: &str = r#"
+        pipeline[P]{ctr};
+        algorithm ctr {
+            global bit[32][16] hits;
+            extern dict<bit[32] k, bit[32] v>[2048] flows;
+            seen = hits[bucket];
+            hits[bucket] = seen + 1;
+            if (flow in flows) {
+                out = flows[flow];
+            } else {
+                copy_to_cpu();
+            }
+        }
+    "#;
+
+    fn counter_output() -> CompileOutput {
+        let mut topo = lyra_topo::Topology::new();
+        topo.add_switch("ToR1", lyra_topo::Layer::ToR, "tofino-32q");
+        Compiler::new()
+            .compile(&CompileRequest::new(
+                COUNTER,
+                "ctr: [ ToR1 | PER-SW | - ]",
+                topo,
+            ))
+            .unwrap()
+    }
+
+    #[test]
+    fn bring_up_shares_every_page_and_register_with_the_runtime() {
+        // Tables: every served shard is the runtime's shard, page for page.
+        let out = paged_lb();
+        let mut rt = Runtime::new(&out);
+        install_paged(&mut rt);
+        let dep = CompiledDeployment::new(&out);
+        let plane = LiveTrafficPlane::for_replay(&rt, &dep);
+        let handle = dep.layout().table("conn_table").unwrap();
+        let mut shards = 0;
+        for sw in out.placement.switches.keys() {
+            let Some(shard) = rt.shard(sw, "conn_table") else {
+                continue;
+            };
+            assert!(shard.page_count() >= 3, "{sw}: {} entries", shard.len());
+            let served = serving_snap(&plane, sw);
+            assert!(served.table(handle).same_pages(shard), "{sw} copied pages");
+            shards += 1;
+        }
+        assert!(shards >= 2, "the LB must be sharded for this to mean much");
+
+        // Registers: every baseline is the switch state's own array.
+        let out = counter_output();
+        let rt = Runtime::new(&out);
+        let dep = CompiledDeployment::new(&out);
+        let plane = LiveTrafficPlane::for_replay(&rt, &dep);
+        let served = serving_snap(&plane, "ToR1");
+        let held = &rt.states["ToR1"].dp.globals;
+        assert_eq!(served.globals.len(), held.len());
+        for (name, arr) in held {
+            let g = dep.layout().global(name).unwrap() as usize;
+            assert!(Arc::ptr_eq(&served.globals[g], arr), "`{name}` was copied");
+        }
+        // ...and so is the controller's expected shadow: three holders,
+        // one array.
+        assert!(Arc::ptr_eq(
+            &rt.expected["ToR1"].globals["hits"],
+            &held["hits"]
+        ));
+    }
+
+    /// A one-message delta prepare for `sw` carrying `ops`.
+    fn delta_prepare(rt: &Runtime<'_>, sw: &str, token: u64, ops: Vec<EntryOp>) -> ControlMsg {
+        ControlMsg {
+            switch: sw.into(),
+            epoch: rt.epoch() + 1,
+            token,
+            op: ControlOp::PrepareDelta {
+                base_epoch: rt.epoch(),
+                ops,
+                globals: rt.states[sw].dp.globals.clone(),
+                batch_index: 0,
+                batches_total: 1,
+            },
+        }
+    }
+
+    #[test]
+    fn a_one_entry_delta_prepare_unshares_exactly_one_page() {
+        let out = paged_lb();
+        let mut rt = Runtime::new(&out);
+        install_paged(&mut rt);
+        let dep = CompiledDeployment::new(&out);
+        let plane = LiveTrafficPlane::for_rollout(&rt, &dep, &dep);
+        let handle = dep.layout().table("conn_table").unwrap();
+        let sw = shard_holder(&out, &rt);
+        let key = rt.shard(sw, "conn_table").unwrap().keys().nth(700).unwrap();
+        let set = EntryOp::Set {
+            table: "conn_table".into(),
+            key,
+            value: 0xfeed,
+        };
+        plane.apply(&delta_prepare(&rt, sw, 1, vec![set]));
+
+        let serving = serving_snap(&plane, sw);
+        let staged = {
+            let control = lock_control(&plane.control);
+            let (epoch, staged) = control[plane.index[sw]].staged.as_ref().unwrap();
+            assert_eq!(*epoch, rt.epoch() + 1);
+            staged.snap.clone()
+        };
+        let (before, after) = (serving.table(handle), staged.table(handle));
+        assert_eq!(after.get(key), Some(0xfeed));
+        assert_ne!(
+            before.get(key),
+            Some(0xfeed),
+            "the serving epoch saw the delta"
+        );
+        assert_eq!(after.page_count(), before.page_count());
+        assert_eq!(after.shared_pages(before), before.page_count() - 1);
+        // The runtime's own shard is still what is being served.
+        assert!(before.same_pages(rt.shard(sw, "conn_table").unwrap()));
+    }
+
+    #[test]
+    fn a_built_plane_is_a_snapshot_of_the_runtime() {
+        let out = counter_output();
+        let mut rt = Runtime::new(&out);
+        let entries: Vec<(u64, u64)> = (0..1500u64).map(|k| (1000 + k * 3, k)).collect();
+        rt.install_many("flows", &entries).unwrap();
+        let dep = CompiledDeployment::new(&out);
+        let built = LiveTrafficPlane::for_replay(&rt, &dep);
+        let cfg = ReplayConfig::default()
+            .with_packets(4_000)
+            .with_workers(1)
+            .with_seed(3);
+        let replay = |plane: &LiveTrafficPlane| {
+            let out = run_worker(plane, &cfg, &AtomicU64::new(0), &AtomicBool::new(false));
+            (out.digest, out.effects)
+        };
+        let before = replay(&built);
+
+        // Park copies of the serving state where a rollout would: all of
+        // them share the register arrays with it.
+        let st = rt.states.get_mut("ToR1").unwrap();
+        st.staged = Some((7, st.dp.clone()));
+        st.prior = Some((0, st.dp.clone()));
+
+        // The runtime moves on: a key the traffic hits (small values are
+        // common) and a register write from an injected packet.
+        rt.install("flows", 5, 0xbeef).unwrap();
+        let mut pkt = PacketState::new();
+        pkt.set("bucket", 3).set("flow", 5);
+        rt.inject(&["ToR1"], pkt).unwrap();
+        assert_eq!(rt.global("ToR1", "hits", 3), Some(1));
+
+        // The plane built earlier still serves what it was built from...
+        assert_eq!(replay(&built), before);
+        let served = serving_snap(&built, "ToR1");
+        let (flows, hits) = (
+            dep.layout().table("flows").unwrap(),
+            dep.layout().global("hits").unwrap() as usize,
+        );
+        assert_eq!(served.table(flows).get(5), None);
+        assert_eq!(served.globals[hits][3], 0);
+        // ...a plane built now sees both changes...
+        let fresh = LiveTrafficPlane::for_replay(&rt, &dep);
+        let after = replay(&fresh);
+        assert_ne!(after.0, before.0, "digest must see the register write");
+        assert_ne!(after.1, before.1, "effects must see the new entry");
+        // ...and the register write copied the array instead of writing
+        // through the pointer every other holder shares.
+        let st = &rt.states["ToR1"];
+        for (who, dp) in [
+            ("staged", &st.staged.as_ref().unwrap().1),
+            ("prior", &st.prior.as_ref().unwrap().1),
+            ("expected", &rt.expected["ToR1"]),
+        ] {
+            assert_eq!(dp.globals["hits"][3], 0, "{who} was written through");
+        }
+        assert_eq!(st.staged.as_ref().unwrap().1.externs["flows"].get(5), None);
+    }
+
+    #[test]
+    fn mirror_lookups_flip_with_the_epoch_and_flip_back() {
+        let out = paged_lb();
+        let mut rt = Runtime::new(&out);
+        install_paged(&mut rt);
+        let dep = CompiledDeployment::new(&out);
+        let plane = LiveTrafficPlane::for_rollout(&rt, &dep, &dep);
+        let handle = dep.layout().table("conn_table").unwrap();
+        let sw = shard_holder(&out, &rt);
+        let shard = rt.shard(sw, "conn_table").unwrap();
+        // One op per kind, in pages far apart.
+        let (gone, changed) = (
+            shard.keys().nth(10).unwrap(),
+            shard.keys().nth(900).unwrap(),
+        );
+        let added = shard.keys().last().unwrap() + 1;
+        let old = |k| shard.get(k);
+        let table = || "conn_table".to_string();
+        let ops = vec![
+            EntryOp::Remove {
+                table: table(),
+                key: gone,
+            },
+            EntryOp::Set {
+                table: table(),
+                key: changed,
+                value: 0xc0de,
+            },
+            EntryOp::Set {
+                table: table(),
+                key: added,
+                value: 0xadd,
+            },
+        ];
+        let lookups = |plane: &LiveTrafficPlane| {
+            let snap = serving_snap(plane, sw);
+            [gone, changed, added].map(|k| snap.table(handle).get(k))
+        };
+        let epoch0 = [old(gone), old(changed), None];
+        let epoch1 = [None, Some(0xc0de), Some(0xadd)];
+
+        plane.apply(&delta_prepare(&rt, sw, 1, ops));
+        assert_eq!(lookups(&plane), epoch0, "a prepare must not serve");
+        let flip = |token, op| ControlMsg {
+            switch: sw.clone(),
+            epoch: rt.epoch() + 1,
+            token,
+            op,
+        };
+        plane.apply(&flip(2, ControlOp::Commit));
+        assert_eq!(plane.serving_epoch(sw), Some(rt.epoch() + 1));
+        assert_eq!(lookups(&plane), epoch1);
+        plane.apply(&flip(3, ControlOp::Rollback));
+        assert_eq!(plane.serving_epoch(sw), Some(rt.epoch()));
+        assert_eq!(lookups(&plane), epoch0);
+        assert!(serving_snap(&plane, sw).table(handle).same_pages(shard));
     }
 
     #[test]

@@ -1574,8 +1574,7 @@ pub fn run_selfheal(
                     }
                 };
                 recompiles += 1;
-                staged = Some(rec);
-                let rec_ref = staged.as_ref().expect("staged recompile was just assigned");
+                let rec_ref: &FaultRecompile = staged.insert(rec);
 
                 // The controller knows these switches are dead: drop their
                 // state so the rollout neither messages them nor counts
@@ -1726,10 +1725,10 @@ pub fn run_selfheal(
             }
         }
         if committed {
-            *current = staged
-                .take()
-                .expect("a committed generation always staged an output")
-                .output;
+            // A committed generation always staged an output.
+            if let Some(rec) = staged.take() {
+                *current = rec.output;
+            }
         }
         if tick >= cfg.ticks {
             break 'generations;

@@ -23,6 +23,7 @@
 //! `lyrac --oracle N` drives [`check_output`] after every compile.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use lyra_codegen::emit::{deployed_instrs, sanitize};
 use lyra_codegen::oracle as cgo;
@@ -326,14 +327,20 @@ fn reference_case(ctx: &SwitchCtx, input: &CaseInput) -> OracleCase {
     fx.sort();
     OracleCase {
         vars,
-        globals: trim_globals(dp.globals),
+        globals: trim_globals(
+            dp.globals
+                .into_iter()
+                .map(|(g, a)| (g, Arc::unwrap_or_clone(a))),
+        ),
         effects: fx,
     }
 }
 
 /// Drop trailing zeros and empty arrays so IR-side sparse registers and
 /// model-side fully-sized registers compare equal.
-fn trim_globals(globals: BTreeMap<String, Vec<u64>>) -> BTreeMap<String, Vec<u64>> {
+fn trim_globals(
+    globals: impl IntoIterator<Item = (String, Vec<u64>)>,
+) -> BTreeMap<String, Vec<u64>> {
     globals
         .into_iter()
         .filter_map(|(g, mut a)| {

@@ -43,6 +43,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lyra_diag::json::{Object, Value};
@@ -909,13 +910,13 @@ const DELTA_BATCH_OPS: usize = 4096;
 
 /// Split one switch's delta into batched prepare operations. Batch 0
 /// carries the staged epoch's complete globals map — globals are replaced
-/// wholesale, not diffed; they are a handful of registers next to
-/// million-entry tables. An empty delta still produces batch 0, so an
+/// wholesale, not diffed, and the message shares the staged arrays rather
+/// than copying them. An empty delta still produces batch 0, so an
 /// untouched switch opens the staged epoch and takes part in the commit.
 fn delta_batches(
     base_epoch: u64,
     delta: &SwitchDelta,
-    globals: &BTreeMap<String, Vec<u64>>,
+    globals: &BTreeMap<String, Arc<Vec<u64>>>,
 ) -> Vec<ControlOp> {
     let batches_total = delta.ops.len().div_ceil(DELTA_BATCH_OPS).max(1) as u32;
     let mut chunks = delta.ops.chunks(DELTA_BATCH_OPS);

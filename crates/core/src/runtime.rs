@@ -85,7 +85,9 @@ pub(crate) struct SwitchState {
 }
 
 impl SwitchState {
-    /// A fresh switch at `epoch` with globals sized from `output`.
+    /// A fresh switch at `epoch` with globals sized from `output`. Clones
+    /// share the zeroed arrays (copy-on-write), so a fleet of fresh
+    /// switches is built by cloning one.
     pub(crate) fn fresh(output: &CompileOutput, epoch: u64) -> Self {
         let mut dp = DataPlaneState::new();
         for (global, &(_, len)) in &output.ir.globals {
@@ -307,12 +309,13 @@ pub(crate) fn stage_layout(
     lost: Option<(&str, &DataPlaneState)>,
     reset_globals: bool,
 ) -> Result<StagedLayout, RuntimeError> {
+    let fresh = SwitchState::fresh(output, 0).dp;
     let mut states: BTreeMap<String, DataPlaneState> = output
         .placement
         .switches
         .keys()
         .filter(|sw| !faults.switch_failed(sw))
-        .map(|sw| (sw.clone(), SwitchState::fresh(output, 0).dp))
+        .map(|sw| (sw.clone(), fresh.clone()))
         .collect();
     for (sw, st) in serving {
         // Live switches the placement dropped stage an empty state: a flush.
@@ -451,11 +454,12 @@ impl<'a> Runtime<'a> {
     /// Build a runtime over a compilation result. Globals are sized from
     /// the program's declarations on every hosting switch.
     pub fn new(output: &'a CompileOutput) -> Self {
+        let fresh = SwitchState::fresh(output, 0);
         let states: BTreeMap<String, SwitchState> = output
             .placement
             .switches
             .keys()
-            .map(|switch| (switch.clone(), SwitchState::fresh(output, 0)))
+            .map(|switch| (switch.clone(), fresh.clone()))
             .collect();
         let expected = states
             .iter()
@@ -613,11 +617,17 @@ impl<'a> Runtime<'a> {
             })?;
             st.dp.install(&planner.table, key, value);
             // Mirror into the controller's expected shadow so the
-            // anti-entropy audit knows this switch should hold the entry.
-            self.expected
-                .entry(sw.clone())
-                .or_default()
-                .install(&planner.table, key, value);
+            // anti-entropy audit knows this switch should hold the entry
+            // (no name is allocated per entry once the shadow exists).
+            match self.expected.get_mut(sw) {
+                Some(dp) => dp.install(&planner.table, key, value),
+                None => {
+                    self.expected
+                        .entry(sw.clone())
+                        .or_default()
+                        .install(&planner.table, key, value)
+                }
+            };
         }
         Ok(targets)
     }

@@ -12,7 +12,11 @@
 //!   multi-switch path as one flat `u64` register file, the compiled
 //!   equivalent of the bridge header;
 //! * extern tables and global register arrays become integer handles into
-//!   per-switch [`TableSnapshot`]s (sorted arrays + binary search);
+//!   per-switch [`TableSnapshot`]s, which *share* the control plane's
+//!   storage — the paged [`ExternTable`]s and `Arc`'d register arrays of
+//!   the [`DataPlaneState`] they were built from — instead of copying it:
+//!   a lookup is a fence-key search plus one in-page binary search on the
+//!   very pages the runtime installed into;
 //! * predicates become skip offsets ([`Op::Guard`]) over runs of
 //!   identically-predicated instructions, so untaken branches cost one
 //!   compare + jump instead of a per-instruction string probe;
@@ -24,19 +28,21 @@
 //! into flat buffers that are reused across packets.
 //!
 //! Global register state has two access modes ([`GlobalAccess`]):
-//! `Persistent` mutates a real store with the interpreter's exact
+//! `Persistent` mutates a real, owned store with the interpreter's exact
 //! semantics (used by the differential suite to verify compiled streams
 //! against the oracle over packet *sequences*), while `Isolated` gives
-//! each packet a private overlay over a read-only baseline — the mode
-//! batched multi-worker replay uses, which makes per-packet results
+//! each packet a private overlay over a read-only, shared baseline — the
+//! mode batched multi-worker replay uses, which makes per-packet results
 //! independent of worker count by construction.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use crate::instr::*;
 use crate::interp::{
     builtin_call, global_read, global_write, mask, DataPlaneState, Effect, PacketState,
 };
+use crate::table::ExternTable;
 use lyra_lang::{BinOp, UnOp};
 
 /// Program-wide compiled layout: dense slots for storage bases, integer
@@ -54,6 +60,10 @@ pub struct ProgramLayout {
     global_index: BTreeMap<String, u32>,
     /// Declared length per global handle (0 = undeclared, grows on write).
     global_lens: Vec<usize>,
+    /// Per global handle, the zeroed array a snapshot serves when the
+    /// state it is built from does not hold that global: made on first
+    /// use, then shared by every snapshot built under this layout.
+    global_zeros: Vec<OnceLock<Arc<Vec<u64>>>>,
     action_names: Vec<String>,
     action_index: BTreeMap<String, u32>,
 }
@@ -80,6 +90,7 @@ impl ProgramLayout {
             global_names: Vec::new(),
             global_index: BTreeMap::new(),
             global_lens: Vec::new(),
+            global_zeros: Vec::new(),
             action_names: Vec::new(),
             action_index: BTreeMap::new(),
         };
@@ -139,6 +150,7 @@ impl ProgramLayout {
         self.global_names.push(name.to_string());
         self.global_index.insert(name.to_string(), g);
         self.global_lens.push(0);
+        self.global_zeros.push(OnceLock::new());
         g
     }
 
@@ -192,14 +204,34 @@ impl ProgramLayout {
         &self.action_names[a as usize]
     }
 
-    /// Materialize a global store (indexed by handle) from a data-plane
-    /// state, sizing absent arrays from their declared lengths.
+    /// The register arrays of `globals` indexed by handle, *shared* with
+    /// the map (pointer copies); an array the map lacks reads as zeros at
+    /// its declared length, one allocation per layout however many
+    /// snapshots need it. This is the baseline every [`TableSnapshot`]
+    /// serves [`GlobalAccess::Isolated`] reads from.
+    pub fn shared_globals(&self, globals: &BTreeMap<String, Arc<Vec<u64>>>) -> Vec<Arc<Vec<u64>>> {
+        self.global_names
+            .iter()
+            .enumerate()
+            .map(|(g, name)| match globals.get(name) {
+                Some(arr) => arr.clone(),
+                None => self.global_zeros[g]
+                    .get_or_init(|| Arc::new(vec![0; self.global_lens[g]]))
+                    .clone(),
+            })
+            .collect()
+    }
+
+    /// Materialize an *owned* global store (indexed by handle) from a
+    /// data-plane state, sizing absent arrays from their declared lengths
+    /// — the store [`GlobalAccess::Persistent`] mutates. Copies every
+    /// array; nothing that builds a serving plane calls it.
     pub fn globals_from(&self, dp: &DataPlaneState) -> Vec<Vec<u64>> {
         self.global_names
             .iter()
             .enumerate()
             .map(|(g, name)| match dp.globals.get(name) {
-                Some(arr) => arr.clone(),
+                Some(arr) => arr.to_vec(),
                 None => vec![0; self.global_lens[g]],
             })
             .collect()
@@ -209,7 +241,8 @@ impl ProgramLayout {
     /// [`ProgramLayout::globals_from`], for differential comparisons).
     pub fn globals_into(&self, store: &[Vec<u64>], dp: &mut DataPlaneState) {
         for (g, arr) in store.iter().enumerate() {
-            dp.globals.insert(self.global_names[g].clone(), arr.clone());
+            dp.globals
+                .insert(self.global_names[g].clone(), Arc::new(arr.clone()));
         }
     }
 }
@@ -572,16 +605,19 @@ impl CompiledAlgorithm {
     }
 }
 
-/// Read-mostly per-switch state snapshot: extern tables flattened to
-/// sorted `(key, value)` arrays (binary search, cache-friendly) plus the
-/// baseline contents of every global register array, all indexed by the
-/// layout's integer handles.
+/// Read-only per-switch state snapshot, indexed by the layout's integer
+/// handles: every extern table and every global register array of the
+/// [`DataPlaneState`] it was built from, *shared* with that state rather
+/// than copied. Building one costs O(pages + arrays) pointer copies
+/// whatever the tables hold, and because both storages are copy-on-write
+/// the snapshot keeps reading exactly what the state held when it was
+/// taken, however the state is mutated afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct TableSnapshot {
-    tables: Vec<Vec<(u64, u64)>>,
+    tables: Vec<ExternTable>,
     /// Baseline global contents by handle (what `Isolated` reads through
-    /// to, and what a fresh `Persistent` store clones).
-    pub globals: Vec<Vec<u64>>,
+    /// to), shared with the state the snapshot was built from.
+    pub globals: Vec<Arc<Vec<u64>>>,
 }
 
 impl TableSnapshot {
@@ -590,23 +626,21 @@ impl TableSnapshot {
         let tables = layout
             .table_names
             .iter()
-            .map(|name| match dp.externs.get(name) {
-                Some(entries) => entries.iter().collect(),
-                None => Vec::new(),
-            })
+            .map(|name| dp.externs.get(name).cloned().unwrap_or_default())
             .collect();
         TableSnapshot {
             tables,
-            globals: layout.globals_from(dp),
+            globals: layout.shared_globals(&dp.globals),
         }
     }
 
+    /// The storage behind table handle `table`: what `Member` / `Lookup`
+    /// ops search, and what tests compare (via
+    /// [`ExternTable::same_pages`]) against the state the snapshot came
+    /// from.
     #[inline]
-    fn lookup(&self, table: u32, key: u64) -> Option<u64> {
-        let t = &self.tables[table as usize];
-        t.binary_search_by_key(&key, |&(k, _)| k)
-            .ok()
-            .map(|i| t[i].1)
+    pub fn table(&self, table: u32) -> &ExternTable {
+        &self.tables[table as usize]
     }
 
     /// Total entries across all tables (for reports).
@@ -614,24 +648,17 @@ impl TableSnapshot {
         self.tables.iter().map(|t| t.len()).sum()
     }
 
-    /// Insert or overwrite one entry of table handle `table`, keeping the
-    /// sorted-array invariant. This is how a delta prepare is merged into
-    /// a staged snapshot on the live-traffic mirror without ever
+    /// Insert or overwrite one entry of table handle `table`, copying
+    /// only the page it lands in. This is how a delta prepare is merged
+    /// into a staged snapshot on the live-traffic mirror without ever
     /// materializing the full next-epoch `DataPlaneState`.
     pub fn set(&mut self, table: u32, key: u64, value: u64) {
-        let t = &mut self.tables[table as usize];
-        match t.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => t[i].1 = value,
-            Err(i) => t.insert(i, (key, value)),
-        }
+        self.tables[table as usize].insert(key, value);
     }
 
     /// Remove one entry of table handle `table` (no-op when absent).
     pub fn remove(&mut self, table: u32, key: u64) {
-        let t = &mut self.tables[table as usize];
-        if let Ok(i) = t.binary_search_by_key(&key, |&(k, _)| k) {
-            t.remove(i);
-        }
+        self.tables[table as usize].remove(key);
     }
 }
 
@@ -674,7 +701,7 @@ pub enum GlobalAccess<'a> {
     /// is what makes batched execution independent of worker count.
     Isolated {
         /// The epoch-pinned baseline (typically [`TableSnapshot::globals`]).
-        baseline: &'a [Vec<u64>],
+        baseline: &'a [Arc<Vec<u64>>],
         /// The packet-private write log.
         overlay: &'a mut GlobalOverlay,
     },
@@ -915,13 +942,13 @@ impl Machine {
                 }
                 Op::Member { dst, table, key } => {
                     let k = self.read(*key);
-                    let hit = snap.lookup(*table, k).is_some() as u64;
+                    let hit = snap.table(*table).get(k).is_some() as u64;
                     let prev = self.regs[dst.slot as usize];
                     self.write(*dst, prev | hit);
                 }
                 Op::Lookup { dst, table, key } => {
                     let k = self.read(*key);
-                    if let Some(v) = snap.lookup(*table, k) {
+                    if let Some(v) = snap.table(*table).get(k) {
                         self.write(*dst, v);
                     }
                 }
@@ -1144,6 +1171,27 @@ mod tests {
             // inside the packet, state does not leak across packets.
             assert_eq!(m.slot(layout.slot("out").unwrap()), 1);
         }
+    }
+
+    #[test]
+    fn snapshots_share_registers_with_the_state_or_with_each_other() {
+        let ir = program("pipeline[P]{a}; algorithm a { global bit[32][8] ctr; out = ctr[i]; }");
+        let layout = ProgramLayout::new(&ir);
+        let g = layout.global("ctr").unwrap() as usize;
+        // A state that holds the array is served that very array.
+        let mut held = DataPlaneState::new();
+        held.global("ctr", 8);
+        let snap = TableSnapshot::build(&layout, &held);
+        assert!(Arc::ptr_eq(&snap.globals[g], &held.globals["ctr"]));
+        // A state that lacks it reads zeros at the declared length, one
+        // allocation for every snapshot built under the layout.
+        let bare = DataPlaneState::new();
+        let (a, b) = (
+            TableSnapshot::build(&layout, &bare),
+            TableSnapshot::build(&layout, &bare),
+        );
+        assert_eq!(*a.globals[g], vec![0; 8]);
+        assert!(Arc::ptr_eq(&a.globals[g], &b.globals[g]));
     }
 
     #[test]

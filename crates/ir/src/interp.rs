@@ -22,6 +22,7 @@
 //! * void builtins are recorded as [`Effect`]s rather than performed.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::instr::*;
 use crate::table::ExternTable;
@@ -58,12 +59,18 @@ impl PacketState {
 /// storage: clones are O(pages) pointer copies and diffing two states
 /// that share structure is O(delta) — the properties the transactional
 /// rollout engine's delta-based prepare relies on.
+///
+/// Register arrays are shared the same way, one `Arc` per array: a clone
+/// of the state (a staged epoch, the controller's expected shadow, a
+/// data-plane snapshot) copies pointers, and whoever writes an array
+/// first copies it, once, through `Arc::make_mut`. Holding a clone is
+/// therefore holding a consistent snapshot.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DataPlaneState {
     /// Extern tables: name → paged (key → value) map. Lists store value 1.
     pub externs: BTreeMap<String, ExternTable>,
-    /// Globals: name → register array.
-    pub globals: BTreeMap<String, Vec<u64>>,
+    /// Globals: name → shared, copy-on-write register array.
+    pub globals: BTreeMap<String, Arc<Vec<u64>>>,
 }
 
 impl DataPlaneState {
@@ -74,10 +81,16 @@ impl DataPlaneState {
 
     /// Install a table entry.
     pub fn install(&mut self, table: &str, key: u64, value: u64) -> &mut Self {
-        self.externs
-            .entry(table.to_string())
-            .or_default()
-            .insert(key, value);
+        // Bulk installs call this per entry: allocate the name only for
+        // the first entry of a table.
+        match self.externs.get_mut(table) {
+            Some(t) => t.insert(key, value),
+            None => self
+                .externs
+                .entry(table.to_string())
+                .or_default()
+                .insert(key, value),
+        };
         self
     }
 
@@ -91,7 +104,8 @@ impl DataPlaneState {
 
     /// Size a global register array.
     pub fn global(&mut self, name: &str, len: usize) -> &mut Self {
-        self.globals.insert(name.to_string(), vec![0; len]);
+        self.globals
+            .insert(name.to_string(), Arc::new(vec![0; len]));
         self
     }
 
@@ -336,8 +350,10 @@ fn execute_ids(
             } => {
                 let i = read(&regs, index);
                 let v = read(&regs, value);
+                // Copy-on-write: an array still shared with a snapshot or
+                // another epoch is copied here, on its first write.
                 let arr = dp.globals.entry(global.clone()).or_default();
-                global_write(arr, i, v);
+                global_write(Arc::make_mut(arr), i, v);
             }
             IrOp::Slice { a, hi, lo } => {
                 let x = read(&regs, a);
