@@ -1,21 +1,21 @@
 //! `record_bench` — record solver-performance benchmark snapshots.
 //!
 //! Measures the Figure 10 scalability cases and the Figure 9 corpus under
-//! the current solver (portfolio + learned-clause reduction + synthesis
+//! the current solver (one deterministic search + decomposition + synthesis
 //! cache) and writes machine-readable snapshots:
 //!
 //! * `BENCH_fig10.json` — per-case median wall time / conflicts /
 //!   decisions at k ∈ {4, 8, 16, 32} (plus a best-effort k = 48 NetCache
-//!   MULTI-SW row), a monolithic-vs-sequential-vs-portfolio-vs-cached
-//!   comparison on the hardest case (LB MULTI-SW at k = 16), a
+//!   MULTI-SW row), a monolithic-vs-default-vs-cached comparison on the
+//!   hardest case (LB MULTI-SW at k = 16), a
 //!   `rollout` section (p50 transactional prepare+commit latency applying
 //!   a failover placement to the running k = 16 LB deployment) and a
 //!   `failover.recompile` section (`recompile_for_faults` after Agg1 dies
 //!   at k = 16 against compiling the survivor network from scratch, with
 //!   the solve route taken) and a `solver.propagation` section (the three
 //!   `MinSwitches` placements of the benchmark's `compile_tight` workload:
-//!   solve time, propagations and linear-constraint visits, with symmetry
-//!   chains off, and before event-driven propagation);
+//!   solve time, propagations and linear-constraint visits, now and before
+//!   event-driven propagation);
 //! * `BENCH_fig9.json` — per-program median compile time, conflicts, and
 //!   synthesis-cache hit rate on a single-switch target.
 //!
@@ -45,7 +45,7 @@ use lyra::{
     replay_compiled, replay_interpreted, replay_under_rollout, run_selfheal, ChaosSchedule,
     CompileRequest, Compiler, CrashPlan, CrashPoint, DriftOp, HealthConfig, LossyChannel,
     MemIntentStore, Objective, ReliableChannel, ReplayConfig, ReplayReport, RolloutConfig, Runtime,
-    SelfHealConfig, SolveProfile, SolverStrategy, SynthCache, Target,
+    SelfHealConfig, SolveProfile, SynthCache, Target,
 };
 use lyra_apps::{figure9_corpus, programs};
 use lyra_diag::json::{parse, Object, Value};
@@ -61,9 +61,9 @@ const SMOKE_FACTOR: f64 = 3.0;
 /// baselines don't trip on scheduler noise.
 const SMOKE_GRACE_MS: f64 = 500.0;
 /// Smoke mode: tighter slowdown bound for the datacenter-scale MULTI-SW
-/// tripwire — the accelerated solve must stay within 2x of its snapshot.
+/// tripwire — the quotient solve must stay within 2x of its snapshot.
 const SMOKE_SCALE_FACTOR: f64 = 2.0;
-/// Smoke mode: grace for the datacenter-scale tripwire (the accelerated
+/// Smoke mode: grace for the datacenter-scale tripwire (the quotient
 /// k = 16 row is tens of milliseconds, so noise needs less headroom).
 const SMOKE_SCALE_GRACE_MS: f64 = 100.0;
 /// Smoke mode: hard wall-time budget for NetCache MULTI-SW at k = 32.
@@ -133,7 +133,7 @@ struct Measured {
     decisions: u64,
 }
 
-/// Compile `samples` times under `compiler`/`strategy`; return the median
+/// Compile `samples` times under `compiler`/`profile`; return the median
 /// wall time and the last run's solver counters.
 fn measure(
     compiler: &Compiler,
@@ -232,72 +232,40 @@ fn record_fig10() -> Object {
     }
 
     // Head-to-head on the hardest recorded case: LB MULTI-SW at k = 16.
-    // Sequential (no cache) vs portfolio (no cache) vs portfolio with a
-    // warm synthesis cache.
+    // Monolithic reference vs the default profile vs the default through
+    // a warm synthesis cache.
     let k = 16;
     let lb = &cases()[0];
     let topo = pod(k);
     let scopes = scopes_for(k, &lb.program, lb.multi);
-    let seq = measure(
-        &Compiler::new(),
-        &lb.program,
-        &scopes,
-        &topo,
-        SolveProfile::fast(),
-        SAMPLES,
-    );
-    let par = measure(
-        &Compiler::new(),
-        &lb.program,
-        &scopes,
-        &topo,
-        SolveProfile::default(),
-        SAMPLES,
-    );
+    let compare = |compiler: &Compiler, profile| {
+        measure(compiler, &lb.program, &scopes, &topo, profile, SAMPLES)
+    };
+    let default = compare(&Compiler::new(), SolveProfile::default());
     let cache = std::sync::Arc::new(SynthCache::new());
     let cached_compiler = Compiler::new().with_synth_cache(cache.clone());
     // One cold compile populates the cache; the measured samples are warm.
-    let req = CompileRequest::new(&lb.program, &scopes, topo.clone())
-        .with_solve_profile(SolveProfile::default());
+    let req = CompileRequest::new(&lb.program, &scopes, topo.clone());
     cached_compiler.compile(&req).expect("cold compile");
-    let warm = measure(
-        &cached_compiler,
-        &lb.program,
-        &scopes,
-        &topo,
-        SolveProfile::default(),
-        SAMPLES,
-    );
-    // Monolithic reference (every acceleration off): how the same case
-    // solves without symmetry breaking, decomposition, or warm start —
-    // the denominator for the "curve bent" claim.
-    let mono = measure(
-        &Compiler::new(),
-        &lb.program,
-        &scopes,
-        &topo,
-        SolveProfile::thorough().with_strategy(SolverStrategy::Sequential),
-        SAMPLES,
-    );
+    let warm = compare(&cached_compiler, SolveProfile::default());
+    // Monolithic reference (decomposition off): how the same case solves
+    // without the quotient route — the denominator for the "curve bent"
+    // claim.
+    let mono = compare(&Compiler::new(), SolveProfile::thorough());
     let hit_rate = cache.hits() as f64 / (cache.hits() + cache.misses()) as f64;
     println!(
-        "fig10 comparison LB(MULTI-SW)@k16: monolithic {:?}  sequential {:?}  \
-         portfolio {:?}  portfolio+cache(warm) {:?}  (cache hit rate {:.2})",
-        mono.median, seq.median, par.median, warm.median, hit_rate
+        "fig10 comparison LB(MULTI-SW)@k16: monolithic {:?}  default {:?}  \
+         default+cache(warm) {:?}  (cache hit rate {:.2})",
+        mono.median, default.median, warm.median, hit_rate
     );
     let mut cmp = Object::new();
     cmp.push("case", Value::str("LB(MULTI-SW)@k16"));
     cmp.push("monolithic_ms", Value::Number(ms(mono.median)));
-    cmp.push("sequential_ms", Value::Number(ms(seq.median)));
-    cmp.push("portfolio_ms", Value::Number(ms(par.median)));
-    cmp.push("portfolio_cached_warm_ms", Value::Number(ms(warm.median)));
+    cmp.push("default_ms", Value::Number(ms(default.median)));
+    cmp.push("cached_warm_ms", Value::Number(ms(warm.median)));
     cmp.push(
-        "speedup_portfolio",
-        Value::Number(ms(seq.median) / ms(par.median).max(1e-9)),
-    );
-    cmp.push(
-        "speedup_portfolio_cached",
-        Value::Number(ms(seq.median) / ms(warm.median).max(1e-9)),
+        "speedup_cached",
+        Value::Number(ms(default.median) / ms(warm.median).max(1e-9)),
     );
     cmp.push("cache_hit_rate", Value::Number(hit_rate));
 
@@ -320,8 +288,8 @@ fn record_fig10() -> Object {
 
 /// One of the benchmark's three `MinSwitches` placements (`compile_tight`),
 /// with what the full-sweep propagation it replaced spent on it: the solve
-/// phase's p50 and the constraint visits of one sequential compile with
-/// symmetry chains, at the parent commit (656b846) on the recording host.
+/// phase's p50 and the constraint visits of one compile (symmetry chains
+/// still on), at commit 656b846 on the recording host.
 struct PropagationCase {
     name: &'static str,
     program: String,
@@ -357,18 +325,13 @@ fn propagation_cases() -> Vec<PropagationCase> {
 }
 
 /// Solve-phase p50 and the (deterministic) solver counters of `samples`
-/// cold sequential `MinSwitches` compiles, symmetry chains on or off.
-fn measure_propagation(
-    case: &PropagationCase,
-    chains: bool,
-    samples: usize,
-) -> (Duration, lyra::SearchStats) {
+/// cold `MinSwitches` compiles.
+fn measure_propagation(case: &PropagationCase, samples: usize) -> (Duration, lyra::SearchStats) {
     let scopes = scopes_for(case.k, &case.program, true);
     let mut solves = Vec::with_capacity(samples);
     let mut counters = lyra::SearchStats::default();
     for _ in 0..samples {
-        let req = CompileRequest::new(&case.program, &scopes, pod(case.k))
-            .with_solve_profile(SolveProfile::fast().with_symmetry_breaking(chains));
+        let req = CompileRequest::new(&case.program, &scopes, pod(case.k));
         let out = Compiler::new()
             .with_objective(Objective::MinSwitches)
             .compile(&req)
@@ -386,11 +349,10 @@ fn visits_per_propagation(s: &lyra::SearchStats) -> f64 {
 fn record_propagation() -> Vec<Value> {
     let mut rows = Vec::new();
     for case in propagation_cases() {
-        let (solve, s) = measure_propagation(&case, true, SAMPLES);
-        let (solve_off, s_off) = measure_propagation(&case, false, SAMPLES);
+        let (solve, s) = measure_propagation(&case, SAMPLES);
         println!(
             "propagation {:<36} k={}: solve p50 {:?} (was {:.1} ms), {} propagations, {} linear \
-             visits (was {}), {} creep check(s); chains off: {:?}, {} propagations",
+             visits (was {}), {} creep check(s)",
             case.name,
             case.k,
             solve,
@@ -399,22 +361,7 @@ fn record_propagation() -> Vec<Value> {
             s.linear_visits,
             case.before_visits,
             s.creep_checks,
-            solve_off,
-            s_off.propagations
         );
-        let counters = |mut o: Object, solve: Duration, s: &lyra::SearchStats| {
-            o.push("solve_ms", Value::Number(ms(solve)));
-            o.push("decisions", Value::Number(s.decisions as f64));
-            o.push("propagations", Value::Number(s.propagations as f64));
-            o.push("conflicts", Value::Number(s.conflicts as f64));
-            o.push("linear_visits", Value::Number(s.linear_visits as f64));
-            o.push(
-                "visits_per_propagation",
-                Value::Number(visits_per_propagation(s)),
-            );
-            o.push("creep_checks", Value::Number(s.creep_checks as f64));
-            o
-        };
         let mut before = Object::new();
         before.push("commit", Value::str("656b846"));
         before.push("solve_ms", Value::Number(case.before_solve_ms));
@@ -426,11 +373,16 @@ fn record_propagation() -> Vec<Value> {
         let mut o = Object::new();
         o.push("name", Value::str(case.name));
         o.push("k", Value::Number(case.k as f64));
-        let mut o = counters(o, solve, &s);
+        o.push("solve_ms", Value::Number(ms(solve)));
+        o.push("decisions", Value::Number(s.decisions as f64));
+        o.push("propagations", Value::Number(s.propagations as f64));
+        o.push("conflicts", Value::Number(s.conflicts as f64));
+        o.push("linear_visits", Value::Number(s.linear_visits as f64));
         o.push(
-            "symmetry_chains_off",
-            Value::Object(counters(Object::new(), solve_off, &s_off)),
+            "visits_per_propagation",
+            Value::Number(visits_per_propagation(&s)),
         );
+        o.push("creep_checks", Value::Number(s.creep_checks as f64));
         o.push("before", Value::Object(before));
         rows.push(Value::Object(o));
     }
@@ -527,8 +479,7 @@ fn measure_rollout(samples: usize) -> Duration {
     let topo = pod(k);
     let scopes = scopes_for(k, &lb.program, lb.multi);
     let compiler = Compiler::new();
-    let req =
-        CompileRequest::new(&lb.program, &scopes, topo).with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(&lb.program, &scopes, topo);
     let healthy = compiler.compile(&req).expect("healthy k=16 compile");
     let mut faults = FaultSet::new();
     faults.add_switch("Agg1");
@@ -665,8 +616,7 @@ fn measure_rollout_scale(n: usize, table_size: u64, samples: usize) -> ScaleRow 
     );
     let scopes = "loadbalancer: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]";
     let compiler = Compiler::new();
-    let req = CompileRequest::new(&program, scopes, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(&program, scopes, figure1_network());
     let healthy = compiler.compile(&req).expect("scaled LB compiles");
     let mut faults = FaultSet::new();
     faults.add_switch("Agg3");
@@ -883,8 +833,7 @@ fn measure_recovery(samples: usize) -> Duration {
     let topo = pod(k);
     let scopes = scopes_for(k, &lb.program, lb.multi);
     let compiler = Compiler::new();
-    let req =
-        CompileRequest::new(&lb.program, &scopes, topo).with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(&lb.program, &scopes, topo);
     let healthy = compiler.compile(&req).expect("healthy k=16 compile");
     let mut faults = FaultSet::new();
     faults.add_switch("Agg1");
@@ -956,8 +905,7 @@ fn measure_mttr(samples: usize) -> (Duration, u64) {
     let topo = pod(k);
     let scopes = scopes_for(k, &lb.program, lb.multi);
     let compiler = Compiler::new();
-    let req =
-        CompileRequest::new(&lb.program, &scopes, topo).with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(&lb.program, &scopes, topo);
     let entries: Vec<(String, u64, u64)> = (0..ROLLOUT_ENTRIES)
         .map(|i| ("conn_table".to_string(), i * 7, 0x0a00_0000 + i))
         .collect();
@@ -1014,8 +962,7 @@ fn audit_cost() {
     let topo = pod(k);
     let scopes = scopes_for(k, &lb.program, lb.multi);
     let compiler = Compiler::new();
-    let req =
-        CompileRequest::new(&lb.program, &scopes, topo).with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(&lb.program, &scopes, topo);
     let out = compiler.compile(&req).expect("healthy k=16 compile");
     for entries in AUDIT_SIZES {
         let mut rt = Runtime::new(&out);
@@ -1091,7 +1038,7 @@ const PPS_SMOKE_INTERP_PACKETS: u64 = 20_000;
 fn pps_workload() -> (Compiler, CompileRequest<'static>, lyra::CompileOutput) {
     let program = programs::netcache().leak();
     let scopes = scopes_for(8, program, true).leak();
-    let req = CompileRequest::new(program, scopes, pod(8)).with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(program, scopes, pod(8));
     let compiler = Compiler::new();
     let out = compiler.compile(&req).expect("NetCache k=8 compiles");
     (compiler, req, out)
@@ -1574,7 +1521,7 @@ fn smoke() -> usize {
     // made 60 M visits on LB 5.5 M k=4 and over a hundred per propagation
     // on NetCache k=8.
     for case in propagation_cases() {
-        let (_, s) = measure_propagation(&case, true, 1);
+        let (_, s) = measure_propagation(&case, 1);
         let regressed = s.linear_visits > SMOKE_LINEAR_VISITS
             || (case.name.starts_with("NetCache")
                 && visits_per_propagation(&s) > SMOKE_VISITS_PER_PROPAGATION);
@@ -1593,10 +1540,9 @@ fn smoke() -> usize {
         }
     }
 
-    // Datacenter-scale tripwires: the symmetry-breaking + decomposition
-    // path must keep the MULTI-SW curve bent. k = 16 is bounded against
+    // Datacenter-scale tripwires: the decomposition path must keep the MULTI-SW curve bent. k = 16 is bounded against
     // the committed snapshot at 2x (tighter than the generic 3x above,
-    // with a small grace since the accelerated row is tens of ms); k = 32
+    // with a small grace since the quotient row is tens of ms); k = 32
     // carries the absolute one-second budget from the scaling work —
     // losing the quotient path sends it back toward the multi-second
     // monolithic encoding, which either bound catches.

@@ -3,7 +3,7 @@
 //! ```text
 //! lyrac --program prog.lyra --scopes scopes.txt --topology topo.txt \
 //!       [--out DIR] [--objective min-switches] [--no-parser-hoisting] \
-//!       [--solver sequential|portfolio|portfolio:N] \
+//!       [--solve-profile thorough|deadline:MS] \
 //!       [--diag-format human|json] [--emit-stats FILE]
 //! ```
 //!
@@ -35,7 +35,6 @@ use lyra::{
     Backend, CompileError, CompileRequest, Compiler, CrashPlan, CrashPoint, DriftOp,
     FileIntentStore, IntentStore, LossyChannel, MemIntentStore, Objective, RecoveryReport,
     ReplayConfig, ReplayReport, RolloutConfig, RolloutReport, Runtime, SolveProfile,
-    SolverStrategy,
 };
 use lyra::{run_selfheal, ChaosSchedule, HealthConfig, SelfHealConfig, SelfHealOutcome, Target};
 use lyra_chips::TargetLang;
@@ -57,7 +56,6 @@ struct Args {
     objective: Objective,
     parser_hoisting: bool,
     solve_profile: Option<SolveProfile>,
-    strategy: Option<SolverStrategy>,
     diag_format: DiagFormat,
     emit_stats: Option<PathBuf>,
     deadline_ms: Option<u64>,
@@ -87,8 +85,7 @@ fn usage() -> ! {
          \x20            [--out DIR] [--backend native]\n\
          \x20            [--objective feasible|min-switches|max-use=SWITCH]\n\
          \x20            [--no-parser-hoisting]\n\
-         \x20            [--solve-profile fast|thorough|deadline:MS]\n\
-         \x20            [--solver sequential|portfolio|portfolio:N]\n\
+         \x20            [--solve-profile thorough|deadline:MS]\n\
          \x20            [--deadline-ms N] [--decision-budget N]\n\
          \x20            [--diag-format human|json] [--emit-stats FILE]\n\
          \x20            [--rollout-fail ELEMS] [--rollout-drop-p P]\n\
@@ -117,12 +114,13 @@ fn usage() -> ! {
          \x20 interpreter; a divergence prints a minimized counterexample\n\
          \x20 (LYR06xx) and fails the build.\n\
          \n\
-         \x20 --solve-profile picks a solver preset: `fast` (one sequential\n\
-         \x20 search, accelerations on), `thorough` (monolithic portfolio\n\
-         \x20 race, accelerations off — the reference configuration), or\n\
-         \x20 `deadline:MS` (balanced default bounded by a wall-clock\n\
-         \x20 deadline). --solver / --deadline-ms / --decision-budget\n\
-         \x20 override individual fields of the chosen profile.\n\
+         \x20 --solve-profile picks a solver preset: `thorough` (one\n\
+         \x20 monolithic search, decomposition off — the reference\n\
+         \x20 configuration) or `deadline:MS` (the default bounded by a\n\
+         \x20 wall-clock deadline). Without it the default runs: the same\n\
+         \x20 deterministic search with decomposition on.\n\
+         \x20 --deadline-ms / --decision-budget override individual fields\n\
+         \x20 of the chosen profile.\n\
          \n\
          \x20 --deadline-ms / --decision-budget bound the solve phase; on\n\
          \x20 expiry the degradation ladder still produces deployable code\n\
@@ -161,23 +159,9 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Parse `--solver` values: `sequential`, `portfolio` (auto-sized), or
-/// `portfolio:N` for an explicit worker count.
-fn parse_solver(v: &str) -> Option<SolverStrategy> {
-    match v {
-        "sequential" => Some(SolverStrategy::Sequential),
-        "portfolio" => Some(SolverStrategy::Portfolio { workers: 0 }),
-        _ => {
-            let n = v.strip_prefix("portfolio:")?.parse().ok()?;
-            Some(SolverStrategy::Portfolio { workers: n })
-        }
-    }
-}
-
-/// Parse `--solve-profile` values: `fast`, `thorough`, or `deadline:MS`.
+/// Parse `--solve-profile` values: `thorough` or `deadline:MS`.
 fn parse_profile(v: &str) -> Option<SolveProfile> {
     match v {
-        "fast" => Some(SolveProfile::fast()),
         "thorough" => Some(SolveProfile::thorough()),
         _ => {
             let ms: u64 = v.strip_prefix("deadline:")?.parse().ok()?;
@@ -195,7 +179,6 @@ fn parse_args() -> Args {
     let mut objective = Objective::Feasible;
     let mut parser_hoisting = true;
     let mut solve_profile = None;
-    let mut strategy = None;
     let mut diag_format = DiagFormat::Human;
     let mut emit_stats = None;
     let mut deadline_ms = None;
@@ -251,16 +234,6 @@ fn parse_args() -> Args {
                 };
             }
             "--no-parser-hoisting" => parser_hoisting = false,
-            "--solver" => {
-                let v = value(&mut it);
-                strategy = match parse_solver(&v) {
-                    Some(s) => Some(s),
-                    None => {
-                        eprintln!("unknown solver strategy `{v}`");
-                        usage()
-                    }
-                }
-            }
             "--solve-profile" => {
                 let v = value(&mut it);
                 solve_profile = match parse_profile(&v) {
@@ -457,7 +430,6 @@ fn parse_args() -> Args {
         objective,
         parser_hoisting,
         solve_profile,
-        strategy,
         diag_format,
         emit_stats,
         deadline_ms,
@@ -1015,19 +987,16 @@ fn main() -> ExitCode {
         Err(e) => return tool_error(&args, e),
     };
 
-    // Start from the chosen preset (balanced default when none), then let
-    // the individual legacy flags override single fields.
+    // Start from the chosen preset (the default when none), then let the
+    // individual flags override single fields.
     let mut profile = args.solve_profile.clone().unwrap_or_default();
-    if let Some(s) = args.strategy {
-        profile.strategy = s;
-    }
     if let Some(ms) = args.deadline_ms {
         profile.deadline = Some(std::time::Duration::from_millis(ms));
     }
     if let Some(n) = args.decision_budget {
         profile.decision_budget = Some(n);
     }
-    let req = CompileRequest::new(&program, &scopes, topology).with_solve_profile(profile.clone());
+    let req = CompileRequest::new(&program, &scopes, topology).with_solve_profile(profile);
     let compiler = Compiler::new()
         .with_backend(args.backend.clone())
         .with_objective(args.objective.clone())
@@ -1169,17 +1138,14 @@ fn main() -> ExitCode {
             out.stats.total
         );
         println!(
-            "  solver [{}]: {} route, {} decisions, {} conflicts, {} clauses deleted in {} \
-             reduction(s), {} worker(s) spawned ({} cancelled), {} linear visit(s) for {} \
-             propagation(s) ({} bound update(s), {} creep check(s))",
-            profile.strategy,
+            "  solver: {} route, {} decisions, {} conflicts, {} clauses deleted in {} \
+             reduction(s), {} linear visit(s) for {} propagation(s) ({} bound update(s), \
+             {} creep check(s))",
             out.stats.route_name(),
             out.solver.decisions,
             out.solver.conflicts,
             out.solver.clauses_deleted,
             out.solver.reductions,
-            out.solver.workers_spawned,
-            out.solver.workers_cancelled,
             out.solver.linear_visits,
             out.solver.propagations,
             out.solver.bound_updates,
@@ -1188,10 +1154,6 @@ fn main() -> ExitCode {
         println!(
             "  synth cache: {} hit(s), {} miss(es)",
             out.stats.synth_cache_hits, out.stats.synth_cache_misses
-        );
-        println!(
-            "  warm start: {} hit(s), {} miss(es)",
-            out.stats.warm_hits, out.stats.warm_misses
         );
         if let Some(rung) = out.degraded {
             println!("  placement degraded: {rung} rung (LYR0550)");

@@ -1063,7 +1063,7 @@ pub fn replay_under_recovery<'a>(
 mod tests {
     use super::*;
     use crate::channel::{LossyChannel, ReliableChannel};
-    use crate::{CompileRequest, Compiler, FaultSet, SolveProfile};
+    use crate::{CompileRequest, Compiler, FaultSet};
     use lyra_topo::figure1_network;
 
     const LB: &str = r#"
@@ -1082,7 +1082,6 @@ mod tests {
 
     fn lb_request() -> CompileRequest<'static> {
         CompileRequest::new(LB, LB_SCOPES, figure1_network())
-            .with_solve_profile(SolveProfile::fast())
     }
 
     #[test]
@@ -1196,10 +1195,7 @@ mod tests {
     fn paged_lb() -> CompileOutput {
         let program = LB.replace("[64] conn_table", "[8192] conn_table");
         Compiler::new()
-            .compile(
-                &CompileRequest::new(&program, LB_SCOPES, figure1_network())
-                    .with_solve_profile(SolveProfile::fast()),
-            )
+            .compile(&CompileRequest::new(&program, LB_SCOPES, figure1_network()))
             .unwrap()
     }
 

@@ -355,7 +355,6 @@ impl Compiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SolveProfile;
     use lyra_topo::figure1_network;
 
     const LB: &str = r#"
@@ -374,7 +373,6 @@ mod tests {
 
     fn lb_request() -> CompileRequest<'static> {
         CompileRequest::new(LB, LB_SCOPES, figure1_network())
-            .with_solve_profile(SolveProfile::fast())
     }
 
     #[test]

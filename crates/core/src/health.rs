@@ -1758,7 +1758,7 @@ pub fn run_selfheal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompileRequest, SolveProfile};
+    use crate::CompileRequest;
     use lyra_topo::figure1_network;
 
     const LB: &str = r#"
@@ -1777,7 +1777,6 @@ mod tests {
 
     fn lb_request() -> CompileRequest<'static> {
         CompileRequest::new(LB, LB_SCOPES, figure1_network())
-            .with_solve_profile(SolveProfile::fast())
     }
 
     fn run_monitor(schedule: ChaosSchedule, target: Target, ticks: u64) -> HealthMonitor {

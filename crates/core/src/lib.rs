@@ -99,10 +99,9 @@ use std::time::{Duration, Instant};
 
 pub use lyra_codegen::{Artifact, CodeSummary};
 pub use lyra_diag::{Diagnostic, Phase, SourceId, SourceMap};
-pub use lyra_solver::{ClauseStore, SearchStats};
+pub use lyra_solver::SearchStats;
 pub use lyra_synth::{
     Backend, DegradeRung, EncodeOptions, Objective, P4Options, Placement, SolveProfile, SolveRoute,
-    SolverStrategy,
 };
 pub use lyra_topo::{DegradeReport, FaultSet, ScopeHealth};
 
@@ -120,7 +119,7 @@ pub const SCOPES_SOURCE: SourceId = SourceId(1);
 
 /// A compilation request: the three inputs of Figure 3, plus the
 /// [`SolveProfile`] describing how to discharge the placement constraints
-/// (strategy, watchdog limits, and the datacenter-scale accelerations).
+/// (watchdog limits and the decomposition toggle).
 pub struct CompileRequest<'a> {
     /// Lyra program source.
     pub program: &'a str,
@@ -128,10 +127,9 @@ pub struct CompileRequest<'a> {
     pub scopes: &'a str,
     /// Target network topology.
     pub topology: Topology,
-    /// How to solve: strategy, deadline, decision budget, symmetry
-    /// breaking, decomposition, warm start. The default is a portfolio race
-    /// with every scale acceleration on; see [`SolveProfile`] for the
-    /// `fast()` / `thorough()` / `deadline(d)` presets.
+    /// How to solve: deadline, decision budget, decomposition. The default
+    /// is one deterministic search with decomposition on and no limits; see
+    /// [`SolveProfile`] for the `thorough()` / `deadline(d)` presets.
     pub profile: SolveProfile,
 }
 
@@ -160,44 +158,6 @@ impl<'a> CompileRequest<'a> {
     /// ```
     pub fn with_solve_profile(mut self, profile: SolveProfile) -> Self {
         self.profile = profile;
-        self
-    }
-
-    /// Deprecated alias: set the strategy through
-    /// [`CompileRequest::with_solve_profile`] instead.
-    ///
-    /// ```
-    /// #![allow(deprecated)]
-    /// use lyra::{CompileRequest, SolverStrategy};
-    /// use lyra_topo::figure1_network;
-    ///
-    /// let req = CompileRequest::new("pipeline[P]{a}; algorithm a { x = 1; }",
-    ///                               "a: [ ToR1 | PER-SW | - ]",
-    ///                               figure1_network())
-    ///     .with_solver_strategy(SolverStrategy::Sequential)
-    ///     .with_deadline(std::time::Duration::from_secs(1))
-    ///     .with_decision_budget(10_000);
-    /// assert_eq!(req.profile.strategy, SolverStrategy::Sequential);
-    /// ```
-    #[deprecated(since = "0.2.0", note = "use `with_solve_profile`")]
-    pub fn with_solver_strategy(mut self, strategy: SolverStrategy) -> Self {
-        self.profile.strategy = strategy;
-        self
-    }
-
-    /// Deprecated alias: set the deadline through
-    /// [`CompileRequest::with_solve_profile`] instead.
-    #[deprecated(since = "0.2.0", note = "use `with_solve_profile`")]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.profile.deadline = Some(deadline);
-        self
-    }
-
-    /// Deprecated alias: set the budget through
-    /// [`CompileRequest::with_solve_profile`] instead.
-    #[deprecated(since = "0.2.0", note = "use `with_solve_profile`")]
-    pub fn with_decision_budget(mut self, decisions: u64) -> Self {
-        self.profile.decision_budget = Some(decisions);
         self
     }
 
@@ -235,12 +195,6 @@ pub struct CompileStats {
     pub synth_cache_hits: u64,
     /// Synthesis-cache misses this compile.
     pub synth_cache_misses: u64,
-    /// Warm-start clause-store hits this compile: solves that replayed a
-    /// learned-clause bundle from an earlier solve of the same formula
-    /// (0 unless [`SolveProfile::warm_start`] is enabled).
-    pub warm_hits: u64,
-    /// Warm-start clause-store misses this compile.
-    pub warm_misses: u64,
     /// Which route produced the placement: the previous placement carried
     /// over unsearched, a quotient solve, or the monolithic search. `None`
     /// when every synthesis was served from the [`SynthCache`].
@@ -391,14 +345,6 @@ impl CompileSession {
             Value::Number(self.solver.clauses_deleted as f64),
         );
         solver.push(
-            "workers_spawned",
-            Value::Number(self.solver.workers_spawned as f64),
-        );
-        solver.push(
-            "workers_cancelled",
-            Value::Number(self.solver.workers_cancelled as f64),
-        );
-        solver.push(
             "linear_visits",
             Value::Number(self.solver.linear_visits as f64),
         );
@@ -416,14 +362,10 @@ impl CompileSession {
             "misses",
             Value::Number(self.stats.synth_cache_misses as f64),
         );
-        let mut warm = Object::new();
-        warm.push("hits", Value::Number(self.stats.warm_hits as f64));
-        warm.push("misses", Value::Number(self.stats.warm_misses as f64));
         let mut o = Object::new();
         o.push("phases_us", Value::Object(phases));
         o.push("solver", Value::Object(solver));
         o.push("synth_cache", Value::Object(cache));
-        o.push("warm_start", Value::Object(warm));
         o.push("solve_route", Value::str(self.stats.route_name()));
         o.push(
             "utilization",
@@ -607,11 +549,6 @@ pub struct Compiler {
     encode: EncodeOptions,
     observer: Option<Arc<dyn CompileObserver>>,
     cache: Option<Arc<SynthCache>>,
-    /// Learned-clause store shared by every compile this `Compiler` (and
-    /// its clones) runs. Consulted only when the request's
-    /// [`SolveProfile::warm_start`] is on; keyed by encoding fingerprint so
-    /// a changed formula can never replay stale clauses.
-    warm: Arc<ClauseStore>,
 }
 
 impl Compiler {
@@ -675,36 +612,6 @@ impl Compiler {
         self
     }
 
-    /// Deprecated alias of [`Compiler::with_backend`].
-    #[deprecated(since = "0.2.0", note = "renamed to `with_backend`")]
-    pub fn backend(self, backend: Backend) -> Self {
-        self.with_backend(backend)
-    }
-
-    /// Deprecated alias of [`Compiler::with_objective`].
-    #[deprecated(since = "0.2.0", note = "renamed to `with_objective`")]
-    pub fn objective(self, objective: Objective) -> Self {
-        self.with_objective(objective)
-    }
-
-    /// Deprecated alias of [`Compiler::with_parser_hoisting`].
-    #[deprecated(since = "0.2.0", note = "renamed to `with_parser_hoisting`")]
-    pub fn parser_hoisting(self, on: bool) -> Self {
-        self.with_parser_hoisting(on)
-    }
-
-    /// Deprecated alias of [`Compiler::with_recirculation`].
-    #[deprecated(since = "0.2.0", note = "renamed to `with_recirculation`")]
-    pub fn allow_recirculation(self, on: bool) -> Self {
-        self.with_recirculation(on)
-    }
-
-    /// Deprecated alias of [`Compiler::with_stage_detail`].
-    #[deprecated(since = "0.2.0", note = "renamed to `with_stage_detail`")]
-    pub fn stage_detail(self, on: bool) -> Self {
-        self.with_stage_detail(on)
-    }
-
     /// Recompile after a program change, seeded with the previous solved
     /// placement (§8 "Synthesizing incremental changes"): if it still
     /// places the program it is returned as it is
@@ -742,14 +649,12 @@ impl Compiler {
     /// run, and memoize successes. Returns the result plus the route that
     /// run took, `None` for a cache hit — a hit spent no solver effort, so
     /// the caller must not absorb its (historical) [`SearchStats`].
-    #[allow(clippy::too_many_arguments)]
     fn synthesize_cached(
         &self,
         ir: &IrProgram,
         topo: &Topology,
         scopes: &[ResolvedScope],
         opts: &EncodeOptions,
-        strategy: lyra_synth::SolverStrategy,
         previous: Option<&Placement>,
         limits: &lyra_synth::SynthLimits,
     ) -> Result<(Arc<lyra_synth::SynthResult>, Option<SolveRoute>), lyra_synth::SynthError> {
@@ -768,7 +673,6 @@ impl Compiler {
             scopes,
             opts,
             &self.backend,
-            strategy,
             previous,
             limits,
         )?;
@@ -806,16 +710,7 @@ impl Compiler {
                 (None, None) => Duration::ZERO,
             },
             decomposition: profile.decomposition,
-            warm: profile.warm_start.then(|| self.warm.clone()),
         };
-        // The request's symmetry toggle rides into the encoder through the
-        // options (and therefore into the synthesis-cache key).
-        let encode_opts = {
-            let mut e = self.encode.clone();
-            e.symmetry_breaking = profile.symmetry_breaking;
-            e
-        };
-        let warm_before = (self.warm.hit_count(), self.warm.miss_count());
 
         // --- Front-end (checker + preprocessor + code analyzer) ------------
         let (prog, t_parse) = self.phase(Phase::Parse, || {
@@ -935,7 +830,7 @@ impl Compiler {
             degraded,
             route,
         } = if all_per_sw {
-            self.compile_per_switch(&ir, req, &resolved, &encode_opts, &limits)?
+            self.compile_per_switch(&ir, req, &resolved, &limits)?
         } else {
             if let Some(obs) = &self.observer {
                 obs.on_phase_start(Phase::Solve);
@@ -945,8 +840,7 @@ impl Compiler {
                     &ir,
                     &req.topology,
                     &resolved,
-                    &encode_opts,
-                    profile.strategy,
+                    &self.encode,
                     previous,
                     &limits,
                 )
@@ -986,8 +880,6 @@ impl Compiler {
         stats.synth_cache_hits = hits;
         stats.synth_cache_misses = misses;
         stats.solve_route = route;
-        stats.warm_hits = self.warm.hit_count().saturating_sub(warm_before.0);
-        stats.warm_misses = self.warm.miss_count().saturating_sub(warm_before.1);
 
         let flow_paths = resolved
             .iter()
@@ -1044,10 +936,10 @@ impl Compiler {
         ir: &IrProgram,
         req: &CompileRequest,
         resolved: &[ResolvedScope],
-        opts: &EncodeOptions,
         limits: &lyra_synth::SynthLimits,
     ) -> Result<BackEnd, CompileError> {
         use std::collections::BTreeMap;
+        let opts = &self.encode;
         let t1 = Instant::now();
         if let Some(obs) = &self.observer {
             obs.on_phase_start(Phase::Solve);
@@ -1095,11 +987,8 @@ impl Compiler {
                         let rep = members[0];
                         let scopes = rep_scopes_of(rep);
                         let topology = &req.topology;
-                        let strategy = req.profile.strategy;
                         s.spawn(move || {
-                            self.synthesize_cached(
-                                ir, topology, &scopes, opts, strategy, None, limits,
-                            )
+                            self.synthesize_cached(ir, topology, &scopes, opts, None, limits)
                         })
                     })
                     .collect();
@@ -1118,7 +1007,6 @@ impl Compiler {
                     &req.topology,
                     &scopes,
                     opts,
-                    req.profile.strategy,
                     None,
                     limits,
                 ));
@@ -1301,26 +1189,20 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_portfolio_strategies_agree() {
+    fn default_and_thorough_profiles_agree() {
         let topo = figure1_network();
-        let seq = Compiler::new()
-            .compile(
-                &CompileRequest::new(INT_LB, SCOPES, topo.clone())
-                    .with_solve_profile(SolveProfile::fast()),
-            )
+        let default = Compiler::new()
+            .compile(&CompileRequest::new(INT_LB, SCOPES, topo.clone()))
             .unwrap();
-        let par = Compiler::new()
+        let thorough = Compiler::new()
             .compile(
-                &CompileRequest::new(INT_LB, SCOPES, topo).with_solve_profile(
-                    SolveProfile::default().with_strategy(SolverStrategy::Portfolio { workers: 4 }),
-                ),
+                &CompileRequest::new(INT_LB, SCOPES, topo)
+                    .with_solve_profile(SolveProfile::thorough()),
             )
             .unwrap();
         // Both must solve; artifact coverage (which switches get code for
         // PER-SW scopes) is identical.
-        assert_eq!(seq.artifacts.len() >= 4, par.artifacts.len() >= 4);
-        assert!(par.solver.workers_spawned >= 1);
-        assert_eq!(seq.solver.workers_cancelled, 0);
+        assert_eq!(default.artifacts.len() >= 4, thorough.artifacts.len() >= 4);
     }
 
     #[test]
@@ -1380,29 +1262,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_counters_surface_in_stats_and_json() {
-        let compiler = Compiler::new();
-        let first = compiler
-            .compile(&CompileRequest::new(INT_LB, SCOPES, figure1_network()))
-            .unwrap();
-        assert!(
-            first.stats.warm_hits + first.stats.warm_misses >= 1,
-            "the default profile consults the learned-clause store"
-        );
-        let json = first.session().to_json();
-        let warm = json.get("warm_start").expect("warm_start object");
-        assert!(warm.get("hits").is_some() && warm.get("misses").is_some());
-        // thorough() turns warm start off: the store is never consulted.
-        let cold = Compiler::new()
-            .compile(
-                &CompileRequest::new(INT_LB, SCOPES, figure1_network())
-                    .with_solve_profile(SolveProfile::thorough()),
-            )
-            .unwrap();
-        assert_eq!((cold.stats.warm_hits, cold.stats.warm_misses), (0, 0));
-    }
-
-    #[test]
     fn synth_cache_misses_on_changed_program() {
         let cache = Arc::new(SynthCache::new());
         let compiler = Compiler::new().with_synth_cache(cache.clone());
@@ -1427,7 +1286,7 @@ mod tests {
     }
 
     #[test]
-    fn session_json_carries_cache_and_portfolio_counters() {
+    fn session_json_carries_cache_and_solver_counters() {
         let out = Compiler::new()
             .compile(&CompileRequest::new(
                 "pipeline[P]{a}; algorithm a { x = 1; }",
@@ -1440,8 +1299,6 @@ mod tests {
         for key in [
             "reductions",
             "clauses_deleted",
-            "workers_spawned",
-            "workers_cancelled",
             "linear_visits",
             "bound_updates",
             "creep_checks",

@@ -756,7 +756,7 @@ mod tests {
     use super::*;
     use crate::channel::{LossyChannel, ReliableChannel};
     use crate::rollout::{CrashPlan, CrashPoint, MemIntentStore};
-    use crate::{CompileRequest, Compiler, SolveProfile};
+    use crate::{CompileRequest, Compiler};
     use lyra_ir::PacketState;
     use lyra_topo::{figure1_network, FaultSet};
 
@@ -776,7 +776,6 @@ mod tests {
 
     fn lb_request() -> CompileRequest<'static> {
         CompileRequest::new(LB, LB_SCOPES, figure1_network())
-            .with_solve_profile(SolveProfile::fast())
     }
 
     fn crashed_rollout<'a>(

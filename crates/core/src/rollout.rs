@@ -1524,7 +1524,7 @@ fn backoff(config: &RolloutConfig, attempt: u32, rng: &mut Rng) -> Duration {
 mod tests {
     use super::*;
     use crate::channel::LossyChannel;
-    use crate::{CompileRequest, Compiler, SolveProfile};
+    use crate::{CompileRequest, Compiler};
     use lyra_ir::PacketState;
     use lyra_topo::{figure1_network, FaultSet};
 
@@ -1544,7 +1544,6 @@ mod tests {
 
     fn lb_request() -> CompileRequest<'static> {
         CompileRequest::new(LB, LB_SCOPES, figure1_network())
-            .with_solve_profile(SolveProfile::fast())
     }
 
     #[test]

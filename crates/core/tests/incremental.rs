@@ -5,7 +5,7 @@
 //! algorithms pinned to their switches. `PlacementDiff` (built for the
 //! fault-recompilation path) is the churn meter.
 
-use lyra::{CompileRequest, Compiler, PlacementDiff, SolveProfile};
+use lyra::{CompileRequest, Compiler, PlacementDiff};
 use lyra_topo::figure1_network;
 
 const TWO_ALGS: &str = r#"
@@ -31,7 +31,7 @@ const SCOPES: &str = r#"
 "#;
 
 fn request(program: &str) -> CompileRequest<'_> {
-    CompileRequest::new(program, SCOPES, figure1_network()).with_solve_profile(SolveProfile::fast())
+    CompileRequest::new(program, SCOPES, figure1_network())
 }
 
 #[test]

@@ -1,12 +1,9 @@
-//! The unified [`Solver`] API: one dispatch point over the sequential
-//! search, the portfolio race, and connected-component decomposition, plus
-//! the fingerprint-keyed [`ClauseStore`] that carries learned clauses and
-//! variable activity between solves of the same formula (warm start).
+//! The [`Solver`] API: one dispatch point over the sequential search and
+//! connected-component decomposition.
 //!
 //! ## Engines
 //!
 //! * [`Sequential`] — one deterministic CDCL(T) search;
-//! * [`Portfolio`] — race diversified searchers (see [`crate::portfolio`]);
 //! * [`Decomposed`] — split the flat formula into connected components over
 //!   variable sharing, solve the components independently (in parallel),
 //!   and stitch the sub-assignments back together. Components are exact —
@@ -14,27 +11,19 @@
 //!   conjunction is satisfiable iff every component is, and any component
 //!   refutation refutes the whole. When the formula is one component (or an
 //!   objective / branch-and-bound bound couples everything), `Decomposed`
-//!   falls back to the monolithic engine.
+//!   falls back to [`Sequential`].
 //!
-//! ## Warm start
-//!
-//! Every engine consults the optional [`ClauseStore`] in its
-//! [`SolveCtx`]: before searching it looks up a [`WarmStart`] bundle under
-//! the formula's [`FlatModel::fingerprint`] (with the active bound
-//! constraints mixed in), and after searching it stores the export back.
-//! Keying by exact fingerprint is what makes replay sound — a learned
-//! clause is implied by the formula it was learned from, so it may only be
-//! replayed into a structurally identical formula; stale bundles can never
-//! match.
+//! Both are deterministic: a component's search does not depend on which
+//! pool thread runs it or when, so the same formula yields the same
+//! assignment on every run and every machine.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use crate::flatten::{flatten, flatten_with_objective, FlatModel, FlatVar, LinAtom};
 use crate::model::{Model, Solution};
-use crate::portfolio::{default_workers, solve_flat_portfolio_warm};
-use crate::search::{solve_flat_warm, RawAssignment, SearchStats, SolverConfig, WarmStart};
+use crate::search::{solve_flat, RawAssignment, SearchStats, SolverConfig};
 use crate::Outcome;
 
 /// An always-active linear bound `Σ terms ≤ k` — the branch-and-bound
@@ -44,106 +33,12 @@ pub type BoundConstraint = (Vec<(i64, FlatVar)>, i64);
 /// What one component solve produced: verdict, witness, and search stats.
 type SolveResult = (Outcome, Option<RawAssignment>, SearchStats);
 
-/// Fingerprint-keyed store of [`WarmStart`] bundles shared across solves
-/// (typically across `recompile_for_faults` rounds, or across identical
-/// per-pod subproblems).
-///
-/// Lookup and store are keyed by [`FlatModel::fingerprint`]; a bundle can
-/// therefore only ever seed a search over the exact formula it was exported
-/// from, which keeps replay sound. Hit/miss counters expose reuse to the
-/// compile driver's stats.
-#[derive(Debug, Default)]
-pub struct ClauseStore {
-    entries: Mutex<HashMap<u64, WarmStart>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Crude memory bound: a store that outgrows this many distinct formulas
-/// is cleared rather than evicted piecemeal (re-learning is cheap relative
-/// to unbounded growth across long fault sequences).
-const CLAUSE_STORE_CAP: usize = 512;
-
-impl ClauseStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, WarmStart>> {
-        self.entries
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Fetch the bundle stored under `key`, counting a hit or miss.
-    pub fn lookup(&self, key: u64) -> Option<WarmStart> {
-        let got = self.lock().get(&key).cloned();
-        match got {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        got
-    }
-
-    /// Store `warm` under `key`, replacing any previous bundle for the same
-    /// formula (the newest export carries the freshest clause database).
-    pub fn store(&self, key: u64, warm: WarmStart) {
-        if warm.is_empty() {
-            return;
-        }
-        let mut map = self.lock();
-        if map.len() >= CLAUSE_STORE_CAP && !map.contains_key(&key) {
-            map.clear();
-        }
-        map.insert(key, warm);
-    }
-
-    /// Lookups that found a bundle.
-    pub fn hit_count(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found nothing.
-    pub fn miss_count(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct formulas currently warm.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// True when no bundle is stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Everything an engine needs besides the formula: the base search
-/// configuration (deadline, decision budget, cancellation flag, phase
-/// hints, restart/decay tuning) and the optional warm-start store.
-#[derive(Debug, Clone, Default)]
-pub struct SolveCtx {
-    /// Base configuration handed to every underlying search.
-    pub config: SolverConfig,
-    /// Warm-start store consulted (and refreshed) around every solve.
-    pub warm: Option<Arc<ClauseStore>>,
-}
-
-impl SolveCtx {
-    /// A context wrapping just a configuration, with no warm-start store.
-    pub fn from_config(config: SolverConfig) -> Self {
-        SolveCtx { config, warm: None }
-    }
-}
-
 /// A solver engine: the single dispatch point `lyra-synth` calls instead of
 /// matching on a strategy enum inline.
 ///
 /// All engines agree on verdicts — SAT/UNSAT and optimal objective values
 /// are properties of the formula, not the schedule — and differ only in how
-/// the search is run (one searcher, a race, or per-component).
+/// the search is run (one searcher, or one per component).
 pub trait Solver: Send + Sync {
     /// Engine name, for logs and summaries.
     fn name(&self) -> &'static str;
@@ -153,13 +48,13 @@ pub trait Solver: Send + Sync {
         &self,
         flat: &FlatModel,
         extra: &[BoundConstraint],
-        ctx: &SolveCtx,
+        cfg: &SolverConfig,
     ) -> (Outcome, Option<RawAssignment>, SearchStats);
 
     /// Flatten and solve a model (decision problem).
-    fn solve(&self, model: &Model, ctx: &SolveCtx) -> (Outcome, SearchStats) {
+    fn solve(&self, model: &Model, cfg: &SolverConfig) -> (Outcome, SearchStats) {
         let flat = flatten(model);
-        let (outcome, _, stats) = self.solve_flat(&flat, &[], ctx);
+        let (outcome, _, stats) = self.solve_flat(&flat, &[], cfg);
         if let Outcome::Sat(ref s) = outcome {
             debug_assert!(s.satisfies(model), "engine returned a non-model");
         }
@@ -167,15 +62,13 @@ pub trait Solver: Send + Sync {
     }
 
     /// Minimize `objective` subject to the model, by branch-and-bound where
-    /// each bound-tightening round goes through [`Solver::solve_flat`] (so
-    /// every round benefits from the engine's scheduling and, per-round
-    /// fingerprint, from warm starts). This is the crate's only
-    /// branch-and-bound loop.
+    /// each bound-tightening round goes through [`Solver::solve_flat`]. This
+    /// is the crate's only branch-and-bound loop.
     fn minimize(
         &self,
         model: &Model,
         objective: &crate::expr::Ix,
-        ctx: &SolveCtx,
+        cfg: &SolverConfig,
     ) -> (Minimized, SearchStats) {
         let flat = flatten_with_objective(model, Some(objective));
         let obj_terms = flat.objective.clone().expect("objective lowered");
@@ -183,7 +76,7 @@ pub trait Solver: Send + Sync {
         let mut best: Option<(Solution, i64)> = None;
         let mut total = SearchStats::default();
         loop {
-            let (outcome, raw, stats) = self.solve_flat(&flat, &extra, ctx);
+            let (outcome, raw, stats) = self.solve_flat(&flat, &extra, cfg);
             total.absorb(stats);
             let stop = match outcome {
                 Outcome::Sat(_) => {
@@ -213,7 +106,7 @@ pub enum Minimized {
     Optimal(Solution, i64),
     /// The constraints themselves were refuted.
     Infeasible,
-    /// A round ran out of budget, deadline, or was cancelled: the best model
+    /// A round ran out of budget or deadline: the best model
     /// found so far, if any round found one, and no proof either way.
     Truncated(Option<(Solution, i64)>),
 }
@@ -235,14 +128,9 @@ impl Minimized {
 /// Returns the best solution found together with its objective value.
 pub fn minimize(model: &Model, objective: &crate::expr::Ix) -> Option<(Solution, i64)> {
     Sequential
-        .minimize(model, objective, &SolveCtx::default())
+        .minimize(model, objective, &SolverConfig::default())
         .0
         .best()
-}
-
-/// Warm lookup key for a formula under the active bounds.
-fn warm_key(flat: &FlatModel, extra: &[BoundConstraint], ctx: &SolveCtx) -> Option<u64> {
-    ctx.warm.as_ref().map(|_| flat.fingerprint(extra))
 }
 
 /// One deterministic CDCL(T) search.
@@ -258,79 +146,25 @@ impl Solver for Sequential {
         &self,
         flat: &FlatModel,
         extra: &[BoundConstraint],
-        ctx: &SolveCtx,
+        cfg: &SolverConfig,
     ) -> (Outcome, Option<RawAssignment>, SearchStats) {
-        let key = warm_key(flat, extra, ctx);
-        let seed = match (&ctx.warm, key) {
-            (Some(store), Some(k)) => store.lookup(k),
-            _ => None,
-        };
-        let (outcome, raw, stats, export) =
-            solve_flat_warm(flat, &ctx.config, extra, seed.as_ref());
-        if let (Some(store), Some(k)) = (&ctx.warm, key) {
-            store.store(k, export);
-        }
-        (outcome, raw, stats)
-    }
-}
-
-/// Race diversified searchers; first verdict wins (see [`crate::portfolio`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Portfolio {
-    /// Worker count; 0 = the machine's available parallelism, capped at 8.
-    pub workers: usize,
-}
-
-impl Solver for Portfolio {
-    fn name(&self) -> &'static str {
-        "portfolio"
-    }
-
-    fn solve_flat(
-        &self,
-        flat: &FlatModel,
-        extra: &[BoundConstraint],
-        ctx: &SolveCtx,
-    ) -> (Outcome, Option<RawAssignment>, SearchStats) {
-        let n = if self.workers == 0 {
-            default_workers()
-        } else {
-            self.workers
-        };
-        let key = warm_key(flat, extra, ctx);
-        let seed = match (&ctx.warm, key) {
-            (Some(store), Some(k)) => store.lookup(k),
-            _ => None,
-        };
-        let (outcome, raw, stats, export) =
-            solve_flat_portfolio_warm(flat, &ctx.config, extra, n, seed.as_ref());
-        if let (Some(store), Some(k), Some(w)) = (&ctx.warm, key, export) {
-            store.store(k, w);
-        }
-        (outcome, raw, stats)
+        solve_flat(flat, cfg, extra)
     }
 }
 
 /// Split the formula into connected components over variable sharing and
-/// solve them independently; fall back to the monolithic engine when the
-/// formula does not decompose (or an objective/bound couples everything).
-#[derive(Debug, Clone, Copy)]
-pub struct Decomposed {
-    /// Worker budget: bounds both the component-solving thread pool and the
-    /// fallback engine (0 = auto; ≤ 1 falls back to [`Sequential`]).
-    pub workers: usize,
-}
+/// solve them independently; fall back to [`Sequential`] when the formula
+/// does not decompose (or an objective/bound couples everything).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Decomposed;
 
-impl Decomposed {
-    fn fallback(&self) -> Box<dyn Solver> {
-        if self.workers == 1 {
-            Box::new(Sequential)
-        } else {
-            Box::new(Portfolio {
-                workers: self.workers,
-            })
-        }
-    }
+/// Threads the component pool may use: the machine's available
+/// parallelism, capped at 8.
+fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(8)
 }
 
 /// Union-find with path halving over the unified variable id space:
@@ -488,24 +322,21 @@ impl Solver for Decomposed {
         &self,
         flat: &FlatModel,
         extra: &[BoundConstraint],
-        ctx: &SolveCtx,
+        cfg: &SolverConfig,
     ) -> (Outcome, Option<RawAssignment>, SearchStats) {
         // Objectives and branch-and-bound bounds couple otherwise-independent
         // variables; the monolithic engine handles those rounds.
         if flat.objective.is_some() || !extra.is_empty() {
-            return self.fallback().solve_flat(flat, extra, ctx);
+            return Sequential.solve_flat(flat, extra, cfg);
         }
         if flat.clauses.iter().any(|c| c.is_empty()) {
             return (Outcome::Unsat, None, SearchStats::default());
         }
         let Some(subs) = split_components(flat) else {
-            return self.fallback().solve_flat(flat, extra, ctx);
+            return Sequential.solve_flat(flat, extra, cfg);
         };
-        // Solve components in parallel, each with the sequential engine
-        // (warm-started per sub-formula fingerprint: identical components —
-        // e.g. symmetric pods — reuse each other's learned clauses across
-        // solves). The shared cancel flag / deadline in `ctx.config` keeps
-        // cross-component winddown prompt.
+        // Solve components in parallel, each with the sequential engine.
+        // They share `cfg`'s deadline, so all wind down together.
         let results: Vec<Mutex<Option<SolveResult>>> =
             subs.iter().map(|_| Mutex::new(None)).collect();
         // Hints arrive in *global* variable indices; each component solves
@@ -513,45 +344,33 @@ impl Solver for Decomposed {
         // component's variable map (both lists are ascending — binary
         // search). Without this, stability hints silently land on the
         // wrong variables whenever decomposition kicks in.
-        let sub_ctxs: Vec<SolveCtx> = subs
+        let sub_cfgs: Vec<SolverConfig> = subs
             .iter()
-            .map(|sub| {
-                let mut config = ctx.config.clone();
-                config.phase_hints = ctx
-                    .config
+            .map(|sub| SolverConfig {
+                phase_hints: cfg
                     .phase_hints
                     .iter()
                     .filter_map(|&(g, ph)| sub.bools.binary_search(&g).ok().map(|l| (l as u32, ph)))
-                    .collect();
-                config.int_hints = ctx
-                    .config
+                    .collect(),
+                int_hints: cfg
                     .int_hints
                     .iter()
                     .filter_map(|&(g, t)| sub.ints.binary_search(&g).ok().map(|l| (l as u32, t)))
-                    .collect();
-                SolveCtx {
-                    config,
-                    warm: ctx.warm.clone(),
-                }
+                    .collect(),
+                ..cfg.clone()
             })
             .collect();
         let next = AtomicUsize::new(0);
-        let pool = if self.workers == 0 {
-            default_workers()
-        } else {
-            self.workers
-        }
-        .min(subs.len())
-        .max(1);
+        let pool = default_workers().min(subs.len());
         std::thread::scope(|scope| {
             for _ in 0..pool {
-                let (subs, results, next, sub_ctxs) = (&subs, &results, &next, &sub_ctxs);
+                let (subs, results, next, sub_cfgs) = (&subs, &results, &next, &sub_cfgs);
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= subs.len() {
                         return;
                     }
-                    let solved = Sequential.solve_flat(&subs[i].flat, &[], &sub_ctxs[i]);
+                    let solved = Sequential.solve_flat(&subs[i].flat, &[], &sub_cfgs[i]);
                     *results[i]
                         .lock()
                         .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(solved);
@@ -559,7 +378,7 @@ impl Solver for Decomposed {
             }
         });
         // Stitch: UNSAT anywhere refutes the conjunction; Unknown anywhere
-        // (budget/deadline/cancel) leaves the verdict open; otherwise merge
+        // (budget/deadline) leaves the verdict open; otherwise merge
         // the sub-assignments over lower-bound defaults (unconstrained
         // variables belong to no component).
         let mut total = SearchStats::default();
@@ -626,8 +445,8 @@ mod tests {
     #[test]
     fn decomposed_agrees_sat() {
         let m = two_block_model(false);
-        let ctx = SolveCtx::default();
-        let (o, _) = Decomposed { workers: 2 }.solve(&m, &ctx);
+        let cfg = SolverConfig::default();
+        let (o, _) = Decomposed.solve(&m, &cfg);
         let sol = o.solution().expect("both blocks satisfiable");
         assert!(sol.satisfies(&m));
     }
@@ -635,9 +454,9 @@ mod tests {
     #[test]
     fn decomposed_agrees_unsat() {
         let m = two_block_model(true);
-        let ctx = SolveCtx::default();
-        let (seq, _) = Sequential.solve(&m, &ctx);
-        let (dec, _) = Decomposed { workers: 2 }.solve(&m, &ctx);
+        let cfg = SolverConfig::default();
+        let (seq, _) = Sequential.solve(&m, &cfg);
+        let (dec, _) = Decomposed.solve(&m, &cfg);
         assert_eq!(seq, Outcome::Unsat);
         assert_eq!(dec, Outcome::Unsat);
     }
@@ -666,7 +485,7 @@ mod tests {
         if let Some(subs) = &subs {
             assert!(subs.len() >= 2);
         }
-        let (o, _) = Decomposed { workers: 1 }.solve(&m, &SolveCtx::default());
+        let (o, _) = Decomposed.solve(&m, &SolverConfig::default());
         assert!(o.solution().expect("trivially SAT").satisfies(&m));
     }
 
@@ -702,9 +521,9 @@ mod tests {
                     m.require(Ix::var(x).le(Ix::lit((rng() % 6) as i64)));
                 }
             }
-            let ctx = SolveCtx::default();
-            let (seq, _) = Sequential.solve(&m, &ctx);
-            let (dec, _) = Decomposed { workers: 2 }.solve(&m, &ctx);
+            let cfg = SolverConfig::default();
+            let (seq, _) = Sequential.solve(&m, &cfg);
+            let (dec, _) = Decomposed.solve(&m, &cfg);
             match (&seq, &dec) {
                 (Outcome::Sat(_), Outcome::Sat(s)) => {
                     assert!(s.satisfies(&m), "case {case}: stitched non-model")
@@ -716,93 +535,20 @@ mod tests {
     }
 
     #[test]
-    fn clause_store_counts_hits_and_misses() {
-        let m = two_block_model(false);
-        let flat = flatten(&m);
-        let store = Arc::new(ClauseStore::new());
-        let ctx = SolveCtx {
-            config: SolverConfig::default(),
-            warm: Some(store.clone()),
-        };
-        let (first, _, _) = Sequential.solve_flat(&flat, &[], &ctx);
-        assert!(first.is_sat());
-        assert_eq!(store.hit_count(), 0);
-        let misses_after_first = store.miss_count();
-        assert!(misses_after_first >= 1);
-        let (second, _, _) = Sequential.solve_flat(&flat, &[], &ctx);
-        assert!(second.is_sat());
-        // A trivial solve may export an empty bundle (nothing learned), in
-        // which case the second lookup is a miss again; either way the
-        // counters moved and the verdict is unchanged.
-        assert!(store.hit_count() + store.miss_count() > misses_after_first);
-    }
-
-    #[test]
-    fn clause_store_warms_resolves() {
-        // A conflict-heavy UNSAT formula: the second solve through the same
-        // store must hit and stay UNSAT.
-        let mut m = Model::new();
-        let vars: Vec<Vec<_>> = (0..6)
-            .map(|p| (0..5).map(|h| m.bool_var(format!("p{p}h{h}"))).collect())
-            .collect();
-        for p in &vars {
-            m.require(Bx::or(p.iter().map(|&v| Bx::var(v)).collect()));
-        }
-        for h in 0..5 {
-            m.require(Bx::at_most_one(
-                vars.iter().map(|row| Bx::var(row[h])).collect(),
-            ));
-        }
-        let flat = flatten(&m);
-        let store = Arc::new(ClauseStore::new());
-        let ctx = SolveCtx {
-            config: SolverConfig::default(),
-            warm: Some(store.clone()),
-        };
-        let (first, _, _) = Sequential.solve_flat(&flat, &[], &ctx);
-        assert_eq!(first, Outcome::Unsat);
-        let (second, _, _) = Sequential.solve_flat(&flat, &[], &ctx);
-        assert_eq!(second, Outcome::Unsat);
-        assert_eq!(store.hit_count(), 1, "second solve must reuse the bundle");
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_bounds() {
-        let m = two_block_model(false);
-        let flat = flatten(&m);
-        let bound: BoundConstraint = (vec![(1, FlatVar::Int(0))], 3);
-        assert_ne!(
-            flat.fingerprint(&[]),
-            flat.fingerprint(std::slice::from_ref(&bound)),
-            "branch-and-bound rounds must key separately"
-        );
-        let flat2 = flatten(&two_block_model(true));
-        assert_ne!(flat.fingerprint(&[]), flat2.fingerprint(&[]));
-    }
-
-    #[test]
     fn minimize_via_trait_matches_direct() {
         let mut m = Model::new();
         let x = m.int_var("x", 0, 100);
         let y = m.int_var("y", 0, 100);
         m.require(Ix::var(x).add(Ix::var(y)).ge(Ix::lit(23)));
         let obj = Ix::var(x).add(Ix::var(y));
-        let ctx = SolveCtx::default();
-        for engine in [
-            &Sequential as &dyn Solver,
-            &Portfolio { workers: 3 },
-            &Decomposed { workers: 2 },
-        ] {
-            let (min, stats) = engine.minimize(&m, &obj, &ctx);
+        let cfg = SolverConfig::default();
+        for engine in [&Sequential as &dyn Solver, &Decomposed] {
+            let (min, _) = engine.minimize(&m, &obj, &cfg);
             assert!(
                 matches!(min, Minimized::Optimal(_, 23)),
                 "engine {}: {min:?}",
                 engine.name()
             );
-            if engine.name() == "portfolio" {
-                // One race per bound round: the model, then the refutation.
-                assert!(stats.workers_spawned >= 6, "{stats:?}");
-            }
         }
     }
 }

@@ -97,63 +97,6 @@ pub struct FlatModel {
 }
 
 impl FlatModel {
-    /// Content fingerprint (FNV-1a) of everything the search sees: variable
-    /// counts, integer bounds, clause literals, linear atoms, and the
-    /// always-active `extra` bound constraints of a branch-and-bound round.
-    ///
-    /// Two flat models with equal fingerprints are structurally identical
-    /// formulas, so clauses learned while solving one are sound to replay
-    /// in the other — this is the warm-start key used by
-    /// [`crate::decompose::ClauseStore`]. `extra` participates because
-    /// branch-and-bound clauses are learned *under* the bound constraints
-    /// and are not implied by the base formula alone.
-    pub fn fingerprint(&self, extra: &[(Vec<(i64, FlatVar)>, i64)]) -> u64 {
-        fn mix(h: &mut u64, x: u64) {
-            *h ^= x;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        fn mix_var(h: &mut u64, v: FlatVar) {
-            match v {
-                FlatVar::Bool(b) => mix(h, u64::from(b)),
-                FlatVar::Int(i) => mix(h, (1u64 << 32) | u64::from(i)),
-            }
-        }
-        fn mix_bound(h: &mut u64, terms: &[(i64, FlatVar)], k: i64) {
-            mix(h, terms.len() as u64);
-            for &(c, v) in terms {
-                mix(h, c as u64);
-                mix_var(h, v);
-            }
-            mix(h, k as u64);
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        mix(&mut h, self.num_sat_vars as u64);
-        mix(&mut h, self.num_model_bools as u64);
-        mix(&mut h, self.num_model_ints as u64);
-        mix(&mut h, self.int_bounds.len() as u64);
-        for &(lo, hi) in &self.int_bounds {
-            mix(&mut h, lo as u64);
-            mix(&mut h, hi as u64);
-        }
-        mix(&mut h, self.clauses.len() as u64);
-        for cl in &self.clauses {
-            mix(&mut h, cl.len() as u64);
-            for l in cl {
-                mix(&mut h, u64::from(l.0));
-            }
-        }
-        mix(&mut h, self.atoms.len() as u64);
-        for a in &self.atoms {
-            mix(&mut h, u64::from(a.var));
-            mix_bound(&mut h, &a.terms, a.k);
-        }
-        mix(&mut h, extra.len() as u64);
-        for (terms, k) in extra {
-            mix_bound(&mut h, terms, *k);
-        }
-        h
-    }
-
     /// Bounds `(lo, hi)` a linear combination can take given variable bounds.
     pub fn lin_bounds(&self, terms: &[(i64, FlatVar)]) -> (i64, i64) {
         let mut lo = 0i64;

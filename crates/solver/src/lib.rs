@@ -52,20 +52,13 @@ pub mod decompose;
 pub mod expr;
 pub mod flatten;
 pub mod model;
-pub mod portfolio;
 pub mod search;
 
-pub use decompose::{
-    minimize, BoundConstraint, ClauseStore, Decomposed, Minimized, Portfolio, Sequential, SolveCtx,
-    Solver,
-};
+pub use decompose::{minimize, BoundConstraint, Decomposed, Minimized, Sequential, Solver};
 pub use expr::{Bx, Ix, LinExpr};
 pub use flatten::{flatten, FlatModel, FlatVar};
 pub use model::{BoolId, IntId, Model, Solution};
-pub use portfolio::{solve_flat_portfolio, solve_flat_portfolio_warm, solve_portfolio};
-pub use search::{
-    solve, solve_flat, solve_flat_warm, RawAssignment, SearchStats, SolverConfig, WarmStart,
-};
+pub use search::{solve, solve_flat, RawAssignment, SearchStats, SolverConfig};
 
 /// Outcome of a solver invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]

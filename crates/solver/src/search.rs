@@ -13,9 +13,6 @@
 //! interval splitting, chronologically; exhausting the splits counts as a
 //! theory conflict for the boolean layer.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use crate::flatten::{flatten, FlatModel, FlatVar, Lit};
 use crate::model::{Model, Solution};
 use crate::Outcome;
@@ -25,10 +22,6 @@ use crate::Outcome;
 pub struct SolverConfig {
     /// Abort with [`Outcome::Unknown`] after this many decisions.
     pub max_decisions: u64,
-    /// Default phase for boolean decisions when no phase has been saved
-    /// (`false` = try "not deployed" first, which suits Lyra's placement
-    /// variables).
-    pub default_phase: bool,
     /// Conflicts before the first restart (grows geometrically; 0 disables
     /// restarts).
     pub restart_interval: u64,
@@ -48,26 +41,15 @@ pub struct SolverConfig {
     /// which is what keeps table-entry churn proportional to the fault
     /// rather than the fleet.
     pub int_hints: Vec<(u32, i64)>,
-    /// Seed for pseudo-random initial phases (xorshift64*). `0` keeps the
-    /// deterministic `default_phase` initialization; portfolio workers use
-    /// distinct non-zero seeds to diversify their starting polarities.
-    /// Phase hints still override seeded phases.
-    pub seed: u64,
     /// Live learned clauses tolerated before a database reduction halves
     /// them (Glucose-style LBD policy; glue clauses with LBD ≤ 2 and reason
     /// clauses of the current trail are never deleted). `0` disables
     /// reduction entirely.
     pub learned_limit: usize,
-    /// Cooperative cancellation flag shared between racing searches. The
-    /// propagation loop polls it once per pass; when set, the search stops
-    /// and reports [`Outcome::Unknown`].
-    pub cancel: Option<Arc<AtomicBool>>,
     /// Wall-clock deadline. Checked before the search starts and polled
     /// (decimated — every [`DEADLINE_POLL_MASK`]+1 propagation passes, to
     /// keep `Instant::now` off the hot path) during propagation; on expiry
-    /// the search winds down with [`Outcome::Unknown`] and, when a shared
-    /// [`SolverConfig::cancel`] flag is present, stores `true` into it so
-    /// sibling portfolio workers observe the same deadline.
+    /// the search winds down with [`Outcome::Unknown`].
     pub deadline: Option<std::time::Instant>,
 }
 
@@ -81,14 +63,11 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             max_decisions: 5_000_000,
-            default_phase: false,
             restart_interval: 128,
             activity_decay: 0.95,
             phase_hints: Vec::new(),
             int_hints: Vec::new(),
-            seed: 0,
             learned_limit: 2_000,
-            cancel: None,
             deadline: None,
         }
     }
@@ -115,11 +94,10 @@ pub struct SearchStats {
     pub reductions: u64,
     /// Learned clauses deleted by database reductions.
     pub clauses_deleted: u64,
-    /// Portfolio workers spawned on behalf of this solve (0 for a plain
-    /// sequential search; set by [`crate::portfolio`]).
+    /// Always 0: no engine races workers. The field is read by the
+    /// repository's benchmark, which is the only reason it exists.
     pub workers_spawned: u64,
-    /// Portfolio workers whose results were discarded — either cancelled
-    /// mid-search or finished after another worker already won the race.
+    /// Always 0, kept for the same reason as `workers_spawned`.
     pub workers_cancelled: u64,
     /// Linear constraints visited by bounds propagation (one visit = one
     /// recomputation of a constraint's slack and the bounds it implies).
@@ -133,10 +111,6 @@ pub struct SearchStats {
 impl SearchStats {
     /// Accumulate another run's counters into this one (used when a solve
     /// is a sequence of searches, e.g. branch-and-bound minimization).
-    ///
-    /// Portfolio races absorb only the *winning* worker's counters (plus
-    /// the `workers_spawned` / `workers_cancelled` pair), so phase timings
-    /// never double-count raced searches.
     pub fn absorb(&mut self, other: SearchStats) {
         self.decisions += other.decisions;
         self.propagations += other.propagations;
@@ -145,8 +119,6 @@ impl SearchStats {
         self.restarts += other.restarts;
         self.reductions += other.reductions;
         self.clauses_deleted += other.clauses_deleted;
-        self.workers_spawned += other.workers_spawned;
-        self.workers_cancelled += other.workers_cancelled;
         self.linear_visits += other.linear_visits;
         self.bound_updates += other.bound_updates;
         self.creep_checks += other.creep_checks;
@@ -207,51 +179,9 @@ pub fn solve_flat(
     cfg: &SolverConfig,
     extra: &[(Vec<(i64, FlatVar)>, i64)],
 ) -> (Outcome, Option<RawAssignment>, SearchStats) {
-    let mut s = Search::new(flat, cfg, extra, None);
+    let mut s = Search::new(flat, cfg, extra);
     let (outcome, raw) = s.run();
     (outcome, raw, s.stats)
-}
-
-/// A warm-start bundle exported from a finished search: the learned clauses
-/// still alive at export time (with their creation LBD), the per-variable
-/// VSIDS activity, and the saved phases.
-///
-/// Seeding a new search over the **same formula** with this bundle installs
-/// the clauses as if they had just been learned again, which is sound
-/// because every learned clause is implied by the formula (plus the `extra`
-/// bounds) it was learned from. Callers must guarantee the formulas match —
-/// [`crate::decompose::ClauseStore`] does so by keying bundles with
-/// [`FlatModel::fingerprint`], `extra` included.
-#[derive(Debug, Clone, Default)]
-pub struct WarmStart {
-    /// Surviving learned clauses, each with the LBD recorded at creation.
-    pub clauses: Vec<(Vec<Lit>, u32)>,
-    /// VSIDS-lite activity per SAT variable.
-    pub activity: Vec<f64>,
-    /// Saved decision phase per SAT variable.
-    pub phases: Vec<bool>,
-}
-
-impl WarmStart {
-    /// True when the bundle carries nothing a fresh search would use.
-    pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty() && self.activity.is_empty() && self.phases.is_empty()
-    }
-}
-
-/// [`solve_flat`] seeded with an optional [`WarmStart`] bundle; always
-/// returns the finished search's own bundle so callers can persist it for
-/// the next solve of the same formula.
-pub fn solve_flat_warm(
-    flat: &FlatModel,
-    cfg: &SolverConfig,
-    extra: &[(Vec<(i64, FlatVar)>, i64)],
-    warm: Option<&WarmStart>,
-) -> (Outcome, Option<RawAssignment>, SearchStats, WarmStart) {
-    let mut s = Search::new(flat, cfg, extra, warm);
-    let (outcome, raw) = s.run();
-    let export = s.export_warm();
-    (outcome, raw, s.stats, export)
 }
 
 /// Why a SAT variable holds its value.
@@ -505,8 +435,8 @@ struct Search<'a> {
     learned_live: usize,
     /// Live-learned-clause count that triggers the next reduction.
     reduce_limit: usize,
-    /// Set when the shared cancellation flag was observed.
-    cancelled: bool,
+    /// Set once the deadline has been seen to pass.
+    expired: bool,
     /// Propagation passes completed; drives decimated deadline polling.
     passes: u64,
 }
@@ -516,16 +446,10 @@ impl<'a> Search<'a> {
         flat: &'a FlatModel,
         cfg: &'a SolverConfig,
         extra: &'a [(Vec<(i64, FlatVar)>, i64)],
-        warm: Option<&WarmStart>,
     ) -> Self {
         let nvars = flat.num_sat_vars;
         let num_clauses = flat.clauses.len();
-        // A warm bundle's activity applies only when its dimensions match
-        // this formula (see the seeding below).
-        let activity = match warm {
-            Some(w) if w.activity.len() == nvars => w.activity.clone(),
-            _ => vec![0.0; nvars],
-        };
+        let activity = vec![0.0; nvars];
         let mut s = Search {
             flat,
             cfg,
@@ -559,7 +483,9 @@ impl<'a> Search<'a> {
             activity_inc: 1.0,
             seen: vec![false; nvars],
             seen_vars: Vec::new(),
-            saved_phase: vec![cfg.default_phase; nvars],
+            // Unhinted variables try `false` first: "not deployed" suits
+            // Lyra's placement booleans.
+            saved_phase: vec![false; nvars],
             conflicts_since_restart: 0,
             restart_limit: cfg.restart_interval,
             lbd: vec![0; num_clauses],
@@ -567,39 +493,9 @@ impl<'a> Search<'a> {
             clause_act_inc: 1.0,
             learned_live: 0,
             reduce_limit: cfg.learned_limit,
-            cancelled: false,
+            expired: false,
             passes: 0,
         };
-        if cfg.seed != 0 {
-            // Diversified initial polarities (xorshift64*); warm phases and
-            // hints below still take precedence.
-            let mut x = cfg.seed;
-            for p in s.saved_phase.iter_mut() {
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                *p = x.wrapping_mul(0x2545_f491_4f6c_dd1d) & 1 == 1;
-            }
-        }
-        if let Some(w) = warm {
-            // Warm-start seeding. Phases (like the activity above) apply
-            // only when the bundle's dimensions match this formula exactly
-            // (they always do under fingerprint-keyed lookup; anything else
-            // is stale and silently dropped). Clauses are installed as learned clauses —
-            // watched, LBD-scored, and eligible for the usual database
-            // reduction — before `init_watches` wires the watch lists.
-            if w.phases.len() == nvars {
-                s.saved_phase.copy_from_slice(&w.phases);
-            }
-            for (cl, lbd) in &w.clauses {
-                if cl.len() >= 2 && cl.iter().all(|l| (l.var() as usize) < nvars) {
-                    s.lbd.push(*lbd);
-                    s.clause_act.push(0.0);
-                    s.learned_live += 1;
-                    s.clauses.push(cl.clone());
-                }
-            }
-        }
         for &(v, phase) in &cfg.phase_hints {
             if (v as usize) < s.saved_phase.len() {
                 s.saved_phase[v as usize] = phase;
@@ -614,22 +510,6 @@ impl<'a> Search<'a> {
         }
         s.init_watches();
         s
-    }
-
-    /// Export the warm-start bundle of this search: surviving learned
-    /// clauses (seeded ones included — they sit past
-    /// `num_original_clauses` like any learned clause), activity, and
-    /// saved phases.
-    fn export_warm(&self) -> WarmStart {
-        let clauses = (self.num_original_clauses..self.clauses.len())
-            .filter(|&ci| !self.clauses[ci].is_empty())
-            .map(|ci| (self.clauses[ci].clone(), self.lbd[ci]))
-            .collect();
-        WarmStart {
-            clauses,
-            activity: self.activity.clone(),
-            phases: self.saved_phase.clone(),
-        }
     }
 
     fn init_watches(&mut self) {
@@ -770,20 +650,13 @@ impl<'a> Search<'a> {
         self.stats.clauses_deleted += 1;
     }
 
-    /// Has the wall-clock deadline passed? On expiry, also broadcasts into
-    /// the shared cancel flag so racing siblings stop within one pass.
+    /// Has the wall-clock deadline passed?
     fn deadline_expired(&mut self) -> bool {
-        let Some(deadline) = self.cfg.deadline else {
-            return false;
-        };
-        if std::time::Instant::now() < deadline {
-            return false;
-        }
-        if let Some(flag) = &self.cfg.cancel {
-            flag.store(true, Ordering::Relaxed);
-        }
-        self.cancelled = true;
-        true
+        self.expired = self
+            .cfg
+            .deadline
+            .is_some_and(|deadline| std::time::Instant::now() >= deadline);
+        self.expired
     }
 
     /// Enqueue the original unit clauses and propagate at level 0. False
@@ -810,7 +683,7 @@ impl<'a> Search<'a> {
             return (Outcome::Unsat, None);
         }
         loop {
-            if self.cancelled || self.stats.decisions > self.cfg.max_decisions {
+            if self.expired || self.stats.decisions > self.cfg.max_decisions {
                 return (Outcome::Unknown, None);
             }
             if let Some(v) = self.pick_bool() {
@@ -1013,8 +886,9 @@ impl<'a> Search<'a> {
         self.backjump(backjump_level);
         // Install the learned clause.
         let asserting = learned[0];
+        let unit = learned.len() == 1;
         self.stats.learned += 1;
-        if learned.len() == 1 {
+        if unit {
             self.queue.push_back((asserting, Reason::Decision));
         } else {
             let ci = self.clauses.len();
@@ -1036,8 +910,13 @@ impl<'a> Search<'a> {
             self.conflicts_since_restart = 0;
             self.restart_limit = self.restart_limit.saturating_mul(3) / 2;
             self.backjump(0);
-            // The queued asserting literal survives the restart; at level 0
-            // it becomes a permanent implication.
+            // The backjump emptied the queue. A longer learned clause is in
+            // the database and not unit at level 0, so its asserting
+            // literal goes with the rest; a unit one is stored nowhere
+            // else, and at level 0 it is a permanent implication.
+            if unit {
+                self.queue.push_back((asserting, Reason::Decision));
+            }
         }
         match self.propagate() {
             None => true,
@@ -1174,8 +1053,8 @@ impl<'a> Search<'a> {
     }
 
     fn backjump(&mut self, target_level: u32) {
-        while self.decision_level() > target_level {
-            let mark = self.level_marks.pop().expect("level mark");
+        if let Some(&mark) = self.level_marks.get(target_level as usize) {
+            self.level_marks.truncate(target_level as usize);
             self.undo_to(mark);
         }
         self.queue.clear();
@@ -1237,19 +1116,10 @@ impl<'a> Search<'a> {
 
     /// Propagate the queue to fixpoint. `Some(conflict)` on failure.
     ///
-    /// Polls the shared cancellation flag once per pass, so a raced worker
-    /// observes a cancel within one propagation pass and winds down by
-    /// pretending the pass succeeded; the decision loop then exits with
-    /// [`Outcome::Unknown`].
+    /// An expired deadline winds the search down by pretending the pass
+    /// succeeded; the decision loop then exits with [`Outcome::Unknown`].
     fn propagate(&mut self) -> Option<Conflict> {
         loop {
-            if let Some(flag) = &self.cfg.cancel {
-                if flag.load(Ordering::Relaxed) {
-                    self.cancelled = true;
-                    self.queue.clear();
-                    return None;
-                }
-            }
             if self.passes & DEADLINE_POLL_MASK == 0 && self.deadline_expired() {
                 self.queue.clear();
                 return None;
@@ -1808,71 +1678,31 @@ mod tests {
         ]));
         let flat = flatten(&m);
         let cfg = SolverConfig::default();
-        let mut s = Search::new(&flat, &cfg, &[], None);
+        let mut s = Search::new(&flat, &cfg, &[]);
         let (outcome, _) = s.run();
         assert!(outcome.is_sat() || outcome == Outcome::Unsat);
     }
 
     #[test]
-    fn warm_start_replays_learned_clauses() {
-        // Solve a conflict-heavy UNSAT instance cold, then re-solve the
-        // identical formula seeded with the exported bundle: the verdict
-        // must match, and the seeded clauses must cut the second search's
-        // own learning effort.
-        let m = pigeonhole(6, 5);
-        let flat = flatten(&m);
-        let cfg = SolverConfig::default();
-        let (cold, _, cold_stats, export) = solve_flat_warm(&flat, &cfg, &[], None);
-        assert_eq!(cold, Outcome::Unsat);
-        assert!(!export.clauses.is_empty(), "UNSAT proof learns clauses");
-        let (seeded, _, warm_stats, _) = solve_flat_warm(&flat, &cfg, &[], Some(&export));
-        assert_eq!(seeded, Outcome::Unsat);
-        assert!(
-            warm_stats.conflicts <= cold_stats.conflicts,
-            "warm start must not make the search harder: cold {} vs warm {}",
-            cold_stats.conflicts,
-            warm_stats.conflicts
-        );
-    }
-
-    #[test]
-    fn warm_start_preserves_sat_verdict() {
-        let mut m = Model::new();
-        let vs: Vec<_> = (0..6).map(|i| m.bool_var(format!("v{i}"))).collect();
-        for w in vs.windows(2) {
-            m.require(Bx::or(vec![Bx::not(Bx::var(w[0])), Bx::var(w[1])]));
-        }
-        m.require(Bx::var(vs[0]));
-        let x = m.int_var("x", 0, 50);
-        m.require(Ix::var(x).ge(Ix::lit(12)));
-        let flat = flatten(&m);
-        let cfg = SolverConfig::default();
-        let (cold, _, _, export) = solve_flat_warm(&flat, &cfg, &[], None);
-        assert!(cold.is_sat());
-        let (seeded, _, _, _) = solve_flat_warm(&flat, &cfg, &[], Some(&export));
-        let sol = seeded.solution().expect("warm re-solve stays SAT");
-        assert!(sol.satisfies(&m));
-    }
-
-    #[test]
-    fn stale_warm_bundle_is_ignored_safely() {
-        // Defensive handling of a dimensionally-stale bundle (semantic
-        // staleness is prevented one level up by fingerprint-keyed lookup):
-        // mismatched phase/activity vectors are dropped and clauses
-        // referencing out-of-range variables are skipped.
-        let stale = WarmStart {
-            clauses: vec![(vec![Lit::pos(40), Lit::neg(41)], 2)],
-            activity: vec![5.0; 99],
-            phases: vec![true; 99],
-        };
+    fn restart_keeps_a_just_learned_unit_clause() {
+        // (a ∨ b) ∧ (a ∨ ¬b): deciding ¬a conflicts and learns the unit
+        // clause `a`. With a restart due at that very conflict, the unit
+        // must still be asserted afterwards, or the search learns it again
+        // at every restart until the budget runs out.
         let mut m = Model::new();
         let a = m.bool_var("a");
-        m.require(Bx::var(a));
+        let b = m.bool_var("b");
+        m.require(Bx::or(vec![Bx::var(a), Bx::var(b)]));
+        m.require(Bx::or(vec![Bx::var(a), Bx::not(Bx::var(b))]));
         let flat = flatten(&m);
-        let (outcome, _, _, export) =
-            solve_flat_warm(&flat, &SolverConfig::default(), &[], Some(&stale));
-        assert!(outcome.solution().expect("still SAT").bool(a));
-        assert!(export.clauses.is_empty(), "stale clauses were not adopted");
+        let cfg = SolverConfig {
+            restart_interval: 1,
+            max_decisions: 10_000,
+            ..Default::default()
+        };
+        let (outcome, _, stats) = solve_flat(&flat, &cfg, &[]);
+        assert!(outcome.solution().expect("a = true is a model").bool(a));
+        assert_eq!(stats.conflicts, 1, "{stats:?}");
     }
 
     fn pigeonhole(pigeons: usize, holes: usize) -> Model {
@@ -1929,52 +1759,6 @@ mod tests {
     }
 
     #[test]
-    fn preset_cancel_flag_stops_immediately() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        // A hard instance that would take far longer than the test budget;
-        // with the flag already set, the first propagation pass must bail.
-        let m = pigeonhole(10, 9);
-        let flat = flatten(&m);
-        let cfg = SolverConfig {
-            cancel: Some(Arc::new(AtomicBool::new(true))),
-            ..Default::default()
-        };
-        let t = std::time::Instant::now();
-        let (outcome, _, _) = solve_flat(&flat, &cfg, &[]);
-        assert_eq!(outcome, Outcome::Unknown);
-        assert!(
-            t.elapsed() < std::time::Duration::from_secs(5),
-            "cancellation was not prompt: {:?}",
-            t.elapsed()
-        );
-    }
-
-    #[test]
-    fn delayed_cancel_interrupts_search() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        let m = pigeonhole(11, 10);
-        let flat = flatten(&m);
-        let flag = Arc::new(AtomicBool::new(false));
-        let cfg = SolverConfig {
-            cancel: Some(flag.clone()),
-            ..Default::default()
-        };
-        std::thread::scope(|s| {
-            let setter = s.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                flag.store(true, Ordering::Relaxed);
-            });
-            let (outcome, _, _) = solve_flat(&flat, &cfg, &[]);
-            // Either the solver finished first (fast machine) or it was
-            // cancelled; a cancelled search reports Unknown.
-            assert!(matches!(outcome, Outcome::Unknown | Outcome::Unsat));
-            setter.join().unwrap();
-        });
-    }
-
-    #[test]
     fn expired_deadline_stops_before_search() {
         use std::time::{Duration, Instant};
         let m = pigeonhole(10, 9);
@@ -2007,27 +1791,6 @@ mod tests {
             t.elapsed() < Duration::from_secs(5),
             "deadline was not observed promptly: {:?}",
             t.elapsed()
-        );
-    }
-
-    #[test]
-    fn deadline_expiry_broadcasts_into_cancel_flag() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        use std::time::{Duration, Instant};
-        let m = pigeonhole(10, 9);
-        let flat = flatten(&m);
-        let flag = Arc::new(AtomicBool::new(false));
-        let cfg = SolverConfig {
-            cancel: Some(flag.clone()),
-            deadline: Some(Instant::now() - Duration::from_millis(1)),
-            ..Default::default()
-        };
-        let (outcome, _, _) = solve_flat(&flat, &cfg, &[]);
-        assert_eq!(outcome, Outcome::Unknown);
-        assert!(
-            flag.load(Ordering::Relaxed),
-            "expiry must cancel portfolio siblings via the shared flag"
         );
     }
 }

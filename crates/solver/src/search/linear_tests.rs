@@ -9,7 +9,7 @@
 //! cases and a failure reproduces from its case number.
 
 use super::*;
-use crate::decompose::{Sequential, SolveCtx, Solver};
+use crate::decompose::{Sequential, Solver};
 use crate::expr::{Bx, Ix};
 use crate::model::{BoolId, IntId, Model};
 
@@ -142,14 +142,15 @@ fn gen_model(rng: &mut Rng) -> Model {
 #[test]
 fn dirty_schedule_takes_the_full_sweep_search_path() {
     let mut rng = Rng(0x5eed_0014);
-    // A budget both schedules exhaust at the same decision, should a case
-    // not terminate (about one random model in a thousand does not, at the
-    // parent commit too).
+    // A budget both schedules exhaust at the same decision. About one
+    // generated model in two thousand needs far more: the integer split
+    // phase enumerates a wide domain chronologically, learning nothing
+    // (0 restarts, at most 8 conflicts when the cap is hit). EXPERIMENTS.md
+    // "Solver diet" lists nine such cases.
     let cfg = SolverConfig {
         max_decisions: 20_000,
         ..SolverConfig::default()
     };
-    let ctx = SolveCtx::from_config(cfg.clone());
     let (mut guarded, mut refuted_by_guard, mut sat, mut unsat) = (0, 0, 0, 0);
     for case in 0..400 {
         let m = gen_model(&mut rng);
@@ -187,8 +188,8 @@ fn dirty_schedule_takes_the_full_sweep_search_path() {
                 .chain(m.bool_decls().map(|(id, _)| Ix::bool01(id).scale(3)))
                 .collect(),
         );
-        let (min, min_stats) = Sequential.minimize(&m, &obj, &ctx);
-        let (ref_min, ref_min_stats) = with_full_sweep(|| Sequential.minimize(&m, &obj, &ctx));
+        let (min, min_stats) = Sequential.minimize(&m, &obj, &cfg);
+        let (ref_min, ref_min_stats) = with_full_sweep(|| Sequential.minimize(&m, &obj, &cfg));
         assert_eq!(min, ref_min, "case {case}: minimum or its model");
         assert_eq!(
             path(&min_stats),
@@ -283,7 +284,7 @@ fn level0_bounds(m: &Model, full_sweep: bool) -> Option<(Vec<i64>, Vec<i64>, Sea
     let flat = flatten(m);
     let cfg = SolverConfig::default();
     let run = || {
-        let mut s = Search::new(&flat, &cfg, &[], None);
+        let mut s = Search::new(&flat, &cfg, &[]);
         s.propagate_units()
             .then(|| (s.lo.clone(), s.hi.clone(), s.stats))
     };

@@ -4,7 +4,6 @@
 //! Randomness comes from a seeded xorshift generator (the workspace builds
 //! offline with no external crates), so every run explores the identical
 //! case set — failures reproduce from the printed case index alone.
-#![allow(dead_code)] // each test binary uses a subset of these helpers
 
 use lyra_solver::{Bx, Ix, Model, Solution};
 

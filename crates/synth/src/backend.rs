@@ -3,10 +3,8 @@
 //! SMT the encoding actually emits, and reports [`lyra_solver::SearchStats`]
 //! with every verdict so the compile driver can surface solver effort.
 
-use std::sync::Arc;
-
-use lyra_solver::decompose::{Decomposed, Minimized, Portfolio, Sequential, SolveCtx, Solver};
-use lyra_solver::{ClauseStore, Ix, Model, Outcome, SearchStats, Solution, SolverConfig};
+use lyra_solver::decompose::{Decomposed, Minimized, Sequential, Solver};
+use lyra_solver::{Ix, Model, Outcome, SearchStats, Solution, SolverConfig};
 
 /// Which solver to use. Only the native solver exists today; the enum is
 /// kept (non-exhaustively) so an external SMT backend can slot in without
@@ -19,54 +17,19 @@ pub enum Backend {
     Native,
 }
 
-/// How to run the native solver: one search, or a portfolio race of
-/// diversified searches (different seeds, restart schedules, activity
-/// decay, and phase polarity — see `lyra_solver::portfolio`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Vestigial: the solver has one deterministic engine and nothing left to
+/// select. The repository's benchmark (`benchmark/src/api.rs`, which PRs
+/// may not edit) passes `SolverStrategy::default()` to
+/// [`solve_with_limits`]; that call is the only reason this type exists.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SolverStrategy {
     /// One deterministic search per solve.
+    #[default]
     Sequential,
-    /// Race diversified workers; first SAT/UNSAT verdict wins and cancels
-    /// the rest. `workers == 0` means "use the machine's available
-    /// parallelism" (see [`SolverStrategy::effective_workers`]).
-    Portfolio {
-        /// Worker count; 0 = auto.
-        workers: usize,
-    },
-}
-
-impl Default for SolverStrategy {
-    /// Portfolio with auto-sized workers — the compile path is
-    /// solve-dominated (§7.2), so racing is the default.
-    fn default() -> Self {
-        SolverStrategy::Portfolio { workers: 0 }
-    }
-}
-
-impl SolverStrategy {
-    /// Resolve the worker count this strategy actually spawns.
-    pub fn effective_workers(&self) -> usize {
-        match self {
-            SolverStrategy::Sequential => 1,
-            SolverStrategy::Portfolio { workers: 0 } => lyra_solver::portfolio::default_workers(),
-            SolverStrategy::Portfolio { workers } => *workers,
-        }
-    }
-}
-
-impl std::fmt::Display for SolverStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SolverStrategy::Sequential => write!(f, "sequential"),
-            SolverStrategy::Portfolio { workers: 0 } => write!(f, "portfolio:auto"),
-            SolverStrategy::Portfolio { workers } => write!(f, "portfolio:{workers}"),
-        }
-    }
 }
 
 /// Solve `model`, optionally minimizing `objective`. Returns the verdict
 /// together with the search statistics accumulated while reaching it.
-/// Uses the default strategy (portfolio with auto-sized workers).
 pub fn solve(model: &Model, objective: Option<&Ix>, backend: &Backend) -> (Outcome, SearchStats) {
     solve_with_hints(model, objective, backend, &[])
 }
@@ -81,30 +44,19 @@ pub fn solve_with_hints(
     backend: &Backend,
     hints: &[(lyra_solver::BoolId, bool)],
 ) -> (Outcome, SearchStats) {
-    solve_with_strategy(model, objective, backend, hints, SolverStrategy::default())
-}
-
-/// [`solve_with_hints`] under an explicit [`SolverStrategy`].
-pub fn solve_with_strategy(
-    model: &Model,
-    objective: Option<&Ix>,
-    backend: &Backend,
-    hints: &[(lyra_solver::BoolId, bool)],
-    strategy: SolverStrategy,
-) -> (Outcome, SearchStats) {
     solve_with_limits(
         model,
         objective,
         backend,
         hints,
-        strategy,
+        Default::default(),
         &SolveLimits::default(),
     )
 }
 
 /// Resource limits on one solve — the watchdog's knobs — plus the
-/// decomposition toggle and warm-start store that ride along with them
-/// into the engine's [`SolveCtx`].
+/// decomposition toggle and the integer hints that ride along with them
+/// into the engine's [`SolverConfig`].
 #[derive(Debug, Clone, Default)]
 pub struct SolveLimits {
     /// Wall-clock deadline; on expiry the search winds down with
@@ -113,15 +65,12 @@ pub struct SolveLimits {
     /// Decision budget override (`None` keeps the solver default).
     pub max_decisions: Option<u64>,
     /// Restart aggressively (short interval, slow activity decay) — the
-    /// configuration the degradation ladder uses for its sequential retry,
-    /// which tends to find *a* model quickly at the cost of proof power.
+    /// configuration the degradation ladder uses for its retry, which
+    /// tends to find *a* model quickly at the cost of proof power.
     pub aggressive_restarts: bool,
     /// Split the flattened formula into connected components and solve
     /// them independently (see `lyra_solver::decompose::Decomposed`).
     pub decomposition: bool,
-    /// Learned-clause store consulted and refreshed around each solve,
-    /// keyed by encoding fingerprint (warm-start re-solve).
-    pub warm: Option<Arc<ClauseStore>>,
     /// Integer value hints (a previous solution's entry-shard sizes): the
     /// solver branches to these values first where still feasible, so an
     /// incremental re-solve keeps table shards where the fleet already
@@ -129,11 +78,13 @@ pub struct SolveLimits {
     pub int_hints: Vec<(lyra_solver::IntId, i64)>,
 }
 
-/// [`solve_with_strategy`] under explicit [`SolveLimits`].
+/// [`solve_with_hints`] under explicit [`SolveLimits`]. The
+/// [`SolverStrategy`] is accepted and ignored (see its definition); pass
+/// `Default::default()`.
 ///
-/// A minimization truncated (deadline, decision budget, cancellation) after
-/// finding at least one model returns that model as [`Outcome::Sat`] —
-/// possibly non-optimal, which is exactly the degraded-result contract. One
+/// A minimization truncated (deadline, decision budget) after finding at
+/// least one model returns that model as [`Outcome::Sat`] — possibly
+/// non-optimal, which is exactly the degraded-result contract. One
 /// truncated before any model returns [`Outcome::Unknown`], not `Unsat`: a
 /// spent budget proves nothing.
 pub fn solve_with_limits(
@@ -141,7 +92,7 @@ pub fn solve_with_limits(
     objective: Option<&Ix>,
     backend: &Backend,
     hints: &[(lyra_solver::BoolId, bool)],
-    strategy: SolverStrategy,
+    _strategy: SolverStrategy,
     limits: &SolveLimits,
 ) -> (Outcome, SearchStats) {
     match backend {
@@ -166,22 +117,15 @@ pub fn solve_with_limits(
                 cfg.restart_interval = 32;
                 cfg.activity_decay = 0.99;
             }
-            let workers = strategy.effective_workers();
-            let engine: Box<dyn Solver> = if limits.decomposition {
-                Box::new(Decomposed { workers })
-            } else if workers <= 1 {
-                Box::new(Sequential)
+            let engine: &dyn Solver = if limits.decomposition {
+                &Decomposed
             } else {
-                Box::new(Portfolio { workers })
-            };
-            let ctx = SolveCtx {
-                config: cfg,
-                warm: limits.warm.clone(),
+                &Sequential
             };
             match objective {
-                None => engine.solve(model, &ctx),
+                None => engine.solve(model, &cfg),
                 Some(obj) => {
-                    let (res, stats) = engine.minimize(model, obj, &ctx);
+                    let (res, stats) = engine.minimize(model, obj, &cfg);
                     let outcome = match res {
                         Minimized::Optimal(sol, _) | Minimized::Truncated(Some((sol, _))) => {
                             Outcome::Sat(sol)
@@ -251,14 +195,8 @@ mod tests {
             int_hints: vec![(x, 73)],
             ..Default::default()
         };
-        let (outcome, _) = solve_with_limits(
-            &m,
-            None,
-            &Backend::Native,
-            &[],
-            SolverStrategy::Sequential,
-            &limits,
-        );
+        let (outcome, _) =
+            solve_with_limits(&m, None, &Backend::Native, &[], Default::default(), &limits);
         assert_eq!(outcome.solution().unwrap().int(x), 73);
 
         // An infeasible hint (outside the domain) must not break the solve.
@@ -266,14 +204,8 @@ mod tests {
             int_hints: vec![(x, 999)],
             ..Default::default()
         };
-        let (outcome, _) = solve_with_limits(
-            &m,
-            None,
-            &Backend::Native,
-            &[],
-            SolverStrategy::Sequential,
-            &limits,
-        );
+        let (outcome, _) =
+            solve_with_limits(&m, None, &Backend::Native, &[], Default::default(), &limits);
         assert!(outcome.solution().is_some());
     }
 

@@ -72,13 +72,6 @@ pub struct EncodeOptions {
     /// default aggregate encoding — intended for single-switch or small
     /// deployments.
     pub stage_detail: bool,
-    /// Emit lexicographic tie-breaking constraints over verified
-    /// interchangeable-switch classes (`lyra_topo::symmetry`), so the
-    /// solver never branches over placements that differ only by a
-    /// relabeling of equivalent pod switches. Sound: every solution of the
-    /// original model maps to exactly one lex-canonical representative via
-    /// a topology automorphism, so satisfiability is unchanged.
-    pub symmetry_breaking: bool,
 }
 
 /// Errors from encoding.
@@ -323,11 +316,6 @@ pub fn encode(
     // --- Per-switch resource constraints (across all algorithms) ----------
     encode_switch_resources(&mut model, &mut enc, ir, topo, opts)?;
 
-    // --- Symmetry breaking -------------------------------------------------
-    if opts.symmetry_breaking {
-        encode_symmetry_breaking(&mut model, &enc, topo, scopes, opts);
-    }
-
     // --- Objective ---------------------------------------------------------
     match &opts.objective {
         Objective::Feasible => {}
@@ -361,110 +349,6 @@ pub fn encode(
 
     enc.model = model;
     Ok(enc)
-}
-
-/// One aligned element of two interchangeable switches' variable vectors.
-enum LexElem {
-    /// A deployment-boolean pair.
-    B(lyra_solver::BoolId, lyra_solver::BoolId),
-    /// An extern entry-count pair.
-    I(lyra_solver::IntId, lyra_solver::IntId),
-}
-
-impl LexElem {
-    fn ge(&self) -> Bx {
-        match *self {
-            LexElem::B(a, b) => Bx::or(vec![Bx::var(a), Bx::not(Bx::var(b))]),
-            LexElem::I(a, b) => Ix::var(a).ge(Ix::var(b)),
-        }
-    }
-
-    fn eq(&self) -> Bx {
-        match *self {
-            LexElem::B(a, b) => Bx::iff(Bx::var(a), Bx::var(b)),
-            LexElem::I(a, b) => Ix::var(a).eq(Ix::var(b)),
-        }
-    }
-}
-
-/// Lexicographic tie-breaking over interchangeable-switch classes.
-///
-/// For every verified class `{s₁ < s₂ < … < sₙ}` (pairwise transpositions
-/// are automorphisms of the topology *and* every scope —
-/// `lyra_topo::symmetry`), require `vec(s₁) ≥lex vec(s₂) ≥lex … ≥lex
-/// vec(sₙ)` where `vec(s)` concatenates *all* of `s`'s decision variables
-/// across every algorithm (deployment booleans in `(algorithm,
-/// instruction)` order, then extern entry counts in extern order). One
-/// chain over the whole concatenated vector is essential: breaking each
-/// scope independently could demand incompatible orderings and eliminate
-/// entire solution orbits.
-///
-/// Soundness: permuting an interchangeable class maps solutions to
-/// solutions (the transpositions are automorphisms of every constraint
-/// family), and every orbit contains a lex-sorted member, so adding the
-/// chains preserves satisfiability while collapsing each orbit to its
-/// canonical representative — the solver never branches over relabelings.
-///
-/// `MaxUseOf` names a specific switch in the objective, which breaks the
-/// symmetry between that switch and its classmates; the target is removed
-/// from its class before the chains are emitted. (`MinSwitches` is
-/// class-symmetric and needs no exclusion.)
-fn encode_symmetry_breaking(
-    model: &mut Model,
-    enc: &Encoded,
-    topo: &Topology,
-    scopes: &[ResolvedScope],
-    opts: &EncodeOptions,
-) {
-    let skip: Option<SwitchId> = match &opts.objective {
-        Objective::MaxUseOf(name) => topo.find(name),
-        _ => None,
-    };
-    let vec_for = |s: SwitchId| -> (Vec<lyra_solver::BoolId>, Vec<lyra_solver::IntId>) {
-        let bools = enc
-            .instr_var
-            .iter()
-            .filter(|((_, sw, _), _)| *sw == s)
-            .map(|(_, &v)| v)
-            .collect();
-        let ints = enc
-            .extern_var
-            .iter()
-            .filter(|((_, sw), _)| *sw == s)
-            .map(|(_, &v)| v)
-            .collect();
-        (bools, ints)
-    };
-    for class in lyra_topo::interchangeable_classes(topo, scopes) {
-        let members: Vec<SwitchId> = class.into_iter().filter(|&s| Some(s) != skip).collect();
-        for pair in members.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            let (ba, ia) = vec_for(a);
-            let (bb, ib) = vec_for(b);
-            if ba.len() != bb.len() || ia.len() != ib.len() {
-                // Vectors misaligned (shouldn't happen for a verified
-                // class) — emitting nothing is always sound.
-                continue;
-            }
-            let elems: Vec<LexElem> = ba
-                .into_iter()
-                .zip(bb)
-                .map(|(x, y)| LexElem::B(x, y))
-                .chain(ia.into_iter().zip(ib).map(|(x, y)| LexElem::I(x, y)))
-                .collect();
-            let tag = format!("{}>={}", topo.switch(a).name, topo.switch(b).name);
-            let mut prefix = Bx::lit(true);
-            for (i, e) in elems.iter().enumerate() {
-                model.require(Bx::implies(prefix.clone(), e.ge()));
-                if i + 1 < elems.len() {
-                    // prefix-equal chain: pᵢ₊₁ ↔ pᵢ ∧ (aᵢ = bᵢ).
-                    let p = model.bool_var(format!("lex[{tag}][{i}]"));
-                    model.require(Bx::iff(Bx::var(p), Bx::and(vec![prefix.clone(), e.eq()])));
-                    prefix = Bx::var(p);
-                }
-            }
-        }
-    }
 }
 
 /// Per-stage assignment encoding (eqs. 13–15): for each table `t`,

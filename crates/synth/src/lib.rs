@@ -35,17 +35,15 @@ pub mod util;
 pub use backend::{Backend, SolveLimits, SolverStrategy};
 pub use encode::{encode, EncodeError, EncodeOptions, Encoded, Objective, SynthUnit};
 pub use explain::explain_infeasible;
-pub use lyra_solver::ClauseStore as SolverClauseStore;
 pub use p4::P4Options;
 pub use place::{CarriedValue, Placement, SwitchPlan};
 pub use table::{SynthAction, SynthTable, TableGroup, TableKind};
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use lyra_diag::{codes, Diagnostic};
 use lyra_ir::IrProgram;
-use lyra_solver::{ClauseStore, Outcome, SearchStats};
+use lyra_solver::{Outcome, SearchStats, Solution};
 use lyra_topo::{interchangeable_classes, ResolvedScope, SwitchId, Topology};
 
 /// Synthesis failure.
@@ -128,14 +126,14 @@ impl std::error::Error for SynthError {
 }
 
 /// Which rung of the degradation ladder produced a result, when the
-/// requested strategy could not reach a verdict inside its limits.
+/// search could not reach a verdict inside its limits.
 /// Absent (`None` on [`SynthResult::degraded`]) for a normal solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeRung {
-    /// The portfolio (or the configured strategy) timed out; a sequential
-    /// search with aggressive restarts found the placement during the
-    /// grace window. The placement satisfies every constraint but skipped
-    /// objective optimization guarantees.
+    /// The search timed out; a second search with aggressive restarts
+    /// found the placement during the grace window. The placement
+    /// satisfies every constraint but skipped objective optimization
+    /// guarantees.
     SequentialRestarts,
     /// All search rungs timed out; the placement came from greedy
     /// first-fit ([`greedy::greedy_solution`]) — whole algorithms on
@@ -199,7 +197,7 @@ pub struct SynthResult {
     /// Solver search statistics for this run.
     pub stats: SearchStats,
     /// Which degradation-ladder rung produced this result; `None` when the
-    /// requested strategy solved within its limits.
+    /// search finished within its limits.
     pub degraded: Option<DegradeRung>,
 }
 
@@ -229,48 +227,24 @@ pub fn synthesize_hinted(
     backend: &Backend,
     previous: Option<&Placement>,
 ) -> Result<SynthResult, SynthError> {
-    synthesize_full(
-        ir,
-        topo,
-        scopes,
-        opts,
-        backend,
-        SolverStrategy::default(),
-        previous,
-    )
-}
-
-/// The fully-parameterized entry point: [`synthesize_hinted`] under an
-/// explicit [`SolverStrategy`] (sequential search or a portfolio race).
-pub fn synthesize_full(
-    ir: &IrProgram,
-    topo: &Topology,
-    scopes: &[ResolvedScope],
-    opts: &EncodeOptions,
-    backend: &Backend,
-    strategy: SolverStrategy,
-    previous: Option<&Placement>,
-) -> Result<SynthResult, SynthError> {
     synthesize_limited(
         ir,
         topo,
         scopes,
         opts,
         backend,
-        strategy,
         previous,
         &SynthLimits::default(),
     )
     .map(|(result, _route)| result)
 }
 
-/// Watchdog limits on a synthesis run, plus the scale accelerations
-/// (quotient decomposition and warm-start clause reuse) that ride along
-/// into the solver.
+/// Watchdog limits on a synthesis run, plus the decomposition toggle that
+/// rides along into the solver.
 #[derive(Debug, Clone, Default)]
 pub struct SynthLimits {
-    /// Wall-clock deadline for the *requested* strategy. Expiry does not
-    /// fail the compile: the degradation ladder runs instead.
+    /// Wall-clock deadline for the first search. Expiry does not fail the
+    /// compile: the degradation ladder runs instead.
     pub deadline: Option<std::time::Instant>,
     /// Decision budget per search (overrides the solver default).
     pub max_decisions: Option<u64>,
@@ -284,90 +258,52 @@ pub struct SynthLimits {
     /// the monolithic solve on any mismatch. Also enables
     /// connected-component splitting inside the solver.
     pub decomposition: bool,
-    /// Learned-clause store shared across synthesis runs (warm-start
-    /// re-solve), keyed by encoding fingerprint so stale clauses never
-    /// replay.
-    pub warm: Option<Arc<ClauseStore>>,
 }
 
-/// One typed bundle of every solver-configuration knob: strategy, watchdog
-/// limits, and the datacenter-scale accelerations (symmetry breaking,
-/// decomposition, warm start). This is the single public entry point for
-/// configuring how placements are solved — `CompileRequest::with_solve_profile`
-/// in the driver, `--solve-profile` in `lyrac`.
+/// One typed bundle of every solver-configuration knob: the watchdog
+/// limits and the decomposition toggle. This is the single public entry
+/// point for configuring how placements are solved —
+/// `CompileRequest::with_solve_profile` in the driver, `--solve-profile` in
+/// `lyrac`. Every profile runs the same deterministic search: the same
+/// request under the same profile yields the same placement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolveProfile {
-    /// How to run the solver (one search or a portfolio race).
-    pub strategy: SolverStrategy,
     /// Wall-clock budget for the solve phase; expiry triggers the
     /// degradation ladder rather than a failure.
     pub deadline: Option<std::time::Duration>,
     /// Decision budget per search (overrides the solver default).
     pub decision_budget: Option<u64>,
-    /// Emit lexicographic tie-breaking constraints over interchangeable
-    /// switches (see `lyra_topo::symmetry`).
-    pub symmetry_breaking: bool,
     /// Solve per-pod quotient subproblems and replicate, with verified
-    /// stitching and monolithic fallback.
+    /// stitching and monolithic fallback; split the formula into its
+    /// connected components inside the solver.
     pub decomposition: bool,
-    /// Persist learned clauses and variable activity across solves of the
-    /// same encoding (incremental re-solve after faults).
-    pub warm_start: bool,
 }
 
 impl Default for SolveProfile {
-    /// The balanced default: portfolio race with every scale acceleration
-    /// enabled.
+    /// No limits, decomposition on.
     fn default() -> Self {
         SolveProfile {
-            strategy: SolverStrategy::default(),
             deadline: None,
             decision_budget: None,
-            symmetry_breaking: true,
             decomposition: true,
-            warm_start: true,
         }
     }
 }
 
 impl SolveProfile {
-    /// Lowest-latency preset: one sequential search with every scale
-    /// acceleration on. Best for small problems and tight compile loops
-    /// where portfolio spawn overhead dominates.
-    pub fn fast() -> Self {
-        SolveProfile {
-            strategy: SolverStrategy::Sequential,
-            ..SolveProfile::default()
-        }
-    }
-
-    /// Reference preset: a monolithic portfolio race with symmetry
-    /// breaking, decomposition, and warm start all *disabled* — the
-    /// encoding the accelerations are differentially tested against.
+    /// Reference preset: one monolithic search, decomposition *disabled* —
+    /// what the decomposed routes are differentially tested against.
     pub fn thorough() -> Self {
         SolveProfile {
-            strategy: SolverStrategy::Portfolio { workers: 0 },
-            deadline: None,
-            decision_budget: None,
-            symmetry_breaking: false,
             decomposition: false,
-            warm_start: false,
+            ..SolveProfile::default()
         }
     }
 
     /// The default profile under a wall-clock deadline (the degradation
     /// ladder runs on expiry).
     pub fn deadline(d: std::time::Duration) -> Self {
-        SolveProfile {
-            deadline: Some(d),
-            ..SolveProfile::default()
-        }
-    }
-
-    /// Replace the solver strategy.
-    pub fn with_strategy(mut self, strategy: SolverStrategy) -> Self {
-        self.strategy = strategy;
-        self
+        SolveProfile::default().with_deadline(d)
     }
 
     /// Set the wall-clock deadline.
@@ -382,21 +318,9 @@ impl SolveProfile {
         self
     }
 
-    /// Toggle symmetry breaking.
-    pub fn with_symmetry_breaking(mut self, on: bool) -> Self {
-        self.symmetry_breaking = on;
-        self
-    }
-
     /// Toggle quotient/component decomposition.
     pub fn with_decomposition(mut self, on: bool) -> Self {
         self.decomposition = on;
-        self
-    }
-
-    /// Toggle warm-start clause reuse.
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
         self
     }
 }
@@ -410,11 +334,12 @@ impl SynthLimits {
     }
 }
 
-/// [`synthesize_full`] under [`SynthLimits`], with graceful degradation.
+/// [`synthesize_hinted`] under [`SynthLimits`], with graceful degradation.
 /// Also reports the [`SolveRoute`] that produced the placement.
 ///
-/// Three routes are tried in order, and each is accepted only by
-/// [`Solution::satisfies`](lyra_solver::Solution::satisfies) on the full model:
+/// The problem is encoded **once**. Three routes are then tried in order,
+/// and each is accepted only by
+/// [`Solution::satisfies`](lyra_solver::Solution::satisfies) on that model:
 ///
 /// 1. **carry-over** — a previous placement under [`Objective::Feasible`]
 ///    is lifted onto the new encoding ([`place::lift_placement`]) and, if
@@ -427,12 +352,12 @@ impl SynthLimits {
 /// 3. **monolithic** — the solver on the full model, hinted with the
 ///    previous placement when there is one, under the degradation ladder.
 ///
-/// The ladder encodes the program **once**; on [`Outcome::Unknown`] from
-/// the requested strategy it walks down on the same model:
+/// On [`Outcome::Unknown`] from the first search the ladder walks down on
+/// the same model:
 ///
-/// 1. the requested strategy (portfolio by default) under the deadline;
-/// 2. one sequential search with aggressive restarts, given `grace` extra
-///    wall-clock — fast at finding *a* model, no optimality;
+/// 1. the search under the deadline and decision budget;
+/// 2. one search with aggressive restarts, given `grace` extra wall-clock —
+///    fast at finding *a* model, no optimality;
 /// 3. greedy first-fit placement (no search at all).
 ///
 /// A result produced by rung 2 or 3 carries [`SynthResult::degraded`] so
@@ -440,17 +365,29 @@ impl SynthLimits {
 /// or 2 is a genuine refutation and still fails with
 /// [`SynthError::Infeasible`]; only when every rung is exhausted does the
 /// compile fail with [`SynthError::BudgetExhausted`].
-#[allow(clippy::too_many_arguments)]
 pub fn synthesize_limited(
     ir: &IrProgram,
     topo: &Topology,
     scopes: &[ResolvedScope],
     opts: &EncodeOptions,
     backend: &Backend,
-    strategy: SolverStrategy,
     previous: Option<&Placement>,
     limits: &SynthLimits,
 ) -> Result<(SynthResult, SolveRoute), SynthError> {
+    let enc = encode(ir, topo, scopes, opts).map_err(SynthError::Encode)?;
+    let finish = |enc: Encoded, sol: &Solution, stats, degraded, route| {
+        let placement = place::extract(&enc, ir, topo, sol);
+        Ok((
+            SynthResult {
+                placement,
+                encoded: enc,
+                stats,
+                degraded,
+            },
+            route,
+        ))
+    };
+
     // Route order: carry-over, quotient, monolithic ladder. The first two
     // can only ever *add* a faster way to an answer the third would also
     // accept: each builds a candidate assignment without searching the
@@ -465,39 +402,39 @@ pub fn synthesize_limited(
     // the prior placement. It ignores the deadline — it does no search.
     // Per-stage detail variables are not in `Encoded`'s maps, so a lift
     // could never verify with them.
-    let carried = previous
-        .filter(|_| opts.objective == Objective::Feasible && !opts.stage_detail)
-        .and_then(|prev| try_carry_over(ir, topo, scopes, opts, prev));
-    if let Some(res) = carried {
-        return Ok((res, SolveRoute::CarriedOver));
+    let plain = opts.objective == Objective::Feasible && !opts.stage_detail;
+    if let Some(prev) = previous.filter(|_| plain) {
+        let sol = place::lift_placement(&enc, topo, prev);
+        if sol.satisfies(&enc.model) {
+            let stats = SearchStats::default();
+            return finish(enc, &sol, stats, None, SolveRoute::CarriedOver);
+        }
     }
 
     // The quotient route is for cold compiles: a previous placement that
     // did not carry over (a program edit, an objective) is better served
     // by the hinted search below than by per-class-uniform replication.
-    let mut quotient_stats = SearchStats::default();
+    // Effort a failed attempt spent is carried into the monolithic run's
+    // totals, so reporting stays honest.
+    let mut total = SearchStats::default();
     if limits.decomposition
         && previous.is_none()
-        && !opts.stage_detail
-        && opts.objective == Objective::Feasible
+        && plain
         && scopes
             .iter()
             .any(|s| s.deploy == lyra_lang::DeployMode::MultiSwitch)
     {
         let classes = interchangeable_classes(topo, scopes);
         if !classes.is_empty() {
-            let (result, stats) =
-                try_quotient(ir, topo, scopes, opts, backend, strategy, limits, &classes);
-            match result {
-                Some(res) => return Ok((res, SolveRoute::Quotient)),
-                // Carry any effort the failed attempt spent into the
-                // monolithic run's totals, so reporting stays honest.
-                None => quotient_stats = stats,
+            let (sol, stats) =
+                try_quotient(&enc, ir, topo, scopes, opts, backend, limits, &classes);
+            if let Some(sol) = sol {
+                return finish(enc, &sol, stats, None, SolveRoute::Quotient);
             }
+            total = stats;
         }
     }
 
-    let enc = encode(ir, topo, scopes, opts).map_err(SynthError::Encode)?;
     // Stability hints for the search: the previous placement's deployment
     // booleans as phase hints and its per-switch entry shard sizes as
     // integer value hints, keyed to this encoding's variables. The solver
@@ -517,38 +454,24 @@ pub fn synthesize_limited(
         );
     }
 
-    // Rung 1: the requested strategy under the configured limits.
-    let mut total = quotient_stats;
+    // Rung 1: the search under the configured limits.
     let (outcome, stats) = backend::solve_with_limits(
         &enc.model,
         enc.objective.as_ref(),
         backend,
         &hints,
-        strategy,
+        Default::default(),
         &backend::SolveLimits {
             deadline: limits.deadline,
             max_decisions: limits.max_decisions,
             aggressive_restarts: false,
             decomposition: limits.decomposition,
-            warm: limits.warm.clone(),
             int_hints: int_hints.clone(),
         },
     );
     total.absorb(stats);
-    let finish = |enc: Encoded, sol, total, degraded| {
-        let placement = place::extract(&enc, ir, topo, &sol);
-        Ok((
-            SynthResult {
-                placement,
-                encoded: enc,
-                stats: total,
-                degraded,
-            },
-            SolveRoute::Monolithic,
-        ))
-    };
     match outcome {
-        Outcome::Sat(sol) => return finish(enc, sol, total, None),
+        Outcome::Sat(sol) => return finish(enc, &sol, total, None, SolveRoute::Monolithic),
         Outcome::Unsat => {
             return Err(SynthError::Infeasible {
                 diagnostics: explain::explain_infeasible(&enc, ir, topo, opts),
@@ -563,27 +486,27 @@ pub fn synthesize_limited(
         Outcome::Unknown => {}
     }
 
-    // Rung 2: sequential, aggressive restarts, grace window.
+    // Rung 2: aggressive restarts, grace window.
     if !limits.grace.is_zero() {
         let (outcome, stats) = backend::solve_with_limits(
             &enc.model,
             enc.objective.as_ref(),
             backend,
             &hints,
-            SolverStrategy::Sequential,
+            Default::default(),
             &backend::SolveLimits {
                 deadline: Some(std::time::Instant::now() + limits.grace),
                 max_decisions: None,
                 aggressive_restarts: true,
                 decomposition: false,
-                warm: limits.warm.clone(),
-                int_hints: int_hints.clone(),
+                int_hints,
             },
         );
         total.absorb(stats);
         match outcome {
             Outcome::Sat(sol) => {
-                return finish(enc, sol, total, Some(DegradeRung::SequentialRestarts))
+                let rung = Some(DegradeRung::SequentialRestarts);
+                return finish(enc, &sol, total, rung, SolveRoute::Monolithic);
             }
             Outcome::Unsat => {
                 return Err(SynthError::Infeasible {
@@ -597,60 +520,21 @@ pub fn synthesize_limited(
 
     // Rung 3: no search at all.
     match greedy::greedy_solution(&enc, ir, topo) {
-        Ok(sol) => finish(enc, sol, total, Some(DegradeRung::GreedyFirstFit)),
+        Ok(sol) => {
+            let rung = Some(DegradeRung::GreedyFirstFit);
+            finish(enc, &sol, total, rung, SolveRoute::Monolithic)
+        }
         // Greedy failing is not a refutation — a real solver run might
         // still succeed by splitting algorithms — so report exhaustion.
         Err(_) => Err(SynthError::BudgetExhausted { stats: total }),
     }
 }
 
-/// The full-model encoding the search-free routes verify against: symmetry
-/// chains off, because the lex tie-breaking prefixes are internal to the
-/// monolithic encoding (not recorded in [`Encoded`]'s maps, so no lift
-/// could populate them) and a carried-over or replicated placement need
-/// not be the lex-canonical member of its orbit.
-fn encode_unchained(
-    ir: &IrProgram,
-    topo: &Topology,
-    scopes: &[ResolvedScope],
-    opts: &EncodeOptions,
-) -> Option<Encoded> {
-    let mut opts = opts.clone();
-    opts.symmetry_breaking = false;
-    encode(ir, topo, scopes, &opts).ok()
-}
-
-/// Carry-over: lift `previous` onto the encoding of the new problem and
-/// keep it if — and only if — it satisfies the whole model. `None` on any
-/// miss (an encoding error, a constraint or an integer bound violated);
-/// the caller then solves as if this route did not exist, at the cost of
-/// one encode.
-fn try_carry_over(
-    ir: &IrProgram,
-    topo: &Topology,
-    scopes: &[ResolvedScope],
-    opts: &EncodeOptions,
-    previous: &Placement,
-) -> Option<SynthResult> {
-    let enc = encode_unchained(ir, topo, scopes, opts)?;
-    let sol = place::lift_placement(&enc, topo, previous);
-    // The load-bearing check, as in `try_quotient`.
-    if !sol.satisfies(&enc.model) {
-        return None;
-    }
-    Some(SynthResult {
-        placement: place::extract(&enc, ir, topo, &sol),
-        encoded: enc,
-        stats: SearchStats::default(),
-        degraded: None,
-    })
-}
-
 /// Quotient solving: collapse every interchangeable-switch class to its
 /// smallest member, solve the (much smaller) quotient encoding, replicate
 /// the representative's placement onto every class member
-/// ([`place::lift`]), and verify the lifted solution against the *full*
-/// encoding with
+/// ([`place::lift`]), and verify the lifted solution against the encoding
+/// of the whole problem, `full`, with
 /// [`Solution::satisfies`](lyra_solver::Solution::satisfies). Returns
 /// `(None, effort)` whenever anything disqualifies the attempt — the caller
 /// falls back to the monolithic solve, so this path never changes what is
@@ -663,20 +547,17 @@ fn try_carry_over(
 /// to pass: verified transpositions map constraints to constraints, so a
 /// per-class-constant assignment satisfying the quotient constraints
 /// satisfies the full path/resource families too.
-///
-/// Both models encode with symmetry breaking *off* ([`encode_unchained`]);
-/// the quotient has already collapsed the orbits lex ordering would prune.
 #[allow(clippy::too_many_arguments)]
 fn try_quotient(
+    full: &Encoded,
     ir: &IrProgram,
     topo: &Topology,
     scopes: &[ResolvedScope],
     opts: &EncodeOptions,
     backend: &Backend,
-    strategy: SolverStrategy,
     limits: &SynthLimits,
     classes: &[Vec<SwitchId>],
-) -> (Option<SynthResult>, SearchStats) {
+) -> (Option<Solution>, SearchStats) {
     let mut rep_map: BTreeMap<SwitchId, SwitchId> = BTreeMap::new();
     for class in classes {
         let r = class[0]; // classes are sorted; the smallest id represents
@@ -721,10 +602,7 @@ fn try_quotient(
         return (None, SearchStats::default()); // quotient is no smaller
     }
 
-    let Some(full) = encode_unchained(ir, topo, scopes, opts) else {
-        return (None, SearchStats::default());
-    };
-    let Some(q_enc) = encode_unchained(ir, topo, &q_scopes, opts) else {
+    let Ok(q_enc) = encode(ir, topo, &q_scopes, opts) else {
         return (None, SearchStats::default());
     };
 
@@ -733,13 +611,12 @@ fn try_quotient(
         None,
         backend,
         &[],
-        strategy,
+        Default::default(),
         &backend::SolveLimits {
             deadline: limits.deadline,
             max_decisions: limits.max_decisions,
             aggressive_restarts: false,
             decomposition: true,
-            warm: limits.warm.clone(),
             int_hints: Vec::new(),
         },
     );
@@ -754,7 +631,7 @@ fn try_quotient(
     // hosts as many entries; anything unmapped hosts nothing and is caught
     // by the verification below.
     let sol = place::lift(
-        &full,
+        full,
         |alg, sw, instr| {
             q_enc
                 .instr_var
@@ -770,19 +647,8 @@ fn try_quotient(
     );
     // The load-bearing check: the replicated assignment must satisfy every
     // constraint of the full encoding, or the quotient result is discarded.
-    if !sol.satisfies(&full.model) {
-        return (None, stats);
-    }
-    let placement = place::extract(&full, ir, topo, &sol);
-    (
-        Some(SynthResult {
-            placement,
-            encoded: full,
-            stats,
-            degraded: None,
-        }),
-        SearchStats::default(),
-    )
+    let verified = sol.satisfies(&full.model);
+    (verified.then_some(sol), stats)
 }
 
 #[cfg(test)]
@@ -970,7 +836,6 @@ mod tests {
             &scopes,
             &EncodeOptions::default(),
             &Backend::Native,
-            SolverStrategy::Sequential,
             None,
             &limits,
         )
@@ -1002,7 +867,6 @@ mod tests {
             &scopes,
             &EncodeOptions::default(),
             &Backend::Native,
-            SolverStrategy::Sequential,
             None,
             &limits,
         )
@@ -1013,7 +877,7 @@ mod tests {
         assert_eq!(res.degraded, Some(DegradeRung::SequentialRestarts));
     }
 
-    /// `synthesize_limited` with default options, strategy and limits.
+    /// `synthesize_limited` with default limits.
     fn resynthesize(
         setup: &(IrProgram, Topology, Vec<ResolvedScope>),
         opts: &EncodeOptions,
@@ -1026,7 +890,6 @@ mod tests {
             scopes,
             opts,
             &Backend::Native,
-            SolverStrategy::Sequential,
             Some(previous),
             &SynthLimits::default(),
         )

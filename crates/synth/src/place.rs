@@ -110,8 +110,8 @@ fn valid_tables(unit: &SynthUnit, deployed: impl Fn(InstrId) -> bool) -> Vec<boo
 /// table's member instructions, `used[s]` the OR of the switch's
 /// instructions, `depth[s][t]` the longest chain over valid `depends_on`
 /// ([`TableGroup::chain_depths`](crate::TableGroup::chain_depths)).
-/// Variables `enc` keeps no map for (symmetry-chain prefixes, per-stage
-/// detail) stay at `false` / their lower bound.
+/// Variables `enc` keeps no map for (per-stage detail) stay at `false` /
+/// their lower bound.
 ///
 /// The result is a *candidate*: it satisfies the model exactly when the
 /// choice is a feasible placement, and callers must check

@@ -26,8 +26,8 @@ use lyra_lang::{parse_scopes, DeployMode};
 use lyra_solver::SearchStats;
 use lyra_synth::place::{extract, lift_placement};
 use lyra_synth::{
-    encode, synthesize_limited, Backend, EncodeOptions, Placement, SolveRoute, SolverStrategy,
-    SynthLimits, SynthResult,
+    encode, synthesize_limited, Backend, EncodeOptions, Placement, SolveRoute, SynthLimits,
+    SynthResult,
 };
 use lyra_topo::{
     fat_tree_pod, figure1_network, resolve_scope, resolve_scope_degraded, scope_health, FaultSet,
@@ -146,7 +146,6 @@ fn synthesize(
         scopes,
         &EncodeOptions::default(),
         &Backend::Native,
-        SolverStrategy::Sequential,
         previous,
         &limits,
     )

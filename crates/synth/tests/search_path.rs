@@ -5,9 +5,8 @@
 //! propagation with a full-sweep reference that exists only under its
 //! `cfg(test)`, so it cannot be pointed at encodings this crate builds.
 //! These six are checked against the counts the full-sweep solver produced
-//! on them (one sequential search, symmetry chains on and off), recorded at
-//! the commit before the schedule changed. The sequential search is
-//! deterministic, so any difference is a changed search path: decisions,
+//! on them, recorded at the commit before the schedule changed. The search
+//! is deterministic, so any difference is a changed search path: decisions,
 //! propagations, conflicts and learned clauses all have to agree. A change
 //! that *means* to alter the search re-records the table.
 //!
@@ -16,7 +15,7 @@
 use lyra_apps::programs;
 use lyra_solver::{Outcome, SearchStats};
 use lyra_synth::backend::{solve_with_limits, SolveLimits};
-use lyra_synth::{encode, Backend, EncodeOptions, Encoded, Objective, SolverStrategy};
+use lyra_synth::{encode, Backend, EncodeOptions, Encoded, Objective};
 use lyra_topo::{fat_tree_pod, figure1_network, resolve_scope, Topology};
 
 const FIG1_SCOPES: &str =
@@ -41,13 +40,7 @@ fn pod(k: usize) -> Topology {
     fat_tree_pod(k, "tofino-32q", "trident4")
 }
 
-fn encoded(
-    program: &str,
-    scopes: &str,
-    topo: &Topology,
-    objective: Objective,
-    chains: bool,
-) -> Encoded {
+fn encoded(program: &str, scopes: &str, topo: &Topology, objective: Objective) -> Encoded {
     let ast = lyra_lang::parse_program(program).expect("program parses");
     let ir = lyra_ir::frontend_ast(&ast).expect("program lowers");
     let scopes: Vec<_> = lyra_lang::parse_scopes(scopes)
@@ -57,19 +50,18 @@ fn encoded(
         .collect();
     let opts = EncodeOptions {
         objective,
-        symmetry_breaking: chains,
         ..EncodeOptions::default()
     };
     encode(&ir, topo, &scopes, &opts).expect("instance encodes")
 }
 
-fn solve_sequential(enc: &Encoded, limits: &SolveLimits) -> (Outcome, SearchStats) {
+fn solve(enc: &Encoded, limits: &SolveLimits) -> (Outcome, SearchStats) {
     solve_with_limits(
         &enc.model,
         enc.objective.as_ref(),
         &Backend::Native,
         &[],
-        SolverStrategy::Sequential,
+        Default::default(),
         limits,
     )
 }
@@ -80,12 +72,11 @@ fn netcache_k8(objective: Objective) -> Encoded {
         &pod_scopes("netcache", 8),
         &pod(8),
         objective,
-        true,
     )
 }
 
 /// One `compile_tight` instance and the full-sweep solver's counts on it,
-/// as `[decisions, propagations, conflicts, learned]`, chains on then off.
+/// as `[decisions, propagations, conflicts, learned]`.
 struct Pinned {
     name: &'static str,
     program: String,
@@ -93,7 +84,7 @@ struct Pinned {
     topo: Topology,
     objective: Objective,
     sat: bool,
-    counts: [[u64; 4]; 2],
+    counts: [u64; 4],
 }
 
 fn lb_pod(
@@ -102,7 +93,7 @@ fn lb_pod(
     k: usize,
     objective: Objective,
     sat: bool,
-    counts: [[u64; 4]; 2],
+    counts: [u64; 4],
 ) -> Pinned {
     Pinned {
         name,
@@ -125,7 +116,7 @@ fn compile_tight() -> Vec<Pinned> {
             topo: figure1_network(),
             objective: Feasible,
             sat: true,
-            counts: [[174, 1576, 70, 70], [179, 1309, 74, 74]],
+            counts: [179, 1309, 74, 74],
         },
         lb_pod(
             "LB[5500000] MULTI-SW k=8",
@@ -133,7 +124,7 @@ fn compile_tight() -> Vec<Pinned> {
             8,
             Feasible,
             true,
-            [[374, 3801, 137, 137], [358, 2928, 146, 146]],
+            [358, 2928, 146, 146],
         ),
         lb_pod(
             "LB[6000000] MULTI-SW k=8",
@@ -141,7 +132,7 @@ fn compile_tight() -> Vec<Pinned> {
             8,
             Feasible,
             false,
-            [[15, 2823, 16, 15], [30, 2326, 31, 30]],
+            [30, 2326, 31, 30],
         ),
         lb_pod(
             "LB[3000000] MULTI-SW k=6 min-switches",
@@ -149,7 +140,7 @@ fn compile_tight() -> Vec<Pinned> {
             6,
             MinSwitches,
             true,
-            [[172, 4245, 136, 135], [231, 4101, 154, 153]],
+            [231, 4101, 154, 153],
         ),
         lb_pod(
             "LB[5500000] MULTI-SW k=4 min-switches",
@@ -157,7 +148,7 @@ fn compile_tight() -> Vec<Pinned> {
             4,
             MinSwitches,
             true,
-            [[175, 2319, 80, 79], [178, 1945, 85, 84]],
+            [178, 1945, 85, 84],
         ),
         Pinned {
             name: "NetCache MULTI-SW k=8 min-switches",
@@ -166,7 +157,7 @@ fn compile_tight() -> Vec<Pinned> {
             topo: pod(8),
             objective: MinSwitches,
             sat: true,
-            counts: [[1338, 48241, 16, 15], [1341, 38423, 16, 15]],
+            counts: [1341, 38423, 16, 15],
         },
     ]
 }
@@ -174,51 +165,46 @@ fn compile_tight() -> Vec<Pinned> {
 #[test]
 fn compile_tight_search_paths_match_the_full_sweep_solver() {
     for inst in compile_tight() {
-        for (chains, want) in [true, false].into_iter().zip(inst.counts) {
-            let enc = encoded(
-                &inst.program,
-                &inst.scopes,
-                &inst.topo,
-                inst.objective.clone(),
-                chains,
-            );
-            let (outcome, stats) = solve_sequential(&enc, &SolveLimits::default());
-            let what = format!("{} chains={chains}", inst.name);
-            match &outcome {
-                Outcome::Sat(sol) => {
-                    assert!(inst.sat, "{what}: expected a refutation");
-                    assert!(sol.satisfies(&enc.model), "{what}: non-model");
-                }
-                Outcome::Unsat => assert!(!inst.sat, "{what}: expected a model"),
-                Outcome::Unknown => panic!("{what}: no verdict"),
+        let enc = encoded(
+            &inst.program,
+            &inst.scopes,
+            &inst.topo,
+            inst.objective.clone(),
+        );
+        let (outcome, stats) = solve(&enc, &SolveLimits::default());
+        let what = inst.name;
+        match &outcome {
+            Outcome::Sat(sol) => {
+                assert!(inst.sat, "{what}: expected a refutation");
+                assert!(sol.satisfies(&enc.model), "{what}: non-model");
             }
-            assert_eq!(
-                [
-                    stats.decisions,
-                    stats.propagations,
-                    stats.conflicts,
-                    stats.learned
-                ],
-                want,
-                "{what}: search path moved ({stats:?})"
-            );
-            // Creep is gone by count. The full sweep made 60 M constraint
-            // visits on LB 5.5M k=4 and 114 per propagation on NetCache;
-            // the worst of the twelve now is LB 5.5M k=8 with chains, at
-            // seven per propagation, six of its calls ending in the guard.
+            Outcome::Unsat => assert!(!inst.sat, "{what}: expected a model"),
+            Outcome::Unknown => panic!("{what}: no verdict"),
+        }
+        assert_eq!(
+            [
+                stats.decisions,
+                stats.propagations,
+                stats.conflicts,
+                stats.learned
+            ],
+            inst.counts,
+            "{what}: search path moved ({stats:?})"
+        );
+        // Creep is gone by count. The full sweep made 60 M constraint
+        // visits on LB 5.5M k=4 and 114 per propagation on NetCache.
+        assert!(
+            stats.linear_visits <= 50_000,
+            "{what}: {} linear visits",
+            stats.linear_visits
+        );
+        if inst.name.starts_with("NetCache") {
             assert!(
-                stats.linear_visits <= 50_000,
-                "{what}: {} linear visits",
-                stats.linear_visits
+                stats.linear_visits <= 2 * stats.propagations,
+                "{what}: {} visits for {} propagations",
+                stats.linear_visits,
+                stats.propagations
             );
-            if inst.name.starts_with("NetCache") {
-                assert!(
-                    stats.linear_visits <= 2 * stats.propagations,
-                    "{what}: {} visits for {} propagations",
-                    stats.linear_visits,
-                    stats.propagations
-                );
-            }
         }
     }
 }
@@ -235,10 +221,10 @@ fn spent_decision_budget_is_unknown_with_or_without_an_objective() {
     };
     for objective in [Objective::Feasible, Objective::MinSwitches] {
         let enc = netcache_k8(objective.clone());
-        let (outcome, stats) = solve_sequential(&enc, &limits);
+        let (outcome, stats) = solve(&enc, &limits);
         assert_eq!(outcome, Outcome::Unknown, "{objective:?}: {stats:?}");
         // With room to search, the same encoding has a model.
-        let (outcome, _) = solve_sequential(&enc, &SolveLimits::default());
+        let (outcome, _) = solve(&enc, &SolveLimits::default());
         assert!(outcome.is_sat(), "{objective:?}");
     }
 }

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use lyra::{
     replay_compiled, replay_interpreted, replay_under_rollout, CompileRequest, Compiler, FaultSet,
-    LossyChannel, ReplayConfig, RolloutConfig, Runtime, SolveProfile,
+    LossyChannel, ReplayConfig, RolloutConfig, Runtime,
 };
 use lyra_ir::{
     execute_all, frontend, CompiledAlgorithm, DataPlaneState, GlobalAccess, GlobalOverlay,
@@ -476,7 +476,7 @@ const LB: &str = r#"
 const LB_SCOPES: &str = "loadbalancer: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]";
 
 fn lb_request() -> CompileRequest<'static> {
-    CompileRequest::new(LB, LB_SCOPES, figure1_network()).with_solve_profile(SolveProfile::fast())
+    CompileRequest::new(LB, LB_SCOPES, figure1_network())
 }
 
 /// Deployment-level differential: replaying the compiled MULTI-SW

@@ -1,11 +1,10 @@
 //! Differential testing of the datacenter-scale solve path: the default
-//! accelerated profile (symmetry breaking + scope decomposition + warm
-//! start) against the monolithic reference profile
-//! (`SolveProfile::thorough`, every acceleration off) on seeded random
-//! MULTI-SW placement problems over fat-tree pods.
+//! profile (quotient route + connected-component splitting) against the
+//! monolithic reference profile (`SolveProfile::thorough`, decomposition
+//! off) on seeded random MULTI-SW placement problems over fat-tree pods.
 //!
-//! The accelerations are pure solver optimizations — they must never flip
-//! a verdict. Every case compiles the same program, scopes, and topology
+//! Decomposition is a pure solver optimization — it must never flip a
+//! verdict. Every case compiles the same program, scopes, and topology
 //! under both profiles and asserts SAT/UNSAT (compiles vs infeasible)
 //! agreement, plus placement sanity when both succeed.
 //!
@@ -13,7 +12,7 @@
 //! offline with no external crates), so every run explores the identical
 //! case set and failures reproduce from the printed case index.
 
-use lyra::{CompileError, CompileOutput, CompileRequest, Compiler, SolveProfile, SolverStrategy};
+use lyra::{CompileError, CompileOutput, CompileRequest, Compiler, SolveProfile};
 use lyra_topo::fat_tree_pod;
 
 /// Deterministic xorshift64* PRNG.
@@ -138,7 +137,7 @@ fn compile(case: usize, program: &str, scopes: &str, k: usize, profile: SolvePro
     }
 }
 
-/// The accelerated default profile and the monolithic reference agree on
+/// The default (decomposing) profile and the monolithic reference agree on
 /// every verdict over ≥200 seeded fat-tree instances (k=4 and k=8).
 #[test]
 fn accelerated_profile_agrees_with_monolithic_reference() {
@@ -150,18 +149,10 @@ fn accelerated_profile_agrees_with_monolithic_reference() {
         let k = if case % 8 == 7 { 8 } else { 4 };
         let program = gen_program(&mut rng);
         let scopes = pod_scopes(k);
-        // Sequential on both sides: the diff isolates the accelerations
-        // (symmetry breaking, decomposition, warm start), not race timing.
-        let fast = compile(case, &program, &scopes, k, SolveProfile::fast());
-        let reference = compile(
-            case,
-            &program,
-            &scopes,
-            k,
-            SolveProfile::thorough().with_strategy(SolverStrategy::Sequential),
-        );
+        let default = compile(case, &program, &scopes, k, SolveProfile::default());
+        let reference = compile(case, &program, &scopes, k, SolveProfile::thorough());
         cases_run += 1;
-        match (fast, reference) {
+        match (default, reference) {
             (Verdict::Placed(a), Verdict::Placed(b)) => {
                 placed += 1;
                 for out in [&a, &b] {
@@ -192,11 +183,11 @@ fn accelerated_profile_agrees_with_monolithic_reference() {
             }
             (Verdict::Infeasible, Verdict::Infeasible) => infeasible += 1,
             (Verdict::Placed(_), Verdict::Infeasible) => panic!(
-                "case {case} (k={k}): accelerated profile placed what the \
+                "case {case} (k={k}): the default profile placed what the \
                  monolithic reference calls infeasible\n{program}"
             ),
             (Verdict::Infeasible, Verdict::Placed(_)) => {
-                panic!("case {case} (k={k}): accelerations lost a feasible placement\n{program}")
+                panic!("case {case} (k={k}): decomposition lost a feasible placement\n{program}")
             }
         }
     }

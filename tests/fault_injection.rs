@@ -174,8 +174,7 @@ fn check_paths(
 #[test]
 fn failover_recompilation_preserves_semantics_across_200_scenarios() {
     let compiler = Compiler::new();
-    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
     let prior = compiler.compile(&req).expect("healthy compile");
     let mut rng = Rng::new(0xfau64 * 0x1_0001);
 
@@ -241,8 +240,7 @@ fn failover_recompilation_preserves_semantics_across_200_scenarios() {
 /// the model rejects (greedy checks coarse capacity only).
 #[test]
 fn objective_edit_and_greedy_prior_do_not_carry_over() {
-    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
     let faults = FaultSet::new().with_switch("Agg3");
 
     let compiler = Compiler::new().with_objective(Objective::MinSwitches);
@@ -257,8 +255,7 @@ fn objective_edit_and_greedy_prior_do_not_carry_over() {
     let prior = compiler.compile(&req).expect("healthy compile");
     let edited = LB.replace("copy_to_cpu();", "copy_to_cpu(); ipv4.ttl = 64;");
     assert_ne!(edited, LB, "the edit must apply");
-    let edited_req = CompileRequest::new(&edited, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let edited_req = CompileRequest::new(&edited, LB_SCOPES, figure1_network());
     let out = compiler
         .compile_incremental(&edited_req, &prior.placement)
         .expect("incremental compile of the edit");
@@ -295,14 +292,12 @@ fn objective_edit_and_greedy_prior_do_not_carry_over() {
         &resolved,
         &lyra_synth::EncodeOptions::default(),
         &lyra_synth::Backend::Native,
-        lyra_synth::SolverStrategy::Sequential,
         None,
         &expired,
     )
     .expect("greedy rung answers");
     assert_eq!(greedy.degraded, Some(DegradeRung::GreedyFirstFit));
-    let deep_req =
-        CompileRequest::new(&deep, scopes, topo).with_solve_profile(SolveProfile::fast());
+    let deep_req = CompileRequest::new(&deep, scopes, topo);
     let out = Compiler::new()
         .compile_incremental(&deep_req, &greedy.placement)
         .expect("search replaces the greedy prior");
@@ -316,8 +311,7 @@ fn objective_edit_and_greedy_prior_do_not_carry_over() {
 #[test]
 fn runtime_fault_injection_resyncs_and_preserves_semantics() {
     let compiler = Compiler::new();
-    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
     let out = compiler.compile(&req).expect("healthy compile");
     let mut rng = Rng::new(0xc0ffee);
 
@@ -374,8 +368,7 @@ fn runtime_fault_injection_resyncs_and_preserves_semantics() {
 #[test]
 fn rollout_chaos_commits_fully_or_rolls_back_fully_across_200_scenarios() {
     let compiler = Compiler::new();
-    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
     let healthy = compiler.compile(&req).expect("healthy compile");
     let mut rng = Rng::new(0x0_5eed_fa11);
 
@@ -481,8 +474,7 @@ fn rollout_chaos_commits_fully_or_rolls_back_fully_across_200_scenarios() {
 #[test]
 fn lossy_fail_switch_resync_commits_or_rolls_back_cleanly() {
     let compiler = Compiler::new();
-    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
     let out = compiler.compile(&req).expect("healthy compile");
     let mut rng = Rng::new(0xdead_10cc);
 
@@ -545,8 +537,7 @@ fn lossy_fail_switch_resync_commits_or_rolls_back_cleanly() {
 #[test]
 fn rollout_outcome_is_deterministic_for_a_fixed_seed() {
     let compiler = Compiler::new();
-    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
     let healthy = compiler.compile(&req).expect("healthy compile");
     let mut faults = FaultSet::new();
     faults.add_switch("ToR3");
@@ -590,8 +581,7 @@ fn rollout_outcome_is_deterministic_for_a_fixed_seed() {
 #[test]
 fn rollout_report_lands_in_session_json() {
     let compiler = Compiler::new();
-    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
     let healthy = compiler.compile(&req).expect("healthy compile");
     let mut faults = FaultSet::new();
     faults.add_switch("Agg3");
@@ -618,31 +608,43 @@ fn rollout_report_lands_in_session_json() {
     }
 }
 
+fn pod(k: usize) -> lyra_topo::Topology {
+    fat_tree_pod(k, "tofino-32q", "trident4")
+}
+
+/// The load balancer MULTI-SW over a whole pod, traffic entering at the
+/// Aggs.
+fn pod_lb_scopes(k: usize) -> String {
+    let names = |p: &str| {
+        (1..=k / 2)
+            .map(|i| format!("{p}{i}"))
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    format!(
+        "loadbalancer: [ ToR*,Agg* | MULTI-SW | ({}->{}) ]",
+        names("Agg"),
+        names("ToR")
+    )
+}
+
 /// Watchdog acceptance: a 1 ms deadline on the hardest Figure 10 pod
 /// (k = 16, LB MULTI-SW) must come back promptly via the degradation
 /// ladder — `LYR0550` names the rung — rather than hang for the full
 /// solve or fail.
 #[test]
 fn one_ms_deadline_on_k16_lb_returns_promptly_and_degraded() {
-    let k = 16;
-    let topo = fat_tree_pod(k, "tofino-32q", "trident4");
-    let aggs: Vec<String> = (1..=k / 2).map(|i| format!("Agg{i}")).collect();
-    let tors: Vec<String> = (1..=k / 2).map(|i| format!("ToR{i}")).collect();
-    let scopes = format!(
-        "loadbalancer: [ ToR*,Agg* | MULTI-SW | ({}->{}) ]",
-        aggs.join(","),
-        tors.join(",")
-    );
-    let req = CompileRequest::new(LB, &scopes, topo)
+    let scopes = pod_lb_scopes(16);
+    let req = CompileRequest::new(LB, &scopes, pod(16))
         .with_solve_profile(SolveProfile::deadline(Duration::from_millis(1)));
 
     let t = Instant::now();
     let out = Compiler::new().compile(&req).expect("ladder must not fail");
     let elapsed = t.elapsed();
 
-    // The accelerated solve (symmetry quotient + warm start) occasionally
-    // beats even a 1 ms deadline outright; that is a success, not a
-    // watchdog miss. When it does degrade, the rung must be reported.
+    // The quotient route occasionally beats even a 1 ms deadline outright;
+    // that is a success, not a watchdog miss. When it does degrade, the
+    // rung must be reported.
     if let Some(rung) = out.degraded {
         let warning = out
             .warnings
@@ -684,14 +686,10 @@ fn decision_budget_under_an_objective_degrades_instead_of_refuting() {
     );
     let program = lyra_apps::programs::netcache();
     for objective in [Objective::Feasible, Objective::MinSwitches] {
-        // Monolithic and sequential, so the budget meets the search the
-        // objective runs (the quotient route has its own, smaller one).
+        // Monolithic, so the budget meets the search the objective runs
+        // (the quotient route has its own, smaller one).
         let req = CompileRequest::new(&program, &scopes, fat_tree_pod(k, "tofino-32q", "trident4"))
-            .with_solve_profile(
-                SolveProfile::fast()
-                    .with_decomposition(false)
-                    .with_decision_budget(3),
-            );
+            .with_solve_profile(SolveProfile::thorough().with_decision_budget(3));
         let out = Compiler::new()
             .with_objective(objective.clone())
             .compile(&req)
@@ -716,6 +714,52 @@ fn decision_budget_under_an_objective_degrades_instead_of_refuting() {
     }
 }
 
+/// One request, one placement: eight fresh compilers each compile and then
+/// recompile around a dead switch, and all eight agree on the placement,
+/// on every artifact byte and on the recompile. Golden files, carry-over
+/// equality and reproducible bug reports rest on this. (Racing diversified
+/// searches, the LB k = 16 recompile came out with 21 tables or with 24
+/// from one run to the next.)
+#[test]
+fn compile_and_failover_recompile_are_deterministic() {
+    let program = lyra_apps::programs::load_balancer(1_000_000);
+    for (scopes, topo, failed) in [
+        (pod_lb_scopes(16), pod(16), "Agg1"),
+        (LB_SCOPES.to_string(), figure1_network(), "Agg3"),
+    ] {
+        let faults = FaultSet::new().with_switch(failed);
+        let run = || {
+            let compiler = Compiler::new();
+            let req = CompileRequest::new(&program, &scopes, topo.clone());
+            let out = compiler.compile(&req).expect("compiles");
+            let recompile = compiler
+                .recompile_for_faults(&req, &out, &faults)
+                .expect("recompiles around the fault")
+                .output;
+            let bytes = |o: &lyra::CompileOutput| -> Vec<(String, String)> {
+                o.artifacts
+                    .iter()
+                    .map(|a| (a.code.clone(), a.control_plane.clone()))
+                    .collect()
+            };
+            (
+                bytes(&out),
+                bytes(&recompile),
+                recompile.total_tables(),
+                out.placement,
+                recompile.placement,
+            )
+        };
+        let first = run();
+        for attempt in 1..8 {
+            assert!(
+                run() == first,
+                "{failed} failover, compiler {attempt}: a fresh compiler disagrees with the first"
+            );
+        }
+    }
+}
+
 /// Controller crash-and-restart chaos: ≥150 seeded scenarios crash the
 /// controller at every rollout phase boundary (and after the Nth journaled
 /// intent) under a heavily lossy channel, then restart it over the SAME
@@ -726,8 +770,7 @@ fn decision_budget_under_an_objective_degrades_instead_of_refuting() {
 #[test]
 fn controller_crash_recovery_converges_across_150_scenarios() {
     let compiler = Compiler::new();
-    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
     let healthy = compiler.compile(&req).expect("healthy compile");
     let mut rng = Rng::new(0xc7a5_4ed0_c0de);
 
@@ -902,8 +945,7 @@ fn controller_crash_recovery_converges_across_150_scenarios() {
 #[test]
 fn recovery_under_live_replay_sees_no_mixed_epochs() {
     let compiler = Compiler::new();
-    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
     let healthy = compiler.compile(&req).expect("healthy compile");
     let faults = FaultSet::new().with_switch("Agg3");
     let r = compiler
@@ -1003,8 +1045,7 @@ fn recovery_under_live_replay_sees_no_mixed_epochs() {
 #[test]
 fn audit_detects_and_repairs_seeded_drift_across_40_scenarios() {
     let compiler = Compiler::new();
-    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
     let healthy = compiler.compile(&req).expect("healthy compile");
     let faults = FaultSet::new().with_switch("Agg3");
     let r = compiler
@@ -1144,8 +1185,7 @@ fn audit_detects_and_repairs_seeded_drift_across_40_scenarios() {
 #[test]
 fn failing_intent_store_halts_and_partial_journal_recovers() {
     let compiler = Compiler::new();
-    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
     let healthy = compiler.compile(&req).expect("healthy compile");
     let faults = FaultSet::new().with_switch("Agg3");
     let r = compiler
@@ -1296,8 +1336,7 @@ fn survivable_chaos(rng: &mut Rng) -> (ChaosSchedule, bool) {
 #[test]
 fn selfheal_chaos_converges_across_200_scenarios() {
     let compiler = Compiler::new();
-    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
     let entries: Vec<(String, u64, u64)> = (0..4u64)
         .map(|k| ("conn_table".to_string(), k, 0x0a00_0100 + k))
         .collect();
@@ -1382,8 +1421,7 @@ fn selfheal_chaos_converges_across_200_scenarios() {
 #[test]
 fn flapping_link_is_damped_to_one_recompile_and_quarantined() {
     let compiler = Compiler::new();
-    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
     let victim = Target::link("Agg3", "ToR3");
     let schedule = ChaosSchedule::new().flap(5, victim.clone(), 3, 8);
     let cfg = SelfHealConfig {
@@ -1427,8 +1465,7 @@ fn flapping_link_is_damped_to_one_recompile_and_quarantined() {
 #[test]
 fn slow_flap_restore_refail_cycles_stay_bounded() {
     let compiler = Compiler::new();
-    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
     let victim = Target::switch("Agg4");
     // Down [5,25) up [25,45) down [45,65) up [65,85): 3 down edges.
     let schedule = ChaosSchedule::new().flap(5, victim, 20, 3);

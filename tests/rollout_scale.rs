@@ -21,15 +21,14 @@ mod common;
 use common::{lb_program, scaled_entries, Rng, LB_SCOPES};
 use lyra::{
     replay_under_rollout, CompileRequest, Compiler, LossyChannel, ReliableChannel, ReplayConfig,
-    RolloutConfig, RolloutReport, Runtime, SolveProfile,
+    RolloutConfig, RolloutReport, Runtime,
 };
 use lyra_topo::{figure1_network, FaultSet};
 
 /// Compile the scaled LB onto pod 2 of the Figure 1 network.
 fn compile_lb(program: &str) -> lyra::CompileOutput {
     let compiler = Compiler::new();
-    let req = CompileRequest::new(program, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(program, LB_SCOPES, figure1_network());
     compiler.compile(&req).expect("scaled LB compiles")
 }
 
@@ -50,8 +49,7 @@ fn failover_delta_vs_snapshot(
 ) -> (RolloutReport, RolloutReport, u64, Resync) {
     let program = lb_program(table_size);
     let compiler = Compiler::new();
-    let req = CompileRequest::new(&program, LB_SCOPES, figure1_network())
-        .with_solve_profile(SolveProfile::fast());
+    let req = CompileRequest::new(&program, LB_SCOPES, figure1_network());
     let healthy = compiler.compile(&req).expect("healthy compile");
     let mut faults = FaultSet::new();
     faults.add_switch("Agg3");

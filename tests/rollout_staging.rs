@@ -33,7 +33,7 @@ use std::time::Duration;
 use common::{assert_layout_sound, lb_program, replan_from_scratch, scaled_entries, Rng};
 use lyra::{
     CompileOutput, CompileRequest, Compiler, DriftOp, FaultRecompile, LossyChannel, PlacementDiff,
-    ReliableChannel, RolloutConfig, RolloutReport, Runtime, RuntimeError, SolveProfile,
+    ReliableChannel, RolloutConfig, RolloutReport, Runtime, RuntimeError,
 };
 use lyra_diag::codes;
 use lyra_ir::ExternTable;
@@ -117,7 +117,6 @@ impl Shape {
 
 fn request<'p>(pod: &Pod, program: &'p str) -> CompileRequest<'p> {
     CompileRequest::new(program, pod.scopes, (pod.topology)())
-        .with_solve_profile(SolveProfile::fast())
 }
 
 /// The pod's compiled LB placement with its shard capacities re-dealt.
