@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use lyra_ir::IrProgram;
 use lyra_synth::{Backend, EncodeOptions, SynthResult};
@@ -133,9 +133,22 @@ impl SynthCache {
         Self::default()
     }
 
+    /// The memo table, recovered if poisoned. The map holds whole
+    /// `Arc<SynthResult>`s, each inserted by one call, so whatever a
+    /// panicking thread left behind is consistent and refusing to serve it
+    /// is never right — the reasoning `dataplane::read_lock` documents.
+    /// Poisoning needs a panic *inside* one of the one-line guarded
+    /// sections below, which nothing short of an allocation failure
+    /// produces today; the point is that the self-healer reaches this
+    /// through `recompile_for_faults` on every remediation round, and one
+    /// such panic must not turn every later round into another.
+    fn lock(&self) -> MutexGuard<'_, HashMap<u64, Arc<SynthResult>>> {
+        self.entries.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Look up a synthesis result by key, counting a hit or a miss.
     pub fn lookup(&self, key: u64) -> Option<Arc<SynthResult>> {
-        let found = self.entries.lock().unwrap().get(&key).cloned();
+        let found = self.lock().get(&key).cloned();
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -146,17 +159,17 @@ impl SynthCache {
     /// Store a synthesis result under a key (last writer wins; entries are
     /// interchangeable by construction of [`synth_key`]).
     pub fn insert(&self, key: u64, result: Arc<SynthResult>) {
-        self.entries.lock().unwrap().insert(key, result);
+        self.lock().insert(key, result);
     }
 
     /// Cached problems currently stored.
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
+        self.lock().len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().unwrap().is_empty()
+        self.lock().is_empty()
     }
 
     /// Total lookup hits since construction.
@@ -171,7 +184,7 @@ impl SynthCache {
 
     /// Drop all entries (counters are kept).
     pub fn clear(&self) {
-        self.entries.lock().unwrap().clear();
+        self.lock().clear();
     }
 }
 
@@ -233,6 +246,35 @@ mod tests {
             k1,
             "encoding options change key"
         );
+    }
+
+    #[test]
+    fn a_poisoned_cache_still_answers() {
+        let (ir, topo, scopes) = setup(
+            "pipeline[P]{a}; algorithm a { x = 1; }",
+            "a: [ ToR1 | PER-SW | - ]",
+        );
+        let opts = EncodeOptions::default();
+        let result = lyra_synth::synthesize(&ir, &topo, &scopes, &opts, &Backend::Native).unwrap();
+        let cache = Arc::new(SynthCache::new());
+        cache.insert(1, Arc::new(result));
+        // Poison the mutex: a thread panics while holding the guard.
+        let held = cache.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _guard = held.entries.lock().unwrap();
+            panic!("poisoning the synth cache on purpose");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(cache.entries.is_poisoned());
+        // Every accessor still answers, with the entry intact.
+        assert_eq!(cache.len(), 1);
+        assert!(!cache.is_empty());
+        let hit = cache.lookup(1).expect("the entry survived the poisoning");
+        assert!(cache.lookup(2).is_none());
+        cache.insert(2, hit);
+        assert_eq!(cache.len(), 2);
+        cache.clear();
+        assert!(cache.is_empty());
     }
 
     #[test]

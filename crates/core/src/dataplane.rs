@@ -10,11 +10,11 @@
 //!   bytecode streams sharing one [`ProgramLayout`] register file.
 //! * [`LiveTrafficPlane`] — the switches as the *data plane* sees them:
 //!   per-switch `RwLock<Arc<EpochPlane>>` snapshots (program + sealed table
-//!   snapshot + epoch), flipped atomically by control messages. Workers pin
-//!   a packet to one epoch per path; a packet never executes under two.
-//! * [`TrafficChannel`] — wraps any [`ControlChannel`] so every message the
-//!   rollout engine sends (including lossy fates and late replays) is also
-//!   applied to the live plane, exactly as the switch agent would.
+//!   snapshot + epoch). It keeps no protocol state: the runtime's switch
+//!   agent (`crate::agent`) publishes to it whenever a delivered message or
+//!   a forced revert changes the epoch a switch serves, and the plane swaps
+//!   that switch's snapshot whole. Workers pin a packet to one epoch per
+//!   path; a packet never executes under two.
 //! * [`replay_compiled`] / [`replay_interpreted`] — throughput harnesses
 //!   over identical seeded traffic, for the compiled-vs-interpreter bench.
 //! * [`replay_under_rollout`] — runs [`Runtime::apply_rollout`] *while*
@@ -30,8 +30,8 @@
 //! Building a plane copies no table entry and no register: every
 //! [`TableSnapshot`] shares the runtime's `ExternTable` pages and `Arc`'d
 //! register arrays, and because every writer of either copies on write
-//! (`Runtime::install`, the interpreter's register writes, delta prepares
-//! on the mirror), a built plane is a consistent snapshot of the runtime
+//! (`Runtime::install`, the interpreter's register writes, the agent's
+//! delta prepares), a built plane is a consistent snapshot of the runtime
 //! at the moment it was built. What bring-up does cost — bytecode
 //! compilation plus O(pages) pointer copies — is reported per replay as
 //! [`ReplayReport::bring_up`].
@@ -48,7 +48,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use lyra_ir::{
@@ -56,7 +56,8 @@ use lyra_ir::{
     Machine, PacketState, ProgramLayout, TableSnapshot,
 };
 
-use crate::channel::{ControlChannel, ControlMsg, ControlOp, Delivery, EntryOp};
+use crate::agent::SwitchState;
+use crate::channel::ControlChannel;
 use crate::recovery::RecoveryReport;
 use crate::rollout::{IntentStore, RolloutConfig, RolloutReport};
 use crate::runtime::{Runtime, RuntimeError};
@@ -73,11 +74,6 @@ fn read_lock<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
 /// See [`read_lock`].
 fn write_lock<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|e| e.into_inner())
-}
-
-/// See [`read_lock`].
-fn lock_control<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A placement compiled to per-switch bytecode streams. Built once per
@@ -172,38 +168,24 @@ impl CompiledDeployment {
 /// Everything one switch serves for one epoch: the compiled programs and a
 /// sealed snapshot of its tables and global registers, which shares its
 /// storage with the runtime state it was taken from. Immutable once built
-/// — epoch flips swap the `Arc`, never mutate in place. (Delta prepares
-/// mutate the *staged* plane via `Arc::make_mut` before it is ever served,
-/// which is why this is `Clone`; the mutation itself is copy-on-write per
-/// page, so it never reaches the serving plane's or the runtime's pages.)
-#[derive(Clone)]
+/// — epoch flips swap the `Arc`, never mutate in place.
 struct EpochPlane {
     epoch: u64,
     algs: Arc<Vec<CompiledAlgorithm>>,
     snap: TableSnapshot,
 }
 
-/// The control-side view of one switch, mirroring the rollout engine's
-/// switch-agent state machine (`rollout::deliver`) message for message.
-struct PlaneControl {
-    epoch: u64,
-    staged: Option<(u64, Arc<EpochPlane>)>,
-    prior: Option<(u64, Arc<EpochPlane>)>,
-    tokens: BTreeSet<u64>,
-}
-
 /// The switches as worker threads see them: read-mostly per-switch serving
-/// planes plus the control state that flips them. Shared by reference into
-/// a [`std::thread::scope`].
+/// planes, each a snapshot of what the runtime's switch agent serves.
+/// Shared by reference into a [`std::thread::scope`].
 pub struct LiveTrafficPlane {
     layout: Arc<ProgramLayout>,
     names: Vec<String>,
     index: BTreeMap<String, usize>,
     serving: Vec<RwLock<Arc<EpochPlane>>>,
-    control: Mutex<Vec<PlaneControl>>,
-    /// Per-switch programs of the *next* deployment; a `Prepare` pairs the
-    /// staged table state with these.
-    staged_algs: Vec<Arc<Vec<CompiledAlgorithm>>>,
+    /// Per-switch programs of the deployment the plane was built on and of
+    /// the *next* one (the same, for a static plane).
+    programs: Vec<[Arc<Vec<CompiledAlgorithm>>; 2]>,
     paths: Vec<Vec<usize>>,
     live_in: Vec<u32>,
     /// Bumped (release) on every serving flip; workers revalidate their
@@ -215,26 +197,17 @@ impl LiveTrafficPlane {
     /// A static plane for pure-throughput replay: every switch serves the
     /// runtime's current epoch and will never be flipped.
     pub fn for_replay(rt: &Runtime<'_>, dep: &CompiledDeployment) -> Self {
-        Self::build(rt, dep, dep)
+        Self::for_rollout(rt, dep, dep)
     }
 
     /// A plane that will live through a rollout from the deployment of
     /// `rt.output()` (`dep_cur`) to `dep_next`. Covers the union of both
-    /// placements' switches so prepares to newly added switches land.
+    /// placements' switches so newly added switches have a plane to flip.
     pub fn for_rollout(
         rt: &Runtime<'_>,
         dep_cur: &CompiledDeployment,
         dep_next: &CompiledDeployment,
     ) -> Self {
-        Self::build(rt, dep_cur, dep_next)
-    }
-
-    fn build(
-        rt: &Runtime<'_>,
-        dep_cur: &CompiledDeployment,
-        dep_next: &CompiledDeployment,
-    ) -> Self {
-        let empty = DataPlaneState::new();
         let empty_algs: Arc<Vec<CompiledAlgorithm>> = Arc::new(Vec::new());
         let mut names: BTreeSet<String> = dep_cur.switches.keys().cloned().collect();
         names.extend(dep_next.switches.keys().cloned());
@@ -245,62 +218,12 @@ impl LiveTrafficPlane {
             .enumerate()
             .map(|(i, n)| (n.clone(), i))
             .collect();
-        let mut serving = Vec::with_capacity(names.len());
-        let mut control = Vec::with_capacity(names.len());
-        let mut staged_algs = Vec::with_capacity(names.len());
-        for name in &names {
-            let st = rt.states.get(name);
-            let (epoch, dp) = match st {
-                Some(st) => (st.epoch, &st.dp),
-                None => (rt.epoch, &empty),
-            };
-            let next_algs = dep_next.switches.get(name).unwrap_or(&empty_algs).clone();
-            // A switch that retains a prior epoch already flipped to the
-            // *next* deployment mid-rollout (a crashed controller can leave
-            // the fleet like this); its serving program is the next one.
-            let flipped = st.is_some_and(|st| st.prior.is_some());
-            let cur_algs = dep_cur.switches.get(name).unwrap_or(&empty_algs).clone();
-            let algs = if flipped {
-                next_algs.clone()
-            } else {
-                cur_algs.clone()
-            };
-            serving.push(RwLock::new(Arc::new(EpochPlane {
-                epoch,
-                algs,
-                snap: TableSnapshot::build(&dep_cur.layout, dp),
-            })));
-            // Mirror any mid-flight staged/prior/token remnants so a plane
-            // built *after* a controller crash agrees with the runtime's
-            // switch agents message for message during recovery.
-            let staged = st.and_then(|st| st.staged.as_ref()).map(|(e, dp)| {
-                (
-                    *e,
-                    Arc::new(EpochPlane {
-                        epoch: *e,
-                        algs: next_algs.clone(),
-                        snap: TableSnapshot::build(&dep_cur.layout, dp),
-                    }),
-                )
-            });
-            let prior = st.and_then(|st| st.prior.as_ref()).map(|(e, dp)| {
-                (
-                    *e,
-                    Arc::new(EpochPlane {
-                        epoch: *e,
-                        algs: cur_algs,
-                        snap: TableSnapshot::build(&dep_cur.layout, dp),
-                    }),
-                )
-            });
-            control.push(PlaneControl {
-                epoch,
-                staged,
-                prior,
-                tokens: st.map(|st| st.tokens.clone()).unwrap_or_default(),
-            });
-            staged_algs.push(next_algs);
-        }
+        let programs = names
+            .iter()
+            .map(|name| {
+                [dep_cur, dep_next].map(|dep| dep.switches.get(name).unwrap_or(&empty_algs).clone())
+            })
+            .collect();
         let paths = dep_cur
             .paths
             .iter()
@@ -308,17 +231,22 @@ impl LiveTrafficPlane {
             .collect();
         let mut live_in: BTreeSet<u32> = dep_cur.live_in.iter().copied().collect();
         live_in.extend(dep_next.live_in.iter().copied());
-        LiveTrafficPlane {
+        let mut plane = LiveTrafficPlane {
             layout: dep_cur.layout.clone(),
             names,
             index,
-            serving,
-            control: Mutex::new(control),
-            staged_algs,
+            serving: Vec::new(),
+            programs,
             paths,
             live_in: live_in.into_iter().collect(),
             generation: AtomicU64::new(0),
-        }
+        };
+        plane.serving = (0..plane.names.len())
+            .map(|i| {
+                RwLock::new(plane.epoch_plane(i, rt.states.get(&plane.names[i]), rt.epoch, None))
+            })
+            .collect();
+        plane
     }
 
     /// The epoch a switch currently serves (`None` if unknown here).
@@ -327,230 +255,54 @@ impl LiveTrafficPlane {
         Some(read_lock(&self.serving[i]).epoch)
     }
 
-    /// True when the plane agrees with the runtime on every switch the
-    /// runtime knows: the serving epoch matches, and the plane retains
-    /// staged/prior state exactly where the runtime's switch agent does.
-    /// This is the traffic-plane half of
-    /// [`Runtime::epochs_coherent_with_plane`](crate::Runtime::epochs_coherent_with_plane).
-    pub fn mirrors(&self, rt: &Runtime<'_>) -> bool {
-        let control = lock_control(&self.control);
-        self.names.iter().enumerate().all(|(i, name)| {
-            let Some(st) = rt.states.get(name) else {
-                return true; // failed/unknown switch: no runtime state to mirror
-            };
-            let ctl = &control[i];
-            read_lock(&self.serving[i]).epoch == st.epoch
-                && ctl.epoch == st.epoch
-                && ctl.staged.as_ref().map(|(e, _)| *e) == st.staged.as_ref().map(|(e, _)| *e)
-                && ctl.prior.as_ref().map(|(e, _)| *e) == st.prior.as_ref().map(|(e, _)| *e)
+    /// What switch `i` serves given its agent's state: that state's epoch
+    /// and tables — or, for a switch the runtime holds no state for (a dead
+    /// one), the deployment epoch and empty tables. The program is the next
+    /// deployment's iff `next_program`; `None` asks the agent — a switch that
+    /// retains a prior epoch has flipped to the next deployment (a crashed
+    /// controller can leave a fleet half like this), one that does not is
+    /// on, or back on, the current one.
+    fn epoch_plane(
+        &self,
+        i: usize,
+        st: Option<&SwitchState>,
+        deployment_epoch: u64,
+        next_program: Option<bool>,
+    ) -> Arc<EpochPlane> {
+        let empty = DataPlaneState::new();
+        let (epoch, dp) = st.map_or((deployment_epoch, &empty), |st| (st.epoch(), &st.dp));
+        let next = next_program.unwrap_or(st.is_some_and(|st| st.prior().is_some()));
+        Arc::new(EpochPlane {
+            epoch,
+            algs: self.programs[i][usize::from(next)].clone(),
+            snap: TableSnapshot::build(&self.layout, dp),
         })
     }
 
-    /// Apply one delivered control message, mirroring the rollout engine's
-    /// switch agent: token idempotency, stale-prepare guards, commit flip
-    /// with retained prior, rollback restore.
-    pub fn apply(&self, msg: &ControlMsg) {
-        let Some(&i) = self.index.get(&msg.switch) else {
-            return; // message to a switch the plane does not know: dropped
-        };
-        if matches!(msg.op, ControlOp::Query | ControlOp::Probe) {
-            // Read-only state query (recovery) or health probe: nothing to
-            // apply, and no token is recorded — a retried copy must never
-            // be suppressed.
-            return;
-        }
-        let mut control = lock_control(&self.control);
-        let ctl = &mut control[i];
-        if ctl.tokens.contains(&msg.token) {
-            return;
-        }
-        match &msg.op {
-            ControlOp::Prepare { staged } => {
-                let newer_than_active = msg.epoch > ctl.epoch;
-                let not_stale = ctl.staged.as_ref().is_none_or(|(e, _)| msg.epoch >= *e);
-                if newer_than_active && not_stale {
-                    let plane = Arc::new(EpochPlane {
-                        epoch: msg.epoch,
-                        algs: self.staged_algs[i].clone(),
-                        snap: TableSnapshot::build(&self.layout, staged),
-                    });
-                    ctl.staged = Some((msg.epoch, plane));
-                }
-            }
-            ControlOp::PrepareDelta {
-                base_epoch,
-                ops,
-                globals,
-                batch_index,
-                ..
-            } => {
-                if *batch_index == 0 {
-                    // Opening batch: clone the *serving* snapshot (an
-                    // O(pages) pointer copy that shares every page with
-                    // it), point it at the next epoch's globals, and fold
-                    // the ops in copy-on-write — the staged snapshot ends
-                    // up owning only the pages the delta touched. Same
-                    // guards as the switch agent, plus the delta-specific
-                    // check that the serving epoch is the base the diff
-                    // was cut against.
-                    let newer_than_active = msg.epoch > ctl.epoch;
-                    let not_stale = ctl.staged.as_ref().is_none_or(|(e, _)| msg.epoch >= *e);
-                    if newer_than_active && not_stale && *base_epoch == ctl.epoch {
-                        let mut snap = read_lock(&self.serving[i]).snap.clone();
-                        snap.globals = self.layout.shared_globals(globals);
-                        apply_delta_ops(&self.layout, &mut snap, ops);
-                        let plane = Arc::new(EpochPlane {
-                            epoch: msg.epoch,
-                            algs: self.staged_algs[i].clone(),
-                            snap,
-                        });
-                        ctl.staged = Some((msg.epoch, plane));
-                    }
-                } else if let Some((e, plane)) = ctl.staged.as_mut() {
-                    // Later batches append onto the staged plane — which
-                    // is not serving yet, so in-place mutation behind
-                    // `make_mut` cannot be observed by a worker.
-                    if *e == msg.epoch {
-                        let ep = Arc::make_mut(plane);
-                        apply_delta_ops(&self.layout, &mut ep.snap, ops);
-                    }
-                }
-            }
-            ControlOp::Query | ControlOp::Probe => return, // handled above; kept for exhaustiveness
-            ControlOp::Commit => {
-                if ctl.epoch != msg.epoch {
-                    if let Some((e, plane)) = ctl.staged.take() {
-                        if e == msg.epoch {
-                            let old = {
-                                let mut s = write_lock(&self.serving[i]);
-                                std::mem::replace(&mut *s, plane)
-                            };
-                            ctl.prior = Some((ctl.epoch, old));
-                            ctl.epoch = msg.epoch;
-                            self.generation.fetch_add(1, Ordering::Release);
-                        } else {
-                            ctl.staged = Some((e, plane)); // wrong epoch: ignore
-                        }
-                    }
-                }
-            }
-            ControlOp::Rollback => {
-                if ctl.epoch == msg.epoch {
-                    if let Some((e, plane)) = ctl.prior.take() {
-                        *write_lock(&self.serving[i]) = plane;
-                        ctl.epoch = e;
-                        self.generation.fetch_add(1, Ordering::Release);
-                    }
-                }
-                if ctl.staged.as_ref().is_some_and(|(e, _)| *e == msg.epoch) {
-                    ctl.staged = None;
-                }
-            }
-        }
-        ctl.tokens.insert(msg.token);
-    }
-
-    /// Resynchronise the plane with the runtime after a rollout returns —
-    /// covers the paths messages alone cannot: out-of-band forced rollbacks
-    /// and the finalize sweep that clears staged/prior/tokens. `winner` is
-    /// the deployment of whichever output the runtime now serves.
-    pub fn align(&self, rt: &Runtime<'_>, winner: &CompiledDeployment) {
-        self.resync(rt, winner, &self.names);
-    }
-
-    /// Re-snapshot only the named switches from the runtime — the targeted
-    /// form of [`LiveTrafficPlane::align`] the anti-entropy audit uses:
-    /// after [`Runtime::audit_switches`](crate::Runtime::audit_switches)
-    /// repairs drift, pass
-    /// [`AuditReport::drifted_switches`](crate::AuditReport::drifted_switches)
-    /// so repaired state becomes servable without rebuilding the healthy
-    /// majority. `winner` is the deployment of the output the runtime
-    /// serves. Unknown names are ignored.
-    pub fn resync(&self, rt: &Runtime<'_>, winner: &CompiledDeployment, switches: &[String]) {
-        let empty = DataPlaneState::new();
-        let empty_algs: Arc<Vec<CompiledAlgorithm>> = Arc::new(Vec::new());
-        let mut control = lock_control(&self.control);
-        for name in switches {
-            let Some(&i) = self.index.get(name) else {
-                continue;
-            };
-            let (epoch, dp) = match rt.states.get(name) {
-                Some(st) => (st.epoch, &st.dp),
-                None => (rt.epoch, &empty),
-            };
-            let algs = winner.switches.get(name).unwrap_or(&empty_algs).clone();
-            *write_lock(&self.serving[i]) = Arc::new(EpochPlane {
-                epoch,
-                algs,
-                snap: TableSnapshot::build(&self.layout, dp),
-            });
-            control[i] = PlaneControl {
-                epoch,
-                staged: None,
-                prior: None,
-                tokens: BTreeSet::new(),
-            };
-        }
+    fn serve(&self, i: usize, plane: Arc<EpochPlane>) {
+        *write_lock(&self.serving[i]) = plane;
         self.generation.fetch_add(1, Ordering::Release);
     }
-}
 
-/// Fold a delta prepare's entry ops into a staged [`TableSnapshot`]. Ops
-/// naming tables the layout does not know are dropped, matching how the
-/// interpreter-side switch agent ignores installs into undeclared tables.
-fn apply_delta_ops(layout: &ProgramLayout, snap: &mut TableSnapshot, ops: &[EntryOp]) {
-    for op in ops {
-        match op {
-            EntryOp::Set { table, key, value } => {
-                if let Some(t) = layout.table(table) {
-                    snap.set(t, *key, *value);
-                }
-            }
-            EntryOp::Remove { table, key } => {
-                if let Some(t) = layout.table(table) {
-                    snap.remove(t, *key);
-                }
-            }
+    /// Serve what `switch`'s agent now serves; the agent calls this whenever
+    /// a delivery or a forced revert changed the switch's serving epoch.
+    pub(crate) fn publish(&self, switch: &str, st: &SwitchState) {
+        if let Some(&i) = self.index.get(switch) {
+            self.serve(i, self.epoch_plane(i, Some(st), st.epoch(), None));
         }
     }
-}
 
-/// A [`ControlChannel`] adapter that forwards every transmit to an inner
-/// channel (which decides the fate) and applies each *delivered* copy to a
-/// [`LiveTrafficPlane`], so the data plane flips in lock-step with the
-/// runtime's switch states — duplicates, late replays, lost acks and all.
-pub struct TrafficChannel<'a> {
-    inner: &'a mut dyn ControlChannel,
-    plane: &'a LiveTrafficPlane,
-}
-
-impl<'a> TrafficChannel<'a> {
-    /// Wrap `inner`, mirroring deliveries onto `plane`.
-    pub fn new(inner: &'a mut dyn ControlChannel, plane: &'a LiveTrafficPlane) -> Self {
-        TrafficChannel { inner, plane }
-    }
-}
-
-impl ControlChannel for TrafficChannel<'_> {
-    fn transmit(&mut self, msg: &ControlMsg) -> Delivery {
-        let fate = self.inner.transmit(msg);
-        match fate {
-            Delivery::Delivered | Delivery::AckLost => self.plane.apply(msg),
-            Delivery::Duplicated => {
-                self.plane.apply(msg);
-                self.plane.apply(msg);
-            }
-            Delivery::Dropped => {}
+    /// Republish every switch once the transaction has settled. The agents
+    /// no longer retain a prior epoch to tell the programs apart, so the
+    /// caller says which deployment won; and this is what moves switches
+    /// the runtime holds no state for (they never see a message) to the
+    /// deployment epoch — or every path through a dead switch would stay
+    /// refused for the rest of the replay.
+    fn align(&self, rt: &Runtime<'_>, committed: bool) {
+        for (i, name) in self.names.iter().enumerate() {
+            let st = rt.states.get(name);
+            self.serve(i, self.epoch_plane(i, st, rt.epoch, Some(committed)));
         }
-        fate
-    }
-
-    fn drain_late(&mut self) -> Vec<ControlMsg> {
-        let msgs = self.inner.drain_late();
-        for m in &msgs {
-            self.plane.apply(m);
-        }
-        msgs
     }
 }
 
@@ -823,23 +575,41 @@ fn aggregate(
     report
 }
 
+/// Push `cfg.packets` seeded packets through `plane` on `cfg.workers`
+/// threads. `control` runs on the calling thread once `warm` packets have
+/// been claimed, holding the flag that stops the workers early.
+fn run_traffic<R>(
+    plane: &LiveTrafficPlane,
+    cfg: &ReplayConfig,
+    built: Instant,
+    warm: u64,
+    control: impl FnOnce(&AtomicBool) -> R,
+) -> (ReplayReport, R) {
+    let workers = cfg.workers.max(1);
+    let next = AtomicU64::new(0);
+    let stop = AtomicBool::new(false);
+    let t0 = Instant::now();
+    let ((outs, panics), result) = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| s.spawn(|| run_worker(plane, cfg, &next, &stop)))
+            .collect();
+        while next.load(Ordering::Relaxed) < warm && !handles.iter().all(|h| h.is_finished()) {
+            std::thread::yield_now();
+        }
+        let result = control(&stop);
+        (join_workers(handles), result)
+    });
+    let report = aggregate(outs, panics, workers, t0 - built, t0.elapsed());
+    (report, result)
+}
+
 /// Replay seeded traffic through the *compiled* engine on a static plane
 /// (no rollout in flight) and measure throughput.
 pub fn replay_compiled(rt: &Runtime<'_>, cfg: &ReplayConfig) -> ReplayReport {
     let built = Instant::now();
     let dep = CompiledDeployment::new(rt.output());
     let plane = LiveTrafficPlane::for_replay(rt, &dep);
-    let workers = cfg.workers.max(1);
-    let next = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let t0 = Instant::now();
-    let (outs, panics) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| s.spawn(|| run_worker(&plane, cfg, &next, &stop)))
-            .collect();
-        join_workers(handles)
-    });
-    aggregate(outs, panics, workers, t0 - built, t0.elapsed())
+    run_traffic(&plane, cfg, built, 0, |_| ()).0
 }
 
 /// Replay the *same* seeded traffic through the reference interpreter,
@@ -923,16 +693,49 @@ pub fn replay_interpreted(rt: &Runtime<'_>, cfg: &ReplayConfig) -> ReplayReport 
     }
 }
 
-/// Run [`Runtime::apply_rollout`] while worker threads replay traffic
-/// through the live plane, then report both sides.
+/// Run `control` — one transaction on `rt` toward `new_output` — while
+/// worker threads replay traffic through a live plane, and report the
+/// traffic side next to whatever `control` returned.
 ///
 /// The current and next deployments are compiled against one unioned
-/// layout, so a worker's machine can execute either epoch. Workers push a
-/// tenth of the packet budget on the old epoch first (so the flip happens
-/// under load), the rollout runs over a [`TrafficChannel`] wrapping
-/// `channel`, the plane is re-aligned with the runtime's final state
-/// (forced rollbacks, finalize), and the remaining traffic drains on
-/// whichever epoch won.
+/// layout, so a worker's machine can execute either epoch, and the plane is
+/// built from the runtime as it stands, mid-flight remnants of a crashed
+/// rollout included. The plane is attached to the runtime for exactly the
+/// duration of `control`, so every flip the switch agents make is
+/// published to it; it is then re-aligned with whichever deployment
+/// `committed` says won, and the remaining traffic drains on that. When
+/// `control` fails, traffic stops and the error is returned.
+fn replay_under<'a, R>(
+    rt: &mut Runtime<'a>,
+    new_output: &'a CompileOutput,
+    replay_cfg: &ReplayConfig,
+    control: impl FnOnce(&mut Runtime<'a>) -> Result<R, RuntimeError>,
+    committed: impl Fn(&R) -> bool,
+) -> Result<(ReplayReport, R), RuntimeError> {
+    let built = Instant::now();
+    let layout = Arc::new(ProgramLayout::unioned(&[&rt.output().ir, &new_output.ir]));
+    let dep_cur = CompiledDeployment::with_layout(rt.output(), layout.clone());
+    let dep_next = CompiledDeployment::with_layout(new_output, layout);
+    let plane = Arc::new(LiveTrafficPlane::for_rollout(rt, &dep_cur, &dep_next));
+    // Traffic establishes itself on a tenth of the budget before anything flips.
+    let warm = replay_cfg.packets / 10;
+    let (replay, result) = run_traffic(&plane, replay_cfg, built, warm, |stop| {
+        rt.plane = Some(plane.clone());
+        let result = control(rt);
+        rt.plane = None;
+        match &result {
+            Ok(report) => plane.align(rt, committed(report)),
+            Err(_) => stop.store(true, Ordering::Relaxed),
+        }
+        result
+    });
+    Ok((replay, result?))
+}
+
+/// Run [`Runtime::apply_rollout`] over `channel` while worker threads
+/// replay traffic through the live plane, then report both sides. Every
+/// fate the channel rules — drops, duplicates, lost acks, late replays —
+/// reaches the plane through the switch agents, and only as an epoch flip.
 ///
 /// On a gated rollout (`Err`), traffic stops and the error is returned.
 pub fn replay_under_rollout<'a>(
@@ -942,47 +745,14 @@ pub fn replay_under_rollout<'a>(
     rollout_cfg: &RolloutConfig,
     replay_cfg: &ReplayConfig,
 ) -> Result<RolloutReplayOutcome, RuntimeError> {
-    let built = Instant::now();
-    let layout = Arc::new(ProgramLayout::unioned(&[&rt.output().ir, &new_output.ir]));
-    let dep_cur = CompiledDeployment::with_layout(rt.output(), layout.clone());
-    let dep_next = CompiledDeployment::with_layout(new_output, layout);
-    let plane = LiveTrafficPlane::for_rollout(rt, &dep_cur, &dep_next);
-    let workers = replay_cfg.workers.max(1);
-    let next = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let t0 = Instant::now();
-    let (outs, rollout) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| s.spawn(|| run_worker(&plane, replay_cfg, &next, &stop)))
-            .collect();
-        // Let traffic establish itself on the old epoch before flipping.
-        let warm = replay_cfg.packets / 10;
-        while next.load(Ordering::Relaxed) < warm && !handles.iter().all(|h| h.is_finished()) {
-            std::thread::yield_now();
-        }
-        let mut traffic = TrafficChannel::new(channel, &plane);
-        let rollout = rt.apply_rollout(new_output, &mut traffic, rollout_cfg);
-        match &rollout {
-            Ok(report) => {
-                let winner = if report.committed {
-                    &dep_next
-                } else {
-                    &dep_cur
-                };
-                plane.align(rt, winner);
-            }
-            Err(_) => stop.store(true, Ordering::Relaxed),
-        }
-        let outs = join_workers(handles);
-        (outs, rollout)
-    });
-    let elapsed = t0.elapsed();
-    let (outs, panics) = outs;
-    let rollout = rollout?;
-    Ok(RolloutReplayOutcome {
-        replay: aggregate(outs, panics, workers, t0 - built, elapsed),
-        rollout,
-    })
+    let (replay, rollout) = replay_under(
+        rt,
+        new_output,
+        replay_cfg,
+        |rt| rt.apply_rollout(new_output, channel, rollout_cfg),
+        |report| report.committed,
+    )?;
+    Ok(RolloutReplayOutcome { replay, rollout })
 }
 
 /// A replay and the restart recovery it ran under.
@@ -997,15 +767,10 @@ pub struct RecoveryReplayOutcome {
 /// Run [`Runtime::recover`] while worker threads replay traffic through
 /// the mid-flight state a crashed controller left behind.
 ///
-/// The plane is built from the runtime *as the crash left it* — staged
-/// epochs, retained priors, switches already flipped, and the idempotency
-/// tokens each switch consumed — so recovery's re-driven messages land on
-/// the traffic plane exactly as they land on the switch agents. Traffic
-/// establishes itself first (a tenth of the packet budget), recovery runs
-/// over a [`TrafficChannel`] wrapping `channel` (the same channel instance
-/// the crashed rollout used: the network outlives the controller), the
-/// plane is re-aligned with whichever epoch won, and the rest of the
-/// traffic drains. Epoch pinning holds throughout, so
+/// The plane is built from the runtime *as the crash left it* — switches
+/// already flipped serve the next program — and recovery runs over
+/// `channel` (the same channel instance the crashed rollout used: the
+/// network outlives the controller). Epoch pinning holds throughout, so
 /// [`ReplayReport::mixed_epoch_exposure`] must come back zero even though
 /// the fleet is mid-transaction when traffic starts.
 pub fn replay_under_recovery<'a>(
@@ -1016,53 +781,24 @@ pub fn replay_under_recovery<'a>(
     rollout_cfg: &RolloutConfig,
     replay_cfg: &ReplayConfig,
 ) -> Result<RecoveryReplayOutcome, RuntimeError> {
-    let built = Instant::now();
-    let layout = Arc::new(ProgramLayout::unioned(&[&rt.output().ir, &new_output.ir]));
-    let dep_cur = CompiledDeployment::with_layout(rt.output(), layout.clone());
-    let dep_next = CompiledDeployment::with_layout(new_output, layout);
-    let plane = LiveTrafficPlane::for_rollout(rt, &dep_cur, &dep_next);
-    let workers = replay_cfg.workers.max(1);
-    let next = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let t0 = Instant::now();
-    let (outs, recovery) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| s.spawn(|| run_worker(&plane, replay_cfg, &next, &stop)))
-            .collect();
-        // Traffic flows through the crashed fleet before recovery starts.
-        let warm = replay_cfg.packets / 10;
-        while next.load(Ordering::Relaxed) < warm && !handles.iter().all(|h| h.is_finished()) {
-            std::thread::yield_now();
-        }
-        let mut traffic = TrafficChannel::new(channel, &plane);
-        let recovery = rt.recover(new_output, store, &mut traffic, rollout_cfg);
-        match &recovery {
-            Ok(report) => {
-                let winner = if report.committed {
-                    &dep_next
-                } else {
-                    &dep_cur
-                };
-                plane.align(rt, winner);
-            }
-            Err(_) => stop.store(true, Ordering::Relaxed),
-        }
-        let outs = join_workers(handles);
-        (outs, recovery)
-    });
-    let elapsed = t0.elapsed();
-    let (outs, panics) = outs;
-    let recovery = recovery?;
-    Ok(RecoveryReplayOutcome {
-        replay: aggregate(outs, panics, workers, t0 - built, elapsed),
-        recovery,
-    })
+    let (replay, recovery) = replay_under(
+        rt,
+        new_output,
+        replay_cfg,
+        |rt| rt.recover(new_output, store, channel, rollout_cfg),
+        |report| report.committed,
+    )?;
+    Ok(RecoveryReplayOutcome { replay, recovery })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{LossyChannel, ReliableChannel};
+    use crate::agent::deliver;
+    use crate::channel::{
+        ControlMsg, ControlOp, Delivery, EntryOp, LossyChannel, ReliableChannel, Rng,
+    };
+    use crate::rollout::{CrashPlan, Journal, MemIntentStore, TokenSource, Txn};
     use crate::{CompileRequest, Compiler, FaultSet};
     use lyra_topo::figure1_network;
 
@@ -1318,16 +1054,15 @@ mod tests {
             key,
             value: 0xfeed,
         };
-        plane.apply(&delta_prepare(&rt, sw, 1, vec![set]));
+        let prepare = delta_prepare(&rt, sw, 1, vec![set]);
+        deliver(&mut rt.states, Some(&plane), &prepare);
 
+        // The copy-on-write happens in the switch agent: its staged state
+        // shares every page but one with what the plane is serving.
         let serving = serving_snap(&plane, sw);
-        let staged = {
-            let control = lock_control(&plane.control);
-            let (epoch, staged) = control[plane.index[sw]].staged.as_ref().unwrap();
-            assert_eq!(*epoch, rt.epoch() + 1);
-            staged.snap.clone()
-        };
-        let (before, after) = (serving.table(handle), staged.table(handle));
+        let (epoch, staged) = rt.states[sw].staged().unwrap();
+        assert_eq!(epoch, rt.epoch() + 1);
+        let (before, after) = (serving.table(handle), &staged.externs["conn_table"]);
         assert_eq!(after.get(key), Some(0xfeed));
         assert_ne!(
             before.get(key),
@@ -1358,11 +1093,30 @@ mod tests {
         };
         let before = replay(&built);
 
-        // Park copies of the serving state where a rollout would: all of
-        // them share the register arrays with it.
-        let st = rt.states.get_mut("ToR1").unwrap();
-        st.staged = Some((7, st.dp.clone()));
-        st.prior = Some((0, st.dp.clone()));
+        // Park copies of the serving state where a rollout would — a
+        // retained prior and a staged next epoch: all of them share the
+        // register arrays with it.
+        let park = |epoch, token, op| ControlMsg {
+            switch: "ToR1".into(),
+            epoch,
+            token,
+            op,
+        };
+        let staged = rt.states["ToR1"].dp.clone();
+        for msg in [
+            park(
+                1,
+                1,
+                ControlOp::Prepare {
+                    staged: staged.clone(),
+                },
+            ),
+            park(1, 2, ControlOp::Commit),
+            park(7, 3, ControlOp::Prepare { staged }),
+        ] {
+            deliver(&mut rt.states, None, &msg);
+        }
+        rt.epoch = 1;
 
         // The runtime moves on: a key the traffic hits (small values are
         // common) and a register write from an injected packet.
@@ -1390,13 +1144,13 @@ mod tests {
         // through the pointer every other holder shares.
         let st = &rt.states["ToR1"];
         for (who, dp) in [
-            ("staged", &st.staged.as_ref().unwrap().1),
-            ("prior", &st.prior.as_ref().unwrap().1),
+            ("staged", st.staged().unwrap().1),
+            ("prior", st.prior().unwrap().1),
             ("expected", &rt.expected["ToR1"]),
         ] {
             assert_eq!(dp.globals["hits"][3], 0, "{who} was written through");
         }
-        assert_eq!(st.staged.as_ref().unwrap().1.externs["flows"].get(5), None);
+        assert_eq!(st.staged().unwrap().1.externs["flows"].get(5), None);
     }
 
     #[test]
@@ -1408,7 +1162,7 @@ mod tests {
         let plane = LiveTrafficPlane::for_rollout(&rt, &dep, &dep);
         let handle = dep.layout().table("conn_table").unwrap();
         let sw = shard_holder(&out, &rt);
-        let shard = rt.shard(sw, "conn_table").unwrap();
+        let shard = rt.shard(sw, "conn_table").unwrap().clone();
         // One op per kind, in pages far apart.
         let (gone, changed) = (
             shard.keys().nth(10).unwrap(),
@@ -1440,57 +1194,180 @@ mod tests {
         let epoch0 = [old(gone), old(changed), None];
         let epoch1 = [None, Some(0xc0de), Some(0xadd)];
 
-        plane.apply(&delta_prepare(&rt, sw, 1, ops));
+        let (serving, next) = (rt.epoch(), rt.epoch() + 1);
+        let prepare = delta_prepare(&rt, sw, 1, ops);
+        deliver(&mut rt.states, Some(&plane), &prepare);
         assert_eq!(lookups(&plane), epoch0, "a prepare must not serve");
         let flip = |token, op| ControlMsg {
             switch: sw.clone(),
-            epoch: rt.epoch() + 1,
+            epoch: next,
             token,
             op,
         };
-        plane.apply(&flip(2, ControlOp::Commit));
-        assert_eq!(plane.serving_epoch(sw), Some(rt.epoch() + 1));
+        deliver(&mut rt.states, Some(&plane), &flip(2, ControlOp::Commit));
+        assert_eq!(plane.serving_epoch(sw), Some(next));
         assert_eq!(lookups(&plane), epoch1);
-        plane.apply(&flip(3, ControlOp::Rollback));
-        assert_eq!(plane.serving_epoch(sw), Some(rt.epoch()));
+        deliver(&mut rt.states, Some(&plane), &flip(3, ControlOp::Rollback));
+        assert_eq!(plane.serving_epoch(sw), Some(serving));
         assert_eq!(lookups(&plane), epoch0);
-        assert!(serving_snap(&plane, sw).table(handle).same_pages(shard));
+        assert!(serving_snap(&plane, sw).table(handle).same_pages(&shard));
+    }
+
+    /// A channel that rules the scripted fates in order, then `then` forever.
+    struct Fates {
+        script: std::collections::VecDeque<Delivery>,
+        then: Delivery,
+    }
+
+    impl ControlChannel for Fates {
+        fn transmit(&mut self, _msg: &ControlMsg) -> Delivery {
+            self.script.pop_front().unwrap_or(self.then)
+        }
     }
 
     #[test]
     fn traffic_channel_mirrors_duplicates_and_ignores_drops() {
         let out = Compiler::new().compile(&lb_request()).unwrap();
-        let rt = Runtime::new(&out);
+        let mut rt = Runtime::new(&out);
         let dep = CompiledDeployment::new(&out);
-        let plane = LiveTrafficPlane::for_rollout(&rt, &dep, &dep);
+        let plane = Arc::new(LiveTrafficPlane::for_rollout(&rt, &dep, &dep));
+        rt.plane = Some(plane.clone());
         let epoch0 = plane.serving_epoch("Agg3").unwrap();
-        // Hand-deliver a prepare+commit pair for the next epoch.
-        let staged = DataPlaneState::new();
-        plane.apply(&ControlMsg {
-            switch: "Agg3".into(),
-            epoch: epoch0 + 1,
-            token: 1,
-            op: ControlOp::Prepare {
-                staged: staged.clone(),
-            },
-        });
-        assert_eq!(plane.serving_epoch("Agg3"), Some(epoch0), "prepare stages");
-        let commit = ControlMsg {
-            switch: "Agg3".into(),
-            epoch: epoch0 + 1,
-            token: 2,
-            op: ControlOp::Commit,
+        // A prepare+commit pair for the next epoch, sent the way the
+        // engine sends: the commit is first dropped, then duplicated.
+        let mut channel = Fates {
+            script: [Delivery::Delivered, Delivery::Dropped, Delivery::Duplicated].into(),
+            then: Delivery::Delivered,
         };
-        plane.apply(&commit);
-        plane.apply(&commit); // duplicate: token-idempotent
-        assert_eq!(plane.serving_epoch("Agg3"), Some(epoch0 + 1));
-        // Rollback restores the retained prior.
-        plane.apply(&ControlMsg {
+        let config = RolloutConfig::default();
+        let mut tx = Txn {
+            epoch: epoch0 + 1,
+            prior_epoch: epoch0,
+            targets: vec!["Agg3".into()],
+            channel: &mut channel,
+            config: &config,
+            rng: Rng::new(1),
+            journal: Journal::new(None, None),
+            tokens: TokenSource {
+                epoch: epoch0 + 1,
+                ..Default::default()
+            },
+            report: RolloutReport::default(),
+        };
+        let msg = |token, op| ControlMsg {
             switch: "Agg3".into(),
             epoch: epoch0 + 1,
-            token: 3,
-            op: ControlOp::Rollback,
-        });
+            token,
+            op,
+        };
+        let staged = DataPlaneState::new();
+        assert!(rt.send(&mut tx, &msg(1, ControlOp::Prepare { staged }), 1));
+        assert_eq!(plane.serving_epoch("Agg3"), Some(epoch0), "prepare stages");
+        let commit = msg(2, ControlOp::Commit);
+        assert!(!rt.send(&mut tx, &commit, 1));
+        assert_eq!(
+            plane.serving_epoch("Agg3"),
+            Some(epoch0),
+            "a drop flips nothing"
+        );
+        assert!(rt.send(&mut tx, &commit, 1)); // delivered twice: token-idempotent
+        assert_eq!(tx.report.duplicates, 1);
+        assert_eq!(plane.serving_epoch("Agg3"), Some(epoch0 + 1));
+        assert_eq!(rt.switch_epoch("Agg3"), Some(epoch0 + 1));
+        // Rollback restores the retained prior.
+        assert!(rt.send(&mut tx, &msg(3, ControlOp::Rollback), 1));
         assert_eq!(plane.serving_epoch("Agg3"), Some(epoch0));
+    }
+
+    #[test]
+    fn publish_follows_a_forced_rollback() {
+        let out = Compiler::new().compile(&lb_request()).unwrap();
+        let mut rt = Runtime::new(&out);
+        rt.install("conn_table", 7, 0x0a00).unwrap();
+        let dep = CompiledDeployment::new(&out);
+        let plane = Arc::new(LiveTrafficPlane::for_rollout(&rt, &dep, &dep));
+        let epoch0 = rt.epoch();
+        let targets = rt.states.len() as u64;
+        assert!(targets >= 2);
+        // Every prepare and all commits but the last get through; after
+        // that the channel is dead, so the commit times out and not one
+        // rollback message arrives: every switch is reverted out-of-band.
+        let mut channel = Fates {
+            script: vec![Delivery::Delivered; 2 * targets as usize - 1].into(),
+            then: Delivery::Dropped,
+        };
+        let config = RolloutConfig {
+            max_attempts: 2,
+            base_backoff: Duration::from_micros(1),
+            max_backoff: Duration::from_micros(5),
+            ..Default::default()
+        };
+        let replay_cfg = ReplayConfig::default().with_packets(20_000).with_workers(2);
+        let (replay, report) = run_traffic(&plane, &replay_cfg, Instant::now(), 2_000, |_| {
+            rt.plane = Some(plane.clone());
+            let report = rt.apply_rollout(&out, &mut channel, &config).unwrap();
+            rt.plane = None;
+            // No `align` has run: the agents' own publishes must already
+            // have taken every flipped switch back.
+            for sw in rt.states.keys() {
+                assert_eq!(plane.serving_epoch(sw), Some(epoch0), "{sw} still flipped");
+            }
+            report
+        });
+        assert!(report.rolled_back, "{report:?}");
+        assert_eq!(report.forced_rollbacks, targets, "{report:?}");
+        // The flips were real: every switch but the last went to the new
+        // epoch and came back, one generation bump each way.
+        assert_eq!(plane.generation.load(Ordering::Acquire), 2 * (targets - 1));
+        assert_eq!(replay.mixed_epoch_exposure, 0);
+        assert_eq!(replay.worker_panics, 0);
+        assert_eq!(replay.packets, 20_000);
+        assert!(rt.epochs_coherent());
+    }
+
+    #[test]
+    fn a_plane_built_mid_flight_serves_the_next_program_where_a_prior_is_retained() {
+        let compiler = Compiler::new();
+        let req = lb_request();
+        let prior = compiler.compile(&req).unwrap();
+        let next = compiler.compile(&req).unwrap();
+        let mut rt = Runtime::new(&prior);
+        rt.install("conn_table", 42, 0xabcd).unwrap();
+        let epoch0 = rt.epoch();
+        // Crash with the second commit journaled but not sent: exactly one
+        // switch has flipped and retains its prior epoch.
+        let targets = rt.states.len() as u64;
+        assert!(targets >= 2);
+        let config = RolloutConfig::default().with_crash(CrashPlan::after_sends(targets + 2));
+        let mut store = MemIntentStore::new();
+        rt.apply_rollout_logged(&next, &mut ReliableChannel::new(), &config, &mut store)
+            .unwrap_err();
+        let flipped: Vec<&String> = rt
+            .states
+            .iter()
+            .filter(|(_, st)| st.prior().is_some())
+            .map(|(sw, _)| sw)
+            .collect();
+        assert_eq!(flipped.len(), 1, "one commit landed before the crash");
+
+        let layout = Arc::new(ProgramLayout::unioned(&[&prior.ir, &next.ir]));
+        let dep_cur = CompiledDeployment::with_layout(&prior, layout.clone());
+        let dep_next = CompiledDeployment::with_layout(&next, layout);
+        let plane = LiveTrafficPlane::for_rollout(&rt, &dep_cur, &dep_next);
+        for (sw, st) in &rt.states {
+            let served = read_lock(&plane.serving[plane.index[sw]]).clone();
+            assert_eq!(served.epoch, st.epoch(), "{sw}");
+            let (dep, epoch) = if flipped.contains(&sw) {
+                (&dep_next, epoch0 + 1)
+            } else {
+                (&dep_cur, epoch0)
+            };
+            assert_eq!(served.epoch, epoch, "{sw}");
+            let program = dep.switches.get(sw).expect("a live switch holds code");
+            assert!(
+                Arc::ptr_eq(&served.algs, program),
+                "{sw} serves the wrong program"
+            );
+        }
     }
 }

@@ -1424,16 +1424,8 @@ impl Snapshot {
     }
 
     fn hydrate(&self, rt: &mut Runtime<'_>) {
-        rt.epoch = self.epoch;
-        rt.epoch_counter = self.epoch_counter;
-        rt.faults = self.faults.clone();
-        let dead: Vec<String> = self.faults.failed_switches().map(String::from).collect();
-        for sw in &dead {
-            rt.states.remove(sw);
-        }
-        for st in rt.states.values_mut() {
-            st.epoch = self.epoch;
-        }
+        rt.resume_at(self.epoch, self.epoch_counter);
+        rt.declare_faults(self.faults.clone());
         for (table, key, value) in &self.entries {
             // Entries whose surviving placement cannot hold them are
             // dropped by the planner, not an error here.
@@ -1576,15 +1568,9 @@ pub fn run_selfheal(
                 recompiles += 1;
                 let rec_ref: &FaultRecompile = staged.insert(rec);
 
-                // The controller knows these switches are dead: drop their
-                // state so the rollout neither messages them nor counts
-                // them toward epoch coherence.
-                rt.faults = faults.clone();
-                for t in &plan.fail {
-                    if let Target::Switch(sw) = t {
-                        rt.states.remove(sw);
-                    }
-                }
+                // The controller knows these switches are dead: their
+                // state goes with them.
+                rt.declare_faults(faults);
 
                 let rollout_cfg = cfg
                     .rollout

@@ -63,6 +63,7 @@
 //! assert!(rendered.contains("^^^")); // the offending span, rustc-style
 //! ```
 
+mod agent;
 pub mod cache;
 pub mod channel;
 pub mod dataplane;
@@ -78,7 +79,7 @@ pub use channel::{ControlChannel, ControlMsg, ControlOp, Delivery, LossyChannel,
 pub use dataplane::{
     replay_compiled, replay_interpreted, replay_under_recovery, replay_under_rollout,
     CompiledDeployment, LiveTrafficPlane, RecoveryReplayOutcome, ReplayConfig, ReplayReport,
-    RolloutReplayOutcome, TrafficChannel,
+    RolloutReplayOutcome,
 };
 pub use fault::{DriftFinding, DriftKind, DriftOp, FaultRecompile, PlacementDiff};
 pub use health::{

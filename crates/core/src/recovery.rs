@@ -15,14 +15,15 @@
 //!   decision *and* every switch answering with the staged (or already
 //!   serving) epoch; anything less rolls back, reusing the journaled
 //!   idempotency tokens so re-driven messages are duplicate-safe across
-//!   the restart.
+//!   the restart. From the state queries on, a recovery *is* a rollout
+//!   whose journal may already hold tokens: it builds the same
+//!   `Txn` and enters the same commit round, rollback round and
+//!   `Runtime::conclude` a live rollout ends in.
 //! * **Anti-entropy** ([`Runtime::audit_switches`]): diffs
 //!   controller-expected [`DataPlaneState`](lyra_ir::DataPlaneState)
 //!   against switch-held state using per-table content digests,
 //!   classifies drift ([`DriftKind`]: missing / extra / stale /
-//!   stale-epoch), and issues minimal repair installs. Pair with
-//!   [`crate::LiveTrafficPlane::resync`] to make repaired state
-//!   immediately servable on the traffic plane.
+//!   stale-epoch), and issues minimal repair installs.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
@@ -31,10 +32,11 @@ use lyra_diag::json::{Object, Value};
 use lyra_diag::{codes, Diagnostic};
 use lyra_ir::ExternTable;
 
+use crate::agent::settle;
 use crate::channel::{ControlChannel, ControlMsg, ControlOp, Rng};
 use crate::fault::{DriftFinding, DriftKind, DriftOp};
 use crate::rollout::{
-    force_rollback, mint_token, send, IntentRecord, IntentStore, RolloutConfig, RolloutReport,
+    IntentRecord, IntentStore, Journal, RolloutConfig, RolloutReport, TokenSource, Txn,
 };
 use crate::runtime::{Runtime, RuntimeError};
 use crate::CompileOutput;
@@ -79,7 +81,8 @@ pub struct RecoveryReport {
     /// journaled token, so they can never collide).
     pub fresh_tokens: u64,
     /// Switches reverted out-of-band because even the recovery rollback
-    /// budget was exhausted.
+    /// budget was exhausted (or the final sweep still found them serving
+    /// the abandoned epoch).
     pub forced_rollbacks: u64,
     /// Transmission attempts across queries and re-driven messages.
     pub messages_sent: u64,
@@ -135,8 +138,7 @@ pub struct AuditReport {
     pub findings: Vec<DriftFinding>,
     /// Repairs issued (installs, removals, epoch-tag resets).
     pub repaired: u64,
-    /// Switches that held at least one drifted entry — what a traffic
-    /// plane must re-snapshot ([`crate::LiveTrafficPlane::resync`]).
+    /// Switches that held at least one drifted entry.
     pub drifted_switches: Vec<String>,
     /// Structured diagnostics (`LYR0575` / `LYR0576`).
     pub diagnostics: Vec<Diagnostic>,
@@ -206,12 +208,6 @@ pub(crate) fn table_digest(entries: &ExternTable) -> u64 {
     entries.digest()
 }
 
-/// The token sequence number embedded in an idempotency token
-/// (`(epoch << 32) | seq`).
-fn token_seq(token: u64) -> u64 {
-    token & 0xFFFF_FFFF
-}
-
 impl<'a> Runtime<'a> {
     /// Restart recovery: replay the write-ahead intent log, query every
     /// switch's epoch state over `channel`, and drive any in-flight
@@ -261,7 +257,7 @@ impl<'a> Runtime<'a> {
         // without a matching `End`; collect its decision and tokens.
         let mut inflight: Option<(u64, u64, Vec<String>)> = None;
         let mut decision: Option<bool> = None;
-        let mut logged_tokens: BTreeMap<(String, String), u64> = BTreeMap::new();
+        let mut logged_tokens: Vec<(String, String, u64)> = Vec::new();
         let mut max_seq = 0u64;
         for rec in &records {
             match rec {
@@ -275,27 +271,17 @@ impl<'a> Runtime<'a> {
                     logged_tokens.clear();
                     max_seq = 0;
                 }
+                // A record about any other rollout than the in-flight one.
+                _ if inflight.as_ref().is_none_or(|(e, ..)| *e != rec.epoch()) => {}
                 IntentRecord::Sent {
-                    epoch,
-                    switch,
-                    token,
-                    op,
+                    switch, token, op, ..
                 } => {
-                    if inflight.as_ref().is_some_and(|(e, ..)| e == epoch) {
-                        logged_tokens.insert((switch.clone(), op.clone()), *token);
-                        max_seq = max_seq.max(token_seq(*token));
-                    }
+                    logged_tokens.push((switch.clone(), op.clone(), *token));
+                    // The sequence half of `(epoch << 32) | seq`.
+                    max_seq = max_seq.max(*token & 0xFFFF_FFFF);
                 }
-                IntentRecord::Decision { epoch, commit } => {
-                    if inflight.as_ref().is_some_and(|(e, ..)| e == epoch) {
-                        decision = Some(*commit);
-                    }
-                }
-                IntentRecord::End { epoch, .. } => {
-                    if inflight.as_ref().is_some_and(|(e, ..)| e == epoch) {
-                        inflight = None;
-                    }
-                }
+                IntentRecord::Decision { commit, .. } => decision = Some(*commit),
+                IntentRecord::End { .. } => inflight = None,
             }
         }
 
@@ -303,33 +289,25 @@ impl<'a> Runtime<'a> {
         // in-flight rollout (a crash with no intent store attached): any
         // staged or off-epoch state names the epoch to roll back. Commit
         // is never driven without a journaled decision.
-        let (epoch, prior_epoch, targets, from_log) = match inflight {
-            Some((e, p, t)) => (e, p, t, true),
+        let from_log = inflight.is_some();
+        let (epoch, prior_epoch, targets) = match inflight {
+            Some(logged) => logged,
             None => {
-                let stray = self
-                    .states
-                    .values()
-                    .flat_map(|st| {
-                        let staged = st.staged.as_ref().map(|(e, _)| *e);
-                        [
-                            Some(st.epoch).filter(|e| *e != self.epoch),
-                            staged.filter(|e| *e > self.epoch),
-                        ]
-                    })
-                    .flatten()
-                    .max();
-                match stray {
-                    None => {
-                        // Nothing in flight anywhere: drop any leftover
-                        // tokens and report the no-op.
-                        for st in self.states.values_mut() {
-                            st.tokens.clear();
-                        }
-                        report.elapsed = t0.elapsed();
-                        return Ok(report);
-                    }
-                    Some(e) => (e, self.epoch, self.states.keys().cloned().collect(), false),
-                }
+                let stray = self.states.values().flat_map(|st| {
+                    let staged = st.staged().map(|(e, _)| e);
+                    [
+                        Some(st.epoch()).filter(|e| *e != self.epoch),
+                        staged.filter(|e| *e > self.epoch),
+                    ]
+                });
+                let Some(e) = stray.flatten().max() else {
+                    // Nothing in flight anywhere: drop any leftover tokens
+                    // and report the no-op.
+                    settle(&mut self.states, self.plane.as_deref(), None);
+                    report.elapsed = t0.elapsed();
+                    return Ok(report);
+                };
+                (e, self.epoch, self.states.keys().cloned().collect())
             }
         };
         self.epoch_counter = self.epoch_counter.max(epoch);
@@ -337,246 +315,112 @@ impl<'a> Runtime<'a> {
         report.prior_epoch = prior_epoch;
         report.in_flight = true;
 
-        let mut rng = Rng::new(config.seed ^ epoch.rotate_left(23) ^ 0x5eed_c0de);
-        let mut seq = max_seq;
-        let mut scratch = RolloutReport::default();
+        // From here on a recovery is a rollout whose journal may already
+        // hold tokens: the same transaction state, rounds and conclusion.
+        // Journaling stays write-ahead — a second crash must find the
+        // re-driven tokens too — and takes no crash plan of its own.
+        let mut tx = Txn {
+            epoch,
+            prior_epoch,
+            targets,
+            channel,
+            config,
+            rng: Rng::new(config.seed ^ epoch.rotate_left(23) ^ 0x5eed_c0de),
+            journal: Journal::new(Some(store), None),
+            tokens: TokenSource {
+                epoch,
+                seq: max_seq,
+                logged: logged_tokens,
+                ..Default::default()
+            },
+            report: RolloutReport::default(),
+        };
 
-        // Query every target switch's epoch state over the channel.
-        let mut probes: BTreeMap<String, Option<SwitchProbe>> = BTreeMap::new();
-        for sw in &targets {
-            if !self.states.contains_key(sw) {
+        // Query every target switch's epoch state over the channel. The
+        // commit is provably completable only if each one answers with the
+        // epoch staged or already serving.
+        let mut confirmed = true;
+        for sw in tx.targets.clone() {
+            let mut probe = None;
+            if !self.states.contains_key(&sw) {
                 // The switch is gone (died after the crash); it cannot
                 // confirm anything, which forces the rollback outcome.
                 report.query_failures += 1;
-                probes.insert(sw.clone(), None);
-                continue;
-            }
-            seq += 1;
-            let msg = ControlMsg {
-                switch: sw.clone(),
-                epoch,
-                token: mint_token(epoch, seq)?,
-                op: ControlOp::Query,
-            };
-            report.queried += 1;
-            let ok = send(
-                &mut self.states,
-                channel,
-                &msg,
-                config.max_attempts,
-                config,
-                &mut rng,
-                &mut scratch,
-            );
-            if ok {
-                let probe = self.states.get(sw).map(|st| SwitchProbe {
-                    epoch: st.epoch,
-                    staged_epoch: st.staged.as_ref().map(|(e, _)| *e),
-                    prior_epoch: st.prior.as_ref().map(|(e, _)| *e),
-                });
-                probes.insert(sw.clone(), probe);
             } else {
-                report.query_failures += 1;
-                probes.insert(sw.clone(), None);
-                report.diagnostics.push(Diagnostic::warning(
-                    codes::RECOVERY_QUERY_FAILED,
-                    format!(
-                        "switch `{sw}` did not answer the recovery state query within \
-                         {} attempts; its state is unknown, forcing rollback",
-                        config.max_attempts
-                    ),
-                ));
-            }
-        }
-
-        // Deterministic outcome: commit only when provably completable.
-        let can_commit = from_log
-            && decision == Some(true)
-            && targets.iter().all(|sw| {
-                probes
-                    .get(sw)
-                    .and_then(|p| *p)
-                    .is_some_and(|p| p.epoch == epoch || p.staged_epoch == Some(epoch))
-            });
-
-        let mut commit_failed = false;
-        if can_commit {
-            for sw in &targets {
-                if self.states.get(sw).is_some_and(|st| st.epoch == epoch) {
-                    continue; // already flipped before the crash
-                }
-                let reused = logged_tokens.get(&(sw.clone(), "commit".to_string()));
-                let token = match reused {
-                    Some(&t) => {
-                        report.reused_tokens += 1;
-                        t
-                    }
-                    None => {
-                        seq += 1;
-                        report.fresh_tokens += 1;
-                        mint_token(epoch, seq)?
-                    }
-                };
                 let msg = ControlMsg {
                     switch: sw.clone(),
                     epoch,
-                    token,
-                    op: ControlOp::Commit,
+                    token: tx.tokens.mint()?,
+                    op: ControlOp::Query,
                 };
-                // Write-ahead even while recovering: a second crash must
-                // find these tokens too.
-                store.append(&IntentRecord::Sent {
-                    epoch,
-                    switch: sw.clone(),
-                    token,
-                    op: "commit".to_string(),
-                })?;
-                if !send(
-                    &mut self.states,
-                    channel,
-                    &msg,
-                    config.max_attempts,
-                    config,
-                    &mut rng,
-                    &mut scratch,
-                ) {
-                    commit_failed = true;
-                    break;
+                report.queried += 1;
+                if self.send(&mut tx, &msg, config.max_attempts) {
+                    probe = self.states.get(&sw).map(|st| SwitchProbe {
+                        epoch: st.epoch(),
+                        staged_epoch: st.staged().map(|(e, _)| e),
+                        prior_epoch: st.prior().map(|(e, _)| e),
+                    });
+                } else {
+                    report.query_failures += 1;
+                    report.diagnostics.push(Diagnostic::warning(
+                        codes::RECOVERY_QUERY_FAILED,
+                        format!(
+                            "switch `{sw}` did not answer the recovery state query within \
+                             {} attempts; its state is unknown, forcing rollback",
+                            config.max_attempts
+                        ),
+                    ));
                 }
             }
-            // A reused token may have been consumed without a flip (the
-            // switch recorded it but never staged); verify before
-            // finalizing — anything short of all-flipped rolls back.
-            let all_flipped = !commit_failed
-                && targets
-                    .iter()
-                    .all(|sw| self.states.get(sw).is_none_or(|st| st.epoch == epoch));
-            if all_flipped {
-                for st in self.states.values_mut() {
-                    st.staged = None;
-                    st.prior = None;
-                    st.tokens.clear();
-                }
-                self.epoch = epoch;
-                self.output = new_output;
-                report.committed = true;
-                report.diagnostics.push(Diagnostic::warning(
-                    codes::RECOVERY_COMMITTED,
-                    format!(
-                        "restart recovery completed the in-flight rollout: epoch {epoch} \
-                         committed on every switch"
-                    ),
-                ));
-                store.append(&IntentRecord::End {
-                    epoch,
-                    committed: true,
-                })?;
-                self.refresh_expected();
-                report.messages_sent = scratch.messages_sent;
-                report.retries = scratch.retries;
-                report.elapsed = t0.elapsed();
-                return Ok(report);
-            }
+            confirmed &= probe.is_some_and(|p| p.epoch == epoch || p.staged_epoch == Some(epoch));
         }
 
-        // Rollback: revert every target to the prior epoch, reusing
-        // journaled rollback tokens where the crashed controller had
-        // already issued them.
-        for sw in &targets {
-            let Some(_) = self.states.get(sw) else {
-                continue; // gone: nothing to revert
-            };
-            let reused = logged_tokens.get(&(sw.clone(), "rollback".to_string()));
-            let token = match reused {
-                Some(&t) => {
-                    report.reused_tokens += 1;
-                    t
-                }
-                None => {
-                    seq += 1;
-                    report.fresh_tokens += 1;
-                    mint_token(epoch, seq)?
-                }
-            };
-            let msg = ControlMsg {
-                switch: sw.clone(),
-                epoch,
-                token,
-                op: ControlOp::Rollback,
-            };
-            store.append(&IntentRecord::Sent {
-                epoch,
-                switch: sw.clone(),
-                token,
-                op: "rollback".to_string(),
-            })?;
-            if !send(
-                &mut self.states,
-                channel,
-                &msg,
-                config.max_attempts.saturating_mul(4),
-                config,
-                &mut rng,
-                &mut scratch,
-            ) {
-                if let Some(st) = self.states.get_mut(sw) {
-                    force_rollback(st, epoch);
-                }
-                report.forced_rollbacks += 1;
-                report.diagnostics.push(Diagnostic::warning(
-                    codes::ROLLOUT_CHANNEL_EXHAUSTED,
+        // Deterministic outcome: commit only when a journaled decision
+        // says so and the switches confirm it — and, the commits re-driven,
+        // only if every target really flipped.
+        let commit_decided = from_log && decision == Some(true);
+        if commit_decided && confirmed && self.commit_round(&mut tx)?.is_none() {
+            self.output = new_output;
+            self.conclude(&mut tx, true)?;
+            report.committed = true;
+            report.diagnostics.push(Diagnostic::warning(
+                codes::RECOVERY_COMMITTED,
+                format!(
+                    "restart recovery completed the in-flight rollout: epoch {epoch} \
+                     committed on every switch"
+                ),
+            ));
+        } else {
+            self.rollback_round(&mut tx, "recovery rollback")?;
+            self.conclude(&mut tx, false)?;
+            report.rolled_back = true;
+            report.diagnostics.append(&mut tx.report.diagnostics);
+            report.diagnostics.push(
+                Diagnostic::warning(
+                    codes::RECOVERY_ROLLED_BACK,
                     format!(
-                        "recovery rollback of `{sw}` exhausted the control channel \
-                         ({} attempts); reverted out-of-band",
-                        config.max_attempts.saturating_mul(4)
+                        "restart recovery rolled the in-flight rollout back; epoch \
+                         {prior_epoch} is serving on every switch"
                     ),
+                )
+                .with_note("the burned epoch is never reused; retry allocates a fresh one"),
+            );
+            if commit_decided {
+                // The commit had been decided but could not be proven or
+                // completed — say why the conservative outcome won.
+                report.diagnostics.push(Diagnostic::warning(
+                    codes::RECOVERY_ROLLED_BACK,
+                    "a journaled commit decision could not be completed (unreachable or \
+                     unconfirmed switches); rolled back to preserve all-or-nothing"
+                        .to_string(),
                 ));
             }
         }
-        // Finalize sweep, exactly like a live rollout: drop every
-        // staged/prior remnant (including ones from older crashed
-        // attempts the targeted rollback cannot name) and all tokens.
-        for st in self.states.values_mut() {
-            if st.epoch == epoch {
-                force_rollback(st, epoch);
-            }
-            st.staged = None;
-            st.prior = None;
-            st.tokens.clear();
-            debug_assert_eq!(
-                st.epoch, prior_epoch,
-                "recovery rollback must restore the prior epoch"
-            );
-        }
-        self.epoch = prior_epoch;
-        report.rolled_back = true;
-        report.diagnostics.push(
-            Diagnostic::warning(
-                codes::RECOVERY_ROLLED_BACK,
-                format!(
-                    "restart recovery rolled the in-flight rollout back; epoch \
-                     {prior_epoch} is serving on every switch"
-                ),
-            )
-            .with_note("the burned epoch is never reused; retry allocates a fresh one"),
-        );
-        if commit_failed || (from_log && decision == Some(true) && !can_commit) {
-            // The commit had been decided but could not be proven or
-            // completed — say why the conservative outcome won.
-            report.diagnostics.push(Diagnostic::warning(
-                codes::RECOVERY_ROLLED_BACK,
-                "a journaled commit decision could not be completed (unreachable or \
-                 unconfirmed switches); rolled back to preserve all-or-nothing"
-                    .to_string(),
-            ));
-        }
-        store.append(&IntentRecord::End {
-            epoch,
-            committed: false,
-        })?;
-        self.refresh_expected();
-        report.messages_sent = scratch.messages_sent;
-        report.retries = scratch.retries;
+        report.reused_tokens = tx.tokens.reused;
+        report.fresh_tokens = tx.tokens.fresh;
+        report.forced_rollbacks = tx.report.forced_rollbacks;
+        report.messages_sent = tx.report.messages_sent;
+        report.retries = tx.report.retries;
         report.elapsed = t0.elapsed();
         Ok(report)
     }
@@ -592,11 +436,8 @@ impl<'a> Runtime<'a> {
     /// regressed epoch tags reset. Globals are traffic-mutable and out
     /// of scope; extern tables are control-plane-owned ground truth.
     ///
-    /// The repairs touch only runtime switch state. When a
-    /// [`crate::LiveTrafficPlane`] is serving this runtime, pass
-    /// [`AuditReport::drifted_switches`] to
-    /// [`crate::LiveTrafficPlane::resync`] so repaired state is
-    /// immediately servable.
+    /// The repairs touch only runtime switch state; a
+    /// [`crate::LiveTrafficPlane`] built afterwards serves them.
     pub fn audit_switches(&mut self) -> AuditReport {
         let t0 = Instant::now();
         let mut report = AuditReport::default();
@@ -607,18 +448,16 @@ impl<'a> Runtime<'a> {
             let before = report.findings.len();
             // Epoch-tag drift first: a regressed switch is reset to the
             // deployment epoch (its entries are repaired below anyway).
-            if st.epoch != deployment_epoch {
+            if st.epoch() != deployment_epoch {
                 report.findings.push(DriftFinding {
                     switch: sw.clone(),
                     table: String::new(),
                     key: 0,
                     kind: DriftKind::StaleEpoch,
                     expected: Some(deployment_epoch),
-                    found: Some(st.epoch),
+                    found: Some(st.epoch()),
                 });
-                st.epoch = deployment_epoch;
-                st.staged = None;
-                st.prior = None;
+                st.reset_epoch(deployment_epoch);
                 report.repaired += 1;
             }
             let expected = self.expected.get(sw);
@@ -743,9 +582,7 @@ impl<'a> Runtime<'a> {
             DriftOp::Insert { table, key, value } => {
                 st.dp.install(table, *key, *value);
             }
-            DriftOp::RegressEpoch => {
-                st.epoch = st.epoch.saturating_sub(1);
-            }
+            DriftOp::RegressEpoch => st.regress_epoch(),
         }
         Ok(())
     }

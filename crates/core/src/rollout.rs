@@ -33,6 +33,13 @@
 //! Epoch numbers are *burned* on rollback (never reused), so a stale
 //! message from an abandoned attempt can never corrupt a later one.
 //!
+//! This module is the *controller*: it decides what to send. What a switch
+//! does with a delivered message is `crate::agent`'s, the one per-switch
+//! state machine. The commit round, the rollback round and the conclusion
+//! (`Runtime::{commit_round, rollback_round, conclude}` over a `Txn`) are
+//! shared with restart recovery ([`crate::recovery`]) — a live rollout is
+//! a recovery whose journal offers no tokens to reuse.
+//!
 //! Failover re-sync ([`Runtime::fail_switch`] / [`Runtime::fail_link`])
 //! runs on the same engine and through the same staging function as a
 //! placement rollout: the next epoch is laid out from the shards the
@@ -51,11 +58,12 @@ use lyra_diag::{codes, Diagnostic, Phase};
 use lyra_ir::{DataPlaneState, ExternTable};
 use lyra_topo::ScopeHealth;
 
+use crate::agent::{deliver, force_rollback, settle, SwitchState};
 use crate::channel::{
     ControlChannel, ControlMsg, ControlOp, Delivery, EntryOp, ReliableChannel, Rng,
 };
 use crate::fault::PlacementDiff;
-use crate::runtime::{stage_layout, Runtime, RuntimeError, StagedLayout, SwitchState};
+use crate::runtime::{stage_layout, Runtime, RuntimeError, StagedLayout};
 use crate::CompileOutput;
 
 /// Tuning knobs for one rollout: retry budget, backoff shape, jitter seed,
@@ -566,6 +574,63 @@ impl<'j> Journal<'j> {
     }
 }
 
+/// Where a transaction's idempotency tokens come from. A live rollout
+/// mints every one; restart recovery first offers the tokens the crashed
+/// controller journaled, so a message a switch applied before the crash
+/// is acknowledged without being re-applied, and mints past every
+/// journaled one otherwise, so a fresh token can never collide.
+#[derive(Default)]
+pub(crate) struct TokenSource {
+    pub(crate) epoch: u64,
+    /// The highest sequence number journaled or minted so far.
+    pub(crate) seq: u64,
+    /// `(switch, op name, token)` of every journaled message, oldest
+    /// first; the latest record for a message is the one to reuse.
+    pub(crate) logged: Vec<(String, String, u64)>,
+    /// Messages that reused a journaled token.
+    pub(crate) reused: u64,
+    /// Messages that needed a fresh one.
+    pub(crate) fresh: u64,
+}
+
+impl TokenSource {
+    /// A token no message of this epoch has worn.
+    pub(crate) fn mint(&mut self) -> Result<u64, RuntimeError> {
+        self.seq += 1;
+        mint_token(self.epoch, self.seq)
+    }
+
+    fn reuse_or_mint(&mut self, switch: &str, op: &str) -> Result<u64, RuntimeError> {
+        let journaled = |(s, o, _): &&(String, String, u64)| s == switch && o == op;
+        match self.logged.iter().rev().find(journaled) {
+            Some(&(.., token)) => {
+                self.reused += 1;
+                Ok(token)
+            }
+            None => {
+                self.fresh += 1;
+                self.mint()
+            }
+        }
+    }
+}
+
+/// One transaction in flight, as its controller holds it — a live rollout
+/// or the restart recovery of one. `report` collects what the shared
+/// rounds observe: channel counters, commit timings, forced rollbacks.
+pub(crate) struct Txn<'t, 'j> {
+    pub(crate) epoch: u64,
+    /// The epoch a rollback restores.
+    pub(crate) prior_epoch: u64,
+    pub(crate) targets: Vec<String>,
+    pub(crate) channel: &'t mut dyn ControlChannel,
+    pub(crate) config: &'t RolloutConfig,
+    pub(crate) rng: Rng,
+    pub(crate) journal: Journal<'j>,
+    pub(crate) tokens: TokenSource,
+    pub(crate) report: RolloutReport,
+}
+
 /// What one switch experienced during a rollout.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SwitchRollout {
@@ -621,7 +686,9 @@ pub struct RolloutReport {
     pub rolled_back: bool,
     /// Switches reverted out-of-band because even the rollback message
     /// budget was exhausted (the last-resort path that preserves the
-    /// all-or-nothing invariant).
+    /// all-or-nothing invariant) — or because the final sweep still found
+    /// them serving the abandoned epoch, which no fault schedule should
+    /// produce.
     pub forced_rollbacks: u64,
     /// Transmission attempts across all messages and phases.
     pub messages_sent: u64,
@@ -728,122 +795,6 @@ impl RolloutReport {
             Value::Array(self.diagnostics.iter().map(|d| d.to_json()).collect()),
         );
         Value::Object(o)
-    }
-}
-
-/// Apply a delivered control message to its switch's state machine. This
-/// is the "switch agent": it rules only on what the message says and what
-/// the switch already knows — it cannot see the sender's intent, which is
-/// why the epoch guards below exist (stale late replays must lose).
-pub(crate) fn deliver(states: &mut BTreeMap<String, SwitchState>, msg: &ControlMsg) {
-    let Some(st) = states.get_mut(&msg.switch) else {
-        return; // message to a switch that no longer exists: lost on the floor
-    };
-    if st.tokens.contains(&msg.token) {
-        return; // duplicate or replay of an already-applied message
-    }
-    match &msg.op {
-        ControlOp::Prepare { staged } => {
-            // Stage only a *newer* epoch, and never clobber a staged epoch
-            // with an older one — a late prepare from a rolled-back
-            // attempt must not overwrite the current attempt's stage.
-            let newer_than_active = msg.epoch > st.epoch;
-            let not_stale = st.staged.as_ref().is_none_or(|(e, _)| msg.epoch >= *e);
-            if newer_than_active && not_stale {
-                st.staged = Some((msg.epoch, staged.clone()));
-            }
-        }
-        ControlOp::PrepareDelta {
-            base_epoch,
-            ops,
-            globals,
-            batch_index,
-            ..
-        } => {
-            let newer_than_active = msg.epoch > st.epoch;
-            let not_stale = st.staged.as_ref().is_none_or(|(e, _)| msg.epoch >= *e);
-            if *batch_index == 0 {
-                // The first batch opens the staged epoch: an O(pages)
-                // copy-on-write clone of the serving state with the new
-                // epoch's globals swapped in. It obeys the same epoch
-                // guards as a full-snapshot prepare, plus one more: the
-                // switch must still be on the epoch the controller
-                // computed the delta against, or applying the operations
-                // would converge on the wrong state.
-                if newer_than_active && not_stale && *base_epoch == st.epoch {
-                    let mut dp = st.dp.clone();
-                    dp.globals = globals.clone();
-                    apply_entry_ops(&mut dp, ops);
-                    st.staged = Some((msg.epoch, dp));
-                }
-            } else if let Some((e, dp)) = st.staged.as_mut() {
-                // Later batches append to the already-open staged epoch.
-                // A batch for any other epoch — a replay from a burned
-                // attempt — is dropped; the idempotency token still gets
-                // recorded below, exactly like a refused stale prepare.
-                if *e == msg.epoch {
-                    apply_entry_ops(dp, ops);
-                }
-            }
-        }
-        ControlOp::Commit => {
-            if st.epoch != msg.epoch {
-                if let Some((e, dp)) = st.staged.take() {
-                    if e == msg.epoch {
-                        let old = std::mem::replace(&mut st.dp, dp);
-                        st.prior = Some((st.epoch, old));
-                        st.epoch = msg.epoch;
-                    } else {
-                        st.staged = Some((e, dp)); // commit for a different epoch: ignore
-                    }
-                }
-            }
-        }
-        ControlOp::Rollback => {
-            if st.epoch == msg.epoch {
-                if let Some((e, dp)) = st.prior.take() {
-                    st.dp = dp;
-                    st.epoch = e;
-                }
-            }
-            if st.staged.as_ref().is_some_and(|(e, _)| *e == msg.epoch) {
-                st.staged = None;
-            }
-        }
-        ControlOp::Query | ControlOp::Probe => {
-            // Read-only: the switch reports its epochs (query) or its
-            // liveness (health probe) in the ack. Never mutates and
-            // records no token, so a retried query/probe is not
-            // suppressed by the guard.
-            return;
-        }
-    }
-    st.tokens.insert(msg.token);
-}
-
-/// Revert one switch out-of-band (console access): the last resort when
-/// even rollback messages cannot get through.
-pub(crate) fn force_rollback(st: &mut SwitchState, epoch: u64) {
-    if st.epoch == epoch {
-        if let Some((e, dp)) = st.prior.take() {
-            st.dp = dp;
-            st.epoch = e;
-        }
-    }
-    st.staged = None;
-}
-
-/// Apply one batch of entry operations to a staged data-plane state.
-fn apply_entry_ops(dp: &mut DataPlaneState, ops: &[EntryOp]) {
-    for op in ops {
-        match op {
-            EntryOp::Set { table, key, value } => {
-                dp.install(table, *key, *value);
-            }
-            EntryOp::Remove { table, key } => {
-                dp.uninstall(table, *key);
-            }
-        }
     }
 }
 
@@ -1065,8 +1016,7 @@ impl<'a> Runtime<'a> {
             }
         }
         let churn = PlacementDiff::between(&self.output.placement, &output.placement).total_churn();
-        let mut journal = Journal::new(store, config.crash.clone());
-        let mut report = self.two_phase(staged, t0, churn, channel, config, &mut journal)?;
+        let mut report = self.two_phase(staged, t0, churn, channel, config, store)?;
         // Read the clock once the staged states are released, so the
         // report covers the whole call.
         report.elapsed = t0.elapsed();
@@ -1185,7 +1135,8 @@ impl<'a> Runtime<'a> {
     /// [`RolloutReport::rolled_back`]; `Err` means the *controller* died
     /// — an injected crash (`LYR0570`) or an intent-store fault
     /// (`LYR0577`) — leaving switches and journal mid-flight for
-    /// [`Runtime::recover`].
+    /// [`Runtime::recover`], which re-enters the same commit round,
+    /// rollback round and [`Runtime::conclude`] this ends in.
     fn two_phase(
         &mut self,
         staged: StagedLayout,
@@ -1193,7 +1144,7 @@ impl<'a> Runtime<'a> {
         instr_churn: usize,
         channel: &mut dyn ControlChannel,
         config: &RolloutConfig,
-        journal: &mut Journal<'_>,
+        store: Option<&mut dyn IntentStore>,
     ) -> Result<RolloutReport, RuntimeError> {
         let StagedLayout {
             states: staged,
@@ -1203,24 +1154,34 @@ impl<'a> Runtime<'a> {
         // counter never rewinds, so message epochs are unique per attempt.
         self.epoch_counter += 1;
         let epoch = self.epoch_counter;
-        let mut rng = Rng::new(config.seed ^ epoch.rotate_left(17));
-        let mut report = RolloutReport {
+        let mut tx = Txn {
             epoch,
-            instr_churn,
-            entries_planned,
-            ..Default::default()
+            prior_epoch: self.epoch,
+            targets: staged.keys().cloned().collect(),
+            channel,
+            config,
+            rng: Rng::new(config.seed ^ epoch.rotate_left(17)),
+            journal: Journal::new(store, config.crash.clone()),
+            tokens: TokenSource {
+                epoch,
+                ..Default::default()
+            },
+            report: RolloutReport {
+                epoch,
+                instr_churn,
+                entries_planned,
+                ..Default::default()
+            },
         };
-        let targets: Vec<String> = staged.keys().cloned().collect();
         // One structural diff per switch drives both the report counters
         // and the delta prepares — O(pages + changed entries) per switch,
         // because the staged states share pages with the serving ones.
         let empty_dp = DataPlaneState::default();
-        let mut deltas: Vec<SwitchDelta> = Vec::with_capacity(targets.len());
-        for sw in &targets {
+        let mut deltas: Vec<SwitchDelta> = Vec::with_capacity(staged.len());
+        for (sw, next) in &staged {
             let current = self.states.get(sw).map(|st| &st.dp).unwrap_or(&empty_dp);
-            let next = staged.get(sw).unwrap_or(&empty_dp);
             let d = entry_delta(current, next);
-            report.switches.push(SwitchRollout {
+            tx.report.switches.push(SwitchRollout {
                 switch: sw.clone(),
                 entries_added: d.added,
                 entries_removed: d.removed,
@@ -1229,16 +1190,15 @@ impl<'a> Runtime<'a> {
             });
             deltas.push(d);
         }
-        let mut token_seq = 0u64;
 
-        journal.append(IntentRecord::Begin {
+        tx.journal.append(IntentRecord::Begin {
             epoch,
             prior_epoch: self.epoch,
-            targets: targets.clone(),
+            targets: tx.targets.clone(),
         })?;
-        journal.boundary(CrashPoint::BeforePrepare)?;
+        tx.journal.boundary(CrashPoint::BeforePrepare)?;
 
-        report.stage = t0.elapsed();
+        tx.report.stage = t0.elapsed();
         let mut failure: Option<(lyra_diag::Code, String)> = None;
         // --- Phase 1: prepare -------------------------------------------
         // Delta by default: each switch receives only the batched entry
@@ -1246,195 +1206,88 @@ impl<'a> Runtime<'a> {
         // A switch whose retained base the controller cannot trust —
         // fresh under this placement, or repaired after drift — falls
         // back to a full-snapshot prepare.
-        'prepare: for (i, sw) in targets.iter().enumerate() {
-            // Targets come from `staged.keys()`; a miss would be an
-            // engine bug, handled gracefully rather than by indexing.
-            let Some(dp) = staged.get(sw) else {
-                failure = Some((
-                    codes::ROLLOUT_PREPARE_FAILED,
-                    format!("switch `{sw}` has no staged state for epoch {epoch}"),
-                ));
-                break;
-            };
+        for (i, (sw, dp)) in staged.iter().enumerate() {
             let snapshot = config.force_snapshot
                 || self.needs_snapshot.contains(sw)
-                || self.states.get(sw).is_none_or(|st| st.epoch != self.epoch);
+                || self
+                    .states
+                    .get(sw)
+                    .is_none_or(|st| st.epoch() != self.epoch);
             let batches: Vec<ControlOp> = if snapshot {
-                report.snapshot_prepares += 1;
+                tx.report.snapshot_prepares += 1;
                 vec![ControlOp::Prepare { staged: dp.clone() }]
             } else {
-                report.delta_prepares += 1;
+                tx.report.delta_prepares += 1;
                 delta_batches(self.epoch, &deltas[i], &dp.globals)
             };
             let t = Instant::now();
-            let before = report.retries;
+            let before = tx.report.retries;
+            // Batches are sent strictly in order, each acknowledged before
+            // the next: batch 0 opens the staged epoch, later ones append
+            // to it.
+            let mut acked = true;
             for op in batches {
-                token_seq += 1;
-                let msg = ControlMsg {
-                    switch: sw.clone(),
-                    epoch,
-                    token: mint_token(epoch, token_seq)?,
-                    op,
-                };
-                report.prepare_bytes += msg.wire_bytes() as u64;
-                journal.intent(&msg)?;
-                // Batches are sent strictly in order, each acknowledged
-                // before the next: batch 0 opens the staged epoch, later
-                // ones append to it.
-                let sent = send(
-                    &mut self.states,
-                    channel,
-                    &msg,
-                    config.max_attempts,
-                    config,
-                    &mut rng,
-                    &mut report,
-                );
-                if !sent {
-                    report.switches[i].prepare = t.elapsed();
-                    report.switches[i].retries += report.retries - before;
-                    failure = Some((
-                        codes::ROLLOUT_PREPARE_FAILED,
-                        format!(
-                            "switch `{sw}` failed to prepare epoch {epoch}: control channel \
-                             exhausted after {} attempts",
-                            config.max_attempts
-                        ),
-                    ));
-                    break 'prepare;
-                }
-            }
-            report.switches[i].prepare = t.elapsed();
-            report.switches[i].retries += report.retries - before;
-        }
-        // --- Phase 2: commit --------------------------------------------
-        if failure.is_none() {
-            journal.boundary(CrashPoint::AfterPrepare)?;
-            journal.append(IntentRecord::Decision {
-                epoch,
-                commit: true,
-            })?;
-            journal.boundary(CrashPoint::AfterCommitDecision)?;
-            for (i, sw) in targets.iter().enumerate() {
-                token_seq += 1;
-                let msg = ControlMsg {
-                    switch: sw.clone(),
-                    epoch,
-                    token: mint_token(epoch, token_seq)?,
-                    op: ControlOp::Commit,
-                };
-                journal.intent(&msg)?;
-                let t = Instant::now();
-                let before = report.retries;
-                let sent = send(
-                    &mut self.states,
-                    channel,
-                    &msg,
-                    config.max_attempts,
-                    config,
-                    &mut rng,
-                    &mut report,
-                );
-                report.switches[i].commit = t.elapsed();
-                report.switches[i].retries += report.retries - before;
-                if !sent {
-                    failure = Some((
-                        codes::ROLLOUT_COMMIT_TIMEOUT,
-                        format!(
-                            "switch `{sw}` did not acknowledge commit of epoch {epoch} \
-                             within {} attempts",
-                            config.max_attempts
-                        ),
-                    ));
+                acked = self.drive(&mut tx, sw, op, config.max_attempts)?;
+                if !acked {
                     break;
                 }
             }
+            tx.report.switches[i].prepare = t.elapsed();
+            tx.report.switches[i].retries += tx.report.retries - before;
+            if !acked {
+                failure = Some((
+                    codes::ROLLOUT_PREPARE_FAILED,
+                    format!(
+                        "switch `{sw}` failed to prepare epoch {epoch}: control channel \
+                         exhausted after {} attempts",
+                        config.max_attempts
+                    ),
+                ));
+                break;
+            }
+        }
+        // --- Phase 2: commit --------------------------------------------
+        if failure.is_none() {
+            tx.journal.boundary(CrashPoint::AfterPrepare)?;
+            tx.journal.append(IntentRecord::Decision {
+                epoch,
+                commit: true,
+            })?;
+            tx.journal.boundary(CrashPoint::AfterCommitDecision)?;
+            failure = self.commit_round(&mut tx)?.map(|sw| {
+                (
+                    codes::ROLLOUT_COMMIT_TIMEOUT,
+                    format!(
+                        "switch `{sw}` did not acknowledge commit of epoch {epoch} \
+                         within {} attempts",
+                        config.max_attempts
+                    ),
+                )
+            });
         }
 
         match failure {
             None => {
-                journal.boundary(CrashPoint::BeforeFinalize)?;
-                // Finalize: drop retained prior epochs and token logs; the
-                // deployment now serves `epoch` everywhere.
-                for st in self.states.values_mut() {
-                    debug_assert_eq!(
-                        st.epoch, epoch,
-                        "a committed switch must be on the new epoch"
-                    );
-                    st.staged = None;
-                    st.prior = None;
-                    st.tokens.clear();
-                }
+                tx.journal.boundary(CrashPoint::BeforeFinalize)?;
                 // Committed switches now hold exactly the state the
                 // controller staged — deltas are trustworthy again.
-                for sw in &targets {
+                for sw in &tx.targets {
                     self.needs_snapshot.remove(sw);
                 }
-                self.epoch = epoch;
-                report.committed = true;
-                journal.append(IntentRecord::End {
-                    epoch,
-                    committed: true,
-                })?;
+                self.conclude(&mut tx, true)?;
+                tx.report.committed = true;
             }
             Some((code, message)) => {
-                report
-                    .diagnostics
-                    .push(Diagnostic::error(code, message.clone()));
-                journal.append(IntentRecord::Decision {
+                tx.report.diagnostics.push(Diagnostic::error(code, message));
+                tx.journal.append(IntentRecord::Decision {
                     epoch,
                     commit: false,
                 })?;
-                journal.boundary(CrashPoint::AfterRollbackDecision)?;
-                // Roll every target back — including switches that already
-                // committed (they retained the prior epoch for exactly
-                // this). Rollback messages get a 4× budget; if even that
-                // is exhausted, revert out-of-band rather than leave a
-                // mixed deployment.
-                for sw in &targets {
-                    token_seq += 1;
-                    let msg = ControlMsg {
-                        switch: sw.clone(),
-                        epoch,
-                        token: mint_token(epoch, token_seq)?,
-                        op: ControlOp::Rollback,
-                    };
-                    journal.intent(&msg)?;
-                    let sent = send(
-                        &mut self.states,
-                        channel,
-                        &msg,
-                        config.max_attempts.saturating_mul(4),
-                        config,
-                        &mut rng,
-                        &mut report,
-                    );
-                    if !sent {
-                        if let Some(st) = self.states.get_mut(sw) {
-                            force_rollback(st, epoch);
-                        }
-                        report.forced_rollbacks += 1;
-                        report.diagnostics.push(Diagnostic::warning(
-                            codes::ROLLOUT_CHANNEL_EXHAUSTED,
-                            format!(
-                                "rollback of `{sw}` exhausted the control channel \
-                                 ({} attempts); reverted out-of-band",
-                                config.max_attempts.saturating_mul(4)
-                            ),
-                        ));
-                    }
-                }
-                for st in self.states.values_mut() {
-                    debug_assert_eq!(
-                        st.epoch, self.epoch,
-                        "rollback must restore the prior epoch"
-                    );
-                    st.staged = None;
-                    st.prior = None;
-                    st.tokens.clear();
-                }
-                report.rolled_back = true;
-                report.diagnostics.push(
+                tx.journal.boundary(CrashPoint::AfterRollbackDecision)?;
+                self.rollback_round(&mut tx, "rollback")?;
+                self.conclude(&mut tx, false)?;
+                tx.report.rolled_back = true;
+                tx.report.diagnostics.push(
                     Diagnostic::warning(
                         codes::ROLLOUT_ROLLED_BACK,
                         format!(
@@ -1445,68 +1298,162 @@ impl<'a> Runtime<'a> {
                     )
                     .with_note("the burned epoch is never reused; retry allocates a fresh one"),
                 );
-                journal.append(IntentRecord::End {
-                    epoch,
-                    committed: false,
-                })?;
             }
         }
-        // Either way the deployment converged; the controller's shadow of
-        // switch-held state (what `audit_switches` diffs against) is
-        // refreshed from the finalized states.
-        self.refresh_expected();
-        Ok(report)
+        Ok(tx.report)
     }
-}
 
-/// Transmit one logical message with bounded retry, exponential backoff
-/// and jitter, applying every delivery (including duplicates and drained
-/// late replays) to the switch state machines. Returns whether an
-/// acknowledgement was obtained within the budget.
-pub(crate) fn send(
-    states: &mut BTreeMap<String, SwitchState>,
-    channel: &mut dyn ControlChannel,
-    msg: &ControlMsg,
-    attempts: u32,
-    config: &RolloutConfig,
-    rng: &mut Rng,
-    report: &mut RolloutReport,
-) -> bool {
-    for attempt in 0..attempts.max(1) {
-        if attempt > 0 {
-            report.retries += 1;
-            std::thread::sleep(backoff(config, attempt, rng));
+    /// Journal, then send, one protocol message of `tx` to `switch`.
+    /// Returns whether it was acknowledged within `attempts`.
+    fn drive(
+        &mut self,
+        tx: &mut Txn<'_, '_>,
+        switch: &str,
+        op: ControlOp,
+        attempts: u32,
+    ) -> Result<bool, RuntimeError> {
+        let msg = ControlMsg {
+            switch: switch.to_string(),
+            epoch: tx.epoch,
+            token: tx.tokens.reuse_or_mint(switch, op.name())?,
+            op,
+        };
+        if msg.op.is_prepare() {
+            tx.report.prepare_bytes += msg.wire_bytes() as u64;
         }
-        // Reordered copies of earlier messages may arrive at any time;
-        // deliver the due ones first. Their acks go nowhere.
-        for late in channel.drain_late() {
-            report.late_replays += 1;
-            deliver(states, &late);
-        }
-        report.messages_sent += 1;
-        match channel.transmit(msg) {
-            Delivery::Delivered => {
-                deliver(states, msg);
-                return true;
-            }
-            Delivery::Duplicated => {
-                report.duplicates += 1;
-                deliver(states, msg);
-                deliver(states, msg); // the duplicate: a token-guarded no-op
-                return true;
-            }
-            Delivery::AckLost => {
-                // The switch applied it; the sender cannot know. The retry
-                // will be acknowledged as a duplicate by the token guard.
-                report.ack_lost += 1;
-                deliver(states, msg);
-            }
-            Delivery::Dropped => {
-                report.dropped += 1;
-            }
-        }
+        // Write-ahead, even while recovering: a crash after this point
+        // must find the token.
+        tx.journal.intent(&msg)?;
+        Ok(self.send(tx, &msg, attempts))
     }
-    false
+
+    /// The commit round: flip every target not already serving `tx.epoch`.
+    /// Returns the first target that did not take the commit — no
+    /// acknowledgement, or the acknowledgement of a reused token the switch
+    /// had recorded without ever staging — which the caller must answer
+    /// with [`Runtime::rollback_round`].
+    pub(crate) fn commit_round(
+        &mut self,
+        tx: &mut Txn<'_, '_>,
+    ) -> Result<Option<String>, RuntimeError> {
+        let epoch = tx.epoch;
+        let attempts = tx.config.max_attempts;
+        for (i, sw) in tx.targets.clone().iter().enumerate() {
+            if self.states.get(sw).is_some_and(|st| st.epoch() == epoch) {
+                continue; // already flipped before a crash
+            }
+            let t = Instant::now();
+            let before = tx.report.retries;
+            let sent = self.drive(tx, sw, ControlOp::Commit, attempts)?;
+            if let Some(s) = tx.report.switches.get_mut(i) {
+                s.commit = t.elapsed();
+                s.retries += tx.report.retries - before;
+            }
+            if !sent {
+                return Ok(Some(sw.clone()));
+            }
+        }
+        let off_epoch = |sw: &&String| self.states.get(*sw).is_some_and(|st| st.epoch() != epoch);
+        Ok(tx.targets.iter().find(off_epoch).cloned())
+    }
+
+    /// The rollback round: revert every live target, switches that already
+    /// committed included (they retained the prior epoch for exactly
+    /// this). Rollback messages get a 4× budget; a switch that exhausts
+    /// even that is reverted out-of-band rather than left on a mixed
+    /// deployment. `what` names the caller's rollback in the warning.
+    pub(crate) fn rollback_round(
+        &mut self,
+        tx: &mut Txn<'_, '_>,
+        what: &str,
+    ) -> Result<(), RuntimeError> {
+        let budget = tx.config.max_attempts.saturating_mul(4);
+        for sw in tx.targets.clone() {
+            if !self.states.contains_key(&sw) {
+                continue; // gone: nothing to revert
+            }
+            if !self.drive(tx, &sw, ControlOp::Rollback, budget)? {
+                force_rollback(&mut self.states, self.plane.as_deref(), &sw, tx.epoch);
+                tx.report.forced_rollbacks += 1;
+                tx.report.diagnostics.push(Diagnostic::warning(
+                    codes::ROLLOUT_CHANNEL_EXHAUSTED,
+                    format!(
+                        "{what} of `{sw}` exhausted the control channel ({budget} attempts); \
+                         reverted out-of-band"
+                    ),
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// End a transaction either way: settle every switch agent, serve the
+    /// epoch that won, journal the `End` record, and refresh the
+    /// controller's shadow of switch-held state (what `audit_switches`
+    /// diffs against) from the settled switches.
+    pub(crate) fn conclude(
+        &mut self,
+        tx: &mut Txn<'_, '_>,
+        committed: bool,
+    ) -> Result<(), RuntimeError> {
+        let abandoned = (!committed).then_some(tx.epoch);
+        tx.report.forced_rollbacks += settle(&mut self.states, self.plane.as_deref(), abandoned);
+        self.epoch = if committed { tx.epoch } else { tx.prior_epoch };
+        debug_assert!(
+            self.states.values().all(|st| st.epoch() == self.epoch),
+            "a settled deployment serves one epoch"
+        );
+        tx.journal.append(IntentRecord::End {
+            epoch: tx.epoch,
+            committed,
+        })?;
+        self.refresh_expected();
+        Ok(())
+    }
+
+    /// Transmit one logical message with bounded retry, exponential backoff
+    /// and jitter, handing every delivery (including duplicates and drained
+    /// late replays) to the switch agents. Returns whether an
+    /// acknowledgement was obtained within the budget.
+    pub(crate) fn send(&mut self, tx: &mut Txn<'_, '_>, msg: &ControlMsg, attempts: u32) -> bool {
+        let plane = self.plane.as_deref();
+        let report = &mut tx.report;
+        for attempt in 0..attempts.max(1) {
+            if attempt > 0 {
+                report.retries += 1;
+                std::thread::sleep(backoff(tx.config, attempt, &mut tx.rng));
+            }
+            // Reordered copies of earlier messages may arrive at any time;
+            // deliver the due ones first. Their acks go nowhere.
+            for late in tx.channel.drain_late() {
+                report.late_replays += 1;
+                deliver(&mut self.states, plane, &late);
+            }
+            report.messages_sent += 1;
+            match tx.channel.transmit(msg) {
+                Delivery::Delivered => {
+                    deliver(&mut self.states, plane, msg);
+                    return true;
+                }
+                Delivery::Duplicated => {
+                    report.duplicates += 1;
+                    deliver(&mut self.states, plane, msg);
+                    deliver(&mut self.states, plane, msg); // the duplicate: a token-guarded no-op
+                    return true;
+                }
+                Delivery::AckLost => {
+                    // The switch applied it; the sender cannot know. The retry
+                    // will be acknowledged as a duplicate by the token guard.
+                    report.ack_lost += 1;
+                    deliver(&mut self.states, plane, msg);
+                }
+                Delivery::Dropped => {
+                    report.dropped += 1;
+                }
+            }
+        }
+        false
+    }
 }
 
 /// Exponential backoff for retry `attempt` (≥ 1), with seeded jitter of up
@@ -1986,11 +1933,11 @@ mod tests {
         };
         // Batch 0 against the wrong base epoch: refused — the switch is
         // not on the state the controller diffed against.
-        deliver(&mut states, &delta_msg(6, 4, 0, 1, vec![]));
-        assert!(states["SW"].staged.is_none(), "wrong-base delta staged");
+        deliver(&mut states, None, &delta_msg(6, 4, 0, 1, vec![]));
+        assert!(states["SW"].staged().is_none(), "wrong-base delta staged");
         // Correct base: opens the staged epoch from the serving state.
-        deliver(&mut states, &delta_msg(6, 5, 0, 2, vec![]));
-        assert_eq!(states["SW"].staged.as_ref().map(|(e, _)| *e), Some(6));
+        deliver(&mut states, None, &delta_msg(6, 5, 0, 2, vec![]));
+        assert_eq!(states["SW"].staged().map(|(e, _)| e), Some(6));
         // A later batch wearing a different epoch (late replay of a
         // burned attempt) must not leak into the open stage.
         let foreign = EntryOp::Set {
@@ -1998,18 +1945,22 @@ mod tests {
             key: 7,
             value: 77,
         };
-        deliver(&mut states, &delta_msg(9, 5, 1, 3, vec![foreign.clone()]));
-        let staged = states["SW"].staged.as_ref().unwrap();
+        deliver(
+            &mut states,
+            None,
+            &delta_msg(9, 5, 1, 3, vec![foreign.clone()]),
+        );
+        let staged = states["SW"].staged().unwrap();
         assert!(
             !staged.1.externs["conn_table"].contains_key(7),
             "foreign-epoch batch applied"
         );
         // The matching epoch's batch 1 does apply.
-        deliver(&mut states, &delta_msg(6, 5, 1, 4, vec![foreign]));
-        let staged = states["SW"].staged.as_ref().unwrap();
+        deliver(&mut states, None, &delta_msg(6, 5, 1, 4, vec![foreign]));
+        let staged = states["SW"].staged().unwrap();
         assert_eq!(staged.1.externs["conn_table"].get(7), Some(77));
         // The serving state never moved: prepares stage, they do not flip.
-        assert_eq!(states["SW"].epoch, 5);
+        assert_eq!(states["SW"].epoch(), 5);
         assert_eq!(states["SW"].dp.externs["conn_table"].get(1), Some(10));
     }
 

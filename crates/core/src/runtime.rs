@@ -26,6 +26,8 @@ use lyra_diag::Code;
 use lyra_ir::{execute, DataPlaneState, Effect, ExternTable, InstrId, PacketState};
 use lyra_topo::FaultSet;
 
+use crate::agent::SwitchState;
+use crate::dataplane::LiveTrafficPlane;
 use crate::{CompileObserver, CompileOutput};
 
 /// Errors from runtime operations.
@@ -65,44 +67,6 @@ impl std::fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// Per-switch state: the active data plane plus the two-phase bookkeeping
-/// the rollout engine drives (staged next epoch, retained prior epoch,
-/// idempotency tokens already applied).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SwitchState {
-    /// The active (serving) data-plane state.
-    pub(crate) dp: DataPlaneState,
-    /// The epoch the active state belongs to.
-    pub(crate) epoch: u64,
-    /// A prepared-but-uncommitted next epoch: `(epoch, state)`.
-    pub(crate) staged: Option<(u64, DataPlaneState)>,
-    /// The previous epoch retained after a commit, until the rollout
-    /// finalizes — what a rollback restores.
-    pub(crate) prior: Option<(u64, DataPlaneState)>,
-    /// Idempotency tokens of control messages already applied; replays
-    /// and network duplicates of these are acknowledged without effect.
-    pub(crate) tokens: BTreeSet<u64>,
-}
-
-impl SwitchState {
-    /// A fresh switch at `epoch` with globals sized from `output`. Clones
-    /// share the zeroed arrays (copy-on-write), so a fleet of fresh
-    /// switches is built by cloning one.
-    pub(crate) fn fresh(output: &CompileOutput, epoch: u64) -> Self {
-        let mut dp = DataPlaneState::new();
-        for (global, &(_, len)) in &output.ir.globals {
-            dp.global(global, len as usize);
-        }
-        SwitchState {
-            dp,
-            epoch,
-            staged: None,
-            prior: None,
-            tokens: BTreeSet::new(),
-        }
-    }
-}
-
 /// A simulated deployment: per-switch data-plane state plus the logical
 /// view the control plane uses.
 pub struct Runtime<'a> {
@@ -136,6 +100,10 @@ pub struct Runtime<'a> {
     pub(crate) needs_snapshot: BTreeSet<String>,
     /// Optional event sink notified of rollout phases and reports.
     pub(crate) observer: Option<Arc<dyn CompileObserver>>,
+    /// The traffic plane serving this runtime's switches, attached by the
+    /// replay-under-a-transaction harness for the duration of one call so
+    /// the switch agents can publish their epoch flips to it.
+    pub(crate) plane: Option<Arc<LiveTrafficPlane>>,
 }
 
 /// The per-table placement context of the §5.8 entry-placement decision,
@@ -474,6 +442,7 @@ impl<'a> Runtime<'a> {
             expected,
             needs_snapshot: BTreeSet::new(),
             observer: None,
+            plane: None,
         }
     }
 
@@ -486,6 +455,25 @@ impl<'a> Runtime<'a> {
             .iter()
             .map(|(sw, st)| (sw.clone(), st.dp.clone()))
             .collect();
+    }
+
+    /// Resume a freshly built runtime at the epoch an earlier generation
+    /// was captured on: every switch is tagged with it and the allocator
+    /// is restored, so burned epochs stay burned across generations.
+    pub(crate) fn resume_at(&mut self, epoch: u64, epoch_counter: u64) {
+        self.epoch = epoch;
+        self.epoch_counter = epoch_counter;
+        for st in self.states.values_mut() {
+            st.reset_epoch(epoch);
+        }
+    }
+
+    /// The controller declares `faults` the deployment's fault set. A
+    /// failed switch holds no state, so a rollout neither messages it nor
+    /// counts it toward epoch coherence.
+    pub(crate) fn declare_faults(&mut self, faults: FaultSet) {
+        self.states.retain(|sw, _| !faults.switch_failed(sw));
+        self.faults = faults;
     }
 
     /// Register an event sink notified of rollout phases and reports
@@ -512,7 +500,7 @@ impl<'a> Runtime<'a> {
 
     /// The epoch one switch serves (`None` for unknown/failed switches).
     pub fn switch_epoch(&self, switch: &str) -> Option<u64> {
-        self.states.get(switch).map(|st| st.epoch)
+        self.states.get(switch).map(SwitchState::epoch)
     }
 
     /// True when every switch serves the runtime's epoch with no staged or
@@ -521,17 +509,7 @@ impl<'a> Runtime<'a> {
     pub fn epochs_coherent(&self) -> bool {
         self.states
             .values()
-            .all(|st| st.epoch == self.epoch && st.staged.is_none() && st.prior.is_none())
-    }
-
-    /// [`Runtime::epochs_coherent`] extended to the traffic plane: also
-    /// asserts that a [`crate::LiveTrafficPlane`] mirror of this runtime
-    /// agrees — every compiled switch serves the runtime's epoch with no
-    /// staged or retained plane-side state. Traffic-plane drift (a flip
-    /// the plane missed, or finalize-sweep leftovers after
-    /// [`crate::LiveTrafficPlane::align`]) fails this loudly in tests.
-    pub fn epochs_coherent_with_plane(&self, plane: &crate::LiveTrafficPlane) -> bool {
-        self.epochs_coherent() && plane.mirrors(self)
+            .all(|st| st.epoch() == self.epoch && st.staged().is_none() && st.prior().is_none())
     }
 
     /// All logical entries currently installed, as `(table, key, value)`
@@ -674,7 +652,7 @@ impl<'a> Runtime<'a> {
         }
         if let Some((sw, e)) = path
             .iter()
-            .filter_map(|sw| self.states.get(*sw).map(|st| (*sw, st.epoch)))
+            .filter_map(|sw| self.states.get(*sw).map(|st| (*sw, st.epoch())))
             .find(|&(_, e)| e != self.epoch)
         {
             return Err(RuntimeError::new(format!(
