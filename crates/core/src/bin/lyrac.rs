@@ -102,7 +102,7 @@ fn usage() -> ! {
          \x20 compiled deployment: a seeded chaos schedule kills (and later\n\
          \x20 revives) a placement switch while the health monitor probes\n\
          \x20 every switch and link on a virtual clock, confirms the\n\
-         \x20 failure (phi-accrual suspicion, LYR0580-LYR0583), and the\n\
+         \x20 failure (consecutive missed probes, LYR0580-LYR0583), and the\n\
          \x20 self-healer recompiles, rolls out, audits, and restores\n\
          \x20 automatically (LYR0584-LYR0587). --monitor-ticks bounds the\n\
          \x20 virtual clock (default 64); --monitor-seed fixes the run.\n\
@@ -939,10 +939,10 @@ fn print_selfheal(outcome: &SelfHealOutcome) {
     for t in &h.targets {
         if t.state != lyra::HealthState::Healthy {
             println!(
-                "  verdict: {} is {} (phi {:.1}, flap penalty {:.2})",
+                "  verdict: {} is {} ({} missed in a row, flap penalty {:.2})",
                 t.target.wire(),
                 t.state.name(),
-                t.phi,
+                t.consecutive_lost,
                 t.flap_penalty
             );
         }

@@ -107,7 +107,7 @@ pub enum ControlOp {
     /// rollout got before the crash. Queries carry no idempotency token
     /// state — they never mutate the switch.
     Query,
-    /// A heartbeat from the health monitor ([`crate::HealthMonitor`]): the
+    /// A heartbeat from the health monitor (`crate::health`): the
     /// switch (or the agent at one end of a probed link) answers with its
     /// liveness and epoch tags (`lyra_health_probe()` in the emitted
     /// control stub). Read-only like [`ControlOp::Query`] — it never

@@ -6,17 +6,18 @@
 //! to a failure once it is known (fault-set recompiles, two-phase rollouts,
 //! crash recovery, anti-entropy audit). This module closes the loop:
 //!
-//! 1. **Detection** — a [`HealthMonitor`] drives seeded heartbeat probes
+//! 1. **Detection** — a `HealthMonitor` drives seeded heartbeat probes
 //!    ([`ControlOp::Probe`]) over the existing [`ControlChannel`] and folds
-//!    in passive evidence from rollout sends. A phi-accrual-style suspicion
-//!    score distinguishes *dead* (consecutive missed probes) from *gray*
-//!    (slow or lossy — answering, but badly) from *flapping* (oscillating),
-//!    with hysteresis so one dropped packet never triggers a recompile.
-//! 2. **Remediation** — a [`SelfHealer`] turns confirmed suspicions into a
-//!    [`FaultSet`] delta and drives `recompile_for_faults → apply_rollout →
-//!    audit_switches` automatically: rate-limited, damped backoff on
+//!    in passive evidence from rollout sends, one sample at a time through
+//!    the pure per-target `step`. It tells *dead* (consecutive missed
+//!    probes) from *gray* (slow or lossy — answering, but badly) from
+//!    *flapping* (oscillating), with hysteresis so one dropped packet never
+//!    triggers a recompile.
+//! 2. **Remediation** — a `SelfHealer` turns the monitor's verdicts into
+//!    a [`FaultSet`] delta and drives `recompile_for_faults → apply_rollout
+//!    → audit_switches` automatically: rate-limited, damped backoff on
 //!    failure, coalescing while a round is in flight, and restore-on-
-//!    recovery gated behind a probation window.
+//!    recovery gated behind a clean probation window.
 //! 3. **Chaos** — a seeded [`ChaosSchedule`] (kill / restore / flap / slow
 //!    / lossy on a virtual clock) exercises the whole loop end to end;
 //!    [`run_selfheal`] reports MTTR and proves zero mixed-epoch exposure
@@ -26,16 +27,16 @@
 //! tick counter, the only randomness is the in-tree xorshift generator,
 //! and wall time is measured but never consulted for decisions.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 use lyra_diag::codes;
 use lyra_diag::json::{Object, Value};
-use lyra_diag::{Code, Diagnostic};
+use lyra_diag::Diagnostic;
 use lyra_topo::FaultSet;
 
 use crate::channel::{ControlChannel, ControlMsg, ControlOp, Delivery, Rng};
-use crate::dataplane::{replay_compiled, replay_under_rollout, ReplayConfig};
+use crate::dataplane::{replay_compiled, replay_under_rollout, ReplayConfig, ReplayReport};
 use crate::fault::FaultRecompile;
 use crate::rollout::{RolloutConfig, RolloutReport};
 use crate::runtime::Runtime;
@@ -102,12 +103,12 @@ impl std::fmt::Display for Target {
 }
 
 // ---------------------------------------------------------------------------
-// Detection: probe outcomes, suspicion, health states
+// Detection: probe outcomes, health states, the per-target step
 // ---------------------------------------------------------------------------
 
 /// What one probe (or one piece of passive evidence) observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeOutcome {
+enum ProbeOutcome {
     /// Answered promptly.
     Ok,
     /// Answered, but badly: the acknowledgement was lost or the send
@@ -122,18 +123,11 @@ pub enum ProbeOutcome {
 pub enum HealthState {
     /// Answering normally.
     Healthy,
-    /// Suspicion is rising but below the confirmation thresholds; no
-    /// action is taken (hysteresis against single dropped packets).
-    Suspect,
-    /// Confirmed dead: enough consecutive missed probes that the accrued
-    /// suspicion crossed `phi_dead`.
+    /// Confirmed dead: `DEAD_MISSES` consecutive probes went unanswered.
     Dead,
     /// Confirmed gray: answering, but lossy or slow, sustained over the
     /// confirmation window.
     Gray,
-    /// Recovering: probes are clean again, but the target must stay clean
-    /// for a full probation window before the healer restores it.
-    Probation,
     /// Flap-damped: the target oscillated enough that the monitor refuses
     /// to restore it until the flap penalty decays and a long clean streak
     /// accrues. Quarantine is what turns a flapping link into *one*
@@ -146,82 +140,71 @@ impl HealthState {
     pub fn name(&self) -> &'static str {
         match self {
             HealthState::Healthy => "healthy",
-            HealthState::Suspect => "suspect",
             HealthState::Dead => "dead",
             HealthState::Gray => "gray",
-            HealthState::Probation => "probation",
             HealthState::Quarantined => "quarantined",
         }
     }
 
     /// States the healer treats as failed (kept in the fault set).
     pub fn is_faulted(&self) -> bool {
-        matches!(
-            self,
-            HealthState::Dead
-                | HealthState::Gray
-                | HealthState::Probation
-                | HealthState::Quarantined
-        )
+        *self != HealthState::Healthy
     }
 }
 
-/// Detection and remediation tuning. Defaults confirm a dead target after
-/// 3 consecutive missed probes against a clean history, a gray target
-/// after 3 ticks of ≥ ~1/3 adverse probes, and quarantine a target that
-/// flaps about three times within the decay window.
+// Detector and healer constants — constants, not options, because no caller,
+// test or bench has ever needed a second value. Beside each: what moves when
+// it does, over the 200 chaos schedules of `tests/fault_injection.rs` and
+// its two flap schedules (EXPERIMENTS.md "Detector diet"; as shipped: 537
+// recompiles, 11 rollbacks, Σ MTTR 162 ticks, max 8, flap 8×3 = 1 recompile
+// and quarantined).
+
+/// Consecutive `Lost` samples that confirm a target dead. 4: rollbacks
+/// 11 → 21, max MTTR 8 → 24. 2: same verdicts, half the margin of E1.
+const DEAD_MISSES: u64 = 3;
+/// Adverse share of the window (lost + degraded) that counts as gray when
+/// sustained. Never reached (2.0): lossy and slow targets are never failed,
+/// recompiles 537 → 391, max MTTR 8 → 24.
+const GRAY_LOSS: f64 = 0.34;
+/// Evidence window, in samples (at most 32: it is a `u32` of bits). 8:
+/// same verdicts. 32: gray confirms late, max MTTR 8 → 24.
+const WINDOW: u32 = 16;
+/// Samples the gray condition must hold. 1: same verdicts, Σ MTTR → 188.
+const CONFIRM_TICKS: u64 = 3;
+/// Consecutive `Ok` samples before a faulted target may be restored. 32: a
+/// slow flapper is held failed through its up-phases (flap 3×20: 6 → 2
+/// recompiles). 8: same verdicts; E3 is what this bounds.
+const RESTORE_CLEAN: u64 = 16;
+/// Flap penalty at which a target is quarantined. Never (∞): flap 8×3
+/// costs 2 recompiles and ends healthy.
+const FLAP_LIMIT: f64 = 2.5;
+/// Per-sample decay of the flap penalty. 0.90: nothing is ever
+/// quarantined. 1.0: nothing ever leaves, restores 335 → 246.
+const FLAP_DECAY: f64 = 0.97;
+/// Penalty below which a quarantined target may be restored. ∞ (the clean
+/// streak alone): flap 8×3 costs 2 recompiles and ends healthy.
+const QUARANTINE_EXIT: f64 = 0.5;
+/// Minimum ticks between remediation rounds. 1: rollbacks 11 → 18 (rounds
+/// run into faults still being confirmed), Σ MTTR → 50. 8: Σ MTTR → 493.
+const REMEDIATE_COOLDOWN: u64 = 4;
+/// Cooldown multiplier after a failed round. 1: rollbacks 11 → 12; what it
+/// spaces out is a round that keeps failing for a reason probing cannot see
+/// (a fault set the scope cannot survive), which the suite never schedules.
+const BACKOFF_FACTOR: u64 = 2;
+/// Cooldown ceiling. Never binds on the suite; it is E6's bound.
+const MAX_COOLDOWN: u64 = 64;
+
+/// The one setting a run chooses: the seed behind chaos loss draws,
+/// rollout channels and replay traffic.
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
-    /// Accrued suspicion at which a target is confirmed dead.
-    pub phi_dead: f64,
-    /// Accrued suspicion at which a target becomes suspect.
-    pub phi_gray: f64,
-    /// Adverse fraction of the evidence window (lost + degraded) that
-    /// counts as gray when sustained.
-    pub gray_loss: f64,
-    /// Evidence window length (probes per target).
-    pub window: usize,
-    /// Ticks the gray condition must hold before confirmation.
-    pub confirm_ticks: u64,
-    /// Consecutive clean probes before a faulted target enters probation,
-    /// and again before a probationary target becomes restorable.
-    pub recovery_ticks: u64,
-    /// Flap penalty at which a target is quarantined.
-    pub flap_limit: f64,
-    /// Per-tick multiplicative decay of the flap penalty.
-    pub flap_decay: f64,
-    /// Penalty below which a quarantined target may leave quarantine.
-    pub quarantine_exit: f64,
-    /// Minimum ticks between remediation rounds.
-    pub remediate_cooldown: u64,
-    /// Cooldown multiplier after a failed round (damped backoff).
-    pub backoff_factor: u64,
-    /// Cooldown ceiling.
-    pub max_cooldown: u64,
-    /// Seed for probe jitter and chaos determinism.
+    /// Seed for chaos, rollout and replay determinism.
     pub seed: u64,
 }
 
 impl Default for HealthConfig {
     fn default() -> Self {
-        HealthConfig {
-            // A miss against a clean history scores ~2.0, so three
-            // consecutive misses confirm death (just under 6.0 to absorb
-            // the probability clamp's float error).
-            phi_dead: 5.9,
-            phi_gray: 2.0,
-            gray_loss: 0.34,
-            window: 16,
-            confirm_ticks: 3,
-            recovery_ticks: 8,
-            flap_limit: 2.5,
-            flap_decay: 0.97,
-            quarantine_exit: 0.5,
-            remediate_cooldown: 4,
-            backoff_factor: 2,
-            max_cooldown: 64,
-            seed: 0x11ea_17bb,
-        }
+        HealthConfig { seed: 0x11ea_17bb }
     }
 }
 
@@ -233,98 +216,125 @@ impl HealthConfig {
     }
 }
 
-/// One confirmed state transition, as surfaced by [`HealthMonitor::tick`].
-#[derive(Debug, Clone)]
-pub struct HealthEvent {
-    /// Virtual tick at which the transition happened.
-    pub tick: u64,
-    /// The target that changed state.
-    pub target: Target,
-    /// State before.
-    pub from: HealthState,
-    /// State after.
-    pub to: HealthState,
-    /// Accrued suspicion at the transition.
-    pub phi: f64,
-    /// Flap penalty at the transition.
-    pub flap_penalty: f64,
-    /// The diagnostic code classifying the transition.
-    pub code: Code,
-}
-
-/// Per-target detection record.
-#[derive(Debug, Clone)]
+/// Per-target detection record: everything [`step`] reads and writes.
+#[derive(Debug, Clone, Copy)]
 struct TargetHealth {
     state: HealthState,
-    /// Recent probe outcomes, newest last.
-    window: VecDeque<ProbeOutcome>,
+    /// Evidence window, newest sample in bit 0; a set bit is an adverse
+    /// (`Degraded` or `Lost`) sample.
+    window: u32,
+    /// Samples in the window (saturates at `WINDOW`).
+    samples: u32,
     consecutive_ok: u64,
     consecutive_lost: u64,
-    /// Accrued suspicion (phi-accrual style: misses weighted by how
-    /// reliable the target's recent history was).
-    phi: f64,
     /// Ticks the gray condition has held.
     gray_ticks: u64,
-    /// Clean probes observed while in probation.
-    probation_ok: u64,
     /// Exponentially-decaying flap penalty.
     flap_penalty: f64,
-    /// Whether the flapping diagnostic was already emitted (once per
-    /// target — the per-down-edge events still fire).
-    flap_diag_emitted: bool,
 }
 
 impl TargetHealth {
-    fn new() -> Self {
-        TargetHealth {
-            state: HealthState::Healthy,
-            window: VecDeque::new(),
-            consecutive_ok: 0,
-            consecutive_lost: 0,
-            phi: 0.0,
-            gray_ticks: 0,
-            probation_ok: 0,
-            flap_penalty: 0.0,
-            flap_diag_emitted: false,
-        }
-    }
+    const NEW: TargetHealth = TargetHealth {
+        state: HealthState::Healthy,
+        window: 0,
+        samples: 0,
+        consecutive_ok: 0,
+        consecutive_lost: 0,
+        gray_ticks: 0,
+        flap_penalty: 0.0,
+    };
 
     /// Adverse fraction of the evidence window.
     fn adverse(&self) -> f64 {
-        if self.window.is_empty() {
+        if self.samples == 0 {
             return 0.0;
         }
-        let bad = self
-            .window
-            .iter()
-            .filter(|o| !matches!(o, ProbeOutcome::Ok))
-            .count();
-        bad as f64 / self.window.len() as f64
+        self.window.count_ones() as f64 / self.samples as f64
     }
 
-    /// Probability a probe succeeds, estimated from the window *excluding*
-    /// the trailing loss run (otherwise the misses being scored would
-    /// dilute their own weight). Clamped away from 0 and 1; an empty
-    /// history is presumed reliable, so misses against it score high.
-    fn p_ok(&self) -> f64 {
-        let trailing = self
-            .window
-            .iter()
-            .rev()
-            .take_while(|o| matches!(o, ProbeOutcome::Lost))
-            .count();
-        let prefix = self.window.len() - trailing;
-        if prefix == 0 {
-            return 0.99;
-        }
-        let oks = self
-            .window
-            .iter()
-            .take(prefix)
-            .filter(|o| matches!(o, ProbeOutcome::Ok))
-            .count();
-        (oks as f64 / prefix as f64).clamp(0.01, 0.99)
+    /// Clean long enough for the healer to restore it.
+    fn restorable(&self) -> bool {
+        self.state.is_faulted()
+            && self.consecutive_ok >= RESTORE_CLEAN
+            && (self.state != HealthState::Quarantined || self.flap_penalty < QUARANTINE_EXIT)
     }
+
+    /// The healer restored this target: back to healthy, with the flap
+    /// penalty intact — penalty memory across restores is what stops a
+    /// slow flapper from cycling fail/restore forever.
+    fn restored(mut self) -> TargetHealth {
+        self.state = HealthState::Healthy;
+        self.gray_ticks = 0;
+        self
+    }
+}
+
+/// What one [`step`] changed that anyone outside it needs to hear about.
+#[derive(Debug, Clone, Copy)]
+struct Transition {
+    from: HealthState,
+    to: HealthState,
+    /// The sample was a down-edge on an already-faulted target (an
+    /// up-then-down oscillation, not a fresh failure).
+    flap_edge: bool,
+}
+
+/// The per-target state machine: fold one evidence sample into `h`. Pure —
+/// no clock, no channel, no text; [`HealthMonitor`] renders diagnostics
+/// from the returned transition.
+fn step(mut h: TargetHealth, outcome: ProbeOutcome) -> (TargetHealth, Option<Transition>) {
+    h.window =
+        (h.window << 1 | (outcome != ProbeOutcome::Ok) as u32) & (u32::MAX >> (u32::BITS - WINDOW));
+    h.samples = (h.samples + 1).min(WINDOW);
+    let prev_ok_streak = h.consecutive_ok;
+    match outcome {
+        ProbeOutcome::Ok => {
+            h.consecutive_ok += 1;
+            h.consecutive_lost = 0;
+        }
+        ProbeOutcome::Degraded => {
+            h.consecutive_ok = 0;
+            h.consecutive_lost = 0;
+        }
+        ProbeOutcome::Lost => {
+            h.consecutive_lost += 1;
+            h.consecutive_ok = 0;
+        }
+    }
+    if h.adverse() >= GRAY_LOSS && h.samples >= WINDOW / 2 {
+        h.gray_ticks += 1;
+    } else {
+        h.gray_ticks = 0;
+    }
+    // Flap damping: decay every sample; charge every confirmation and every
+    // down-edge seen while the target is already faulted.
+    h.flap_penalty *= FLAP_DECAY;
+    let from = h.state;
+    let flap_edge = outcome == ProbeOutcome::Lost && prev_ok_streak >= 2 && from.is_faulted();
+    if flap_edge {
+        h.flap_penalty += 1.0;
+    }
+    let confirmed = if h.consecutive_lost >= DEAD_MISSES {
+        Some(HealthState::Dead)
+    } else if h.gray_ticks >= CONFIRM_TICKS {
+        Some(HealthState::Gray)
+    } else {
+        None
+    };
+    if let (HealthState::Healthy, Some(state)) = (from, confirmed) {
+        h.flap_penalty += 1.0;
+        h.state = state;
+    }
+    // Quarantine promotion overrides everything.
+    if h.flap_penalty >= FLAP_LIMIT {
+        h.state = HealthState::Quarantined;
+    }
+    let changed = (h.state != from || flap_edge).then_some(Transition {
+        from,
+        to: h.state,
+        flap_edge,
+    });
+    (h, changed)
 }
 
 /// Counters the monitor accumulates across its lifetime.
@@ -337,45 +347,42 @@ struct ProbeCounters {
 }
 
 /// Failure detector: probes every watched target once per [`tick`]
-/// (virtual clock — no wall time in any decision), scores the evidence,
-/// and reports confirmed transitions.
+/// (virtual clock — no wall time in any decision), folds each outcome
+/// through [`step`], and renders the confirmed transitions as diagnostics.
 ///
 /// [`tick`]: HealthMonitor::tick
 #[derive(Debug)]
-pub struct HealthMonitor {
-    cfg: HealthConfig,
+struct HealthMonitor {
     now: u64,
     targets: BTreeMap<Target, TargetHealth>,
     probe_seq: u64,
     counters: ProbeCounters,
     diagnostics: Vec<Diagnostic>,
-    events: u64,
+    /// Targets whose flapping diagnostic was already emitted (once per
+    /// target — the per-down-edge transitions still count).
+    flapping: BTreeSet<Target>,
+    transitions: u64,
 }
 
 impl HealthMonitor {
-    /// A monitor with the given tuning, watching nothing yet.
-    pub fn new(cfg: HealthConfig) -> Self {
+    /// A monitor watching nothing yet.
+    fn new() -> Self {
         HealthMonitor {
-            cfg,
             now: 0,
             targets: BTreeMap::new(),
             probe_seq: 0,
             counters: ProbeCounters::default(),
             diagnostics: Vec::new(),
-            events: 0,
+            flapping: BTreeSet::new(),
+            transitions: 0,
         }
-    }
-
-    /// Current virtual tick.
-    pub fn now(&self) -> u64 {
-        self.now
     }
 
     /// Watch every switch the placement uses and every link any flow path
     /// crosses. Idempotent and additive: targets already watched keep
     /// their history, so re-calling after a remediation rollout extends
     /// coverage to the new placement without resetting suspicion.
-    pub fn watch_output(&mut self, output: &CompileOutput) {
+    fn watch_output(&mut self, output: &CompileOutput) {
         for sw in output.placement.switches.keys() {
             self.watch(Target::switch(sw.clone()));
         }
@@ -389,52 +396,26 @@ impl HealthMonitor {
     }
 
     /// Watch a single target (idempotent).
-    pub fn watch(&mut self, target: Target) {
-        self.targets.entry(target).or_insert_with(TargetHealth::new);
+    fn watch(&mut self, target: Target) {
+        self.targets.entry(target).or_insert(TargetHealth::NEW);
     }
 
     /// The current state of a target, if watched.
-    pub fn state(&self, target: &Target) -> Option<HealthState> {
+    #[cfg(test)]
+    fn state(&self, target: &Target) -> Option<HealthState> {
         self.targets.get(target).map(|h| h.state)
     }
 
-    /// Targets currently confirmed faulted (dead, gray, in probation, or
-    /// quarantined) — the set the healer should keep failed.
-    pub fn faulted(&self) -> Vec<Target> {
-        self.targets
-            .iter()
-            .filter(|(_, h)| h.state.is_faulted())
-            .map(|(t, _)| t.clone())
-            .collect()
-    }
-
-    /// Probationary targets whose clean streak has run the full probation
-    /// window — safe for the healer to restore.
-    pub fn restorable(&self) -> Vec<Target> {
-        self.targets
-            .iter()
-            .filter(|(_, h)| {
-                h.state == HealthState::Probation && h.probation_ok >= self.cfg.recovery_ticks
-            })
-            .map(|(t, _)| t.clone())
-            .collect()
-    }
-
-    /// The healer restored this target: back to healthy, with the flap
-    /// penalty intact — penalty memory across restores is what stops a
-    /// slow flapper from cycling fail/restore forever.
-    pub fn mark_restored(&mut self, target: &Target) {
+    /// A restore round for `target` committed.
+    fn mark_restored(&mut self, target: &Target) {
         if let Some(h) = self.targets.get_mut(target) {
-            h.state = HealthState::Healthy;
-            h.probation_ok = 0;
-            h.gray_ticks = 0;
+            *h = h.restored();
         }
     }
 
     /// Advance the virtual clock one tick: probe every watched target over
-    /// `channel`, fold the outcomes into the suspicion scores, decay flap
-    /// penalties, and return the confirmed state transitions.
-    pub fn tick(&mut self, channel: &mut dyn ControlChannel) -> Vec<HealthEvent> {
+    /// `channel` and fold the outcomes through [`step`].
+    fn tick(&mut self, channel: &mut dyn ControlChannel) {
         self.now += 1;
         let mut outcomes = Vec::with_capacity(self.targets.len());
         for target in self.targets.keys() {
@@ -455,7 +436,6 @@ impl HealthMonitor {
         // Probes are read-only; late copies answer no one. Drain so a
         // shared channel's reorder queue does not grow without bound.
         let _ = channel.drain_late();
-        let mut events = Vec::new();
         for (target, outcome) in outcomes {
             self.counters.sent += 1;
             match outcome {
@@ -463,228 +443,100 @@ impl HealthMonitor {
                 ProbeOutcome::Degraded => self.counters.degraded += 1,
                 ProbeOutcome::Lost => self.counters.lost += 1,
             }
-            if let Some(ev) = self.record(&target, outcome) {
-                events.push(ev);
-            }
+            self.fold(&target, outcome);
         }
-        self.events += events.len() as u64;
-        events
     }
 
     /// Fold passive evidence from a rollout into the scores: a switch
     /// whose sends needed retries is gray evidence; a clean send is a
     /// free healthy sample. No probes are spent.
-    pub fn observe_rollout(&mut self, report: &RolloutReport) {
-        let samples: Vec<(Target, ProbeOutcome)> = report
-            .switches
-            .iter()
-            .map(|sr| {
-                let outcome = if sr.retries > 0 {
-                    ProbeOutcome::Degraded
-                } else {
-                    ProbeOutcome::Ok
-                };
-                (Target::switch(sr.switch.clone()), outcome)
-            })
-            .filter(|(t, _)| self.targets.contains_key(t))
-            .collect();
-        for (target, outcome) in samples {
-            let _ = self.record(&target, outcome);
+    fn observe_rollout(&mut self, report: &RolloutReport) {
+        for sr in &report.switches {
+            let outcome = if sr.retries > 0 {
+                ProbeOutcome::Degraded
+            } else {
+                ProbeOutcome::Ok
+            };
+            self.fold(&Target::switch(sr.switch.clone()), outcome);
         }
     }
 
-    /// Apply one evidence sample to `target` and run the state machine.
-    fn record(&mut self, target: &Target, outcome: ProbeOutcome) -> Option<HealthEvent> {
-        let cfg = self.cfg.clone();
-        let now = self.now;
-        let h = self.targets.get_mut(target)?;
-        // Evidence window and streaks.
-        h.window.push_back(outcome);
-        while h.window.len() > cfg.window {
-            h.window.pop_front();
-        }
+    /// Run one evidence sample for `target` through [`step`] and render
+    /// what it changed: one diagnostic per confirmed state change, the
+    /// flapping code once per target.
+    fn fold(&mut self, target: &Target, outcome: ProbeOutcome) {
+        let Some(h) = self.targets.get_mut(target) else {
+            return;
+        };
         let prev_ok_streak = h.consecutive_ok;
-        match outcome {
-            ProbeOutcome::Ok => {
-                h.consecutive_ok += 1;
-                h.consecutive_lost = 0;
-            }
-            ProbeOutcome::Degraded => {
-                h.consecutive_ok = 0;
-                h.consecutive_lost = 0;
-            }
-            ProbeOutcome::Lost => {
-                h.consecutive_lost += 1;
-                h.consecutive_ok = 0;
-            }
-        }
-        // Suspicion: misses weighted by how reliable the history was.
-        let miss_weight = -(1.0 - h.p_ok()).log10();
-        h.phi = h.consecutive_lost as f64 * miss_weight;
-        // Gray condition persistence.
-        if h.adverse() >= cfg.gray_loss && h.window.len() >= cfg.window / 2 {
-            h.gray_ticks += 1;
-        } else {
-            h.gray_ticks = 0;
-        }
-        // Flap damping: decay every sample; charge every down-edge seen
-        // while the target is already faulted (an up-then-down oscillation,
-        // not a fresh failure).
-        h.flap_penalty *= cfg.flap_decay;
-        let mut flap_event = false;
-        if outcome == ProbeOutcome::Lost && prev_ok_streak >= 2 && h.state.is_faulted() {
-            h.flap_penalty += 1.0;
-            flap_event = true;
-        }
-        // State machine.
-        let from = h.state;
-        let mut code = None;
-        let to = match h.state {
-            HealthState::Healthy | HealthState::Suspect => {
-                if h.phi >= cfg.phi_dead {
-                    h.flap_penalty += 1.0;
-                    code = Some(codes::HEALTH_DEAD);
-                    HealthState::Dead
-                } else if h.gray_ticks >= cfg.confirm_ticks {
-                    h.flap_penalty += 1.0;
-                    code = Some(codes::HEALTH_GRAY);
-                    HealthState::Gray
-                } else if h.phi >= cfg.phi_gray {
-                    HealthState::Suspect
-                } else {
-                    HealthState::Healthy
-                }
-            }
-            HealthState::Dead => {
-                if h.consecutive_ok >= cfg.recovery_ticks {
-                    h.probation_ok = 0;
-                    HealthState::Probation
-                } else {
-                    HealthState::Dead
-                }
-            }
-            HealthState::Gray => {
-                if h.consecutive_ok >= cfg.recovery_ticks && h.gray_ticks == 0 {
-                    h.probation_ok = 0;
-                    HealthState::Probation
-                } else {
-                    HealthState::Gray
-                }
-            }
-            HealthState::Probation => {
-                if h.phi >= cfg.phi_dead {
-                    code = Some(codes::HEALTH_DEAD);
-                    HealthState::Dead
-                } else if h.gray_ticks >= cfg.confirm_ticks {
-                    code = Some(codes::HEALTH_GRAY);
-                    HealthState::Gray
-                } else {
-                    if outcome == ProbeOutcome::Ok {
-                        h.probation_ok += 1;
-                    }
-                    HealthState::Probation
-                }
-            }
-            HealthState::Quarantined => {
-                if h.flap_penalty < cfg.quarantine_exit
-                    && h.consecutive_ok >= 2 * cfg.recovery_ticks
-                {
-                    h.probation_ok = 0;
-                    HealthState::Probation
-                } else {
-                    HealthState::Quarantined
-                }
-            }
+        let (next, transition) = step(*h, outcome);
+        *h = next;
+        let Some(tr) = transition else {
+            return;
         };
-        h.state = to;
-        // Quarantine promotion overrides everything except full health.
-        let (to, code) = if h.flap_penalty >= cfg.flap_limit && to != HealthState::Quarantined {
-            h.state = HealthState::Quarantined;
-            (HealthState::Quarantined, Some(codes::HEALTH_QUARANTINED))
-        } else {
-            (to, code)
+        self.transitions += 1;
+        let now = self.now;
+        let confirmed = match tr.to {
+            // A flap edge alone: nothing was confirmed.
+            _ if tr.to == tr.from => None,
+            HealthState::Dead => Some((
+                codes::HEALTH_DEAD,
+                format!(
+                    "{target} confirmed dead at tick {now}: {} consecutive missed probes",
+                    next.consecutive_lost
+                ),
+            )),
+            HealthState::Gray => Some((
+                codes::HEALTH_GRAY,
+                format!(
+                    "{target} confirmed gray at tick {now}: {:.0}% of the last {} probes \
+                     were adverse for {} ticks",
+                    next.adverse() * 100.0,
+                    next.samples,
+                    next.gray_ticks
+                ),
+            )),
+            HealthState::Quarantined => Some((
+                codes::HEALTH_QUARANTINED,
+                format!(
+                    "{target} quarantined at tick {now}: flap penalty {:.2} ≥ \
+                     {FLAP_LIMIT:.2}; restore is blocked until the penalty decays and a \
+                     long clean streak accrues",
+                    next.flap_penalty
+                ),
+            )),
+            HealthState::Healthy => None,
         };
-        // Diagnostics: once per confirmed transition; the flapping code
-        // once per target (its per-edge events still return below).
-        if let Some(c) = code {
-            if from != to {
-                let msg = if c == codes::HEALTH_DEAD {
-                    format!(
-                        "{target} confirmed dead at tick {now}: {} consecutive missed \
-                         probes (phi {:.1} ≥ {:.1})",
-                        h.consecutive_lost, h.phi, cfg.phi_dead
-                    )
-                } else if c == codes::HEALTH_GRAY {
-                    format!(
-                        "{target} confirmed gray at tick {now}: {:.0}% of the last {} \
-                         probes were adverse for {} ticks",
-                        h.adverse() * 100.0,
-                        h.window.len(),
-                        h.gray_ticks
-                    )
-                } else {
-                    format!(
-                        "{target} quarantined at tick {now}: flap penalty {:.2} ≥ {:.2}; \
-                         restore is blocked until the penalty decays and a long clean \
-                         streak accrues",
-                        h.flap_penalty, cfg.flap_limit
-                    )
-                };
-                self.diagnostics.push(Diagnostic::warning(c, msg));
-            }
+        if let Some((code, msg)) = confirmed {
+            self.diagnostics.push(Diagnostic::warning(code, msg));
         }
-        if flap_event && !h.flap_diag_emitted {
-            h.flap_diag_emitted = true;
+        if tr.flap_edge && self.flapping.insert(target.clone()) {
             self.diagnostics.push(Diagnostic::warning(
                 codes::HEALTH_FLAPPING,
                 format!(
                     "{target} is flapping: went down again at tick {now} after answering \
                      {prev_ok_streak} probes; flap penalty {:.2}",
-                    h.flap_penalty
+                    next.flap_penalty
                 ),
             ));
-        }
-        if from != to {
-            Some(HealthEvent {
-                tick: now,
-                target: target.clone(),
-                from,
-                to,
-                phi: h.phi,
-                flap_penalty: h.flap_penalty,
-                code: code.unwrap_or(codes::HEALTH_FLAPPING),
-            })
-        } else if flap_event {
-            Some(HealthEvent {
-                tick: now,
-                target: target.clone(),
-                from,
-                to,
-                phi: h.phi,
-                flap_penalty: h.flap_penalty,
-                code: codes::HEALTH_FLAPPING,
-            })
-        } else {
-            None
         }
     }
 
     /// Snapshot the monitor's view for reports and the session JSON.
-    pub fn report(&self) -> HealthReport {
+    fn report(&self) -> HealthReport {
         HealthReport {
             ticks: self.now,
             probes_sent: self.counters.sent,
             probes_ok: self.counters.ok,
             probes_degraded: self.counters.degraded,
             probes_lost: self.counters.lost,
-            transitions: self.events,
+            transitions: self.transitions,
             targets: self
                 .targets
                 .iter()
                 .map(|(t, h)| TargetStatus {
                     target: t.clone(),
                     state: h.state,
-                    phi: h.phi,
                     flap_penalty: h.flap_penalty,
                     consecutive_ok: h.consecutive_ok,
                     consecutive_lost: h.consecutive_lost,
@@ -703,8 +555,6 @@ pub struct TargetStatus {
     pub target: Target,
     /// Its current verdict.
     pub state: HealthState,
-    /// Accrued suspicion.
-    pub phi: f64,
     /// Flap penalty.
     pub flap_penalty: f64,
     /// Current clean streak.
@@ -721,7 +571,6 @@ impl TargetStatus {
         let mut o = Object::new();
         o.push("target", Value::str(self.target.wire()));
         o.push("state", Value::str(self.state.name()));
-        o.push("phi", Value::Number(self.phi));
         o.push("flap_penalty", Value::Number(self.flap_penalty));
         o.push("consecutive_ok", Value::Number(self.consecutive_ok as f64));
         o.push(
@@ -734,7 +583,7 @@ impl TargetStatus {
 }
 
 /// The monitor's summary: counters plus the per-target verdicts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HealthReport {
     /// Virtual ticks elapsed.
     pub ticks: u64,
@@ -755,11 +604,6 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// Targets currently in the given state.
-    pub fn in_state(&self, state: HealthState) -> usize {
-        self.targets.iter().filter(|t| t.state == state).count()
-    }
-
     /// Serialise for the session JSON.
     pub fn to_json(&self) -> Value {
         let mut o = Object::new();
@@ -795,21 +639,21 @@ impl HealthReport {
 
 /// One remediation round the healer wants executed.
 #[derive(Debug, Clone)]
-pub struct RemediationPlan {
+struct RemediationPlan {
     /// Targets to add to the fault set.
-    pub fail: Vec<Target>,
+    fail: Vec<Target>,
     /// Targets to remove from the fault set (restore).
-    pub restore: Vec<Target>,
+    restore: Vec<Target>,
     /// The full desired fault set after this round.
-    pub desired: BTreeSet<Target>,
+    desired: BTreeSet<Target>,
     /// Earliest confirmation tick among the newly-failed targets (for
     /// MTTR: detect → healed).
-    pub tick_detected: Option<u64>,
+    tick_detected: Option<u64>,
 }
 
 impl RemediationPlan {
     /// The desired set as a [`FaultSet`].
-    pub fn fault_set(&self) -> FaultSet {
+    fn fault_set(&self) -> FaultSet {
         let mut fs = FaultSet::new();
         for t in &self.desired {
             match t {
@@ -823,7 +667,7 @@ impl RemediationPlan {
 
 /// What [`SelfHealer::plan`] decided this tick.
 #[derive(Debug)]
-pub enum PlanOutcome {
+enum PlanOutcome {
     /// Desired and active fault sets agree — nothing to do.
     Idle,
     /// Work is pending but the rate limiter is holding it back; `first`
@@ -842,58 +686,66 @@ pub enum PlanOutcome {
 /// deployment was last recompiled for), rate-limits rounds, backs off on
 /// failure, and coalesces confirmations that arrive while a round is
 /// rate-limited into one recompile.
-#[derive(Debug)]
-pub struct SelfHealer {
+#[derive(Debug, Clone)]
+struct SelfHealer {
     desired: BTreeSet<Target>,
     active: BTreeSet<Target>,
     confirmed_at: BTreeMap<Target, u64>,
     next_allowed: u64,
     cooldown: u64,
-    base_cooldown: u64,
-    backoff_factor: u64,
-    max_cooldown: u64,
     deferral_logged: bool,
 }
 
 impl SelfHealer {
-    /// A healer with nothing failed, tuned from `cfg`.
-    pub fn new(cfg: &HealthConfig) -> Self {
+    /// A healer with nothing failed.
+    fn new() -> Self {
         SelfHealer {
             desired: BTreeSet::new(),
             active: BTreeSet::new(),
             confirmed_at: BTreeMap::new(),
             next_allowed: 0,
-            cooldown: cfg.remediate_cooldown,
-            base_cooldown: cfg.remediate_cooldown.max(1),
-            backoff_factor: cfg.backoff_factor.max(1),
-            max_cooldown: cfg.max_cooldown.max(1),
+            cooldown: REMEDIATE_COOLDOWN,
             deferral_logged: false,
         }
     }
 
-    /// The monitor confirmed `target` faulted at `tick`.
-    pub fn confirm(&mut self, target: Target, tick: u64) {
-        self.confirmed_at.entry(target.clone()).or_insert(tick);
-        self.desired.insert(target);
+    /// One tick's confirm/restore pass over the monitor's verdicts: the
+    /// desired fault set is every faulted target the monitor does not hold
+    /// restorable. State-driven, not edge-driven, so a restorable target
+    /// that relapses before its restore round runs is wanted failed again,
+    /// and one whose fail round never committed goes straight back to
+    /// healthy — the deployment has nothing to undo for it.
+    fn reconcile<'a>(
+        &mut self,
+        tick: u64,
+        verdicts: impl IntoIterator<Item = (&'a Target, &'a mut TargetHealth)>,
+    ) {
+        for (target, h) in verdicts {
+            if h.restorable() {
+                self.desired.remove(target);
+                if !self.active.contains(target) {
+                    *h = h.restored();
+                }
+            } else if h.state.is_faulted() && !self.desired.contains(target) {
+                self.confirm(target.clone(), tick);
+            }
+        }
     }
 
-    /// The monitor cleared `target` for restore.
-    pub fn request_restore(&mut self, target: &Target) {
-        self.desired.remove(target);
+    /// The monitor confirmed `target` faulted at `tick`.
+    fn confirm(&mut self, target: Target, tick: u64) {
+        if self.desired.insert(target.clone()) {
+            self.confirmed_at.insert(target, tick);
+        }
     }
 
     /// True when the active deployment matches every confirmed suspicion.
-    pub fn settled(&self) -> bool {
+    fn settled(&self) -> bool {
         self.desired == self.active
     }
 
-    /// The fault set the deployment currently runs under.
-    pub fn active(&self) -> &BTreeSet<Target> {
-        &self.active
-    }
-
     /// Decide whether to act this tick.
-    pub fn plan(&mut self, tick: u64) -> PlanOutcome {
+    fn plan(&mut self, tick: u64) -> PlanOutcome {
         if self.settled() {
             return PlanOutcome::Idle;
         }
@@ -920,15 +772,12 @@ impl SelfHealer {
     /// desired set as active and relaxes the cooldown; failure keeps the
     /// delta pending and backs the cooldown off (damped — the ceiling
     /// stops a persistently-failing remediation from spinning).
-    pub fn complete(&mut self, tick: u64, plan: &RemediationPlan, success: bool) {
+    fn complete(&mut self, tick: u64, plan: &RemediationPlan, success: bool) {
         if success {
             self.active = plan.desired.clone();
-            for t in &plan.fail {
-                self.confirmed_at.remove(t);
-            }
-            self.cooldown = self.base_cooldown;
+            self.cooldown = REMEDIATE_COOLDOWN;
         } else {
-            self.cooldown = (self.cooldown * self.backoff_factor).min(self.max_cooldown);
+            self.cooldown = (self.cooldown * BACKOFF_FACTOR).min(MAX_COOLDOWN);
         }
         self.next_allowed = tick + self.cooldown;
         self.deferral_logged = false;
@@ -1059,7 +908,7 @@ impl ChaosSchedule {
     }
 
     /// Ground truth: is `target` itself down at `tick`? (Does not chase
-    /// link endpoints — [`ChaosChannel`] layers that on.)
+    /// link endpoints — `ChaosChannel` layers that on.)
     pub fn down_at(&self, target: &Target, tick: u64) -> bool {
         let mut down = false;
         let mut last_edge = 0u64;
@@ -1136,7 +985,7 @@ impl ChaosSchedule {
 /// probes, a slow target loses acknowledgements, a lossy one drops
 /// stochastically (seeded — the same seed replays the identical run).
 #[derive(Debug)]
-pub struct ChaosChannel {
+struct ChaosChannel {
     schedule: ChaosSchedule,
     rng: Rng,
     tick: u64,
@@ -1144,7 +993,7 @@ pub struct ChaosChannel {
 
 impl ChaosChannel {
     /// A channel ruled by `schedule`, with seeded loss.
-    pub fn new(schedule: ChaosSchedule, seed: u64) -> Self {
+    fn new(schedule: ChaosSchedule, seed: u64) -> Self {
         ChaosChannel {
             schedule,
             rng: Rng::new(seed),
@@ -1153,13 +1002,8 @@ impl ChaosChannel {
     }
 
     /// Advance the virtual clock (the monitor calls this once per tick).
-    pub fn set_tick(&mut self, tick: u64) {
+    fn set_tick(&mut self, tick: u64) {
         self.tick = tick;
-    }
-
-    /// Current virtual tick.
-    pub fn tick(&self) -> u64 {
-        self.tick
     }
 
     /// Effective down: the target itself, or — for a link — either
@@ -1200,7 +1044,7 @@ impl ControlChannel for ChaosChannel {
 /// Tuning for one [`run_selfheal`] run.
 #[derive(Debug, Clone)]
 pub struct SelfHealConfig {
-    /// Detection and healer tuning.
+    /// The run's seed.
     pub health: HealthConfig,
     /// Rollout tuning for remediation rounds.
     pub rollout: RolloutConfig,
@@ -1226,7 +1070,7 @@ impl Default for SelfHealConfig {
 }
 
 /// One executed remediation round.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RemediationReport {
     /// Round number (1-based).
     pub round: u64,
@@ -1312,7 +1156,7 @@ impl RemediationReport {
 }
 
 /// What a full closed-loop run observed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SelfHealOutcome {
     /// Virtual ticks run.
     pub ticks: u64,
@@ -1350,6 +1194,14 @@ pub struct SelfHealOutcome {
 }
 
 impl SelfHealOutcome {
+    /// Add one replay's packet counters to the run's totals.
+    fn count_traffic(&mut self, replay: &ReplayReport) {
+        self.traffic_delivered += replay.delivered;
+        self.traffic_refused += replay.refused_epoch_mismatch;
+        self.mixed_epoch_exposure += replay.mixed_epoch_exposure;
+        self.worker_panics += replay.worker_panics;
+    }
+
     /// Serialise for the session JSON and `lyrac --monitor`.
     pub fn to_json(&self) -> Value {
         let mut o = Object::new();
@@ -1454,28 +1306,23 @@ pub fn run_selfheal(
     let t0 = Instant::now();
     let baseline = compiler.compile(req)?;
     let mut current: Box<CompileOutput> = Box::new(baseline);
-    let mut monitor = HealthMonitor::new(cfg.health.clone());
+    let mut monitor = HealthMonitor::new();
     monitor.watch_output(&current);
-    let mut healer = SelfHealer::new(&cfg.health);
+    let mut healer = SelfHealer::new();
     let mut chaos = ChaosChannel::new(schedule.clone(), cfg.health.seed ^ 0xc4a0_55ed);
-
-    let mut remediations: Vec<RemediationReport> = Vec::new();
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let mut recompiles = 0u64;
-    let mut rollouts_committed = 0u64;
-    let mut rollouts_rolled_back = 0u64;
-    let mut restores = 0u64;
-    let mut rate_limited_deferrals = 0u64;
-    let mut mixed_epoch_exposure = 0u64;
-    let mut worker_panics = 0u64;
-    let mut traffic_delivered = 0u64;
-    let mut traffic_refused = 0u64;
-    let mut converged = false;
-    let mut final_audit_clean = false;
+    let replay_cfg = |salt: u64| {
+        ReplayConfig::default()
+            .with_packets(cfg.traffic_packets)
+            .with_workers(cfg.workers)
+            .with_seed(cfg.health.seed ^ salt)
+    };
+    let mut out = SelfHealOutcome {
+        ticks: cfg.ticks,
+        ..SelfHealOutcome::default()
+    };
 
     let mut snapshot: Option<Snapshot> = None;
     let mut tick = 0u64;
-    let mut round = 0u64;
 
     'generations: loop {
         // Declared before the runtime so a staged recompile outlives the
@@ -1491,7 +1338,7 @@ pub fn run_selfheal(
                 None => {
                     for (table, key, value) in entries {
                         if let Err(e) = rt.install(table, *key, *value) {
-                            diagnostics.push(Diagnostic::warning(
+                            out.diagnostics.push(Diagnostic::warning(
                                 codes::HEAL_FAILED,
                                 format!("seed install of `{table}`[{key}] failed: {e}"),
                             ));
@@ -1503,21 +1350,14 @@ pub fn run_selfheal(
             while tick < cfg.ticks {
                 tick += 1;
                 chaos.set_tick(tick);
-                let events = monitor.tick(&mut chaos);
-                for ev in &events {
-                    if matches!(ev.to, HealthState::Dead | HealthState::Gray) {
-                        healer.confirm(ev.target.clone(), tick);
-                    }
-                }
-                for t in monitor.restorable() {
-                    healer.request_restore(&t);
-                }
+                monitor.tick(&mut chaos);
+                healer.reconcile(tick, &mut monitor.targets);
                 let plan = match healer.plan(tick) {
                     PlanOutcome::Idle => continue,
                     PlanOutcome::Deferred { first } => {
-                        rate_limited_deferrals += 1;
+                        out.rate_limited_deferrals += 1;
                         if first {
-                            diagnostics.push(Diagnostic::warning(
+                            out.diagnostics.push(Diagnostic::warning(
                                 codes::HEAL_RATE_LIMITED,
                                 format!(
                                     "remediation deferred at tick {tick}: cooldown in \
@@ -1531,8 +1371,16 @@ pub fn run_selfheal(
                     PlanOutcome::Go(plan) => plan,
                 };
 
-                round += 1;
+                let round = out.remediations.len() as u64 + 1;
                 let round_t0 = Instant::now();
+                let mut report = RemediationReport {
+                    round,
+                    tick_detected: plan.tick_detected,
+                    tick_started: tick,
+                    failed: plan.fail.iter().map(Target::wire).collect(),
+                    restored: plan.restore.iter().map(Target::wire).collect(),
+                    ..RemediationReport::default()
+                };
                 let faults = plan.fault_set();
                 // Ground truth before any state is torn down: entries held
                 // only by a dying switch must survive the remediation.
@@ -1543,29 +1391,16 @@ pub fn run_selfheal(
                         // Nothing was staged or borrowed — the generation
                         // continues; the healer backs off and retries.
                         healer.complete(tick, &plan, false);
-                        diagnostics.push(Diagnostic::error(
+                        out.diagnostics.push(Diagnostic::error(
                             codes::HEAL_FAILED,
                             format!("round {round}: recompile under fault set failed: {e}"),
                         ));
-                        remediations.push(RemediationReport {
-                            round,
-                            tick_detected: plan.tick_detected,
-                            tick_started: tick,
-                            tick_healed: None,
-                            failed: plan.fail.iter().map(Target::wire).collect(),
-                            restored: plan.restore.iter().map(Target::wire).collect(),
-                            committed: false,
-                            rolled_back: false,
-                            audit_clean: false,
-                            drift_repaired: 0,
-                            instr_churn: 0,
-                            mixed_epoch_exposure: 0,
-                            elapsed: round_t0.elapsed(),
-                        });
+                        report.elapsed = round_t0.elapsed();
+                        out.remediations.push(report);
                         continue;
                     }
                 };
-                recompiles += 1;
+                out.recompiles += 1;
                 let rec_ref: &FaultRecompile = staged.insert(rec);
 
                 // The controller knows these switches are dead: their
@@ -1577,48 +1412,23 @@ pub fn run_selfheal(
                     .clone()
                     .with_scope_health(rec_ref.scope_health.clone())
                     .with_seed(cfg.health.seed ^ (round << 8));
-                let mut round_mixed = 0u64;
                 let rollout_res = if cfg.traffic_packets > 0 {
-                    let replay_cfg = ReplayConfig::default()
-                        .with_packets(cfg.traffic_packets)
-                        .with_workers(cfg.workers)
-                        .with_seed(cfg.health.seed ^ round);
-                    match replay_under_rollout(
+                    replay_under_rollout(
                         &mut rt,
                         &rec_ref.output,
                         &mut chaos,
                         &rollout_cfg,
-                        &replay_cfg,
-                    ) {
-                        Ok(outcome) => {
-                            traffic_delivered += outcome.replay.delivered;
-                            traffic_refused += outcome.replay.refused_epoch_mismatch;
-                            round_mixed = outcome.replay.mixed_epoch_exposure;
-                            mixed_epoch_exposure += round_mixed;
-                            worker_panics += outcome.replay.worker_panics;
-                            Ok(outcome.rollout)
-                        }
-                        Err(e) => Err(e),
-                    }
+                        &replay_cfg(round),
+                    )
+                    .map(|outcome| {
+                        report.mixed_epoch_exposure = outcome.replay.mixed_epoch_exposure;
+                        out.count_traffic(&outcome.replay);
+                        outcome.rollout
+                    })
                 } else {
                     rt.apply_rollout(&rec_ref.output, &mut chaos, &rollout_cfg)
                 };
 
-                let mut report = RemediationReport {
-                    round,
-                    tick_detected: plan.tick_detected,
-                    tick_started: tick,
-                    tick_healed: None,
-                    failed: plan.fail.iter().map(Target::wire).collect(),
-                    restored: plan.restore.iter().map(Target::wire).collect(),
-                    committed: false,
-                    rolled_back: false,
-                    audit_clean: false,
-                    drift_repaired: 0,
-                    instr_churn: 0,
-                    mixed_epoch_exposure: round_mixed,
-                    elapsed: Duration::ZERO,
-                };
                 match rollout_res {
                     Ok(rollout) if rollout.committed => {
                         monitor.observe_rollout(&rollout);
@@ -1636,7 +1446,7 @@ pub fn run_selfheal(
                         report.tick_healed = Some(tick);
                         for t in &plan.restore {
                             monitor.mark_restored(t);
-                            diagnostics.push(Diagnostic::warning(
+                            out.diagnostics.push(Diagnostic::warning(
                                 codes::HEAL_RESTORED,
                                 format!(
                                     "{t} restored to service at tick {tick} after a \
@@ -1644,11 +1454,11 @@ pub fn run_selfheal(
                                 ),
                             ));
                         }
-                        restores += plan.restore.len() as u64;
+                        out.restores += plan.restore.len() as u64;
                         healer.complete(tick, &plan, true);
                         monitor.watch_output(&rec_ref.output);
-                        rollouts_committed += 1;
-                        diagnostics.push(Diagnostic::warning(
+                        out.rollouts_committed += 1;
+                        out.diagnostics.push(Diagnostic::warning(
                             codes::HEAL_REMEDIATED,
                             format!(
                                 "round {round}: remediation committed at tick {tick} \
@@ -1664,8 +1474,8 @@ pub fn run_selfheal(
                         monitor.observe_rollout(&rollout);
                         report.rolled_back = rollout.rolled_back;
                         healer.complete(tick, &plan, false);
-                        rollouts_rolled_back += 1;
-                        diagnostics.push(Diagnostic::warning(
+                        out.rollouts_rolled_back += 1;
+                        out.diagnostics.push(Diagnostic::warning(
                             codes::HEAL_FAILED,
                             format!(
                                 "round {round}: remediation rollout did not commit at \
@@ -1675,15 +1485,15 @@ pub fn run_selfheal(
                     }
                     Err(e) => {
                         healer.complete(tick, &plan, false);
-                        rollouts_rolled_back += 1;
-                        diagnostics.push(Diagnostic::error(
+                        out.rollouts_rolled_back += 1;
+                        out.diagnostics.push(Diagnostic::error(
                             codes::HEAL_FAILED,
                             format!("round {round}: remediation rollout failed: {e}"),
                         ));
                     }
                 }
                 report.elapsed = round_t0.elapsed();
-                remediations.push(report);
+                out.remediations.push(report);
                 // The runtime now borrows the staged output (even a failed
                 // rollout took the borrow): end the generation either way.
                 snapshot = Some(Snapshot::capture(&rt));
@@ -1694,19 +1504,10 @@ pub fn run_selfheal(
                 // Budget exhausted: final serving check on this runtime
                 // (post-commit it already serves the newest output).
                 if cfg.traffic_packets > 0 {
-                    let replay_cfg = ReplayConfig::default()
-                        .with_packets(cfg.traffic_packets)
-                        .with_workers(cfg.workers)
-                        .with_seed(cfg.health.seed ^ 0xf17a);
-                    let replay = replay_compiled(&rt, &replay_cfg);
-                    traffic_delivered += replay.delivered;
-                    traffic_refused += replay.refused_epoch_mismatch;
-                    mixed_epoch_exposure += replay.mixed_epoch_exposure;
-                    worker_panics += replay.worker_panics;
+                    out.count_traffic(&replay_compiled(&rt, &replay_cfg(0xf17a)));
                 }
-                let audit = rt.audit_switches();
-                final_audit_clean = audit.clean();
-                converged = healer.settled() && rt.epochs_coherent();
+                out.final_audit_clean = rt.audit_switches().clean();
+                out.converged = healer.settled() && rt.epochs_coherent();
                 snapshot = Some(Snapshot::capture(&rt));
             }
         }
@@ -1721,24 +1522,9 @@ pub fn run_selfheal(
         }
     }
 
-    Ok(SelfHealOutcome {
-        ticks: cfg.ticks,
-        health: monitor.report(),
-        remediations,
-        recompiles,
-        rollouts_committed,
-        rollouts_rolled_back,
-        restores,
-        rate_limited_deferrals,
-        mixed_epoch_exposure,
-        worker_panics,
-        traffic_delivered,
-        traffic_refused,
-        converged,
-        final_audit_clean,
-        diagnostics,
-        elapsed: t0.elapsed(),
-    })
+    out.health = monitor.report();
+    out.elapsed = t0.elapsed();
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1766,7 +1552,7 @@ mod tests {
     }
 
     fn run_monitor(schedule: ChaosSchedule, target: Target, ticks: u64) -> HealthMonitor {
-        let mut monitor = HealthMonitor::new(HealthConfig::default());
+        let mut monitor = HealthMonitor::new();
         monitor.watch(target);
         let mut chaos = ChaosChannel::new(schedule, 7);
         for t in 1..=ticks {
@@ -1857,29 +1643,28 @@ mod tests {
         let schedule = ChaosSchedule::new()
             .kill(5, t.clone())
             .restore(12, t.clone());
-        let mut monitor = HealthMonitor::new(HealthConfig::default());
+        let mut monitor = HealthMonitor::new();
         monitor.watch(t.clone());
         let mut chaos = ChaosChannel::new(schedule, 7);
         let mut restorable_at = None;
         for tick in 1..=40 {
             chaos.set_tick(tick);
             monitor.tick(&mut chaos);
-            if restorable_at.is_none() && monitor.restorable().contains(&t) {
+            if restorable_at.is_none() && monitor.targets[&t].restorable() {
                 restorable_at = Some(tick);
             }
         }
         let when = restorable_at.expect("target never became restorable");
-        // Dead at ~7; clean from 12; probation after 8 clean; restorable
-        // after 8 more — never before the full double window.
-        assert!(when >= 12 + 16, "restorable too early, at tick {when}");
+        // Dead at 7; clean from 12; restorable at the RESTORE_CLEAN-th
+        // clean probe since revival — never before the full window.
+        assert_eq!(when, 12 + RESTORE_CLEAN - 1, "restorable at tick {when}");
         monitor.mark_restored(&t);
         assert_eq!(monitor.state(&t), Some(HealthState::Healthy));
     }
 
     #[test]
     fn healer_rate_limits_and_coalesces() {
-        let cfg = HealthConfig::default();
-        let mut healer = SelfHealer::new(&cfg);
+        let mut healer = SelfHealer::new();
         assert!(matches!(healer.plan(1), PlanOutcome::Idle));
         healer.confirm(Target::switch("A"), 1);
         let plan = match healer.plan(1) {
@@ -2119,5 +1904,475 @@ mod tests {
         }
         let parsed = lyra_diag::json::parse(&json).expect("session JSON must parse");
         assert!(parsed.get("health").is_some());
+    }
+}
+
+/// Small-scope enumeration of the detector, in the style of
+/// `tests/protocol_exhaustive.rs`: where the chaos suite *samples* 200
+/// schedules, this walks **every** probe-outcome sequence inside a stated
+/// scope through the real [`step`], [`SelfHealer::reconcile`],
+/// [`SelfHealer::plan`] and [`SelfHealer::complete`], and checks properties
+/// E1–E6 of docs/ROBUSTNESS.md §9 at every state it reaches. It lives here,
+/// not under `tests/`, so `step` stays private.
+///
+/// Four walks. One target over every `{Ok, Degraded, Lost}` sequence of
+/// length [`DEPTH`]. One target over run-structured sequences of up to
+/// [`ELEMENTS`] elements — a run of one outcome whose length is a threshold
+/// or one of its two neighbours, or a flap burst — which reach restore,
+/// quarantine and life after both; walked once with every round committing
+/// and once with every round failing its first attempt, so restores wait
+/// out a backoff and relapse. Two targets behind one healer over
+/// [`JOINT_RUNS`] joint runs, with every round both failed and committed:
+/// deferral, coalescing, backoff. And the healer alone, kept unsettled,
+/// over every outcome of its first [`ROUNDS`] rounds. Debug builds (tier-1) walk the
+/// small scope; release builds (CI's `selfheal-chaos` job) more than ten
+/// times as many sequences.
+#[cfg(test)]
+mod exhaustive {
+    use super::*;
+    use ProbeOutcome::{Degraded, Lost};
+
+    const CLEAN: ProbeOutcome = ProbeOutcome::Ok;
+    const OUTCOMES: [ProbeOutcome; 3] = [CLEAN, Degraded, Lost];
+    const RELEASE: bool = !cfg!(debug_assertions);
+
+    const DEPTH: usize = if RELEASE { 13 } else { 10 };
+    const ELEMENTS: usize = if RELEASE { 4 } else { 3 };
+    const JOINT_RUNS: usize = if RELEASE { 4 } else { 3 };
+    const ROUNDS: u32 = if RELEASE { 16 } else { 12 };
+    /// Sequences the four walks must add up to (the test prints the count).
+    const FLOOR: u64 = if RELEASE { 10_000_000 } else { 250_000 };
+
+    /// E4's stated bound: clean ticks after which any quarantined target is
+    /// restorable. One flap charge needs two answered probes and a miss, so
+    /// the penalty never exceeds 1 / (1 − FLAP_DECAY³) ≈ 11.5, and
+    /// 11.5 · FLAP_DECAY^103 < QUARANTINE_EXIT.
+    const QUARANTINE_EXIT_TICKS: u64 = 103;
+
+    /// One element of a run-structured sequence.
+    #[derive(Clone, Copy)]
+    enum Element {
+        /// That many samples of one outcome.
+        Run(ProbeOutcome, u64),
+        /// Clean samples up to the one that makes the target restorable,
+        /// plus this many. That threshold is wherever the flap penalty puts
+        /// it, so the run is sized from the state, not from a constant.
+        CleanToRestore(i64),
+        /// `cycles` × (`down` missed, `up` clean).
+        Flap { down: u64, up: u64, cycles: u64 },
+    }
+
+    /// Runs of every outcome at every threshold a streak is compared
+    /// against and its two neighbours, and at a single sample; and flap
+    /// bursts — down for one sample (a flap charge, never a death) or
+    /// `DEAD_MISSES`, up for the two samples a charge needs or one short of
+    /// a restore, for 2, 3 or 8 cycles (the flap acceptance test's count).
+    fn elements() -> Vec<Element> {
+        let thresholds = [
+            DEAD_MISSES,
+            CONFIRM_TICKS,
+            u64::from(WINDOW / 2),
+            u64::from(WINDOW),
+            RESTORE_CLEAN,
+            REMEDIATE_COOLDOWN,
+        ];
+        let mut lengths: BTreeSet<u64> =
+            thresholds.iter().flat_map(|t| [t - 1, *t, t + 1]).collect();
+        lengths.insert(1);
+        let mut elements = Vec::new();
+        for o in OUTCOMES {
+            elements.extend(lengths.iter().map(|len| Element::Run(o, *len)));
+        }
+        elements.extend([-1, 0, 1].map(Element::CleanToRestore));
+        for down in [1, DEAD_MISSES] {
+            for up in [2, RESTORE_CLEAN - 1] {
+                for cycles in [2, 3, 8] {
+                    elements.push(Element::Flap { down, up, cycles });
+                }
+            }
+        }
+        elements
+    }
+
+    /// Clean samples `h` needs before it is restorable (E4: finitely many).
+    fn clean_ticks_to_restorable(mut h: TargetHealth) -> u64 {
+        let mut n = 0;
+        while !h.restorable() {
+            assert!(n < 10_000, "E4: {h:?} is absorbing — never restorable");
+            h = step(h, CLEAN).0;
+            n += 1;
+        }
+        n
+    }
+
+    /// What the walks count.
+    #[derive(Default)]
+    struct Tally {
+        sequences: u64,
+        steps: u64,
+        dead: u64,
+        gray: u64,
+        quarantined: u64,
+        restores: u64,
+        relapses: u64,
+        failed_rounds: u64,
+        worst_quarantine_exit: u64,
+    }
+
+    /// Some targets behind one healer, plus what the properties must
+    /// remember. `seen` is the oracle: the outcomes each target was fed,
+    /// kept apart from `TargetHealth`'s own counters so a miscounting `step`
+    /// cannot vouch for itself.
+    #[derive(Clone)]
+    struct World {
+        names: std::rc::Rc<[Target]>,
+        hs: Vec<TargetHealth>,
+        seen: Vec<Vec<ProbeOutcome>>,
+        /// The committed fault set holds the target.
+        failed: Vec<bool>,
+        healer: SelfHealer,
+        tick: u64,
+        last_round: u64,
+        /// The last round failed (a flaky world commits only retries).
+        retrying: bool,
+    }
+
+    impl World {
+        fn new(n: usize) -> World {
+            World {
+                names: (0..n).map(|i| Target::switch(format!("T{i}"))).collect(),
+                hs: vec![TargetHealth::NEW; n],
+                seen: vec![Vec::new(); n],
+                failed: vec![false; n],
+                healer: SelfHealer::new(),
+                tick: 0,
+                last_round: 0,
+                retrying: false,
+            }
+        }
+
+        /// One tick: fold `outcomes` (one per target) through `step`, run
+        /// the confirm/restore pass, ask the healer for a plan. Checks E1,
+        /// E2, E4, E5 and E6; returns the round to execute, if any.
+        fn tick(
+            &mut self,
+            outcomes: &[ProbeOutcome],
+            tally: &mut Tally,
+        ) -> Option<RemediationPlan> {
+            self.tick += 1;
+            for (i, &o) in outcomes.iter().enumerate() {
+                self.seen[i].push(o);
+                let seen = &self.seen[i];
+                let before = self.hs[i];
+                let (next, transition) = step(before, o);
+                self.hs[i] = next;
+                tally.steps += 1;
+                // A restore was pending and the target went bad again.
+                tally.relapses += u64::from(before.restorable() && !next.restorable());
+                let trailing_lost = seen.iter().rev().take_while(|o| **o == Lost).count() as u64;
+                let recent = &seen[seen.len().saturating_sub(WINDOW as usize)..];
+                let adverse =
+                    recent.iter().filter(|o| **o != CLEAN).count() as f64 / recent.len() as f64;
+                if !before.state.is_faulted() {
+                    // E1: DEAD_MISSES straight misses always confirm, and
+                    // nothing short of that or a gray window ever does.
+                    if trailing_lost >= DEAD_MISSES {
+                        assert!(
+                            next.state.is_faulted(),
+                            "E1: {seen:?} left {next:?} healthy"
+                        );
+                    }
+                    if next.state.is_faulted() {
+                        assert!(
+                            trailing_lost >= DEAD_MISSES || adverse >= GRAY_LOSS,
+                            "E1: {seen:?} confirmed {next:?} on {trailing_lost} miss(es) and \
+                             {adverse:.2} adverse"
+                        );
+                    }
+                }
+                if let Some(tr) = transition {
+                    assert_eq!((tr.from, tr.to), (before.state, next.state));
+                    assert_ne!(tr.to, HealthState::Healthy, "only a restore heals");
+                    // E2: gray never turns dead, and dead means the last
+                    // DEAD_MISSES probes all went unanswered.
+                    assert!(
+                        !(tr.from == HealthState::Gray && tr.to == HealthState::Dead),
+                        "E2: gray stepped to dead after {seen:?}"
+                    );
+                    if tr.to == HealthState::Dead && tr.from != HealthState::Dead {
+                        assert!(trailing_lost >= DEAD_MISSES, "E2: dead after {seen:?}");
+                    }
+                    if tr.to != tr.from {
+                        match tr.to {
+                            HealthState::Dead => tally.dead += 1,
+                            HealthState::Gray => tally.gray += 1,
+                            _ => tally.quarantined += 1,
+                        }
+                    }
+                }
+                // E4: quarantine is not absorbing. A clean sample only
+                // shortens the way out, so measure at the others.
+                if next.state == HealthState::Quarantined
+                    && (o != CLEAN || before.state != HealthState::Quarantined)
+                {
+                    let n = clean_ticks_to_restorable(next);
+                    assert!(
+                        n <= QUARANTINE_EXIT_TICKS,
+                        "E4: {next:?} needs {n} clean ticks, bound {QUARANTINE_EXIT_TICKS}"
+                    );
+                    tally.worst_quarantine_exit = tally.worst_quarantine_exit.max(n);
+                }
+            }
+            self.healer
+                .reconcile(self.tick, self.names.iter().zip(self.hs.iter_mut()));
+            for (i, name) in self.names.iter().enumerate() {
+                // E5: after the pass the healer wants failed exactly the
+                // faulted targets that are not restorable, and every other
+                // faulted one is in the committed fault set, awaiting its
+                // restore round.
+                let h = &self.hs[i];
+                let wanted = self.healer.desired.contains(name);
+                assert_eq!(
+                    wanted,
+                    h.state.is_faulted() && !h.restorable(),
+                    "E5: {name} is {h:?}, wanted failed: {wanted}"
+                );
+                assert!(
+                    !h.state.is_faulted() || wanted || self.healer.active.contains(name),
+                    "E5: nothing holds {name} ({h:?}) failed or pending restore"
+                );
+                assert_eq!(self.healer.active.contains(name), self.failed[i]);
+            }
+            match self.healer.plan(self.tick) {
+                PlanOutcome::Idle => None,
+                // E6: pending work waits out a cooldown, never more than
+                // MAX_COOLDOWN ticks since the last round.
+                PlanOutcome::Deferred { .. } => {
+                    assert!(
+                        self.tick < self.last_round + MAX_COOLDOWN,
+                        "E6: still deferred at tick {}, last round at {}",
+                        self.tick,
+                        self.last_round
+                    );
+                    None
+                }
+                PlanOutcome::Go(plan) => Some(plan),
+            }
+        }
+
+        /// Execute `plan` with the given outcome, as `run_selfheal` does.
+        /// Checks E3 on the way.
+        fn round(&mut self, plan: &RemediationPlan, success: bool, tally: &mut Tally) {
+            self.last_round = self.tick;
+            self.retrying = !success;
+            self.healer.complete(self.tick, plan, success);
+            if !success {
+                tally.failed_rounds += 1;
+                return;
+            }
+            for (i, name) in self.names.iter().enumerate() {
+                if plan.fail.contains(name) {
+                    // E3: one fail round per target between restores.
+                    assert!(
+                        !self.failed[i],
+                        "E3: {name} failed twice, no restore between"
+                    );
+                    self.failed[i] = true;
+                }
+                if plan.restore.contains(name) {
+                    // E3: never restored within RESTORE_CLEAN samples of
+                    // an adverse one.
+                    let clean = self.seen[i].iter().rev().take_while(|o| **o == CLEAN);
+                    let clean = clean.count() as u64;
+                    assert!(self.failed[i], "E3: {name} restored but never failed");
+                    assert!(
+                        clean >= RESTORE_CLEAN,
+                        "E3: {name} restored {clean} clean sample(s) after an adverse one"
+                    );
+                    self.failed[i] = false;
+                    self.hs[i] = self.hs[i].restored();
+                    tally.restores += 1;
+                }
+            }
+        }
+
+        /// Feed `outcomes` for `len` ticks. Every round commits, unless
+        /// `flaky`: then every round fails once and commits when retried.
+        fn feed(&mut self, outcomes: &[ProbeOutcome], len: u64, flaky: bool, tally: &mut Tally) {
+            for _ in 0..len {
+                if let Some(plan) = self.tick(outcomes, tally) {
+                    self.round(&plan, !flaky || self.retrying, tally);
+                }
+            }
+        }
+
+        /// Feed `outcomes` for `len` ticks, every round both failed and
+        /// committed, and hand each world that comes out to `then`.
+        fn branch(
+            &self,
+            outcomes: &[ProbeOutcome],
+            len: u64,
+            tally: &mut Tally,
+            then: &mut dyn FnMut(&World, &mut Tally),
+        ) {
+            let mut world = self.clone();
+            for done in 0..len {
+                if let Some(plan) = world.tick(outcomes, tally) {
+                    let mut failed = world.clone();
+                    failed.round(&plan, false, tally);
+                    failed.branch(outcomes, len - done - 1, tally, then);
+                    world.round(&plan, true, tally);
+                }
+            }
+            then(&world, tally);
+        }
+    }
+
+    /// Walk 1: every sequence of `DEPTH` outcomes.
+    fn walk_depth(world: &World, depth: usize, tally: &mut Tally) {
+        if depth == DEPTH {
+            tally.sequences += 1;
+            return;
+        }
+        for o in OUTCOMES {
+            let mut next = world.clone();
+            next.feed(&[o], 1, false, tally);
+            walk_depth(&next, depth + 1, tally);
+        }
+    }
+
+    /// Walk 2: every sequence of up to `left` more elements (a run never
+    /// repeats the outcome just fed — that is only a longer run).
+    fn walk_elements(world: &World, all: &[Element], flaky: bool, left: usize, tally: &mut Tally) {
+        if left == 0 {
+            return;
+        }
+        let last = world.seen[0].last().copied();
+        for &element in all {
+            let mut next = world.clone();
+            match element {
+                Element::Run(o, _) if Some(o) == last => continue,
+                Element::Run(o, len) => next.feed(&[o], len, flaky, tally),
+                Element::CleanToRestore(_) if !next.hs[0].state.is_faulted() => continue,
+                Element::CleanToRestore(extra) => {
+                    let len = clean_ticks_to_restorable(next.hs[0]) as i64 + extra;
+                    next.feed(&[CLEAN], len.max(0) as u64, flaky, tally);
+                }
+                Element::Flap { down, up, cycles } => {
+                    for _ in 0..cycles {
+                        next.feed(&[Lost], down, flaky, tally);
+                        next.feed(&[CLEAN], up, flaky, tally);
+                    }
+                }
+            }
+            tally.sequences += 1;
+            walk_elements(&next, all, flaky, left - 1, tally);
+        }
+    }
+
+    /// Walk 3: two targets, `left` more joint runs at the lengths that
+    /// decide a confirmation, a cooldown or a restore.
+    fn walk_joint(world: &World, left: usize, tally: &mut Tally) {
+        if left == 0 {
+            tally.sequences += 1;
+            return;
+        }
+        for a in OUTCOMES {
+            for b in OUTCOMES {
+                for len in [1, DEAD_MISSES, REMEDIATE_COOLDOWN, RESTORE_CLEAN] {
+                    world.branch(&[a, b], len, tally, &mut |next, tally| {
+                        walk_joint(next, left - 1, tally)
+                    });
+                }
+            }
+        }
+    }
+
+    /// Walk 4 (E6): the healer alone, never settled — whenever a round
+    /// commits, the desired set flips — with each of its next `left`
+    /// rounds both failed and committed.
+    fn walk_healer(healer: &SelfHealer, last_round: u64, left: u32, tally: &mut Tally) {
+        if left == 0 {
+            tally.sequences += 1;
+            return;
+        }
+        let mut healer = healer.clone();
+        let mut tick = last_round;
+        let plan = loop {
+            tick += 1;
+            match healer.plan(tick) {
+                PlanOutcome::Idle => unreachable!("the walk keeps the healer unsettled"),
+                PlanOutcome::Deferred { .. } => assert!(
+                    tick < last_round + MAX_COOLDOWN,
+                    "E6: still deferred at tick {tick}, last round at {last_round}"
+                ),
+                PlanOutcome::Go(plan) => break plan,
+            }
+        };
+        let mut failed = healer.clone();
+        failed.complete(tick, &plan, false);
+        tally.failed_rounds += 1;
+        walk_healer(&failed, tick, left - 1, tally);
+        healer.complete(tick, &plan, true);
+        let target = Target::switch("T0");
+        if !healer.desired.remove(&target) {
+            healer.confirm(target, tick);
+        }
+        walk_healer(&healer, tick, left - 1, tally);
+    }
+
+    #[test]
+    fn every_sequence_in_scope_keeps_e1_to_e6() {
+        let mut tally = Tally::default();
+        let mut counts = Vec::new();
+        walk_depth(&World::new(1), 0, &mut tally);
+        counts.push(tally.sequences);
+        for flaky in [false, true] {
+            walk_elements(&World::new(1), &elements(), flaky, ELEMENTS, &mut tally);
+        }
+        counts.push(tally.sequences);
+        walk_joint(&World::new(2), JOINT_RUNS, &mut tally);
+        counts.push(tally.sequences);
+        let mut healer = SelfHealer::new();
+        healer.confirm(Target::switch("T0"), 0);
+        walk_healer(&healer, 0, ROUNDS, &mut tally);
+        // The densest flap there is on a dead target — answer twice, miss
+        // once, forever — drives the penalty to its supremum, so E4's
+        // bound is tight.
+        let mut world = World::new(1);
+        world.feed(&[Lost], DEAD_MISSES, false, &mut tally);
+        for _ in 0..200 {
+            world.feed(&[CLEAN], 2, false, &mut tally);
+            world.feed(&[Lost], 1, false, &mut tally);
+        }
+        println!(
+            "health::exhaustive: {} sequence(s) — {} of length {DEPTH}, {} of ≤ {ELEMENTS} \
+             element(s), {} two-target schedule(s) of {JOINT_RUNS} joint run(s), {} healer \
+             histories of {ROUNDS} round(s) — in {} step(s); reached {} dead / {} gray / {} \
+             quarantined confirmation(s), {} restore(s), {} relapse(s), {} failed round(s); \
+             quarantine is left within N = {} clean tick(s)",
+            tally.sequences,
+            counts[0],
+            counts[1] - counts[0],
+            counts[2] - counts[1],
+            tally.sequences - counts[2],
+            tally.steps,
+            tally.dead,
+            tally.gray,
+            tally.quarantined,
+            tally.restores,
+            tally.relapses,
+            tally.failed_rounds,
+            tally.worst_quarantine_exit,
+        );
+        assert!(
+            tally.sequences >= FLOOR,
+            "the walk collapsed: {} sequence(s), floor {FLOOR}",
+            tally.sequences
+        );
+        // A property is vacuous on states the walk never reaches.
+        assert!(tally.dead > 0 && tally.gray > 0 && tally.quarantined > 0);
+        assert!(tally.restores > 0 && tally.relapses > 0 && tally.failed_rounds > 0);
+        assert_eq!(tally.worst_quarantine_exit, QUARANTINE_EXIT_TICKS);
     }
 }

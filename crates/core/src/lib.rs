@@ -83,12 +83,11 @@ pub use dataplane::{
 };
 pub use fault::{DriftFinding, DriftKind, DriftOp, FaultRecompile, PlacementDiff};
 pub use health::{
-    run_selfheal, ChaosChannel, ChaosEvent, ChaosSchedule, HealthConfig, HealthEvent,
-    HealthMonitor, HealthReport, HealthState, PlanOutcome, ProbeOutcome, RemediationPlan,
-    RemediationReport, SelfHealConfig, SelfHealOutcome, SelfHealer, Target, TargetStatus,
+    run_selfheal, ChaosEvent, ChaosSchedule, HealthConfig, HealthReport, HealthState,
+    RemediationReport, SelfHealConfig, SelfHealOutcome, Target, TargetStatus,
 };
 pub use oracle::{check_output, OracleConfig, OracleReport};
-pub use recovery::{AuditReport, RecoveryReport, SwitchProbe};
+pub use recovery::{AuditReport, RecoveryReport};
 pub use rollout::{
     CrashPlan, CrashPoint, FileIntentStore, IntentRecord, IntentStore, MemIntentStore,
     RolloutConfig, RolloutReport, SwitchRollout,

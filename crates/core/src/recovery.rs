@@ -41,18 +41,6 @@ use crate::rollout::{
 use crate::runtime::{Runtime, RuntimeError};
 use crate::CompileOutput;
 
-/// What one switch answered to a recovery state query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SwitchProbe {
-    /// The epoch the switch is serving.
-    pub epoch: u64,
-    /// The staged-but-uncommitted epoch it retains, if any.
-    pub staged_epoch: Option<u64>,
-    /// The retained prior epoch, if any (set after a commit until the
-    /// rollout finalizes).
-    pub prior_epoch: Option<u64>,
-}
-
 /// The outcome of one [`Runtime::recover`] pass.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
@@ -341,7 +329,8 @@ impl<'a> Runtime<'a> {
         // epoch staged or already serving.
         let mut confirmed = true;
         for sw in tx.targets.clone() {
-            let mut probe = None;
+            // Whether the switch answered with the epoch staged or serving.
+            let mut holds_epoch = false;
             if !self.states.contains_key(&sw) {
                 // The switch is gone (died after the crash); it cannot
                 // confirm anything, which forces the rollback outcome.
@@ -355,10 +344,8 @@ impl<'a> Runtime<'a> {
                 };
                 report.queried += 1;
                 if self.send(&mut tx, &msg, config.max_attempts) {
-                    probe = self.states.get(&sw).map(|st| SwitchProbe {
-                        epoch: st.epoch(),
-                        staged_epoch: st.staged().map(|(e, _)| e),
-                        prior_epoch: st.prior().map(|(e, _)| e),
+                    holds_epoch = self.states.get(&sw).is_some_and(|st| {
+                        st.epoch() == epoch || st.staged().is_some_and(|(e, _)| e == epoch)
                     });
                 } else {
                     report.query_failures += 1;
@@ -372,7 +359,7 @@ impl<'a> Runtime<'a> {
                     ));
                 }
             }
-            confirmed &= probe.is_some_and(|p| p.epoch == epoch || p.staged_epoch == Some(epoch));
+            confirmed &= holds_epoch;
         }
 
         // Deterministic outcome: commit only when a journaled decision

@@ -254,9 +254,9 @@ pub mod codes {
     /// crashed, because un-journaled sends would be unrecoverable.
     pub const INTENT_STORE_IO: Code = Code("LYR0577");
 
-    /// The health monitor confirmed a switch or link dead: its
-    /// phi-accrual suspicion crossed the dead threshold (the message
-    /// names the target, the score, and the probe evidence).
+    /// The health monitor confirmed a switch or link dead: enough
+    /// consecutive probes went unanswered (the message names the target
+    /// and the count).
     pub const HEALTH_DEAD: Code = Code("LYR0580");
     /// Warning: the health monitor confirmed a *gray* failure — the
     /// target answers probes but slowly or lossily (sustained degraded /

@@ -28,9 +28,9 @@
 use std::time::{Duration, Instant};
 
 use lyra::{
-    replay_under_recovery, run_selfheal, ChaosSchedule, CompileRequest, Compiler, CrashPlan,
-    CrashPoint, DegradeRung, DriftOp, HealthConfig, HealthState, IntentStore, LossyChannel,
-    MemIntentStore, Objective, ReliableChannel, ReplayConfig, RolloutConfig, Runtime,
+    replay_under_recovery, run_selfheal, ChaosEvent, ChaosSchedule, CompileRequest, Compiler,
+    CrashPlan, CrashPoint, DegradeRung, DriftOp, HealthConfig, HealthState, IntentStore,
+    LossyChannel, MemIntentStore, Objective, ReliableChannel, ReplayConfig, RolloutConfig, Runtime,
     SelfHealConfig, SolveProfile, SolveRoute, Target,
 };
 use lyra_ir::{execute_all, DataPlaneState, Effect, PacketState};
@@ -1392,6 +1392,64 @@ fn selfheal_chaos_converges_across_200_scenarios() {
                 outcome.recompiles >= 1,
                 "scenario {scenario}: a kill was scheduled but nothing was remediated"
             );
+        }
+        // Ground truth. The fault set the committed rounds leave behind…
+        let mut fault_set: Vec<&String> = Vec::new();
+        for r in outcome.remediations.iter().filter(|r| r.committed) {
+            fault_set.retain(|t| !r.restored.contains(t));
+            fault_set.extend(&r.failed);
+        }
+        // …and what the schedule does to a target: itself, or for a link
+        // either endpoint.
+        let with_endpoints = |t: &Target| match t {
+            Target::Link(a, b) => vec![t.clone(), Target::switch(a), Target::switch(b)],
+            Target::Switch(_) => vec![t.clone()],
+        };
+        let touched = |t: &Target| {
+            schedule.events.iter().any(|ev| {
+                let (ChaosEvent::Kill { target, .. }
+                | ChaosEvent::Restore { target, .. }
+                | ChaosEvent::Flap { target, .. }
+                | ChaosEvent::Slow { target, .. }
+                | ChaosEvent::Lossy { target, .. }) = ev;
+                with_endpoints(t).contains(target)
+            })
+        };
+        for t in &outcome.health.targets {
+            let held = fault_set.contains(&&t.target.wire());
+            // Whatever is down at the last tick is faulted in the
+            // monitor's view and failed in the deployment…
+            let down = with_endpoints(&t.target)
+                .iter()
+                .any(|x| schedule.down_at(x, cfg.ticks));
+            assert!(
+                !down || (t.state.is_faulted() && held),
+                "scenario {scenario}: {} is down at tick {} but {} and {}in the fault set",
+                t.target,
+                cfg.ticks,
+                t.state.name(),
+                if held { "" } else { "not " }
+            );
+            // …and the monitor holds nothing faulted that the healer
+            // never failed (or restored since).
+            assert!(
+                !t.state.is_faulted() || held,
+                "scenario {scenario}: the monitor holds {} {} but no committed round \
+                 failed it",
+                t.target,
+                t.state.name()
+            );
+        }
+        // No round fails a target the schedule never touches.
+        for r in &outcome.remediations {
+            for f in &r.failed {
+                let t = Target::from_wire(f);
+                assert!(
+                    touched(&t),
+                    "scenario {scenario}: round {} failed {t}, which the schedule never touches",
+                    r.round
+                );
+            }
         }
         remediated_total += outcome.rollouts_committed;
         restored_total += outcome.restores;
