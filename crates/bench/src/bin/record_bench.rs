@@ -4,9 +4,10 @@
 //! the current solver (one deterministic search + decomposition + synthesis
 //! cache) and writes machine-readable snapshots:
 //!
-//! * `BENCH_fig10.json` — per-case median wall time / conflicts /
-//!   decisions at k ∈ {4, 8, 16, 32} (plus a best-effort k = 48 NetCache
-//!   MULTI-SW row), a monolithic-vs-default-vs-cached comparison on the
+//! * `BENCH_fig10.json` — per-case median wall time / `encode` time /
+//!   conflicts / decisions at k ∈ {4, 8, 16, 32} (NetCache MULTI-SW also
+//!   at k = 48, under a 10 s deadline that skips the row rather than hang
+//!   the snapshot), a monolithic-vs-default-vs-cached comparison on the
 //!   hardest case (LB MULTI-SW at k = 16), a
 //!   `rollout` section (p50 transactional prepare+commit latency applying
 //!   a failover placement to the running k = 16 LB deployment) and a
@@ -30,7 +31,8 @@
 //! `BENCH_fig10.json` baseline — CI's cheap performance-regression
 //! tripwire. Two datacenter-scale tripwires ride along: NetCache MULTI-SW
 //! must stay within 2× of its snapshot at k = 16 and under one second
-//! absolute at k = 32. A `Feasible` failover recompile must take the
+//! absolute at k = 32, and its `encode` at k = 16 within 3× of the
+//! committed `encode_ms`. A `Feasible` failover recompile must take the
 //! carried-over route and must not be slower than compiling the survivor
 //! network from scratch. Propagation is bounded by count, not by the clock:
 //! each `MinSwitches` placement within 50 000 linear visits (LB 5.5 M k = 4
@@ -131,6 +133,8 @@ struct Measured {
     median: Duration,
     conflicts: u64,
     decisions: u64,
+    /// Some sample came off the degradation ladder (a deadline expired).
+    degraded: bool,
 }
 
 /// Compile `samples` times under `compiler`/`profile`; return the median
@@ -146,6 +150,7 @@ fn measure(
     let mut times = Vec::with_capacity(samples);
     let mut conflicts = 0;
     let mut decisions = 0;
+    let mut degraded = false;
     for _ in 0..samples {
         let req =
             CompileRequest::new(program, scopes, topo.clone()).with_solve_profile(profile.clone());
@@ -154,13 +159,39 @@ fn measure(
         times.push(t.elapsed());
         conflicts = out.solver.conflicts;
         decisions = out.solver.decisions;
+        degraded |= out.degraded.is_some();
     }
     times.sort();
     Measured {
         median: times[times.len() / 2],
         conflicts,
         decisions,
+        degraded,
     }
+}
+
+/// `lyra_synth::encode` of the whole instance, `samples` times: (median,
+/// fastest) in milliseconds. For a PER-SW case this is the encoding of the
+/// whole pod, which the driver's per-switch path never builds.
+fn measure_encode(program: &str, scopes: &str, topo: &Topology, samples: usize) -> (f64, f64) {
+    let ir = lyra_ir::frontend(program).expect("benchmark program lowers");
+    let scopes: Vec<_> = lyra_lang::parse_scopes(scopes)
+        .expect("benchmark scopes parse")
+        .iter()
+        .map(|s| lyra_topo::resolve_scope(topo, s).expect("benchmark scopes resolve"))
+        .collect();
+    let opts = lyra_synth::EncodeOptions::default();
+    let mut times: Vec<f64> = (0..samples)
+        .map(|_| {
+            let t = Instant::now();
+            let enc = lyra_synth::encode(&ir, topo, &scopes, &opts).expect("instance encodes");
+            let elapsed = ms(t.elapsed());
+            drop(enc);
+            elapsed
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    (times[times.len() / 2], times[0])
 }
 
 fn ms(d: Duration) -> f64 {
@@ -170,64 +201,47 @@ fn ms(d: Duration) -> f64 {
 fn record_fig10() -> Object {
     let mut cases_json: Vec<Value> = Vec::new();
     for case in cases() {
-        for &k in &KS {
+        // The heaviest case also records k = 48, the largest fat-tree pod
+        // the paper targets, under a deadline: a regression in the
+        // decomposition path degrades the compile and skips the row
+        // instead of hanging the snapshot.
+        let heaviest = case.name == "NetCache(MULTI-SW)";
+        for k in KS.into_iter().chain(heaviest.then_some(48)) {
             let topo = pod(k);
             let scopes = scopes_for(k, &case.program, case.multi);
+            let profile = if k > 32 {
+                SolveProfile::deadline(Duration::from_secs(10))
+            } else {
+                SolveProfile::default()
+            };
             let m = measure(
                 &Compiler::new(),
                 &case.program,
                 &scopes,
                 &topo,
-                SolveProfile::default(),
+                profile,
                 SAMPLES,
             );
+            if m.degraded {
+                println!(
+                    "fig10 {} k={k}: degraded within deadline — row skipped",
+                    case.name
+                );
+                continue;
+            }
+            let (encode_ms, _) = measure_encode(&case.program, &scopes, &topo, SAMPLES);
             println!(
-                "fig10 {:<20} k={k:<3} median {:>9.1?}  conflicts {:>6}  decisions {:>8}",
+                "fig10 {:<20} k={k:<3} median {:>9.1?}  encode {encode_ms:>7.2} ms  conflicts {:>6}  decisions {:>8}",
                 case.name, m.median, m.conflicts, m.decisions
             );
             let mut o = Object::new();
             o.push("name", Value::str(case.name));
             o.push("k", Value::Number(k as f64));
             o.push("median_ms", Value::Number(ms(m.median)));
+            o.push("encode_ms", Value::Number(encode_ms));
             o.push("conflicts", Value::Number(m.conflicts as f64));
             o.push("decisions", Value::Number(m.decisions as f64));
             cases_json.push(Value::Object(o));
-        }
-    }
-
-    // Best-effort k = 48 row on the heaviest case (NetCache MULTI-SW) —
-    // the largest fat-tree pod the paper targets. Recorded under a
-    // deadline so a regression in the decomposition path can't hang the
-    // snapshot; a degraded or failed solve skips the row with a note.
-    {
-        let nc = &cases()[2];
-        let k = 48usize;
-        let topo = pod(k);
-        let scopes = scopes_for(k, &nc.program, nc.multi);
-        let req = CompileRequest::new(&nc.program, &scopes, topo)
-            .with_solve_profile(SolveProfile::deadline(Duration::from_secs(10)));
-        let t = Instant::now();
-        match Compiler::new().compile(&req) {
-            Ok(out) if out.degraded.is_none() => {
-                let elapsed = t.elapsed();
-                println!(
-                    "fig10 {:<20} k={k:<3} single {:>9.1?}  conflicts {:>6}  decisions {:>8}  (best-effort)",
-                    nc.name, elapsed, out.solver.conflicts, out.solver.decisions
-                );
-                let mut o = Object::new();
-                o.push("name", Value::str(nc.name));
-                o.push("k", Value::Number(k as f64));
-                o.push("median_ms", Value::Number(ms(elapsed)));
-                o.push("conflicts", Value::Number(out.solver.conflicts as f64));
-                o.push("decisions", Value::Number(out.solver.decisions as f64));
-                o.push("best_effort", Value::Bool(true));
-                cases_json.push(Value::Object(o));
-            }
-            Ok(_) => println!(
-                "fig10 {} k={k}: degraded within deadline — row skipped",
-                nc.name
-            ),
-            Err(e) => println!("fig10 {} k={k}: {e} — row skipped", nc.name),
         }
     }
 
@@ -1346,17 +1360,18 @@ fn smoke() -> usize {
         eprintln!("record_bench --smoke: baseline has no `cases` array");
         return 1;
     };
+    // The committed `field` of the fig10 row of `name` at `k`.
+    let recorded = |name: &str, k: usize, field: &str| -> Option<f64> {
+        let row = cases_json.iter().find(|c| {
+            c.get("name").and_then(|n| n.as_str()) == Some(name)
+                && c.get("k").and_then(|v| v.as_number()) == Some(k as f64)
+        });
+        row?.get(field)?.as_number()
+    };
     let mut failures = 0;
     for case in cases() {
         let k = 4;
-        let recorded = cases_json.iter().find(|c| {
-            c.get("name").and_then(|n| n.as_str()) == Some(case.name)
-                && c.get("k").and_then(|v| v.as_number()) == Some(k as f64)
-        });
-        let Some(baseline_ms) = recorded
-            .and_then(|c| c.get("median_ms"))
-            .and_then(|v| v.as_number())
-        else {
+        let Some(baseline_ms) = recorded(case.name, k, "median_ms") else {
             eprintln!("smoke: no baseline for {} @k{k} — skipping", case.name);
             continue;
         };
@@ -1550,14 +1565,7 @@ fn smoke() -> usize {
     for (k, bound, label) in [
         (
             16usize,
-            cases_json
-                .iter()
-                .find(|c| {
-                    c.get("name").and_then(|n| n.as_str()) == Some(nc.name)
-                        && c.get("k").and_then(|v| v.as_number()) == Some(16.0)
-                })
-                .and_then(|c| c.get("median_ms"))
-                .and_then(|v| v.as_number())
+            recorded(nc.name, 16, "median_ms")
                 .map(|b| b * SMOKE_SCALE_FACTOR + SMOKE_SCALE_GRACE_MS),
             "2x snapshot",
         ),
@@ -1590,6 +1598,24 @@ fn smoke() -> usize {
         );
         if ms(m.median) > bound {
             failures += 1;
+        }
+    }
+    // Encode tripwire: the index-built encoder of NetCache MULTI-SW at
+    // k = 16 against the committed `encode_ms`. The fastest of a few
+    // samples repeats well, so the bound carries almost no grace.
+    match recorded(nc.name, 16, "encode_ms") {
+        None => eprintln!("smoke: no encode baseline for {} @k16 — skipping", nc.name),
+        Some(baseline_ms) => {
+            let scopes = scopes_for(16, &nc.program, nc.multi);
+            let (_, fastest) = measure_encode(&nc.program, &scopes, &pod(16), SAMPLES);
+            let bound = baseline_ms * SMOKE_FACTOR + 1.0;
+            let status = if fastest > bound { "REGRESSED" } else { "ok" };
+            println!(
+                "smoke encode {:<13} k=16: {fastest:.2} ms (baseline {baseline_ms:.2} ms, \
+                 bound {bound:.2} ms) {status}",
+                nc.name
+            );
+            failures += (fastest > bound) as usize;
         }
     }
     failures + pps_smoke()

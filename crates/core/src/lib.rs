@@ -188,6 +188,8 @@ pub struct CompileStats {
     pub synth: Duration,
     /// Translation to chip-specific code.
     pub codegen: Duration,
+    /// Freeing the synthesis result (the encoded model) after codegen.
+    pub release: Duration,
     /// End-to-end.
     pub total: Duration,
     /// Synthesis-cache hits this compile (0 unless a [`SynthCache`] is
@@ -215,7 +217,7 @@ impl CompileStats {
     }
 
     /// Phase/duration pairs in pipeline order.
-    pub fn phases(&self) -> [(Phase, Duration); 6] {
+    pub fn phases(&self) -> [(Phase, Duration); 7] {
         [
             (Phase::Parse, self.parse),
             (Phase::Check, self.check),
@@ -223,6 +225,7 @@ impl CompileStats {
             (Phase::Scopes, self.scopes),
             (Phase::Solve, self.synth),
             (Phase::Codegen, self.codegen),
+            (Phase::Release, self.release),
         ]
     }
 }
@@ -766,6 +769,29 @@ impl Compiler {
                     "every pipeline algorithm needs a `name: [ region | mode | paths ]` line",
                 )]));
             }
+            // An algorithm has one scope: placement, flow paths and the
+            // runtime are all keyed by algorithm, so a second line could
+            // only ever be half-honoured.
+            let mut repeated: Vec<Diagnostic> = Vec::new();
+            for (k, s) in scope_specs.iter().enumerate() {
+                if let Some(first) = scope_specs[..k].iter().find(|f| f.algorithm == s.algorithm) {
+                    let line = 1 + req.scopes[..first.span.lo as usize].matches('\n').count();
+                    repeated.push(
+                        Diagnostic::error(
+                            codes::SCOPE_DUPLICATE,
+                            format!("algorithm `{}` has more than one scope", s.algorithm),
+                        )
+                        .with_span(SCOPES_SOURCE, s.span)
+                        .with_note(format!(
+                            "its first scope is on line {line}; give one line covering every \
+                             switch and direction the algorithm needs"
+                        )),
+                    );
+                }
+            }
+            if !repeated.is_empty() {
+                return Err(CompileError::Scope(repeated));
+            }
             // Every algorithm reachable from a pipeline needs a scope.
             let mut missing: Vec<Diagnostic> = Vec::new();
             for p in &ir.pipelines {
@@ -825,6 +851,7 @@ impl Compiler {
             solver,
             t_synth,
             t_codegen,
+            t_release,
             hits,
             misses,
             degraded,
@@ -855,8 +882,13 @@ impl Compiler {
                     CompileError::Codegen(vec![Diagnostic::error(codes::CODEGEN, e.to_string())])
                 })
             });
+            let (placement, stats, degraded) =
+                (synth.placement.clone(), synth.stats, synth.degraded);
+            // Unless a cache holds it too, this frees the encoded model —
+            // at pod scale several milliseconds, so it is a phase.
+            let ((), t_release) = self.phase(Phase::Release, || drop(synth));
             BackEnd {
-                placement: synth.placement.clone(),
+                placement,
                 artifacts: artifacts?,
                 // A cache hit spent no solver effort this compile — its
                 // stats belong to the run that populated the cache — and
@@ -865,11 +897,12 @@ impl Compiler {
                 solver: if was_hit {
                     SearchStats::default()
                 } else {
-                    synth.stats
+                    stats
                 },
-                degraded: if was_hit { None } else { synth.degraded },
+                degraded: if was_hit { None } else { degraded },
                 t_synth,
                 t_codegen,
+                t_release,
                 hits: (self.cache.is_some() && was_hit) as u64,
                 misses: (self.cache.is_some() && !was_hit) as u64,
                 route,
@@ -877,6 +910,7 @@ impl Compiler {
         };
         stats.synth = t_synth;
         stats.codegen = t_codegen;
+        stats.release = t_release;
         stats.synth_cache_hits = hits;
         stats.synth_cache_misses = misses;
         stats.solve_route = route;
@@ -1016,7 +1050,7 @@ impl Compiler {
         let mut placement = Placement::default();
         let mut artifacts = Vec::new();
         let mut solver = SearchStats::default();
-        let mut t_codegen = Duration::ZERO;
+        let (mut t_codegen, mut t_release) = (Duration::ZERO, Duration::ZERO);
         let (mut hits, mut misses) = (0u64, 0u64);
         let mut degraded: Option<DegradeRung> = None;
         let mut route: Option<SolveRoute> = None;
@@ -1061,12 +1095,17 @@ impl Compiler {
                 }
             }
             t_codegen += tc.elapsed();
+            let tr = Instant::now();
+            drop(synth);
+            t_release += tr.elapsed();
         }
-        let t_synth = t1.elapsed().saturating_sub(t_codegen);
+        let t_synth = t1.elapsed().saturating_sub(t_codegen + t_release);
         if let Some(obs) = &self.observer {
             obs.on_phase_end(Phase::Solve, t_synth);
             obs.on_phase_start(Phase::Codegen);
             obs.on_phase_end(Phase::Codegen, t_codegen);
+            obs.on_phase_start(Phase::Release);
+            obs.on_phase_end(Phase::Release, t_release);
         }
         Ok(BackEnd {
             placement,
@@ -1074,6 +1113,7 @@ impl Compiler {
             solver,
             t_synth,
             t_codegen,
+            t_release,
             hits,
             misses,
             degraded,
@@ -1090,6 +1130,7 @@ struct BackEnd {
     solver: SearchStats,
     t_synth: Duration,
     t_codegen: Duration,
+    t_release: Duration,
     hits: u64,
     misses: u64,
     degraded: Option<DegradeRung>,
@@ -1421,12 +1462,37 @@ mod tests {
             Phase::Lower,
             Phase::Scopes,
             Phase::Solve,
+            Phase::Release,
         ] {
             assert!(
                 events.contains(&(ph, false)) && events.contains(&(ph, true)),
                 "missing events for {ph:?}: {events:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_second_scope_line_for_an_algorithm_is_rejected() {
+        let src = r#"
+            pipeline[LB]{loadbalancer};
+            algorithm loadbalancer {
+                extern dict<bit[32] h, bit[32] ip>[1024] conn_table;
+                if (flow_h in conn_table) { ipv4.dstAddr = conn_table[flow_h]; }
+            }
+        "#;
+        let scopes = "loadbalancer: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]\n\
+                      loadbalancer: [ ToR1,ToR2,Agg1,Agg2 | MULTI-SW | (Agg1,Agg2->ToR1,ToR2) ]";
+        let req = CompileRequest::new(src, scopes, figure1_network());
+        let err = Compiler::new().compile(&req).unwrap_err();
+        assert!(matches!(err, CompileError::Scope(_)), "{err}");
+        let [d] = err.diagnostics() else {
+            panic!("one diagnostic for one repeated line: {err}");
+        };
+        assert_eq!(d.code, Some(codes::SCOPE_DUPLICATE));
+        assert!(d.notes[0].contains("line 1"), "{:?}", d.notes);
+        // The span is the repeated (second) line.
+        let rendered = err.render(&req.source_map());
+        assert!(rendered.contains("<scopes>:2:1"), "{rendered}");
     }
 
     #[test]

@@ -175,7 +175,7 @@ fn cli_emit_stats_writes_session_record() {
     let parsed = json::parse(&text).expect("stats JSON parses");
     let phases = parsed.get("phases_us").expect("phase timings");
     for key in [
-        "parse", "check", "lower", "scopes", "solve", "codegen", "total",
+        "parse", "check", "lower", "scopes", "solve", "codegen", "release", "total",
     ] {
         assert!(phases.get(key).is_some(), "missing phase `{key}` in {text}");
     }

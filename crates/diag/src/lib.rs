@@ -171,6 +171,8 @@ pub mod codes {
     pub const SCOPE_OUTSIDE_REGION: Code = Code("LYR0206");
     /// No flow path exists between the direction endpoints.
     pub const SCOPE_NO_PATH: Code = Code("LYR0207");
+    /// An algorithm is given more than one scope line.
+    pub const SCOPE_DUPLICATE: Code = Code("LYR0208");
 
     /// Topology/encoding error: no programmable switch available.
     pub const NO_PROGRAMMABLE: Code = Code("LYR0301");
@@ -600,6 +602,7 @@ pub fn lookup_code(s: &str) -> Option<Code> {
         SCOPE_UNKNOWN_SWITCH,
         SCOPE_OUTSIDE_REGION,
         SCOPE_NO_PATH,
+        SCOPE_DUPLICATE,
         NO_PROGRAMMABLE,
         UNKNOWN_ASIC,
         ENCODE,
@@ -662,6 +665,9 @@ pub enum Phase {
     Synthesize,
     /// Per-switch backend code generation.
     Codegen,
+    /// Freeing the synthesis result (the encoded model above all) once
+    /// code generation no longer needs it.
+    Release,
     /// Transactional control-plane rollout of a placement onto a running
     /// deployment (prepare/commit across switches).
     Rollout,
@@ -679,6 +685,7 @@ impl Phase {
             Phase::Solve => "solve",
             Phase::Synthesize => "synthesize",
             Phase::Codegen => "codegen",
+            Phase::Release => "release",
             Phase::Rollout => "rollout",
         }
     }

@@ -186,6 +186,16 @@ impl Bx {
         }
     }
 
+    /// Disjunction of variables. A single variable is itself — no
+    /// one-element operand list is built to be thrown away.
+    pub fn any_of(mut vars: impl ExactSizeIterator<Item = BoolId>) -> Bx {
+        match vars.len() {
+            0 => Bx::Const(false),
+            1 => Bx::Var(vars.next().expect("one variable")),
+            _ => Bx::Or(vars.map(Bx::Var).collect()),
+        }
+    }
+
     /// Implication `a → b`.
     pub fn implies(a: Bx, b: Bx) -> Bx {
         match (&a, &b) {
@@ -271,13 +281,34 @@ impl Ix {
         }
     }
 
-    /// Sum of expressions.
+    /// Sum of expressions. All-linear operands add up to one linear form —
+    /// what lowering the `Sum` node would compute — instead of a node
+    /// over one heap-allocated operand each.
     pub fn sum(xs: Vec<Ix>) -> Ix {
         match xs.len() {
             0 => Ix::lit(0),
             1 => xs.into_iter().next().unwrap(),
+            _ if xs.iter().all(|x| matches!(x, Ix::Lin(_))) => {
+                let mut acc = LinExpr::default();
+                for x in xs {
+                    if let Ix::Lin(l) = x {
+                        acc.constant += l.constant;
+                        acc.terms.extend(l.terms);
+                    }
+                }
+                Ix::Lin(acc)
+            }
             _ => Ix::Sum(xs),
         }
+    }
+
+    /// `Σ vars` as one linear form: integer variables, or booleans coerced
+    /// to 0/1.
+    pub fn total(vars: impl Iterator<Item = VarRef>) -> Ix {
+        Ix::Lin(LinExpr {
+            constant: 0,
+            terms: vars.map(|v| (1, v)).collect(),
+        })
     }
 
     /// `self + other` (DSL-style; the paper's encodings read as formulas).
@@ -385,6 +416,40 @@ mod tests {
             Bx::implies(Bx::Const(false), Bx::Const(false)),
             Bx::Const(true)
         );
+    }
+
+    #[test]
+    fn linear_sums_are_one_linear_form() {
+        let mut m = Model::new();
+        let (a, b) = (m.bool_var("a"), m.bool_var("b"));
+        let x = m.int_var("x", 0, 10);
+        let terms = vec![
+            (1, VarRef::Bool(a)),
+            (1, VarRef::Int(x)),
+            (1, VarRef::Bool(b)),
+        ];
+        let want = Ix::Lin(LinExpr { constant: 3, terms });
+        let sum = Ix::sum(vec![
+            Ix::bool01(a),
+            Ix::var(x).add(Ix::lit(3)),
+            Ix::bool01(b),
+        ]);
+        assert_eq!(sum, want);
+        let vars = [VarRef::Bool(a), VarRef::Int(x), VarRef::Bool(b)];
+        assert_eq!(Ix::total(vars.into_iter()).add(Ix::lit(3)), want);
+        // A non-linear operand keeps the node.
+        let ite = Ix::ite(Bx::var(a), Ix::lit(1), Ix::lit(0));
+        assert!(matches!(Ix::sum(vec![ite, Ix::var(x)]), Ix::Sum(_)));
+    }
+
+    #[test]
+    fn any_of_builds_what_or_builds() {
+        let mut m = Model::new();
+        let vs: Vec<_> = (0..3).map(|i| m.bool_var(format!("v{i}"))).collect();
+        for n in 0..=3 {
+            let or = Bx::or(vs[..n].iter().map(|&v| Bx::var(v)).collect());
+            assert_eq!(Bx::any_of(vs[..n].iter().copied()), or);
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod model;
 pub mod search;
 
 pub use decompose::{minimize, BoundConstraint, Decomposed, Minimized, Sequential, Solver};
-pub use expr::{Bx, Ix, LinExpr};
+pub use expr::{Bx, Ix, LinExpr, VarRef};
 pub use flatten::{flatten, FlatModel, FlatVar};
 pub use model::{BoolId, IntId, Model, Solution};
 pub use search::{solve, solve_flat, RawAssignment, SearchStats, SolverConfig};

@@ -31,11 +31,12 @@
 use std::collections::BTreeMap;
 
 use lyra_chips::{by_name, ChipModel, TargetLang};
-use lyra_ir::{dependency_graph, DepGraph, InstrId, IrProgram};
+use lyra_ir::{dependency_graph, InstrId, IrProgram};
 use lyra_lang::DeployMode;
-use lyra_solver::{Bx, Ix, Model};
+use lyra_solver::{Bx, Ix, Model, VarRef};
 use lyra_topo::{ResolvedScope, SwitchId, Topology};
 
+use crate::index::{value_of, ScopeIndex, UnitIndex};
 use crate::npl::{synthesize_npl, NplExtras};
 use crate::p4::{synthesize_p4, P4Options, ParserHoists};
 use crate::table::TableGroup;
@@ -122,35 +123,25 @@ pub struct SynthUnit {
     pub npl: Option<NplExtras>,
 }
 
-/// The encoded model plus every map needed to interpret a solution.
+/// The encoded model plus the index needed to interpret a solution: which
+/// variable is which instruction on which switch (see [`crate::index`] for
+/// the accessors).
 #[derive(Debug)]
 pub struct Encoded {
     /// The constraint model.
     pub model: Model,
-    /// Instruction deployment variables: (algorithm, switch, instr) → var.
-    pub instr_var: BTreeMap<(String, SwitchId, InstrId), lyra_solver::BoolId>,
-    /// Extern entry-count variables: (extern, switch) → var. Absent for
-    /// PER-SW scopes where the count is the full size.
-    pub extern_var: BTreeMap<(String, SwitchId), lyra_solver::IntId>,
-    /// Fixed extern entry counts (PER-SW full copies).
-    pub extern_fixed: BTreeMap<(String, SwitchId), u64>,
     /// Per-(algorithm, switch) synthesized units.
     pub units: Vec<SynthUnit>,
     /// Switch-used variables (for objectives).
     pub switch_used: BTreeMap<SwitchId, lyra_solver::BoolId>,
-    /// Table-validity variables: (switch, algorithm, table) → `V` bool.
-    /// Recorded (like `switch_used` and `table_depth`) so
-    /// [`crate::place::lift`] can derive the auxiliaries of a placement
-    /// instead of searching for them.
-    pub table_valid: BTreeMap<(SwitchId, String, String), lyra_solver::BoolId>,
-    /// Table-depth variables: (switch, algorithm, table) → depth int.
-    pub table_depth: BTreeMap<(SwitchId, String, String), lyra_solver::IntId>,
     /// The objective expression, if one was requested.
     pub objective: Option<Ix>,
-    /// Dependency graphs per algorithm (kept for placement extraction).
-    pub deps: BTreeMap<String, DepGraph>,
     /// Resolved scopes by algorithm.
     pub scopes: BTreeMap<String, ResolvedScope>,
+    /// One entry per scope, ascending by algorithm.
+    pub(crate) index: Vec<ScopeIndex>,
+    /// Parallel to `units`.
+    pub(crate) unit_index: Vec<UnitIndex>,
 }
 
 /// Build the complete model for `ir` on `topo` under `scopes`.
@@ -160,23 +151,43 @@ pub fn encode(
     scopes: &[ResolvedScope],
     opts: &EncodeOptions,
 ) -> Result<Encoded, EncodeError> {
+    encode_reusing(ir, topo, scopes, opts, None)
+}
+
+/// [`encode`], taking the synthesized conditional implementations from
+/// `donor` — an encoding of the same program under the same options —
+/// where it has them, instead of synthesizing them again.
+pub(crate) fn encode_reusing(
+    ir: &IrProgram,
+    topo: &Topology,
+    scopes: &[ResolvedScope],
+    opts: &EncodeOptions,
+    donor: Option<&Encoded>,
+) -> Result<Encoded, EncodeError> {
     let mut model = Model::new();
+    // Per scope, what its instructions touch; per unit, its cost template.
+    let mut touches: Vec<Touches> = Vec::with_capacity(scopes.len());
+    let mut costs: Vec<Vec<(bool, Blocks)>> = Vec::new();
+    let mut cost_of: Vec<usize> = Vec::new();
     let mut enc = Encoded {
         model: Model::new(),
-        instr_var: BTreeMap::new(),
-        extern_var: BTreeMap::new(),
-        extern_fixed: BTreeMap::new(),
         units: Vec::new(),
         switch_used: BTreeMap::new(),
-        table_valid: BTreeMap::new(),
-        table_depth: BTreeMap::new(),
         objective: None,
-        deps: BTreeMap::new(),
         scopes: scopes
             .iter()
             .map(|s| (s.algorithm.clone(), s.clone()))
             .collect(),
+        index: Vec::with_capacity(scopes.len()),
+        unit_index: Vec::new(),
     };
+    if enc.scopes.len() != scopes.len() {
+        // The index is per algorithm, as the paper's scopes are.
+        return Err(EncodeError::new(
+            lyra_diag::codes::SCOPE_DUPLICATE,
+            "an algorithm has more than one scope",
+        ));
+    }
 
     // --- Per-algorithm: variables, synthesis, placement constraints ------
     for scope in scopes {
@@ -216,115 +227,125 @@ pub fn encode(
             ));
         }
 
-        for &(s, _) in &prog_switches {
-            for &i in &all_instrs {
-                let name = format!(
-                    "f[{}][{}][i{}]",
-                    scope.algorithm,
-                    topo.switch(s).name,
-                    i.index()
-                );
-                let v = model.bool_var(name);
-                enc.instr_var.insert((scope.algorithm.clone(), s, i), v);
-            }
+        // The index: slots ascend by switch id; variables are created in
+        // the scope's own switch order, which is the order `order` keeps.
+        let mut ix = ScopeIndex::new(ir, alg, &deps, scope.deploy);
+        ix.switches = prog_switches.iter().map(|&(s, _)| s).collect();
+        ix.switches.sort_unstable();
+        let order: Vec<usize> = prog_switches
+            .iter()
+            .map(|&(s, _)| ix.slot_of(s).expect("slot of a scope switch"))
+            .collect();
+        ix.instr_var = vec![Vec::new(); order.len()];
+        for &slot in &order {
+            let sw_name = &topo.switch(ix.switches[slot]).name;
+            ix.instr_var[slot] = (0..all_instrs.len())
+                .map(|i| model.bool_var(format!("f[{}][{sw_name}][i{i}]", scope.algorithm)))
+                .collect();
         }
-
-        // Extern tables used by this algorithm.
-        let used_externs: Vec<String> = {
-            let mut set = std::collections::BTreeSet::new();
-            for &i in &all_instrs {
-                if let Some(t) = alg.instr(i).op.table() {
-                    set.insert(t.to_string());
-                }
-            }
-            set.into_iter().collect()
-        };
 
         match scope.deploy {
             DeployMode::PerSwitch => {
                 // Every instruction on every switch of the region.
-                for &(s, _) in &prog_switches {
-                    for &i in &all_instrs {
-                        let v = enc.instr_var[&(scope.algorithm.clone(), s, i)];
+                for &slot in &order {
+                    for &v in &ix.instr_var[slot] {
                         model.require(Bx::var(v));
-                    }
-                    for e in &used_externs {
-                        let size = ir.externs.get(e).map(|x| x.size).unwrap_or(1024);
-                        enc.extern_fixed.insert((e.clone(), s), size);
                     }
                 }
             }
             DeployMode::MultiSwitch => {
                 // Extern entry variables.
-                for e in &used_externs {
-                    let size = ir.externs.get(e).map(|x| x.size).unwrap_or(1024);
-                    for &(s, _) in &prog_switches {
-                        let v = model.int_var(
-                            format!("E[{}][{}]", e, topo.switch(s).name),
-                            0,
-                            size as i64,
-                        );
-                        enc.extern_var.insert((e.clone(), s), v);
+                for (e, size) in &ix.externs {
+                    let mut row = vec![None; order.len()];
+                    for &slot in &order {
+                        let name = format!("E[{e}][{}]", topo.switch(ix.switches[slot]).name);
+                        row[slot] = Some(model.int_var(name, 0, *size as i64));
                     }
+                    ix.extern_var.push(row.into_iter().flatten().collect());
                 }
-                encode_multi_switch_placement(
-                    &mut model,
-                    &enc,
-                    ir,
-                    scope,
-                    alg,
-                    &deps,
-                    &all_instrs,
-                    &prog_switches,
-                )?;
+                for path in &scope.paths {
+                    // Only programmable switches can host anything; a path
+                    // hop through a fixed-function switch is transit-only.
+                    let hops: Vec<usize> = path.iter().filter_map(|&s| ix.slot_of(s)).collect();
+                    if hops.is_empty() {
+                        return Err(EncodeError::new(
+                            lyra_diag::codes::NO_PROGRAMMABLE,
+                            format!(
+                                "a flow path of `{}` crosses no programmable switch",
+                                scope.algorithm
+                            ),
+                        ));
+                    }
+                    ix.paths.push(hops);
+                }
+                encode_multi_switch_placement(&mut model, &ix, &order, alg);
             }
         }
 
-        // Synthesize the conditional implementation once per target
-        // language — it depends on the algorithm and the language alone —
-        // and give every switch speaking that language a copy.
-        let mut p4: Option<(TableGroup, ParserHoists)> = None;
-        let mut npl: Option<(TableGroup, NplExtras)> = None;
-        for &(s, ref chip) in &prog_switches {
-            let (group, hoists, npl) = match chip.lang {
-                TargetLang::P414 | TargetLang::P416 => {
-                    let (group, hoists) = p4
-                        .get_or_insert_with(|| synthesize_p4(ir, alg, &deps, &all_instrs, &opts.p4))
-                        .clone();
-                    (group, hoists, None)
-                }
-                TargetLang::Npl => {
-                    let (group, extras) = npl
-                        .get_or_insert_with(|| synthesize_npl(ir, alg, &deps, &all_instrs))
-                        .clone();
-                    (group, ParserHoists::default(), Some(extras))
-                }
-            };
+        // One resource template per chip model of the scope: the unit —
+        // the conditional implementation, synthesized once per target
+        // language since it depends on the algorithm and the language
+        // alone — and what each of its tables costs on that chip. Every
+        // switch of that model gets a copy of the unit.
+        let mut templates: Vec<(SynthUnit, usize)> = Vec::new();
+        for (&(s, ref chip), &slot) in prog_switches.iter().zip(&order) {
+            let known = templates.iter().position(|(u, _)| u.chip.name == chip.name);
+            let t = known.unwrap_or_else(|| {
+                let is_npl = chip.lang == TargetLang::Npl;
+                let made = templates.iter().map(|(u, _)| u);
+                let made = made
+                    .chain(donor.into_iter().flat_map(|d| &d.units))
+                    .find(|u| u.alg == alg.name && (u.chip.lang == TargetLang::Npl) == is_npl);
+                let (group, hoists, npl) = match made {
+                    Some(u) => (u.group.clone(), u.hoists.clone(), u.npl.clone()),
+                    None if is_npl => {
+                        let (group, extras) = synthesize_npl(ir, alg, &deps, &all_instrs);
+                        (group, ParserHoists::default(), Some(extras))
+                    }
+                    None => {
+                        let (group, hoists) = synthesize_p4(ir, alg, &deps, &all_instrs, &opts.p4);
+                        (group, hoists, None)
+                    }
+                };
+                costs.push(table_costs(&ix, chip, &group));
+                let (alg, chip) = (alg.name.clone(), chip.clone());
+                let unit = SynthUnit {
+                    alg,
+                    switch: s,
+                    chip,
+                    group,
+                    hoists,
+                    npl,
+                };
+                templates.push((unit, costs.len() - 1));
+                templates.len() - 1
+            });
             enc.units.push(SynthUnit {
-                alg: scope.algorithm.clone(),
                 switch: s,
-                chip: chip.clone(),
-                group,
-                hoists,
-                npl,
+                ..templates[t].0.clone()
+            });
+            cost_of.push(templates[t].1);
+            enc.unit_index.push(UnitIndex {
+                slot,
+                tables: Vec::new(),
             });
         }
-
-        enc.deps.insert(scope.algorithm.clone(), deps);
+        touches.push(Touches::of(ir, alg));
+        enc.index.push(ix);
     }
 
     // --- Per-switch resource constraints (across all algorithms) ----------
-    encode_switch_resources(&mut model, &mut enc, ir, topo, opts)?;
+    encode_switch_resources(&mut model, &mut enc, topo, opts, &touches, &costs, &cost_of);
+
+    // Scopes were indexed in the order given; the accessors promise
+    // algorithm order.
+    enc.index.sort_by(|a, b| a.algorithm.cmp(&b.algorithm));
 
     // --- Objective ---------------------------------------------------------
     match &opts.objective {
         Objective::Feasible => {}
         Objective::MinSwitches => {
-            let mut terms = Vec::new();
-            for (&s, &used) in &enc.switch_used {
-                let _ = s;
-                terms.push(Ix::bool01(used));
-            }
+            let terms = enc.switch_used.values().map(|&u| Ix::bool01(u)).collect();
             enc.objective = Some(Ix::sum(terms));
         }
         Objective::MaxUseOf(name) => {
@@ -337,12 +358,8 @@ pub fn encode(
             // Minimize deployments on every switch except the target
             // (Appendix C.2: "assigning a much bigger weight for that
             // specified switch and minimizing the final result").
-            let mut terms = Vec::new();
-            for ((_, s, _), &v) in &enc.instr_var {
-                if *s != target {
-                    terms.push(Ix::bool01(v));
-                }
-            }
+            let elsewhere = enc.instr_vars().filter(|&(_, s, _, _)| s != target);
+            let terms = elsewhere.map(|(_, _, _, v)| Ix::bool01(v)).collect();
             enc.objective = Some(Ix::sum(terms));
         }
     }
@@ -457,278 +474,281 @@ fn encode_stage_detail(
 }
 
 /// Flow-path, dependency, global and extern constraints for one MULTI-SW
-/// algorithm.
-#[allow(clippy::too_many_arguments)]
+/// algorithm, read off its index. `order` lists the slots in the scope's
+/// own switch order.
 fn encode_multi_switch_placement(
     model: &mut Model,
-    enc: &Encoded,
-    ir: &IrProgram,
-    scope: &ResolvedScope,
+    ix: &ScopeIndex,
+    order: &[usize],
     alg: &lyra_ir::IrAlgorithm,
-    deps: &DepGraph,
-    all_instrs: &[InstrId],
-    prog_switches: &[(SwitchId, ChipModel)],
-) -> Result<(), EncodeError> {
-    let prog_set: std::collections::BTreeSet<SwitchId> =
-        prog_switches.iter().map(|&(s, _)| s).collect();
-    let var = |i: InstrId, s: SwitchId| -> Option<lyra_solver::BoolId> {
-        enc.instr_var.get(&(scope.algorithm.clone(), s, i)).copied()
-    };
-    let evar = |e: &str, s: SwitchId| -> Option<lyra_solver::IntId> {
-        enc.extern_var.get(&(e.to_string(), s)).copied()
-    };
-
-    // Partition instructions: extern readers co-locate with entries; the
-    // rest obey exactly-once-per-path.
-    let reader_of = |i: InstrId| -> Option<String> { alg.instr(i).op.table().map(str::to_string) };
-
-    for path in &scope.paths {
-        // Only programmable switches can host anything; a path hop through
-        // a fixed-function switch is transit-only.
-        let hops: Vec<SwitchId> = path
-            .iter()
-            .copied()
-            .filter(|s| prog_set.contains(s))
-            .collect();
-        if hops.is_empty() {
-            return Err(EncodeError::new(
-                lyra_diag::codes::NO_PROGRAMMABLE,
-                format!(
-                    "a flow path of `{}` crosses no programmable switch",
-                    scope.algorithm
-                ),
-            ));
-        }
-        for &i in all_instrs {
-            match reader_of(i) {
+) {
+    let var = |i: InstrId, slot: usize| ix.instr_var[slot][i.index()];
+    for hops in &ix.paths {
+        // Extern readers co-locate with entries; the rest obey
+        // exactly-once-per-path.
+        for (i, reader) in ix.reader.iter().enumerate() {
+            match *reader {
                 None => {
                     // Exactly one deployment along the path.
-                    let sum = Ix::sum(
-                        hops.iter()
-                            .filter_map(|&s| var(i, s))
-                            .map(Ix::bool01)
-                            .collect(),
-                    );
+                    let sum = Ix::total(hops.iter().map(|&s| VarRef::Bool(ix.instr_var[s][i])));
                     model.require(sum.eq(Ix::lit(1)));
                 }
                 Some(e) => {
                     // Lookup exists exactly where entries do (eq. 16) —
                     // constrained below per switch; here: entries along the
                     // path sum to the full size.
-                    let size = ir.externs.get(&e).map(|x| x.size).unwrap_or(1024);
-                    let sum = Ix::sum(
-                        hops.iter()
-                            .filter_map(|&s| evar(&e, s))
-                            .map(Ix::var)
-                            .collect(),
-                    );
-                    model.require(sum.eq(Ix::lit(size as i64)));
+                    let sum = Ix::total(hops.iter().map(|&s| VarRef::Int(ix.extern_var[e][s])));
+                    model.require(sum.eq(Ix::lit(ix.externs[e].1 as i64)));
                 }
             }
         }
 
         // Instruction dependencies (eq. 3) along this path.
-        for &b in all_instrs {
-            for &a in deps.pred_list(b) {
-                match (reader_of(a), reader_of(b)) {
-                    (None, None) => {
-                        // b at hop j → a at some hop j' ≤ j.
-                        for (j, &sb) in hops.iter().enumerate() {
-                            let Some(vb) = var(b, sb) else { continue };
-                            let earlier: Vec<Bx> = hops[..=j]
-                                .iter()
-                                .filter_map(|&sa| var(a, sa))
-                                .map(Bx::var)
-                                .collect();
-                            model.require(Bx::implies(Bx::var(vb), Bx::or(earlier)));
-                        }
-                    }
-                    (Some(e), None) => {
-                        // b consumes a lookup of e: b must sit at-or-after
-                        // the last switch holding entries of e.
-                        for (j, &sb) in hops.iter().enumerate() {
-                            let Some(vb) = var(b, sb) else { continue };
-                            for &later in &hops[j + 1..] {
-                                if let Some(ev) = evar(&e, later) {
-                                    model.require(Bx::implies(
-                                        Bx::var(vb),
-                                        Ix::var(ev).eq(Ix::lit(0)),
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    (None, Some(e)) => {
-                        // The lookup of e depends on a (key computation):
-                        // a must sit at-or-before the first entries of e.
-                        for (j, &sa) in hops.iter().enumerate() {
-                            let Some(va) = var(a, sa) else { continue };
-                            for &earlier in &hops[..j] {
-                                if let Some(ev) = evar(&e, earlier) {
-                                    model.require(Bx::implies(
-                                        Bx::var(va),
-                                        Ix::var(ev).eq(Ix::lit(0)),
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    (Some(_), Some(_)) => {
-                        // Lookup-to-lookup ordering is induced through the
-                        // shared entry variables; nothing extra to add.
+        for &(b, a) in &ix.edges {
+            match (ix.reader[a.index()], ix.reader[b.index()]) {
+                (None, None) => {
+                    // b at hop j → a at some hop j' ≤ j.
+                    for (j, &sb) in hops.iter().enumerate() {
+                        let earlier = Bx::any_of(hops[..=j].iter().map(|&sa| var(a, sa)));
+                        model.require(Bx::implies(Bx::var(var(b, sb)), earlier));
                     }
                 }
+                (Some(e), None) => {
+                    // b consumes a lookup of e: b must sit at-or-after
+                    // the last switch holding entries of e.
+                    for (j, &sb) in hops.iter().enumerate() {
+                        for &later in &hops[j + 1..] {
+                            model.require(Bx::implies(
+                                Bx::var(var(b, sb)),
+                                Ix::var(ix.extern_var[e][later]).eq(Ix::lit(0)),
+                            ));
+                        }
+                    }
+                }
+                (None, Some(e)) => {
+                    // The lookup of e depends on a (key computation):
+                    // a must sit at-or-before the first entries of e.
+                    for (j, &sa) in hops.iter().enumerate() {
+                        for &earlier in &hops[..j] {
+                            model.require(Bx::implies(
+                                Bx::var(var(a, sa)),
+                                Ix::var(ix.extern_var[e][earlier]).eq(Ix::lit(0)),
+                            ));
+                        }
+                    }
+                }
+                (Some(_), Some(_)) => unreachable!("lookup-to-lookup edges are not indexed"),
             }
         }
     }
 
     // Lookup instruction ↔ entries co-location (eq. 16's co-existence),
     // per switch.
-    for &(s, _) in prog_switches {
-        for &i in all_instrs {
-            if let Some(e) = reader_of(i) {
-                if let (Some(fv), Some(ev)) = (var(i, s), evar(&e, s)) {
-                    model.require(Bx::iff(Bx::var(fv), Ix::var(ev).ge(Ix::lit(1))));
-                }
+    for &s in order {
+        for (i, reader) in ix.reader.iter().enumerate() {
+            if let Some(e) = *reader {
+                let (fv, ev) = (ix.instr_var[s][i], ix.extern_var[e][s]);
+                model.require(Bx::iff(Bx::var(fv), Ix::var(ev).ge(Ix::lit(1))));
             }
         }
     }
 
     // Global variables co-locate (Appendix B.2): every pair of instructions
     // touching the same global register deploys identically.
-    let mut global_users: BTreeMap<String, Vec<InstrId>> = BTreeMap::new();
-    for &i in all_instrs {
+    let mut global_users: BTreeMap<&str, Vec<InstrId>> = BTreeMap::new();
+    for i in alg.instr_ids() {
         if let Some(g) = alg.instr(i).op.global() {
-            global_users.entry(g.to_string()).or_default().push(i);
+            global_users.entry(g).or_default().push(i);
         }
     }
     for users in global_users.values() {
         for w in users.windows(2) {
-            for &(s, _) in prog_switches {
-                if let (Some(a), Some(b)) = (var(w[0], s), var(w[1], s)) {
-                    model.require(Bx::iff(Bx::var(a), Bx::var(b)));
-                }
+            for &s in order {
+                model.require(Bx::iff(Bx::var(var(w[0], s)), Bx::var(var(w[1], s))));
             }
         }
     }
-
-    Ok(())
 }
 
-/// Per-switch chip resource constraints aggregated over all algorithms.
+/// What one table costs in memory blocks on one chip model (eqs. 2, 11,
+/// 15).
+enum Blocks {
+    /// A constant number of blocks.
+    Fixed(i64),
+    /// A table over split extern `e`, as `(e, [pre, h, mid, post])`:
+    /// `⌈⌈pre·E/h⌉·mid / post⌉` of the entry variable `E` of its switch.
+    Split(usize, [i64; 4]),
+}
+
+/// Per table of `group`: whether it lives in TCAM on `chip`, and its block
+/// cost there. Non-exact match kinds (lpm / ternary / range) consume TCAM
+/// blocks instead of SRAM, with range rules expanded on chips lacking
+/// native range match (Appendix D).
+fn table_costs(ix: &ScopeIndex, chip: &ChipModel, group: &TableGroup) -> Vec<(bool, Blocks)> {
+    let cost = |t: &crate::table::SynthTable| {
+        let tcam =
+            t.match_kind.uses_tcam() && !matches!(t.kind, crate::table::TableKind::PredicateGate);
+        let is_range = t.match_kind == lyra_lang::MatchKind::Range;
+        let e = t.extern_name().and_then(|e| ix.extern_of(e));
+        let m = t.match_width.max(1) as i64;
+        let blocks = match e {
+            Some(e) if ix.deploy == DeployMode::MultiSwitch => {
+                let mem = if tcam { &chip.tcam } else { &chip.sram };
+                let (h, w) = (mem.entries.max(1) as i64, mem.width.max(1) as i64);
+                let pre = if tcam && is_range && !chip.supports_range_match {
+                    chip.range_expansion.max(1) as i64
+                } else {
+                    1
+                };
+                if chip.word_packing && !tcam {
+                    Blocks::Split(e, [pre, h, m, w]) // ceil(ceil(E/h)·M / w)
+                } else {
+                    Blocks::Split(e, [pre, h, (m + w - 1) / w, 1]) // ceil(E/h)·ceil(M/w)
+                }
+            }
+            _ => {
+                let entries = e.map_or(t.entries, |e| ix.externs[e].1);
+                Blocks::Fixed(if tcam && t.extern_name().is_some() {
+                    chip.tcam_blocks(entries, t.match_width, is_range) as i64
+                } else {
+                    chip.table_blocks(entries, t.match_width) as i64
+                })
+            }
+        };
+        (tcam, blocks)
+    };
+    group.tables.iter().map(cost).collect()
+}
+
+/// What an algorithm's instructions touch, whichever chip hosts them.
+struct Touches {
+    /// PHV storage: (base, width, the instruction behind each touch),
+    /// ascending by base. Header fields are keyed switch-wide (one PHV
+    /// container per field, shared by every algorithm on the switch);
+    /// locals and metadata are algorithm-prefixed and isolated.
+    phv: Vec<(String, u32, Vec<InstrId>)>,
+    /// Parsed headers, ascending by instance name: (parser TCAM entries,
+    /// the instruction behind each touch). Touching a header's field
+    /// parses the header and its parser-graph ancestors (eqs. 6–8).
+    headers: Vec<(i64, Vec<InstrId>)>,
+}
+
+impl Touches {
+    fn of(ir: &IrProgram, alg: &lyra_ir::IrAlgorithm) -> Touches {
+        let mut phv: BTreeMap<String, (u32, Vec<InstrId>)> = BTreeMap::new();
+        let mut headers: BTreeMap<String, Vec<InstrId>> = BTreeMap::new();
+        for i in alg.instr_ids() {
+            let instr = alg.instr(i);
+            let reads = instr.op.reads();
+            let accessed = reads.iter().filter_map(value_of).chain(instr.dst);
+            for v in accessed.clone().chain(instr.pred) {
+                let info = alg.value(v);
+                let key = if info.base.contains('.') {
+                    info.base.clone()
+                } else {
+                    format!("{}:{}", alg.name, info.base)
+                };
+                let entry = phv.entry(key).or_insert((info.width, Vec::new()));
+                entry.0 = entry.0.max(info.width);
+                entry.1.push(i);
+            }
+            for v in accessed {
+                if let Some((inst, _)) = alg.value(v).base.split_once('.') {
+                    for anc in crate::parser_deps::with_ancestors(ir, inst) {
+                        headers.entry(anc).or_default().push(i);
+                    }
+                }
+            }
+        }
+        let entries = |h: &str| crate::parser_deps::parser_entries_for(ir, h) as i64;
+        Touches {
+            phv: phv.into_iter().map(|(k, (w, is))| (k, w, is)).collect(),
+            headers: headers
+                .into_iter()
+                .map(|(h, is)| (entries(&h), is))
+                .collect(),
+        }
+    }
+}
+
+/// The deployment booleans of instructions `is` on the switch owning `vars`.
+fn deployed<'a>(
+    vars: &'a [lyra_solver::BoolId],
+    is: &'a [InstrId],
+) -> impl ExactSizeIterator<Item = lyra_solver::BoolId> + 'a {
+    is.iter().map(|i| vars[i.index()])
+}
+
+/// Per-switch chip resource constraints aggregated over all algorithms:
+/// each unit's template (`costs[cost_of[unit]]`, `touches[scope]`)
+/// instantiated over the unit's own variables.
 fn encode_switch_resources(
     model: &mut Model,
     enc: &mut Encoded,
-    ir: &IrProgram,
     topo: &Topology,
     opts: &EncodeOptions,
-) -> Result<(), EncodeError> {
+    touches: &[Touches],
+    costs: &[Vec<(bool, Blocks)>],
+    cost_of: &[usize],
+) {
     // Group units by switch.
     let mut by_switch: BTreeMap<SwitchId, Vec<usize>> = BTreeMap::new();
     for (ui, u) in enc.units.iter().enumerate() {
         by_switch.entry(u.switch).or_default().push(ui);
     }
 
+    let mut unit_index = std::mem::take(&mut enc.unit_index);
     for (&s, unit_ids) in &by_switch {
-        let chip = enc.units[unit_ids[0]].chip.clone();
-        let sw_name = topo.switch(s).name.clone();
+        let chip = &enc.units[unit_ids[0]].chip;
+        let sw_name = &topo.switch(s).name;
 
-        let mut any_deploy: Vec<Bx> = Vec::new();
-        let mut mem_terms: Vec<Ix> = Vec::new();
+        let tables: usize = unit_ids.iter().map(|&ui| costs[cost_of[ui]].len()).sum();
+        let mut any_deploy: Vec<lyra_solver::BoolId> = Vec::new();
+        let mut mem_terms: Vec<Ix> = Vec::with_capacity(tables);
         let mut tcam_terms: Vec<Ix> = Vec::new();
-        let mut table_terms: Vec<Ix> = Vec::new();
-        let mut action_terms: Vec<Ix> = Vec::new();
+        let mut table_terms: Vec<Ix> = Vec::with_capacity(tables);
+        let mut action_terms: Vec<Ix> = Vec::with_capacity(tables);
         let mut atom_terms: Vec<Ix> = Vec::new();
         let mut parser_terms: Vec<Ix> = Vec::new();
-        // PHV usage is switch-wide: header fields are shared by every
-        // algorithm on the switch (one PHV container per field), while
-        // locals/metadata are algorithm-prefixed and isolated.
-        let mut phv_touch: BTreeMap<String, (u32, Vec<Bx>)> = BTreeMap::new();
+        let mut phv_touch: BTreeMap<&str, (u32, Vec<lyra_solver::BoolId>)> = BTreeMap::new();
 
         for &ui in unit_ids {
             let unit = &enc.units[ui];
-            let alg = ir
-                .algorithm(&unit.alg)
-                .expect("unit names a lowered algorithm");
+            let slot = unit_index[ui].slot;
+            let scope = enc.index.iter().position(|ix| ix.algorithm == unit.alg);
+            let scope = scope.expect("a unit's algorithm is indexed");
+            let ix = &enc.index[scope];
+            let vars = &ix.instr_var[slot];
+            let touching = |is| deployed(vars, is);
 
             // Table validity and per-table resources.
             let mut table_valid: Vec<lyra_solver::BoolId> = Vec::new();
-            for t in &unit.group.tables {
+            for (t, (tcam, blocks)) in unit.group.tables.iter().zip(&costs[cost_of[ui]]) {
                 let v = model.bool_var(format!("V[{}][{}]", sw_name, t.name));
-                let members: Vec<Bx> = t
-                    .instrs
-                    .iter()
-                    .filter_map(|&i| enc.instr_var.get(&(unit.alg.clone(), s, i)).copied())
-                    .map(Bx::var)
-                    .collect();
-                model.require(Bx::iff(Bx::var(v), Bx::or(members)));
-                enc.table_valid
-                    .insert((s, unit.alg.clone(), t.name.clone()), v);
+                model.require(Bx::iff(Bx::var(v), Bx::any_of(touching(&t.instrs))));
                 table_valid.push(v);
 
-                let valid = Bx::var(v);
-                table_terms.push(Ix::ite(valid.clone(), Ix::lit(1), Ix::lit(0)));
-                action_terms.push(Ix::ite(
-                    valid.clone(),
-                    Ix::lit(t.action_count() as i64),
-                    Ix::lit(0),
-                ));
+                let when = |k: Ix| Ix::ite(Bx::var(v), k, Ix::lit(0));
+                table_terms.push(when(Ix::lit(1)));
+                action_terms.push(when(Ix::lit(t.action_count() as i64)));
                 if t.stateful {
-                    atom_terms.push(Ix::ite(valid.clone(), Ix::lit(1), Ix::lit(0)));
+                    atom_terms.push(when(Ix::lit(1)));
                 }
-
-                // Memory blocks (eqs. 2, 11, 15): variable-sized for split
-                // externs, constant otherwise. Non-exact match kinds (lpm /
-                // ternary / range) consume TCAM blocks instead of SRAM, with
-                // range rules expanded on chips lacking native range match
-                // (Appendix D).
-                let tcam_resident = t.match_kind.uses_tcam()
-                    && !matches!(t.kind, crate::table::TableKind::PredicateGate);
-                let is_range = t.match_kind == lyra_lang::MatchKind::Range;
-                let blocks: Ix = match t.extern_name() {
-                    Some(e) => {
-                        if let Some(&ev) = enc.extern_var.get(&(e.to_string(), s)) {
-                            let m = t.match_width.max(1) as i64;
-                            if tcam_resident {
-                                let h = chip.tcam.entries.max(1) as i64;
-                                let w = chip.tcam.width.max(1) as i64;
-                                let exp = if is_range && !chip.supports_range_match {
-                                    chip.range_expansion.max(1) as i64
-                                } else {
-                                    1
-                                };
-                                Ix::var(ev).scale(exp).ceil_div(h).scale((m + w - 1) / w)
-                            } else {
-                                let h = chip.sram.entries.max(1) as i64;
-                                let w = chip.sram.width.max(1) as i64;
-                                if chip.word_packing {
-                                    // ceil(ceil(E/h)·M / w)
-                                    Ix::var(ev).ceil_div(h).scale(m).ceil_div(w)
-                                } else {
-                                    // ceil(E/h)·ceil(M/w)
-                                    Ix::var(ev).ceil_div(h).scale((m + w - 1) / w)
-                                }
-                            }
-                        } else {
-                            let entries = enc
-                                .extern_fixed
-                                .get(&(e.to_string(), s))
-                                .copied()
-                                .unwrap_or(t.entries);
-                            if tcam_resident {
-                                Ix::lit(chip.tcam_blocks(entries, t.match_width, is_range) as i64)
-                            } else {
-                                Ix::lit(chip.table_blocks(entries, t.match_width) as i64)
-                            }
-                        }
+                // Memory blocks: variable-sized for split externs,
+                // constant otherwise.
+                let blocks = match *blocks {
+                    Blocks::Fixed(k) => Ix::lit(k),
+                    Blocks::Split(e, [pre, h, mid, post]) => {
+                        let entries = Ix::var(ix.extern_var[e][slot]);
+                        entries.scale(pre).ceil_div(h).scale(mid).ceil_div(post)
                     }
-                    None => Ix::lit(chip.table_blocks(t.entries, t.match_width) as i64),
                 };
-                if tcam_resident {
-                    tcam_terms.push(Ix::ite(valid, blocks, Ix::lit(0)));
+                let terms = if *tcam {
+                    &mut tcam_terms
                 } else {
-                    mem_terms.push(Ix::ite(valid, blocks, Ix::lit(0)));
-                }
+                    &mut mem_terms
+                };
+                terms.push(when(blocks));
             }
 
             // Dependency depth ≤ stages (eqs. 13–14, collapsed to depth
@@ -741,12 +761,7 @@ fn encode_switch_resources(
                 .group
                 .tables
                 .iter()
-                .map(|t| {
-                    let d = model.int_var(format!("depth[{}][{}]", sw_name, t.name), 1, stages);
-                    enc.table_depth
-                        .insert((s, unit.alg.clone(), t.name.clone()), d);
-                    d
-                })
+                .map(|t| model.int_var(format!("depth[{}][{}]", sw_name, t.name), 1, stages))
                 .collect();
             for (ti, t) in unit.group.tables.iter().enumerate() {
                 for &d in &t.depends_on {
@@ -763,86 +778,38 @@ fn encode_switch_resources(
             // counts; memory and table-count budgets are enforced per stage
             // rather than in aggregate.
             if opts.stage_detail {
-                encode_stage_detail(model, &chip, &sw_name, unit, &table_valid, stages);
+                encode_stage_detail(model, chip, sw_name, unit, &table_valid, stages);
             }
 
             // PHV usage: every storage base touched by a deployed
             // instruction occupies its width (eqs. 9–10 collapsed to the
             // aggregate bit budget; per-word-class packing is validated by
-            // `lyra-chips::phv` at codegen time). Header fields are keyed
-            // switch-wide, locals per algorithm.
-            for i in alg.instr_ids() {
-                let Some(&fv) = enc.instr_var.get(&(unit.alg.clone(), s, i)) else {
-                    continue;
-                };
-                let instr = alg.instr(i);
-                let mut values: Vec<lyra_ir::ValueId> = Vec::new();
-                for o in instr.op.reads() {
-                    if let lyra_ir::Operand::Value(v) = o {
-                        values.push(v);
-                    }
-                }
-                if let Some(d) = instr.dst {
-                    values.push(d);
-                }
-                if let Some(p) = instr.pred {
-                    values.push(p);
-                }
-                for v in values {
-                    let info = alg.value(v);
-                    let key = if info.base.contains('.') {
-                        info.base.clone()
-                    } else {
-                        format!("{}:{}", unit.alg, info.base)
-                    };
-                    let entry = phv_touch.entry(key).or_insert((info.width, Vec::new()));
-                    entry.0 = entry.0.max(info.width);
-                    entry.1.push(Bx::var(fv));
-                }
+            // `lyra-chips::phv` at codegen time).
+            for (base, width, is) in &touches[scope].phv {
+                let entry = phv_touch.entry(base).or_insert((*width, Vec::new()));
+                entry.0 = entry.0.max(*width);
+                entry.1.extend(touching(is));
             }
-
-            // Parser TCAM: one entry per header whose fields a deployed
-            // instruction touches (plus parser-graph ancestors — eqs. 6–8).
-            let mut header_touch: BTreeMap<String, Vec<Bx>> = BTreeMap::new();
-            for i in alg.instr_ids() {
-                let Some(&fv) = enc.instr_var.get(&(unit.alg.clone(), s, i)) else {
-                    continue;
-                };
-                let instr = alg.instr(i);
-                let mut values: Vec<lyra_ir::ValueId> = Vec::new();
-                for o in instr.op.reads() {
-                    if let lyra_ir::Operand::Value(v) = o {
-                        values.push(v);
-                    }
-                }
-                if let Some(d) = instr.dst {
-                    values.push(d);
-                }
-                for v in values {
-                    let info = alg.value(v);
-                    if let Some((inst, _)) = info.base.split_once('.') {
-                        for anc in crate::parser_deps::with_ancestors(ir, inst) {
-                            header_touch.entry(anc).or_default().push(Bx::var(fv));
-                        }
-                    }
-                }
+            // Parser TCAM: one entry set per header a deployed instruction
+            // touches.
+            for (entries, is) in &touches[scope].headers {
+                let touched = Bx::any_of(touching(is));
+                parser_terms.push(Ix::ite(touched, Ix::lit(*entries), Ix::lit(0)));
             }
-            for (h, touches) in header_touch {
-                let entries = crate::parser_deps::parser_entries_for(ir, &h) as i64;
-                parser_terms.push(Ix::ite(Bx::or(touches), Ix::lit(entries), Ix::lit(0)));
-            }
-
             // Track switch usage for objectives.
-            for i in alg.instr_ids() {
-                if let Some(&fv) = enc.instr_var.get(&(unit.alg.clone(), s, i)) {
-                    any_deploy.push(Bx::var(fv));
-                }
-            }
+            any_deploy.extend(vars);
+            unit_index[ui].tables = table_valid.into_iter().zip(depth).collect();
         }
 
         let phv_terms: Vec<Ix> = phv_touch
             .into_values()
-            .map(|(width, touches)| Ix::ite(Bx::or(touches), Ix::lit(width as i64), Ix::lit(0)))
+            .map(|(width, touches)| {
+                Ix::ite(
+                    Bx::any_of(touches.into_iter()),
+                    Ix::lit(width as i64),
+                    Ix::lit(0),
+                )
+            })
             .collect();
 
         // Budgets.
@@ -868,9 +835,8 @@ fn encode_switch_resources(
 
         // used_s ↔ any deployment on s.
         let used = model.bool_var(format!("used[{sw_name}]"));
-        model.require(Bx::iff(Bx::var(used), Bx::or(any_deploy)));
+        model.require(Bx::iff(Bx::var(used), Bx::any_of(any_deploy.into_iter())));
         enc.switch_used.insert(s, used);
     }
-
-    Ok(())
+    enc.unit_index = unit_index;
 }

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use lyra_chips::ChipModel;
 use lyra_diag::{codes, Diagnostic};
-use lyra_ir::{InstrId, IrProgram};
+use lyra_ir::IrProgram;
 use lyra_lang::DeployMode;
 use lyra_solver::Solution;
 use lyra_topo::{SwitchId, Topology};
@@ -41,28 +41,14 @@ struct AlgCost {
     tables: u64,
 }
 
-/// Externs each algorithm reads, from the IR.
-fn externs_of(ir: &IrProgram, alg: &str) -> Vec<String> {
-    let mut set = BTreeSet::new();
-    if let Some(a) = ir.algorithm(alg) {
-        for i in 0..a.instrs.len() {
-            if let Some(t) = a.instr(InstrId(i as u32)).op.table() {
-                set.insert(t.to_string());
-            }
-        }
-    }
-    set.into_iter().collect()
-}
-
 /// Cost of hosting `alg` whole on the switch owning `chip`.
 fn alg_cost(enc: &Encoded, ir: &IrProgram, alg: &str, sw: SwitchId, chip: &ChipModel) -> AlgCost {
-    let mut sram_blocks = 0u64;
-    for e in externs_of(ir, alg) {
-        if let Some(x) = ir.externs.get(&e) {
-            let width = (x.key_width() + x.value_width()) as u64;
-            sram_blocks += chip.table_blocks(x.size, width.max(1)).max(1);
-        }
-    }
+    let externs = enc.scope_index(alg).map_or(&[][..], |ix| &ix.externs);
+    let blocks = |x: &lyra_lang::ExternVar| {
+        let width = (x.key_width() + x.value_width()) as u64;
+        chip.table_blocks(x.size, width.max(1)).max(1)
+    };
+    let declared = externs.iter().filter_map(|(e, _)| ir.externs.get(e));
     let tables = enc
         .units
         .iter()
@@ -70,7 +56,7 @@ fn alg_cost(enc: &Encoded, ir: &IrProgram, alg: &str, sw: SwitchId, chip: &ChipM
         .map(|u| u.group.tables.len() as u64)
         .unwrap_or(1);
     AlgCost {
-        sram_blocks,
+        sram_blocks: declared.map(blocks).sum(),
         tables,
     }
 }
@@ -84,12 +70,10 @@ pub fn greedy_solution(
     ir: &IrProgram,
     topo: &Topology,
 ) -> Result<Solution, Vec<Diagnostic>> {
-    // Per-algorithm programmable switch sets, from the encoding's own
-    // variable table (only programmable switches got deployment variables).
-    let mut prog_switches: BTreeMap<&str, BTreeSet<SwitchId>> = BTreeMap::new();
-    for (alg, sw, _) in enc.instr_var.keys() {
-        prog_switches.entry(alg).or_default().insert(*sw);
-    }
+    // Per-algorithm programmable switches, from the encoding's own index
+    // (only programmable switches got deployment variables).
+    let prog_switches =
+        |alg: &str| -> &[SwitchId] { enc.scope_index(alg).map_or(&[], |ix| &ix.switches) };
     let chips: BTreeMap<SwitchId, &ChipModel> =
         enc.units.iter().map(|u| (u.switch, &u.chip)).collect();
     let mut budgets: BTreeMap<SwitchId, SwitchBudget> = chips
@@ -131,7 +115,7 @@ pub fn greedy_solution(
                 // The encoding forces every scope switch to carry the whole
                 // algorithm; mirror that, and report (rather than mask) a
                 // coarse capacity overflow.
-                for &sw in prog_switches.get(alg.as_str()).into_iter().flatten() {
+                for &sw in prog_switches(alg) {
                     if !charge(&mut budgets, alg, sw) {
                         diagnostics.push(Diagnostic::error(
                             codes::INFEASIBLE_MEMORY,
@@ -150,10 +134,7 @@ pub fn greedy_solution(
                         continue; // an earlier host already covers this path
                     }
                     let placed = path.iter().copied().find(|&sw| {
-                        prog_switches
-                            .get(alg.as_str())
-                            .is_some_and(|p| p.contains(&sw))
-                            && charge(&mut budgets, alg, sw)
+                        prog_switches(alg).contains(&sw) && charge(&mut budgets, alg, sw)
                     });
                     match placed {
                         Some(sw) => {
@@ -181,17 +162,15 @@ pub fn greedy_solution(
     // Express the assignment over the model's variables.
     let mut bools = vec![false; enc.model.num_bools()];
     let mut ints = vec![0i64; enc.model.num_ints()];
-    for ((alg, sw, _), var) in &enc.instr_var {
-        if hosts.get(alg).is_some_and(|h| h.contains(sw)) {
-            bools[var.index()] = true;
-        }
-    }
-    for ((e, sw), var) in &enc.extern_var {
-        let hosted = hosts
-            .iter()
-            .any(|(alg, h)| h.contains(sw) && externs_of(ir, alg).iter().any(|x| x == e));
-        if hosted {
-            ints[var.index()] = ir.externs.get(e).map(|x| x.size as i64).unwrap_or(1024);
+    for ix in &enc.index {
+        let hosting = |sw: &SwitchId| hosts.get(&ix.algorithm).is_some_and(|h| h.contains(sw));
+        for slot in (0..ix.switches.len()).filter(|&slot| hosting(&ix.switches[slot])) {
+            for var in &ix.instr_var[slot] {
+                bools[var.index()] = true;
+            }
+            for (row, (_, size)) in ix.extern_var.iter().zip(&ix.externs) {
+                ints[row[slot].index()] = *size as i64;
+            }
         }
     }
     for (sw, var) in &enc.switch_used {

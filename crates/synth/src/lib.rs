@@ -25,6 +25,7 @@ pub mod backend;
 pub mod encode;
 pub mod explain;
 pub mod greedy;
+pub mod index;
 pub mod npl;
 pub mod p4;
 pub mod parser_deps;
@@ -400,7 +401,7 @@ pub fn synthesize_limited(
     // The carry-over route needs `Objective::Feasible`: under an
     // optimizing objective the survivors may admit a smaller optimum than
     // the prior placement. It ignores the deadline — it does no search.
-    // Per-stage detail variables are not in `Encoded`'s maps, so a lift
+    // Per-stage detail variables are not in `Encoded`'s index, so a lift
     // could never verify with them.
     let plain = opts.objective == Objective::Feasible && !opts.stage_detail;
     if let Some(prev) = previous.filter(|_| plain) {
@@ -444,13 +445,15 @@ pub fn synthesize_limited(
     let mut hints: Vec<(lyra_solver::BoolId, bool)> = Vec::new();
     let mut int_hints: Vec<(lyra_solver::IntId, i64)> = Vec::new();
     if let Some(prev) = previous {
-        hints.extend(enc.instr_var.iter().map(|((alg, sw, instr), &var)| {
-            (var, prev.deploys(&topo.switch(*sw).name, alg, *instr))
-        }));
+        hints.extend(
+            enc.instr_vars().map(|(alg, sw, instr, var)| {
+                (var, prev.deploys(&topo.switch(sw).name, alg, instr))
+            }),
+        );
         int_hints.extend(
-            enc.extern_var
-                .iter()
-                .map(|((e, sw), &var)| (var, prev.shard_size(&topo.switch(*sw).name, e) as i64)),
+            enc.extern_vars()
+                .into_iter()
+                .map(|(e, sw, var)| (var, prev.shard_size(&topo.switch(sw).name, e) as i64)),
         );
     }
 
@@ -602,7 +605,7 @@ fn try_quotient(
         return (None, SearchStats::default()); // quotient is no smaller
     }
 
-    let Ok(q_enc) = encode(ir, topo, &q_scopes, opts) else {
+    let Ok(q_enc) = encode::encode_reusing(ir, topo, &q_scopes, opts, Some(full)) else {
         return (None, SearchStats::default());
     };
 
@@ -634,16 +637,10 @@ fn try_quotient(
         full,
         |alg, sw, instr| {
             q_enc
-                .instr_var
-                .get(&(alg.to_string(), rep(sw), instr))
-                .is_some_and(|&q| q_sol.bool(q))
+                .instr_var(alg, rep(sw), instr)
+                .is_some_and(|q| q_sol.bool(q))
         },
-        |e, sw| {
-            q_enc
-                .extern_var
-                .get(&(e.to_string(), rep(sw)))
-                .map_or(0, |&q| q_sol.int(q))
-        },
+        |e, sw| q_enc.extern_var(e, rep(sw)).map_or(0, |q| q_sol.int(q)),
     );
     // The load-bearing check: the replicated assignment must satisfy every
     // constraint of the full encoding, or the quotient result is discarded.

@@ -18,11 +18,12 @@
 use std::collections::BTreeMap;
 
 use lyra_chips::ResourceUsage;
-use lyra_ir::{InstrId, IrProgram, Operand};
+use lyra_ir::{InstrId, IrProgram};
 use lyra_solver::Solution;
 use lyra_topo::{SwitchId, Topology};
 
 use crate::encode::{Encoded, SynthUnit};
+use crate::index::ScopeIndex;
 use crate::table::SynthTable;
 
 /// A value that must travel in the packet header between switches
@@ -110,7 +111,7 @@ fn valid_tables(unit: &SynthUnit, deployed: impl Fn(InstrId) -> bool) -> Vec<boo
 /// table's member instructions, `used[s]` the OR of the switch's
 /// instructions, `depth[s][t]` the longest chain over valid `depends_on`
 /// ([`TableGroup::chain_depths`](crate::TableGroup::chain_depths)).
-/// Variables `enc` keeps no map for (per-stage detail) stay at `false` /
+/// Variables `enc` does not index (per-stage detail) stay at `false` /
 /// their lower bound.
 ///
 /// The result is a *candidate*: it satisfies the model exactly when the
@@ -123,33 +124,30 @@ pub fn lift(
 ) -> Solution {
     let mut bools = vec![false; enc.model.num_bools()];
     let mut ints: Vec<i64> = enc.model.int_decls().map(|(_, d)| d.lo).collect();
-    for ((alg, sw, i), &v) in &enc.instr_var {
-        if deployed(alg, *sw, *i) {
-            bools[v.index()] = true;
-            if let Some(&used) = enc.switch_used.get(sw) {
+    for ix in &enc.index {
+        for (&sw, vars) in ix.switches.iter().zip(&ix.instr_var) {
+            let mut any = false;
+            for (i, v) in vars.iter().enumerate() {
+                bools[v.index()] = deployed(&ix.algorithm, sw, InstrId(i as u32));
+                any |= bools[v.index()];
+            }
+            if let Some(used) = enc.switch_used.get(&sw).filter(|_| any) {
                 bools[used.index()] = true;
             }
         }
+        for ((e, _), row) in ix.externs.iter().zip(&ix.extern_var) {
+            for (&sw, v) in ix.switches.iter().zip(row) {
+                ints[v.index()] = entries(e, sw);
+            }
+        }
     }
-    for ((e, sw), &v) in &enc.extern_var {
-        ints[v.index()] = entries(e, *sw);
-    }
-    for unit in &enc.units {
-        let valid = valid_tables(unit, |i| {
-            enc.instr_var
-                .get(&(unit.alg.clone(), unit.switch, i))
-                .is_some_and(|v| bools[v.index()])
-        });
+    for (u, (unit, ui)) in enc.units.iter().zip(&enc.unit_index).enumerate() {
+        let vars = enc.unit_vars(unit, ui);
+        let valid = valid_tables(unit, |i| bools[vars[i.index()].index()]);
         let depth = unit.group.chain_depths(&valid);
-        for (ti, t) in unit.group.tables.iter().enumerate() {
-            if !valid[ti] {
-                continue;
-            }
-            let key = (unit.switch, unit.alg.clone(), t.name.clone());
-            if let Some(&v) = enc.table_valid.get(&key) {
+        for (ti, &(v, d)) in enc.table_vars(u).iter().enumerate() {
+            if valid[ti] {
                 bools[v.index()] = true;
-            }
-            if let Some(&d) = enc.table_depth.get(&key) {
                 ints[d.index()] = depth[ti] as i64;
             }
         }
@@ -173,54 +171,55 @@ pub fn lift_placement(enc: &Encoded, topo: &Topology, placement: &Placement) -> 
 pub fn extract(enc: &Encoded, ir: &IrProgram, topo: &Topology, sol: &Solution) -> Placement {
     let mut placement = Placement::default();
 
-    // Instructions per switch.
-    for ((alg, s, i), &var) in &enc.instr_var {
-        if sol.bool(var) {
+    // Instructions and extern entries (variable or fixed) per switch.
+    for ix in &enc.index {
+        for (slot, &s) in ix.switches.iter().enumerate() {
+            let on = |v: &lyra_solver::BoolId| sol.bool(*v);
+            let instrs: Vec<InstrId> = (0u32..)
+                .zip(&ix.instr_var[slot])
+                .filter_map(|(i, v)| on(v).then_some(InstrId(i)))
+                .collect();
+            // A split extern is recorded where it holds entries; a PER-SW
+            // copy is the full size everywhere.
+            let held = |e: usize| match ix.extern_var.get(e) {
+                Some(row) => Some(sol.int(row[slot]).max(0) as u64).filter(|&c| c > 0),
+                None => Some(ix.externs[e].1),
+            };
+            let entries: Vec<(&String, u64)> = (0..ix.externs.len())
+                .filter_map(|e| held(e).map(|c| (&ix.externs[e].0, c)))
+                .collect();
+            if instrs.is_empty() && entries.is_empty() {
+                continue;
+            }
             let plan = placement
                 .switches
-                .entry(topo.switch(*s).name.clone())
+                .entry(topo.switch(s).name.clone())
                 .or_default();
-            plan.instrs.entry(alg.clone()).or_default().push(*i);
+            if !instrs.is_empty() {
+                plan.instrs.insert(ix.algorithm.clone(), instrs);
+            }
+            for (e, count) in entries {
+                plan.extern_entries.insert(e.clone(), count);
+            }
         }
-    }
-
-    // Extern entries per switch (variable and fixed).
-    for ((e, s), &var) in &enc.extern_var {
-        let count = sol.int(var).max(0) as u64;
-        if count > 0 {
-            let plan = placement
-                .switches
-                .entry(topo.switch(*s).name.clone())
-                .or_default();
-            plan.extern_entries.insert(e.clone(), count);
-        }
-    }
-    for ((e, s), &count) in &enc.extern_fixed {
-        let plan = placement
-            .switches
-            .entry(topo.switch(*s).name.clone())
-            .or_default();
-        plan.extern_entries.insert(e.clone(), count);
     }
 
     // Valid tables per switch, with extern entries substituted, and the
     // longest dependency chain among them (per unit, as the encoder's
     // `depth[s][t]` variables are).
     let mut chains: BTreeMap<String, u64> = BTreeMap::new();
-    for unit in &enc.units {
-        let sw_name = topo.switch(unit.switch).name.clone();
-        let Some(plan) = placement.switches.get_mut(&sw_name) else {
-            continue;
-        };
-        let deployed: std::collections::BTreeSet<InstrId> = plan
-            .instrs
-            .get(&unit.alg)
-            .map(|v| v.iter().copied().collect())
-            .unwrap_or_default();
-        if deployed.is_empty() {
+    for (unit, ui) in enc.units.iter().zip(&enc.unit_index) {
+        let vars = enc.unit_vars(unit, ui);
+        let deployed = |i: InstrId| sol.bool(vars[i.index()]);
+        if !vars.iter().any(|&v| sol.bool(v)) {
             continue;
         }
-        let valid = valid_tables(unit, |i| deployed.contains(&i));
+        let sw_name = &topo.switch(unit.switch).name;
+        let plan = placement
+            .switches
+            .get_mut(sw_name)
+            .expect("a switch with deployed instructions has a plan");
+        let valid = valid_tables(unit, deployed);
         for (t, _) in unit.group.tables.iter().zip(&valid).filter(|(_, &v)| v) {
             let mut t = t.clone();
             if let Some(e) = t.extern_name() {
@@ -231,7 +230,7 @@ pub fn extract(enc: &Encoded, ir: &IrProgram, topo: &Topology, sol: &Solution) -
             plan.tables.push(t);
         }
         let chain = unit.group.chain_depths(&valid).into_iter().max();
-        let longest = chains.entry(sw_name).or_default();
+        let longest = chains.entry(sw_name.clone()).or_default();
         *longest = (*longest).max(chain.unwrap_or(0));
         if !unit.hoists.instrs.is_empty() {
             let hoisted: Vec<InstrId> = unit
@@ -239,7 +238,7 @@ pub fn extract(enc: &Encoded, ir: &IrProgram, topo: &Topology, sol: &Solution) -
                 .instrs
                 .iter()
                 .copied()
-                .filter(|i| deployed.contains(i))
+                .filter(|&i| deployed(i))
                 .collect();
             if !hoisted.is_empty() {
                 plan.parser_sets.insert(unit.alg.clone(), hoisted);
@@ -295,51 +294,55 @@ fn compute_carried(
     sol: &Solution,
     placement: &mut Placement,
 ) {
-    for scope in enc.scopes.values() {
-        if scope.deploy != lyra_lang::DeployMode::MultiSwitch {
+    // Every split extern of the compile, by name, with the scope that
+    // owns its entry variables: a path carries the hit bit of whatever
+    // holds entries along it.
+    let mut split: Vec<(&str, &ScopeIndex, usize)> = Vec::new();
+    for ix in &enc.index {
+        let rows = ix.externs.iter().zip(0..ix.extern_var.len());
+        split.extend(rows.map(|((e, _), at)| (e.as_str(), ix, at)));
+    }
+    split.sort_by_key(|&(e, _, _)| e);
+    for ix in &enc.index {
+        if ix.deploy != lyra_lang::DeployMode::MultiSwitch {
             continue;
         }
-        let Some(alg) = ir.algorithm(&scope.algorithm) else {
+        let scope = &enc.scopes[&ix.algorithm];
+        let Some(alg) = ir.algorithm(&ix.algorithm) else {
             continue;
         };
-        let on = |i: InstrId, s: SwitchId| -> bool {
-            enc.instr_var
-                .get(&(scope.algorithm.clone(), s, i))
-                .map(|&v| sol.bool(v))
-                .unwrap_or(false)
-        };
-        for path in &scope.paths {
-            for (j, &sw) in path.iter().enumerate() {
-                for i in alg.instr_ids() {
-                    if !on(i, sw) {
+        let on = |i: InstrId, slot: usize| sol.bool(ix.instr_var[slot][i.index()]);
+        // What crosses from one switch to a later one depends on the two
+        // switches alone, so each ordered pair is worked out once, at its
+        // first path.
+        let n = ix.switches.len();
+        let mut seen = vec![false; n * n];
+        for (hops, path) in ix.paths.iter().zip(&scope.paths) {
+            for (j, &from) in hops.iter().enumerate() {
+                let fresh: Vec<usize> = hops[j + 1..]
+                    .iter()
+                    .copied()
+                    .filter(|&to| !std::mem::replace(&mut seen[from * n + to], true))
+                    .collect();
+                if fresh.is_empty() {
+                    continue;
+                }
+                for (i, dst, readers) in &ix.defs {
+                    if !on(*i, from) {
                         continue;
                     }
-                    let Some(dst) = alg.instr(i).dst else {
-                        continue;
-                    };
-                    // Does any later hop read this value?
-                    for &later in &path[j + 1..] {
-                        let read_later = alg.instr_ids().any(|r| {
-                            on(r, later)
-                                && (alg.instr(r).pred == Some(dst)
-                                    || alg
-                                        .instr(r)
-                                        .op
-                                        .reads()
-                                        .iter()
-                                        .any(|o| matches!(o, Operand::Value(v) if *v == dst)))
-                        });
-                        if read_later {
-                            let info = alg.value(dst);
+                    for &to in &fresh {
+                        if readers.iter().any(|&r| on(r, to)) {
+                            let info = alg.value(*dst);
                             let cv = CarriedValue {
                                 name: format!(
                                     "{}_{}",
-                                    scope.algorithm,
+                                    ix.algorithm,
                                     info.name().replace(['#', '.'], "_")
                                 ),
                                 width: info.width.max(1),
-                                from: sw,
-                                to: later,
+                                from: ix.switches[from],
+                                to: ix.switches[to],
                             };
                             push_carried(placement, topo, cv);
                         }
@@ -347,17 +350,13 @@ fn compute_carried(
                 }
             }
             // Split externs: hit bit carried from each holder to the next.
-            for (e, _) in ir.externs.iter() {
-                let holders: Vec<SwitchId> = path
-                    .iter()
-                    .copied()
-                    .filter(|&s| {
-                        enc.extern_var
-                            .get(&(e.clone(), s))
-                            .map(|&v| sol.int(v) > 0)
-                            .unwrap_or(false)
-                    })
-                    .collect();
+            for &(e, owner, at) in &split {
+                let holds = |s: &SwitchId| {
+                    owner
+                        .slot_of(*s)
+                        .is_some_and(|slot| sol.int(owner.extern_var[at][slot]) > 0)
+                };
+                let holders: Vec<SwitchId> = path.iter().copied().filter(holds).collect();
                 for w in holders.windows(2) {
                     let cv = CarriedValue {
                         name: format!("{e}_hit"),

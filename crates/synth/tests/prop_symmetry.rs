@@ -112,8 +112,8 @@ fn class_transpositions_map_solutions_to_solutions() {
             // way the quotient route completes a replicated one.
             let permuted = lift(
                 &enc,
-                |alg, s, i| sol.bool(enc.instr_var[&(alg.to_string(), swap(s), i)]),
-                |e, s| sol.int(enc.extern_var[&(e.to_string(), swap(s))]),
+                |alg, s, i| sol.bool(enc.instr_var(alg, swap(s), i).unwrap()),
+                |e, s| sol.int(enc.extern_var(e, swap(s)).unwrap()),
             );
             assert!(
                 permuted.satisfies(&enc.model),

@@ -58,45 +58,49 @@ fn swap_id(s: SwitchId, a: SwitchId, b: SwitchId) -> SwitchId {
     }
 }
 
-/// Is the transposition `(a b)` an automorphism of the link relation?
-fn links_invariant(topo: &Topology, a: SwitchId, b: SwitchId) -> bool {
-    // Compare edge multisets as sorted normalized pairs.
-    let canon = |x: SwitchId, y: SwitchId| {
-        if x.0 <= y.0 {
-            (x.0, y.0)
-        } else {
-            (y.0, x.0)
-        }
-    };
-    let mut orig: Vec<(u32, u32)> = topo.links.iter().map(|l| canon(l.a, l.b)).collect();
-    let mut swapped: Vec<(u32, u32)> = topo
-        .links
-        .iter()
-        .map(|l| canon(swap_id(l.a, a, b), swap_id(l.b, a, b)))
-        .collect();
-    orig.sort_unstable();
-    swapped.sort_unstable();
-    orig == swapped
+/// A link as a normalized pair.
+fn canon(x: SwitchId, y: SwitchId) -> (u32, u32) {
+    (x.0.min(y.0), x.0.max(y.0))
+}
+
+/// How often `item` occurs in the sorted list `sorted`.
+fn count<T: Ord + ?Sized>(sorted: &[&T], item: &T) -> usize {
+    sorted.partition_point(|q| *q <= item) - sorted.partition_point(|q| *q < item)
+}
+
+/// Is the transposition `(a b)` an automorphism of the link relation,
+/// given the links as sorted normalized pairs? A transposition is its own
+/// inverse, so a multiset is invariant under it exactly when every member
+/// occurs as often as its image — and only members touching `a` or `b`
+/// have an image other than themselves.
+fn links_invariant(links: &[&(u32, u32)], a: SwitchId, b: SwitchId) -> bool {
+    let touched = |l: &&&(u32, u32)| [l.0, l.1].iter().any(|&x| x == a.0 || x == b.0);
+    links.iter().filter(touched).all(|l| {
+        let image = canon(swap_id(SwitchId(l.0), a, b), swap_id(SwitchId(l.1), a, b));
+        count(links, *l) == count(links, &image)
+    })
 }
 
 /// Is the transposition `(a b)` an automorphism of every scope — same
-/// switch set and same path multiset after the swap?
-fn scopes_invariant(scopes: &[ResolvedScope], a: SwitchId, b: SwitchId) -> bool {
-    scopes.iter().all(|scope| {
+/// switch set and same path multiset after the swap? `sorted[k]` is
+/// `scopes[k].paths`, sorted.
+fn scopes_invariant(
+    scopes: &[ResolvedScope],
+    sorted: &[Vec<&Vec<SwitchId>>],
+    a: SwitchId,
+    b: SwitchId,
+) -> bool {
+    scopes.iter().zip(sorted).all(|(scope, paths)| {
         // Membership: both in or both out.
         if scope.switches.contains(&a) != scope.switches.contains(&b) {
             return false;
         }
-        // Path multiset invariant under the swap.
-        let mut orig: Vec<&Vec<SwitchId>> = scope.paths.iter().collect();
-        let mut swapped: Vec<Vec<SwitchId>> = scope
-            .paths
-            .iter()
-            .map(|p| p.iter().map(|&s| swap_id(s, a, b)).collect())
-            .collect();
-        orig.sort_unstable();
-        swapped.sort_unstable();
-        orig.iter().zip(&swapped).all(|(o, s)| **o == *s)
+        // Path multiset invariant under the swap (see `links_invariant`).
+        let touched = |p: &&&Vec<SwitchId>| p.contains(&a) || p.contains(&b);
+        paths.iter().filter(touched).all(|p| {
+            let image: Vec<SwitchId> = p.iter().map(|&s| swap_id(s, a, b)).collect();
+            count(paths, *p) == count(paths, &image)
+        })
     })
 }
 
@@ -122,6 +126,16 @@ pub fn interchangeable_classes(topo: &Topology, scopes: &[ResolvedScope]) -> Vec
             .or_default()
             .push(SwitchId(i as u32));
     }
+    if buckets.values().all(|ids| ids.len() < 2) {
+        return Vec::new(); // nothing to pair up
+    }
+    // Sorted once per call; every candidate pair is checked against these.
+    let canon_links: Vec<(u32, u32)> = topo.links.iter().map(|l| canon(l.a, l.b)).collect();
+    let mut links: Vec<&(u32, u32)> = canon_links.iter().collect();
+    links.sort_unstable();
+    let mut paths: Vec<Vec<&Vec<SwitchId>>> =
+        scopes.iter().map(|s| s.paths.iter().collect()).collect();
+    paths.iter_mut().for_each(|p| p.sort_unstable());
     let mut uf = UnionFind::new(topo.len());
     for ids in buckets.values() {
         for (i, &a) in ids.iter().enumerate() {
@@ -129,7 +143,7 @@ pub fn interchangeable_classes(topo: &Topology, scopes: &[ResolvedScope]) -> Vec
                 if uf.find(a.index()) == uf.find(b.index()) {
                     continue; // already known interchangeable (transitively)
                 }
-                if links_invariant(topo, a, b) && scopes_invariant(scopes, a, b) {
+                if links_invariant(&links, a, b) && scopes_invariant(scopes, &paths, a, b) {
                     uf.union(a.index(), b.index());
                 }
             }
