@@ -1,7 +1,7 @@
 //! `record_bench` — record solver-performance benchmark snapshots.
 //!
 //! Measures the Figure 10 scalability cases and the Figure 9 corpus under
-//! the current solver (one deterministic search + decomposition + synthesis
+//! the current solver (one deterministic search + quotient route + synthesis
 //! cache) and writes machine-readable snapshots:
 //!
 //! * `BENCH_fig10.json` — per-case median wall time / `encode` time /
@@ -210,7 +210,7 @@ fn record_fig10() -> Object {
             let topo = pod(k);
             let scopes = scopes_for(k, &case.program, case.multi);
             let profile = if k > 32 {
-                SolveProfile::deadline(Duration::from_secs(10))
+                SolveProfile::default().with_deadline(Duration::from_secs(10))
             } else {
                 SolveProfile::default()
             };

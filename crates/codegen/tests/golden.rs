@@ -15,7 +15,6 @@ fn single(asic: &str) -> Topology {
 
 fn compile_on(program: &str, alg: &str, asic: &str) -> String {
     let out = Compiler::new()
-        .native_backend()
         .compile(&CompileRequest::new(
             program,
             &format!("{alg}: [ ToR1 | PER-SW | - ]"),
@@ -157,7 +156,6 @@ fn bridge_header_emitted_for_split_placement() {
     use lyra_topo::figure1_network;
     // Force a split: 4M entries exceed one ASIC.
     let out = Compiler::new()
-        .native_backend()
         .compile(&CompileRequest::new(
             &programs::load_balancer(4_000_000),
             "loadbalancer: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]",
@@ -279,7 +277,6 @@ fn oversized_tcam_table_rejected() {
         }
     "#;
     let err = Compiler::new()
-        .native_backend()
         .compile(&CompileRequest::new(
             program,
             "acl: [ ToR1 | PER-SW | - ]",

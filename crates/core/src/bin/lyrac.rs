@@ -3,7 +3,7 @@
 //! ```text
 //! lyrac --program prog.lyra --scopes scopes.txt --topology topo.txt \
 //!       [--out DIR] [--objective min-switches] [--no-parser-hoisting] \
-//!       [--solve-profile thorough|deadline:MS] \
+//!       [--solve-profile thorough] [--deadline-ms N] [--decision-budget N] \
 //!       [--diag-format human|json] [--emit-stats FILE]
 //! ```
 //!
@@ -85,7 +85,7 @@ fn usage() -> ! {
          \x20            [--out DIR] [--backend native]\n\
          \x20            [--objective feasible|min-switches|max-use=SWITCH]\n\
          \x20            [--no-parser-hoisting]\n\
-         \x20            [--solve-profile thorough|deadline:MS]\n\
+         \x20            [--solve-profile thorough]\n\
          \x20            [--deadline-ms N] [--decision-budget N]\n\
          \x20            [--diag-format human|json] [--emit-stats FILE]\n\
          \x20            [--rollout-fail ELEMS] [--rollout-drop-p P]\n\
@@ -114,17 +114,15 @@ fn usage() -> ! {
          \x20 interpreter; a divergence prints a minimized counterexample\n\
          \x20 (LYR06xx) and fails the build.\n\
          \n\
-         \x20 --solve-profile picks a solver preset: `thorough` (one\n\
-         \x20 monolithic search, decomposition off — the reference\n\
-         \x20 configuration) or `deadline:MS` (the default bounded by a\n\
-         \x20 wall-clock deadline). Without it the default runs: the same\n\
-         \x20 deterministic search with decomposition on.\n\
-         \x20 --deadline-ms / --decision-budget override individual fields\n\
-         \x20 of the chosen profile.\n\
+         \x20 --solve-profile thorough runs one monolithic search with the\n\
+         \x20 quotient route off — the reference configuration. Without it\n\
+         \x20 the default runs: the same deterministic search with the\n\
+         \x20 quotient route on.\n\
          \n\
-         \x20 --deadline-ms / --decision-budget bound the solve phase; on\n\
-         \x20 expiry the degradation ladder still produces deployable code\n\
-         \x20 and a LYR0550 warning names the fallback rung used.\n\
+         \x20 --deadline-ms / --decision-budget bound the solve phase; when\n\
+         \x20 either is spent the greedy first-fit rung places the program\n\
+         \x20 (checked against the full model) and a LYR0550 warning names\n\
+         \x20 it, or the compile fails with LYR0410.\n\
          \n\
          \x20 --rollout-fail simulates failing the named elements (comma-\n\
          \x20 separated; `A-B` is the link A—B), recompiles for the\n\
@@ -157,17 +155,6 @@ fn usage() -> ! {
          \x20 entries behind the controller's back to prove detection."
     );
     std::process::exit(2);
-}
-
-/// Parse `--solve-profile` values: `thorough` or `deadline:MS`.
-fn parse_profile(v: &str) -> Option<SolveProfile> {
-    match v {
-        "thorough" => Some(SolveProfile::thorough()),
-        _ => {
-            let ms: u64 = v.strip_prefix("deadline:")?.parse().ok()?;
-            Some(SolveProfile::deadline(std::time::Duration::from_millis(ms)))
-        }
-    }
 }
 
 fn parse_args() -> Args {
@@ -236,13 +223,11 @@ fn parse_args() -> Args {
             "--no-parser-hoisting" => parser_hoisting = false,
             "--solve-profile" => {
                 let v = value(&mut it);
-                solve_profile = match parse_profile(&v) {
-                    Some(p) => Some(p),
-                    None => {
-                        eprintln!("unknown solve profile `{v}`");
-                        usage()
-                    }
+                if v != "thorough" {
+                    eprintln!("unknown solve profile `{v}`");
+                    usage()
                 }
+                solve_profile = Some(SolveProfile::thorough());
             }
             "--diag-format" => {
                 diag_format = match value(&mut it).as_str() {
@@ -987,14 +972,14 @@ fn main() -> ExitCode {
         Err(e) => return tool_error(&args, e),
     };
 
-    // Start from the chosen preset (the default when none), then let the
-    // individual flags override single fields.
+    // Start from the chosen preset (the default when none), then add the
+    // limits.
     let mut profile = args.solve_profile.clone().unwrap_or_default();
     if let Some(ms) = args.deadline_ms {
-        profile.deadline = Some(std::time::Duration::from_millis(ms));
+        profile = profile.with_deadline(std::time::Duration::from_millis(ms));
     }
     if let Some(n) = args.decision_budget {
-        profile.decision_budget = Some(n);
+        profile = profile.with_decision_budget(n);
     }
     let req = CompileRequest::new(&program, &scopes, topology).with_solve_profile(profile);
     let compiler = Compiler::new()
@@ -1138,14 +1123,11 @@ fn main() -> ExitCode {
             out.stats.total
         );
         println!(
-            "  solver: {} route, {} decisions, {} conflicts, {} clauses deleted in {} \
-             reduction(s), {} linear visit(s) for {} propagation(s) ({} bound update(s), \
-             {} creep check(s))",
+            "  solver: {} route, {} decisions, {} conflicts, {} linear visit(s) for {} \
+             propagation(s) ({} bound update(s), {} creep check(s))",
             out.stats.route_name(),
             out.solver.decisions,
             out.solver.conflicts,
-            out.solver.clauses_deleted,
-            out.solver.reductions,
             out.solver.linear_visits,
             out.solver.propagations,
             out.solver.bound_updates,

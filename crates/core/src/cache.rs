@@ -12,9 +12,9 @@
 //! The cache is keyed on *content*, not identity: the canonical `Debug`
 //! rendering of the IR, each resolved scope (algorithm, deploy mode, and
 //! the name/ASIC of every candidate switch and path hop), the encoding
-//! options, and the backend. Phase hints from incremental compiles are
-//! deliberately **not** part of the key — hints steer which solution the
-//! search finds first but never change satisfiability, so an incremental
+//! options, and the backend. The previous placement of an incremental
+//! compile is deliberately **not** part of the key — it is only ever
+//! carried over when it is a model of the same encoding, so an incremental
 //! recompile of an unchanged program is a legitimate (and common) hit.
 //!
 //! Share one cache across compiles with [`crate::Compiler::with_synth_cache`];

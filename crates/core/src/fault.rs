@@ -11,8 +11,7 @@
 //! instructions and shards on healthy switches stay put: the
 //! [`PlacementDiff`] the result carries has nothing `added`, and `removed`
 //! and `resharded` name dead switches only. Under an optimizing objective
-//! the recompile is a search hinted with the prior placement, where they
-//! tend to stay put.
+//! the survivors are searched cold.
 
 use std::collections::BTreeMap;
 

@@ -119,7 +119,7 @@ pub const SCOPES_SOURCE: SourceId = SourceId(1);
 
 /// A compilation request: the three inputs of Figure 3, plus the
 /// [`SolveProfile`] describing how to discharge the placement constraints
-/// (watchdog limits and the decomposition toggle).
+/// (watchdog limits and the quotient-route toggle).
 pub struct CompileRequest<'a> {
     /// Lyra program source.
     pub program: &'a str,
@@ -127,9 +127,9 @@ pub struct CompileRequest<'a> {
     pub scopes: &'a str,
     /// Target network topology.
     pub topology: Topology,
-    /// How to solve: deadline, decision budget, decomposition. The default
-    /// is one deterministic search with decomposition on and no limits; see
-    /// [`SolveProfile`] for the `thorough()` / `deadline(d)` presets.
+    /// How to solve: deadline, decision budget, quotient route. The default
+    /// is one deterministic search with the quotient route on and no
+    /// limits; see [`SolveProfile`] for the `thorough()` preset.
     pub profile: SolveProfile,
 }
 
@@ -153,7 +153,9 @@ impl<'a> CompileRequest<'a> {
     /// let req = CompileRequest::new("pipeline[P]{a}; algorithm a { x = 1; }",
     ///                               "a: [ ToR1 | PER-SW | - ]",
     ///                               figure1_network())
-    ///     .with_solve_profile(SolveProfile::deadline(std::time::Duration::from_secs(2)));
+    ///     .with_solve_profile(
+    ///         SolveProfile::default().with_deadline(std::time::Duration::from_secs(2)),
+    ///     );
     /// assert!(req.profile.deadline.is_some());
     /// ```
     pub fn with_solve_profile(mut self, profile: SolveProfile) -> Self {
@@ -342,11 +344,6 @@ impl CompileSession {
         solver.push("conflicts", Value::Number(self.solver.conflicts as f64));
         solver.push("learned", Value::Number(self.solver.learned as f64));
         solver.push("restarts", Value::Number(self.solver.restarts as f64));
-        solver.push("reductions", Value::Number(self.solver.reductions as f64));
-        solver.push(
-            "clauses_deleted",
-            Value::Number(self.solver.clauses_deleted as f64),
-        );
         solver.push(
             "linear_visits",
             Value::Number(self.solver.linear_visits as f64),
@@ -567,11 +564,6 @@ impl Compiler {
         self
     }
 
-    /// Use the native solver (the default; kept for call-site clarity).
-    pub fn native_backend(self) -> Self {
-        self.with_backend(Backend::Native)
-    }
-
     /// Set the optimization objective (§6).
     pub fn with_objective(mut self, objective: Objective) -> Self {
         self.encode.objective = objective;
@@ -618,8 +610,8 @@ impl Compiler {
     /// Recompile after a program change, seeded with the previous solved
     /// placement (§8 "Synthesizing incremental changes"): if it still
     /// places the program it is returned as it is
-    /// ([`SolveRoute::CarriedOver`]), otherwise it hints the search so
-    /// unchanged instructions tend to stay on their switches.
+    /// ([`SolveRoute::CarriedOver`]), otherwise the program is searched
+    /// cold ([`SolveRoute::Monolithic`]).
     pub fn compile_incremental(
         &self,
         req: &CompileRequest,
@@ -700,18 +692,11 @@ impl Compiler {
         let t0 = Instant::now();
         let mut stats = CompileStats::default();
         let profile = &req.profile;
-        // The watchdog's limits. The grace window for the sequential-restart
-        // rung scales with the requested deadline (a 1 ms deadline should
-        // still answer within ~100 ms; a 10 s one can afford a longer
-        // retry), clamped so it is never uselessly short nor unbounded.
+        // The watchdog's limits: the deadline counts from the start of the
+        // compile.
         let limits = lyra_synth::SynthLimits {
             deadline: profile.deadline.map(|d| t0 + d),
             max_decisions: profile.decision_budget,
-            grace: match (profile.deadline, profile.decision_budget) {
-                (Some(d), _) => (d * 4).clamp(Duration::from_millis(40), Duration::from_secs(5)),
-                (None, Some(_)) => Duration::from_secs(5),
-                (None, None) => Duration::ZERO,
-            },
             decomposition: profile.decomposition,
         };
 
@@ -944,8 +929,9 @@ impl Compiler {
                     ),
                 )
                 .with_note(
-                    "the generated code is deployable but may be non-optimal; recompile \
-                     without a deadline for a solver-verified placement",
+                    "the placement satisfies every constraint of the model, but nothing was \
+                     optimized; recompile without a deadline or decision budget for a \
+                     searched placement",
                 ),
             );
         }
@@ -1067,7 +1053,7 @@ impl Compiler {
                 // only-store-clean-results invariant, cannot have degraded
                 // *this* compile — so the rung (like the stats) is absorbed
                 // only from real synthesis runs, never from hits.
-                degraded = worst_rung(degraded, synth.degraded);
+                degraded = degraded.or(synth.degraded);
                 if self.cache.is_some() {
                     misses += 1;
                 }
@@ -1137,18 +1123,6 @@ struct BackEnd {
     route: Option<SolveRoute>,
 }
 
-/// The more-degraded of two ladder rungs (greedy first-fit is worse than a
-/// sequential-restart solve; any rung is worse than none) — used to report
-/// a single honest rung when parallel per-switch groups degrade unevenly.
-fn worst_rung(a: Option<DegradeRung>, b: Option<DegradeRung>) -> Option<DegradeRung> {
-    use DegradeRung::{GreedyFirstFit, SequentialRestarts};
-    match (a, b) {
-        (Some(GreedyFirstFit), _) | (_, Some(GreedyFirstFit)) => Some(GreedyFirstFit),
-        (Some(SequentialRestarts), _) | (_, Some(SequentialRestarts)) => Some(SequentialRestarts),
-        (None, None) => None,
-    }
-}
-
 /// Compute per-switch utilization of a placement against chip budgets.
 fn utilization_of(placement: &Placement, topo: &Topology) -> Vec<ResourceUtilization> {
     let mut out = Vec::new();
@@ -1207,7 +1181,6 @@ mod tests {
     #[test]
     fn compiles_int_plus_lb_composition() {
         let out = Compiler::new()
-            .native_backend()
             .compile(&CompileRequest::new(INT_LB, SCOPES, figure1_network()))
             .unwrap();
         // INT on all 4 ToRs; LB somewhere in its scope.
@@ -1272,7 +1245,7 @@ mod tests {
         let program = "pipeline[P]{a}; algorithm a { x = 1; }";
         let scopes = "a: [ ToR1 | PER-SW | - ]";
         let limited = CompileRequest::new(program, scopes, figure1_network())
-            .with_solve_profile(SolveProfile::deadline(Duration::ZERO));
+            .with_solve_profile(SolveProfile::default().with_deadline(Duration::ZERO));
         let first = compiler.compile(&limited).unwrap();
         assert!(
             first.degraded.is_some(),
@@ -1337,13 +1310,7 @@ mod tests {
             .unwrap();
         let json = out.session().to_json();
         let solver = json.get("solver").expect("solver");
-        for key in [
-            "reductions",
-            "clauses_deleted",
-            "linear_visits",
-            "bound_updates",
-            "creep_checks",
-        ] {
+        for key in ["linear_visits", "bound_updates", "creep_checks"] {
             assert!(solver.get(key).is_some(), "missing solver.{key}");
         }
         let cache = json.get("synth_cache").expect("synth_cache");
@@ -1354,7 +1321,6 @@ mod tests {
     #[test]
     fn missing_scope_is_reported() {
         let err = Compiler::new()
-            .native_backend()
             .compile(&CompileRequest::new(
                 INT_LB,
                 "int_in: [ ToR* | PER-SW | - ]",
@@ -1415,7 +1381,6 @@ mod tests {
     #[test]
     fn stats_and_session_are_populated() {
         let out = Compiler::new()
-            .native_backend()
             .compile(&CompileRequest::new(
                 "pipeline[P]{a}; algorithm a { x = 1; }",
                 "a: [ ToR1 | PER-SW | - ]",
@@ -1498,7 +1463,6 @@ mod tests {
     #[test]
     fn infeasible_placements_carry_family_diagnostics() {
         let err = Compiler::new()
-            .native_backend()
             .compile(&CompileRequest::new(
                 r#"
                 pipeline[P]{big};

@@ -705,7 +705,6 @@ mod tests {
 
     fn lb_output() -> CompileOutput {
         Compiler::new()
-            .native_backend()
             .compile(&CompileRequest::new(
                 r#"
                     pipeline[LB]{loadbalancer};

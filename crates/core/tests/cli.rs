@@ -120,6 +120,36 @@ fn cli_reports_parse_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A deadline has one spelling, `--deadline-ms`; `--solve-profile` names
+/// a preset and nothing else.
+#[test]
+fn cli_solve_profile_takes_no_deadline() {
+    let dir = temp_dir("profile");
+    let prog = write(&dir, "prog.lyra", PROGRAM);
+    let scopes = write(&dir, "scopes.txt", "watch: [ ToR* | PER-SW | - ]\n");
+    let topo = write(&dir, "topo.txt", TOPOLOGY);
+    let run = |profile: &str| {
+        lyrac()
+            .args(["--program"])
+            .arg(&prog)
+            .args(["--scopes"])
+            .arg(&scopes)
+            .args(["--topology"])
+            .arg(&topo)
+            .args(["--out"])
+            .arg(dir.join("out"))
+            .args(["--solve-profile", profile])
+            .output()
+            .expect("lyrac runs")
+    };
+    let output = run("deadline:50");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(run("thorough").status.success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cli_missing_args_usage() {
     let output = lyrac().output().expect("lyrac runs");

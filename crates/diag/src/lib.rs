@@ -191,8 +191,9 @@ pub mod codes {
     pub const INFEASIBLE_PHV: Code = Code("LYR0404");
     /// Infeasible: more tables than the pipeline can host.
     pub const INFEASIBLE_TABLES: Code = Code("LYR0405");
-    /// Solver exhausted its decision budget before reaching a verdict
-    /// (`Outcome::Unknown`) — distinct from proved-infeasible.
+    /// Solver exhausted its decision budget or deadline before reaching a
+    /// verdict (`Outcome::Unknown`) and no fallback placement was accepted
+    /// — distinct from proved-infeasible.
     pub const SOLVER_BUDGET: Code = Code("LYR0410");
 
     /// Code generation failed for a placed program.
@@ -202,7 +203,7 @@ pub mod codes {
 
     /// Warning: the placement was produced by a degradation-ladder rung
     /// (the solver deadline or decision budget expired); the message names
-    /// the rung (`sequential-restarts` or `greedy-first-fit`).
+    /// the rung (`greedy-first-fit`).
     pub const DEGRADED: Code = Code("LYR0550");
     /// A fault set left an algorithm scope with no surviving switch.
     pub const FAULT_UNREACHABLE: Code = Code("LYR0551");

@@ -19,8 +19,11 @@
 //!   backjumping, activity-ordered decisions with phase saving, geometric
 //!   restarts, bounds-consistency propagation on active linear atoms, and
 //!   interval splitting for any integers left unfixed;
-//! * [`minimize`] ([`Solver::minimize`] on the sequential engine) wraps the
+//! * [`minimize_with`] (and [`minimize`], under default limits) wraps the
 //!   search in the crate's one branch-and-bound loop.
+//!
+//! A search has two limits, a decision budget and a deadline
+//! ([`SolverConfig`]); everything else about it is fixed.
 //!
 //! Every entry point reports [`SearchStats`] (decisions, propagations,
 //! conflicts, learned clauses, restarts) so the compile driver can expose
@@ -48,16 +51,16 @@
 //! assert!(sol.bool(deploy_a) || sol.bool(deploy_b));
 //! ```
 
-pub mod decompose;
 pub mod expr;
 pub mod flatten;
 pub mod model;
+pub mod optimize;
 pub mod search;
 
-pub use decompose::{minimize, BoundConstraint, Decomposed, Minimized, Sequential, Solver};
 pub use expr::{Bx, Ix, LinExpr, VarRef};
 pub use flatten::{flatten, FlatModel, FlatVar};
 pub use model::{BoolId, IntId, Model, Solution};
+pub use optimize::{minimize, minimize_with, BoundConstraint, Minimized};
 pub use search::{solve, solve_flat, RawAssignment, SearchStats, SolverConfig};
 
 /// Outcome of a solver invocation.

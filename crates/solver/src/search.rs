@@ -17,35 +17,11 @@ use crate::flatten::{flatten, FlatModel, FlatVar, Lit};
 use crate::model::{Model, Solution};
 use crate::Outcome;
 
-/// Tunables for the native search.
+/// The two limits on one search. Everything else about it is fixed.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Abort with [`Outcome::Unknown`] after this many decisions.
     pub max_decisions: u64,
-    /// Conflicts before the first restart (grows geometrically; 0 disables
-    /// restarts).
-    pub restart_interval: u64,
-    /// Activity decay factor applied at each conflict.
-    pub activity_decay: f64,
-    /// Initial phase hints per SAT variable (from a previous solution) —
-    /// the solver tries these values first, which keeps successive
-    /// placements stable under small program changes.
-    pub phase_hints: Vec<(u32, bool)>,
-    /// Value hints per integer variable (flat index), from a previous
-    /// solution. Where the bounds still admit it, the integer phase
-    /// branches straight to `[hint, hi]` before bisecting, so solution
-    /// extraction (which reads the lower bound) lands on the hinted value
-    /// when it is feasible. This is the integer half of incremental
-    /// re-solving: entry-shard sizes stay where a previous placement put
-    /// them instead of collapsing to whatever the bisection finds first,
-    /// which is what keeps table-entry churn proportional to the fault
-    /// rather than the fleet.
-    pub int_hints: Vec<(u32, i64)>,
-    /// Live learned clauses tolerated before a database reduction halves
-    /// them (Glucose-style LBD policy; glue clauses with LBD ≤ 2 and reason
-    /// clauses of the current trail are never deleted). `0` disables
-    /// reduction entirely.
-    pub learned_limit: usize,
     /// Wall-clock deadline. Checked before the search starts and polled
     /// (decimated — every [`DEADLINE_POLL_MASK`]+1 propagation passes, to
     /// keep `Instant::now` off the hot path) during propagation; on expiry
@@ -59,15 +35,16 @@ pub struct SolverConfig {
 /// milliseconds while `Instant::now` stays off the fast path.
 const DEADLINE_POLL_MASK: u64 = 63;
 
+/// Conflicts before the first restart; the interval grows by half at each.
+const RESTART_INTERVAL: u64 = 128;
+
+/// Variable-activity decay applied at each conflict.
+const ACTIVITY_DECAY: f64 = 0.95;
+
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             max_decisions: 5_000_000,
-            restart_interval: 128,
-            activity_decay: 0.95,
-            phase_hints: Vec::new(),
-            int_hints: Vec::new(),
-            learned_limit: 2_000,
             deadline: None,
         }
     }
@@ -76,7 +53,7 @@ impl Default for SolverConfig {
 /// Counters describing a finished search.
 ///
 /// Returned by every solver entry point and aggregated across
-/// branch-and-bound iterations by [`crate::Solver::minimize`]; the compile
+/// branch-and-bound iterations by [`crate::minimize_with`]; the compile
 /// driver surfaces them on `CompileOutput` so long solves are observable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
@@ -90,10 +67,9 @@ pub struct SearchStats {
     pub learned: u64,
     /// Restarts performed.
     pub restarts: u64,
-    /// Learned-clause database reductions performed.
+    /// Always 0: the learned-clause database is never reduced. Kept, like
+    /// `workers_spawned`, only because the repository's benchmark reads it.
     pub reductions: u64,
-    /// Learned clauses deleted by database reductions.
-    pub clauses_deleted: u64,
     /// Always 0: no engine races workers. The field is read by the
     /// repository's benchmark, which is the only reason it exists.
     pub workers_spawned: u64,
@@ -117,8 +93,6 @@ impl SearchStats {
         self.conflicts += other.conflicts;
         self.learned += other.learned;
         self.restarts += other.restarts;
-        self.reductions += other.reductions;
-        self.clauses_deleted += other.clauses_deleted;
         self.linear_visits += other.linear_visits;
         self.bound_updates += other.bound_updates;
         self.creep_checks += other.creep_checks;
@@ -204,15 +178,13 @@ enum TrailItem {
 }
 
 /// An integer split decision (the post-boolean phase). The split point
-/// `mid` partitions the interval into `[lo, mid]` and `[mid+1, hi]`;
-/// `upper_first` says which half the first branch took (true for hinted
-/// variables branching straight to their hint), `flipped` whether the
-/// other half has been tried after a conflict.
+/// `mid` partitions the interval into `[lo, mid]`, tried first, and
+/// `[mid+1, hi]`; `flipped` says whether the upper half has been tried
+/// after a conflict.
 #[derive(Debug, Clone, Copy)]
 struct IntSplit {
     var: u32,
     mid: i64,
-    upper_first: bool,
     flipped: bool,
     trail_mark: usize,
 }
@@ -410,8 +382,6 @@ struct Search<'a> {
     queue: std::collections::VecDeque<(Lit, Reason)>,
     /// Integer split stack (post-boolean phase).
     int_splits: Vec<IntSplit>,
-    /// Value hint per integer variable (dense over flat int indices).
-    int_hint: Vec<Option<i64>>,
     /// VSIDS-lite activity per variable.
     activity: Vec<f64>,
     activity_inc: f64,
@@ -424,17 +394,8 @@ struct Search<'a> {
     seen_vars: Vec<u32>,
     saved_phase: Vec<bool>,
     conflicts_since_restart: u64,
+    /// Conflicts since the last restart that trigger the next one.
     restart_limit: u64,
-    /// LBD (literal block distance) per clause; 0 for original clauses.
-    lbd: Vec<u32>,
-    /// MiniSat-style activity per clause (bumped when a clause participates
-    /// in conflict analysis); only meaningful for learned clauses.
-    clause_act: Vec<f64>,
-    clause_act_inc: f64,
-    /// Learned clauses currently alive (not tombstoned by a reduction).
-    learned_live: usize,
-    /// Live-learned-clause count that triggers the next reduction.
-    reduce_limit: usize,
     /// Set once the deadline has been seen to pass.
     expired: bool,
     /// Propagation passes completed; drives decimated deadline polling.
@@ -448,7 +409,6 @@ impl<'a> Search<'a> {
         extra: &'a [(Vec<(i64, FlatVar)>, i64)],
     ) -> Self {
         let nvars = flat.num_sat_vars;
-        let num_clauses = flat.clauses.len();
         let activity = vec![0.0; nvars];
         let mut s = Search {
             flat,
@@ -469,38 +429,19 @@ impl<'a> Search<'a> {
             dirty: DirtySet::default(),
             queue: std::collections::VecDeque::new(),
             int_splits: Vec::new(),
-            int_hint: {
-                let mut hints = vec![None; flat.int_bounds.len()];
-                for &(v, t) in &cfg.int_hints {
-                    if (v as usize) < hints.len() {
-                        hints[v as usize] = Some(t);
-                    }
-                }
-                hints
-            },
             order: VarHeap::full(&activity),
             activity,
             activity_inc: 1.0,
             seen: vec![false; nvars],
             seen_vars: Vec::new(),
-            // Unhinted variables try `false` first: "not deployed" suits
+            // Every variable tries `false` first: "not deployed" suits
             // Lyra's placement booleans.
             saved_phase: vec![false; nvars],
             conflicts_since_restart: 0,
-            restart_limit: cfg.restart_interval,
-            lbd: vec![0; num_clauses],
-            clause_act: vec![0.0; num_clauses],
-            clause_act_inc: 1.0,
-            learned_live: 0,
-            reduce_limit: cfg.learned_limit,
+            restart_limit: RESTART_INTERVAL,
             expired: false,
             passes: 0,
         };
-        for &(v, phase) in &cfg.phase_hints {
-            if (v as usize) < s.saved_phase.len() {
-                s.saved_phase[v as usize] = phase;
-            }
-        }
         for (terms, k) in extra {
             s.activate(ActiveLin {
                 terms,
@@ -546,108 +487,6 @@ impl<'a> Search<'a> {
         } else {
             self.order.raised(var, &self.activity);
         }
-    }
-
-    fn bump_clause(&mut self, ci: usize) {
-        self.clause_act[ci] += self.clause_act_inc;
-        if self.clause_act[ci] > 1e100 {
-            for a in &mut self.clause_act {
-                *a *= 1e-100;
-            }
-            self.clause_act_inc *= 1e-100;
-        }
-    }
-
-    /// Literal block distance: distinct decision levels among the clause's
-    /// literals (level-0 facts excluded). Glue clauses (LBD ≤ 2) connect at
-    /// most two decision levels and are kept forever.
-    fn lbd_of(&self, clause: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = clause
-            .iter()
-            .map(|l| self.level[l.var() as usize])
-            .filter(|&lv| lv > 0)
-            .collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
-    }
-
-    /// Halve the learned-clause database, keeping glue clauses (LBD ≤ 2),
-    /// reason clauses of the current trail or pending queue, and the
-    /// better (low-LBD / high-activity) half of the rest. Deleted clauses
-    /// are tombstoned (emptied and detached from their watch lists), so
-    /// surviving clause indices — and with them every `Reason::Clause`
-    /// reference and watch entry — stay valid.
-    fn reduce_learned(&mut self) {
-        self.stats.reductions += 1;
-        // Locked: clauses currently acting as a reason for an assigned
-        // variable or a queued implication must never be deleted.
-        let mut locked = vec![false; self.clauses.len()];
-        for item in &self.trail {
-            if let TrailItem::Sat(v) = item {
-                if let Reason::Clause(ci) = self.reason[*v as usize] {
-                    locked[ci] = true;
-                }
-            }
-        }
-        for (_, reason) in &self.queue {
-            if let Reason::Clause(ci) = reason {
-                locked[*ci] = true;
-            }
-        }
-        let mut cand: Vec<usize> = (self.num_original_clauses..self.clauses.len())
-            .filter(|&ci| !self.clauses[ci].is_empty() && self.lbd[ci] > 2 && !locked[ci])
-            .collect();
-        // Worst first: high LBD, then low activity.
-        cand.sort_by(|&a, &b| {
-            self.lbd[b].cmp(&self.lbd[a]).then(
-                self.clause_act[a]
-                    .partial_cmp(&self.clause_act[b])
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
-        });
-        for &ci in cand.iter().take(cand.len() / 2) {
-            self.delete_clause(ci);
-        }
-        // Let the database grow before the next reduction.
-        self.reduce_limit += self.reduce_limit / 2;
-        #[cfg(debug_assertions)]
-        self.assert_reasons_alive();
-    }
-
-    /// Soundness invariant after a reduction: every clause still acting as
-    /// a reason — for an assigned variable or a queued implication — must
-    /// survive, or conflict analysis would resolve through a tombstone.
-    #[cfg(debug_assertions)]
-    fn assert_reasons_alive(&self) {
-        for item in &self.trail {
-            if let TrailItem::Sat(v) = item {
-                if let Reason::Clause(ci) = self.reason[*v as usize] {
-                    assert!(
-                        !self.clauses[ci].is_empty(),
-                        "reduction deleted reason clause {ci} of assigned var {v}"
-                    );
-                }
-            }
-        }
-        for (_, reason) in &self.queue {
-            if let Reason::Clause(ci) = reason {
-                assert!(
-                    !self.clauses[*ci].is_empty(),
-                    "reduction deleted reason clause {ci} of a queued implication"
-                );
-            }
-        }
-    }
-
-    fn delete_clause(&mut self, ci: usize) {
-        let cl = std::mem::take(&mut self.clauses[ci]);
-        debug_assert!(cl.len() >= 2, "only stored (len ≥ 2) clauses die");
-        for &w in &cl[..2] {
-            self.watches[w.0 as usize].retain(|&c| c != ci);
-        }
-        self.learned_live -= 1;
-        self.stats.clauses_deleted += 1;
     }
 
     /// Has the wall-clock deadline passed?
@@ -735,23 +574,6 @@ impl<'a> Search<'a> {
             }
         }
         best?;
-        // Prefer a hinted variable whose extraction value (the lower
-        // bound) has not reached its still-feasible hint: deciding it now
-        // branches straight to the hint, before bisection spreads the
-        // remaining slack over unhinted variables. This runs *before* the
-        // all-lo short-circuit — lo-values satisfying every constraint is
-        // how the unhinted search finishes, but a pending hint means the
-        // previous placement sat higher in the domain, and stopping early
-        // would collapse the shard back to the lower bound.
-        for i in 0..self.lo.len() {
-            if self.hi[i] > self.lo[i] {
-                if let Some(t) = self.int_hint[i] {
-                    if t > self.lo[i] && t <= self.hi[i] {
-                        return Some(i as u32);
-                    }
-                }
-            }
-        }
         if self.all_lo_satisfies() {
             return None;
         }
@@ -776,27 +598,14 @@ impl<'a> Search<'a> {
 
     fn push_int_split(&mut self, var: u32) {
         let (l, h) = (self.lo[var as usize], self.hi[var as usize]);
-        // A hinted variable branches straight to `[hint, hi]`: raising the
-        // lower bound to the hint means extraction lands exactly on it when
-        // the rest of the formula tolerates it, and the fallback half
-        // `[lo, hint-1]` keeps completeness.
-        let hint = self.int_hint[var as usize].filter(|&t| t > l && t <= h);
-        let (mid, upper_first) = match hint {
-            Some(t) => (t - 1, true),
-            None => (l + (h - l) / 2, false),
-        };
+        let mid = l + (h - l) / 2;
         self.int_splits.push(IntSplit {
             var,
             mid,
-            upper_first,
             flipped: false,
             trail_mark: self.trail.len(),
         });
-        if upper_first {
-            self.set_lo(var, mid + 1);
-        } else {
-            self.set_hi(var, mid);
-        }
+        self.set_hi(var, mid);
     }
 
     /// Chronological handling within the integer phase. Returns false when
@@ -811,11 +620,7 @@ impl<'a> Search<'a> {
                         ..split
                     });
                     // Try the half the first branch skipped.
-                    if split.upper_first {
-                        self.set_hi(split.var, split.mid);
-                    } else {
-                        self.set_lo(split.var, split.mid + 1);
-                    }
+                    self.set_lo(split.var, split.mid + 1);
                     if self.hi[split.var as usize] >= self.lo[split.var as usize]
                         && self.propagate().is_none()
                     {
@@ -842,11 +647,7 @@ impl<'a> Search<'a> {
     fn handle_conflict(&mut self, conflict: Conflict) -> bool {
         self.stats.conflicts += 1;
         self.conflicts_since_restart += 1;
-        self.activity_inc /= self.cfg.activity_decay;
-        self.clause_act_inc /= 0.999;
-        if let Conflict::Clause(ci) = conflict {
-            self.bump_clause(ci);
-        }
+        self.activity_inc /= ACTIVITY_DECAY;
         // Integer splits are invalidated by any boolean backjump.
         while let Some(split) = self.int_splits.pop() {
             self.undo_to(split.trail_mark);
@@ -878,10 +679,6 @@ impl<'a> Search<'a> {
             learned.swap(1, best);
             self.level[learned[1].var() as usize]
         };
-        // LBD = distinct decision levels among the clause's literals,
-        // computed at creation while the conflict-time levels are valid
-        // (Audemard & Simon, IJCAI 2009).
-        let lbd = self.lbd_of(&learned);
         // Backjump.
         self.backjump(backjump_level);
         // Install the learned clause.
@@ -894,18 +691,11 @@ impl<'a> Search<'a> {
             let ci = self.clauses.len();
             self.watches[learned[0].0 as usize].push(ci);
             self.watches[learned[1].0 as usize].push(ci);
-            self.lbd.push(lbd);
-            self.clause_act.push(self.clause_act_inc);
-            self.learned_live += 1;
             self.clauses.push(learned);
             self.queue.push_back((asserting, Reason::Clause(ci)));
         }
-        // Reduce the learned-clause database when it outgrew its budget.
-        if self.cfg.learned_limit > 0 && self.learned_live >= self.reduce_limit {
-            self.reduce_learned();
-        }
         // Restart?
-        if self.cfg.restart_interval > 0 && self.conflicts_since_restart >= self.restart_limit {
+        if self.conflicts_since_restart >= self.restart_limit {
             self.stats.restarts += 1;
             self.conflicts_since_restart = 0;
             self.restart_limit = self.restart_limit.saturating_mul(3) / 2;
@@ -1003,7 +793,6 @@ impl<'a> Search<'a> {
             }
             match self.reason[v as usize] {
                 Reason::Clause(ci) => {
-                    self.bump_clause(ci);
                     self.absorb(ci, Some(v), &mut learned, &mut current_count);
                 }
                 Reason::Decision | Reason::Theory => {
@@ -1696,11 +1485,13 @@ mod tests {
         m.require(Bx::or(vec![Bx::var(a), Bx::not(Bx::var(b))]));
         let flat = flatten(&m);
         let cfg = SolverConfig {
-            restart_interval: 1,
             max_decisions: 10_000,
             ..Default::default()
         };
-        let (outcome, _, stats) = solve_flat(&flat, &cfg, &[]);
+        let mut s = Search::new(&flat, &cfg, &[]);
+        s.restart_limit = 1;
+        let (outcome, _) = s.run();
+        let stats = s.stats;
         assert!(outcome.solution().expect("a = true is a model").bool(a));
         assert_eq!(stats.conflicts, 1, "{stats:?}");
     }
@@ -1723,39 +1514,6 @@ mod tests {
             ));
         }
         m
-    }
-
-    #[test]
-    fn reduction_fires_and_preserves_reason_clauses() {
-        // A tiny learned limit forces many database reductions on a
-        // conflict-heavy UNSAT instance. `reduce_learned` asserts (in debug
-        // builds, which tests are) that no reason clause of the current
-        // trail or pending queue is ever deleted; here we additionally
-        // check the verdict survives aggressive clause deletion.
-        let m = pigeonhole(7, 6);
-        let flat = flatten(&m);
-        let cfg = SolverConfig {
-            learned_limit: 8,
-            ..Default::default()
-        };
-        let (outcome, _, stats) = solve_flat(&flat, &cfg, &[]);
-        assert_eq!(outcome, Outcome::Unsat);
-        assert!(stats.reductions > 0, "expected reductions: {stats:?}");
-        assert!(stats.clauses_deleted > 0);
-    }
-
-    #[test]
-    fn reduction_disabled_when_limit_zero() {
-        let m = pigeonhole(6, 5);
-        let flat = flatten(&m);
-        let cfg = SolverConfig {
-            learned_limit: 0,
-            ..Default::default()
-        };
-        let (outcome, _, stats) = solve_flat(&flat, &cfg, &[]);
-        assert_eq!(outcome, Outcome::Unsat);
-        assert_eq!(stats.reductions, 0);
-        assert_eq!(stats.clauses_deleted, 0);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! cases and a failure reproduces from its case number.
 
 use super::*;
-use crate::decompose::{Sequential, Solver};
 use crate::expr::{Bx, Ix};
 use crate::model::{BoolId, IntId, Model};
+use crate::optimize::minimize_with;
 
 /// Run `f` with every search on this thread using the reference schedule.
 fn with_full_sweep<T>(f: impl FnOnce() -> T) -> T {
@@ -22,15 +22,13 @@ fn with_full_sweep<T>(f: impl FnOnce() -> T) -> T {
 }
 
 /// The counters that describe the search path (not its cost).
-fn path(s: &SearchStats) -> [u64; 7] {
+fn path(s: &SearchStats) -> [u64; 5] {
     [
         s.decisions,
         s.propagations,
         s.conflicts,
         s.learned,
         s.restarts,
-        s.reductions,
-        s.clauses_deleted,
     ]
 }
 
@@ -188,8 +186,8 @@ fn dirty_schedule_takes_the_full_sweep_search_path() {
                 .chain(m.bool_decls().map(|(id, _)| Ix::bool01(id).scale(3)))
                 .collect(),
         );
-        let (min, min_stats) = Sequential.minimize(&m, &obj, &cfg);
-        let (ref_min, ref_min_stats) = with_full_sweep(|| Sequential.minimize(&m, &obj, &cfg));
+        let (min, min_stats) = minimize_with(&m, &obj, &cfg);
+        let (ref_min, ref_min_stats) = with_full_sweep(|| minimize_with(&m, &obj, &cfg));
         assert_eq!(min, ref_min, "case {case}: minimum or its model");
         assert_eq!(
             path(&min_stats),

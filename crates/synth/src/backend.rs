@@ -3,8 +3,7 @@
 //! SMT the encoding actually emits, and reports [`lyra_solver::SearchStats`]
 //! with every verdict so the compile driver can surface solver effort.
 
-use lyra_solver::decompose::{Decomposed, Minimized, Sequential, Solver};
-use lyra_solver::{Ix, Model, Outcome, SearchStats, Solution, SolverConfig};
+use lyra_solver::{Ix, Minimized, Model, Outcome, SearchStats, SolverConfig};
 
 /// Which solver to use. Only the native solver exists today; the enum is
 /// kept (non-exhaustively) so an external SMT backend can slot in without
@@ -31,32 +30,18 @@ pub enum SolverStrategy {
 /// Solve `model`, optionally minimizing `objective`. Returns the verdict
 /// together with the search statistics accumulated while reaching it.
 pub fn solve(model: &Model, objective: Option<&Ix>, backend: &Backend) -> (Outcome, SearchStats) {
-    solve_with_hints(model, objective, backend, &[])
-}
-
-/// [`solve`] with initial phase hints (a previous solution's variable
-/// values). The solver tries the hinted values first, keeping successive
-/// placements stable under small program changes (§8 "Synthesizing
-/// incremental changes").
-pub fn solve_with_hints(
-    model: &Model,
-    objective: Option<&Ix>,
-    backend: &Backend,
-    hints: &[(lyra_solver::BoolId, bool)],
-) -> (Outcome, SearchStats) {
     solve_with_limits(
         model,
         objective,
         backend,
-        hints,
+        &[],
         Default::default(),
         &SolveLimits::default(),
     )
 }
 
-/// Resource limits on one solve — the watchdog's knobs — plus the
-/// decomposition toggle and the integer hints that ride along with them
-/// into the engine's [`SolverConfig`].
+/// The watchdog's limits on one solve, passed through to the search's
+/// [`SolverConfig`].
 #[derive(Debug, Clone, Default)]
 pub struct SolveLimits {
     /// Wall-clock deadline; on expiry the search winds down with
@@ -64,23 +49,14 @@ pub struct SolveLimits {
     pub deadline: Option<std::time::Instant>,
     /// Decision budget override (`None` keeps the solver default).
     pub max_decisions: Option<u64>,
-    /// Restart aggressively (short interval, slow activity decay) — the
-    /// configuration the degradation ladder uses for its retry, which
-    /// tends to find *a* model quickly at the cost of proof power.
-    pub aggressive_restarts: bool,
-    /// Split the flattened formula into connected components and solve
-    /// them independently (see `lyra_solver::decompose::Decomposed`).
-    pub decomposition: bool,
-    /// Integer value hints (a previous solution's entry-shard sizes): the
-    /// solver branches to these values first where still feasible, so an
-    /// incremental re-solve keeps table shards where the fleet already
-    /// holds them — the placement half of O(delta) rollouts.
-    pub int_hints: Vec<(lyra_solver::IntId, i64)>,
 }
 
-/// [`solve_with_hints`] under explicit [`SolveLimits`]. The
-/// [`SolverStrategy`] is accepted and ignored (see its definition); pass
-/// `Default::default()`.
+/// [`solve`] under explicit [`SolveLimits`].
+///
+/// Two parameters are vestigial, accepted and ignored: `hints` (the search
+/// takes no phase hints; pass `&[]`) and the [`SolverStrategy`] (pass
+/// `Default::default()`). The repository's benchmark calls this function
+/// with both, which is the only reason they are still in its signature.
 ///
 /// A minimization truncated (deadline, decision budget) after finding at
 /// least one model returns that model as [`Outcome::Sat`] — possibly
@@ -91,65 +67,39 @@ pub fn solve_with_limits(
     model: &Model,
     objective: Option<&Ix>,
     backend: &Backend,
-    hints: &[(lyra_solver::BoolId, bool)],
+    _hints: &[(lyra_solver::BoolId, bool)],
     _strategy: SolverStrategy,
     limits: &SolveLimits,
 ) -> (Outcome, SearchStats) {
-    match backend {
-        Backend::Native => {
-            let mut cfg = SolverConfig {
-                phase_hints: hints
-                    .iter()
-                    .map(|&(id, v)| (id.index() as u32, v))
-                    .collect(),
-                int_hints: limits
-                    .int_hints
-                    .iter()
-                    .map(|&(id, v)| (id.index() as u32, v))
-                    .collect(),
-                deadline: limits.deadline,
-                ..Default::default()
-            };
-            if let Some(d) = limits.max_decisions {
-                cfg.max_decisions = d;
+    let Backend::Native = backend;
+    let mut cfg = SolverConfig {
+        deadline: limits.deadline,
+        ..Default::default()
+    };
+    if let Some(d) = limits.max_decisions {
+        cfg.max_decisions = d;
+    }
+    match objective {
+        None => {
+            let flat = lyra_solver::flatten(model);
+            let (outcome, _, stats) = lyra_solver::solve_flat(&flat, &cfg, &[]);
+            if let Outcome::Sat(ref s) = outcome {
+                debug_assert!(s.satisfies(model), "solver returned a non-model");
             }
-            if limits.aggressive_restarts {
-                cfg.restart_interval = 32;
-                cfg.activity_decay = 0.99;
-            }
-            let engine: &dyn Solver = if limits.decomposition {
-                &Decomposed
-            } else {
-                &Sequential
-            };
-            match objective {
-                None => engine.solve(model, &cfg),
-                Some(obj) => {
-                    let (res, stats) = engine.minimize(model, obj, &cfg);
-                    let outcome = match res {
-                        Minimized::Optimal(sol, _) | Minimized::Truncated(Some((sol, _))) => {
-                            Outcome::Sat(sol)
-                        }
-                        Minimized::Infeasible => Outcome::Unsat,
-                        Minimized::Truncated(None) => Outcome::Unknown,
-                    };
-                    (outcome, stats)
+            (outcome, stats)
+        }
+        Some(obj) => {
+            let (res, stats) = lyra_solver::minimize_with(model, obj, &cfg);
+            let outcome = match res {
+                Minimized::Optimal(sol, _) | Minimized::Truncated(Some((sol, _))) => {
+                    Outcome::Sat(sol)
                 }
-            }
+                Minimized::Infeasible => Outcome::Unsat,
+                Minimized::Truncated(None) => Outcome::Unknown,
+            };
+            (outcome, stats)
         }
     }
-}
-
-/// Native solver with an explicit configuration (used by tests).
-pub fn solve_native_with(model: &Model, cfg: &SolverConfig) -> (Outcome, SearchStats) {
-    let flat = lyra_solver::flatten(model);
-    let (outcome, _, stats) = lyra_solver::solve_flat(&flat, cfg, &[]);
-    (outcome, stats)
-}
-
-/// Check a solution against the model — shared sanity hook.
-pub fn verify(model: &Model, sol: &Solution) -> bool {
-    sol.satisfies(model)
 }
 
 #[cfg(test)]
@@ -181,32 +131,6 @@ mod tests {
         let (_, stats) = solve(&m, None, &Backend::Native);
         // The tiny model must at least propagate something.
         assert!(stats.decisions + stats.propagations > 0);
-    }
-
-    #[test]
-    fn int_hints_steer_the_model_toward_the_previous_value() {
-        // `x` can be anything in [0, 100]; unhinted extraction lands on the
-        // lower bound. A hint at 73 must make the solver branch there first
-        // and keep it — the mechanism churn-aware placement relies on.
-        let mut m = Model::new();
-        let x = m.int_var("x", 0, 100);
-        m.require(Ix::var(x).ge(Ix::lit(0)));
-        let limits = SolveLimits {
-            int_hints: vec![(x, 73)],
-            ..Default::default()
-        };
-        let (outcome, _) =
-            solve_with_limits(&m, None, &Backend::Native, &[], Default::default(), &limits);
-        assert_eq!(outcome.solution().unwrap().int(x), 73);
-
-        // An infeasible hint (outside the domain) must not break the solve.
-        let limits = SolveLimits {
-            int_hints: vec![(x, 999)],
-            ..Default::default()
-        };
-        let (outcome, _) =
-            solve_with_limits(&m, None, &Backend::Native, &[], Default::default(), &limits);
-        assert!(outcome.solution().is_some());
     }
 
     #[test]

@@ -9,18 +9,17 @@
 //!
 //! The result is deliberately conservative rather than optimal: no
 //! cross-switch splitting, no extern sharding, no objective optimization.
-//! It respects the constraint families a whole-algorithm-per-switch
-//! placement can violate — path coverage, instruction co-location with its
-//! dependencies (trivially, everything is co-located), and coarse memory /
-//! table capacity — but does *not* re-check fine-grained stage layout; the
-//! caller marks the output [`DegradeRung::GreedyFirstFit`](crate::DegradeRung)
-//! so downstream consumers know a solver-verified placement was not
-//! obtained.
+//! It chooses hosts by path coverage and coarse memory / table capacity
+//! only; fine-grained layout (stages, PHV, actions) is left to the model.
+//! The placement is completed into a full assignment by
+//! [`place::lift`](crate::place::lift), and the caller accepts it only if
+//! it satisfies the model, marking it
+//! [`DegradeRung::GreedyFirstFit`](crate::DegradeRung) so downstream
+//! consumers know nothing was optimized.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use lyra_chips::ChipModel;
-use lyra_diag::{codes, Diagnostic};
 use lyra_ir::IrProgram;
 use lyra_lang::DeployMode;
 use lyra_solver::Solution;
@@ -61,15 +60,11 @@ fn alg_cost(enc: &Encoded, ir: &IrProgram, alg: &str, sw: SwitchId, chip: &ChipM
     }
 }
 
-/// Compute a first-fit placement and express it as a raw [`Solution`] over
-/// the encoded model's variables, so [`crate::place::extract`] can be
-/// reused unchanged. Returns diagnostics when some flow path has no switch
-/// with enough coarse capacity to host its algorithm whole.
-pub fn greedy_solution(
-    enc: &Encoded,
-    ir: &IrProgram,
-    topo: &Topology,
-) -> Result<Solution, Vec<Diagnostic>> {
+/// Compute a first-fit placement and lift it into a [`Solution`] of the
+/// encoded model — a candidate, which satisfies the model exactly when the
+/// placement is feasible. Returns the reason when some switch or flow path
+/// has no room to host its algorithm whole.
+pub fn greedy_solution(enc: &Encoded, ir: &IrProgram, topo: &Topology) -> Result<Solution, String> {
     // Per-algorithm programmable switches, from the encoding's own index
     // (only programmable switches got deployment variables).
     let prog_switches =
@@ -92,7 +87,7 @@ pub fn greedy_solution(
 
     // hosts[alg] = switches that carry the whole algorithm.
     let mut hosts: BTreeMap<String, BTreeSet<SwitchId>> = BTreeMap::new();
-    let mut diagnostics = Vec::new();
+    let mut misfits: Vec<String> = Vec::new();
 
     let charge =
         |budgets: &mut BTreeMap<SwitchId, SwitchBudget>, alg: &str, sw: SwitchId| -> bool {
@@ -117,12 +112,9 @@ pub fn greedy_solution(
                 // coarse capacity overflow.
                 for &sw in prog_switches(alg) {
                     if !charge(&mut budgets, alg, sw) {
-                        diagnostics.push(Diagnostic::error(
-                            codes::INFEASIBLE_MEMORY,
-                            format!(
-                                "greedy fallback: `{alg}` does not fit switch `{}`",
-                                topo.switch(sw).name
-                            ),
+                        misfits.push(format!(
+                            "`{alg}` does not fit switch `{}`",
+                            topo.switch(sw).name
                         ));
                     }
                     alg_hosts.insert(sw);
@@ -140,43 +132,35 @@ pub fn greedy_solution(
                         Some(sw) => {
                             alg_hosts.insert(sw);
                         }
-                        None => diagnostics.push(Diagnostic::error(
-                            codes::INFEASIBLE_MEMORY,
-                            format!(
-                                "greedy fallback: no switch on path {} can host `{alg}` whole",
-                                path.iter()
-                                    .map(|&s| topo.switch(s).name.as_str())
-                                    .collect::<Vec<_>>()
-                                    .join("->")
-                            ),
+                        None => misfits.push(format!(
+                            "no switch on path {} can host `{alg}` whole",
+                            path.iter()
+                                .map(|&s| topo.switch(s).name.as_str())
+                                .collect::<Vec<_>>()
+                                .join("->")
                         )),
                     }
                 }
             }
         }
     }
-    if !diagnostics.is_empty() {
-        return Err(diagnostics);
+    if !misfits.is_empty() {
+        return Err(misfits.join("; "));
     }
 
-    // Express the assignment over the model's variables.
-    let mut bools = vec![false; enc.model.num_bools()];
-    let mut ints = vec![0i64; enc.model.num_ints()];
-    for ix in &enc.index {
-        let hosting = |sw: &SwitchId| hosts.get(&ix.algorithm).is_some_and(|h| h.contains(sw));
-        for slot in (0..ix.switches.len()).filter(|&slot| hosting(&ix.switches[slot])) {
-            for var in &ix.instr_var[slot] {
-                bools[var.index()] = true;
-            }
-            for (row, (_, size)) in ix.extern_var.iter().zip(&ix.externs) {
-                ints[row[slot].index()] = *size as i64;
-            }
-        }
-    }
-    for (sw, var) in &enc.switch_used {
-        if hosts.values().any(|h| h.contains(sw)) {
-            bools[var.index()] = true;
-        }
-    }
-    Ok(Solution::from_parts(bools, ints))
+    // A host carries every instruction of its algorithm and the full size
+    // of every extern the algorithm looks up.
+    let hosting = |alg: &str, sw: SwitchId| hosts.get(alg).is_some_and(|h| h.contains(&sw));
+    let entries = |e: &str, sw: SwitchId| {
+        enc.index
+            .iter()
+            .filter(|ix| hosting(&ix.algorithm, sw))
+            .find_map(|ix| Some(ix.externs[ix.extern_of(e)?].1 as i64))
+            .unwrap_or(0)
+    };
+    Ok(crate::place::lift(
+        enc,
+        |alg, sw, _| hosting(alg, sw),
+        entries,
+    ))
 }

@@ -2,16 +2,16 @@
 //!
 //! [`encode`](crate::encode::encode) builds one [`ScopeIndex`] per
 //! algorithm — there is exactly one scope per algorithm — and every later
-//! reader of the encoding ([`place`](crate::place), [`greedy`](crate::greedy),
-//! the hint loop and the quotient route) goes through it: switches become
+//! reader of the encoding ([`place`](crate::place), [`greedy`](crate::greedy)
+//! and the quotient route) goes through it: switches become
 //! dense *slots*, instructions and extern tables dense positions, and the
 //! facts the path constraints need (which extern an instruction looks up,
 //! which dependency edges exist, who reads a defined value) are computed
 //! once per algorithm instead of once per path × instruction × hop.
 //!
 //! The accessors on [`Encoded`] iterate in (algorithm, `SwitchId`,
-//! `InstrId`) order — the order the stability hints, `extract`'s per-switch
-//! instruction lists and the greedy rung were built on.
+//! `InstrId`) order — the order `extract`'s per-switch instruction lists
+//! are built in.
 
 use lyra_ir::{DepGraph, InstrId, IrAlgorithm, IrProgram, Operand, ValueId};
 use lyra_lang::DeployMode;

@@ -63,12 +63,16 @@ pub enum SynthError {
         /// Search effort spent proving UNSAT.
         stats: SearchStats,
     },
-    /// The solver exhausted its decision budget without a verdict —
-    /// distinct from [`SynthError::Infeasible`]: the program may still be
-    /// placeable with a larger budget.
+    /// The solver exhausted its decision budget or deadline without a
+    /// verdict, and no fallback placement was accepted — distinct from
+    /// [`SynthError::Infeasible`]: the program may still be placeable with
+    /// a larger budget.
     BudgetExhausted {
         /// Search effort spent before giving up.
         stats: SearchStats,
+        /// Why the greedy first-fit rung gave no placement, when a limit
+        /// was set and it ran.
+        greedy: Option<String>,
     },
 }
 
@@ -78,17 +82,23 @@ impl SynthError {
         match self {
             SynthError::Encode(e) => vec![e.to_diagnostic()],
             SynthError::Infeasible { diagnostics, .. } => diagnostics.clone(),
-            SynthError::BudgetExhausted { stats } => vec![Diagnostic::error(
-                codes::SOLVER_BUDGET,
-                format!(
-                    "solver budget exhausted after {} decisions without a verdict",
-                    stats.decisions
-                ),
-            )
-            .with_note(
-                "the placement problem was neither solved nor refuted; retry with a \
-                 larger decision budget",
-            )],
+            SynthError::BudgetExhausted { stats, greedy } => {
+                let d = Diagnostic::error(
+                    codes::SOLVER_BUDGET,
+                    format!(
+                        "solver budget exhausted after {} decisions without a verdict",
+                        stats.decisions
+                    ),
+                )
+                .with_note(
+                    "the placement problem was neither solved nor refuted; retry with a \
+                     larger decision budget or a later deadline",
+                );
+                vec![match greedy {
+                    Some(reason) => d.with_note(format!("greedy first-fit fallback: {reason}")),
+                    None => d,
+                }]
+            }
         }
     }
 }
@@ -131,32 +141,28 @@ impl std::error::Error for SynthError {
 /// Absent (`None` on [`SynthResult::degraded`]) for a normal solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeRung {
-    /// The search timed out; a second search with aggressive restarts
-    /// found the placement during the grace window. The placement
-    /// satisfies every constraint but skipped objective optimization
-    /// guarantees.
-    SequentialRestarts,
-    /// All search rungs timed out; the placement came from greedy
-    /// first-fit ([`greedy::greedy_solution`]) — whole algorithms on
-    /// first-fitting path switches, checked against coarse capacity only.
+    /// The search spent its deadline or decision budget; the placement
+    /// came from greedy first-fit ([`greedy::greedy_solution`]) — whole
+    /// algorithms on first-fitting path switches — and satisfies the full
+    /// model, but nothing was optimized.
     GreedyFirstFit,
 }
 
 impl std::fmt::Display for DegradeRung {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DegradeRung::SequentialRestarts => write!(f, "sequential-restarts"),
             DegradeRung::GreedyFirstFit => write!(f, "greedy-first-fit"),
         }
     }
 }
 
 /// Which route through [`synthesize_limited`] produced a placement.
-/// Orthogonal to [`DegradeRung`]: the rung says how far down the watchdog
-/// ladder the monolithic route had to go, the route says whether the
-/// solver saw the full problem at all. Every route ends in the same check,
-/// [`Solution::satisfies`](lyra_solver::Solution::satisfies) on the full
-/// model (the monolithic search runs it as its own last step).
+/// Orthogonal to [`DegradeRung`]: the rung says whether the monolithic
+/// route had to fall back to greedy, the route says whether the solver saw
+/// the full problem at all. Every placement is a model of the full
+/// encoding: the carried-over, quotient and greedy candidates are accepted
+/// only by [`Solution::satisfies`](lyra_solver::Solution::satisfies) on it,
+/// and the search returns models (asserted in debug builds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveRoute {
     /// The previous placement, restricted to the switches that still
@@ -165,9 +171,8 @@ pub enum SolveRoute {
     /// One representative per interchangeable-switch class was solved and
     /// the solution replicated onto the class members.
     Quotient,
-    /// The solver searched the full model (hinted with the previous
-    /// placement when there is one), down the degradation ladder if the
-    /// limits required it.
+    /// The solver searched the full model, falling back to greedy
+    /// first-fit if the limits required it.
     Monolithic,
 }
 
@@ -211,62 +216,32 @@ pub fn synthesize(
     opts: &EncodeOptions,
     backend: &Backend,
 ) -> Result<SynthResult, SynthError> {
-    synthesize_hinted(ir, topo, scopes, opts, backend, None)
+    let limits = SynthLimits::default();
+    synthesize_limited(ir, topo, scopes, opts, backend, None, &limits).map(|(result, _)| result)
 }
 
-/// [`synthesize`] seeded with a previous placement (§8 "Synthesizing
-/// incremental changes"): under [`Objective::Feasible`] a previous
-/// placement that still satisfies the model is returned as it is; otherwise
-/// the deployment variables get phase hints matching it, so unchanged parts
-/// of the program tend to stay where they were. Only the native backend
-/// honors hints.
-pub fn synthesize_hinted(
-    ir: &IrProgram,
-    topo: &Topology,
-    scopes: &[ResolvedScope],
-    opts: &EncodeOptions,
-    backend: &Backend,
-    previous: Option<&Placement>,
-) -> Result<SynthResult, SynthError> {
-    synthesize_limited(
-        ir,
-        topo,
-        scopes,
-        opts,
-        backend,
-        previous,
-        &SynthLimits::default(),
-    )
-    .map(|(result, _route)| result)
-}
-
-/// Watchdog limits on a synthesis run, plus the decomposition toggle that
-/// rides along into the solver.
+/// Watchdog limits on a synthesis run, plus the quotient-route toggle.
 #[derive(Debug, Clone, Default)]
 pub struct SynthLimits {
-    /// Wall-clock deadline for the first search. Expiry does not fail the
+    /// Wall-clock deadline for the search. Expiry does not fail the
     /// compile: the degradation ladder runs instead.
     pub deadline: Option<std::time::Instant>,
     /// Decision budget per search (overrides the solver default).
     pub max_decisions: Option<u64>,
-    /// Extra wall-clock granted to the sequential-restarts rung after the
-    /// main deadline expires. Zero with a set deadline means any expiry
-    /// falls straight through to greedy first-fit.
-    pub grace: std::time::Duration,
-    /// Try scope-based decomposition first: solve a quotient model over
+    /// Try the quotient route first: solve a quotient model over
     /// interchangeable-switch class representatives, replicate the
     /// solution, and verify it against the full encoding — falling back to
-    /// the monolithic solve on any mismatch. Also enables
-    /// connected-component splitting inside the solver.
+    /// the monolithic solve on any mismatch.
     pub decomposition: bool,
 }
 
 /// One typed bundle of every solver-configuration knob: the watchdog
-/// limits and the decomposition toggle. This is the single public entry
+/// limits and the quotient-route toggle. This is the single public entry
 /// point for configuring how placements are solved —
-/// `CompileRequest::with_solve_profile` in the driver, `--solve-profile` in
-/// `lyrac`. Every profile runs the same deterministic search: the same
-/// request under the same profile yields the same placement.
+/// `CompileRequest::with_solve_profile` in the driver, `--solve-profile`,
+/// `--deadline-ms` and `--decision-budget` in `lyrac`. Every profile runs
+/// the same deterministic search: the same request under the same profile
+/// yields the same placement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolveProfile {
     /// Wall-clock budget for the solve phase; expiry triggers the
@@ -275,13 +250,12 @@ pub struct SolveProfile {
     /// Decision budget per search (overrides the solver default).
     pub decision_budget: Option<u64>,
     /// Solve per-pod quotient subproblems and replicate, with verified
-    /// stitching and monolithic fallback; split the formula into its
-    /// connected components inside the solver.
+    /// stitching and monolithic fallback.
     pub decomposition: bool,
 }
 
 impl Default for SolveProfile {
-    /// No limits, decomposition on.
+    /// No limits, the quotient route on.
     fn default() -> Self {
         SolveProfile {
             deadline: None,
@@ -292,19 +266,14 @@ impl Default for SolveProfile {
 }
 
 impl SolveProfile {
-    /// Reference preset: one monolithic search, decomposition *disabled* —
-    /// what the decomposed routes are differentially tested against.
+    /// Reference preset: one monolithic search, the quotient route
+    /// *disabled* — what the quotient route is differentially tested
+    /// against.
     pub fn thorough() -> Self {
         SolveProfile {
             decomposition: false,
             ..SolveProfile::default()
         }
-    }
-
-    /// The default profile under a wall-clock deadline (the degradation
-    /// ladder runs on expiry).
-    pub fn deadline(d: std::time::Duration) -> Self {
-        SolveProfile::default().with_deadline(d)
     }
 
     /// Set the wall-clock deadline.
@@ -318,12 +287,6 @@ impl SolveProfile {
         self.decision_budget = Some(decisions);
         self
     }
-
-    /// Toggle quotient/component decomposition.
-    pub fn with_decomposition(mut self, on: bool) -> Self {
-        self.decomposition = on;
-        self
-    }
 }
 
 impl SynthLimits {
@@ -335,12 +298,14 @@ impl SynthLimits {
     }
 }
 
-/// [`synthesize_hinted`] under [`SynthLimits`], with graceful degradation.
-/// Also reports the [`SolveRoute`] that produced the placement.
+/// [`synthesize`] under [`SynthLimits`], with graceful degradation, and
+/// optionally seeded with a previous placement (§8 "Synthesizing
+/// incremental changes"). Also reports the [`SolveRoute`] that produced the
+/// placement.
 ///
-/// The problem is encoded **once**. Three routes are then tried in order,
-/// and each is accepted only by
-/// [`Solution::satisfies`](lyra_solver::Solution::satisfies) on that model:
+/// The problem is encoded **once**. Three routes are then tried in order on
+/// that model, and a candidate no search produced is accepted only by
+/// [`Solution::satisfies`](lyra_solver::Solution::satisfies) on it:
 ///
 /// 1. **carry-over** — a previous placement under [`Objective::Feasible`]
 ///    is lifted onto the new encoding ([`place::lift_placement`]) and, if
@@ -350,22 +315,21 @@ impl SynthLimits {
 ///    survivors is still feasible.
 /// 2. **quotient** — cold compiles of symmetric MULTI-SW problems
 ///    ([`SynthLimits::decomposition`]).
-/// 3. **monolithic** — the solver on the full model, hinted with the
-///    previous placement when there is one, under the degradation ladder.
+/// 3. **monolithic** — the solver on the full model, under the degradation
+///    ladder.
 ///
-/// On [`Outcome::Unknown`] from the first search the ladder walks down on
-/// the same model:
+/// The ladder has two rungs on the same model:
 ///
 /// 1. the search under the deadline and decision budget;
-/// 2. one search with aggressive restarts, given `grace` extra wall-clock —
-///    fast at finding *a* model, no optimality;
-/// 3. greedy first-fit placement (no search at all).
+/// 2. when it spends either ([`Outcome::Unknown`]), greedy first-fit
+///    placement (no search at all), lifted into a full assignment
+///    ([`place::lift`]) and accepted only if it satisfies the model.
 ///
-/// A result produced by rung 2 or 3 carries [`SynthResult::degraded`] so
-/// the driver can surface a degraded-result diagnostic. `Unsat` at rung 1
-/// or 2 is a genuine refutation and still fails with
-/// [`SynthError::Infeasible`]; only when every rung is exhausted does the
-/// compile fail with [`SynthError::BudgetExhausted`].
+/// A result produced by rung 2 carries [`SynthResult::degraded`] so the
+/// driver can surface a degraded-result diagnostic. `Unsat` at rung 1 is a
+/// genuine refutation and fails with [`SynthError::Infeasible`]; a spent
+/// limit with no accepted greedy placement fails with
+/// [`SynthError::BudgetExhausted`], carrying greedy's reason.
 pub fn synthesize_limited(
     ir: &IrProgram,
     topo: &Topology,
@@ -393,10 +357,9 @@ pub fn synthesize_limited(
     // can only ever *add* a faster way to an answer the third would also
     // accept: each builds a candidate assignment without searching the
     // full model and keeps it only if `Solution::satisfies` holds on the
-    // full encoding — the check the monolithic search ends in as well — so
-    // neither changes what is solvable. Any miss (nothing to carry over,
-    // ineligible topology, solver timeout, verification mismatch) falls
-    // through to the next route.
+    // full encoding, so neither changes what is solvable. Any miss
+    // (nothing to carry over, ineligible topology, solver timeout,
+    // verification mismatch) falls through to the next route.
     //
     // The carry-over route needs `Objective::Feasible`: under an
     // optimizing objective the survivors may admit a smaller optimum than
@@ -413,10 +376,9 @@ pub fn synthesize_limited(
     }
 
     // The quotient route is for cold compiles: a previous placement that
-    // did not carry over (a program edit, an objective) is better served
-    // by the hinted search below than by per-class-uniform replication.
-    // Effort a failed attempt spent is carried into the monolithic run's
-    // totals, so reporting stays honest.
+    // did not carry over (a program edit, an objective) goes to the full
+    // search. Effort a failed attempt spent is carried into the monolithic
+    // run's totals, so reporting stays honest.
     let mut total = SearchStats::default();
     if limits.decomposition
         && previous.is_none()
@@ -436,40 +398,16 @@ pub fn synthesize_limited(
         }
     }
 
-    // Stability hints for the search: the previous placement's deployment
-    // booleans as phase hints and its per-switch entry shard sizes as
-    // integer value hints, keyed to this encoding's variables. The solver
-    // branches to these first where the new model still admits them, so a
-    // re-plan moves only what the change forces to move instead of
-    // re-dealing every shard from scratch.
-    let mut hints: Vec<(lyra_solver::BoolId, bool)> = Vec::new();
-    let mut int_hints: Vec<(lyra_solver::IntId, i64)> = Vec::new();
-    if let Some(prev) = previous {
-        hints.extend(
-            enc.instr_vars().map(|(alg, sw, instr, var)| {
-                (var, prev.deploys(&topo.switch(sw).name, alg, instr))
-            }),
-        );
-        int_hints.extend(
-            enc.extern_vars()
-                .into_iter()
-                .map(|(e, sw, var)| (var, prev.shard_size(&topo.switch(sw).name, e) as i64)),
-        );
-    }
-
     // Rung 1: the search under the configured limits.
     let (outcome, stats) = backend::solve_with_limits(
         &enc.model,
         enc.objective.as_ref(),
         backend,
-        &hints,
+        &[],
         Default::default(),
         &backend::SolveLimits {
             deadline: limits.deadline,
             max_decisions: limits.max_decisions,
-            aggressive_restarts: false,
-            decomposition: limits.decomposition,
-            int_hints: int_hints.clone(),
         },
     );
     total.absorb(stats);
@@ -484,53 +422,31 @@ pub fn synthesize_limited(
         Outcome::Unknown if limits.is_unlimited() => {
             // No limit was set, so Unknown means the solver's own decision
             // budget ran out — the historical failure, not a ladder case.
-            return Err(SynthError::BudgetExhausted { stats: total });
+            return Err(SynthError::BudgetExhausted {
+                stats: total,
+                greedy: None,
+            });
         }
         Outcome::Unknown => {}
     }
 
-    // Rung 2: aggressive restarts, grace window.
-    if !limits.grace.is_zero() {
-        let (outcome, stats) = backend::solve_with_limits(
-            &enc.model,
-            enc.objective.as_ref(),
-            backend,
-            &hints,
-            Default::default(),
-            &backend::SolveLimits {
-                deadline: Some(std::time::Instant::now() + limits.grace),
-                max_decisions: None,
-                aggressive_restarts: true,
-                decomposition: false,
-                int_hints,
-            },
-        );
-        total.absorb(stats);
-        match outcome {
-            Outcome::Sat(sol) => {
-                let rung = Some(DegradeRung::SequentialRestarts);
-                return finish(enc, &sol, total, rung, SolveRoute::Monolithic);
-            }
-            Outcome::Unsat => {
-                return Err(SynthError::Infeasible {
-                    diagnostics: explain::explain_infeasible(&enc, ir, topo, opts),
-                    stats: total,
-                })
-            }
-            Outcome::Unknown => {}
-        }
-    }
-
-    // Rung 3: no search at all.
-    match greedy::greedy_solution(&enc, ir, topo) {
-        Ok(sol) => {
+    // Rung 2: no search at all, held to the same check as every route.
+    // Greedy failing is not a refutation — a real solver run might still
+    // succeed by splitting algorithms — so it reports exhaustion.
+    let reason = match greedy::greedy_solution(&enc, ir, topo) {
+        Ok(sol) if sol.satisfies(&enc.model) => {
             let rung = Some(DegradeRung::GreedyFirstFit);
-            finish(enc, &sol, total, rung, SolveRoute::Monolithic)
+            return finish(enc, &sol, total, rung, SolveRoute::Monolithic);
         }
-        // Greedy failing is not a refutation — a real solver run might
-        // still succeed by splitting algorithms — so report exhaustion.
-        Err(_) => Err(SynthError::BudgetExhausted { stats: total }),
-    }
+        Ok(_) => "the whole-algorithm placement it built violates the placement model \
+                  (it checks SRAM blocks and table slots, not stages, PHV or actions)"
+            .to_string(),
+        Err(reason) => reason,
+    };
+    Err(SynthError::BudgetExhausted {
+        stats: total,
+        greedy: Some(reason),
+    })
 }
 
 /// Quotient solving: collapse every interchangeable-switch class to its
@@ -618,9 +534,6 @@ fn try_quotient(
         &backend::SolveLimits {
             deadline: limits.deadline,
             max_decisions: limits.max_decisions,
-            aggressive_restarts: false,
-            decomposition: true,
-            int_hints: Vec::new(),
         },
     );
     let Outcome::Sat(q_sol) = outcome else {
@@ -822,11 +735,6 @@ mod tests {
     #[test]
     fn expired_deadline_degrades_to_greedy() {
         let (ir, topo, scopes) = lb_setup();
-        let limits = SynthLimits {
-            deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
-            grace: std::time::Duration::ZERO,
-            ..Default::default()
-        };
         let (res, route) = synthesize_limited(
             &ir,
             &topo,
@@ -834,7 +742,7 @@ mod tests {
             &EncodeOptions::default(),
             &Backend::Native,
             None,
-            &limits,
+            &expired(),
         )
         .expect("ladder must produce a degraded placement, not fail");
         assert_eq!(res.degraded, Some(DegradeRung::GreedyFirstFit));
@@ -848,30 +756,75 @@ mod tests {
             .sum();
         assert!(total_conn >= 1024, "conn_table entries: {total_conn}");
         assert!(res.placement.used_switches() >= 1);
+        assert!(place::lift_placement(&res.encoded, &topo, &res.placement)
+            .satisfies(&res.encoded.model));
     }
 
-    #[test]
-    fn grace_window_runs_sequential_restarts_rung() {
-        let (ir, topo, scopes) = lb_setup();
-        let limits = SynthLimits {
+    /// Limits whose deadline has already passed.
+    fn expired() -> SynthLimits {
+        SynthLimits {
             deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
-            grace: std::time::Duration::from_secs(30),
             ..Default::default()
+        }
+    }
+
+    /// A dependency chain deeper than a Tofino-64Q's twelve stages: greedy
+    /// hosts it whole on each Agg, 18 stages deep. The model rejects that,
+    /// so a spent deadline ends in `LYR0410` naming greedy's reason instead
+    /// of in a placement the chip cannot run.
+    #[test]
+    fn greedy_placement_the_model_rejects_is_refused() {
+        let decls: String = (0..=16).map(|i| format!("bit[32] x{i};\n")).collect();
+        let chain: String = (1..=16)
+            .map(|i| format!("x{i} = x{} + {i};\n", i - 1))
+            .collect();
+        let ir = frontend(&format!(
+            "pipeline[P]{{deep}};\nalgorithm deep {{\n{decls}x0 = ipv4.srcAddr;\n{chain}\
+             ipv4.dstAddr = x16;\n}}"
+        ))
+        .unwrap();
+        let topo = lyra_topo::fat_tree_pod(4, "tofino-64q", "tofino-64q");
+        let scopes: Vec<ResolvedScope> =
+            parse_scopes("deep: [ ToR*,Agg* | MULTI-SW | (Agg1,Agg2->ToR1,ToR2) ]")
+                .unwrap()
+                .iter()
+                .map(|s| resolve_scope(&topo, s).unwrap())
+                .collect();
+        let opts = EncodeOptions::default();
+        let err = synthesize_limited(
+            &ir,
+            &topo,
+            &scopes,
+            &opts,
+            &Backend::Native,
+            None,
+            &expired(),
+        )
+        .expect_err("greedy's 18-stage placement must not be emitted");
+        let SynthError::BudgetExhausted {
+            greedy: Some(reason),
+            ..
+        } = &err
+        else {
+            panic!("expected exhaustion with greedy's reason, got {err:?}");
         };
+        let [d] = &err.to_diagnostics()[..] else {
+            panic!("one diagnostic: {err:?}");
+        };
+        assert_eq!(d.code, Some(codes::SOLVER_BUDGET));
+        assert!(d.notes.iter().any(|n| n.contains(reason.as_str())));
+        // Unlimited, the solver splits the chain across the two hops.
         let (res, _) = synthesize_limited(
             &ir,
             &topo,
             &scopes,
-            &EncodeOptions::default(),
+            &opts,
             &Backend::Native,
             None,
-            &limits,
+            &SynthLimits::default(),
         )
-        .expect("grace window is ample for the small LB model");
-        // The small LB model solves well inside the grace window, so the
-        // ladder stops at the sequential-restarts rung with a placement
-        // that satisfies the full constraint model.
-        assert_eq!(res.degraded, Some(DegradeRung::SequentialRestarts));
+        .expect("the chain fits two hops");
+        assert_eq!(res.degraded, None);
     }
 
     /// `synthesize_limited` with default limits.

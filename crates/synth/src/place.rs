@@ -12,8 +12,8 @@
 //! it. It is the one way a placement becomes an assignment — the
 //! carry-over route lifts the previous [`Placement`]
 //! ([`lift_placement`]), the quotient route lifts the representatives'
-//! solution — and its output is only ever accepted after
-//! [`Solution::satisfies`] on the whole model.
+//! solution, the greedy rung its whole-algorithm hosts — and its output is
+//! only ever accepted after [`Solution::satisfies`] on the whole model.
 
 use std::collections::BTreeMap;
 

@@ -22,7 +22,6 @@ fn compile_single(program: &str, algs: &[&str], asic: &str) -> lyra::CompileOutp
         .collect::<Vec<_>>()
         .join("\n");
     Compiler::new()
-        .native_backend()
         .compile(&CompileRequest::new(program, &scopes, single(asic)))
         .expect("program compiles")
 }

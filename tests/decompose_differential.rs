@@ -1,7 +1,7 @@
 //! Differential testing of the datacenter-scale solve path: the default
-//! profile (quotient route + connected-component splitting) against the
-//! monolithic reference profile (`SolveProfile::thorough`, decomposition
-//! off) on seeded random MULTI-SW placement problems over fat-tree pods.
+//! profile (quotient route on) against the monolithic reference profile
+//! (`SolveProfile::thorough`, decomposition off) on seeded random MULTI-SW
+//! placement problems over fat-tree pods.
 //!
 //! Decomposition is a pure solver optimization — it must never flip a
 //! verdict. Every case compiles the same program, scopes, and topology

@@ -11,8 +11,8 @@
 //!   against the full logical table. Under the `Feasible` objective the
 //!   recompile must also take the carried-over route: no solver decisions,
 //!   nothing added anywhere, changes on dead switches only — and the
-//!   negatives (an objective, a program edit, a greedy-degraded prior)
-//!   must not carry over and must still compile;
+//!   negatives (an objective, a program edit, a greedy-style prior the
+//!   model rejects) must not carry over and must still compile;
 //! * **runtime failure** — `Runtime::fail_switch` / `fail_link` re-sync
 //!   entries onto surviving shards; surviving paths must keep hitting.
 //!
@@ -236,8 +236,10 @@ fn failover_recompilation_preserves_semantics_across_200_scenarios() {
 /// Recompiles that must *not* take the carried-over route, and must still
 /// compile: an optimizing objective (the survivors may admit a smaller
 /// optimum), an edited algorithm through `compile_incremental` (the prior
-/// no longer places the program), and a prior from the greedy rung that
-/// the model rejects (greedy checks coarse capacity only).
+/// no longer places the program), and a prior shaped like greedy first-fit
+/// output that the model rejects (greedy checks coarse capacity only, and
+/// the greedy rung itself now refuses such a placement, so it is built by
+/// hand).
 #[test]
 fn objective_edit_and_greedy_prior_do_not_carry_over() {
     let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
@@ -263,8 +265,8 @@ fn objective_edit_and_greedy_prior_do_not_carry_over() {
     out.validate_all().expect("edited program validates");
 
     // A dependency chain deeper than one Tofino-64Q's twelve stages: the
-    // solver splits it across the two hops, greedy first-fit hosts it
-    // whole on the first.
+    // solver splits it across the two hops; hosting it whole on each Agg,
+    // as greedy first-fit would, takes 18 stages and the model rejects it.
     let decls: String = (0..=16).map(|i| format!("bit[32] x{i};\n")).collect();
     let chain: String = (1..=16)
         .map(|i| format!("x{i} = x{} + {i};\n", i - 1))
@@ -276,34 +278,28 @@ fn objective_edit_and_greedy_prior_do_not_carry_over() {
     let topo = fat_tree_pod(4, "tofino-64q", "tofino-64q");
     let scopes = "deep: [ ToR*,Agg* | MULTI-SW | (Agg1,Agg2->ToR1,ToR2) ]";
     let ir = lyra_ir::frontend(&deep).expect("deep chain lowers");
-    let resolved: Vec<_> = parse_scopes(scopes)
-        .unwrap()
-        .iter()
-        .map(|s| resolve_scope(&topo, s).unwrap())
-        .collect();
-    let expired = lyra_synth::SynthLimits {
-        deadline: Some(Instant::now() - Duration::from_millis(1)),
-        grace: Duration::ZERO,
+    let instrs = (0..ir.algorithm("deep").unwrap().instrs.len() as u32).map(lyra_ir::InstrId);
+    let whole = lyra_synth::SwitchPlan {
+        instrs: [("deep".to_string(), instrs.collect())].into(),
         ..Default::default()
     };
-    let (greedy, _) = lyra_synth::synthesize_limited(
-        &ir,
-        &topo,
-        &resolved,
-        &lyra_synth::EncodeOptions::default(),
-        &lyra_synth::Backend::Native,
-        None,
-        &expired,
-    )
-    .expect("greedy rung answers");
-    assert_eq!(greedy.degraded, Some(DegradeRung::GreedyFirstFit));
+    let greedy = lyra_synth::Placement {
+        switches: ["Agg1", "Agg2"]
+            .map(|s| (s.to_string(), whole.clone()))
+            .into(),
+    };
     let deep_req = CompileRequest::new(&deep, scopes, topo);
     let out = Compiler::new()
-        .compile_incremental(&deep_req, &greedy.placement)
+        .compile_incremental(&deep_req, &greedy)
         .expect("search replaces the greedy prior");
     assert_eq!(out.stats.solve_route, Some(SolveRoute::Monolithic));
     assert_eq!(out.degraded, None);
-    assert_ne!(out.placement, greedy.placement);
+    assert_ne!(out.placement, greedy);
+    assert!(out
+        .placement
+        .switches
+        .values()
+        .all(|p| p.usage.stages <= 12));
 }
 
 /// The same scenarios injected at runtime (shards die live, entries
@@ -636,7 +632,7 @@ fn pod_lb_scopes(k: usize) -> String {
 fn one_ms_deadline_on_k16_lb_returns_promptly_and_degraded() {
     let scopes = pod_lb_scopes(16);
     let req = CompileRequest::new(LB, &scopes, pod(16))
-        .with_solve_profile(SolveProfile::deadline(Duration::from_millis(1)));
+        .with_solve_profile(SolveProfile::default().with_deadline(Duration::from_millis(1)));
 
     let t = Instant::now();
     let out = Compiler::new().compile(&req).expect("ladder must not fail");
@@ -656,8 +652,9 @@ fn one_ms_deadline_on_k16_lb_returns_promptly_and_degraded() {
             "warning must name the rung: {warning:?}"
         );
     }
-    // Release builds come back in ~100 ms (40 ms grace + greedy/codegen);
-    // allow debug-build slack but still catch a hang or a full solve.
+    // Release builds come back in tens of milliseconds (encode, greedy,
+    // codegen); allow debug-build slack but still catch a hang or a full
+    // solve.
     assert!(
         elapsed < Duration::from_secs(10),
         "watchdog did not bound the compile: {elapsed:?}"
@@ -669,7 +666,9 @@ fn one_ms_deadline_on_k16_lb_returns_promptly_and_degraded() {
 /// `MinSwitches` used to come back as an `LYR040x` infeasibility
 /// explanation for a satisfiable problem (the branch-and-bound loop
 /// reported the truncated first round as "no model"). The ladder must take
-/// over, as it does for the same budget without an objective.
+/// over, as it does for the same budget without an objective — and for an
+/// already-expired deadline. A spent limit ends in one search: no second
+/// one runs past it, and the greedy placement satisfies the model.
 #[test]
 fn decision_budget_under_an_objective_degrades_instead_of_refuting() {
     let k = 8;
@@ -685,32 +684,57 @@ fn decision_budget_under_an_objective_degrades_instead_of_refuting() {
         names("ToR")
     );
     let program = lyra_apps::programs::netcache();
+    let topo = fat_tree_pod(k, "tofino-32q", "trident4");
+    let resolved: Vec<_> = parse_scopes(&scopes)
+        .unwrap()
+        .iter()
+        .map(|s| resolve_scope(&topo, s).unwrap())
+        .collect();
+    // Monolithic, so the limit meets the search the objective runs (the
+    // quotient route has its own, smaller one). The decision bound is the
+    // budget plus the one decision the search takes before it checks.
+    let limits = [
+        (SolveProfile::thorough().with_decision_budget(3), 3 + 1),
+        (SolveProfile::thorough().with_deadline(Duration::ZERO), 1),
+    ];
     for objective in [Objective::Feasible, Objective::MinSwitches] {
-        // Monolithic, so the budget meets the search the objective runs
-        // (the quotient route has its own, smaller one).
-        let req = CompileRequest::new(&program, &scopes, fat_tree_pod(k, "tofino-32q", "trident4"))
-            .with_solve_profile(SolveProfile::thorough().with_decision_budget(3));
-        let out = Compiler::new()
-            .with_objective(objective.clone())
-            .compile(&req)
-            .unwrap_or_else(|e| {
-                panic!(
-                    "{objective:?}: a spent budget is not a refutation: {:?}",
-                    e.diagnostics()
-                )
-            });
-        assert_eq!(
-            out.degraded,
-            Some(DegradeRung::SequentialRestarts),
-            "{objective:?}"
-        );
-        assert!(
-            out.warnings
-                .iter()
-                .any(|w| w.code == Some(lyra_diag::codes::DEGRADED)),
-            "{objective:?}: degraded output must carry LYR0550"
-        );
-        out.validate_all().expect("degraded placement validates");
+        for (profile, max_decisions) in &limits {
+            let case = format!("{objective:?} under {profile:?}");
+            let req = CompileRequest::new(&program, &scopes, topo.clone())
+                .with_solve_profile(profile.clone());
+            let out = Compiler::new()
+                .with_objective(objective.clone())
+                .compile(&req)
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "{case}: a spent limit is not a refutation: {:?}",
+                        e.diagnostics()
+                    )
+                });
+            assert_eq!(out.degraded, Some(DegradeRung::GreedyFirstFit), "{case}");
+            assert!(
+                out.warnings
+                    .iter()
+                    .any(|w| w.code == Some(lyra_diag::codes::DEGRADED)),
+                "{case}: degraded output must carry LYR0550"
+            );
+            assert!(
+                out.solver.decisions <= *max_decisions,
+                "{case}: {} decisions",
+                out.solver.decisions
+            );
+            let opts = lyra_synth::EncodeOptions {
+                objective: objective.clone(),
+                ..Default::default()
+            };
+            let enc = lyra_synth::encode(&out.ir, &topo, &resolved, &opts).unwrap();
+            assert!(
+                lyra_synth::place::lift_placement(&enc, &topo, &out.placement)
+                    .satisfies(&enc.model),
+                "{case}: the greedy placement must satisfy the model"
+            );
+            out.validate_all().expect("degraded placement validates");
+        }
     }
 }
 

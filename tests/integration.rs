@@ -57,13 +57,11 @@ fn corpus_is_feasible_and_reports_solver_stats() {
     // solver effort it took to prove so.
     for entry in figure9_corpus() {
         let scopes = single_scopes(&entry.scopes);
-        let native = Compiler::new()
-            .native_backend()
-            .compile(&CompileRequest::new(
-                &entry.source,
-                &scopes,
-                single("tofino-32q"),
-            ));
+        let native = Compiler::new().compile(&CompileRequest::new(
+            &entry.source,
+            &scopes,
+            single("tofino-32q"),
+        ));
         assert!(
             native.is_ok(),
             "{} infeasible for native backend: {:?}",
@@ -318,16 +316,13 @@ fn recirculation_packs_long_chains() {
     let program = format!("pipeline[P]{{deep}};\nalgorithm deep {{\n{body}}}\n");
     let req = |topology| CompileRequest::new(&program, "deep: [ ToR1 | PER-SW | - ]", topology);
 
-    let without = Compiler::new()
-        .native_backend()
-        .compile(&req(single("tofino-64q")));
+    let without = Compiler::new().compile(&req(single("tofino-64q")));
     assert!(
         without.is_err(),
         "a 15-table chain cannot fit 12 stages in one pass"
     );
 
     let with = Compiler::new()
-        .native_backend()
         .with_recirculation(true)
         .compile(&req(single("tofino-64q")))
         .expect("recirculation doubles the usable depth");
@@ -356,7 +351,6 @@ fn stage_detail_mode_places_tables_in_stages() {
         }
     "#;
     let out = Compiler::new()
-        .native_backend()
         .with_stage_detail(true)
         .compile(&CompileRequest::new(
             program,
@@ -378,7 +372,6 @@ fn stage_detail_mode_places_tables_in_stages() {
     }
     let deep = format!("pipeline[P]{{deep}};\nalgorithm deep {{\n{body}}}\n");
     let err = Compiler::new()
-        .native_backend()
         .with_stage_detail(true)
         .compile(&CompileRequest::new(
             &deep,
@@ -410,11 +403,9 @@ fn incremental_recompile_keeps_placement_stable() {
     );
     let scopes = "inc: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]";
     let first = Compiler::new()
-        .native_backend()
         .compile(&CompileRequest::new(base, scopes, figure1_network()))
         .unwrap();
     let second = Compiler::new()
-        .native_backend()
         .compile_incremental(
             &CompileRequest::new(&changed, scopes, figure1_network()),
             &first.placement,

@@ -133,7 +133,6 @@ algorithm generated {{
 
 fn compile_on(program: &str, asic: &str) -> Option<CompileOutput> {
     Compiler::new()
-        .native_backend()
         .compile(&CompileRequest::new(
             program,
             "generated: [ S1 | PER-SW | - ]",

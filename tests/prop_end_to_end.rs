@@ -176,13 +176,11 @@ fn random_programs_compile_and_validate() {
         let stmts: Vec<GenStmt> = (0..rng.range(1, 11)).map(|_| gen_stmt(&mut rng)).collect();
         let program = render(&stmts);
         for asic in ["tofino-32q", "trident4", "silicon-one"] {
-            let result = Compiler::new()
-                .native_backend()
-                .compile(&CompileRequest::new(
-                    &program,
-                    "generated: [ S1 | PER-SW | - ]",
-                    single(asic),
-                ));
+            let result = Compiler::new().compile(&CompileRequest::new(
+                &program,
+                "generated: [ S1 | PER-SW | - ]",
+                single(asic),
+            ));
             match result {
                 Ok(out) => {
                     // Generated code must pass structural validation.
@@ -221,7 +219,7 @@ fn compilation_is_deterministic() {
             "generated: [ S1 | PER-SW | - ]",
             single("tofino-32q"),
         );
-        let compile = || Compiler::new().native_backend().compile(&req);
+        let compile = || Compiler::new().compile(&req);
         match (compile(), compile()) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.artifacts.len(), b.artifacts.len(), "case {case}");
