@@ -10,10 +10,15 @@
 //!
 //! Integer variable space layout: the model's integers first, then
 //! auxiliaries introduced for `ite` and `ceil_div` nodes.
+//!
+//! The lowering walks the model's arena in place. The two connectives
+//! Tseitin has no gate for are expanded as they are met: `a = b` is lowered
+//! as `a ≤ b ∧ a ≥ b` and `a ≠ b` as `a < b ∨ a > b`, each side lowered once
+//! per bound. (At-most-one is stored already expanded.)
 
 use std::collections::HashMap;
 
-use crate::expr::{div_ceil_i64, Bx, CmpOp, Ix, LinExpr, VarRef};
+use crate::expr::{div_ceil_i64, normalize_terms, Bx, CmpOp, Ix, LinExpr, Node, VarRef, B, I};
 use crate::model::{IntId, Model};
 
 /// A literal: SAT variable index with a sign. `Lit(2*v)` is `v`,
@@ -73,6 +78,9 @@ pub enum FlatVar {
     Int(u32),
 }
 
+/// `atom_of_var` entry of a SAT variable that guards no atom.
+const NO_ATOM: u32 = u32::MAX;
+
 /// The result of flattening a [`Model`].
 #[derive(Debug, Clone, Default)]
 pub struct FlatModel {
@@ -88,8 +96,9 @@ pub struct FlatModel {
     pub clauses: Vec<Vec<Lit>>,
     /// Linear atoms, indexed by `atom_of_var`.
     pub atoms: Vec<LinAtom>,
-    /// Map from SAT variable to its atom index, if it is an atom variable.
-    pub atom_of_var: HashMap<u32, usize>,
+    /// Per SAT variable, the index into `atoms` of the atom it guards, or
+    /// `u32::MAX` if it guards none.
+    pub atom_of_var: Vec<u32>,
     /// Linear form of the objective, if one was lowered.
     pub objective: Option<Vec<(i64, FlatVar)>>,
     /// Constant offset of the objective.
@@ -116,11 +125,14 @@ impl FlatModel {
         }
         (lo, hi)
     }
+
+    /// The atom SAT variable `var` guards, if it guards one.
+    pub(crate) fn atom_of(&self, var: u32) -> Option<&LinAtom> {
+        self.atoms.get(self.atom_of_var[var as usize] as usize)
+    }
 }
 
 struct Flattener<'m> {
-    /// Kept for debugging helpers and future name-aware diagnostics.
-    #[allow(dead_code)]
     model: &'m Model,
     flat: FlatModel,
     next_sat_var: u32,
@@ -137,52 +149,28 @@ pub fn flatten(model: &Model) -> FlatModel {
 /// loop can evaluate and constrain it.
 pub fn flatten_with_objective(model: &Model, objective: Option<&Ix>) -> FlatModel {
     let mut f = Flattener::new(model);
-    for c in model.constraints() {
-        let expanded = expand(c.clone());
-        let lit = f.lower_bx(&expanded);
+    for &c in model.constraints() {
+        let lit = f.lower_bx(c);
         f.flat.clauses.push(vec![lit]);
     }
-    if let Some(obj) = objective {
+    if let Some(&obj) = objective {
         let lin = f.lower_ix(obj);
-        f.flat.objective = Some(lin.terms.iter().map(|&(c, v)| (c, f.flat_var(v))).collect());
+        f.flat.objective = Some(lin.terms.iter().map(|&(c, v)| (c, flat_var(v))).collect());
         f.flat.objective_constant = lin.constant;
     }
-    f.flat.num_sat_vars = f.next_sat_var as usize;
-    f.flat
+    let mut flat = f.flat;
+    flat.num_sat_vars = f.next_sat_var as usize;
+    flat.atom_of_var = vec![NO_ATOM; flat.num_sat_vars];
+    for (i, atom) in flat.atoms.iter().enumerate() {
+        flat.atom_of_var[atom.var as usize] = i as u32;
+    }
+    flat
 }
 
-/// Pre-expansion: rewrite `AtMostOne`, `Iff` over comparisons, `Eq`/`Ne`
-/// comparisons into the core connectives so Tseitin only sees
-/// and/or/not/implies/iff/var/const/le-atoms.
-fn expand(bx: Bx) -> Bx {
-    match bx {
-        Bx::Const(_) | Bx::Var(_) => bx,
-        Bx::Not(b) => Bx::not(expand(*b)),
-        Bx::And(xs) => Bx::and(xs.into_iter().map(expand).collect()),
-        Bx::Or(xs) => Bx::or(xs.into_iter().map(expand).collect()),
-        Bx::Implies(a, b) => Bx::implies(expand(*a), expand(*b)),
-        Bx::Iff(a, b) => Bx::iff(expand(*a), expand(*b)),
-        Bx::AtMostOne(xs) => {
-            let xs: Vec<Bx> = xs.into_iter().map(expand).collect();
-            let mut pairs = Vec::new();
-            for i in 0..xs.len() {
-                for j in (i + 1)..xs.len() {
-                    pairs.push(Bx::or(vec![Bx::not(xs[i].clone()), Bx::not(xs[j].clone())]));
-                }
-            }
-            Bx::and(pairs)
-        }
-        Bx::Cmp(op, a, b) => match op {
-            CmpOp::Eq => Bx::and(vec![
-                Bx::Cmp(CmpOp::Le, a.clone(), b.clone()),
-                Bx::Cmp(CmpOp::Ge, a, b),
-            ]),
-            CmpOp::Ne => Bx::or(vec![
-                Bx::Cmp(CmpOp::Lt, a.clone(), b.clone()),
-                Bx::Cmp(CmpOp::Gt, a, b),
-            ]),
-            _ => Bx::Cmp(op, a, b),
-        },
+fn flat_var(v: VarRef) -> FlatVar {
+    match v {
+        VarRef::Int(i) => FlatVar::Int(i.0),
+        VarRef::Bool(b) => FlatVar::Bool(b.0),
     }
 }
 
@@ -191,11 +179,9 @@ impl<'m> Flattener<'m> {
         let mut flat = FlatModel {
             num_model_bools: model.num_bools(),
             num_model_ints: model.num_ints(),
+            int_bounds: model.int_bounds().collect(),
             ..Default::default()
         };
-        for (_, d) in model.int_decls() {
-            flat.int_bounds.push((d.lo, d.hi));
-        }
         let mut next = model.num_bools() as u32;
         // Reserve one variable that is always true, to represent constants.
         let true_var = next;
@@ -216,77 +202,102 @@ impl<'m> Flattener<'m> {
         v
     }
 
-    fn flat_var(&self, v: VarRef) -> FlatVar {
-        match v {
-            VarRef::Int(i) => FlatVar::Int(i.index() as u32),
-            VarRef::Bool(b) => FlatVar::Bool(b.index() as u32),
-        }
-    }
-
     fn fresh_int(&mut self, lo: i64, hi: i64) -> u32 {
         let idx = self.flat.int_bounds.len() as u32;
         self.flat.int_bounds.push((lo, hi));
         idx
     }
 
-    /// Lower an integer expression to a linear form, introducing auxiliary
-    /// integers (as fresh `IntId`-like flat indices) with defining clauses.
-    fn lower_ix(&mut self, ix: &Ix) -> LinExpr {
-        match ix {
-            Ix::Lin(l) => l.clone().normalize(),
-            Ix::Sum(xs) => {
-                let mut acc = LinExpr::constant(0);
-                for x in xs {
-                    let l = self.lower_ix(x);
-                    acc = acc.add(&l);
+    /// Lower an integer expression to a normalised linear form.
+    fn lower_ix(&mut self, ix: Ix) -> LinExpr {
+        let mut terms = Vec::new();
+        let constant = self.accumulate(ix, 1, &mut terms);
+        LinExpr { constant, terms }.normalize()
+    }
+
+    /// Append the terms of `mul · ix` to `out` (unnormalised) and return its
+    /// constant, introducing an auxiliary integer (with defining clauses)
+    /// for each `ite` and `ceil_div` node met.
+    fn accumulate(&mut self, ix: Ix, mul: i64, out: &mut Vec<(i64, VarRef)>) -> i64 {
+        let node = match ix.0 {
+            I::Lit(k) => return mul * k,
+            I::Term { k, c, v } => {
+                out.push((mul * c, v));
+                return mul * k;
+            }
+            I::Node(n) => self.model.nodes[n as usize],
+        };
+        let model = self.model;
+        match node {
+            Node::Lin(k, s) => {
+                out.extend(model.terms[s.range()].iter().map(|&(c, v)| (mul * c, v)));
+                mul * k
+            }
+            Node::Sum(s) => {
+                let mut k = 0;
+                for &x in &model.ixs[s.range()] {
+                    k += self.accumulate(x, mul, out);
                 }
-                acc
+                k
             }
-            Ix::Scaled(a, k) => self.lower_ix(a).scale(*k),
-            Ix::Ite(c, a, b) => {
-                let clit = self.lower_bx(&expand((**c).clone()));
-                let la = self.lower_ix(a);
-                let lb = self.lower_ix(b);
-                let (alo, ahi) = self.bounds_of(&la);
-                let (blo, bhi) = self.bounds_of(&lb);
-                let t = self.fresh_int(alo.min(blo), ahi.max(bhi));
-                let tvar = LinExpr {
-                    constant: 0,
-                    terms: vec![(1, VarRef::Int(crate::model::IntId(t)))],
-                };
-                // c → t = a  ≡  (¬c ∨ t ≤ a) ∧ (¬c ∨ t ≥ a)
-                let d1 = tvar.clone().sub(&la);
-                let le_a = self.atom_le(&d1, 0);
-                let ge_a = self.atom_le(&d1.clone().scale(-1), 0);
-                self.flat.clauses.push(vec![clit.negate(), le_a]);
-                self.flat.clauses.push(vec![clit.negate(), ge_a]);
-                // ¬c → t = b
-                let d2 = tvar.clone().sub(&lb);
-                let le_b = self.atom_le(&d2, 0);
-                let ge_b = self.atom_le(&d2.clone().scale(-1), 0);
-                self.flat.clauses.push(vec![clit, le_b]);
-                self.flat.clauses.push(vec![clit, ge_b]);
-                tvar
+            Node::Scaled(a, k) => self.accumulate(a, mul * k, out),
+            Node::Ite(c, a, b) => {
+                let t = self.lower_ite(c, a, b);
+                out.push((mul, VarRef::Int(IntId(t))));
+                0
             }
-            Ix::CeilDiv(a, k) => {
-                let la = self.lower_ix(a);
-                let (alo, ahi) = self.bounds_of(&la);
-                let t = self.fresh_int(div_ceil_i64(alo, *k), div_ceil_i64(ahi, *k));
-                let tvar = LinExpr {
-                    constant: 0,
-                    terms: vec![(1, VarRef::Int(crate::model::IntId(t)))],
-                };
-                // k·t ≥ a  ∧  k·t ≤ a + k - 1
-                let kt = tvar.clone().scale(*k);
-                let c1 = la.clone().sub(&kt); // a - k·t ≤ 0
-                let a1 = self.atom_le(&c1, 0);
-                let c2 = kt.sub(&la); // k·t - a ≤ k - 1
-                let a2 = self.atom_le(&c2, *k - 1);
-                self.flat.clauses.push(vec![a1]);
-                self.flat.clauses.push(vec![a2]);
-                tvar
+            Node::CeilDiv(a, k) => {
+                let t = self.lower_ceil_div(a, k);
+                out.push((mul, VarRef::Int(IntId(t))));
+                0
             }
+            _ => unreachable!("a boolean node behind an integer handle"),
         }
+    }
+
+    /// An auxiliary `t` with `c → t = a` and `¬c → t = b`.
+    fn lower_ite(&mut self, c: Bx, a: Ix, b: Ix) -> u32 {
+        let clit = self.lower_bx(c);
+        let la = self.lower_ix(a);
+        let lb = self.lower_ix(b);
+        let (alo, ahi) = self.bounds_of(&la);
+        let (blo, bhi) = self.bounds_of(&lb);
+        let t = self.fresh_int(alo.min(blo), ahi.max(bhi));
+        let tvar = LinExpr {
+            constant: 0,
+            terms: vec![(1, VarRef::Int(IntId(t)))],
+        };
+        // c → t = a  ≡  (¬c ∨ t ≤ a) ∧ (¬c ∨ t ≥ a)
+        let d1 = tvar.clone().sub(&la);
+        let le_a = self.atom_le(d1.clone(), 0);
+        let ge_a = self.atom_le(d1.scale(-1), 0);
+        self.flat.clauses.push(vec![clit.negate(), le_a]);
+        self.flat.clauses.push(vec![clit.negate(), ge_a]);
+        // ¬c → t = b
+        let d2 = tvar.sub(&lb);
+        let le_b = self.atom_le(d2.clone(), 0);
+        let ge_b = self.atom_le(d2.scale(-1), 0);
+        self.flat.clauses.push(vec![clit, le_b]);
+        self.flat.clauses.push(vec![clit, ge_b]);
+        t
+    }
+
+    /// An auxiliary `t` with `k·t ≥ a ∧ k·t ≤ a + k - 1`.
+    fn lower_ceil_div(&mut self, a: Ix, k: i64) -> u32 {
+        let la = self.lower_ix(a);
+        let (alo, ahi) = self.bounds_of(&la);
+        let t = self.fresh_int(div_ceil_i64(alo, k), div_ceil_i64(ahi, k));
+        let kt = LinExpr {
+            constant: 0,
+            terms: vec![(k, VarRef::Int(IntId(t)))],
+        };
+        let c1 = la.clone().sub(&kt); // a - k·t ≤ 0
+        let a1 = self.atom_le(c1, 0);
+        let c2 = kt.sub(&la); // k·t - a ≤ k - 1
+        let a2 = self.atom_le(c2, k - 1);
+        self.flat.clauses.push(vec![a1]);
+        self.flat.clauses.push(vec![a2]);
+        t
     }
 
     fn bounds_of(&self, l: &LinExpr) -> (i64, i64) {
@@ -308,16 +319,17 @@ impl<'m> Flattener<'m> {
         (lo, hi)
     }
 
-    /// Literal for the atom `lin ≤ k` (deduplicated). The linear expression's
-    /// constant folds into `k`.
-    fn atom_le(&mut self, lin: &LinExpr, k: i64) -> Lit {
-        let lin = lin.clone().normalize();
-        let rhs = k - lin.constant;
-        let terms: Vec<(i64, FlatVar)> = lin
-            .terms
-            .iter()
-            .map(|&(c, v)| (c, self.flat_var(v)))
-            .collect();
+    /// Literal for the atom `lin ≤ k`.
+    fn atom_le(&mut self, mut lin: LinExpr, k: i64) -> Lit {
+        self.atom_le_terms(&mut lin.terms, lin.constant, k)
+    }
+
+    /// Literal for the atom `constant + Σ terms ≤ k` (deduplicated); the
+    /// constant folds into `k`, and `terms` is normalised in place.
+    fn atom_le_terms(&mut self, terms: &mut Vec<(i64, VarRef)>, constant: i64, k: i64) -> Lit {
+        let n = normalize_terms(terms);
+        terms.truncate(n);
+        let rhs = k - constant;
         // Constant atoms fold to true/false immediately.
         if terms.is_empty() {
             return if 0 <= rhs {
@@ -326,6 +338,7 @@ impl<'m> Flattener<'m> {
                 self.true_lit.negate()
             };
         }
+        let terms: Vec<(i64, FlatVar)> = terms.iter().map(|&(c, v)| (c, flat_var(v))).collect();
         // Bound-implied atoms also fold.
         let (lo, hi) = self.flat.lin_bounds(&terms);
         if hi <= rhs {
@@ -334,61 +347,92 @@ impl<'m> Flattener<'m> {
         if lo > rhs {
             return self.true_lit.negate();
         }
-        let key = (terms.clone(), rhs);
+        let key = (terms, rhs);
         if let Some(&v) = self.atom_cache.get(&key) {
             return Lit::pos(v);
         }
         let v = self.fresh_var();
+        let terms = key.0.clone();
         self.atom_cache.insert(key, v);
-        let idx = self.flat.atoms.len();
         self.flat.atoms.push(LinAtom {
             var: v,
             terms,
             k: rhs,
         });
-        self.flat.atom_of_var.insert(v, idx);
         Lit::pos(v)
+    }
+
+    /// The atom `a ⋈ b` for `⋈` one of `≤ < ≥ >`: `a − b ≤ 0` (or `≤ −1`),
+    /// `b − a` for the other direction; `a` is lowered before `b`.
+    fn lower_cmp(&mut self, op: CmpOp, a: Ix, b: Ix) -> Lit {
+        let (sign, k) = match op {
+            CmpOp::Le => (1, 0),
+            CmpOp::Lt => (1, -1),
+            CmpOp::Ge => (-1, 0),
+            CmpOp::Gt => (-1, -1),
+            CmpOp::Eq | CmpOp::Ne => unreachable!("expanded by lower_bx"),
+        };
+        let mut terms = Vec::new();
+        let constant = self.accumulate(a, sign, &mut terms) + self.accumulate(b, -sign, &mut terms);
+        self.atom_le_terms(&mut terms, constant, k)
+    }
+
+    /// `y ↔ ⋀ lits` for a fresh `y`.
+    fn and_gate(&mut self, lits: Vec<Lit>) -> Lit {
+        let y = Lit::pos(self.fresh_var());
+        // y → each lit
+        for &l in &lits {
+            self.flat.clauses.push(vec![y.negate(), l]);
+        }
+        // all lits → y
+        let mut cl: Vec<Lit> = lits.iter().map(|l| l.negate()).collect();
+        cl.push(y);
+        self.flat.clauses.push(cl);
+        y
+    }
+
+    /// `y ↔ ⋁ lits` for a fresh `y`.
+    fn or_gate(&mut self, lits: Vec<Lit>) -> Lit {
+        let y = Lit::pos(self.fresh_var());
+        // each lit → y
+        for &l in &lits {
+            self.flat.clauses.push(vec![l.negate(), y]);
+        }
+        // y → some lit
+        let mut cl = lits;
+        cl.push(y.negate());
+        self.flat.clauses.push(cl);
+        y
     }
 
     /// Tseitin-lower a boolean expression, returning the literal equivalent
     /// to it.
-    fn lower_bx(&mut self, bx: &Bx) -> Lit {
-        match bx {
-            Bx::Const(true) => self.true_lit,
-            Bx::Const(false) => self.true_lit.negate(),
-            Bx::Var(v) => Lit::pos(v.index() as u32),
-            Bx::Not(b) => self.lower_bx(b).negate(),
-            Bx::And(xs) => {
-                let lits: Vec<Lit> = xs.iter().map(|x| self.lower_bx(x)).collect();
-                let y = Lit::pos(self.fresh_var());
-                // y → each lit
-                for &l in &lits {
-                    self.flat.clauses.push(vec![y.negate(), l]);
-                }
-                // all lits → y
-                let mut cl: Vec<Lit> = lits.iter().map(|l| l.negate()).collect();
-                cl.push(y);
-                self.flat.clauses.push(cl);
-                y
+    fn lower_bx(&mut self, bx: Bx) -> Lit {
+        let node = match bx.0 {
+            B::Const(true) => return self.true_lit,
+            B::Const(false) => return self.true_lit.negate(),
+            B::Var(v) => return Lit::pos(v.0),
+            B::Node(n) => self.model.nodes[n as usize],
+        };
+        let model = self.model;
+        match node {
+            Node::Not(b) => self.lower_bx(b).negate(),
+            Node::And(s) => {
+                let lits = model.bxs[s.range()].iter().map(|&x| self.lower_bx(x));
+                let lits = lits.collect();
+                self.and_gate(lits)
             }
-            Bx::Or(xs) => {
-                let lits: Vec<Lit> = xs.iter().map(|x| self.lower_bx(x)).collect();
-                let y = Lit::pos(self.fresh_var());
-                // each lit → y
-                for &l in &lits {
-                    self.flat.clauses.push(vec![l.negate(), y]);
-                }
-                // y → some lit
-                let mut cl = lits;
-                cl.push(y.negate());
-                self.flat.clauses.push(cl);
-                y
+            Node::Or(s) => {
+                let lits = model.bxs[s.range()].iter().map(|&x| self.lower_bx(x));
+                let lits = lits.collect();
+                self.or_gate(lits)
             }
-            Bx::Implies(a, b) => {
-                let or = Bx::Or(vec![Bx::not((**a).clone()), (**b).clone()]);
-                self.lower_bx(&or)
+            Node::Implies(a, b) => {
+                let la = self.lower_bx(a);
+                let lb = self.lower_bx(b);
+                self.or_gate(vec![la.negate(), lb])
             }
-            Bx::Iff(a, b) => {
+            Node::Iff(a, b) => {
                 let la = self.lower_bx(a);
                 let lb = self.lower_bx(b);
                 let y = Lit::pos(self.fresh_var());
@@ -399,54 +443,20 @@ impl<'m> Flattener<'m> {
                 self.flat.clauses.push(vec![y, la.negate(), lb.negate()]);
                 y
             }
-            Bx::Cmp(op, a, b) => {
-                let la = self.lower_ix(a);
-                let lb = self.lower_ix(b);
-                match op {
-                    CmpOp::Le => {
-                        let d = la.sub(&lb);
-                        self.atom_le(&d, 0)
-                    }
-                    CmpOp::Lt => {
-                        let d = la.sub(&lb);
-                        self.atom_le(&d, -1)
-                    }
-                    CmpOp::Ge => {
-                        let d = lb.sub(&la);
-                        self.atom_le(&d, 0)
-                    }
-                    CmpOp::Gt => {
-                        let d = lb.sub(&la);
-                        self.atom_le(&d, -1)
-                    }
-                    CmpOp::Eq | CmpOp::Ne => {
-                        // `expand` rewrites these before lowering; handle
-                        // defensively anyway.
-                        let e = expand(Bx::Cmp(*op, a.clone(), b.clone()));
-                        self.lower_bx(&e)
-                    }
-                }
+            Node::Cmp(CmpOp::Eq, a, b) => {
+                let le = self.lower_cmp(CmpOp::Le, a, b);
+                let ge = self.lower_cmp(CmpOp::Ge, a, b);
+                self.and_gate(vec![le, ge])
             }
-            Bx::AtMostOne(xs) => {
-                let e = expand(Bx::AtMostOne(xs.clone()));
-                self.lower_bx(&e)
+            Node::Cmp(CmpOp::Ne, a, b) => {
+                let lt = self.lower_cmp(CmpOp::Lt, a, b);
+                let gt = self.lower_cmp(CmpOp::Gt, a, b);
+                self.or_gate(vec![lt, gt])
             }
+            Node::Cmp(op, a, b) => self.lower_cmp(op, a, b),
+            _ => unreachable!("an integer node behind a boolean handle"),
         }
     }
-}
-
-// Allow constructing IntId for auxiliary variables inside this crate.
-impl crate::model::IntId {
-    pub(crate) fn aux(idx: u32) -> Self {
-        crate::model::IntId(idx)
-    }
-}
-
-// Keep the helper used (the constructor above is exercised through
-// `fresh_int` call sites which build IntId directly).
-#[allow(dead_code)]
-fn _use_aux() {
-    let _ = IntId::aux(0);
 }
 
 #[cfg(test)]
@@ -460,7 +470,8 @@ mod tests {
         let mut m = Model::new();
         let a = m.bool_var("a");
         let b = m.bool_var("b");
-        m.require(Bx::or(vec![Bx::var(a), Bx::var(b)]));
+        let c = m.or([Bx::var(a), Bx::var(b)]);
+        m.require(c);
         let f = flatten(&m);
         assert_eq!(f.num_model_bools, 2);
         assert!(f.num_sat_vars >= 3); // a, b, TRUE, or-node
@@ -471,8 +482,10 @@ mod tests {
     fn flatten_dedups_atoms() {
         let mut m = Model::new();
         let x = m.int_var("x", 0, 100);
-        m.require(Ix::var(x).le(Ix::lit(5)));
-        m.require(Ix::var(x).le(Ix::lit(5)));
+        for _ in 0..2 {
+            let c = m.le(Ix::var(x), Ix::lit(5));
+            m.require(c);
+        }
         let f = flatten(&m);
         assert_eq!(f.atoms.len(), 1);
     }
@@ -481,8 +494,10 @@ mod tests {
     fn flatten_folds_trivial_atoms() {
         let mut m = Model::new();
         let x = m.int_var("x", 0, 10);
-        m.require(Ix::var(x).le(Ix::lit(100))); // always true given bounds
-        m.require(Ix::var(x).ge(Ix::lit(0))); // always true
+        let c = m.le(Ix::var(x), Ix::lit(100)); // always true given bounds
+        m.require(c);
+        let c = m.ge(Ix::var(x), Ix::lit(0)); // always true
+        m.require(c);
         let f = flatten(&m);
         assert_eq!(f.atoms.len(), 0);
     }
@@ -493,7 +508,8 @@ mod tests {
         let a = m.bool_var("a");
         let x = m.int_var("x", 0, 9);
         m.require(Bx::var(a));
-        let obj = Ix::var(x).add(Ix::bool01(a).scale(10));
+        let ten_a = m.scale(Ix::bool01(a), 10);
+        let obj = m.sum([Ix::var(x), ten_a]);
         let f = flatten_with_objective(&m, Some(&obj));
         let o = f.objective.as_ref().unwrap();
         assert_eq!(o.len(), 2);
@@ -514,11 +530,56 @@ mod tests {
     fn expand_at_most_one() {
         let mut m = Model::new();
         let vs: Vec<_> = (0..3).map(|i| m.bool_var(format!("v{i}"))).collect();
-        let e = expand(Bx::AtMostOne(vs.iter().map(|&v| Bx::var(v)).collect()));
+        let e = m.at_most_one(vs.iter().map(|&v| Bx::var(v)));
         // 3 choose 2 = 3 pairwise clauses
-        match e {
-            Bx::And(xs) => assert_eq!(xs.len(), 3),
+        match m.bx_node(e) {
+            Some(Node::And(s)) => assert_eq!(s.len, 3),
             other => panic!("expected And, got {other:?}"),
         }
+        let (v0, v1) = (Bx::var(vs[0]), Bx::var(vs[1]));
+        let (n0, n1) = (m.not(v0), m.not(v1));
+        let first = m.or([n0, n1]);
+        let Some(Node::And(s)) = m.bx_node(e) else {
+            unreachable!()
+        };
+        assert!(m.same_bx(m.bxs[s.start as usize], first));
+    }
+
+    #[test]
+    fn equalities_lower_to_two_bounds_under_one_gate() {
+        // `x = 3` is `x ≤ 3 ∧ x ≥ 3`: two atoms and one `and` gate;
+        // `x ≠ 3` is `x ≤ 2 ∨ x ≥ 4`: two more under an `or` gate.
+        let mut m = Model::new();
+        let x = m.int_var("x", 0, 9);
+        let eq = m.eq(Ix::var(x), Ix::lit(3));
+        m.require(eq);
+        let f = flatten(&m);
+        let row = |c: i64| (vec![(c, FlatVar::Int(0))], 3 * c);
+        let rows: Vec<_> = f.atoms.iter().map(|a| (a.terms.clone(), a.k)).collect();
+        assert_eq!(rows, [row(1), row(-1)]);
+        assert_eq!(f.num_sat_vars, 1 + 2 + 1);
+
+        let ne = m.ne(Ix::var(x), Ix::lit(3));
+        m.require(ne);
+        let f = flatten(&m);
+        assert_eq!(f.atoms.len(), 4);
+        assert_eq!(f.num_sat_vars, 1 + 2 + 1 + 2 + 1);
+    }
+
+    #[test]
+    fn atom_of_var_is_a_dense_map() {
+        let mut m = Model::new();
+        let a = m.bool_var("a");
+        let x = m.int_var("x", 0, 9);
+        let ge = m.ge(Ix::var(x), Ix::lit(4));
+        let c = m.implies(Bx::var(a), ge);
+        m.require(c);
+        let f = flatten(&m);
+        assert_eq!(f.atom_of_var.len(), f.num_sat_vars);
+        for v in 0..f.num_sat_vars as u32 {
+            let atom = f.atoms.iter().find(|atom| atom.var == v);
+            assert_eq!(f.atom_of(v), atom, "variable {v}");
+        }
+        assert_eq!(f.atoms.len(), 1);
     }
 }

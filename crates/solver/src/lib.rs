@@ -10,8 +10,11 @@
 //!
 //! The solver is deliberately simple and robust (in the spirit of smoltcp):
 //!
-//! * expressions are plain trees ([`Bx`], [`Ix`]) built with ordinary
-//!   constructors — no macros, no type-level tricks;
+//! * a [`Model`] is one arena: composite expressions are fixed-size nodes in
+//!   one `Vec`, built by `Model` methods ([`Model::and`],
+//!   [`Model::implies`], [`Model::sum`], …) and named by `Copy` handles
+//!   ([`Bx`], [`Ix`]); constants, variables and single-term linear forms
+//!   need no node — no macros, no type-level tricks;
 //! * [`flatten`] lowers a [`Model`] to CNF clauses (Tseitin transformation)
 //!   plus normalized linear atoms (`Σ cᵢ·vᵢ ≤ k`);
 //! * [`solve`] runs a CDCL-style search: two-watched-literal unit
@@ -40,15 +43,16 @@
 //! let entries = m.int_var("entries", 0, 4096);
 //!
 //! // The table must be deployed somewhere.
-//! m.require(Bx::or(vec![Bx::var(deploy_a), Bx::var(deploy_b)]));
+//! let somewhere = m.or([Bx::var(deploy_a), Bx::var(deploy_b)]);
+//! m.require(somewhere);
 //! // If deployed on A, at least 1024 entries must fit there.
-//! m.require(Bx::implies(
-//!     Bx::var(deploy_a),
-//!     Ix::var(entries).ge(Ix::lit(1024)),
-//! ));
+//! let fits = m.ge(Ix::var(entries), Ix::lit(1024));
+//! let on_a = m.implies(Bx::var(deploy_a), fits);
+//! m.require(on_a);
 //!
 //! let sol = lyra_solver::solve(&m).solution().expect("satisfiable");
 //! assert!(sol.bool(deploy_a) || sol.bool(deploy_b));
+//! assert!(sol.satisfies(&m) && sol.eval_bx(&m, on_a));
 //! ```
 
 pub mod expr;
@@ -57,7 +61,7 @@ pub mod model;
 pub mod optimize;
 pub mod search;
 
-pub use expr::{Bx, Ix, LinExpr, VarRef};
+pub use expr::{Bx, Ix, VarRef};
 pub use flatten::{flatten, FlatModel, FlatVar};
 pub use model::{BoolId, IntId, Model, Solution};
 pub use optimize::{minimize, minimize_with, BoundConstraint, Minimized};

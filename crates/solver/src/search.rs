@@ -942,8 +942,7 @@ impl<'a> Search<'a> {
                     self.mark_dirty(self.occ_slot(FlatVar::Bool(var), c));
                 }
                 // Activate the atom if this variable guards one.
-                if let Some(&ai) = self.flat.atom_of_var.get(&var) {
-                    let atom = &self.flat.atoms[ai];
+                if let Some(atom) = self.flat.atom_of(var) {
                     let (sign, k) = if lit.is_neg() {
                         (-1, -atom.k - 1)
                     } else {
@@ -1286,6 +1285,13 @@ mod tests {
     use crate::expr::{Bx, Ix};
     use crate::model::Model;
 
+    /// Exactly one of `vs` is true.
+    fn exactly_one(m: &mut Model, vs: &[crate::BoolId]) -> Bx {
+        let vars = vs.iter().map(|&v| Bx::var(v));
+        let (some, one) = (m.or(vars.clone()), m.at_most_one(vars));
+        m.and([some, one])
+    }
+
     #[test]
     fn neg_div_ceil_cases() {
         assert_eq!(neg_div_ceil(7, -2), -3); // 7/-2 = -3.5 → -3
@@ -1300,8 +1306,10 @@ mod tests {
         let mut m = Model::new();
         let a = m.bool_var("a");
         let b = m.bool_var("b");
-        m.require(Bx::or(vec![Bx::var(a), Bx::var(b)]));
-        m.require(Bx::not(Bx::var(a)));
+        let c = m.or([Bx::var(a), Bx::var(b)]);
+        m.require(c);
+        let c = m.not(Bx::var(a));
+        m.require(c);
         let sol = solve(&m).solution().unwrap();
         assert!(!sol.bool(a));
         assert!(sol.bool(b));
@@ -1312,7 +1320,8 @@ mod tests {
         let mut m = Model::new();
         let a = m.bool_var("a");
         m.require(Bx::var(a));
-        m.require(Bx::not(Bx::var(a)));
+        let c = m.not(Bx::var(a));
+        m.require(c);
         assert_eq!(solve(&m), Outcome::Unsat);
     }
 
@@ -1321,8 +1330,11 @@ mod tests {
         let mut m = Model::new();
         let x = m.int_var("x", 0, 10);
         let y = m.int_var("y", 0, 10);
-        m.require(Ix::var(x).add(Ix::var(y)).ge(Ix::lit(15)));
-        m.require(Ix::var(x).le(Ix::lit(7)));
+        let xy = m.sum([Ix::var(x), Ix::var(y)]);
+        let c = m.ge(xy, Ix::lit(15));
+        m.require(c);
+        let c = m.le(Ix::var(x), Ix::lit(7));
+        m.require(c);
         let sol = solve(&m).solution().unwrap();
         assert!(sol.int(x) + sol.int(y) >= 15);
         assert!(sol.int(x) <= 7);
@@ -1333,7 +1345,9 @@ mod tests {
         let mut m = Model::new();
         let x = m.int_var("x", 0, 5);
         let y = m.int_var("y", 0, 5);
-        m.require(Ix::var(x).add(Ix::var(y)).ge(Ix::lit(11)));
+        let xy = m.sum([Ix::var(x), Ix::var(y)]);
+        let c = m.ge(xy, Ix::lit(11));
+        m.require(c);
         assert_eq!(solve(&m), Outcome::Unsat);
     }
 
@@ -1342,9 +1356,13 @@ mod tests {
         let mut m = Model::new();
         let d = m.bool_var("deploy");
         let x = m.int_var("x", 0, 100);
-        m.require(Bx::implies(Bx::var(d), Ix::var(x).ge(Ix::lit(50))));
-        m.require(Ix::var(x).le(Ix::lit(10)));
-        m.require(Bx::or(vec![Bx::var(d)])); // force d
+        let ge = m.ge(Ix::var(x), Ix::lit(50));
+        let c = m.implies(Bx::var(d), ge);
+        m.require(c);
+        let c = m.le(Ix::var(x), Ix::lit(10));
+        m.require(c);
+        let c = m.or([Bx::var(d)]); // force d
+        m.require(c);
         assert_eq!(solve(&m), Outcome::Unsat);
     }
 
@@ -1352,7 +1370,8 @@ mod tests {
     fn exactly_one_picks_one() {
         let mut m = Model::new();
         let vs: Vec<_> = (0..5).map(|i| m.bool_var(format!("v{i}"))).collect();
-        m.require(Bx::exactly_one(vs.iter().map(|&v| Bx::var(v)).collect()));
+        let c = exactly_one(&mut m, &vs);
+        m.require(c);
         let sol = solve(&m).solution().unwrap();
         assert_eq!(vs.iter().filter(|&&v| sol.bool(v)).count(), 1);
     }
@@ -1362,10 +1381,13 @@ mod tests {
         let mut m = Model::new();
         let d = m.bool_var("d");
         let e = m.int_var("entries", 0, 4096);
-        let blocks = Ix::var(e).ceil_div(1024);
-        m.require(Bx::implies(Bx::var(d), blocks.clone().ge(Ix::lit(3))));
+        let blocks = m.ceil_div(Ix::var(e), 1024);
+        let ge = m.ge(blocks, Ix::lit(3));
+        let c = m.implies(Bx::var(d), ge);
+        m.require(c);
         m.require(Bx::var(d));
-        m.require(Ix::var(e).le(Ix::lit(3000)));
+        let c = m.le(Ix::var(e), Ix::lit(3000));
+        m.require(c);
         let sol = solve(&m).solution().unwrap();
         assert!(
             sol.int(e) > 2048,
@@ -1379,7 +1401,8 @@ mod tests {
     fn minimize_simple() {
         let mut m = Model::new();
         let x = m.int_var("x", 0, 100);
-        m.require(Ix::var(x).ge(Ix::lit(37)));
+        let c = m.ge(Ix::var(x), Ix::lit(37));
+        m.require(c);
         let (sol, v) = crate::minimize(&m, &Ix::var(x)).unwrap();
         assert_eq!(v, 37);
         assert_eq!(sol.int(x), 37);
@@ -1389,9 +1412,11 @@ mod tests {
     fn minimize_deployment_count() {
         let mut m = Model::new();
         let f: Vec<_> = (0..3).map(|i| m.bool_var(format!("f{i}"))).collect();
-        m.require(Bx::exactly_one(vec![Bx::var(f[0]), Bx::var(f[1])]));
-        m.require(Bx::exactly_one(vec![Bx::var(f[1]), Bx::var(f[2])]));
-        let obj = Ix::sum(f.iter().map(|&v| Ix::bool01(v)).collect());
+        let c = exactly_one(&mut m, &f[..2]);
+        m.require(c);
+        let c = exactly_one(&mut m, &f[1..]);
+        m.require(c);
+        let obj = m.sum(f.iter().map(|&v| Ix::bool01(v)));
         let (sol, v) = crate::minimize(&m, &obj).unwrap();
         assert_eq!(v, 1);
         assert!(sol.bool(f[1]));
@@ -1403,7 +1428,9 @@ mod tests {
         let d = m.bool_var("d");
         let x = m.int_var("x", 0, 10);
         m.require(Bx::var(d));
-        m.require(Ix::var(x).eq(Ix::ite(Bx::var(d), Ix::lit(7), Ix::lit(2))));
+        let ite = m.ite(Bx::var(d), Ix::lit(7), Ix::lit(2));
+        let c = m.eq(Ix::var(x), ite);
+        m.require(c);
         let sol = solve(&m).solution().unwrap();
         assert_eq!(sol.int(x), 7);
     }
@@ -1415,13 +1442,12 @@ mod tests {
             .map(|p| (0..5).map(|h| m.bool_var(format!("p{p}h{h}"))).collect())
             .collect();
         for p in &vars {
-            m.require(Bx::or(p.iter().map(|&v| Bx::var(v)).collect()));
+            let c = m.any_of(p.iter().copied());
+            m.require(c);
         }
-        #[allow(clippy::needless_range_loop)]
         for h in 0..5 {
-            m.require(Bx::at_most_one(
-                (0..6).map(|p| Bx::var(vars[p][h])).collect(),
-            ));
+            let c = m.at_most_one(vars.iter().map(|row| Bx::var(row[h])));
+            m.require(c);
         }
         let flat = flatten(&m);
         let cfg = SolverConfig {
@@ -1441,13 +1467,12 @@ mod tests {
             .map(|p| (0..5).map(|h| m.bool_var(format!("p{p}h{h}"))).collect())
             .collect();
         for p in &vars {
-            m.require(Bx::or(p.iter().map(|&v| Bx::var(v)).collect()));
+            let c = m.any_of(p.iter().copied());
+            m.require(c);
         }
-        #[allow(clippy::needless_range_loop)]
         for h in 0..5 {
-            m.require(Bx::at_most_one(
-                (0..6).map(|p| Bx::var(vars[p][h])).collect(),
-            ));
+            let c = m.at_most_one(vars.iter().map(|row| Bx::var(row[h])));
+            m.require(c);
         }
         assert_eq!(solve(&m), Outcome::Unsat);
     }
@@ -1458,13 +1483,15 @@ mod tests {
         let mut m = Model::new();
         let vs: Vec<_> = (0..8).map(|i| m.bool_var(format!("v{i}"))).collect();
         for i in 0..7 {
-            m.require(Bx::or(vec![Bx::not(Bx::var(vs[i])), Bx::var(vs[i + 1])]));
+            let not_i = m.not(Bx::var(vs[i]));
+            let c = m.or([not_i, Bx::var(vs[i + 1])]);
+            m.require(c);
         }
-        m.require(Bx::or(vec![Bx::var(vs[0]), Bx::var(vs[7])]));
-        m.require(Bx::or(vec![
-            Bx::not(Bx::var(vs[7])),
-            Bx::not(Bx::var(vs[3])),
-        ]));
+        let c = m.or([Bx::var(vs[0]), Bx::var(vs[7])]);
+        m.require(c);
+        let (not7, not3) = (m.not(Bx::var(vs[7])), m.not(Bx::var(vs[3])));
+        let c = m.or([not7, not3]);
+        m.require(c);
         let flat = flatten(&m);
         let cfg = SolverConfig::default();
         let mut s = Search::new(&flat, &cfg, &[]);
@@ -1481,8 +1508,11 @@ mod tests {
         let mut m = Model::new();
         let a = m.bool_var("a");
         let b = m.bool_var("b");
-        m.require(Bx::or(vec![Bx::var(a), Bx::var(b)]));
-        m.require(Bx::or(vec![Bx::var(a), Bx::not(Bx::var(b))]));
+        let c = m.or([Bx::var(a), Bx::var(b)]);
+        m.require(c);
+        let not_b = m.not(Bx::var(b));
+        let c = m.or([Bx::var(a), not_b]);
+        m.require(c);
         let flat = flatten(&m);
         let cfg = SolverConfig {
             max_decisions: 10_000,
@@ -1506,12 +1536,12 @@ mod tests {
             })
             .collect();
         for p in &vars {
-            m.require(Bx::or(p.iter().map(|&v| Bx::var(v)).collect()));
+            let c = m.any_of(p.iter().copied());
+            m.require(c);
         }
         for h in 0..holes {
-            m.require(Bx::at_most_one(
-                vars.iter().map(|row| Bx::var(row[h])).collect(),
-            ));
+            let c = m.at_most_one(vars.iter().map(|row| Bx::var(row[h])));
+            m.require(c);
         }
         m
     }

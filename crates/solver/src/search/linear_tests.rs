@@ -59,53 +59,63 @@ impl Rng {
 
 /// A random comparison over one to three integers and up to two 0/1
 /// booleans, with coefficients and right-hand side scaled to the domain.
-fn gen_lin(rng: &mut Rng, bools: &[BoolId], ints: &[IntId], top: i64) -> Bx {
+fn gen_lin(rng: &mut Rng, m: &mut Model, bools: &[BoolId], ints: &[IntId], top: i64) -> Bx {
     let mut terms = Vec::new();
     for _ in 0..rng.range(1, 3) {
         let c = rng.pick(&[-3, -2, -1, -1, 1, 1, 2, 3]);
-        terms.push(Ix::var(rng.pick(ints)).scale(c));
+        terms.push(m.scale(Ix::var(rng.pick(ints)), c));
     }
     for _ in 0..rng.range(0, 2) {
         let c = rng.range(-top, top);
-        terms.push(Ix::bool01(rng.pick(bools)).scale(c));
+        terms.push(m.scale(Ix::bool01(rng.pick(bools)), c));
     }
-    let lhs = Ix::sum(terms);
+    let lhs = m.sum(terms);
     let rhs = Ix::lit(rng.range(-top, 2 * top));
     match rng.below(5) {
-        0 => lhs.le(rhs),
-        1 => lhs.ge(rhs),
-        2 => lhs.lt(rhs),
-        3 => lhs.gt(rhs),
-        _ => lhs.eq(rhs),
+        0 => m.le(lhs, rhs),
+        1 => m.ge(lhs, rhs),
+        2 => m.lt(lhs, rhs),
+        3 => m.gt(lhs, rhs),
+        _ => m.eq(lhs, rhs),
     }
 }
 
-fn gen_bx(rng: &mut Rng, bools: &[BoolId], ints: &[IntId], top: i64, depth: u32) -> Bx {
+fn gen_bx(
+    rng: &mut Rng,
+    m: &mut Model,
+    bools: &[BoolId],
+    ints: &[IntId],
+    top: i64,
+    depth: u32,
+) -> Bx {
     let (x, y) = (rng.pick(ints), rng.pick(ints));
+    let sub = |rng: &mut Rng, m: &mut Model| gen_bx(rng, m, bools, ints, top, depth - 1);
     match rng.below(if depth == 0 { 6 } else { 9 }) {
         0 => Bx::var(rng.pick(bools)),
-        1 => Bx::not(Bx::var(rng.pick(bools))),
-        2 | 3 => gen_lin(rng, bools, ints, top),
+        1 => m.not(Bx::var(rng.pick(bools))),
+        2 | 3 => gen_lin(rng, m, bools, ints, top),
         // The shapes placement encodings creep on: a path equality and a
         // strict order between two shards.
-        4 => Ix::var(x)
-            .add(Ix::var(y))
-            .eq(Ix::lit(rng.range(top / 2, top))),
-        5 => Ix::var(x).ge(Ix::var(y).add(Ix::lit(rng.range(0, 2)))),
-        6 => Bx::or(
-            (0..rng.range(1, 3))
-                .map(|_| gen_bx(rng, bools, ints, top, depth - 1))
-                .collect(),
-        ),
-        7 => Bx::and(
-            (0..rng.range(1, 3))
-                .map(|_| gen_bx(rng, bools, ints, top, depth - 1))
-                .collect(),
-        ),
-        _ => Bx::implies(
-            gen_bx(rng, bools, ints, top, depth - 1),
-            gen_bx(rng, bools, ints, top, depth - 1),
-        ),
+        4 => {
+            let xy = m.sum([Ix::var(x), Ix::var(y)]);
+            m.eq(xy, Ix::lit(rng.range(top / 2, top)))
+        }
+        5 => {
+            let y_plus = m.sum([Ix::var(y), Ix::lit(rng.range(0, 2))]);
+            m.ge(Ix::var(x), y_plus)
+        }
+        6 => {
+            let xs: Vec<Bx> = (0..rng.range(1, 3)).map(|_| sub(rng, m)).collect();
+            m.or(xs)
+        }
+        7 => {
+            let xs: Vec<Bx> = (0..rng.range(1, 3)).map(|_| sub(rng, m)).collect();
+            m.and(xs)
+        }
+        _ => {
+            let (a, b) = (sub(rng, m), sub(rng, m));
+            m.implies(a, b)
+        }
     }
 }
 
@@ -126,13 +136,12 @@ fn gen_model(rng: &mut Rng) -> Model {
         })
         .collect();
     for _ in 0..rng.range(2, 7) {
-        let bx = gen_bx(rng, &bools, &ints, top, 2);
+        let bx = gen_bx(rng, &mut m, &bools, &ints, top, 2);
         m.require(bx);
     }
     if rng.below(3) == 0 {
-        m.require(Bx::at_most_one(
-            bools.iter().take(3).map(|&b| Bx::var(b)).collect(),
-        ));
+        let amo = m.at_most_one(bools.iter().take(3).map(|&b| Bx::var(b)));
+        m.require(amo);
     }
     m
 }
@@ -151,7 +160,7 @@ fn dirty_schedule_takes_the_full_sweep_search_path() {
     };
     let (mut guarded, mut refuted_by_guard, mut sat, mut unsat) = (0, 0, 0, 0);
     for case in 0..400 {
-        let m = gen_model(&mut rng);
+        let mut m = gen_model(&mut rng);
         let flat = flatten(&m);
         let (outcome, raw, stats) = solve_flat(&flat, &cfg, &[]);
         let (ref_outcome, ref_raw, ref_stats) = with_full_sweep(|| solve_flat(&flat, &cfg, &[]));
@@ -180,12 +189,10 @@ fn dirty_schedule_takes_the_full_sweep_search_path() {
 
         // The same through the branch-and-bound loop: every round adds an
         // always-active bound over all the variables.
-        let obj = Ix::sum(
-            m.int_decls()
-                .map(|(id, _)| Ix::var(id))
-                .chain(m.bool_decls().map(|(id, _)| Ix::bool01(id).scale(3)))
-                .collect(),
-        );
+        let bools: Vec<BoolId> = m.bool_decls().map(|(id, _)| id).collect();
+        let mut terms: Vec<Ix> = m.int_decls().map(|(id, _)| Ix::var(id)).collect();
+        terms.extend(bools.into_iter().map(|b| m.scale(Ix::bool01(b), 3)));
+        let obj = m.sum(terms);
         let (min, min_stats) = minimize_with(&m, &obj, &cfg);
         let (ref_min, ref_min_stats) = with_full_sweep(|| minimize_with(&m, &obj, &cfg));
         assert_eq!(min, ref_min, "case {case}: minimum or its model");
@@ -217,6 +224,15 @@ fn dirty_schedule_takes_the_full_sweep_search_path() {
     );
 }
 
+/// Require `v + z = s` for each `v` of `vs`.
+fn shared_sum(m: &mut Model, vs: [IntId; 2], z: IntId, s: i64) {
+    for v in vs {
+        let vz = m.sum([Ix::var(v), Ix::var(z)]);
+        let c = m.eq(vz, Ix::lit(s));
+        m.require(c);
+    }
+}
+
 /// `x + z = S`, `y + z = S`, `x ≥ y + 1`: infeasible, and bounds propagation
 /// alone finds out one unit of a 10⁷-wide domain per lap.
 #[test]
@@ -226,9 +242,10 @@ fn creeping_cycle_is_refuted_by_weight_not_by_walking_the_domain() {
     let x = m.int_var("x", 0, s);
     let y = m.int_var("y", 0, s);
     let z = m.int_var("z", 0, s);
-    m.require(Ix::var(x).add(Ix::var(z)).eq(Ix::lit(s)));
-    m.require(Ix::var(y).add(Ix::var(z)).eq(Ix::lit(s)));
-    m.require(Ix::var(x).ge(Ix::var(y).add(Ix::lit(1))));
+    shared_sum(&mut m, [x, y], z, s);
+    let y1 = m.sum([Ix::var(y), Ix::lit(1)]);
+    let c = m.ge(Ix::var(x), y1);
+    m.require(c);
     let flat = flatten(&m);
     let (outcome, _, stats) = solve_flat(&flat, &SolverConfig::default(), &[]);
     assert_eq!(outcome, Outcome::Unsat);
@@ -241,9 +258,9 @@ fn creeping_cycle_is_refuted_by_weight_not_by_walking_the_domain() {
     let x = m.int_var("x", 0, s);
     let y = m.int_var("y", 0, s);
     let z = m.int_var("z", 0, s);
-    m.require(Ix::var(x).add(Ix::var(z)).eq(Ix::lit(s)));
-    m.require(Ix::var(y).add(Ix::var(z)).eq(Ix::lit(s)));
-    m.require(Ix::var(x).ge(Ix::var(y)));
+    shared_sum(&mut m, [x, y], z, s);
+    let c = m.ge(Ix::var(x), Ix::var(y));
+    m.require(c);
     let (outcome, _, stats) = solve_flat(&flatten(&m), &SolverConfig::default(), &[]);
     let sol = outcome.solution().expect("x = y is a model");
     assert!(sol.satisfies(&m));
@@ -262,10 +279,14 @@ fn guard_abstains_while_a_boolean_could_still_be_forced() {
     let x = m.int_var("x", 0, s);
     let y = m.int_var("y", 0, s);
     let z = m.int_var("z", 0, s);
-    m.require(Ix::var(x).add(Ix::var(z)).eq(Ix::lit(s)));
-    m.require(Ix::var(y).add(Ix::var(z)).eq(Ix::lit(s)));
-    m.require(Ix::var(x).ge(Ix::var(y).add(Ix::lit(1))));
-    m.require(Ix::var(x).le(Ix::lit(300).add(Ix::bool01(b).scale(1000))));
+    shared_sum(&mut m, [x, y], z, s);
+    let y1 = m.sum([Ix::var(y), Ix::lit(1)]);
+    let c = m.ge(Ix::var(x), y1);
+    m.require(c);
+    let b1000 = m.scale(Ix::bool01(b), 1000);
+    let cap = m.sum([Ix::lit(300), b1000]);
+    let c = m.le(Ix::var(x), cap);
+    m.require(c);
     let flat = flatten(&m);
     let cfg = SolverConfig::default();
     let (outcome, _, stats) = solve_flat(&flat, &cfg, &[]);
@@ -305,7 +326,9 @@ fn long_chain_reaches_the_reference_bounds() {
         .map(|i| m.int_var(format!("x{i}"), 0, 1000))
         .collect();
     for i in (0..n - 1).rev() {
-        m.require(Ix::var(xs[i]).le(Ix::var(xs[i + 1]).add(Ix::lit(-1))));
+        let before_next = m.sum([Ix::var(xs[i + 1]), Ix::lit(-1)]);
+        let c = m.le(Ix::var(xs[i]), before_next);
+        m.require(c);
     }
     let (lo, hi, stats) = level0_bounds(&m, false).expect("satisfiable");
     let (ref_lo, ref_hi, ref_stats) = level0_bounds(&m, true).expect("satisfiable");
@@ -330,8 +353,13 @@ fn undecided_creep_carries_on_to_the_reference_result() {
     let mut m = Model::new();
     let x = m.int_var("x", 0, 2000);
     let y = m.int_var("y", 0, 2000);
-    m.require(Ix::var(x).scale(2).le(Ix::var(y).scale(2).add(Ix::lit(-1))));
-    m.require(Ix::var(y).scale(2).le(Ix::var(x).scale(2).add(Ix::lit(1))));
+    let (x2, y2) = (m.scale(Ix::var(x), 2), m.scale(Ix::var(y), 2));
+    let y2m1 = m.sum([y2, Ix::lit(-1)]);
+    let c = m.le(x2, y2m1);
+    m.require(c);
+    let x2p1 = m.sum([x2, Ix::lit(1)]);
+    let c = m.le(y2, x2p1);
+    m.require(c);
     let flat = flatten(&m);
     let cfg = SolverConfig::default();
     let (outcome, _, stats) = solve_flat(&flat, &cfg, &[]);

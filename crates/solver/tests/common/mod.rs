@@ -114,33 +114,52 @@ pub fn gen_model(rng: &mut Rng) -> Model {
         .collect();
     let num_constraints = rng.range(1, 4);
     for _ in 0..num_constraints {
-        let bx = to_bx(&gen_bx(rng, 2), &bools, &ints);
+        let bx = to_bx(&mut m, &gen_bx(rng, 2), &bools, &ints);
         m.require(bx);
     }
     m
 }
 
-pub fn to_bx(r: &RandBx, bools: &[lyra_solver::BoolId], ints: &[lyra_solver::IntId]) -> Bx {
+pub fn to_bx(
+    m: &mut Model,
+    r: &RandBx,
+    bools: &[lyra_solver::BoolId],
+    ints: &[lyra_solver::IntId],
+) -> Bx {
+    let all = |m: &mut Model, xs: &[RandBx]| -> Vec<Bx> {
+        xs.iter().map(|x| to_bx(m, x, bools, ints)).collect()
+    };
     match r {
         RandBx::Var(i) => Bx::var(bools[i % bools.len()]),
-        RandBx::NotVar(i) => Bx::not(Bx::var(bools[i % bools.len()])),
-        RandBx::Or(xs) => Bx::or(xs.iter().map(|x| to_bx(x, bools, ints)).collect()),
-        RandBx::And(xs) => Bx::and(xs.iter().map(|x| to_bx(x, bools, ints)).collect()),
-        RandBx::Implies(a, b) => Bx::implies(to_bx(a, bools, ints), to_bx(b, bools, ints)),
+        RandBx::NotVar(i) => m.not(Bx::var(bools[i % bools.len()])),
+        RandBx::Or(xs) => {
+            let xs = all(m, xs);
+            m.or(xs)
+        }
+        RandBx::And(xs) => {
+            let xs = all(m, xs);
+            m.and(xs)
+        }
+        RandBx::Implies(a, b) => {
+            let (a, b) = (to_bx(m, a, bools, ints), to_bx(m, b, bools, ints));
+            m.implies(a, b)
+        }
         RandBx::Lin { c0, c1, cb, k, ge } => {
-            let e = Ix::var(ints[0])
-                .scale(*c0)
-                .add(Ix::var(ints[ints.len() - 1]).scale(*c1))
-                .add(Ix::bool01(bools[0]).scale(*cb));
+            let t0 = m.scale(Ix::var(ints[0]), *c0);
+            let t1 = m.scale(Ix::var(ints[ints.len() - 1]), *c1);
+            let tb = m.scale(Ix::bool01(bools[0]), *cb);
+            let e = m.sum([t0, t1]);
+            let e = m.sum([e, tb]);
             if *ge {
-                e.ge(Ix::lit(*k))
+                m.ge(e, Ix::lit(*k))
             } else {
-                e.le(Ix::lit(*k))
+                m.le(e, Ix::lit(*k))
             }
         }
         RandBx::IteCmp { cond, then_min } => {
             let c = Bx::var(bools[cond % bools.len()]);
-            Ix::ite(c, Ix::var(ints[0]), Ix::lit(0)).ge(Ix::lit(*then_min))
+            let ite = m.ite(c, Ix::var(ints[0]), Ix::lit(0));
+            m.ge(ite, Ix::lit(*then_min))
         }
     }
 }

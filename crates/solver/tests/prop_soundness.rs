@@ -47,11 +47,13 @@ fn minimize_returns_feasible_minimum() {
             continue;
         }
         // Objective: sum of all integer variables.
-        let obj = Ix::sum(m.int_decls().map(|(id, _)| Ix::var(id)).collect());
+        let mut m = m;
+        let vars: Vec<Ix> = m.int_decls().map(|(id, _)| Ix::var(id)).collect();
+        let obj = m.sum(vars);
         let (sol, v) = lyra_solver::minimize(&m, &obj)
             .unwrap_or_else(|| panic!("case {case}: minimize found nothing on a SAT model"));
         assert!(sol.satisfies(&m), "case {case}");
-        assert_eq!(sol.eval_ix(&obj), v, "case {case}");
+        assert_eq!(sol.eval_ix(&m, obj), v, "case {case}");
         // No feasible assignment has a smaller objective (brute force).
         let nb = m.num_bools();
         let domains: Vec<(i64, i64)> = m.int_decls().map(|(_, d)| (d.lo, d.hi)).collect();
@@ -78,9 +80,9 @@ fn check_no_better(
         let sol = Solution::from_parts(bools.to_vec(), ints.clone());
         if sol.satisfies(m) {
             assert!(
-                sol.eval_ix(obj) >= best,
+                sol.eval_ix(m, *obj) >= best,
                 "case {case}: brute force found objective {} < solver minimum {}",
-                sol.eval_ix(obj),
+                sol.eval_ix(m, *obj),
                 best
             );
         }

@@ -111,7 +111,9 @@ mod tests {
         let mut m = Model::new();
         let d = m.bool_var("d");
         let e = m.int_var("e", 0, 100);
-        m.require(Bx::implies(Bx::var(d), Ix::var(e).ge(Ix::lit(40))));
+        let ge = m.ge(Ix::var(e), Ix::lit(40));
+        let c = m.implies(Bx::var(d), ge);
+        m.require(c);
         m.require(Bx::var(d));
         (m, d, e)
     }
@@ -137,7 +139,8 @@ mod tests {
     fn minimize_reports_stats() {
         let mut m = Model::new();
         let x = m.int_var("x", 0, 100);
-        m.require(Ix::var(x).ge(Ix::lit(17)));
+        let c = m.ge(Ix::var(x), Ix::lit(17));
+        m.require(c);
         let (outcome, stats) = solve(&m, Some(&Ix::var(x)), &Backend::Native);
         let sol = outcome.solution().unwrap();
         assert_eq!(sol.int(x), 17);

@@ -134,7 +134,8 @@ pub struct Encoded {
     pub units: Vec<SynthUnit>,
     /// Switch-used variables (for objectives).
     pub switch_used: BTreeMap<SwitchId, lyra_solver::BoolId>,
-    /// The objective expression, if one was requested.
+    /// The objective expression (a handle into `model`), if one was
+    /// requested.
     pub objective: Option<Ix>,
     /// Resolved scopes by algorithm.
     pub scopes: BTreeMap<String, ResolvedScope>,
@@ -240,7 +241,7 @@ pub(crate) fn encode_reusing(
         for &slot in &order {
             let sw_name = &topo.switch(ix.switches[slot]).name;
             ix.instr_var[slot] = (0..all_instrs.len())
-                .map(|i| model.bool_var(format!("f[{}][{sw_name}][i{i}]", scope.algorithm)))
+                .map(|i| model.bool_var(format_args!("f[{}][{sw_name}][i{i}]", scope.algorithm)))
                 .collect();
         }
 
@@ -258,7 +259,8 @@ pub(crate) fn encode_reusing(
                 for (e, size) in &ix.externs {
                     let mut row = vec![None; order.len()];
                     for &slot in &order {
-                        let name = format!("E[{e}][{}]", topo.switch(ix.switches[slot]).name);
+                        let sw_name = &topo.switch(ix.switches[slot]).name;
+                        let name = format_args!("E[{e}][{sw_name}]");
                         row[slot] = Some(model.int_var(name, 0, *size as i64));
                     }
                     ix.extern_var.push(row.into_iter().flatten().collect());
@@ -345,8 +347,8 @@ pub(crate) fn encode_reusing(
     match &opts.objective {
         Objective::Feasible => {}
         Objective::MinSwitches => {
-            let terms = enc.switch_used.values().map(|&u| Ix::bool01(u)).collect();
-            enc.objective = Some(Ix::sum(terms));
+            let terms = enc.switch_used.values().map(|&u| Ix::bool01(u));
+            enc.objective = Some(model.sum(terms));
         }
         Objective::MaxUseOf(name) => {
             let target = topo.find(name).ok_or_else(|| {
@@ -359,8 +361,8 @@ pub(crate) fn encode_reusing(
             // (Appendix C.2: "assigning a much bigger weight for that
             // specified switch and minimizing the final result").
             let elsewhere = enc.instr_vars().filter(|&(_, s, _, _)| s != target);
-            let terms = elsewhere.map(|(_, _, _, v)| Ix::bool01(v)).collect();
-            enc.objective = Some(Ix::sum(terms));
+            let terms = elsewhere.map(|(_, _, _, v)| Ix::bool01(v));
+            enc.objective = Some(model.sum(terms));
         }
     }
 
@@ -387,24 +389,26 @@ fn encode_stage_detail(
     let mut starts: Vec<lyra_solver::IntId> = Vec::new();
     let mut ends: Vec<lyra_solver::IntId> = Vec::new();
     for (ti, t) in unit.group.tables.iter().enumerate() {
-        let b_start = model.int_var(format!("bstart[{}][{}]", sw_name, t.name), 1, nstages);
-        let b_end = model.int_var(format!("bend[{}][{}]", sw_name, t.name), 1, nstages);
-        model.require(Ix::var(b_start).le(Ix::var(b_end)));
+        let b_start = model.int_var(format_args!("bstart[{sw_name}][{}]", t.name), 1, nstages);
+        let b_end = model.int_var(format_args!("bend[{sw_name}][{}]", t.name), 1, nstages);
+        let ordered = model.le(Ix::var(b_start), Ix::var(b_end));
+        model.require(ordered);
         starts.push(b_start);
         ends.push(b_end);
         let entries = t.entries.max(1) as i64;
         let mut sum_terms: Vec<Ix> = Vec::new();
         for j in 1..=nstages {
-            let e_tj = model.int_var(format!("E[{}][{}][s{}]", sw_name, t.name, j), 0, entries);
+            let e_tj = model.int_var(format_args!("E[{sw_name}][{}][s{j}]", t.name), 0, entries);
             // Entries exist only within [b_start, b_end] (eq. 13).
-            model.require(Bx::implies(
-                Ix::lit(j).lt(Ix::var(b_start)),
-                Ix::var(e_tj).eq(Ix::lit(0)),
-            ));
-            model.require(Bx::implies(
-                Ix::lit(j).gt(Ix::var(b_end)),
-                Ix::var(e_tj).eq(Ix::lit(0)),
-            ));
+            let (before, after) = (
+                model.lt(Ix::lit(j), Ix::var(b_start)),
+                model.gt(Ix::lit(j), Ix::var(b_end)),
+            );
+            for outside in [before, after] {
+                let empty = model.eq(Ix::var(e_tj), Ix::lit(0));
+                let c = model.implies(outside, empty);
+                model.require(c);
+            }
             sum_terms.push(Ix::var(e_tj));
             // Stage memory contribution (eq. 15): blocks for E_{t,j} rows
             // of M_t bits, gated by validity.
@@ -420,29 +424,28 @@ fn encode_stage_detail(
                     chip.sram.width.max(1) as i64,
                 )
             };
+            let rows = model.ceil_div(Ix::var(e_tj), h);
             let blocks = if chip.word_packing && !t.match_kind.uses_tcam() {
-                Ix::var(e_tj).ceil_div(h).scale(m).ceil_div(w)
+                let bits = model.scale(rows, m);
+                model.ceil_div(bits, w)
             } else {
-                Ix::var(e_tj).ceil_div(h).scale((m + w - 1) / w)
+                model.scale(rows, (m + w - 1) / w)
             };
-            per_stage_mem[(j - 1) as usize].push(Ix::ite(
-                Bx::var(table_valid[ti]),
-                blocks,
-                Ix::lit(0),
-            ));
+            let valid = Bx::var(table_valid[ti]);
+            let mem = model.ite(valid, blocks, Ix::lit(0));
+            per_stage_mem[(j - 1) as usize].push(mem);
             // Table occupies stage j iff b_start ≤ j ≤ b_end.
-            let occupies = Bx::and(vec![
-                Ix::var(b_start).le(Ix::lit(j)),
-                Ix::lit(j).le(Ix::var(b_end)),
-                Bx::var(table_valid[ti]),
-            ]);
-            per_stage_tabs[(j - 1) as usize].push(Ix::ite(occupies, Ix::lit(1), Ix::lit(0)));
+            let from = model.le(Ix::var(b_start), Ix::lit(j));
+            let to = model.le(Ix::lit(j), Ix::var(b_end));
+            let occupies = model.and([from, to, valid]);
+            let tab = model.ite(occupies, Ix::lit(1), Ix::lit(0));
+            per_stage_tabs[(j - 1) as usize].push(tab);
         }
         // A valid table's entries must all be placed (eq. 13's ≥ E_t).
-        model.require(Bx::implies(
-            Bx::var(table_valid[ti]),
-            Ix::sum(sum_terms).ge(Ix::lit(entries)),
-        ));
+        let placed = model.sum(sum_terms);
+        let placed = model.ge(placed, Ix::lit(entries));
+        let c = model.implies(Bx::var(table_valid[ti]), placed);
+        model.require(c);
     }
     // Dependent tables start strictly after their producers end (eq. 14).
     for (ti, t) in unit.group.tables.iter().enumerate() {
@@ -450,8 +453,10 @@ fn encode_stage_detail(
             if d >= starts.len() {
                 continue;
             }
-            let both = Bx::and(vec![Bx::var(table_valid[ti]), Bx::var(table_valid[d])]);
-            model.require(Bx::implies(both, Ix::var(starts[ti]).gt(Ix::var(ends[d]))));
+            let both = model.and([Bx::var(table_valid[ti]), Bx::var(table_valid[d])]);
+            let after = model.gt(Ix::var(starts[ti]), Ix::var(ends[d]));
+            let c = model.implies(both, after);
+            model.require(c);
         }
     }
     // Per-stage budgets. With recirculation the stage index wraps modulo
@@ -464,11 +469,11 @@ fn encode_stage_detail(
     for j in 0..nstages as usize {
         let mem = std::mem::take(&mut per_stage_mem[j]);
         if !mem.is_empty() {
-            model.require(Ix::sum(mem).le(Ix::lit(mem_budget.max(1))));
+            require_at_most(model, mem, mem_budget.max(1));
         }
         let tabs = std::mem::take(&mut per_stage_tabs[j]);
         if !tabs.is_empty() {
-            model.require(Ix::sum(tabs).le(Ix::lit(tab_budget.max(1))));
+            require_at_most(model, tabs, tab_budget.max(1));
         }
     }
 }
@@ -490,15 +495,17 @@ fn encode_multi_switch_placement(
             match *reader {
                 None => {
                     // Exactly one deployment along the path.
-                    let sum = Ix::total(hops.iter().map(|&s| VarRef::Bool(ix.instr_var[s][i])));
-                    model.require(sum.eq(Ix::lit(1)));
+                    let sum = model.total(hops.iter().map(|&s| VarRef::Bool(ix.instr_var[s][i])));
+                    let once = model.eq(sum, Ix::lit(1));
+                    model.require(once);
                 }
                 Some(e) => {
                     // Lookup exists exactly where entries do (eq. 16) —
                     // constrained below per switch; here: entries along the
                     // path sum to the full size.
-                    let sum = Ix::total(hops.iter().map(|&s| VarRef::Int(ix.extern_var[e][s])));
-                    model.require(sum.eq(Ix::lit(ix.externs[e].1 as i64)));
+                    let sum = model.total(hops.iter().map(|&s| VarRef::Int(ix.extern_var[e][s])));
+                    let full = model.eq(sum, Ix::lit(ix.externs[e].1 as i64));
+                    model.require(full);
                 }
             }
         }
@@ -509,8 +516,9 @@ fn encode_multi_switch_placement(
                 (None, None) => {
                     // b at hop j → a at some hop j' ≤ j.
                     for (j, &sb) in hops.iter().enumerate() {
-                        let earlier = Bx::any_of(hops[..=j].iter().map(|&sa| var(a, sa)));
-                        model.require(Bx::implies(Bx::var(var(b, sb)), earlier));
+                        let earlier = model.any_of(hops[..=j].iter().map(|&sa| var(a, sa)));
+                        let c = model.implies(Bx::var(var(b, sb)), earlier);
+                        model.require(c);
                     }
                 }
                 (Some(e), None) => {
@@ -518,10 +526,9 @@ fn encode_multi_switch_placement(
                     // the last switch holding entries of e.
                     for (j, &sb) in hops.iter().enumerate() {
                         for &later in &hops[j + 1..] {
-                            model.require(Bx::implies(
-                                Bx::var(var(b, sb)),
-                                Ix::var(ix.extern_var[e][later]).eq(Ix::lit(0)),
-                            ));
+                            let empty = model.eq(Ix::var(ix.extern_var[e][later]), Ix::lit(0));
+                            let c = model.implies(Bx::var(var(b, sb)), empty);
+                            model.require(c);
                         }
                     }
                 }
@@ -530,10 +537,9 @@ fn encode_multi_switch_placement(
                     // a must sit at-or-before the first entries of e.
                     for (j, &sa) in hops.iter().enumerate() {
                         for &earlier in &hops[..j] {
-                            model.require(Bx::implies(
-                                Bx::var(var(a, sa)),
-                                Ix::var(ix.extern_var[e][earlier]).eq(Ix::lit(0)),
-                            ));
+                            let empty = model.eq(Ix::var(ix.extern_var[e][earlier]), Ix::lit(0));
+                            let c = model.implies(Bx::var(var(a, sa)), empty);
+                            model.require(c);
                         }
                     }
                 }
@@ -548,7 +554,9 @@ fn encode_multi_switch_placement(
         for (i, reader) in ix.reader.iter().enumerate() {
             if let Some(e) = *reader {
                 let (fv, ev) = (ix.instr_var[s][i], ix.extern_var[e][s]);
-                model.require(Bx::iff(Bx::var(fv), Ix::var(ev).ge(Ix::lit(1))));
+                let holds = model.ge(Ix::var(ev), Ix::lit(1));
+                let c = model.iff(Bx::var(fv), holds);
+                model.require(c);
             }
         }
     }
@@ -564,7 +572,8 @@ fn encode_multi_switch_placement(
     for users in global_users.values() {
         for w in users.windows(2) {
             for &s in order {
-                model.require(Bx::iff(Bx::var(var(w[0], s)), Bx::var(var(w[1], s))));
+                let c = model.iff(Bx::var(var(w[0], s)), Bx::var(var(w[1], s)));
+                model.require(c);
             }
         }
     }
@@ -675,8 +684,15 @@ impl Touches {
 fn deployed<'a>(
     vars: &'a [lyra_solver::BoolId],
     is: &'a [InstrId],
-) -> impl ExactSizeIterator<Item = lyra_solver::BoolId> + 'a {
+) -> impl Iterator<Item = lyra_solver::BoolId> + 'a {
     is.iter().map(|i| vars[i.index()])
+}
+
+/// Require `Σ terms ≤ cap`.
+fn require_at_most(model: &mut Model, terms: Vec<Ix>, cap: i64) {
+    let sum = model.sum(terms);
+    let c = model.le(sum, Ix::lit(cap));
+    model.require(c);
 }
 
 /// Per-switch chip resource constraints aggregated over all algorithms:
@@ -724,25 +740,30 @@ fn encode_switch_resources(
             // Table validity and per-table resources.
             let mut table_valid: Vec<lyra_solver::BoolId> = Vec::new();
             for (t, (tcam, blocks)) in unit.group.tables.iter().zip(&costs[cost_of[ui]]) {
-                let v = model.bool_var(format!("V[{}][{}]", sw_name, t.name));
-                model.require(Bx::iff(Bx::var(v), Bx::any_of(touching(&t.instrs))));
+                let v = model.bool_var(format_args!("V[{sw_name}][{}]", t.name));
+                let touched = model.any_of(touching(&t.instrs));
+                let c = model.iff(Bx::var(v), touched);
+                model.require(c);
                 table_valid.push(v);
 
-                let when = |k: Ix| Ix::ite(Bx::var(v), k, Ix::lit(0));
-                table_terms.push(when(Ix::lit(1)));
-                action_terms.push(when(Ix::lit(t.action_count() as i64)));
-                if t.stateful {
-                    atom_terms.push(when(Ix::lit(1)));
-                }
                 // Memory blocks: variable-sized for split externs,
                 // constant otherwise.
                 let blocks = match *blocks {
                     Blocks::Fixed(k) => Ix::lit(k),
                     Blocks::Split(e, [pre, h, mid, post]) => {
                         let entries = Ix::var(ix.extern_var[e][slot]);
-                        entries.scale(pre).ceil_div(h).scale(mid).ceil_div(post)
+                        let x = model.scale(entries, pre);
+                        let x = model.ceil_div(x, h);
+                        let x = model.scale(x, mid);
+                        model.ceil_div(x, post)
                     }
                 };
+                let mut when = |k: Ix| model.ite(Bx::var(v), k, Ix::lit(0));
+                table_terms.push(when(Ix::lit(1)));
+                action_terms.push(when(Ix::lit(t.action_count() as i64)));
+                if t.stateful {
+                    atom_terms.push(when(Ix::lit(1)));
+                }
                 let terms = if *tcam {
                     &mut tcam_terms
                 } else {
@@ -761,15 +782,15 @@ fn encode_switch_resources(
                 .group
                 .tables
                 .iter()
-                .map(|t| model.int_var(format!("depth[{}][{}]", sw_name, t.name), 1, stages))
+                .map(|t| model.int_var(format_args!("depth[{sw_name}][{}]", t.name), 1, stages))
                 .collect();
             for (ti, t) in unit.group.tables.iter().enumerate() {
                 for &d in &t.depends_on {
-                    let both = Bx::and(vec![Bx::var(table_valid[ti]), Bx::var(table_valid[d])]);
-                    model.require(Bx::implies(
-                        both,
-                        Ix::var(depth[ti]).ge(Ix::var(depth[d]).add(Ix::lit(1))),
-                    ));
+                    let both = model.and([Bx::var(table_valid[ti]), Bx::var(table_valid[d])]);
+                    let next = model.sum([Ix::var(depth[d]), Ix::lit(1)]);
+                    let deeper = model.ge(Ix::var(depth[ti]), next);
+                    let c = model.implies(both, deeper);
+                    model.require(c);
                 }
             }
 
@@ -793,49 +814,44 @@ fn encode_switch_resources(
             // Parser TCAM: one entry set per header a deployed instruction
             // touches.
             for (entries, is) in &touches[scope].headers {
-                let touched = Bx::any_of(touching(is));
-                parser_terms.push(Ix::ite(touched, Ix::lit(*entries), Ix::lit(0)));
+                let touched = model.any_of(touching(is));
+                parser_terms.push(model.ite(touched, Ix::lit(*entries), Ix::lit(0)));
             }
             // Track switch usage for objectives.
             any_deploy.extend(vars);
             unit_index[ui].tables = table_valid.into_iter().zip(depth).collect();
         }
 
-        let phv_terms: Vec<Ix> = phv_touch
-            .into_values()
-            .map(|(width, touches)| {
-                Ix::ite(
-                    Bx::any_of(touches.into_iter()),
-                    Ix::lit(width as i64),
-                    Ix::lit(0),
-                )
-            })
-            .collect();
+        let mut phv_terms: Vec<Ix> = Vec::with_capacity(phv_touch.len());
+        for (width, touches) in phv_touch.into_values() {
+            let touched = model.any_of(touches);
+            phv_terms.push(model.ite(touched, Ix::lit(width as i64), Ix::lit(0)));
+        }
 
         // Budgets.
-        let total_blocks = chip.total_sram_blocks() as i64;
-        model.require(Ix::sum(mem_terms).le(Ix::lit(total_blocks)));
+        require_at_most(model, mem_terms, chip.total_sram_blocks() as i64);
         if !tcam_terms.is_empty() {
-            let total_tcam = chip.total_tcam_blocks() as i64;
-            model.require(Ix::sum(tcam_terms).le(Ix::lit(total_tcam)));
+            require_at_most(model, tcam_terms, chip.total_tcam_blocks() as i64);
         }
         let table_cap = (chip.stages as i64) * (chip.max_tables_per_stage as i64);
-        model.require(Ix::sum(table_terms).le(Ix::lit(table_cap)));
+        require_at_most(model, table_terms, table_cap);
         let action_cap = (chip.stages as i64) * (chip.max_actions_per_stage as i64);
-        model.require(Ix::sum(action_terms).le(Ix::lit(action_cap)));
+        require_at_most(model, action_terms, action_cap);
         let atom_cap = (chip.stages as i64) * (chip.atoms_per_stage as i64);
         if !atom_terms.is_empty() {
-            model.require(Ix::sum(atom_terms).le(Ix::lit(atom_cap)));
+            require_at_most(model, atom_terms, atom_cap);
         }
         let phv_bits: i64 = chip.phv.iter().map(|c| (c.width * c.count) as i64).sum();
-        model.require(Ix::sum(phv_terms).le(Ix::lit(phv_bits)));
+        require_at_most(model, phv_terms, phv_bits);
         if !parser_terms.is_empty() {
-            model.require(Ix::sum(parser_terms).le(Ix::lit(chip.parser_tcam_entries as i64)));
+            require_at_most(model, parser_terms, chip.parser_tcam_entries as i64);
         }
 
         // used_s ↔ any deployment on s.
-        let used = model.bool_var(format!("used[{sw_name}]"));
-        model.require(Bx::iff(Bx::var(used), Bx::any_of(any_deploy.into_iter())));
+        let used = model.bool_var(format_args!("used[{sw_name}]"));
+        let any = model.any_of(any_deploy);
+        let c = model.iff(Bx::var(used), any);
+        model.require(c);
         enc.switch_used.insert(s, used);
     }
     enc.unit_index = unit_index;

@@ -104,36 +104,39 @@ fn build(cons: &[Con]) -> Model {
     for c in cons {
         match c {
             Con::Implies(a, b) => {
-                m.require(Bx::implies(Bx::var(bools[*a]), Bx::var(bools[*b])));
+                let c = m.implies(Bx::var(bools[*a]), Bx::var(bools[*b]));
+                m.require(c);
             }
             Con::ExactlyOne(vs) => {
                 let mut seen: Vec<usize> = vs.clone();
                 seen.sort_unstable();
                 seen.dedup();
-                m.require(Bx::exactly_one(
-                    seen.iter().map(|&v| Bx::var(bools[v])).collect(),
-                ));
+                let vars = seen.iter().map(|&v| Bx::var(bools[v]));
+                let (some, one) = (m.or(vars.clone()), m.at_most_one(vars));
+                let c = m.and([some, one]);
+                m.require(c);
             }
             Con::CapacitySum { vars, weight, cap } => {
-                let sum = Ix::sum(
-                    vars.iter()
-                        .map(|&v| Ix::bool01(bools[v]).scale(*weight))
-                        .collect(),
-                );
-                m.require(sum.le(Ix::lit(*cap)));
+                let terms: Vec<Ix> = vars
+                    .iter()
+                    .map(|&v| m.scale(Ix::bool01(bools[v]), *weight))
+                    .collect();
+                let sum = m.sum(terms);
+                let c = m.le(sum, Ix::lit(*cap));
+                m.require(c);
             }
             Con::CondBound { guard, int, min } => {
-                m.require(Bx::implies(
-                    Bx::var(bools[*guard]),
-                    Ix::var(ints[*int]).ge(Ix::lit(*min)),
-                ));
+                let ge = m.ge(Ix::var(ints[*int]), Ix::lit(*min));
+                let c = m.implies(Bx::var(bools[*guard]), ge);
+                m.require(c);
             }
             Con::SplitSum { ints: idx, total } => {
                 let mut seen: Vec<usize> = idx.clone();
                 seen.sort_unstable();
                 seen.dedup();
-                let sum = Ix::sum(seen.iter().map(|&i| Ix::var(ints[i])).collect());
-                m.require(sum.eq(Ix::lit((*total).min(INT_HI * seen.len() as i64))));
+                let sum = m.sum(seen.iter().map(|&i| Ix::var(ints[i])));
+                let c = m.eq(sum, Ix::lit((*total).min(INT_HI * seen.len() as i64)));
+                m.require(c);
             }
         }
     }
@@ -142,7 +145,7 @@ fn build(cons: &[Con]) -> Model {
 
 /// Visit every assignment of the small pool; returns the best objective
 /// value among satisfying assignments (`None` if UNSAT).
-fn brute_force_best(m: &Model, obj: Option<&Ix>) -> Option<i64> {
+fn brute_force_best(m: &Model, obj: Option<Ix>) -> Option<i64> {
     let mut best: Option<i64> = None;
     let mut sat = false;
     let domain = (INT_HI + 1) as usize;
@@ -160,7 +163,7 @@ fn brute_force_best(m: &Model, obj: Option<&Ix>) -> Option<i64> {
                 sat = true;
                 match obj {
                     Some(o) => {
-                        let v = sol.eval_ix(o);
+                        let v = sol.eval_ix(m, o);
                         best = Some(best.map_or(v, |b: i64| b.min(v)));
                     }
                     None => return Some(0),
@@ -210,16 +213,17 @@ fn minimization_matches_brute_force_optimum() {
     let mut rng = Rng::new(0x5eed_0004);
     for case in 0..64 {
         let cons: Vec<Con> = (0..rng.range(1, 6)).map(|_| gen_con(&mut rng)).collect();
-        let m = build(&cons);
+        let mut m = build(&cons);
         // Objective: number of deployed booleans.
-        let obj = Ix::sum(m.bool_decls().map(|(id, _)| Ix::bool01(id)).collect());
-        let expected = brute_force_best(&m, Some(&obj));
+        let vars: Vec<Ix> = m.bool_decls().map(|(id, _)| Ix::bool01(id)).collect();
+        let obj = m.sum(vars);
+        let expected = brute_force_best(&m, Some(obj));
         let (outcome, _) = solve(&m, Some(&obj), &Backend::Native);
         match (outcome, expected) {
             (Outcome::Sat(s), Some(best)) => {
                 assert!(s.satisfies(&m), "case {case}: minimizer returned non-model");
                 assert_eq!(
-                    s.eval_ix(&obj),
+                    s.eval_ix(&m, obj),
                     best,
                     "case {case}: optimal objective differs"
                 );

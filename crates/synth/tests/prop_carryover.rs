@@ -14,17 +14,21 @@
 //! 3. **Mutations** — a prior with one instruction dropped, one entry
 //!    added to a shard, or one instruction on two hops of a path fails
 //!    verification and still ends in a valid placement through the search.
+//! 4. **The check itself** — `Solution::satisfies`, which both routes rest
+//!    on, rejects an assignment that breaks one constraint family, for each
+//!    node kind the encoder builds, and names exactly the constraints the
+//!    break was aimed at.
 //!
 //! Nothing here is timed. Randomness comes from a seeded xorshift
 //! generator (the workspace builds offline with no external crates), so
 //! every run explores the identical case set and failures reproduce from
 //! the printed case.
 
-use lyra_apps::figure9_corpus;
-use lyra_ir::IrProgram;
+use lyra_apps::{figure9_corpus, programs};
+use lyra_ir::{InstrId, IrProgram};
 use lyra_lang::{parse_scopes, DeployMode};
-use lyra_solver::SearchStats;
-use lyra_synth::place::{extract, lift_placement};
+use lyra_solver::{Model, SearchStats, Solution};
+use lyra_synth::place::{extract, lift, lift_placement};
 use lyra_synth::{
     encode, synthesize_limited, Backend, EncodeOptions, Placement, SolveRoute, SynthLimits,
     SynthResult,
@@ -475,4 +479,96 @@ fn mutated_priors_fail_verification_and_fall_back_to_search() {
             assert_round_trip(&res, &prior.ir, &prior.topo, &case);
         }
     }
+}
+
+/// Positions of the constraints of `m` that `sol` violates.
+fn violated(m: &Model, sol: &Solution) -> Vec<usize> {
+    let constraints = m.constraints().iter().enumerate();
+    constraints
+        .filter(|&(_, &c)| !sol.eval_bx(m, c))
+        .map(|(i, _)| i)
+        .collect()
+}
+
+#[test]
+fn satisfies_rejects_each_violated_family() {
+    let ir = lyra_ir::frontend(&programs::netcache()).unwrap();
+    let topo = fat_tree_pod(4, "tofino-32q", "trident4");
+    let scopes = resolve(
+        &topo,
+        "netcache: [ ToR*,Agg* | MULTI-SW | (Agg1,Agg2->ToR1,ToR2) ]",
+    );
+    let (res, _) = synthesize(&ir, &topo, &scopes, None, false);
+    let (enc, m) = (&res.encoded, &res.encoded.model);
+    let tor1 = topo.find("ToR1").unwrap();
+    let is_tor = |s| topo.switch(s).name.starts_with("ToR");
+    // The placement the mutations start from: every instruction on both
+    // ToRs, all of `cache_lookup` on each.
+    let placed = |alg: &str, s, i| res.placement.deploys(&topo.switch(s).name, alg, i);
+    let shard = |e: &str, s| res.placement.shard_size(&topo.switch(s).name, e) as i64;
+    assert!(enc
+        .instr_vars()
+        .all(|(a, s, i, _)| placed(a, s, i) == is_tor(s)));
+    let base = lift(enc, placed, shard);
+    assert!(base.satisfies(m) && violated(m, &base).is_empty());
+    let paths_through = |s| scopes[0].paths.iter().filter(|p| p.contains(&s)).count();
+
+    // A deploy flip (`implies` over `any_of`): one instruction that needs
+    // only plain instructions moves to the Aggs — still once per path, but
+    // now at hop 0 ahead of everything it reads, one broken dependency per
+    // path and predecessor.
+    let alg = ir.algorithm("netcache").unwrap();
+    let deps = lyra_ir::dependency_graph(alg);
+    let plain =
+        |i: InstrId| alg.instr(i).op.table().is_none() && alg.instr(i).op.global().is_none();
+    let (mover, preds) = alg
+        .instr_ids()
+        .filter(|&b| plain(b) && deps.pred_list(b).iter().all(|&a| plain(a)))
+        .map(|b| (b, deps.pred_list(b).len()))
+        .find(|&(_, n)| n > 0)
+        .expect("an instruction reading only plain instructions");
+    let moved = lift(
+        enc,
+        |a, s, i| {
+            if i == mover {
+                !is_tor(s)
+            } else {
+                placed(a, s, i)
+            }
+        },
+        shard,
+    );
+    assert!(!moved.satisfies(m));
+    assert_eq!(violated(m, &moved).len(), scopes[0].paths.len() * preds);
+
+    // A `used` mismatch (`iff`): exactly its one definition breaks.
+    let mut bools: Vec<bool> = m.bool_decls().map(|(b, _)| base.bool(b)).collect();
+    bools[enc.switch_used[&tor1].index()] = false;
+    let ints = m.int_decls().map(|(x, _)| base.int(x)).collect();
+    let unused = Solution::from_parts(bools, ints);
+    assert!(!unused.satisfies(m));
+    assert_eq!(violated(m, &unused).len(), 1);
+
+    // An entries sum off by one (a linear `=`): every path through ToR1
+    // now holds one entry too few, in the sum each lookup of the extern
+    // states. The block count is unchanged.
+    let short = lift(enc, placed, |e, s| shard(e, s) - (s == tor1) as i64);
+    assert!(!short.satisfies(m));
+    let short_broken = violated(m, &short);
+    let lookups = alg.instrs.iter().filter(|i| i.op.table().is_some()).count();
+    assert_eq!(short_broken.len(), paths_through(tor1) * lookups);
+
+    // An over-budget block count (a sum of `ite` over `ceil_div`): entries
+    // far past the chip's memory (and past the variable's own range, the
+    // only way to outgrow a chip that holds the whole program) break the
+    // same path sums and, besides them, exactly ToR1's memory budget.
+    let huge = lift(
+        enc,
+        placed,
+        |e, s| if s == tor1 { 1 << 40 } else { shard(e, s) },
+    );
+    assert!(!huge.satisfies(m));
+    let huge_broken = violated(m, &huge);
+    assert!(short_broken.iter().all(|c| huge_broken.contains(c)));
+    assert_eq!(huge_broken.len(), short_broken.len() + 1);
 }
