@@ -34,7 +34,9 @@
 //! absolute at k = 32, and its `encode` at k = 16 within 3× of the
 //! committed `encode_ms`. A `Feasible` failover recompile must take the
 //! carried-over route and must not be slower than compiling the survivor
-//! network from scratch. Propagation is bounded by count, not by the clock:
+//! network from scratch. At the smallest rollout scale, the Agg3 re-sync of
+//! the replicated `conn_table` must walk no key (its replicas share pages).
+//! Propagation is bounded by count, not by the clock:
 //! each `MinSwitches` placement within 50 000 linear visits (LB 5.5 M k = 4
 //! made 60 M), NetCache k = 8 within two per propagation. The data-plane
 //! tripwire also runs: the compiled engine must beat the interpreter by a
@@ -566,6 +568,9 @@ struct ScaleRow {
     /// Entries the re-sync and the delta rollout handed to the planner.
     planned_resync: u64,
     planned_delta: u64,
+    /// Keys the re-sync's staging merge visited: 0 while the dead replica
+    /// shares its pages with the survivor.
+    walked_resync: u64,
     /// Entries the dead switch's shard held.
     lost: u64,
     bytes_delta: u64,
@@ -645,7 +650,7 @@ fn measure_rollout_scale(n: usize, table_size: u64, samples: usize) -> ScaleRow 
         failover: Vec<Duration>,
         stage: Vec<Duration>,
         lost: u64,
-        planned_resync: u64,
+        resync_report: lyra::RolloutReport,
         report: lyra::RolloutReport,
     }
     let run = |force_snapshot: bool| -> Run {
@@ -655,7 +660,7 @@ fn measure_rollout_scale(n: usize, table_size: u64, samples: usize) -> ScaleRow 
             failover: Vec::new(),
             stage: Vec::new(),
             lost: 0,
-            planned_resync: 0,
+            resync_report: Default::default(),
             report: Default::default(),
         };
         for _ in 0..samples {
@@ -687,7 +692,7 @@ fn measure_rollout_scale(n: usize, table_size: u64, samples: usize) -> ScaleRow 
             r.rollout.push(t2 - t1);
             r.failover.push(t2 - t0);
             r.stage.push(report.stage);
-            r.planned_resync = resync.entries_planned;
+            r.resync_report = resync;
             r.report = report;
         }
         r
@@ -725,8 +730,9 @@ fn measure_rollout_scale(n: usize, table_size: u64, samples: usize) -> ScaleRow 
         p50_wall_snapshot: p50(snapshot.rollout),
         p50_stage_delta: p50(delta.stage),
         p50_replan: p50(replan),
-        planned_resync: delta.planned_resync,
+        planned_resync: delta.resync_report.entries_planned,
         planned_delta: delta.report.entries_planned,
+        walked_resync: delta.resync_report.keys_walked,
         lost: delta.lost,
         bytes_delta: delta.report.prepare_bytes,
         bytes_snapshot: snapshot.report.prepare_bytes,
@@ -749,10 +755,11 @@ fn record_rollout_scale() -> Vec<Value> {
         let samples = if n >= 1_000_000 { 3 } else { SAMPLES };
         let row = measure_rollout_scale(n, table_size, samples);
         println!(
-            "rollout scale {n}: failover p50 {:?} (re-sync {:?} + rollout {:?}, stage {:?}) vs \
-             from-scratch re-plan {:?} = {:.1}x; {}B delta / {}B snapshot on the wire",
+            "rollout scale {n}: failover p50 {:?} (re-sync {:?}, {} key(s) walked + rollout {:?}, \
+             stage {:?}) vs from-scratch re-plan {:?} = {:.1}x; {}B delta / {}B snapshot on the wire",
             row.p50_failover,
             row.p50_resync,
+            row.walked_resync,
             row.p50_wall_delta,
             row.p50_stage_delta,
             row.p50_replan,
@@ -761,10 +768,12 @@ fn record_rollout_scale() -> Vec<Value> {
             row.bytes_snapshot
         );
         assert!(
-            row.planned_resync <= row.lost && row.planned_delta == 0,
-            "staging at {n} entries planned {} + {} entries; the dead shard held {}",
+            row.planned_resync <= row.lost && row.planned_delta == 0 && row.walked_resync == 0,
+            "staging at {n} entries planned {} + {} entries (re-sync walked {} keys); the dead \
+             shard held {}",
             row.planned_resync,
             row.planned_delta,
+            row.walked_resync,
             row.lost
         );
         if n >= 1_000_000 {
@@ -806,6 +815,10 @@ fn record_rollout_scale() -> Vec<Value> {
         measured.push(
             "entries_planned_delta",
             Value::Number(row.planned_delta as f64),
+        );
+        measured.push(
+            "keys_walked_resync",
+            Value::Number(row.walked_resync as f64),
         );
         measured.push("dead_shard_entries", Value::Number(row.lost as f64));
         measured.push("prepare_bytes_delta", Value::Number(row.bytes_delta as f64));
@@ -1431,21 +1444,25 @@ fn smoke() -> usize {
     // O(delta) tripwire: at the smallest scale row, delta prepares must
     // still beat forced snapshots by the floor on prepare bytes, and
     // staging must hand the planner nothing on the failover rollout and no
-    // more than the dead shard on the re-sync. Both are exact counts, not
+    // more than the dead shard on the re-sync — and, the replicas sharing
+    // their pages, walk no key to find that out. All are exact counts, not
     // timings, so no grace is needed.
     let (n, table_size) = ROLLOUT_SCALES[0];
     let row = measure_rollout_scale(n, table_size, 1);
     let ratio = row.bytes_snapshot as f64 / row.bytes_delta.max(1) as f64;
-    let staged_o_delta = row.planned_delta == 0 && row.planned_resync <= row.lost;
+    let staged_o_delta =
+        row.planned_delta == 0 && row.planned_resync <= row.lost && row.walked_resync == 0;
     let regressed = ratio < SMOKE_DELTA_RATIO_FLOOR || !staged_o_delta;
     println!(
         "smoke rollout-delta @{n} entries: snapshot {}B / delta {}B = {ratio:.1}x \
-         (floor {SMOKE_DELTA_RATIO_FLOOR:.0}x); planner saw {} (re-sync, dead shard {}) + {} \
-         (rollout) entries; measured failover {:.2} ms vs from-scratch re-plan {:.2} ms {}",
+         (floor {SMOKE_DELTA_RATIO_FLOOR:.0}x); planner saw {} (re-sync, dead shard {}, {} key(s) \
+         walked, must be 0) + {} (rollout) entries; measured failover {:.2} ms vs from-scratch \
+         re-plan {:.2} ms {}",
         row.bytes_snapshot,
         row.bytes_delta,
         row.planned_resync,
         row.lost,
+        row.walked_resync,
         row.planned_delta,
         ms(row.p50_failover),
         ms(row.p50_replan),

@@ -800,7 +800,7 @@ fn print_rollout(report: &RolloutReport) {
         "no-op"
     };
     println!(
-        "rollout: epoch {} {outcome} in {:?} (staging {:?}, {} entr{} re-planned)",
+        "rollout: epoch {} {outcome} in {:?} (staging {:?}, {} entr{} re-planned, {} key(s) walked)",
         report.epoch,
         report.elapsed,
         report.stage,
@@ -810,6 +810,7 @@ fn print_rollout(report: &RolloutReport) {
         } else {
             "ies"
         },
+        report.keys_walked,
     );
     println!(
         "  channel: {} attempt(s), {} retr{}, {} dropped, {} ack-lost, {} duplicated, \

@@ -722,6 +722,11 @@ pub struct RolloutReport {
     /// shard it was in. A count, not a time — the deterministic form of
     /// "staging is O(moved entries)".
     pub entries_planned: u64,
+    /// Keys staging's per-table merges visited to find those entries. A
+    /// table with one replica group on every surviving path is not walked,
+    /// so re-syncing a replicated table after one replica dies visits
+    /// none, however many entries it holds.
+    pub keys_walked: u64,
     /// Per-switch phase record.
     pub switches: Vec<SwitchRollout>,
     /// Structured diagnostics (LYR056x) describing any failure and the
@@ -777,6 +782,7 @@ impl RolloutReport {
             "entries_planned",
             Value::Number(self.entries_planned as f64),
         );
+        o.push("keys_walked", Value::Number(self.keys_walked as f64));
         o.push("prepare_bytes", Value::Number(self.prepare_bytes as f64));
         o.push("delta_prepares", Value::Number(self.delta_prepares as f64));
         o.push(
@@ -1149,6 +1155,7 @@ impl<'a> Runtime<'a> {
         let StagedLayout {
             states: staged,
             entries_planned,
+            keys_walked,
         } = staged;
         // Allocate the next epoch. Rolled-back epochs are burned: the
         // counter never rewinds, so message epochs are unique per attempt.
@@ -1170,6 +1177,7 @@ impl<'a> Runtime<'a> {
                 epoch,
                 instr_churn,
                 entries_planned,
+                keys_walked,
                 ..Default::default()
             },
         };

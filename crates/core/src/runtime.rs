@@ -112,12 +112,20 @@ pub struct Runtime<'a> {
 /// surviving holders, the surviving flow paths that can reach the table,
 /// and each holder's shard capacity depend only on the placement and the
 /// fault set — never on the key — so bulk operations build this once per
-/// table instead of re-cloning every flow path per key.
+/// table. Switches are named once, here; a decision is made and answered
+/// in indices into [`EntryPlanner::switches`].
 pub(crate) struct EntryPlanner {
     table: String,
-    holders: Vec<String>,
-    paths: Vec<Vec<String>>,
-    capacity: BTreeMap<String, u64>,
+    /// Every switch a decision reads: the surviving holders of the table
+    /// first, in switch order, then every other switch on a surviving path
+    /// (it receives no entry, but an entry it holds covers its paths).
+    switches: Vec<String>,
+    /// Shard capacity per holder: the first `capacity.len()` switches are
+    /// the holders.
+    capacity: Vec<u64>,
+    /// The surviving flow paths that reach the table, hop by hop as
+    /// indices into `switches`, each path once.
+    paths: Vec<Vec<usize>>,
 }
 
 impl EntryPlanner {
@@ -126,105 +134,128 @@ impl EntryPlanner {
         faults: &FaultSet,
         table: &str,
     ) -> Result<Self, RuntimeError> {
-        let holders: Vec<String> = output
+        let (mut switches, capacity): (Vec<String>, Vec<u64>) = output
             .placement
             .switches
             .iter()
-            .filter(|(n, p)| p.extern_entries.contains_key(table) && !faults.switch_failed(n))
-            .map(|(n, _)| n.clone())
-            .collect();
-        if holders.is_empty() {
+            .filter(|(sw, _)| !faults.switch_failed(sw))
+            .filter_map(|(sw, plan)| Some((sw.clone(), *plan.extern_entries.get(table)?)))
+            .unzip();
+        let holders = capacity.len();
+        if holders == 0 {
             return Err(RuntimeError::new(format!(
                 "no surviving switch hosts extern table `{table}`"
             )));
         }
         // Surviving paths that can reach this table (host at least one
         // shard); paths through failed elements carry no traffic and need
-        // no entry.
-        let mut paths: Vec<Vec<String>> = output
-            .flow_paths
-            .values()
-            .flatten()
-            .filter(|p| faults.path_survives(p) && p.iter().any(|sw| holders.contains(sw)))
-            .cloned()
-            .collect();
+        // no entry. A path listed twice decides nothing the second time.
+        let mut paths: Vec<Vec<usize>> = Vec::new();
+        for path in output.flow_paths.values().flatten() {
+            if !faults.path_survives(path)
+                || !path.iter().any(|sw| switches[..holders].contains(sw))
+            {
+                continue;
+            }
+            let hops = path
+                .iter()
+                .map(|sw| match switches.iter().position(|s| s == sw) {
+                    Some(i) => i,
+                    None => {
+                        switches.push(sw.clone());
+                        switches.len() - 1
+                    }
+                })
+                .collect();
+            if !paths.contains(&hops) {
+                paths.push(hops);
+            }
+        }
         if paths.is_empty() {
             // Degenerate single-switch deployments.
-            paths = holders.iter().map(|h| vec![h.clone()]).collect();
+            paths = (0..holders).map(|h| vec![h]).collect();
         }
-        let capacity = holders
-            .iter()
-            .map(|sw| {
-                let cap = output
-                    .placement
-                    .switches
-                    .get(sw)
-                    .and_then(|p| p.extern_entries.get(table))
-                    .copied()
-                    .unwrap_or(0);
-                (sw.clone(), cap)
-            })
-            .collect();
         Ok(EntryPlanner {
             table: table.to_string(),
-            holders,
-            paths,
+            switches,
             capacity,
+            paths,
         })
     }
 
-    /// The switches one logical entry must land on so every surviving flow
-    /// path sees it. `holds(sw)` reports whether the switch already holds
-    /// the key; `used(sw)` reports how many keys its shard currently holds.
-    /// The key itself does not influence shard choice.
+    /// The holders one logical entry must land on so every surviving flow
+    /// path sees it, written to `targets` (cleared first) as indices into
+    /// [`EntryPlanner::switches`]. `holds(s)` reports whether switch `s`
+    /// already holds the key; `used(s)` how many keys holder `s`'s shard
+    /// holds. The key itself does not influence shard choice.
     pub(crate) fn targets(
         &self,
-        holds: impl Fn(&str) -> bool,
-        used: impl Fn(&str) -> u64,
-    ) -> Result<Vec<String>, RuntimeError> {
-        let mut targets: Vec<String> = Vec::new();
+        holds: impl Fn(usize) -> bool,
+        used: impl Fn(usize) -> u64,
+        targets: &mut Vec<usize>,
+    ) -> Result<(), RuntimeError> {
+        targets.clear();
         for path in &self.paths {
             // Already covered (an existing shard, or one chosen for an
             // earlier path of this same entry)?
-            let covered = path
-                .iter()
-                .any(|sw| holds(sw) || targets.iter().any(|t| t == sw));
-            if covered {
+            if path.iter().any(|&s| holds(s) || targets.contains(&s)) {
                 continue;
             }
-            let slot = path.iter().find(|sw| {
-                self.holders.contains(sw) && {
-                    let pending = targets.iter().any(|t| t == *sw) as u64;
-                    used(sw) + pending < self.capacity.get(*sw).copied().unwrap_or(0)
-                }
-            });
-            let Some(sw) = slot else {
+            let slot = path
+                .iter()
+                .find(|&&s| self.capacity.get(s).is_some_and(|&cap| used(s) < cap));
+            let Some(&s) = slot else {
+                let hops: Vec<&String> = path.iter().map(|&s| &self.switches[s]).collect();
                 return Err(RuntimeError::new(format!(
-                    "table `{}` is full along path {path:?}",
+                    "table `{}` is full along path {hops:?}",
                     self.table
                 )));
             };
-            if !targets.contains(sw) {
-                targets.push(sw.clone());
-            }
+            targets.push(s);
         }
-        Ok(targets)
+        Ok(())
     }
 
-    /// [`EntryPlanner::targets`] for `key` against per-switch states: a
-    /// switch holds the key, and uses capacity, by what its shard of this
-    /// table in `shard_of(switch)` says.
-    fn targets_in<'s>(
-        &self,
-        key: u64,
-        shard_of: impl Fn(&str) -> Option<&'s DataPlaneState>,
-    ) -> Result<Vec<String>, RuntimeError> {
-        let shard = |sw: &str| shard_of(sw).and_then(|dp| dp.externs.get(&self.table));
-        self.targets(
-            |sw| shard(sw).is_some_and(|t| t.contains_key(key)),
-            |sw| shard(sw).map_or(0, |t| t.len() as u64),
-        )
+    /// The holders of the table (a prefix of [`EntryPlanner::switches`]).
+    fn holders(&self) -> &[String] {
+        &self.switches[..self.capacity.len()]
     }
+}
+
+/// Move `table` out of `dp` for a batch of placements (an empty table when
+/// it holds none); [`put_table`] moves it back.
+fn take_table(dp: Option<&mut DataPlaneState>, table: &str) -> ExternTable {
+    dp.and_then(|dp| dp.externs.get_mut(table))
+        .map(std::mem::take)
+        .unwrap_or_default()
+}
+
+/// Return a table [`take_table`] moved out. A table `dp` never held comes
+/// back only if the batch gave it entries.
+fn put_table(dp: &mut DataPlaneState, table: &str, entries: ExternTable) {
+    match dp.externs.get_mut(table) {
+        Some(slot) => *slot = entries,
+        None if !entries.is_empty() => {
+            dp.externs.insert(table.to_string(), entries);
+        }
+        None => {}
+    }
+}
+
+/// Partition `tables` into replica groups — tables that share every page
+/// ([`ExternTable::same_pages`]), so they hold identical entries — as
+/// member indices, groups in order of their first member. A group is read
+/// through any one member; where groups disagree on a value, the first
+/// group wins, which is the first table in order.
+fn replica_groups(tables: &[&ExternTable]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, table) in tables.iter().enumerate() {
+        match groups.iter_mut().find(|g| tables[g[0]].same_pages(table)) {
+            Some(group) => group.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    groups
 }
 
 /// One switch's shard of one extern table as staging found it.
@@ -246,6 +277,8 @@ pub(crate) struct StagedLayout {
     /// Logical entries handed to the first-fit planner: those some
     /// surviving flow path had lost sight of.
     pub(crate) entries_planned: u64,
+    /// Keys the per-table merges visited.
+    pub(crate) keys_walked: u64,
 }
 
 /// Stage the next epoch's per-switch state under `output`'s placement and
@@ -255,18 +288,26 @@ pub(crate) struct StagedLayout {
 /// shards it already serves. A shard is *kept* iff the placement still
 /// hosts its table on that switch with capacity for what the shard holds;
 /// any other shard — and every shard of `lost`, a switch that just died —
-/// is dropped and only contributes its entries. One k-way merge per table
-/// over all its shards then finds the entries some surviving flow path no
-/// longer sees (no kept shard on the path holds them), and only those go
-/// through the first-fit [`EntryPlanner`], in key order. Entries covered on
-/// every path are no-ops for the planner anyway, so skipping them changes
-/// no decision; what it changes is that an untouched switch keeps sharing
-/// every page with its serving state, so its rollout delta costs O(pages).
-/// A table whose shards all lie on every surviving path is not walked at
-/// all.
+/// is dropped and only contributes its entries.
 ///
-/// Replicas that disagree on a key's value converge on the first shard's
-/// in switch order — the value [`Runtime::logical_entries`] reports.
+/// Shards of a table that share every page are one *replica group*: they
+/// hold identical entries, so one k-way merge per table walks one
+/// representative per group, and a group holds a key iff its
+/// representative does. The merge finds the entries some surviving flow
+/// path no longer sees (no group with a kept member on the path holds
+/// them), and only those go through the first-fit [`EntryPlanner`], in key
+/// order. Entries covered on every path are no-ops for the planner anyway,
+/// so skipping them changes no decision; what it changes is that an
+/// untouched switch keeps sharing every page with its serving state, so
+/// its rollout delta costs O(pages). A table with one group on every
+/// surviving path — a replicated table whose dead replica shared its pages
+/// with a survivor — is not walked at all. Replicas that diverged (drift,
+/// or deltas applied per switch) are separate groups: the merge reads them
+/// key by key, as it reads unrelated shards.
+///
+/// Replicas that disagree on a key's value converge on the first group's,
+/// a group ranking at its earliest member in switch order — the value
+/// [`Runtime::logical_entries`] reports.
 ///
 /// `reset_globals` restarts global registers at zero, sized from `output`
 /// (a re-flashed device); otherwise live switches carry theirs over.
@@ -331,67 +372,103 @@ pub(crate) fn stage_layout(
         }
     }
 
-    let mut entries_planned = 0u64;
+    let (mut entries_planned, mut keys_walked) = (0u64, 0u64);
     for (&table, shards) in &shards {
         let shards: Vec<&Shard<'_>> = shards.iter().filter(|s| !s.entries.is_empty()).collect();
         if shards.is_empty() {
             continue;
         }
         let planner = EntryPlanner::new(output, faults, table)?;
-        // What each surviving path can see: the kept shards on it. Paths
-        // with the same view are one case.
+        // A kept shard's switch is a holder: its index in the planner.
+        let at: Vec<Option<usize>> = shards
+            .iter()
+            .map(|s| {
+                s.kept
+                    .then(|| planner.holders().iter().position(|h| h == s.switch))
+                    .flatten()
+            })
+            .collect();
+        let groups = replica_groups(&shards.iter().map(|s| s.entries).collect::<Vec<_>>());
+        // What each surviving path can see: the groups with a kept member
+        // on it. Paths with the same view are one case.
+        let on_path = |i: usize, path: &[usize]| at[i].is_some_and(|s| path.contains(&s));
         let mut views: Vec<Vec<usize>> = planner
             .paths
             .iter()
             .map(|path| {
-                (0..shards.len())
-                    .filter(|&i| shards[i].kept && path.iter().any(|sw| sw == shards[i].switch))
+                (0..groups.len())
+                    .filter(|&g| groups[g].iter().any(|&i| on_path(i, path)))
                     .collect()
             })
             .collect();
         views.sort();
         views.dedup();
-        if views.iter().all(|view| view.len() == shards.len()) {
-            continue; // every shard is on every path: nothing can be out of sight
+        // Every group on every path: nothing can be out of sight. One group
+        // cannot disagree with itself, so nothing moves; replicas that
+        // disagree are skipped only when every shard is on every path.
+        let every_group_seen = views.iter().all(|view| view.len() == groups.len());
+        let every_shard_seen =
+            || (0..shards.len()).all(|i| planner.paths.iter().all(|p| on_path(i, p)));
+        if every_group_seen && (groups.len() == 1 || every_shard_seen()) {
+            continue;
         }
-        let tables: Vec<&ExternTable> = shards.iter().map(|s| s.entries).collect();
+        // The walk edits the staged shards of this table, moved out of
+        // their switches' states for its duration.
+        let mut staged: Vec<ExternTable> = planner
+            .switches
+            .iter()
+            .map(|sw| take_table(states.get_mut(sw), table))
+            .collect();
+        let mut placed = vec![false; planner.switches.len()];
+        let (mut targets, mut fix) = (Vec::new(), Vec::new());
+        let representatives: Vec<&ExternTable> =
+            groups.iter().map(|g| shards[g[0]].entries).collect();
         let mut failure: Option<RuntimeError> = None;
-        ExternTable::merge_walk(&tables, |key, held| {
+        ExternTable::merge_walk(&representatives, |key, held| {
+            keys_walked += 1;
             let Some(value) = held.iter().flatten().next().copied() else {
                 return;
             };
             if failure.is_some() {
                 return; // the walk cannot stop early; the rest is skipped
             }
-            let mut place = |states: &mut BTreeMap<String, DataPlaneState>, switch: &str| {
-                states
-                    .entry(switch.to_string())
-                    .or_default()
-                    .install(table, key, value);
-                if !touched.contains(switch) {
-                    touched.insert(switch.to_string());
-                }
-            };
-            // Replicas that disagree converge on the first shard's value.
-            for (shard, _) in shards
+            // Replicas that disagree converge on the first group's value:
+            // every kept member of a group holding another value is
+            // rewritten, once for the whole group.
+            for (group, _) in groups
                 .iter()
                 .zip(held)
-                .filter(|(s, v)| s.kept && v.is_some_and(|v| v != value))
+                .filter(|(_, v)| v.is_some_and(|v| v != value))
             {
-                place(&mut states, shard.switch);
+                fix.clear();
+                fix.extend(group.iter().filter_map(|&i| at[i]));
+                ExternTable::insert_replicated(&mut staged, &fix, key, value);
+                fix.iter().for_each(|&s| placed[s] = true);
             }
             if views
                 .iter()
-                .all(|view| view.iter().any(|&i| held[i].is_some()))
+                .all(|view| view.iter().any(|&g| held[g].is_some()))
             {
                 return;
             }
             entries_planned += 1;
-            match planner.targets_in(key, |sw| states.get(sw)) {
-                Ok(targets) => targets.iter().for_each(|sw| place(&mut states, sw)),
+            let holds = |s: usize| staged[s].contains_key(key);
+            match planner.targets(holds, |s| staged[s].len() as u64, &mut targets) {
+                Ok(()) => {
+                    ExternTable::insert_replicated(&mut staged, &targets, key, value);
+                    targets.iter().for_each(|&s| placed[s] = true);
+                }
                 Err(e) => failure = Some(e),
             }
         });
+        for ((sw, entries), placed) in planner.switches.iter().zip(staged).zip(placed) {
+            if states.contains_key(sw) || !entries.is_empty() {
+                put_table(states.entry(sw.clone()).or_default(), table, entries);
+            }
+            if placed {
+                touched.insert(sw.clone());
+            }
+        }
         if let Some(e) = failure {
             return Err(e);
         }
@@ -415,6 +492,7 @@ pub(crate) fn stage_layout(
     Ok(StagedLayout {
         states,
         entries_planned,
+        keys_walked,
     })
 }
 
@@ -514,10 +592,11 @@ impl<'a> Runtime<'a> {
 
     /// All logical entries currently installed, as `(table, key, value)`
     /// triples in `(table, key)` order (the union over every shard — the
-    /// control plane's view): per table, one k-way merge of its sorted
-    /// shards. Where replicas disagree on a value, the first shard in
-    /// switch order wins. An inspection view for tests, examples and health
-    /// snapshots; the rollout engine stages from the shards themselves.
+    /// control plane's view): per table, one k-way merge over one shard per
+    /// replica group (shards sharing every page hold the same entries).
+    /// Where replicas disagree on a value, the first shard in switch order
+    /// wins. An inspection view for tests, examples and health snapshots;
+    /// the rollout engine stages from the shards themselves.
     pub fn logical_entries(&self) -> Vec<(String, u64, u64)> {
         let mut shards: BTreeMap<&String, Vec<&ExternTable>> = BTreeMap::new();
         for st in self.states.values() {
@@ -527,7 +606,11 @@ impl<'a> Runtime<'a> {
         }
         let mut merged = Vec::new();
         for (table, shards) in shards {
-            ExternTable::merge_walk(&shards, |key, held| {
+            let representatives: Vec<&ExternTable> = replica_groups(&shards)
+                .iter()
+                .map(|group| shards[group[0]])
+                .collect();
+            ExternTable::merge_walk(&representatives, |key, held| {
                 if let Some(&value) = held.iter().flatten().next() {
                     merged.push((table.clone(), key, value));
                 }
@@ -555,16 +638,23 @@ impl<'a> Runtime<'a> {
         value: u64,
     ) -> Result<Vec<String>, RuntimeError> {
         let planner = EntryPlanner::new(self.output, &self.faults, table)?;
-        self.install_planned(&planner, key, value)
+        let mut targets = Vec::new();
+        self.install_planned(&planner, &[(key, value)], |placed| {
+            targets = placed
+                .iter()
+                .map(|&s| planner.switches[s].clone())
+                .collect();
+        })?;
+        Ok(targets)
     }
 
     /// Bulk [`Runtime::install`]: place every `(key, value)` entry of
     /// `table`, reusing one placement context for the whole batch. Same
     /// semantics as calling `install` per entry — already-covered keys are
-    /// idempotent no-ops — but the per-entry cost drops from "re-derive
-    /// holders and flow paths" to two shard probes, which is what makes
-    /// seeding a million-entry control plane practical. Returns the number
-    /// of (entry, switch) placements performed.
+    /// idempotent no-ops — but the holders and flow paths are resolved once
+    /// for the whole batch, which is what makes seeding a million-entry
+    /// control plane practical. Returns the number of (entry, switch)
+    /// placements performed.
     pub fn install_many(
         &mut self,
         table: &str,
@@ -572,42 +662,76 @@ impl<'a> Runtime<'a> {
     ) -> Result<u64, RuntimeError> {
         let planner = EntryPlanner::new(self.output, &self.faults, table)?;
         let mut placed = 0u64;
-        for &(key, value) in entries {
-            placed += self.install_planned(&planner, key, value)?.len() as u64;
-        }
+        self.install_planned(&planner, entries, |targets| placed += targets.len() as u64)?;
         Ok(placed)
     }
 
-    /// Place one entry of `planner`'s table on the switches it chooses.
+    /// Place each entry of `planner`'s table, in order, on the holders it
+    /// chooses — `placed` hears each entry's targets — and stop at the
+    /// first that does not fit. An entry goes into every target's shard
+    /// and into the controller's expected shadow of it (what the
+    /// anti-entropy audit compares against) through one
+    /// [`ExternTable::insert_replicated`], so replicas and shadows that
+    /// share their pages keep sharing them: a replicated table is stored
+    /// once.
     fn install_planned(
         &mut self,
         planner: &EntryPlanner,
-        key: u64,
-        value: u64,
-    ) -> Result<Vec<String>, RuntimeError> {
-        let targets = planner.targets_in(key, |sw| self.states.get(sw).map(|st| &st.dp))?;
-        for sw in &targets {
-            // A chosen holder always has live state: the planner only
-            // proposes unfailed placement switches, which `new` seeded and
-            // only `fail_switch` removes.
-            let st = self.states.get_mut(sw).ok_or_else(|| {
-                RuntimeError::new(format!("internal: placement switch `{sw}` has no state"))
-            })?;
-            st.dp.install(&planner.table, key, value);
-            // Mirror into the controller's expected shadow so the
-            // anti-entropy audit knows this switch should hold the entry
-            // (no name is allocated per entry once the shadow exists).
-            match self.expected.get_mut(sw) {
-                Some(dp) => dp.install(&planner.table, key, value),
-                None => {
-                    self.expected
-                        .entry(sw.clone())
-                        .or_default()
-                        .install(&planner.table, key, value)
-                }
-            };
+        entries: &[(u64, u64)],
+        mut placed: impl FnMut(&[usize]),
+    ) -> Result<(), RuntimeError> {
+        // A holder always has live state: the planner only proposes
+        // unfailed placement switches, which `new` seeded and only
+        // `fail_switch` removes.
+        if let Some(sw) = planner
+            .holders()
+            .iter()
+            .find(|sw| !self.states.contains_key(*sw))
+        {
+            return Err(RuntimeError::new(format!(
+                "internal: placement switch `{sw}` has no state"
+            )));
         }
-        Ok(targets)
+        // The batch's tables, moved out of their maps: every planner
+        // switch's shard, then every holder's shadow.
+        let table = planner.table.as_str();
+        let shadows = planner.switches.len();
+        let mut tables: Vec<ExternTable> = planner
+            .switches
+            .iter()
+            .map(|sw| take_table(self.states.get_mut(sw).map(|st| &mut st.dp), table))
+            .chain(
+                planner
+                    .holders()
+                    .iter()
+                    .map(|sw| take_table(self.expected.get_mut(sw), table)),
+            )
+            .collect();
+        let (mut targets, mut copies) = (Vec::new(), Vec::new());
+        let mut result = Ok(());
+        for &(key, value) in entries {
+            let holds = |s: usize| tables[s].contains_key(key);
+            if let Err(e) = planner.targets(holds, |s| tables[s].len() as u64, &mut targets) {
+                result = Err(e);
+                break;
+            }
+            copies.clear();
+            copies.extend(targets.iter().flat_map(|&s| [s, shadows + s]));
+            ExternTable::insert_replicated(&mut tables, &copies, key, value);
+            placed(&targets);
+        }
+        let mut tables = tables.into_iter();
+        for (sw, entries) in planner.switches.iter().zip(tables.by_ref()) {
+            if let Some(st) = self.states.get_mut(sw) {
+                put_table(&mut st.dp, table, entries);
+            }
+        }
+        for (sw, entries) in planner.holders().iter().zip(tables) {
+            if self.expected.contains_key(sw) || !entries.is_empty() {
+                put_table(self.expected.entry(sw.clone()).or_default(), table, entries);
+            }
+        }
+        result
     }
 
     /// The shard of `table` that `switch` serves (`None` when it holds

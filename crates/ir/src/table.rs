@@ -12,6 +12,13 @@
 //! * **Mutation is copy-on-write per page** — an insert or remove clones
 //!   only the ~[`PAGE_CAP`]-entry page it lands in; every other page stays
 //!   shared with all other clones.
+//! * **Replicas share pages too, not only clones** — a logical table stored
+//!   on several switches (and in the controller's shadow of each) is filled
+//!   through [`ExternTable::insert_replicated`], which inserts once per
+//!   group of tables landing on the same page and hands every member the
+//!   one resulting page. A replicated table is therefore stored once, and
+//!   "do these replicas agree?" is answered by [`ExternTable::same_pages`]
+//!   in O(pages) instead of by a merge over every key.
 //! * **Equality and diffing skip shared pages** — two tables that share a
 //!   page (by pointer) provably agree on that page's entries, so comparing
 //!   a staged epoch against its base costs O(pages + changed entries), not
@@ -28,12 +35,32 @@
 //! sorted array per snapshot.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Entries per page before a split. Large enough that the page directory
 /// stays tiny (a 10⁶-entry table is ~2048 pages), small enough that
 /// copy-on-write touches only a few KiB per mutation.
 pub const PAGE_CAP: usize = 512;
+
+type Page = Arc<Vec<(u64, u64)>>;
+
+/// Tables one [`ExternTable::insert_replicated`] pass groups at a time: its
+/// scratch lives on the stack. Tables in different passes still end right,
+/// they just do not share the page.
+const GROUP_SPAN: usize = 64;
+
+/// Where an insert lands in one table: the page index (`None` when the
+/// table is empty) and that page's address (null when empty), which names
+/// the replica group.
+type Landing = (Option<usize>, *const Vec<(u64, u64)>);
+
+/// A page no table serves: what a replica's slot holds for the instant its
+/// own reference is set aside, so that the group's reference count says
+/// whether anything outside the group still holds the page.
+fn vacant() -> Page {
+    static VACANT: OnceLock<Page> = OnceLock::new();
+    VACANT.get_or_init(|| Arc::new(Vec::new())).clone()
+}
 
 /// A sorted, paged `u64 → u64` map with structural sharing between
 /// clones. The storage behind every extern table in
@@ -42,7 +69,7 @@ pub const PAGE_CAP: usize = 512;
 pub struct ExternTable {
     /// Non-empty pages, each sorted by key, covering strictly ascending
     /// disjoint key ranges.
-    pages: Vec<Arc<Vec<(u64, u64)>>>,
+    pages: Vec<Page>,
     /// The page directory: `fences[i]` is the last key of `pages[i]`.
     /// Every mutation that changes a page's last key, splits a page or
     /// drops one keeps it in step.
@@ -88,18 +115,23 @@ impl ExternTable {
         self.get(key).is_some()
     }
 
+    /// The index of the page an insert of `key` edits (`None` for an empty
+    /// table). Clamped to the last page, so appends extend it instead of
+    /// growing a fresh page per key.
+    fn landing(&self, key: u64) -> Option<usize> {
+        let last = self.pages.len().checked_sub(1)?;
+        Some(self.page_for(key).min(last))
+    }
+
     /// Insert or overwrite `key`, returning the previous value if any.
     /// Copy-on-write: only the page containing `key` is cloned.
     pub fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
-        if self.pages.is_empty() {
+        let Some(pi) = self.landing(key) else {
             self.pages.push(Arc::new(vec![(key, value)]));
             self.fences.push(key);
             self.len = 1;
             return None;
-        }
-        // Clamp to the last page so appends extend it instead of growing
-        // a fresh page per key.
-        let pi = self.page_for(key).min(self.pages.len() - 1);
+        };
         match self.pages[pi].binary_search_by_key(&key, |&(k, _)| k) {
             Ok(i) => {
                 let old = self.pages[pi][i].1;
@@ -128,6 +160,105 @@ impl ExternTable {
                 }
                 None
             }
+        }
+    }
+
+    /// Insert `key → value` into each table of `tables` that `members`
+    /// names (indices, none twice), storing the result once per *replica
+    /// group*: the members whose landing page is the same `Arc` (empty
+    /// tables count as one group). One member of a group performs the
+    /// insert; every other member takes the resulting page — and, on a
+    /// split, the upper half — by pointer. Each table ends exactly as a
+    /// plain [`ExternTable::insert`] would leave it: same entries, fences,
+    /// `len` and split points.
+    ///
+    /// The page is edited in place when the group holds every reference to
+    /// it, and copied only when something outside the group also holds it
+    /// (a retained prior epoch, a staged state, a serving snapshot):
+    /// `Arc::make_mut`'s rule, applied to the group instead of to one table.
+    pub fn insert_replicated(tables: &mut [ExternTable], members: &[usize], key: u64, value: u64) {
+        debug_assert!(
+            members
+                .iter()
+                .enumerate()
+                .all(|(i, m)| !members[..i].contains(m)),
+            "insert_replicated names a table twice"
+        );
+        for span in members.chunks(GROUP_SPAN) {
+            // Each member's landing, taken before any member changes.
+            let mut landing: [Landing; GROUP_SPAN] = [(None, std::ptr::null()); GROUP_SPAN];
+            for (slot, &m) in landing.iter_mut().zip(span) {
+                let pi = tables[m].landing(key);
+                *slot = (
+                    pi,
+                    pi.map_or(std::ptr::null(), |pi| Arc::as_ptr(&tables[m].pages[pi])),
+                );
+            }
+            let landing = &landing[..span.len()];
+            for (lead, &(_, page)) in landing.iter().enumerate() {
+                // The first member landing on a page leads its group.
+                if landing[..lead].iter().all(|&(_, p)| p != page) {
+                    Self::insert_group(tables, span, landing, lead, key, value);
+                }
+            }
+        }
+    }
+
+    /// [`ExternTable::insert_replicated`] for the group `lead` leads: the
+    /// members of `span` from `lead` on that land on its page (or are
+    /// empty, as it is).
+    fn insert_group(
+        tables: &mut [ExternTable],
+        span: &[usize],
+        landing: &[Landing],
+        lead: usize,
+        key: u64,
+        value: u64,
+    ) {
+        let page = landing[lead].1;
+        let members = (lead..span.len()).filter(|&i| landing[i].1 == page);
+        let followers = members.clone().skip(1);
+        let Some(pi) = landing[lead].0 else {
+            let page = Arc::new(vec![(key, value)]);
+            for i in members {
+                let t = &mut tables[span[i]];
+                t.pages.push(Arc::clone(&page));
+                t.fences.push(key);
+                t.len = 1;
+            }
+            return;
+        };
+        let page = &tables[span[lead]].pages[pi];
+        if let Ok(at) = page.binary_search_by_key(&key, |&(k, _)| k) {
+            if page[at].1 == value {
+                return; // a redundant overwrite changes no member
+            }
+        }
+        // Set the followers' references aside: what is left is the lead's
+        // and whatever holds the page outside the group.
+        for i in followers.clone() {
+            if let (Some(pf), _) = landing[i] {
+                tables[span[i]].pages[pf] = vacant();
+            }
+        }
+        let t = &mut tables[span[lead]];
+        let (len, pages) = (t.len, t.pages.len());
+        t.insert(key, value);
+        let added = t.len - len;
+        let lower = (Arc::clone(&t.pages[pi]), t.fences[pi]);
+        let upper =
+            (t.pages.len() > pages).then(|| (Arc::clone(&t.pages[pi + 1]), t.fences[pi + 1]));
+        for i in followers {
+            let (t, (Some(pf), _)) = (&mut tables[span[i]], landing[i]) else {
+                continue;
+            };
+            t.pages[pf] = Arc::clone(&lower.0);
+            t.fences[pf] = lower.1;
+            if let Some((page, fence)) = &upper {
+                t.pages.insert(pf + 1, Arc::clone(page));
+                t.fences.insert(pf + 1, *fence);
+            }
+            t.len += added;
         }
     }
 
@@ -642,6 +773,142 @@ mod tests {
             t.check_against(&(0..n as u64).map(|k| (k * 3, k)).collect());
             assert_eq!(t.pages.len(), n.div_ceil(PAGE_CAP));
         }
+    }
+
+    impl ExternTable {
+        /// A copy that shares no page with `self` but keeps its page
+        /// boundaries: a reference table nothing else holds.
+        fn deep_copy(&self) -> ExternTable {
+            ExternTable {
+                pages: self.pages.iter().map(|p| Arc::new(p.to_vec())).collect(),
+                fences: self.fences.clone(),
+                len: self.len,
+            }
+        }
+    }
+
+    #[test]
+    fn replicated_inserts_match_plain_inserts_and_keep_replicas_shared() {
+        let mut x: u64 = 0x5eed_0028;
+        let mut next = move || {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        let mut ops = 0;
+        // Starts: every table shares one base; every table empty; one
+        // table diverged from the others on one page.
+        for start in 0..3 {
+            for _ in 0..3 {
+                let n = 2 + (next() % 3) as usize;
+                let base = table_of((0..1500u64).map(|k| (k * 4, k)));
+                let mut tables = match start {
+                    1 => vec![ExternTable::new(); n],
+                    _ => vec![base; n],
+                };
+                // What each table has been through, as one word: tables with
+                // equal words received the same operations from a shared
+                // start, so they must still share every page.
+                let mut history = vec![0u64; n];
+                if start == 2 {
+                    tables[n - 1].insert(1001, 1);
+                    history[n - 1] = 1;
+                }
+                let mut models: Vec<ExternTable> = tables.iter().map(|t| t.deep_copy()).collect();
+                for op in 0..250u64 {
+                    ops += 1;
+                    let tag = |h: u64| h.wrapping_mul(0x100_0000_01b3) ^ (op + 2);
+                    if next() % 5 == 0 {
+                        // A remove hits one table: it diverges from the rest.
+                        let t = (next() % n as u64) as usize;
+                        let Some(key) = tables[t].keys().nth((next() % 2000) as usize) else {
+                            continue;
+                        };
+                        assert_eq!(tables[t].remove(key), models[t].remove(key));
+                        history[t] = tag(history[t]);
+                    } else {
+                        let mask = 1 + next() % ((1 << n) - 1);
+                        let members: Vec<usize> = (0..n).filter(|&i| mask >> i & 1 == 1).collect();
+                        let (key, value) = match next() % 4 {
+                            0 => (next() % 8000, next()),
+                            // Overwrite, redundantly one time in two.
+                            1 => match tables[members[0]].keys().nth((next() % 2000) as usize) {
+                                Some(k) => {
+                                    let same = tables[members[0]].get(k).unwrap_or(0);
+                                    (k, if next() % 2 == 0 { same } else { next() })
+                                }
+                                None => (next() % 8000, next()),
+                            },
+                            // Append past every member's last key.
+                            _ => {
+                                let top = members
+                                    .iter()
+                                    .filter_map(|&m| tables[m].keys().last())
+                                    .max();
+                                (top.map_or(0, |k| k + 1 + next() % 5), next())
+                            }
+                        };
+                        ExternTable::insert_replicated(&mut tables, &members, key, value);
+                        for &m in &members {
+                            models[m].insert(key, value);
+                            history[m] = tag(history[m]);
+                        }
+                    }
+                    for (t, model) in tables.iter().zip(&models) {
+                        t.check_invariants();
+                        assert!(t.iter().eq(model.iter()), "op {op}: content differs");
+                        assert_eq!(t.fences, model.fences, "op {op}: split points differ");
+                        assert_eq!(t.len(), model.len());
+                    }
+                    for i in 0..n {
+                        for j in i + 1..n {
+                            if history[i] == history[j] {
+                                assert!(
+                                    tables[i].same_pages(&tables[j]),
+                                    "op {op}: {i}, {j} unshared"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(ops >= 2000, "only {ops} operations ran");
+    }
+
+    #[test]
+    fn a_page_held_outside_the_group_is_copied() {
+        let model: BTreeMap<u64, u64> = (0..100u64).map(|k| (k * 2, k)).collect();
+        let snapshot = ExternTable::from(model.clone());
+        let mut tables = vec![snapshot.clone(); 2];
+        ExternTable::insert_replicated(&mut tables, &[0, 1], 7, 7);
+        snapshot.check_against(&model);
+        assert!(
+            !tables[0].same_pages(&snapshot),
+            "the snapshot's page was edited"
+        );
+        assert!(
+            tables[0].same_pages(&tables[1]),
+            "the replicas no longer share"
+        );
+        assert_eq!(tables[1].get(7), Some(7));
+    }
+
+    #[test]
+    fn a_page_held_only_by_the_group_is_mutated_in_place() {
+        let mut tables = vec![table_of((0..100u64).map(|k| (k * 2, k))); 3];
+        let page = Arc::as_ptr(&tables[0].pages[0]);
+        ExternTable::insert_replicated(&mut tables, &[2, 0, 1], 7, 7);
+        for t in &tables {
+            assert_eq!(Arc::as_ptr(&t.pages[0]), page, "the page was copied");
+            assert_eq!(Arc::strong_count(&t.pages[0]), 3);
+            assert_eq!((t.get(7), t.len()), (Some(7), 101));
+        }
+        // An empty group gets one page between all of its members.
+        let mut empty = vec![ExternTable::new(); 2];
+        ExternTable::insert_replicated(&mut empty, &[0, 1], 1, 1);
+        assert!(empty[0].same_pages(&empty[1]) && empty[0].len() == 1);
     }
 
     #[test]

@@ -150,6 +150,40 @@ fn failover_delta_prepares_beat_snapshots_at_10k_entries() {
     );
 }
 
+/// A replicated table is stored once: after a bulk install Agg3's and
+/// Agg4's shards share every page, so when Agg3 dies staging finds one
+/// replica group on every surviving path and walks no key — the count form
+/// of "re-syncing a replicated table costs O(pages), not O(entries)".
+#[test]
+fn replicated_resync_walks_no_key_at_10k_entries() {
+    let out = compile_lb(&lb_program(16_384));
+    let mut rt = Runtime::new(&out);
+    rt.install_many("conn_table", &scaled_entries(10_000, 0x5ca1e))
+        .expect("bulk install");
+    let (agg3, agg4) = (
+        rt.shard("Agg3", "conn_table")
+            .expect("Agg3 holds a replica"),
+        rt.shard("Agg4", "conn_table")
+            .expect("Agg4 holds a replica"),
+    );
+    assert_eq!(agg3.len(), 10_000);
+    assert!(agg3.same_pages(agg4), "the two replicas are stored twice");
+    let resync = rt
+        .fail_switch_with_channel(
+            "Agg3",
+            &mut ReliableChannel::new(),
+            &RolloutConfig::default(),
+        )
+        .expect("live failover");
+    assert!(resync.committed, "reliable re-sync must commit");
+    assert_eq!(
+        (resync.keys_walked, resync.entries_planned),
+        (0, 0),
+        "the re-sync of a replicated table walked keys"
+    );
+    assert_eq!(rt.logical_entries().len(), 10_000);
+}
+
 #[test]
 fn failover_delta_prepares_beat_snapshots_at_1k_entries() {
     let (delta, snapshot, _, _) = failover_delta_vs_snapshot(1_000, 4_096);

@@ -30,7 +30,9 @@ mod common;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use common::{assert_layout_sound, lb_program, replan_from_scratch, scaled_entries, Rng};
+use common::{
+    assert_layout_sound, lb_program, replan_from_scratch, scaled_entries, Rng, LB_SCOPES,
+};
 use lyra::{
     CompileOutput, CompileRequest, Compiler, DriftOp, FaultRecompile, LossyChannel, PlacementDiff,
     ReliableChannel, RolloutConfig, RolloutReport, Runtime, RuntimeError,
@@ -626,4 +628,165 @@ fn staging_agrees_with_planning_from_scratch_on_252_seeded_layouts() {
         refused >= 5,
         "only {refused} cases were refused for capacity"
     );
+}
+
+/// Three replicas of one table: a k = 6 pod whose three Aggs host the
+/// whole table and whose ToRs host none, so every entry lands on all three.
+fn three_replicas(lower_capacity: Option<u64>, agg2_capacity: u64) -> CompileOutput {
+    let program = lb_program(DECLARED);
+    let scopes = "loadbalancer: [ ToR*,Agg* | MULTI-SW | (Agg1,Agg2,Agg3->ToR1,ToR2,ToR3) ]";
+    let topology = fat_tree_pod(6, "tofino-32q", "trident4");
+    let mut out = Compiler::new()
+        .compile(&CompileRequest::new(&program, scopes, topology))
+        .expect("LB compiles on a k = 6 pod");
+    for (sw, capacity) in [
+        ("Agg1", Some(DECLARED)),
+        ("Agg2", Some(agg2_capacity)),
+        ("Agg3", Some(DECLARED)),
+        ("ToR1", lower_capacity),
+        ("ToR2", lower_capacity),
+        ("ToR3", lower_capacity),
+    ] {
+        let plan = out.placement.switches.entry(sw.to_string()).or_default();
+        match capacity {
+            Some(c) => plan.extern_entries.insert(TABLE.to_string(), c),
+            None => plan.extern_entries.remove(TABLE),
+        };
+    }
+    out
+}
+
+const K6: [&str; 6] = ["Agg1", "Agg2", "Agg3", "ToR1", "ToR2", "ToR3"];
+
+/// Replicas are one stored thing, and a drifted replica is its own group
+/// even when it sits between two members of another in switch order: the
+/// group `{Agg1, Agg3}` ranks at Agg1, so its value wins over Agg2's, and
+/// when Agg3 dies the survivors converge on it.
+#[test]
+fn a_drifted_replica_between_two_group_members_loses_to_the_group() {
+    let out = three_replicas(None, DECLARED);
+    let mut rt = Runtime::new(&out);
+    rt.install_many(TABLE, &scaled_entries(40, 0x3e91))
+        .expect("seeding");
+    let shard = |rt: &Runtime<'_>, sw| rt.shard(sw, TABLE).cloned().unwrap_or_default();
+    assert!(shard(&rt, "Agg1").same_pages(&shard(&rt, "Agg2")));
+    assert!(shard(&rt, "Agg1").same_pages(&shard(&rt, "Agg3")));
+    assert_eq!(shard(&rt, "Agg1").len(), 40, "every Agg holds every entry");
+
+    let (key, value) = shard(&rt, "Agg1")
+        .iter()
+        .nth(17)
+        .expect("entries installed");
+    let op = DriftOp::Corrupt {
+        table: TABLE.into(),
+        key,
+        value: 0xdead,
+    };
+    rt.inject_drift("Agg2", &op)
+        .expect("corrupt Agg2's replica");
+    let logical = rt.logical_entries();
+    assert!(
+        logical.contains(&(TABLE.to_string(), key, value)),
+        "the logical view must read the first switch's value"
+    );
+
+    let resync = rt
+        .fail_switch_with_channel(
+            "Agg3",
+            &mut ReliableChannel::new(),
+            &RolloutConfig::default(),
+        )
+        .expect("re-sync starts");
+    assert!(resync.committed, "{resync:?}");
+    assert_eq!(
+        resync.entries_planned, 0,
+        "both survivors still see every key"
+    );
+    assert_eq!(
+        resync.keys_walked, 40,
+        "the diverged replica is read key by key"
+    );
+    for sw in ["Agg1", "Agg2"] {
+        assert_eq!(
+            shard(&rt, sw).get(key),
+            Some(value),
+            "`{sw}` did not converge"
+        );
+    }
+    assert_eq!(rt.logical_entries(), logical, "the logical view changed");
+    assert_layout_sound(&rt, &K6, "three replicas, Agg3 failed");
+}
+
+/// A group member that is not kept (its new capacity is below what it
+/// holds) shows no path anything: its paths lose sight of the group, and
+/// the entries they need are planned again rather than skipped because a
+/// replica of them was once there.
+#[test]
+fn a_replica_the_new_placement_shrinks_does_not_cover_its_paths() {
+    let from = three_replicas(None, DECLARED);
+    let to = three_replicas(Some(DECLARED), 4);
+    let mut rt = Runtime::new(&from);
+    rt.install_many(TABLE, &scaled_entries(30, 0x5412))
+        .expect("seeding");
+    let logical = rt.logical_entries();
+    let report = rt
+        .apply_rollout(&to, &mut ReliableChannel::new(), &RolloutConfig::default())
+        .expect("rollout starts");
+    assert!(report.committed, "{report:?}");
+    assert_eq!(
+        report.entries_planned, 30,
+        "Agg2's paths lost sight of every entry"
+    );
+    assert_eq!(rt.logical_entries(), logical, "the logical view changed");
+    assert_layout_sound(&rt, &K6, "three replicas, Agg2 shrunk");
+}
+
+/// Replicas that diverged on one page are two groups: a re-sync reads them
+/// key by key and re-homes exactly the key the survivor lost.
+#[test]
+fn a_replica_diverged_on_one_page_takes_the_per_key_path() {
+    let program = lb_program(4_096);
+    let out = Compiler::new()
+        .compile(&CompileRequest::new(&program, LB_SCOPES, figure1_network()))
+        .expect("LB compiles");
+    let mut rt = Runtime::new(&out);
+    let entries = scaled_entries(2_000, 0xd1f);
+    rt.install_many(TABLE, &entries).expect("seeding");
+    let (key, value) = entries[1_234];
+    let op = DriftOp::Remove {
+        table: TABLE.into(),
+        key,
+    };
+    rt.inject_drift("Agg4", &op)
+        .expect("drop Agg4's replica of one key");
+    let (agg3, agg4) = (
+        rt.shard("Agg3", TABLE).expect("Agg3 holds a shard"),
+        rt.shard("Agg4", TABLE).expect("Agg4 holds a shard"),
+    );
+    assert!(agg3.page_count() > 1 && !agg3.same_pages(agg4));
+    assert_eq!(
+        agg3.shared_pages(agg4),
+        agg3.page_count() - 1,
+        "one page diverged"
+    );
+    let logical = rt.logical_entries();
+
+    let resync = rt
+        .fail_switch_with_channel(
+            "Agg3",
+            &mut ReliableChannel::new(),
+            &RolloutConfig::default(),
+        )
+        .expect("re-sync starts");
+    assert!(resync.committed, "{resync:?}");
+    assert_eq!(
+        (resync.entries_planned, resync.keys_walked),
+        (1, 2_000),
+        "the re-sync must find the one lost key by walking both replicas"
+    );
+    assert_eq!(
+        rt.shard("Agg4", TABLE).and_then(|t| t.get(key)),
+        Some(value)
+    );
+    assert_eq!(rt.logical_entries(), logical, "the logical view changed");
 }
