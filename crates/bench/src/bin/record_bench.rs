@@ -1,13 +1,16 @@
-//! `record_bench` — record solver-performance benchmark snapshots.
+//! `record_bench` — record the benchmark snapshots.
 //!
 //! Measures the Figure 10 scalability cases and the Figure 9 corpus under
 //! the current solver (one deterministic search + quotient route + synthesis
 //! cache) and writes machine-readable snapshots:
 //!
 //! * `BENCH_fig10.json` — per-case median wall time / `encode` time /
-//!   conflicts / decisions at k ∈ {4, 8, 16, 32} (NetCache MULTI-SW also
-//!   at k = 48, under a 10 s deadline that skips the row rather than hang
-//!   the snapshot), a monolithic-vs-default-vs-cached comparison on the
+//!   conflicts / decisions at k ∈ {4, 8, 16, 32} on the mixed pod (NetCache
+//!   MULTI-SW also at k = 48, under a 10 s deadline that skips the row
+//!   rather than hang the snapshot) and on the paper's two homogeneous
+//!   panels (all-Tofino and all-Trident-4 pods; each row's `asics` is
+//!   `<ToR ASIC>+<Agg ASIC>`), the NPL-vs-P4 compile-time ratio at k = 32,
+//!   a monolithic-vs-default-vs-cached comparison on the
 //!   hardest case (LB MULTI-SW at k = 16), a
 //!   `rollout` section (p50 transactional prepare+commit latency applying
 //!   a failover placement to the running k = 16 LB deployment) and a
@@ -24,59 +27,39 @@
 //!   through the NetCache k = 8 MULTI-SW deployment on the reference
 //!   interpreter versus the compiled batched engine (single worker and all
 //!   cores), plus two lossy-channel rollout-under-traffic scenarios with
-//!   their packet-loss and mixed-epoch-exposure counts.
+//!   their packet-loss and mixed-epoch-exposure counts. Every replay row
+//!   is the median of five runs by pps, with the quartiles beside it.
 //!
-//! `--smoke` re-measures the k = 4 cases and the rollout p50 once each and
-//! fails (exit 1) if any is more than 3× slower than the committed
-//! `BENCH_fig10.json` baseline — CI's cheap performance-regression
-//! tripwire. Two datacenter-scale tripwires ride along: NetCache MULTI-SW
-//! must stay within 2× of its snapshot at k = 16 and under one second
-//! absolute at k = 32, and its `encode` at k = 16 within 3× of the
-//! committed `encode_ms`. A `Feasible` failover recompile must take the
-//! carried-over route and must not be slower than compiling the survivor
-//! network from scratch. At the smallest rollout scale, the Agg3 re-sync of
-//! the replicated `conn_table` must walk no key (its replicas share pages).
-//! Propagation is bounded by count, not by the clock:
-//! each `MinSwitches` placement within 50 000 linear visits (LB 5.5 M k = 4
-//! made 60 M), NetCache k = 8 within two per propagation. The data-plane
-//! tripwire also runs: the compiled engine must beat the interpreter by a
-//! fixed floor and a lossy rollout under traffic must show zero mixed-epoch
-//! exposure. `--pps-smoke` runs only that data-plane tripwire.
+//! Run from the repository root (it overwrites the three files there):
+//! `cargo run --release -p lyra-bench --bin record_bench`. The shape claims
+//! that do not depend on the clock are tier-1 tests (`tests/integration.rs`,
+//! `tests/rollout_scale.rs`, ...); the asserts here hold what only a
+//! recording run measures (the 10⁶-entry rollout floors, zero mixed-epoch
+//! exposure under the recorded traffic).
 
 use std::time::{Duration, Instant};
 
 use lyra::{
     replay_compiled, replay_interpreted, replay_under_rollout, run_selfheal, ChaosSchedule,
-    CompileRequest, Compiler, CrashPlan, CrashPoint, DriftOp, HealthConfig, LossyChannel,
-    MemIntentStore, Objective, ReliableChannel, ReplayConfig, ReplayReport, RolloutConfig, Runtime,
-    SelfHealConfig, SolveProfile, SynthCache, Target,
+    CompileRequest, Compiler, CrashPlan, CrashPoint, HealthConfig, LossyChannel, MemIntentStore,
+    Objective, ReliableChannel, ReplayConfig, ReplayReport, RolloutConfig, Runtime, SelfHealConfig,
+    SolveProfile, SynthCache, Target,
 };
 use lyra_apps::{figure9_corpus, programs};
-use lyra_diag::json::{parse, Object, Value};
+use lyra_diag::json::{Object, Value};
 use lyra_topo::{fat_tree_pod, figure1_network, FaultSet, Layer, Topology};
 
 /// Timed samples per measurement (median reported).
 const SAMPLES: usize = 5;
 /// Pod sizes recorded in the fig10 snapshot.
 const KS: [usize; 4] = [4, 8, 16, 32];
-/// Smoke mode: allowed slowdown over the committed baseline.
-const SMOKE_FACTOR: f64 = 3.0;
-/// Smoke mode: absolute grace added to the bound, so sub-millisecond
-/// baselines don't trip on scheduler noise.
-const SMOKE_GRACE_MS: f64 = 500.0;
-/// Smoke mode: tighter slowdown bound for the datacenter-scale MULTI-SW
-/// tripwire — the quotient solve must stay within 2x of its snapshot.
-const SMOKE_SCALE_FACTOR: f64 = 2.0;
-/// Smoke mode: grace for the datacenter-scale tripwire (the quotient
-/// k = 16 row is tens of milliseconds, so noise needs less headroom).
-const SMOKE_SCALE_GRACE_MS: f64 = 100.0;
-/// Smoke mode: hard wall-time budget for NetCache MULTI-SW at k = 32.
-const SMOKE_K32_BUDGET_MS: f64 = 1000.0;
-/// Smoke mode: linear-constraint visits any `MinSwitches` tripwire compile
-/// may make.
-const SMOKE_LINEAR_VISITS: u64 = 50_000;
-/// Smoke mode: visits per propagation NetCache k = 8 `MinSwitches` may make.
-const SMOKE_VISITS_PER_PROPAGATION: f64 = 2.0;
+/// The fig10 pods as (ToR ASIC, Agg ASIC): the mixed pod every other
+/// section measures on, then the paper's all-P4 and all-NPL panels.
+const PODS: [(&str, &str); 3] = [
+    ("tofino-32q", "trident4"),
+    ("tofino-32q", "tofino-32q"),
+    ("trident4", "trident4"),
+];
 
 struct Case {
     name: &'static str,
@@ -172,10 +155,10 @@ fn measure(
     }
 }
 
-/// `lyra_synth::encode` of the whole instance, `samples` times: (median,
-/// fastest) in milliseconds. For a PER-SW case this is the encoding of the
-/// whole pod, which the driver's per-switch path never builds.
-fn measure_encode(program: &str, scopes: &str, topo: &Topology, samples: usize) -> (f64, f64) {
+/// `lyra_synth::encode` of the whole instance, `samples` times: the median
+/// in milliseconds. For a PER-SW case this is the encoding of the whole
+/// pod, which the driver's per-switch path never builds.
+fn measure_encode(program: &str, scopes: &str, topo: &Topology, samples: usize) -> f64 {
     let ir = lyra_ir::frontend(program).expect("benchmark program lowers");
     let scopes: Vec<_> = lyra_lang::parse_scopes(scopes)
         .expect("benchmark scopes parse")
@@ -193,7 +176,7 @@ fn measure_encode(program: &str, scopes: &str, topo: &Topology, samples: usize) 
         })
         .collect();
     times.sort_by(f64::total_cmp);
-    (times[times.len() / 2], times[0])
+    times[times.len() / 2]
 }
 
 fn ms(d: Duration) -> f64 {
@@ -202,49 +185,64 @@ fn ms(d: Duration) -> f64 {
 
 fn record_fig10() -> Object {
     let mut cases_json: Vec<Value> = Vec::new();
-    for case in cases() {
-        // The heaviest case also records k = 48, the largest fat-tree pod
-        // the paper targets, under a deadline: a regression in the
-        // decomposition path degrades the compile and skips the row
-        // instead of hanging the snapshot.
-        let heaviest = case.name == "NetCache(MULTI-SW)";
-        for k in KS.into_iter().chain(heaviest.then_some(48)) {
-            let topo = pod(k);
-            let scopes = scopes_for(k, &case.program, case.multi);
-            let profile = if k > 32 {
-                SolveProfile::default().with_deadline(Duration::from_secs(10))
-            } else {
-                SolveProfile::default()
-            };
-            let m = measure(
-                &Compiler::new(),
-                &case.program,
-                &scopes,
-                &topo,
-                profile,
-                SAMPLES,
-            );
-            if m.degraded {
+    // Median compile of each case at k = 32 on the homogeneous pods, in
+    // `PODS` order: the all-P4 panel's cases, then the all-NPL panel's.
+    let mut homogeneous_k32 = Vec::new();
+    for (tor, agg) in PODS {
+        let asics = format!("{tor}+{agg}");
+        for case in cases() {
+            // The heaviest case also records k = 48 on the mixed pod, the
+            // largest fat-tree pod the paper targets, under a deadline: a
+            // regression in the decomposition path degrades the compile and
+            // skips the row instead of hanging the snapshot.
+            let heaviest = case.name == "NetCache(MULTI-SW)" && tor != agg;
+            for k in KS.into_iter().chain(heaviest.then_some(48)) {
+                let topo = fat_tree_pod(k, tor, agg);
+                let scopes = scopes_for(k, &case.program, case.multi);
+                let profile = if k > 32 {
+                    SolveProfile::default().with_deadline(Duration::from_secs(10))
+                } else {
+                    SolveProfile::default()
+                };
+                let compiler = Compiler::new();
+                let m = measure(&compiler, &case.program, &scopes, &topo, profile, SAMPLES);
+                if m.degraded {
+                    println!("fig10 {} {asics} k={k}: degraded — row skipped", case.name);
+                    continue;
+                }
+                let encode_ms = measure_encode(&case.program, &scopes, &topo, SAMPLES);
                 println!(
-                    "fig10 {} k={k}: degraded within deadline — row skipped",
-                    case.name
+                    "fig10 {:<20} {asics:<19} k={k:<3} median {:>9.1?}  encode {encode_ms:>7.2} \
+                     ms  conflicts {:>6}  decisions {:>8}",
+                    case.name, m.median, m.conflicts, m.decisions
                 );
-                continue;
+                if k == 32 && tor == agg {
+                    homogeneous_k32.push(ms(m.median));
+                }
+                let mut o = Object::new();
+                o.push("name", Value::str(case.name));
+                o.push("asics", Value::str(&asics));
+                o.push("k", Value::Number(k as f64));
+                o.push("median_ms", Value::Number(ms(m.median)));
+                o.push("encode_ms", Value::Number(encode_ms));
+                o.push("conflicts", Value::Number(m.conflicts as f64));
+                o.push("decisions", Value::Number(m.decisions as f64));
+                cases_json.push(Value::Object(o));
             }
-            let (encode_ms, _) = measure_encode(&case.program, &scopes, &topo, SAMPLES);
-            println!(
-                "fig10 {:<20} k={k:<3} median {:>9.1?}  encode {encode_ms:>7.2} ms  conflicts {:>6}  decisions {:>8}",
-                case.name, m.median, m.conflicts, m.decisions
-            );
-            let mut o = Object::new();
-            o.push("name", Value::str(case.name));
-            o.push("k", Value::Number(k as f64));
-            o.push("median_ms", Value::Number(ms(m.median)));
-            o.push("encode_ms", Value::Number(encode_ms));
-            o.push("conflicts", Value::Number(m.conflicts as f64));
-            o.push("decisions", Value::Number(m.decisions as f64));
-            cases_json.push(Value::Object(o));
         }
+    }
+    // The paper reports NPL synthesis ≈ 2× faster than P4 (§7.2); recorded,
+    // not asserted.
+    let (p4, npl) = homogeneous_k32.split_at(cases().len());
+    let mut npl_vs_p4 = Vec::new();
+    for ((case, p4), npl) in cases().iter().zip(p4).zip(npl) {
+        println!("fig10 {:<20} k=32 NPL/P4 {:.2}", case.name, npl / p4);
+        let mut o = Object::new();
+        o.push("name", Value::str(case.name));
+        o.push("p4_ms", Value::Number(*p4));
+        o.push("npl_ms", Value::Number(*npl));
+        o.push("npl_over_p4", Value::Number(npl / p4));
+        npl_vs_p4.push(Value::Object(o));
     }
 
     // Head-to-head on the hardest recorded case: LB MULTI-SW at k = 16.
@@ -289,6 +287,7 @@ fn record_fig10() -> Object {
     root.push("bench", Value::str("fig10"));
     root.push("samples", Value::Number(SAMPLES as f64));
     root.push("cases", Value::Array(cases_json));
+    root.push("npl_vs_p4_k32", Value::Array(npl_vs_p4));
     root.push("comparison", Value::Object(cmp));
     root.push("rollout", Value::Object(record_rollout()));
     root.push("recovery", Value::Object(record_recovery()));
@@ -482,35 +481,41 @@ fn record_failover_recompile() -> Vec<Value> {
 
 /// Entries installed before each measured rollout, spread across keys.
 const ROLLOUT_ENTRIES: u64 = 16;
-/// Smoke mode: absolute bound for the rollout p50 when the committed
-/// baseline predates the `rollout` section.
-const SMOKE_ROLLOUT_ABS_MS: f64 = 250.0;
+
+/// The running k = 16 LB MULTI-SW deployment and its Agg1-failover
+/// recompile.
+fn lb16_failover() -> (lyra::CompileOutput, lyra::FaultRecompile) {
+    let lb = &cases()[0];
+    let scopes = scopes_for(16, &lb.program, lb.multi);
+    let req = CompileRequest::new(&lb.program, &scopes, pod(16));
+    let compiler = Compiler::new();
+    let healthy = compiler.compile(&req).expect("healthy k=16 compile");
+    let faults = FaultSet::new().with_switch("Agg1");
+    let r = compiler
+        .recompile_for_faults(&req, &healthy, &faults)
+        .expect("Agg1 failover recompile");
+    (healthy, r)
+}
+
+/// `healthy` serving [`ROLLOUT_ENTRIES`] entries, with Agg1 failed live.
+fn failed_runtime(healthy: &lyra::CompileOutput) -> Runtime<'_> {
+    let mut rt = Runtime::new(healthy);
+    for i in 0..ROLLOUT_ENTRIES {
+        rt.install("conn_table", i * 7, 0x0a00_0000 + i)
+            .expect("bench entry install");
+    }
+    rt.fail_switch("Agg1").expect("live failover");
+    rt
+}
 
 /// Median wall time of a full transactional rollout (prepare + commit
 /// across every switch, reliable channel) applying the Agg1-failover
 /// placement to a running k = 16 LB MULTI-SW deployment.
 fn measure_rollout(samples: usize) -> Duration {
-    let k = 16;
-    let lb = &cases()[0];
-    let topo = pod(k);
-    let scopes = scopes_for(k, &lb.program, lb.multi);
-    let compiler = Compiler::new();
-    let req = CompileRequest::new(&lb.program, &scopes, topo);
-    let healthy = compiler.compile(&req).expect("healthy k=16 compile");
-    let mut faults = FaultSet::new();
-    faults.add_switch("Agg1");
-    let r = compiler
-        .recompile_for_faults(&req, &healthy, &faults)
-        .expect("Agg1 failover recompile");
-
+    let (healthy, r) = lb16_failover();
     let mut times = Vec::with_capacity(samples);
     for _ in 0..samples {
-        let mut rt = Runtime::new(&healthy);
-        for i in 0..ROLLOUT_ENTRIES {
-            rt.install("conn_table", i * 7, 0x0a00_0000 + i)
-                .expect("bench entry install");
-        }
-        rt.fail_switch("Agg1").expect("live failover");
+        let mut rt = failed_runtime(&healthy);
         let config = RolloutConfig::default().with_scope_health(r.scope_health.clone());
         let t = Instant::now();
         let report = rt
@@ -543,9 +548,6 @@ const ROLLOUT_SCALES: [(usize, u64); 3] =
 const WIRE_BYTES_PER_MS: f64 = 125_000.0;
 /// Modeled per-message overhead (serialization + RTT) for the same figure.
 const WIRE_MSG_MS: f64 = 0.05;
-/// Smoke mode: minimum snapshot/delta prepare-bytes ratio at the smallest
-/// scale row — the O(delta) tripwire.
-const SMOKE_DELTA_RATIO_FLOOR: f64 = 10.0;
 
 /// One row of the rollout scale study. Everything here is a measured
 /// wall clock or an exact count except the two `wire_ms_*` figures, which
@@ -845,37 +847,16 @@ fn record_rollout_scale() -> Vec<Value> {
     rows
 }
 
-/// Smoke mode: absolute bound for the recovery p50 when the committed
-/// baseline predates the `recovery` section.
-const SMOKE_RECOVERY_ABS_MS: f64 = 250.0;
-
 /// Median wall time of a controller restart recovery: the same k = 16
 /// Agg1-failover rollout crashes right after the commit decision is
 /// journaled (the most expensive recovery path — every switch must be
 /// queried and the commit re-driven), and the restarted controller drives
 /// it home from the intent log over a reliable channel.
 fn measure_recovery(samples: usize) -> Duration {
-    let k = 16;
-    let lb = &cases()[0];
-    let topo = pod(k);
-    let scopes = scopes_for(k, &lb.program, lb.multi);
-    let compiler = Compiler::new();
-    let req = CompileRequest::new(&lb.program, &scopes, topo);
-    let healthy = compiler.compile(&req).expect("healthy k=16 compile");
-    let mut faults = FaultSet::new();
-    faults.add_switch("Agg1");
-    let r = compiler
-        .recompile_for_faults(&req, &healthy, &faults)
-        .expect("Agg1 failover recompile");
-
+    let (healthy, r) = lb16_failover();
     let mut times = Vec::with_capacity(samples);
     for _ in 0..samples {
-        let mut rt = Runtime::new(&healthy);
-        for i in 0..ROLLOUT_ENTRIES {
-            rt.install("conn_table", i * 7, 0x0a00_0000 + i)
-                .expect("bench entry install");
-        }
-        rt.fail_switch("Agg1").expect("live failover");
+        let mut rt = failed_runtime(&healthy);
         let mut store = MemIntentStore::new();
         let crash_cfg = RolloutConfig::default()
             .with_scope_health(r.scope_health.clone())
@@ -915,9 +896,6 @@ fn record_recovery() -> Object {
     o
 }
 
-/// Smoke mode: absolute bound for the MTTR p50 when the committed
-/// baseline predates the `mttr` section.
-const SMOKE_MTTR_ABS_MS: f64 = 400.0;
 /// Tick the MTTR bench kills its victim on.
 const MTTR_KILL_TICK: u64 = 4;
 
@@ -976,75 +954,6 @@ fn record_mttr() -> Object {
     o
 }
 
-/// Table sizes swept by `--audit-cost` (entries installed before the
-/// audit; the numbers land in EXPERIMENTS.md).
-const AUDIT_SIZES: [u64; 4] = [16, 64, 256, 1024];
-
-/// Anti-entropy audit cost vs table size on the k = 16 LB deployment:
-/// one clean pass (digest compare only) and one pass over a fleet with
-/// seeded drift (digest mismatch forces the key-by-key diff + repairs).
-fn audit_cost() {
-    let k = 16;
-    let lb = &cases()[0];
-    let topo = pod(k);
-    let scopes = scopes_for(k, &lb.program, lb.multi);
-    let compiler = Compiler::new();
-    let req = CompileRequest::new(&lb.program, &scopes, topo);
-    let out = compiler.compile(&req).expect("healthy k=16 compile");
-    for entries in AUDIT_SIZES {
-        let mut rt = Runtime::new(&out);
-        for i in 0..entries {
-            rt.install("conn_table", i, 0x0a00_0000 + i)
-                .expect("bench entry install");
-        }
-        let mut clean_times = Vec::with_capacity(SAMPLES);
-        for _ in 0..SAMPLES {
-            let t = Instant::now();
-            let rep = rt.audit_switches();
-            clean_times.push(t.elapsed());
-            assert!(rep.clean(), "clean deployment must audit clean");
-        }
-        clean_times.sort();
-        let digests = rt.audit_switches().digests_compared;
-
-        // Seed drift on every hosting switch: one foreign entry plus one
-        // corrupted value, so each shard pays the full diff path.
-        let hosts: Vec<String> = out
-            .placement
-            .switches
-            .iter()
-            .filter(|(_, p)| p.extern_entries.contains_key("conn_table"))
-            .map(|(n, _)| n.clone())
-            .collect();
-        let mut drifted_times = Vec::with_capacity(SAMPLES);
-        let mut findings = 0;
-        for round in 0..SAMPLES {
-            let mut seeded = 0;
-            for (i, sw) in hosts.iter().enumerate() {
-                let op = DriftOp::Insert {
-                    table: "conn_table".into(),
-                    key: 0xd41f_7000 + (round * hosts.len() + i) as u64,
-                    value: 0xbad,
-                };
-                rt.inject_drift(sw, &op).expect("drift injects");
-                seeded += 1;
-            }
-            let t = Instant::now();
-            let rep = rt.audit_switches();
-            drifted_times.push(t.elapsed());
-            assert_eq!(rep.findings.len(), seeded, "audit must find every seed");
-            findings = seeded;
-        }
-        drifted_times.sort();
-        println!(
-            "audit LB(MULTI-SW)@k16 entries={entries:>5}: clean p50 {:>9.1?} \
-             ({digests} digests), drifted p50 {:>9.1?} ({findings} repairs)",
-            clean_times[SAMPLES / 2],
-            drifted_times[SAMPLES / 2],
-        );
-    }
-}
-
 /// Packets replayed through the compiled engine per pps measurement.
 const PPS_PACKETS: u64 = 400_000;
 /// Packets for the interpreter baseline (same seed, slower engine).
@@ -1053,12 +962,9 @@ const PPS_INTERP_PACKETS: u64 = 100_000;
 const PPS_ROLLOUT_PACKETS: u64 = 120_000;
 /// Traffic seed shared by every pps measurement.
 const PPS_SEED: u64 = 0x9e37_79b9;
-/// Smoke mode: the compiled single-worker engine must beat the
-/// interpreter by at least this factor on the NetCache k = 8 deployment.
-const PPS_SMOKE_FLOOR: f64 = 8.0;
-/// Smoke mode: packet budgets for the quick pps tripwire.
-const PPS_SMOKE_PACKETS: u64 = 60_000;
-const PPS_SMOKE_INTERP_PACKETS: u64 = 20_000;
+/// Replays behind each pps row: one replay of this deployment spreads
+/// 2.7–3.9 M pps on a 2-core host, so a row is the median run.
+const PPS_RUNS: usize = 5;
 
 /// The pps workload: NetCache at k = 8, MULTI-SW, with cache entries
 /// installed so replayed traffic exercises hit, miss, and hot-key paths.
@@ -1081,7 +987,26 @@ fn seeded_runtime(out: &lyra::CompileOutput) -> Runtime<'_> {
     rt
 }
 
-fn replay_json(r: &ReplayReport) -> Object {
+/// A replay run and the pps quartiles of the runs it is the median of.
+struct MedianRun<T> {
+    run: T,
+    q1: f64,
+    q3: f64,
+}
+
+/// Run `replay` [`PPS_RUNS`] times; keep the median run by `pps`.
+fn median_run<T>(mut replay: impl FnMut() -> T, pps: impl Fn(&T) -> f64) -> MedianRun<T> {
+    let mut runs: Vec<T> = (0..PPS_RUNS).map(|_| replay()).collect();
+    runs.sort_by(|a, b| pps(a).total_cmp(&pps(b)));
+    let (q1, q3) = (pps(&runs[PPS_RUNS / 4]), pps(&runs[3 * PPS_RUNS / 4]));
+    MedianRun {
+        run: runs.swap_remove(PPS_RUNS / 2),
+        q1,
+        q3,
+    }
+}
+
+fn replay_json(r: &ReplayReport, q1: f64, q3: f64) -> Object {
     let mut o = Object::new();
     o.push("packets", Value::Number(r.packets as f64));
     o.push("delivered", Value::Number(r.delivered as f64));
@@ -1097,53 +1022,66 @@ fn replay_json(r: &ReplayReport) -> Object {
     o.push("workers", Value::Number(r.workers as f64));
     o.push("elapsed_ms", Value::Number(ms(r.elapsed)));
     o.push("pps", Value::Number(r.pps));
+    o.push("pps_q1", Value::Number(q1));
+    o.push("pps_q3", Value::Number(q3));
+    o.push("n", Value::Number(PPS_RUNS as f64));
     o
 }
 
 /// Replay traffic while a two-phase rollout flips the deployment over a
-/// lossy channel; returns the scenario row and the exposure count.
+/// lossy channel, [`PPS_RUNS`] times; returns the median run's scenario row
+/// and the mixed-epoch exposure summed over every run.
 fn pps_rollout_scenario(
     name: &str,
     compiler: &Compiler,
     req: &CompileRequest,
     out: &lyra::CompileOutput,
-    packets: u64,
     kill_first_target: bool,
 ) -> (Object, u64) {
     let faults = FaultSet::new().with_switch("Agg1");
     let r = compiler
         .recompile_for_faults(req, out, &faults)
         .expect("Agg1 failover recompile");
-    let mut rt = seeded_runtime(out);
-    rt.fail_switch("Agg1").expect("live failover");
-    let mut chan = LossyChannel::new(3)
-        .with_drop_p(0.2)
-        .with_ack_loss_p(0.1)
-        .with_dup_p(0.05);
-    let mut config = RolloutConfig::default().with_scope_health(r.scope_health.clone());
-    if kill_first_target {
-        // Kill the alphabetically-first switch of the new placement right
-        // after its prepare lands: the commit starves and the rollout must
-        // roll every switch back while traffic keeps flowing.
-        let victim = r
-            .output
-            .placement
-            .switches
-            .keys()
-            .next()
-            .expect("new placement has switches")
-            .clone();
-        chan = LossyChannel::new(3).with_switch_death(&victim, 1);
-        config.max_attempts = 3;
-        config.base_backoff = Duration::from_micros(5);
-        config.max_backoff = Duration::from_micros(50);
-    }
-    let replay_cfg = ReplayConfig::default()
-        .with_packets(packets)
-        .with_workers(2)
-        .with_seed(PPS_SEED);
-    let outcome = replay_under_rollout(&mut rt, &r.output, &mut chan, &config, &replay_cfg)
-        .expect("rollout starts");
+    let mut exposure = 0;
+    let scenario = || {
+        let mut rt = seeded_runtime(out);
+        rt.fail_switch("Agg1").expect("live failover");
+        let mut chan = LossyChannel::new(3)
+            .with_drop_p(0.2)
+            .with_ack_loss_p(0.1)
+            .with_dup_p(0.05);
+        let mut config = RolloutConfig::default().with_scope_health(r.scope_health.clone());
+        if kill_first_target {
+            // Kill the alphabetically-first switch of the new placement right
+            // after its prepare lands: the commit starves and the rollout must
+            // roll every switch back while traffic keeps flowing.
+            let victim = r
+                .output
+                .placement
+                .switches
+                .keys()
+                .next()
+                .expect("new placement has switches")
+                .clone();
+            chan = LossyChannel::new(3).with_switch_death(&victim, 1);
+            config.max_attempts = 3;
+            config.base_backoff = Duration::from_micros(5);
+            config.max_backoff = Duration::from_micros(50);
+        }
+        let replay_cfg = ReplayConfig::default()
+            .with_packets(PPS_ROLLOUT_PACKETS)
+            .with_workers(2)
+            .with_seed(PPS_SEED);
+        let outcome = replay_under_rollout(&mut rt, &r.output, &mut chan, &config, &replay_cfg)
+            .expect("rollout starts");
+        exposure += outcome.replay.mixed_epoch_exposure;
+        outcome
+    };
+    let MedianRun {
+        run: outcome,
+        q1,
+        q3,
+    } = median_run(scenario, |o| o.replay.pps);
     let state = if outcome.rollout.committed {
         "committed"
     } else if outcome.rollout.rolled_back {
@@ -1152,18 +1090,20 @@ fn pps_rollout_scenario(
         "no-op"
     };
     println!(
-        "pps   rollout[{name}]: {state}, {} delivered, {} refused (loss), {} mixed-epoch, \
-         {} forced rollback(s)",
+        "pps   rollout[{name}]: {state}, {} delivered, {} refused (loss), {} mixed-epoch over \
+         {PPS_RUNS} runs, {} forced rollback(s)",
         outcome.replay.delivered,
         outcome.replay.refused_epoch_mismatch,
-        outcome.replay.mixed_epoch_exposure,
+        exposure,
         outcome.rollout.forced_rollbacks,
     );
-    let exposure = outcome.replay.mixed_epoch_exposure;
     let mut o = Object::new();
     o.push("name", Value::str(name));
     o.push("outcome", Value::str(state));
-    o.push("replay", Value::Object(replay_json(&outcome.replay)));
+    o.push(
+        "replay",
+        Value::Object(replay_json(&outcome.replay, q1, q3)),
+    );
     let mut ro = Object::new();
     ro.push("committed", Value::Bool(outcome.rollout.committed));
     ro.push("rolled_back", Value::Bool(outcome.rollout.rolled_back));
@@ -1184,67 +1124,44 @@ fn pps_rollout_scenario(
 fn record_pps() -> Object {
     let (compiler, req, out) = pps_workload();
     let rt = seeded_runtime(&out);
-    let interp = replay_interpreted(
-        &rt,
-        &ReplayConfig::default()
-            .with_packets(PPS_INTERP_PACKETS)
-            .with_seed(PPS_SEED),
-    );
-    let single = replay_compiled(
-        &rt,
-        &ReplayConfig::default()
-            .with_packets(PPS_PACKETS)
-            .with_workers(1)
-            .with_seed(PPS_SEED),
-    );
-    let batched = replay_compiled(
-        &rt,
-        &ReplayConfig::default()
-            .with_packets(PPS_PACKETS)
-            .with_seed(PPS_SEED),
-    );
+    let cfg = |packets| {
+        ReplayConfig::default()
+            .with_packets(packets)
+            .with_seed(PPS_SEED)
+    };
+    let pps = |r: &ReplayReport| r.pps;
+    let (interp_cfg, single_cfg) = (cfg(PPS_INTERP_PACKETS), cfg(PPS_PACKETS).with_workers(1));
+    let interp = median_run(|| replay_interpreted(&rt, &interp_cfg), pps);
+    let single = median_run(|| replay_compiled(&rt, &single_cfg), pps);
+    let batched = median_run(|| replay_compiled(&rt, &cfg(PPS_PACKETS)), pps);
+    let speedup = |r: &MedianRun<ReplayReport>| r.run.pps / interp.run.pps.max(1e-9);
     println!(
-        "pps   NetCache(MULTI-SW)@k8: interpreter {:.0} pps, compiled(1w) {:.0} pps ({:.1}x), \
-         compiled({}w) {:.0} pps ({:.1}x)",
-        interp.pps,
-        single.pps,
-        single.pps / interp.pps.max(1e-9),
-        batched.workers,
-        batched.pps,
-        batched.pps / interp.pps.max(1e-9),
+        "pps   NetCache(MULTI-SW)@k8, median of {PPS_RUNS}: interpreter {:.0} pps, compiled(1w) \
+         {:.0} pps [{:.0}–{:.0}] ({:.1}x), compiled({}w) {:.0} pps [{:.0}–{:.0}] ({:.1}x)",
+        interp.run.pps,
+        single.run.pps,
+        single.q1,
+        single.q3,
+        speedup(&single),
+        batched.run.workers,
+        batched.run.pps,
+        batched.q1,
+        batched.q3,
+        speedup(&batched),
     );
-    let (lossy_commit, e1) = pps_rollout_scenario(
-        "lossy-commit",
-        &compiler,
-        &req,
-        &out,
-        PPS_ROLLOUT_PACKETS,
-        false,
-    );
-    let (lossy_rollback, e2) = pps_rollout_scenario(
-        "lossy-rollback",
-        &compiler,
-        &req,
-        &out,
-        PPS_ROLLOUT_PACKETS,
-        true,
-    );
+    let (lossy_commit, e1) = pps_rollout_scenario("lossy-commit", &compiler, &req, &out, false);
+    let (lossy_rollback, e2) = pps_rollout_scenario("lossy-rollback", &compiler, &req, &out, true);
     assert_eq!(e1 + e2, 0, "a packet executed under two epochs");
 
+    let row = |r: &MedianRun<ReplayReport>| Value::Object(replay_json(&r.run, r.q1, r.q3));
     let mut root = Object::new();
     root.push("bench", Value::str("pps"));
     root.push("case", Value::str("NetCache(MULTI-SW)@k8"));
-    root.push("interpreter", Value::Object(replay_json(&interp)));
-    root.push("compiled_single", Value::Object(replay_json(&single)));
-    root.push("compiled_batched", Value::Object(replay_json(&batched)));
-    root.push(
-        "speedup_single",
-        Value::Number(single.pps / interp.pps.max(1e-9)),
-    );
-    root.push(
-        "speedup_batched",
-        Value::Number(batched.pps / interp.pps.max(1e-9)),
-    );
+    root.push("interpreter", row(&interp));
+    root.push("compiled_single", row(&single));
+    root.push("compiled_batched", row(&batched));
+    root.push("speedup_single", Value::Number(speedup(&single)));
+    root.push("speedup_batched", Value::Number(speedup(&batched)));
     root.push(
         "rollout_scenarios",
         Value::Array(vec![
@@ -1253,54 +1170,6 @@ fn record_pps() -> Object {
         ]),
     );
     root
-}
-
-/// Quick data-plane tripwire: the compiled engine must beat the
-/// interpreter by [`PPS_SMOKE_FLOOR`], and a lossy rollout under traffic
-/// must keep mixed-epoch exposure at zero. Returns the failure count.
-fn pps_smoke() -> usize {
-    let (compiler, req, out) = pps_workload();
-    let rt = seeded_runtime(&out);
-    let interp = replay_interpreted(
-        &rt,
-        &ReplayConfig::default()
-            .with_packets(PPS_SMOKE_INTERP_PACKETS)
-            .with_seed(PPS_SEED),
-    );
-    let single = replay_compiled(
-        &rt,
-        &ReplayConfig::default()
-            .with_packets(PPS_SMOKE_PACKETS)
-            .with_workers(1)
-            .with_seed(PPS_SEED),
-    );
-    let speedup = single.pps / interp.pps.max(1e-9);
-    let mut failures = 0;
-    let status = if speedup < PPS_SMOKE_FLOOR {
-        failures += 1;
-        "REGRESSED"
-    } else {
-        "ok"
-    };
-    println!(
-        "smoke pps NetCache(MULTI-SW)@k8: compiled {:.0} pps vs interpreter {:.0} pps — \
-         {speedup:.1}x (floor {PPS_SMOKE_FLOOR:.0}x) {status}",
-        single.pps, interp.pps
-    );
-    drop(rt);
-    let (_, exposure) = pps_rollout_scenario(
-        "lossy-rollback",
-        &compiler,
-        &req,
-        &out,
-        PPS_SMOKE_PACKETS,
-        true,
-    );
-    if exposure > 0 {
-        println!("smoke pps: {exposure} packet(s) executed under two epochs REGRESSED");
-        failures += 1;
-    }
-    failures
 }
 
 fn record_fig9() -> Object {
@@ -1352,315 +1221,7 @@ fn record_fig9() -> Object {
     root
 }
 
-/// Smoke mode: single-sample the k = 4 fig10 cases against the committed
-/// baseline. Returns the number of regressions.
-fn smoke() -> usize {
-    let baseline = match std::fs::read_to_string("BENCH_fig10.json") {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("record_bench --smoke: cannot read BENCH_fig10.json: {e}");
-            return 1;
-        }
-    };
-    let baseline = match parse(&baseline) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("record_bench --smoke: BENCH_fig10.json is not valid JSON: {e:?}");
-            return 1;
-        }
-    };
-    let Some(cases_json) = baseline.get("cases").and_then(|c| c.as_array()) else {
-        eprintln!("record_bench --smoke: baseline has no `cases` array");
-        return 1;
-    };
-    // The committed `field` of the fig10 row of `name` at `k`.
-    let recorded = |name: &str, k: usize, field: &str| -> Option<f64> {
-        let row = cases_json.iter().find(|c| {
-            c.get("name").and_then(|n| n.as_str()) == Some(name)
-                && c.get("k").and_then(|v| v.as_number()) == Some(k as f64)
-        });
-        row?.get(field)?.as_number()
-    };
-    let mut failures = 0;
-    for case in cases() {
-        let k = 4;
-        let Some(baseline_ms) = recorded(case.name, k, "median_ms") else {
-            eprintln!("smoke: no baseline for {} @k{k} — skipping", case.name);
-            continue;
-        };
-        let topo = pod(k);
-        let scopes = scopes_for(k, &case.program, case.multi);
-        let m = measure(
-            &Compiler::new(),
-            &case.program,
-            &scopes,
-            &topo,
-            SolveProfile::default(),
-            1,
-        );
-        let bound = baseline_ms * SMOKE_FACTOR + SMOKE_GRACE_MS;
-        let status = if ms(m.median) > bound {
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "smoke {:<20} k={k}: {:.1} ms (baseline {:.1} ms, bound {:.1} ms) {status}",
-            case.name,
-            ms(m.median),
-            baseline_ms,
-            bound
-        );
-        if ms(m.median) > bound {
-            failures += 1;
-        }
-    }
-
-    // Rollout-latency tripwire: p50 prepare+commit on the k = 16 LB
-    // failover. Bounded by the committed baseline when it carries the
-    // `rollout` section, by an absolute ceiling otherwise.
-    let rollout_baseline = baseline
-        .get("rollout")
-        .and_then(|r| r.get("p50_commit_ms"))
-        .and_then(|v| v.as_number());
-    let bound = match rollout_baseline {
-        Some(b) => b * SMOKE_FACTOR + SMOKE_GRACE_MS,
-        None => SMOKE_ROLLOUT_ABS_MS,
-    };
-    let p50 = ms(measure_rollout(1));
-    let status = if p50 > bound { "REGRESSED" } else { "ok" };
-    println!(
-        "smoke rollout LB(MULTI-SW)@k16: {p50:.2} ms (bound {bound:.1} ms{}) {status}",
-        if rollout_baseline.is_some() {
-            ""
-        } else {
-            ", absolute — no baseline"
-        }
-    );
-    if p50 > bound {
-        failures += 1;
-    }
-
-    // O(delta) tripwire: at the smallest scale row, delta prepares must
-    // still beat forced snapshots by the floor on prepare bytes, and
-    // staging must hand the planner nothing on the failover rollout and no
-    // more than the dead shard on the re-sync — and, the replicas sharing
-    // their pages, walk no key to find that out. All are exact counts, not
-    // timings, so no grace is needed.
-    let (n, table_size) = ROLLOUT_SCALES[0];
-    let row = measure_rollout_scale(n, table_size, 1);
-    let ratio = row.bytes_snapshot as f64 / row.bytes_delta.max(1) as f64;
-    let staged_o_delta =
-        row.planned_delta == 0 && row.planned_resync <= row.lost && row.walked_resync == 0;
-    let regressed = ratio < SMOKE_DELTA_RATIO_FLOOR || !staged_o_delta;
-    println!(
-        "smoke rollout-delta @{n} entries: snapshot {}B / delta {}B = {ratio:.1}x \
-         (floor {SMOKE_DELTA_RATIO_FLOOR:.0}x); planner saw {} (re-sync, dead shard {}, {} key(s) \
-         walked, must be 0) + {} (rollout) entries; measured failover {:.2} ms vs from-scratch \
-         re-plan {:.2} ms {}",
-        row.bytes_snapshot,
-        row.bytes_delta,
-        row.planned_resync,
-        row.lost,
-        row.walked_resync,
-        row.planned_delta,
-        ms(row.p50_failover),
-        ms(row.p50_replan),
-        if regressed { "REGRESSED" } else { "ok" }
-    );
-    if regressed {
-        failures += 1;
-    }
-
-    // Restart-recovery tripwire: p50 of driving a crash@commit-decision
-    // rollout home from the intent log. Bounded by the committed baseline
-    // when it carries the `recovery` section, by an absolute ceiling
-    // otherwise.
-    let recovery_baseline = baseline
-        .get("recovery")
-        .and_then(|r| r.get("p50_recover_ms"))
-        .and_then(|v| v.as_number());
-    let bound = match recovery_baseline {
-        Some(b) => b * SMOKE_FACTOR + SMOKE_GRACE_MS,
-        None => SMOKE_RECOVERY_ABS_MS,
-    };
-    let p50 = ms(measure_recovery(1));
-    let status = if p50 > bound { "REGRESSED" } else { "ok" };
-    println!(
-        "smoke recovery LB(MULTI-SW)@k16: {p50:.2} ms (bound {bound:.1} ms{}) {status}",
-        if recovery_baseline.is_some() {
-            ""
-        } else {
-            ", absolute — no baseline"
-        }
-    );
-    if p50 > bound {
-        failures += 1;
-    }
-
-    // Self-healing tripwire: p50 of one closed-loop remediation round
-    // (seeded Agg1 kill detected, recompiled, rolled out, audited) on the
-    // k = 16 LB deployment. Bounded by the committed baseline when it
-    // carries the `mttr` section, by an absolute ceiling otherwise.
-    let mttr_baseline = baseline
-        .get("mttr")
-        .and_then(|r| r.get("p50_heal_ms"))
-        .and_then(|v| v.as_number());
-    let bound = match mttr_baseline {
-        Some(b) => b * SMOKE_FACTOR + SMOKE_GRACE_MS,
-        None => SMOKE_MTTR_ABS_MS,
-    };
-    let (p50, ticks) = measure_mttr(1);
-    let p50 = ms(p50);
-    let status = if p50 > bound { "REGRESSED" } else { "ok" };
-    println!(
-        "smoke mttr LB(MULTI-SW)@k16: {p50:.2} ms / {ticks} ticks (bound {bound:.1} ms{}) {status}",
-        if mttr_baseline.is_some() {
-            ""
-        } else {
-            ", absolute — no baseline"
-        }
-    );
-    if p50 > bound {
-        failures += 1;
-    }
-
-    // Failover-recompile tripwire: under `Feasible` the prior placement is
-    // carried onto the survivors, which costs one encode and no search —
-    // so a recompile that misses the route, or is slower than compiling
-    // the survivor network from scratch, has regressed. No baseline: the
-    // two sides are measured here, back to back.
-    for case in cases().iter().filter(|c| c.multi) {
-        let row = measure_failover_recompile(case, 3);
-        let regressed = row.route != "carried-over" || row.recompile > row.survivors_cold;
-        let status = if regressed { "REGRESSED" } else { "ok" };
-        println!(
-            "smoke failover recompile {:<20} k={FAILOVER_K}: {:.2} ms by the {} route \
-             (survivors from scratch {:.2} ms) {status}",
-            case.name,
-            ms(row.recompile),
-            row.route,
-            ms(row.survivors_cold)
-        );
-        if regressed {
-            failures += 1;
-        }
-    }
-
-    // Propagation tripwire, on counts (they repeat exactly; the clock does
-    // not): bounds propagation must visit the constraints a change touched,
-    // and a creeping cycle must be refuted by its weight. The full sweep
-    // made 60 M visits on LB 5.5 M k=4 and over a hundred per propagation
-    // on NetCache k=8.
-    for case in propagation_cases() {
-        let (_, s) = measure_propagation(&case, 1);
-        let regressed = s.linear_visits > SMOKE_LINEAR_VISITS
-            || (case.name.starts_with("NetCache")
-                && visits_per_propagation(&s) > SMOKE_VISITS_PER_PROPAGATION);
-        let status = if regressed { "REGRESSED" } else { "ok" };
-        println!(
-            "smoke propagation {:<36} k={}: {} linear visits, {:.2} per propagation, {} creep \
-             check(s) {status}",
-            case.name,
-            case.k,
-            s.linear_visits,
-            visits_per_propagation(&s),
-            s.creep_checks
-        );
-        if regressed {
-            failures += 1;
-        }
-    }
-
-    // Datacenter-scale tripwires: the decomposition path must keep the MULTI-SW curve bent. k = 16 is bounded against
-    // the committed snapshot at 2x (tighter than the generic 3x above,
-    // with a small grace since the quotient row is tens of ms); k = 32
-    // carries the absolute one-second budget from the scaling work —
-    // losing the quotient path sends it back toward the multi-second
-    // monolithic encoding, which either bound catches.
-    let nc = cases().pop().expect("NetCache MULTI-SW case");
-    for (k, bound, label) in [
-        (
-            16usize,
-            recorded(nc.name, 16, "median_ms")
-                .map(|b| b * SMOKE_SCALE_FACTOR + SMOKE_SCALE_GRACE_MS),
-            "2x snapshot",
-        ),
-        (32usize, Some(SMOKE_K32_BUDGET_MS), "absolute budget"),
-    ] {
-        let Some(bound) = bound else {
-            eprintln!("smoke: no baseline for {} @k{k} — skipping", nc.name);
-            continue;
-        };
-        let topo = pod(k);
-        let scopes = scopes_for(k, &nc.program, nc.multi);
-        let m = measure(
-            &Compiler::new(),
-            &nc.program,
-            &scopes,
-            &topo,
-            SolveProfile::default(),
-            1,
-        );
-        let status = if ms(m.median) > bound {
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "smoke {:<20} k={k}: {:.1} ms (bound {:.1} ms, {label}) {status}",
-            nc.name,
-            ms(m.median),
-            bound
-        );
-        if ms(m.median) > bound {
-            failures += 1;
-        }
-    }
-    // Encode tripwire: the index-built encoder of NetCache MULTI-SW at
-    // k = 16 against the committed `encode_ms`. The fastest of a few
-    // samples repeats well, so the bound carries almost no grace.
-    match recorded(nc.name, 16, "encode_ms") {
-        None => eprintln!("smoke: no encode baseline for {} @k16 — skipping", nc.name),
-        Some(baseline_ms) => {
-            let scopes = scopes_for(16, &nc.program, nc.multi);
-            let (_, fastest) = measure_encode(&nc.program, &scopes, &pod(16), SAMPLES);
-            let bound = baseline_ms * SMOKE_FACTOR + 1.0;
-            let status = if fastest > bound { "REGRESSED" } else { "ok" };
-            println!(
-                "smoke encode {:<13} k=16: {fastest:.2} ms (baseline {baseline_ms:.2} ms, \
-                 bound {bound:.2} ms) {status}",
-                nc.name
-            );
-            failures += (fastest > bound) as usize;
-        }
-    }
-    failures + pps_smoke()
-}
-
 fn main() {
-    if std::env::args().any(|a| a == "--audit-cost") {
-        audit_cost();
-        return;
-    }
-    if std::env::args().any(|a| a == "--pps-smoke") {
-        let failures = pps_smoke();
-        if failures > 0 {
-            eprintln!("record_bench --pps-smoke: {failures} data-plane tripwire(s) failed");
-            std::process::exit(1);
-        }
-        println!("record_bench --pps-smoke: data plane within bounds");
-        return;
-    }
-    if std::env::args().any(|a| a == "--smoke") {
-        let failures = smoke();
-        if failures > 0 {
-            eprintln!("record_bench --smoke: {failures} case(s) regressed over baseline");
-            std::process::exit(1);
-        }
-        println!("record_bench --smoke: all cases within bounds");
-        return;
-    }
     let fig10 = record_fig10();
     std::fs::write("BENCH_fig10.json", Value::Object(fig10).to_pretty())
         .expect("write BENCH_fig10.json");

@@ -3,9 +3,9 @@
 //! generation, validation, and the placement invariants the paper's
 //! correctness argument rests on.
 
-use lyra::{CompileRequest, Compiler};
-use lyra_apps::{figure9_corpus, programs};
-use lyra_topo::{evaluation_testbed, figure1_network, Layer, Topology};
+use lyra::{CompileRequest, Compiler, Objective};
+use lyra_apps::{figure9_corpus, paper_baselines, programs, CorpusEntry};
+use lyra_topo::{evaluation_testbed, fat_tree_pod, figure1_network, Layer, Topology};
 
 /// A single-switch topology with the given ASIC.
 fn single(asic: &str) -> Topology {
@@ -426,4 +426,168 @@ fn incremental_recompile_keeps_placement_stable() {
             "extern shards moved on {sw}"
         );
     }
+}
+
+// The shape claims of the paper's evaluation (§7, App. C) that do not
+// depend on the clock. EXPERIMENTS.md records the measured numbers.
+
+/// Tables the generated code of a corpus program uses on one `asic` switch.
+fn generated_tables(entry: &CorpusEntry, asic: &str) -> u64 {
+    let out = Compiler::new()
+        .compile(&CompileRequest::new(
+            &entry.source,
+            &single_scopes(&entry.scopes),
+            single(asic),
+        ))
+        .unwrap_or_else(|e| panic!("{} on {asic}: {e}", entry.name));
+    let summaries = out
+        .validate_all()
+        .unwrap_or_else(|e| panic!("{} on {asic} invalid: {e}", entry.name));
+    summaries[0].1.tables
+}
+
+/// Tables of the paper's manual P4₁₄ version of a corpus program.
+fn manual_tables(program: &str) -> u64 {
+    let rows = paper_baselines();
+    let row = rows.iter().find(|r| r.program == program);
+    row.unwrap_or_else(|| panic!("no Figure 9 baseline for {program}"))
+        .manual_tables
+}
+
+#[test]
+fn figure9_generated_p4_uses_no_more_tables_than_manual_p4() {
+    for entry in figure9_corpus() {
+        let ours = generated_tables(&entry, "tofino-32q");
+        let manual = manual_tables(entry.name);
+        assert!(
+            ours <= manual,
+            "{}: generated P4 uses {ours} tables, the manual P4_14 program {manual}",
+            entry.name
+        );
+    }
+}
+
+#[test]
+fn figure9_netcache_shows_the_largest_table_reduction() {
+    // The paper: 96 manual tables → 12 generated (87.5 %).
+    let reductions: Vec<(&str, f64)> = figure9_corpus()
+        .iter()
+        .map(|entry| {
+            let ours = generated_tables(entry, "tofino-32q") as f64;
+            (entry.name, 1.0 - ours / manual_tables(entry.name) as f64)
+        })
+        .collect();
+    let netcache = reductions.iter().find(|r| r.0 == "NetCache").unwrap().1;
+    assert!(netcache >= 0.5, "NetCache reduces tables by {netcache:.3}");
+    for (program, reduction) in &reductions {
+        assert!(
+            *reduction <= netcache,
+            "{program} reduces tables by {reduction:.3}, more than NetCache's {netcache:.3}"
+        );
+    }
+}
+
+#[test]
+fn figure9_npl_needs_no_more_tables_than_p4() {
+    // Figure 2's multi-lookup merge, over the whole corpus.
+    for entry in figure9_corpus() {
+        let p4 = generated_tables(&entry, "tofino-32q");
+        let npl = generated_tables(&entry, "trident4");
+        assert!(
+            npl <= p4,
+            "{}: {npl} NPL logical tables, {p4} P4 tables",
+            entry.name
+        );
+    }
+}
+
+#[test]
+fn figure10_per_sw_search_does_not_grow_with_the_pod() {
+    // Figure 10's flat PER-SW curve, on counts instead of the clock: every
+    // switch of one (ASIC, algorithm set) group shares one synthesis, so a
+    // bigger pod makes no more search.
+    let program = programs::netcache();
+    let counts: Vec<(usize, u64, u64)> = [4, 8, 16, 32]
+        .into_iter()
+        .map(|k| {
+            let out = Compiler::new()
+                .compile(&CompileRequest::new(
+                    &program,
+                    "netcache: [ ToR*,Agg* | PER-SW | - ]",
+                    fat_tree_pod(k, "tofino-32q", "trident4"),
+                ))
+                .unwrap_or_else(|e| panic!("NetCache PER-SW at k = {k}: {e}"));
+            (k, out.solver.decisions, out.solver.conflicts)
+        })
+        .collect();
+    for &(k, decisions, conflicts) in &counts[1..] {
+        assert_eq!(
+            (decisions, conflicts),
+            (counts[0].1, counts[0].2),
+            "(k, decisions, conflicts): {counts:?}, k = {k} differs from k = 4"
+        );
+    }
+}
+
+#[test]
+fn parser_hoisting_strictly_reduces_tables() {
+    // App. C.1: constant metadata stores move into the parser as
+    // `set_metadata`, which the paper credits with halving its P4 INT
+    // program's tables.
+    let program = r#"
+        pipeline[P]{int_like};
+        algorithm int_like {
+            int_version = 2;
+            int_domain = 7;
+            md_sum = int_version + ipv4.srcAddr;
+            out = md_sum + int_domain;
+        }
+    "#;
+    let tables = |hoisting: bool| {
+        let out = Compiler::new()
+            .with_parser_hoisting(hoisting)
+            .compile(&CompileRequest::new(
+                program,
+                "int_like: [ ToR1 | PER-SW | - ]",
+                single("tofino-32q"),
+            ))
+            .unwrap();
+        out.validate_all().unwrap()[0].1.tables
+    };
+    let (with, without) = (tables(true), tables(false));
+    assert!(
+        with < without,
+        "{with} tables with parser hoisting, {without} without"
+    );
+}
+
+#[test]
+fn min_switches_uses_no_more_switches_than_feasible() {
+    // App. C.2: the objective programs fewer switches than plain
+    // feasibility; this two-instruction program fits the path-entry pair.
+    let program = r#"
+        pipeline[P]{small};
+        algorithm small {
+            bit[32] x;
+            x = ipv4.srcAddr + 1;
+            ipv4.dstAddr = x;
+        }
+    "#;
+    let switches = |objective| {
+        let out = Compiler::new()
+            .with_objective(objective)
+            .compile(&CompileRequest::new(
+                program,
+                "small: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]",
+                figure1_network(),
+            ))
+            .unwrap();
+        out.placement.used_switches()
+    };
+    let feasible = switches(Objective::Feasible);
+    let minimized = switches(Objective::MinSwitches);
+    assert!(
+        minimized <= feasible && minimized <= 2,
+        "MinSwitches programs {minimized} switches, Feasible {feasible}"
+    );
 }
