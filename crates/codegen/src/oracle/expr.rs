@@ -5,21 +5,14 @@
 //! expressions with `(bit<N>)` casts and `?:`, NPL infix with `[hi:lo]`
 //! slices and `reg.value[i]` indexing). This module tokenizes and parses
 //! all of them into one [`Expr`] AST and evaluates it with *exactly* the
-//! IR interpreter's semantics: wrapping 64-bit arithmetic, `checked_div`/
-//! `checked_rem`/`checked_shl`/`checked_shr` collapsing to 0, comparisons
-//! producing 0/1, and truncation applied only at named-destination writes.
+//! IR interpreter's semantics: wrapping 64-bit arithmetic, division and
+//! remainder by 0 collapsing to 0, the interpreter's own shift and slice
+//! helpers, comparisons producing 0/1, and truncation applied only at
+//! named-destination writes.
 
 use std::fmt;
 
-/// Truncate `v` to `width` bits (width 0 or ≥64 = untouched) — identical
-/// to the IR interpreter's masking rule.
-pub fn mask(v: u64, width: u32) -> u64 {
-    if width == 0 || width >= 64 {
-        v
-    } else {
-        v & ((1u64 << width) - 1)
-    }
-}
+use lyra_ir::interp::{mask, shl, shr, slice};
 
 /// Evaluation environment: variable reads, calls, and register indexing
 /// are delegated so each backend model can canonicalize names its own way.
@@ -92,10 +85,7 @@ impl Expr {
             Expr::Num(n) => *n,
             Expr::Var(v) => env.read(v),
             Expr::Cast(w, e) => mask(e.eval(env), *w),
-            Expr::Slice(e, hi, lo) => {
-                let x = e.eval(env);
-                mask(x >> lo, (hi - lo + 1).min(63))
-            }
+            Expr::Slice(e, hi, lo) => slice(e.eval(env), *hi, *lo),
             Expr::Index(name, idx) => {
                 let i = idx.eval(env);
                 env.index(name, i)
@@ -114,8 +104,8 @@ impl Expr {
                     BinOp::And => x & y,
                     BinOp::Or => x | y,
                     BinOp::Xor => x ^ y,
-                    BinOp::Shl => x.checked_shl(y as u32).unwrap_or(0),
-                    BinOp::Shr => x.checked_shr(y as u32).unwrap_or(0),
+                    BinOp::Shl => shl(x, y),
+                    BinOp::Shr => shr(x, y),
                     BinOp::Eq => (x == y) as u64,
                     BinOp::Ne => (x != y) as u64,
                     BinOp::Lt => (x < y) as u64,
@@ -526,6 +516,17 @@ mod tests {
         assert_eq!(ev("(bit<8>)300", &[]), 44);
         assert_eq!(ev("(bit[8])300", &[]), 44);
         assert_eq!(ev("md.x[7:4]", &[("md.x", 0xab)]), 0xa);
+    }
+
+    #[test]
+    fn full_width_and_out_of_word_slices_and_wide_shifts() {
+        let x = [("md.x", u64::MAX)];
+        assert_eq!(ev("md.x[63:0]", &x), u64::MAX);
+        assert_eq!(ev("md.x[71:64]", &x), 0);
+        assert_eq!(ev("md.x[70:60]", &x), 0xf);
+        let s = [("md.s", (1u64 << 32) + 1)];
+        assert_eq!(ev("3 << md.s", &s), 0);
+        assert_eq!(ev("3 >> md.s", &s), 0);
     }
 
     #[test]

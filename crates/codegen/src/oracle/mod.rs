@@ -25,9 +25,9 @@ pub mod rules;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use lyra_ir::interp::{global_read, global_write, reference_hash};
+use lyra_ir::interp::{global_read, global_write, mask, reference_hash};
 
-use expr::{mask, parse_expr, Env, Expr};
+use expr::{parse_expr, Env, Expr};
 use rules::{TableRule, When};
 
 /// One executable statement of an emitted action / function body.

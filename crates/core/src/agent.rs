@@ -121,7 +121,7 @@ impl SwitchState {
                 batch_index: 0,
                 ..
             } => {
-                // The first batch opens the staged epoch: an O(pages)
+                // The first batch opens the staged epoch: an O(1)
                 // copy-on-write clone of the serving state with the new
                 // epoch's globals swapped in. One guard more than a
                 // snapshot prepare: the switch must still be on the epoch

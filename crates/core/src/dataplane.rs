@@ -33,27 +33,29 @@
 //! (`Runtime::install`, the interpreter's register writes, the agent's
 //! delta prepares), a built plane is a consistent snapshot of the runtime
 //! at the moment it was built. What bring-up does cost — bytecode
-//! compilation plus O(pages) pointer copies — is reported per replay as
-//! [`ReplayReport::bring_up`].
+//! compilation plus one pointer copy per table and register array — is
+//! reported per replay as [`ReplayReport::bring_up`].
 //!
 //! ## Epoch pinning
 //!
 //! Each worker caches the per-switch serving planes and revalidates the
 //! cache against a generation counter bumped on every commit/rollback flip.
-//! Before executing a packet it checks that every hop on the packet's path
-//! serves the same epoch; a disagreeing path refuses the packet (counted as
-//! `refused_epoch_mismatch`, the replay's packet loss) rather than exposing
-//! it to two placements — the same guarantee `inject` enforces, kept under
-//! concurrency by checking the exact `Arc` snapshots the packet would run.
+//! Workers run packets in lane batches of one path each; before executing
+//! a batch a worker checks that every hop on the path serves the same
+//! epoch; a disagreeing path refuses the batch's packets (counted, packet
+//! by packet, as `refused_epoch_mismatch`, the replay's packet loss) rather
+//! than exposing them to two placements — the same guarantee `inject`
+//! enforces, kept under concurrency by checking the exact `Arc` snapshots
+//! the packets would run.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use lyra_ir::{
     execute, CompiledAlgorithm, DataPlaneState, GlobalAccess, GlobalOverlay, InstrId, IrAlgorithm,
-    Machine, PacketState, ProgramLayout, TableSnapshot,
+    Machine, PacketState, ProgramLayout, TableSnapshot, LANES,
 };
 
 use crate::agent::SwitchState;
@@ -151,11 +153,6 @@ impl CompiledDeployment {
         &self.paths
     }
 
-    /// Number of switches holding code.
-    pub fn switch_count(&self) -> usize {
-        self.switches.len()
-    }
-
     /// Total compiled ops across all switches and algorithms.
     pub fn op_count(&self) -> usize {
         self.switches
@@ -250,7 +247,8 @@ impl LiveTrafficPlane {
     }
 
     /// The epoch a switch currently serves (`None` if unknown here).
-    pub fn serving_epoch(&self, switch: &str) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn serving_epoch(&self, switch: &str) -> Option<u64> {
         let i = *self.index.get(switch)?;
         Some(read_lock(&self.serving[i]).epoch)
     }
@@ -322,11 +320,16 @@ pub struct ReplayConfig {
 
 impl Default for ReplayConfig {
     fn default() -> Self {
+        // `available_parallelism` reads the cgroup quota files on every
+        // call; ask once per process, not once per replay.
+        static WORKERS: OnceLock<usize> = OnceLock::new();
         ReplayConfig {
             packets: 200_000,
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            workers: *WORKERS.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(4)
+            }),
             seed: 0x017a_5eed,
         }
     }
@@ -434,15 +437,20 @@ fn packet_base(seed: u64, idx: u64) -> u64 {
 }
 
 /// The value of live-in field `j` for a packet: a mix of small values
-/// (branch selectors, opcodes, table keys that collide) and wide ones.
+/// (branch selectors, opcodes, table keys that collide) and wide ones —
+/// by `r & 3`, the top 5 bits, one byte at bit 48, or `r >> 2` (twice as
+/// likely) — picked by table rather than by branch, so a column of them
+/// costs no mispredicted jumps.
 fn field_value(base: u64, j: usize) -> u64 {
+    const SHIFT: [u32; 4] = [59, 48, 2, 2];
+    const MASK: [u64; 4] = [u64::MAX, 0xff, u64::MAX, u64::MAX];
     let r = splitmix(base ^ ((j as u64) << 17));
-    match r & 3 {
-        0 => r >> 59,
-        1 => (r >> 48) & 0xff,
-        _ => r >> 2,
-    }
+    let k = (r & 3) as usize;
+    (r >> SHIFT[k]) & MASK[k]
 }
+
+/// Packet indices a worker claims with one atomic add.
+const BLOCK: u64 = 256;
 
 #[derive(Default)]
 struct WorkerOut {
@@ -459,69 +467,128 @@ fn run_worker(
     next: &AtomicU64,
     stop: &AtomicBool,
 ) -> WorkerOut {
-    let mut machine = Machine::new(&plane.layout);
-    let mut overlay = GlobalOverlay::new();
-    let mut cache: Vec<Arc<EpochPlane>> = Vec::new();
-    let mut cache_gen = u64::MAX;
-    let mut out = WorkerOut::default();
+    let mut batch = Batch {
+        plane,
+        machine: Machine::new(&plane.layout),
+        overlay: GlobalOverlay::new(),
+        cache: Vec::new(),
+        cache_gen: u64::MAX,
+        column: [0; LANES],
+        digests: [0; LANES],
+        out: WorkerOut::default(),
+    };
+    // Claimed packets wait in their path's bucket until it holds a full
+    // batch; what is left when the claims run out is flushed partial.
+    let mut buckets: Vec<Vec<u64>> = (0..plane.paths.len())
+        .map(|_| Vec::with_capacity(LANES))
+        .collect();
     loop {
-        let idx = next.fetch_add(1, Ordering::Relaxed);
-        if idx >= cfg.packets || stop.load(Ordering::Relaxed) {
+        if stop.load(Ordering::Relaxed) {
+            // Buffered packets are dropped unrun, like unclaimed ones.
+            return batch.out;
+        }
+        let first = next.fetch_add(BLOCK, Ordering::Relaxed);
+        if first >= cfg.packets {
             break;
         }
-        // Revalidate the per-switch plane cache: one acquire load per
-        // packet in steady state, a full re-read only after a flip.
-        let gen = plane.generation.load(Ordering::Acquire);
-        if gen != cache_gen {
-            cache = plane.serving.iter().map(|l| read_lock(l).clone()).collect();
-            cache_gen = gen;
-        }
-        let base = packet_base(cfg.seed, idx);
-        if plane.paths.is_empty() {
-            out.delivered += 1;
-            continue;
-        }
-        let path = &plane.paths[(base % plane.paths.len() as u64) as usize];
-        // Epoch pinning: the packet runs only if every hop serves the same
-        // epoch. The check is on the exact snapshots the packet would
-        // execute, so a concurrent flip cannot slip a second epoch in.
-        if let Some(&first) = path.first() {
-            let pin = cache[first].epoch;
-            if path.iter().any(|&h| cache[h].epoch != pin) {
-                out.refused += 1;
+        for idx in first..(first + BLOCK).min(cfg.packets) {
+            let base = packet_base(cfg.seed, idx);
+            if buckets.is_empty() {
+                batch.out.delivered += 1;
                 continue;
             }
+            let p = (base % buckets.len() as u64) as usize;
+            buckets[p].push(base);
+            if buckets[p].len() == LANES {
+                batch.run(p, &buckets[p]);
+                buckets[p].clear();
+            }
         }
-        machine.reset();
+    }
+    for (p, bases) in buckets.iter().enumerate() {
+        if !bases.is_empty() && !stop.load(Ordering::Relaxed) {
+            batch.run(p, bases);
+        }
+    }
+    batch.out
+}
+
+/// One worker's lane state: its machine and overlay, the per-switch plane
+/// cache, and its counts.
+struct Batch<'p> {
+    plane: &'p LiveTrafficPlane,
+    machine: Machine,
+    overlay: GlobalOverlay,
+    cache: Vec<Arc<EpochPlane>>,
+    cache_gen: u64,
+    column: [u64; LANES],
+    digests: [u64; LANES],
+    out: WorkerOut,
+}
+
+impl Batch<'_> {
+    /// Run the packets `bases` — all on path `p` — as one lane batch,
+    /// pinned to one epoch.
+    fn run(&mut self, p: usize, bases: &[u64]) {
+        let plane = self.plane;
+        let n = bases.len();
+        // Revalidate the per-switch plane cache: one acquire load per
+        // batch in steady state, a full re-read only after a flip.
+        let gen = plane.generation.load(Ordering::Acquire);
+        if gen != self.cache_gen {
+            self.cache = plane.serving.iter().map(|l| read_lock(l).clone()).collect();
+            self.cache_gen = gen;
+        }
+        let path = &plane.paths[p];
+        // Epoch pinning: the batch runs only if every hop serves the same
+        // epoch. The check is on the exact snapshots the packets would
+        // execute, so a concurrent flip cannot slip a second epoch in.
+        if let Some(&first) = path.first() {
+            let pin = self.cache[first].epoch;
+            if path.iter().any(|&h| self.cache[h].epoch != pin) {
+                self.out.refused += n as u64;
+                return;
+            }
+        }
+        let machine = &mut self.machine;
+        machine.begin(n);
         for (j, &slot) in plane.live_in.iter().enumerate() {
-            machine.set_slot(slot, field_value(base, j));
+            for (v, &base) in self.column.iter_mut().zip(bases) {
+                *v = field_value(base, j);
+            }
+            machine.set_column(slot, &self.column[..n]);
         }
         let mut pinned: Option<u64> = None;
         for &h in path {
-            let ep = &cache[h];
+            let ep = &self.cache[h];
             if let Some(pin) = pinned {
                 if ep.epoch != pin {
-                    out.mixed += 1; // measured, never expected: see pinning
+                    self.out.mixed += n as u64; // measured, never expected
                     break;
                 }
             }
             pinned = Some(ep.epoch);
-            // Globals are per-switch, so the overlay resets at each hop;
-            // within a hop, reads see this packet's earlier writes.
-            overlay.clear();
+            if ep.algs.is_empty() {
+                continue;
+            }
+            // Globals are per-switch, so the overlays reset at each hop;
+            // within a hop, a lane's reads see its own earlier writes.
+            self.overlay.clear();
             let mut globals = GlobalAccess::Isolated {
                 baseline: &ep.snap.globals,
-                overlay: &mut overlay,
+                overlay: &mut self.overlay,
             };
             for alg in ep.algs.iter() {
                 machine.run(alg, &ep.snap, &mut globals);
             }
         }
-        out.delivered += 1;
-        out.effects += machine.effect_count() as u64;
-        out.digest ^= splitmix(machine.digest() ^ base);
+        self.out.delivered += n as u64;
+        self.out.effects += machine.effect_count() as u64;
+        machine.digests(&mut self.digests[..n]);
+        for (&d, &base) in self.digests.iter().zip(bases) {
+            self.out.digest ^= splitmix(d ^ base);
+        }
     }
-    out
 }
 
 /// Join replay workers without letting one panicked worker take the
@@ -578,6 +645,11 @@ fn aggregate(
 /// Push `cfg.packets` seeded packets through `plane` on `cfg.workers`
 /// threads. `control` runs on the calling thread once `warm` packets have
 /// been claimed, holding the flag that stops the workers early.
+///
+/// Workers claim packets in blocks and hold each in its path's bucket
+/// until the bucket fills a lane batch. With no stop, every packet is
+/// delivered or refused. A packet still buffered when `stop` fires is
+/// neither, like a packet never claimed.
 fn run_traffic<R>(
     plane: &LiveTrafficPlane,
     cfg: &ReplayConfig,

@@ -284,7 +284,7 @@ pub(crate) struct StagedLayout {
 /// Stage the next epoch's per-switch state under `output`'s placement and
 /// the given fault set, shard by shard rather than entry by entry.
 ///
-/// Every live switch's next-epoch state starts as an O(pages) clone of the
+/// Every live switch's next-epoch state starts as an O(1) clone of the
 /// shards it already serves. A shard is *kept* iff the placement still
 /// hosts its table on that switch with capacity for what the shard holds;
 /// any other shard — and every shard of `lost`, a switch that just died —
@@ -355,7 +355,7 @@ pub(crate) fn stage_layout(
                 .and_then(|plan| plan.extern_entries.get(table))
                 .is_some_and(|&capacity| entries.len() as u64 <= capacity);
             if kept {
-                // O(pages): the clone shares every page with the shard.
+                // O(1): the clone shares the shard's page directory.
                 states
                     .entry(switch.to_string())
                     .or_default()

@@ -23,9 +23,11 @@
 //! * builtin calls are pre-dispatched at compile time — environment reads
 //!   (deterministic per name) collapse to a precomputed constant.
 //!
-//! Execution happens on a reusable [`Machine`]: per-packet `reset` clears
-//! only the slots the previous packet touched, and effects are recorded
-//! into flat buffers that are reused across packets.
+//! Execution happens on a reusable lane [`Machine`]: each op runs across
+//! a batch of up to [`LANES`] packets that travel the same path, a guard
+//! narrows the batch to a lane mask, `begin` clears only the slots the
+//! previous batch touched, and effects are recorded into flat buffers that
+//! are reused across batches. One packet is the one-lane batch.
 //!
 //! Global register state has two access modes ([`GlobalAccess`]):
 //! `Persistent` mutates a real, owned store with the interpreter's exact
@@ -40,7 +42,8 @@ use std::sync::{Arc, OnceLock};
 
 use crate::instr::*;
 use crate::interp::{
-    builtin_call, global_read, global_write, mask, DataPlaneState, Effect, PacketState,
+    builtin_call, global_read, global_write, mask, shl, shr, slice, DataPlaneState, Effect,
+    PacketState,
 };
 use crate::table::ExternTable;
 use lyra_lang::{BinOp, UnOp};
@@ -189,11 +192,6 @@ impl ProgramLayout {
         self.global_index.get(name).copied()
     }
 
-    /// Name of a global handle.
-    pub fn global_name(&self, g: u32) -> &str {
-        &self.global_names[g as usize]
-    }
-
     /// Number of global handles.
     pub fn globals(&self) -> usize {
         self.global_names.len()
@@ -288,10 +286,10 @@ enum Op {
         dst: Dst,
         a: Src,
     },
-    /// Pre-dispatched hash builtin: `reference_hash(args) & out_mask`.
+    /// Pre-dispatched hash builtin: `reference_hash(args)`, its output
+    /// mask composed into the destination's.
     Hash {
         dst: Dst,
-        out_mask: u64,
         args: Box<[Src]>,
     },
     /// Pre-dispatched `min`/`max` fold.
@@ -335,8 +333,8 @@ enum Op {
     Slice {
         dst: Dst,
         a: Src,
+        hi: u32,
         lo: u32,
-        smask: u64,
     },
 }
 
@@ -456,17 +454,16 @@ impl CompiledAlgorithm {
                     }
                     let dst = dst.expect("call has a destination");
                     let bare = name.strip_prefix("lyra_").unwrap_or(name);
+                    let hash = |out_mask: u64, args| Op::Hash {
+                        dst: Dst {
+                            slot: dst.slot,
+                            mask: dst.mask & out_mask,
+                        },
+                        args,
+                    };
                     match bare {
-                        "crc32_hash" | "identity_hash" => Op::Hash {
-                            dst,
-                            out_mask: 0xffff_ffff,
-                            args,
-                        },
-                        "crc16_hash" => Op::Hash {
-                            dst,
-                            out_mask: 0xffff,
-                            args,
-                        },
+                        "crc32_hash" | "identity_hash" => hash(0xffff_ffff, args),
+                        "crc16_hash" => hash(0xffff, args),
                         "min" => Op::Fold {
                             dst,
                             is_min: true,
@@ -546,18 +543,11 @@ impl CompiledAlgorithm {
                 IrOp::Slice { a, hi, lo } => {
                     let a = src_of(a);
                     note_read(a, &written, &mut live_in);
-                    let d = dst.expect("slice has a destination");
-                    let width = (hi - lo + 1).min(63);
                     Op::Slice {
-                        // Slice truncates to the slice width *and* the
-                        // destination width; compose both masks.
-                        dst: Dst {
-                            slot: d.slot,
-                            mask: d.mask & mask(u64::MAX, width),
-                        },
+                        dst: dst.expect("slice has a destination"),
                         a,
+                        hi: *hi,
                         lo: *lo,
-                        smask: u64::MAX,
                     }
                 }
             };
@@ -662,12 +652,64 @@ impl TableSnapshot {
     }
 }
 
-/// A packet-private overlay of global writes: the batched engine's
-/// isolation mechanism. Reads scan the (tiny, newest-first) write log
-/// before falling back to the snapshot baseline; `clear` is O(writes).
-#[derive(Debug, Default)]
+/// Packets one [`Machine`] batch holds: the width of a lane mask.
+pub const LANES: usize = 64;
+
+/// Scratch for one operand or result, lane by lane.
+type Column = [u64; LANES];
+
+/// The mask of lanes `0 .. n`.
+fn first_lanes(n: usize) -> u64 {
+    if n >= LANES {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// The lanes set in `mask`, lowest first.
+fn set_lanes(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+/// All ones when lane `i` of `mask` is set, else all zeros: the select
+/// that blends a lane-masked write without a branch.
+#[inline(always)]
+fn lane_select(mask: u64, i: usize) -> u64 {
+    0u64.wrapping_sub((mask >> i) & 1)
+}
+
+/// One FNV-1a step of the packet digest.
+#[inline(always)]
+fn fnv(acc: u64, v: u64) -> u64 {
+    (acc ^ v).wrapping_mul(0x1000_0000_01b3)
+}
+
+/// The packet-private overlays of global writes, one write log per lane:
+/// the batched engine's isolation mechanism. A read scans its lane's
+/// (tiny, newest-first) log before falling back to the snapshot baseline,
+/// so a read-after-write inside a hop sees only the same packet's write;
+/// `clear` is O(writes).
+#[derive(Debug)]
 pub struct GlobalOverlay {
-    writes: Vec<(u32, u64, u64)>,
+    writes: Vec<Vec<(u32, u64, u64)>>,
+    /// Lanes whose log is not empty.
+    dirty: u64,
+}
+
+impl Default for GlobalOverlay {
+    fn default() -> Self {
+        GlobalOverlay {
+            writes: (0..LANES).map(|_| Vec::new()).collect(),
+            dirty: 0,
+        }
+    }
 }
 
 impl GlobalOverlay {
@@ -678,16 +720,25 @@ impl GlobalOverlay {
 
     /// Forget all writes (start the next packet / hop).
     pub fn clear(&mut self) {
-        self.writes.clear();
+        for lane in set_lanes(self.dirty) {
+            self.writes[lane].clear();
+        }
+        self.dirty = 0;
     }
 
     #[inline]
-    fn read(&self, global: u32, index: u64) -> Option<u64> {
-        self.writes
+    fn read(&self, lane: usize, global: u32, index: u64) -> Option<u64> {
+        self.writes[lane]
             .iter()
             .rev()
             .find(|&&(g, i, _)| g == global && i == index)
             .map(|&(_, _, v)| v)
+    }
+
+    #[inline]
+    fn write(&mut self, lane: usize, global: u32, index: u64, value: u64) {
+        self.writes[lane].push((global, index, value));
+        self.dirty |= 1 << lane;
     }
 }
 
@@ -695,6 +746,7 @@ impl GlobalOverlay {
 pub enum GlobalAccess<'a> {
     /// Mutate a real store (indexed by global handle) with the reference
     /// interpreter's exact semantics — state persists across packets.
+    /// Sequential by definition, so only a one-lane batch may run on it.
     Persistent(&'a mut Vec<Vec<u64>>),
     /// Per-packet isolation: reads fall through a private overlay to the
     /// read-only snapshot baseline; writes land in the overlay only. This
@@ -702,134 +754,233 @@ pub enum GlobalAccess<'a> {
     Isolated {
         /// The epoch-pinned baseline (typically [`TableSnapshot::globals`]).
         baseline: &'a [Arc<Vec<u64>>],
-        /// The packet-private write log.
+        /// The packet-private write logs, one per lane.
         overlay: &'a mut GlobalOverlay,
     },
 }
 
 impl GlobalAccess<'_> {
+    /// The register `Isolated` keys its overlay by: the index wrapped
+    /// exactly as the baseline store wraps it.
     #[inline]
-    fn read(&self, g: u32, i: u64) -> u64 {
+    fn wrap(arr: &[u64], i: u64) -> u64 {
+        if arr.is_empty() {
+            i
+        } else {
+            i % arr.len() as u64
+        }
+    }
+
+    #[inline]
+    fn read(&self, lane: usize, g: u32, i: u64) -> u64 {
         match self {
             GlobalAccess::Persistent(store) => global_read(&store[g as usize], i),
             GlobalAccess::Isolated { baseline, overlay } => {
                 let arr = &baseline[g as usize];
-                // Wrap exactly as the baseline store would, so the overlay
-                // key matches the physical register.
-                let i = if arr.is_empty() {
-                    i
-                } else {
-                    i % arr.len() as u64
-                };
-                overlay.read(g, i).unwrap_or_else(|| global_read(arr, i))
+                let i = Self::wrap(arr, i);
+                overlay
+                    .read(lane, g, i)
+                    .unwrap_or_else(|| global_read(arr, i))
             }
         }
     }
 
     #[inline]
-    fn write(&mut self, g: u32, i: u64, v: u64) {
+    fn write(&mut self, lane: usize, g: u32, i: u64, v: u64) {
         match self {
             GlobalAccess::Persistent(store) => global_write(&mut store[g as usize], i, v),
             GlobalAccess::Isolated { baseline, overlay } => {
-                let arr = &baseline[g as usize];
-                let i = if arr.is_empty() {
-                    i
-                } else {
-                    i % arr.len() as u64
-                };
-                overlay.writes.push((g, i, v));
+                let i = Self::wrap(&baseline[g as usize], i);
+                overlay.write(lane, g, i, v);
             }
         }
     }
 }
 
-/// One recorded effect: `(action handle, arg range in the flat buffer)`.
+/// One recorded effect: `(lane, action handle, arg range in the flat
+/// buffer)`.
 #[derive(Debug, Clone, Copy)]
 struct EffectRec {
+    lane: u32,
     action: u32,
     start: u32,
     len: u32,
 }
 
-/// A reusable execution context: the register file, effect buffers, and
-/// touched-slot bookkeeping. Create once per worker, `reset` per packet —
-/// the steady-state packet loop performs no allocation.
+/// An operand's column in a register file of `n` lanes per slot: the
+/// slot's own, or the constant splatted into `splat`.
+#[inline(always)]
+fn column<'a>(regs: &'a [u64], s: Src, splat: &'a mut Column, n: usize) -> &'a [u64] {
+    match s {
+        Src::Slot(slot) => &regs[slot as usize * n..][..n],
+        Src::Const(c) => {
+            splat[..n].fill(c);
+            &splat[..n]
+        }
+    }
+}
+
+#[inline(always)]
+fn map1(out: &mut [u64], x: &[u64], f: impl Fn(u64) -> u64) {
+    for (o, &x) in out.iter_mut().zip(x) {
+        *o = f(x);
+    }
+}
+
+#[inline(always)]
+fn map2(out: &mut [u64], x: &[u64], y: &[u64], f: impl Fn(u64, u64) -> u64) {
+    for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
+        *o = f(x, y);
+    }
+}
+
+/// A reusable lane machine: each op of a stream runs across a batch of up
+/// to [`LANES`] packets that travel the same path, over one register
+/// column per slot as many lanes wide as the batch (so a one-lane run
+/// keeps a dense register file). Create once per worker, then
+/// [`Machine::begin`] a batch, or [`Machine::reset`] for one packet — the
+/// steady-state loop performs no allocation.
+///
+/// A guard op narrows the batch to the lanes whose predicate holds
+/// until its run ends; runs never nest (`compile` closes one before it
+/// opens the next), so one mask suffices. Every write is recorded once
+/// per lane in a batch-level touch log of `(slot, newly-touched lanes)`,
+/// which is what `begin` clears and what [`Machine::digests`] folds.
+///
+/// The one-packet calls (`reset`, `set_slot`, `slot`, `digest`,
+/// `load_packet`, `store_packet`, `effects_vec`) are the one-lane batch:
+/// they read and write lane 0, and kernels only do the live lanes' work.
 #[derive(Debug)]
 pub struct Machine {
+    /// Live lanes of the current batch, and their mask.
+    lanes: usize,
+    live: u64,
+    /// Slot `s`, lane `i` at `s * lanes + i`.
     regs: Vec<u64>,
-    /// Slot holds a meaningful value (loaded or written) this packet.
-    active: Vec<bool>,
-    /// Slot was *written* this packet (what `store_packet` persists).
-    written: Vec<bool>,
-    touched: Vec<u32>,
+    /// Per slot, the lanes that have touched it this batch.
+    touched_lanes: Vec<u64>,
+    /// The batch touch log, in program order.
+    log: Vec<(u32, u64)>,
     effect_args: Vec<u64>,
     effects: Vec<EffectRec>,
+    /// Kernel scratch: two constant splats and the result column.
+    splat_a: Column,
+    splat_b: Column,
+    out: Column,
 }
 
 impl Machine {
-    /// A machine sized for `layout`.
+    /// A machine sized for `layout`, holding an empty one-lane batch.
     pub fn new(layout: &ProgramLayout) -> Self {
         let n = layout.slots();
         Machine {
-            regs: vec![0; n],
-            active: vec![false; n],
-            written: vec![false; n],
-            touched: Vec::with_capacity(n),
+            lanes: 1,
+            live: 1,
+            regs: vec![0; n * LANES],
+            touched_lanes: vec![0; n],
+            log: Vec::with_capacity(n),
             effect_args: Vec::new(),
             effects: Vec::new(),
+            splat_a: [0; LANES],
+            splat_b: [0; LANES],
+            out: [0; LANES],
         }
     }
 
-    /// Clear the machine for the next packet: only the slots the previous
-    /// packet touched are reset.
-    pub fn reset(&mut self) {
-        for &slot in &self.touched {
-            self.regs[slot as usize] = 0;
-            self.active[slot as usize] = false;
-            self.written[slot as usize] = false;
+    /// Start a batch of `lanes` packets (1 ..= [`LANES`]): only the slots
+    /// the previous batch touched are cleared.
+    pub fn begin(&mut self, lanes: usize) {
+        assert!(
+            (1..=LANES).contains(&lanes),
+            "a batch holds 1..={LANES} lanes, not {lanes}"
+        );
+        // Every register outside the touch log is zero, whatever the
+        // lane count, so the next batch may use another. One lane is one
+        // store, not a call to `memset`.
+        let n = self.lanes;
+        for &(slot, _) in &self.log {
+            let s = slot as usize;
+            if self.touched_lanes[s] != 0 {
+                self.touched_lanes[s] = 0;
+                match n {
+                    1 => self.regs[s] = 0,
+                    _ => self.regs[s * n..][..n].fill(0),
+                }
+            }
         }
-        self.touched.clear();
+        self.log.clear();
         self.effect_args.clear();
         self.effects.clear();
+        self.lanes = lanes;
+        self.live = first_lanes(lanes);
     }
 
-    /// Seed a packet field.
+    /// Clear the machine for the next packet: a one-lane batch.
+    pub fn reset(&mut self) {
+        self.begin(1);
+    }
+
+    /// Record `lanes` of `slot` as touched.
+    #[inline]
+    fn touch(&mut self, slot: u32, lanes: u64) {
+        let new = lanes & !self.touched_lanes[slot as usize];
+        if new != 0 {
+            self.touched_lanes[slot as usize] |= new;
+            self.log.push((slot, new));
+        }
+    }
+
+    /// Seed a packet field of lane 0.
     #[inline]
     pub fn set_slot(&mut self, slot: u32, v: u64) {
-        if !self.active[slot as usize] {
-            self.active[slot as usize] = true;
-            self.touched.push(slot);
-        }
-        self.regs[slot as usize] = v;
+        self.touch(slot, 1);
+        self.regs[slot as usize * self.lanes] = v;
     }
 
-    /// Read a register.
+    /// Seed a packet field across the batch: `values[i]` is lane `i`'s.
+    pub fn set_column(&mut self, slot: u32, values: &[u64]) {
+        assert_eq!(values.len(), self.lanes, "one value per live lane");
+        self.touch(slot, self.live);
+        let n = self.lanes;
+        self.regs[slot as usize * n..][..n].copy_from_slice(values);
+    }
+
+    /// Read a register of lane 0.
     #[inline]
     pub fn slot(&self, slot: u32) -> u64 {
-        self.regs[slot as usize]
+        self.lane_slot(slot, 0)
     }
 
+    /// Read a register of lane `lane`.
     #[inline]
-    fn write(&mut self, dst: Dst, v: u64) {
-        let s = dst.slot as usize;
-        if !self.active[s] {
-            self.active[s] = true;
-            self.touched.push(dst.slot);
-        }
-        self.written[s] = true;
-        self.regs[s] = v & dst.mask;
+    pub fn lane_slot(&self, slot: u32, lane: usize) -> u64 {
+        assert!(lane < self.lanes, "lane {lane} is not in the batch");
+        self.regs[slot as usize * self.lanes + lane]
     }
 
-    #[inline]
-    fn read(&self, s: Src) -> u64 {
-        match s {
-            Src::Const(c) => c,
-            Src::Slot(slot) => self.regs[slot as usize],
+    /// Write the result column to `dst` in the lanes of `write`, `n` the
+    /// batch's lane count.
+    #[inline(always)]
+    fn commit(&mut self, dst: Dst, write: u64, n: usize) {
+        if write == 0 {
+            return;
+        }
+        self.touch(dst.slot, write);
+        let col = &mut self.regs[dst.slot as usize * n..][..n];
+        if write == self.live {
+            for (c, &v) in col.iter_mut().zip(&self.out) {
+                *c = v & dst.mask;
+            }
+        } else {
+            for (i, (c, &v)) in col.iter_mut().zip(&self.out).enumerate() {
+                let sel = lane_select(write, i);
+                *c = (v & dst.mask & sel) | (*c & !sel);
+            }
         }
     }
 
-    /// Load every known field of a packet state (differential harness
-    /// entry point — the replay hot path seeds slots directly).
+    /// Load every known field of a packet state into lane 0 (differential
+    /// harness entry point — the replay hot path seeds columns directly).
     pub fn load_packet(&mut self, layout: &ProgramLayout, pkt: &PacketState) {
         for (name, &v) in &pkt.values {
             if let Some(slot) = layout.slot(name) {
@@ -838,153 +989,234 @@ impl Machine {
         }
     }
 
-    /// Store written slots back into a packet state, mirroring the
-    /// interpreter's insert-on-write key behavior.
+    /// Store lane 0's touched slots — every field it was seeded with or
+    /// wrote — back into a packet state. A seeded field that was never
+    /// written stores the value it was seeded with, so a packet loaded
+    /// with [`Machine::load_packet`] ends up with exactly the keys and
+    /// values the interpreter's insert-on-write leaves.
     pub fn store_packet(&self, layout: &ProgramLayout, pkt: &mut PacketState) {
-        for &slot in &self.touched {
-            if self.written[slot as usize] {
+        for &(slot, lanes) in &self.log {
+            if lanes & 1 != 0 {
                 pkt.values
-                    .insert(layout.slot_name(slot).to_string(), self.regs[slot as usize]);
+                    .insert(layout.slot_name(slot).to_string(), self.slot(slot));
             }
         }
     }
 
-    /// Execute one compiled stream against a table snapshot and a global
-    /// access mode. Effects accumulate until the next `reset`.
+    /// Execute one compiled stream across the batch against a table
+    /// snapshot and a global access mode. Effects accumulate until the
+    /// next `begin` / `reset`.
+    ///
+    /// # Panics
+    ///
+    /// On [`GlobalAccess::Persistent`] with more than one live lane.
     pub fn run(
         &mut self,
         prog: &CompiledAlgorithm,
         snap: &TableSnapshot,
         globals: &mut GlobalAccess<'_>,
     ) {
+        assert!(
+            self.lanes == 1 || !matches!(globals, GlobalAccess::Persistent(_)),
+            "persistent globals are sequential: run them one lane at a time"
+        );
+        // The same kernels, compiled three times: for one lane and for a
+        // full batch the lane count is a constant, so their loops lose
+        // their trip-count checks.
+        match self.lanes {
+            1 => self.run_lanes(prog, snap, globals, 1),
+            LANES => self.run_lanes(prog, snap, globals, LANES),
+            n => self.run_lanes(prog, snap, globals, n),
+        }
+    }
+
+    /// [`Machine::run`] on a batch of `n` lanes.
+    #[inline(always)]
+    fn run_lanes(
+        &mut self,
+        prog: &CompiledAlgorithm,
+        snap: &TableSnapshot,
+        globals: &mut GlobalAccess<'_>,
+        n: usize,
+    ) {
+        let live = self.live;
         let ops = &prog.ops;
+        // The lanes the current op runs on, and where the guard run that
+        // narrowed them ends.
+        let mut mask = live;
+        let mut run_end = 0usize;
         let mut ip = 0usize;
         while ip < ops.len() {
+            if ip == run_end {
+                mask = live;
+            }
             match &ops[ip] {
                 Op::Guard { slot, skip } => {
-                    if self.regs[*slot as usize] == 0 {
-                        ip += *skip as usize;
+                    run_end = ip + 1 + *skip as usize;
+                    let col = &self.regs[*slot as usize * n..][..n];
+                    mask = col
+                        .iter()
+                        .enumerate()
+                        .fold(0, |m, (i, &v)| m | (((v != 0) as u64) << i));
+                    if mask == 0 {
+                        ip = run_end;
+                        continue;
                     }
                 }
                 Op::Assign { dst, a } => {
-                    let v = self.read(*a);
-                    self.write(*dst, v);
+                    let x = column(&self.regs, *a, &mut self.splat_a, n);
+                    self.out[..n].copy_from_slice(x);
+                    self.commit(*dst, mask, n);
                 }
                 Op::Bin { op, dst, a, b } => {
-                    let (x, y) = (self.read(*a), self.read(*b));
-                    let v = match op {
-                        BinOp::Add => x.wrapping_add(y),
-                        BinOp::Sub => x.wrapping_sub(y),
-                        BinOp::Mul => x.wrapping_mul(y),
-                        BinOp::Div => x.checked_div(y).unwrap_or(0),
-                        BinOp::Mod => x.checked_rem(y).unwrap_or(0),
-                        BinOp::And => x & y,
-                        BinOp::Or => x | y,
-                        BinOp::Xor => x ^ y,
-                        BinOp::Shl => x.checked_shl(y as u32).unwrap_or(0),
-                        BinOp::Shr => x.checked_shr(y as u32).unwrap_or(0),
-                        BinOp::Eq => (x == y) as u64,
-                        BinOp::Ne => (x != y) as u64,
-                        BinOp::Lt => (x < y) as u64,
-                        BinOp::Le => (x <= y) as u64,
-                        BinOp::Gt => (x > y) as u64,
-                        BinOp::Ge => (x >= y) as u64,
-                        BinOp::LAnd => ((x != 0) && (y != 0)) as u64,
-                        BinOp::LOr => ((x != 0) || (y != 0)) as u64,
-                    };
-                    self.write(*dst, v);
+                    let x = column(&self.regs, *a, &mut self.splat_a, n);
+                    let y = column(&self.regs, *b, &mut self.splat_b, n);
+                    let out = &mut self.out[..n];
+                    match op {
+                        BinOp::Add => map2(out, x, y, u64::wrapping_add),
+                        BinOp::Sub => map2(out, x, y, u64::wrapping_sub),
+                        BinOp::Mul => map2(out, x, y, u64::wrapping_mul),
+                        BinOp::Div => map2(out, x, y, |x, y| x.checked_div(y).unwrap_or(0)),
+                        BinOp::Mod => map2(out, x, y, |x, y| x.checked_rem(y).unwrap_or(0)),
+                        BinOp::And => map2(out, x, y, |x, y| x & y),
+                        BinOp::Or => map2(out, x, y, |x, y| x | y),
+                        BinOp::Xor => map2(out, x, y, |x, y| x ^ y),
+                        BinOp::Shl => map2(out, x, y, shl),
+                        BinOp::Shr => map2(out, x, y, shr),
+                        BinOp::Eq => map2(out, x, y, |x, y| (x == y) as u64),
+                        BinOp::Ne => map2(out, x, y, |x, y| (x != y) as u64),
+                        BinOp::Lt => map2(out, x, y, |x, y| (x < y) as u64),
+                        BinOp::Le => map2(out, x, y, |x, y| (x <= y) as u64),
+                        BinOp::Gt => map2(out, x, y, |x, y| (x > y) as u64),
+                        BinOp::Ge => map2(out, x, y, |x, y| (x >= y) as u64),
+                        BinOp::LAnd => map2(out, x, y, |x, y| (x != 0 && y != 0) as u64),
+                        BinOp::LOr => map2(out, x, y, |x, y| (x != 0 || y != 0) as u64),
+                    }
+                    self.commit(*dst, mask, n);
                 }
                 Op::Un { op, dst, a } => {
-                    let x = self.read(*a);
-                    let v = match op {
-                        UnOp::Not => (x == 0) as u64,
-                        UnOp::BitNot => !x,
-                        UnOp::Neg => x.wrapping_neg(),
-                    };
-                    self.write(*dst, v);
-                }
-                Op::Hash {
-                    dst,
-                    out_mask,
-                    args,
-                } => {
-                    // Inline reference_hash over the arg slots: no arg
-                    // buffer materialization.
-                    let mut acc: u64 = 0x9e37_79b9_7f4a_7c15;
-                    for &a in args.iter() {
-                        acc ^= self.read(a);
-                        acc = acc.wrapping_mul(0xff51_afd7_ed55_8ccd);
-                        acc ^= acc >> 33;
+                    let x = column(&self.regs, *a, &mut self.splat_a, n);
+                    let out = &mut self.out[..n];
+                    match op {
+                        UnOp::Not => map1(out, x, |x| (x == 0) as u64),
+                        UnOp::BitNot => map1(out, x, |x| !x),
+                        UnOp::Neg => map1(out, x, u64::wrapping_neg),
                     }
-                    self.write(*dst, acc & out_mask);
+                    self.commit(*dst, mask, n);
+                }
+                Op::Hash { dst, args } => {
+                    // `reference_hash` over the arg columns, lane-parallel;
+                    // its output mask is folded into `dst.mask`.
+                    self.out[..n].fill(0x9e37_79b9_7f4a_7c15);
+                    for &a in args.iter() {
+                        let x = column(&self.regs, a, &mut self.splat_a, n);
+                        for (acc, &x) in self.out[..n].iter_mut().zip(x) {
+                            let v = (*acc ^ x).wrapping_mul(0xff51_afd7_ed55_8ccd);
+                            *acc = v ^ (v >> 33);
+                        }
+                    }
+                    self.commit(*dst, mask, n);
                 }
                 Op::Fold { dst, is_min, args } => {
-                    let it = args.iter().map(|&a| self.read(a));
-                    let v = if *is_min {
-                        it.min().unwrap_or(0)
-                    } else {
-                        it.max().unwrap_or(0)
-                    };
-                    self.write(*dst, v);
-                }
-                Op::Env { dst, value } => self.write(*dst, *value),
-                Op::Act { action, args } => {
-                    let start = self.effect_args.len() as u32;
-                    for &a in args.iter() {
-                        let v = self.read(a);
-                        self.effect_args.push(v);
+                    let out = &mut self.out[..n];
+                    out.fill(0);
+                    for (k, &a) in args.iter().enumerate() {
+                        let x = column(&self.regs, a, &mut self.splat_a, n);
+                        let lanes = out.iter_mut().zip(x);
+                        match (k, *is_min) {
+                            (0, _) => lanes.for_each(|(acc, &x)| *acc = x),
+                            (_, true) => lanes.for_each(|(acc, &x)| *acc = (*acc).min(x)),
+                            (_, false) => lanes.for_each(|(acc, &x)| *acc = (*acc).max(x)),
+                        }
                     }
-                    self.effects.push(EffectRec {
-                        action: *action,
-                        start,
-                        len: args.len() as u32,
-                    });
+                    self.commit(*dst, mask, n);
+                }
+                Op::Env { dst, value } => {
+                    self.out[..n].fill(*value);
+                    self.commit(*dst, mask, n);
+                }
+                Op::Act { action, args } => {
+                    for lane in set_lanes(mask) {
+                        let start = self.effect_args.len() as u32;
+                        for &a in args.iter() {
+                            let v = match a {
+                                Src::Const(c) => c,
+                                Src::Slot(s) => self.regs[s as usize * n + lane],
+                            };
+                            self.effect_args.push(v);
+                        }
+                        self.effects.push(EffectRec {
+                            lane: lane as u32,
+                            action: *action,
+                            start,
+                            len: args.len() as u32,
+                        });
+                    }
                 }
                 Op::Member { dst, table, key } => {
-                    let k = self.read(*key);
-                    let hit = snap.table(*table).get(k).is_some() as u64;
-                    let prev = self.regs[dst.slot as usize];
-                    self.write(*dst, prev | hit);
+                    // Sticky OR over the previous destination value.
+                    let t = snap.table(*table);
+                    let keys = column(&self.regs, *key, &mut self.splat_a, n);
+                    let prev = &self.regs[dst.slot as usize * n..][..n];
+                    for lane in set_lanes(mask) {
+                        self.out[lane] = prev[lane] | t.get(keys[lane]).is_some() as u64;
+                    }
+                    self.commit(*dst, mask, n);
                 }
                 Op::Lookup { dst, table, key } => {
-                    let k = self.read(*key);
-                    if let Some(v) = snap.table(*table).get(k) {
-                        self.write(*dst, v);
+                    // Sticky: a miss leaves the destination unchanged.
+                    let t = snap.table(*table);
+                    let keys = column(&self.regs, *key, &mut self.splat_a, n);
+                    let mut hits = 0u64;
+                    for lane in set_lanes(mask) {
+                        if let Some(v) = t.get(keys[lane]) {
+                            self.out[lane] = v;
+                            hits |= 1 << lane;
+                        }
                     }
+                    self.commit(*dst, hits, n);
                 }
                 Op::GlobalRead { dst, global, index } => {
-                    let i = self.read(*index);
-                    let v = globals.read(*global, i);
-                    self.write(*dst, v);
+                    let idx = column(&self.regs, *index, &mut self.splat_a, n);
+                    for lane in set_lanes(mask) {
+                        self.out[lane] = globals.read(lane, *global, idx[lane]);
+                    }
+                    self.commit(*dst, mask, n);
                 }
                 Op::GlobalWrite {
                     global,
                     index,
                     value,
                 } => {
-                    let i = self.read(*index);
-                    let v = self.read(*value);
-                    globals.write(*global, i, v);
+                    let idx = column(&self.regs, *index, &mut self.splat_a, n);
+                    let val = column(&self.regs, *value, &mut self.splat_b, n);
+                    for lane in set_lanes(mask) {
+                        globals.write(lane, *global, idx[lane], val[lane]);
+                    }
                 }
-                Op::Slice { dst, a, lo, smask } => {
-                    let x = self.read(*a);
-                    self.write(*dst, (x >> lo) & smask);
+                Op::Slice { dst, a, hi, lo } => {
+                    let x = column(&self.regs, *a, &mut self.splat_a, n);
+                    map1(&mut self.out[..n], x, |x| slice(x, *hi, *lo));
+                    self.commit(*dst, mask, n);
                 }
             }
             ip += 1;
         }
     }
 
-    /// Number of effects recorded since the last `reset`.
+    /// Number of effects recorded since the last `begin` / `reset`,
+    /// across every lane.
     pub fn effect_count(&self) -> usize {
         self.effects.len()
     }
 
-    /// Materialize the recorded effects (test/verification path — the hot
-    /// loop uses [`Machine::effect_count`] and [`Machine::digest`]).
-    pub fn effects_vec(&self, layout: &ProgramLayout) -> Vec<Effect> {
+    /// Materialize lane `lane`'s recorded effects (test/verification path
+    /// — the hot loop uses [`Machine::effect_count`] and
+    /// [`Machine::digests`]).
+    pub fn lane_effects(&self, layout: &ProgramLayout, lane: usize) -> Vec<Effect> {
         self.effects
             .iter()
+            .filter(|e| e.lane as usize == lane)
             .map(|e| Effect::Action {
                 name: layout.action_name(e.action).to_string(),
                 args: self.effect_args[e.start as usize..(e.start + e.len) as usize].to_vec(),
@@ -992,29 +1224,61 @@ impl Machine {
             .collect()
     }
 
-    /// An order-sensitive fingerprint of the packet outcome: every touched
-    /// register slot plus the effect stream. Touch order is program order,
-    /// a function of the packet alone, so two runs of the same packet
-    /// produce the same digest regardless of worker partitioning — the
+    /// Lane 0's recorded effects.
+    pub fn effects_vec(&self, layout: &ProgramLayout) -> Vec<Effect> {
+        self.lane_effects(layout, 0)
+    }
+
+    /// Fingerprint the outcome of lanes `0 .. out.len()`, one pass over
+    /// the touch log for all of them: each lane folds every slot it
+    /// touched, in touch order, then its own effect stream. Touch order
+    /// is program order, a function of the packet alone, so a packet's
+    /// digest is the same whichever batch, lane or worker runs it — the
     /// determinism the batched-replay tests assert. Untouched slots are
     /// zero and carry no information, so only touched slots are folded.
-    pub fn digest(&self) -> u64 {
-        let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            acc ^= v;
-            acc = acc.wrapping_mul(0x1000_0000_01b3);
-        };
-        for &slot in &self.touched {
-            mix(slot as u64);
-            mix(self.regs[slot as usize]);
+    pub fn digests(&self, out: &mut [u64]) {
+        assert!(out.len() <= self.lanes, "digest of a lane not in the batch");
+        // As in `run`: a one-lane fold compiled with a constant width.
+        match self.lanes {
+            1 => self.fold_log(out, 1),
+            n => self.fold_log(out, n),
         }
-        for e in &self.effects {
-            mix(0x5eed ^ e.action as u64);
-            for &a in &self.effect_args[e.start as usize..(e.start + e.len) as usize] {
-                mix(a);
+    }
+
+    /// [`Machine::digests`] over a register file `n` lanes wide.
+    #[inline(always)]
+    fn fold_log(&self, out: &mut [u64], n: usize) {
+        out.fill(0xcbf2_9ce4_8422_2325);
+        let full = first_lanes(out.len());
+        for &(slot, lanes) in &self.log {
+            let col = &self.regs[slot as usize * n..][..n];
+            if lanes & full == full {
+                for (acc, &v) in out.iter_mut().zip(col) {
+                    *acc = fnv(fnv(*acc, slot as u64), v);
+                }
+            } else {
+                for (i, (acc, &v)) in out.iter_mut().zip(col).enumerate() {
+                    let sel = lane_select(lanes, i);
+                    *acc = (fnv(fnv(*acc, slot as u64), v) & sel) | (*acc & !sel);
+                }
             }
         }
-        acc
+        for e in &self.effects {
+            let Some(acc) = out.get_mut(e.lane as usize) else {
+                continue;
+            };
+            *acc = fnv(*acc, 0x5eed ^ e.action as u64);
+            for &a in &self.effect_args[e.start as usize..(e.start + e.len) as usize] {
+                *acc = fnv(*acc, a);
+            }
+        }
+    }
+
+    /// Lane 0's digest (see [`Machine::digests`]).
+    pub fn digest(&self) -> u64 {
+        let mut d = [0];
+        self.digests(&mut d);
+        d[0]
     }
 }
 
@@ -1072,6 +1336,26 @@ mod tests {
             &[],
             &DataPlaneState::new(),
         );
+    }
+
+    #[test]
+    fn slices_and_shifts_follow_the_word_rules() {
+        let src = "pipeline[P]{a}; algorithm a { y = x[63:0]; z = x[71:64]; \
+                   w = x[70:60]; l = 3 << s; r = x >> s; }";
+        let fields = [("x", u64::MAX), ("s", (1u64 << 32) + 1)];
+        check(src, &fields, &DataPlaneState::new());
+        // Agreement alone is not enough: all evaluators share the rules.
+        let mut pkt = PacketState::new();
+        for (k, v) in fields {
+            pkt.set(k, v);
+        }
+        execute_all(
+            &program(src).algorithms[0],
+            &mut pkt,
+            &mut DataPlaneState::new(),
+        );
+        let got = ["y", "z", "w", "l", "r"].map(|f| pkt.get(f));
+        assert_eq!(got, [u64::MAX, 0, 0xf, 0, 0]);
     }
 
     #[test]
@@ -1142,6 +1426,21 @@ mod tests {
             m.run(&compiled, &snap, &mut GlobalAccess::Persistent(&mut store));
         }
         assert_eq!(store[layout.global("ctr").unwrap() as usize][0], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "persistent globals are sequential")]
+    fn persistent_globals_refuse_a_batch() {
+        let ir =
+            program("pipeline[P]{a}; algorithm a { global bit[32][4] ctr; ctr[0] = ctr[0] + 1; }");
+        let layout = ProgramLayout::new(&ir);
+        let compiled = CompiledAlgorithm::compile_all(&ir.algorithms[0], &layout);
+        let dp = DataPlaneState::new();
+        let snap = TableSnapshot::build(&layout, &dp);
+        let mut store = layout.globals_from(&dp);
+        let mut m = Machine::new(&layout);
+        m.begin(2);
+        m.run(&compiled, &snap, &mut GlobalAccess::Persistent(&mut store));
     }
 
     #[test]

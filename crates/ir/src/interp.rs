@@ -56,7 +56,7 @@ impl PacketState {
 /// Switch-resident state: extern table contents and global register arrays.
 ///
 /// Extern tables use the paged, structurally-shared [`ExternTable`]
-/// storage: clones are O(pages) pointer copies and diffing two states
+/// storage: clones share the page directory (O(1)) and diffing two states
 /// that share structure is O(delta) — the properties the transactional
 /// rollout engine's delta-based prepare relies on.
 ///
@@ -127,12 +127,39 @@ pub enum Effect {
     },
 }
 
-/// Truncate `v` to `width` bits (width 0 = untouched).
-pub(crate) fn mask(v: u64, width: u32) -> u64 {
+/// Truncate `v` to `width` bits (width 0 or ≥ 64 = untouched): the one
+/// masking rule every evaluator in the workspace applies at a write.
+pub fn mask(v: u64, width: u32) -> u64 {
     if width == 0 || width >= 64 {
         v
     } else {
         v & ((1u64 << width) - 1)
+    }
+}
+
+/// The bit slice `x[hi:lo]`: bits at or above 64 read as 0, and a slice
+/// as wide as the word keeps every bit.
+pub fn slice(x: u64, hi: u32, lo: u32) -> u64 {
+    let width = (hi.saturating_sub(lo) + 1).min(64);
+    mask(x.checked_shr(lo).unwrap_or(0), width)
+}
+
+/// `x << y` on 64-bit words: a shift by 64 or more leaves 0, whatever the
+/// high bits of `y` are.
+pub fn shl(x: u64, y: u64) -> u64 {
+    if y >= 64 {
+        0
+    } else {
+        x << y
+    }
+}
+
+/// `x >> y` on 64-bit words, with [`shl`]'s rule for wide shifts.
+pub fn shr(x: u64, y: u64) -> u64 {
+    if y >= 64 {
+        0
+    } else {
+        x >> y
     }
 }
 
@@ -280,8 +307,8 @@ fn execute_ids(
                     BinOp::And => x & y,
                     BinOp::Or => x | y,
                     BinOp::Xor => x ^ y,
-                    BinOp::Shl => x.checked_shl(y as u32).unwrap_or(0),
-                    BinOp::Shr => x.checked_shr(y as u32).unwrap_or(0),
+                    BinOp::Shl => shl(x, y),
+                    BinOp::Shr => shr(x, y),
                     BinOp::Eq => (x == y) as u64,
                     BinOp::Ne => (x != y) as u64,
                     BinOp::Lt => (x < y) as u64,
@@ -357,8 +384,7 @@ fn execute_ids(
             }
             IrOp::Slice { a, hi, lo } => {
                 let x = read(&regs, a);
-                let width = hi - lo + 1;
-                write(&mut regs, &mut written, mask(x >> lo, width.min(63)));
+                write(&mut regs, &mut written, slice(x, *hi, *lo));
             }
         }
     }

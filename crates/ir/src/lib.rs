@@ -34,7 +34,7 @@ pub mod verify;
 
 pub use blocks::{predicate_blocks, predicate_blocks_of, PredBlock};
 pub use compiled::{
-    CompiledAlgorithm, GlobalAccess, GlobalOverlay, Machine, ProgramLayout, TableSnapshot,
+    CompiledAlgorithm, GlobalAccess, GlobalOverlay, Machine, ProgramLayout, TableSnapshot, LANES,
 };
 pub use deps::{dependency_graph, DepGraph};
 pub use instr::*;

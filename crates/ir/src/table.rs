@@ -6,9 +6,12 @@
 //! changed. [`ExternTable`] stores entries as a vector of sorted,
 //! immutable *pages* behind `Arc`s:
 //!
-//! * **Clones are O(pages)** — they copy `Arc` pointers, not entries, so
-//!   staging an epoch or retaining a prior one is cheap no matter how big
-//!   the table is.
+//! * **Clones are O(1)** — the page directory sits behind one more `Arc`,
+//!   so a clone shares it whole; the first mutation of a shared directory
+//!   copies it (page pointers and fences, not entries). Staging an epoch,
+//!   retaining a prior one or snapshotting a serving plane is cheap no
+//!   matter how big the table is, and dropping an untouched clone touches
+//!   no page.
 //! * **Mutation is copy-on-write per page** — an insert or remove clones
 //!   only the ~[`PAGE_CAP`]-entry page it lands in; every other page stays
 //!   shared with all other clones.
@@ -62,20 +65,35 @@ fn vacant() -> Page {
     VACANT.get_or_init(|| Arc::new(Vec::new())).clone()
 }
 
+/// The same for a replica that shares the whole directory: what it holds
+/// while the lead edits the directory.
+fn vacant_dir() -> Arc<Directory> {
+    static VACANT: OnceLock<Arc<Directory>> = OnceLock::new();
+    VACANT.get_or_init(Arc::default).clone()
+}
+
 /// A sorted, paged `u64 → u64` map with structural sharing between
 /// clones. The storage behind every extern table in
 /// [`crate::DataPlaneState`].
 #[derive(Debug, Clone, Default)]
 pub struct ExternTable {
+    /// Shared by clones until one mutates: every mutator goes through
+    /// `Arc::make_mut`, which copies a shared directory first.
+    dir: Arc<Directory>,
+    /// Total entries (maintained incrementally).
+    len: usize,
+}
+
+/// The pages of one table and their fences.
+#[derive(Debug, Clone, Default)]
+struct Directory {
     /// Non-empty pages, each sorted by key, covering strictly ascending
     /// disjoint key ranges.
     pages: Vec<Page>,
-    /// The page directory: `fences[i]` is the last key of `pages[i]`.
-    /// Every mutation that changes a page's last key, splits a page or
-    /// drops one keeps it in step.
+    /// `fences[i]` is the last key of `pages[i]`. Every mutation that
+    /// changes a page's last key, splits a page or drops one keeps it in
+    /// step.
     fences: Vec<u64>,
-    /// Total entries (maintained incrementally).
-    len: usize,
 }
 
 impl ExternTable {
@@ -98,13 +116,13 @@ impl ExternTable {
     /// that could contain `key`), or `pages.len()` when every page ends
     /// below it.
     fn page_for(&self, key: u64) -> usize {
-        self.fences.partition_point(|&fence| fence < key)
+        self.dir.fences.partition_point(|&fence| fence < key)
     }
 
     /// Look up `key`.
     pub fn get(&self, key: u64) -> Option<u64> {
         let pi = self.page_for(key);
-        let page = self.pages.get(pi)?;
+        let page = self.dir.pages.get(pi)?;
         page.binary_search_by_key(&key, |&(k, _)| k)
             .ok()
             .map(|i| page[i].1)
@@ -119,7 +137,7 @@ impl ExternTable {
     /// table). Clamped to the last page, so appends extend it instead of
     /// growing a fresh page per key.
     fn landing(&self, key: u64) -> Option<usize> {
-        let last = self.pages.len().checked_sub(1)?;
+        let last = self.dir.pages.len().checked_sub(1)?;
         Some(self.page_for(key).min(last))
     }
 
@@ -127,36 +145,39 @@ impl ExternTable {
     /// Copy-on-write: only the page containing `key` is cloned.
     pub fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
         let Some(pi) = self.landing(key) else {
-            self.pages.push(Arc::new(vec![(key, value)]));
-            self.fences.push(key);
+            let dir = Arc::make_mut(&mut self.dir);
+            dir.pages.push(Arc::new(vec![(key, value)]));
+            dir.fences.push(key);
             self.len = 1;
             return None;
         };
-        match self.pages[pi].binary_search_by_key(&key, |&(k, _)| k) {
+        match self.dir.pages[pi].binary_search_by_key(&key, |&(k, _)| k) {
             Ok(i) => {
-                let old = self.pages[pi][i].1;
-                // A redundant overwrite keeps the page shared, so
-                // structural diffs stay O(entries that actually changed)
-                // even when a planner re-installs identical entries.
+                let old = self.dir.pages[pi][i].1;
+                // A redundant overwrite keeps the page (and the directory)
+                // shared, so structural diffs stay O(entries that actually
+                // changed) even when a planner re-installs identical
+                // entries.
                 if old != value {
-                    Arc::make_mut(&mut self.pages[pi])[i].1 = value;
+                    Arc::make_mut(&mut Arc::make_mut(&mut self.dir).pages[pi])[i].1 = value;
                 }
                 Some(old)
             }
             Err(i) => {
-                let page = Arc::make_mut(&mut self.pages[pi]);
+                let dir = Arc::make_mut(&mut self.dir);
+                let page = Arc::make_mut(&mut dir.pages[pi]);
                 page.insert(i, (key, value));
                 self.len += 1;
                 // Only an append past the last fence moves a page's last
                 // key; a split gives the upper half the old fence.
-                let last = self.fences[pi].max(key);
+                let last = dir.fences[pi].max(key);
                 if page.len() > PAGE_CAP {
                     let upper = page.split_off(page.len() / 2);
-                    self.fences[pi] = page[page.len() - 1].0;
-                    self.pages.insert(pi + 1, Arc::new(upper));
-                    self.fences.insert(pi + 1, last);
+                    dir.fences[pi] = page[page.len() - 1].0;
+                    dir.pages.insert(pi + 1, Arc::new(upper));
+                    dir.fences.insert(pi + 1, last);
                 } else {
-                    self.fences[pi] = last;
+                    dir.fences[pi] = last;
                 }
                 None
             }
@@ -168,14 +189,16 @@ impl ExternTable {
     /// group*: the members whose landing page is the same `Arc` (empty
     /// tables count as one group). One member of a group performs the
     /// insert; every other member takes the resulting page — and, on a
-    /// split, the upper half — by pointer. Each table ends exactly as a
-    /// plain [`ExternTable::insert`] would leave it: same entries, fences,
-    /// `len` and split points.
+    /// split, the upper half — by pointer, or the whole directory when it
+    /// shared the lead's (replicas filled together do). Each table ends
+    /// exactly as a plain [`ExternTable::insert`] would leave it: same
+    /// entries, fences, `len` and split points.
     ///
-    /// The page is edited in place when the group holds every reference to
-    /// it, and copied only when something outside the group also holds it
-    /// (a retained prior epoch, a staged state, a serving snapshot):
-    /// `Arc::make_mut`'s rule, applied to the group instead of to one table.
+    /// The page (and a shared directory) is edited in place when the group
+    /// holds every reference to it, and copied only when something outside
+    /// the group also holds it (a retained prior epoch, a staged state, a
+    /// serving snapshot): `Arc::make_mut`'s rule, applied to the group
+    /// instead of to one table.
     pub fn insert_replicated(tables: &mut [ExternTable], members: &[usize], key: u64, value: u64) {
         debug_assert!(
             members
@@ -191,7 +214,7 @@ impl ExternTable {
                 let pi = tables[m].landing(key);
                 *slot = (
                     pi,
-                    pi.map_or(std::ptr::null(), |pi| Arc::as_ptr(&tables[m].pages[pi])),
+                    pi.map_or(std::ptr::null(), |pi| Arc::as_ptr(&tables[m].dir.pages[pi])),
                 );
             }
             let landing = &landing[..span.len()];
@@ -218,47 +241,50 @@ impl ExternTable {
         let page = landing[lead].1;
         let members = (lead..span.len()).filter(|&i| landing[i].1 == page);
         let followers = members.clone().skip(1);
-        let Some(pi) = landing[lead].0 else {
-            let page = Arc::new(vec![(key, value)]);
-            for i in members {
-                let t = &mut tables[span[i]];
-                t.pages.push(Arc::clone(&page));
-                t.fences.push(key);
-                t.len = 1;
-            }
-            return;
-        };
-        let page = &tables[span[lead]].pages[pi];
-        if let Ok(at) = page.binary_search_by_key(&key, |&(k, _)| k) {
-            if page[at].1 == value {
-                return; // a redundant overwrite changes no member
+        // Followers that share the lead's whole directory (replicas filled
+        // together, empty tables) take it back whole; the rest take the
+        // page by pointer.
+        let dir = Arc::as_ptr(&tables[span[lead]].dir);
+        let whole = followers
+            .clone()
+            .filter(|&i| landing[i].0.is_none() || Arc::as_ptr(&tables[span[i]].dir) == dir)
+            .fold(0u64, |m, i| m | 1 << i);
+        if let Some(pi) = landing[lead].0 {
+            let page = &tables[span[lead]].dir.pages[pi];
+            if let Ok(at) = page.binary_search_by_key(&key, |&(k, _)| k) {
+                if page[at].1 == value {
+                    return; // a redundant overwrite changes no member
+                }
             }
         }
         // Set the followers' references aside: what is left is the lead's
-        // and whatever holds the page outside the group.
+        // and whatever holds the directory or the page outside the group.
         for i in followers.clone() {
-            if let (Some(pf), _) = landing[i] {
-                tables[span[i]].pages[pf] = vacant();
+            let t = &mut tables[span[i]];
+            match landing[i].0 {
+                Some(pf) if whole >> i & 1 == 0 => Arc::make_mut(&mut t.dir).pages[pf] = vacant(),
+                _ => t.dir = vacant_dir(),
             }
         }
         let t = &mut tables[span[lead]];
-        let (len, pages) = (t.len, t.pages.len());
+        let (was, pages) = (t.len, t.dir.pages.len());
         t.insert(key, value);
-        let added = t.len - len;
-        let lower = (Arc::clone(&t.pages[pi]), t.fences[pi]);
-        let upper =
-            (t.pages.len() > pages).then(|| (Arc::clone(&t.pages[pi + 1]), t.fences[pi + 1]));
+        let (len, added, dir) = (t.len, t.len - was, Arc::clone(&t.dir));
         for i in followers {
-            let (t, (Some(pf), _)) = (&mut tables[span[i]], landing[i]) else {
-                continue;
-            };
-            t.pages[pf] = Arc::clone(&lower.0);
-            t.fences[pf] = lower.1;
-            if let Some((page, fence)) = &upper {
-                t.pages.insert(pf + 1, Arc::clone(page));
-                t.fences.insert(pf + 1, *fence);
+            let t = &mut tables[span[i]];
+            match (landing[lead].0, landing[i].0) {
+                (Some(pi), Some(pf)) if whole >> i & 1 == 0 => {
+                    let d = Arc::make_mut(&mut t.dir);
+                    d.pages[pf] = Arc::clone(&dir.pages[pi]);
+                    d.fences[pf] = dir.fences[pi];
+                    if dir.pages.len() > pages {
+                        d.pages.insert(pf + 1, Arc::clone(&dir.pages[pi + 1]));
+                        d.fences.insert(pf + 1, dir.fences[pi + 1]);
+                    }
+                    t.len += added;
+                }
+                _ => (t.dir, t.len) = (Arc::clone(&dir), len),
             }
-            t.len += added;
         }
     }
 
@@ -266,18 +292,20 @@ impl ExternTable {
     pub fn remove(&mut self, key: u64) -> Option<u64> {
         let pi = self.page_for(key);
         let hit = self
+            .dir
             .pages
             .get(pi)?
             .binary_search_by_key(&key, |&(k, _)| k)
             .ok()?;
-        let page = Arc::make_mut(&mut self.pages[pi]);
+        let dir = Arc::make_mut(&mut self.dir);
+        let page = Arc::make_mut(&mut dir.pages[pi]);
         let (_, old) = page.remove(hit);
         self.len -= 1;
         match page.last() {
-            Some(&(last, _)) => self.fences[pi] = last,
+            Some(&(last, _)) => dir.fences[pi] = last,
             None => {
-                self.pages.remove(pi);
-                self.fences.remove(pi);
+                dir.pages.remove(pi);
+                dir.fences.remove(pi);
             }
         }
         Some(old)
@@ -285,7 +313,7 @@ impl ExternTable {
 
     /// Iterate entries in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.pages.iter().flat_map(|p| p.iter().copied())
+        self.dir.pages.iter().flat_map(|p| p.iter().copied())
     }
 
     /// Iterate keys in ascending order.
@@ -311,7 +339,10 @@ impl ExternTable {
         while it.peek().is_some() {
             pages.push(Arc::new(it.by_ref().take(PAGE_CAP).collect::<Vec<_>>()));
         }
-        ExternTable { pages, fences, len }
+        ExternTable {
+            dir: Arc::new(Directory { pages, fences }),
+            len,
+        }
     }
 
     /// FNV-1a digest over `(key, value)` little-endian words in key
@@ -337,7 +368,7 @@ impl ExternTable {
     /// entries) when the tables share structure (one was cloned from the
     /// other), never worse than a full sorted merge.
     pub fn for_each_delta(&self, target: &Self, mut f: impl FnMut(u64, Option<u64>, Option<u64>)) {
-        let (a, b) = (&self.pages, &target.pages);
+        let (a, b) = (&self.dir.pages, &target.dir.pages);
         let (mut ia, mut ja) = (0usize, 0usize);
         let (mut ib, mut jb) = (0usize, 0usize);
         loop {
@@ -410,7 +441,7 @@ impl ExternTable {
         // Per table: the unread tail of its current page (empty once the
         // table is exhausted — pages themselves never are) and the pages
         // after it.
-        let mut later: Vec<_> = tables.iter().map(|t| t.pages.iter()).collect();
+        let mut later: Vec<_> = tables.iter().map(|t| t.dir.pages.iter()).collect();
         let mut next_page =
             move |i: usize| -> &[(u64, u64)] { later[i].next().map_or(&[], |page| page) };
         let mut heads: Vec<&[(u64, u64)]> = (0..tables.len()).map(&mut next_page).collect();
@@ -437,25 +468,23 @@ impl ExternTable {
     /// sufficient (not necessary) condition for equality, used to skip
     /// work on untouched switches.
     pub fn same_pages(&self, other: &Self) -> bool {
-        self.pages.len() == other.pages.len()
-            && self
-                .pages
-                .iter()
-                .zip(&other.pages)
-                .all(|(x, y)| Arc::ptr_eq(x, y))
+        let (a, b) = (&self.dir.pages, &other.dir.pages);
+        Arc::ptr_eq(&self.dir, &other.dir)
+            || (a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y)))
     }
 
     /// Number of pages (each holds at most [`PAGE_CAP`] entries).
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.dir.pages.len()
     }
 
     /// How many of this table's pages `other` also holds, by pointer —
     /// sharing stated as a count: a clone shares all of them, and each
     /// copy-on-write mutation of either side un-shares one.
     pub fn shared_pages(&self, other: &Self) -> usize {
-        let theirs: BTreeSet<_> = other.pages.iter().map(Arc::as_ptr).collect();
-        self.pages
+        let theirs: BTreeSet<_> = other.dir.pages.iter().map(Arc::as_ptr).collect();
+        self.dir
+            .pages
             .iter()
             .filter(|page| theirs.contains(&Arc::as_ptr(page)))
             .count()
@@ -521,8 +550,12 @@ mod tests {
         /// fence per page equal to that page's last key, no empty page,
         /// keys strictly ascending across the whole table, `len` exact.
         fn check_invariants(&self) {
-            assert_eq!(self.fences.len(), self.pages.len(), "one fence per page");
-            for (page, &fence) in self.pages.iter().zip(&self.fences) {
+            assert_eq!(
+                self.dir.fences.len(),
+                self.dir.pages.len(),
+                "one fence per page"
+            );
+            for (page, &fence) in self.dir.pages.iter().zip(&self.dir.fences) {
                 assert_eq!(page.last().map(|e| e.0), Some(fence), "stale fence");
             }
             let (mut prev, mut count) = (None, 0);
@@ -541,6 +574,7 @@ mod tests {
             self.check_invariants();
             assert!(self.iter().eq(model.iter().map(|(&k, &v)| (k, v))));
             let around_fences = self
+                .dir
                 .fences
                 .iter()
                 .flat_map(|&f| [f.wrapping_sub(1), f, f.wrapping_add(1)]);
@@ -603,29 +637,29 @@ mod tests {
         // Sparse keys, so `fence ± 1` is always a miss next to a hit.
         let mut m: BTreeMap<u64, u64> = (0..3 * PAGE_CAP as u64).map(|k| (k * 10, k)).collect();
         let mut t = ExternTable::from_sorted(m.iter().map(|(&k, &v)| (k, v)).collect());
-        assert_eq!(t.pages.len(), 3);
+        assert_eq!(t.dir.pages.len(), 3);
         t.check_against(&m);
 
         // A split: the lower half gets a new fence, the upper half keeps
         // the old one, and later pages shift by one.
         let mid = PAGE_CAP as u64 * 10 + 5; // lands in the full middle page
         assert_eq!(t.insert(mid, 1), m.insert(mid, 1));
-        assert_eq!(t.pages.len(), 4);
+        assert_eq!(t.dir.pages.len(), 4);
         t.check_against(&m);
 
         // Removing a page's last key pulls its fence down.
-        let fence = t.fences[1];
+        let fence = t.dir.fences[1];
         assert_eq!(t.remove(fence), m.remove(&fence));
-        assert!(t.fences[1] < fence);
+        assert!(t.dir.fences[1] < fence);
         t.check_against(&m);
 
         // A page emptied from the middle leaves the directory.
-        let doomed: Vec<u64> = t.pages[1].iter().map(|e| e.0).collect();
+        let doomed: Vec<u64> = t.dir.pages[1].iter().map(|e| e.0).collect();
         for k in doomed {
             assert_eq!(t.remove(k), m.remove(&k));
             t.check_invariants();
         }
-        assert_eq!(t.pages.len(), 3);
+        assert_eq!(t.dir.pages.len(), 3);
         t.check_against(&m);
 
         // Appends past the last fence extend the last page (and its
@@ -635,8 +669,11 @@ mod tests {
             assert_eq!(t.insert(top + k, k), m.insert(top + k, k));
             t.check_invariants();
         }
-        assert_eq!(t.fences.last(), Some(&(top + PAGE_CAP as u64)));
-        assert!(t.pages.len() > 3, "a full last page must split on append");
+        assert_eq!(t.dir.fences.last(), Some(&(top + PAGE_CAP as u64)));
+        assert!(
+            t.dir.pages.len() > 3,
+            "a full last page must split on append"
+        );
         t.check_against(&m);
 
         // Draining everything leaves an empty, reusable table.
@@ -644,7 +681,7 @@ mod tests {
             t.remove(k);
         }
         t.check_against(&BTreeMap::new());
-        assert!(t.pages.is_empty());
+        assert!(t.dir.pages.is_empty());
         t.insert(7, 7);
         t.check_against(&BTreeMap::from([(7, 7)]));
     }
@@ -656,8 +693,8 @@ mod tests {
         let base = table_of((0..2000u64).map(|k| (k * 2, k)));
         let model: BTreeMap<u64, u64> = base.iter().collect();
         let mut next = base.clone();
-        next.remove(base.fences[0]);
-        next.insert(base.fences[1] + 1, 9);
+        next.remove(base.dir.fences[0]);
+        next.insert(base.dir.fences[1] + 1, 9);
         next.check_invariants();
         base.check_against(&model);
     }
@@ -771,7 +808,7 @@ mod tests {
         for n in [0, 1, PAGE_CAP, 2 * PAGE_CAP, 2 * PAGE_CAP + 1] {
             let t = ExternTable::from_sorted((0..n as u64).map(|k| (k * 3, k)).collect());
             t.check_against(&(0..n as u64).map(|k| (k * 3, k)).collect());
-            assert_eq!(t.pages.len(), n.div_ceil(PAGE_CAP));
+            assert_eq!(t.dir.pages.len(), n.div_ceil(PAGE_CAP));
         }
     }
 
@@ -780,8 +817,15 @@ mod tests {
         /// boundaries: a reference table nothing else holds.
         fn deep_copy(&self) -> ExternTable {
             ExternTable {
-                pages: self.pages.iter().map(|p| Arc::new(p.to_vec())).collect(),
-                fences: self.fences.clone(),
+                dir: Arc::new(Directory {
+                    pages: self
+                        .dir
+                        .pages
+                        .iter()
+                        .map(|p| Arc::new(p.to_vec()))
+                        .collect(),
+                    fences: self.dir.fences.clone(),
+                }),
                 len: self.len,
             }
         }
@@ -858,7 +902,10 @@ mod tests {
                     for (t, model) in tables.iter().zip(&models) {
                         t.check_invariants();
                         assert!(t.iter().eq(model.iter()), "op {op}: content differs");
-                        assert_eq!(t.fences, model.fences, "op {op}: split points differ");
+                        assert_eq!(
+                            t.dir.fences, model.dir.fences,
+                            "op {op}: split points differ"
+                        );
                         assert_eq!(t.len(), model.len());
                     }
                     for i in 0..n {
@@ -897,13 +944,30 @@ mod tests {
 
     #[test]
     fn a_page_held_only_by_the_group_is_mutated_in_place() {
+        // Replicas that share one directory edit it, and the page, in
+        // place, and go on sharing the directory.
         let mut tables = vec![table_of((0..100u64).map(|k| (k * 2, k))); 3];
-        let page = Arc::as_ptr(&tables[0].pages[0]);
+        let page = Arc::as_ptr(&tables[0].dir.pages[0]);
         ExternTable::insert_replicated(&mut tables, &[2, 0, 1], 7, 7);
         for t in &tables {
-            assert_eq!(Arc::as_ptr(&t.pages[0]), page, "the page was copied");
-            assert_eq!(Arc::strong_count(&t.pages[0]), 3);
+            assert_eq!(Arc::as_ptr(&t.dir.pages[0]), page, "the page was copied");
+            assert_eq!(Arc::strong_count(&t.dir), 3);
+            assert_eq!(Arc::strong_count(&t.dir.pages[0]), 1);
             assert_eq!((t.get(7), t.len()), (Some(7), 101));
+        }
+        // Replicas with directories of their own share the page only.
+        let base = table_of((0..2000u64).map(|k| (k * 2, k)));
+        let mut tables = vec![base.clone(), base.clone(), base];
+        for t in &mut tables[1..] {
+            t.insert(1 << 40, 0); // copies the directory and the last page
+        }
+        let page = Arc::as_ptr(&tables[0].dir.pages[0]);
+        ExternTable::insert_replicated(&mut tables, &[2, 0, 1], 7, 7);
+        for t in &tables {
+            assert_eq!(Arc::as_ptr(&t.dir.pages[0]), page, "the page was copied");
+            assert_eq!(Arc::strong_count(&t.dir), 1);
+            assert_eq!(Arc::strong_count(&t.dir.pages[0]), 3);
+            assert_eq!(t.get(7), Some(7));
         }
         // An empty group gets one page between all of its members.
         let mut empty = vec![ExternTable::new(); 2];

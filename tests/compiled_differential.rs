@@ -17,6 +17,11 @@
 //!   packets from a shared atomic counter; the XOR-folded machine digests
 //!   must be identical, because digests fold over *touched* slots in
 //!   program order and are therefore partition-invariant;
+//! * **lane parity** — the same packets run as one lane batch of 1, 7
+//!   (partial) and 64 packets and as one-lane runs; per packet, digests,
+//!   effect streams and written fields must be equal, with lanes that
+//!   diverge on guards, hit and miss tables, and read their own register
+//!   writes within the hop;
 //! * **deployment replay** — a compiled MULTI-SW load-balancer
 //!   deployment replays live traffic via `lyra::replay_compiled` with
 //!   different worker counts (equal digests, effect counts matching the
@@ -35,7 +40,7 @@ use lyra::{
 };
 use lyra_ir::{
     execute_all, frontend, CompiledAlgorithm, DataPlaneState, GlobalAccess, GlobalOverlay,
-    IrProgram, Machine, PacketState, ProgramLayout, TableSnapshot,
+    IrProgram, Machine, PacketState, ProgramLayout, TableSnapshot, LANES,
 };
 use lyra_topo::figure1_network;
 
@@ -460,6 +465,137 @@ fn worker_partitioning_is_digest_invariant() {
             template.name
         );
     }
+}
+
+/// Lane parity: for every template, a batch of 1, 7 (partial) or 64
+/// packets computes, lane for lane, what one-lane runs of the same packets
+/// compute — digest, effect stream and every field the packet holds — and
+/// what the interpreter computes for each packet on its own copy of the
+/// state (the isolated semantics). One machine serves every batch size in
+/// turn, so clearing a wider batch before a narrower one is exercised too.
+#[test]
+fn lane_batches_match_one_lane_runs() {
+    let mut mixed_effects = 0;
+    let mut diverged = 0;
+    for template in TEMPLATES {
+        let ir = program(template.src);
+        let layout = ProgramLayout::new(&ir);
+        let compiled = CompiledAlgorithm::compile_all(&ir.algorithms[0], &layout);
+        let mut rng = Rng::new(0x1a4e ^ template.name.len() as u64);
+        let dp = seeded_dp(&ir, &mut rng);
+        let snap = TableSnapshot::build(&layout, &dp);
+        let slots: Vec<u32> = template
+            .fields
+            .iter()
+            .map(|f| layout.slot(f).expect("a template field is read"))
+            .collect();
+        let mut overlay = GlobalOverlay::new();
+        let mut run = |machine: &mut Machine| {
+            overlay.clear();
+            let mut globals = GlobalAccess::Isolated {
+                baseline: &snap.globals,
+                overlay: &mut overlay,
+            };
+            machine.run(&compiled, &snap, &mut globals);
+        };
+        let (mut batch, mut single) = (Machine::new(&layout), Machine::new(&layout));
+        let mut idx = 0u64;
+        for lanes in [1, 7, LANES, 7, 1] {
+            let packets: Vec<Vec<(&str, u64)>> = (idx..idx + lanes as u64)
+                .map(|i| packet_fields(template, 0x1a4e, i))
+                .collect();
+            idx += lanes as u64;
+            batch.begin(lanes);
+            for (f, &slot) in slots.iter().enumerate() {
+                let column: Vec<u64> = packets.iter().map(|p| p[f].1).collect();
+                batch.set_column(slot, &column);
+            }
+            run(&mut batch);
+            let mut digests = vec![0; lanes];
+            batch.digests(&mut digests);
+
+            let mut effects = Vec::new();
+            for (lane, fields) in packets.iter().enumerate() {
+                let at = format!("template `{}`, lane {lane} of {lanes}", template.name);
+                single.reset();
+                for (&slot, &(_, v)) in slots.iter().zip(fields) {
+                    single.set_slot(slot, v);
+                }
+                run(&mut single);
+                assert_eq!(digests[lane], single.digest(), "{at}: digest");
+                assert_eq!(
+                    batch.lane_effects(&layout, lane),
+                    single.effects_vec(&layout),
+                    "{at}: effects"
+                );
+                let mut pkt = PacketState::new();
+                single.store_packet(&layout, &mut pkt);
+                let mut reference = PacketState::new();
+                for &(k, v) in fields {
+                    reference.set(k, v);
+                }
+                let fx = execute_all(&ir.algorithms[0], &mut reference, &mut dp.clone());
+                assert_eq!(pkt, reference, "{at}: one-lane fields vs interpreter");
+                assert_eq!(
+                    batch.lane_effects(&layout, lane),
+                    fx,
+                    "{at}: interpreter effects"
+                );
+                for (field, &v) in &pkt.values {
+                    let slot = layout.slot(field).unwrap();
+                    assert_eq!(batch.lane_slot(slot, lane), v, "{at}: field `{field}`");
+                }
+                effects.push(single.effect_count());
+            }
+            assert_eq!(batch.effect_count(), effects.iter().sum::<usize>());
+            if effects.contains(&0) && effects.iter().any(|&e| e > 0) {
+                mixed_effects += 1;
+            }
+            if digests.iter().any(|&d| d != digests[0]) {
+                diverged += 1;
+            }
+        }
+    }
+    // Lanes of one batch took different arms and fired different effects.
+    assert!(
+        diverged >= 2 * TEMPLATES.len(),
+        "{diverged} diverged batches"
+    );
+    assert!(
+        mixed_effects >= 3,
+        "{mixed_effects} batches with mixed effects"
+    );
+
+    // A digest folds each touched slot once per packet, however often it
+    // is written: rewriting `x` with the value it holds, for some lanes or
+    // all, leaves every lane's digest as it was.
+    let once = program("pipeline[P]{a}; algorithm a { x = a + 1; if (a > 8) { y = x; } y = x; }");
+    let again = program(
+        "pipeline[P]{a}; algorithm a { x = a + 1; if (a > 8) { y = x; x = a + 1; } y = x; x = y; }",
+    );
+    let layout = ProgramLayout::unioned(&[&once, &again]);
+    let snap = TableSnapshot::build(&layout, &DataPlaneState::new());
+    let digests = |ir: &IrProgram| {
+        let compiled = CompiledAlgorithm::compile_all(&ir.algorithms[0], &layout);
+        let mut machine = Machine::new(&layout);
+        machine.begin(LANES);
+        let column: Vec<u64> = (0..LANES as u64).collect();
+        machine.set_column(layout.slot("a").unwrap(), &column);
+        let mut overlay = GlobalOverlay::new();
+        let mut globals = GlobalAccess::Isolated {
+            baseline: &snap.globals,
+            overlay: &mut overlay,
+        };
+        machine.run(&compiled, &snap, &mut globals);
+        let mut d = vec![0; LANES];
+        machine.digests(&mut d);
+        d
+    };
+    assert_eq!(
+        digests(&once),
+        digests(&again),
+        "a rewrite was folded twice"
+    );
 }
 
 const LB: &str = r#"
