@@ -244,17 +244,6 @@ pub fn by_name(name: &str) -> Option<ChipModel> {
     }
 }
 
-/// All programmable models, for sweep-style tests.
-pub fn all_programmable() -> Vec<ChipModel> {
-    vec![
-        rmt_reference(),
-        tofino_32q(),
-        tofino_64q(),
-        trident4(),
-        silicon_one(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,55 +1,16 @@
-//! Expression engine shared by the emitted-artifact interpreters.
+//! Expression parser shared by the three artifact parsers.
 //!
 //! The three backends render conditions and right-hand sides in close but
 //! not identical surface syntaxes (P4₁₄ primitive arguments, P4₁₆ infix
 //! expressions with `(bit<N>)` casts and `?:`, NPL infix with `[hi:lo]`
 //! slices and `reg.value[i]` indexing). This module tokenizes and parses
-//! all of them into one [`Expr`] AST and evaluates it with *exactly* the
-//! IR interpreter's semantics: wrapping 64-bit arithmetic, division and
-//! remainder by 0 collapsing to 0, the interpreter's own shift and slice
-//! helpers, comparisons producing 0/1, and truncation applied only at
-//! named-destination writes.
+//! all of them into one [`Expr`] tree over the language's own operators;
+//! [`super::lift`] flattens it into IR, so an expression means exactly
+//! what `lyra_ir::execute` makes of it.
 
 use std::fmt;
 
-use lyra_ir::interp::{mask, shl, shr, slice};
-
-/// Evaluation environment: variable reads, calls, and register indexing
-/// are delegated so each backend model can canonicalize names its own way.
-pub trait Env {
-    /// Read a variable by its emitted name (e.g. `md.lb_hash`,
-    /// `hdr.ipv4.src_ip`, `lyra_bus.a_x`, `_LOOKUP0`).
-    fn read(&mut self, name: &str) -> u64;
-    /// Evaluate a value-producing call with already-evaluated arguments.
-    fn call(&mut self, name: &str, args: &[u64]) -> u64;
-    /// Read `name[idx]` where `name` is a register array reference
-    /// (NPL `reg.value[i]`).
-    fn index(&mut self, name: &str, idx: u64) -> u64;
-}
-
-/// Binary operators (IR-interpreter semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // operator names are self-describing
-pub enum BinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
-    And,
-    Or,
-    Xor,
-    Shl,
-    Shr,
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    LAnd,
-    LOr,
-}
+use lyra_lang::{BinOp, UnOp};
 
 /// A parsed expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,71 +25,14 @@ pub enum Expr {
     Slice(Box<Expr>, u32, u32),
     /// `name[idx]` register-array indexing.
     Index(String, Box<Expr>),
-    /// `!e` — logical not (1 iff e == 0).
-    Not(Box<Expr>),
-    /// `~e` — bitwise not.
-    BitNot(Box<Expr>),
-    /// `-e` — wrapping negation.
-    Neg(Box<Expr>),
+    /// Prefix `!e`, `~e` or `-e`.
+    Un(UnOp, Box<Expr>),
     /// Infix binary operation.
     Bin(BinOp, Box<Expr>, Box<Expr>),
     /// `c ? t : f`.
     Ternary(Box<Expr>, Box<Expr>, Box<Expr>),
     /// `name(args)`.
     Call(String, Vec<Expr>),
-}
-
-impl Expr {
-    /// Evaluate with IR-interpreter semantics.
-    pub fn eval(&self, env: &mut dyn Env) -> u64 {
-        match self {
-            Expr::Num(n) => *n,
-            Expr::Var(v) => env.read(v),
-            Expr::Cast(w, e) => mask(e.eval(env), *w),
-            Expr::Slice(e, hi, lo) => slice(e.eval(env), *hi, *lo),
-            Expr::Index(name, idx) => {
-                let i = idx.eval(env);
-                env.index(name, i)
-            }
-            Expr::Not(e) => (e.eval(env) == 0) as u64,
-            Expr::BitNot(e) => !e.eval(env),
-            Expr::Neg(e) => e.eval(env).wrapping_neg(),
-            Expr::Bin(op, a, b) => {
-                let (x, y) = (a.eval(env), b.eval(env));
-                match op {
-                    BinOp::Add => x.wrapping_add(y),
-                    BinOp::Sub => x.wrapping_sub(y),
-                    BinOp::Mul => x.wrapping_mul(y),
-                    BinOp::Div => x.checked_div(y).unwrap_or(0),
-                    BinOp::Mod => x.checked_rem(y).unwrap_or(0),
-                    BinOp::And => x & y,
-                    BinOp::Or => x | y,
-                    BinOp::Xor => x ^ y,
-                    BinOp::Shl => shl(x, y),
-                    BinOp::Shr => shr(x, y),
-                    BinOp::Eq => (x == y) as u64,
-                    BinOp::Ne => (x != y) as u64,
-                    BinOp::Lt => (x < y) as u64,
-                    BinOp::Le => (x <= y) as u64,
-                    BinOp::Gt => (x > y) as u64,
-                    BinOp::Ge => (x >= y) as u64,
-                    BinOp::LAnd => ((x != 0) && (y != 0)) as u64,
-                    BinOp::LOr => ((x != 0) || (y != 0)) as u64,
-                }
-            }
-            Expr::Ternary(c, t, f) => {
-                if c.eval(env) != 0 {
-                    t.eval(env)
-                } else {
-                    f.eval(env)
-                }
-            }
-            Expr::Call(name, args) => {
-                let vals: Vec<u64> = args.iter().map(|a| a.eval(env)).collect();
-                env.call(name, &vals)
-            }
-        }
-    }
 }
 
 /// Lexer token.
@@ -151,8 +55,8 @@ impl fmt::Display for Tok {
 }
 
 /// Tokenize an emitted expression/statement fragment. Identifiers keep
-/// embedded dots (`md.x`, `std_meta.deq_qdepth`) so name canonicalization
-/// happens in one place, the backend's [`Env`].
+/// embedded dots (`md.x`, `std_meta.deq_qdepth`) so a name reaches the
+/// lifter whole.
 pub fn tokenize(src: &str) -> Result<Vec<Tok>, String> {
     let b = src.as_bytes();
     let mut out = Vec::new();
@@ -353,14 +257,10 @@ impl<'t> Parser<'t> {
     }
 
     fn unary(&mut self) -> Result<Expr, String> {
-        if self.eat_op("!") {
-            return Ok(Expr::Not(Box::new(self.unary()?)));
-        }
-        if self.eat_op("~") {
-            return Ok(Expr::BitNot(Box::new(self.unary()?)));
-        }
-        if self.eat_op("-") {
-            return Ok(Expr::Neg(Box::new(self.unary()?)));
+        for (sym, op) in [("!", UnOp::Not), ("~", UnOp::BitNot), ("-", UnOp::Neg)] {
+            if self.eat_op(sym) {
+                return Ok(Expr::Un(op, Box::new(self.unary()?)));
+            }
         }
         self.postfix()
     }
@@ -472,27 +372,21 @@ pub fn parse_expr(src: &str) -> Result<Expr, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use crate::oracle::lift::run_stmts;
+    use crate::oracle::OStmt;
+    use lyra_ir::DataPlaneState;
 
-    struct MapEnv(BTreeMap<String, u64>);
-    impl Env for MapEnv {
-        fn read(&mut self, name: &str) -> u64 {
-            self.0.get(name).copied().unwrap_or(0)
-        }
-        fn call(&mut self, name: &str, args: &[u64]) -> u64 {
-            match name {
-                "min" => args.iter().copied().min().unwrap_or(0),
-                _ => 0,
-            }
-        }
-        fn index(&mut self, _name: &str, _idx: u64) -> u64 {
-            7
-        }
-    }
-
+    /// Evaluate `src` the way an artifact does: lifted into IR and run on
+    /// the IR interpreter, with register `pkt_count` = [0, 0, 0, 7].
     fn ev(src: &str, vars: &[(&str, u64)]) -> u64 {
-        let mut env = MapEnv(vars.iter().map(|(k, v)| (k.to_string(), *v)).collect());
-        parse_expr(src).unwrap().eval(&mut env)
+        let stmt = OStmt::Assign {
+            dst: "out".into(),
+            rhs: parse_expr(src).unwrap(),
+        };
+        let mut dp = DataPlaneState::new();
+        dp.globals
+            .insert("pkt_count".into(), vec![0, 0, 0, 7].into());
+        run_stmts(vec![stmt], vars, &mut dp).get("out")
     }
 
     #[test]

@@ -1,23 +1,20 @@
-//! Cross-backend semantic oracle: emitted-artifact interpreters.
+//! Cross-backend semantic oracle: emitted artifacts lifted back into IR.
 //!
 //! Each backend parser (`p414`, `p416`, `npl`) reads the code our own
-//! emitter produced back into one executable [`ArtifactModel`]: declared
-//! field widths, parser-time constant moves, register arrays, actions,
-//! tables and the apply pipeline. [`run`] then executes a packet against
-//! the model, driving table/action selection from the control stub's
-//! `LYRA_TABLE_RULES` (see [`rules`]) and extern entries installed by the
-//! test harness — exactly what the control-plane driver would install on
-//! hardware.
-//!
-//! The executor mirrors the IR interpreter's semantics bit for bit
-//! (wrapping 64-bit arithmetic, checked shifts/divides collapsing to 0,
-//! the shared [`reference_hash`] standing in for the chip CRC units), so
-//! any state difference between an IR run and an emitted-artifact run is a
-//! translation bug, not interpreter noise. Divergences surface as
-//! `LYR0601`/`LYR0602`; malformed artifacts as `LYR0603`; control-stub
-//! inconsistencies as `LYR0605`.
+//! emitter produced back into one [`ArtifactModel`]: declared field
+//! widths, parser-time constant moves, register arrays, actions, tables and
+//! the apply pipeline. [`lift`] then turns the model plus the control
+//! stub's `LYRA_TABLE_RULES` (see [`rules`]) into predicated IR, which runs
+//! on `lyra_ir::execute` against extern entries installed by the test
+//! harness — exactly what the control-plane driver would install on
+//! hardware. The emitted side and the IR reference therefore share one
+//! executor, so any state difference between them is a translation bug.
+//! Divergences surface as `LYR0601`/`LYR0602`; artifacts that cannot be
+//! parsed or lifted as `LYR0603`; control-stub inconsistencies as
+//! `LYR0605`.
 
 pub mod expr;
+mod lift;
 pub mod npl;
 pub mod p414;
 pub mod p416;
@@ -25,12 +22,11 @@ pub mod rules;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use lyra_ir::interp::{global_read, global_write, mask, reference_hash};
-
-use expr::{parse_expr, Env, Expr};
+use expr::Expr;
+pub use lift::lift;
 use rules::{TableRule, When};
 
-/// One executable statement of an emitted action / function body.
+/// One statement of an emitted action / function body.
 #[derive(Debug, Clone)]
 #[allow(missing_docs)] // variant fields are described on the variants
 pub enum OStmt {
@@ -90,7 +86,7 @@ pub enum Step {
     Recirculate,
 }
 
-/// Executable model of one emitted artifact.
+/// Parsed model of one emitted artifact.
 #[derive(Debug, Clone, Default)]
 pub struct ArtifactModel {
     /// Canonical field name → declared width (headers, metadata, bridge).
@@ -109,7 +105,7 @@ pub struct ArtifactModel {
     pub steps: Vec<Step>,
 }
 
-/// Control stub contents the oracle checks and executes against.
+/// Control stub contents the oracle checks and lifts against.
 #[derive(Debug, Clone, Default)]
 pub struct ControlModel {
     /// Parsed `LYRA_TABLE_RULES`.
@@ -122,35 +118,6 @@ pub struct ControlModel {
     pub functions: BTreeSet<String>,
     /// Whether any placeholder TODO survived into the stub.
     pub has_todo: bool,
-}
-
-/// Packet + environment fed to one oracle run.
-#[derive(Debug, Clone, Default)]
-pub struct OracleInput {
-    /// Initial canonical field values (the packet).
-    pub init: BTreeMap<String, u64>,
-    /// Entries per *emitted table name*: key → value (lists store 1).
-    pub table_entries: BTreeMap<String, BTreeMap<u64, u64>>,
-    /// Initial register contents.
-    pub globals: BTreeMap<String, Vec<u64>>,
-}
-
-/// Result of one oracle run.
-#[derive(Debug, Clone, Default)]
-pub struct OracleOutcome {
-    /// Final canonical field values.
-    pub vars: BTreeMap<String, u64>,
-    /// Final register contents.
-    pub globals: BTreeMap<String, Vec<u64>>,
-    /// Canonical effects in firing order.
-    pub effects: Vec<(String, Vec<u64>)>,
-}
-
-/// Value-producing builtins with the IR interpreter's exact semantics —
-/// a thin re-export of the one shared dispatch in `lyra_ir::interp`, so
-/// the artifact oracle and the IR interpreter can never drift.
-pub fn builtin_call(name: &str, args: &[u64]) -> u64 {
-    lyra_ir::interp::builtin_call(name, args)
 }
 
 /// Map backend intrinsic field spellings to the IR builtin they realize,
@@ -189,210 +156,6 @@ pub fn canonical_effect(name: &str, args: Vec<u64>) -> Option<(String, Vec<u64>)
     }
 }
 
-struct ExecEnv<'a> {
-    model: &'a ArtifactModel,
-    vars: BTreeMap<String, u64>,
-    globals: BTreeMap<String, Vec<u64>>,
-    effects: Vec<(String, Vec<u64>)>,
-    bindings: BTreeMap<String, u64>,
-}
-
-impl Env for ExecEnv<'_> {
-    fn read(&mut self, name: &str) -> u64 {
-        if let Some(v) = self.bindings.get(name) {
-            return *v;
-        }
-        if let Some(b) = intrinsic_builtin(name) {
-            return builtin_call(b, &[]);
-        }
-        self.vars.get(name).copied().unwrap_or(0)
-    }
-
-    fn call(&mut self, name: &str, args: &[u64]) -> u64 {
-        builtin_call(name, args)
-    }
-
-    fn index(&mut self, name: &str, idx: u64) -> u64 {
-        let g = name.strip_suffix(".value").unwrap_or(name);
-        self.globals
-            .get(g)
-            .map(|a| global_read(a, idx))
-            .unwrap_or(0)
-    }
-}
-
-impl ExecEnv<'_> {
-    fn write(&mut self, name: &str, v: u64) {
-        let w = self.model.widths.get(name).copied().unwrap_or(0);
-        self.vars.insert(name.to_string(), mask(v, w));
-    }
-
-    fn run_body(&mut self, body: &[OStmt]) -> Result<(), String> {
-        for s in body {
-            match s {
-                OStmt::Assign { dst, rhs } => {
-                    let v = rhs.eval(self);
-                    self.write(dst, v);
-                }
-                OStmt::Hash { dst, args, bits } => {
-                    let vals: Vec<u64> = args.iter().map(|a| a.eval(self)).collect();
-                    let v = reference_hash(&vals) & mask(u64::MAX, *bits);
-                    self.write(dst, v);
-                }
-                OStmt::RegRead { dst, reg, idx } => {
-                    let i = idx.eval(self);
-                    let v = self.index(reg, i);
-                    self.write(dst, v);
-                }
-                OStmt::RegWrite { reg, idx, val } => {
-                    let i = idx.eval(self);
-                    let v = val.eval(self);
-                    let arr = self.globals.entry(reg.clone()).or_default();
-                    global_write(arr, i, v);
-                }
-                OStmt::Effect { name, args } => {
-                    let vals: Vec<u64> = args.iter().map(|a| a.eval(self)).collect();
-                    if let Some(e) = canonical_effect(name, vals) {
-                        self.effects.push(e);
-                    }
-                }
-                OStmt::Guarded { cond, body } => {
-                    if cond.eval(self) != 0 {
-                        self.run_body(body)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Execute `input` against `model`, selecting table actions per `rules`.
-pub fn run(
-    model: &ArtifactModel,
-    rules: &[TableRule],
-    input: &OracleInput,
-) -> Result<OracleOutcome, String> {
-    let mut env = ExecEnv {
-        model,
-        vars: input.init.clone(),
-        globals: input.globals.clone(),
-        effects: Vec::new(),
-        bindings: BTreeMap::new(),
-    };
-    for (g, &(_, len)) in &model.registers {
-        env.globals
-            .entry(g.clone())
-            .or_insert_with(|| vec![0; len as usize]);
-    }
-    for (dst, c) in &model.parser_inits {
-        env.write(dst, *c);
-    }
-    let steps = model.steps.clone();
-    for step in &steps {
-        match step {
-            Step::Recirculate => {}
-            Step::Func { name } => {
-                let body = model
-                    .functions
-                    .get(name)
-                    .ok_or_else(|| format!("apply calls unknown function `{name}`"))?
-                    .clone();
-                env.run_body(&body)?;
-            }
-            Step::Apply { table, gate } => {
-                if let Some(g) = gate {
-                    if g.eval(&mut env) == 0 {
-                        continue;
-                    }
-                }
-                let t = model
-                    .tables
-                    .get(table)
-                    .ok_or_else(|| format!("apply names unknown table `{table}`"))?
-                    .clone();
-                let (hit, value) = if t.keys.is_empty() {
-                    (false, None)
-                } else {
-                    let k = t.keys[0].eval(&mut env);
-                    match input.table_entries.get(table).and_then(|m| m.get(&k)) {
-                        Some(v) => (true, Some(*v)),
-                        None => (false, None),
-                    }
-                };
-                let trules: Vec<&TableRule> = rules.iter().filter(|r| &r.table == table).collect();
-                if trules.is_empty() {
-                    return Err(format!("no control-plane rules for table `{table}`"));
-                }
-                for rule in trules {
-                    let fires = match rule.when {
-                        When::Always => true,
-                        When::Hit => hit,
-                        When::Miss => !hit && !t.keys.is_empty(),
-                    };
-                    if !fires {
-                        continue;
-                    }
-                    if let Some(c) = &rule.cond {
-                        let e = parse_expr(c).map_err(|e| format!("rule cond: {e}"))?;
-                        if e.eval(&mut env) == 0 {
-                            continue;
-                        }
-                    }
-                    let action = model
-                        .actions
-                        .get(&rule.action)
-                        .ok_or_else(|| {
-                            format!("rule names unknown action `{}` of `{table}`", rule.action)
-                        })?
-                        .clone();
-                    if let Some(v) = value {
-                        for p in &action.params {
-                            env.bindings.insert(p.clone(), v);
-                        }
-                    }
-                    let r = env.run_body(&action.body);
-                    env.bindings.clear();
-                    r?;
-                }
-            }
-            Step::NplLookup { table, pass } => {
-                let t = model
-                    .tables
-                    .get(table)
-                    .ok_or_else(|| format!("lookup names unknown table `{table}`"))?
-                    .clone();
-                let (hit, value) = match t.key_by_pass.get(pass) {
-                    Some(kx) => {
-                        let k = kx.eval(&mut env);
-                        match input.table_entries.get(table).and_then(|m| m.get(&k)) {
-                            Some(v) => (true, Some(*v)),
-                            None => (false, None),
-                        }
-                    }
-                    None => (false, None),
-                };
-                for li in 0..t.lookups.max(*pass + 1) {
-                    env.bindings.insert(format!("_LOOKUP{li}"), 0);
-                    env.bindings.insert(format!("_HIT{li}"), 0);
-                }
-                env.bindings.insert(format!("_LOOKUP{pass}"), 1);
-                env.bindings.insert(format!("_HIT{pass}"), hit as u64);
-                env.bindings
-                    .insert(format!("{table}_value"), value.unwrap_or(0));
-                let r = env.run_body(&t.fields_assign);
-                env.bindings.clear();
-                r?;
-            }
-        }
-    }
-    Ok(OracleOutcome {
-        vars: env.vars,
-        globals: env.globals,
-        effects: env.effects,
-    })
-}
-
 /// Parse the Python control stub into a [`ControlModel`].
 pub fn parse_control(stub: &str) -> Result<ControlModel, String> {
     let mut cm = ControlModel {
@@ -406,9 +169,6 @@ pub fn parse_control(stub: &str) -> Result<ControlModel, String> {
             if let Some(name) = rest.split('(').next() {
                 cm.functions.insert(name.trim().to_string());
             }
-        }
-        if let Some(rest) = t.strip_suffix("_CAPACITY") {
-            let _ = rest; // handled below on the assignment form
         }
         if let Some((lhs, rhs)) = t.split_once(" = ") {
             if let Some(name) = lhs.strip_suffix("_CAPACITY") {
@@ -519,9 +279,33 @@ pub(crate) fn strip_comments(line: &str) -> String {
     out
 }
 
+/// An action signature `name(p1, bit<W> p2)` → (name, parameter names);
+/// a parameter is the last word of its declaration.
+pub(crate) fn parse_signature(sig: &str) -> Result<(String, Vec<String>), String> {
+    let (name, params) = sig
+        .split_once('(')
+        .ok_or_else(|| format!("malformed action signature `{sig}`"))?;
+    let params = params.trim_end_matches(')').split(',');
+    let params = params.filter_map(|p| p.split_whitespace().last());
+    Ok((
+        name.trim().to_string(),
+        params.map(str::to_string).collect(),
+    ))
+}
+
+/// Net brace depth change of one line.
+pub(crate) fn braces(l: &str) -> i32 {
+    l.chars().fold(0, |acc, c| match c {
+        '{' => acc + 1,
+        '}' => acc - 1,
+        _ => acc,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lyra_ir::{builtin_call, reference_hash, DataPlaneState};
 
     #[test]
     fn rule_lines_roundtrip() {
@@ -555,20 +339,33 @@ mod tests {
 
     #[test]
     fn builtin_parity_with_interp() {
-        // Same constants as lyra_ir::interp.
-        assert_eq!(
-            builtin_call("crc32_hash", &[42]),
-            reference_hash(&[42]) & 0xffff_ffff
-        );
-        assert_eq!(
-            builtin_call("crc16_hash", &[42]),
-            reference_hash(&[42]) & 0xffff
-        );
-        assert_eq!(builtin_call("min", &[9, 4, 7]), 4);
-        assert_eq!(
-            builtin_call("lyra_get_switch_id", &[]),
-            reference_hash(&["get_switch_id".len() as u64]) & 0xffff_ffff
-        );
+        // Hash units, intrinsic reads and `lyra_`-prefixed calls lift to
+        // the interpreter's own builtins: a 16-bit unit is crc16, a 32-bit
+        // one crc32, and the prefix is stripped before dispatch.
+        let hash = |dst: &str, bits| OStmt::Hash {
+            dst: dst.into(),
+            args: vec![Expr::Num(42)],
+            bits,
+        };
+        let assign = |dst: &str, src| OStmt::Assign {
+            dst: dst.into(),
+            rhs: expr::parse_expr(src).unwrap(),
+        };
+        let body = vec![
+            hash("h16", 16),
+            hash("h32", 32),
+            assign("m", "min(9, 4, 7)"),
+            assign("id", "md.lyra_switch_id"),
+            assign("sid", "lyra_get_switch_id()"),
+        ];
+        let pkt = lift::run_stmts(body, &[], &mut DataPlaneState::new());
+        assert_eq!(pkt.get("h16"), reference_hash(&[42]) & 0xffff);
+        assert_eq!(pkt.get("h32"), reference_hash(&[42]) & 0xffff_ffff);
+        assert_eq!(pkt.get("m"), 4);
+        let switch_id = reference_hash(&["get_switch_id".len() as u64]) & 0xffff_ffff;
+        assert_eq!(pkt.get("id"), switch_id);
+        assert_eq!(pkt.get("sid"), switch_id);
+        assert_eq!(builtin_call("crc16_hash", &[42]), reference_hash(&[42]) & 0xffff);
     }
 
     #[test]

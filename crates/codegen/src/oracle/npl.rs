@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use super::expr::{parse_expr, Expr};
-use super::{strip_comments, ArtifactModel, OStmt, OTable, Step};
+use super::{braces, strip_comments, ArtifactModel, OStmt, OTable, Step};
 
 /// Parse an emitted NPL program.
 pub fn parse(code: &str) -> Result<ArtifactModel, String> {
@@ -262,15 +262,6 @@ fn canon(s: &str) -> String {
         }
     }
     out
-}
-
-/// Net brace depth change of one line.
-fn braces(l: &str) -> i32 {
-    l.chars().fold(0, |acc, c| match c {
-        '{' => acc + 1,
-        '}' => acc - 1,
-        _ => acc,
-    })
 }
 
 #[cfg(test)]

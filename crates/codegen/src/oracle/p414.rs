@@ -9,8 +9,10 @@
 
 use std::collections::BTreeMap;
 
+use lyra_lang::{BinOp, UnOp};
+
 use super::expr::{parse_expr, Expr};
-use super::{strip_comments, ArtifactModel, OAction, OStmt, OTable, Step};
+use super::{braces, parse_signature, strip_comments, ArtifactModel, OAction, OStmt, OTable, Step};
 
 /// Parse an emitted P4₁₄ program.
 pub fn parse(code: &str) -> Result<ArtifactModel, String> {
@@ -260,21 +262,6 @@ fn parse_parser_block(
     Err("unterminated parser block".into())
 }
 
-/// `name(p1, p2)` → (name, params).
-fn parse_signature(sig: &str) -> Result<(String, Vec<String>), String> {
-    let open = sig
-        .find('(')
-        .ok_or_else(|| format!("malformed action signature `{sig}`"))?;
-    let name = sig[..open].trim().to_string();
-    let inner = sig[open + 1..].trim_end_matches(')').trim();
-    let params = if inner.is_empty() {
-        Vec::new()
-    } else {
-        inner.split(',').map(|p| p.trim().to_string()).collect()
-    };
-    Ok((name, params))
-}
-
 /// Parse one primitive-call statement into an [`OStmt`].
 fn parse_primitive(
     line: &str,
@@ -297,13 +284,13 @@ fn parse_primitive(
             )),
         }
     };
-    let bin = |op: super::expr::BinOp| -> Result<Option<OStmt>, String> {
+    let bin = |op: BinOp| -> Result<Option<OStmt>, String> {
         Ok(Some(OStmt::Assign {
             dst: dst(0)?,
             rhs: Expr::Bin(op, Box::new(args[1].clone()), Box::new(args[2].clone())),
         }))
     };
-    use super::expr::BinOp as B;
+    use BinOp as B;
     match name.as_str() {
         "modify_field" => {
             let d = dst(0)?;
@@ -331,7 +318,7 @@ fn parse_primitive(
         })),
         "bit_not" => Ok(Some(OStmt::Assign {
             dst: dst(0)?,
-            rhs: Expr::BitNot(Box::new(args[1].clone())),
+            rhs: Expr::Un(UnOp::BitNot, Box::new(args[1].clone())),
         })),
         "modify_field_with_hash_based_offset" => {
             let flc = match &args[2] {
@@ -381,15 +368,6 @@ fn parse_primitive(
         })),
         other => Err(format!("unknown P4_14 primitive `{other}` in `{line}`")),
     }
-}
-
-/// Net brace depth change of one line.
-fn braces(l: &str) -> i32 {
-    l.chars().fold(0, |acc, c| match c {
-        '{' => acc + 1,
-        '}' => acc - 1,
-        _ => acc,
-    })
 }
 
 fn num(s: &str) -> Result<u64, String> {

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use super::expr::{parse_expr, Expr};
-use super::{strip_comments, ArtifactModel, OAction, OStmt, OTable, Step};
+use super::{braces, parse_signature, strip_comments, ArtifactModel, OAction, OStmt, OTable, Step};
 
 /// Parse an emitted P4₁₆ program.
 pub fn parse(code: &str) -> Result<ArtifactModel, String> {
@@ -213,25 +213,6 @@ fn parse_bit_decl(l: &str) -> Option<(u32, String)> {
     Some((w, name.trim().trim_end_matches(';').to_string()))
 }
 
-/// `name(bit<W> p1, ...)` → (name, param names).
-fn parse_signature(sig: &str) -> Result<(String, Vec<String>), String> {
-    let open = sig
-        .find('(')
-        .ok_or_else(|| format!("malformed action signature `{sig}`"))?;
-    let name = sig[..open].trim().to_string();
-    let inner = sig[open + 1..].trim_end_matches(')').trim();
-    let params = if inner.is_empty() {
-        Vec::new()
-    } else {
-        inner
-            .split(',')
-            .filter_map(|p| p.split_whitespace().last())
-            .map(|p| p.to_string())
-            .collect()
-    };
-    Ok((name, params))
-}
-
 /// Parse one P4₁₆ statement line into an [`OStmt`].
 fn parse_stmt(line: &str) -> Result<Option<OStmt>, String> {
     let src = line.trim().trim_end_matches(';');
@@ -310,15 +291,6 @@ fn parse_stmt(line: &str) -> Result<Option<OStmt>, String> {
         }));
     }
     Ok(Some(OStmt::Effect { name, args }))
-}
-
-/// Net brace depth change of one line.
-fn braces(l: &str) -> i32 {
-    l.chars().fold(0, |acc, c| match c {
-        '{' => acc + 1,
-        '}' => acc - 1,
-        _ => acc,
-    })
 }
 
 #[cfg(test)]

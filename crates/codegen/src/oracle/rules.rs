@@ -5,7 +5,7 @@
 //! realized by the *control plane*: the stub installs entries, default
 //! actions and gateway rules. This module derives those rules once so the
 //! control stub (which embeds them as `LYRA_TABLE_RULES`), the P4₁₆
-//! gateway `if`s and the oracle's executors all agree on a single source
+//! gateway `if`s and the oracle's lifter all agree on a single source
 //! of truth.
 //!
 //! Per synthesized action:

@@ -71,9 +71,7 @@ struct Args {
     replay: Option<u64>,
     replay_workers: usize,
     replay_seed: u64,
-    oracle: bool,
-    oracle_cases: u64,
-    oracle_seed: u64,
+    oracle: Option<u64>,
     monitor: bool,
     monitor_ticks: u64,
     monitor_seed: u64,
@@ -95,7 +93,7 @@ fn usage() -> ! {
          \x20            [--audit] [--audit-drift N]\n\
          \x20            [--replay PACKETS] [--replay-workers N]\n\
          \x20            [--replay-seed N]\n\
-         \x20            [--oracle] [--oracle-cases N] [--oracle-seed N]\n\
+         \x20            [--oracle N]\n\
          \x20            [--monitor] [--monitor-ticks N] [--monitor-seed N]\n\
          \n\
          \x20 --monitor runs the closed self-healing loop against the\n\
@@ -109,10 +107,10 @@ fn usage() -> ! {
          \x20 With --replay PACKETS, traffic flows through every\n\
          \x20 remediation rollout and the final serving check.\n\
          \n\
-         \x20 --oracle re-parses every emitted artifact and executes seeded\n\
-         \x20 packets through it, comparing against the IR reference\n\
-         \x20 interpreter; a divergence prints a minimized counterexample\n\
-         \x20 (LYR06xx) and fails the build.\n\
+         \x20 --oracle N re-parses every emitted artifact, lifts it into IR\n\
+         \x20 and runs N seeded packets through it beside the IR reference;\n\
+         \x20 a divergence prints a minimized counterexample (LYR06xx) and\n\
+         \x20 fails the build.\n\
          \n\
          \x20 --solve-profile thorough runs one monolithic search with the\n\
          \x20 quotient route off — the reference configuration. Without it\n\
@@ -181,9 +179,7 @@ fn parse_args() -> Args {
     let mut replay = None;
     let mut replay_workers = 0usize;
     let mut replay_seed = ReplayConfig::default().seed;
-    let mut oracle = false;
-    let mut oracle_cases = lyra::OracleConfig::default().cases;
-    let mut oracle_seed = lyra::OracleConfig::default().seed;
+    let mut oracle = None;
     let mut monitor = false;
     let mut monitor_ticks = 64u64;
     let mut monitor_seed = lyra::HealthConfig::default().seed;
@@ -352,28 +348,15 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--oracle" => oracle = true,
-            "--oracle-cases" => {
+            "--oracle" => {
                 let v = value(&mut it);
-                oracle_cases = match v.parse::<u64>() {
-                    Ok(n) if n > 0 => n,
+                oracle = match v.parse::<u64>() {
+                    Ok(n) if n > 0 => Some(n),
                     _ => {
-                        eprintln!("invalid --oracle-cases value `{v}`");
+                        eprintln!("invalid --oracle value `{v}`");
                         usage()
                     }
                 };
-                oracle = true;
-            }
-            "--oracle-seed" => {
-                let v = value(&mut it);
-                oracle_seed = match v.parse::<u64>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        eprintln!("invalid --oracle-seed value `{v}`");
-                        usage()
-                    }
-                };
-                oracle = true;
             }
             "--monitor" => monitor = true,
             "--monitor-ticks" => {
@@ -431,8 +414,6 @@ fn parse_args() -> Args {
         replay_workers,
         replay_seed,
         oracle,
-        oracle_cases,
-        oracle_seed,
         monitor,
         monitor_ticks,
         monitor_seed,
@@ -1083,17 +1064,17 @@ fn main() -> ExitCode {
                 .map_err(|e| format!("cannot write {}: {e}", ctl_path.display()))?;
         }
         out.validate_all().map_err(|e| e.to_string())?;
-        if args.oracle {
+        if let Some(cases) = args.oracle {
             let cfg = lyra::OracleConfig {
-                cases: args.oracle_cases,
-                seed: args.oracle_seed,
+                cases,
+                ..lyra::OracleConfig::default()
             };
             let report = lyra::check_output(&out, &cfg);
             println!(
                 "oracle: {} case(s) x {} artifact(s), seed {:#x} — {}",
                 report.cases_per_artifact,
                 report.artifacts_checked,
-                args.oracle_seed,
+                cfg.seed,
                 if report.is_clean() {
                     "clean"
                 } else {

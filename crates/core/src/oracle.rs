@@ -4,10 +4,10 @@
 //! placement can be solver-correct while the emitted P4₁₄/P4₁₆/NPL silently
 //! diverges from the program's meaning. This module closes that gap by
 //! *executing the emitted artifacts*: each generated program is parsed back
-//! into an executable model ([`lyra_codegen::oracle`]) and run against
-//! seeded packets, then compared with the IR reference interpreter
-//! ([`lyra_ir::interp`]) running the exact instruction subset the switch
-//! hosts.
+//! and lifted into IR ([`lyra_codegen::oracle::lift`]) once, then both it
+//! and the exact instruction subset the switch hosts run on the IR
+//! interpreter ([`lyra_ir::execute`]) against seeded packets, and both
+//! outcomes go through one projection before they are compared.
 //!
 //! For every case the oracle compares three observable surfaces:
 //!
@@ -18,18 +18,21 @@
 //!
 //! Divergences are minimized (init fields zeroed, table entries dropped,
 //! while the divergence persists) and reported as `LYR0601` diagnostics;
-//! artifacts the oracle cannot parse are `LYR0603`; control-stub problems
-//! (leftover TODOs, missing rules, capacity mismatches) are `LYR0605`.
+//! artifacts the oracle cannot parse or lift are `LYR0603`; control-stub
+//! problems (leftover TODOs, missing rules, capacity mismatches) are
+//! `LYR0605`.
 //! `lyrac --oracle N` drives [`check_output`] after every compile.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use lyra_codegen::emit::{deployed_instrs, sanitize};
 use lyra_codegen::oracle as cgo;
 use lyra_codegen::Artifact;
 use lyra_diag::{codes, Diagnostic};
-use lyra_ir::{execute, DataPlaneState, Effect, InstrId, IrAlgorithm, IrOp, Operand, PacketState};
+use lyra_ir::interp::mask;
+use lyra_ir::{
+    execute, execute_all, DataPlaneState, Effect, InstrId, IrAlgorithm, IrOp, Operand, PacketState,
+};
 use lyra_synth::SwitchPlan;
 
 use crate::CompileOutput;
@@ -131,15 +134,6 @@ impl Rng {
     }
 }
 
-/// Mask to `width` bits (0 or ≥64 = untouched) — IR interpreter semantics.
-fn mask(v: u64, w: u32) -> u64 {
-    if w == 0 || w >= 64 {
-        v
-    } else {
-        v & ((1u64 << w) - 1)
-    }
-}
-
 /// Canonical name of an IR storage base in algorithm `alg`: header fields
 /// stay verbatim, locals get the emitted metadata spelling.
 fn canon_name(alg: &str, base: &str) -> String {
@@ -147,18 +141,6 @@ fn canon_name(alg: &str, base: &str) -> String {
         base.to_string()
     } else {
         format!("md.{alg}_{}", sanitize(base))
-    }
-}
-
-/// The value-reading operands of an instruction (not the destination).
-fn read_operands(op: &IrOp) -> Vec<&Operand> {
-    match op {
-        IrOp::Assign(a) | IrOp::Unary { a, .. } | IrOp::Slice { a, .. } => vec![a],
-        IrOp::Binary { a, b, .. } => vec![a, b],
-        IrOp::Call { args, .. } | IrOp::Action { args, .. } => args.iter().collect(),
-        IrOp::TableMember { key, .. } | IrOp::TableLookup { key, .. } => vec![key],
-        IrOp::GlobalRead { index, .. } => vec![index],
-        IrOp::GlobalWrite { index, value, .. } => vec![index, value],
     }
 }
 
@@ -175,21 +157,36 @@ struct SwitchCtx<'a> {
     observables: BTreeMap<String, (usize, String)>,
     /// Extern name → emitted table names backed by it.
     extern_tables: BTreeMap<String, Vec<String>>,
-    /// Declared global register lengths. The reference data plane must be
-    /// sized exactly like the emitted registers so out-of-range indices
+    /// The reference data plane before a case: every declared register
+    /// sized exactly like the emitted registers, so out-of-range indices
     /// wrap identically on both sides.
-    global_lens: BTreeMap<String, usize>,
+    dp: DataPlaneState,
 }
 
-impl SwitchCtx<'_> {
-    /// A data-plane state with every declared register sized.
-    fn fresh_dp(&self) -> DataPlaneState {
-        let mut dp = DataPlaneState::new();
-        for (g, &len) in &self.global_lens {
-            dp.global(g, len);
-        }
-        dp
+/// One artifact lifted into IR, and its data plane before a case: every
+/// register it declares, sized.
+struct Lifted {
+    alg: IrAlgorithm,
+    dp: DataPlaneState,
+}
+
+impl Lifted {
+    fn new(model: &cgo::ArtifactModel, rules: &[cgo::rules::TableRule]) -> Result<Self, String> {
+        Ok(Lifted {
+            alg: cgo::lift(model, rules)?,
+            dp: sized(&model.registers),
+        })
     }
+}
+
+/// A data plane with every register of `registers` (name → (width,
+/// length)) sized and zeroed.
+fn sized(registers: &BTreeMap<String, (u32, u64)>) -> DataPlaneState {
+    let mut dp = DataPlaneState::new();
+    for (g, &(_, len)) in registers {
+        dp.global(g, len as usize);
+    }
+    dp
 }
 
 fn switch_ctx<'a>(out: &'a CompileOutput, plan: &'a SwitchPlan) -> SwitchCtx<'a> {
@@ -219,16 +216,11 @@ fn switch_ctx<'a>(out: &'a CompileOutput, plan: &'a SwitchPlan) -> SwitchCtx<'a>
         let mut written: BTreeSet<&str> = BTreeSet::new();
         for &id in instrs {
             let instr = alg.instr(id);
-            let mut reads: Vec<lyra_ir::ValueId> = Vec::new();
-            if let Some(p) = instr.pred {
-                reads.push(p);
-            }
-            for o in read_operands(&instr.op) {
-                if let Operand::Value(v) = o {
-                    reads.push(*v);
-                }
-            }
-            for v in reads {
+            let operands = instr.op.reads().into_iter().filter_map(|o| match o {
+                Operand::Value(v) => Some(v),
+                Operand::Const(_) => None,
+            });
+            for v in instr.pred.into_iter().chain(operands) {
                 let info = alg.value(v);
                 if !written.contains(info.base.as_str()) {
                     inputs.entry(canon_name(&alg.name, &info.base)).or_insert((
@@ -263,33 +255,38 @@ fn switch_ctx<'a>(out: &'a CompileOutput, plan: &'a SwitchPlan) -> SwitchCtx<'a>
                 .push(t.name.clone());
         }
     }
-    let global_lens = out
-        .ir
-        .globals
-        .iter()
-        .map(|(g, &(_, len))| (g.clone(), len as usize))
-        .collect();
     SwitchCtx {
         algs,
         inputs,
         observables,
         extern_tables,
-        global_lens,
+        dp: sized(&out.ir.globals),
     }
 }
 
-/// Run the IR reference for `input` on this switch: each algorithm gets its
-/// own local namespace (matching the emitted per-algorithm metadata
-/// prefixes) while header fields and the data-plane state are shared.
-fn reference_case(ctx: &SwitchCtx, input: &CaseInput) -> OracleCase {
-    let mut dp = ctx.fresh_dp();
+/// The reference data plane for `input`: entries installed by extern name.
+fn reference_dp(ctx: &SwitchCtx, input: &CaseInput) -> DataPlaneState {
+    let mut dp = ctx.dp.clone();
     for (ext, entries) in &input.entries {
         for (&k, &v) in entries {
             dp.install(ext, k, v);
         }
     }
+    dp
+}
+
+/// Run the IR reference for `input` on this switch, `run` executing each
+/// algorithm's deployed instructions: each algorithm gets its own local
+/// namespace (matching the emitted per-algorithm metadata prefixes) while
+/// header fields and the data-plane state are shared. Returns the
+/// observable values by canonical name.
+fn run_reference(
+    ctx: &SwitchCtx,
+    input: &CaseInput,
+    dp: &mut DataPlaneState,
+    mut run: impl FnMut(&IrAlgorithm, &[InstrId], &mut PacketState, &mut DataPlaneState),
+) -> BTreeMap<String, u64> {
     let mut headers: BTreeMap<String, u64> = BTreeMap::new();
-    let mut effects: Vec<Effect> = Vec::new();
     let mut vars: BTreeMap<String, u64> = BTreeMap::new();
     for (ai, (alg, instrs)) in ctx.algs.iter().enumerate() {
         let mut pkt = PacketState::new();
@@ -303,7 +300,7 @@ fn reference_case(ctx: &SwitchCtx, input: &CaseInput) -> OracleCase {
                 }
             }
         }
-        effects.extend(execute(alg, instrs, &mut pkt, &mut dp));
+        run(alg, instrs, &mut pkt, dp);
         for (base, v) in &pkt.values {
             if base.contains('.') {
                 headers.insert(base.clone(), *v);
@@ -320,72 +317,68 @@ fn reference_case(ctx: &SwitchCtx, input: &CaseInput) -> OracleCase {
             vars.insert(name.clone(), headers.get(base).copied().unwrap_or(0));
         }
     }
-    let mut fx: Vec<(String, Vec<u64>)> = effects
+    vars
+}
+
+/// Project one side's final state onto the observable surface: observable
+/// values by canonical name (0 when unset), registers with trailing zeros
+/// trimmed (so IR-side and artifact-side register sizes do not matter), and
+/// canonical effects, sorted.
+fn project(
+    ctx: &SwitchCtx,
+    values: &BTreeMap<String, u64>,
+    dp: DataPlaneState,
+    effects: Vec<Effect>,
+) -> OracleCase {
+    let mut effects: Vec<(String, Vec<u64>)> = effects
         .into_iter()
         .filter_map(|Effect::Action { name, args }| cgo::canonical_effect(&name, args))
         .collect();
-    fx.sort();
+    effects.sort();
     OracleCase {
-        vars,
-        globals: trim_globals(
-            dp.globals
-                .into_iter()
-                .map(|(g, a)| (g, Arc::unwrap_or_clone(a))),
-        ),
-        effects: fx,
+        vars: ctx
+            .observables
+            .keys()
+            .map(|name| (name.clone(), values.get(name).copied().unwrap_or(0)))
+            .collect(),
+        globals: dp
+            .globals
+            .into_iter()
+            .filter_map(|(g, a)| {
+                let len = a.iter().rposition(|&v| v != 0)? + 1;
+                Some((g, a[..len].to_vec()))
+            })
+            .collect(),
+        effects,
     }
 }
 
-/// Drop trailing zeros and empty arrays so IR-side sparse registers and
-/// model-side fully-sized registers compare equal.
-fn trim_globals(
-    globals: impl IntoIterator<Item = (String, Vec<u64>)>,
-) -> BTreeMap<String, Vec<u64>> {
-    globals
-        .into_iter()
-        .filter_map(|(g, mut a)| {
-            while a.last() == Some(&0) {
-                a.pop();
-            }
-            if a.is_empty() {
-                None
-            } else {
-                Some((g, a))
-            }
-        })
-        .collect()
+fn reference_case(ctx: &SwitchCtx, input: &CaseInput) -> OracleCase {
+    let mut dp = reference_dp(ctx, input);
+    let mut effects = Vec::new();
+    let vars = run_reference(ctx, input, &mut dp, |alg, ids, pkt, dp| {
+        effects.extend(execute(alg, ids, pkt, dp));
+    });
+    project(ctx, &vars, dp, effects)
 }
 
-/// Run the parsed artifact model for `input` and project the outcome.
-fn emitted_case(
-    ctx: &SwitchCtx,
-    model: &cgo::ArtifactModel,
-    rules: &[cgo::rules::TableRule],
-    input: &CaseInput,
-) -> Result<OracleCase, String> {
-    let mut oi = cgo::OracleInput {
-        init: input.init.clone(),
-        ..Default::default()
-    };
+/// Run the lifted artifact for `input`: entries installed under every
+/// emitted table the extern backs.
+fn emitted_case(ctx: &SwitchCtx, lifted: &Lifted, input: &CaseInput) -> OracleCase {
+    let mut dp = lifted.dp.clone();
     for (ext, entries) in &input.entries {
-        if let Some(tables) = ctx.extern_tables.get(ext) {
-            for t in tables {
-                oi.table_entries.insert(t.clone(), entries.clone());
+        for table in ctx.extern_tables.get(ext).into_iter().flatten() {
+            for (&k, &v) in entries {
+                dp.install(table, k, v);
             }
         }
     }
-    let outcome = cgo::run(model, rules, &oi)?;
-    let mut vars = BTreeMap::new();
-    for name in ctx.observables.keys() {
-        vars.insert(name.clone(), outcome.vars.get(name).copied().unwrap_or(0));
+    let mut pkt = PacketState::new();
+    for (name, &v) in &input.init {
+        pkt.set(name.clone(), v);
     }
-    let mut fx = outcome.effects;
-    fx.sort();
-    Ok(OracleCase {
-        vars,
-        globals: trim_globals(outcome.globals),
-        effects: fx,
-    })
+    let effects = execute_all(&lifted.alg, &mut pkt, &mut dp);
+    project(ctx, &pkt.values, dp, effects)
 }
 
 /// Generate the seeded input for one case: random values for the free
@@ -413,43 +406,22 @@ fn gen_case_input(ctx: &SwitchCtx, seed: u64) -> CaseInput {
     }
     // Hit-biasing dry run: step the reference one instruction at a time and
     // capture the key value each table op would look up right now.
-    let mut dp = ctx.fresh_dp();
-    for (ext, entries) in &input.entries {
-        for (&k, &v) in entries {
-            dp.install(ext, k, v);
-        }
-    }
     let mut observed: Vec<(String, u64)> = Vec::new();
-    let mut headers: BTreeMap<String, u64> = BTreeMap::new();
-    for (ai, (alg, instrs)) in ctx.algs.iter().enumerate() {
-        let mut pkt = PacketState::new();
-        for (h, v) in &headers {
-            pkt.set(h.clone(), *v);
-        }
-        for (name, (ia, base, _)) in &ctx.inputs {
-            if *ia == ai || base.contains('.') {
-                if let Some(v) = input.init.get(name) {
-                    pkt.set(base.clone(), *v);
-                }
-            }
-        }
-        for &id in instrs {
-            let instr = alg.instr(id);
-            if let IrOp::TableMember { table, key } | IrOp::TableLookup { table, key } = &instr.op {
+    let mut dp = reference_dp(ctx, &input);
+    run_reference(ctx, &input, &mut dp, |alg, ids, pkt, dp| {
+        for &id in ids {
+            if let IrOp::TableMember { table, key } | IrOp::TableLookup { table, key } =
+                &alg.instr(id).op
+            {
                 let k = match key {
                     Operand::Const(c) => *c,
                     Operand::Value(v) => pkt.get(&alg.value(*v).base),
                 };
                 observed.push((table.clone(), k));
             }
-            execute(alg, &[id], &mut pkt, &mut dp);
+            execute(alg, &[id], pkt, dp);
         }
-        for (base, v) in &pkt.values {
-            if base.contains('.') {
-                headers.insert(base.clone(), *v);
-            }
-        }
-    }
+    });
     for (ext, key) in observed {
         if rng.next() & 1 == 0 {
             input
@@ -463,26 +435,13 @@ fn gen_case_input(ctx: &SwitchCtx, seed: u64) -> CaseInput {
 }
 
 /// Does `input` still produce a divergence?
-fn diverges(
-    ctx: &SwitchCtx,
-    model: &cgo::ArtifactModel,
-    rules: &[cgo::rules::TableRule],
-    input: &CaseInput,
-) -> bool {
-    match emitted_case(ctx, model, rules, input) {
-        Ok(e) => reference_case(ctx, input) != e,
-        Err(_) => true,
-    }
+fn diverges(ctx: &SwitchCtx, lifted: &Lifted, input: &CaseInput) -> bool {
+    reference_case(ctx, input) != emitted_case(ctx, lifted, input)
 }
 
 /// Shrink a diverging input: zero init fields and drop table entries while
 /// the divergence persists.
-fn minimize(
-    ctx: &SwitchCtx,
-    model: &cgo::ArtifactModel,
-    rules: &[cgo::rules::TableRule],
-    input: &CaseInput,
-) -> CaseInput {
+fn minimize(ctx: &SwitchCtx, lifted: &Lifted, input: &CaseInput) -> CaseInput {
     let mut cur = input.clone();
     for _ in 0..4 {
         let mut changed = false;
@@ -495,7 +454,7 @@ fn minimize(
         for k in keys {
             let mut t = cur.clone();
             t.init.insert(k.clone(), 0);
-            if diverges(ctx, model, rules, &t) {
+            if diverges(ctx, lifted, &t) {
                 cur = t;
                 changed = true;
             }
@@ -510,7 +469,7 @@ fn minimize(
             if let Some(m) = trial.entries.get_mut(&t) {
                 m.remove(&k);
             }
-            if diverges(ctx, model, rules, &trial) {
+            if diverges(ctx, lifted, &trial) {
                 cur = trial;
                 changed = true;
             }
@@ -550,7 +509,7 @@ fn first_difference(reference: &OracleCase, emitted: &OracleCase) -> String {
     "outcomes differ".to_string()
 }
 
-/// Parse one artifact into its executable model.
+/// Parse one artifact into its model.
 pub fn parse_artifact(a: &Artifact) -> Result<cgo::ArtifactModel, String> {
     match a.lang {
         lyra_chips::TargetLang::P414 => cgo::p414::parse(&a.code),
@@ -614,6 +573,20 @@ fn check_control(a: &Artifact, plan: &SwitchPlan, cm: &cgo::ControlModel) -> Vec
     out
 }
 
+/// Parse one artifact and its control stub, with the widths the artifact
+/// leaves undeclared filled in from the IR.
+fn parse_emitted(
+    a: &Artifact,
+    ctx: &SwitchCtx,
+) -> Result<(cgo::ArtifactModel, cgo::ControlModel), String> {
+    let mut model =
+        parse_artifact(a).map_err(|e| format!("cannot parse emitted {:?}: {e}", a.lang))?;
+    merge_ir_widths(ctx, &mut model);
+    let cm = cgo::parse_control(&a.control_plane)
+        .map_err(|e| format!("cannot parse control stub: {e}"))?;
+    Ok((model, cm))
+}
+
 /// Run one deterministic case against one artifact; returns the projected
 /// (reference, emitted) outcomes. Canonical names and effects are
 /// backend-independent, so outcomes from different backends compiled from
@@ -629,24 +602,22 @@ pub fn run_case(
         .switches
         .get(&artifact.switch)
         .ok_or_else(|| format!("no plan for switch `{}`", artifact.switch))?;
-    let mut model = parse_artifact(artifact)?;
-    merge_ir_widths(out, plan, &mut model);
-    let cm = cgo::parse_control(&artifact.control_plane)?;
     let ctx = switch_ctx(out, plan);
+    let (model, cm) = parse_emitted(artifact, &ctx)?;
+    let lifted = Lifted::new(&model, &cm.rules)?;
     let input = gen_case_input(&ctx, seed);
     let reference = reference_case(&ctx, &input);
-    let emitted = emitted_case(&ctx, &model, &cm.rules, &input)?;
+    let emitted = emitted_case(&ctx, &lifted, &input);
     Ok((reference, emitted, input))
 }
 
 /// Fill widths the artifact does not declare (header fields everywhere;
 /// every field in NPL, whose bus only covers locals) from the IR, so the
-/// model masks writes exactly like the reference interpreter.
-fn merge_ir_widths(out: &CompileOutput, plan: &SwitchPlan, model: &mut cgo::ArtifactModel) {
-    for (alg, instrs) in deployed_instrs(&out.ir, plan) {
-        for &id in &instrs {
-            let instr = alg.instr(id);
-            if let Some(d) = instr.dst {
+/// lifted fields mask writes exactly like the reference interpreter.
+fn merge_ir_widths(ctx: &SwitchCtx, model: &mut cgo::ArtifactModel) {
+    for (alg, instrs) in &ctx.algs {
+        for &id in instrs {
+            if let Some(d) = alg.instr(id).dst {
                 let info = alg.value(d);
                 if info.width > 0 {
                     model
@@ -673,56 +644,41 @@ pub fn check_output(out: &CompileOutput, cfg: &OracleConfig) -> OracleReport {
             continue;
         };
         report.artifacts_checked += 1;
-        let mut model = match parse_artifact(a) {
-            Ok(m) => m,
-            Err(e) => {
-                report.diagnostics.push(Diagnostic::error(
-                    codes::ORACLE_PARSE,
-                    format!(
-                        "{} ({}): cannot parse emitted {:?}: {e}",
-                        a.switch, a.asic, a.lang
-                    ),
-                ));
-                continue;
-            }
+        let malformed = |e: String| {
+            Diagnostic::error(
+                codes::ORACLE_PARSE,
+                format!("{} ({}): {e}", a.switch, a.asic),
+            )
         };
-        merge_ir_widths(out, plan, &mut model);
-        let cm = match cgo::parse_control(&a.control_plane) {
-            Ok(cm) => cm,
+        let ctx = switch_ctx(out, plan);
+        let (model, cm) = match parse_emitted(a, &ctx) {
+            Ok(parsed) => parsed,
             Err(e) => {
-                report.diagnostics.push(Diagnostic::error(
-                    codes::ORACLE_PARSE,
-                    format!("{} ({}): cannot parse control stub: {e}", a.switch, a.asic),
-                ));
+                report.diagnostics.push(malformed(e));
                 continue;
             }
         };
         report.diagnostics.extend(check_control(a, plan, &cm));
-        let ctx = switch_ctx(out, plan);
+        let lifted = match Lifted::new(&model, &cm.rules) {
+            Ok(l) => l,
+            Err(e) => {
+                report.diagnostics.push(malformed(format!(
+                    "cannot lift emitted {:?} into IR: {e}",
+                    a.lang
+                )));
+                continue;
+            }
+        };
         for case in 0..cfg.cases {
             let seed = cfg
                 .seed
                 .wrapping_add(case.wrapping_mul(0x9e37_79b9_7f4a_7c15));
             let input = gen_case_input(&ctx, seed);
-            let emitted = match emitted_case(&ctx, &model, &cm.rules, &input) {
-                Ok(e) => e,
-                Err(e) => {
-                    report.diagnostics.push(Diagnostic::error(
-                        codes::ORACLE_DIVERGENCE,
-                        format!(
-                            "{} ({}): emitted model failed on case {case}: {e}",
-                            a.switch, a.asic
-                        ),
-                    ));
-                    break;
-                }
-            };
-            let reference = reference_case(&ctx, &input);
-            if reference != emitted {
-                let min = minimize(&ctx, &model, &cm.rules, &input);
+            if diverges(&ctx, &lifted, &input) {
+                let min = minimize(&ctx, &lifted, &input);
                 let (mr, me) = (
                     reference_case(&ctx, &min),
-                    emitted_case(&ctx, &model, &cm.rules, &min).unwrap_or_default(),
+                    emitted_case(&ctx, &lifted, &min),
                 );
                 report.diagnostics.push(
                     Diagnostic::error(
@@ -812,6 +768,24 @@ mod tests {
         let d = &report.diagnostics[0];
         assert_eq!(d.code, Some(codes::ORACLE_DIVERGENCE));
         assert!(d.message.contains("diverges"), "{}", d.message);
+    }
+
+    #[test]
+    fn reports_unliftable_artifact_once() {
+        let mut out = compile(
+            "pipeline[P]{a}; algorithm a { bit[8] x; x = ipv4.ttl + 1; }",
+            "a: [ ToR1 | PER-SW | - ]",
+        );
+        // A rule naming an action the artifact never declares.
+        let stub = &mut out.artifacts[0].control_plane;
+        let action = &cgo::parse_control(stub).unwrap().rules[0].action;
+        *stub = stub.replace(&format!("\"{action}\""), "\"gone\"");
+        let report = check_output(&out, &OracleConfig { cases: 8, seed: 1 });
+        let [d] = &report.diagnostics[..] else {
+            panic!("want one diagnostic: {:#?}", report.diagnostics);
+        };
+        assert_eq!(d.code, Some(codes::ORACLE_PARSE));
+        assert!(d.message.contains("unknown action `gone`"), "{}", d.message);
     }
 
     #[test]

@@ -302,9 +302,9 @@ pub mod codes {
     /// The semantic oracle found a divergence between two emitted
     /// backends compiled from the same program (cross-backend pair check).
     pub const ORACLE_PAIR_DIVERGENCE: Code = Code("LYR0602");
-    /// The oracle could not parse an emitted artifact back into an
-    /// executable model (unknown statement shape, name collision after
-    /// sanitization, or a malformed table block).
+    /// The oracle could not parse an emitted artifact back into a model or
+    /// lift it into IR (unknown statement shape, a malformed table block,
+    /// or a table, action or function the artifact never declares).
     pub const ORACLE_PARSE: Code = Code("LYR0603");
     /// An IR invariant was violated at a front-end pass boundary (SSA
     /// single definition, def-before-use, width consistency, predication
@@ -414,22 +414,6 @@ impl Diagnostic {
             source: None,
             span,
             message: String::new(),
-            primary: true,
-        });
-        self
-    }
-
-    /// Attach a labelled primary span (message shown next to the carets).
-    pub fn with_labelled_span(
-        mut self,
-        source: SourceId,
-        span: Span,
-        msg: impl Into<String>,
-    ) -> Self {
-        self.labels.push(Label {
-            source: Some(source),
-            span,
-            message: msg.into(),
             primary: true,
         });
         self

@@ -108,11 +108,6 @@ impl DataPlaneState {
             .insert(name.to_string(), Arc::new(vec![0; len]));
         self
     }
-
-    /// Total installed entries across all extern tables.
-    pub fn total_entries(&self) -> usize {
-        self.externs.values().map(|t| t.len()).sum()
-    }
 }
 
 /// An externally visible action performed during execution.

@@ -53,41 +53,6 @@ pub use scope::{parse_scopes, DeployMode, Direction, ScopeError, ScopeSpec};
 // single `SourceMap` can render snippets for diagnostics from any phase.
 pub use lyra_diag::Span;
 
-/// Count the *logic* lines of code of a Lyra source: non-empty, non-comment
-/// lines, excluding header/parser definitions. This matches the paper's
-/// "Logic LoC" metric in Figure 9 ("the code ignoring the header and parser
-/// because this is a better metric to show the labor on writing a program").
-pub fn logic_loc(src: &str) -> usize {
-    let prog = match parse_program(src) {
-        Ok(p) => p,
-        Err(_) => return count_loc(src),
-    };
-    let mut skip_ranges: Vec<(u32, u32)> = Vec::new();
-    for h in &prog.headers {
-        skip_ranges.push((h.span.lo, h.span.hi));
-    }
-    for p in &prog.packets {
-        skip_ranges.push((p.span.lo, p.span.hi));
-    }
-    for n in &prog.parser_nodes {
-        skip_ranges.push((n.span.lo, n.span.hi));
-    }
-    let mut count = 0;
-    let mut offset = 0u32;
-    for line in src.lines() {
-        let len = line.len() as u32;
-        let t = line.trim();
-        let in_header = skip_ranges
-            .iter()
-            .any(|&(lo, hi)| offset >= lo && offset < hi);
-        if !t.is_empty() && !t.starts_with("//") && !t.starts_with('>') && !in_header {
-            count += 1;
-        }
-        offset += len + 1;
-    }
-    count
-}
-
 /// Count total non-empty, non-comment lines (the paper's "LoC" column).
 pub fn count_loc(src: &str) -> usize {
     src.lines()

@@ -14,6 +14,8 @@
 
 use lyra::oracle::run_case;
 use lyra::{CompileOutput, CompileRequest, Compiler, OracleConfig};
+use lyra_apps::figure9_corpus;
+use lyra_diag::codes;
 use lyra_topo::{Layer, Topology};
 
 /// Deterministic xorshift64* PRNG.
@@ -49,6 +51,64 @@ fn single(asic: &str) -> Topology {
     let mut t = Topology::new();
     t.add_switch("S1", Layer::ToR, asic);
     t
+}
+
+/// The oracle's verdict on every Figure 9 program, PER-SW on one Tofino
+/// and on one Trident-4: 17 of the 20 compiles are clean. The other three
+/// are ROADMAP item 1's known bugs, each reported once as `LYR0601` on the
+/// first case; the fix for item 1 turns them clean.
+#[test]
+fn figure9_corpus_oracle_verdicts() {
+    // Known divergences: (program, ASIC) → the first observable that differs.
+    let known = [
+        // Algorithm 1's sibling merge puts the `arp_table` query inside the
+        // `ipv4_route` table, so its hit flag reads the wrong lookup.
+        ("simple_router", "tofino-32q", "`md.simple_router_t6`"),
+        // The generated `switch` program looks up a local it never
+        // assigns: the reference reads 0, the artifact a random key.
+        ("switch", "tofino-32q", "`ethernet.dst_mac`"),
+        ("switch", "trident4", "`ethernet.dst_mac`"),
+    ];
+    let mut clean = 0;
+    for asic in ["tofino-32q", "trident4"] {
+        for entry in figure9_corpus() {
+            let scopes: Vec<String> = entry
+                .scopes
+                .lines()
+                .filter_map(|l| l.split(':').next().map(str::trim))
+                .filter(|a| !a.is_empty())
+                .map(|a| format!("{a}: [ S1 | PER-SW | - ]"))
+                .collect();
+            let out = Compiler::new()
+                .compile(&CompileRequest::new(
+                    &entry.source,
+                    &scopes.join("\n"),
+                    single(asic),
+                ))
+                .unwrap_or_else(|e| panic!("{} @{asic}: {e}", entry.name));
+            let report = lyra::check_output(&out, &OracleConfig::default());
+            let diags = render_diags(&report);
+            match known.iter().find(|k| (k.0, k.1) == (entry.name, asic)) {
+                None => {
+                    assert!(report.is_clean(), "{} @{asic}:\n{diags}", entry.name);
+                    clean += 1;
+                }
+                Some((_, _, first)) => {
+                    let [d] = &report.diagnostics[..] else {
+                        panic!("{} @{asic}: want one LYR0601, got\n{diags}", entry.name);
+                    };
+                    assert_eq!(d.code, Some(codes::ORACLE_DIVERGENCE), "{diags}");
+                    assert!(
+                        d.message
+                            .contains(&format!("on case 0 — {first}: reference")),
+                        "{} @{asic}: {diags}",
+                        entry.name
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(clean, 17);
 }
 
 /// A random but oracle-friendly Lyra algorithm: straight-line compute,
