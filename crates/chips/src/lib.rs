@@ -183,7 +183,8 @@ impl ChipModel {
 
     /// Does a comparison of `width` bits need splitting on this chip
     /// (Figure 5(a))?
-    pub fn compare_needs_split(&self, width: u32) -> bool {
+    #[cfg(test)]
+    pub(crate) fn compare_needs_split(&self, width: u32) -> bool {
         width > self.max_compare_width
     }
 }

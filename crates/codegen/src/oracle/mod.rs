@@ -365,7 +365,10 @@ mod tests {
         let switch_id = reference_hash(&["get_switch_id".len() as u64]) & 0xffff_ffff;
         assert_eq!(pkt.get("id"), switch_id);
         assert_eq!(pkt.get("sid"), switch_id);
-        assert_eq!(builtin_call("crc16_hash", &[42]), reference_hash(&[42]) & 0xffff);
+        assert_eq!(
+            builtin_call("crc16_hash", &[42]),
+            reference_hash(&[42]) & 0xffff
+        );
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub struct DriftFinding {
 }
 
 /// A deliberate switch-state corruption, for seeding drift in audit
-/// tests and `lyrac --audit-drift` demonstrations. Applied behind the
+/// tests. Applied behind the
 /// controller's back with [`crate::Runtime::inject_drift`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DriftOp {

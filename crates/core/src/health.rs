@@ -1202,7 +1202,7 @@ impl SelfHealOutcome {
         self.worker_panics += replay.worker_panics;
     }
 
-    /// Serialise for the session JSON and `lyrac --monitor`.
+    /// Serialise as one JSON object.
     pub fn to_json(&self) -> Value {
         let mut o = Object::new();
         o.push("ticks", Value::Number(self.ticks as f64));

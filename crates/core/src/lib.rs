@@ -303,31 +303,9 @@ pub struct CompileSession {
     pub solver: SearchStats,
     /// Per-switch resource utilization of the solved placement.
     pub utilization: Vec<ResourceUtilization>,
-    /// The transactional rollout that applied this compile to a running
-    /// deployment, when one was driven (`lyrac --rollout-fail`); its
-    /// retries and rollbacks render under `"rollout"` in the JSON.
-    pub rollout: Option<RolloutReport>,
-    /// The closed self-healing loop driven against this compile, when one
-    /// ran (`lyrac --monitor`); detection verdicts and remediation rounds
-    /// render under `"selfheal"` in the JSON.
-    pub selfheal: Option<SelfHealOutcome>,
 }
 
 impl CompileSession {
-    /// Attach the [`RolloutReport`] of the rollout that deployed this
-    /// compile, so session JSON carries the full update story.
-    pub fn with_rollout(mut self, report: RolloutReport) -> Self {
-        self.rollout = Some(report);
-        self
-    }
-
-    /// Attach the [`SelfHealOutcome`] of a monitoring run driven against
-    /// this compile, so session JSON carries the detection and
-    /// remediation story.
-    pub fn with_selfheal(mut self, outcome: SelfHealOutcome) -> Self {
-        self.selfheal = Some(outcome);
-        self
-    }
     /// Serialize to a JSON value (phases in microseconds).
     pub fn to_json(&self) -> Value {
         let mut phases = Object::new();
@@ -371,12 +349,6 @@ impl CompileSession {
             "utilization",
             Value::Array(self.utilization.iter().map(|u| u.to_json()).collect()),
         );
-        if let Some(rollout) = &self.rollout {
-            o.push("rollout", rollout.to_json());
-        }
-        if let Some(selfheal) = &self.selfheal {
-            o.push("selfheal", selfheal.to_json());
-        }
         Value::Object(o)
     }
 }
@@ -393,13 +365,6 @@ pub trait CompileObserver: Send + Sync {
     /// A phase finished.
     fn on_phase_end(&self, phase: Phase, elapsed: Duration) {
         let _ = (phase, elapsed);
-    }
-    /// A transactional rollout finished (committed or rolled back). Fired
-    /// by [`Runtime::apply_rollout`] and the failover re-sync paths when
-    /// an observer is registered via [`Runtime::set_observer`], after the
-    /// `Phase::Rollout` start/end pair.
-    fn on_rollout(&self, report: &RolloutReport) {
-        let _ = report;
     }
 }
 
@@ -440,8 +405,6 @@ impl CompileOutput {
             stats: self.stats,
             solver: self.solver,
             utilization: self.utilization.clone(),
-            rollout: None,
-            selfheal: None,
         }
     }
 
@@ -545,7 +508,6 @@ impl std::error::Error for CompileError {
 /// The compiler: configuration plus a [`Compiler::compile`] entry point.
 #[derive(Default, Clone)]
 pub struct Compiler {
-    backend: Backend,
     encode: EncodeOptions,
     observer: Option<Arc<dyn CompileObserver>>,
     cache: Option<Arc<SynthCache>>,
@@ -556,12 +518,6 @@ impl Compiler {
     /// objective, parser hoisting on).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Select the solver backend.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Set the optimization objective (§6).
@@ -656,7 +612,7 @@ impl Compiler {
         let key = self
             .cache
             .as_ref()
-            .map(|_| cache::synth_key(ir, topo, scopes, opts, &self.backend));
+            .map(|_| cache::synth_key(ir, topo, scopes, opts, &Backend::Native));
         if let (Some(cache), Some(key)) = (&self.cache, key) {
             if let Some(hit) = cache.lookup(key) {
                 return Ok((hit, None));
@@ -667,7 +623,7 @@ impl Compiler {
             topo,
             scopes,
             opts,
-            &self.backend,
+            &Backend::Native,
             previous,
             limits,
         )?;

@@ -83,7 +83,7 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Serialize for the CLI (`--recover` with `--emit-stats`).
+    /// Serialize as one JSON object.
     pub fn to_json(&self) -> Value {
         let mut o = Object::new();
         o.push("epoch", Value::Number(self.epoch as f64));
@@ -150,7 +150,7 @@ impl AuditReport {
         c
     }
 
-    /// Serialize for the CLI (`--audit` with `--emit-stats`).
+    /// Serialize as one JSON object.
     pub fn to_json(&self) -> Value {
         let mut o = Object::new();
         o.push(
@@ -579,7 +579,7 @@ impl<'a> Runtime<'a> {
 mod tests {
     use super::*;
     use crate::channel::{LossyChannel, ReliableChannel};
-    use crate::rollout::{CrashPlan, CrashPoint, MemIntentStore};
+    use crate::rollout::{mint_token, CrashPlan, CrashPoint, FileIntentStore, MemIntentStore};
     use crate::{CompileRequest, Compiler};
     use lyra_ir::PacketState;
     use lyra_topo::{figure1_network, FaultSet};
@@ -605,7 +605,7 @@ mod tests {
     fn crashed_rollout<'a>(
         rt: &mut Runtime<'a>,
         new_output: &'a CompileOutput,
-        store: &mut MemIntentStore,
+        store: &mut dyn IntentStore,
         plan: CrashPlan,
     ) -> RuntimeError {
         let config = RolloutConfig::default().with_crash(plan);
@@ -666,6 +666,119 @@ mod tests {
             )
             .unwrap();
         assert!(!rep2.in_flight && !rep2.committed && !rep2.rolled_back);
+    }
+
+    /// A fresh path for a file-backed intent log.
+    fn log_path(tag: &str) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("lyra-intent-{tag}-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    #[test]
+    fn file_intent_log_round_trips_every_record_losslessly() {
+        // Tokens are `(epoch << 32) | seq`: from epoch 2²¹ on they exceed
+        // 2⁵³, past which an f64 rounds neighbouring tokens together.
+        let epoch = 1u64 << 21;
+        let records = vec![
+            IntentRecord::Begin {
+                epoch,
+                prior_epoch: epoch - 1,
+                targets: vec!["Agg4".into(), "ToR3".into()],
+            },
+            IntentRecord::Sent {
+                epoch,
+                switch: "Agg4".into(),
+                token: mint_token(epoch, 1).unwrap(),
+                op: "prepare".into(),
+            },
+            IntentRecord::Sent {
+                epoch,
+                switch: "ToR3".into(),
+                token: mint_token(epoch, 3).unwrap(),
+                op: "commit".into(),
+            },
+            IntentRecord::Decision {
+                epoch,
+                commit: true,
+            },
+            IntentRecord::End {
+                epoch,
+                committed: true,
+            },
+        ];
+        let path = log_path("roundtrip");
+        let mut store = FileIntentStore::open(&path);
+        for record in &records {
+            store.append(record).unwrap();
+        }
+        let loaded = FileIntentStore::open(&path).load();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(loaded.unwrap(), records);
+    }
+
+    #[test]
+    fn crash_with_a_file_log_recovers_from_the_reopened_log() {
+        let compiler = Compiler::new();
+        let req = lb_request();
+        let prior = compiler.compile(&req).unwrap();
+        let faults = FaultSet::new().with_switch("Agg3");
+        let r = compiler
+            .recompile_for_faults(&req, &prior, &faults)
+            .unwrap();
+
+        let mut rt = Runtime::new(&prior);
+        rt.install("conn_table", 42, 0xabcd).unwrap();
+        rt.fail_switch("Agg3").unwrap();
+        let path = log_path("crash");
+        let err = crashed_rollout(
+            &mut rt,
+            &r.output,
+            &mut FileIntentStore::open(&path),
+            CrashPlan::at(CrashPoint::AfterCommitDecision),
+        );
+        assert_eq!(err.code, Some(codes::CONTROLLER_CRASHED));
+
+        // The restarted controller knows only what the file holds.
+        let mut store = FileIntentStore::open(&path);
+        let journal = store.load().unwrap();
+        let epoch = journal[0].epoch();
+        assert!(
+            journal.contains(&IntentRecord::Decision {
+                epoch,
+                commit: true
+            }),
+            "{journal:?}"
+        );
+        let rep = rt.recover(
+            &r.output,
+            &mut store,
+            &mut ReliableChannel::new(),
+            &RolloutConfig::default(),
+        );
+        let tail = store.load();
+        let _ = std::fs::remove_file(&path);
+        let rep = rep.unwrap();
+        assert!(
+            rep.in_flight && rep.committed && rep.epoch == epoch,
+            "{rep:?}"
+        );
+        assert_eq!(rep.replayed_records, journal.len());
+        assert!(rt.epochs_coherent());
+        assert!(std::ptr::eq(rt.output(), &r.output), "output must flip");
+        let mut pkt = PacketState::new();
+        pkt.set("flow_h", 42);
+        let (end, _) = rt.inject(&["Agg4", "ToR3"], pkt).unwrap();
+        assert_eq!(end.get("ipv4.dstAddr"), 0xabcd);
+        // Recovery finalized the transaction in the same file.
+        assert_eq!(
+            tail.unwrap().last(),
+            Some(&IntentRecord::End {
+                epoch,
+                committed: true
+            })
+        );
     }
 
     #[test]

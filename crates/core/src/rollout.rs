@@ -49,12 +49,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lyra_diag::json::{Object, Value};
-use lyra_diag::{codes, Diagnostic, Phase};
+use lyra_diag::{codes, Diagnostic};
 use lyra_ir::{DataPlaneState, ExternTable};
 use lyra_topo::ScopeHealth;
 
@@ -232,7 +232,9 @@ impl IntentRecord {
                 o.push("t", Value::str("sent"));
                 o.push("epoch", Value::Number(*epoch as f64));
                 o.push("switch", Value::str(switch.clone()));
-                o.push("token", Value::Number(*token as f64));
+                // A decimal string: tokens reach 2⁶⁴ − 1, and a JSON number
+                // (an f64) rounds every token above 2⁵³.
+                o.push("token", Value::String(token.to_string()));
                 o.push("op", Value::str(op.clone()));
             }
             IntentRecord::Decision { epoch, commit } => {
@@ -268,7 +270,7 @@ impl IntentRecord {
             "sent" => Some(IntentRecord::Sent {
                 epoch,
                 switch: v.get("switch")?.as_str()?.to_string(),
-                token: num("token")?,
+                token: v.get("token")?.as_str()?.parse().ok()?,
                 op: v.get("op")?.as_str()?.to_string(),
             }),
             "decision" => Some(IntentRecord::Decision {
@@ -367,11 +369,6 @@ impl FileIntentStore {
     pub fn open(path: impl Into<PathBuf>) -> Self {
         FileIntentStore { path: path.into() }
     }
-
-    /// The log file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 impl IntentStore for FileIntentStore {
@@ -467,22 +464,6 @@ impl CrashPoint {
         CrashPoint::BeforeFinalize,
         CrashPoint::AfterRollbackDecision,
     ];
-
-    /// Stable name (what `lyrac --crash-at` accepts).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CrashPoint::BeforePrepare => "before-prepare",
-            CrashPoint::AfterPrepare => "after-prepare",
-            CrashPoint::AfterCommitDecision => "commit-decision",
-            CrashPoint::BeforeFinalize => "before-finalize",
-            CrashPoint::AfterRollbackDecision => "rollback-decision",
-        }
-    }
-
-    /// Parse a [`CrashPoint::name`].
-    pub fn parse(s: &str) -> Option<CrashPoint> {
-        CrashPoint::ALL.iter().copied().find(|p| p.name() == s)
-    }
 }
 
 /// [`LossyChannel`](crate::channel::LossyChannel)-style controller-crash
@@ -979,8 +960,8 @@ impl<'a> Runtime<'a> {
     /// the switches already serve ([`stage_layout`] — `lost` is a switch
     /// that just died, whose shards survive only as entries to re-home),
     /// then run the result through the two-phase transaction. Staging sends
-    /// nothing and changes no switch; the rollout's clock and
-    /// [`Phase::Rollout`] start here, so the report accounts for it.
+    /// nothing and changes no switch; the rollout's clock starts here, so
+    /// the report accounts for it.
     ///
     /// A placement rollout resets global registers (`reset_globals`); a
     /// failover re-sync under the serving placement carries them over —
@@ -995,21 +976,11 @@ impl<'a> Runtime<'a> {
         store: Option<&mut dyn IntentStore>,
     ) -> Result<RolloutReport, RuntimeError> {
         let t0 = Instant::now();
-        if let Some(obs) = &self.observer {
-            obs.on_phase_start(Phase::Rollout);
-        }
-        let staged = match stage_layout(output, &self.faults, &self.states, lost, reset_globals) {
-            Ok(staged) => staged,
-            Err(e) => {
-                if let Some(obs) = &self.observer {
-                    obs.on_phase_end(Phase::Rollout, t0.elapsed());
-                }
-                return Err(
-                    RuntimeError::new(format!("prepare validation failed: {}", e.message))
-                        .with_code(codes::ROLLOUT_PREPARE_FAILED),
-                );
-            }
-        };
+        let staged = stage_layout(output, &self.faults, &self.states, lost, reset_globals)
+            .map_err(|e| {
+                RuntimeError::new(format!("prepare validation failed: {}", e.message))
+                    .with_code(codes::ROLLOUT_PREPARE_FAILED)
+            })?;
         // A switch the placement adds gets a live (empty) state first, at
         // the current epoch, so it participates in the transaction.
         for sw in staged.states.keys() {
@@ -1026,10 +997,6 @@ impl<'a> Runtime<'a> {
         // Read the clock once the staged states are released, so the
         // report covers the whole call.
         report.elapsed = t0.elapsed();
-        if let Some(obs) = &self.observer {
-            obs.on_phase_end(Phase::Rollout, report.elapsed);
-            obs.on_rollout(&report);
-        }
         Ok(report)
     }
 

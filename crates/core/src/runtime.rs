@@ -28,7 +28,7 @@ use lyra_topo::FaultSet;
 
 use crate::agent::SwitchState;
 use crate::dataplane::LiveTrafficPlane;
-use crate::{CompileObserver, CompileOutput};
+use crate::CompileOutput;
 
 /// Errors from runtime operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,8 +98,6 @@ pub struct Runtime<'a> {
     /// against it cannot be trusted to be minimal). Cleared when a
     /// rollout touching them finalizes.
     pub(crate) needs_snapshot: BTreeSet<String>,
-    /// Optional event sink notified of rollout phases and reports.
-    pub(crate) observer: Option<Arc<dyn CompileObserver>>,
     /// The traffic plane serving this runtime's switches, attached by the
     /// replay-under-a-transaction harness for the duration of one call so
     /// the switch agents can publish their epoch flips to it.
@@ -519,7 +517,6 @@ impl<'a> Runtime<'a> {
             epoch_counter: 0,
             expected,
             needs_snapshot: BTreeSet::new(),
-            observer: None,
             plane: None,
         }
     }
@@ -552,12 +549,6 @@ impl<'a> Runtime<'a> {
     pub(crate) fn declare_faults(&mut self, faults: FaultSet) {
         self.states.retain(|sw, _| !faults.switch_failed(sw));
         self.faults = faults;
-    }
-
-    /// Register an event sink notified of rollout phases and reports
-    /// (shares the [`CompileObserver`] trait with the compiler).
-    pub fn set_observer(&mut self, observer: Arc<dyn CompileObserver>) {
-        self.observer = Some(observer);
     }
 
     /// The compilation this runtime currently serves (flips to the new

@@ -54,7 +54,6 @@ fn cli_compiles_and_writes_artifacts() {
         .arg(&topo)
         .args(["--out"])
         .arg(&out_dir)
-        .args(["--backend", "native"])
         .output()
         .expect("lyrac runs");
     assert!(
@@ -150,10 +149,50 @@ fn cli_solve_profile_takes_no_deadline() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Missing inputs are a usage error, and so is every flag that drove a
+/// simulated deployment rather than a compile: `lyrac` only compiles.
 #[test]
 fn cli_missing_args_usage() {
-    let output = lyrac().output().expect("lyrac runs");
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("usage:"), "{stderr}");
+    let dir = temp_dir("usage");
+    let prog = write(&dir, "prog.lyra", PROGRAM);
+    let scopes = write(&dir, "scopes.txt", "watch: [ ToR* | PER-SW | - ]\n");
+    let topo = write(&dir, "topo.txt", TOPOLOGY);
+    let compile = |extra: &[&str]| {
+        let mut cmd = lyrac();
+        cmd.arg("--program")
+            .arg(&prog)
+            .arg("--scopes")
+            .arg(&scopes)
+            .arg("--topology")
+            .arg(&topo)
+            .arg("--out")
+            .arg(dir.join("out"))
+            .args(extra);
+        cmd
+    };
+    let removed: [&[&str]; 15] = [
+        &["--backend", "native"],
+        &["--rollout-fail", "Agg1"],
+        &["--rollout-drop-p", "0.1"],
+        &["--rollout-seed", "1"],
+        &["--crash-at", "sends:1"],
+        &["--recover"],
+        &["--intent-log", "intent.jsonl"],
+        &["--audit"],
+        &["--audit-drift", "1"],
+        &["--replay", "10"],
+        &["--replay-workers", "1"],
+        &["--replay-seed", "1"],
+        &["--monitor"],
+        &["--monitor-ticks", "8"],
+        &["--monitor-seed", "1"],
+    ];
+    let cases = std::iter::once(lyrac()).chain(removed.iter().map(|extra| compile(extra)));
+    for (i, mut cmd) in cases.enumerate() {
+        let output = cmd.output().expect("lyrac runs");
+        assert_eq!(output.status.code(), Some(2), "case {i}: {cmd:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("usage:"), "case {i}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -419,22 +419,6 @@ impl Diagnostic {
         self
     }
 
-    /// Attach a secondary span (rendered with `---` underlines).
-    pub fn with_secondary_span(
-        mut self,
-        source: SourceId,
-        span: Span,
-        msg: impl Into<String>,
-    ) -> Self {
-        self.labels.push(Label {
-            source: Some(source),
-            span,
-            message: msg.into(),
-            primary: false,
-        });
-        self
-    }
-
     /// Append a note line.
     pub fn with_note(mut self, note: impl Into<String>) -> Self {
         self.notes.push(note.into());
@@ -847,9 +831,13 @@ mod tests {
     fn secondary_labels_use_dashes() {
         let mut sm = SourceMap::new();
         let id = sm.add("s.lyra", "first\nsecond");
-        let d = Diagnostic::error(codes::DUPLICATE_DEF, "dup")
-            .with_span(id, Span::new(0, 5))
-            .with_secondary_span(id, Span::new(6, 12), "previous definition");
+        let mut d = Diagnostic::error(codes::DUPLICATE_DEF, "dup").with_span(id, Span::new(0, 5));
+        d.labels.push(Label {
+            source: Some(id),
+            span: Span::new(6, 12),
+            message: "previous definition".into(),
+            primary: false,
+        });
         let r = sm.render(&d);
         assert!(r.contains("^^^^^"), "{r}");
         assert!(r.contains("------ previous definition"), "{r}");

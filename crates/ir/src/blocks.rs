@@ -121,7 +121,8 @@ fn same_storage(alg: &IrAlgorithm, a: ValueId, b: ValueId) -> bool {
 }
 
 /// Classify the relationship between two predicate blocks.
-pub fn block_relation(
+#[cfg(test)]
+pub(crate) fn block_relation(
     alg: &IrAlgorithm,
     deps: &DepGraph,
     a: &PredBlock,

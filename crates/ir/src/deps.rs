@@ -45,7 +45,8 @@ impl DepGraph {
 
     /// Longest path length (in edges) through the dependency graph — a lower
     /// bound on pipeline stages needed.
-    pub fn critical_path_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn critical_path_len(&self) -> usize {
         let n = self.succs.len();
         let mut depth = vec![0usize; n];
         // Instructions are in program order, and all edges go forward.

@@ -69,7 +69,8 @@ pub struct HeaderType {
 
 impl HeaderType {
     /// Total width of the header in bits.
-    pub fn width_bits(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn width_bits(&self) -> u32 {
         self.fields.iter().map(|f| f.ty.width).sum()
     }
 }

@@ -43,7 +43,7 @@ impl Lit {
     }
 
     /// True if the literal is negated.
-    pub fn is_neg(self) -> bool {
+    pub(crate) fn is_neg(self) -> bool {
         self.0 & 1 == 1
     }
 

@@ -391,7 +391,8 @@ impl Model {
     }
 
     /// `a ≠ b`.
-    pub fn ne(&mut self, a: Ix, b: Ix) -> Bx {
+    #[cfg(test)]
+    pub(crate) fn ne(&mut self, a: Ix, b: Ix) -> Bx {
         self.cmp(CmpOp::Ne, a, b)
     }
 

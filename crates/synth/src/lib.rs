@@ -177,7 +177,7 @@ pub enum SolveRoute {
 }
 
 impl SolveRoute {
-    /// Stable name for reports (`lyrac`, session JSON, `record_bench`).
+    /// Stable name for reports (`lyrac`, session JSON).
     pub fn name(self) -> &'static str {
         match self {
             SolveRoute::CarriedOver => "carried-over",

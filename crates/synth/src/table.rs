@@ -313,7 +313,8 @@ impl TableGroup {
     }
 
     /// Total table count.
-    pub fn table_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn table_count(&self) -> u64 {
         self.tables.len() as u64
     }
 

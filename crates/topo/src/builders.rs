@@ -97,40 +97,6 @@ pub fn fat_tree_pod(k: usize, tor_asic: &str, agg_asic: &str) -> Topology {
     t
 }
 
-/// A full k-ary fat tree (k pods plus a core layer) — used by examples and
-/// extension tests beyond the paper's pod-level experiment.
-pub fn fat_tree(k: usize, tor_asic: &str, agg_asic: &str, core_asic: &str) -> Topology {
-    assert!(
-        k >= 2 && k.is_multiple_of(2),
-        "fat tree requires even k >= 2, got {k}"
-    );
-    let mut t = Topology::new();
-    let num_core = (k / 2) * (k / 2);
-    let cores: Vec<SwitchId> = (1..=num_core)
-        .map(|i| t.add_switch(format!("Core{i}"), Layer::Core, core_asic))
-        .collect();
-    for pod in 1..=k {
-        let aggs: Vec<SwitchId> = (1..=k / 2)
-            .map(|i| t.add_switch(format!("P{pod}Agg{i}"), Layer::Agg, agg_asic))
-            .collect();
-        let tors: Vec<SwitchId> = (1..=k / 2)
-            .map(|i| t.add_switch(format!("P{pod}ToR{i}"), Layer::ToR, tor_asic))
-            .collect();
-        for &agg in &aggs {
-            for &tor in &tors {
-                t.add_link(agg, tor);
-            }
-        }
-        // Each agg connects to k/2 cores (the standard fat-tree wiring).
-        for (ai, &agg) in aggs.iter().enumerate() {
-            for j in 0..k / 2 {
-                t.add_link(agg, cores[ai * (k / 2) + j]);
-            }
-        }
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,13 +133,5 @@ mod tests {
     #[should_panic]
     fn odd_k_rejected() {
         fat_tree_pod(5, "a", "b");
-    }
-
-    #[test]
-    fn full_fat_tree_counts() {
-        let k = 4;
-        let t = fat_tree(k, "tofino-32q", "trident4", "tomahawk");
-        // k pods × k switches + (k/2)^2 cores
-        assert_eq!(t.len(), k * k + (k / 2) * (k / 2));
     }
 }

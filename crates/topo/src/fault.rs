@@ -51,7 +51,8 @@ impl FaultSet {
     }
 
     /// Mark a link as failed. Builder-style; see also [`FaultSet::add_link`].
-    pub fn with_link(mut self, a: impl AsRef<str>, b: impl AsRef<str>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_link(mut self, a: impl AsRef<str>, b: impl AsRef<str>) -> Self {
         self.add_link(a, b);
         self
     }

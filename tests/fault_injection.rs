@@ -572,38 +572,6 @@ fn rollout_outcome_is_deterministic_for_a_fixed_seed() {
     assert_eq!(a.duplicates, b.duplicates);
 }
 
-/// Retries and rollbacks surface in the compile-session JSON (`lyrac
-/// --emit-stats` carries the same object).
-#[test]
-fn rollout_report_lands_in_session_json() {
-    let compiler = Compiler::new();
-    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
-    let healthy = compiler.compile(&req).expect("healthy compile");
-    let mut faults = FaultSet::new();
-    faults.add_switch("Agg3");
-    let r = compiler
-        .recompile_for_faults(&req, &healthy, &faults)
-        .expect("recompile");
-
-    let mut rt = Runtime::new(&healthy);
-    rt.install("conn_table", 3, 0x0a00_0003).unwrap();
-    rt.fail_switch("Agg3").unwrap();
-    let mut chan = LossyChannel::new(11).with_ack_loss_p(0.8);
-    let config = RolloutConfig::default().with_scope_health(r.scope_health.clone());
-    let report = rt.apply_rollout(&r.output, &mut chan, &config).unwrap();
-    assert!(report.retries > 0, "ack loss at 0.8 must force retries");
-
-    let json = healthy.session().with_rollout(report).to_json().to_string();
-    for key in [
-        "\"rollout\"",
-        "\"retries\"",
-        "\"rolled_back\"",
-        "\"forced_rollbacks\"",
-    ] {
-        assert!(json.contains(key), "session JSON missing {key}: {json}");
-    }
-}
-
 fn pod(k: usize) -> lyra_topo::Topology {
     fat_tree_pod(k, "tofino-32q", "trident4")
 }
