@@ -390,29 +390,6 @@ pub struct ReplayReport {
     pub pps: f64,
 }
 
-impl ReplayReport {
-    /// Serialise for logs and the bench recorder.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"packets\":{},\"delivered\":{},\"refused_epoch_mismatch\":{},\
-             \"mixed_epoch_exposure\":{},\"worker_panics\":{},\"effects\":{},\
-             \"digest\":\"{:#x}\",\"workers\":{},\"bring_up_us\":{},\"elapsed_us\":{},\
-             \"pps\":{:.0}}}",
-            self.packets,
-            self.delivered,
-            self.refused_epoch_mismatch,
-            self.mixed_epoch_exposure,
-            self.worker_panics,
-            self.effects,
-            self.digest,
-            self.workers,
-            self.bring_up.as_micros(),
-            self.elapsed.as_micros(),
-            self.pps,
-        )
-    }
-}
-
 /// A replay and the rollout it ran under.
 #[derive(Debug)]
 pub struct RolloutReplayOutcome {

@@ -27,11 +27,11 @@
 //! tick counter, the only randomness is the in-tree xorshift generator,
 //! and wall time is measured but never consulted for decisions.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 use lyra_diag::codes;
-use lyra_diag::json::{Object, Value};
 use lyra_diag::Diagnostic;
 use lyra_topo::FaultSet;
 
@@ -156,8 +156,8 @@ impl HealthState {
 // test or bench has ever needed a second value. Beside each: what moves when
 // it does, over the 200 chaos schedules of `tests/fault_injection.rs` and
 // its two flap schedules (EXPERIMENTS.md "Detector diet"; as shipped: 537
-// recompiles, 11 rollbacks, Σ MTTR 162 ticks, max 8, flap 8×3 = 1 recompile
-// and quarantined).
+// recompiles, 11 rollbacks, Σ MTTR 162 ticks — the suite asserts these three
+// — max 8, flap 8×3 = 1 recompile and quarantined).
 
 /// Consecutive `Lost` samples that confirm a target dead. 4: rollbacks
 /// 11 → 21, max MTTR 8 → 24. 2: same verdicts, half the margin of E1.
@@ -189,32 +189,13 @@ const QUARANTINE_EXIT: f64 = 0.5;
 const REMEDIATE_COOLDOWN: u64 = 4;
 /// Cooldown multiplier after a failed round. 1: rollbacks 11 → 12; what it
 /// spaces out is a round that keeps failing for a reason probing cannot see
-/// (a fault set the scope cannot survive), which the suite never schedules.
+/// (a fault set no flow path survives): both Aggs of the LB scope dead for
+/// 240 ticks cost 6 failed recompiles, not 59
+/// (`failing_remediation_backs_off_to_the_cooldown_ceiling`).
 const BACKOFF_FACTOR: u64 = 2;
-/// Cooldown ceiling. Never binds on the suite; it is E6's bound.
+/// Cooldown ceiling. Never binds on the suite; it spaces the last rounds of
+/// the backoff test 64 ticks apart, and it is E6's bound.
 const MAX_COOLDOWN: u64 = 64;
-
-/// The one setting a run chooses: the seed behind chaos loss draws,
-/// rollout channels and replay traffic.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Seed for chaos, rollout and replay determinism.
-    pub seed: u64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig { seed: 0x11ea_17bb }
-    }
-}
-
-impl HealthConfig {
-    /// Set the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
 
 /// Per-target detection record: everything [`step`] reads and writes.
 #[derive(Debug, Clone, Copy)]
@@ -337,15 +318,6 @@ fn step(mut h: TargetHealth, outcome: ProbeOutcome) -> (TargetHealth, Option<Tra
     (h, changed)
 }
 
-/// Counters the monitor accumulates across its lifetime.
-#[derive(Debug, Clone, Copy, Default)]
-struct ProbeCounters {
-    sent: u64,
-    ok: u64,
-    degraded: u64,
-    lost: u64,
-}
-
 /// Failure detector: probes every watched target once per [`tick`]
 /// (virtual clock — no wall time in any decision), folds each outcome
 /// through [`step`], and renders the confirmed transitions as diagnostics.
@@ -356,12 +328,10 @@ struct HealthMonitor {
     now: u64,
     targets: BTreeMap<Target, TargetHealth>,
     probe_seq: u64,
-    counters: ProbeCounters,
     diagnostics: Vec<Diagnostic>,
     /// Targets whose flapping diagnostic was already emitted (once per
-    /// target — the per-down-edge transitions still count).
+    /// target).
     flapping: BTreeSet<Target>,
-    transitions: u64,
 }
 
 impl HealthMonitor {
@@ -371,10 +341,8 @@ impl HealthMonitor {
             now: 0,
             targets: BTreeMap::new(),
             probe_seq: 0,
-            counters: ProbeCounters::default(),
             diagnostics: Vec::new(),
             flapping: BTreeSet::new(),
-            transitions: 0,
         }
     }
 
@@ -437,12 +405,6 @@ impl HealthMonitor {
         // shared channel's reorder queue does not grow without bound.
         let _ = channel.drain_late();
         for (target, outcome) in outcomes {
-            self.counters.sent += 1;
-            match outcome {
-                ProbeOutcome::Ok => self.counters.ok += 1,
-                ProbeOutcome::Degraded => self.counters.degraded += 1,
-                ProbeOutcome::Lost => self.counters.lost += 1,
-            }
             self.fold(&target, outcome);
         }
     }
@@ -474,7 +436,6 @@ impl HealthMonitor {
         let Some(tr) = transition else {
             return;
         };
-        self.transitions += 1;
         let now = self.now;
         let confirmed = match tr.to {
             // A flap edge alone: nothing was confirmed.
@@ -522,15 +483,9 @@ impl HealthMonitor {
         }
     }
 
-    /// Snapshot the monitor's view for reports and the session JSON.
+    /// The monitor's final view, for [`SelfHealOutcome::health`].
     fn report(&self) -> HealthReport {
         HealthReport {
-            ticks: self.now,
-            probes_sent: self.counters.sent,
-            probes_ok: self.counters.ok,
-            probes_degraded: self.counters.degraded,
-            probes_lost: self.counters.lost,
-            transitions: self.transitions,
             targets: self
                 .targets
                 .iter()
@@ -565,72 +520,13 @@ pub struct TargetStatus {
     pub window_adverse: f64,
 }
 
-impl TargetStatus {
-    /// Serialise for the session JSON.
-    pub fn to_json(&self) -> Value {
-        let mut o = Object::new();
-        o.push("target", Value::str(self.target.wire()));
-        o.push("state", Value::str(self.state.name()));
-        o.push("flap_penalty", Value::Number(self.flap_penalty));
-        o.push("consecutive_ok", Value::Number(self.consecutive_ok as f64));
-        o.push(
-            "consecutive_lost",
-            Value::Number(self.consecutive_lost as f64),
-        );
-        o.push("window_adverse", Value::Number(self.window_adverse));
-        Value::Object(o)
-    }
-}
-
-/// The monitor's summary: counters plus the per-target verdicts.
+/// The monitor's summary: the per-target verdicts and what it diagnosed.
 #[derive(Debug, Clone, Default)]
 pub struct HealthReport {
-    /// Virtual ticks elapsed.
-    pub ticks: u64,
-    /// Probes transmitted.
-    pub probes_sent: u64,
-    /// Probes answered promptly.
-    pub probes_ok: u64,
-    /// Probes answered badly (ack lost / retries).
-    pub probes_degraded: u64,
-    /// Probes never answered.
-    pub probes_lost: u64,
-    /// Confirmed state transitions observed.
-    pub transitions: u64,
     /// Per-target verdicts.
     pub targets: Vec<TargetStatus>,
     /// Everything the monitor diagnosed (LYR0580–LYR0583).
     pub diagnostics: Vec<Diagnostic>,
-}
-
-impl HealthReport {
-    /// Serialise for the session JSON.
-    pub fn to_json(&self) -> Value {
-        let mut o = Object::new();
-        o.push("ticks", Value::Number(self.ticks as f64));
-        o.push("probes_sent", Value::Number(self.probes_sent as f64));
-        o.push("probes_ok", Value::Number(self.probes_ok as f64));
-        o.push(
-            "probes_degraded",
-            Value::Number(self.probes_degraded as f64),
-        );
-        o.push("probes_lost", Value::Number(self.probes_lost as f64));
-        o.push("transitions", Value::Number(self.transitions as f64));
-        o.push(
-            "targets",
-            Value::Array(self.targets.iter().map(|t| t.to_json()).collect()),
-        );
-        o.push(
-            "diagnostics",
-            Value::Array(
-                self.diagnostics
-                    .iter()
-                    .map(|d| Value::str(format!("{d}")))
-                    .collect(),
-            ),
-        );
-        Value::Object(o)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1044,8 +940,8 @@ impl ControlChannel for ChaosChannel {
 /// Tuning for one [`run_selfheal`] run.
 #[derive(Debug, Clone)]
 pub struct SelfHealConfig {
-    /// The run's seed.
-    pub health: HealthConfig,
+    /// Seed behind chaos loss draws, rollout channels and replay traffic.
+    pub seed: u64,
     /// Rollout tuning for remediation rounds.
     pub rollout: RolloutConfig,
     /// Virtual ticks to run.
@@ -1060,7 +956,7 @@ pub struct SelfHealConfig {
 impl Default for SelfHealConfig {
     fn default() -> Self {
         SelfHealConfig {
-            health: HealthConfig::default(),
+            seed: 0x11ea_17bb,
             rollout: RolloutConfig::default(),
             ticks: 64,
             traffic_packets: 0,
@@ -1090,10 +986,6 @@ pub struct RemediationReport {
     pub rolled_back: bool,
     /// Post-remediation anti-entropy audit verdict.
     pub audit_clean: bool,
-    /// Drifted entries the audit repaired.
-    pub drift_repaired: u64,
-    /// Instruction churn of the remediation rollout.
-    pub instr_churn: usize,
     /// Mixed-epoch packets observed while traffic ran under the rollout.
     pub mixed_epoch_exposure: u64,
     /// Wall time of the round (measured, never consulted).
@@ -1109,57 +1001,11 @@ impl RemediationReport {
             _ => None,
         }
     }
-
-    /// Serialise for the session JSON.
-    pub fn to_json(&self) -> Value {
-        let mut o = Object::new();
-        o.push("round", Value::Number(self.round as f64));
-        o.push(
-            "tick_detected",
-            self.tick_detected
-                .map(|t| Value::Number(t as f64))
-                .unwrap_or(Value::Null),
-        );
-        o.push("tick_started", Value::Number(self.tick_started as f64));
-        o.push(
-            "tick_healed",
-            self.tick_healed
-                .map(|t| Value::Number(t as f64))
-                .unwrap_or(Value::Null),
-        );
-        o.push(
-            "mttr_ticks",
-            self.mttr_ticks()
-                .map(|t| Value::Number(t as f64))
-                .unwrap_or(Value::Null),
-        );
-        o.push(
-            "failed",
-            Value::Array(self.failed.iter().map(Value::str).collect()),
-        );
-        o.push(
-            "restored",
-            Value::Array(self.restored.iter().map(Value::str).collect()),
-        );
-        o.push("committed", Value::Bool(self.committed));
-        o.push("rolled_back", Value::Bool(self.rolled_back));
-        o.push("audit_clean", Value::Bool(self.audit_clean));
-        o.push("drift_repaired", Value::Number(self.drift_repaired as f64));
-        o.push("instr_churn", Value::Number(self.instr_churn as f64));
-        o.push(
-            "mixed_epoch_exposure",
-            Value::Number(self.mixed_epoch_exposure as f64),
-        );
-        o.push("elapsed_us", Value::Number(self.elapsed.as_micros() as f64));
-        Value::Object(o)
-    }
 }
 
 /// What a full closed-loop run observed.
 #[derive(Debug, Clone, Default)]
 pub struct SelfHealOutcome {
-    /// Virtual ticks run.
-    pub ticks: u64,
     /// The monitor's final view.
     pub health: HealthReport,
     /// Every executed remediation round, in order.
@@ -1172,16 +1018,12 @@ pub struct SelfHealOutcome {
     pub rollouts_rolled_back: u64,
     /// Targets restored to service.
     pub restores: u64,
-    /// Ticks on which pending work was deferred by the rate limiter.
-    pub rate_limited_deferrals: u64,
     /// Mixed-epoch packets across every replay (must be zero).
     pub mixed_epoch_exposure: u64,
     /// Replay workers that panicked (must be zero).
     pub worker_panics: u64,
     /// Packets delivered across every replay.
     pub traffic_delivered: u64,
-    /// Packets refused for epoch mismatch across every replay.
-    pub traffic_refused: u64,
     /// Final verdict: every confirmed suspicion remediated, epochs
     /// coherent on the surviving deployment.
     pub converged: bool,
@@ -1189,101 +1031,14 @@ pub struct SelfHealOutcome {
     pub final_audit_clean: bool,
     /// Healer/loop diagnostics (LYR0584–LYR0587).
     pub diagnostics: Vec<Diagnostic>,
-    /// Wall time of the whole run (measured, never consulted).
-    pub elapsed: Duration,
 }
 
 impl SelfHealOutcome {
     /// Add one replay's packet counters to the run's totals.
     fn count_traffic(&mut self, replay: &ReplayReport) {
         self.traffic_delivered += replay.delivered;
-        self.traffic_refused += replay.refused_epoch_mismatch;
         self.mixed_epoch_exposure += replay.mixed_epoch_exposure;
         self.worker_panics += replay.worker_panics;
-    }
-
-    /// Serialise as one JSON object.
-    pub fn to_json(&self) -> Value {
-        let mut o = Object::new();
-        o.push("ticks", Value::Number(self.ticks as f64));
-        o.push("health", self.health.to_json());
-        o.push(
-            "remediations",
-            Value::Array(self.remediations.iter().map(|r| r.to_json()).collect()),
-        );
-        o.push("recompiles", Value::Number(self.recompiles as f64));
-        o.push(
-            "rollouts_committed",
-            Value::Number(self.rollouts_committed as f64),
-        );
-        o.push(
-            "rollouts_rolled_back",
-            Value::Number(self.rollouts_rolled_back as f64),
-        );
-        o.push("restores", Value::Number(self.restores as f64));
-        o.push(
-            "rate_limited_deferrals",
-            Value::Number(self.rate_limited_deferrals as f64),
-        );
-        o.push(
-            "mixed_epoch_exposure",
-            Value::Number(self.mixed_epoch_exposure as f64),
-        );
-        o.push("worker_panics", Value::Number(self.worker_panics as f64));
-        o.push(
-            "traffic_delivered",
-            Value::Number(self.traffic_delivered as f64),
-        );
-        o.push(
-            "traffic_refused",
-            Value::Number(self.traffic_refused as f64),
-        );
-        o.push("converged", Value::Bool(self.converged));
-        o.push("final_audit_clean", Value::Bool(self.final_audit_clean));
-        o.push(
-            "diagnostics",
-            Value::Array(
-                self.diagnostics
-                    .iter()
-                    .map(|d| Value::str(format!("{d}")))
-                    .collect(),
-            ),
-        );
-        o.push("elapsed_us", Value::Number(self.elapsed.as_micros() as f64));
-        Value::Object(o)
-    }
-}
-
-/// Logical state carried between runtime generations. The runtime borrows
-/// the output it serves, so each committed remediation ends the borrow,
-/// swaps the served output, and rebuilds the runtime from this snapshot —
-/// the same dance a controller failover performs from its intent log.
-struct Snapshot {
-    entries: Vec<(String, u64, u64)>,
-    epoch: u64,
-    epoch_counter: u64,
-    faults: FaultSet,
-}
-
-impl Snapshot {
-    fn capture(rt: &Runtime<'_>) -> Self {
-        Snapshot {
-            entries: rt.logical_entries(),
-            epoch: rt.epoch,
-            epoch_counter: rt.epoch_counter,
-            faults: rt.faults.clone(),
-        }
-    }
-
-    fn hydrate(&self, rt: &mut Runtime<'_>) {
-        rt.resume_at(self.epoch, self.epoch_counter);
-        rt.declare_faults(self.faults.clone());
-        for (table, key, value) in &self.entries {
-            // Entries whose surviving placement cannot hold them are
-            // dropped by the planner, not an error here.
-            let _ = rt.install(table, *key, *value);
-        }
-        rt.refresh_expected();
     }
 }
 
@@ -1292,8 +1047,9 @@ impl Snapshot {
 /// every remediation round the healer confirms — fault-set recompile,
 /// two-phase rollout (under live traffic when `cfg.traffic_packets > 0`),
 /// logical-entry re-install, anti-entropy audit, and restore-on-recovery.
+/// One [`Runtime`] serves the whole run.
 ///
-/// Deterministic for a fixed `cfg.health.seed`; `Err` is reserved for the
+/// Deterministic for a fixed `cfg.seed`; `Err` is reserved for the
 /// initial compile failing — everything after that is reported in the
 /// outcome, not thrown.
 pub fn run_selfheal(
@@ -1303,227 +1059,181 @@ pub fn run_selfheal(
     schedule: &ChaosSchedule,
     cfg: &SelfHealConfig,
 ) -> Result<SelfHealOutcome, CompileError> {
-    let t0 = Instant::now();
     let baseline = compiler.compile(req)?;
-    let mut current: Box<CompileOutput> = Box::new(baseline);
+    // The runtime borrows every output it is rolled onto, so each round's
+    // recompile lands in a slot declared before it: one per tick, since a
+    // round starts at most once per tick.
+    let recompiles: Vec<OnceCell<FaultRecompile>> =
+        (0..cfg.ticks).map(|_| OnceCell::new()).collect();
     let mut monitor = HealthMonitor::new();
-    monitor.watch_output(&current);
+    monitor.watch_output(&baseline);
     let mut healer = SelfHealer::new();
-    let mut chaos = ChaosChannel::new(schedule.clone(), cfg.health.seed ^ 0xc4a0_55ed);
+    let mut chaos = ChaosChannel::new(schedule.clone(), cfg.seed ^ 0xc4a0_55ed);
     let replay_cfg = |salt: u64| {
         ReplayConfig::default()
             .with_packets(cfg.traffic_packets)
             .with_workers(cfg.workers)
-            .with_seed(cfg.health.seed ^ salt)
+            .with_seed(cfg.seed ^ salt)
     };
-    let mut out = SelfHealOutcome {
-        ticks: cfg.ticks,
-        ..SelfHealOutcome::default()
-    };
+    let mut out = SelfHealOutcome::default();
 
-    let mut snapshot: Option<Snapshot> = None;
-    let mut tick = 0u64;
-
-    'generations: loop {
-        // Declared before the runtime so a staged recompile outlives the
-        // borrow `apply_rollout` takes on it. At most one remediation
-        // executes per generation: once the runtime borrows the staged
-        // output, the generation must end before anything new is staged.
-        let mut staged: Option<FaultRecompile> = None;
-        let mut committed = false;
-        {
-            let mut rt = Runtime::new(&current);
-            match &snapshot {
-                Some(snap) => snap.hydrate(&mut rt),
-                None => {
-                    for (table, key, value) in entries {
-                        if let Err(e) = rt.install(table, *key, *value) {
-                            out.diagnostics.push(Diagnostic::warning(
-                                codes::HEAL_FAILED,
-                                format!("seed install of `{table}`[{key}] failed: {e}"),
-                            ));
-                        }
-                    }
-                }
-            }
-
-            while tick < cfg.ticks {
-                tick += 1;
-                chaos.set_tick(tick);
-                monitor.tick(&mut chaos);
-                healer.reconcile(tick, &mut monitor.targets);
-                let plan = match healer.plan(tick) {
-                    PlanOutcome::Idle => continue,
-                    PlanOutcome::Deferred { first } => {
-                        out.rate_limited_deferrals += 1;
-                        if first {
-                            out.diagnostics.push(Diagnostic::warning(
-                                codes::HEAL_RATE_LIMITED,
-                                format!(
-                                    "remediation deferred at tick {tick}: cooldown in \
-                                     effect; confirmed suspicions coalesce into the \
-                                     next round"
-                                ),
-                            ));
-                        }
-                        continue;
-                    }
-                    PlanOutcome::Go(plan) => plan,
-                };
-
-                let round = out.remediations.len() as u64 + 1;
-                let round_t0 = Instant::now();
-                let mut report = RemediationReport {
-                    round,
-                    tick_detected: plan.tick_detected,
-                    tick_started: tick,
-                    failed: plan.fail.iter().map(Target::wire).collect(),
-                    restored: plan.restore.iter().map(Target::wire).collect(),
-                    ..RemediationReport::default()
-                };
-                let faults = plan.fault_set();
-                // Ground truth before any state is torn down: entries held
-                // only by a dying switch must survive the remediation.
-                let pre_entries = rt.logical_entries();
-                let rec = match compiler.recompile_for_faults(req, &current, &faults) {
-                    Ok(rec) => rec,
-                    Err(e) => {
-                        // Nothing was staged or borrowed — the generation
-                        // continues; the healer backs off and retries.
-                        healer.complete(tick, &plan, false);
-                        out.diagnostics.push(Diagnostic::error(
-                            codes::HEAL_FAILED,
-                            format!("round {round}: recompile under fault set failed: {e}"),
-                        ));
-                        report.elapsed = round_t0.elapsed();
-                        out.remediations.push(report);
-                        continue;
-                    }
-                };
-                out.recompiles += 1;
-                let rec_ref: &FaultRecompile = staged.insert(rec);
-
-                // The controller knows these switches are dead: their
-                // state goes with them.
-                rt.declare_faults(faults);
-
-                let rollout_cfg = cfg
-                    .rollout
-                    .clone()
-                    .with_scope_health(rec_ref.scope_health.clone())
-                    .with_seed(cfg.health.seed ^ (round << 8));
-                let rollout_res = if cfg.traffic_packets > 0 {
-                    replay_under_rollout(
-                        &mut rt,
-                        &rec_ref.output,
-                        &mut chaos,
-                        &rollout_cfg,
-                        &replay_cfg(round),
-                    )
-                    .map(|outcome| {
-                        report.mixed_epoch_exposure = outcome.replay.mixed_epoch_exposure;
-                        out.count_traffic(&outcome.replay);
-                        outcome.rollout
-                    })
-                } else {
-                    rt.apply_rollout(&rec_ref.output, &mut chaos, &rollout_cfg)
-                };
-
-                match rollout_res {
-                    Ok(rollout) if rollout.committed => {
-                        monitor.observe_rollout(&rollout);
-                        // Re-install the pre-remediation logical view onto
-                        // the new placement (idempotent; entries that lost
-                        // every holder are re-homed, the rest are no-ops).
-                        for (table, key, value) in &pre_entries {
-                            let _ = rt.install(table, *key, *value);
-                        }
-                        let audit = rt.audit_switches();
-                        report.audit_clean = audit.clean();
-                        report.drift_repaired = audit.repaired;
-                        report.instr_churn = rollout.instr_churn;
-                        report.committed = true;
-                        report.tick_healed = Some(tick);
-                        for t in &plan.restore {
-                            monitor.mark_restored(t);
-                            out.diagnostics.push(Diagnostic::warning(
-                                codes::HEAL_RESTORED,
-                                format!(
-                                    "{t} restored to service at tick {tick} after a \
-                                     clean probation window"
-                                ),
-                            ));
-                        }
-                        out.restores += plan.restore.len() as u64;
-                        healer.complete(tick, &plan, true);
-                        monitor.watch_output(&rec_ref.output);
-                        out.rollouts_committed += 1;
-                        out.diagnostics.push(Diagnostic::warning(
-                            codes::HEAL_REMEDIATED,
-                            format!(
-                                "round {round}: remediation committed at tick {tick} \
-                                 (failed [{}], restored [{}], epoch {})",
-                                report.failed.join(", "),
-                                report.restored.join(", "),
-                                rollout.epoch
-                            ),
-                        ));
-                        committed = true;
-                    }
-                    Ok(rollout) => {
-                        monitor.observe_rollout(&rollout);
-                        report.rolled_back = rollout.rolled_back;
-                        healer.complete(tick, &plan, false);
-                        out.rollouts_rolled_back += 1;
-                        out.diagnostics.push(Diagnostic::warning(
-                            codes::HEAL_FAILED,
-                            format!(
-                                "round {round}: remediation rollout did not commit at \
-                                 tick {tick}; backing off and coalescing"
-                            ),
-                        ));
-                    }
-                    Err(e) => {
-                        healer.complete(tick, &plan, false);
-                        out.rollouts_rolled_back += 1;
-                        out.diagnostics.push(Diagnostic::error(
-                            codes::HEAL_FAILED,
-                            format!("round {round}: remediation rollout failed: {e}"),
-                        ));
-                    }
-                }
-                report.elapsed = round_t0.elapsed();
-                out.remediations.push(report);
-                // The runtime now borrows the staged output (even a failed
-                // rollout took the borrow): end the generation either way.
-                snapshot = Some(Snapshot::capture(&rt));
-                break;
-            }
-
-            if tick >= cfg.ticks {
-                // Budget exhausted: final serving check on this runtime
-                // (post-commit it already serves the newest output).
-                if cfg.traffic_packets > 0 {
-                    out.count_traffic(&replay_compiled(&rt, &replay_cfg(0xf17a)));
-                }
-                out.final_audit_clean = rt.audit_switches().clean();
-                out.converged = healer.settled() && rt.epochs_coherent();
-                snapshot = Some(Snapshot::capture(&rt));
-            }
-        }
-        if committed {
-            // A committed generation always staged an output.
-            if let Some(rec) = staged.take() {
-                *current = rec.output;
-            }
-        }
-        if tick >= cfg.ticks {
-            break 'generations;
+    let mut rt = Runtime::new(&baseline);
+    for (table, key, value) in entries {
+        if let Err(e) = rt.install(table, *key, *value) {
+            out.diagnostics.push(Diagnostic::warning(
+                codes::HEAL_FAILED,
+                format!("seed install of `{table}`[{key}] failed: {e}"),
+            ));
         }
     }
 
+    for (tick, slot) in (1..=cfg.ticks).zip(&recompiles) {
+        chaos.set_tick(tick);
+        monitor.tick(&mut chaos);
+        healer.reconcile(tick, &mut monitor.targets);
+        let plan = match healer.plan(tick) {
+            PlanOutcome::Idle => continue,
+            PlanOutcome::Deferred { first } => {
+                if first {
+                    out.diagnostics.push(Diagnostic::warning(
+                        codes::HEAL_RATE_LIMITED,
+                        format!(
+                            "remediation deferred at tick {tick}: cooldown in effect; \
+                             confirmed suspicions coalesce into the next round"
+                        ),
+                    ));
+                }
+                continue;
+            }
+            PlanOutcome::Go(plan) => plan,
+        };
+
+        let round = out.remediations.len() as u64 + 1;
+        let round_t0 = Instant::now();
+        let mut report = RemediationReport {
+            round,
+            tick_detected: plan.tick_detected,
+            tick_started: tick,
+            failed: plan.fail.iter().map(Target::wire).collect(),
+            restored: plan.restore.iter().map(Target::wire).collect(),
+            ..RemediationReport::default()
+        };
+        let faults = plan.fault_set();
+        // Ground truth before any state is torn down: entries held only by
+        // a dying switch must survive the remediation.
+        let pre_entries = rt.logical_entries();
+        let rec = match compiler.recompile_for_faults(req, rt.output(), &faults) {
+            Ok(rec) => slot.get_or_init(|| rec),
+            Err(e) => {
+                // Nothing changed: the healer backs off and retries.
+                healer.complete(tick, &plan, false);
+                out.diagnostics.push(Diagnostic::error(
+                    codes::HEAL_FAILED,
+                    format!("round {round}: recompile under fault set failed: {e}"),
+                ));
+                report.elapsed = round_t0.elapsed();
+                out.remediations.push(report);
+                continue;
+            }
+        };
+        out.recompiles += 1;
+
+        // The controller knows these switches are dead: their state goes
+        // with them.
+        rt.declare_faults(faults);
+
+        let rollout_cfg = cfg
+            .rollout
+            .clone()
+            .with_scope_health(rec.scope_health.clone())
+            .with_seed(cfg.seed ^ (round << 8));
+        let rollout_res = if cfg.traffic_packets > 0 {
+            replay_under_rollout(
+                &mut rt,
+                &rec.output,
+                &mut chaos,
+                &rollout_cfg,
+                &replay_cfg(round),
+            )
+            .map(|outcome| {
+                report.mixed_epoch_exposure = outcome.replay.mixed_epoch_exposure;
+                out.count_traffic(&outcome.replay);
+                outcome.rollout
+            })
+        } else {
+            rt.apply_rollout(&rec.output, &mut chaos, &rollout_cfg)
+        };
+
+        match rollout_res {
+            Ok(rollout) if rollout.committed => {
+                monitor.observe_rollout(&rollout);
+                // Re-install the pre-remediation logical view onto the new
+                // placement (idempotent; entries that lost every holder are
+                // re-homed, the rest are no-ops).
+                for (table, key, value) in &pre_entries {
+                    let _ = rt.install(table, *key, *value);
+                }
+                report.audit_clean = rt.audit_switches().clean();
+                report.committed = true;
+                report.tick_healed = Some(tick);
+                for t in &plan.restore {
+                    monitor.mark_restored(t);
+                    out.diagnostics.push(Diagnostic::warning(
+                        codes::HEAL_RESTORED,
+                        format!(
+                            "{t} restored to service at tick {tick} after a clean \
+                             probation window"
+                        ),
+                    ));
+                }
+                out.restores += plan.restore.len() as u64;
+                healer.complete(tick, &plan, true);
+                monitor.watch_output(&rec.output);
+                out.rollouts_committed += 1;
+                out.diagnostics.push(Diagnostic::warning(
+                    codes::HEAL_REMEDIATED,
+                    format!(
+                        "round {round}: remediation committed at tick {tick} (failed [{}], \
+                         restored [{}], epoch {})",
+                        report.failed.join(", "),
+                        report.restored.join(", "),
+                        rollout.epoch
+                    ),
+                ));
+            }
+            Ok(rollout) => {
+                monitor.observe_rollout(&rollout);
+                report.rolled_back = rollout.rolled_back;
+                healer.complete(tick, &plan, false);
+                out.rollouts_rolled_back += 1;
+                out.diagnostics.push(Diagnostic::warning(
+                    codes::HEAL_FAILED,
+                    format!(
+                        "round {round}: remediation rollout did not commit at tick {tick}; \
+                         backing off and coalescing"
+                    ),
+                ));
+            }
+            Err(e) => {
+                healer.complete(tick, &plan, false);
+                out.rollouts_rolled_back += 1;
+                out.diagnostics.push(Diagnostic::error(
+                    codes::HEAL_FAILED,
+                    format!("round {round}: remediation rollout failed: {e}"),
+                ));
+            }
+        }
+        report.elapsed = round_t0.elapsed();
+        out.remediations.push(report);
+    }
+
+    // Budget exhausted: final serving check on the newest committed output.
+    if cfg.traffic_packets > 0 {
+        out.count_traffic(&replay_compiled(&rt, &replay_cfg(0xf17a)));
+    }
+    out.final_audit_clean = rt.audit_switches().clean();
+    out.converged = healer.settled() && rt.epochs_coherent();
     out.health = monitor.report();
-    out.elapsed = t0.elapsed();
     Ok(out)
 }
 
@@ -1880,30 +1590,6 @@ mod tests {
             outcome.traffic_delivered > 0,
             "the healed plane served nothing"
         );
-    }
-
-    #[test]
-    fn selfheal_outcome_serialises() {
-        let compiler = Compiler::new();
-        let req = lb_request();
-        let schedule = ChaosSchedule::new().kill(3, Target::switch("Agg3"));
-        let cfg = SelfHealConfig {
-            ticks: 16,
-            ..SelfHealConfig::default()
-        };
-        let outcome = run_selfheal(&compiler, &req, &[], &schedule, &cfg).unwrap();
-        let json = outcome.to_json().to_pretty();
-        for key in [
-            "\"ticks\"",
-            "\"health\"",
-            "\"remediations\"",
-            "\"mixed_epoch_exposure\"",
-            "\"converged\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        let parsed = lyra_diag::json::parse(&json).expect("session JSON must parse");
-        assert!(parsed.get("health").is_some());
     }
 }
 

@@ -83,8 +83,8 @@ pub use dataplane::{
 };
 pub use fault::{DriftFinding, DriftKind, DriftOp, FaultRecompile, PlacementDiff};
 pub use health::{
-    run_selfheal, ChaosEvent, ChaosSchedule, HealthConfig, HealthReport, HealthState,
-    RemediationReport, SelfHealConfig, SelfHealOutcome, Target, TargetStatus,
+    run_selfheal, ChaosEvent, ChaosSchedule, HealthReport, HealthState, RemediationReport,
+    SelfHealConfig, SelfHealOutcome, Target, TargetStatus,
 };
 pub use oracle::{check_output, OracleConfig, OracleReport};
 pub use recovery::{AuditReport, RecoveryReport};

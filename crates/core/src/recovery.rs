@@ -28,7 +28,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
-use lyra_diag::json::{Object, Value};
 use lyra_diag::{codes, Diagnostic};
 use lyra_ir::ExternTable;
 
@@ -58,16 +57,9 @@ pub struct RecoveryReport {
     pub rolled_back: bool,
     /// Journal records replayed.
     pub replayed_records: usize,
-    /// Switches queried over the channel.
-    pub queried: u64,
     /// Queries that exhausted their retry budget (each forces the
     /// rollback outcome, `LYR0573`).
     pub query_failures: u64,
-    /// Re-driven messages that reused a token journaled before the crash.
-    pub reused_tokens: u64,
-    /// Re-driven messages that needed a fresh token (allocated past every
-    /// journaled token, so they can never collide).
-    pub fresh_tokens: u64,
     /// Switches reverted out-of-band because even the recovery rollback
     /// budget was exhausted (or the final sweep still found them serving
     /// the abandoned epoch).
@@ -82,43 +74,9 @@ pub struct RecoveryReport {
     pub elapsed: Duration,
 }
 
-impl RecoveryReport {
-    /// Serialize as one JSON object.
-    pub fn to_json(&self) -> Value {
-        let mut o = Object::new();
-        o.push("epoch", Value::Number(self.epoch as f64));
-        o.push("prior_epoch", Value::Number(self.prior_epoch as f64));
-        o.push("in_flight", Value::Bool(self.in_flight));
-        o.push("committed", Value::Bool(self.committed));
-        o.push("rolled_back", Value::Bool(self.rolled_back));
-        o.push(
-            "replayed_records",
-            Value::Number(self.replayed_records as f64),
-        );
-        o.push("queried", Value::Number(self.queried as f64));
-        o.push("query_failures", Value::Number(self.query_failures as f64));
-        o.push("reused_tokens", Value::Number(self.reused_tokens as f64));
-        o.push("fresh_tokens", Value::Number(self.fresh_tokens as f64));
-        o.push(
-            "forced_rollbacks",
-            Value::Number(self.forced_rollbacks as f64),
-        );
-        o.push("messages_sent", Value::Number(self.messages_sent as f64));
-        o.push("retries", Value::Number(self.retries as f64));
-        o.push("elapsed_us", Value::Number(self.elapsed.as_micros() as f64));
-        o.push(
-            "diagnostics",
-            Value::Array(self.diagnostics.iter().map(|d| d.to_json()).collect()),
-        );
-        Value::Object(o)
-    }
-}
-
 /// The outcome of one [`Runtime::audit_switches`] anti-entropy pass.
 #[derive(Debug, Clone, Default)]
 pub struct AuditReport {
-    /// Live switches audited.
-    pub switches_audited: u64,
     /// Per-table content digests compared (the cheap pass; only tables
     /// whose digests disagree are diffed key by key).
     pub digests_compared: u64,
@@ -148,43 +106,6 @@ impl AuditReport {
             *c.entry(f.kind.name()).or_default() += 1;
         }
         c
-    }
-
-    /// Serialize as one JSON object.
-    pub fn to_json(&self) -> Value {
-        let mut o = Object::new();
-        o.push(
-            "switches_audited",
-            Value::Number(self.switches_audited as f64),
-        );
-        o.push(
-            "digests_compared",
-            Value::Number(self.digests_compared as f64),
-        );
-        o.push("repaired", Value::Number(self.repaired as f64));
-        let mut counts = Object::new();
-        for (k, v) in self.counts() {
-            counts.push(k, Value::Number(v as f64));
-        }
-        o.push("drift", Value::Object(counts));
-        o.push(
-            "findings",
-            Value::Array(
-                self.findings
-                    .iter()
-                    .map(|f| {
-                        let mut fo = Object::new();
-                        fo.push("switch", Value::str(f.switch.clone()));
-                        fo.push("table", Value::str(f.table.clone()));
-                        fo.push("key", Value::Number(f.key as f64));
-                        fo.push("kind", Value::str(f.kind.name()));
-                        Value::Object(fo)
-                    })
-                    .collect(),
-            ),
-        );
-        o.push("elapsed_us", Value::Number(self.elapsed.as_micros() as f64));
-        Value::Object(o)
     }
 }
 
@@ -319,7 +240,6 @@ impl<'a> Runtime<'a> {
                 epoch,
                 seq: max_seq,
                 logged: logged_tokens,
-                ..Default::default()
             },
             report: RolloutReport::default(),
         };
@@ -342,7 +262,6 @@ impl<'a> Runtime<'a> {
                     token: tx.tokens.mint()?,
                     op: ControlOp::Query,
                 };
-                report.queried += 1;
                 if self.send(&mut tx, &msg, config.max_attempts) {
                     holds_epoch = self.states.get(&sw).is_some_and(|st| {
                         st.epoch() == epoch || st.staged().is_some_and(|(e, _)| e == epoch)
@@ -403,8 +322,6 @@ impl<'a> Runtime<'a> {
                 ));
             }
         }
-        report.reused_tokens = tx.tokens.reused;
-        report.fresh_tokens = tx.tokens.fresh;
         report.forced_rollbacks = tx.report.forced_rollbacks;
         report.messages_sent = tx.report.messages_sent;
         report.retries = tx.report.retries;
@@ -431,7 +348,6 @@ impl<'a> Runtime<'a> {
         let deployment_epoch = self.epoch;
         let empty = ExternTable::new();
         for (sw, st) in self.states.iter_mut() {
-            report.switches_audited += 1;
             let before = report.findings.len();
             // Epoch-tag drift first: a regressed switch is reset to the
             // deployment epoch (its entries are repaired below anyway).
@@ -716,6 +632,49 @@ mod tests {
         let loaded = FileIntentStore::open(&path).load();
         let _ = std::fs::remove_file(&path);
         assert_eq!(loaded.unwrap(), records);
+    }
+
+    #[test]
+    fn file_intent_log_appends_after_a_torn_tail() {
+        let begin = IntentRecord::Begin {
+            epoch: 4,
+            prior_epoch: 3,
+            targets: vec!["Agg4".into()],
+        };
+        let decision = IntentRecord::Decision {
+            epoch: 4,
+            commit: true,
+        };
+        let end = IntentRecord::End {
+            epoch: 4,
+            committed: true,
+        };
+        // The crash cut a record short, or cut only its newline.
+        let whole = begin.to_json().to_pretty().replace('\n', "");
+        for (name, tail, survives) in [
+            ("torn", "{\"t\":\"sent\",\"ep", false),
+            ("unterminated", whole.as_str(), true),
+        ] {
+            let path = log_path(name);
+            let mut store = FileIntentStore::open(&path);
+            store.append(&begin).unwrap();
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
+            std::io::Write::write_all(&mut f, tail.as_bytes()).unwrap();
+            drop(f);
+            store.append(&decision).unwrap();
+            store.append(&end).unwrap();
+            let loaded = FileIntentStore::open(&path).load();
+            let _ = std::fs::remove_file(&path);
+            let mut expected = vec![begin.clone()];
+            if survives {
+                expected.push(begin.clone());
+            }
+            expected.extend([decision.clone(), end.clone()]);
+            assert_eq!(loaded.unwrap(), expected, "{name} tail");
+        }
     }
 
     #[test]
@@ -1073,29 +1032,5 @@ mod tests {
         assert_eq!(report.repaired, 0);
         assert!(report.diagnostics.is_empty());
         assert!(report.digests_compared > 0);
-    }
-
-    #[test]
-    fn recovery_report_json_names_the_counters() {
-        let rep = RecoveryReport {
-            epoch: 5,
-            in_flight: true,
-            committed: true,
-            queried: 3,
-            reused_tokens: 2,
-            ..Default::default()
-        };
-        let json = rep.to_json().to_pretty();
-        for key in [
-            "\"epoch\"",
-            "\"in_flight\"",
-            "\"committed\"",
-            "\"rolled_back\"",
-            "\"queried\"",
-            "\"reused_tokens\"",
-            "\"fresh_tokens\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
     }
 }

@@ -48,7 +48,7 @@
 //! retry and rollback semantics for free.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,7 +62,6 @@ use crate::agent::{deliver, force_rollback, settle, SwitchState};
 use crate::channel::{
     ControlChannel, ControlMsg, ControlOp, Delivery, EntryOp, ReliableChannel, Rng,
 };
-use crate::fault::PlacementDiff;
 use crate::runtime::{stage_layout, Runtime, RuntimeError, StagedLayout};
 use crate::CompileOutput;
 
@@ -357,8 +356,9 @@ impl IntentStore for MemIntentStore {
 
 /// File-backed [`IntentStore`]: one JSON record per line, append-only,
 /// synced per append. A torn *tail* line (the crash cut a record short)
-/// is tolerated on load — exactly like a real write-ahead log — but a
-/// torn record followed by intact ones means corruption (`LYR0574`).
+/// is tolerated on load — exactly like a real write-ahead log — and cut
+/// off before the next append; a torn record followed by intact ones
+/// means corruption (`LYR0574`).
 #[derive(Debug, Clone)]
 pub struct FileIntentStore {
     path: PathBuf,
@@ -368,6 +368,39 @@ impl FileIntentStore {
     /// Use (creating on first append if absent) the log at `path`.
     pub fn open(path: impl Into<PathBuf>) -> Self {
         FileIntentStore { path: path.into() }
+    }
+}
+
+/// One line of the file-backed log as a record (`None` when torn).
+fn parse_line(line: &str) -> Option<IntentRecord> {
+    lyra_diag::json::parse(line)
+        .ok()
+        .as_ref()
+        .and_then(IntentRecord::from_json)
+}
+
+/// Make `f` hold exactly the records [`FileIntentStore::load`] returns,
+/// ending on a newline, before anything is appended after them. A crash
+/// can leave the last line unterminated: a whole record gets its newline,
+/// a torn one is cut back to the last complete line. Appending after
+/// either would glue the new record onto it.
+fn end_on_a_record(f: &mut std::fs::File) -> std::io::Result<()> {
+    if f.metadata()?.len() == 0 {
+        return Ok(());
+    }
+    let mut last = [0u8];
+    f.seek(SeekFrom::End(-1))?;
+    f.read_exact(&mut last)?;
+    if last == *b"\n" {
+        return Ok(());
+    }
+    let mut text = Vec::new();
+    f.seek(SeekFrom::Start(0))?;
+    f.read_to_end(&mut text)?;
+    let tail = text.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    match std::str::from_utf8(&text[tail..]).ok().and_then(parse_line) {
+        Some(_) => f.write_all(b"\n"),
+        None => f.set_len(tail as u64),
     }
 }
 
@@ -381,10 +414,12 @@ impl IntentStore for FileIntentStore {
             .with_code(codes::INTENT_STORE_IO)
         };
         let mut f = std::fs::OpenOptions::new()
+            .read(true)
             .append(true)
             .create(true)
             .open(&self.path)
             .map_err(io_err)?;
+        end_on_a_record(&mut f).map_err(io_err)?;
         let mut line = record.to_json().to_pretty();
         line.retain(|c| c != '\n');
         writeln!(f, "{line}").map_err(io_err)?;
@@ -407,11 +442,7 @@ impl IntentStore for FileIntentStore {
         let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
         let mut records = Vec::with_capacity(lines.len());
         for (i, line) in lines.iter().enumerate() {
-            let parsed = lyra_diag::json::parse(line)
-                .ok()
-                .as_ref()
-                .and_then(IntentRecord::from_json);
-            match parsed {
+            match parse_line(line) {
                 Some(r) => records.push(r),
                 // The crash can cut the *last* record short; anything
                 // torn earlier means the log cannot be trusted.
@@ -568,10 +599,6 @@ pub(crate) struct TokenSource {
     /// `(switch, op name, token)` of every journaled message, oldest
     /// first; the latest record for a message is the one to reuse.
     pub(crate) logged: Vec<(String, String, u64)>,
-    /// Messages that reused a journaled token.
-    pub(crate) reused: u64,
-    /// Messages that needed a fresh one.
-    pub(crate) fresh: u64,
 }
 
 impl TokenSource {
@@ -584,14 +611,8 @@ impl TokenSource {
     fn reuse_or_mint(&mut self, switch: &str, op: &str) -> Result<u64, RuntimeError> {
         let journaled = |(s, o, _): &&(String, String, u64)| s == switch && o == op;
         match self.logged.iter().rev().find(journaled) {
-            Some(&(.., token)) => {
-                self.reused += 1;
-                Ok(token)
-            }
-            None => {
-                self.fresh += 1;
-                self.mint()
-            }
+            Some(&(.., token)) => Ok(token),
+            None => self.mint(),
         }
     }
 }
@@ -633,26 +654,6 @@ pub struct SwitchRollout {
     pub entries_modified: u64,
 }
 
-impl SwitchRollout {
-    fn to_json(&self) -> Value {
-        let mut o = Object::new();
-        o.push("switch", Value::String(self.switch.clone()));
-        o.push("prepare_us", Value::Number(self.prepare.as_micros() as f64));
-        o.push("commit_us", Value::Number(self.commit.as_micros() as f64));
-        o.push("retries", Value::Number(self.retries as f64));
-        o.push("entries_added", Value::Number(self.entries_added as f64));
-        o.push(
-            "entries_removed",
-            Value::Number(self.entries_removed as f64),
-        );
-        o.push(
-            "entries_modified",
-            Value::Number(self.entries_modified as f64),
-        );
-        Value::Object(o)
-    }
-}
-
 /// The outcome of one transactional rollout: exactly one of
 /// [`RolloutReport::committed`] / [`RolloutReport::rolled_back`] is set
 /// (both false only for a no-op), plus per-switch phase timings and
@@ -682,8 +683,6 @@ pub struct RolloutReport {
     pub ack_lost: u64,
     /// Attempts delivered twice by the channel.
     pub duplicates: u64,
-    /// Late (reordered) copies the channel replayed to switches.
-    pub late_replays: u64,
     /// Estimated wire payload of every prepare message of this rollout
     /// (counted once per logical message; retransmissions do not
     /// multiply it). Delta-based prepares make this scale with what
@@ -696,8 +695,6 @@ pub struct RolloutReport {
     /// fresh switches and for switches whose retained base the
     /// controller no longer trusts (e.g. after a drift repair).
     pub snapshot_prepares: u64,
-    /// Instructions that changed host between the old and new placements.
-    pub instr_churn: usize,
     /// Logical entries staging handed to the first-fit planner: those some
     /// surviving flow path had lost sight of. Everything else stayed in the
     /// shard it was in. A count, not a time — the deterministic form of
@@ -739,49 +736,6 @@ impl RolloutReport {
             .filter(|s| s.entries_added > 0)
             .map(|s| s.switch.clone())
             .collect()
-    }
-
-    /// Serialize for session JSON / the CLI (`--emit-stats`).
-    pub fn to_json(&self) -> Value {
-        let mut channel = Object::new();
-        channel.push("messages_sent", Value::Number(self.messages_sent as f64));
-        channel.push("retries", Value::Number(self.retries as f64));
-        channel.push("dropped", Value::Number(self.dropped as f64));
-        channel.push("ack_lost", Value::Number(self.ack_lost as f64));
-        channel.push("duplicates", Value::Number(self.duplicates as f64));
-        channel.push("late_replays", Value::Number(self.late_replays as f64));
-        let mut o = Object::new();
-        o.push("epoch", Value::Number(self.epoch as f64));
-        o.push("committed", Value::Bool(self.committed));
-        o.push("rolled_back", Value::Bool(self.rolled_back));
-        o.push(
-            "forced_rollbacks",
-            Value::Number(self.forced_rollbacks as f64),
-        );
-        o.push("instr_churn", Value::Number(self.instr_churn as f64));
-        o.push(
-            "entries_planned",
-            Value::Number(self.entries_planned as f64),
-        );
-        o.push("keys_walked", Value::Number(self.keys_walked as f64));
-        o.push("prepare_bytes", Value::Number(self.prepare_bytes as f64));
-        o.push("delta_prepares", Value::Number(self.delta_prepares as f64));
-        o.push(
-            "snapshot_prepares",
-            Value::Number(self.snapshot_prepares as f64),
-        );
-        o.push("channel", Value::Object(channel));
-        o.push("stage_us", Value::Number(self.stage.as_micros() as f64));
-        o.push("elapsed_us", Value::Number(self.elapsed.as_micros() as f64));
-        o.push(
-            "switches",
-            Value::Array(self.switches.iter().map(|s| s.to_json()).collect()),
-        );
-        o.push(
-            "diagnostics",
-            Value::Array(self.diagnostics.iter().map(|d| d.to_json()).collect()),
-        );
-        Value::Object(o)
     }
 }
 
@@ -992,8 +946,7 @@ impl<'a> Runtime<'a> {
                 self.needs_snapshot.insert(sw.clone());
             }
         }
-        let churn = PlacementDiff::between(&self.output.placement, &output.placement).total_churn();
-        let mut report = self.two_phase(staged, t0, churn, channel, config, store)?;
+        let mut report = self.two_phase(staged, t0, channel, config, store)?;
         // Read the clock once the staged states are released, so the
         // report covers the whole call.
         report.elapsed = t0.elapsed();
@@ -1114,7 +1067,6 @@ impl<'a> Runtime<'a> {
         &mut self,
         staged: StagedLayout,
         t0: Instant,
-        instr_churn: usize,
         channel: &mut dyn ControlChannel,
         config: &RolloutConfig,
         store: Option<&mut dyn IntentStore>,
@@ -1142,7 +1094,6 @@ impl<'a> Runtime<'a> {
             },
             report: RolloutReport {
                 epoch,
-                instr_churn,
                 entries_planned,
                 keys_walked,
                 ..Default::default()
@@ -1401,7 +1352,6 @@ impl<'a> Runtime<'a> {
             // Reordered copies of earlier messages may arrive at any time;
             // deliver the due ones first. Their acks go nowhere.
             for late in tx.channel.drain_late() {
-                report.late_replays += 1;
                 deliver(&mut self.states, plane, &late);
             }
             report.messages_sent += 1;
@@ -1612,34 +1562,6 @@ mod tests {
         pkt.set("flow_h", 9);
         let (end, _) = rt.inject(&["Agg4", "ToR4"], pkt).unwrap();
         assert_eq!(end.get("ipv4.dstAddr"), 0x0b00);
-    }
-
-    #[test]
-    fn report_json_names_the_channel_counters() {
-        let report = RolloutReport {
-            epoch: 3,
-            committed: true,
-            messages_sent: 12,
-            retries: 2,
-            dropped: 1,
-            ack_lost: 1,
-            ..Default::default()
-        };
-        let json = report.to_json().to_pretty();
-        for key in [
-            "\"epoch\"",
-            "\"committed\"",
-            "\"rolled_back\"",
-            "\"messages_sent\"",
-            "\"retries\"",
-            "\"late_replays\"",
-            "\"stage_us\"",
-            "\"elapsed_us\"",
-            "\"entries_planned\"",
-            "\"switches\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
     }
 
     #[test]

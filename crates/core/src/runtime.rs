@@ -532,17 +532,6 @@ impl<'a> Runtime<'a> {
             .collect();
     }
 
-    /// Resume a freshly built runtime at the epoch an earlier generation
-    /// was captured on: every switch is tagged with it and the allocator
-    /// is restored, so burned epochs stay burned across generations.
-    pub(crate) fn resume_at(&mut self, epoch: u64, epoch_counter: u64) {
-        self.epoch = epoch;
-        self.epoch_counter = epoch_counter;
-        for st in self.states.values_mut() {
-            st.reset_epoch(epoch);
-        }
-    }
-
     /// The controller declares `faults` the deployment's fault set. A
     /// failed switch holds no state, so a rollout neither messages it nor
     /// counts it toward epoch coherence.

@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 
 use lyra::{
     replay_under_recovery, run_selfheal, ChaosEvent, ChaosSchedule, CompileRequest, Compiler,
-    CrashPlan, CrashPoint, DegradeRung, DriftOp, HealthConfig, HealthState, IntentStore,
-    LossyChannel, MemIntentStore, Objective, ReliableChannel, ReplayConfig, RolloutConfig, Runtime,
+    CrashPlan, CrashPoint, DegradeRung, DriftOp, HealthState, IntentStore, LossyChannel,
+    MemIntentStore, Objective, ReliableChannel, ReplayConfig, RolloutConfig, Runtime,
     SelfHealConfig, SolveProfile, SolveRoute, Target,
 };
 use lyra_ir::{execute_all, DataPlaneState, Effect, PacketState};
@@ -1335,10 +1335,11 @@ fn selfheal_chaos_converges_across_200_scenarios() {
     let mut rng = Rng::new(0x5e1f_4ea1);
 
     let (mut remediated_total, mut restored_total, mut quarantined_total) = (0u64, 0u64, 0usize);
+    let (mut recompiles_total, mut rolled_back_total, mut mttr_total) = (0u64, 0u64, 0u64);
     for scenario in 0..200usize {
         let (schedule, has_kill) = survivable_chaos(&mut rng);
         let mut cfg = SelfHealConfig {
-            health: HealthConfig::default().with_seed(0x9_0000 + scenario as u64),
+            seed: 0x9_0000 + scenario as u64,
             ticks: 240,
             ..SelfHealConfig::default()
         };
@@ -1445,6 +1446,13 @@ fn selfheal_chaos_converges_across_200_scenarios() {
         }
         remediated_total += outcome.rollouts_committed;
         restored_total += outcome.restores;
+        recompiles_total += outcome.recompiles;
+        rolled_back_total += outcome.rollouts_rolled_back;
+        mttr_total += outcome
+            .remediations
+            .iter()
+            .filter_map(|r| r.mttr_ticks())
+            .sum::<u64>();
         // Quarantines are often served and *exited* (penalty decays, the
         // target is restored) before the run ends, so count the verdicts
         // the monitor raised rather than the final states.
@@ -1461,6 +1469,54 @@ fn selfheal_chaos_converges_across_200_scenarios() {
         remediated_total > 0 && restored_total > 0 && quarantined_total > 0,
         "sweep degenerate: {remediated_total} commits, {restored_total} restores, \
          {quarantined_total} quarantines"
+    );
+    // The totals the detector's constants are documented against
+    // (EXPERIMENTS.md "Detector diet"): a change to any of them, or to how
+    // a round runs, moves these.
+    assert_eq!(
+        (recompiles_total, rolled_back_total, mttr_total),
+        (537, 11, 162),
+        "suite totals (recompiles, rolled-back rounds, Σ MTTR ticks) moved"
+    );
+}
+
+/// The healer's backoff, end to end: with both Aggs of the LB scope dead,
+/// no flow path survives, so every recompile fails (`LYR0587`) and each
+/// failure doubles the cooldown, 4 → 8 → 16 → 32 → 64, where the ceiling
+/// holds it. Without backoff the healer would retry every four ticks.
+#[test]
+fn failing_remediation_backs_off_to_the_cooldown_ceiling() {
+    let compiler = Compiler::new();
+    let req = CompileRequest::new(LB, LB_SCOPES, figure1_network());
+    let schedule = ChaosSchedule::new()
+        .kill(4, Target::switch("Agg3"))
+        .kill(4, Target::switch("Agg4"));
+    let cfg = SelfHealConfig {
+        ticks: 240,
+        ..SelfHealConfig::default()
+    };
+    let outcome = run_selfheal(&compiler, &req, &[], &schedule, &cfg).expect("selfheal");
+
+    let starts: Vec<u64> = outcome
+        .remediations
+        .iter()
+        .map(|r| r.tick_started)
+        .collect();
+    assert_eq!(
+        starts,
+        [6, 14, 30, 62, 126, 190],
+        "rounds must start one backed-off cooldown apart (8, 16, 32, 64, 64)"
+    );
+    let failures = outcome
+        .diagnostics
+        .iter()
+        .filter(|d| d.code == Some(lyra_diag::codes::HEAL_FAILED))
+        .filter(|d| d.message.contains("recompile under fault set failed"))
+        .count();
+    assert_eq!(
+        failures,
+        starts.len(),
+        "every round's recompile fails (LYR0587)"
     );
 }
 
