@@ -53,7 +53,7 @@ pub fn generate(
             message: format!("unknown ASIC `{}`", topo.switch(sw).asic),
         })?;
         let code = match chip.lang {
-            TargetLang::P414 => crate::p414::emit(ir, name, plan, &chip),
+            TargetLang::P414 => crate::p414::emit(ir, name, plan, &chip)?,
             TargetLang::P416 => crate::p416::emit(ir, name, plan, &chip),
             TargetLang::Npl => crate::npl::emit(ir, name, plan, &chip),
         };

@@ -5,9 +5,11 @@
 //! chip-specific code: P4₁₄ for Tofino/RMT switches, P4₁₆ for Silicon One,
 //! and NPL for Trident-4. Also generates the "empty" Python control-plane
 //! stubs of §5.8 (one entry set/get pair per extern table) and structural
-//! validators that stand in for the vendor compilers (they re-parse the
-//! emitted code, check declaration/reference consistency, and count the
-//! tables/actions/registers reported in Figure 9).
+//! validators that stand in for the vendor compilers. The oracle's
+//! artifact parsers ([`oracle::parse`]) are the one reader of emitted
+//! code: the validators check declaration/reference consistency on the
+//! model they return and count the tables/actions/registers reported in
+//! Figure 9 from it.
 
 pub mod control;
 pub mod emit;

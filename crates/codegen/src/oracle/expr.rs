@@ -8,8 +8,6 @@
 //! [`super::lift`] flattens it into IR, so an expression means exactly
 //! what `lyra_ir::execute` makes of it.
 
-use std::fmt;
-
 use lyra_lang::{BinOp, UnOp};
 
 /// A parsed expression.
@@ -35,29 +33,18 @@ pub enum Expr {
     Call(String, Vec<Expr>),
 }
 
-/// Lexer token.
-#[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // token payloads are self-describing
-pub enum Tok {
+/// Lexer token; an identifier borrows the source text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'s> {
     Num(u64),
-    Ident(String),
+    Ident(&'s str),
     Op(&'static str),
-}
-
-impl fmt::Display for Tok {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Tok::Num(n) => write!(f, "{n}"),
-            Tok::Ident(s) => write!(f, "{s}"),
-            Tok::Op(o) => write!(f, "{o}"),
-        }
-    }
 }
 
 /// Tokenize an emitted expression/statement fragment. Identifiers keep
 /// embedded dots (`md.x`, `std_meta.deq_qdepth`) so a name reaches the
 /// lifter whole.
-pub fn tokenize(src: &str) -> Result<Vec<Tok>, String> {
+fn tokenize(src: &str) -> Result<Vec<Tok<'_>>, String> {
     let b = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
@@ -103,79 +90,43 @@ pub fn tokenize(src: &str) -> Result<Vec<Tok>, String> {
                     break;
                 }
             }
-            out.push(Tok::Ident(src[start..i].to_string()));
+            out.push(Tok::Ident(&src[start..i]));
             continue;
         }
-        // Multi-char operators first.
-        let two: &[(&str, &str)] = &[
-            ("<<", "<<"),
-            (">>", ">>"),
-            ("==", "=="),
-            ("!=", "!="),
-            ("<=", "<="),
-            (">=", ">="),
-            ("&&", "&&"),
-            ("||", "||"),
-        ];
-        if i + 1 < b.len() {
-            let pair = &src[i..i + 2];
-            if let Some((_, op)) = two.iter().find(|(p, _)| *p == pair) {
-                out.push(Tok::Op(op));
-                i += 2;
-                continue;
-            }
+        // Two-character operators (all binary) first.
+        let two = BinOp::ALL.map(BinOp::symbol);
+        if let Some(op) = two
+            .into_iter()
+            .find(|o| o.len() == 2 && src[i..].starts_with(o))
+        {
+            out.push(Tok::Op(op));
+            i += 2;
+            continue;
         }
-        let one = match c {
-            '+' => "+",
-            '-' => "-",
-            '*' => "*",
-            '/' => "/",
-            '%' => "%",
-            '&' => "&",
-            '|' => "|",
-            '^' => "^",
-            '~' => "~",
-            '!' => "!",
-            '<' => "<",
-            '>' => ">",
-            '(' => "(",
-            ')' => ")",
-            '[' => "[",
-            ']' => "]",
-            '{' => "{",
-            '}' => "}",
-            ',' => ",",
-            '?' => "?",
-            ':' => ":",
-            ';' => ";",
-            '=' => "=",
-            _ => return Err(format!("unexpected character `{c}` in `{src}`")),
+        const ONE: &str = "+-*/%&|^~!<>()[]{},?:;=";
+        let Some(k) = ONE.find(c) else {
+            return Err(format!("unexpected character `{c}` in `{src}`"));
         };
-        out.push(Tok::Op(one));
+        out.push(Tok::Op(&ONE[k..k + 1]));
         i += 1;
     }
     Ok(out)
 }
 
 /// Recursive-descent parser over a token slice.
-pub struct Parser<'t> {
-    toks: &'t [Tok],
+struct Parser<'s> {
+    toks: Vec<Tok<'s>>,
     pos: usize,
 }
 
-impl<'t> Parser<'t> {
-    /// Start parsing at the beginning of `toks`.
-    pub fn new(toks: &'t [Tok]) -> Self {
-        Parser { toks, pos: 0 }
-    }
-
+impl<'s> Parser<'s> {
     /// The current token, if any.
-    pub fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
+    fn peek(&self) -> Option<Tok<'s>> {
+        self.toks.get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Option<&Tok> {
-        let t = self.toks.get(self.pos);
+    fn bump(&mut self) -> Option<Tok<'s>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -183,7 +134,7 @@ impl<'t> Parser<'t> {
     }
 
     fn eat_op(&mut self, op: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Op(o)) if *o == op) {
+        if matches!(self.peek(), Some(Tok::Op(o)) if o == op) {
             self.pos += 1;
             true
         } else {
@@ -192,7 +143,7 @@ impl<'t> Parser<'t> {
     }
 
     /// Require `op` as the next token.
-    pub fn expect_op(&mut self, op: &str) -> Result<(), String> {
+    fn expect_op(&mut self, op: &str) -> Result<(), String> {
         if self.eat_op(op) {
             Ok(())
         } else {
@@ -201,12 +152,12 @@ impl<'t> Parser<'t> {
     }
 
     /// True when every token has been consumed.
-    pub fn at_end(&self) -> bool {
+    fn at_end(&self) -> bool {
         self.pos >= self.toks.len()
     }
 
     /// Parse a full expression (ternary is the lowest precedence tier).
-    pub fn expr(&mut self) -> Result<Expr, String> {
+    fn expr(&mut self) -> Result<Expr, String> {
         let cond = self.binary(1)?;
         if self.eat_op("?") {
             let t = self.expr()?;
@@ -218,32 +169,12 @@ impl<'t> Parser<'t> {
     }
 
     fn binop_at(&self, min_bp: u8) -> Option<(BinOp, u8)> {
-        let op = match self.peek() {
-            Some(Tok::Op(o)) => *o,
-            _ => return None,
+        let Some(Tok::Op(sym)) = self.peek() else {
+            return None;
         };
-        let (b, bp) = match op {
-            "||" => (BinOp::LOr, 1),
-            "&&" => (BinOp::LAnd, 2),
-            "|" => (BinOp::Or, 3),
-            "^" => (BinOp::Xor, 4),
-            "&" => (BinOp::And, 5),
-            "==" => (BinOp::Eq, 6),
-            "!=" => (BinOp::Ne, 6),
-            "<" => (BinOp::Lt, 7),
-            "<=" => (BinOp::Le, 7),
-            ">" => (BinOp::Gt, 7),
-            ">=" => (BinOp::Ge, 7),
-            "<<" => (BinOp::Shl, 8),
-            ">>" => (BinOp::Shr, 8),
-            "+" => (BinOp::Add, 9),
-            "-" => (BinOp::Sub, 9),
-            "*" => (BinOp::Mul, 10),
-            "/" => (BinOp::Div, 10),
-            "%" => (BinOp::Mod, 10),
-            _ => return None,
-        };
-        (bp >= min_bp).then_some((b, bp))
+        let op = BinOp::from_symbol(sym)?;
+        let bp = op.binding_power();
+        (bp >= min_bp).then_some((op, bp))
     }
 
     fn binary(&mut self, min_bp: u8) -> Result<Expr, String> {
@@ -275,7 +206,7 @@ impl<'t> Parser<'t> {
                 let open_angle = self.eat_op("<");
                 let open_square = !open_angle && self.eat_op("[");
                 if open_angle || open_square {
-                    if let Some(Tok::Num(w)) = self.peek().cloned() {
+                    if let Some(Tok::Num(w)) = self.peek() {
                         self.pos += 1;
                         let close = if open_angle { ">" } else { "]" };
                         if self.eat_op(close) && self.eat_op(")") {
@@ -325,7 +256,7 @@ impl<'t> Parser<'t> {
     }
 
     fn primary(&mut self) -> Result<Expr, String> {
-        match self.bump().cloned() {
+        match self.bump() {
             Some(Tok::Num(n)) => Ok(Expr::Num(n)),
             Some(Tok::Ident(id)) => {
                 if self.eat_op("(") {
@@ -339,9 +270,9 @@ impl<'t> Parser<'t> {
                             self.expect_op(",")?;
                         }
                     }
-                    Ok(Expr::Call(id, args))
+                    Ok(Expr::Call(id.to_string(), args))
                 } else {
-                    Ok(Expr::Var(id))
+                    Ok(Expr::Var(id.to_string()))
                 }
             }
             Some(Tok::Op("(")) => {
@@ -360,8 +291,10 @@ impl<'t> Parser<'t> {
 
 /// Parse a complete expression string; every token must be consumed.
 pub fn parse_expr(src: &str) -> Result<Expr, String> {
-    let toks = tokenize(src)?;
-    let mut p = Parser::new(&toks);
+    let mut p = Parser {
+        toks: tokenize(src)?,
+        pos: 0,
+    };
     let e = p.expr().map_err(|e| format!("{e} in `{src}`"))?;
     if !p.at_end() {
         return Err(format!("trailing tokens after expression in `{src}`"));

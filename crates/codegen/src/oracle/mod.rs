@@ -9,22 +9,27 @@
 //! harness — exactly what the control-plane driver would install on
 //! hardware. The emitted side and the IR reference therefore share one
 //! executor, so any state difference between them is a translation bug.
-//! Divergences surface as `LYR0601`/`LYR0602`; artifacts that cannot be
-//! parsed or lifted as `LYR0603`; control-stub inconsistencies as
-//! `LYR0605`.
+//! [`parse`] dispatches on the artifact's language; it is the only reader
+//! of emitted code, so `validate` checks the same model the oracle runs.
+//! Divergences surface as `LYR0601`; artifacts that cannot be parsed or
+//! lifted as `LYR0603`; control-stub inconsistencies as `LYR0605`.
 
 pub mod expr;
 mod lift;
-pub mod npl;
-pub mod p414;
-pub mod p416;
+mod npl;
+mod p414;
+mod p416;
 pub mod rules;
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use expr::Expr;
 pub use lift::lift;
+use lyra_chips::TargetLang;
 use rules::{TableRule, When};
+
+use crate::emit::Artifact;
 
 /// One statement of an emitted action / function body.
 #[derive(Debug, Clone)]
@@ -103,6 +108,17 @@ pub struct ArtifactModel {
     pub tables: BTreeMap<String, OTable>,
     /// Apply pipeline in execution order.
     pub steps: Vec<Step>,
+}
+
+/// Parse an emitted artifact with its language's parser. This is the one
+/// reader of emitted code: [`crate::validate()`] checks the model it returns
+/// and [`lift`] runs it.
+pub fn parse(artifact: &Artifact) -> Result<ArtifactModel, String> {
+    match artifact.lang {
+        TargetLang::P414 => p414::parse(&artifact.code),
+        TargetLang::P416 => p416::parse(&artifact.code),
+        TargetLang::Npl => npl::parse(&artifact.code),
+    }
 }
 
 /// Control stub contents the oracle checks and lifts against.
@@ -254,8 +270,15 @@ pub fn rule_lines(rules: &[TableRule]) -> Vec<String> {
         .collect()
 }
 
-/// Strip `/* … */` comments and trailing `//` comments from one line.
-pub(crate) fn strip_comments(line: &str) -> String {
+/// Strip `/* … */` comments and trailing `//` comments from one line;
+/// only a line with a block comment is copied.
+pub(crate) fn strip_comments(line: &str) -> Cow<'_, str> {
+    if !line.contains('/') {
+        return Cow::Borrowed(line);
+    }
+    if !line.contains("/*") {
+        return Cow::Borrowed(line.split("//").next().unwrap_or(line));
+    }
     let mut out = String::with_capacity(line.len());
     let mut rest = line;
     loop {
@@ -276,7 +299,7 @@ pub(crate) fn strip_comments(line: &str) -> String {
     if let Some(i) = out.find("//") {
         out.truncate(i);
     }
-    out
+    Cow::Owned(out)
 }
 
 /// An action signature `name(p1, bit<W> p2)` → (name, parameter names);

@@ -11,6 +11,7 @@
 //! (`lyra_bus.x` → `md.x`) so outcomes compare directly against the other
 //! backends and the IR interpreter.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use super::expr::{parse_expr, Expr};
@@ -18,12 +19,12 @@ use super::{braces, strip_comments, ArtifactModel, OStmt, OTable, Step};
 
 /// Parse an emitted NPL program.
 pub fn parse(code: &str) -> Result<ArtifactModel, String> {
-    let lines: Vec<String> = code.lines().map(strip_comments).collect();
+    let lines: Vec<Cow<str>> = code.lines().map(strip_comments).collect();
     let mut m = ArtifactModel::default();
 
     let mut i = 0;
     while i < lines.len() {
-        let t = lines[i].trim().to_string();
+        let t = lines[i].trim();
         if t.starts_with("bus ") && t.ends_with('{') {
             let mut j = i + 1;
             while j < lines.len() && lines[j].trim() != "}" {
@@ -86,7 +87,7 @@ pub fn parse(code: &str) -> Result<ArtifactModel, String> {
             let mut j = i + 1;
             let mut depth = 1i32;
             while j < lines.len() {
-                let l = lines[j].trim().to_string();
+                let l = lines[j].trim();
                 if l == "key_construct() {" {
                     let (branches, next) = parse_key_construct(&lines, j + 1)?;
                     table.key_by_pass = branches;
@@ -99,7 +100,7 @@ pub fn parse(code: &str) -> Result<ArtifactModel, String> {
                     j = next;
                     continue;
                 }
-                depth += braces(&l);
+                depth += braces(l);
                 if depth == 0 {
                     break;
                 }
@@ -153,11 +154,11 @@ fn parse_bit_decl(l: &str) -> Option<(u32, String)> {
 /// Parse a `{ … }` body of statements with optional `if (cond) { … }`
 /// guards, returning the statements and the index just past the closing
 /// brace.
-fn parse_body(lines: &[String], start: usize) -> Result<(Vec<OStmt>, usize), String> {
+fn parse_body(lines: &[Cow<str>], start: usize) -> Result<(Vec<OStmt>, usize), String> {
     let mut out = Vec::new();
     let mut j = start;
     while j < lines.len() {
-        let l = lines[j].trim().to_string();
+        let l = lines[j].trim();
         if l == "}" {
             return Ok((out, j + 1));
         }
@@ -169,7 +170,7 @@ fn parse_body(lines: &[String], start: usize) -> Result<(Vec<OStmt>, usize), Str
             continue;
         }
         if !l.is_empty() {
-            if let Some(s) = parse_stmt(&l)? {
+            if let Some(s) = parse_stmt(l)? {
                 out.push(s);
             }
         }
@@ -180,13 +181,13 @@ fn parse_body(lines: &[String], start: usize) -> Result<(Vec<OStmt>, usize), Str
 
 /// Parse `key_construct()` branches: pass → canonicalized key expression.
 fn parse_key_construct(
-    lines: &[String],
+    lines: &[Cow<str>],
     start: usize,
 ) -> Result<(BTreeMap<u32, Expr>, usize), String> {
     let mut out = BTreeMap::new();
     let mut j = start;
     while j < lines.len() {
-        let l = lines[j].trim().to_string();
+        let l = lines[j].trim();
         if l == "}" {
             return Ok((out, j + 1));
         }
@@ -245,22 +246,19 @@ fn parse_stmt(line: &str) -> Result<Option<OStmt>, String> {
 /// Rewrite `lyra_bus.` name prefixes to the canonical `md.` namespace,
 /// touching only whole-token prefixes.
 fn canon(s: &str) -> String {
-    let b = s.as_bytes();
+    const BUS: &str = "lyra_bus.";
     let mut out = String::with_capacity(s.len());
-    let mut i = 0;
-    while i < b.len() {
-        let at_name_start = i == 0 || {
-            let prev = b[i - 1] as char;
-            !(prev.is_ascii_alphanumeric() || prev == '_' || prev == '.')
-        };
-        if at_name_start && s[i..].starts_with("lyra_bus.") {
-            out.push_str("md.");
-            i += "lyra_bus.".len();
-        } else {
-            out.push(b[i] as char);
-            i += 1;
+    let mut copied = 0;
+    for (i, _) in s.match_indices(BUS) {
+        let prev = s[..i].bytes().next_back();
+        if prev.is_some_and(|p| p.is_ascii_alphanumeric() || p == b'_' || p == b'.') {
+            continue;
         }
+        out.push_str(&s[copied..i]);
+        out.push_str("md.");
+        copied = i + BUS.len();
     }
+    out.push_str(&s[copied..]);
     out
 }
 

@@ -7,6 +7,7 @@
 //! primitive-call action bodies, `table` blocks with `reads`/`actions`
 //! sections, and `control ingress`/`control egress` apply sequences.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use lyra_lang::{BinOp, UnOp};
@@ -16,7 +17,7 @@ use super::{braces, parse_signature, strip_comments, ArtifactModel, OAction, OSt
 
 /// Parse an emitted P4₁₄ program.
 pub fn parse(code: &str) -> Result<ArtifactModel, String> {
-    let lines: Vec<String> = code.lines().map(strip_comments).collect();
+    let lines: Vec<Cow<str>> = code.lines().map(strip_comments).collect();
     let mut m = ArtifactModel::default();
     // header_type name → fields.
     let mut header_fields: BTreeMap<String, Vec<(String, u32)>> = BTreeMap::new();
@@ -26,7 +27,7 @@ pub fn parse(code: &str) -> Result<ArtifactModel, String> {
 
     let mut i = 0;
     while i < lines.len() {
-        let t = lines[i].trim().to_string();
+        let t = lines[i].trim();
         if let Some(rest) = t.strip_prefix("header_type ") {
             let name = rest.trim_end_matches('{').trim().to_string();
             let (fields, next) = parse_fields_block(&lines, i + 1)?;
@@ -211,7 +212,7 @@ fn register_instance(
 /// Parse `fields { name : w; ... }` inside a header_type, returning the
 /// fields and the index just past the header_type's closing brace.
 fn parse_fields_block(
-    lines: &[String],
+    lines: &[Cow<str>],
     start: usize,
 ) -> Result<(Vec<(String, u32)>, usize), String> {
     let mut fields = Vec::new();
@@ -235,7 +236,7 @@ fn parse_fields_block(
 
 /// Consume a parser state block, collecting `set_metadata` constant moves.
 fn parse_parser_block(
-    lines: &[String],
+    lines: &[Cow<str>],
     start: usize,
     m: &mut ArtifactModel,
 ) -> Result<usize, String> {

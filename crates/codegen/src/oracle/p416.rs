@@ -8,6 +8,7 @@
 //! `apply` block of `t.apply()` calls optionally behind one-level
 //! gateway `if`s.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use super::expr::{parse_expr, Expr};
@@ -15,13 +16,13 @@ use super::{braces, parse_signature, strip_comments, ArtifactModel, OAction, OSt
 
 /// Parse an emitted P4₁₆ program.
 pub fn parse(code: &str) -> Result<ArtifactModel, String> {
-    let lines: Vec<String> = code.lines().map(strip_comments).collect();
+    let lines: Vec<Cow<str>> = code.lines().map(strip_comments).collect();
     let mut m = ArtifactModel::default();
     let mut header_fields: BTreeMap<String, Vec<(String, u32)>> = BTreeMap::new();
 
     let mut i = 0;
     while i < lines.len() {
-        let t = lines[i].trim().to_string();
+        let t = lines[i].trim();
         if t.starts_with("header ") && t.ends_with('{') {
             let name = t
                 .trim_start_matches("header ")
@@ -68,7 +69,7 @@ pub fn parse(code: &str) -> Result<ArtifactModel, String> {
             continue;
         }
         if t.starts_with("parser ") {
-            let mut depth = braces(&t);
+            let mut depth = braces(t);
             let mut j = i + 1;
             while j < lines.len() && depth > 0 {
                 let l = lines[j].trim();
@@ -168,8 +169,8 @@ pub fn parse(code: &str) -> Result<ArtifactModel, String> {
             let mut j = i + 1;
             let mut depth = 1i32;
             while j < lines.len() && depth > 0 {
-                let l = lines[j].trim().to_string();
-                depth += braces(&l);
+                let l = lines[j].trim();
+                depth += braces(l);
                 if let Some(cond) = l.strip_prefix("if ").and_then(|r| r.strip_suffix('{')) {
                     // One-level gateway: the next line applies the table.
                     let gate = parse_expr(cond.trim())?;

@@ -1,14 +1,18 @@
 //! Structural validators for generated code.
 //!
 //! These stand in for the vendor toolchains the paper used to confirm its
-//! output compiles: they re-scan the emitted P4₁₄ / P4₁₆ / NPL text, check
-//! structural well-formedness (balanced braces, every applied table
-//! declared, every action referenced by a table defined), and produce the
-//! table/action/register counts reported in Figure 9.
+//! output compiles. After a brace-balance check on the text, the artifact
+//! is read by [`oracle::parse`] — the one reader of emitted code, the same
+//! model the semantic oracle lifts and runs — and the checks are made on
+//! that model: every applied or looked-up table is declared, every action a
+//! table lists is declared, and every function an NPL program calls is
+//! declared. The model also gives the table/action/register counts
+//! reported in Figure 9.
 
 use lyra_chips::TargetLang;
 
 use crate::emit::Artifact;
+use crate::oracle::{self, strip_comments, ArtifactModel, Step};
 
 /// Counts extracted from generated code — the Figure 9 resource columns.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -43,29 +47,36 @@ impl std::error::Error for ValidateError {}
 /// Validate an artifact and summarize its resource counts.
 pub fn validate(artifact: &Artifact) -> Result<CodeSummary, ValidateError> {
     check_braces(&artifact.code)?;
-    match artifact.lang {
-        TargetLang::P414 => validate_p414(&artifact.code),
-        TargetLang::P416 => validate_p416(&artifact.code),
-        TargetLang::Npl => validate_npl(&artifact.code),
-    }
+    let m = oracle::parse(artifact).map_err(|e| ValidateError {
+        message: format!("{} artifact does not parse: {e}", artifact.lang.name()),
+    })?;
+    check_references(&m)?;
+    let actions = match artifact.lang {
+        TargetLang::Npl => m.functions.len(),
+        TargetLang::P414 | TargetLang::P416 => m.actions.len(),
+    };
+    let lookups = m
+        .steps
+        .iter()
+        .filter(|s| matches!(s, Step::NplLookup { .. }));
+    Ok(CodeSummary {
+        tables: m.tables.len() as u64,
+        actions: actions as u64,
+        registers: m.registers.len() as u64,
+        loc: loc(&artifact.code),
+        lookups: lookups.count() as u64,
+    })
 }
 
 fn check_braces(code: &str) -> Result<(), ValidateError> {
     let mut depth = 0i64;
     for (ln, line) in code.lines().enumerate() {
-        let line = strip_comment(line);
-        for c in line.chars() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth < 0 {
-                        return Err(ValidateError {
-                            message: format!("unbalanced `}}` on line {}", ln + 1),
-                        });
-                    }
-                }
-                _ => {}
+        for b in strip_comments(line).bytes() {
+            depth += i64::from(b == b'{') - i64::from(b == b'}');
+            if depth < 0 {
+                return Err(ValidateError {
+                    message: format!("unbalanced `}}` on line {}", ln + 1),
+                });
             }
         }
     }
@@ -77,32 +88,33 @@ fn check_braces(code: &str) -> Result<(), ValidateError> {
     Ok(())
 }
 
-fn strip_comment(line: &str) -> &str {
-    match line.find("//") {
-        Some(i) => &line[..i],
-        None => line,
+/// Every name the apply pipeline or a table uses is declared.
+fn check_references(m: &ArtifactModel) -> Result<(), ValidateError> {
+    let undeclared = |message: String| Err(ValidateError { message });
+    for step in &m.steps {
+        match step {
+            Step::Apply { table, .. } if !m.tables.contains_key(table) => {
+                return undeclared(format!("apply references undeclared table `{table}`"));
+            }
+            Step::NplLookup { table, .. } if !m.tables.contains_key(table) => {
+                return undeclared(format!(
+                    "lookup references undeclared logical_table `{table}`"
+                ));
+            }
+            Step::Func { name } if !m.functions.contains_key(name) => {
+                return undeclared(format!("program calls undeclared function `{name}`"));
+            }
+            _ => {}
+        }
     }
-}
-
-/// Words following `keyword` at statement starts.
-fn declared(code: &str, keyword: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for line in code.lines() {
-        let t = strip_comment(line).trim();
-        if let Some(rest) = t.strip_prefix(keyword) {
-            if rest.starts_with(' ') {
-                let name: String = rest
-                    .trim_start()
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                    .collect();
-                if !name.is_empty() {
-                    out.push(name);
-                }
+    for t in m.tables.values() {
+        for a in &t.actions {
+            if a != "no_op" && a != "NoAction" && !m.actions.contains_key(a) {
+                return undeclared(format!("table references undeclared action `{a}`"));
             }
         }
     }
-    out
+    Ok(())
 }
 
 fn loc(code: &str) -> u64 {
@@ -112,259 +124,127 @@ fn loc(code: &str) -> u64 {
         .count() as u64
 }
 
-fn validate_p414(code: &str) -> Result<CodeSummary, ValidateError> {
-    let tables = declared(code, "table");
-    let actions = declared(code, "action");
-    let registers = declared(code, "register");
-    // Every apply(name) must reference a declared table.
-    for line in code.lines() {
-        let t = strip_comment(line).trim();
-        if let Some(rest) = t.strip_prefix("apply(") {
-            let name: String = rest
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if !tables.contains(&name) {
-                return Err(ValidateError {
-                    message: format!("apply references undeclared table `{name}`"),
-                });
-            }
-        }
-    }
-    // Every action listed inside `actions { ... }` must be declared.
-    let mut in_actions = false;
-    for line in code.lines() {
-        let t = strip_comment(line).trim();
-        if t.starts_with("actions {") {
-            in_actions = true;
-            continue;
-        }
-        if in_actions {
-            if t.starts_with('}') {
-                in_actions = false;
-                continue;
-            }
-            let name: String = t
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if !name.is_empty() && name != "no_op" && !actions.contains(&name) {
-                return Err(ValidateError {
-                    message: format!("table references undeclared action `{name}`"),
-                });
-            }
-        }
-    }
-    Ok(CodeSummary {
-        tables: tables.len() as u64,
-        actions: actions.len() as u64,
-        registers: registers.len() as u64,
-        loc: loc(code),
-        lookups: 0,
-    })
-}
-
-fn validate_p416(code: &str) -> Result<CodeSummary, ValidateError> {
-    let tables = declared(code, "table");
-    let actions = declared(code, "action");
-    let registers = code
-        .lines()
-        .filter(|l| strip_comment(l).trim_start().starts_with("register<"))
-        .count() as u64;
-    // Every `X.apply();` must reference a declared table.
-    for line in code.lines() {
-        let t = strip_comment(line).trim();
-        if let Some(prefix) = t.strip_suffix(".apply();") {
-            let name: String = prefix
-                .chars()
-                .rev()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect::<String>()
-                .chars()
-                .rev()
-                .collect();
-            if !name.is_empty() && name != "pkt" && !tables.contains(&name) {
-                return Err(ValidateError {
-                    message: format!("apply references undeclared table `{name}`"),
-                });
-            }
-        }
-    }
-    Ok(CodeSummary {
-        tables: tables.len() as u64,
-        actions: actions.len() as u64,
-        registers,
-        loc: loc(code),
-        lookups: 0,
-    })
-}
-
-fn validate_npl(code: &str) -> Result<CodeSummary, ValidateError> {
-    let tables = declared(code, "logical_table");
-    let functions = declared(code, "function");
-    let registers = declared(code, "logical_register");
-    let mut lookups = 0u64;
-    let mut in_program = false;
-    for line in code.lines() {
-        let t = strip_comment(line).trim();
-        if t.starts_with("program ") {
-            in_program = true;
-        }
-        if in_program && t.starts_with('}') {
-            in_program = false;
-        }
-        if t.contains(".lookup(") {
-            let name: String = t
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if !tables.contains(&name) {
-                return Err(ValidateError {
-                    message: format!("lookup references undeclared logical_table `{name}`"),
-                });
-            }
-            lookups += 1;
-        }
-        if in_program && t.ends_with("();") && !t.contains('.') && t.len() > 3 {
-            let name: String = t
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if !name.is_empty() && !functions.contains(&name) {
-                return Err(ValidateError {
-                    message: format!("program calls undeclared function `{name}`"),
-                });
-            }
-        }
-    }
-    Ok(CodeSummary {
-        tables: tables.len() as u64,
-        actions: functions.len() as u64,
-        registers: registers.len() as u64,
-        loc: loc(code),
-        lookups,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lyra_lang::parse_scopes;
+    use lyra_synth::{synthesize, Backend, EncodeOptions};
+    use lyra_topo::{resolve_scope, Layer, Topology};
+
+    /// A dict lookup, a register update and a hash: every declaration kind.
+    const SRC: &str = r#"
+        pipeline[P]{a};
+        algorithm a {
+            extern dict<bit[32] k, bit[32] v>[64] t;
+            global bit[32][16] hits;
+            bit[32] h;
+            h = crc32_hash(ipv4.srcAddr, ipv4.dstAddr);
+            if (h in t) {
+                ipv4.dstAddr = t[h];
+                hits[0] = hits[0] + 1;
+            }
+        }
+    "#;
+
+    /// The artifact a one-switch PER-SW compile of [`SRC`] emits for `asic`.
+    fn artifact(asic: &str) -> Artifact {
+        let ir = lyra_ir::frontend(SRC).unwrap();
+        let mut topo = Topology::new();
+        topo.add_switch("ToR1", Layer::ToR, asic);
+        let scopes = parse_scopes("a: [ ToR1 | PER-SW | - ]").unwrap();
+        let resolved: Vec<_> = scopes
+            .iter()
+            .map(|s| resolve_scope(&topo, s).unwrap())
+            .collect();
+        let opts = EncodeOptions::default();
+        let res = synthesize(&ir, &topo, &resolved, &opts, &Backend::Native).unwrap();
+        crate::generate(&ir, &topo, &res).unwrap().remove(0)
+    }
+
+    /// Validate [`artifact`]`(asic)` with its first `from` replaced by `to`.
+    fn mutated(asic: &str, from: &str, to: &str) -> Result<CodeSummary, ValidateError> {
+        let mut a = artifact(asic);
+        assert!(a.code.contains(from), "`{from}` not in\n{}", a.code);
+        a.code = a.code.replacen(from, to, 1);
+        validate(&a)
+    }
+
+    fn summary(tables: u64, actions: u64, registers: u64, loc: u64, lookups: u64) -> CodeSummary {
+        CodeSummary {
+            tables,
+            actions,
+            registers,
+            loc,
+            lookups,
+        }
+    }
 
     #[test]
     fn brace_balance() {
-        assert!(check_braces("a { b { } }").is_ok());
-        assert!(check_braces("a { b {").is_err());
-        assert!(check_braces("} }").is_err());
-    }
-
-    #[test]
-    fn p414_detects_undeclared_table() {
-        let code = "control ingress {\n    apply(missing);\n}\n";
-        let err = validate_p414(code).unwrap_err();
-        assert!(err.message.contains("missing"));
-    }
-
-    #[test]
-    fn p414_counts() {
-        let code = r#"
-action a1() { no_op(); }
-action a2() { no_op(); }
-register r1 {
-    width : 32;
-    instance_count : 16;
-}
-table t1 {
-    actions {
-        a1;
-    }
-    size : 16;
-}
-control ingress {
-    apply(t1);
-}
-"#;
-        let s = validate_p414(code).unwrap();
-        assert_eq!(s.tables, 1);
-        assert_eq!(s.actions, 2);
-        assert_eq!(s.registers, 1);
-    }
-
-    #[test]
-    fn p414_detects_undeclared_action() {
-        let code = "table t1 {\n    actions {\n        ghost;\n    }\n}\ncontrol ingress {\n    apply(t1);\n}\n";
-        let err = validate_p414(code).unwrap_err();
-        assert!(err.message.contains("ghost"));
-    }
-
-    #[test]
-    fn npl_counts_lookups() {
-        let code = r#"
-logical_table check_ip {
-    table_type : hash;
-    keys { bit[32] ip; }
-    key_construct() {
-    }
-}
-program main {
-    check_ip.lookup(0);
-    check_ip.lookup(1);
-}
-"#;
-        let s = validate_npl(code).unwrap();
-        assert_eq!(s.tables, 1);
-        assert_eq!(s.lookups, 2);
-    }
-
-    #[test]
-    fn npl_detects_bad_lookup() {
-        let code = "program main {\n    ghost.lookup(0);\n}\n";
-        assert!(validate_npl(code).is_err());
-    }
-
-    #[test]
-    fn npl_detects_undeclared_function_call() {
-        let code = "function real_fn() {\n}\nprogram main {\n    ghost_fn();\n}\n";
-        let err = validate_npl(code).unwrap_err();
-        assert!(err.message.contains("ghost_fn"), "{err}");
-        let ok = "function real_fn() {\n}\nprogram main {\n    real_fn();\n}\n";
-        assert!(validate_npl(ok).is_ok());
-    }
-
-    #[test]
-    fn p416_detects_undeclared_apply() {
-        let code = "control LyraIngress {\n    apply {\n        ghost.apply();\n    }\n}\n";
-        let err = validate_p416(code).unwrap_err();
-        assert!(err.message.contains("ghost"), "{err}");
-    }
-
-    #[test]
-    fn p416_counts() {
-        let code = r#"
-register<bit<32>>(16) r0;
-action set_x() { md.x = 1; }
-table t1 {
-    key = { md.x : exact; }
-    actions = { set_x; NoAction; }
-}
-control LyraIngress {
-    apply {
-        t1.apply();
-    }
-}
-"#;
-        let s = validate_p416(code).unwrap();
-        assert_eq!(s.tables, 1);
-        assert_eq!(s.actions, 1);
-        assert_eq!(s.registers, 1);
+        for asic in ["tofino-32q", "silicon-one", "trident4"] {
+            let a = artifact(asic);
+            assert!(check_braces(&a.code).is_ok(), "{asic}");
+            assert!(check_braces(&format!("{}{{\n", a.code)).is_err(), "{asic}");
+            assert!(check_braces(&format!("{}}}\n", a.code)).is_err(), "{asic}");
+        }
     }
 
     #[test]
     fn brace_errors_name_the_problem() {
         // The two brace failure modes carry distinct messages: a premature
         // `}` reports its line; a missing `}` reports the open count.
-        let early = check_braces("}\n").unwrap_err();
-        assert!(early.message.contains("line 1"), "{early}");
-        let open = check_braces("a {\nb {\n").unwrap_err();
-        assert!(open.message.contains("2 unclosed"), "{open}");
+        let early = mutated("tofino-32q", "parser start {", "} parser start {").unwrap_err();
+        assert!(early.message.contains("line 11"), "{early}");
+        let open = mutated("tofino-32q", "control egress {\n}", "control egress {").unwrap_err();
+        assert!(open.message.contains("1 unclosed"), "{open}");
+    }
+
+    #[test]
+    fn p414_detects_undeclared_table() {
+        let err = mutated("tofino-32q", "apply(a_t1);", "apply(ghost);").unwrap_err();
+        assert!(err.message.contains("table `ghost`"), "{err}");
+    }
+
+    #[test]
+    fn p414_counts() {
+        let s = validate(&artifact("tofino-32q")).unwrap();
+        assert_eq!(s, summary(2, 6, 1, 69, 0));
+    }
+
+    #[test]
+    fn p414_detects_undeclared_action() {
+        let err = mutated("tofino-32q", "        a_t1_act3;", "        ghost;").unwrap_err();
+        assert!(err.message.contains("action `ghost`"), "{err}");
+    }
+
+    #[test]
+    fn npl_counts_lookups() {
+        let s = validate(&artifact("trident4")).unwrap();
+        assert_eq!(s, summary(1, 2, 1, 53, 2));
+    }
+
+    #[test]
+    fn npl_detects_bad_lookup() {
+        let err = mutated("trident4", "a_t.lookup(1);", "ghost.lookup(1);").unwrap_err();
+        assert!(err.message.contains("logical_table `ghost`"), "{err}");
+    }
+
+    #[test]
+    fn npl_detects_undeclared_function_call() {
+        let call = "    a_hits_regtbl_access();\n}";
+        let err = mutated("trident4", call, "    ghost_fn();\n}").unwrap_err();
+        assert!(err.message.contains("function `ghost_fn`"), "{err}");
+    }
+
+    #[test]
+    fn p416_detects_undeclared_apply() {
+        let err = mutated("silicon-one", "a_t1.apply();", "ghost.apply();").unwrap_err();
+        assert!(err.message.contains("table `ghost`"), "{err}");
+    }
+
+    #[test]
+    fn p416_counts() {
+        let s = validate(&artifact("silicon-one")).unwrap();
+        assert_eq!(s, summary(2, 6, 1, 61, 0));
     }
 }

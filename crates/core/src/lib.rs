@@ -684,9 +684,10 @@ impl Compiler {
             .collect();
 
         let (ir, t_lower) = self.phase(Phase::Lower, || {
-            lyra_ir::frontend_ast(&prog).map_err(|e| {
+            lyra_ir::lower_checked(&prog, &info).map_err(|e| {
                 CompileError::Frontend(
-                    e.to_diagnostics()
+                    lyra_ir::FrontendError::Lower(e)
+                        .to_diagnostics()
                         .into_iter()
                         .map(|d| d.attach_source(PROGRAM_SOURCE))
                         .collect(),

@@ -509,15 +509,6 @@ fn first_difference(reference: &OracleCase, emitted: &OracleCase) -> String {
     "outcomes differ".to_string()
 }
 
-/// Parse one artifact into its model.
-pub fn parse_artifact(a: &Artifact) -> Result<cgo::ArtifactModel, String> {
-    match a.lang {
-        lyra_chips::TargetLang::P414 => cgo::p414::parse(&a.code),
-        lyra_chips::TargetLang::P416 => cgo::p416::parse(&a.code),
-        lyra_chips::TargetLang::Npl => cgo::npl::parse(&a.code),
-    }
-}
-
 /// Check one artifact's control stub against its plan. Returns `LYR0605`
 /// diagnostics for every problem found.
 fn check_control(a: &Artifact, plan: &SwitchPlan, cm: &cgo::ControlModel) -> Vec<Diagnostic> {
@@ -579,8 +570,7 @@ fn parse_emitted(
     a: &Artifact,
     ctx: &SwitchCtx,
 ) -> Result<(cgo::ArtifactModel, cgo::ControlModel), String> {
-    let mut model =
-        parse_artifact(a).map_err(|e| format!("cannot parse emitted {:?}: {e}", a.lang))?;
+    let mut model = cgo::parse(a).map_err(|e| format!("cannot parse emitted {:?}: {e}", a.lang))?;
     merge_ir_widths(ctx, &mut model);
     let cm = cgo::parse_control(&a.control_plane)
         .map_err(|e| format!("cannot parse control stub: {e}"))?;

@@ -104,6 +104,17 @@ impl fmt::Display for Code {
     }
 }
 
+/// Declares each code constant and `codes::ALL` from one list, so a code
+/// cannot be registered without being found by [`lookup_code`].
+macro_rules! registry {
+    ($($(#[$doc:meta])* $name:ident = $code:literal;)*) => {
+        $($(#[$doc])* pub const $name: Code = Code($code);)*
+
+        /// Every registered code, in declaration order.
+        pub const ALL: &[Code] = &[$($name),*];
+    };
+}
+
 /// The registry of stable diagnostic codes.
 ///
 /// Ranges:
@@ -122,197 +133,196 @@ impl fmt::Display for Code {
 pub mod codes {
     use super::Code;
 
-    /// Lexical error (unterminated string, bad character, bad number).
-    pub const LEX: Code = Code("LYR0001");
-    /// Parse error: unexpected token.
-    pub const PARSE: Code = Code("LYR0002");
+    registry! {
+        /// Lexical error (unterminated string, bad character, bad number).
+        LEX = "LYR0001";
+        /// Parse error: unexpected token.
+        PARSE = "LYR0002";
 
-    /// Duplicate definition (header, packet, parser node, algorithm, func).
-    pub const DUPLICATE_DEF: Code = Code("LYR0101");
-    /// Pipeline references an algorithm that does not exist.
-    pub const UNKNOWN_ALGORITHM: Code = Code("LYR0102");
-    /// Call to an unknown function or builtin.
-    pub const UNKNOWN_FUNCTION: Code = Code("LYR0103");
-    /// Wrong number of arguments in a call.
-    pub const ARITY_MISMATCH: Code = Code("LYR0104");
-    /// `x in t` where `t` is not a declared extern.
-    pub const UNKNOWN_EXTERN: Code = Code("LYR0105");
-    /// A void builtin used where a value is required.
-    pub const VOID_AS_VALUE: Code = Code("LYR0106");
-    /// Bit-slice `f[hi:lo]` with `hi < lo`.
-    pub const BAD_SLICE: Code = Code("LYR0107");
-    /// Zero-width field or slice.
-    pub const ZERO_WIDTH: Code = Code("LYR0108");
-    /// Unknown header or field reference.
-    pub const UNKNOWN_FIELD: Code = Code("LYR0109");
-    /// Indexing a name that is not a global register array.
-    pub const BAD_INDEX: Code = Code("LYR0110");
-    /// A declaration shadows a builtin function.
-    pub const SHADOWS_BUILTIN: Code = Code("LYR0111");
-    /// Error while lowering the checked AST to IR.
-    pub const LOWER: Code = Code("LYR0112");
+        /// Duplicate definition (header, packet, parser node, algorithm, func).
+        DUPLICATE_DEF = "LYR0101";
+        /// Pipeline references an algorithm that does not exist.
+        UNKNOWN_ALGORITHM = "LYR0102";
+        /// Call to an unknown function or builtin.
+        UNKNOWN_FUNCTION = "LYR0103";
+        /// Wrong number of arguments in a call.
+        ARITY_MISMATCH = "LYR0104";
+        /// `x in t` where `t` is not a declared extern.
+        UNKNOWN_EXTERN = "LYR0105";
+        /// A void builtin used where a value is required.
+        VOID_AS_VALUE = "LYR0106";
+        /// Bit-slice `f[hi:lo]` with `hi < lo`.
+        BAD_SLICE = "LYR0107";
+        /// Zero-width field or slice.
+        ZERO_WIDTH = "LYR0108";
+        /// Unknown header or field reference.
+        UNKNOWN_FIELD = "LYR0109";
+        /// Indexing a name that is not a global register array.
+        BAD_INDEX = "LYR0110";
+        /// A declaration shadows a builtin function.
+        SHADOWS_BUILTIN = "LYR0111";
+        /// Error while lowering the checked AST to IR.
+        LOWER = "LYR0112";
 
-    /// Warning: identifier treated as implicit per-packet metadata.
-    pub const IMPLICIT_METADATA: Code = Code("LYR0151");
-    /// Warning: algorithm defined but not referenced by any pipeline.
-    pub const UNUSED_ALGORITHM: Code = Code("LYR0152");
+        /// Warning: identifier treated as implicit per-packet metadata.
+        IMPLICIT_METADATA = "LYR0151";
+        /// Warning: algorithm defined but not referenced by any pipeline.
+        UNUSED_ALGORITHM = "LYR0152";
 
-    /// Malformed line in the scope specification language.
-    pub const SCOPE_SYNTAX: Code = Code("LYR0201");
-    /// Scope names an algorithm the program does not define.
-    pub const SCOPE_UNKNOWN_ALGORITHM: Code = Code("LYR0202");
-    /// Pipeline algorithm has no scope entry.
-    pub const SCOPE_MISSING: Code = Code("LYR0203");
-    /// Scope region matches no switch in the topology.
-    pub const SCOPE_EMPTY_REGION: Code = Code("LYR0204");
-    /// Direction endpoint names an unknown switch.
-    pub const SCOPE_UNKNOWN_SWITCH: Code = Code("LYR0205");
-    /// Direction endpoint lies outside the scoped region.
-    pub const SCOPE_OUTSIDE_REGION: Code = Code("LYR0206");
-    /// No flow path exists between the direction endpoints.
-    pub const SCOPE_NO_PATH: Code = Code("LYR0207");
-    /// An algorithm is given more than one scope line.
-    pub const SCOPE_DUPLICATE: Code = Code("LYR0208");
+        /// Malformed line in the scope specification language.
+        SCOPE_SYNTAX = "LYR0201";
+        /// Scope names an algorithm the program does not define.
+        SCOPE_UNKNOWN_ALGORITHM = "LYR0202";
+        /// Pipeline algorithm has no scope entry.
+        SCOPE_MISSING = "LYR0203";
+        /// Scope region matches no switch in the topology.
+        SCOPE_EMPTY_REGION = "LYR0204";
+        /// Direction endpoint names an unknown switch.
+        SCOPE_UNKNOWN_SWITCH = "LYR0205";
+        /// Direction endpoint lies outside the scoped region.
+        SCOPE_OUTSIDE_REGION = "LYR0206";
+        /// No flow path exists between the direction endpoints.
+        SCOPE_NO_PATH = "LYR0207";
+        /// An algorithm is given more than one scope line.
+        SCOPE_DUPLICATE = "LYR0208";
 
-    /// Topology/encoding error: no programmable switch available.
-    pub const NO_PROGRAMMABLE: Code = Code("LYR0301");
-    /// Encoding references an unknown ASIC model.
-    pub const UNKNOWN_ASIC: Code = Code("LYR0302");
-    /// Structural encoding error (anything else pre-solve).
-    pub const ENCODE: Code = Code("LYR0303");
+        /// Topology/encoding error: no programmable switch available.
+        NO_PROGRAMMABLE = "LYR0301";
+        /// Encoding references an unknown ASIC model.
+        UNKNOWN_ASIC = "LYR0302";
+        /// Structural encoding error (anything else pre-solve).
+        ENCODE = "LYR0303";
 
-    /// Placement infeasible: no constraint family singled out.
-    pub const INFEASIBLE: Code = Code("LYR0401");
-    /// Infeasible: a table exceeds every candidate switch's memory blocks.
-    pub const INFEASIBLE_MEMORY: Code = Code("LYR0402");
-    /// Infeasible: dependency chain exceeds the stage budget.
-    pub const INFEASIBLE_STAGES: Code = Code("LYR0403");
-    /// Infeasible: header/metadata bits exceed the PHV budget.
-    pub const INFEASIBLE_PHV: Code = Code("LYR0404");
-    /// Infeasible: more tables than the pipeline can host.
-    pub const INFEASIBLE_TABLES: Code = Code("LYR0405");
-    /// Solver exhausted its decision budget or deadline before reaching a
-    /// verdict (`Outcome::Unknown`) and no fallback placement was accepted
-    /// — distinct from proved-infeasible.
-    pub const SOLVER_BUDGET: Code = Code("LYR0410");
+        /// Placement infeasible: no constraint family singled out.
+        INFEASIBLE = "LYR0401";
+        /// Infeasible: a table exceeds every candidate switch's memory blocks.
+        INFEASIBLE_MEMORY = "LYR0402";
+        /// Infeasible: dependency chain exceeds the stage budget.
+        INFEASIBLE_STAGES = "LYR0403";
+        /// Infeasible: header/metadata bits exceed the PHV budget.
+        INFEASIBLE_PHV = "LYR0404";
+        /// Infeasible: more tables than the pipeline can host.
+        INFEASIBLE_TABLES = "LYR0405";
+        /// Solver exhausted its decision budget or deadline before reaching a
+        /// verdict (`Outcome::Unknown`) and no fallback placement was accepted
+        /// — distinct from proved-infeasible.
+        SOLVER_BUDGET = "LYR0410";
 
-    /// Code generation failed for a placed program.
-    pub const CODEGEN: Code = Code("LYR0501");
-    /// Generated artifact failed backend validation.
-    pub const VALIDATE: Code = Code("LYR0502");
+        /// Code generation failed for a placed program.
+        CODEGEN = "LYR0501";
+        /// Generated artifact failed backend validation.
+        VALIDATE = "LYR0502";
 
-    /// Warning: the placement was produced by a degradation-ladder rung
-    /// (the solver deadline or decision budget expired); the message names
-    /// the rung (`greedy-first-fit`).
-    pub const DEGRADED: Code = Code("LYR0550");
-    /// A fault set left an algorithm scope with no surviving switch.
-    pub const FAULT_UNREACHABLE: Code = Code("LYR0551");
-    /// A fault set left an algorithm scope with switches but no surviving
-    /// flow path (the scope region is partitioned).
-    pub const FAULT_PARTITIONED: Code = Code("LYR0552");
+        /// Warning: the placement was produced by a degradation-ladder rung
+        /// (the solver deadline or decision budget expired); the message names
+        /// the rung (`greedy-first-fit`).
+        DEGRADED = "LYR0550";
+        /// A fault set left an algorithm scope with no surviving switch.
+        FAULT_UNREACHABLE = "LYR0551";
+        /// A fault set left an algorithm scope with switches but no surviving
+        /// flow path (the scope region is partitioned).
+        FAULT_PARTITIONED = "LYR0552";
 
-    /// A transactional rollout could not stage its new placement on some
-    /// switch (capacity refused, switch dead, or the prepare message never
-    /// got through).
-    pub const ROLLOUT_PREPARE_FAILED: Code = Code("LYR0560");
-    /// A rollout prepared everywhere but a commit was never acknowledged
-    /// within the retry budget.
-    pub const ROLLOUT_COMMIT_TIMEOUT: Code = Code("LYR0561");
-    /// Warning: the rollout was rolled back; every switch serves the prior
-    /// epoch (the message names the failure that triggered it).
-    pub const ROLLOUT_ROLLED_BACK: Code = Code("LYR0562");
-    /// The control channel to one switch exhausted its bounded retries
-    /// (drops/timeouts on every attempt).
-    pub const ROLLOUT_CHANNEL_EXHAUSTED: Code = Code("LYR0563");
-    /// A rollout was refused up front: an algorithm scope is not
-    /// survivable under the current fault set (gating check).
-    pub const ROLLOUT_GATED: Code = Code("LYR0564");
+        /// A transactional rollout could not stage its new placement on some
+        /// switch (capacity refused, switch dead, or the prepare message never
+        /// got through).
+        ROLLOUT_PREPARE_FAILED = "LYR0560";
+        /// A rollout prepared everywhere but a commit was never acknowledged
+        /// within the retry budget.
+        ROLLOUT_COMMIT_TIMEOUT = "LYR0561";
+        /// Warning: the rollout was rolled back; every switch serves the prior
+        /// epoch (the message names the failure that triggered it).
+        ROLLOUT_ROLLED_BACK = "LYR0562";
+        /// The control channel to one switch exhausted its bounded retries
+        /// (drops/timeouts on every attempt).
+        ROLLOUT_CHANNEL_EXHAUSTED = "LYR0563";
+        /// A rollout was refused up front: an algorithm scope is not
+        /// survivable under the current fault set (gating check).
+        ROLLOUT_GATED = "LYR0564";
 
-    /// The controller crashed (injected by a `CrashPlan`) partway through
-    /// a rollout; the intent log and switch-held state are the only
-    /// surviving record, and `Runtime::recover` must be run.
-    pub const CONTROLLER_CRASHED: Code = Code("LYR0570");
-    /// Warning: restart recovery drove an in-flight rollout forward to an
-    /// all-commit outcome (the commit decision was journaled and every
-    /// switch held or served the staged epoch).
-    pub const RECOVERY_COMMITTED: Code = Code("LYR0571");
-    /// Warning: restart recovery drove an in-flight rollout to an
-    /// all-rollback outcome (the burned epoch is never reused).
-    pub const RECOVERY_ROLLED_BACK: Code = Code("LYR0572");
-    /// Warning: a switch could not be queried during restart recovery
-    /// (its state is unknown), which forces the rollback outcome.
-    pub const RECOVERY_QUERY_FAILED: Code = Code("LYR0573");
-    /// The write-ahead intent log is unreadable or holds a torn/corrupt
-    /// record; recovery cannot trust it.
-    pub const INTENT_LOG_CORRUPT: Code = Code("LYR0574");
-    /// Warning: the anti-entropy audit found switch-held state diverging
-    /// from the controller-expected state (the message names the drift
-    /// classes and counts).
-    pub const DRIFT_DETECTED: Code = Code("LYR0575");
-    /// Warning: the anti-entropy audit repaired drifted entries in place
-    /// (minimal repair installs/removals against the expected state).
-    pub const DRIFT_REPAIRED: Code = Code("LYR0576");
-    /// Appending to the write-ahead intent log failed (I/O error or
-    /// injected store fault); the rollout halts as if the controller
-    /// crashed, because un-journaled sends would be unrecoverable.
-    pub const INTENT_STORE_IO: Code = Code("LYR0577");
+        /// The controller crashed (injected by a `CrashPlan`) partway through
+        /// a rollout; the intent log and switch-held state are the only
+        /// surviving record, and `Runtime::recover` must be run.
+        CONTROLLER_CRASHED = "LYR0570";
+        /// Warning: restart recovery drove an in-flight rollout forward to an
+        /// all-commit outcome (the commit decision was journaled and every
+        /// switch held or served the staged epoch).
+        RECOVERY_COMMITTED = "LYR0571";
+        /// Warning: restart recovery drove an in-flight rollout to an
+        /// all-rollback outcome (the burned epoch is never reused).
+        RECOVERY_ROLLED_BACK = "LYR0572";
+        /// Warning: a switch could not be queried during restart recovery
+        /// (its state is unknown), which forces the rollback outcome.
+        RECOVERY_QUERY_FAILED = "LYR0573";
+        /// The write-ahead intent log is unreadable or holds a torn/corrupt
+        /// record; recovery cannot trust it.
+        INTENT_LOG_CORRUPT = "LYR0574";
+        /// Warning: the anti-entropy audit found switch-held state diverging
+        /// from the controller-expected state (the message names the drift
+        /// classes and counts).
+        DRIFT_DETECTED = "LYR0575";
+        /// Warning: the anti-entropy audit repaired drifted entries in place
+        /// (minimal repair installs/removals against the expected state).
+        DRIFT_REPAIRED = "LYR0576";
+        /// Appending to the write-ahead intent log failed (I/O error or
+        /// injected store fault); the rollout halts as if the controller
+        /// crashed, because un-journaled sends would be unrecoverable.
+        INTENT_STORE_IO = "LYR0577";
 
-    /// The health monitor confirmed a switch or link dead: enough
-    /// consecutive probes went unanswered (the message names the target
-    /// and the count).
-    pub const HEALTH_DEAD: Code = Code("LYR0580");
-    /// Warning: the health monitor confirmed a *gray* failure — the
-    /// target answers probes but slowly or lossily (sustained degraded /
-    /// lost fraction above the gray threshold without crossing dead).
-    pub const HEALTH_GRAY: Code = Code("LYR0581");
-    /// Warning: a target's failure signal is flapping (repeated down/up
-    /// edges inside the damping window); its flap penalty is accruing.
-    pub const HEALTH_FLAPPING: Code = Code("LYR0582");
-    /// Warning: a flapping target was quarantined — it stays failed out
-    /// and is not restored on apparent recovery until its flap penalty
-    /// decays, so an oscillating element converges to one recompile
-    /// instead of a recompile storm.
-    pub const HEALTH_QUARANTINED: Code = Code("LYR0583");
-    /// Warning: the self-healer completed a remediation round
-    /// (fail + recompile + rollout + audit) for confirmed suspicions.
-    pub const HEAL_REMEDIATED: Code = Code("LYR0584");
-    /// Warning: a healed target passed its probation window and was
-    /// reinstated (placement re-expanded, entries re-synced).
-    pub const HEAL_RESTORED: Code = Code("LYR0585");
-    /// Warning: a remediation was deferred by the healer's rate limit /
-    /// damped backoff; the confirmed faults stay coalesced for the next
-    /// round.
-    pub const HEAL_RATE_LIMITED: Code = Code("LYR0586");
-    /// A remediation round failed (the recompile was refused or the
-    /// rollout rolled back); the healer backs off and retries.
-    pub const HEAL_FAILED: Code = Code("LYR0587");
+        /// The health monitor confirmed a switch or link dead: enough
+        /// consecutive probes went unanswered (the message names the target
+        /// and the count).
+        HEALTH_DEAD = "LYR0580";
+        /// Warning: the health monitor confirmed a *gray* failure — the
+        /// target answers probes but slowly or lossily (sustained degraded /
+        /// lost fraction above the gray threshold without crossing dead).
+        HEALTH_GRAY = "LYR0581";
+        /// Warning: a target's failure signal is flapping (repeated down/up
+        /// edges inside the damping window); its flap penalty is accruing.
+        HEALTH_FLAPPING = "LYR0582";
+        /// Warning: a flapping target was quarantined — it stays failed out
+        /// and is not restored on apparent recovery until its flap penalty
+        /// decays, so an oscillating element converges to one recompile
+        /// instead of a recompile storm.
+        HEALTH_QUARANTINED = "LYR0583";
+        /// Warning: the self-healer completed a remediation round
+        /// (fail + recompile + rollout + audit) for confirmed suspicions.
+        HEAL_REMEDIATED = "LYR0584";
+        /// Warning: a healed target passed its probation window and was
+        /// reinstated (placement re-expanded, entries re-synced).
+        HEAL_RESTORED = "LYR0585";
+        /// Warning: a remediation was deferred by the healer's rate limit /
+        /// damped backoff; the confirmed faults stay coalesced for the next
+        /// round.
+        HEAL_RATE_LIMITED = "LYR0586";
+        /// A remediation round failed (the recompile was refused or the
+        /// rollout rolled back); the healer backs off and retries.
+        HEAL_FAILED = "LYR0587";
 
-    /// The idempotency-token space was exhausted: the rollout epoch or
-    /// its per-message sequence number no longer fits the
-    /// `(epoch << 32) | seq` token split. Minting stops with a hard
-    /// error — a wrapped token would silently collide with another
-    /// epoch's tokens and make a switch swallow a live message as a
-    /// duplicate.
-    pub const TOKEN_OVERFLOW: Code = Code("LYR0590");
+        /// The idempotency-token space was exhausted: the rollout epoch or
+        /// its per-message sequence number no longer fits the
+        /// `(epoch << 32) | seq` token split. Minting stops with a hard
+        /// error — a wrapped token would silently collide with another
+        /// epoch's tokens and make a switch swallow a live message as a
+        /// duplicate.
+        TOKEN_OVERFLOW = "LYR0590";
 
-    /// The semantic oracle found a divergence between the IR interpreter
-    /// and the model recovered from one emitted artifact (the message
-    /// names the switch, backend, and first differing field/effect).
-    pub const ORACLE_DIVERGENCE: Code = Code("LYR0601");
-    /// The semantic oracle found a divergence between two emitted
-    /// backends compiled from the same program (cross-backend pair check).
-    pub const ORACLE_PAIR_DIVERGENCE: Code = Code("LYR0602");
-    /// The oracle could not parse an emitted artifact back into a model or
-    /// lift it into IR (unknown statement shape, a malformed table block,
-    /// or a table, action or function the artifact never declares).
-    pub const ORACLE_PARSE: Code = Code("LYR0603");
-    /// An IR invariant was violated at a front-end pass boundary (SSA
-    /// single definition, def-before-use, width consistency, predication
-    /// exclusivity, or dependency acyclicity).
-    pub const IR_INVARIANT: Code = Code("LYR0604");
-    /// The control-plane stub disagrees with the placement: a hosted
-    /// table is missing its driver functions, capacity, or action rules.
-    pub const ORACLE_CONTROL: Code = Code("LYR0605");
+        /// The semantic oracle found a divergence between the IR interpreter
+        /// and the model recovered from one emitted artifact (the message
+        /// names the switch, backend, and first differing field/effect).
+        ORACLE_DIVERGENCE = "LYR0601";
+        /// The oracle could not parse an emitted artifact back into a model or
+        /// lift it into IR (unknown statement shape, a malformed table block,
+        /// or a table, action or function the artifact never declares).
+        ORACLE_PARSE = "LYR0603";
+        /// An IR invariant was violated at a front-end pass boundary (SSA
+        /// single definition, def-before-use, width consistency, predication
+        /// exclusivity, or dependency acyclicity).
+        IR_INVARIANT = "LYR0604";
+        /// The control-plane stub disagrees with the placement: a hosted
+        /// table is missing its driver functions, capacity, or action rules.
+        ORACLE_CONTROL = "LYR0605";
+    }
 }
 
 /// Identifies one source text inside a [`SourceMap`].
@@ -546,61 +556,7 @@ impl Diagnostic {
 
 /// Look up a registry [`Code`] by its string form (`"LYR0102"`).
 pub fn lookup_code(s: &str) -> Option<Code> {
-    use codes::*;
-    const ALL: &[Code] = &[
-        LEX,
-        PARSE,
-        DUPLICATE_DEF,
-        UNKNOWN_ALGORITHM,
-        UNKNOWN_FUNCTION,
-        ARITY_MISMATCH,
-        UNKNOWN_EXTERN,
-        VOID_AS_VALUE,
-        BAD_SLICE,
-        ZERO_WIDTH,
-        UNKNOWN_FIELD,
-        BAD_INDEX,
-        SHADOWS_BUILTIN,
-        LOWER,
-        IMPLICIT_METADATA,
-        UNUSED_ALGORITHM,
-        SCOPE_SYNTAX,
-        SCOPE_UNKNOWN_ALGORITHM,
-        SCOPE_MISSING,
-        SCOPE_EMPTY_REGION,
-        SCOPE_UNKNOWN_SWITCH,
-        SCOPE_OUTSIDE_REGION,
-        SCOPE_NO_PATH,
-        SCOPE_DUPLICATE,
-        NO_PROGRAMMABLE,
-        UNKNOWN_ASIC,
-        ENCODE,
-        INFEASIBLE,
-        INFEASIBLE_MEMORY,
-        INFEASIBLE_STAGES,
-        INFEASIBLE_PHV,
-        INFEASIBLE_TABLES,
-        SOLVER_BUDGET,
-        CODEGEN,
-        VALIDATE,
-        DEGRADED,
-        FAULT_UNREACHABLE,
-        FAULT_PARTITIONED,
-        ROLLOUT_PREPARE_FAILED,
-        ROLLOUT_COMMIT_TIMEOUT,
-        ROLLOUT_ROLLED_BACK,
-        ROLLOUT_CHANNEL_EXHAUSTED,
-        ROLLOUT_GATED,
-        CONTROLLER_CRASHED,
-        RECOVERY_COMMITTED,
-        RECOVERY_ROLLED_BACK,
-        RECOVERY_QUERY_FAILED,
-        INTENT_LOG_CORRUPT,
-        DRIFT_DETECTED,
-        DRIFT_REPAIRED,
-        INTENT_STORE_IO,
-    ];
-    ALL.iter().copied().find(|c| c.0 == s)
+    codes::ALL.iter().copied().find(|c| c.0 == s)
 }
 
 impl fmt::Display for Diagnostic {
@@ -859,6 +815,27 @@ mod tests {
     fn code_lookup() {
         assert_eq!(lookup_code("LYR0402"), Some(codes::INFEASIBLE_MEMORY));
         assert_eq!(lookup_code("LYR9999"), None);
+    }
+
+    #[test]
+    fn every_registered_code_round_trips_through_json() {
+        // The failure-detection, token and oracle codes were once missing
+        // from a hand-kept lookup list and came back as `code: None`.
+        for c in [
+            codes::HEAL_FAILED,
+            codes::TOKEN_OVERFLOW,
+            codes::ORACLE_CONTROL,
+        ] {
+            assert!(codes::ALL.contains(&c), "{c} is not registered");
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        for &c in codes::ALL {
+            assert!(seen.insert(c.0), "{c} is registered twice");
+            let text = Diagnostic::error(c, "m").to_json().to_string();
+            let back = Diagnostic::from_json(&json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back.code, Some(c));
+        }
+        assert_eq!(seen.len(), 64);
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub use table::{ExternTable, PAGE_CAP};
 pub use types::infer_widths;
 pub use verify::{debug_verify, verify_algorithm, verify_program, Stage};
 
+use lyra_lang::check::CheckInfo;
 use lyra_lang::{check_program, parse_program, CheckError, ParseError, Program};
 
 /// Front-end driver error.
@@ -107,7 +108,13 @@ pub fn frontend(src: &str) -> Result<IrProgram, FrontendError> {
 /// [`frontend`] starting from an already-parsed program.
 pub fn frontend_ast(prog: &Program) -> Result<IrProgram, FrontendError> {
     let info = check_program(prog).map_err(FrontendError::Check)?;
-    let raw = lower_program(prog, &info).map_err(FrontendError::Lower)?;
+    lower_checked(prog, &info).map_err(FrontendError::Lower)
+}
+
+/// The front-end after checking: lower, SSA-convert, infer widths, for a
+/// program [`check_program`] has already accepted with `info`.
+pub fn lower_checked(prog: &Program, info: &CheckInfo) -> Result<IrProgram, LowerError> {
+    let raw = lower_program(prog, info)?;
     let mut ir = to_ssa(raw);
     infer_widths(&mut ir);
     // Pass-boundary invariant check (debug builds only): width inference

@@ -369,6 +369,50 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// Every binary operator.
+    pub const ALL: [BinOp; 18] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Mod,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::Shr,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::LAnd,
+        BinOp::LOr,
+    ];
+
+    /// The operator spelled `sym`, if any.
+    pub fn from_symbol(sym: &str) -> Option<BinOp> {
+        BinOp::ALL.into_iter().find(|op| op.symbol() == sym)
+    }
+
+    /// Precedence (C's): higher binds tighter; every level is
+    /// left-associative. `k in t` binds like the relational operators.
+    pub fn binding_power(self) -> u8 {
+        match self {
+            BinOp::LOr => 1,
+            BinOp::LAnd => 2,
+            BinOp::Or => 3,
+            BinOp::Xor => 4,
+            BinOp::And => 5,
+            BinOp::Eq | BinOp::Ne => 6,
+            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => 7,
+            BinOp::Shl | BinOp::Shr => 8,
+            BinOp::Add | BinOp::Sub => 9,
+            BinOp::Mul | BinOp::Div | BinOp::Mod => 10,
+        }
+    }
+
     /// True for comparison operators producing 1-bit results.
     pub fn is_comparison(self) -> bool {
         matches!(

@@ -80,16 +80,18 @@ impl ParseError {
 /// Parse a complete Lyra program.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { src, toks, pos: 0 };
     p.program()
 }
 
-struct Parser {
+struct Parser<'s> {
+    /// The source text: a binary operator is looked up by its spelling.
+    src: &'s str,
     toks: Vec<SpannedTok>,
     pos: usize,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].tok
     }
@@ -659,200 +661,45 @@ impl Parser {
         Ok(p)
     }
 
-    // ---- expressions (precedence climbing) ----
+    // ---- expressions (precedence climbing on `BinOp::binding_power`) ----
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.lor()
+        self.binary(1)
     }
 
-    fn lor(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.land()?;
-        while self.at_punct(Punct::OrOr) {
-            self.bump();
-            let rhs = self.land()?;
-            lhs = Expr::Bin {
-                op: BinOp::LOr,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
+    /// The binary operator at the cursor, if it binds at least `min_bp`.
+    fn binop_at(&self, min_bp: u8) -> Option<BinOp> {
+        let Tok::Punct(_) = self.peek() else {
+            return None;
+        };
+        let span = self.span();
+        let op = BinOp::from_symbol(&self.src[span.lo as usize..span.hi as usize])?;
+        (op.binding_power() >= min_bp).then_some(op)
     }
 
-    fn land(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.bitor()?;
-        while self.at_punct(Punct::AndAnd) {
-            self.bump();
-            let rhs = self.bitor()?;
-            lhs = Expr::Bin {
-                op: BinOp::LAnd,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn bitor(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.bitxor()?;
-        while self.at_punct(Punct::Pipe) {
-            self.bump();
-            let rhs = self.bitxor()?;
-            lhs = Expr::Bin {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn bitxor(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.bitand()?;
-        while self.at_punct(Punct::Caret) {
-            self.bump();
-            let rhs = self.bitand()?;
-            lhs = Expr::Bin {
-                op: BinOp::Xor,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn bitand(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.equality()?;
-        while self.at_punct(Punct::Amp) {
-            self.bump();
-            let rhs = self.equality()?;
-            lhs = Expr::Bin {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn equality(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.relational()?;
+    fn binary(&mut self, min_bp: u8) -> Result<Expr, ParseError> {
+        let mut lhs = self.unary()?;
         loop {
-            let op = if self.at_punct(Punct::EqEq) {
-                BinOp::Eq
-            } else if self.at_punct(Punct::NotEq) {
-                BinOp::Ne
-            } else {
-                break;
-            };
-            self.bump();
-            let rhs = self.relational()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn relational(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.shift()?;
-        loop {
-            if self.at_kw("in") {
+            // `k in t` binds like the relational operators.
+            if self.at_kw("in") && BinOp::Lt.binding_power() >= min_bp {
                 self.bump();
                 let table = self.eat_ident()?;
                 lhs = Expr::InTable {
                     key: Box::new(lhs),
                     table,
                 };
-                continue;
+            } else if let Some(op) = self.binop_at(min_bp) {
+                self.bump();
+                let rhs = self.binary(op.binding_power() + 1)?;
+                lhs = Expr::Bin {
+                    op,
+                    lhs: Box::new(lhs),
+                    rhs: Box::new(rhs),
+                };
+            } else {
+                return Ok(lhs);
             }
-            let op = if self.at_punct(Punct::Lt) {
-                BinOp::Lt
-            } else if self.at_punct(Punct::Le) {
-                BinOp::Le
-            } else if self.at_punct(Punct::Gt) {
-                BinOp::Gt
-            } else if self.at_punct(Punct::Ge) {
-                BinOp::Ge
-            } else {
-                break;
-            };
-            self.bump();
-            let rhs = self.shift()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
         }
-        Ok(lhs)
-    }
-
-    fn shift(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = if self.at_punct(Punct::Shl) {
-                BinOp::Shl
-            } else if self.at_punct(Punct::Shr) {
-                BinOp::Shr
-            } else {
-                break;
-            };
-            self.bump();
-            let rhs = self.additive()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn additive(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = if self.at_punct(Punct::Plus) {
-                BinOp::Add
-            } else if self.at_punct(Punct::Minus) {
-                BinOp::Sub
-            } else {
-                break;
-            };
-            self.bump();
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = if self.at_punct(Punct::Star) {
-                BinOp::Mul
-            } else if self.at_punct(Punct::Slash) {
-                BinOp::Div
-            } else if self.at_punct(Punct::Percent) {
-                BinOp::Mod
-            } else {
-                break;
-            };
-            self.bump();
-            let rhs = self.unary()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {

@@ -5,6 +5,7 @@
 
 use lyra::{CompileRequest, Compiler, Objective};
 use lyra_apps::{figure9_corpus, paper_baselines, programs, CorpusEntry};
+use lyra_diag::codes;
 use lyra_topo::{evaluation_testbed, fat_tree_pod, figure1_network, Layer, Topology};
 
 /// A single-switch topology with the given ASIC.
@@ -47,6 +48,58 @@ fn corpus_compiles_to_every_programmable_asic() {
                 "{} on {asic}: empty program",
                 entry.name
             );
+        }
+    }
+}
+
+#[test]
+fn corpus_validation_totals_per_asic() {
+    // Figure 9's resource columns summed over the corpus, one PER-SW ToR
+    // per ASIC: [artifacts, tables, actions, registers, lookups, loc].
+    let expected = [
+        ("tofino-32q", [10, 99, 233, 56, 0, 2998]),
+        ("silicon-one", [10, 99, 233, 56, 0, 2918]),
+        ("trident4", [10, 63, 65, 56, 121, 2833]),
+    ];
+    for (asic, want) in expected {
+        let mut got = [0u64; 6];
+        for entry in figure9_corpus() {
+            let scopes = single_scopes(&entry.scopes);
+            let req = CompileRequest::new(&entry.source, &scopes, single(asic));
+            let out = Compiler::new().compile(&req).unwrap();
+            for (_, s) in out.validate_all().unwrap() {
+                let counts = [1, s.tables, s.actions, s.registers, s.lookups, s.loc];
+                for (g, n) in got.iter_mut().zip(counts) {
+                    *g += n;
+                }
+            }
+        }
+        assert_eq!(got, want, "{asic}");
+    }
+}
+
+#[test]
+fn p414_refuses_multiply_divide_and_modulo() {
+    // RMT has no multiply or divide ALU: the Tofino compile fails with
+    // LYR0501 naming the operator and the switch, while the P4_16 and NPL
+    // targets compile the same program.
+    for op in ["*", "/", "%"] {
+        let src = format!(
+            "pipeline[P]{{a}};\nalgorithm a {{\n    x = ipv4.srcAddr {op} ipv4.dstAddr;\n}}\n"
+        );
+        let scopes = "a: [ ToR1 | PER-SW | - ]";
+        let req = CompileRequest::new(&src, scopes, single("tofino-32q"));
+        let err = Compiler::new().compile(&req).unwrap_err();
+        let [d] = err.diagnostics() else {
+            panic!("one diagnostic expected: {err}");
+        };
+        assert_eq!(d.code, Some(codes::CODEGEN), "{d}");
+        assert!(d.message.contains(&format!("`{op}`")), "{d}");
+        assert!(d.message.contains("ToR1"), "{d}");
+        for asic in ["silicon-one", "trident4"] {
+            let req = CompileRequest::new(&src, scopes, single(asic));
+            let out = Compiler::new().compile(&req).unwrap();
+            out.validate_all().unwrap();
         }
     }
 }
