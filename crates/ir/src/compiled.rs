@@ -17,7 +17,7 @@
 //!   the [`DataPlaneState`] they were built from — instead of copying it:
 //!   a lookup is a fence-key search plus one in-page binary search on the
 //!   very pages the runtime installed into;
-//! * predicates become skip offsets ([`Op::Guard`]) over runs of
+//! * predicates become skip offsets (`Op::Guard`) over runs of
 //!   identically-predicated instructions, so untaken branches cost one
 //!   compare + jump instead of a per-instruction string probe;
 //! * builtin calls are pre-dispatched at compile time — environment reads

@@ -77,79 +77,120 @@ pub enum Operand {
 }
 
 /// Instruction operations. Each carries at most one operator (§4.2 step 3).
+/// Lowering builds them over unbound operands and binds each one to its
+/// SSA version with [`IrOp::map`] when it emits the instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IrOp {
+pub enum IrOp<O = Operand> {
     /// `dst = a`.
-    Assign(Operand),
+    Assign(O),
     /// `dst = a ⊕ b`.
     Binary {
         /// Operator.
         op: BinOp,
         /// Left operand.
-        a: Operand,
+        a: O,
         /// Right operand.
-        b: Operand,
+        b: O,
     },
     /// `dst = ⊖a`.
     Unary {
         /// Operator.
         op: UnOp,
         /// Operand.
-        a: Operand,
+        a: O,
     },
     /// `dst = builtin(args)` for value-producing library calls.
     Call {
         /// Builtin name.
         name: String,
         /// Arguments.
-        args: Vec<Operand>,
+        args: Vec<O>,
     },
     /// `builtin(args)` for void library calls (`add_header`, `drop`, …).
     Action {
         /// Builtin name.
         name: String,
         /// Arguments.
-        args: Vec<Operand>,
+        args: Vec<O>,
     },
     /// `dst = table[key]` — read the value column of an extern dict.
     TableLookup {
         /// Extern table name.
         table: String,
         /// Key operand.
-        key: Operand,
+        key: O,
     },
     /// `dst = (key in table)` — membership test, 1-bit result.
     TableMember {
         /// Extern table name.
         table: String,
         /// Key operand.
-        key: Operand,
+        key: O,
     },
     /// `dst = global[index]`.
     GlobalRead {
         /// Global array name.
         global: String,
         /// Index operand.
-        index: Operand,
+        index: O,
     },
     /// `global[index] = value`.
     GlobalWrite {
         /// Global array name.
         global: String,
         /// Index operand.
-        index: Operand,
+        index: O,
         /// Stored operand.
-        value: Operand,
+        value: O,
     },
     /// `dst = base[hi:lo]` bit slice.
     Slice {
         /// Sliced operand.
-        a: Operand,
+        a: O,
         /// High bit (inclusive).
         hi: u32,
         /// Low bit (inclusive).
         lo: u32,
     },
+}
+
+impl<O> IrOp<O> {
+    /// Apply `f` to every operand, in the order the instruction reads them.
+    pub fn map<P>(self, mut f: impl FnMut(O) -> P) -> IrOp<P> {
+        match self {
+            IrOp::Assign(a) => IrOp::Assign(f(a)),
+            IrOp::Binary { op, a, b } => IrOp::Binary {
+                op,
+                a: f(a),
+                b: f(b),
+            },
+            IrOp::Unary { op, a } => IrOp::Unary { op, a: f(a) },
+            IrOp::Call { name, args } => IrOp::Call {
+                name,
+                args: args.into_iter().map(f).collect(),
+            },
+            IrOp::Action { name, args } => IrOp::Action {
+                name,
+                args: args.into_iter().map(f).collect(),
+            },
+            IrOp::TableLookup { table, key } => IrOp::TableLookup { table, key: f(key) },
+            IrOp::TableMember { table, key } => IrOp::TableMember { table, key: f(key) },
+            IrOp::GlobalRead { global, index } => IrOp::GlobalRead {
+                global,
+                index: f(index),
+            },
+            IrOp::GlobalWrite {
+                global,
+                index,
+                value,
+            } => IrOp::GlobalWrite {
+                global,
+                index: f(index),
+                value: f(value),
+            },
+            IrOp::Slice { a, hi, lo } => IrOp::Slice { a: f(a), hi, lo },
+        }
+    }
 }
 
 impl IrOp {

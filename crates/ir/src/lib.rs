@@ -3,7 +3,8 @@
 //!
 //! Implements the compiler front-end of the Lyra paper (§4):
 //!
-//! 1. **Preprocessor** (§4.2, [`lower`] + [`ssa`] + [`types`]):
+//! 1. **Preprocessor** (§4.2, [`lower`] + [`types`]), one walk from the
+//!    checked AST to SSA IR and then width inference:
 //!    * *function inlining* — every user-function call is replaced by its
 //!      body with by-reference parameter substitution (Figure 8(a)→(b));
 //!    * *branch removal* — `if`/`else` become predicates applied to each
@@ -12,7 +13,8 @@
 //!    * *single-operator tuning* — expressions are flattened so each IR
 //!      instruction has at most one operator;
 //!    * *SSA conversion* — every versioned value is assigned once, leaving
-//!      only read-after-write dependencies;
+//!      only read-after-write dependencies; all versions of a base share
+//!      one storage slot, so an `if` tests its condition once;
 //!    * *variable type inference* — widths propagate from declarations,
 //!      library-call signatures, and table column types.
 //! 2. **Code analyzer** (§4.3, [`deps`] + [`blocks`]): the instruction
@@ -27,7 +29,6 @@ pub mod deps;
 pub mod instr;
 pub mod interp;
 pub mod lower;
-pub mod ssa;
 pub mod table;
 pub mod types;
 pub mod verify;
@@ -42,8 +43,7 @@ pub use interp::{
     builtin_call, execute, execute_all, global_read, global_write, reference_hash, DataPlaneState,
     Effect, PacketState,
 };
-pub use lower::{lower_program, LowerError, RawInstr, RawOp, RawOperand};
-pub use ssa::to_ssa;
+pub use lower::{lower_program, LowerError};
 pub use table::{ExternTable, PAGE_CAP};
 pub use types::infer_widths;
 pub use verify::{debug_verify, verify_algorithm, verify_program, Stage};
@@ -98,8 +98,8 @@ impl FrontendError {
     }
 }
 
-/// Run the complete front-end on Lyra source text: parse, check, lower,
-/// SSA-convert, infer widths. This is the paper's Figure 3 front half.
+/// Run the complete front-end on Lyra source text: parse, check, lower to
+/// SSA, infer widths. This is the paper's Figure 3 front half.
 pub fn frontend(src: &str) -> Result<IrProgram, FrontendError> {
     let prog = parse_program(src).map_err(FrontendError::Parse)?;
     frontend_ast(&prog)
@@ -111,11 +111,10 @@ pub fn frontend_ast(prog: &Program) -> Result<IrProgram, FrontendError> {
     lower_checked(prog, &info).map_err(FrontendError::Lower)
 }
 
-/// The front-end after checking: lower, SSA-convert, infer widths, for a
-/// program [`check_program`] has already accepted with `info`.
+/// The front-end after checking: lower to SSA, infer widths, for a program
+/// [`check_program`] has already accepted with `info`.
 pub fn lower_checked(prog: &Program, info: &CheckInfo) -> Result<IrProgram, LowerError> {
-    let raw = lower_program(prog, info)?;
-    let mut ir = to_ssa(raw);
+    let mut ir = lower_program(prog, info)?;
     infer_widths(&mut ir);
     // Pass-boundary invariant check (debug builds only): width inference
     // must leave the SSA structure intact and every width consistent.

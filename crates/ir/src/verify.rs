@@ -9,6 +9,9 @@
 //!   instruction;
 //! * **def-before-use** — every operand and predicate read refers to a
 //!   live-in value or to a value defined by an *earlier* instruction;
+//! * **shared storage** — all versions of a base live in one slot, so a
+//!   read names the latest version written before it, and a `%t`
+//!   temporary is never live-in;
 //! * **width consistency** — after inference, all SSA versions of a base
 //!   agree on one width and no destination is left at width 0;
 //! * **predication exclusivity** — every `neg_of` link points at a
@@ -17,9 +20,10 @@
 //! * **dependency acyclicity** — the instruction dependency graph only has
 //!   edges from later instructions to earlier ones.
 //!
-//! Debug builds run the checker between front-end passes (`to_ssa` →
-//! [`Stage::PostSsa`], `infer_widths` → [`Stage::PostWidths`]); violations
-//! panic with an `LYR0604`-style message. Release builds skip it.
+//! Debug builds run the checker between front-end passes (`lower_program`
+//! → [`Stage::PostLower`], `infer_widths` → [`Stage::PostWidths`]);
+//! violations panic with an `LYR0604`-style message. Release builds skip
+//! it.
 
 use std::collections::BTreeMap;
 
@@ -29,8 +33,8 @@ use crate::instr::*;
 /// once inference has run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// After SSA conversion, before width inference.
-    PostSsa,
+    /// After lowering to SSA, before width inference.
+    PostLower,
     /// After width inference (the front-end's final state).
     PostWidths,
 }
@@ -38,7 +42,7 @@ pub enum Stage {
 impl Stage {
     fn name(self) -> &'static str {
         match self {
-            Stage::PostSsa => "post-ssa",
+            Stage::PostLower => "post-lower",
             Stage::PostWidths => "post-widths",
         }
     }
@@ -97,36 +101,47 @@ pub fn verify_algorithm(alg: &IrAlgorithm, stage: Stage) -> Vec<String> {
                 info.name(),
                 actual.0
             ))),
+            (None, None) if info.base.starts_with('%') => errs.push(ctx(format!(
+                "temporary {} is live-in (read before any write)",
+                info.name()
+            ))),
             _ => {}
         }
     }
 
-    // Def-before-use for operands and predicates.
-    let check_use = |errs: &mut Vec<String>, at: InstrId, v: ValueId, what: &str| {
-        if v.index() >= alg.values.len() {
-            errs.push(ctx(format!("instr {} {what} unknown value {:?}", at.0, v)));
-            return;
-        }
-        if let Some(d) = alg.value(v).def {
-            if d.index() >= at.index() {
+    // Def-before-use, and shared storage: a read names the latest version
+    // of its base written before it.
+    let mut latest: BTreeMap<&str, ValueId> = BTreeMap::new();
+    for id in alg.instr_ids() {
+        let instr = alg.instr(id);
+        let reads = instr.op.reads().into_iter().filter_map(|o| match o {
+            Operand::Value(v) => Some(("reads", v)),
+            Operand::Const(_) => None,
+        });
+        for (what, v) in reads.chain(instr.pred.map(|p| ("is predicated on", p))) {
+            if v.index() >= alg.values.len() {
+                errs.push(ctx(format!("instr {} {what} unknown value {:?}", id.0, v)));
+                continue;
+            }
+            let info = alg.value(v);
+            if let Some(d) = info.def.filter(|d| d.index() >= id.index()) {
                 errs.push(ctx(format!(
                     "instr {} {what} {} before its definition at instr {}",
-                    at.0,
-                    alg.value(v).name(),
+                    id.0,
+                    info.name(),
                     d.0
+                )));
+            } else if let Some(&l) = latest.get(info.base.as_str()).filter(|&&l| l != v) {
+                errs.push(ctx(format!(
+                    "instr {} {what} {} after {} overwrote its storage",
+                    id.0,
+                    info.name(),
+                    alg.value(l).name()
                 )));
             }
         }
-    };
-    for id in alg.instr_ids() {
-        let instr = alg.instr(id);
-        for o in instr.op.reads() {
-            if let Operand::Value(v) = o {
-                check_use(&mut errs, id, v, "reads");
-            }
-        }
-        if let Some(p) = instr.pred {
-            check_use(&mut errs, id, p, "is predicated on");
+        if let Some(d) = instr.dst.filter(|d| d.index() < alg.values.len()) {
+            latest.insert(&alg.value(d).base, d);
         }
     }
 
@@ -247,7 +262,7 @@ mod tests {
             "#,
         ] {
             let ir = frontend(src).unwrap();
-            assert!(verify_program(&ir, Stage::PostSsa).is_empty(), "{src}");
+            assert!(verify_program(&ir, Stage::PostLower).is_empty(), "{src}");
             assert!(verify_program(&ir, Stage::PostWidths).is_empty(), "{src}");
         }
     }
@@ -258,7 +273,7 @@ mod tests {
         let alg = &mut ir.algorithms[0];
         let d0 = alg.instrs[0].dst.unwrap();
         alg.instrs[1].dst = Some(d0);
-        let errs = verify_program(&ir, Stage::PostSsa);
+        let errs = verify_program(&ir, Stage::PostLower);
         assert!(errs.iter().any(|e| e.contains("defined twice")), "{errs:?}");
     }
 
@@ -275,9 +290,40 @@ mod tests {
                 alg.values[d.index()].def = Some(InstrId(i as u32));
             }
         }
-        let errs = verify_program(&ir, Stage::PostSsa);
+        let errs = verify_program(&ir, Stage::PostLower);
         assert!(
             errs.iter().any(|e| e.contains("before its definition")),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
+    fn stale_version_read_detected() {
+        let mut ir = frontend("pipeline[P]{a}; algorithm a { x = 1; x = 2; y = x; }").unwrap();
+        let alg = &mut ir.algorithms[0];
+        // Make `y = x` read x#1, defined before it but overwritten in the
+        // shared slot by `x = 2`.
+        let x1 = alg.instrs[0].dst.unwrap();
+        alg.instrs[2].op = IrOp::Assign(Operand::Value(x1));
+        let errs = verify_program(&ir, Stage::PostLower);
+        assert!(
+            errs.iter()
+                .any(|e| e.contains("reads x#1 after x#2 overwrote")),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
+    fn live_in_temporary_detected() {
+        let mut ir = frontend("pipeline[P]{a}; algorithm a { y = (a + b) * c; }").unwrap();
+        let alg = &mut ir.algorithms[0];
+        // Drop the write of `%t1` so `y = %t1 * c` reads it live-in.
+        let t = alg.instrs[0].dst.take().unwrap();
+        alg.values[t.index()].def = None;
+        let errs = verify_program(&ir, Stage::PostLower);
+        assert!(
+            errs.iter()
+                .any(|e| e.contains("temporary %t1#1 is live-in")),
             "{errs:?}"
         );
     }
@@ -303,7 +349,7 @@ mod tests {
         let alg = &mut ir.algorithms[0];
         let vi = alg.values.iter().position(|v| v.neg_of.is_some()).unwrap();
         alg.values[vi].neg_of = Some(ValueId(vi as u32));
-        let errs = verify_program(&ir, Stage::PostSsa);
+        let errs = verify_program(&ir, Stage::PostLower);
         assert!(
             errs.iter().any(|e| e.contains("negates itself")),
             "{errs:?}"

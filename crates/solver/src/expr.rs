@@ -1,7 +1,7 @@
 //! Expressions for the solver: boolean ([`Bx`]) and integer ([`Ix`])
 //! handles into their [`Model`](crate::Model)'s arena.
 //!
-//! A model keeps every composite expression as a fixed-size [`Node`] in one
+//! A model keeps every composite expression as a fixed-size `Node` in one
 //! `Vec` and refers to it by index, the way a decision-diagram compiler keeps
 //! its nodes in one table. Handles are `Copy`. Leaves need no arena:
 //! constants, variables and single-term linear forms (`k + c·v`) live inline

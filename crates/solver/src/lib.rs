@@ -15,7 +15,7 @@
 //!   [`Model::implies`], [`Model::sum`], …) and named by `Copy` handles
 //!   ([`Bx`], [`Ix`]); constants, variables and single-term linear forms
 //!   need no node — no macros, no type-level tricks;
-//! * [`flatten`] lowers a [`Model`] to CNF clauses (Tseitin transformation)
+//! * [`flatten()`] lowers a [`Model`] to CNF clauses (Tseitin transformation)
 //!   plus normalized linear atoms (`Σ cᵢ·vᵢ ≤ k`);
 //! * [`solve`] runs a CDCL-style search: two-watched-literal unit
 //!   propagation, 1-UIP conflict analysis with non-chronological

@@ -23,7 +23,7 @@ pub struct SolverConfig {
     /// Abort with [`Outcome::Unknown`] after this many decisions.
     pub max_decisions: u64,
     /// Wall-clock deadline. Checked before the search starts and polled
-    /// (decimated — every [`DEADLINE_POLL_MASK`]+1 propagation passes, to
+    /// (decimated — every `DEADLINE_POLL_MASK`+1 propagation passes, to
     /// keep `Instant::now` off the hot path) during propagation; on expiry
     /// the search winds down with [`Outcome::Unknown`].
     pub deadline: Option<std::time::Instant>,

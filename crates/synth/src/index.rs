@@ -1,6 +1,6 @@
 //! The placement problem, indexed once.
 //!
-//! [`encode`](crate::encode::encode) builds one [`ScopeIndex`] per
+//! [`encode`](crate::encode::encode) builds one `ScopeIndex` per
 //! algorithm — there is exactly one scope per algorithm — and every later
 //! reader of the encoding ([`place`](crate::place), [`greedy`](crate::greedy)
 //! and the quotient route) goes through it: switches become

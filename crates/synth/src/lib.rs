@@ -8,7 +8,7 @@
 //!   folding;
 //! * [`npl`] — conditional NPL synthesis: logical tables with multi-lookup
 //!   merging, logical bus and registers;
-//! * [`encode`] — the SMT model: deployment booleans `f_s(I)`, extern
+//! * [`encode`](mod@encode) — the SMT model: deployment booleans `f_s(I)`, extern
 //!   split counts `E_{e,s}`, chip resource budgets (memory blocks, tables,
 //!   actions, atoms, PHV bits, parser TCAM, stage depth), flow-path,
 //!   dependency, and co-location constraints;

@@ -1,4 +1,4 @@
-//! Scope resolution: bind a parsed [`ScopeSpec`](lyra_lang::ScopeSpec) to a
+//! Scope resolution: bind a parsed [`lyra_lang::ScopeSpec`] to a
 //! concrete [`Topology`], producing the candidate switch set and the flow
 //! paths the back-end encodes constraints over (§4.3 "Deployment constraints
 //! generation").

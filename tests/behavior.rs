@@ -3,10 +3,11 @@
 //! stands up the runtime simulator, installs control-plane entries, and
 //! checks algorithm-level semantics — sequence-number rejection in
 //! NetChain-style replication, flowlet gap detection, counter persistence,
-//! TTL handling in the router.
+//! TTL handling in the router. The last test runs the front end's IR
+//! directly: an `if` tests its condition once.
 
 use lyra::{CompileRequest, Compiler, Runtime};
-use lyra_ir::{Effect, PacketState};
+use lyra_ir::{execute_all, frontend, DataPlaneState, Effect, PacketState};
 use lyra_topo::{Layer, Topology};
 
 fn single(asic: &str) -> Topology {
@@ -252,4 +253,33 @@ fn netcache_read_path_counts_misses() {
             .any(|e| matches!(e, Effect::Action { name, .. } if name == "copy_to_cpu")));
     }
     assert_eq!(rt.global("ToR1", "miss_count", 9), Some(3));
+}
+
+/// Lower `body` (with `f`, which writes its by-reference parameter) and
+/// run it once on the IR interpreter from `inputs`.
+fn run_body(body: &str, inputs: &[(&str, u64)]) -> PacketState {
+    let src = format!("pipeline[P]{{a}}; algorithm a {{ {body} }} func f(bit[32] v) {{ v = 0; }}");
+    let ir = frontend(&src).expect("program lowers");
+    let mut pkt = PacketState::new();
+    for &(name, value) in inputs {
+        pkt.set(name, value);
+    }
+    execute_all(&ir.algorithms[0], &mut pkt, &mut DataPlaneState::new());
+    pkt
+}
+
+/// An `if` tests its condition once, before its branch runs: a branch that
+/// writes the variable its `if` tests (directly, from a nested branch, or
+/// through a by-reference parameter) neither skips the rest of the branch
+/// nor falls into the else branch.
+#[test]
+fn an_if_tests_its_condition_once() {
+    let body = "if (x) { x = 0; y = 5; } else { y = 1; }";
+    assert_eq!(run_body(body, &[("x", 1)]).get("y"), 5, "{body}");
+    let body = "if (p) { if (q) { q = 0; } else { y = 1; } }";
+    assert_eq!(run_body(body, &[("p", 1), ("q", 1)]).get("y"), 0, "{body}");
+    let body = "if (x) { if (q) { z = 3; } else { x = 0; } w = 2; }";
+    assert_eq!(run_body(body, &[("x", 1), ("q", 0)]).get("w"), 2, "{body}");
+    let body = "if (x) { f(x); y = 5; } else { y = 1; }";
+    assert_eq!(run_body(body, &[("x", 1)]).get("y"), 5, "{body}");
 }

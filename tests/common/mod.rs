@@ -1,9 +1,9 @@
-//! Shared helpers for the scale suites: a deterministic PRNG, a
-//! parameterized load-balancer program, and a seeded large-entry-set
-//! generator. The workspace builds offline with no external crates, so
-//! randomness is the same xorshift64* the other property harnesses use —
-//! every run explores the identical scenario set and failures reproduce
-//! from the printed seed/scenario index.
+//! Shared test helpers: the one deterministic PRNG every seeded suite
+//! draws from, a parameterized load-balancer program, and a seeded
+//! large-entry-set generator. The workspace builds offline with no
+//! external crates, so randomness is an in-tree xorshift64* — every run
+//! explores the identical scenario set and failures reproduce from the
+//! printed seed/scenario index.
 
 #![allow(dead_code)] // each test binary uses a different subset
 
@@ -26,6 +26,10 @@ impl Rng {
 
     pub fn below(&mut self, n: u64) -> u64 {
         self.next() % n
+    }
+
+    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.below(hi - lo + 1)
     }
 }
 

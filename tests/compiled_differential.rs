@@ -32,6 +32,9 @@
 //! explores the identical case set and failures reproduce from the
 //! printed template name and packet index.
 
+mod common;
+
+use common::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lyra::{
@@ -43,28 +46,6 @@ use lyra_ir::{
     IrProgram, Machine, PacketState, ProgramLayout, TableSnapshot, LANES,
 };
 use lyra_topo::figure1_network;
-
-/// Deterministic xorshift64* PRNG.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// One differential template: a source program plus the packet fields
 /// its seeded traffic randomizes.

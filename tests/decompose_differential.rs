@@ -12,34 +12,11 @@
 //! offline with no external crates), so every run explores the identical
 //! case set and failures reproduce from the printed case index.
 
+mod common;
+
+use common::Rng;
 use lyra::{CompileError, CompileOutput, CompileRequest, Compiler, SolveProfile};
 use lyra_topo::fat_tree_pod;
-
-/// Deterministic xorshift64* PRNG.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.below(hi - lo + 1)
-    }
-}
 
 /// A random MULTI-SW-friendly program: a couple of extern tables with
 /// seeded sizes, compute, conditionals, and lookups. Oversized externs

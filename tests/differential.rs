@@ -14,33 +14,13 @@
 //!
 //! Final packet state and fired effects must agree.
 
+mod common;
+
+use common::Rng;
 use lyra_ir::{execute, execute_all, frontend, DataPlaneState, InstrId, PacketState};
 use lyra_lang::parse_scopes;
 use lyra_synth::{synthesize, Backend, EncodeOptions};
 use lyra_topo::{figure1_network, resolve_scope};
-
-/// Deterministic xorshift64* PRNG (the workspace builds offline with no
-/// external crates; seeded runs explore the identical case set).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// Compile `program` under `scopes` on the Figure 1 network and return,
 /// per flow path, the ordered per-switch instruction subsets plus the

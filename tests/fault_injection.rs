@@ -25,6 +25,9 @@
 //! must return promptly with a `LYR0550` degraded-result warning instead
 //! of hanging or failing.
 
+mod common;
+
+use common::Rng;
 use std::time::{Duration, Instant};
 
 use lyra::{
@@ -36,28 +39,6 @@ use lyra::{
 use lyra_ir::{execute_all, DataPlaneState, Effect, PacketState};
 use lyra_lang::parse_scopes;
 use lyra_topo::{fat_tree_pod, figure1_network, resolve_scope, scope_health, FaultSet};
-
-/// Deterministic xorshift64* PRNG.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 const LB: &str = r#"
     pipeline[LB]{loadbalancer};

@@ -12,37 +12,14 @@
 //! identical case set and failures reproduce from the printed case
 //! index and seed.
 
+mod common;
+
+use common::Rng;
 use lyra::oracle::run_case;
 use lyra::{CompileOutput, CompileRequest, Compiler, OracleConfig};
 use lyra_apps::figure9_corpus;
 use lyra_diag::codes;
 use lyra_topo::{Layer, Topology};
-
-/// Deterministic xorshift64* PRNG.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.below(hi - lo + 1)
-    }
-}
 
 /// The three single-switch targets, one per backend language.
 const ASICS: [&str; 3] = ["tofino-32q", "silicon-one", "trident4"];
