@@ -2,7 +2,8 @@
 
 use lyra_chips::{by_name, TargetLang};
 use lyra_ir::{IrAlgorithm, IrOp, IrProgram, Operand};
-use lyra_synth::{SwitchPlan, SynthResult};
+use lyra_lang::ExternKind;
+use lyra_synth::{SwitchPlan, SynthResult, SynthTable};
 use lyra_topo::Topology;
 
 /// One piece of generated chip-specific code for one switch.
@@ -190,6 +191,60 @@ pub fn deployed_instrs<'a>(
         }
     }
     out
+}
+
+/// The registers (globals) the plan's instructions touch, by name, with
+/// their (width, length).
+pub fn used_globals<'a>(ir: &'a IrProgram, plan: &SwitchPlan) -> Vec<(&'a str, (u32, u64))> {
+    let mut used = std::collections::BTreeSet::new();
+    for (alg, instrs) in deployed_instrs(ir, plan) {
+        used.extend(instrs.iter().filter_map(|&i| alg.instr(i).op.global()));
+    }
+    used.into_iter()
+        .filter_map(|g| ir.globals.get_key_value(g))
+        .map(|(g, &shape)| (g.as_str(), shape))
+        .collect()
+}
+
+/// Action parameters, with their widths: an extern dict's value columns
+/// become action data.
+pub fn action_params(ir: &IrProgram, t: &SynthTable) -> Vec<(String, u32)> {
+    match t.extern_name().and_then(|e| ir.externs.get(e)) {
+        Some(ext) => match &ext.kind {
+            ExternKind::Dict { values, .. } => values
+                .iter()
+                .map(|v| (format!("val_{}", v.name), v.ty.width))
+                .collect(),
+            ExternKind::List { .. } => Vec::new(),
+        },
+        None => Vec::new(),
+    }
+}
+
+/// The match keys of an extern-backed table: the key each lookup of the
+/// extern reads, under the extern's match kind (Appendix D: range falls
+/// back to ternary on chips without native range support — the control
+/// plane expands the rules).
+pub fn table_keys(ir: &IrProgram, t: &SynthTable, r: &Render) -> Vec<(String, &'static str)> {
+    let Some(e) = t.extern_name() else {
+        return Vec::new();
+    };
+    let kind = ir
+        .externs
+        .get(e)
+        .map_or("exact", |x| x.match_kind.keyword());
+    let mut keys: Vec<(String, &'static str)> = t
+        .instrs
+        .iter()
+        .filter_map(|&i| match &r.alg.instr(i).op {
+            IrOp::TableMember { key, .. } | IrOp::TableLookup { key, .. } => {
+                Some((r.operand(key), kind))
+            }
+            _ => None,
+        })
+        .collect();
+    keys.dedup();
+    keys
 }
 
 /// Does the op represent a hash builtin?

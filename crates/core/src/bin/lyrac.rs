@@ -267,7 +267,7 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &args.emit_stats {
-        let json = out.session().to_json().to_pretty();
+        let json = out.to_json().to_pretty();
         if let Err(e) = std::fs::write(path, json) {
             return tool_error(&args, format!("cannot write {}: {e}", path.display()));
         }

@@ -94,6 +94,8 @@ pub use rollout::{
 };
 pub use runtime::{Runtime, RuntimeError};
 
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -108,7 +110,7 @@ pub use lyra_topo::{DegradeReport, FaultSet, ScopeHealth};
 use lyra_diag::codes;
 use lyra_diag::json::{Object, Value};
 use lyra_ir::IrProgram;
-use lyra_topo::{resolve_scope, resolve_scope_degraded, ResolvedScope, Topology};
+use lyra_topo::{resolve_scope, resolve_scope_degraded, ResolvedScope, SwitchId, Topology};
 
 /// [`SourceId`] of the Lyra program source inside
 /// [`CompileRequest::source_map`].
@@ -273,86 +275,6 @@ impl ResourceUtilization {
     }
 }
 
-/// Observability record of one compile run: phase timings, solver effort,
-/// and per-switch resource utilization. Obtain one from
-/// [`CompileOutput::session`]; serialize it with [`CompileSession::to_json`]
-/// (this is what `lyrac --emit-stats` writes).
-///
-/// ```
-/// use lyra::{Compiler, CompileRequest};
-/// use lyra_topo::figure1_network;
-///
-/// let out = Compiler::new()
-///     .compile(&CompileRequest::new(
-///         "pipeline[P]{a}; algorithm a { x = 1; }",
-///         "a: [ ToR1 | PER-SW | - ]",
-///         figure1_network(),
-///     ))
-///     .unwrap();
-/// let session = out.session();
-/// assert!(session.stats.total >= session.stats.synth);
-/// let json = session.to_json().to_pretty();
-/// assert!(json.contains("\"solver\""));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CompileSession {
-    /// Per-phase wall-clock timings.
-    pub stats: CompileStats,
-    /// Aggregated solver search statistics (summed across every solver
-    /// invocation the compile made).
-    pub solver: SearchStats,
-    /// Per-switch resource utilization of the solved placement.
-    pub utilization: Vec<ResourceUtilization>,
-}
-
-impl CompileSession {
-    /// Serialize to a JSON value (phases in microseconds).
-    pub fn to_json(&self) -> Value {
-        let mut phases = Object::new();
-        for (ph, d) in self.stats.phases() {
-            phases.push(ph.as_str(), Value::Number(d.as_micros() as f64));
-        }
-        phases.push("total", Value::Number(self.stats.total.as_micros() as f64));
-        let mut solver = Object::new();
-        solver.push("decisions", Value::Number(self.solver.decisions as f64));
-        solver.push(
-            "propagations",
-            Value::Number(self.solver.propagations as f64),
-        );
-        solver.push("conflicts", Value::Number(self.solver.conflicts as f64));
-        solver.push("learned", Value::Number(self.solver.learned as f64));
-        solver.push("restarts", Value::Number(self.solver.restarts as f64));
-        solver.push(
-            "linear_visits",
-            Value::Number(self.solver.linear_visits as f64),
-        );
-        solver.push(
-            "bound_updates",
-            Value::Number(self.solver.bound_updates as f64),
-        );
-        solver.push(
-            "creep_checks",
-            Value::Number(self.solver.creep_checks as f64),
-        );
-        let mut cache = Object::new();
-        cache.push("hits", Value::Number(self.stats.synth_cache_hits as f64));
-        cache.push(
-            "misses",
-            Value::Number(self.stats.synth_cache_misses as f64),
-        );
-        let mut o = Object::new();
-        o.push("phases_us", Value::Object(phases));
-        o.push("solver", Value::Object(solver));
-        o.push("synth_cache", Value::Object(cache));
-        o.push("solve_route", Value::str(self.stats.route_name()));
-        o.push(
-            "utilization",
-            Value::Array(self.utilization.iter().map(|u| u.to_json()).collect()),
-        );
-        Value::Object(o)
-    }
-}
-
 /// Event sink for compile-phase progress. Implement this to observe a
 /// compilation as it runs (progress bars, tracing, CI timing) without the
 /// compiler depending on any logging framework; register it with
@@ -378,7 +300,7 @@ pub struct CompileOutput {
     /// Flow paths per algorithm (switch names in traversal order) — the
     /// control-plane runtime replicates logical table entries so every
     /// path sees the full table.
-    pub flow_paths: std::collections::BTreeMap<String, Vec<Vec<String>>>,
+    pub flow_paths: BTreeMap<String, Vec<Vec<String>>>,
     /// The context-aware IR (useful for inspection and tests).
     pub ir: IrProgram,
     /// Phase timings.
@@ -398,14 +320,62 @@ pub struct CompileOutput {
 }
 
 impl CompileOutput {
-    /// The observability record of this run (timings, solver effort,
-    /// utilization) — see [`CompileSession`].
-    pub fn session(&self) -> CompileSession {
-        CompileSession {
-            stats: self.stats,
-            solver: self.solver,
-            utilization: self.utilization.clone(),
+    /// The observability record of this run as JSON — phase timings in
+    /// microseconds, solver effort, synthesis-cache counters, the solve
+    /// route and per-switch utilization. This is what `lyrac --emit-stats`
+    /// writes.
+    ///
+    /// ```
+    /// use lyra::{Compiler, CompileRequest};
+    /// use lyra_topo::figure1_network;
+    ///
+    /// let out = Compiler::new()
+    ///     .compile(&CompileRequest::new(
+    ///         "pipeline[P]{a}; algorithm a { x = 1; }",
+    ///         "a: [ ToR1 | PER-SW | - ]",
+    ///         figure1_network(),
+    ///     ))
+    ///     .unwrap();
+    /// assert!(out.stats.total >= out.stats.synth);
+    /// let json = out.to_json().to_pretty();
+    /// assert!(json.contains("\"solver\""));
+    /// ```
+    pub fn to_json(&self) -> Value {
+        let mut phases = Object::new();
+        for (ph, d) in self.stats.phases() {
+            phases.push(ph.as_str(), Value::Number(d.as_micros() as f64));
         }
+        phases.push("total", Value::Number(self.stats.total.as_micros() as f64));
+        let s = &self.solver;
+        let mut solver = Object::new();
+        for (key, n) in [
+            ("decisions", s.decisions),
+            ("propagations", s.propagations),
+            ("conflicts", s.conflicts),
+            ("learned", s.learned),
+            ("restarts", s.restarts),
+            ("linear_visits", s.linear_visits),
+            ("bound_updates", s.bound_updates),
+            ("creep_checks", s.creep_checks),
+        ] {
+            solver.push(key, Value::Number(n as f64));
+        }
+        let mut cache = Object::new();
+        cache.push("hits", Value::Number(self.stats.synth_cache_hits as f64));
+        cache.push(
+            "misses",
+            Value::Number(self.stats.synth_cache_misses as f64),
+        );
+        let mut o = Object::new();
+        o.push("phases_us", Value::Object(phases));
+        o.push("solver", Value::Object(solver));
+        o.push("synth_cache", Value::Object(cache));
+        o.push("solve_route", Value::str(self.stats.route_name()));
+        o.push(
+            "utilization",
+            Value::Array(self.utilization.iter().map(|u| u.to_json()).collect()),
+        );
+        Value::Object(o)
     }
 
     /// Validate every artifact and return per-switch summaries.
@@ -605,14 +575,13 @@ impl Compiler {
         ir: &IrProgram,
         topo: &Topology,
         scopes: &[ResolvedScope],
-        opts: &EncodeOptions,
         previous: Option<&Placement>,
         limits: &lyra_synth::SynthLimits,
-    ) -> Result<(Arc<lyra_synth::SynthResult>, Option<SolveRoute>), lyra_synth::SynthError> {
+    ) -> Result<Solved, lyra_synth::SynthError> {
         let key = self
             .cache
             .as_ref()
-            .map(|_| cache::synth_key(ir, topo, scopes, opts, &Backend::Native));
+            .map(|_| cache::synth_key(ir, topo, scopes, &self.encode, &Backend::Native));
         if let (Some(cache), Some(key)) = (&self.cache, key) {
             if let Some(hit) = cache.lookup(key) {
                 return Ok((hit, None));
@@ -622,7 +591,7 @@ impl Compiler {
             ir,
             topo,
             scopes,
-            opts,
+            &self.encode,
             &Backend::Native,
             previous,
             limits,
@@ -776,86 +745,67 @@ impl Compiler {
         let resolved = resolved?;
 
         // --- Back-end ------------------------------------------------------
-        // PER-SW-only workloads decompose per switch: every switch of a
-        // scope hosts the full algorithm independently, so identical
-        // (ASIC, algorithm-set) groups share one synthesis run. This is the
-        // paper's explanation for Figure 10's flat PER-SW curve ("all the
-        // switches have the same program and Lyra can generate the program
-        // for each switch in parallel").
-        let all_per_sw = resolved
-            .iter()
-            .all(|s| s.deploy == lyra_lang::DeployMode::PerSwitch)
-            && matches!(self.encode.objective, Objective::Feasible);
-        let t1 = Instant::now();
-        let BackEnd {
-            placement,
-            artifacts,
-            solver,
-            t_synth,
-            t_codegen,
-            t_release,
-            hits,
-            misses,
-            degraded,
-            route,
-        } = if all_per_sw {
-            self.compile_per_switch(&ir, req, &resolved, &limits)?
-        } else {
-            if let Some(obs) = &self.observer {
-                obs.on_phase_start(Phase::Solve);
-            }
-            let (synth, route) = self
-                .synthesize_cached(
-                    &ir,
-                    &req.topology,
-                    &resolved,
-                    &self.encode,
-                    previous,
-                    &limits,
-                )
-                .map_err(|e| CompileError::Synth(e.to_diagnostics()))?;
-            let t_synth = t1.elapsed();
-            if let Some(obs) = &self.observer {
-                obs.on_phase_end(Phase::Solve, t_synth);
-            }
-            let was_hit = route.is_none();
-            let (artifacts, t_codegen) = self.phase(Phase::Codegen, || {
-                lyra_codegen::generate(&ir, &req.topology, &synth).map_err(|e| {
-                    CompileError::Codegen(vec![Diagnostic::error(codes::CODEGEN, e.to_string())])
-                })
-            });
-            let (placement, stats, degraded) =
-                (synth.placement.clone(), synth.stats, synth.degraded);
-            // Unless a cache holds it too, this frees the encoded model —
-            // at pod scale several milliseconds, so it is a phase.
-            let ((), t_release) = self.phase(Phase::Release, || drop(synth));
-            BackEnd {
-                placement,
-                artifacts: artifacts?,
-                // A cache hit spent no solver effort this compile — its
-                // stats belong to the run that populated the cache — and
-                // its rung (always `None` by the cache invariant) must not
-                // be confused with this compile's own outcome.
-                solver: if was_hit {
-                    SearchStats::default()
-                } else {
-                    stats
-                },
-                degraded: if was_hit { None } else { degraded },
-                t_synth,
-                t_codegen,
-                t_release,
-                hits: (self.cache.is_some() && was_hit) as u64,
-                misses: (self.cache.is_some() && !was_hit) as u64,
-                route,
-            }
-        };
+        let groups = self.synthesis_groups(&req.topology, &resolved, previous);
+        let (solved, t_synth) = self.phase(Phase::Solve, || {
+            self.solve(&ir, &req.topology, &groups, &limits)
+        });
         stats.synth = t_synth;
+        let solved = solved.map_err(|e| CompileError::Synth(e.to_diagnostics()))?;
+        // A cache hit spent no solver effort this compile — its stats belong
+        // to the run that populated the cache — and, since only clean
+        // results are cached, cannot have degraded it: stats and rung come
+        // from the groups that ran, and the route is the last one that ran.
+        let mut solver = SearchStats::default();
+        let mut degraded = None;
+        for (synth, ran) in &solved {
+            match ran {
+                None => stats.synth_cache_hits += 1,
+                Some(route) => {
+                    stats.synth_cache_misses += self.cache.is_some() as u64;
+                    stats.solve_route = Some(*route);
+                    solver.absorb(synth.stats);
+                    degraded = degraded.or(synth.degraded);
+                }
+            }
+        }
+        let (generated, t_codegen) = self.phase(Phase::Codegen, || {
+            let mut placement = Placement::default();
+            let mut artifacts = Vec::new();
+            for (group, (synth, _)) in groups.iter().zip(&solved) {
+                let generated = lyra_codegen::generate(&ir, &req.topology, synth).map_err(|e| {
+                    CompileError::Codegen(vec![Diagnostic::error(codes::CODEGEN, e.to_string())])
+                })?;
+                let Some(&rep) = group.members.first() else {
+                    placement.switches.extend(synth.placement.switches.clone());
+                    artifacts.extend(generated);
+                    continue;
+                };
+                let rep_name = &req.topology.switch(rep).name;
+                let rep_plan = synth.placement.switches.get(rep_name);
+                for &member in &group.members {
+                    let member_name = &req.topology.switch(member).name;
+                    if let Some(plan) = rep_plan {
+                        placement.switches.insert(member_name.clone(), plan.clone());
+                    }
+                    for a in &generated {
+                        let mut a = a.clone();
+                        a.code = a.code.replace(
+                            &format!("program for {rep_name} "),
+                            &format!("program for {member_name} "),
+                        );
+                        a.switch = member_name.clone();
+                        artifacts.push(a);
+                    }
+                }
+            }
+            Ok((placement, artifacts))
+        });
         stats.codegen = t_codegen;
+        // Unless a cache holds them too, this frees the encoded models — at
+        // pod scale several milliseconds, so it is a phase.
+        let ((), t_release) = self.phase(Phase::Release, || drop(solved));
         stats.release = t_release;
-        stats.synth_cache_hits = hits;
-        stats.synth_cache_misses = misses;
-        stats.solve_route = route;
+        let (placement, artifacts) = generated?;
 
         let flow_paths = resolved
             .iter()
@@ -905,179 +855,117 @@ impl Compiler {
         })
     }
 
-    /// PER-SW fast path: group scope switches by (ASIC model, set of
-    /// algorithms), synthesize one representative per group, and replicate
-    /// the plan to every member.
-    fn compile_per_switch(
+    /// The synthesis problems of a compile. An all-PER-SW feasibility
+    /// compile decomposes per switch: every switch of a scope hosts the
+    /// full algorithm independently, so the switches with the same ASIC
+    /// and algorithm set form one group, solved once on its smallest switch
+    /// and replicated to the rest — the paper's explanation for Figure 10's
+    /// flat PER-SW curve (§7.2). Every other compile is one group: the
+    /// whole problem, seeded with `previous`.
+    fn synthesis_groups<'r>(
         &self,
-        ir: &IrProgram,
-        req: &CompileRequest,
-        resolved: &[ResolvedScope],
-        limits: &lyra_synth::SynthLimits,
-    ) -> Result<BackEnd, CompileError> {
-        use std::collections::BTreeMap;
-        let opts = &self.encode;
-        let t1 = Instant::now();
-        if let Some(obs) = &self.observer {
-            obs.on_phase_start(Phase::Solve);
+        topo: &Topology,
+        resolved: &'r [ResolvedScope],
+        previous: Option<&'r Placement>,
+    ) -> Vec<Group<'r>> {
+        let per_sw = matches!(self.encode.objective, Objective::Feasible)
+            && resolved
+                .iter()
+                .all(|s| s.deploy == lyra_lang::DeployMode::PerSwitch);
+        if !per_sw {
+            return vec![Group {
+                scopes: Cow::Borrowed(resolved),
+                previous,
+                members: Vec::new(),
+            }];
         }
-
-        // Switch → algorithms scoped there.
-        let mut algs_on: BTreeMap<lyra_topo::SwitchId, Vec<&ResolvedScope>> = BTreeMap::new();
+        let mut algs_on: BTreeMap<SwitchId, Vec<&ResolvedScope>> = BTreeMap::new();
         for scope in resolved {
             for &s in &scope.switches {
                 algs_on.entry(s).or_default().push(scope);
             }
         }
-        // Group key: (asic, sorted algorithm names).
-        let mut groups: BTreeMap<(String, Vec<String>), Vec<lyra_topo::SwitchId>> = BTreeMap::new();
+        // Group key: (ASIC, sorted algorithm names).
+        let mut groups: BTreeMap<(&str, Vec<&str>), Vec<SwitchId>> = BTreeMap::new();
         for (&s, scopes) in &algs_on {
-            let mut names: Vec<String> = scopes.iter().map(|sc| sc.algorithm.clone()).collect();
+            let mut names: Vec<&str> = scopes.iter().map(|sc| sc.algorithm.as_str()).collect();
             names.sort();
-            let asic = req.topology.switch(s).asic.clone();
-            groups.entry((asic, names)).or_default().push(s);
+            groups
+                .entry((&topo.switch(s).asic, names))
+                .or_default()
+                .push(s);
         }
-
-        // Synthesize one representative per group, on scoped threads ("Lyra
-        // can generate the program for each switch in parallel" — §7.2).
-        type GroupKey = (String, Vec<String>);
-        let group_list: Vec<(&GroupKey, &Vec<lyra_topo::SwitchId>)> = groups.iter().collect();
-        let rep_scopes_of = |rep: lyra_topo::SwitchId| -> Vec<ResolvedScope> {
-            algs_on[&rep]
-                .iter()
-                .map(|sc| ResolvedScope {
-                    algorithm: sc.algorithm.clone(),
-                    switches: vec![rep],
-                    deploy: sc.deploy,
-                    paths: vec![vec![rep]],
-                })
-                .collect()
-        };
-        type SynthOutcome =
-            Result<(Arc<lyra_synth::SynthResult>, Option<SolveRoute>), lyra_synth::SynthError>;
-        let mut synth_results: Vec<SynthOutcome> = Vec::with_capacity(group_list.len());
-        if group_list.len() > 1 {
-            let results = std::thread::scope(|s| {
-                let handles: Vec<_> = group_list
+        groups
+            .into_values()
+            .map(|members| {
+                let rep = members[0];
+                let scopes = algs_on[&rep]
                     .iter()
-                    .map(|(_, members)| {
-                        let rep = members[0];
-                        let scopes = rep_scopes_of(rep);
-                        let topology = &req.topology;
-                        s.spawn(move || {
-                            self.synthesize_cached(ir, topology, &scopes, opts, None, limits)
-                        })
+                    .map(|sc| ResolvedScope {
+                        algorithm: sc.algorithm.clone(),
+                        switches: vec![rep],
+                        deploy: sc.deploy,
+                        paths: vec![vec![rep]],
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("synthesis thread"))
-                    .collect::<Vec<_>>()
-            });
-            synth_results.extend(results);
-        } else {
-            for (_, members) in &group_list {
-                let rep = members[0];
-                let scopes = rep_scopes_of(rep);
-                synth_results.push(self.synthesize_cached(
-                    ir,
-                    &req.topology,
-                    &scopes,
-                    opts,
-                    None,
-                    limits,
-                ));
-            }
-        }
+                Group {
+                    scopes: Cow::Owned(scopes),
+                    previous: None,
+                    members,
+                }
+            })
+            .collect()
+    }
 
-        let mut placement = Placement::default();
-        let mut artifacts = Vec::new();
-        let mut solver = SearchStats::default();
-        let (mut t_codegen, mut t_release) = (Duration::ZERO, Duration::ZERO);
-        let (mut hits, mut misses) = (0u64, 0u64);
-        let mut degraded: Option<DegradeRung> = None;
-        let mut route: Option<SolveRoute> = None;
-        for ((_, members), synth) in group_list.iter().zip(synth_results) {
-            let rep = members[0];
-            let (synth, ran) = synth.map_err(|e| CompileError::Synth(e.to_diagnostics()))?;
-            if ran.is_none() {
-                hits += 1;
-            } else {
-                // Single-switch PER-SW groups have nothing to carry over
-                // or to quotient: every group that ran ran monolithic.
-                route = ran;
-                // A cache hit spent no solver effort and, by the cache's
-                // only-store-clean-results invariant, cannot have degraded
-                // *this* compile — so the rung (like the stats) is absorbed
-                // only from real synthesis runs, never from hits.
-                degraded = degraded.or(synth.degraded);
-                if self.cache.is_some() {
-                    misses += 1;
-                }
-                solver.absorb(synth.stats);
-            }
-            let tc = Instant::now();
-            let rep_artifacts = lyra_codegen::generate(ir, &req.topology, &synth).map_err(|e| {
-                CompileError::Codegen(vec![Diagnostic::error(codes::CODEGEN, e.to_string())])
-            })?;
-            let rep_name = req.topology.switch(rep).name.clone();
-            let rep_plan = synth.placement.switches.get(&rep_name).cloned();
-            for &member in members.iter() {
-                let member_name = req.topology.switch(member).name.clone();
-                if let Some(plan) = &rep_plan {
-                    placement.switches.insert(member_name.clone(), plan.clone());
-                }
-                for a in &rep_artifacts {
-                    let mut a = a.clone();
-                    a.code = a.code.replace(
-                        &format!("program for {rep_name} "),
-                        &format!("program for {member_name} "),
-                    );
-                    a.switch = member_name.clone();
-                    artifacts.push(a);
-                }
-            }
-            t_codegen += tc.elapsed();
-            let tr = Instant::now();
-            drop(synth);
-            t_release += tr.elapsed();
+    /// Synthesize every group, on scoped threads when there are several
+    /// ("Lyra can generate the program for each switch in parallel" —
+    /// §7.2). The error is the first failing group's, in group order.
+    fn solve(
+        &self,
+        ir: &IrProgram,
+        topo: &Topology,
+        groups: &[Group],
+        limits: &lyra_synth::SynthLimits,
+    ) -> Result<Vec<Solved>, lyra_synth::SynthError> {
+        let solve_group =
+            |g: &Group| self.synthesize_cached(ir, topo, &g.scopes, g.previous, limits);
+        if groups.len() < 2 {
+            return groups.iter().map(solve_group).collect();
         }
-        let t_synth = t1.elapsed().saturating_sub(t_codegen + t_release);
-        if let Some(obs) = &self.observer {
-            obs.on_phase_end(Phase::Solve, t_synth);
-            obs.on_phase_start(Phase::Codegen);
-            obs.on_phase_end(Phase::Codegen, t_codegen);
-            obs.on_phase_start(Phase::Release);
-            obs.on_phase_end(Phase::Release, t_release);
-        }
-        Ok(BackEnd {
-            placement,
-            artifacts,
-            solver,
-            t_synth,
-            t_codegen,
-            t_release,
-            hits,
-            misses,
-            degraded,
-            route,
+        std::thread::scope(|s| {
+            let handles: Vec<_> = groups
+                .iter()
+                .map(|g| s.spawn(move || solve_group(g)))
+                .collect();
+            // Join every thread before looking at any result, so that a
+            // worker's panic is re-raised as its own even after an error.
+            let joined: Vec<_> = handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect();
+            joined.into_iter().collect()
         })
     }
 }
 
-/// What the back-end (synthesis + code generation) of one compile
-/// produced, on either driver path.
-struct BackEnd {
-    placement: Placement,
-    artifacts: Vec<Artifact>,
-    solver: SearchStats,
-    t_synth: Duration,
-    t_codegen: Duration,
-    t_release: Duration,
-    hits: u64,
-    misses: u64,
-    degraded: Option<DegradeRung>,
-    route: Option<SolveRoute>,
+/// One synthesis result and the route that produced it (`None`: a
+/// synthesis-cache hit).
+type Solved = (Arc<lyra_synth::SynthResult>, Option<SolveRoute>);
+
+/// One synthesis problem of a compile's back end.
+struct Group<'r> {
+    /// The scopes solved.
+    scopes: Cow<'r, [ResolvedScope]>,
+    /// The placement the solve tries first; `None` for a PER-SW group,
+    /// which searches cold.
+    previous: Option<&'r Placement>,
+    /// The switches that get a copy of the representative's plan and code,
+    /// the representative first; empty for the whole problem, whose plans
+    /// and code are taken as they are.
+    members: Vec<SwitchId>,
 }
 
 /// Compute per-switch utilization of a placement against chip budgets.
@@ -1222,10 +1110,10 @@ mod tests {
         assert_eq!(hit.stats.synth_cache_hits, 1);
         assert_eq!(hit.degraded, None, "cache hit must not report a rung");
         assert_eq!(hit.solver.decisions, 0);
-        // No route ran, and the session JSON says so by name.
+        // No route ran, and the stats JSON says so by name.
         assert_eq!(clean.stats.solve_route, Some(SolveRoute::Monolithic));
         assert_eq!(hit.stats.solve_route, None);
-        let json = hit.session().to_json();
+        let json = hit.to_json();
         assert_eq!(
             json.get("solve_route").and_then(|v| v.as_str()),
             Some("cached")
@@ -1265,7 +1153,7 @@ mod tests {
                 figure1_network(),
             ))
             .unwrap();
-        let json = out.session().to_json();
+        let json = out.to_json();
         let solver = json.get("solver").expect("solver");
         for key in ["linear_visits", "bound_updates", "creep_checks"] {
             assert!(solver.get(key).is_some(), "missing solver.{key}");
@@ -1346,13 +1234,55 @@ mod tests {
             .unwrap();
         assert!(out.stats.total >= out.stats.synth);
         assert!(!out.utilization.is_empty());
-        let json = out.session().to_json();
+        let json = out.to_json();
         let phases = json.get("phases_us").expect("phases_us");
         assert!(phases.get("total").is_some());
         assert!(json
             .get("solver")
             .and_then(|s| s.get("decisions"))
             .is_some());
+    }
+
+    /// One extern lookup, compiled PER-SW on Figure 1's second pod: two
+    /// groups (Silicon One ToRs, Trident-4 Aggs) of two members each.
+    const LOOKUP: &str = "pipeline[P]{a}; algorithm a { \
+        extern dict<bit[32] k, bit[32] v>[64] t; \
+        if (flow_h in t) { ipv4.dstAddr = t[flow_h]; } }";
+    const GROUPED: &str = "a: [ ToR3,ToR4,Agg3,Agg4 | PER-SW | - ]";
+
+    #[test]
+    fn grouped_per_switch_compile_goes_through_the_cache() {
+        let cache = Arc::new(SynthCache::new());
+        let compiler = Compiler::new().with_synth_cache(cache.clone());
+        let req = CompileRequest::new(LOOKUP, GROUPED, figure1_network());
+        let first = compiler.compile(&req).unwrap();
+        assert_eq!(
+            (first.stats.synth_cache_hits, first.stats.synth_cache_misses),
+            (0, 2)
+        );
+        assert_eq!(first.stats.solve_route, Some(SolveRoute::Monolithic));
+        assert_eq!(cache.len(), 2);
+        let second = compiler.compile(&req).unwrap();
+        assert_eq!(
+            (
+                second.stats.synth_cache_hits,
+                second.stats.synth_cache_misses
+            ),
+            (2, 0)
+        );
+        assert_eq!(second.solver.decisions, 0);
+        assert_eq!(second.stats.solve_route, None);
+        assert_eq!(second.stats.route_name(), "cached");
+        assert_eq!(first.placement, second.placement);
+        for out in [&first, &second] {
+            let mut switches: Vec<&str> = out.artifacts.iter().map(|a| a.switch.as_str()).collect();
+            switches.sort_unstable();
+            assert_eq!(switches, ["Agg3", "Agg4", "ToR3", "ToR4"]);
+            for a in &out.artifacts {
+                let header = format!("program for {} ", a.switch);
+                assert!(a.code.contains(&header), "{}: {}", a.switch, a.code);
+            }
+        }
     }
 
     #[test]
@@ -1368,28 +1298,24 @@ mod tests {
                 self.0.lock().unwrap().push((phase, true));
             }
         }
-        let rec = Arc::new(Recorder::default());
-        Compiler::new()
-            .with_observer(rec.clone())
-            .compile(&CompileRequest::new(
-                "pipeline[P]{a}; algorithm a { x = 1; }",
-                "a: [ ToR1 | PER-SW | - ]",
-                figure1_network(),
-            ))
-            .unwrap();
-        let events = rec.0.lock().unwrap();
-        for ph in [
-            Phase::Parse,
-            Phase::Check,
-            Phase::Lower,
-            Phase::Scopes,
-            Phase::Solve,
-            Phase::Release,
+        // Each phase starts, then ends, in pipeline order — on one switch,
+        // on two PER-SW groups, and on a MULTI-SW problem.
+        let pipeline = CompileStats::default().phases().map(|(ph, _)| ph);
+        let want: Vec<(Phase, bool)> = pipeline
+            .iter()
+            .flat_map(|&ph| [(ph, false), (ph, true)])
+            .collect();
+        for scopes in [
+            "a: [ ToR1 | PER-SW | - ]",
+            GROUPED,
+            "a: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]",
         ] {
-            assert!(
-                events.contains(&(ph, false)) && events.contains(&(ph, true)),
-                "missing events for {ph:?}: {events:?}"
-            );
+            let rec = Arc::new(Recorder::default());
+            Compiler::new()
+                .with_observer(rec.clone())
+                .compile(&CompileRequest::new(LOOKUP, scopes, figure1_network()))
+                .unwrap();
+            assert_eq!(*rec.0.lock().unwrap(), want, "{scopes}");
         }
     }
 
@@ -1415,6 +1341,25 @@ mod tests {
         // The span is the repeated (second) line.
         let rendered = err.render(&req.source_map());
         assert!(rendered.contains("<scopes>:2:1"), "{rendered}");
+    }
+
+    #[test]
+    fn every_group_is_synthesized_before_any_code_is_generated() {
+        // Two PER-SW groups: the Tofino one solves but cannot emit `*` in
+        // P4_14 (LYR0501); the Trident-4 one cannot hold the extern
+        // (LYR0402). The synthesis error is reported, though its group
+        // comes second.
+        let mut topo = Topology::new();
+        topo.add_switch("ToR1", lyra_topo::Layer::ToR, "tofino-32q");
+        topo.add_switch("Agg1", lyra_topo::Layer::Agg, "trident4");
+        let program = "pipeline[P]{a}; algorithm a { \
+            extern dict<bit[32] k, bit[32] v>[3200000] t; \
+            if (flow_h in t) { ipv4.dstAddr = t[flow_h]; } \
+            x = ipv4.srcAddr * ipv4.dstAddr; }";
+        let req = CompileRequest::new(program, "a: [ ToR1,Agg1 | PER-SW | - ]", topo);
+        let err = Compiler::new().compile(&req).unwrap_err();
+        assert!(matches!(err, CompileError::Synth(_)), "{err}");
+        assert_eq!(err.diagnostics()[0].code, Some(codes::INFEASIBLE_MEMORY));
     }
 
     #[test]

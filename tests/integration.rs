@@ -78,6 +78,48 @@ fn corpus_validation_totals_per_asic() {
     }
 }
 
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn emitted_text_is_pinned() {
+    // Every byte the three emitters and the control-stub writer produce for
+    // the corpus on one ToR of each programmable ASIC, then NetCache PER-SW
+    // on a k = 4 pod, whose replicated members are renamed copies of their
+    // group's representative. A change to any emitted byte moves the hash.
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for asic in ["tofino-32q", "silicon-one", "trident4"] {
+        for entry in figure9_corpus() {
+            let scopes = single_scopes(&entry.scopes);
+            let req = CompileRequest::new(&entry.source, &scopes, single(asic));
+            for a in Compiler::new().compile(&req).unwrap().artifacts {
+                h = fnv1a(fnv1a(h, a.code.as_bytes()), a.control_plane.as_bytes());
+            }
+        }
+    }
+    assert_eq!(h, 0x07f9_5323_6da9_da09, "corpus: {h:#018x}");
+    let out = Compiler::new()
+        .compile(&CompileRequest::new(
+            &programs::netcache(),
+            "netcache: [ ToR*,Agg* | PER-SW | - ]",
+            fat_tree_pod(4, "tofino-32q", "trident4"),
+        ))
+        .unwrap();
+    assert_eq!(out.artifacts.len(), 4);
+    for a in &out.artifacts {
+        h = fnv1a(fnv1a(h, a.code.as_bytes()), a.control_plane.as_bytes());
+    }
+    assert_eq!(
+        h, 0x9e7a_e6ce_5056_d4e3,
+        "corpus + NetCache PER-SW k = 4: {h:#018x}"
+    );
+}
+
 #[test]
 fn p414_refuses_multiply_divide_and_modulo() {
     // RMT has no multiply or divide ALU: the Tofino compile fails with
