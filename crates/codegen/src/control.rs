@@ -17,6 +17,11 @@
 //! `<t>_commit(epoch)` / `<t>_rollback(epoch)` operations, so a controller
 //! can stage the next placement epoch, flip to it atomically, or revert —
 //! the switch-side half of the prepare/commit protocol.
+//!
+//! [`control_plane_stub`] depends on the plan alone: it writes every line
+//! but the first, and [`generate`](crate::generate) writes the header line
+//! naming the switch, so switches with equal plans share one rendered
+//! stub.
 
 use std::fmt::Write;
 
@@ -25,13 +30,10 @@ use lyra_synth::SwitchPlan;
 
 use crate::oracle::{rule_lines, rules::table_rules};
 
-/// Generate the Python control-plane stub for one switch.
-pub fn control_plane_stub(ir: &IrProgram, switch: &str, plan: &SwitchPlan) -> String {
+/// Generate the Python control-plane stub for one switch plan: every line
+/// after the header line, which `crate::emit` writes.
+pub fn control_plane_stub(ir: &IrProgram, plan: &SwitchPlan) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# Control-plane stub for {switch} — generated by Lyra (do not edit)"
-    );
     let _ = writeln!(
         out,
         "# Each extern variable in the Lyra program maps to the functions below;"
@@ -253,7 +255,7 @@ mod tests {
         .unwrap();
         let mut plan = SwitchPlan::default();
         plan.extern_entries.insert("vip_table".into(), 512);
-        let stub = control_plane_stub(&ir, "ToR1", &plan);
+        let stub = control_plane_stub(&ir, &plan);
         assert!(stub.contains("vip_table_entry_set"));
         assert!(stub.contains("vip_table_entry_get"));
         assert!(stub.contains("vip_table_CAPACITY = 512"));
@@ -275,7 +277,7 @@ mod tests {
         .unwrap();
         let mut plan = SwitchPlan::default();
         plan.extern_entries.insert("vip_table".into(), 512);
-        let stub = control_plane_stub(&ir, "ToR1", &plan);
+        let stub = control_plane_stub(&ir, &plan);
         assert!(stub.contains("PLACEMENT_EPOCH = 0"));
         assert!(stub.contains("def vip_table_prepare(epoch, entries):"));
         assert!(stub.contains("def vip_table_commit(epoch):"));
@@ -296,7 +298,7 @@ mod tests {
         .unwrap();
         let mut plan = SwitchPlan::default();
         plan.extern_entries.insert("vip_table".into(), 512);
-        let stub = control_plane_stub(&ir, "ToR1", &plan);
+        let stub = control_plane_stub(&ir, &plan);
         // Recovery probe: a restarted controller asks for the epoch tags.
         assert!(stub.contains("def lyra_placement_state():"));
         assert!(stub.contains("return (PLACEMENT_EPOCH, _STAGED_EPOCH)"));
@@ -313,7 +315,7 @@ mod tests {
     #[test]
     fn empty_plan_notes_absence() {
         let ir = frontend("pipeline[P]{a}; algorithm a { x = 1; }").unwrap();
-        let stub = control_plane_stub(&ir, "S", &SwitchPlan::default());
+        let stub = control_plane_stub(&ir, &SwitchPlan::default());
         assert!(stub.contains("no extern tables"));
         // The epoch tag and recovery probe are present even with no hosted
         // tables — the switch still participates in rollout transactions
@@ -337,7 +339,7 @@ mod tests {
         .unwrap();
         let mut plan = SwitchPlan::default();
         plan.extern_entries.insert("vip_table".into(), 512);
-        let stub = control_plane_stub(&ir, "ToR1", &plan);
+        let stub = control_plane_stub(&ir, &plan);
         assert!(!stub.contains("TODO"), "stub still has TODO:\n{stub}");
         assert!(stub.contains("LYRA_TABLE_RULES = ["));
         assert!(stub.contains("def lyra_init(driver):"));

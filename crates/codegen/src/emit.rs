@@ -1,9 +1,20 @@
 //! Code generation driver and shared instruction rendering.
+//!
+//! The emitters and the control-stub writer render from a plan alone; the
+//! switch name enters an artifact only through this module's two header
+//! writers, which write the first line of its code and of its stub.
+//! [`generate`] therefore renders each distinct (ASIC, plan) pair once and
+//! gives every other switch with an equal pair a copy under its own
+//! header. At pod scale the placement gives every switch of one ASIC the
+//! same plan: NetCache MULTI-SW on a k = 32 pod renders one program for
+//! its 16 switches.
 
-use lyra_chips::{by_name, TargetLang};
+use std::fmt::Write;
+
+use lyra_chips::{by_name, ChipModel, TargetLang};
 use lyra_ir::{IrAlgorithm, IrOp, IrProgram, Operand};
 use lyra_lang::ExternKind;
-use lyra_synth::{SwitchPlan, SynthResult, SynthTable};
+use lyra_synth::{Placement, SwitchPlan, SynthResult, SynthTable};
 use lyra_topo::Topology;
 
 /// One piece of generated chip-specific code for one switch.
@@ -37,37 +48,132 @@ impl std::fmt::Display for CodegenError {
 impl std::error::Error for CodegenError {}
 
 /// Generate one artifact per switch that received code.
+///
+/// Each distinct (ASIC, plan) pair is rendered once, for the first switch
+/// that has it in placement order; every later switch with an equal ASIC
+/// and plan gets a copy of that artifact titled with its own name.
 pub fn generate(
     ir: &IrProgram,
     topo: &Topology,
     result: &SynthResult,
 ) -> Result<Vec<Artifact>, CodegenError> {
-    let mut out = Vec::new();
-    for (name, plan) in &result.placement.switches {
+    generate_placement(ir, topo, &result.placement)
+}
+
+fn generate_placement(
+    ir: &IrProgram,
+    topo: &Topology,
+    placement: &Placement,
+) -> Result<Vec<Artifact>, CodegenError> {
+    let mut out: Vec<Artifact> = Vec::new();
+    // The first switch of each (ASIC, plan) class: its plan and its index
+    // in `out`.
+    let mut firsts: Vec<(&SwitchPlan, usize)> = Vec::new();
+    for (name, plan) in &placement.switches {
         if plan.instrs.is_empty() {
             continue;
         }
         let sw = topo.find(name).ok_or_else(|| CodegenError {
             message: format!("placement references unknown switch `{name}`"),
         })?;
-        let chip = by_name(&topo.switch(sw).asic).ok_or_else(|| CodegenError {
-            message: format!("unknown ASIC `{}`", topo.switch(sw).asic),
-        })?;
-        let code = match chip.lang {
-            TargetLang::P414 => crate::p414::emit(ir, name, plan, &chip)?,
-            TargetLang::P416 => crate::p416::emit(ir, name, plan, &chip),
-            TargetLang::Npl => crate::npl::emit(ir, name, plan, &chip),
+        let asic = &topo.switch(sw).asic;
+        let first = firsts
+            .iter()
+            .find(|&&(p, i)| out[i].asic == *asic && p == plan);
+        let artifact = match first {
+            Some(&(_, i)) => out[i].copy_for(name),
+            None => {
+                let chip = by_name(asic).ok_or_else(|| CodegenError {
+                    message: format!("unknown ASIC `{asic}`"),
+                })?;
+                firsts.push((plan, out.len()));
+                render(ir, name, plan, &chip)?
+            }
         };
-        let control_plane = crate::control::control_plane_stub(ir, name, plan);
-        out.push(Artifact {
-            switch: name.clone(),
-            asic: chip.name.clone(),
-            lang: chip.lang,
-            code,
-            control_plane,
-        });
+        out.push(artifact);
     }
     Ok(out)
+}
+
+/// Render one switch's artifact from its plan alone: what [`generate`]
+/// does for the first switch of each (ASIC, plan) class.
+fn render(
+    ir: &IrProgram,
+    switch: &str,
+    plan: &SwitchPlan,
+    chip: &ChipModel,
+) -> Result<Artifact, CodegenError> {
+    let body = match chip.lang {
+        TargetLang::P414 => crate::p414::emit(ir, plan, chip).map_err(|e| CodegenError {
+            message: format!("switch `{switch}` ({}): {}", chip.name, e.message),
+        })?,
+        TargetLang::P416 => crate::p416::emit(ir, plan, chip),
+        TargetLang::Npl => crate::npl::emit(ir, plan),
+    };
+    let stub = crate::control::control_plane_stub(ir, plan);
+    Ok(Artifact {
+        switch: switch.to_string(),
+        asic: chip.name.clone(),
+        lang: chip.lang,
+        code: titled(&body, |out| {
+            write_code_header(out, chip.lang, switch, &chip.name)
+        }),
+        control_plane: titled(&stub, |out| write_stub_header(out, switch)),
+    })
+}
+
+impl Artifact {
+    /// This artifact's program titled for `switch`: the header line is
+    /// rewritten and the rest of the text is this artifact's.
+    pub fn code_for(&self, switch: &str) -> String {
+        titled(after_header(&self.code), |out| {
+            write_code_header(out, self.lang, switch, &self.asic)
+        })
+    }
+
+    /// A copy of this artifact for `switch`, program and stub titled with
+    /// its name.
+    fn copy_for(&self, switch: &str) -> Artifact {
+        Artifact {
+            switch: switch.to_string(),
+            asic: self.asic.clone(),
+            lang: self.lang,
+            code: self.code_for(switch),
+            control_plane: titled(after_header(&self.control_plane), |out| {
+                write_stub_header(out, switch)
+            }),
+        }
+    }
+}
+
+/// The first line of a switch's program.
+fn write_code_header(out: &mut String, lang: TargetLang, switch: &str, asic: &str) {
+    let _ = writeln!(
+        out,
+        "/* {} program for {switch} ({asic}) — generated by Lyra */",
+        lang.name()
+    );
+}
+
+/// The first line of a switch's control-plane stub.
+fn write_stub_header(out: &mut String, switch: &str) {
+    let _ = writeln!(
+        out,
+        "# Control-plane stub for {switch} — generated by Lyra (do not edit)"
+    );
+}
+
+/// `body` under the line `header` writes.
+fn titled(body: &str, header: impl FnOnce(&mut String)) -> String {
+    let mut out = String::with_capacity(body.len() + 96);
+    header(&mut out);
+    out.push_str(body);
+    out
+}
+
+/// The text after an artifact's header line.
+fn after_header(text: &str) -> &str {
+    text.split_once('\n').map_or("", |(_, body)| body)
 }
 
 /// A rendering context: resolves SSA values back to storage names.
@@ -262,7 +368,126 @@ pub fn is_hash_call(op: &IrOp) -> Option<(&str, &Vec<Operand>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lyra::{CompileOutput, CompileRequest, Compiler};
+    use lyra_apps::{figure9_corpus, programs};
     use lyra_ir::frontend;
+    use lyra_topo::{fat_tree_pod, figure1_network, FaultSet, Layer};
+
+    /// MULTI-SW over a whole pod, traffic entering at the Aggs.
+    fn pod_scopes(alg: &str, k: usize) -> String {
+        let names = |p: &str| {
+            (1..=k / 2)
+                .map(|i| format!("{p}{i}"))
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        format!(
+            "{alg}: [ ToR*,Agg* | MULTI-SW | ({}->{}) ]",
+            names("Agg"),
+            names("ToR")
+        )
+    }
+
+    /// The compiles whose placements the sharing test generates from.
+    fn compiles() -> Vec<(String, CompileOutput, Topology)> {
+        let compile = |what: String, src: &str, scopes: &str, topo: Topology| {
+            let req = CompileRequest::new(src, scopes, topo.clone());
+            let out = Compiler::new()
+                .compile(&req)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            (what, out, topo)
+        };
+        let mut out = Vec::new();
+        for asic in ["tofino-32q", "silicon-one", "trident4"] {
+            for entry in figure9_corpus() {
+                let mut topo = Topology::new();
+                topo.add_switch("ToR1", Layer::ToR, asic);
+                let scopes = entry
+                    .scopes
+                    .lines()
+                    .filter_map(|l| l.split(':').next())
+                    .map(str::trim)
+                    .filter(|a| !a.is_empty())
+                    .map(|a| format!("{a}: [ ToR1 | PER-SW | - ]"))
+                    .collect::<Vec<_>>()
+                    .join("\n");
+                out.push(compile(
+                    format!("{} @{asic}", entry.name),
+                    &entry.source,
+                    &scopes,
+                    topo,
+                ));
+            }
+        }
+        let pod8 = || fat_tree_pod(8, "tofino-32q", "trident4");
+        let netcache = programs::netcache();
+        let multi = pod_scopes("netcache", 8);
+        out.push(compile(
+            "NetCache MULTI-SW k=8".into(),
+            &netcache,
+            &multi,
+            pod8(),
+        ));
+        out.push(compile(
+            "NetCache PER-SW k=8".into(),
+            &netcache,
+            "netcache: [ ToR*,Agg* | PER-SW | - ]",
+            pod8(),
+        ));
+        out.push(compile(
+            "LB[4000000] MULTI-SW fig1".into(),
+            &programs::load_balancer(4_000_000),
+            "loadbalancer: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]",
+            figure1_network(),
+        ));
+        out.push(compile(
+            "LB[5500000] MULTI-SW k=8".into(),
+            &programs::load_balancer(5_500_000),
+            &pod_scopes("loadbalancer", 8),
+            pod8(),
+        ));
+        let req = CompileRequest::new(&netcache, &multi, pod8());
+        let compiler = Compiler::new();
+        let healthy = compiler.compile(&req).unwrap();
+        let faults = FaultSet::new().with_switch("Agg1");
+        let r = compiler
+            .recompile_for_faults(&req, &healthy, &faults)
+            .unwrap();
+        out.push(("NetCache MULTI-SW k=8 Agg1 fails".into(), r.output, pod8()));
+        out
+    }
+
+    #[test]
+    fn shared_artifacts_equal_single_switch_renders() {
+        // Every artifact `generate` hands out, rendered or copied, is the
+        // artifact its switch's own plan renders to on its own.
+        let mut copies = 0;
+        for (what, out, topo) in compiles() {
+            let artifacts = generate_placement(&out.ir, &topo, &out.placement).unwrap();
+            assert_eq!(artifacts.len(), out.placement.used_switches(), "{what}");
+            let mut classes: Vec<(&str, &SwitchPlan)> = Vec::new();
+            for a in &artifacts {
+                let plan = &out.placement.switches[&a.switch];
+                let chip = by_name(&a.asic).unwrap();
+                let single = render(&out.ir, &a.switch, plan, &chip).unwrap();
+                assert!(
+                    *a == single,
+                    "{what}: {} differs from its single-switch render",
+                    a.switch
+                );
+                if classes.contains(&(a.asic.as_str(), plan)) {
+                    copies += 1;
+                } else {
+                    classes.push((&a.asic, plan));
+                }
+            }
+        }
+        // NetCache shares one plan per ASIC on the k = 8 pod: 3 copies in
+        // MULTI-SW and 3 after Agg1 fails (the four ToRs hold the code), 6 in
+        // PER-SW. The LB splits carry values between named hops, so each of
+        // their plans is distinct.
+        assert_eq!(copies, 12);
+    }
 
     #[test]
     fn sanitize_names() {

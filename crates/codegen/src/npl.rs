@@ -17,7 +17,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 
-use lyra_chips::ChipModel;
 use lyra_ir::{InstrId, IrOp, IrProgram, Operand};
 use lyra_lang::UnOp;
 use lyra_synth::util::compute_plumbing;
@@ -26,14 +25,10 @@ use lyra_synth::{SwitchPlan, TableKind};
 use crate::emit::{deployed_instrs, metadata_fields, used_globals, Render};
 use crate::oracle::rules;
 
-/// Emit the NPL program for one switch.
-pub fn emit(ir: &IrProgram, switch: &str, plan: &SwitchPlan, chip: &ChipModel) -> String {
+/// Emit the NPL program for one switch plan: every line after the
+/// header line, which `crate::emit` writes.
+pub fn emit(ir: &IrProgram, plan: &SwitchPlan) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "/* NPL program for {switch} ({}) — generated by Lyra */",
-        chip.name
-    );
 
     // --- Bus struct (local variables) --------------------------------------
     let _ = writeln!(out, "bus lyra_bus {{");

@@ -20,13 +20,9 @@ use crate::emit::{
     CodegenError, Render,
 };
 
-/// Emit the P4_14 program for one switch.
-pub fn emit(
-    ir: &IrProgram,
-    switch: &str,
-    plan: &SwitchPlan,
-    chip: &ChipModel,
-) -> Result<String, CodegenError> {
+/// Emit the P4_14 program for one switch plan: every line after the
+/// header line, which `crate::emit` writes.
+pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> Result<String, CodegenError> {
     for t in &plan.tables {
         let Some(alg) = ir.algorithm(&t.algorithm) else {
             continue;
@@ -39,8 +35,7 @@ pub fn emit(
             {
                 return Err(CodegenError {
                     message: format!(
-                        "switch `{switch}` ({}): P4_14 has no `{}` primitive (algorithm `{}`)",
-                        chip.name,
+                        "P4_14 has no `{}` primitive (algorithm `{}`)",
                         op.symbol(),
                         t.algorithm
                     ),
@@ -49,11 +44,6 @@ pub fn emit(
         }
     }
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "/* P4_14 program for {switch} ({}) — generated by Lyra */",
-        chip.name
-    );
 
     // --- Headers ----------------------------------------------------------
     let mut declared_headers = BTreeSet::new();

@@ -36,14 +36,10 @@ pub fn split_wide_compare(a: &str, b: &str, width: u32, max: u32) -> String {
     parts.join(" && ")
 }
 
-/// Emit the P4_16 program for one switch.
-pub fn emit(ir: &IrProgram, switch: &str, plan: &SwitchPlan, chip: &ChipModel) -> String {
+/// Emit the P4_16 program for one switch plan: every line after the
+/// header line, which `crate::emit` writes.
+pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "/* P4_16 program for {switch} ({}) — generated by Lyra */",
-        chip.name
-    );
     let _ = writeln!(out, "#include <core.p4>");
 
     // --- Headers -------------------------------------------------------------

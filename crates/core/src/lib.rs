@@ -788,13 +788,15 @@ impl Compiler {
                         placement.switches.insert(member_name.clone(), plan.clone());
                     }
                     for a in &generated {
-                        let mut a = a.clone();
-                        a.code = a.code.replace(
-                            &format!("program for {rep_name} "),
-                            &format!("program for {member_name} "),
-                        );
-                        a.switch = member_name.clone();
-                        artifacts.push(a);
+                        // Only the code is retitled: every member's stub
+                        // still names the representative (ROADMAP item 2).
+                        artifacts.push(Artifact {
+                            switch: member_name.clone(),
+                            asic: a.asic.clone(),
+                            lang: a.lang,
+                            code: a.code_for(member_name),
+                            control_plane: a.control_plane.clone(),
+                        });
                     }
                 }
             }

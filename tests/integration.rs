@@ -91,7 +91,8 @@ fn emitted_text_is_pinned() {
     // Every byte the three emitters and the control-stub writer produce for
     // the corpus on one ToR of each programmable ASIC, then NetCache PER-SW
     // on a k = 4 pod, whose replicated members are renamed copies of their
-    // group's representative. A change to any emitted byte moves the hash.
+    // group's representative, then two MULTI-SW placements. A change to any
+    // emitted byte moves the hash.
     let mut h = 0xcbf2_9ce4_8422_2325;
     for asic in ["tofino-32q", "silicon-one", "trident4"] {
         for entry in figure9_corpus() {
@@ -117,6 +118,36 @@ fn emitted_text_is_pinned() {
     assert_eq!(
         h, 0x9e7a_e6ce_5056_d4e3,
         "corpus + NetCache PER-SW k = 4: {h:#018x}"
+    );
+    // Two MULTI-SW placements: NetCache on a k = 8 pod, whose four ToRs
+    // share one plan, and the LB split over Figure 1's second pod, whose
+    // Aggs carry values to its ToRs.
+    let k8_scopes =
+        "netcache: [ ToR*,Agg* | MULTI-SW | (Agg1,Agg2,Agg3,Agg4->ToR1,ToR2,ToR3,ToR4) ]";
+    let multi = [
+        (
+            programs::netcache(),
+            k8_scopes,
+            fat_tree_pod(8, "tofino-32q", "trident4"),
+        ),
+        (
+            programs::load_balancer(4_000_000),
+            "loadbalancer: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]",
+            figure1_network(),
+        ),
+    ];
+    for (src, scopes, topo) in multi {
+        let out = Compiler::new()
+            .compile(&CompileRequest::new(&src, scopes, topo))
+            .unwrap();
+        assert_eq!(out.artifacts.len(), 4);
+        for a in &out.artifacts {
+            h = fnv1a(fnv1a(h, a.code.as_bytes()), a.control_plane.as_bytes());
+        }
+    }
+    assert_eq!(
+        h, 0x0e2d_ab05_af23_3257,
+        "+ NetCache MULTI-SW k = 8 + LB[4000000] MULTI-SW fig1: {h:#018x}"
     );
 }
 
