@@ -15,6 +15,18 @@
 //! Tseitin has no gate for are expanded as they are met: `a = b` is lowered
 //! as `a ≤ b ∧ a ≥ b` and `a ≠ b` as `a < b ∨ a > b`, each side lowered once
 //! per bound. (At-most-one is stored already expanded.)
+//!
+//! ## Clause storage
+//!
+//! Clauses live in one [`Clauses`] arena: every literal back to back in
+//! one `Vec<Lit>`, and one `u32` offset per clause. The lowering appends
+//! each clause as it writes it, with no `Vec` of its own; a search copies
+//! the arena once (two `memcpy`s) and appends its learned clauses to that
+//! copy. `{:?}` renders the arena exactly as `Vec<Vec<Lit>>` rendered, so a
+//! fingerprint taken over the rendering does not change. The lowering
+//! keeps gate operands and comparison terms on two scratch stacks and
+//! looks atoms up by a key written into a reused buffer, so it allocates
+//! only for what it keeps: the arena, the atoms and the cache's keys.
 
 use std::collections::HashMap;
 
@@ -78,6 +90,79 @@ pub enum FlatVar {
     Int(u32),
 }
 
+/// CNF clauses stored back to back: clause `i` is
+/// `lits[starts[i]..starts[i + 1]]`. One allocation for every literal and
+/// one for the offsets, however many clauses there are, so a search copies
+/// the whole database with two `memcpy`s and appends learned clauses to the
+/// same arena. `{:?}` prints it as the `Vec<Vec<Lit>>` it replaces. No
+/// clause is empty, so a clause index fits in a `u32` as an offset does.
+#[derive(Clone)]
+pub struct Clauses {
+    lits: Vec<Lit>,
+    /// Start of each clause, then the end of the last: `len() + 1` entries.
+    starts: Vec<u32>,
+}
+
+impl Default for Clauses {
+    fn default() -> Self {
+        Clauses {
+            lits: Vec::new(),
+            starts: vec![0],
+        }
+    }
+}
+
+impl Clauses {
+    /// Number of clauses.
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// True when there are no clauses.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Append one clause; its index is the old `len()`.
+    pub(crate) fn push(&mut self, clause: impl IntoIterator<Item = Lit>) {
+        self.lits.extend(clause);
+        let end = u32::try_from(self.lits.len()).expect("fewer than 2³² clause literals");
+        debug_assert!(end > self.starts[self.len()], "an empty clause");
+        self.starts.push(end);
+    }
+
+    /// Every clause, in index order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[Lit]> + '_ {
+        self.starts
+            .windows(2)
+            .map(|w| &self.lits[w[0] as usize..w[1] as usize])
+    }
+
+    /// Clause `i`, to reorder its literals in place.
+    pub(crate) fn clause_mut(&mut self, i: usize) -> &mut [Lit] {
+        let span = self.span(i);
+        &mut self.lits[span]
+    }
+
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        self.starts[i] as usize..self.starts[i + 1] as usize
+    }
+}
+
+impl std::ops::Index<usize> for Clauses {
+    type Output = [Lit];
+
+    fn index(&self, i: usize) -> &[Lit] {
+        &self.lits[self.span(i)]
+    }
+}
+
+impl std::fmt::Debug for Clauses {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// `atom_of_var` entry of a SAT variable that guards no atom.
 const NO_ATOM: u32 = u32::MAX;
 
@@ -92,8 +177,8 @@ pub struct FlatModel {
     pub num_sat_vars: usize,
     /// Inclusive bounds for every integer variable (model then auxiliary).
     pub int_bounds: Vec<(i64, i64)>,
-    /// CNF clauses.
-    pub clauses: Vec<Vec<Lit>>,
+    /// CNF clauses, back to back in one arena.
+    pub clauses: Clauses,
     /// Linear atoms, indexed by `atom_of_var`.
     pub atoms: Vec<LinAtom>,
     /// Per SAT variable, the index into `atoms` of the atom it guards, or
@@ -106,26 +191,6 @@ pub struct FlatModel {
 }
 
 impl FlatModel {
-    /// Bounds `(lo, hi)` a linear combination can take given variable bounds.
-    pub fn lin_bounds(&self, terms: &[(i64, FlatVar)]) -> (i64, i64) {
-        let mut lo = 0i64;
-        let mut hi = 0i64;
-        for &(c, v) in terms {
-            let (vlo, vhi) = match v {
-                FlatVar::Bool(_) => (0, 1),
-                FlatVar::Int(i) => self.int_bounds[i as usize],
-            };
-            if c >= 0 {
-                lo += c * vlo;
-                hi += c * vhi;
-            } else {
-                lo += c * vhi;
-                hi += c * vlo;
-            }
-        }
-        (lo, hi)
-    }
-
     /// The atom SAT variable `var` guards, if it guards one.
     pub(crate) fn atom_of(&self, var: u32) -> Option<&LinAtom> {
         self.atoms.get(self.atom_of_var[var as usize] as usize)
@@ -137,7 +202,31 @@ struct Flattener<'m> {
     flat: FlatModel,
     next_sat_var: u32,
     true_lit: Lit,
-    atom_cache: HashMap<(Vec<(i64, FlatVar)>, i64), u32>,
+    /// Atom variable by [`atom_key`].
+    atom_cache: HashMap<Vec<u64>, u32>,
+    /// Scratch for the key of the atom being looked up.
+    key: Vec<u64>,
+    /// Operands of the gates being lowered, innermost last: a gate pushes
+    /// its operands' literals and pops them when its clauses are written.
+    lits: Vec<Lit>,
+    /// Terms of the comparisons being lowered, innermost last, likewise.
+    terms: Vec<(i64, VarRef)>,
+}
+
+/// Write the key of the atom `Σ terms ≤ rhs` (terms normalised) to `key`:
+/// each term's coefficient and variable, then `rhs`, as words. A slice of
+/// integers is hashed as one run of bytes, which costs a fraction of
+/// hashing each field of each term on its own.
+fn atom_key(key: &mut Vec<u64>, terms: &[(i64, VarRef)], rhs: i64) {
+    key.clear();
+    for &(c, v) in terms {
+        let var = match v {
+            VarRef::Bool(b) => b.0 as u64,
+            VarRef::Int(i) => 1 << 32 | i.0 as u64,
+        };
+        key.extend([c as u64, var]);
+    }
+    key.push(rhs as u64);
 }
 
 /// Flatten a model to CNF + linear atoms.
@@ -151,7 +240,7 @@ pub fn flatten_with_objective(model: &Model, objective: Option<&Ix>) -> FlatMode
     let mut f = Flattener::new(model);
     for &c in model.constraints() {
         let lit = f.lower_bx(c);
-        f.flat.clauses.push(vec![lit]);
+        f.flat.clauses.push([lit]);
     }
     if let Some(&obj) = objective {
         let lin = f.lower_ix(obj);
@@ -165,6 +254,27 @@ pub fn flatten_with_objective(model: &Model, objective: Option<&Ix>) -> FlatMode
         flat.atom_of_var[atom.var as usize] = i as u32;
     }
     flat
+}
+
+/// Bounds `(lo, hi)` of `constant + Σ terms` under the variable bounds of
+/// `flat`.
+fn bounds_of(flat: &FlatModel, constant: i64, terms: &[(i64, VarRef)]) -> (i64, i64) {
+    let mut lo = constant;
+    let mut hi = constant;
+    for &(c, v) in terms {
+        let (vlo, vhi) = match v {
+            VarRef::Bool(_) => (0, 1),
+            VarRef::Int(i) => flat.int_bounds[i.index()],
+        };
+        if c >= 0 {
+            lo += c * vlo;
+            hi += c * vhi;
+        } else {
+            lo += c * vhi;
+            hi += c * vlo;
+        }
+    }
+    (lo, hi)
 }
 
 fn flat_var(v: VarRef) -> FlatVar {
@@ -186,13 +296,16 @@ impl<'m> Flattener<'m> {
         // Reserve one variable that is always true, to represent constants.
         let true_var = next;
         next += 1;
-        flat.clauses.push(vec![Lit::pos(true_var)]);
+        flat.clauses.push([Lit::pos(true_var)]);
         Flattener {
             model,
             flat,
             next_sat_var: next,
             true_lit: Lit::pos(true_var),
             atom_cache: HashMap::new(),
+            key: Vec::new(),
+            lits: Vec::new(),
+            terms: Vec::new(),
         }
     }
 
@@ -210,19 +323,20 @@ impl<'m> Flattener<'m> {
 
     /// Lower an integer expression to a normalised linear form.
     fn lower_ix(&mut self, ix: Ix) -> LinExpr {
-        let mut terms = Vec::new();
-        let constant = self.accumulate(ix, 1, &mut terms);
+        let base = self.terms.len();
+        let constant = self.accumulate(ix, 1);
+        let terms = self.terms.split_off(base);
         LinExpr { constant, terms }.normalize()
     }
 
-    /// Append the terms of `mul · ix` to `out` (unnormalised) and return its
-    /// constant, introducing an auxiliary integer (with defining clauses)
-    /// for each `ite` and `ceil_div` node met.
-    fn accumulate(&mut self, ix: Ix, mul: i64, out: &mut Vec<(i64, VarRef)>) -> i64 {
+    /// Push the terms of `mul · ix` onto `self.terms` (unnormalised) and
+    /// return its constant, introducing an auxiliary integer (with defining
+    /// clauses) for each `ite` and `ceil_div` node met.
+    fn accumulate(&mut self, ix: Ix, mul: i64) -> i64 {
         let node = match ix.0 {
             I::Lit(k) => return mul * k,
             I::Term { k, c, v } => {
-                out.push((mul * c, v));
+                self.terms.push((mul * c, v));
                 return mul * k;
             }
             I::Node(n) => self.model.nodes[n as usize],
@@ -230,25 +344,26 @@ impl<'m> Flattener<'m> {
         let model = self.model;
         match node {
             Node::Lin(k, s) => {
-                out.extend(model.terms[s.range()].iter().map(|&(c, v)| (mul * c, v)));
+                self.terms
+                    .extend(model.terms[s.range()].iter().map(|&(c, v)| (mul * c, v)));
                 mul * k
             }
             Node::Sum(s) => {
                 let mut k = 0;
                 for &x in &model.ixs[s.range()] {
-                    k += self.accumulate(x, mul, out);
+                    k += self.accumulate(x, mul);
                 }
                 k
             }
-            Node::Scaled(a, k) => self.accumulate(a, mul * k, out),
+            Node::Scaled(a, k) => self.accumulate(a, mul * k),
             Node::Ite(c, a, b) => {
                 let t = self.lower_ite(c, a, b);
-                out.push((mul, VarRef::Int(IntId(t))));
+                self.terms.push((mul, VarRef::Int(IntId(t))));
                 0
             }
             Node::CeilDiv(a, k) => {
                 let t = self.lower_ceil_div(a, k);
-                out.push((mul, VarRef::Int(IntId(t))));
+                self.terms.push((mul, VarRef::Int(IntId(t))));
                 0
             }
             _ => unreachable!("a boolean node behind an integer handle"),
@@ -260,8 +375,8 @@ impl<'m> Flattener<'m> {
         let clit = self.lower_bx(c);
         let la = self.lower_ix(a);
         let lb = self.lower_ix(b);
-        let (alo, ahi) = self.bounds_of(&la);
-        let (blo, bhi) = self.bounds_of(&lb);
+        let (alo, ahi) = bounds_of(&self.flat, la.constant, &la.terms);
+        let (blo, bhi) = bounds_of(&self.flat, lb.constant, &lb.terms);
         let t = self.fresh_int(alo.min(blo), ahi.max(bhi));
         let tvar = LinExpr {
             constant: 0,
@@ -271,21 +386,21 @@ impl<'m> Flattener<'m> {
         let d1 = tvar.clone().sub(&la);
         let le_a = self.atom_le(d1.clone(), 0);
         let ge_a = self.atom_le(d1.scale(-1), 0);
-        self.flat.clauses.push(vec![clit.negate(), le_a]);
-        self.flat.clauses.push(vec![clit.negate(), ge_a]);
+        self.flat.clauses.push([clit.negate(), le_a]);
+        self.flat.clauses.push([clit.negate(), ge_a]);
         // ¬c → t = b
         let d2 = tvar.sub(&lb);
         let le_b = self.atom_le(d2.clone(), 0);
         let ge_b = self.atom_le(d2.scale(-1), 0);
-        self.flat.clauses.push(vec![clit, le_b]);
-        self.flat.clauses.push(vec![clit, ge_b]);
+        self.flat.clauses.push([clit, le_b]);
+        self.flat.clauses.push([clit, ge_b]);
         t
     }
 
     /// An auxiliary `t` with `k·t ≥ a ∧ k·t ≤ a + k - 1`.
     fn lower_ceil_div(&mut self, a: Ix, k: i64) -> u32 {
         let la = self.lower_ix(a);
-        let (alo, ahi) = self.bounds_of(&la);
+        let (alo, ahi) = bounds_of(&self.flat, la.constant, &la.terms);
         let t = self.fresh_int(div_ceil_i64(alo, k), div_ceil_i64(ahi, k));
         let kt = LinExpr {
             constant: 0,
@@ -295,68 +410,51 @@ impl<'m> Flattener<'m> {
         let a1 = self.atom_le(c1, 0);
         let c2 = kt.sub(&la); // k·t - a ≤ k - 1
         let a2 = self.atom_le(c2, k - 1);
-        self.flat.clauses.push(vec![a1]);
-        self.flat.clauses.push(vec![a2]);
+        self.flat.clauses.push([a1]);
+        self.flat.clauses.push([a2]);
         t
     }
 
-    fn bounds_of(&self, l: &LinExpr) -> (i64, i64) {
-        let mut lo = l.constant;
-        let mut hi = l.constant;
-        for &(c, v) in &l.terms {
-            let (vlo, vhi) = match v {
-                VarRef::Bool(_) => (0, 1),
-                VarRef::Int(i) => self.flat.int_bounds[i.index()],
-            };
-            if c >= 0 {
-                lo += c * vlo;
-                hi += c * vhi;
-            } else {
-                lo += c * vhi;
-                hi += c * vlo;
-            }
-        }
-        (lo, hi)
-    }
-
     /// Literal for the atom `lin ≤ k`.
-    fn atom_le(&mut self, mut lin: LinExpr, k: i64) -> Lit {
-        self.atom_le_terms(&mut lin.terms, lin.constant, k)
+    fn atom_le(&mut self, lin: LinExpr, k: i64) -> Lit {
+        let base = self.terms.len();
+        self.terms.extend(lin.terms);
+        self.atom_le_terms(base, lin.constant, k)
     }
 
-    /// Literal for the atom `constant + Σ terms ≤ k` (deduplicated); the
-    /// constant folds into `k`, and `terms` is normalised in place.
-    fn atom_le_terms(&mut self, terms: &mut Vec<(i64, VarRef)>, constant: i64, k: i64) -> Lit {
-        let n = normalize_terms(terms);
-        terms.truncate(n);
-        let rhs = k - constant;
-        // Constant atoms fold to true/false immediately.
-        if terms.is_empty() {
-            return if 0 <= rhs {
-                self.true_lit
-            } else {
-                self.true_lit.negate()
-            };
-        }
-        let terms: Vec<(i64, FlatVar)> = terms.iter().map(|&(c, v)| (c, flat_var(v))).collect();
-        // Bound-implied atoms also fold.
-        let (lo, hi) = self.flat.lin_bounds(&terms);
+    /// Literal for the atom `constant + Σ terms[base..] ≤ k`
+    /// (deduplicated), popping those terms; the constant folds into `k`.
+    fn atom_le_terms(&mut self, base: usize, constant: i64, k: i64) -> Lit {
+        let n = normalize_terms(&mut self.terms[base..]);
+        self.terms.truncate(base + n);
+        let lit = self.atom_lit(base, k - constant);
+        self.terms.truncate(base);
+        lit
+    }
+
+    /// Literal for the atom `Σ terms[base..] ≤ rhs`, its terms normalised.
+    fn atom_lit(&mut self, base: usize, rhs: i64) -> Lit {
+        let terms = &self.terms[base..];
+        // Constant and bound-implied atoms fold to true/false.
+        let (lo, hi) = bounds_of(&self.flat, 0, terms);
         if hi <= rhs {
             return self.true_lit;
         }
         if lo > rhs {
             return self.true_lit.negate();
         }
-        let key = (terms, rhs);
-        if let Some(&v) = self.atom_cache.get(&key) {
+        atom_key(&mut self.key, terms, rhs);
+        if let Some(&v) = self.atom_cache.get(self.key.as_slice()) {
             return Lit::pos(v);
         }
         let v = self.fresh_var();
-        let terms = key.0.clone();
-        self.atom_cache.insert(key, v);
+        self.atom_cache.insert(self.key.clone(), v);
         self.flat.atoms.push(LinAtom {
             var: v,
-            terms,
+            terms: self.terms[base..]
+                .iter()
+                .map(|&(c, v)| (c, flat_var(v)))
+                .collect(),
             k: rhs,
         });
         Lit::pos(v)
@@ -372,37 +470,52 @@ impl<'m> Flattener<'m> {
             CmpOp::Gt => (-1, -1),
             CmpOp::Eq | CmpOp::Ne => unreachable!("expanded by lower_bx"),
         };
-        let mut terms = Vec::new();
-        let constant = self.accumulate(a, sign, &mut terms) + self.accumulate(b, -sign, &mut terms);
-        self.atom_le_terms(&mut terms, constant, k)
+        let base = self.terms.len();
+        let constant = self.accumulate(a, sign) + self.accumulate(b, -sign);
+        self.atom_le_terms(base, constant, k)
     }
 
-    /// `y ↔ ⋀ lits` for a fresh `y`.
-    fn and_gate(&mut self, lits: Vec<Lit>) -> Lit {
+    /// `y ↔ ⋀ lits[base..]` for a fresh `y`, popping those literals.
+    fn and_gate(&mut self, base: usize) -> Lit {
         let y = Lit::pos(self.fresh_var());
+        let lits = &self.lits[base..];
         // y → each lit
-        for &l in &lits {
-            self.flat.clauses.push(vec![y.negate(), l]);
+        for &l in lits {
+            self.flat.clauses.push([y.negate(), l]);
         }
         // all lits → y
-        let mut cl: Vec<Lit> = lits.iter().map(|l| l.negate()).collect();
-        cl.push(y);
-        self.flat.clauses.push(cl);
+        self.flat
+            .clauses
+            .push(lits.iter().map(|l| l.negate()).chain([y]));
+        self.lits.truncate(base);
         y
     }
 
-    /// `y ↔ ⋁ lits` for a fresh `y`.
-    fn or_gate(&mut self, lits: Vec<Lit>) -> Lit {
+    /// `y ↔ ⋁ lits[base..]` for a fresh `y`, popping those literals.
+    fn or_gate(&mut self, base: usize) -> Lit {
         let y = Lit::pos(self.fresh_var());
+        let lits = &self.lits[base..];
         // each lit → y
-        for &l in &lits {
-            self.flat.clauses.push(vec![l.negate(), y]);
+        for &l in lits {
+            self.flat.clauses.push([l.negate(), y]);
         }
         // y → some lit
-        let mut cl = lits;
-        cl.push(y.negate());
-        self.flat.clauses.push(cl);
+        self.flat
+            .clauses
+            .push(lits.iter().copied().chain([y.negate()]));
+        self.lits.truncate(base);
         y
+    }
+
+    /// Lower each of `xs` and push its literal onto `self.lits`; returns
+    /// where they start.
+    fn push_operands(&mut self, xs: &[Bx]) -> usize {
+        let base = self.lits.len();
+        for &x in xs {
+            let l = self.lower_bx(x);
+            self.lits.push(l);
+        }
+        base
     }
 
     /// Tseitin-lower a boolean expression, returning the literal equivalent
@@ -418,40 +531,42 @@ impl<'m> Flattener<'m> {
         match node {
             Node::Not(b) => self.lower_bx(b).negate(),
             Node::And(s) => {
-                let lits = model.bxs[s.range()].iter().map(|&x| self.lower_bx(x));
-                let lits = lits.collect();
-                self.and_gate(lits)
+                let base = self.push_operands(&model.bxs[s.range()]);
+                self.and_gate(base)
             }
             Node::Or(s) => {
-                let lits = model.bxs[s.range()].iter().map(|&x| self.lower_bx(x));
-                let lits = lits.collect();
-                self.or_gate(lits)
+                let base = self.push_operands(&model.bxs[s.range()]);
+                self.or_gate(base)
             }
             Node::Implies(a, b) => {
-                let la = self.lower_bx(a);
-                let lb = self.lower_bx(b);
-                self.or_gate(vec![la.negate(), lb])
+                let base = self.push_operands(&[a, b]);
+                self.lits[base] = self.lits[base].negate();
+                self.or_gate(base)
             }
             Node::Iff(a, b) => {
                 let la = self.lower_bx(a);
                 let lb = self.lower_bx(b);
                 let y = Lit::pos(self.fresh_var());
                 // y → (la ↔ lb); ¬y → (la ↔ ¬lb)
-                self.flat.clauses.push(vec![y.negate(), la.negate(), lb]);
-                self.flat.clauses.push(vec![y.negate(), la, lb.negate()]);
-                self.flat.clauses.push(vec![y, la, lb]);
-                self.flat.clauses.push(vec![y, la.negate(), lb.negate()]);
+                self.flat.clauses.push([y.negate(), la.negate(), lb]);
+                self.flat.clauses.push([y.negate(), la, lb.negate()]);
+                self.flat.clauses.push([y, la, lb]);
+                self.flat.clauses.push([y, la.negate(), lb.negate()]);
                 y
             }
             Node::Cmp(CmpOp::Eq, a, b) => {
                 let le = self.lower_cmp(CmpOp::Le, a, b);
                 let ge = self.lower_cmp(CmpOp::Ge, a, b);
-                self.and_gate(vec![le, ge])
+                let base = self.lits.len();
+                self.lits.extend([le, ge]);
+                self.and_gate(base)
             }
             Node::Cmp(CmpOp::Ne, a, b) => {
                 let lt = self.lower_cmp(CmpOp::Lt, a, b);
                 let gt = self.lower_cmp(CmpOp::Gt, a, b);
-                self.or_gate(vec![lt, gt])
+                let base = self.lits.len();
+                self.lits.extend([lt, gt]);
+                self.or_gate(base)
             }
             Node::Cmp(op, a, b) => self.lower_cmp(op, a, b),
             _ => unreachable!("an integer node behind a boolean handle"),
@@ -513,6 +628,45 @@ mod tests {
         let f = flatten_with_objective(&m, Some(&obj));
         let o = f.objective.as_ref().unwrap();
         assert_eq!(o.len(), 2);
+    }
+
+    #[test]
+    fn clauses_sit_back_to_back_and_print_as_nested_vecs() {
+        let rows = vec![
+            vec![Lit::pos(0)],
+            vec![Lit::neg(1), Lit::pos(2)],
+            vec![Lit::pos(3), Lit::neg(0), Lit::pos(1)],
+        ];
+        let mut c = Clauses::default();
+        assert!(c.is_empty());
+        assert_eq!(format!("{c:?}"), format!("{:?}", Vec::<Vec<Lit>>::new()));
+        for row in &rows {
+            c.push(row.iter().copied());
+        }
+        assert_eq!(c.len(), 3);
+        assert!(!c.is_empty());
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(&c[i], &row[..], "clause {i}");
+        }
+        assert!(c.iter().eq(rows.iter().map(|row| &row[..])));
+        // `encode_identity`'s fingerprints hash this rendering.
+        assert_eq!(format!("{c:?}"), format!("{rows:?}"));
+        assert_eq!(format!("{c:#?}"), format!("{rows:#?}"));
+
+        // A search's copy takes a learned clause and reorders a clause in
+        // place; its neighbours and the original stay as they were.
+        let mut search = c.clone();
+        let learned = [Lit::neg(2), Lit::pos(0)];
+        search.push(learned);
+        search.clause_mut(1).swap(0, 1);
+        assert_eq!(search.len(), 4);
+        assert_eq!(&search[3], &learned[..]);
+        assert_eq!(&search[1], &[Lit::pos(2), Lit::neg(1)][..]);
+        let mut expected = rows.clone();
+        expected[1].swap(0, 1);
+        expected.push(learned.to_vec());
+        assert_eq!(format!("{search:?}"), format!("{expected:?}"));
+        assert_eq!(format!("{c:?}"), format!("{rows:?}"));
     }
 
     #[test]

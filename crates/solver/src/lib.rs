@@ -25,6 +25,18 @@
 //! * [`minimize_with`] (and [`minimize`], under default limits) wraps the
 //!   search in the crate's one branch-and-bound loop.
 //!
+//! ## Clause storage
+//!
+//! A [`FlatModel`]'s clauses are one [`flatten::Clauses`] arena: every
+//! literal back to back in one `Vec<Lit>`, plus a `u32` offset per clause,
+//! never a `Vec` per clause. Each search copies the arena with two
+//! `memcpy`s and appends learned clauses to its copy; watch lists hold
+//! `u32` clause indices and are sized by one counting pass before they are
+//! filled. The rounds of one [`minimize_with`] hand their watch lists on,
+//! emptied, instead of allocating and freeing them once per round. Clause
+//! indices, literal order and watch order are those a `Vec` per clause
+//! gave, so every search takes the same path.
+//!
 //! A search has two limits, a decision budget and a deadline
 //! ([`SolverConfig`]); everything else about it is fixed.
 //!

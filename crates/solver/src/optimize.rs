@@ -1,10 +1,10 @@
-//! Branch-and-bound minimization over [`solve_flat`]: the crate's one
+//! Branch-and-bound minimization over [`solve_flat`](crate::solve_flat): the crate's one
 //! optimization loop.
 
 use crate::expr::Ix;
 use crate::flatten::{flatten_with_objective, FlatVar};
 use crate::model::{Model, Solution};
-use crate::search::{solve_flat, SearchStats, SolverConfig};
+use crate::search::{solve_flat_in, SearchStats, SolverConfig};
 use crate::Outcome;
 
 /// An always-active linear bound `Σ terms ≤ k` — the branch-and-bound
@@ -36,7 +36,7 @@ impl Minimized {
 }
 
 /// Minimize `objective` subject to the model, by branch-and-bound: each
-/// round is one [`solve_flat`] under `cfg` with an added bound requiring a
+/// round is one [`solve_flat`](crate::solve_flat) under `cfg` with an added bound requiring a
 /// strictly better value than the last model's.
 pub fn minimize_with(
     model: &Model,
@@ -48,8 +48,9 @@ pub fn minimize_with(
     let mut extra: Vec<BoundConstraint> = Vec::new();
     let mut best: Option<(Solution, i64)> = None;
     let mut total = SearchStats::default();
+    let mut watches = Vec::new();
     loop {
-        let (outcome, raw, stats) = solve_flat(&flat, cfg, &extra);
+        let (outcome, raw, stats) = solve_flat_in(&flat, cfg, &extra, &mut watches);
         total.absorb(stats);
         let stop = match outcome {
             Outcome::Sat(_) => {
@@ -76,4 +77,61 @@ pub fn minimize(model: &Model, objective: &Ix) -> Option<(Solution, i64)> {
     minimize_with(model, objective, &SolverConfig::default())
         .0
         .best()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::expr::Bx;
+    use crate::search::solve_flat;
+
+    /// Six pigeons, five holes, at most one pigeon per hole; minimize
+    /// `−Σ (i + 1)·placed(i)`. Every variable tries `false` first, so the
+    /// first model places nobody and each round places a little more.
+    fn weighted_pigeons() -> (Model, Ix) {
+        let mut m = Model::new();
+        let p: Vec<Vec<_>> = (0..6)
+            .map(|i| (0..5).map(|h| m.bool_var(format!("p{i}h{h}"))).collect())
+            .collect();
+        for h in 0..5 {
+            let c = m.at_most_one(p.iter().map(|row| Bx::var(row[h])));
+            m.require(c);
+        }
+        let placed: Vec<Ix> = p
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                let any = m.any_of(row.iter().copied());
+                let one = m.ite(any, Ix::lit(1), Ix::lit(0));
+                m.scale(one, -(i as i64 + 1))
+            })
+            .collect();
+        let obj = m.sum(placed);
+        (m, obj)
+    }
+
+    #[test]
+    fn rounds_search_as_fresh_solves_would() {
+        let (m, obj) = weighted_pigeons();
+        let cfg = SolverConfig::default();
+        let (result, stats) = minimize_with(&m, &obj, &cfg);
+        // The same rounds, each one a fresh search under the same bounds.
+        let flat = flatten_with_objective(&m, Some(&obj));
+        let terms = flat.objective.clone().expect("objective lowered");
+        let (mut extra, mut fresh, mut rounds) = (Vec::new(), SearchStats::default(), 0);
+        loop {
+            let (_, raw, round) = solve_flat(&flat, &cfg, &extra);
+            fresh.absorb(round);
+            rounds += 1;
+            let Some(raw) = raw else { break };
+            extra.push((terms.clone(), raw.eval_lin(&terms) - 1));
+        }
+        assert!(rounds >= 3, "{rounds} round(s)");
+        assert!(fresh.learned > 0, "{fresh:?}");
+        assert_eq!(stats, fresh);
+        let Minimized::Optimal(_, value) = result else {
+            panic!("{result:?}");
+        };
+        assert_eq!(value, -(2 + 3 + 4 + 5 + 6));
+    }
 }

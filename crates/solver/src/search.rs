@@ -13,7 +13,7 @@
 //! interval splitting, chronologically; exhausting the splits counts as a
 //! theory conflict for the boolean layer.
 
-use crate::flatten::{flatten, FlatModel, FlatVar, Lit};
+use crate::flatten::{flatten, Clauses, FlatModel, FlatVar, Lit};
 use crate::model::{Model, Solution};
 use crate::Outcome;
 
@@ -153,8 +153,21 @@ pub fn solve_flat(
     cfg: &SolverConfig,
     extra: &[(Vec<(i64, FlatVar)>, i64)],
 ) -> (Outcome, Option<RawAssignment>, SearchStats) {
-    let mut s = Search::new(flat, cfg, extra);
+    solve_flat_in(flat, cfg, extra, &mut Vec::new())
+}
+
+/// [`solve_flat`], refilling the watch lists an earlier search left in
+/// `watches` and leaving this search's there: branch-and-bound rounds
+/// allocate (and free) them once, not once per round.
+pub(crate) fn solve_flat_in(
+    flat: &FlatModel,
+    cfg: &SolverConfig,
+    extra: &[(Vec<(i64, FlatVar)>, i64)],
+    watches: &mut Vec<Vec<u32>>,
+) -> (Outcome, Option<RawAssignment>, SearchStats) {
+    let mut s = Search::new(flat, cfg, extra, std::mem::take(watches));
     let (outcome, raw) = s.run();
+    *watches = std::mem::take(&mut s.watches);
     (outcome, raw, s.stats)
 }
 
@@ -364,9 +377,9 @@ struct Search<'a> {
     lo: Vec<i64>,
     hi: Vec<i64>,
     /// Watched literals: literal code → clause indices watching it.
-    watches: Vec<Vec<usize>>,
+    watches: Vec<Vec<u32>>,
     /// Original + learned clauses; first two positions are watched.
-    clauses: Vec<Vec<Lit>>,
+    clauses: Clauses,
     num_original_clauses: usize,
     trail: Vec<TrailItem>,
     /// Trail mark at the start of each decision level (level 0 excluded).
@@ -407,9 +420,11 @@ impl<'a> Search<'a> {
         flat: &'a FlatModel,
         cfg: &'a SolverConfig,
         extra: &'a [(Vec<(i64, FlatVar)>, i64)],
+        watches: Vec<Vec<u32>>,
     ) -> Self {
         let nvars = flat.num_sat_vars;
         let activity = vec![0.0; nvars];
+        let clauses = flat.clauses.clone();
         let mut s = Search {
             flat,
             cfg,
@@ -419,8 +434,8 @@ impl<'a> Search<'a> {
             reason: vec![Reason::Decision; nvars],
             lo: flat.int_bounds.iter().map(|b| b.0).collect(),
             hi: flat.int_bounds.iter().map(|b| b.1).collect(),
-            watches: vec![Vec::new(); nvars * 2],
-            clauses: flat.clauses.clone(),
+            watches: watch_lists(&clauses, 2 * nvars, watches),
+            clauses,
             num_original_clauses: flat.clauses.len(),
             trail: Vec::new(),
             level_marks: Vec::new(),
@@ -449,29 +464,11 @@ impl<'a> Search<'a> {
                 k: *k,
             });
         }
-        s.init_watches();
         s
-    }
-
-    fn init_watches(&mut self) {
-        for ci in 0..self.clauses.len() {
-            let cl = &self.clauses[ci];
-            if cl.len() >= 2 {
-                self.watches[cl[0].0 as usize].push(ci);
-                self.watches[cl[1].0 as usize].push(ci);
-            }
-        }
     }
 
     fn decision_level(&self) -> u32 {
         self.level_marks.len() as u32
-    }
-
-    fn value(&self, lit: Lit) -> Option<bool> {
-        match self.assign[lit.var() as usize] {
-            -1 => None,
-            v => Some((v == 1) != lit.is_neg()),
-        }
     }
 
     fn bump(&mut self, var: u32) {
@@ -689,8 +686,8 @@ impl<'a> Search<'a> {
             self.queue.push_back((asserting, Reason::Decision));
         } else {
             let ci = self.clauses.len();
-            self.watches[learned[0].0 as usize].push(ci);
-            self.watches[learned[1].0 as usize].push(ci);
+            self.watches[learned[0].0 as usize].push(ci as u32);
+            self.watches[learned[1].0 as usize].push(ci as u32);
             self.clauses.push(learned);
             self.queue.push_back((asserting, Reason::Clause(ci)));
         }
@@ -915,7 +912,7 @@ impl<'a> Search<'a> {
             }
             self.passes += 1;
             while let Some((lit, reason)) = self.queue.pop_front() {
-                match self.value(lit) {
+                match value(&self.assign, lit) {
                     Some(true) => continue,
                     Some(false) => {
                         // The queued implication contradicts the current
@@ -961,7 +958,7 @@ impl<'a> Search<'a> {
                 let mut i = 0;
                 let mut conflict: Option<Conflict> = None;
                 while i < ws.len() {
-                    match self.update_clause_watch(ws[i], falsified, &mut ws, &mut i) {
+                    match self.update_clause_watch(ws[i] as usize, falsified, &mut ws, &mut i) {
                         Ok(()) => {}
                         Err(ci) => {
                             conflict = Some(Conflict::Clause(ci));
@@ -990,32 +987,29 @@ impl<'a> Search<'a> {
         &mut self,
         ci: usize,
         falsified: Lit,
-        ws: &mut Vec<usize>,
+        ws: &mut Vec<u32>,
         i: &mut usize,
     ) -> Result<(), usize> {
-        let mut cl = std::mem::take(&mut self.clauses[ci]);
+        let cl = self.clauses.clause_mut(ci);
         if cl[0] == falsified {
             cl.swap(0, 1);
         }
         debug_assert_eq!(cl[1], falsified);
         let w0 = cl[0];
-        if self.value(w0) == Some(true) {
-            self.clauses[ci] = cl;
+        if value(&self.assign, w0) == Some(true) {
             *i += 1;
             return Ok(());
         }
         for j in 2..cl.len() {
-            if self.value(cl[j]) != Some(false) {
+            if value(&self.assign, cl[j]) != Some(false) {
                 cl.swap(1, j);
                 let new_watch = cl[1];
-                self.clauses[ci] = cl;
-                self.watches[new_watch.0 as usize].push(ci);
+                self.watches[new_watch.0 as usize].push(ci as u32);
                 ws.swap_remove(*i);
                 return Ok(());
             }
         }
-        self.clauses[ci] = cl;
-        match self.value(w0) {
+        match value(&self.assign, w0) {
             None => {
                 self.queue.push_back((w0, Reason::Clause(ci)));
                 *i += 1;
@@ -1261,6 +1255,38 @@ impl<'a> Search<'a> {
     }
 }
 
+/// The value of `lit` under `assign` (-1 unassigned, 0 false, 1 true).
+fn value(assign: &[i8], lit: Lit) -> Option<bool> {
+    match assign[lit.var() as usize] {
+        -1 => None,
+        v => Some((v == 1) != lit.is_neg()),
+    }
+}
+
+/// Per literal code, the indices of the clauses watching it: the first two
+/// literals of every clause that has two. The lists are built in `watches`,
+/// whatever it held: each is emptied and, after a counting pass, sized
+/// before it is filled, so filling reallocates nothing and lists an earlier
+/// search left allocate nothing at all.
+fn watch_lists(clauses: &Clauses, num_lits: usize, mut watches: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
+    let watched = || clauses.iter().enumerate().filter(|(_, cl)| cl.len() >= 2);
+    let mut counts = vec![0usize; num_lits];
+    for (_, cl) in watched() {
+        counts[cl[0].0 as usize] += 1;
+        counts[cl[1].0 as usize] += 1;
+    }
+    watches.resize_with(num_lits, Vec::new);
+    for (list, n) in watches.iter_mut().zip(counts) {
+        list.clear();
+        list.reserve_exact(n);
+    }
+    for (ci, cl) in watched() {
+        watches[cl[0].0 as usize].push(ci as u32);
+        watches[cl[1].0 as usize].push(ci as u32);
+    }
+    watches
+}
+
 /// `ceil(a / c)` where `c < 0` (used when dividing an inequality by a
 /// negative coefficient, which flips its direction).
 fn neg_div_ceil(a: i64, c: i64) -> i64 {
@@ -1494,7 +1520,7 @@ mod tests {
         m.require(c);
         let flat = flatten(&m);
         let cfg = SolverConfig::default();
-        let mut s = Search::new(&flat, &cfg, &[]);
+        let mut s = Search::new(&flat, &cfg, &[], Vec::new());
         let (outcome, _) = s.run();
         assert!(outcome.is_sat() || outcome == Outcome::Unsat);
     }
@@ -1518,7 +1544,7 @@ mod tests {
             max_decisions: 10_000,
             ..Default::default()
         };
-        let mut s = Search::new(&flat, &cfg, &[]);
+        let mut s = Search::new(&flat, &cfg, &[], Vec::new());
         s.restart_limit = 1;
         let (outcome, _) = s.run();
         let stats = s.stats;

@@ -303,7 +303,7 @@ fn level0_bounds(m: &Model, full_sweep: bool) -> Option<(Vec<i64>, Vec<i64>, Sea
     let flat = flatten(m);
     let cfg = SolverConfig::default();
     let run = || {
-        let mut s = Search::new(&flat, &cfg, &[]);
+        let mut s = Search::new(&flat, &cfg, &[], Vec::new());
         s.propagate_units()
             .then(|| (s.lo.clone(), s.hi.clone(), s.stats))
     };

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Public-surface sweep (ROADMAP item 9): distinct `pub fn` names defined above
+# Public-surface sweep (ROADMAP item 12): distinct `pub fn` names defined above
 # the first `#[cfg(test)]` of a file in crates/*/src that no other non-test
 # line of crates/*/src, examples/ or benchmark/src mentions (`//` lines do
 # not count as mentions). A name match is an upper bound on "used", so this

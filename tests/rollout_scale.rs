@@ -211,7 +211,7 @@ fn failover_delta_prepares_beat_snapshots_at_100k_entries() {
     );
 }
 
-/// The million-entry control plane (ROADMAP item 5 / §8 of the paper at
+/// The million-entry control plane (ROADMAP item 8 / §8 of the paper at
 /// datacenter scale): a failover rollout over 10⁶ installed entries must
 /// put only the moved entries on the wire, and stage only the moved
 /// entries on the controller. With compact page storage, shard-level
