@@ -599,7 +599,7 @@ impl Compiler {
         let result = Arc::new(result);
         // Degraded results never enter the cache: the key ignores limits,
         // so a later unlimited compile of the same problem must not be
-        // served a watchdog fallback placement.
+        // served a watchdog fallback placement or an unproved optimum.
         if result.degraded.is_none() {
             if let (Some(cache), Some(key)) = (&self.cache, key) {
                 cache.insert(key, result.clone());
@@ -829,19 +829,29 @@ impl Compiler {
         let utilization = utilization_of(&placement, &req.topology);
         let mut warnings = warnings;
         if let Some(rung) = degraded {
+            let (verdict, note) = match rung {
+                DegradeRung::GreedyFirstFit => (
+                    "could not reach a verdict",
+                    "the placement satisfies every constraint of the model, but nothing was \
+                     optimized; recompile without a deadline or decision budget for a \
+                     searched placement",
+                ),
+                DegradeRung::BestSoFar => (
+                    "could not prove the objective optimal",
+                    "the placement is the best model the search found and satisfies every \
+                     constraint of the model, but a better one may exist; recompile without a \
+                     deadline or decision budget for a proved optimum",
+                ),
+            };
             warnings.push(
                 Diagnostic::warning(
                     codes::DEGRADED,
                     format!(
                         "placement produced by the degradation ladder ({rung} rung): the \
-                         solver could not reach a verdict within the configured limits"
+                         solver {verdict} within the configured limits"
                     ),
                 )
-                .with_note(
-                    "the placement satisfies every constraint of the model, but nothing was \
-                     optimized; recompile without a deadline or decision budget for a \
-                     searched placement",
-                ),
+                .with_note(note),
             );
         }
         Ok(CompileOutput {

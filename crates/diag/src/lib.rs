@@ -215,7 +215,7 @@ pub mod codes {
 
         /// Warning: the placement was produced by a degradation-ladder rung
         /// (the solver deadline or decision budget expired); the message names
-        /// the rung (`greedy-first-fit`).
+        /// the rung (`best-so-far`, `greedy-first-fit`).
         DEGRADED = "LYR0550";
         /// A fault set left an algorithm scope with no surviving switch.
         FAULT_UNREACHABLE = "LYR0551";

@@ -22,23 +22,24 @@
 //!   backjumping, activity-ordered decisions with phase saving, geometric
 //!   restarts, bounds-consistency propagation on active linear atoms, and
 //!   interval splitting for any integers left unfixed;
-//! * [`minimize_with`] (and [`minimize`], under default limits) wraps the
-//!   search in the crate's one branch-and-bound loop.
+//! * [`minimize_with`] (and [`minimize`], under default limits) runs the
+//!   crate's one branch-and-bound loop inside one search: each model found
+//!   tightens the objective's bound in place and the search resumes.
 //!
 //! ## Clause storage
 //!
 //! A [`FlatModel`]'s clauses are one [`flatten::Clauses`] arena: every
 //! literal back to back in one `Vec<Lit>`, plus a `u32` offset per clause,
 //! never a `Vec` per clause. Each search copies the arena with two
-//! `memcpy`s and appends learned clauses to its copy; watch lists hold
-//! `u32` clause indices and are sized by one counting pass before they are
-//! filled. The rounds of one [`minimize_with`] hand their watch lists on,
-//! emptied, instead of allocating and freeing them once per round. Clause
-//! indices, literal order and watch order are those a `Vec` per clause
-//! gave, so every search takes the same path.
+//! `memcpy`s and appends learned clauses to its copy; the watch lists are
+//! one buffer of `u32` clause indices, each list sized by one counting
+//! pass before it is filled. A [`minimize_with`] is one search, so it does this once: a
+//! tightened bound keeps the clauses, learned ones included, and the watch
+//! lists as they stand.
 //!
 //! A search has two limits, a decision budget and a deadline
-//! ([`SolverConfig`]); everything else about it is fixed.
+//! ([`SolverConfig`]); everything else about it is fixed. Both span a
+//! whole minimization.
 //!
 //! Every entry point reports [`SearchStats`] (decisions, propagations,
 //! conflicts, learned clauses, restarts) so the compile driver can expose
@@ -76,7 +77,7 @@ pub mod search;
 pub use expr::{Bx, Ix, VarRef};
 pub use flatten::{flatten, FlatModel, FlatVar};
 pub use model::{BoolId, IntId, Model, Solution};
-pub use optimize::{minimize, minimize_with, BoundConstraint, Minimized};
+pub use optimize::{minimize, minimize_with, Minimized};
 pub use search::{solve, solve_flat, RawAssignment, SearchStats, SolverConfig};
 
 /// Outcome of a solver invocation.

@@ -17,7 +17,8 @@ use crate::flatten::{flatten, Clauses, FlatModel, FlatVar, Lit};
 use crate::model::{Model, Solution};
 use crate::Outcome;
 
-/// The two limits on one search. Everything else about it is fixed.
+/// The two limits on one search — a whole minimization is one search.
+/// Everything else about it is fixed.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Abort with [`Outcome::Unknown`] after this many decisions.
@@ -52,9 +53,9 @@ impl Default for SolverConfig {
 
 /// Counters describing a finished search.
 ///
-/// Returned by every solver entry point and aggregated across
-/// branch-and-bound iterations by [`crate::minimize_with`]; the compile
-/// driver surfaces them on `CompileOutput` so long solves are observable.
+/// Returned by every solver entry point, over every branch-and-bound
+/// round for [`crate::minimize_with`]; the compile driver surfaces them on
+/// `CompileOutput` so long solves are observable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Boolean and integer decisions made.
@@ -86,7 +87,8 @@ pub struct SearchStats {
 
 impl SearchStats {
     /// Accumulate another run's counters into this one (used when a solve
-    /// is a sequence of searches, e.g. branch-and-bound minimization).
+    /// is a sequence of searches, e.g. a quotient attempt and then the
+    /// full model).
     pub fn absorb(&mut self, other: SearchStats) {
         self.decisions += other.decisions;
         self.propagations += other.propagations;
@@ -102,7 +104,7 @@ impl SearchStats {
 /// Solve a model with default configuration.
 pub fn solve(model: &Model) -> Outcome {
     let flat = flatten(model);
-    let (outcome, _, _) = solve_flat(&flat, &SolverConfig::default(), &[]);
+    let (outcome, _, _) = solve_flat(&flat, &SolverConfig::default());
     finish(model, outcome)
 }
 
@@ -145,29 +147,14 @@ impl RawAssignment {
     }
 }
 
-/// Solve a flattened model, with extra always-active linear constraints
-/// (used by branch-and-bound). Returns the outcome projected onto model
+/// Solve a flattened model. Returns the outcome projected onto model
 /// variables, the raw assignment when satisfiable, and the search counters.
 pub fn solve_flat(
     flat: &FlatModel,
     cfg: &SolverConfig,
-    extra: &[(Vec<(i64, FlatVar)>, i64)],
 ) -> (Outcome, Option<RawAssignment>, SearchStats) {
-    solve_flat_in(flat, cfg, extra, &mut Vec::new())
-}
-
-/// [`solve_flat`], refilling the watch lists an earlier search left in
-/// `watches` and leaving this search's there: branch-and-bound rounds
-/// allocate (and free) them once, not once per round.
-pub(crate) fn solve_flat_in(
-    flat: &FlatModel,
-    cfg: &SolverConfig,
-    extra: &[(Vec<(i64, FlatVar)>, i64)],
-    watches: &mut Vec<Vec<u32>>,
-) -> (Outcome, Option<RawAssignment>, SearchStats) {
-    let mut s = Search::new(flat, cfg, extra, std::mem::take(watches));
+    let mut s = Search::new(flat, cfg);
     let (outcome, raw) = s.run();
-    *watches = std::mem::take(&mut s.watches);
     (outcome, raw, s.stats)
 }
 
@@ -210,8 +197,9 @@ enum Conflict {
 }
 
 /// An active linear constraint `sign · Σ terms ≤ k`. The terms are borrowed
-/// from the flat model's atom (or from a branch-and-bound bound); `sign` is
-/// −1 for an atom assigned false, whose negation `−Σ ≤ −k − 1` is active.
+/// from the flat model's atom (or its objective, for a bound set by
+/// [`Search::tighten`]); `sign` is −1 for an atom assigned false, whose
+/// negation `−Σ ≤ −k − 1` is active.
 #[derive(Clone, Copy)]
 struct ActiveLin<'a> {
     terms: &'a [(i64, FlatVar)],
@@ -366,10 +354,14 @@ thread_local! {
 const CREEP_VISITS_PER_CONSTRAINT: usize = 8;
 const CREEP_VISITS_BASE: usize = 64;
 
-struct Search<'a> {
+/// One CDCL(T) search over a flat model. [`Search::run`] finds a model or
+/// refutes the formula; a minimization then [`tighten`](Search::tighten)s
+/// the objective's bound and [`resume`](Search::resume)s the same search.
+pub(crate) struct Search<'a> {
     flat: &'a FlatModel,
     cfg: &'a SolverConfig,
-    stats: SearchStats,
+    /// Counters since construction, over every round of a minimization.
+    pub(crate) stats: SearchStats,
     /// -1 unassigned, 0 false, 1 true.
     assign: Vec<i8>,
     level: Vec<u32>,
@@ -377,15 +369,16 @@ struct Search<'a> {
     lo: Vec<i64>,
     hi: Vec<i64>,
     /// Watched literals: literal code → clause indices watching it.
-    watches: Vec<Vec<u32>>,
+    watches: Watches,
     /// Original + learned clauses; first two positions are watched.
     clauses: Clauses,
     num_original_clauses: usize,
     trail: Vec<TrailItem>,
     /// Trail mark at the start of each decision level (level 0 excluded).
     level_marks: Vec<usize>,
-    /// Active linear constraints, a stack: bounds first, then atoms in the
-    /// order their variables were assigned.
+    /// Active linear constraints, a stack in the order they were
+    /// activated: atoms as their variables were assigned, and an objective
+    /// bound at level 0 at each [`Search::tighten`].
     active: Vec<ActiveLin<'a>>,
     /// Per variable and direction (see [`Search::occ_slot`]), the stack of
     /// active constraints a change of that bound can disturb.
@@ -416,16 +409,11 @@ struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    fn new(
-        flat: &'a FlatModel,
-        cfg: &'a SolverConfig,
-        extra: &'a [(Vec<(i64, FlatVar)>, i64)],
-        watches: Vec<Vec<u32>>,
-    ) -> Self {
+    pub(crate) fn new(flat: &'a FlatModel, cfg: &'a SolverConfig) -> Self {
         let nvars = flat.num_sat_vars;
         let activity = vec![0.0; nvars];
         let clauses = flat.clauses.clone();
-        let mut s = Search {
+        Search {
             flat,
             cfg,
             stats: SearchStats::default(),
@@ -434,7 +422,7 @@ impl<'a> Search<'a> {
             reason: vec![Reason::Decision; nvars],
             lo: flat.int_bounds.iter().map(|b| b.0).collect(),
             hi: flat.int_bounds.iter().map(|b| b.1).collect(),
-            watches: watch_lists(&clauses, 2 * nvars, watches),
+            watches: Watches::new(&clauses, 2 * nvars),
             clauses,
             num_original_clauses: flat.clauses.len(),
             trail: Vec::new(),
@@ -456,15 +444,20 @@ impl<'a> Search<'a> {
             restart_limit: RESTART_INTERVAL,
             expired: false,
             passes: 0,
-        };
-        for (terms, k) in extra {
-            s.activate(ActiveLin {
-                terms,
-                sign: 1,
-                k: *k,
-            });
         }
-        s
+    }
+
+    /// The learned clauses in the arena, in order, each with its literals
+    /// sorted (watching reorders them).
+    #[cfg(test)]
+    pub(crate) fn learned_clauses(&self) -> Vec<Vec<Lit>> {
+        (self.num_original_clauses..self.clauses.len())
+            .map(|ci| {
+                let mut cl = self.clauses[ci].to_vec();
+                cl.sort_by_key(|l| l.0);
+                cl
+            })
+            .collect()
     }
 
     fn decision_level(&self) -> u32 {
@@ -511,13 +504,46 @@ impl<'a> Search<'a> {
         self.propagate().is_none()
     }
 
-    fn run(&mut self) -> (Outcome, Option<RawAssignment>) {
+    /// Propagate the root, then search: [`Outcome::Sat`] with the raw
+    /// assignment, a refutation, or [`Outcome::Unknown`] once a limit is
+    /// spent.
+    pub(crate) fn run(&mut self) -> (Outcome, Option<RawAssignment>) {
         if self.deadline_expired() {
             return (Outcome::Unknown, None);
         }
         if !self.propagate_units() {
             return (Outcome::Unsat, None);
         }
+        self.resume()
+    }
+
+    /// Require `Σ objective ≤ k` from here on, for a search that has just
+    /// found a model. Unwinds the integer splits, backjumps to level 0 —
+    /// keeping the level-0 trail, the learned clauses, the watch lists,
+    /// the activities and the saved phases — activates the bound as an
+    /// always-active constraint at level 0 and propagates. False when that
+    /// refutes the formula, which proves the last model optimal.
+    ///
+    /// Bounds only tighten, so every clause learned so far, including a
+    /// decision-negation clause from a theory conflict, is still implied
+    /// once this bound joins the ones before it.
+    pub(crate) fn tighten(&mut self, k: i64) -> bool {
+        while let Some(split) = self.int_splits.pop() {
+            self.undo_to(split.trail_mark);
+        }
+        self.backjump(0);
+        let flat: &'a FlatModel = self.flat;
+        let terms = flat
+            .objective
+            .as_deref()
+            .expect("a bound needs an objective");
+        self.activate(ActiveLin { terms, sign: 1, k });
+        self.propagate().is_none()
+    }
+
+    /// The decision loop, from wherever the search stands: after
+    /// [`Search::run`]'s root propagation or a [`Search::tighten`].
+    pub(crate) fn resume(&mut self) -> (Outcome, Option<RawAssignment>) {
         loop {
             if self.expired || self.stats.decisions > self.cfg.max_decisions {
                 return (Outcome::Unknown, None);
@@ -686,8 +712,8 @@ impl<'a> Search<'a> {
             self.queue.push_back((asserting, Reason::Decision));
         } else {
             let ci = self.clauses.len();
-            self.watches[learned[0].0 as usize].push(ci as u32);
-            self.watches[learned[1].0 as usize].push(ci as u32);
+            self.watches.push(learned[0], ci);
+            self.watches.push(learned[1], ci);
             self.clauses.push(learned);
             self.queue.push_back((asserting, Reason::Clause(ci)));
         }
@@ -952,24 +978,17 @@ impl<'a> Search<'a> {
                     });
                     self.trail.push(TrailItem::Activated);
                 }
-                // Visit clauses watching the falsified literal.
+                // Visit clauses watching the falsified literal. A clause
+                // that moves its watch moves it to a literal not false, so
+                // this list only shrinks while it is walked.
                 let falsified = lit.negate();
-                let mut ws = std::mem::take(&mut self.watches[falsified.0 as usize]);
                 let mut i = 0;
-                let mut conflict: Option<Conflict> = None;
-                while i < ws.len() {
-                    match self.update_clause_watch(ws[i] as usize, falsified, &mut ws, &mut i) {
-                        Ok(()) => {}
-                        Err(ci) => {
-                            conflict = Some(Conflict::Clause(ci));
-                            break;
-                        }
+                while i < self.watches.len(falsified) {
+                    let ci = self.watches.get(falsified, i);
+                    if let Err(ci) = self.update_clause_watch(ci, falsified, &mut i) {
+                        self.queue.clear();
+                        return Some(Conflict::Clause(ci));
                     }
-                }
-                self.watches[falsified.0 as usize] = ws;
-                if let Some(c) = conflict {
-                    self.queue.clear();
-                    return Some(c);
                 }
             }
             // Linear propagation fixpoint; may enqueue boolean literals.
@@ -987,7 +1006,6 @@ impl<'a> Search<'a> {
         &mut self,
         ci: usize,
         falsified: Lit,
-        ws: &mut Vec<u32>,
         i: &mut usize,
     ) -> Result<(), usize> {
         let cl = self.clauses.clause_mut(ci);
@@ -1003,9 +1021,8 @@ impl<'a> Search<'a> {
         for j in 2..cl.len() {
             if value(&self.assign, cl[j]) != Some(false) {
                 cl.swap(1, j);
-                let new_watch = cl[1];
-                self.watches[new_watch.0 as usize].push(ci as u32);
-                ws.swap_remove(*i);
+                self.watches.push(cl[1], ci);
+                self.watches.swap_remove(falsified, *i);
                 return Ok(());
             }
         }
@@ -1263,28 +1280,76 @@ fn value(assign: &[i8], lit: Lit) -> Option<bool> {
     }
 }
 
-/// Per literal code, the indices of the clauses watching it: the first two
-/// literals of every clause that has two. The lists are built in `watches`,
-/// whatever it held: each is emptied and, after a counting pass, sized
-/// before it is filled, so filling reallocates nothing and lists an earlier
-/// search left allocate nothing at all.
-fn watch_lists(clauses: &Clauses, num_lits: usize, mut watches: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
-    let watched = || clauses.iter().enumerate().filter(|(_, cl)| cl.len() >= 2);
-    let mut counts = vec![0usize; num_lits];
-    for (_, cl) in watched() {
-        counts[cl[0].0 as usize] += 1;
-        counts[cl[1].0 as usize] += 1;
+/// Per literal code, the indices of the clauses watching it, all lists in
+/// one buffer: literal `l`'s list is `buf[start[l]..start[l] + len[l]]`,
+/// with room up to `start[l] + cap[l]`. A counting pass sizes each list
+/// for the first two literals of every clause that has two, so building
+/// them allocates four vectors, not one per literal. A list that outgrows
+/// its room moves, in order, to the end of the buffer with twice the room;
+/// the room it leaves is not reused.
+/// Each list behaves as a `Vec` would — same entries, same order, same
+/// `swap_remove` — so the search path does not depend on the layout.
+struct Watches {
+    buf: Vec<u32>,
+    start: Vec<usize>,
+    len: Vec<u32>,
+    cap: Vec<u32>,
+}
+
+impl Watches {
+    fn new(clauses: &Clauses, num_lits: usize) -> Self {
+        let watched = || clauses.iter().enumerate().filter(|(_, cl)| cl.len() >= 2);
+        let mut cap = vec![0u32; num_lits];
+        for (_, cl) in watched() {
+            cap[cl[0].0 as usize] += 1;
+            cap[cl[1].0 as usize] += 1;
+        }
+        let (mut start, mut next) = (Vec::with_capacity(num_lits), 0);
+        for &c in &cap {
+            start.push(next);
+            next += c as usize;
+        }
+        let mut w = Watches {
+            buf: vec![0; next],
+            start,
+            len: vec![0; num_lits],
+            cap,
+        };
+        for (ci, cl) in watched() {
+            w.push(cl[0], ci);
+            w.push(cl[1], ci);
+        }
+        w
     }
-    watches.resize_with(num_lits, Vec::new);
-    for (list, n) in watches.iter_mut().zip(counts) {
-        list.clear();
-        list.reserve_exact(n);
+
+    fn len(&self, lit: Lit) -> usize {
+        self.len[lit.0 as usize] as usize
     }
-    for (ci, cl) in watched() {
-        watches[cl[0].0 as usize].push(ci as u32);
-        watches[cl[1].0 as usize].push(ci as u32);
+
+    fn get(&self, lit: Lit, i: usize) -> usize {
+        self.buf[self.start[lit.0 as usize] + i] as usize
     }
-    watches
+
+    fn push(&mut self, lit: Lit, ci: usize) {
+        let l = lit.0 as usize;
+        let (start, len) = (self.start[l], self.len[l] as usize);
+        if len == self.cap[l] as usize {
+            let moved = self.buf.len();
+            self.buf.extend_from_within(start..start + len);
+            self.cap[l] = (2 * self.cap[l]).max(4);
+            self.buf.resize(moved + self.cap[l] as usize, 0);
+            self.start[l] = moved;
+        }
+        self.buf[self.start[l] + len] = ci as u32;
+        self.len[l] += 1;
+    }
+
+    fn swap_remove(&mut self, lit: Lit, i: usize) {
+        let l = lit.0 as usize;
+        let (start, last) = (self.start[l], self.len[l] as usize - 1);
+        self.buf[start + i] = self.buf[start + last];
+        self.len[l] -= 1;
+    }
 }
 
 /// `ceil(a / c)` where `c < 0` (used when dividing an inequality by a
@@ -1480,7 +1545,7 @@ mod tests {
             max_decisions: 10,
             ..Default::default()
         };
-        let (outcome, _, stats) = solve_flat(&flat, &cfg, &[]);
+        let (outcome, _, stats) = solve_flat(&flat, &cfg);
         assert!(stats.decisions > 0);
         assert!(matches!(outcome, Outcome::Unknown | Outcome::Unsat));
     }
@@ -1520,7 +1585,7 @@ mod tests {
         m.require(c);
         let flat = flatten(&m);
         let cfg = SolverConfig::default();
-        let mut s = Search::new(&flat, &cfg, &[], Vec::new());
+        let mut s = Search::new(&flat, &cfg);
         let (outcome, _) = s.run();
         assert!(outcome.is_sat() || outcome == Outcome::Unsat);
     }
@@ -1544,7 +1609,7 @@ mod tests {
             max_decisions: 10_000,
             ..Default::default()
         };
-        let mut s = Search::new(&flat, &cfg, &[], Vec::new());
+        let mut s = Search::new(&flat, &cfg);
         s.restart_limit = 1;
         let (outcome, _) = s.run();
         let stats = s.stats;
@@ -1582,7 +1647,7 @@ mod tests {
             ..Default::default()
         };
         let t = Instant::now();
-        let (outcome, _, stats) = solve_flat(&flat, &cfg, &[]);
+        let (outcome, _, stats) = solve_flat(&flat, &cfg);
         assert_eq!(outcome, Outcome::Unknown);
         assert_eq!(stats.decisions, 0, "no search past an expired deadline");
         assert!(t.elapsed() < Duration::from_secs(1));
@@ -1599,7 +1664,7 @@ mod tests {
             ..Default::default()
         };
         let t = Instant::now();
-        let (outcome, _, _) = solve_flat(&flat, &cfg, &[]);
+        let (outcome, _, _) = solve_flat(&flat, &cfg);
         assert!(matches!(outcome, Outcome::Unknown | Outcome::Unsat));
         assert!(
             t.elapsed() < Duration::from_secs(5),

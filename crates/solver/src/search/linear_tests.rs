@@ -159,11 +159,11 @@ fn dirty_schedule_takes_the_full_sweep_search_path() {
         ..SolverConfig::default()
     };
     let (mut guarded, mut refuted_by_guard, mut sat, mut unsat) = (0, 0, 0, 0);
-    for case in 0..400 {
+    for case in 0..500 {
         let mut m = gen_model(&mut rng);
         let flat = flatten(&m);
-        let (outcome, raw, stats) = solve_flat(&flat, &cfg, &[]);
-        let (ref_outcome, ref_raw, ref_stats) = with_full_sweep(|| solve_flat(&flat, &cfg, &[]));
+        let (outcome, raw, stats) = solve_flat(&flat, &cfg);
+        let (ref_outcome, ref_raw, ref_stats) = with_full_sweep(|| solve_flat(&flat, &cfg));
         assert_eq!(outcome, ref_outcome, "case {case}: verdict or model");
         assert_eq!(
             raw.map(|r| (r.sat, r.ints)),
@@ -247,7 +247,7 @@ fn creeping_cycle_is_refuted_by_weight_not_by_walking_the_domain() {
     let c = m.ge(Ix::var(x), y1);
     m.require(c);
     let flat = flatten(&m);
-    let (outcome, _, stats) = solve_flat(&flat, &SolverConfig::default(), &[]);
+    let (outcome, _, stats) = solve_flat(&flat, &SolverConfig::default());
     assert_eq!(outcome, Outcome::Unsat);
     assert!(stats.linear_visits < 10_000, "{stats:?}");
     assert_eq!(stats.creep_checks, 1, "{stats:?}");
@@ -261,7 +261,7 @@ fn creeping_cycle_is_refuted_by_weight_not_by_walking_the_domain() {
     shared_sum(&mut m, [x, y], z, s);
     let c = m.ge(Ix::var(x), Ix::var(y));
     m.require(c);
-    let (outcome, _, stats) = solve_flat(&flatten(&m), &SolverConfig::default(), &[]);
+    let (outcome, _, stats) = solve_flat(&flatten(&m), &SolverConfig::default());
     let sol = outcome.solution().expect("x = y is a model");
     assert!(sol.satisfies(&m));
     assert!(stats.linear_visits < 10_000, "{stats:?}");
@@ -289,8 +289,8 @@ fn guard_abstains_while_a_boolean_could_still_be_forced() {
     m.require(c);
     let flat = flatten(&m);
     let cfg = SolverConfig::default();
-    let (outcome, _, stats) = solve_flat(&flat, &cfg, &[]);
-    let (ref_outcome, _, ref_stats) = with_full_sweep(|| solve_flat(&flat, &cfg, &[]));
+    let (outcome, _, stats) = solve_flat(&flat, &cfg);
+    let (ref_outcome, _, ref_stats) = with_full_sweep(|| solve_flat(&flat, &cfg));
     assert_eq!(outcome, Outcome::Unsat);
     assert_eq!(ref_outcome, Outcome::Unsat);
     assert_eq!(path(&stats), path(&ref_stats));
@@ -303,7 +303,7 @@ fn level0_bounds(m: &Model, full_sweep: bool) -> Option<(Vec<i64>, Vec<i64>, Sea
     let flat = flatten(m);
     let cfg = SolverConfig::default();
     let run = || {
-        let mut s = Search::new(&flat, &cfg, &[], Vec::new());
+        let mut s = Search::new(&flat, &cfg);
         s.propagate_units()
             .then(|| (s.lo.clone(), s.hi.clone(), s.stats))
     };
@@ -362,8 +362,8 @@ fn undecided_creep_carries_on_to_the_reference_result() {
     m.require(c);
     let flat = flatten(&m);
     let cfg = SolverConfig::default();
-    let (outcome, _, stats) = solve_flat(&flat, &cfg, &[]);
-    let (ref_outcome, _, ref_stats) = with_full_sweep(|| solve_flat(&flat, &cfg, &[]));
+    let (outcome, _, stats) = solve_flat(&flat, &cfg);
+    let (ref_outcome, _, ref_stats) = with_full_sweep(|| solve_flat(&flat, &cfg));
     assert_eq!(outcome, Outcome::Unsat);
     assert_eq!(ref_outcome, Outcome::Unsat);
     assert_eq!(path(&stats), path(&ref_stats));

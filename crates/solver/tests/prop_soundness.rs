@@ -8,7 +8,10 @@
 mod common;
 
 use common::{brute_force_sat, gen_model, Rng};
-use lyra_solver::{solve, Ix, Model, Outcome, Solution};
+use lyra_solver::flatten::flatten_with_objective;
+use lyra_solver::{
+    minimize_with, solve, solve_flat, Ix, Minimized, Model, Outcome, Solution, SolverConfig,
+};
 
 #[test]
 fn solver_agrees_with_brute_force() {
@@ -63,6 +66,83 @@ fn minimize_returns_feasible_minimum() {
             check_no_better(&m, &bools, &domains, &mut ints, 0, v, &obj, case);
         }
     }
+}
+
+/// Minimize an objective over every variable with coefficients of both
+/// signs on the booleans, so that the first model is rarely the best and
+/// the search tightens its bound more than once before the optimum.
+#[test]
+fn mixed_sign_minimization_reaches_the_brute_force_optimum() {
+    let mut rng = Rng::new(0x5eed_0003);
+    let cfg = SolverConfig::default();
+    let (mut optimal, mut multi_round) = (0, 0);
+    for case in 0..256 {
+        let mut m = gen_model(&mut rng);
+        let mut terms: Vec<Ix> = Vec::new();
+        let bools: Vec<_> = m.bool_decls().map(|(id, _)| id).collect();
+        let ints: Vec<_> = m.int_decls().map(|(id, _)| id).collect();
+        for id in bools {
+            let c = [-5, -3, -2, 2, 3, 5][rng.below(6) as usize];
+            terms.push(m.scale(Ix::bool01(id), c));
+        }
+        for id in ints {
+            let c = [-1, 1, 2][rng.below(3) as usize];
+            terms.push(m.scale(Ix::var(id), c));
+        }
+        let obj = m.sum(terms);
+        match (minimize_with(&m, &obj, &cfg).0, brute_force_min(&m, obj)) {
+            (Minimized::Optimal(sol, v), Some(best)) => {
+                assert!(sol.satisfies(&m), "case {case}");
+                assert_eq!(sol.eval_ix(&m, obj), v, "case {case}");
+                assert_eq!(v, best, "case {case}: solver minimum against brute force");
+                optimal += 1;
+                // The first round is this search; a first model worse than
+                // the optimum means a second model, then a refutation.
+                let first = solve_flat(&flatten_with_objective(&m, Some(&obj)), &cfg).0;
+                let first = first.solution().expect("a satisfiable first round");
+                multi_round += (sol.eval_ix(&m, obj) < first.eval_ix(&m, obj)) as u32;
+            }
+            (Minimized::Infeasible, None) => {}
+            (result, best) => panic!("case {case}: {result:?} against brute force {best:?}"),
+        }
+    }
+    assert!(optimal >= 150, "only {optimal} satisfiable cases");
+    assert!(
+        multi_round >= MULTI_ROUND_FLOOR,
+        "only {multi_round} minimizations took three rounds or more"
+    );
+}
+
+/// Cases of [`mixed_sign_minimization_reaches_the_brute_force_optimum`]
+/// whose minimization must take at least three rounds: 126 of its 167
+/// satisfiable cases do.
+const MULTI_ROUND_FLOOR: u32 = 100;
+
+/// The least objective value over every model, by enumeration.
+fn brute_force_min(m: &Model, obj: Ix) -> Option<i64> {
+    let nb = m.num_bools();
+    let domains: Vec<(i64, i64)> = m.int_decls().map(|(_, d)| (d.lo, d.hi)).collect();
+    let mut best = None;
+    for mask in 0..(1usize << nb) {
+        let bools: Vec<bool> = (0..nb).map(|i| mask >> i & 1 == 1).collect();
+        let mut ints: Vec<i64> = domains.iter().map(|d| d.0).collect();
+        loop {
+            let sol = Solution::from_parts(bools.clone(), ints.clone());
+            if sol.satisfies(m) {
+                let v = sol.eval_ix(m, obj);
+                best = Some(best.map_or(v, |b: i64| b.min(v)));
+            }
+            // Next integer assignment, odometer-style.
+            let Some(i) = (0..ints.len()).find(|&i| ints[i] < domains[i].1) else {
+                break;
+            };
+            ints[i] += 1;
+            for (x, d) in ints[..i].iter_mut().zip(&domains) {
+                *x = d.0;
+            }
+        }
+    }
+    best
 }
 
 #[allow(clippy::too_many_arguments)]

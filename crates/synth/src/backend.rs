@@ -60,9 +60,9 @@ pub struct SolveLimits {
 ///
 /// A minimization truncated (deadline, decision budget) after finding at
 /// least one model returns that model as [`Outcome::Sat`] — possibly
-/// non-optimal, which is exactly the degraded-result contract. One
-/// truncated before any model returns [`Outcome::Unknown`], not `Unsat`: a
-/// spent budget proves nothing.
+/// non-optimal, and not marked so here; [`crate::synthesize_limited`]
+/// tells the two apart. One truncated before any model returns
+/// [`Outcome::Unknown`], not `Unsat`: a spent budget proves nothing.
 pub fn solve_with_limits(
     model: &Model,
     objective: Option<&Ix>,
@@ -72,6 +72,19 @@ pub fn solve_with_limits(
     limits: &SolveLimits,
 ) -> (Outcome, SearchStats) {
     let Backend::Native = backend;
+    let (outcome, _, stats) = solve_limited(model, objective, limits);
+    (outcome, stats)
+}
+
+/// [`solve_with_limits`] without its vestigial parameters, and saying
+/// whether an [`Outcome::Sat`] is proved: `true` beside it when a limit cut
+/// a minimization short after it found that model, which is then the best
+/// found, not a proved optimum.
+pub(crate) fn solve_limited(
+    model: &Model,
+    objective: Option<&Ix>,
+    limits: &SolveLimits,
+) -> (Outcome, bool, SearchStats) {
     let mut cfg = SolverConfig {
         deadline: limits.deadline,
         ..Default::default()
@@ -82,22 +95,21 @@ pub fn solve_with_limits(
     match objective {
         None => {
             let flat = lyra_solver::flatten(model);
-            let (outcome, _, stats) = lyra_solver::solve_flat(&flat, &cfg, &[]);
+            let (outcome, _, stats) = lyra_solver::solve_flat(&flat, &cfg);
             if let Outcome::Sat(ref s) = outcome {
                 debug_assert!(s.satisfies(model), "solver returned a non-model");
             }
-            (outcome, stats)
+            (outcome, false, stats)
         }
         Some(obj) => {
             let (res, stats) = lyra_solver::minimize_with(model, obj, &cfg);
-            let outcome = match res {
-                Minimized::Optimal(sol, _) | Minimized::Truncated(Some((sol, _))) => {
-                    Outcome::Sat(sol)
-                }
-                Minimized::Infeasible => Outcome::Unsat,
-                Minimized::Truncated(None) => Outcome::Unknown,
+            let (outcome, truncated) = match res {
+                Minimized::Optimal(sol, _) => (Outcome::Sat(sol), false),
+                Minimized::Truncated(Some((sol, _))) => (Outcome::Sat(sol), true),
+                Minimized::Infeasible => (Outcome::Unsat, false),
+                Minimized::Truncated(None) => (Outcome::Unknown, false),
             };
-            (outcome, stats)
+            (outcome, truncated, stats)
         }
     }
 }

@@ -137,8 +137,9 @@ impl std::error::Error for SynthError {
 }
 
 /// Which rung of the degradation ladder produced a result, when the
-/// search could not reach a verdict inside its limits.
-/// Absent (`None` on [`SynthResult::degraded`]) for a normal solve.
+/// search could not reach a verdict, or prove its model optimal, inside
+/// its limits. Absent (`None` on [`SynthResult::degraded`]) for a normal
+/// solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeRung {
     /// The search spent its deadline or decision budget; the placement
@@ -146,12 +147,17 @@ pub enum DegradeRung {
     /// algorithms on first-fitting path switches — and satisfies the full
     /// model, but nothing was optimized.
     GreedyFirstFit,
+    /// A minimization spent its deadline or decision budget after finding
+    /// a model: the placement is the best model it found, which satisfies
+    /// the full model but is not proved optimal.
+    BestSoFar,
 }
 
 impl std::fmt::Display for DegradeRung {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DegradeRung::GreedyFirstFit => write!(f, "greedy-first-fit"),
+            DegradeRung::BestSoFar => write!(f, "best-so-far"),
         }
     }
 }
@@ -226,7 +232,8 @@ pub struct SynthLimits {
     /// Wall-clock deadline for the search. Expiry does not fail the
     /// compile: the degradation ladder runs instead.
     pub deadline: Option<std::time::Instant>,
-    /// Decision budget per search (overrides the solver default).
+    /// Decision budget per search (overrides the solver default); a
+    /// minimization is one search.
     pub max_decisions: Option<u64>,
     /// Try the quotient route first: solve a quotient model over
     /// interchangeable-switch class representatives, replicate the
@@ -247,7 +254,8 @@ pub struct SolveProfile {
     /// Wall-clock budget for the solve phase; expiry triggers the
     /// degradation ladder rather than a failure.
     pub deadline: Option<std::time::Duration>,
-    /// Decision budget per search (overrides the solver default).
+    /// Decision budget per search (overrides the solver default); a
+    /// minimization is one search.
     pub decision_budget: Option<u64>,
     /// Solve per-pod quotient subproblems and replicate, with verified
     /// stitching and monolithic fallback.
@@ -282,7 +290,10 @@ impl SolveProfile {
         self
     }
 
-    /// Set the per-search decision budget.
+    /// Set the per-search decision budget. Under an objective the budget,
+    /// like the deadline, spans the whole minimization — every round of
+    /// its branch-and-bound — not each round; one spent after the first
+    /// model yields that model as [`DegradeRung::BestSoFar`].
     pub fn with_decision_budget(mut self, decisions: u64) -> Self {
         self.decision_budget = Some(decisions);
         self
@@ -290,6 +301,14 @@ impl SolveProfile {
 }
 
 impl SynthLimits {
+    /// The limits one solve runs under.
+    fn solve_limits(&self) -> SolveLimits {
+        SolveLimits {
+            deadline: self.deadline,
+            max_decisions: self.max_decisions,
+        }
+    }
+
     /// True when no limit is configured — the ladder never triggers and
     /// budget exhaustion surfaces as [`SynthError::BudgetExhausted`],
     /// preserving the historical contract.
@@ -320,16 +339,19 @@ impl SynthLimits {
 ///
 /// The ladder has two rungs on the same model:
 ///
-/// 1. the search under the deadline and decision budget;
+/// 1. the search under the deadline and decision budget; a minimization
+///    cut short after it found a model returns that model, marked
+///    [`DegradeRung::BestSoFar`];
 /// 2. when it spends either ([`Outcome::Unknown`]), greedy first-fit
 ///    placement (no search at all), lifted into a full assignment
 ///    ([`place::lift`]) and accepted only if it satisfies the model.
 ///
-/// A result produced by rung 2 carries [`SynthResult::degraded`] so the
-/// driver can surface a degraded-result diagnostic. `Unsat` at rung 1 is a
-/// genuine refutation and fails with [`SynthError::Infeasible`]; a spent
-/// limit with no accepted greedy placement fails with
-/// [`SynthError::BudgetExhausted`], carrying greedy's reason.
+/// A best-so-far model and a result produced by rung 2 carry
+/// [`SynthResult::degraded`] so the driver can surface a degraded-result
+/// diagnostic. `Unsat` at rung 1 is a genuine refutation and fails with
+/// [`SynthError::Infeasible`]; a spent limit with no accepted greedy
+/// placement fails with [`SynthError::BudgetExhausted`], carrying greedy's
+/// reason.
 pub fn synthesize_limited(
     ir: &IrProgram,
     topo: &Topology,
@@ -339,6 +361,7 @@ pub fn synthesize_limited(
     previous: Option<&Placement>,
     limits: &SynthLimits,
 ) -> Result<(SynthResult, SolveRoute), SynthError> {
+    let Backend::Native = backend;
     let enc = encode(ir, topo, scopes, opts).map_err(SynthError::Encode)?;
     let finish = |enc: Encoded, sol: &Solution, stats, degraded, route| {
         let placement = place::extract(&enc, ir, topo, sol);
@@ -389,8 +412,7 @@ pub fn synthesize_limited(
     {
         let classes = interchangeable_classes(topo, scopes);
         if !classes.is_empty() {
-            let (sol, stats) =
-                try_quotient(&enc, ir, topo, scopes, opts, backend, limits, &classes);
+            let (sol, stats) = try_quotient(&enc, ir, topo, scopes, opts, limits, &classes);
             if let Some(sol) = sol {
                 return finish(enc, &sol, stats, None, SolveRoute::Quotient);
             }
@@ -398,21 +420,16 @@ pub fn synthesize_limited(
         }
     }
 
-    // Rung 1: the search under the configured limits.
-    let (outcome, stats) = backend::solve_with_limits(
-        &enc.model,
-        enc.objective.as_ref(),
-        backend,
-        &[],
-        Default::default(),
-        &backend::SolveLimits {
-            deadline: limits.deadline,
-            max_decisions: limits.max_decisions,
-        },
-    );
+    // Rung 1: the search under the configured limits. A minimization cut
+    // short after it found a model keeps that model, marked unproved.
+    let (outcome, truncated, stats) =
+        backend::solve_limited(&enc.model, enc.objective.as_ref(), &limits.solve_limits());
     total.absorb(stats);
     match outcome {
-        Outcome::Sat(sol) => return finish(enc, &sol, total, None, SolveRoute::Monolithic),
+        Outcome::Sat(sol) => {
+            let rung = truncated.then_some(DegradeRung::BestSoFar);
+            return finish(enc, &sol, total, rung, SolveRoute::Monolithic);
+        }
         Outcome::Unsat => {
             return Err(SynthError::Infeasible {
                 diagnostics: explain::explain_infeasible(&enc, ir, topo, opts),
@@ -466,14 +483,12 @@ pub fn synthesize_limited(
 /// to pass: verified transpositions map constraints to constraints, so a
 /// per-class-constant assignment satisfying the quotient constraints
 /// satisfies the full path/resource families too.
-#[allow(clippy::too_many_arguments)]
 fn try_quotient(
     full: &Encoded,
     ir: &IrProgram,
     topo: &Topology,
     scopes: &[ResolvedScope],
     opts: &EncodeOptions,
-    backend: &Backend,
     limits: &SynthLimits,
     classes: &[Vec<SwitchId>],
 ) -> (Option<Solution>, SearchStats) {
@@ -525,17 +540,7 @@ fn try_quotient(
         return (None, SearchStats::default());
     };
 
-    let (outcome, stats) = backend::solve_with_limits(
-        &q_enc.model,
-        None,
-        backend,
-        &[],
-        Default::default(),
-        &backend::SolveLimits {
-            deadline: limits.deadline,
-            max_decisions: limits.max_decisions,
-        },
-    );
+    let (outcome, _, stats) = backend::solve_limited(&q_enc.model, None, &limits.solve_limits());
     let Outcome::Sat(q_sol) = outcome else {
         // Unknown → monolithic retry. Unsat is *not* propagated as a
         // refutation of the full problem: the quotient forces per-class-

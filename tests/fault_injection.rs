@@ -687,6 +687,55 @@ fn decision_budget_under_an_objective_degrades_instead_of_refuting() {
     }
 }
 
+/// A minimization its budget stops after it found a model is served as
+/// that model, degraded, and never cached. LB 5.5 M under `MinSwitches` on
+/// a k = 4 pod finds its first model within 168 decisions and needs three
+/// more to prove it optimal, so a budget of 168 falls between the two. The
+/// synthesis cache's key ignores limits, so a cached unproved optimum
+/// would be served to a later unlimited compile with no search at all.
+#[test]
+fn minimization_cut_short_is_best_so_far_and_stays_out_of_the_cache() {
+    let program = lyra_apps::programs::load_balancer(5_500_000);
+    let scopes = pod_lb_scopes(4);
+    let cache = std::sync::Arc::new(lyra::SynthCache::new());
+    let compiler = Compiler::new()
+        .with_objective(Objective::MinSwitches)
+        .with_synth_cache(cache.clone());
+    let request = || CompileRequest::new(&program, &scopes, pod(4));
+    let budget = 168;
+    let cut = compiler
+        .compile(
+            &request().with_solve_profile(SolveProfile::default().with_decision_budget(budget)),
+        )
+        .expect("the budget leaves a model");
+    assert_eq!(cut.degraded, Some(DegradeRung::BestSoFar));
+    assert_eq!(cut.stats.solve_route, Some(SolveRoute::Monolithic));
+    assert!(cut.solver.decisions > budget, "{:?}", cut.solver);
+    let warning = cut
+        .warnings
+        .iter()
+        .find(|w| w.code == Some(lyra_diag::codes::DEGRADED))
+        .expect("degraded output must carry LYR0550");
+    assert!(
+        warning.message.contains("best-so-far") && warning.message.contains("optimal"),
+        "{}",
+        warning.message
+    );
+    assert_eq!(cache.len(), 0, "an unproved optimum entered the cache");
+
+    // The unlimited compile of the same problem searches, proves its
+    // optimum, and is the one the cache keeps.
+    let full = compiler.compile(&request()).unwrap();
+    assert_eq!(full.degraded, None);
+    assert_eq!(full.stats.synth_cache_misses, 1);
+    assert!(full.solver.decisions > budget, "{:?}", full.solver);
+    assert_eq!(cache.len(), 1);
+    assert!(full.placement.used_switches() <= cut.placement.used_switches());
+    let hit = compiler.compile(&request()).unwrap();
+    assert_eq!(hit.stats.synth_cache_hits, 1);
+    assert_eq!(hit.placement, full.placement);
+}
+
 /// One request, one placement: eight fresh compilers each compile and then
 /// recompile around a dead switch, and all eight agree on the placement,
 /// on every artifact byte and on the recompile. Golden files, carry-over
