@@ -24,7 +24,7 @@
 
 use std::time::{Duration, Instant};
 
-use lyra::{CompileRequest, Compiler, SolveProfile, SynthCache};
+use lyra::{CompileRequest, Compiler, SynthCache};
 use lyra_apps::{figure9_corpus, programs};
 use lyra_diag::json::{Object, Value};
 use lyra_topo::{fat_tree_pod, Layer, Topology};
@@ -98,14 +98,13 @@ struct Measured {
     degraded: bool,
 }
 
-/// Compile `samples` times under `compiler`/`profile`; return the median
+/// Compile `samples` times under `compiler`; return the median
 /// wall time and the last run's solver counters.
 fn measure(
     compiler: &Compiler,
     program: &str,
     scopes: &str,
     topo: &Topology,
-    profile: SolveProfile,
     samples: usize,
 ) -> Measured {
     let mut times = Vec::with_capacity(samples);
@@ -113,8 +112,7 @@ fn measure(
     let mut decisions = 0;
     let mut degraded = false;
     for _ in 0..samples {
-        let req =
-            CompileRequest::new(program, scopes, topo.clone()).with_solve_profile(profile.clone());
+        let req = CompileRequest::new(program, scopes, topo.clone());
         let t = Instant::now();
         let out = compiler.compile(&req).expect("benchmark workload compiles");
         times.push(t.elapsed());
@@ -175,13 +173,11 @@ fn record_fig10() -> Object {
             for k in KS.into_iter().chain(heaviest.then_some(48)) {
                 let topo = fat_tree_pod(k, tor, agg);
                 let scopes = scopes_for(k, &case.program, case.multi);
-                let profile = if k > 32 {
-                    SolveProfile::default().with_deadline(Duration::from_secs(10))
-                } else {
-                    SolveProfile::default()
-                };
-                let compiler = Compiler::new();
-                let m = measure(&compiler, &case.program, &scopes, &topo, profile, SAMPLES);
+                let mut compiler = Compiler::new();
+                if k > 32 {
+                    compiler = compiler.with_deadline(Duration::from_secs(10));
+                }
+                let m = measure(&compiler, &case.program, &scopes, &topo, SAMPLES);
                 if m.degraded {
                     println!("fig10 {} {asics} k={k}: degraded — row skipped", case.name);
                     continue;
@@ -222,27 +218,25 @@ fn record_fig10() -> Object {
     }
 
     // Head-to-head on the hardest recorded case: LB MULTI-SW at k = 16.
-    // Monolithic reference vs the default profile vs the default through
+    // Monolithic reference vs the default compiler vs the default through
     // a warm synthesis cache.
     let k = 16;
     let lb = &cases()[0];
     let (tor, agg) = PODS[0];
     let topo = fat_tree_pod(k, tor, agg);
     let scopes = scopes_for(k, &lb.program, lb.multi);
-    let compare = |compiler: &Compiler, profile| {
-        measure(compiler, &lb.program, &scopes, &topo, profile, SAMPLES)
-    };
-    let default = compare(&Compiler::new(), SolveProfile::default());
+    let compare = |compiler: &Compiler| measure(compiler, &lb.program, &scopes, &topo, SAMPLES);
+    let default = compare(&Compiler::new());
     let cache = std::sync::Arc::new(SynthCache::new());
     let cached_compiler = Compiler::new().with_synth_cache(cache.clone());
     // One cold compile populates the cache; the measured samples are warm.
     let req = CompileRequest::new(&lb.program, &scopes, topo.clone());
     cached_compiler.compile(&req).expect("cold compile");
-    let warm = compare(&cached_compiler, SolveProfile::default());
-    // Monolithic reference (decomposition off): how the same case solves
+    let warm = compare(&cached_compiler);
+    // Monolithic reference (quotient route off): how the same case solves
     // without the quotient route — the denominator for the "curve bent"
     // claim.
-    let mono = compare(&Compiler::new(), SolveProfile::thorough());
+    let mono = compare(&Compiler::new().with_quotient_route(false));
     let hit_rate = cache.hits() as f64 / (cache.hits() + cache.misses()) as f64;
     println!(
         "fig10 comparison LB(MULTI-SW)@k16: monolithic {:?}  default {:?}  \
@@ -283,14 +277,7 @@ fn record_fig9() -> Object {
             .map(|a| format!("{a}: [ ToR1 | PER-SW | - ]"))
             .collect::<Vec<_>>()
             .join("\n");
-        let m = measure(
-            &Compiler::new(),
-            &entry.source,
-            &scopes,
-            &topo,
-            SolveProfile::default(),
-            SAMPLES,
-        );
+        let m = measure(&Compiler::new(), &entry.source, &scopes, &topo, SAMPLES);
         // Hit rate over repeat compiles with a shared cache: the first
         // misses, the rest hit.
         let cache = std::sync::Arc::new(SynthCache::new());

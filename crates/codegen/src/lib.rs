@@ -28,7 +28,7 @@ mod tests {
     use crate::emit::generate;
     use lyra_ir::frontend;
     use lyra_lang::parse_scopes;
-    use lyra_synth::{synthesize, Backend, EncodeOptions};
+    use lyra_synth::{synthesize, EncodeOptions, SolveLimits};
     use lyra_topo::{figure1_network, resolve_scope};
 
     #[test]
@@ -56,12 +56,13 @@ mod tests {
             .iter()
             .map(|s| resolve_scope(&topo, s).unwrap())
             .collect();
-        let res = synthesize(
+        let (res, _) = synthesize(
             &ir,
             &topo,
             &resolved,
             &EncodeOptions::default(),
-            &Backend::Native,
+            None,
+            &SolveLimits::default(),
         )
         .unwrap();
         let artifacts = generate(&ir, &topo, &res).unwrap();

@@ -128,7 +128,7 @@ fn loc(code: &str) -> u64 {
 mod tests {
     use super::*;
     use lyra_lang::parse_scopes;
-    use lyra_synth::{synthesize, Backend, EncodeOptions};
+    use lyra_synth::{synthesize, EncodeOptions, SolveLimits};
     use lyra_topo::{resolve_scope, Layer, Topology};
 
     /// A dict lookup, a register update and a hash: every declaration kind.
@@ -157,7 +157,8 @@ mod tests {
             .map(|s| resolve_scope(&topo, s).unwrap())
             .collect();
         let opts = EncodeOptions::default();
-        let res = synthesize(&ir, &topo, &resolved, &opts, &Backend::Native).unwrap();
+        let limits = SolveLimits::default();
+        let (res, _) = synthesize(&ir, &topo, &resolved, &opts, None, &limits).unwrap();
         crate::generate(&ir, &topo, &res).unwrap().remove(0)
     }
 

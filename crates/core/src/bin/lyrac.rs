@@ -19,11 +19,17 @@
 //! (phase timings, solver search statistics, per-switch resource
 //! utilization) as JSON. `--oracle N` runs N seeded packets through every
 //! emitted artifact beside the IR reference.
+//!
+//! Three flags say how the placement is solved, one per [`Compiler`]
+//! setting: `--solve-profile thorough` turns the quotient route off (the
+//! reference configuration), `--deadline-ms` bounds the solve phase's wall
+//! clock and `--decision-budget` its search; a spent limit degrades the
+//! placement (`LYR0550`) rather than failing the compile.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lyra::{CompileError, CompileRequest, Compiler, Objective, SolveProfile};
+use lyra::{CompileError, CompileRequest, Compiler, Objective};
 use lyra_chips::TargetLang;
 use lyra_diag::json::{Object, Value};
 use lyra_topo::parse_topology;
@@ -41,7 +47,7 @@ struct Args {
     out: PathBuf,
     objective: Objective,
     parser_hoisting: bool,
-    solve_profile: Option<SolveProfile>,
+    thorough: bool,
     diag_format: DiagFormat,
     emit_stats: Option<PathBuf>,
     deadline_ms: Option<u64>,
@@ -65,15 +71,17 @@ fn usage() -> ! {
          \x20 a divergence prints a minimized counterexample (LYR06xx) and\n\
          \x20 fails the build.\n\
          \n\
-         \x20 --solve-profile thorough runs one monolithic search with the\n\
-         \x20 quotient route off — the reference configuration. Without it\n\
-         \x20 the default runs: the same deterministic search with the\n\
-         \x20 quotient route on.\n\
+         \x20 --solve-profile thorough turns the quotient route off: one\n\
+         \x20 monolithic search, the reference configuration. Without it a\n\
+         \x20 symmetric MULTI-SW problem is first solved one switch per class\n\
+         \x20 and checked against the full model.\n\
          \n\
-         \x20 --deadline-ms / --decision-budget bound the solve phase; when\n\
-         \x20 either is spent the greedy first-fit rung places the program\n\
-         \x20 (checked against the full model) and a LYR0550 warning names\n\
-         \x20 it, or the compile fails with LYR0410."
+         \x20 --deadline-ms bounds the solve phase's wall clock, from the\n\
+         \x20 start of the compile; --decision-budget bounds each search (a\n\
+         \x20 minimization is one). When either is spent, the best model a\n\
+         \x20 minimization found or the greedy first-fit rung places the\n\
+         \x20 program (checked against the full model) and a LYR0550 warning\n\
+         \x20 names the rung, or the compile fails with LYR0410."
     );
     std::process::exit(2);
 }
@@ -85,7 +93,7 @@ fn parse_args() -> Args {
     let mut out = PathBuf::from("lyra-out");
     let mut objective = Objective::Feasible;
     let mut parser_hoisting = true;
-    let mut solve_profile = None;
+    let mut thorough = false;
     let mut diag_format = DiagFormat::Human;
     let mut emit_stats = None;
     let mut deadline_ms = None;
@@ -122,7 +130,7 @@ fn parse_args() -> Args {
                     eprintln!("unknown solve profile `{v}`");
                     usage()
                 }
-                solve_profile = Some(SolveProfile::thorough());
+                thorough = true;
             }
             "--diag-format" => {
                 diag_format = match value(&mut it).as_str() {
@@ -182,7 +190,7 @@ fn parse_args() -> Args {
         out,
         objective,
         parser_hoisting,
-        solve_profile,
+        thorough,
         diag_format,
         emit_stats,
         deadline_ms,
@@ -241,19 +249,17 @@ fn main() -> ExitCode {
         Err(e) => return tool_error(&args, e),
     };
 
-    // Start from the chosen preset (the default when none), then add the
-    // limits.
-    let mut profile = args.solve_profile.clone().unwrap_or_default();
+    let req = CompileRequest::new(&program, &scopes, topology);
+    let mut compiler = Compiler::new()
+        .with_objective(args.objective.clone())
+        .with_parser_hoisting(args.parser_hoisting)
+        .with_quotient_route(!args.thorough);
     if let Some(ms) = args.deadline_ms {
-        profile = profile.with_deadline(std::time::Duration::from_millis(ms));
+        compiler = compiler.with_deadline(std::time::Duration::from_millis(ms));
     }
     if let Some(n) = args.decision_budget {
-        profile = profile.with_decision_budget(n);
+        compiler = compiler.with_decision_budget(n);
     }
-    let req = CompileRequest::new(&program, &scopes, topology).with_solve_profile(profile);
-    let compiler = Compiler::new()
-        .with_objective(args.objective.clone())
-        .with_parser_hoisting(args.parser_hoisting);
     let out = match compiler.compile(&req) {
         Ok(out) => out,
         Err(e) => return report_compile_error(&args, &req, &e),

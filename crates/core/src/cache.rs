@@ -11,11 +11,13 @@
 //!
 //! The cache is keyed on *content*, not identity: the canonical `Debug`
 //! rendering of the IR, each resolved scope (algorithm, deploy mode, and
-//! the name/ASIC of every candidate switch and path hop), the encoding
-//! options, and the backend. The previous placement of an incremental
-//! compile is deliberately **not** part of the key — it is only ever
-//! carried over when it is a model of the same encoding, so an incremental
-//! recompile of an unchanged program is a legitimate (and common) hit.
+//! the name/ASIC of every candidate switch and path hop), and the encoding
+//! options, the quotient-route switch among them. The solve limits are
+//! not in the key: a result a limit degraded is never cached. The previous
+//! placement of an incremental compile is deliberately **not** part of the
+//! key — it is only ever carried over when it is a model of the same
+//! encoding, so an incremental recompile of an unchanged program is a
+//! legitimate (and common) hit.
 //!
 //! Share one cache across compiles with [`crate::Compiler::with_synth_cache`];
 //! it is `Send + Sync` and cheap to share via [`Arc`].
@@ -25,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use lyra_ir::IrProgram;
-use lyra_synth::{Backend, EncodeOptions, SynthResult};
+use lyra_synth::{EncodeOptions, SynthResult};
 use lyra_topo::{ResolvedScope, Topology};
 
 /// 64-bit FNV-1a offset basis.
@@ -69,14 +71,12 @@ pub fn synth_key(
     topo: &Topology,
     scopes: &[ResolvedScope],
     opts: &EncodeOptions,
-    backend: &Backend,
 ) -> u64 {
     let mut h = Fnv::new();
     // The IR's Debug rendering is canonical: all collections are Vec or
     // BTreeMap, so iteration order is deterministic.
     h.write_str(&format!("{ir:?}"));
     h.write_str(&format!("{opts:?}"));
-    h.write_str(&format!("{backend:?}"));
     for scope in scopes {
         h.write_str(&scope.algorithm);
         h.write_str(&format!("{:?}", scope.deploy));
@@ -213,8 +213,8 @@ mod tests {
             "a: [ ToR1 | PER-SW | - ]",
         );
         let opts = EncodeOptions::default();
-        let k1 = synth_key(&ir, &topo, &scopes, &opts, &Backend::Native);
-        let k2 = synth_key(&ir, &topo, &scopes, &opts, &Backend::Native);
+        let k1 = synth_key(&ir, &topo, &scopes, &opts);
+        let k2 = synth_key(&ir, &topo, &scopes, &opts);
         assert_eq!(k1, k2, "same inputs, same key");
 
         let (ir2, _, _) = setup(
@@ -222,7 +222,7 @@ mod tests {
             "a: [ ToR1 | PER-SW | - ]",
         );
         assert_ne!(
-            synth_key(&ir2, &topo, &scopes, &opts, &Backend::Native),
+            synth_key(&ir2, &topo, &scopes, &opts),
             k1,
             "program change changes key"
         );
@@ -232,7 +232,7 @@ mod tests {
             "a: [ ToR2 | PER-SW | - ]",
         );
         assert_ne!(
-            synth_key(&ir, &topo, &scopes2, &opts, &Backend::Native),
+            synth_key(&ir, &topo, &scopes2, &opts),
             k1,
             "scope change changes key"
         );
@@ -242,9 +242,19 @@ mod tests {
             ..Default::default()
         };
         assert_ne!(
-            synth_key(&ir, &topo, &scopes, &opts2, &Backend::Native),
+            synth_key(&ir, &topo, &scopes, &opts2),
             k1,
             "encoding options change key"
+        );
+
+        let monolithic = EncodeOptions {
+            monolithic: true,
+            ..Default::default()
+        };
+        assert_ne!(
+            synth_key(&ir, &topo, &scopes, &monolithic),
+            k1,
+            "the quotient-route switch changes key"
         );
     }
 
@@ -255,7 +265,9 @@ mod tests {
             "a: [ ToR1 | PER-SW | - ]",
         );
         let opts = EncodeOptions::default();
-        let result = lyra_synth::synthesize(&ir, &topo, &scopes, &opts, &Backend::Native).unwrap();
+        let limits = lyra_synth::SolveLimits::default();
+        let (result, _) =
+            lyra_synth::synthesize(&ir, &topo, &scopes, &opts, None, &limits).unwrap();
         let cache = Arc::new(SynthCache::new());
         cache.insert(1, Arc::new(result));
         // Poison the mutex: a thread panics while holding the guard.

@@ -338,7 +338,6 @@ impl Compiler {
             program: req.program,
             scopes: req.scopes,
             topology: report.topology.clone(),
-            profile: req.profile.clone(),
         };
         let output = self.compile_inner(&degraded_req, Some(&prior.placement), true)?;
         let diff = PlacementDiff::between(&prior.placement, &output.placement);

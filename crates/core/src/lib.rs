@@ -102,9 +102,7 @@ use std::time::{Duration, Instant};
 pub use lyra_codegen::{Artifact, CodeSummary};
 pub use lyra_diag::{Diagnostic, Phase, SourceId, SourceMap};
 pub use lyra_solver::SearchStats;
-pub use lyra_synth::{
-    Backend, DegradeRung, EncodeOptions, Objective, P4Options, Placement, SolveProfile, SolveRoute,
-};
+pub use lyra_synth::{DegradeRung, EncodeOptions, Objective, P4Options, Placement, SolveRoute};
 pub use lyra_topo::{DegradeReport, FaultSet, ScopeHealth};
 
 use lyra_diag::codes;
@@ -119,9 +117,9 @@ pub const PROGRAM_SOURCE: SourceId = SourceId(0);
 /// [`CompileRequest::source_map`].
 pub const SCOPES_SOURCE: SourceId = SourceId(1);
 
-/// A compilation request: the three inputs of Figure 3, plus the
-/// [`SolveProfile`] describing how to discharge the placement constraints
-/// (watchdog limits and the quotient-route toggle).
+/// A compilation request: the three inputs of Figure 3. How the placement
+/// is solved (deadline, decision budget, quotient route) is the
+/// [`Compiler`]'s configuration.
 pub struct CompileRequest<'a> {
     /// Lyra program source.
     pub program: &'a str,
@@ -129,40 +127,16 @@ pub struct CompileRequest<'a> {
     pub scopes: &'a str,
     /// Target network topology.
     pub topology: Topology,
-    /// How to solve: deadline, decision budget, quotient route. The default
-    /// is one deterministic search with the quotient route on and no
-    /// limits; see [`SolveProfile`] for the `thorough()` preset.
-    pub profile: SolveProfile,
 }
 
 impl<'a> CompileRequest<'a> {
-    /// Bundle the three compiler inputs (default solve profile).
+    /// Bundle the three compiler inputs.
     pub fn new(program: &'a str, scopes: &'a str, topology: Topology) -> Self {
         CompileRequest {
             program,
             scopes,
             topology,
-            profile: SolveProfile::default(),
         }
-    }
-
-    /// Select the complete solver configuration for this request.
-    ///
-    /// ```
-    /// use lyra::{CompileRequest, SolveProfile};
-    /// use lyra_topo::figure1_network;
-    ///
-    /// let req = CompileRequest::new("pipeline[P]{a}; algorithm a { x = 1; }",
-    ///                               "a: [ ToR1 | PER-SW | - ]",
-    ///                               figure1_network())
-    ///     .with_solve_profile(
-    ///         SolveProfile::default().with_deadline(std::time::Duration::from_secs(2)),
-    ///     );
-    /// assert!(req.profile.deadline.is_some());
-    /// ```
-    pub fn with_solve_profile(mut self, profile: SolveProfile) -> Self {
-        self.profile = profile;
-        self
     }
 
     /// A [`SourceMap`] over this request's two text inputs, for rendering
@@ -476,16 +450,28 @@ impl std::error::Error for CompileError {
 }
 
 /// The compiler: configuration plus a [`Compiler::compile`] entry point.
+///
+/// Three settings say how a placement is solved: a deadline
+/// ([`Compiler::with_deadline`]), a decision budget
+/// ([`Compiler::with_decision_budget`]) and the quotient route
+/// ([`Compiler::with_quotient_route`]). The default is one deterministic
+/// search with no limits and the quotient route on; the same request under
+/// the same settings yields the same placement.
 #[derive(Default, Clone)]
 pub struct Compiler {
     encode: EncodeOptions,
+    /// Wall-clock budget of each compile's solve phase, counted from the
+    /// start of that compile.
+    deadline: Option<Duration>,
+    /// Decision budget of each search; a minimization is one search.
+    decision_budget: Option<u64>,
     observer: Option<Arc<dyn CompileObserver>>,
     cache: Option<Arc<SynthCache>>,
 }
 
 impl Compiler {
-    /// A compiler with default options (native solver, feasibility
-    /// objective, parser hoisting on).
+    /// A compiler with default options (feasibility objective, parser
+    /// hoisting on, quotient route on, no solve limits).
     pub fn new() -> Self {
         Self::default()
     }
@@ -514,6 +500,47 @@ impl Compiler {
     /// start/end stages and per-stage entry distribution per table.
     pub fn with_stage_detail(mut self, on: bool) -> Self {
         self.encode.stage_detail = on;
+        self
+    }
+
+    /// Bound each compile's solve phase by a wall-clock budget, counted from
+    /// the start of that compile. Expiry does not fail the compile: the
+    /// degradation ladder places the program instead (`LYR0550`).
+    ///
+    /// ```
+    /// use lyra::{CompileRequest, Compiler};
+    /// use lyra_topo::figure1_network;
+    ///
+    /// let req = CompileRequest::new("pipeline[P]{a}; algorithm a { x = 1; }",
+    ///                               "a: [ ToR1 | PER-SW | - ]",
+    ///                               figure1_network());
+    /// let out = Compiler::new()
+    ///     .with_deadline(std::time::Duration::from_secs(2))
+    ///     .compile(&req)
+    ///     .unwrap();
+    /// assert!(out.degraded.is_none());
+    /// ```
+    pub fn with_deadline(mut self, deadline: Duration) -> Self {
+        self.deadline = Some(deadline);
+        self
+    }
+
+    /// Bound each search by a number of decisions. Under an objective the
+    /// budget, like the deadline, spans the whole minimization — every
+    /// round of its branch-and-bound — not each round; one spent after the
+    /// first model yields that model as [`DegradeRung::BestSoFar`].
+    pub fn with_decision_budget(mut self, decisions: u64) -> Self {
+        self.decision_budget = Some(decisions);
+        self
+    }
+
+    /// Try the quotient route on symmetric MULTI-SW problems (on by
+    /// default): solve one representative per interchangeable-switch class,
+    /// replicate, and verify against the full model, falling back to the
+    /// monolithic search. Off is the reference configuration — `lyrac
+    /// --solve-profile thorough` — that the route is tested against.
+    pub fn with_quotient_route(mut self, on: bool) -> Self {
+        self.encode.monolithic = !on;
         self
     }
 
@@ -566,36 +593,29 @@ impl Compiler {
     }
 
     /// Synthesize through the cache (when configured): consult it by
-    /// content key, fall back to a real [`lyra_synth::synthesize_limited`]
-    /// run, and memoize successes. Returns the result plus the route that
-    /// run took, `None` for a cache hit — a hit spent no solver effort, so
-    /// the caller must not absorb its (historical) [`SearchStats`].
+    /// content key, fall back to a real [`lyra_synth::synthesize`] run, and
+    /// memoize successes. Returns the result plus the route that run took,
+    /// `None` for a cache hit — a hit spent no solver effort, so the caller
+    /// must not absorb its (historical) [`SearchStats`].
     fn synthesize_cached(
         &self,
         ir: &IrProgram,
         topo: &Topology,
         scopes: &[ResolvedScope],
         previous: Option<&Placement>,
-        limits: &lyra_synth::SynthLimits,
+        limits: &lyra_synth::SolveLimits,
     ) -> Result<Solved, lyra_synth::SynthError> {
         let key = self
             .cache
             .as_ref()
-            .map(|_| cache::synth_key(ir, topo, scopes, &self.encode, &Backend::Native));
+            .map(|_| cache::synth_key(ir, topo, scopes, &self.encode));
         if let (Some(cache), Some(key)) = (&self.cache, key) {
             if let Some(hit) = cache.lookup(key) {
                 return Ok((hit, None));
             }
         }
-        let (result, route) = lyra_synth::synthesize_limited(
-            ir,
-            topo,
-            scopes,
-            &self.encode,
-            &Backend::Native,
-            previous,
-            limits,
-        )?;
+        let (result, route) =
+            lyra_synth::synthesize(ir, topo, scopes, &self.encode, previous, limits)?;
         let result = Arc::new(result);
         // Degraded results never enter the cache: the key ignores limits,
         // so a later unlimited compile of the same problem must not be
@@ -616,13 +636,11 @@ impl Compiler {
     ) -> Result<CompileOutput, CompileError> {
         let t0 = Instant::now();
         let mut stats = CompileStats::default();
-        let profile = &req.profile;
         // The watchdog's limits: the deadline counts from the start of the
         // compile.
-        let limits = lyra_synth::SynthLimits {
-            deadline: profile.deadline.map(|d| t0 + d),
-            max_decisions: profile.decision_budget,
-            decomposition: profile.decomposition,
+        let limits = lyra_synth::SolveLimits {
+            deadline: self.deadline.map(|d| t0 + d),
+            max_decisions: self.decision_budget,
         };
 
         // --- Front-end (checker + preprocessor + code analyzer) ------------
@@ -937,7 +955,7 @@ impl Compiler {
         ir: &IrProgram,
         topo: &Topology,
         groups: &[Group],
-        limits: &lyra_synth::SynthLimits,
+        limits: &lyra_synth::SolveLimits,
     ) -> Result<Vec<Solved>, lyra_synth::SynthError> {
         let solve_group =
             |g: &Group| self.synthesize_cached(ir, topo, &g.scopes, g.previous, limits);
@@ -1059,21 +1077,68 @@ mod tests {
         }
     }
 
+    /// The load balancer alone, MULTI-SW over a k = 4 pod with traffic
+    /// entering at the Aggs: a problem the quotient route solves.
+    fn pod_lb() -> CompileRequest<'static> {
+        const LB: &str = r#"
+            pipeline[LB]{loadbalancer};
+            algorithm loadbalancer {
+                extern dict<bit[32] h, bit[32] ip>[1024] conn_table;
+                bit[32] hash;
+                hash = crc32_hash(ipv4.srcAddr, ipv4.dstAddr);
+                if (hash in conn_table) {
+                    ipv4.dstAddr = conn_table[hash];
+                }
+            }
+        "#;
+        const SCOPES: &str = "loadbalancer: [ ToR*,Agg* | MULTI-SW | (Agg1,Agg2->ToR1,ToR2) ]";
+        let topo = lyra_topo::fat_tree_pod(4, "tofino-32q", "trident4");
+        CompileRequest::new(LB, SCOPES, topo)
+    }
+
     #[test]
     fn default_and_thorough_profiles_agree() {
-        let topo = figure1_network();
-        let default = Compiler::new()
-            .compile(&CompileRequest::new(INT_LB, SCOPES, topo.clone()))
+        let req = pod_lb();
+        let default = Compiler::new().compile(&req).unwrap();
+        let reference = Compiler::new()
+            .with_quotient_route(false)
+            .compile(&req)
             .unwrap();
-        let thorough = Compiler::new()
-            .compile(
-                &CompileRequest::new(INT_LB, SCOPES, topo)
-                    .with_solve_profile(SolveProfile::thorough()),
-            )
+        assert_eq!(default.stats.solve_route, Some(SolveRoute::Quotient));
+        assert_eq!(reference.stats.solve_route, Some(SolveRoute::Monolithic));
+        for out in [&default, &reference] {
+            out.validate_all().unwrap();
+        }
+        assert_eq!(default.total_tables(), reference.total_tables());
+    }
+
+    /// The quotient-route switch is part of the synthesis-cache key: a
+    /// monolithic compile of a problem the quotient route already solved
+    /// into a shared cache must search, not be served the quotient result.
+    #[test]
+    fn synth_cache_keeps_the_routes_apart() {
+        let cache = Arc::new(SynthCache::new());
+        let req = pod_lb();
+        let quotient = Compiler::new()
+            .with_synth_cache(cache.clone())
+            .compile(&req)
             .unwrap();
-        // Both must solve; artifact coverage (which switches get code for
-        // PER-SW scopes) is identical.
-        assert_eq!(default.artifacts.len() >= 4, thorough.artifacts.len() >= 4);
+        assert_eq!(quotient.stats.solve_route, Some(SolveRoute::Quotient));
+        assert_eq!(quotient.stats.synth_cache_misses, 1);
+        let monolithic = Compiler::new()
+            .with_quotient_route(false)
+            .with_synth_cache(cache.clone())
+            .compile(&req)
+            .unwrap();
+        assert_eq!(
+            (
+                monolithic.stats.synth_cache_hits,
+                monolithic.stats.synth_cache_misses
+            ),
+            (0, 1)
+        );
+        assert_eq!(monolithic.stats.solve_route, Some(SolveRoute::Monolithic));
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -1099,11 +1164,11 @@ mod tests {
     fn cache_hit_does_not_inherit_degraded_rung() {
         let cache = Arc::new(SynthCache::new());
         let compiler = Compiler::new().with_synth_cache(cache.clone());
+        let limited = compiler.clone().with_deadline(Duration::ZERO);
         let program = "pipeline[P]{a}; algorithm a { x = 1; }";
         let scopes = "a: [ ToR1 | PER-SW | - ]";
-        let limited = CompileRequest::new(program, scopes, figure1_network())
-            .with_solve_profile(SolveProfile::default().with_deadline(Duration::ZERO));
-        let first = compiler.compile(&limited).unwrap();
+        let req = CompileRequest::new(program, scopes, figure1_network());
+        let first = limited.compile(&req).unwrap();
         assert!(
             first.degraded.is_some(),
             "an already-expired deadline must degrade"
@@ -1111,14 +1176,12 @@ mod tests {
         // Degraded results never enter the cache…
         assert_eq!(cache.len(), 0);
         // …so an unlimited compile of the same problem populates it cleanly.
-        let clean = compiler
-            .compile(&CompileRequest::new(program, scopes, figure1_network()))
-            .unwrap();
+        let clean = compiler.compile(&req).unwrap();
         assert!(clean.degraded.is_none());
         assert_eq!(cache.len(), 1);
         // A repeat limited compile hits the cache: no solver effort spent,
         // and no degraded rung inherited from any earlier compile.
-        let hit = compiler.compile(&limited).unwrap();
+        let hit = limited.compile(&req).unwrap();
         assert_eq!(hit.stats.synth_cache_hits, 1);
         assert_eq!(hit.degraded, None, "cache hit must not report a rung");
         assert_eq!(hit.solver.decisions, 0);

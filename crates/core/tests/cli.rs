@@ -149,6 +149,76 @@ fn cli_solve_profile_takes_no_deadline() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The load balancer MULTI-SW over a k = 4 fat-tree pod, traffic entering
+/// at the Aggs: a problem the quotient route solves.
+const POD_LB: &str = r#"
+pipeline[LB]{loadbalancer};
+algorithm loadbalancer {
+    extern dict<bit[32] h, bit[32] ip>[1024] conn_table;
+    bit[32] hash;
+    hash = crc32_hash(ipv4.srcAddr, ipv4.dstAddr);
+    if (hash in conn_table) {
+        ipv4.dstAddr = conn_table[hash];
+    }
+}
+"#;
+
+const POD_K4: &str = r#"
+switch Agg1 agg trident4
+switch Agg2 agg trident4
+switch ToR1 tor tofino-32q
+switch ToR2 tor tofino-32q
+link Agg1 ToR1
+link Agg1 ToR2
+link Agg2 ToR1
+link Agg2 ToR2
+"#;
+
+/// The three solve flags reach the compiler: the session record names the
+/// quotient route by default and the monolithic one under `--solve-profile
+/// thorough`, and an already-spent deadline degrades the placement with a
+/// `LYR0550` warning instead of failing the compile.
+#[test]
+fn cli_solve_flags_reach_the_compiler() {
+    let dir = temp_dir("solve-flags");
+    let prog = write(&dir, "prog.lyra", POD_LB);
+    let scopes = write(
+        &dir,
+        "scopes.txt",
+        "loadbalancer: [ ToR*,Agg* | MULTI-SW | (Agg1,Agg2->ToR1,ToR2) ]\n",
+    );
+    let topo = write(&dir, "topo.txt", POD_K4);
+    let stats = dir.join("stats.json");
+    let run = |extra: &[&str]| {
+        let output = lyrac()
+            .args(["--program"])
+            .arg(&prog)
+            .args(["--scopes"])
+            .arg(&scopes)
+            .args(["--topology"])
+            .arg(&topo)
+            .args(["--out"])
+            .arg(dir.join("out"))
+            .args(["--emit-stats"])
+            .arg(&stats)
+            .args(extra)
+            .output()
+            .expect("lyrac runs");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        assert!(output.status.success(), "{extra:?}: {stderr}");
+        let json = lyra_diag::json::parse(&std::fs::read_to_string(&stats).unwrap()).unwrap();
+        let route = json.get("solve_route").and_then(|v| v.as_str()).unwrap();
+        (route.to_string(), stderr)
+    };
+    let (route, stderr) = run(&[]);
+    assert_eq!(route, "quotient");
+    assert!(!stderr.contains("LYR0550"), "{stderr}");
+    assert_eq!(run(&["--solve-profile", "thorough"]).0, "monolithic");
+    let (_, stderr) = run(&["--deadline-ms", "0"]);
+    assert!(stderr.contains("warning[LYR0550]"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Missing inputs are a usage error, and so is every flag that drove a
 /// simulated deployment rather than a compile: `lyrac` only compiles.
 #[test]

@@ -37,9 +37,10 @@
 //! tightened bound keeps the clauses, learned ones included, and the watch
 //! lists as they stand.
 //!
-//! A search has two limits, a decision budget and a deadline
-//! ([`SolverConfig`]); everything else about it is fixed. Both span a
-//! whole minimization.
+//! A search has two limits, a deadline and a decision budget
+//! ([`SolveLimits`]); everything else about it is fixed. Both span a
+//! whole minimization. `SolveLimits` is the compile driver's limits type
+//! too: `lyra_synth` and `lyra` pass it down unchanged.
 //!
 //! Every entry point reports [`SearchStats`] (decisions, propagations,
 //! conflicts, learned clauses, restarts) so the compile driver can expose
@@ -78,7 +79,7 @@ pub use expr::{Bx, Ix, VarRef};
 pub use flatten::{flatten, FlatModel, FlatVar};
 pub use model::{BoolId, IntId, Model, Solution};
 pub use optimize::{minimize, minimize_with, Minimized};
-pub use search::{solve, solve_flat, RawAssignment, SearchStats, SolverConfig};
+pub use search::{solve, solve_flat, RawAssignment, SearchStats, SolveLimits};
 
 /// Outcome of a solver invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]

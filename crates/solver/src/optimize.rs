@@ -10,7 +10,7 @@
 use crate::expr::Ix;
 use crate::flatten::flatten_with_objective;
 use crate::model::{Model, Solution};
-use crate::search::{Search, SearchStats, SolverConfig};
+use crate::search::{Search, SearchStats, SolveLimits};
 use crate::Outcome;
 
 /// Why a branch-and-bound minimization stopped, with what it holds.
@@ -38,16 +38,16 @@ impl Minimized {
 }
 
 /// Minimize `objective` subject to the model, by branch-and-bound within
-/// one search under `cfg`: each model found adds a bound requiring a
+/// one search under `limits`: each model found adds a bound requiring a
 /// strictly better value, and the search resumes under it.
 pub fn minimize_with(
     model: &Model,
     objective: &Ix,
-    cfg: &SolverConfig,
+    limits: &SolveLimits,
 ) -> (Minimized, SearchStats) {
     let flat = flatten_with_objective(model, Some(objective));
     let terms = flat.objective.as_deref().expect("objective lowered");
-    let mut search = Search::new(&flat, cfg);
+    let mut search = Search::new(&flat, limits);
     let mut best: Option<(Solution, i64)> = None;
     let mut step = search.run();
     let stop = loop {
@@ -77,7 +77,7 @@ pub fn minimize_with(
 /// [`minimize_with`] under default limits. Returns the best solution found
 /// together with its objective value.
 pub fn minimize(model: &Model, objective: &Ix) -> Option<(Solution, i64)> {
-    minimize_with(model, objective, &SolverConfig::default())
+    minimize_with(model, objective, &SolveLimits::default())
         .0
         .best()
 }
@@ -119,8 +119,8 @@ mod tests {
     #[test]
     fn rounds_resume_one_search_and_keep_what_it_learned() {
         let (m, obj) = weighted_pigeons();
-        let cfg = SolverConfig::default();
-        let (result, stats) = minimize_with(&m, &obj, &cfg);
+        let limits = SolveLimits::default();
+        let (result, stats) = minimize_with(&m, &obj, &limits);
         let Minimized::Optimal(_, value) = result else {
             panic!("{result:?}");
         };
@@ -130,7 +130,7 @@ mod tests {
         // is still in the arena after it.
         let flat = flatten_with_objective(&m, Some(&obj));
         let terms = flat.objective.as_deref().expect("objective lowered");
-        let mut search = Search::new(&flat, &cfg);
+        let mut search = Search::new(&flat, &limits);
         let (mut step, mut bounds, mut carried) = (search.run(), Vec::new(), 0);
         while let (Outcome::Sat(_), Some(raw)) = step {
             let k = raw.eval_lin(terms) - 1;
@@ -157,7 +157,7 @@ mod tests {
         // a fresh search's 1 045, so decisions are not compared.
         let mut fresh = SearchStats::default();
         for r in 0..rounds {
-            let mut s = Search::new(&flat, &cfg);
+            let mut s = Search::new(&flat, &limits);
             if bounds[..r].iter().all(|&k| s.tighten(k)) {
                 s.run();
             }

@@ -17,18 +17,23 @@ use crate::flatten::{flatten, Clauses, FlatModel, FlatVar, Lit};
 use crate::model::{Model, Solution};
 use crate::Outcome;
 
-/// The two limits on one search — a whole minimization is one search.
-/// Everything else about it is fixed.
-#[derive(Debug, Clone)]
-pub struct SolverConfig {
-    /// Abort with [`Outcome::Unknown`] after this many decisions.
-    pub max_decisions: u64,
+/// The two limits on one search — a whole minimization is one search —
+/// and the only limits type from the compile driver down. Everything else
+/// about a search is fixed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveLimits {
     /// Wall-clock deadline. Checked before the search starts and polled
     /// (decimated — every `DEADLINE_POLL_MASK`+1 propagation passes, to
     /// keep `Instant::now` off the hot path) during propagation; on expiry
     /// the search winds down with [`Outcome::Unknown`].
     pub deadline: Option<std::time::Instant>,
+    /// Abort with [`Outcome::Unknown`] after this many decisions; `None`
+    /// keeps the default budget of 5 000 000.
+    pub max_decisions: Option<u64>,
 }
+
+/// The decision budget of a search whose [`SolveLimits`] set none.
+const DEFAULT_MAX_DECISIONS: u64 = 5_000_000;
 
 /// The deadline is polled when `passes & DEADLINE_POLL_MASK == 0` — once
 /// every 64 propagation passes. Propagation passes are short (micro- to
@@ -41,15 +46,6 @@ const RESTART_INTERVAL: u64 = 128;
 
 /// Variable-activity decay applied at each conflict.
 const ACTIVITY_DECAY: f64 = 0.95;
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            max_decisions: 5_000_000,
-            deadline: None,
-        }
-    }
-}
 
 /// Counters describing a finished search.
 ///
@@ -104,7 +100,7 @@ impl SearchStats {
 /// Solve a model with default configuration.
 pub fn solve(model: &Model) -> Outcome {
     let flat = flatten(model);
-    let (outcome, _, _) = solve_flat(&flat, &SolverConfig::default());
+    let (outcome, _, _) = solve_flat(&flat, &SolveLimits::default());
     finish(model, outcome)
 }
 
@@ -151,9 +147,9 @@ impl RawAssignment {
 /// variables, the raw assignment when satisfiable, and the search counters.
 pub fn solve_flat(
     flat: &FlatModel,
-    cfg: &SolverConfig,
+    limits: &SolveLimits,
 ) -> (Outcome, Option<RawAssignment>, SearchStats) {
-    let mut s = Search::new(flat, cfg);
+    let mut s = Search::new(flat, limits);
     let (outcome, raw) = s.run();
     (outcome, raw, s.stats)
 }
@@ -359,7 +355,10 @@ const CREEP_VISITS_BASE: usize = 64;
 /// the objective's bound and [`resume`](Search::resume)s the same search.
 pub(crate) struct Search<'a> {
     flat: &'a FlatModel,
-    cfg: &'a SolverConfig,
+    /// [`SolveLimits::max_decisions`], resolved.
+    max_decisions: u64,
+    /// [`SolveLimits::deadline`].
+    deadline: Option<std::time::Instant>,
     /// Counters since construction, over every round of a minimization.
     pub(crate) stats: SearchStats,
     /// -1 unassigned, 0 false, 1 true.
@@ -409,13 +408,14 @@ pub(crate) struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    pub(crate) fn new(flat: &'a FlatModel, cfg: &'a SolverConfig) -> Self {
+    pub(crate) fn new(flat: &'a FlatModel, limits: &SolveLimits) -> Self {
         let nvars = flat.num_sat_vars;
         let activity = vec![0.0; nvars];
         let clauses = flat.clauses.clone();
         Search {
             flat,
-            cfg,
+            max_decisions: limits.max_decisions.unwrap_or(DEFAULT_MAX_DECISIONS),
+            deadline: limits.deadline,
             stats: SearchStats::default(),
             assign: vec![-1; nvars],
             level: vec![0; nvars],
@@ -482,7 +482,6 @@ impl<'a> Search<'a> {
     /// Has the wall-clock deadline passed?
     fn deadline_expired(&mut self) -> bool {
         self.expired = self
-            .cfg
             .deadline
             .is_some_and(|deadline| std::time::Instant::now() >= deadline);
         self.expired
@@ -545,7 +544,7 @@ impl<'a> Search<'a> {
     /// [`Search::run`]'s root propagation or a [`Search::tighten`].
     pub(crate) fn resume(&mut self) -> (Outcome, Option<RawAssignment>) {
         loop {
-            if self.expired || self.stats.decisions > self.cfg.max_decisions {
+            if self.expired || self.stats.decisions > self.max_decisions {
                 return (Outcome::Unknown, None);
             }
             if let Some(v) = self.pick_bool() {
@@ -1541,11 +1540,11 @@ mod tests {
             m.require(c);
         }
         let flat = flatten(&m);
-        let cfg = SolverConfig {
-            max_decisions: 10,
+        let limits = SolveLimits {
+            max_decisions: Some(10),
             ..Default::default()
         };
-        let (outcome, _, stats) = solve_flat(&flat, &cfg);
+        let (outcome, _, stats) = solve_flat(&flat, &limits);
         assert!(stats.decisions > 0);
         assert!(matches!(outcome, Outcome::Unknown | Outcome::Unsat));
     }
@@ -1584,8 +1583,8 @@ mod tests {
         let c = m.or([not7, not3]);
         m.require(c);
         let flat = flatten(&m);
-        let cfg = SolverConfig::default();
-        let mut s = Search::new(&flat, &cfg);
+        let limits = SolveLimits::default();
+        let mut s = Search::new(&flat, &limits);
         let (outcome, _) = s.run();
         assert!(outcome.is_sat() || outcome == Outcome::Unsat);
     }
@@ -1605,11 +1604,11 @@ mod tests {
         let c = m.or([Bx::var(a), not_b]);
         m.require(c);
         let flat = flatten(&m);
-        let cfg = SolverConfig {
-            max_decisions: 10_000,
+        let limits = SolveLimits {
+            max_decisions: Some(10_000),
             ..Default::default()
         };
-        let mut s = Search::new(&flat, &cfg);
+        let mut s = Search::new(&flat, &limits);
         s.restart_limit = 1;
         let (outcome, _) = s.run();
         let stats = s.stats;
@@ -1642,12 +1641,12 @@ mod tests {
         use std::time::{Duration, Instant};
         let m = pigeonhole(10, 9);
         let flat = flatten(&m);
-        let cfg = SolverConfig {
+        let limits = SolveLimits {
             deadline: Some(Instant::now() - Duration::from_millis(1)),
             ..Default::default()
         };
         let t = Instant::now();
-        let (outcome, _, stats) = solve_flat(&flat, &cfg);
+        let (outcome, _, stats) = solve_flat(&flat, &limits);
         assert_eq!(outcome, Outcome::Unknown);
         assert_eq!(stats.decisions, 0, "no search past an expired deadline");
         assert!(t.elapsed() < Duration::from_secs(1));
@@ -1659,12 +1658,12 @@ mod tests {
         // Hard enough to outlast a 20 ms deadline by orders of magnitude.
         let m = pigeonhole(12, 11);
         let flat = flatten(&m);
-        let cfg = SolverConfig {
+        let limits = SolveLimits {
             deadline: Some(Instant::now() + Duration::from_millis(20)),
             ..Default::default()
         };
         let t = Instant::now();
-        let (outcome, _, _) = solve_flat(&flat, &cfg);
+        let (outcome, _, _) = solve_flat(&flat, &limits);
         assert!(matches!(outcome, Outcome::Unknown | Outcome::Unsat));
         assert!(
             t.elapsed() < Duration::from_secs(5),

@@ -154,16 +154,16 @@ fn dirty_schedule_takes_the_full_sweep_search_path() {
     // phase enumerates a wide domain chronologically, learning nothing
     // (0 restarts, at most 8 conflicts when the cap is hit). EXPERIMENTS.md
     // "Solver diet" lists nine such cases.
-    let cfg = SolverConfig {
-        max_decisions: 20_000,
-        ..SolverConfig::default()
+    let limits = SolveLimits {
+        max_decisions: Some(20_000),
+        ..SolveLimits::default()
     };
     let (mut guarded, mut refuted_by_guard, mut sat, mut unsat) = (0, 0, 0, 0);
     for case in 0..500 {
         let mut m = gen_model(&mut rng);
         let flat = flatten(&m);
-        let (outcome, raw, stats) = solve_flat(&flat, &cfg);
-        let (ref_outcome, ref_raw, ref_stats) = with_full_sweep(|| solve_flat(&flat, &cfg));
+        let (outcome, raw, stats) = solve_flat(&flat, &limits);
+        let (ref_outcome, ref_raw, ref_stats) = with_full_sweep(|| solve_flat(&flat, &limits));
         assert_eq!(outcome, ref_outcome, "case {case}: verdict or model");
         assert_eq!(
             raw.map(|r| (r.sat, r.ints)),
@@ -193,8 +193,8 @@ fn dirty_schedule_takes_the_full_sweep_search_path() {
         let mut terms: Vec<Ix> = m.int_decls().map(|(id, _)| Ix::var(id)).collect();
         terms.extend(bools.into_iter().map(|b| m.scale(Ix::bool01(b), 3)));
         let obj = m.sum(terms);
-        let (min, min_stats) = minimize_with(&m, &obj, &cfg);
-        let (ref_min, ref_min_stats) = with_full_sweep(|| minimize_with(&m, &obj, &cfg));
+        let (min, min_stats) = minimize_with(&m, &obj, &limits);
+        let (ref_min, ref_min_stats) = with_full_sweep(|| minimize_with(&m, &obj, &limits));
         assert_eq!(min, ref_min, "case {case}: minimum or its model");
         assert_eq!(
             path(&min_stats),
@@ -247,7 +247,7 @@ fn creeping_cycle_is_refuted_by_weight_not_by_walking_the_domain() {
     let c = m.ge(Ix::var(x), y1);
     m.require(c);
     let flat = flatten(&m);
-    let (outcome, _, stats) = solve_flat(&flat, &SolverConfig::default());
+    let (outcome, _, stats) = solve_flat(&flat, &SolveLimits::default());
     assert_eq!(outcome, Outcome::Unsat);
     assert!(stats.linear_visits < 10_000, "{stats:?}");
     assert_eq!(stats.creep_checks, 1, "{stats:?}");
@@ -261,7 +261,7 @@ fn creeping_cycle_is_refuted_by_weight_not_by_walking_the_domain() {
     shared_sum(&mut m, [x, y], z, s);
     let c = m.ge(Ix::var(x), Ix::var(y));
     m.require(c);
-    let (outcome, _, stats) = solve_flat(&flatten(&m), &SolverConfig::default());
+    let (outcome, _, stats) = solve_flat(&flatten(&m), &SolveLimits::default());
     let sol = outcome.solution().expect("x = y is a model");
     assert!(sol.satisfies(&m));
     assert!(stats.linear_visits < 10_000, "{stats:?}");
@@ -288,9 +288,9 @@ fn guard_abstains_while_a_boolean_could_still_be_forced() {
     let c = m.le(Ix::var(x), cap);
     m.require(c);
     let flat = flatten(&m);
-    let cfg = SolverConfig::default();
-    let (outcome, _, stats) = solve_flat(&flat, &cfg);
-    let (ref_outcome, _, ref_stats) = with_full_sweep(|| solve_flat(&flat, &cfg));
+    let limits = SolveLimits::default();
+    let (outcome, _, stats) = solve_flat(&flat, &limits);
+    let (ref_outcome, _, ref_stats) = with_full_sweep(|| solve_flat(&flat, &limits));
     assert_eq!(outcome, Outcome::Unsat);
     assert_eq!(ref_outcome, Outcome::Unsat);
     assert_eq!(path(&stats), path(&ref_stats));
@@ -301,9 +301,9 @@ fn guard_abstains_while_a_boolean_could_still_be_forced() {
 /// Bounds of the integers after level-0 propagation, per schedule.
 fn level0_bounds(m: &Model, full_sweep: bool) -> Option<(Vec<i64>, Vec<i64>, SearchStats)> {
     let flat = flatten(m);
-    let cfg = SolverConfig::default();
+    let limits = SolveLimits::default();
     let run = || {
-        let mut s = Search::new(&flat, &cfg);
+        let mut s = Search::new(&flat, &limits);
         s.propagate_units()
             .then(|| (s.lo.clone(), s.hi.clone(), s.stats))
     };
@@ -361,9 +361,9 @@ fn undecided_creep_carries_on_to_the_reference_result() {
     let c = m.le(y2, x2p1);
     m.require(c);
     let flat = flatten(&m);
-    let cfg = SolverConfig::default();
-    let (outcome, _, stats) = solve_flat(&flat, &cfg);
-    let (ref_outcome, _, ref_stats) = with_full_sweep(|| solve_flat(&flat, &cfg));
+    let limits = SolveLimits::default();
+    let (outcome, _, stats) = solve_flat(&flat, &limits);
+    let (ref_outcome, _, ref_stats) = with_full_sweep(|| solve_flat(&flat, &limits));
     assert_eq!(outcome, Outcome::Unsat);
     assert_eq!(ref_outcome, Outcome::Unsat);
     assert_eq!(path(&stats), path(&ref_stats));

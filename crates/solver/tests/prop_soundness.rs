@@ -10,7 +10,7 @@ mod common;
 use common::{brute_force_sat, gen_model, Rng};
 use lyra_solver::flatten::flatten_with_objective;
 use lyra_solver::{
-    minimize_with, solve, solve_flat, Ix, Minimized, Model, Outcome, Solution, SolverConfig,
+    minimize_with, solve, solve_flat, Ix, Minimized, Model, Outcome, Solution, SolveLimits,
 };
 
 #[test]
@@ -74,7 +74,7 @@ fn minimize_returns_feasible_minimum() {
 #[test]
 fn mixed_sign_minimization_reaches_the_brute_force_optimum() {
     let mut rng = Rng::new(0x5eed_0003);
-    let cfg = SolverConfig::default();
+    let limits = SolveLimits::default();
     let (mut optimal, mut multi_round) = (0, 0);
     for case in 0..256 {
         let mut m = gen_model(&mut rng);
@@ -90,7 +90,7 @@ fn mixed_sign_minimization_reaches_the_brute_force_optimum() {
             terms.push(m.scale(Ix::var(id), c));
         }
         let obj = m.sum(terms);
-        match (minimize_with(&m, &obj, &cfg).0, brute_force_min(&m, obj)) {
+        match (minimize_with(&m, &obj, &limits).0, brute_force_min(&m, obj)) {
             (Minimized::Optimal(sol, v), Some(best)) => {
                 assert!(sol.satisfies(&m), "case {case}");
                 assert_eq!(sol.eval_ix(&m, obj), v, "case {case}");
@@ -98,7 +98,7 @@ fn mixed_sign_minimization_reaches_the_brute_force_optimum() {
                 optimal += 1;
                 // The first round is this search; a first model worse than
                 // the optimum means a second model, then a refutation.
-                let first = solve_flat(&flatten_with_objective(&m, Some(&obj)), &cfg).0;
+                let first = solve_flat(&flatten_with_objective(&m, Some(&obj)), &limits).0;
                 let first = first.solution().expect("a satisfiable first round");
                 multi_round += (sol.eval_ix(&m, obj) < first.eval_ix(&m, obj)) as u32;
             }

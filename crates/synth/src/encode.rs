@@ -73,6 +73,13 @@ pub struct EncodeOptions {
     /// default aggregate encoding — intended for single-switch or small
     /// deployments.
     pub stage_detail: bool,
+    /// Skip the quotient route: search the whole problem in one solve even
+    /// where interchangeable switches would let [`crate::synthesize`] solve
+    /// one representative per class. Off by default; on, it is the
+    /// reference configuration the quotient route is tested against. The
+    /// encoding itself does not read it, but it is part of the options so
+    /// a synthesis cache keyed on them tells the two routes' results apart.
+    pub monolithic: bool,
 }
 
 /// Errors from encoding.

@@ -55,21 +55,19 @@ pub enum SynthError {
     Encode(EncodeError),
     /// The constraints are unsatisfiable — the program cannot be placed in
     /// this network. Carries diagnostics naming the violated constraint
-    /// family plus the solver statistics of the refutation.
+    /// family.
     Infeasible {
         /// Explanation of the infeasibility, one diagnostic per provably
         /// violated constraint family (see [`explain_infeasible`]).
         diagnostics: Vec<Diagnostic>,
-        /// Search effort spent proving UNSAT.
-        stats: SearchStats,
     },
     /// The solver exhausted its decision budget or deadline without a
     /// verdict, and no fallback placement was accepted — distinct from
     /// [`SynthError::Infeasible`]: the program may still be placeable with
     /// a larger budget.
     BudgetExhausted {
-        /// Search effort spent before giving up.
-        stats: SearchStats,
+        /// Decisions the search made before giving up.
+        decisions: u64,
         /// Why the greedy first-fit rung gave no placement, when a limit
         /// was set and it ran.
         greedy: Option<String>,
@@ -81,13 +79,12 @@ impl SynthError {
     pub fn to_diagnostics(&self) -> Vec<Diagnostic> {
         match self {
             SynthError::Encode(e) => vec![e.to_diagnostic()],
-            SynthError::Infeasible { diagnostics, .. } => diagnostics.clone(),
-            SynthError::BudgetExhausted { stats, greedy } => {
+            SynthError::Infeasible { diagnostics } => diagnostics.clone(),
+            SynthError::BudgetExhausted { decisions, greedy } => {
                 let d = Diagnostic::error(
                     codes::SOLVER_BUDGET,
                     format!(
-                        "solver budget exhausted after {} decisions without a verdict",
-                        stats.decisions
+                        "solver budget exhausted after {decisions} decisions without a verdict"
                     ),
                 )
                 .with_note(
@@ -107,7 +104,7 @@ impl std::fmt::Display for SynthError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SynthError::Encode(e) => write!(f, "{e}"),
-            SynthError::Infeasible { diagnostics, .. } => {
+            SynthError::Infeasible { diagnostics } => {
                 write!(
                     f,
                     "no feasible placement: the program does not fit the target network's resources"
@@ -128,7 +125,7 @@ impl std::error::Error for SynthError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SynthError::Encode(e) => Some(e),
-            SynthError::Infeasible { diagnostics, .. } => diagnostics
+            SynthError::Infeasible { diagnostics } => diagnostics
                 .first()
                 .map(|d| d as &(dyn std::error::Error + 'static)),
             SynthError::BudgetExhausted { .. } => None,
@@ -162,7 +159,7 @@ impl std::fmt::Display for DegradeRung {
     }
 }
 
-/// Which route through [`synthesize_limited`] produced a placement.
+/// Which route through [`synthesize`] produced a placement.
 /// Orthogonal to [`DegradeRung`]: the rung says whether the monolithic
 /// route had to fall back to greedy, the route says whether the solver saw
 /// the full problem at all. Every placement is a model of the full
@@ -213,114 +210,11 @@ pub struct SynthResult {
     pub degraded: Option<DegradeRung>,
 }
 
-/// Run the full back-end: synthesize conditional implementations, encode,
-/// solve, and extract a placement.
-pub fn synthesize(
-    ir: &IrProgram,
-    topo: &Topology,
-    scopes: &[ResolvedScope],
-    opts: &EncodeOptions,
-    backend: &Backend,
-) -> Result<SynthResult, SynthError> {
-    let limits = SynthLimits::default();
-    synthesize_limited(ir, topo, scopes, opts, backend, None, &limits).map(|(result, _)| result)
-}
-
-/// Watchdog limits on a synthesis run, plus the quotient-route toggle.
-#[derive(Debug, Clone, Default)]
-pub struct SynthLimits {
-    /// Wall-clock deadline for the search. Expiry does not fail the
-    /// compile: the degradation ladder runs instead.
-    pub deadline: Option<std::time::Instant>,
-    /// Decision budget per search (overrides the solver default); a
-    /// minimization is one search.
-    pub max_decisions: Option<u64>,
-    /// Try the quotient route first: solve a quotient model over
-    /// interchangeable-switch class representatives, replicate the
-    /// solution, and verify it against the full encoding — falling back to
-    /// the monolithic solve on any mismatch.
-    pub decomposition: bool,
-}
-
-/// One typed bundle of every solver-configuration knob: the watchdog
-/// limits and the quotient-route toggle. This is the single public entry
-/// point for configuring how placements are solved —
-/// `CompileRequest::with_solve_profile` in the driver, `--solve-profile`,
-/// `--deadline-ms` and `--decision-budget` in `lyrac`. Every profile runs
-/// the same deterministic search: the same request under the same profile
-/// yields the same placement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SolveProfile {
-    /// Wall-clock budget for the solve phase; expiry triggers the
-    /// degradation ladder rather than a failure.
-    pub deadline: Option<std::time::Duration>,
-    /// Decision budget per search (overrides the solver default); a
-    /// minimization is one search.
-    pub decision_budget: Option<u64>,
-    /// Solve per-pod quotient subproblems and replicate, with verified
-    /// stitching and monolithic fallback.
-    pub decomposition: bool,
-}
-
-impl Default for SolveProfile {
-    /// No limits, the quotient route on.
-    fn default() -> Self {
-        SolveProfile {
-            deadline: None,
-            decision_budget: None,
-            decomposition: true,
-        }
-    }
-}
-
-impl SolveProfile {
-    /// Reference preset: one monolithic search, the quotient route
-    /// *disabled* — what the quotient route is differentially tested
-    /// against.
-    pub fn thorough() -> Self {
-        SolveProfile {
-            decomposition: false,
-            ..SolveProfile::default()
-        }
-    }
-
-    /// Set the wall-clock deadline.
-    pub fn with_deadline(mut self, d: std::time::Duration) -> Self {
-        self.deadline = Some(d);
-        self
-    }
-
-    /// Set the per-search decision budget. Under an objective the budget,
-    /// like the deadline, spans the whole minimization — every round of
-    /// its branch-and-bound — not each round; one spent after the first
-    /// model yields that model as [`DegradeRung::BestSoFar`].
-    pub fn with_decision_budget(mut self, decisions: u64) -> Self {
-        self.decision_budget = Some(decisions);
-        self
-    }
-}
-
-impl SynthLimits {
-    /// The limits one solve runs under.
-    fn solve_limits(&self) -> SolveLimits {
-        SolveLimits {
-            deadline: self.deadline,
-            max_decisions: self.max_decisions,
-        }
-    }
-
-    /// True when no limit is configured — the ladder never triggers and
-    /// budget exhaustion surfaces as [`SynthError::BudgetExhausted`],
-    /// preserving the historical contract.
-    fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_decisions.is_none()
-    }
-}
-
-/// [`synthesize`] under [`SynthLimits`], with graceful degradation, and
-/// optionally seeded with a previous placement (§8 "Synthesizing
-/// incremental changes"). Also reports the [`SolveRoute`] that produced the
-/// placement.
+/// Run the full back end — synthesize conditional implementations, encode,
+/// solve, and extract a placement — under the watchdog's [`SolveLimits`],
+/// with graceful degradation, and optionally seeded with a previous
+/// placement (§8 "Synthesizing incremental changes"). Also reports the
+/// [`SolveRoute`] that produced the placement.
 ///
 /// The problem is encoded **once**. Three routes are then tried in order on
 /// that model, and a candidate no search produced is accepted only by
@@ -332,8 +226,8 @@ impl SynthLimits {
 ///    case: faults only remove flow paths, and every constraint family is
 ///    per switch or per path, so the prior placement restricted to the
 ///    survivors is still feasible.
-/// 2. **quotient** — cold compiles of symmetric MULTI-SW problems
-///    ([`SynthLimits::decomposition`]).
+/// 2. **quotient** — cold compiles of symmetric MULTI-SW problems, unless
+///    [`EncodeOptions::monolithic`] turns the route off.
 /// 3. **monolithic** — the solver on the full model, under the degradation
 ///    ladder.
 ///
@@ -352,16 +246,14 @@ impl SynthLimits {
 /// [`SynthError::Infeasible`]; a spent limit with no accepted greedy
 /// placement fails with [`SynthError::BudgetExhausted`], carrying greedy's
 /// reason.
-pub fn synthesize_limited(
+pub fn synthesize(
     ir: &IrProgram,
     topo: &Topology,
     scopes: &[ResolvedScope],
     opts: &EncodeOptions,
-    backend: &Backend,
     previous: Option<&Placement>,
-    limits: &SynthLimits,
+    limits: &SolveLimits,
 ) -> Result<(SynthResult, SolveRoute), SynthError> {
-    let Backend::Native = backend;
     let enc = encode(ir, topo, scopes, opts).map_err(SynthError::Encode)?;
     let finish = |enc: Encoded, sol: &Solution, stats, degraded, route| {
         let placement = place::extract(&enc, ir, topo, sol);
@@ -403,7 +295,7 @@ pub fn synthesize_limited(
     // search. Effort a failed attempt spent is carried into the monolithic
     // run's totals, so reporting stays honest.
     let mut total = SearchStats::default();
-    if limits.decomposition
+    if !opts.monolithic
         && previous.is_none()
         && plain
         && scopes
@@ -423,7 +315,7 @@ pub fn synthesize_limited(
     // Rung 1: the search under the configured limits. A minimization cut
     // short after it found a model keeps that model, marked unproved.
     let (outcome, truncated, stats) =
-        backend::solve_limited(&enc.model, enc.objective.as_ref(), &limits.solve_limits());
+        backend::solve_limited(&enc.model, enc.objective.as_ref(), limits);
     total.absorb(stats);
     match outcome {
         Outcome::Sat(sol) => {
@@ -433,14 +325,13 @@ pub fn synthesize_limited(
         Outcome::Unsat => {
             return Err(SynthError::Infeasible {
                 diagnostics: explain::explain_infeasible(&enc, ir, topo, opts),
-                stats: total,
             })
         }
-        Outcome::Unknown if limits.is_unlimited() => {
+        Outcome::Unknown if *limits == SolveLimits::default() => {
             // No limit was set, so Unknown means the solver's own decision
             // budget ran out — the historical failure, not a ladder case.
             return Err(SynthError::BudgetExhausted {
-                stats: total,
+                decisions: total.decisions,
                 greedy: None,
             });
         }
@@ -461,7 +352,7 @@ pub fn synthesize_limited(
         Err(reason) => reason,
     };
     Err(SynthError::BudgetExhausted {
-        stats: total,
+        decisions: total.decisions,
         greedy: Some(reason),
     })
 }
@@ -489,7 +380,7 @@ fn try_quotient(
     topo: &Topology,
     scopes: &[ResolvedScope],
     opts: &EncodeOptions,
-    limits: &SynthLimits,
+    limits: &SolveLimits,
     classes: &[Vec<SwitchId>],
 ) -> (Option<Solution>, SearchStats) {
     let mut rep_map: BTreeMap<SwitchId, SwitchId> = BTreeMap::new();
@@ -540,7 +431,7 @@ fn try_quotient(
         return (None, SearchStats::default());
     };
 
-    let (outcome, _, stats) = backend::solve_limited(&q_enc.model, None, &limits.solve_limits());
+    let (outcome, _, stats) = backend::solve_limited(&q_enc.model, None, limits);
     let Outcome::Sat(q_sol) = outcome else {
         // Unknown → monolithic retry. Unsat is *not* propagated as a
         // refutation of the full problem: the quotient forces per-class-
@@ -608,9 +499,11 @@ mod tests {
             &topo,
             &scopes,
             &EncodeOptions::default(),
-            &Backend::Native,
+            None,
+            &SolveLimits::default(),
         )
-        .expect("LB placement must be feasible");
+        .expect("LB placement must be feasible")
+        .0;
         // Every instruction deployed somewhere; conn_table fully placed on
         // every path.
         assert!(res.placement.used_switches() >= 1);
@@ -631,9 +524,11 @@ mod tests {
             &topo,
             &scopes,
             &EncodeOptions::default(),
-            &Backend::Native,
+            None,
+            &SolveLimits::default(),
         )
-        .expect("LB placement must be feasible");
+        .expect("LB placement must be feasible")
+        .0;
         assert!(
             res.stats.decisions + res.stats.propagations > 0,
             "solving a non-trivial model must record search effort"
@@ -663,9 +558,11 @@ mod tests {
             &topo,
             &resolved,
             &EncodeOptions::default(),
-            &Backend::Native,
+            None,
+            &SolveLimits::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // All four ToRs get the full program.
         assert_eq!(res.placement.used_switches(), 4);
         for (name, plan) in &res.placement.switches {
@@ -701,10 +598,11 @@ mod tests {
             &topo,
             &resolved,
             &EncodeOptions::default(),
-            &Backend::Native,
+            None,
+            &SolveLimits::default(),
         )
         .unwrap_err();
-        let SynthError::Infeasible { diagnostics, .. } = err else {
+        let SynthError::Infeasible { diagnostics } = err else {
             panic!("expected Infeasible, got {err:?}");
         };
         // The explanation must name the violated family (memory) and the
@@ -731,7 +629,8 @@ mod tests {
             &topo,
             &resolved,
             &EncodeOptions::default(),
-            &Backend::Native,
+            None,
+            &SolveLimits::default(),
         )
         .unwrap_err();
         assert!(matches!(err, SynthError::Encode(_)));
@@ -740,12 +639,11 @@ mod tests {
     #[test]
     fn expired_deadline_degrades_to_greedy() {
         let (ir, topo, scopes) = lb_setup();
-        let (res, route) = synthesize_limited(
+        let (res, route) = synthesize(
             &ir,
             &topo,
             &scopes,
             &EncodeOptions::default(),
-            &Backend::Native,
             None,
             &expired(),
         )
@@ -766,8 +664,8 @@ mod tests {
     }
 
     /// Limits whose deadline has already passed.
-    fn expired() -> SynthLimits {
-        SynthLimits {
+    fn expired() -> SolveLimits {
+        SolveLimits {
             deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
             ..Default::default()
         }
@@ -796,16 +694,8 @@ mod tests {
                 .map(|s| resolve_scope(&topo, s).unwrap())
                 .collect();
         let opts = EncodeOptions::default();
-        let err = synthesize_limited(
-            &ir,
-            &topo,
-            &scopes,
-            &opts,
-            &Backend::Native,
-            None,
-            &expired(),
-        )
-        .expect_err("greedy's 18-stage placement must not be emitted");
+        let err = synthesize(&ir, &topo, &scopes, &opts, None, &expired())
+            .expect_err("greedy's 18-stage placement must not be emitted");
         let SynthError::BudgetExhausted {
             greedy: Some(reason),
             ..
@@ -819,34 +709,25 @@ mod tests {
         assert_eq!(d.code, Some(codes::SOLVER_BUDGET));
         assert!(d.notes.iter().any(|n| n.contains(reason.as_str())));
         // Unlimited, the solver splits the chain across the two hops.
-        let (res, _) = synthesize_limited(
-            &ir,
-            &topo,
-            &scopes,
-            &opts,
-            &Backend::Native,
-            None,
-            &SynthLimits::default(),
-        )
-        .expect("the chain fits two hops");
+        let (res, _) = synthesize(&ir, &topo, &scopes, &opts, None, &SolveLimits::default())
+            .expect("the chain fits two hops");
         assert_eq!(res.degraded, None);
     }
 
-    /// `synthesize_limited` with default limits.
+    /// [`synthesize`] from `previous`, with no limits.
     fn resynthesize(
         setup: &(IrProgram, Topology, Vec<ResolvedScope>),
         opts: &EncodeOptions,
         previous: &Placement,
     ) -> (SynthResult, SolveRoute) {
         let (ir, topo, scopes) = setup;
-        synthesize_limited(
+        synthesize(
             ir,
             topo,
             scopes,
             opts,
-            &Backend::Native,
             Some(previous),
-            &SynthLimits::default(),
+            &SolveLimits::default(),
         )
         .expect("the LB problem is feasible")
     }
@@ -855,7 +736,15 @@ mod tests {
     fn feasible_previous_placement_is_carried_over_unsearched() {
         let setup = lb_setup();
         let opts = EncodeOptions::default();
-        let first = synthesize(&setup.0, &setup.1, &setup.2, &opts, &Backend::Native).unwrap();
+        let (first, _) = synthesize(
+            &setup.0,
+            &setup.1,
+            &setup.2,
+            &opts,
+            None,
+            &SolveLimits::default(),
+        )
+        .unwrap();
         let (second, route) = resynthesize(&setup, &opts, &first.placement);
         assert_eq!(route, SolveRoute::CarriedOver);
         assert_eq!(second.placement, first.placement);
@@ -867,7 +756,15 @@ mod tests {
     fn infeasible_or_optimizing_previous_placement_falls_back_to_search() {
         let setup = lb_setup();
         let opts = EncodeOptions::default();
-        let first = synthesize(&setup.0, &setup.1, &setup.2, &opts, &Backend::Native).unwrap();
+        let (first, _) = synthesize(
+            &setup.0,
+            &setup.1,
+            &setup.2,
+            &opts,
+            None,
+            &SolveLimits::default(),
+        )
+        .unwrap();
         // An under-placed shard violates the per-path entry sums.
         let mut broken = first.placement.clone();
         let plan = broken
@@ -899,9 +796,11 @@ mod tests {
             &topo,
             &scopes,
             &EncodeOptions::default(),
-            &Backend::Native,
+            None,
+            &SolveLimits::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(res.degraded, None);
     }
 
@@ -949,7 +848,8 @@ mod tests {
             objective: Objective::MinSwitches,
             ..Default::default()
         };
-        let res = synthesize(&ir, &topo, &resolved, &opts, &Backend::Native).unwrap();
+        let (res, _) =
+            synthesize(&ir, &topo, &resolved, &opts, None, &SolveLimits::default()).unwrap();
         // The whole program fits on the two Aggs (one per path entry) —
         // minimizing switch count must not use more than 2.
         assert!(

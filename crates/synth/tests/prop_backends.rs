@@ -9,7 +9,8 @@
 //! case set and failures reproduce from the printed case index.
 
 use lyra_solver::{Bx, Ix, Model, Outcome, Solution};
-use lyra_synth::backend::{solve, Backend};
+use lyra_synth::backend::solve_limited;
+use lyra_synth::SolveLimits;
 
 const NUM_BOOLS: usize = 6;
 const NUM_INTS: usize = 3;
@@ -185,7 +186,7 @@ fn native_agrees_with_brute_force_on_placement_shapes() {
         let cons: Vec<Con> = (0..rng.range(1, 7)).map(|_| gen_con(&mut rng)).collect();
         let m = build(&cons);
         let expected = brute_force_best(&m, None).is_some();
-        let (outcome, _) = solve(&m, None, &Backend::Native);
+        let (outcome, _, _) = solve_limited(&m, None, &SolveLimits::default());
         match outcome {
             Outcome::Sat(s) => {
                 assert!(
@@ -218,7 +219,7 @@ fn minimization_matches_brute_force_optimum() {
         let vars: Vec<Ix> = m.bool_decls().map(|(id, _)| Ix::bool01(id)).collect();
         let obj = m.sum(vars);
         let expected = brute_force_best(&m, Some(obj));
-        let (outcome, _) = solve(&m, Some(&obj), &Backend::Native);
+        let (outcome, _, _) = solve_limited(&m, Some(&obj), &SolveLimits::default());
         match (outcome, expected) {
             (Outcome::Sat(s), Some(best)) => {
                 assert!(s.satisfies(&m), "case {case}: minimizer returned non-model");

@@ -1,5 +1,5 @@
 //! Property tests for the placement lift (`lyra_synth::place::lift`) and
-//! the carry-over route of `synthesize_limited` built on it.
+//! the carry-over route of `lyra_synth::synthesize` built on it.
 //!
 //! 1. **Round trip** — over the Figure 9 corpus × {Figure 1, pod k=4, pod
 //!    k=8} × {P4, NPL targets}, every placement the solver finds (by the
@@ -9,7 +9,7 @@
 //! 2. **Faults** — over ≥ 200 seeded fault sets (a switch, a link, several
 //!    elements, a direction endpoint of a narrowed scope) the prior
 //!    placement restricted to the survivors satisfies the survivor
-//!    encoding, and `synthesize_limited` returns it by the carried-over
+//!    encoding, and `synthesize` returns it by the carried-over
 //!    route with no search.
 //! 3. **Mutations** — a prior with one instruction dropped, one entry
 //!    added to a shard, or one instruction on two hops of a path fails
@@ -29,10 +29,7 @@ use lyra_ir::{InstrId, IrProgram};
 use lyra_lang::{parse_scopes, DeployMode};
 use lyra_solver::{Model, SearchStats, Solution};
 use lyra_synth::place::{extract, lift, lift_placement};
-use lyra_synth::{
-    encode, synthesize_limited, Backend, EncodeOptions, Placement, SolveRoute, SynthLimits,
-    SynthResult,
-};
+use lyra_synth::{encode, EncodeOptions, Placement, SolveLimits, SolveRoute, SynthResult};
 use lyra_topo::{
     fat_tree_pod, figure1_network, resolve_scope, resolve_scope_degraded, scope_health, FaultSet,
     ResolvedScope, Topology,
@@ -131,29 +128,21 @@ fn resolve(topo: &Topology, scopes: &str) -> Vec<ResolvedScope> {
         .collect()
 }
 
-/// `synthesize_limited` under the default options; `decomposition` opens
-/// the quotient route to cold compiles.
+/// `lyra_synth::synthesize` with no limits; `quotient` opens the quotient
+/// route to cold compiles.
 fn synthesize(
     ir: &IrProgram,
     topo: &Topology,
     scopes: &[ResolvedScope],
     previous: Option<&Placement>,
-    decomposition: bool,
+    quotient: bool,
 ) -> (SynthResult, SolveRoute) {
-    let limits = SynthLimits {
-        decomposition,
-        ..SynthLimits::default()
+    let opts = EncodeOptions {
+        monolithic: !quotient,
+        ..EncodeOptions::default()
     };
-    synthesize_limited(
-        ir,
-        topo,
-        scopes,
-        &EncodeOptions::default(),
-        &Backend::Native,
-        previous,
-        &limits,
-    )
-    .unwrap_or_else(|e| panic!("placement must be feasible: {e}"))
+    lyra_synth::synthesize(ir, topo, scopes, &opts, previous, &SolveLimits::default())
+        .unwrap_or_else(|e| panic!("placement must be feasible: {e}"))
 }
 
 /// The lifted placement satisfies the model it belongs to, and extracts
@@ -173,7 +162,7 @@ fn assert_round_trip(res: &SynthResult, ir: &IrProgram, topo: &Topology, case: &
 
 /// Compile the corpus cold on every network with at most `max_switches`
 /// in scope and check the round trip on each placement found.
-fn corpus_round_trips(decomposition: bool, expect: SolveRoute, max_switches: usize) {
+fn corpus_round_trips(quotient: bool, expect: SolveRoute, max_switches: usize) {
     for entry in figure9_corpus() {
         let ir = lyra_ir::frontend(&entry.source).unwrap();
         for net in networks() {
@@ -182,7 +171,7 @@ fn corpus_round_trips(decomposition: bool, expect: SolveRoute, max_switches: usi
                 continue;
             }
             let case = format!("{} on {}, {expect} route", entry.name, net.name);
-            let (res, route) = synthesize(&ir, &net.topo, &scopes, None, decomposition);
+            let (res, route) = synthesize(&ir, &net.topo, &scopes, None, quotient);
             assert_eq!(route, expect, "{case}");
             assert!(res.placement.used_switches() > 0, "{case}: empty placement");
             assert_round_trip(&res, &ir, &net.topo, &case);

@@ -16,7 +16,7 @@
 use lyra_apps::{figure9_corpus, programs};
 use lyra_lang::parse_scopes;
 use lyra_synth::place::{lift, lift_placement};
-use lyra_synth::{encode, synthesize, Backend, EncodeOptions, Encoded};
+use lyra_synth::{encode, synthesize, EncodeOptions, Encoded, SolveLimits};
 use lyra_topo::{
     fat_tree_pod, figure1_network, resolve_scope_degraded, FaultSet, ResolvedScope, Topology,
 };
@@ -122,7 +122,7 @@ fn every_variable_has_one_accessor_and_placements_round_trip() {
         let ir = lyra_ir::frontend(&entry.source).unwrap();
         let scopes = resolve(&topo, &scopes);
 
-        let res = synthesize(&ir, &topo, &scopes, &opts, &Backend::Native)
+        let (res, _) = synthesize(&ir, &topo, &scopes, &opts, None, &SolveLimits::default())
             .unwrap_or_else(|e| panic!("{what}: {e}"));
         let enc = &res.encoded;
         check_accessors(&what, enc);

@@ -1,5 +1,5 @@
 //! Property test for the premise of the quotient route
-//! (`lyra_synth::synthesize_limited`): over seeded random MULTI-SW
+//! (`lyra_synth::synthesize`): over seeded random MULTI-SW
 //! placement problems on fat-tree pods, transposing two members of an
 //! interchangeable-switch class (`lyra_topo::interchangeable_classes`)
 //! maps a solution of the encoding to a solution. That closure is why a
@@ -10,9 +10,9 @@
 //! offline with no external crates), so every run explores the identical
 //! case set and failures reproduce from the printed case index.
 
-use lyra_synth::backend::{solve, Backend};
+use lyra_synth::backend::solve_limited;
 use lyra_synth::place::lift;
-use lyra_synth::{encode, EncodeOptions};
+use lyra_synth::{encode, EncodeOptions, SolveLimits};
 use lyra_topo::{fat_tree_pod, interchangeable_classes, resolve_scope, ResolvedScope, SwitchId};
 
 /// Deterministic xorshift64* PRNG.
@@ -87,7 +87,7 @@ fn class_transpositions_map_solutions_to_solutions() {
         let topo = fat_tree_pod(k, "tofino-32q", "trident4");
         let scopes = pod_scopes(&topo, k);
         let enc = encode(&ir, &topo, &scopes, &opts).unwrap();
-        let sol = solve(&enc.model, None, &Backend::Native)
+        let sol = solve_limited(&enc.model, None, &SolveLimits::default())
             .0
             .solution()
             .unwrap_or_else(|| panic!("case {case} (k={k}, entries={entries}): must place"));

@@ -17,8 +17,8 @@
 
 use lyra_apps::programs;
 use lyra_solver::{Outcome, SearchStats};
-use lyra_synth::backend::{solve_with_limits, SolveLimits};
-use lyra_synth::{encode, Backend, EncodeOptions, Encoded, Objective};
+use lyra_synth::backend::solve_limited;
+use lyra_synth::{encode, EncodeOptions, Encoded, Objective, SolveLimits};
 use lyra_topo::{fat_tree_pod, figure1_network, resolve_scope, Topology};
 
 const FIG1_SCOPES: &str =
@@ -59,14 +59,8 @@ fn encoded(program: &str, scopes: &str, topo: &Topology, objective: Objective) -
 }
 
 fn solve(enc: &Encoded, limits: &SolveLimits) -> (Outcome, SearchStats) {
-    solve_with_limits(
-        &enc.model,
-        enc.objective.as_ref(),
-        &Backend::Native,
-        &[],
-        Default::default(),
-        limits,
-    )
+    let (outcome, _, stats) = solve_limited(&enc.model, enc.objective.as_ref(), limits);
+    (outcome, stats)
 }
 
 fn netcache_k8(objective: Objective) -> Encoded {

@@ -1,11 +1,11 @@
 //! Differential testing of the datacenter-scale solve path: the default
-//! profile (quotient route on) against the monolithic reference profile
-//! (`SolveProfile::thorough`, decomposition off) on seeded random MULTI-SW
+//! compiler (quotient route on) against the monolithic reference
+//! (`Compiler::with_quotient_route(false)`) on seeded random MULTI-SW
 //! placement problems over fat-tree pods.
 //!
 //! Decomposition is a pure solver optimization — it must never flip a
 //! verdict. Every case compiles the same program, scopes, and topology
-//! under both profiles and asserts SAT/UNSAT (compiles vs infeasible)
+//! under both configurations and asserts SAT/UNSAT (compiles vs infeasible)
 //! agreement, plus placement sanity when both succeed.
 //!
 //! Randomness comes from a seeded xorshift generator (the workspace builds
@@ -15,7 +15,7 @@
 mod common;
 
 use common::Rng;
-use lyra::{CompileError, CompileOutput, CompileRequest, Compiler, SolveProfile};
+use lyra::{CompileError, CompileOutput, CompileRequest, Compiler};
 use lyra_topo::fat_tree_pod;
 
 /// A random MULTI-SW-friendly program: a couple of extern tables with
@@ -96,10 +96,10 @@ enum Verdict {
     Infeasible,
 }
 
-fn compile(case: usize, program: &str, scopes: &str, k: usize, profile: SolveProfile) -> Verdict {
+fn compile(case: usize, program: &str, scopes: &str, k: usize, quotient: bool) -> Verdict {
     let topo = fat_tree_pod(k, "tofino-32q", "trident4");
-    let req = CompileRequest::new(program, scopes, topo).with_solve_profile(profile);
-    match Compiler::new().compile(&req) {
+    let req = CompileRequest::new(program, scopes, topo);
+    match Compiler::new().with_quotient_route(quotient).compile(&req) {
         Ok(out) => {
             assert!(
                 out.degraded.is_none(),
@@ -114,8 +114,9 @@ fn compile(case: usize, program: &str, scopes: &str, k: usize, profile: SolvePro
     }
 }
 
-/// The default (decomposing) profile and the monolithic reference agree on
-/// every verdict over ≥200 seeded fat-tree instances (k=4 and k=8).
+/// The default (quotient-route) compiler and the monolithic reference
+/// agree on every verdict over ≥200 seeded fat-tree instances (k=4 and
+/// k=8).
 #[test]
 fn accelerated_profile_agrees_with_monolithic_reference() {
     let mut rng = Rng::new(0x5eed_dec1);
@@ -126,8 +127,8 @@ fn accelerated_profile_agrees_with_monolithic_reference() {
         let k = if case % 8 == 7 { 8 } else { 4 };
         let program = gen_program(&mut rng);
         let scopes = pod_scopes(k);
-        let default = compile(case, &program, &scopes, k, SolveProfile::default());
-        let reference = compile(case, &program, &scopes, k, SolveProfile::thorough());
+        let default = compile(case, &program, &scopes, k, true);
+        let reference = compile(case, &program, &scopes, k, false);
         cases_run += 1;
         match (default, reference) {
             (Verdict::Placed(a), Verdict::Placed(b)) => {
@@ -154,13 +155,13 @@ fn accelerated_profile_agrees_with_monolithic_reference() {
                     };
                     assert!(
                         (total(&a) > 0) == (total(&b) > 0),
-                        "case {case} (k={k}): `{table}` hosted by one profile only\n{program}"
+                        "case {case} (k={k}): `{table}` hosted by one configuration only\n{program}"
                     );
                 }
             }
             (Verdict::Infeasible, Verdict::Infeasible) => infeasible += 1,
             (Verdict::Placed(_), Verdict::Infeasible) => panic!(
-                "case {case} (k={k}): the default profile placed what the \
+                "case {case} (k={k}): the default compiler placed what the \
                  monolithic reference calls infeasible\n{program}"
             ),
             (Verdict::Infeasible, Verdict::Placed(_)) => {

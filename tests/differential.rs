@@ -19,7 +19,7 @@ mod common;
 use common::Rng;
 use lyra_ir::{execute, execute_all, frontend, DataPlaneState, InstrId, PacketState};
 use lyra_lang::parse_scopes;
-use lyra_synth::{synthesize, Backend, EncodeOptions};
+use lyra_synth::{synthesize, EncodeOptions, SolveLimits};
 use lyra_topo::{figure1_network, resolve_scope};
 
 /// Compile `program` under `scopes` on the Figure 1 network and return,
@@ -41,12 +41,13 @@ fn place(program: &str, scopes: &str) -> Placed {
         .iter()
         .map(|s| resolve_scope(&topo, s).unwrap())
         .collect();
-    let result = synthesize(
+    let (result, _) = synthesize(
         &ir,
         &topo,
         &resolved,
         &EncodeOptions::default(),
-        &Backend::Native,
+        None,
+        &SolveLimits::default(),
     )
     .expect("feasible");
     let alg = ir.algorithms[0].clone();

@@ -34,7 +34,7 @@ use lyra::{
     replay_under_recovery, run_selfheal, ChaosEvent, ChaosSchedule, CompileRequest, Compiler,
     CrashPlan, CrashPoint, DegradeRung, DriftOp, HealthState, IntentStore, LossyChannel,
     MemIntentStore, Objective, ReliableChannel, ReplayConfig, RolloutConfig, Runtime,
-    SelfHealConfig, SolveProfile, SolveRoute, Target,
+    SelfHealConfig, SolveRoute, Target,
 };
 use lyra_ir::{execute_all, DataPlaneState, Effect, PacketState};
 use lyra_lang::parse_scopes;
@@ -580,11 +580,13 @@ fn pod_lb_scopes(k: usize) -> String {
 #[test]
 fn one_ms_deadline_on_k16_lb_returns_promptly_and_degraded() {
     let scopes = pod_lb_scopes(16);
-    let req = CompileRequest::new(LB, &scopes, pod(16))
-        .with_solve_profile(SolveProfile::default().with_deadline(Duration::from_millis(1)));
+    let req = CompileRequest::new(LB, &scopes, pod(16));
 
     let t = Instant::now();
-    let out = Compiler::new().compile(&req).expect("ladder must not fail");
+    let out = Compiler::new()
+        .with_deadline(Duration::from_millis(1))
+        .compile(&req)
+        .expect("ladder must not fail");
     let elapsed = t.elapsed();
 
     // The quotient route occasionally beats even a 1 ms deadline outright;
@@ -642,16 +644,25 @@ fn decision_budget_under_an_objective_degrades_instead_of_refuting() {
     // Monolithic, so the limit meets the search the objective runs (the
     // quotient route has its own, smaller one). The decision bound is the
     // budget plus the one decision the search takes before it checks.
+    let monolithic = Compiler::new().with_quotient_route(false);
     let limits = [
-        (SolveProfile::thorough().with_decision_budget(3), 3 + 1),
-        (SolveProfile::thorough().with_deadline(Duration::ZERO), 1),
+        (
+            "a budget of 3",
+            monolithic.clone().with_decision_budget(3),
+            3 + 1,
+        ),
+        (
+            "a spent deadline",
+            monolithic.with_deadline(Duration::ZERO),
+            1,
+        ),
     ];
     for objective in [Objective::Feasible, Objective::MinSwitches] {
-        for (profile, max_decisions) in &limits {
-            let case = format!("{objective:?} under {profile:?}");
-            let req = CompileRequest::new(&program, &scopes, topo.clone())
-                .with_solve_profile(profile.clone());
-            let out = Compiler::new()
+        for (limit, compiler, max_decisions) in &limits {
+            let case = format!("{objective:?} under {limit}");
+            let req = CompileRequest::new(&program, &scopes, topo.clone());
+            let out = compiler
+                .clone()
                 .with_objective(objective.clone())
                 .compile(&req)
                 .unwrap_or_else(|e| {
@@ -704,9 +715,9 @@ fn minimization_cut_short_is_best_so_far_and_stays_out_of_the_cache() {
     let request = || CompileRequest::new(&program, &scopes, pod(4));
     let budget = 168;
     let cut = compiler
-        .compile(
-            &request().with_solve_profile(SolveProfile::default().with_decision_budget(budget)),
-        )
+        .clone()
+        .with_decision_budget(budget)
+        .compile(&request())
         .expect("the budget leaves a model");
     assert_eq!(cut.degraded, Some(DegradeRung::BestSoFar));
     assert_eq!(cut.stats.solve_route, Some(SolveRoute::Monolithic));
