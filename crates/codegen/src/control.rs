@@ -28,11 +28,13 @@ use std::fmt::Write;
 use lyra_ir::IrProgram;
 use lyra_synth::SwitchPlan;
 
+use crate::emit::Storage;
 use crate::oracle::{rule_lines, rules::table_rules};
 
-/// Generate the Python control-plane stub for one switch plan: every line
-/// after the header line, which `crate::emit` writes.
-pub fn control_plane_stub(ir: &IrProgram, plan: &SwitchPlan) -> String {
+/// Generate the Python control-plane stub for one switch plan, whose rule
+/// conditions name fields of `storage`: every line after the header line,
+/// which `crate::emit` writes.
+pub fn control_plane_stub(ir: &IrProgram, plan: &SwitchPlan, storage: &Storage) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -77,7 +79,7 @@ pub fn control_plane_stub(ir: &IrProgram, plan: &SwitchPlan) -> String {
     // Derived table rules: which action of which table runs on hit / miss /
     // always, behind which condition. One source of truth shared with the
     // emitters and the semantic oracle.
-    let rules = table_rules(ir, plan);
+    let rules = table_rules(ir, plan, storage);
     let _ = writeln!(out, "LYRA_TABLE_RULES = [");
     for l in rule_lines(&rules) {
         let _ = writeln!(out, "{l}");
@@ -241,6 +243,10 @@ mod tests {
     use lyra_ir::frontend;
     use lyra_synth::SwitchPlan;
 
+    fn stub_for(ir: &IrProgram, plan: &SwitchPlan) -> String {
+        control_plane_stub(ir, plan, &Storage::new(ir, plan))
+    }
+
     #[test]
     fn stub_lists_tables_and_capacities() {
         let ir = frontend(
@@ -255,7 +261,7 @@ mod tests {
         .unwrap();
         let mut plan = SwitchPlan::default();
         plan.extern_entries.insert("vip_table".into(), 512);
-        let stub = control_plane_stub(&ir, &plan);
+        let stub = stub_for(&ir, &plan);
         assert!(stub.contains("vip_table_entry_set"));
         assert!(stub.contains("vip_table_entry_get"));
         assert!(stub.contains("vip_table_CAPACITY = 512"));
@@ -277,7 +283,7 @@ mod tests {
         .unwrap();
         let mut plan = SwitchPlan::default();
         plan.extern_entries.insert("vip_table".into(), 512);
-        let stub = control_plane_stub(&ir, &plan);
+        let stub = stub_for(&ir, &plan);
         assert!(stub.contains("PLACEMENT_EPOCH = 0"));
         assert!(stub.contains("def vip_table_prepare(epoch, entries):"));
         assert!(stub.contains("def vip_table_commit(epoch):"));
@@ -298,7 +304,7 @@ mod tests {
         .unwrap();
         let mut plan = SwitchPlan::default();
         plan.extern_entries.insert("vip_table".into(), 512);
-        let stub = control_plane_stub(&ir, &plan);
+        let stub = stub_for(&ir, &plan);
         // Recovery probe: a restarted controller asks for the epoch tags.
         assert!(stub.contains("def lyra_placement_state():"));
         assert!(stub.contains("return (PLACEMENT_EPOCH, _STAGED_EPOCH)"));
@@ -315,7 +321,7 @@ mod tests {
     #[test]
     fn empty_plan_notes_absence() {
         let ir = frontend("pipeline[P]{a}; algorithm a { x = 1; }").unwrap();
-        let stub = control_plane_stub(&ir, &SwitchPlan::default());
+        let stub = stub_for(&ir, &SwitchPlan::default());
         assert!(stub.contains("no extern tables"));
         // The epoch tag and recovery probe are present even with no hosted
         // tables — the switch still participates in rollout transactions
@@ -339,7 +345,7 @@ mod tests {
         .unwrap();
         let mut plan = SwitchPlan::default();
         plan.extern_entries.insert("vip_table".into(), 512);
-        let stub = control_plane_stub(&ir, &plan);
+        let stub = stub_for(&ir, &plan);
         assert!(!stub.contains("TODO"), "stub still has TODO:\n{stub}");
         assert!(stub.contains("LYRA_TABLE_RULES = ["));
         assert!(stub.contains("def lyra_init(driver):"));

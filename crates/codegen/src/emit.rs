@@ -9,6 +9,7 @@
 //! same plan: NetCache MULTI-SW on a k = 32 pod renders one program for
 //! its 16 switches.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 
 use lyra_chips::{by_name, ChipModel, TargetLang};
@@ -103,14 +104,17 @@ fn render(
     plan: &SwitchPlan,
     chip: &ChipModel,
 ) -> Result<Artifact, CodegenError> {
+    let storage = Storage::new(ir, plan);
     let body = match chip.lang {
-        TargetLang::P414 => crate::p414::emit(ir, plan, chip).map_err(|e| CodegenError {
-            message: format!("switch `{switch}` ({}): {}", chip.name, e.message),
-        })?,
-        TargetLang::P416 => crate::p416::emit(ir, plan, chip),
-        TargetLang::Npl => crate::npl::emit(ir, plan),
+        TargetLang::P414 => {
+            crate::p414::emit(ir, plan, chip, &storage).map_err(|e| CodegenError {
+                message: format!("switch `{switch}` ({}): {}", chip.name, e.message),
+            })?
+        }
+        TargetLang::P416 => crate::p416::emit(ir, plan, chip, &storage),
+        TargetLang::Npl => crate::npl::emit(ir, plan, &storage),
     };
-    let stub = crate::control::control_plane_stub(ir, plan);
+    let stub = crate::control::control_plane_stub(ir, plan, &storage);
     Ok(Artifact {
         switch: switch.to_string(),
         asic: chip.name.clone(),
@@ -176,15 +180,121 @@ fn after_header(text: &str) -> &str {
     text.split_once('\n').map_or("", |(_, body)| body)
 }
 
+/// One switch program's storage namespace (§5.7): the field each IR base
+/// of each algorithm the plan hosts lives in, and the metadata fields it
+/// declares. Header fields keep their dotted name. A local `x` of
+/// algorithm `alg` is the field `alg_x` (`%t3` → `alg_t3`, an inlined
+/// `f$1$y` → `alg_f_1_y`). The map is injective: when two bases claim one
+/// field, a user-written local beats a compiler-made name (one holding `%`
+/// or `$`), and otherwise the first algorithm in plan order (by name) wins;
+/// every other claimant takes the smallest `_<k>` suffix that no base
+/// claims.
+pub struct Storage<'ir> {
+    /// Algorithm → IR base → index into `fields`.
+    index: BTreeMap<&'ir str, BTreeMap<&'ir str, usize>>,
+    /// Metadata fields (name, width), in declaration order: by algorithm
+    /// in plan order, then by the name each base claims.
+    fields: Vec<(String, u32)>,
+}
+
+impl<'ir> Storage<'ir> {
+    /// The namespace of every non-header base the plan's instructions
+    /// touch, each with the width of the first of its values touched.
+    pub fn new(ir: &'ir IrProgram, plan: &'ir SwitchPlan) -> Storage<'ir> {
+        let mut index = BTreeMap::new();
+        // (claimed name, base, width) of every field, in declaration order.
+        let mut claims: Vec<(String, &str, u32)> = Vec::new();
+        for (alg_name, instrs) in &plan.instrs {
+            let Some(alg) = ir.algorithm(alg_name) else {
+                continue;
+            };
+            let mut bases: BTreeMap<&str, u32> = BTreeMap::new();
+            for &i in instrs {
+                let instr = alg.instr(i);
+                let reads = instr.op.reads().into_iter().filter_map(|o| match o {
+                    Operand::Value(v) => Some(v),
+                    Operand::Const(_) => None,
+                });
+                for v in reads.chain(instr.dst).chain(instr.pred) {
+                    let info = alg.value(v);
+                    if !info.base.contains('.') {
+                        bases.entry(&info.base).or_insert(info.width.max(1));
+                    }
+                }
+            }
+            let mut named: Vec<_> = bases
+                .into_iter()
+                .map(|(b, w)| (claim(alg_name, b), b, w))
+                .collect();
+            named.sort_unstable();
+            let at = claims.len();
+            let positions = named.iter().enumerate().map(|(j, c)| (c.1, at + j));
+            index.insert(alg_name.as_str(), positions.collect());
+            claims.extend(named);
+        }
+        let made = |base: &str| base.contains(['%', '$']);
+        let mut owner: BTreeMap<&str, usize> = BTreeMap::new();
+        for (i, (name, base, _)) in claims.iter().enumerate() {
+            let o = owner.entry(name).or_insert(i);
+            if made(claims[*o].1) && !made(base) {
+                *o = i;
+            }
+        }
+        let mut renamed = BTreeSet::new();
+        let mut fields = Vec::with_capacity(claims.len());
+        for (i, (name, _, width)) in claims.iter().enumerate() {
+            let mut name = name.clone();
+            if owner[name.as_str()] != i {
+                let mut k = 1;
+                while owner.contains_key(format!("{name}_{k}").as_str())
+                    || renamed.contains(&format!("{name}_{k}"))
+                {
+                    k += 1;
+                }
+                name = format!("{name}_{k}");
+                renamed.insert(name.clone());
+            }
+            fields.push((name, *width));
+        }
+        Storage { index, fields }
+    }
+
+    /// The metadata fields to declare, (name, width), in declaration order.
+    pub fn fields(&self) -> &[(String, u32)] {
+        &self.fields
+    }
+
+    /// Storage name of base `base` of algorithm `alg`: a header field
+    /// verbatim, a local as `md.<field>`. A base no instruction of the plan
+    /// touches has no field; it is spelled as the name it would claim.
+    pub fn name(&self, alg: &str, base: &str) -> String {
+        if base.contains('.') {
+            return base.to_string();
+        }
+        match self.index.get(alg).and_then(|bases| bases.get(base)) {
+            Some(&at) => format!("md.{}", self.fields[at].0),
+            None => format!("md.{}", claim(alg, base)),
+        }
+    }
+
+    /// A rendering context for algorithm `alg` over this namespace.
+    pub fn render<'a>(&'a self, alg: &'a IrAlgorithm) -> Render<'a> {
+        Render { alg, storage: self }
+    }
+}
+
 /// A rendering context: resolves SSA values back to storage names.
 pub struct Render<'a> {
-    /// The algorithm being rendered.
-    pub alg: &'a IrAlgorithm,
-    /// Prefix applied to locals (algorithm isolation — §7.3).
-    pub prefix: &'a str,
+    alg: &'a IrAlgorithm,
+    storage: &'a Storage<'a>,
 }
 
 impl<'a> Render<'a> {
+    /// The algorithm being rendered.
+    pub fn alg(&self) -> &'a IrAlgorithm {
+        self.alg
+    }
+
     /// Storage name of an operand (all SSA versions of a base share
     /// storage).
     pub fn operand(&self, o: &Operand) -> String {
@@ -202,25 +312,23 @@ impl<'a> Render<'a> {
 
     /// Storage name of a value.
     pub fn value(&self, v: lyra_ir::ValueId) -> String {
-        let info = self.alg.value(v);
-        if info.base.contains('.') {
-            // Header field: used verbatim.
-            info.base.clone()
-        } else {
-            // Local / metadata: algorithm-prefixed metadata field.
-            format!("md.{}_{}", self.prefix, sanitize(&info.base))
-        }
-    }
-
-    /// Width of a value's storage.
-    pub fn width(&self, v: lyra_ir::ValueId) -> u32 {
-        self.alg.value(v).width.max(1)
+        self.storage.name(&self.alg.name, &self.alg.value(v).base)
     }
 }
 
+/// The field base `base` of algorithm `alg` claims.
+fn claim(alg: &str, base: &str) -> String {
+    let mut name = String::with_capacity(alg.len() + 1 + base.len());
+    name.push_str(alg);
+    name.push('_');
+    name.extend(sanitize(base));
+    name
+}
+
 /// Make a base name identifier-safe (`%t3` → `t3`).
-pub fn sanitize(base: &str) -> String {
-    base.chars()
+fn sanitize(base: &str) -> impl Iterator<Item = char> + '_ {
+    base.trim_start_matches(|c: char| !c.is_ascii_alphanumeric())
+        .chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '_' {
                 c
@@ -228,60 +336,33 @@ pub fn sanitize(base: &str) -> String {
                 '_'
             }
         })
-        .collect::<String>()
-        .trim_start_matches('_')
-        .to_string()
 }
 
-/// All metadata bases (name, width) an instruction set touches — the
-/// generated program's metadata struct.
-pub fn metadata_fields(alg: &IrAlgorithm, instrs: &[lyra_ir::InstrId]) -> Vec<(String, u32)> {
-    let mut seen = std::collections::BTreeMap::new();
-    let mut add = |v: lyra_ir::ValueId| {
-        let info = alg.value(v);
-        if !info.base.contains('.') {
-            seen.entry(sanitize(&info.base))
-                .or_insert(info.width.max(1));
-        }
-    };
-    for &i in instrs {
-        let instr = alg.instr(i);
-        for o in instr.op.reads() {
-            if let Operand::Value(v) = o {
-                add(v);
-            }
-        }
-        if let Some(d) = instr.dst {
-            add(d);
-        }
-        if let Some(p) = instr.pred {
-            add(p);
-        }
-    }
-    seen.into_iter().collect()
+/// The bridge fields of the plan's carried values (Algorithm 2 / §5.6),
+/// (name, width), `carried_in` then `carried_out`, repeats kept.
+pub fn bridge_fields(plan: &SwitchPlan) -> impl Iterator<Item = (String, u32)> + '_ {
+    plan.carried_in
+        .iter()
+        .chain(&plan.carried_out)
+        .map(|cv| (sanitize(&cv.name).collect(), cv.width.max(1)))
 }
 
-/// Header instances referenced by the instruction set.
-pub fn header_instances(alg: &IrAlgorithm, instrs: &[lyra_ir::InstrId]) -> Vec<String> {
-    let mut seen = std::collections::BTreeSet::new();
-    for &i in instrs {
-        let instr = alg.instr(i);
-        let mut values: Vec<lyra_ir::ValueId> = Vec::new();
-        for o in instr.op.reads() {
-            if let Operand::Value(v) = o {
-                values.push(v);
-            }
-        }
-        if let Some(d) = instr.dst {
-            values.push(d);
-        }
-        for v in values {
-            if let Some((inst, _)) = alg.value(v).base.split_once('.') {
-                seen.insert(inst.to_string());
+/// The plan's parser-hoisted constant moves (§5.4), rendered as
+/// (destination, value) pairs.
+pub fn hoisted_sets(ir: &IrProgram, plan: &SwitchPlan, storage: &Storage) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for (alg_name, hoisted) in &plan.parser_sets {
+        let Some(alg) = ir.algorithm(alg_name) else {
+            continue;
+        };
+        let r = storage.render(alg);
+        for &i in hoisted {
+            if let (Some(d), IrOp::Assign(a)) = (alg.instr(i).dst, &alg.instr(i).op) {
+                out.push((r.value(d), r.operand(a)));
             }
         }
     }
-    seen.into_iter().collect()
+    out
 }
 
 /// Gather every instruction deployed on a switch across algorithms, with
@@ -491,20 +572,60 @@ mod tests {
 
     #[test]
     fn sanitize_names() {
+        let sanitize = |base| sanitize(base).collect::<String>();
         assert_eq!(sanitize("%t3"), "t3");
         assert_eq!(sanitize("a.b"), "a_b");
         assert_eq!(sanitize("plain"), "plain");
     }
 
+    /// A plan hosting every instruction of every algorithm of `ir`.
+    fn whole(ir: &IrProgram) -> SwitchPlan {
+        let instrs = ir.algorithms.iter();
+        SwitchPlan {
+            instrs: instrs
+                .map(|a| (a.name.clone(), a.instr_ids().collect()))
+                .collect(),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn metadata_collection() {
         let ir = frontend("pipeline[P]{a}; algorithm a { x = ipv4.src + 1; }").unwrap();
-        let alg = &ir.algorithms[0];
-        let instrs: Vec<_> = alg.instr_ids().collect();
-        let md = metadata_fields(alg, &instrs);
-        assert!(md.iter().any(|(n, _)| n == "x"));
-        assert!(md.iter().all(|(n, _)| !n.contains('.')));
-        let hdrs = header_instances(alg, &instrs);
-        assert_eq!(hdrs, vec!["ipv4".to_string()]);
+        let plan = whole(&ir);
+        let storage = Storage::new(&ir, &plan);
+        assert_eq!(storage.fields(), [("a_x".to_string(), 32)]);
+        assert_eq!(storage.name("a", "ipv4.src"), "ipv4.src");
+    }
+
+    #[test]
+    fn colliding_names_take_free_suffixes() {
+        // `a`'s local `b_c` and `a_b`'s local `c` both claim `a_b_c`: the
+        // first algorithm keeps it. In `t`, the temporary `%t1` and the
+        // inlined `f$1$x` lose to the locals `t1` and `f_1_x`; `%t1` skips
+        // `t_t1_1`, which the local `t1_1` claims.
+        let ir = frontend(
+            "pipeline[P]{a -> a_b -> t}; \
+             algorithm a { b_c = ipv4.ttl + 1; ipv4.ttl = b_c; } \
+             algorithm a_b { c = ipv4.ttl + 2; ipv4.ttl = c; } \
+             algorithm t { t1 = ipv4.ttl; t1_1 = ipv4.ttl; f_1_x = 3; f(); \
+                 ipv4.ttl = t1 + t1_1 + f_1_x + 1; } \
+             func f() { bit[32] x; x = ipv4.ttl + 1; ipv4.ttl = x; }",
+        )
+        .unwrap();
+        let plan = whole(&ir);
+        let storage = Storage::new(&ir, &plan);
+        let names: Vec<&str> = storage.fields().iter().map(|(n, _)| n.as_str()).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "{names:?}");
+        assert_eq!(storage.name("a", "b_c"), "md.a_b_c");
+        assert_eq!(storage.name("a_b", "c"), "md.a_b_c_1");
+        assert_eq!(storage.name("t", "t1"), "md.t_t1");
+        assert_eq!(storage.name("t", "%t1"), "md.t_t1_2");
+        assert_eq!(storage.name("t", "t1_1"), "md.t_t1_1");
+        assert_eq!(storage.name("t", "f_1_x"), "md.t_f_1_x");
+        assert_eq!(storage.name("t", "f$1$x"), "md.t_f_1_x_1");
     }
 }

@@ -22,30 +22,22 @@ use lyra_lang::UnOp;
 use lyra_synth::util::compute_plumbing;
 use lyra_synth::{SwitchPlan, TableKind};
 
-use crate::emit::{deployed_instrs, metadata_fields, used_globals, Render};
+use crate::emit::{bridge_fields, hoisted_sets, used_globals, Render, Storage};
 use crate::oracle::rules;
 
 /// Emit the NPL program for one switch plan: every line after the
 /// header line, which `crate::emit` writes.
-pub fn emit(ir: &IrProgram, plan: &SwitchPlan) -> String {
+pub fn emit(ir: &IrProgram, plan: &SwitchPlan, storage: &Storage) -> String {
     let mut out = String::new();
 
     // --- Bus struct (local variables) --------------------------------------
     let _ = writeln!(out, "bus lyra_bus {{");
-    let mut any = false;
-    for (alg, instrs) in deployed_instrs(ir, plan) {
-        for (n, w) in metadata_fields(alg, &instrs) {
-            let _ = writeln!(out, "    bit[{w}] {}_{};", alg.name, n);
-            any = true;
-        }
+    let mut any = !storage.fields().is_empty();
+    for (n, w) in storage.fields() {
+        let _ = writeln!(out, "    bit[{w}] {n};");
     }
-    for cv in plan.carried_in.iter().chain(&plan.carried_out) {
-        let _ = writeln!(
-            out,
-            "    bit[{}] bridge_{};",
-            cv.width.max(1),
-            crate::emit::sanitize(&cv.name)
-        );
+    for (n, w) in bridge_fields(plan) {
+        let _ = writeln!(out, "    bit[{w}] bridge_{n};");
         any = true;
     }
     if !any {
@@ -78,24 +70,8 @@ pub fn emit(ir: &IrProgram, plan: &SwitchPlan) -> String {
     let mut program_calls: Vec<String> = Vec::new();
     if !plan.parser_sets.is_empty() {
         let _ = writeln!(out, "function lyra_parser_init() {{");
-        for (alg_name, hoisted) in &plan.parser_sets {
-            if let Some(alg) = ir.algorithm(alg_name) {
-                let r = Render {
-                    alg,
-                    prefix: alg_name,
-                };
-                for &i in hoisted {
-                    let instr = alg.instr(i);
-                    if let (Some(d), IrOp::Assign(a)) = (instr.dst, &instr.op) {
-                        let _ = writeln!(
-                            out,
-                            "    {} = {};",
-                            bus_name(&r.value(d)),
-                            bus_name(&r.operand(a))
-                        );
-                    }
-                }
-            }
+        for (d, v) in hoisted_sets(ir, plan, storage) {
+            let _ = writeln!(out, "    {} = {};", bus_name(&d), bus_name(&v));
         }
         let _ = writeln!(out, "}}");
         program_calls.push("lyra_parser_init();".to_string());
@@ -106,10 +82,7 @@ pub fn emit(ir: &IrProgram, plan: &SwitchPlan) -> String {
         let Some(alg) = ir.algorithm(&t.algorithm) else {
             continue;
         };
-        let r = Render {
-            alg,
-            prefix: &t.algorithm,
-        };
+        let r = storage.render(alg);
         let plumbing = plumbing_of(alg);
         let cond_of = |i: InstrId| -> Option<String> {
             alg.instr(i)
@@ -266,7 +239,7 @@ fn bus_name(rendered: &str) -> String {
 
 fn emit_stmt(out: &mut String, r: &Render, i: lyra_ir::InstrId, indent: usize) {
     let pad = "    ".repeat(indent);
-    let instr = r.alg.instr(i);
+    let instr = r.alg().instr(i);
     let dst = instr.dst.map(|d| bus_name(&r.value(d)));
     let op_name = |o: &Operand| bus_name(&r.operand(o));
     match &instr.op {

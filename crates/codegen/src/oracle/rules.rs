@@ -31,7 +31,7 @@ use lyra_lang::{BinOp, UnOp};
 use lyra_synth::util::compute_plumbing;
 use lyra_synth::{SwitchPlan, SynthAction, SynthTable};
 
-use crate::emit::Render;
+use crate::emit::{Render, Storage};
 use crate::p416::split_wide_compare;
 
 /// When a rule fires relative to the table's match outcome.
@@ -109,7 +109,7 @@ pub fn needs_miss_twin(alg: &IrAlgorithm, t: &SynthTable, a: &SynthAction) -> bo
 }
 
 /// Derive the rules for every table of a switch plan, in emission order.
-pub fn table_rules(ir: &IrProgram, plan: &SwitchPlan) -> Vec<TableRule> {
+pub fn table_rules(ir: &IrProgram, plan: &SwitchPlan, storage: &Storage) -> Vec<TableRule> {
     let mut plumb: BTreeMap<String, BTreeSet<InstrId>> = BTreeMap::new();
     let mut out = Vec::new();
     for t in &plan.tables {
@@ -120,10 +120,7 @@ pub fn table_rules(ir: &IrProgram, plan: &SwitchPlan) -> Vec<TableRule> {
             let subset = plan.instrs.get(&t.algorithm).cloned().unwrap_or_default();
             compute_plumbing(alg, &subset)
         });
-        let r = Render {
-            alg,
-            prefix: &t.algorithm,
-        };
+        let r = storage.render(alg);
         let extern_backed = t.extern_name().is_some();
         for a in &t.actions {
             let cond = action_pred(alg, a).map(|p| render_cond(alg, &r, plumbing, p, 0));
@@ -282,18 +279,25 @@ mod tests {
     use super::*;
     use lyra_ir::frontend;
 
-    fn plumbing_and_alg(src: &str) -> (lyra_ir::IrProgram, BTreeSet<InstrId>) {
+    /// The program, a plan hosting all of algorithm `a`, and its plumbing.
+    fn plumbing_and_alg(src: &str) -> (lyra_ir::IrProgram, SwitchPlan, BTreeSet<InstrId>) {
         let ir = frontend(src).unwrap();
         let subset: Vec<InstrId> = ir.algorithms[0].instr_ids().collect();
         let p = compute_plumbing(&ir.algorithms[0], &subset);
-        (ir, p)
+        let plan = SwitchPlan {
+            instrs: BTreeMap::from([("a".to_string(), subset)]),
+            ..Default::default()
+        };
+        (ir, plan, p)
     }
 
     #[test]
     fn inline_condition_for_plumbing_pred() {
-        let (ir, p) = plumbing_and_alg("pipeline[P]{a}; algorithm a { if (x == 5) { y = 1; } }");
+        let (ir, plan, p) =
+            plumbing_and_alg("pipeline[P]{a}; algorithm a { if (x == 5) { y = 1; } }");
         let alg = &ir.algorithms[0];
-        let r = Render { alg, prefix: "a" };
+        let storage = Storage::new(&ir, &plan);
+        let r = storage.render(alg);
         let gated = alg
             .instr_ids()
             .find(|&i| alg.instr(i).pred.is_some())
@@ -307,11 +311,12 @@ mod tests {
     fn stored_test_for_materialized_pred() {
         // x is clobbered between the comparison and the gate, so the
         // comparison is materialized and the gate reads its stored result.
-        let (ir, p) = plumbing_and_alg(
+        let (ir, plan, p) = plumbing_and_alg(
             "pipeline[P]{a}; algorithm a { c = x == 5; x = 2; if (c) { y = 1; } }",
         );
         let alg = &ir.algorithms[0];
-        let r = Render { alg, prefix: "a" };
+        let storage = Storage::new(&ir, &plan);
+        let r = storage.render(alg);
         let gated = alg
             .instr_ids()
             .find(|&i| alg.instr(i).pred.is_some())

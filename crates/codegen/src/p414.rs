@@ -16,13 +16,18 @@ use lyra_lang::{BinOp, UnOp};
 use lyra_synth::{SwitchPlan, SynthTable, TableKind};
 
 use crate::emit::{
-    action_params, deployed_instrs, metadata_fields, sanitize, table_keys, used_globals,
-    CodegenError, Render,
+    action_params, bridge_fields, deployed_instrs, hoisted_sets, table_keys, used_globals,
+    CodegenError, Render, Storage,
 };
 
 /// Emit the P4_14 program for one switch plan: every line after the
 /// header line, which `crate::emit` writes.
-pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> Result<String, CodegenError> {
+pub fn emit(
+    ir: &IrProgram,
+    plan: &SwitchPlan,
+    chip: &ChipModel,
+    storage: &Storage,
+) -> Result<String, CodegenError> {
     for t in &plan.tables {
         let Some(alg) = ir.algorithm(&t.algorithm) else {
             continue;
@@ -63,15 +68,15 @@ pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> Result<Strin
     // Bridge header for carried values (Algorithm 2 / §5.6).
     if !plan.carried_in.is_empty() || !plan.carried_out.is_empty() {
         let mut fields: Vec<(String, u32)> = Vec::new();
-        for cv in plan.carried_in.iter().chain(&plan.carried_out) {
-            if !fields.iter().any(|(n, _)| n == &cv.name) {
-                fields.push((cv.name.clone(), cv.width));
+        for (n, w) in bridge_fields(plan) {
+            if !fields.iter().any(|(x, _)| *x == n) {
+                fields.push((n, w));
             }
         }
         let _ = writeln!(out, "header_type lyra_bridge_t {{");
         let _ = writeln!(out, "    fields {{");
         for (n, w) in &fields {
-            let _ = writeln!(out, "        {} : {};", sanitize(n), w.max(&1));
+            let _ = writeln!(out, "        {n} : {w};");
         }
         let _ = writeln!(out, "    }}");
         let _ = writeln!(out, "}}");
@@ -79,15 +84,7 @@ pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> Result<Strin
     }
 
     // --- Metadata -----------------------------------------------------------
-    let mut md_fields: Vec<(String, u32)> = Vec::new();
-    for (alg, instrs) in deployed_instrs(ir, plan) {
-        for (n, w) in metadata_fields(alg, &instrs) {
-            let name = format!("{}_{}", alg.name, n);
-            if !md_fields.iter().any(|(x, _)| x == &name) {
-                md_fields.push((name, w));
-            }
-        }
-    }
+    let md_fields = storage.fields();
     // Stored comparisons/logicals are encoded with subtract/min/xor
     // sequences (no compare ALU writes a boolean on RMT); they need two
     // wide scratch fields.
@@ -103,7 +100,7 @@ pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> Result<Strin
     });
     let _ = writeln!(out, "header_type lyra_metadata_t {{");
     let _ = writeln!(out, "    fields {{");
-    for (n, w) in &md_fields {
+    for (n, w) in md_fields {
         let _ = writeln!(out, "        {n} : {w};");
     }
     if need_scratch {
@@ -118,22 +115,11 @@ pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> Result<Strin
     let _ = writeln!(out, "metadata lyra_metadata_t md;");
 
     // --- Parser --------------------------------------------------------------
+    let hoisted = hoisted_sets(ir, plan, storage);
     if ir.parser_nodes.is_empty() {
         let _ = writeln!(out, "parser start {{");
-        for (alg_name, hoisted) in &plan.parser_sets {
-            if let Some(alg) = ir.algorithm(alg_name) {
-                let r = Render {
-                    alg,
-                    prefix: alg_name,
-                };
-                for &i in hoisted {
-                    let instr = alg.instr(i);
-                    if let (Some(d), IrOp::Assign(a)) = (instr.dst, &instr.op) {
-                        let _ =
-                            writeln!(out, "    set_metadata({}, {});", r.value(d), r.operand(a));
-                    }
-                }
-            }
+        for (d, v) in &hoisted {
+            let _ = writeln!(out, "    set_metadata({d}, {v});");
         }
         let _ = writeln!(out, "    return ingress;");
         let _ = writeln!(out, "}}");
@@ -149,24 +135,8 @@ pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> Result<Strin
                 let _ = writeln!(out, "    extract({e});");
             }
             if ni == 0 {
-                for (alg_name, hoisted) in &plan.parser_sets {
-                    if let Some(alg) = ir.algorithm(alg_name) {
-                        let r = Render {
-                            alg,
-                            prefix: alg_name,
-                        };
-                        for &i in hoisted {
-                            let instr = alg.instr(i);
-                            if let (Some(d), IrOp::Assign(a)) = (instr.dst, &instr.op) {
-                                let _ = writeln!(
-                                    out,
-                                    "    set_metadata({}, {});",
-                                    r.value(d),
-                                    r.operand(a)
-                                );
-                            }
-                        }
-                    }
+                for (d, v) in &hoisted {
+                    let _ = writeln!(out, "    set_metadata({d}, {v});");
                 }
             }
             match (&node.select, node.transitions.is_empty()) {
@@ -208,10 +178,7 @@ pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> Result<Strin
     let mut hash_of_instr: std::collections::BTreeMap<(String, u32), (String, u32)> =
         std::collections::BTreeMap::new();
     for (alg, instrs) in deployed_instrs(ir, plan) {
-        let r = Render {
-            alg,
-            prefix: &alg.name,
-        };
+        let r = storage.render(alg);
         for &i in &instrs {
             if let Some((name, args)) = crate::emit::is_hash_call(&alg.instr(i).op) {
                 let fl = format!("lyra_fl_{hash_idx}");
@@ -251,10 +218,7 @@ pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> Result<Strin
         let Some(alg) = ir.algorithm(&t.algorithm) else {
             continue;
         };
-        let r = Render {
-            alg,
-            prefix: &t.algorithm,
-        };
+        let r = storage.render(alg);
         // Actions. Extern-backed actions that mix a table op with plain
         // statements get a `*_miss` twin holding only the plain
         // statements — the IR executes those regardless of hit/miss, so
@@ -381,7 +345,7 @@ fn egress_tables(ir: &IrProgram, plan: &SwitchPlan) -> BTreeSet<String> {
 /// of a gate's predicate.
 fn table_reads(ir: &IrProgram, t: &SynthTable, r: &Render) -> Vec<(String, &'static str)> {
     match (&t.kind, t.pred) {
-        (TableKind::PredicateGate, Some(p)) => pred_source_fields(r.alg, p, r)
+        (TableKind::PredicateGate, Some(p)) => pred_source_fields(r.alg(), p, r)
             .into_iter()
             .map(|f| (f, "ternary"))
             .collect(),
@@ -425,7 +389,7 @@ fn emit_primitive(
     i: lyra_ir::InstrId,
     params: &[(String, u32)],
 ) {
-    let instr = r.alg.instr(i);
+    let instr = r.alg().instr(i);
     let dst = instr.dst.map(|d| r.value(d));
     match &instr.op {
         IrOp::Assign(a) => {

@@ -17,7 +17,7 @@ use lyra_lang::UnOp;
 use lyra_synth::SwitchPlan;
 
 use crate::emit::{
-    action_params, deployed_instrs, metadata_fields, table_keys, used_globals, Render,
+    action_params, bridge_fields, hoisted_sets, table_keys, used_globals, Render, Storage,
 };
 
 /// Render a comparison `a == b` of `width` bits, splitting it into
@@ -38,7 +38,7 @@ pub fn split_wide_compare(a: &str, b: &str, width: u32, max: u32) -> String {
 
 /// Emit the P4_16 program for one switch plan: every line after the
 /// header line, which `crate::emit` writes.
-pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> String {
+pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel, storage: &Storage) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "#include <core.p4>");
 
@@ -59,20 +59,12 @@ pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> String {
 
     // --- Metadata --------------------------------------------------------------
     let _ = writeln!(out, "struct metadata_t {{");
-    let mut any = false;
-    for (alg, instrs) in deployed_instrs(ir, plan) {
-        for (n, w) in metadata_fields(alg, &instrs) {
-            let _ = writeln!(out, "    bit<{w}> {}_{};", alg.name, n);
-            any = true;
-        }
+    let mut any = !storage.fields().is_empty();
+    for (n, w) in storage.fields() {
+        let _ = writeln!(out, "    bit<{w}> {n};");
     }
-    for cv in plan.carried_in.iter().chain(&plan.carried_out) {
-        let _ = writeln!(
-            out,
-            "    bit<{}> bridge_{};",
-            cv.width.max(1),
-            crate::emit::sanitize(&cv.name)
-        );
+    for (n, w) in bridge_fields(plan) {
+        let _ = writeln!(out, "    bit<{w}> bridge_{n};");
         any = true;
     }
     if !any {
@@ -87,27 +79,13 @@ pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> String {
     );
     // Parser-hoisted constant moves (§5.4): emitted as assignments in the
     // start state.
-    let mut hoisted_sets: Vec<(String, String)> = Vec::new();
-    for (alg_name, hoisted) in &plan.parser_sets {
-        if let Some(alg) = ir.algorithm(alg_name) {
-            let r = Render {
-                alg,
-                prefix: alg_name,
-            };
-            for &i in hoisted {
-                let instr = alg.instr(i);
-                if let (Some(d), IrOp::Assign(a)) = (instr.dst, &instr.op) {
-                    hoisted_sets.push((r.value(d), r.operand(a)));
-                }
-            }
-        }
-    }
+    let hoisted = hoisted_sets(ir, plan, storage);
     if ir.parser_nodes.is_empty() {
-        if hoisted_sets.is_empty() {
+        if hoisted.is_empty() {
             let _ = writeln!(out, "    state start {{ transition accept; }}");
         } else {
             let _ = writeln!(out, "    state start {{");
-            for (d, v) in &hoisted_sets {
+            for (d, v) in &hoisted {
                 let _ = writeln!(out, "        {d} = {v};");
             }
             let _ = writeln!(out, "        transition accept;");
@@ -125,7 +103,7 @@ pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> String {
                 let _ = writeln!(out, "        pkt.extract(hdr.{e});");
             }
             if ni == 0 {
-                for (d, v) in &hoisted_sets {
+                for (d, v) in &hoisted {
                     let _ = writeln!(out, "        {d} = {v};");
                 }
             }
@@ -167,10 +145,7 @@ pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> String {
         let Some(alg) = ir.algorithm(&t.algorithm) else {
             continue;
         };
-        let r = Render {
-            alg,
-            prefix: &t.algorithm,
-        };
+        let r = storage.render(alg);
         let mut action_names: Vec<String> = Vec::new();
         let params = action_params(ir, t);
         let plist: Vec<String> = params
@@ -232,10 +207,7 @@ pub fn emit(ir: &IrProgram, plan: &SwitchPlan, chip: &ChipModel) -> String {
         let Some(alg) = ir.algorithm(&t.algorithm) else {
             continue;
         };
-        let r = Render {
-            alg,
-            prefix: &t.algorithm,
-        };
+        let r = storage.render(alg);
         match t.pred {
             Some(p) => {
                 let plumbing = plumb.entry(t.algorithm.clone()).or_insert_with(|| {
@@ -266,7 +238,7 @@ fn emit_stmt(
     i: lyra_ir::InstrId,
     params: &[(String, u32)],
 ) {
-    let instr = r.alg.instr(i);
+    let instr = r.alg().instr(i);
     let dst = instr.dst.map(|d| r.value(d));
     match &instr.op {
         IrOp::Assign(a) => {

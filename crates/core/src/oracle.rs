@@ -12,7 +12,8 @@
 //! For every case the oracle compares three observable surfaces:
 //!
 //! 1. final values of every field the switch writes (header fields and
-//!    algorithm-prefixed metadata, under canonical `md.<alg>_<var>` names);
+//!    algorithm-prefixed metadata, named as the emitters name them, by
+//!    [`Storage`]);
 //! 2. final register-array contents;
 //! 3. the multiset of canonical effects (`drop`, `set_egress_port`, …).
 //!
@@ -25,7 +26,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use lyra_codegen::emit::{deployed_instrs, sanitize};
+use lyra_codegen::emit::{deployed_instrs, Storage};
 use lyra_codegen::oracle as cgo;
 use lyra_codegen::Artifact;
 use lyra_diag::{codes, Diagnostic};
@@ -134,21 +135,13 @@ impl Rng {
     }
 }
 
-/// Canonical name of an IR storage base in algorithm `alg`: header fields
-/// stay verbatim, locals get the emitted metadata spelling.
-fn canon_name(alg: &str, base: &str) -> String {
-    if base.contains('.') {
-        base.to_string()
-    } else {
-        format!("md.{alg}_{}", sanitize(base))
-    }
-}
-
 /// Everything the oracle needs to know about one switch's deployment.
 struct SwitchCtx<'a> {
     /// Algorithms and their deployed instruction subsets, in the order the
     /// emitters materialize them (alphabetical by algorithm).
     algs: Vec<(&'a IrAlgorithm, Vec<InstrId>)>,
+    /// The emitters' storage namespace: IR base → canonical field name.
+    storage: Storage<'a>,
     /// Canonical name → (algorithm index, base, width) of every
     /// read-before-write field: the case's free inputs.
     inputs: BTreeMap<String, (usize, String, u32)>,
@@ -191,6 +184,7 @@ fn sized(registers: &BTreeMap<String, (u32, u64)>) -> DataPlaneState {
 
 fn switch_ctx<'a>(out: &'a CompileOutput, plan: &'a SwitchPlan) -> SwitchCtx<'a> {
     let algs = deployed_instrs(&out.ir, plan);
+    let storage = Storage::new(&out.ir, plan);
     // Instructions with emitted storage for their result: everything inside
     // a synthesized action body or hoisted into the parser. Deployed
     // instructions outside this set (predicate plumbing) are realized as
@@ -223,11 +217,9 @@ fn switch_ctx<'a>(out: &'a CompileOutput, plan: &'a SwitchPlan) -> SwitchCtx<'a>
             for v in instr.pred.into_iter().chain(operands) {
                 let info = alg.value(v);
                 if !written.contains(info.base.as_str()) {
-                    inputs.entry(canon_name(&alg.name, &info.base)).or_insert((
-                        ai,
-                        info.base.clone(),
-                        info.width,
-                    ));
+                    inputs
+                        .entry(storage.name(&alg.name, &info.base))
+                        .or_insert((ai, info.base.clone(), info.width));
                 }
             }
             if let Some(d) = instr.dst {
@@ -235,7 +227,7 @@ fn switch_ctx<'a>(out: &'a CompileOutput, plan: &'a SwitchPlan) -> SwitchCtx<'a>
                 written.insert(info.base.as_str());
                 if mat.is_some_and(|m| m.contains(&id)) {
                     observables
-                        .entry(canon_name(&alg.name, &info.base))
+                        .entry(storage.name(&alg.name, &info.base))
                         .or_insert((ai, info.base.clone()));
                 }
             }
@@ -257,6 +249,7 @@ fn switch_ctx<'a>(out: &'a CompileOutput, plan: &'a SwitchPlan) -> SwitchCtx<'a>
     }
     SwitchCtx {
         algs,
+        storage,
         inputs,
         observables,
         extern_tables,
@@ -612,7 +605,7 @@ fn merge_ir_widths(ctx: &SwitchCtx, model: &mut cgo::ArtifactModel) {
                 if info.width > 0 {
                     model
                         .widths
-                        .entry(canon_name(&alg.name, &info.base))
+                        .entry(ctx.storage.name(&alg.name, &info.base))
                         .or_insert(info.width);
                 }
             }

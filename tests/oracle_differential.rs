@@ -363,3 +363,98 @@ fn reference_outcome_is_backend_independent() {
         }
     }
 }
+
+/// The metadata fields an artifact declares: P4₁₄'s `lyra_metadata_t`,
+/// P4₁₆'s `metadata_t` or NPL's bus, bridge fields left out.
+fn declared_metadata(code: &str) -> Vec<&str> {
+    let opener = [
+        "header_type lyra_metadata_t {",
+        "struct metadata_t {",
+        "bus lyra_bus {",
+    ];
+    let mut lines = code.lines().skip_while(|l| !opener.contains(l));
+    lines.next();
+    lines
+        .map(str::trim)
+        .take_while(|l| *l != "}")
+        .filter_map(|l| l.strip_suffix(';'))
+        .filter_map(|l| match l.split_once(" : ") {
+            Some((name, _)) => Some(name),
+            None => l.split_whitespace().last(),
+        })
+        .filter(|name| !name.starts_with("bridge_"))
+        .collect()
+}
+
+/// Every IR value a switch program stores gets a field of its own. The
+/// three programs each gave two values one field: a temporary `%t1` and a
+/// local `t1`; `a`'s local `b_c` and `a_b`'s local `c` (both `a_b_c`); an
+/// inlined `load_balancing$1$hash` and a local `load_balancing_1_hash`.
+/// Each backend then read the wrong value (`LYR0601`), and P4₁₆ and NPL
+/// declared `a_b_c` twice.
+#[test]
+fn storage_names_are_injective() {
+    let programs = [
+        (
+            "pipeline[P]{coll};
+             algorithm coll {
+                 bit[8] t0; bit[8] t1; bit[8] t2; bit[8] t3; bit[8] t4;
+                 t0 = ipv4.protocol; t1 = ipv4.protocol; t2 = ipv4.protocol;
+                 t3 = ipv4.protocol; t4 = ipv4.protocol;
+                 if (ipv4.ttl > 3) {
+                     ipv4.ttl = 1;
+                     ipv4.protocol = t0 + t1 + t2 + t3 + t4;
+                 }
+             }",
+            "coll: [ S1 | PER-SW | - ]",
+        ),
+        (
+            "pipeline[P]{a -> a_b};
+             algorithm a { bit[8] b_c; b_c = ipv4.ttl + 1; ipv4.protocol = b_c; }
+             algorithm a_b { bit[8] c; c = ipv4.ttl + 2; ipv4.ttl = c; }",
+            "a: [ S1 | PER-SW | - ]\na_b: [ S1 | PER-SW | - ]",
+        ),
+        (
+            "pipeline[LB]{lb};
+             algorithm lb {
+                 bit[32] load_balancing_1_hash;
+                 load_balancing_1_hash = ipv4.srcAddr + 7;
+                 load_balancing();
+                 ipv4.srcAddr = load_balancing_1_hash;
+             }
+             >FUNCTIONS:
+             func load_balancing() {
+                 bit[32] hash;
+                 hash = ipv4.dstAddr + 1;
+                 ipv4.dstAddr = hash;
+             }",
+            "lb: [ S1 | PER-SW | - ]",
+        ),
+    ];
+    let cfg = OracleConfig {
+        cases: 200,
+        ..OracleConfig::default()
+    };
+    for (program, scopes) in programs {
+        for asic in ASICS {
+            let out = Compiler::new()
+                .compile(&CompileRequest::new(program, scopes, single(asic)))
+                .unwrap_or_else(|e| panic!("{asic}: {e}\n{program}"));
+            let report = lyra::check_output(&out, &cfg);
+            assert!(report.is_clean(), "{asic}:\n{}", render_diags(&report));
+            for a in &out.artifacts {
+                let mut fields = declared_metadata(&a.code);
+                assert!(!fields.is_empty(), "{asic}: no metadata in\n{}", a.code);
+                fields.sort_unstable();
+                let n = fields.len();
+                fields.dedup();
+                assert_eq!(
+                    fields.len(),
+                    n,
+                    "{asic}: a field declared twice\n{}",
+                    a.code
+                );
+            }
+        }
+    }
+}
