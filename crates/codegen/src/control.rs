@@ -211,7 +211,7 @@ pub fn control_plane_stub(ir: &IrProgram, plan: &SwitchPlan, storage: &Storage) 
         // against its expected-state shadow and only walks the table key by
         // key when the 64-bit summaries disagree. The fold must match the
         // controller's FNV-1a over (key, value) little-endian words in key
-        // order — see `lyra::recovery::table_digest`.
+        // order — see `lyra_ir::ExternTable::digest`.
         let _ = writeln!(out, "def {table}_state_digest():");
         let _ = writeln!(
             out,
@@ -311,7 +311,7 @@ mod tests {
         // Heartbeat: the health monitor's probe hook rides the same tags.
         assert!(stub.contains("def lyra_health_probe():"));
         assert!(stub.contains("return (PLACEMENT_EPOCH, _STAGED_EPOCH, True)"));
-        // Anti-entropy: the digest fold mirrors recovery::table_digest.
+        // Anti-entropy: the digest fold mirrors ExternTable::digest.
         assert!(stub.contains("def vip_table_state_digest():"));
         assert!(stub.contains("h = 0xcbf29ce484222325"));
         assert!(stub.contains("_driver.table_dump(\"vip_table\""));

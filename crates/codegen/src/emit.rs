@@ -180,6 +180,11 @@ fn after_header(text: &str) -> &str {
     text.split_once('\n').map_or("", |(_, body)| body)
 }
 
+/// Metadata fields an emitter declares for itself rather than for an IR
+/// base: P4₁₄'s comparison scratch (`md.lyra_cmp_a`, `md.lyra_cmp_b`). No
+/// base's field takes either name.
+pub(crate) const SCRATCH_FIELDS: [&str; 2] = ["lyra_cmp_a", "lyra_cmp_b"];
+
 /// One switch program's storage namespace (§5.7): the field each IR base
 /// of each algorithm the plan hosts lives in, and the metadata fields it
 /// declares. Header fields keep their dotted name. A local `x` of
@@ -187,8 +192,8 @@ fn after_header(text: &str) -> &str {
 /// `f$1$y` → `alg_f_1_y`). The map is injective: when two bases claim one
 /// field, a user-written local beats a compiler-made name (one holding `%`
 /// or `$`), and otherwise the first algorithm in plan order (by name) wins;
-/// every other claimant takes the smallest `_<k>` suffix that no base
-/// claims.
+/// every other claimant — and any base claiming one of `SCRATCH_FIELDS` —
+/// takes the smallest `_<k>` suffix that nothing claims.
 pub struct Storage<'ir> {
     /// Algorithm → IR base → index into `fields`.
     index: BTreeMap<&'ir str, BTreeMap<&'ir str, usize>>,
@@ -233,10 +238,11 @@ impl<'ir> Storage<'ir> {
             claims.extend(named);
         }
         let made = |base: &str| base.contains(['%', '$']);
-        let mut owner: BTreeMap<&str, usize> = BTreeMap::new();
+        // The emitters' own scratch fields are claimed before any base.
+        let mut owner: BTreeMap<&str, usize> = SCRATCH_FIELDS.map(|n| (n, usize::MAX)).into();
         for (i, (name, base, _)) in claims.iter().enumerate() {
             let o = owner.entry(name).or_insert(i);
-            if made(claims[*o].1) && !made(base) {
+            if *o != usize::MAX && made(claims[*o].1) && !made(base) {
                 *o = i;
             }
         }

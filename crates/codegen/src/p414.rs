@@ -17,7 +17,7 @@ use lyra_synth::{SwitchPlan, SynthTable, TableKind};
 
 use crate::emit::{
     action_params, bridge_fields, deployed_instrs, hoisted_sets, table_keys, used_globals,
-    CodegenError, Render, Storage,
+    CodegenError, Render, Storage, SCRATCH_FIELDS,
 };
 
 /// Emit the P4_14 program for one switch plan: every line after the
@@ -104,8 +104,9 @@ pub fn emit(
         let _ = writeln!(out, "        {n} : {w};");
     }
     if need_scratch {
-        let _ = writeln!(out, "        lyra_cmp_a : 64;");
-        let _ = writeln!(out, "        lyra_cmp_b : 64;");
+        for n in SCRATCH_FIELDS {
+            let _ = writeln!(out, "        {n} : 64;");
+        }
     }
     if md_fields.is_empty() && !need_scratch {
         let _ = writeln!(out, "        _pad : 8;");

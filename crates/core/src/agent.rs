@@ -43,6 +43,14 @@ pub(crate) struct SwitchState {
     tokens: BTreeSet<u64>,
 }
 
+/// What a switch answers a state query with: the epoch it serves and the
+/// epoch it has staged, if any.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Held {
+    pub(crate) serving: u64,
+    pub(crate) staged: Option<u64>,
+}
+
 impl SwitchState {
     /// A fresh switch at `epoch` with globals sized from `output`. Clones
     /// share the zeroed arrays (copy-on-write), so a fleet of fresh
@@ -67,6 +75,14 @@ impl SwitchState {
     /// The staged-but-uncommitted epoch and its state, if any.
     pub(crate) fn staged(&self) -> Option<(u64, &DataPlaneState)> {
         self.staged.as_ref().map(|(e, dp)| (*e, dp))
+    }
+
+    /// What this switch holds, as a state query reports it.
+    pub(crate) fn held(&self) -> Held {
+        Held {
+            serving: self.epoch,
+            staged: self.staged.as_ref().map(|(e, _)| *e),
+        }
     }
 
     /// The prior epoch retained since a commit, and its state, if any.

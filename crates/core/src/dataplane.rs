@@ -20,7 +20,7 @@
 //! * [`replay_under_rollout`] — runs [`Runtime::apply_rollout`] *while*
 //!   worker threads push packets, then reports packet loss and mixed-epoch
 //!   exposure alongside the rollout report.
-//! * [`replay_under_recovery`] — the same harness around
+//! * [`replay_under_recovery`] — the same harness and outcome around
 //!   [`Runtime::recover`]: traffic keeps flowing through the mid-flight
 //!   remnants a crashed controller left behind while the restarted
 //!   controller drives them to all-commit or all-rollback.
@@ -60,7 +60,6 @@ use lyra_ir::{
 
 use crate::agent::SwitchState;
 use crate::channel::ControlChannel;
-use crate::recovery::RecoveryReport;
 use crate::rollout::{IntentStore, RolloutConfig, RolloutReport};
 use crate::runtime::{Runtime, RuntimeError};
 use crate::CompileOutput;
@@ -390,12 +389,13 @@ pub struct ReplayReport {
     pub pps: f64,
 }
 
-/// A replay and the rollout it ran under.
+/// A replay and the transaction it ran under.
 #[derive(Debug)]
 pub struct RolloutReplayOutcome {
     /// The traffic-side observations.
     pub replay: ReplayReport,
-    /// The control-side report from [`Runtime::apply_rollout`].
+    /// The control-side report from [`Runtime::apply_rollout`] or
+    /// [`Runtime::recover`].
     pub rollout: RolloutReport,
 }
 
@@ -744,23 +744,22 @@ pub fn replay_interpreted(rt: &Runtime<'_>, cfg: &ReplayConfig) -> ReplayReport 
 
 /// Run `control` — one transaction on `rt` toward `new_output` — while
 /// worker threads replay traffic through a live plane, and report the
-/// traffic side next to whatever `control` returned.
+/// traffic side next to the transaction's report.
 ///
 /// The current and next deployments are compiled against one unioned
 /// layout, so a worker's machine can execute either epoch, and the plane is
 /// built from the runtime as it stands, mid-flight remnants of a crashed
 /// rollout included. The plane is attached to the runtime for exactly the
 /// duration of `control`, so every flip the switch agents make is
-/// published to it; it is then re-aligned with whichever deployment
-/// `committed` says won, and the remaining traffic drains on that. When
+/// published to it; it is then re-aligned with whichever deployment the
+/// report says won, and the remaining traffic drains on that. When
 /// `control` fails, traffic stops and the error is returned.
-fn replay_under<'a, R>(
+pub(crate) fn replay_under<'a>(
     rt: &mut Runtime<'a>,
     new_output: &'a CompileOutput,
     replay_cfg: &ReplayConfig,
-    control: impl FnOnce(&mut Runtime<'a>) -> Result<R, RuntimeError>,
-    committed: impl Fn(&R) -> bool,
-) -> Result<(ReplayReport, R), RuntimeError> {
+    control: impl FnOnce(&mut Runtime<'a>) -> Result<RolloutReport, RuntimeError>,
+) -> Result<RolloutReplayOutcome, RuntimeError> {
     let built = Instant::now();
     let layout = Arc::new(ProgramLayout::unioned(&[&rt.output().ir, &new_output.ir]));
     let dep_cur = CompiledDeployment::with_layout(rt.output(), layout.clone());
@@ -773,12 +772,15 @@ fn replay_under<'a, R>(
         let result = control(rt);
         rt.plane = None;
         match &result {
-            Ok(report) => plane.align(rt, committed(report)),
+            Ok(report) => plane.align(rt, report.committed),
             Err(_) => stop.store(true, Ordering::Relaxed),
         }
         result
     });
-    Ok((replay, result?))
+    Ok(RolloutReplayOutcome {
+        replay,
+        rollout: result?,
+    })
 }
 
 /// Run [`Runtime::apply_rollout`] over `channel` while worker threads
@@ -794,23 +796,9 @@ pub fn replay_under_rollout<'a>(
     rollout_cfg: &RolloutConfig,
     replay_cfg: &ReplayConfig,
 ) -> Result<RolloutReplayOutcome, RuntimeError> {
-    let (replay, rollout) = replay_under(
-        rt,
-        new_output,
-        replay_cfg,
-        |rt| rt.apply_rollout(new_output, channel, rollout_cfg),
-        |report| report.committed,
-    )?;
-    Ok(RolloutReplayOutcome { replay, rollout })
-}
-
-/// A replay and the restart recovery it ran under.
-#[derive(Debug)]
-pub struct RecoveryReplayOutcome {
-    /// The traffic-side observations.
-    pub replay: ReplayReport,
-    /// The control-side report from [`Runtime::recover`].
-    pub recovery: RecoveryReport,
+    replay_under(rt, new_output, replay_cfg, |rt| {
+        rt.apply_rollout(new_output, channel, rollout_cfg)
+    })
 }
 
 /// Run [`Runtime::recover`] while worker threads replay traffic through
@@ -829,15 +817,10 @@ pub fn replay_under_recovery<'a>(
     channel: &mut dyn ControlChannel,
     rollout_cfg: &RolloutConfig,
     replay_cfg: &ReplayConfig,
-) -> Result<RecoveryReplayOutcome, RuntimeError> {
-    let (replay, recovery) = replay_under(
-        rt,
-        new_output,
-        replay_cfg,
-        |rt| rt.recover(new_output, store, channel, rollout_cfg),
-        |report| report.committed,
-    )?;
-    Ok(RecoveryReplayOutcome { replay, recovery })
+) -> Result<RolloutReplayOutcome, RuntimeError> {
+    replay_under(rt, new_output, replay_cfg, |rt| {
+        rt.recover(new_output, store, channel, rollout_cfg)
+    })
 }
 
 #[cfg(test)]
@@ -847,7 +830,7 @@ mod tests {
     use crate::channel::{
         ControlMsg, ControlOp, Delivery, EntryOp, LossyChannel, ReliableChannel, Rng,
     };
-    use crate::rollout::{CrashPlan, Journal, MemIntentStore, TokenSource, Txn};
+    use crate::rollout::{CrashPlan, Driver, MemIntentStore};
     use crate::{CompileRequest, Compiler, FaultSet};
     use lyra_topo::figure1_network;
 
@@ -1289,42 +1272,40 @@ mod tests {
             then: Delivery::Delivered,
         };
         let config = RolloutConfig::default();
-        let mut tx = Txn {
-            epoch: epoch0 + 1,
-            prior_epoch: epoch0,
-            targets: vec!["Agg3".into()],
+        let mut io = Driver {
             channel: &mut channel,
+            store: None,
+            crash: None,
             config: &config,
             rng: Rng::new(1),
-            journal: Journal::new(None, None),
-            tokens: TokenSource {
-                epoch: epoch0 + 1,
-                ..Default::default()
-            },
-            report: RolloutReport::default(),
+            clock: Instant::now(),
         };
-        let msg = |token, op| ControlMsg {
-            switch: "Agg3".into(),
-            epoch: epoch0 + 1,
-            token,
-            op,
+        let mut report = RolloutReport::default();
+        let mut send = |rt: &mut Runtime<'_>, report: &mut RolloutReport, token, op| {
+            let msg = ControlMsg {
+                switch: "Agg3".into(),
+                epoch: epoch0 + 1,
+                token,
+                op,
+            };
+            io.send(report, &mut rt.states, rt.plane.as_deref(), &msg, 1)
         };
         let staged = DataPlaneState::new();
-        assert!(rt.send(&mut tx, &msg(1, ControlOp::Prepare { staged }), 1));
+        assert!(send(&mut rt, &mut report, 1, ControlOp::Prepare { staged }).acked);
         assert_eq!(plane.serving_epoch("Agg3"), Some(epoch0), "prepare stages");
-        let commit = msg(2, ControlOp::Commit);
-        assert!(!rt.send(&mut tx, &commit, 1));
+        assert!(!send(&mut rt, &mut report, 2, ControlOp::Commit).acked);
         assert_eq!(
             plane.serving_epoch("Agg3"),
             Some(epoch0),
             "a drop flips nothing"
         );
-        assert!(rt.send(&mut tx, &commit, 1)); // delivered twice: token-idempotent
-        assert_eq!(tx.report.duplicates, 1);
+        // Delivered twice: token-idempotent.
+        assert!(send(&mut rt, &mut report, 2, ControlOp::Commit).acked);
+        assert_eq!(report.duplicates, 1);
         assert_eq!(plane.serving_epoch("Agg3"), Some(epoch0 + 1));
         assert_eq!(rt.switch_epoch("Agg3"), Some(epoch0 + 1));
         // Rollback restores the retained prior.
-        assert!(rt.send(&mut tx, &msg(3, ControlOp::Rollback), 1));
+        assert!(send(&mut rt, &mut report, 3, ControlOp::Rollback).acked);
         assert_eq!(plane.serving_epoch("Agg3"), Some(epoch0));
     }
 

@@ -33,10 +33,11 @@ use std::time::{Duration, Instant};
 
 use lyra_diag::codes;
 use lyra_diag::Diagnostic;
+use lyra_ir::DataPlaneState;
 use lyra_topo::FaultSet;
 
 use crate::channel::{ControlChannel, ControlMsg, ControlOp, Delivery, Rng};
-use crate::dataplane::{replay_compiled, replay_under_rollout, ReplayConfig, ReplayReport};
+use crate::dataplane::{replay_compiled, replay_under, ReplayConfig, ReplayReport};
 use crate::fault::FaultRecompile;
 use crate::rollout::{RolloutConfig, RolloutReport};
 use crate::runtime::Runtime;
@@ -1076,6 +1077,8 @@ pub fn run_selfheal(
             .with_seed(cfg.seed ^ salt)
     };
     let mut out = SelfHealOutcome::default();
+    // What switches declared dead held, until a remediation re-homes it.
+    let mut lost: Vec<(String, DataPlaneState)> = Vec::new();
 
     let mut rt = Runtime::new(&baseline);
     for (table, key, value) in entries {
@@ -1119,9 +1122,6 @@ pub fn run_selfheal(
             ..RemediationReport::default()
         };
         let faults = plan.fault_set();
-        // Ground truth before any state is torn down: entries held only by
-        // a dying switch must survive the remediation.
-        let pre_entries = rt.logical_entries();
         let rec = match compiler.recompile_for_faults(req, rt.output(), &faults) {
             Ok(rec) => slot.get_or_init(|| rec),
             Err(e) => {
@@ -1138,9 +1138,16 @@ pub fn run_selfheal(
         };
         out.recompiles += 1;
 
-        // The controller knows these switches are dead: their state goes
-        // with them.
-        rt.declare_faults(faults);
+        // The controller knows these switches are dead: their shards
+        // survive only as entries for the remediation rollout to re-home
+        // inside its transaction, and are kept until one commits. An entry
+        // the survivors cannot hold refuses the rollout (`LYR0560`) rather
+        // than vanishing.
+        for (sw, dp) in rt.declare_faults(faults) {
+            if !lost.iter().any(|(held, _)| *held == sw) {
+                lost.push((sw, dp));
+            }
+        }
 
         let rollout_cfg = cfg
             .rollout
@@ -1148,31 +1155,22 @@ pub fn run_selfheal(
             .with_scope_health(rec.scope_health.clone())
             .with_seed(cfg.seed ^ (round << 8));
         let rollout_res = if cfg.traffic_packets > 0 {
-            replay_under_rollout(
-                &mut rt,
-                &rec.output,
-                &mut chaos,
-                &rollout_cfg,
-                &replay_cfg(round),
-            )
+            replay_under(&mut rt, &rec.output, &replay_cfg(round), |rt| {
+                rt.stage(&rec.output, &lost, true, &mut chaos, &rollout_cfg, None)
+            })
             .map(|outcome| {
                 report.mixed_epoch_exposure = outcome.replay.mixed_epoch_exposure;
                 out.count_traffic(&outcome.replay);
                 outcome.rollout
             })
         } else {
-            rt.apply_rollout(&rec.output, &mut chaos, &rollout_cfg)
+            rt.stage(&rec.output, &lost, true, &mut chaos, &rollout_cfg, None)
         };
 
         match rollout_res {
             Ok(rollout) if rollout.committed => {
+                lost.clear();
                 monitor.observe_rollout(&rollout);
-                // Re-install the pre-remediation logical view onto the new
-                // placement (idempotent; entries that lost every holder are
-                // re-homed, the rest are no-ops).
-                for (table, key, value) in &pre_entries {
-                    let _ = rt.install(table, *key, *value);
-                }
                 report.audit_clean = rt.audit_switches().clean();
                 report.committed = true;
                 report.tick_healed = Some(tick);
@@ -1445,6 +1443,53 @@ mod tests {
         assert_eq!(probe(&mut ch, "Agg3"), Delivery::Dropped);
         assert_eq!(probe(&mut ch, "Agg3~ToR3"), Delivery::Dropped);
         assert_eq!(probe(&mut ch, "Agg4~ToR3"), Delivery::Delivered);
+    }
+
+    /// A remediation re-homes what a dead switch held inside its own
+    /// transaction. When the survivors cannot hold it — here Agg4's replica
+    /// drifted to a full shard without a key Agg3 held — the rollout is
+    /// refused and nothing changes: the entry cannot be installed after a
+    /// commit either, so a commit without it would drop it.
+    #[test]
+    fn a_dead_shard_the_survivors_cannot_absorb_refuses_the_remediation() {
+        let compiler = Compiler::new();
+        let req = lb_request();
+        let out = compiler.compile(&req).unwrap();
+        let mut rt = Runtime::new(&out);
+        let entries: Vec<(u64, u64)> = (0..1024).map(|k| (k, k + 1)).collect();
+        rt.install_many("conn_table", &entries).unwrap();
+        let table = || "conn_table".to_string();
+        rt.inject_drift(
+            "Agg4",
+            &crate::DriftOp::Remove {
+                table: table(),
+                key: 7,
+            },
+        )
+        .unwrap();
+        let extra = crate::DriftOp::Insert {
+            table: table(),
+            key: 5000,
+            value: 1,
+        };
+        rt.inject_drift("Agg4", &extra).unwrap();
+        let mut faults = FaultSet::new();
+        faults.add_switch("Agg3");
+        let rec = compiler.recompile_for_faults(&req, &out, &faults).unwrap();
+        let (epoch, agg4) = (rt.epoch(), rt.shard("Agg4", "conn_table").cloned());
+
+        let lost = rt.declare_faults(faults);
+        assert_eq!(lost.len(), 1, "Agg3's state outlives it as entries");
+        // The entry the survivors cannot hold.
+        assert!(rt.install("conn_table", 7, 8).is_err());
+        let config = RolloutConfig::default().with_scope_health(rec.scope_health.clone());
+        let mut channel = crate::ReliableChannel::new();
+        let err = rt
+            .stage(&rec.output, &lost, true, &mut channel, &config, None)
+            .unwrap_err();
+        assert_eq!(err.code, Some(codes::ROLLOUT_PREPARE_FAILED), "{err}");
+        assert!(rt.epochs_coherent() && rt.epoch() == epoch);
+        assert_eq!(rt.shard("Agg4", "conn_table").cloned(), agg4);
     }
 
     #[test]

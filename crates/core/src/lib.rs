@@ -78,8 +78,7 @@ pub use cache::{synth_key, SynthCache};
 pub use channel::{ControlChannel, ControlMsg, ControlOp, Delivery, LossyChannel, ReliableChannel};
 pub use dataplane::{
     replay_compiled, replay_interpreted, replay_under_recovery, replay_under_rollout,
-    CompiledDeployment, LiveTrafficPlane, RecoveryReplayOutcome, ReplayConfig, ReplayReport,
-    RolloutReplayOutcome,
+    CompiledDeployment, LiveTrafficPlane, ReplayConfig, ReplayReport, RolloutReplayOutcome,
 };
 pub use fault::{DriftFinding, DriftKind, DriftOp, FaultRecompile, PlacementDiff};
 pub use health::{
@@ -87,7 +86,7 @@ pub use health::{
     SelfHealConfig, SelfHealOutcome, Target, TargetStatus,
 };
 pub use oracle::{check_output, OracleConfig, OracleReport};
-pub use recovery::{AuditReport, RecoveryReport};
+pub use recovery::AuditReport;
 pub use rollout::{
     CrashPlan, CrashPoint, FileIntentStore, IntentRecord, IntentStore, MemIntentStore,
     RolloutConfig, RolloutReport, SwitchRollout,

@@ -7,18 +7,15 @@
 //! * **Restart recovery** ([`Runtime::recover`]): after a controller
 //!   crash mid-rollout (injected by a
 //!   [`CrashPlan`](crate::rollout::CrashPlan), `LYR0570`), the restarted
-//!   controller replays the write-ahead intent log, queries each switch's
-//!   epoch and staged state over the control channel
-//!   ([`ControlOp::Query`]), and drives the in-flight transaction to a
-//!   deterministic **all-commit** or **all-rollback** outcome. Commit is
+//!   controller replays the write-ahead intent log (`Txn::recovery`)
+//!   and runs the rollout's own transaction machine from its state queries
+//!   ([`ControlOp`](crate::ControlOp)`::Query`): the same commit round,
+//!   rollback round and conclusion, through the same driver. Commit is
 //!   driven only when the log proves it completable — a journaled commit
 //!   decision *and* every switch answering with the staged (or already
 //!   serving) epoch; anything less rolls back, reusing the journaled
 //!   idempotency tokens so re-driven messages are duplicate-safe across
-//!   the restart. From the state queries on, a recovery *is* a rollout
-//!   whose journal may already hold tokens: it builds the same
-//!   `Txn` and enters the same commit round, rollback round and
-//!   `Runtime::conclude` a live rollout ends in.
+//!   the restart.
 //! * **Anti-entropy** ([`Runtime::audit_switches`]): diffs
 //!   controller-expected [`DataPlaneState`](lyra_ir::DataPlaneState)
 //!   against switch-held state using per-table content digests,
@@ -32,47 +29,11 @@ use lyra_diag::{codes, Diagnostic};
 use lyra_ir::ExternTable;
 
 use crate::agent::settle;
-use crate::channel::{ControlChannel, ControlMsg, ControlOp, Rng};
+use crate::channel::{ControlChannel, Rng};
 use crate::fault::{DriftFinding, DriftKind, DriftOp};
-use crate::rollout::{
-    IntentRecord, IntentStore, Journal, RolloutConfig, RolloutReport, TokenSource, Txn,
-};
+use crate::rollout::{Driver, IntentRecord, IntentStore, RolloutConfig, RolloutReport, Txn};
 use crate::runtime::{Runtime, RuntimeError};
 use crate::CompileOutput;
-
-/// The outcome of one [`Runtime::recover`] pass.
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryReport {
-    /// The in-flight epoch the recovery drove (0 when nothing was in
-    /// flight).
-    pub epoch: u64,
-    /// The epoch a rollback restores (from the journal's `Begin` record).
-    pub prior_epoch: u64,
-    /// A crashed rollout was found (in the journal or on the switches).
-    pub in_flight: bool,
-    /// Recovery completed the commit: every switch serves [`Self::epoch`].
-    pub committed: bool,
-    /// Recovery rolled the in-flight epoch back everywhere (the epoch is
-    /// burned, never reused).
-    pub rolled_back: bool,
-    /// Journal records replayed.
-    pub replayed_records: usize,
-    /// Queries that exhausted their retry budget (each forces the
-    /// rollback outcome, `LYR0573`).
-    pub query_failures: u64,
-    /// Switches reverted out-of-band because even the recovery rollback
-    /// budget was exhausted (or the final sweep still found them serving
-    /// the abandoned epoch).
-    pub forced_rollbacks: u64,
-    /// Transmission attempts across queries and re-driven messages.
-    pub messages_sent: u64,
-    /// Retransmissions beyond the first attempt per logical message.
-    pub retries: u64,
-    /// Structured diagnostics (`LYR057x`), in occurrence order.
-    pub diagnostics: Vec<Diagnostic>,
-    /// End-to-end wall clock.
-    pub elapsed: Duration,
-}
 
 /// The outcome of one [`Runtime::audit_switches`] anti-entropy pass.
 #[derive(Debug, Clone, Default)]
@@ -109,14 +70,6 @@ impl AuditReport {
     }
 }
 
-/// FNV-1a content digest of one table shard — the cheap comparison the
-/// audit runs before diffing a table key by key. Delegates to
-/// [`ExternTable::digest`]; the generated control stubs'
-/// `<t>_state_digest()` mirrors the same fold.
-pub(crate) fn table_digest(entries: &ExternTable) -> u64 {
-    entries.digest()
-}
-
 impl<'a> Runtime<'a> {
     /// Restart recovery: replay the write-ahead intent log, query every
     /// switch's epoch state over `channel`, and drive any in-flight
@@ -135,196 +88,72 @@ impl<'a> Runtime<'a> {
     ///   the engine's 4x budget with out-of-band revert as the last
     ///   resort, exactly like a live rollout.
     ///
-    /// Controller-volatile knowledge is rebuilt rather than trusted: the
-    /// epoch allocator is restored past every journaled epoch, so burned
-    /// epochs stay burned across the restart. Calling `recover` when
-    /// nothing is in flight (or twice in a row) is a safe no-op.
-    ///
-    /// `new_output` is the compilation the crashed rollout was applying
-    /// (the restarted controller re-derives it; a commit outcome flips
-    /// the runtime to it, a rollback leaves the prior output serving).
+    /// The epoch allocator is restored past every journaled epoch, so burned
+    /// epochs stay burned across the restart. Calling `recover` when nothing
+    /// is in flight (or twice in a row) is a safe no-op. `new_output` is the
+    /// compilation the crashed rollout was applying; a commit serves it.
     pub fn recover(
         &mut self,
         new_output: &'a CompileOutput,
         store: &mut dyn IntentStore,
         channel: &mut dyn ControlChannel,
         config: &RolloutConfig,
-    ) -> Result<RecoveryReport, RuntimeError> {
+    ) -> Result<RolloutReport, RuntimeError> {
         let t0 = Instant::now();
         let records = store.load()?;
-        let mut report = RecoveryReport {
-            replayed_records: records.len(),
-            ..Default::default()
-        };
 
         // Burned epochs stay burned: restore the allocator past every
         // journaled epoch before anything else.
         let max_logged = records.iter().map(|r| r.epoch()).max().unwrap_or(0);
         self.epoch_counter = self.epoch_counter.max(max_logged);
 
-        // Replay the journal: the in-flight rollout is the last `Begin`
-        // without a matching `End`; collect its decision and tokens.
-        let mut inflight: Option<(u64, u64, Vec<String>)> = None;
-        let mut decision: Option<bool> = None;
-        let mut logged_tokens: Vec<(String, String, u64)> = Vec::new();
-        let mut max_seq = 0u64;
-        for rec in &records {
-            match rec {
-                IntentRecord::Begin {
-                    epoch,
-                    prior_epoch,
-                    targets,
-                } => {
-                    inflight = Some((*epoch, *prior_epoch, targets.clone()));
-                    decision = None;
-                    logged_tokens.clear();
-                    max_seq = 0;
-                }
-                // A record about any other rollout than the in-flight one.
-                _ if inflight.as_ref().is_none_or(|(e, ..)| *e != rec.epoch()) => {}
-                IntentRecord::Sent {
-                    switch, token, op, ..
-                } => {
-                    logged_tokens.push((switch.clone(), op.clone(), *token));
-                    // The sequence half of `(epoch << 32) | seq`.
-                    max_seq = max_seq.max(*token & 0xFFFF_FFFF);
-                }
-                IntentRecord::Decision { commit, .. } => decision = Some(*commit),
-                IntentRecord::End { .. } => inflight = None,
-            }
-        }
-
         // No journal evidence? The switches themselves may still hold an
         // in-flight rollout (a crash with no intent store attached): any
-        // staged or off-epoch state names the epoch to roll back. Commit
-        // is never driven without a journaled decision.
-        let from_log = inflight.is_some();
-        let (epoch, prior_epoch, targets) = match inflight {
-            Some(logged) => logged,
-            None => {
-                let stray = self.states.values().flat_map(|st| {
-                    let staged = st.staged().map(|(e, _)| e);
-                    [
-                        Some(st.epoch()).filter(|e| *e != self.epoch),
-                        staged.filter(|e| *e > self.epoch),
-                    ]
-                });
-                let Some(e) = stray.flatten().max() else {
-                    // Nothing in flight anywhere: drop any leftover tokens
-                    // and report the no-op.
-                    settle(&mut self.states, self.plane.as_deref(), None);
-                    report.elapsed = t0.elapsed();
-                    return Ok(report);
-                };
-                (e, self.epoch, self.states.keys().cloned().collect())
-            }
+        // staged or off-epoch state names the epoch to roll back, as a
+        // `Begin` record would. Commit is never driven without a journaled
+        // decision.
+        let stray = || {
+            let held = self.states.values().flat_map(|st| {
+                let staged = st.staged().map(|(e, _)| e);
+                [
+                    Some(st.epoch()).filter(|e| *e != self.epoch),
+                    staged.filter(|e| *e > self.epoch),
+                ]
+            });
+            Some(IntentRecord::Begin {
+                epoch: held.flatten().max()?,
+                prior_epoch: self.epoch,
+                targets: self.states.keys().cloned().collect(),
+            })
         };
-        self.epoch_counter = self.epoch_counter.max(epoch);
-        report.epoch = epoch;
-        report.prior_epoch = prior_epoch;
-        report.in_flight = true;
+        let attempts = config.max_attempts;
+        let tx = Txn::recovery(&records, attempts).or_else(|| Txn::recovery(&[stray()?], attempts));
+        let Some(tx) = tx else {
+            // Nothing in flight anywhere: drop any leftover tokens and
+            // report the no-op.
+            settle(&mut self.states, self.plane.as_deref(), None);
+            return Ok(RolloutReport {
+                replayed_records: records.len(),
+                elapsed: t0.elapsed(),
+                ..Default::default()
+            });
+        };
+        self.epoch_counter = self.epoch_counter.max(tx.epoch);
 
-        // From here on a recovery is a rollout whose journal may already
-        // hold tokens: the same transaction state, rounds and conclusion.
-        // Journaling stays write-ahead — a second crash must find the
-        // re-driven tokens too — and takes no crash plan of its own.
-        let mut tx = Txn {
-            epoch,
-            prior_epoch,
-            targets,
+        // From here on a recovery is the same transaction as a rollout,
+        // started at its state queries. Journaling stays write-ahead — a
+        // second crash must find the re-driven tokens too — and takes no
+        // crash plan.
+        let io = Driver {
             channel,
+            store: Some(store),
+            crash: None,
             config,
-            rng: Rng::new(config.seed ^ epoch.rotate_left(23) ^ 0x5eed_c0de),
-            journal: Journal::new(Some(store), None),
-            tokens: TokenSource {
-                epoch,
-                seq: max_seq,
-                logged: logged_tokens,
-            },
-            report: RolloutReport::default(),
+            rng: Rng::new(config.seed ^ tx.epoch.rotate_left(23) ^ 0x5eed_c0de),
+            clock: t0,
         };
-
-        // Query every target switch's epoch state over the channel. The
-        // commit is provably completable only if each one answers with the
-        // epoch staged or already serving.
-        let mut confirmed = true;
-        for sw in tx.targets.clone() {
-            // Whether the switch answered with the epoch staged or serving.
-            let mut holds_epoch = false;
-            if !self.states.contains_key(&sw) {
-                // The switch is gone (died after the crash); it cannot
-                // confirm anything, which forces the rollback outcome.
-                report.query_failures += 1;
-            } else {
-                let msg = ControlMsg {
-                    switch: sw.clone(),
-                    epoch,
-                    token: tx.tokens.mint()?,
-                    op: ControlOp::Query,
-                };
-                if self.send(&mut tx, &msg, config.max_attempts) {
-                    holds_epoch = self.states.get(&sw).is_some_and(|st| {
-                        st.epoch() == epoch || st.staged().is_some_and(|(e, _)| e == epoch)
-                    });
-                } else {
-                    report.query_failures += 1;
-                    report.diagnostics.push(Diagnostic::warning(
-                        codes::RECOVERY_QUERY_FAILED,
-                        format!(
-                            "switch `{sw}` did not answer the recovery state query within \
-                             {} attempts; its state is unknown, forcing rollback",
-                            config.max_attempts
-                        ),
-                    ));
-                }
-            }
-            confirmed &= holds_epoch;
-        }
-
-        // Deterministic outcome: commit only when a journaled decision
-        // says so and the switches confirm it — and, the commits re-driven,
-        // only if every target really flipped.
-        let commit_decided = from_log && decision == Some(true);
-        if commit_decided && confirmed && self.commit_round(&mut tx)?.is_none() {
-            self.output = new_output;
-            self.conclude(&mut tx, true)?;
-            report.committed = true;
-            report.diagnostics.push(Diagnostic::warning(
-                codes::RECOVERY_COMMITTED,
-                format!(
-                    "restart recovery completed the in-flight rollout: epoch {epoch} \
-                     committed on every switch"
-                ),
-            ));
-        } else {
-            self.rollback_round(&mut tx, "recovery rollback")?;
-            self.conclude(&mut tx, false)?;
-            report.rolled_back = true;
-            report.diagnostics.append(&mut tx.report.diagnostics);
-            report.diagnostics.push(
-                Diagnostic::warning(
-                    codes::RECOVERY_ROLLED_BACK,
-                    format!(
-                        "restart recovery rolled the in-flight rollout back; epoch \
-                         {prior_epoch} is serving on every switch"
-                    ),
-                )
-                .with_note("the burned epoch is never reused; retry allocates a fresh one"),
-            );
-            if commit_decided {
-                // The commit had been decided but could not be proven or
-                // completed — say why the conservative outcome won.
-                report.diagnostics.push(Diagnostic::warning(
-                    codes::RECOVERY_ROLLED_BACK,
-                    "a journaled commit decision could not be completed (unreachable or \
-                     unconfirmed switches); rolled back to preserve all-or-nothing"
-                        .to_string(),
-                ));
-            }
-        }
-        report.forced_rollbacks = tx.report.forced_rollbacks;
-        report.messages_sent = tx.report.messages_sent;
-        report.retries = tx.report.retries;
+        let mut report = self.drive(tx, io, new_output)?;
+        report.replayed_records = records.len();
         report.elapsed = t0.elapsed();
         Ok(report)
     }
@@ -374,7 +203,9 @@ impl<'a> Runtime<'a> {
                 let exp = exp_tables.and_then(|t| t.get(table)).unwrap_or(&empty);
                 let held = st.dp.externs.get(table).unwrap_or(&empty);
                 report.digests_compared += 1;
-                if table_digest(exp) == table_digest(held) {
+                // FNV-1a over (key, value) in key order; the generated
+                // control stubs' `<t>_state_digest()` mirrors the fold.
+                if exp.digest() == held.digest() {
                     continue;
                 }
                 // Digest mismatch: structural diff of the shard —
@@ -402,13 +233,9 @@ impl<'a> Runtime<'a> {
                 let shard = st.dp.externs.entry(table.clone()).or_default();
                 for (k, v) in repairs {
                     match v {
-                        Some(v) => {
-                            shard.insert(k, v);
-                        }
-                        None => {
-                            shard.remove(k);
-                        }
-                    }
+                        Some(v) => shard.insert(k, v),
+                        None => shard.remove(k),
+                    };
                     report.repaired += 1;
                 }
             }
@@ -458,29 +285,26 @@ impl<'a> Runtime<'a> {
             .get_mut(switch)
             .ok_or_else(|| RuntimeError::new(format!("unknown or failed switch `{switch}`")))?;
         match op {
-            DriftOp::Remove { table, key } => {
-                st.dp
-                    .externs
-                    .get_mut(table)
-                    .and_then(|t| t.remove(*key))
-                    .ok_or_else(|| {
-                        RuntimeError::new(format!(
-                            "switch `{switch}` holds no `{table}[{key}]` to remove"
-                        ))
-                    })?;
-            }
-            DriftOp::Corrupt { table, key, value } => {
+            DriftOp::Remove { table, key } | DriftOp::Corrupt { table, key, .. } => {
+                let what = if let DriftOp::Remove { .. } = op {
+                    "remove"
+                } else {
+                    "corrupt"
+                };
                 let shard = st
                     .dp
                     .externs
                     .get_mut(table)
-                    .filter(|t| t.contains_key(*key))
-                    .ok_or_else(|| {
-                        RuntimeError::new(format!(
-                            "switch `{switch}` holds no `{table}[{key}]` to corrupt"
-                        ))
-                    })?;
-                shard.insert(*key, *value);
+                    .filter(|t| t.contains_key(*key));
+                let shard = shard.ok_or_else(|| {
+                    RuntimeError::new(format!(
+                        "switch `{switch}` holds no `{table}[{key}]` to {what}"
+                    ))
+                })?;
+                match op {
+                    DriftOp::Corrupt { value, .. } => shard.insert(*key, *value),
+                    _ => shard.remove(*key),
+                };
             }
             DriftOp::Insert { table, key, value } => {
                 st.dp.install(table, *key, *value);

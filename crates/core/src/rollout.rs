@@ -33,21 +33,20 @@
 //! Epoch numbers are *burned* on rollback (never reused), so a stale
 //! message from an abandoned attempt can never corrupt a later one.
 //!
-//! This module is the *controller*: it decides what to send. What a switch
-//! does with a delivered message is `crate::agent`'s, the one per-switch
-//! state machine. The commit round, the rollback round and the conclusion
-//! (`Runtime::{commit_round, rollback_round, conclude}` over a `Txn`) are
-//! shared with restart recovery ([`crate::recovery`]) — a live rollout is
-//! a recovery whose journal offers no tokens to reuse.
-//!
-//! Failover re-sync ([`Runtime::fail_switch`] / [`Runtime::fail_link`])
-//! runs on the same engine and through the same staging function as a
-//! placement rollout: the next epoch is laid out from the shards the
-//! switches already serve — only entries some surviving path lost sight of
-//! are re-planned — and committed as a transaction, which gives re-sync
-//! retry and rollback semantics for free.
+//! The transaction is one plain-data `Txn`, advanced by one pure step that
+//! takes what the last action returned and names the next: journal a
+//! record, pass a crash boundary, send an op to a switch with a budget,
+//! revert a switch out-of-band, or conclude. `Runtime::drive` carries the
+//! actions out; it is the only code that touches the channel, the intent
+//! log, the crash plan, the clock and the switch agents (`crate::agent`,
+//! the one per-switch state machine). A placement rollout and a failover
+//! re-sync ([`Runtime::fail_switch`] / [`Runtime::fail_link`], staged from
+//! the shards the switches already serve) start the machine at its
+//! prepares; restart recovery ([`crate::recovery`]) starts it at its state
+//! queries, with the journaled tokens and decision. All of them report a
+//! [`RolloutReport`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -58,11 +57,12 @@ use lyra_diag::{codes, Diagnostic};
 use lyra_ir::{DataPlaneState, ExternTable};
 use lyra_topo::ScopeHealth;
 
-use crate::agent::{deliver, force_rollback, settle, SwitchState};
+use crate::agent::{deliver, force_rollback, settle, Held, SwitchState};
 use crate::channel::{
     ControlChannel, ControlMsg, ControlOp, Delivery, EntryOp, ReliableChannel, Rng,
 };
-use crate::runtime::{stage_layout, Runtime, RuntimeError, StagedLayout};
+use crate::dataplane::LiveTrafficPlane;
+use crate::runtime::{stage_layout, Runtime, RuntimeError};
 use crate::CompileOutput;
 
 /// Tuning knobs for one rollout: retry budget, backoff shape, jitter seed,
@@ -208,44 +208,35 @@ impl IntentRecord {
     /// Serialize as one JSON object — one line of the file-backed log.
     pub fn to_json(&self) -> Value {
         let mut o = Object::new();
+        let t = match self {
+            IntentRecord::Begin { .. } => "begin",
+            IntentRecord::Sent { .. } => "sent",
+            IntentRecord::Decision { .. } => "decision",
+            IntentRecord::End { .. } => "end",
+        };
+        o.push("t", Value::str(t));
+        o.push("epoch", Value::Number(self.epoch() as f64));
         match self {
             IntentRecord::Begin {
-                epoch,
                 prior_epoch,
                 targets,
+                ..
             } => {
-                o.push("t", Value::str("begin"));
-                o.push("epoch", Value::Number(*epoch as f64));
                 o.push("prior_epoch", Value::Number(*prior_epoch as f64));
-                o.push(
-                    "targets",
-                    Value::Array(targets.iter().map(|s| Value::str(s.clone())).collect()),
-                );
+                let targets = targets.iter().map(|s| Value::str(s.clone())).collect();
+                o.push("targets", Value::Array(targets));
             }
             IntentRecord::Sent {
-                epoch,
-                switch,
-                token,
-                op,
+                switch, token, op, ..
             } => {
-                o.push("t", Value::str("sent"));
-                o.push("epoch", Value::Number(*epoch as f64));
                 o.push("switch", Value::str(switch.clone()));
                 // A decimal string: tokens reach 2⁶⁴ − 1, and a JSON number
                 // (an f64) rounds every token above 2⁵³.
                 o.push("token", Value::String(token.to_string()));
                 o.push("op", Value::str(op.clone()));
             }
-            IntentRecord::Decision { epoch, commit } => {
-                o.push("t", Value::str("decision"));
-                o.push("epoch", Value::Number(*epoch as f64));
-                o.push("commit", Value::Bool(*commit));
-            }
-            IntentRecord::End { epoch, committed } => {
-                o.push("t", Value::str("end"));
-                o.push("epoch", Value::Number(*epoch as f64));
-                o.push("committed", Value::Bool(*committed));
-            }
+            IntentRecord::Decision { commit, .. } => o.push("commit", Value::Bool(*commit)),
+            IntentRecord::End { committed, .. } => o.push("committed", Value::Bool(*committed)),
         }
         Value::Object(o)
     }
@@ -528,111 +519,6 @@ impl CrashPlan {
     }
 }
 
-/// Controller-side journaling context for one rollout: the optional
-/// intent store, the crash plan, and the running message-intent count.
-pub(crate) struct Journal<'j> {
-    store: Option<&'j mut dyn IntentStore>,
-    crash: Option<CrashPlan>,
-    sends: u64,
-}
-
-impl<'j> Journal<'j> {
-    pub(crate) fn new(store: Option<&'j mut dyn IntentStore>, crash: Option<CrashPlan>) -> Self {
-        Journal {
-            store,
-            crash,
-            sends: 0,
-        }
-    }
-
-    fn append(&mut self, rec: IntentRecord) -> Result<(), RuntimeError> {
-        if let Some(store) = self.store.as_deref_mut() {
-            store.append(&rec)?;
-        }
-        Ok(())
-    }
-
-    fn crash_error() -> RuntimeError {
-        RuntimeError::new(
-            "controller crashed (injected by crash plan); the intent log and switch-held \
-             state are the only surviving record — run recovery"
-                .to_string(),
-        )
-        .with_code(codes::CONTROLLER_CRASHED)
-    }
-
-    /// Journal-free crash check at a named boundary.
-    fn boundary(&mut self, point: CrashPoint) -> Result<(), RuntimeError> {
-        if self.crash.as_ref().and_then(|c| c.at) == Some(point) {
-            return Err(Self::crash_error());
-        }
-        Ok(())
-    }
-
-    /// Journal the intent to send one message (write-ahead), then apply
-    /// the crash plan's send counter.
-    fn intent(&mut self, msg: &ControlMsg) -> Result<(), RuntimeError> {
-        self.append(IntentRecord::Sent {
-            epoch: msg.epoch,
-            switch: msg.switch.clone(),
-            token: msg.token,
-            op: msg.op.name().to_string(),
-        })?;
-        self.sends += 1;
-        if self.crash.as_ref().and_then(|c| c.after_sends) == Some(self.sends) {
-            return Err(Self::crash_error());
-        }
-        Ok(())
-    }
-}
-
-/// Where a transaction's idempotency tokens come from. A live rollout
-/// mints every one; restart recovery first offers the tokens the crashed
-/// controller journaled, so a message a switch applied before the crash
-/// is acknowledged without being re-applied, and mints past every
-/// journaled one otherwise, so a fresh token can never collide.
-#[derive(Default)]
-pub(crate) struct TokenSource {
-    pub(crate) epoch: u64,
-    /// The highest sequence number journaled or minted so far.
-    pub(crate) seq: u64,
-    /// `(switch, op name, token)` of every journaled message, oldest
-    /// first; the latest record for a message is the one to reuse.
-    pub(crate) logged: Vec<(String, String, u64)>,
-}
-
-impl TokenSource {
-    /// A token no message of this epoch has worn.
-    pub(crate) fn mint(&mut self) -> Result<u64, RuntimeError> {
-        self.seq += 1;
-        mint_token(self.epoch, self.seq)
-    }
-
-    fn reuse_or_mint(&mut self, switch: &str, op: &str) -> Result<u64, RuntimeError> {
-        let journaled = |(s, o, _): &&(String, String, u64)| s == switch && o == op;
-        match self.logged.iter().rev().find(journaled) {
-            Some(&(.., token)) => Ok(token),
-            None => self.mint(),
-        }
-    }
-}
-
-/// One transaction in flight, as its controller holds it — a live rollout
-/// or the restart recovery of one. `report` collects what the shared
-/// rounds observe: channel counters, commit timings, forced rollbacks.
-pub(crate) struct Txn<'t, 'j> {
-    pub(crate) epoch: u64,
-    /// The epoch a rollback restores.
-    pub(crate) prior_epoch: u64,
-    pub(crate) targets: Vec<String>,
-    pub(crate) channel: &'t mut dyn ControlChannel,
-    pub(crate) config: &'t RolloutConfig,
-    pub(crate) rng: Rng,
-    pub(crate) journal: Journal<'j>,
-    pub(crate) tokens: TokenSource,
-    pub(crate) report: RolloutReport,
-}
-
 /// What one switch experienced during a rollout.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SwitchRollout {
@@ -654,17 +540,22 @@ pub struct SwitchRollout {
     pub entries_modified: u64,
 }
 
-/// The outcome of one transactional rollout: exactly one of
+/// The outcome of one transaction — a live rollout, a failover re-sync, or
+/// a restart recovery ([`Runtime::recover`]): exactly one of
 /// [`RolloutReport::committed`] / [`RolloutReport::rolled_back`] is set
-/// (both false only for a no-op), plus per-switch phase timings and
-/// channel-level fault counters.
+/// (both false only when nothing was in flight), plus per-switch phase
+/// timings and channel-level fault counters.
 #[derive(Debug, Clone, Default)]
 pub struct RolloutReport {
-    /// The epoch this rollout tried to install (burned if rolled back).
+    /// The epoch this transaction tried to install (burned if rolled back;
+    /// 0 for a recovery that found nothing in flight).
     pub epoch: u64,
+    /// A transaction was driven to an outcome: false for a no-op, and for a
+    /// recovery that found no crashed rollout in the journal or switches.
+    pub in_flight: bool,
     /// Every switch flipped to the new epoch.
     pub committed: bool,
-    /// The rollout failed and every switch is back on the prior epoch.
+    /// The transaction failed and every switch is back on the prior epoch.
     pub rolled_back: bool,
     /// Switches reverted out-of-band because even the rollback message
     /// budget was exhausted (the last-resort path that preserves the
@@ -672,6 +563,11 @@ pub struct RolloutReport {
     /// them serving the abandoned epoch, which no fault schedule should
     /// produce.
     pub forced_rollbacks: u64,
+    /// Intent-log records a recovery replayed.
+    pub replayed_records: usize,
+    /// Recovery state queries that went unanswered, or found their switch
+    /// gone (each forces the rollback outcome, `LYR0573`).
+    pub query_failures: u64,
     /// Transmission attempts across all messages and phases.
     pub messages_sent: u64,
     /// Retransmissions (attempts beyond the first per logical message).
@@ -719,15 +615,6 @@ pub struct RolloutReport {
 }
 
 impl RolloutReport {
-    /// A rollout that had nothing to do (e.g. failing an already-failed
-    /// switch): no messages, no epoch change.
-    pub(crate) fn noop(epoch: u64) -> Self {
-        RolloutReport {
-            epoch,
-            ..Default::default()
-        }
-    }
-
     /// Switches that gained at least one entry — what a failover re-sync
     /// reports as "re-synced onto".
     pub fn resynced(&self) -> Vec<String> {
@@ -741,9 +628,8 @@ impl RolloutReport {
 
 /// One switch's diff between its serving state and a staged next epoch:
 /// the wire operations that turn the former into the latter, with adds,
-/// removes and value-only modifications counted separately (a value
-/// rewrite is neither an add nor a remove — conflating them under-counts
-/// churn and, worse, drops the entry from a delta entirely).
+/// removes and value-only modifications counted apart (conflating a value
+/// rewrite with either under-counts churn and drops it from the delta).
 #[derive(Debug, Clone, Default)]
 struct SwitchDelta {
     ops: Vec<EntryOp>,
@@ -764,31 +650,18 @@ fn entry_delta(current: &DataPlaneState, next: &DataPlaneState) -> SwitchDelta {
     for table in tables {
         let base = current.externs.get(table).unwrap_or(&empty);
         let target = next.externs.get(table).unwrap_or(&empty);
-        base.for_each_delta(target, |key, old, new| match (old, new) {
-            (None, Some(value)) => {
-                d.added += 1;
-                d.ops.push(EntryOp::Set {
-                    table: table.clone(),
-                    key,
-                    value,
-                });
+        base.for_each_delta(target, |key, old, new| {
+            match (old, new) {
+                (None, Some(_)) => d.added += 1,
+                (Some(_), Some(_)) => d.modified += 1,
+                (Some(_), None) => d.removed += 1,
+                (None, None) => return,
             }
-            (Some(_), Some(value)) => {
-                d.modified += 1;
-                d.ops.push(EntryOp::Set {
-                    table: table.clone(),
-                    key,
-                    value,
-                });
-            }
-            (Some(_), None) => {
-                d.removed += 1;
-                d.ops.push(EntryOp::Remove {
-                    table: table.clone(),
-                    key,
-                });
-            }
-            (None, None) => {}
+            let table = table.clone();
+            d.ops.push(match new {
+                Some(value) => EntryOp::Set { table, key, value },
+                None => EntryOp::Remove { table, key },
+            });
         });
     }
     d
@@ -800,39 +673,39 @@ fn entry_delta(current: &DataPlaneState, next: &DataPlaneState) -> SwitchDelta {
 /// granularity instead of one arbitrarily large frame per switch.
 const DELTA_BATCH_OPS: usize = 4096;
 
-/// Split one switch's delta into batched prepare operations. Batch 0
-/// carries the staged epoch's complete globals map — globals are replaced
-/// wholesale, not diffed, and the message shares the staged arrays rather
-/// than copying them. An empty delta still produces batch 0, so an
-/// untouched switch opens the staged epoch and takes part in the commit.
+/// Split one switch's delta into batched prepare operations, pushed onto
+/// `out` last batch first. Batch 0 carries the staged epoch's complete
+/// globals map — globals are replaced wholesale, not diffed, and the
+/// message shares the staged arrays rather than copying them. An empty
+/// delta still produces batch 0, so an untouched switch opens the staged
+/// epoch and takes part in the commit.
 fn delta_batches(
     base_epoch: u64,
-    delta: &SwitchDelta,
+    mut ops: Vec<EntryOp>,
     globals: &BTreeMap<String, Arc<Vec<u64>>>,
-) -> Vec<ControlOp> {
-    let batches_total = delta.ops.len().div_ceil(DELTA_BATCH_OPS).max(1) as u32;
-    let mut chunks = delta.ops.chunks(DELTA_BATCH_OPS);
-    (0..batches_total)
-        .map(|batch_index| ControlOp::PrepareDelta {
+    out: &mut Vec<ControlOp>,
+) {
+    let batches_total = ops.len().div_ceil(DELTA_BATCH_OPS).max(1) as u32;
+    for batch_index in (0..batches_total).rev() {
+        let (ops, globals) = match batch_index {
+            0 => (std::mem::take(&mut ops), globals.clone()),
+            i => (ops.split_off(i as usize * DELTA_BATCH_OPS), BTreeMap::new()),
+        };
+        out.push(ControlOp::PrepareDelta {
             base_epoch,
-            ops: chunks.next().unwrap_or_default().to_vec(),
-            globals: if batch_index == 0 {
-                globals.clone()
-            } else {
-                BTreeMap::new()
-            },
+            ops,
+            globals,
             batch_index,
             batches_total,
-        })
-        .collect()
+        });
+    }
 }
 
 /// Mint the idempotency token for message `seq` (1-based) of `epoch`:
 /// `(epoch << 32) | seq`. Each half gets a full 32 bits; overflowing
 /// either is a hard controller error (`LYR0590`) rather than a silent
-/// collision with another epoch's tokens — the failure mode of the old
-/// 20-bit split, where message 2²⁰+1 of epoch N wore the same token as
-/// message 1 of epoch N+1 and was swallowed as a duplicate.
+/// collision with another epoch's tokens, which a switch would swallow as
+/// a duplicate.
 pub(crate) fn mint_token(epoch: u64, seq: u64) -> Result<u64, RuntimeError> {
     if epoch > u64::from(u32::MAX) || seq > u64::from(u32::MAX) {
         return Err(RuntimeError::new(format!(
@@ -842,6 +715,545 @@ pub(crate) fn mint_token(epoch: u64, seq: u64) -> Result<u64, RuntimeError> {
         .with_code(codes::TOKEN_OVERFLOW));
     }
     Ok((epoch << 32) | seq)
+}
+
+// ---------------------------------------------------------------------------
+// The transaction machine
+// ---------------------------------------------------------------------------
+
+/// What one send came back with: acknowledged within its budget or not,
+/// after how many attempts, and the wall clock since the previous send
+/// ended (its journaling, retries and backoff included).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Sent {
+    pub(crate) acked: bool,
+    pub(crate) attempts: u32,
+    pub(crate) elapsed: Duration,
+}
+
+/// One thing a transaction asks of the world.
+#[derive(Debug)]
+pub(crate) enum Action {
+    /// Append a record to the intent log.
+    Journal(IntentRecord),
+    /// Pass a named boundary, where a crash plan may kill the controller.
+    Boundary(CrashPoint),
+    /// Send `msg` until it is acknowledged or `attempts` are spent.
+    Send { msg: ControlMsg, attempts: u32 },
+    /// Revert a switch out-of-band: even its rollback budget was spent.
+    Revert(String),
+    /// Settle every switch on the epoch that won, and serve it.
+    Conclude { committed: bool },
+}
+
+/// The round a transaction is in; each walks the targets in order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Round {
+    Prepare,
+    #[default]
+    Query,
+    Commit,
+    Rollback,
+    Done,
+}
+
+/// One target's next epoch as staged: the state a snapshot prepare carries,
+/// the diff a delta prepare carries, and whether the serving state may be
+/// that diff's base (not on a fresh or drift-repaired switch, nor under
+/// [`RolloutConfig::force_snapshot`]).
+#[derive(Debug, Default)]
+pub(crate) struct Staged {
+    pub(crate) state: DataPlaneState,
+    pub(crate) delta: Vec<EntryOp>,
+    pub(crate) trusted: bool,
+}
+
+/// One transaction as plain data — a live rollout, a failover re-sync or a
+/// restart recovery — advanced only by [`Txn::step`]. A live rollout starts
+/// at its prepares; a recovery at its state queries, with the tokens and
+/// the decision the crashed controller journaled. Both then run the same
+/// commit round, rollback round and conclusion.
+#[derive(Default)]
+pub(crate) struct Txn {
+    pub(crate) epoch: u64,
+    /// The epoch a rollback restores.
+    pub(crate) prior_epoch: u64,
+    pub(crate) targets: Vec<String>,
+    /// The round, and the target it is at.
+    round: Round,
+    at: usize,
+    /// Transmissions per message; a rollback message gets 4×.
+    attempts: u32,
+    /// Per target, what its prepares are built from (live only).
+    staged: Vec<Staged>,
+    /// The current target's prepare batches not yet sent, last first.
+    batches: Vec<ControlOp>,
+    /// Actions decided and not yet handed out; a send is always last.
+    queued: VecDeque<Action>,
+    /// Where idempotency tokens come from: the highest sequence number
+    /// journaled or minted so far, and `(switch, op name, token)` of every
+    /// message journaled before a crash, oldest first. A recovery re-drives
+    /// a journaled message with its latest token, so a switch that applied
+    /// it before the crash acknowledges without re-applying, and mints past
+    /// every journaled token otherwise, so a fresh one never collides.
+    seq: u64,
+    logged: Vec<(String, String, u64)>,
+    /// The decision a recovery found journaled: commit (`true`) or roll
+    /// back.
+    decision: Option<bool>,
+    /// No queried target failed to confirm the epoch.
+    confirmed: bool,
+    recovering: bool,
+    pub(crate) report: RolloutReport,
+}
+
+impl Txn {
+    /// A transaction from `prior_epoch` to `report.epoch`, at its queries.
+    fn new(prior_epoch: u64, targets: Vec<String>, attempts: u32, report: RolloutReport) -> Self {
+        Txn {
+            epoch: report.epoch,
+            prior_epoch,
+            targets,
+            attempts,
+            confirmed: true,
+            recovering: true,
+            report: RolloutReport {
+                in_flight: true,
+                ..report
+            },
+            ..Default::default()
+        }
+    }
+
+    /// A live rollout of `staged` (in target order) from `prior_epoch` to
+    /// `report.epoch`; `report` carries what staging measured.
+    pub(crate) fn rollout(
+        prior_epoch: u64,
+        targets: Vec<String>,
+        staged: Vec<Staged>,
+        attempts: u32,
+        report: RolloutReport,
+    ) -> Self {
+        let begin = IntentRecord::Begin {
+            epoch: report.epoch,
+            prior_epoch,
+            targets: targets.clone(),
+        };
+        let mut tx = Txn::new(prior_epoch, targets, attempts, report);
+        (tx.round, tx.staged, tx.recovering) = (Round::Prepare, staged, false);
+        tx.queued.reserve(4); // the longest run of actions one step queues
+        tx.queued.extend([
+            Action::Journal(begin),
+            Action::Boundary(CrashPoint::BeforePrepare),
+        ]);
+        tx
+    }
+
+    /// The restart recovery of the rollout `records` leave in flight — the
+    /// last `Begin` without a matching `End`; `None` when there is none. It
+    /// queries every target, then commits only if a journaled decision says
+    /// so and every target confirms, re-driving with the journaled tokens;
+    /// it rolls back otherwise.
+    pub(crate) fn recovery(records: &[IntentRecord], attempts: u32) -> Option<Txn> {
+        let mut open: Option<(u64, u64, &Vec<String>)> = None;
+        let (mut decision, mut seq, mut logged) = (None, 0, Vec::new());
+        for rec in records {
+            match rec {
+                IntentRecord::Begin {
+                    epoch,
+                    prior_epoch,
+                    targets,
+                } => {
+                    open = Some((*epoch, *prior_epoch, targets));
+                    (decision, seq) = (None, 0);
+                    logged.clear();
+                }
+                // A record about any other rollout than the in-flight one.
+                _ if open.is_none_or(|(epoch, ..)| epoch != rec.epoch()) => {}
+                IntentRecord::Sent {
+                    switch, token, op, ..
+                } => {
+                    logged.push((switch.clone(), op.clone(), *token));
+                    // The sequence half of `(epoch << 32) | seq`.
+                    seq = seq.max(*token & 0xFFFF_FFFF);
+                }
+                IntentRecord::Decision { commit, .. } => decision = Some(*commit),
+                IntentRecord::End { .. } => open = None,
+            }
+        }
+        let (epoch, prior_epoch, targets) = open?;
+        let report = RolloutReport {
+            epoch,
+            ..Default::default()
+        };
+        let mut tx = Txn::new(prior_epoch, targets.clone(), attempts, report);
+        (tx.seq, tx.logged, tx.decision) = (seq, logged, decision);
+        Some(tx)
+    }
+
+    /// Take what the last action returned — `Some` after a send — and
+    /// decide the next action; `None` once the transaction is over. `held`
+    /// reads what a target holds now (`None` once it is gone). `Err` only
+    /// when the token space is exhausted.
+    pub(crate) fn step(
+        &mut self,
+        observed: Option<Sent>,
+        held: impl Fn(&str) -> Option<Held>,
+    ) -> Result<Option<Action>, RuntimeError> {
+        if let Some(sent) = observed {
+            self.observe(sent, &held);
+        }
+        while self.queued.is_empty() && self.round != Round::Done {
+            self.advance(&held)?;
+        }
+        Ok(self.queued.pop_front())
+    }
+
+    /// Fold the outcome of the send the round made to its current target.
+    fn observe(&mut self, sent: Sent, held: &impl Fn(&str) -> Option<Held>) {
+        let (r, i, sw) = (&mut self.report, self.at, &self.targets[self.at]);
+        let retries = u64::from(sent.attempts.saturating_sub(1));
+        // A switch's own record counts its prepares and its commit.
+        if let (Round::Prepare | Round::Commit, Some(s)) = (self.round, r.switches.get_mut(i)) {
+            s.retries += retries;
+            match self.round {
+                Round::Prepare => s.prepare += sent.elapsed,
+                _ => s.commit = sent.elapsed,
+            }
+        }
+        match self.round {
+            Round::Prepare | Round::Commit if !sent.acked => return self.fail(i),
+            // A target's last prepare batch, or its commit, went through.
+            Round::Prepare | Round::Commit if !self.batches.is_empty() => return,
+            Round::Query if !sent.acked => {
+                r.query_failures += 1;
+                r.diagnostics.push(Diagnostic::warning(
+                    codes::RECOVERY_QUERY_FAILED,
+                    format!(
+                        "switch `{sw}` did not answer the recovery state query within {} \
+                         attempts; its state is unknown, forcing rollback",
+                        self.attempts
+                    ),
+                ));
+                self.confirmed = false;
+            }
+            Round::Query => {
+                let epoch = self.epoch;
+                let holds = |h: Held| h.serving == epoch || h.staged == Some(epoch);
+                self.confirmed &= held(sw).is_some_and(holds);
+            }
+            Round::Rollback if !sent.acked => {
+                let recovery = if self.recovering { "recovery " } else { "" };
+                r.forced_rollbacks += 1;
+                r.diagnostics.push(Diagnostic::warning(
+                    codes::ROLLOUT_CHANNEL_EXHAUSTED,
+                    format!(
+                        "{recovery}rollback of `{sw}` exhausted the control channel ({} \
+                         attempts); reverted out-of-band",
+                        self.attempts.saturating_mul(4)
+                    ),
+                ));
+                self.queued.push_back(Action::Revert(sw.clone()));
+            }
+            _ => {}
+        }
+        self.at += 1;
+    }
+
+    /// Queue what the round does next at its current target.
+    fn advance(&mut self, held: &impl Fn(&str) -> Option<Held>) -> Result<(), RuntimeError> {
+        let (epoch, i, n) = (self.epoch, self.at, self.targets.len());
+        let target = |i: usize| held(&self.targets[i]);
+        match self.round {
+            Round::Prepare if i < n => {
+                if self.batches.is_empty() {
+                    self.open_prepare(i, target(i));
+                }
+                match self.batches.pop() {
+                    Some(op) => self.send(op, self.attempts)?,
+                    None => self.at += 1,
+                }
+            }
+            Round::Prepare => {
+                let commit = IntentRecord::Decision {
+                    epoch,
+                    commit: true,
+                };
+                self.queued.extend([
+                    Action::Boundary(CrashPoint::AfterPrepare),
+                    Action::Journal(commit),
+                    Action::Boundary(CrashPoint::AfterCommitDecision),
+                ]);
+                (self.round, self.at) = (Round::Commit, 0);
+            }
+            // Read-only, so never journaled: a fresh token each time. A
+            // target gone since the crash cannot confirm anything.
+            Round::Query if i < n && target(i).is_none() => {
+                self.report.query_failures += 1;
+                self.confirmed = false;
+                self.at += 1;
+            }
+            Round::Query if i < n => {
+                let msg = ControlMsg {
+                    switch: self.targets[i].clone(),
+                    epoch,
+                    token: self.mint()?,
+                    op: ControlOp::Query,
+                };
+                let attempts = self.attempts;
+                self.queued.push_back(Action::Send { msg, attempts });
+            }
+            Round::Query if self.decision == Some(true) && self.confirmed => {
+                (self.round, self.at) = (Round::Commit, 0);
+            }
+            Round::Query => (self.round, self.at) = (Round::Rollback, 0),
+            // A target that flipped before a crash needs no commit.
+            Round::Commit if i < n && target(i).is_some_and(|h| h.serving == epoch) => {
+                self.at += 1;
+            }
+            Round::Commit if i < n => self.send(ControlOp::Commit, self.attempts)?,
+            // Every commit was acknowledged — but the acknowledgement of a
+            // reused token the switch recorded without ever staging flips
+            // nothing, so a target still off the epoch fails the round.
+            Round::Commit => {
+                match (0..n).find(|&i| target(i).is_some_and(|h| h.serving != epoch)) {
+                    Some(i) => self.fail(i),
+                    None => self.conclude(true),
+                }
+            }
+            Round::Rollback if i < n && target(i).is_none() => self.at += 1, // nothing to revert
+            Round::Rollback if i < n => {
+                self.send(ControlOp::Rollback, self.attempts.saturating_mul(4))?;
+            }
+            Round::Rollback => self.conclude(false),
+            Round::Done => {}
+        }
+        Ok(())
+    }
+
+    /// Lay out target `i`'s prepare batches: a delta against its serving
+    /// state, or a full snapshot when that state is not a base the
+    /// controller trusts — including when the switch is off the prior
+    /// epoch as its turn comes.
+    fn open_prepare(&mut self, i: usize, held: Option<Held>) {
+        let Some(staged) = self.staged.get_mut(i) else {
+            return;
+        };
+        if staged.trusted && held.is_some_and(|h| h.serving == self.prior_epoch) {
+            self.report.delta_prepares += 1;
+            let delta = std::mem::take(&mut staged.delta);
+            delta_batches(
+                self.prior_epoch,
+                delta,
+                &staged.state.globals,
+                &mut self.batches,
+            );
+        } else {
+            self.report.snapshot_prepares += 1;
+            let staged = std::mem::take(&mut staged.state);
+            self.batches.push(ControlOp::Prepare { staged });
+        }
+    }
+
+    /// A token no message of this epoch has worn.
+    fn mint(&mut self) -> Result<u64, RuntimeError> {
+        self.seq += 1;
+        mint_token(self.epoch, self.seq)
+    }
+
+    fn reuse_or_mint(&mut self, switch: &str, op: &str) -> Result<u64, RuntimeError> {
+        let journaled = |(s, o, _): &&(String, String, u64)| s == switch && o == op;
+        match self.logged.iter().rev().find(journaled) {
+            Some(&(.., token)) => Ok(token),
+            None => self.mint(),
+        }
+    }
+
+    /// Queue one protocol message to the current target, its intent
+    /// journaled first: write-ahead, so a crash after it finds the token.
+    fn send(&mut self, op: ControlOp, attempts: u32) -> Result<(), RuntimeError> {
+        let (epoch, switch) = (self.epoch, self.targets[self.at].clone());
+        let token = self.reuse_or_mint(&switch, op.name())?;
+        let intent = IntentRecord::Sent {
+            epoch,
+            switch: switch.clone(),
+            token,
+            op: op.name().to_string(),
+        };
+        let msg = ControlMsg {
+            switch,
+            epoch,
+            token,
+            op,
+        };
+        if msg.op.is_prepare() {
+            self.report.prepare_bytes += msg.wire_bytes() as u64;
+        }
+        self.queued
+            .extend([Action::Journal(intent), Action::Send { msg, attempts }]);
+        Ok(())
+    }
+
+    /// Target `i` did not take its prepare or commit: roll everything
+    /// back. A live rollout says why and journals the decision; a recovery
+    /// that cannot complete its commit rolls back without a record.
+    fn fail(&mut self, i: usize) {
+        let (sw, epoch, attempts) = (&self.targets[i], self.epoch, self.attempts);
+        let (code, message) = match self.round {
+            Round::Prepare => (
+                codes::ROLLOUT_PREPARE_FAILED,
+                format!(
+                    "switch `{sw}` failed to prepare epoch {epoch}: control channel exhausted \
+                     after {attempts} attempts"
+                ),
+            ),
+            _ => (
+                codes::ROLLOUT_COMMIT_TIMEOUT,
+                format!(
+                    "switch `{sw}` did not acknowledge commit of epoch {epoch} within \
+                     {attempts} attempts"
+                ),
+            ),
+        };
+        self.batches.clear();
+        (self.round, self.at) = (Round::Rollback, 0);
+        if !self.recovering {
+            let error = Diagnostic::error(code, message);
+            self.report.diagnostics.push(error);
+            let rollback = IntentRecord::Decision {
+                epoch,
+                commit: false,
+            };
+            self.queued.extend([
+                Action::Journal(rollback),
+                Action::Boundary(CrashPoint::AfterRollbackDecision),
+            ]);
+        }
+    }
+
+    /// The one outcome tail of live rollouts and recoveries alike.
+    fn conclude(&mut self, committed: bool) {
+        let (epoch, prior, r) = (self.epoch, self.prior_epoch, &mut self.report);
+        if committed && !self.recovering {
+            self.queued
+                .push_back(Action::Boundary(CrashPoint::BeforeFinalize));
+        } else if committed {
+            r.diagnostics.push(Diagnostic::warning(
+                codes::RECOVERY_COMMITTED,
+                format!(
+                    "restart recovery completed the in-flight rollout: epoch {epoch} committed \
+                     on every switch"
+                ),
+            ));
+        } else {
+            let (code, what) = match self.recovering {
+                true => (
+                    codes::RECOVERY_ROLLED_BACK,
+                    "restart recovery rolled the in-flight rollout back".to_string(),
+                ),
+                false => (
+                    codes::ROLLOUT_ROLLED_BACK,
+                    format!("rollout to epoch {epoch} rolled back"),
+                ),
+            };
+            let note = "the burned epoch is never reused; retry allocates a fresh one";
+            let message = format!("{what}; epoch {prior} is serving on every switch");
+            r.diagnostics
+                .push(Diagnostic::warning(code, message).with_note(note));
+            if self.recovering && self.decision == Some(true) {
+                // Say why the conservative outcome won.
+                r.diagnostics.push(Diagnostic::warning(
+                    codes::RECOVERY_ROLLED_BACK,
+                    "a journaled commit decision could not be completed (unreachable or \
+                     unconfirmed switches); rolled back to preserve all-or-nothing"
+                        .to_string(),
+                ));
+            }
+        }
+        (r.committed, r.rolled_back) = (committed, !committed);
+        let end = IntentRecord::End { epoch, committed };
+        self.queued
+            .extend([Action::Conclude { committed }, Action::Journal(end)]);
+        self.round = Round::Done;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The driver
+// ---------------------------------------------------------------------------
+
+/// The I/O half of one transaction: the channel, the intent store, the
+/// crash plan and the backoff clock. [`Runtime::drive`] carries out what a
+/// [`Txn`] asks through it, on the switch agents.
+pub(crate) struct Driver<'c, 's> {
+    pub(crate) channel: &'c mut dyn ControlChannel,
+    pub(crate) store: Option<&'s mut dyn IntentStore>,
+    pub(crate) crash: Option<CrashPlan>,
+    pub(crate) config: &'c RolloutConfig,
+    /// Backoff jitter.
+    pub(crate) rng: Rng,
+    /// When the previous send ended: one clock read per send.
+    pub(crate) clock: Instant,
+}
+
+impl Driver<'_, '_> {
+    /// Transmit one logical message with bounded retry, exponential backoff
+    /// and jitter, handing every delivery (including duplicates and drained
+    /// late replays) to the switch agents, and counting what the channel
+    /// did with each attempt in `report`.
+    pub(crate) fn send(
+        &mut self,
+        report: &mut RolloutReport,
+        states: &mut BTreeMap<String, SwitchState>,
+        plane: Option<&LiveTrafficPlane>,
+        msg: &ControlMsg,
+        attempts: u32,
+    ) -> Sent {
+        let mut sent = Sent::default();
+        while !sent.acked && sent.attempts < attempts.max(1) {
+            if sent.attempts > 0 {
+                report.retries += 1;
+                std::thread::sleep(backoff(self.config, sent.attempts, &mut self.rng));
+            }
+            // Reordered copies of earlier messages may arrive at any time;
+            // deliver the due ones first. Their acks go nowhere.
+            for late in self.channel.drain_late() {
+                deliver(states, plane, &late);
+            }
+            sent.attempts += 1;
+            report.messages_sent += 1;
+            let fate = self.channel.transmit(msg);
+            match fate {
+                Delivery::Dropped => report.dropped += 1,
+                // The switch applied it; the sender cannot know. The retry
+                // will be acknowledged as a duplicate by the token guard.
+                Delivery::AckLost => report.ack_lost += 1,
+                Delivery::Duplicated => report.duplicates += 1,
+                Delivery::Delivered => {}
+            }
+            if fate != Delivery::Dropped {
+                deliver(states, plane, msg);
+            }
+            if fate == Delivery::Duplicated {
+                deliver(states, plane, msg); // the duplicate: a token-guarded no-op
+            }
+            sent.acked = matches!(fate, Delivery::Delivered | Delivery::Duplicated);
+        }
+        let now = Instant::now();
+        sent.elapsed = now - std::mem::replace(&mut self.clock, now);
+        sent
+    }
+}
+
+/// Exponential backoff for retry `attempt` (≥ 1), with seeded jitter of up
+/// to +50% so racing rollouts do not retry in lockstep.
+fn backoff(config: &RolloutConfig, attempt: u32, rng: &mut Rng) -> Duration {
+    let factor = 1u32.checked_shl(attempt - 1).unwrap_or(u32::MAX);
+    let base = config
+        .base_backoff
+        .saturating_mul(factor)
+        .min(config.max_backoff);
+    base.mul_f64(1.0 + 0.5 * rng.next_f64())
 }
 
 impl<'a> Runtime<'a> {
@@ -866,7 +1278,7 @@ impl<'a> Runtime<'a> {
         channel: &mut dyn ControlChannel,
         config: &RolloutConfig,
     ) -> Result<RolloutReport, RuntimeError> {
-        self.rollout_inner(new_output, channel, config, None)
+        self.stage(new_output, &[], true, channel, config, None)
     }
 
     /// Like [`Runtime::apply_rollout`], but with a durable write-ahead
@@ -884,60 +1296,43 @@ impl<'a> Runtime<'a> {
         config: &RolloutConfig,
         store: &mut dyn IntentStore,
     ) -> Result<RolloutReport, RuntimeError> {
-        self.rollout_inner(new_output, channel, config, Some(store))
+        self.stage(new_output, &[], true, channel, config, Some(store))
     }
 
-    fn rollout_inner(
+    /// The one path behind [`Runtime::apply_rollout`], the failover
+    /// re-syncs and self-healing: lay out the next epoch under `output`
+    /// from the shards the switches already serve ([`stage_layout`]; `lost`
+    /// holds switches that died, whose shards survive only as entries to
+    /// re-home), diff it against what each switch serves, and drive it as a
+    /// live [`Txn`]. The report's clock starts here. A `placement` rollout
+    /// is gated on the config's scope health and resets global registers; a
+    /// re-sync under the serving placement carries them over.
+    pub(crate) fn stage(
         &mut self,
-        new_output: &'a CompileOutput,
+        output: &'a CompileOutput,
+        lost: &[(String, DataPlaneState)],
+        placement: bool,
         channel: &mut dyn ControlChannel,
         config: &RolloutConfig,
         store: Option<&mut dyn IntentStore>,
     ) -> Result<RolloutReport, RuntimeError> {
-        if let Some((alg, h)) = config.scope_health.iter().find(|(_, h)| !h.survivable()) {
+        let gate = config.scope_health.iter().find(|(_, h)| !h.survivable());
+        if let Some((alg, h)) = gate.filter(|_| placement) {
             return Err(RuntimeError::new(format!(
                 "rollout gated: the scope of `{alg}` is not survivable ({h:?}) — \
                  traffic could not traverse the new placement"
             ))
             .with_code(codes::ROLLOUT_GATED));
         }
-        let report = self.stage(new_output, None, true, channel, config, store)?;
-        if report.committed {
-            self.output = new_output;
-        }
-        Ok(report)
-    }
-
-    /// The one staging path behind [`Runtime::apply_rollout`],
-    /// [`Runtime::fail_switch`] and [`Runtime::fail_link`]: lay out the
-    /// next epoch under `output` and the current fault set from the shards
-    /// the switches already serve ([`stage_layout`] — `lost` is a switch
-    /// that just died, whose shards survive only as entries to re-home),
-    /// then run the result through the two-phase transaction. Staging sends
-    /// nothing and changes no switch; the rollout's clock starts here, so
-    /// the report accounts for it.
-    ///
-    /// A placement rollout resets global registers (`reset_globals`); a
-    /// failover re-sync under the serving placement carries them over —
-    /// the program did not change — and keeps no intent log.
-    fn stage(
-        &mut self,
-        output: &'a CompileOutput,
-        lost: Option<(&str, &DataPlaneState)>,
-        reset_globals: bool,
-        channel: &mut dyn ControlChannel,
-        config: &RolloutConfig,
-        store: Option<&mut dyn IntentStore>,
-    ) -> Result<RolloutReport, RuntimeError> {
         let t0 = Instant::now();
-        let staged = stage_layout(output, &self.faults, &self.states, lost, reset_globals)
-            .map_err(|e| {
+        let layout =
+            stage_layout(output, &self.faults, &self.states, lost, placement).map_err(|e| {
                 RuntimeError::new(format!("prepare validation failed: {}", e.message))
                     .with_code(codes::ROLLOUT_PREPARE_FAILED)
             })?;
         // A switch the placement adds gets a live (empty) state first, at
         // the current epoch, so it participates in the transaction.
-        for sw in staged.states.keys() {
+        for sw in layout.states.keys() {
             if !self.states.contains_key(sw) {
                 self.states
                     .insert(sw.clone(), SwitchState::fresh(output, self.epoch));
@@ -946,9 +1341,53 @@ impl<'a> Runtime<'a> {
                 self.needs_snapshot.insert(sw.clone());
             }
         }
-        let mut report = self.two_phase(staged, t0, channel, config, store)?;
-        // Read the clock once the staged states are released, so the
-        // report covers the whole call.
+        // Allocate the next epoch. Rolled-back epochs are burned: the
+        // counter never rewinds, so message epochs are unique per attempt.
+        self.epoch_counter += 1;
+        let epoch = self.epoch_counter;
+        let mut report = RolloutReport {
+            epoch,
+            entries_planned: layout.entries_planned,
+            keys_walked: layout.keys_walked,
+            ..Default::default()
+        };
+        // One structural diff per switch drives both the report counters
+        // and the delta prepares — O(pages + changed entries) per switch,
+        // because the staged states share pages with the serving ones.
+        let n = layout.states.len();
+        let (mut targets, mut staged) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let empty = DataPlaneState::default();
+        for (switch, state) in layout.states {
+            let d = entry_delta(self.states.get(&switch).map_or(&empty, |st| &st.dp), &state);
+            let trusted = !config.force_snapshot && !self.needs_snapshot.contains(&switch);
+            report.switches.push(SwitchRollout {
+                switch: switch.clone(),
+                entries_added: d.added,
+                entries_removed: d.removed,
+                entries_modified: d.modified,
+                ..Default::default()
+            });
+            let delta = d.ops;
+            staged.push(Staged {
+                state,
+                delta,
+                trusted,
+            });
+            targets.push(switch);
+        }
+        let staged_at = Instant::now();
+        report.stage = staged_at - t0;
+        let attempts = config.max_attempts;
+        let tx = Txn::rollout(self.epoch, targets, staged, attempts, report);
+        let io = Driver {
+            channel,
+            store,
+            crash: config.crash.clone(),
+            config,
+            rng: Rng::new(config.seed ^ epoch.rotate_left(17)),
+            clock: staged_at,
+        };
+        let mut report = self.drive(tx, io, output)?;
         report.elapsed = t0.elapsed();
         Ok(report)
     }
@@ -965,13 +1404,15 @@ impl<'a> Runtime<'a> {
     ) -> Result<RolloutReport, RuntimeError> {
         self.known_switch(switch)?;
         if self.faults.switch_failed(switch) {
-            return Ok(RolloutReport::noop(self.epoch));
+            return Ok(RolloutReport {
+                epoch: self.epoch,
+                ..Default::default()
+            });
         }
         // The dead switch's shards outlive it only as entries to re-home.
-        let lost = self.states.remove(switch);
+        let lost = Vec::from_iter(self.states.remove(switch).map(|st| (switch.into(), st.dp)));
         self.faults.add_switch(switch);
-        let lost = lost.as_ref().map(|st| (switch, &st.dp));
-        self.stage(self.output, lost, false, channel, config, None)
+        self.stage(self.output, &lost, false, channel, config, None)
     }
 
     /// Fail a switch at runtime: its shards are lost, paths through it
@@ -980,13 +1421,9 @@ impl<'a> Runtime<'a> {
     /// rollout engine). Returns the switches that received re-synced
     /// entries; failing an already-failed switch is a no-op.
     pub fn fail_switch(&mut self, switch: &str) -> Result<Vec<String>, RuntimeError> {
-        let report = self.fail_switch_with_channel(
-            switch,
-            &mut ReliableChannel::new(),
-            &RolloutConfig::default(),
-        )?;
-        self.require_converged(&report, &format!("re-sync after `{switch}` failed"))?;
-        Ok(report.resynced())
+        let config = RolloutConfig::default();
+        let report = self.fail_switch_with_channel(switch, &mut ReliableChannel::new(), &config);
+        self.converged(report?, &format!("re-sync after `{switch}` failed"))
     }
 
     /// Fail the link `a — b` and transactionally re-plan entry coverage
@@ -1002,49 +1439,43 @@ impl<'a> Runtime<'a> {
         self.known_switch(a)?;
         self.known_switch(b)?;
         if self.faults.link_failed(a, b) {
-            return Ok(RolloutReport::noop(self.epoch));
+            return Ok(RolloutReport {
+                epoch: self.epoch,
+                ..Default::default()
+            });
         }
         self.faults.add_link(a, b);
-        self.stage(self.output, None, false, channel, config, None)
+        self.stage(self.output, &[], false, channel, config, None)
     }
 
     /// Fail a link at runtime (reliable channel); see
     /// [`Runtime::fail_switch`] for the transaction semantics.
     pub fn fail_link(&mut self, a: &str, b: &str) -> Result<Vec<String>, RuntimeError> {
-        let report = self.fail_link_with_channel(
-            a,
-            b,
-            &mut ReliableChannel::new(),
-            &RolloutConfig::default(),
-        )?;
-        self.require_converged(&report, &format!("re-sync after link `{a}` — `{b}` failed"))?;
-        Ok(report.resynced())
+        let config = RolloutConfig::default();
+        let report = self.fail_link_with_channel(a, b, &mut ReliableChannel::new(), &config);
+        self.converged(report?, &format!("re-sync after link `{a}` — `{b}` failed"))
     }
 
     fn known_switch(&self, switch: &str) -> Result<(), RuntimeError> {
-        let known = self.states.contains_key(switch)
+        let paths = self.output.flow_paths.values().flatten();
+        if self.states.contains_key(switch)
             || self.output.placement.switches.contains_key(switch)
-            || self
-                .output
-                .flow_paths
-                .values()
-                .flatten()
-                .any(|p| p.iter().any(|s| s == switch));
-        if known {
-            Ok(())
-        } else {
-            // Same stable code the fault model uses when a `FaultSet` names
-            // an element outside the topology — the self-healer calls the
-            // `fail_*` entry points repeatedly and matches on this.
-            Err(RuntimeError::new(format!("unknown switch `{switch}`"))
-                .with_code(codes::SCOPE_UNKNOWN_SWITCH))
+            || paths.flatten().any(|s| s == switch)
+        {
+            return Ok(());
         }
+        // Same stable code the fault model uses when a `FaultSet` names an
+        // element outside the topology — the self-healer calls the `fail_*`
+        // entry points repeatedly and matches on this.
+        Err(RuntimeError::new(format!("unknown switch `{switch}`"))
+            .with_code(codes::SCOPE_UNKNOWN_SWITCH))
     }
 
-    /// The reliable-channel wrappers promise convergence; surface a
-    /// rollback (impossible over [`ReliableChannel`], but the type system
-    /// cannot know that) as an error rather than losing it.
-    fn require_converged(&self, report: &RolloutReport, what: &str) -> Result<(), RuntimeError> {
+    /// The switches a re-sync moved entries onto. The reliable-channel
+    /// wrappers promise convergence; surface a rollback (impossible over
+    /// [`ReliableChannel`], but the type system cannot know that) as an
+    /// error rather than losing it.
+    fn converged(&self, report: RolloutReport, what: &str) -> Result<Vec<String>, RuntimeError> {
         if report.rolled_back {
             return Err(RuntimeError::new(format!(
                 "{what} rolled back; the prior epoch {} is still serving",
@@ -1052,344 +1483,81 @@ impl<'a> Runtime<'a> {
             ))
             .with_code(codes::ROLLOUT_ROLLED_BACK));
         }
-        Ok(())
+        Ok(report.resynced())
     }
 
-    /// The transaction core: prepare every target switch, then commit them
-    /// all, rolling everything back on any exhausted message budget. A
-    /// channel failure *is* a result here, reported through
-    /// [`RolloutReport::rolled_back`]; `Err` means the *controller* died
-    /// — an injected crash (`LYR0570`) or an intent-store fault
-    /// (`LYR0577`) — leaving switches and journal mid-flight for
-    /// [`Runtime::recover`], which re-enters the same commit round,
-    /// rollback round and [`Runtime::conclude`] this ends in.
-    fn two_phase(
+    /// The one driver: carry out what [`Txn::step`] asks — through `io`, on
+    /// the switch agents — and feed back what came of it, until the
+    /// transaction is over; then refresh the controller's shadow of
+    /// switch-held state (what `audit_switches` diffs against). A channel
+    /// failure *is* a result, reported through [`RolloutReport::rolled_back`];
+    /// `Err` means the *controller* died — an injected crash (`LYR0570`), an
+    /// intent-store fault (`LYR0577`) or an exhausted token space
+    /// (`LYR0590`) — leaving switches and journal for [`Runtime::recover`].
+    pub(crate) fn drive(
         &mut self,
-        staged: StagedLayout,
-        t0: Instant,
-        channel: &mut dyn ControlChannel,
-        config: &RolloutConfig,
-        store: Option<&mut dyn IntentStore>,
+        mut tx: Txn,
+        mut io: Driver<'_, '_>,
+        next: &'a CompileOutput,
     ) -> Result<RolloutReport, RuntimeError> {
-        let StagedLayout {
-            states: staged,
-            entries_planned,
-            keys_walked,
-        } = staged;
-        // Allocate the next epoch. Rolled-back epochs are burned: the
-        // counter never rewinds, so message epochs are unique per attempt.
-        self.epoch_counter += 1;
-        let epoch = self.epoch_counter;
-        let mut tx = Txn {
-            epoch,
-            prior_epoch: self.epoch,
-            targets: staged.keys().cloned().collect(),
-            channel,
-            config,
-            rng: Rng::new(config.seed ^ epoch.rotate_left(17)),
-            journal: Journal::new(store, config.crash.clone()),
-            tokens: TokenSource {
-                epoch,
-                ..Default::default()
-            },
-            report: RolloutReport {
-                epoch,
-                entries_planned,
-                keys_walked,
-                ..Default::default()
-            },
+        let (mut observed, mut sends) = (None, 0);
+        let crash = io.crash.take().unwrap_or_default();
+        let crashed = || {
+            let what = "controller crashed (injected by crash plan); the intent log and \
+                        switch-held state are the only surviving record — run recovery";
+            RuntimeError::new(what.to_string()).with_code(codes::CONTROLLER_CRASHED)
         };
-        // One structural diff per switch drives both the report counters
-        // and the delta prepares — O(pages + changed entries) per switch,
-        // because the staged states share pages with the serving ones.
-        let empty_dp = DataPlaneState::default();
-        let mut deltas: Vec<SwitchDelta> = Vec::with_capacity(staged.len());
-        for (sw, next) in &staged {
-            let current = self.states.get(sw).map(|st| &st.dp).unwrap_or(&empty_dp);
-            let d = entry_delta(current, next);
-            tx.report.switches.push(SwitchRollout {
-                switch: sw.clone(),
-                entries_added: d.added,
-                entries_removed: d.removed,
-                entries_modified: d.modified,
-                ..Default::default()
-            });
-            deltas.push(d);
-        }
-
-        tx.journal.append(IntentRecord::Begin {
-            epoch,
-            prior_epoch: self.epoch,
-            targets: tx.targets.clone(),
-        })?;
-        tx.journal.boundary(CrashPoint::BeforePrepare)?;
-
-        tx.report.stage = t0.elapsed();
-        let mut failure: Option<(lyra_diag::Code, String)> = None;
-        // --- Phase 1: prepare -------------------------------------------
-        // Delta by default: each switch receives only the batched entry
-        // operations that turn its serving state into the staged epoch.
-        // A switch whose retained base the controller cannot trust —
-        // fresh under this placement, or repaired after drift — falls
-        // back to a full-snapshot prepare.
-        for (i, (sw, dp)) in staged.iter().enumerate() {
-            let snapshot = config.force_snapshot
-                || self.needs_snapshot.contains(sw)
-                || self
-                    .states
-                    .get(sw)
-                    .is_none_or(|st| st.epoch() != self.epoch);
-            let batches: Vec<ControlOp> = if snapshot {
-                tx.report.snapshot_prepares += 1;
-                vec![ControlOp::Prepare { staged: dp.clone() }]
-            } else {
-                tx.report.delta_prepares += 1;
-                delta_batches(self.epoch, &deltas[i], &dp.globals)
+        loop {
+            let states = &self.states;
+            let held = |sw: &str| states.get(sw).map(SwitchState::held);
+            let Some(action) = tx.step(observed.take(), held)? else {
+                self.refresh_expected();
+                return Ok(tx.report);
             };
-            let t = Instant::now();
-            let before = tx.report.retries;
-            // Batches are sent strictly in order, each acknowledged before
-            // the next: batch 0 opens the staged epoch, later ones append
-            // to it.
-            let mut acked = true;
-            for op in batches {
-                acked = self.drive(&mut tx, sw, op, config.max_attempts)?;
-                if !acked {
-                    break;
+            match action {
+                Action::Journal(record) => {
+                    if let Some(store) = io.store.as_deref_mut() {
+                        store.append(&record)?;
+                    }
+                    // `CrashPlan::after_sends(n)` fires right after the n-th
+                    // message intent is journaled.
+                    sends += u64::from(matches!(record, IntentRecord::Sent { .. }));
+                    if crash.after_sends == Some(sends) {
+                        return Err(crashed());
+                    }
                 }
-            }
-            tx.report.switches[i].prepare = t.elapsed();
-            tx.report.switches[i].retries += tx.report.retries - before;
-            if !acked {
-                failure = Some((
-                    codes::ROLLOUT_PREPARE_FAILED,
-                    format!(
-                        "switch `{sw}` failed to prepare epoch {epoch}: control channel \
-                         exhausted after {} attempts",
-                        config.max_attempts
-                    ),
-                ));
-                break;
-            }
-        }
-        // --- Phase 2: commit --------------------------------------------
-        if failure.is_none() {
-            tx.journal.boundary(CrashPoint::AfterPrepare)?;
-            tx.journal.append(IntentRecord::Decision {
-                epoch,
-                commit: true,
-            })?;
-            tx.journal.boundary(CrashPoint::AfterCommitDecision)?;
-            failure = self.commit_round(&mut tx)?.map(|sw| {
-                (
-                    codes::ROLLOUT_COMMIT_TIMEOUT,
-                    format!(
-                        "switch `{sw}` did not acknowledge commit of epoch {epoch} \
-                         within {} attempts",
-                        config.max_attempts
-                    ),
-                )
-            });
-        }
-
-        match failure {
-            None => {
-                tx.journal.boundary(CrashPoint::BeforeFinalize)?;
-                // Committed switches now hold exactly the state the
-                // controller staged — deltas are trustworthy again.
-                for sw in &tx.targets {
-                    self.needs_snapshot.remove(sw);
+                Action::Boundary(point) if crash.at == Some(point) => return Err(crashed()),
+                Action::Boundary(_) => {}
+                Action::Send { msg, attempts } => {
+                    let (report, plane) = (&mut tx.report, self.plane.as_deref());
+                    observed = Some(io.send(report, &mut self.states, plane, &msg, attempts));
                 }
-                self.conclude(&mut tx, true)?;
-                tx.report.committed = true;
-            }
-            Some((code, message)) => {
-                tx.report.diagnostics.push(Diagnostic::error(code, message));
-                tx.journal.append(IntentRecord::Decision {
-                    epoch,
-                    commit: false,
-                })?;
-                tx.journal.boundary(CrashPoint::AfterRollbackDecision)?;
-                self.rollback_round(&mut tx, "rollback")?;
-                self.conclude(&mut tx, false)?;
-                tx.report.rolled_back = true;
-                tx.report.diagnostics.push(
-                    Diagnostic::warning(
-                        codes::ROLLOUT_ROLLED_BACK,
-                        format!(
-                            "rollout to epoch {epoch} rolled back; epoch {} is serving \
-                             on every switch",
-                            self.epoch
-                        ),
-                    )
-                    .with_note("the burned epoch is never reused; retry allocates a fresh one"),
-                );
-            }
-        }
-        Ok(tx.report)
-    }
-
-    /// Journal, then send, one protocol message of `tx` to `switch`.
-    /// Returns whether it was acknowledged within `attempts`.
-    fn drive(
-        &mut self,
-        tx: &mut Txn<'_, '_>,
-        switch: &str,
-        op: ControlOp,
-        attempts: u32,
-    ) -> Result<bool, RuntimeError> {
-        let msg = ControlMsg {
-            switch: switch.to_string(),
-            epoch: tx.epoch,
-            token: tx.tokens.reuse_or_mint(switch, op.name())?,
-            op,
-        };
-        if msg.op.is_prepare() {
-            tx.report.prepare_bytes += msg.wire_bytes() as u64;
-        }
-        // Write-ahead, even while recovering: a crash after this point
-        // must find the token.
-        tx.journal.intent(&msg)?;
-        Ok(self.send(tx, &msg, attempts))
-    }
-
-    /// The commit round: flip every target not already serving `tx.epoch`.
-    /// Returns the first target that did not take the commit — no
-    /// acknowledgement, or the acknowledgement of a reused token the switch
-    /// had recorded without ever staging — which the caller must answer
-    /// with [`Runtime::rollback_round`].
-    pub(crate) fn commit_round(
-        &mut self,
-        tx: &mut Txn<'_, '_>,
-    ) -> Result<Option<String>, RuntimeError> {
-        let epoch = tx.epoch;
-        let attempts = tx.config.max_attempts;
-        for (i, sw) in tx.targets.clone().iter().enumerate() {
-            if self.states.get(sw).is_some_and(|st| st.epoch() == epoch) {
-                continue; // already flipped before a crash
-            }
-            let t = Instant::now();
-            let before = tx.report.retries;
-            let sent = self.drive(tx, sw, ControlOp::Commit, attempts)?;
-            if let Some(s) = tx.report.switches.get_mut(i) {
-                s.commit = t.elapsed();
-                s.retries += tx.report.retries - before;
-            }
-            if !sent {
-                return Ok(Some(sw.clone()));
-            }
-        }
-        let off_epoch = |sw: &&String| self.states.get(*sw).is_some_and(|st| st.epoch() != epoch);
-        Ok(tx.targets.iter().find(off_epoch).cloned())
-    }
-
-    /// The rollback round: revert every live target, switches that already
-    /// committed included (they retained the prior epoch for exactly
-    /// this). Rollback messages get a 4× budget; a switch that exhausts
-    /// even that is reverted out-of-band rather than left on a mixed
-    /// deployment. `what` names the caller's rollback in the warning.
-    pub(crate) fn rollback_round(
-        &mut self,
-        tx: &mut Txn<'_, '_>,
-        what: &str,
-    ) -> Result<(), RuntimeError> {
-        let budget = tx.config.max_attempts.saturating_mul(4);
-        for sw in tx.targets.clone() {
-            if !self.states.contains_key(&sw) {
-                continue; // gone: nothing to revert
-            }
-            if !self.drive(tx, &sw, ControlOp::Rollback, budget)? {
-                force_rollback(&mut self.states, self.plane.as_deref(), &sw, tx.epoch);
-                tx.report.forced_rollbacks += 1;
-                tx.report.diagnostics.push(Diagnostic::warning(
-                    codes::ROLLOUT_CHANNEL_EXHAUSTED,
-                    format!(
-                        "{what} of `{sw}` exhausted the control channel ({budget} attempts); \
-                         reverted out-of-band"
-                    ),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// End a transaction either way: settle every switch agent, serve the
-    /// epoch that won, journal the `End` record, and refresh the
-    /// controller's shadow of switch-held state (what `audit_switches`
-    /// diffs against) from the settled switches.
-    pub(crate) fn conclude(
-        &mut self,
-        tx: &mut Txn<'_, '_>,
-        committed: bool,
-    ) -> Result<(), RuntimeError> {
-        let abandoned = (!committed).then_some(tx.epoch);
-        tx.report.forced_rollbacks += settle(&mut self.states, self.plane.as_deref(), abandoned);
-        self.epoch = if committed { tx.epoch } else { tx.prior_epoch };
-        debug_assert!(
-            self.states.values().all(|st| st.epoch() == self.epoch),
-            "a settled deployment serves one epoch"
-        );
-        tx.journal.append(IntentRecord::End {
-            epoch: tx.epoch,
-            committed,
-        })?;
-        self.refresh_expected();
-        Ok(())
-    }
-
-    /// Transmit one logical message with bounded retry, exponential backoff
-    /// and jitter, handing every delivery (including duplicates and drained
-    /// late replays) to the switch agents. Returns whether an
-    /// acknowledgement was obtained within the budget.
-    pub(crate) fn send(&mut self, tx: &mut Txn<'_, '_>, msg: &ControlMsg, attempts: u32) -> bool {
-        let plane = self.plane.as_deref();
-        let report = &mut tx.report;
-        for attempt in 0..attempts.max(1) {
-            if attempt > 0 {
-                report.retries += 1;
-                std::thread::sleep(backoff(tx.config, attempt, &mut tx.rng));
-            }
-            // Reordered copies of earlier messages may arrive at any time;
-            // deliver the due ones first. Their acks go nowhere.
-            for late in tx.channel.drain_late() {
-                deliver(&mut self.states, plane, &late);
-            }
-            report.messages_sent += 1;
-            match tx.channel.transmit(msg) {
-                Delivery::Delivered => {
-                    deliver(&mut self.states, plane, msg);
-                    return true;
+                Action::Revert(sw) => {
+                    force_rollback(&mut self.states, self.plane.as_deref(), &sw, tx.epoch);
                 }
-                Delivery::Duplicated => {
-                    report.duplicates += 1;
-                    deliver(&mut self.states, plane, msg);
-                    deliver(&mut self.states, plane, msg); // the duplicate: a token-guarded no-op
-                    return true;
-                }
-                Delivery::AckLost => {
-                    // The switch applied it; the sender cannot know. The retry
-                    // will be acknowledged as a duplicate by the token guard.
-                    report.ack_lost += 1;
-                    deliver(&mut self.states, plane, msg);
-                }
-                Delivery::Dropped => {
-                    report.dropped += 1;
+                Action::Conclude { committed } => {
+                    let abandoned = (!committed).then_some(tx.epoch);
+                    tx.report.forced_rollbacks +=
+                        settle(&mut self.states, self.plane.as_deref(), abandoned);
+                    if committed {
+                        self.epoch = tx.epoch;
+                        self.output = next;
+                        // The committed switches hold exactly what the
+                        // controller staged: deltas are trustworthy again.
+                        for sw in &tx.targets {
+                            self.needs_snapshot.remove(sw);
+                        }
+                    } else {
+                        self.epoch = tx.prior_epoch;
+                    }
+                    debug_assert!(
+                        self.states.values().all(|st| st.epoch() == self.epoch),
+                        "a settled deployment serves one epoch"
+                    );
                 }
             }
         }
-        false
     }
-}
-
-/// Exponential backoff for retry `attempt` (≥ 1), with seeded jitter of up
-/// to +50% so racing rollouts do not retry in lockstep.
-fn backoff(config: &RolloutConfig, attempt: u32, rng: &mut Rng) -> Duration {
-    let factor = 1u32.checked_shl(attempt - 1).unwrap_or(u32::MAX);
-    let base = config
-        .base_backoff
-        .saturating_mul(factor)
-        .min(config.max_backoff);
-    base.mul_f64(1.0 + 0.5 * rng.next_f64())
 }
 
 #[cfg(test)]
@@ -1927,5 +2095,288 @@ mod tests {
         let epoch = rt.epoch();
         assert!(rt.fail_link("Agg4", "ToR4").unwrap().is_empty());
         assert_eq!(rt.epoch(), epoch);
+    }
+}
+
+/// The transaction machine on its own: every schedule of step outcomes for
+/// a three-target transaction, driven through [`Txn::step`] with no
+/// `Runtime`, no channel and no compile — the switch agents stand in for
+/// the fleet. A live rollout (target A prepares in two delta batches, B in
+/// one, C with a snapshot) runs each send to one of three outcomes —
+/// acknowledged, spent undelivered, spent delivered with every ack lost —
+/// and may crash at every boundary and after every journaled send; each
+/// crash is then recovered from its journal under every schedule of query
+/// (answered or spent) and message outcomes, with every fleet intact and
+/// with one target dead since the crash (release builds kill each target
+/// in turn, debug builds the last).
+#[cfg(test)]
+mod step_walk {
+    use super::*;
+
+    const ATTEMPTS: u32 = 2;
+    /// Targets that may have died between the crash and the recovery.
+    const DEAD: &[Option<&str>] = if cfg!(debug_assertions) {
+        &[None, Some("C")]
+    } else {
+        &[None, Some("A"), Some("B"), Some("C")]
+    };
+    const TARGETS: [&str; 3] = ["A", "B", "C"];
+    /// Prepare batches per target: A's delta spans two batches.
+    const BATCHES: [u32; 3] = [2, 1, 1];
+
+    /// A depth-first walk of a tree of choices by replay: each run picks
+    /// the recorded choice at every point, the first alternative past the
+    /// end of the record, and the next run is the odometer successor.
+    #[derive(Default)]
+    struct Script {
+        steps: Vec<(u8, u8)>,
+        at: usize,
+    }
+
+    impl Script {
+        fn pick(&mut self, arity: u8) -> u8 {
+            if self.at == self.steps.len() {
+                self.steps.push((0, arity));
+            }
+            self.at += 1;
+            self.steps[self.at - 1].0
+        }
+
+        /// Move to the next schedule; false once the walk is complete.
+        fn advance(&mut self) -> bool {
+            self.steps.truncate(std::mem::take(&mut self.at));
+            while let Some((choice, arity)) = self.steps.last_mut() {
+                if *choice + 1 < *arity {
+                    *choice += 1;
+                    return true;
+                }
+                self.steps.pop();
+            }
+            false
+        }
+    }
+
+    fn fleet() -> BTreeMap<String, SwitchState> {
+        let at_epoch_1 = |sw: &str| {
+            let mut st = SwitchState::default();
+            st.reset_epoch(1);
+            (sw.to_string(), st)
+        };
+        TARGETS.into_iter().map(at_epoch_1).collect()
+    }
+
+    fn live() -> Txn {
+        let delta = |n: u64| {
+            let remove = |key| EntryOp::Remove {
+                table: String::new(),
+                key,
+            };
+            (0..n).map(remove).collect()
+        };
+        let staged =
+            [(DELTA_BATCH_OPS as u64 + 1, true), (0, true), (0, false)].map(|(n, trusted)| {
+                Staged {
+                    delta: delta(n),
+                    trusted,
+                    ..Default::default()
+                }
+            });
+        let report = RolloutReport {
+            epoch: 2,
+            switches: vec![SwitchRollout::default(); TARGETS.len()],
+            ..Default::default()
+        };
+        let targets = TARGETS.map(String::from).to_vec();
+        Txn::rollout(1, targets, staged.into(), ATTEMPTS, report)
+    }
+
+    /// What the rules need to know of the run so far.
+    #[derive(Default)]
+    struct Rules {
+        /// Recovering with this journaled decision.
+        recovering: Option<Option<bool>>,
+        /// Prepare batches acknowledged, per target.
+        prepared: [u32; 3],
+        /// Targets whose state query confirmed the epoch.
+        confirmed: [bool; 3],
+        /// The last send to each target: its op and whether it was acked.
+        last: [Option<(&'static str, bool)>; 3],
+        spent_rollbacks: u64,
+        reverts: u64,
+    }
+
+    impl Rules {
+        /// A commit — sent, or concluded without a send — only after every
+        /// prepare batch was acknowledged; when recovering, only on a
+        /// journaled commit that every target confirmed.
+        fn may_commit(&self) {
+            match self.recovering {
+                None => assert_eq!(self.prepared, BATCHES, "commit before every prepare"),
+                Some(decision) => assert!(
+                    decision == Some(true) && self.confirmed == [true; 3],
+                    "recovery re-drove a commit that was not journaled or confirmed"
+                ),
+            }
+        }
+    }
+
+    /// Carry out one action on `fleet` as the driver would, the fate of a
+    /// send picked by `script`, and hold the step to the rules. Returns
+    /// the observation of a send, and `Some(committed)` once concluded.
+    fn act(
+        action: Action,
+        fleet: &mut BTreeMap<String, SwitchState>,
+        script: &mut Script,
+        rules: &mut Rules,
+    ) -> (Option<Sent>, Option<bool>) {
+        let index = |sw: &str| TARGETS.iter().position(|t| *t == sw).unwrap();
+        match action {
+            Action::Send { msg, attempts } => {
+                let (i, op) = (index(&msg.switch), msg.op.name());
+                let budget = if op == "rollback" { 4 } else { 1 } * ATTEMPTS;
+                assert_eq!(attempts, budget, "{op} budget");
+                if op == "commit" {
+                    rules.may_commit();
+                }
+                let fate = script.pick(if op == "query" { 2 } else { 3 });
+                let (acked, delivered) = (fate == 0, fate != 1);
+                if delivered {
+                    deliver(fleet, None, &msg);
+                }
+                let held = fleet[&msg.switch].held();
+                if op == "query" && acked {
+                    rules.confirmed[i] = held.serving == 2 || held.staged == Some(2);
+                }
+                if msg.op.is_prepare() && acked {
+                    rules.prepared[i] += 1;
+                }
+                rules.spent_rollbacks += u64::from(op == "rollback" && !acked);
+                rules.last[i] = Some((op, acked));
+                let attempts = if acked { 1 } else { attempts };
+                let sent = Sent {
+                    acked,
+                    attempts,
+                    elapsed: Duration::ZERO,
+                };
+                (Some(sent), None)
+            }
+            Action::Revert(sw) => {
+                let i = index(&sw);
+                assert_eq!(rules.last[i], Some(("rollback", false)), "revert of {sw}");
+                rules.reverts += 1;
+                force_rollback(fleet, None, &sw, 2);
+                (None, None)
+            }
+            Action::Conclude { committed } => {
+                if committed {
+                    rules.may_commit();
+                }
+                let papered = settle(fleet, None, (!committed).then_some(2));
+                assert_eq!(papered, 0, "the final sweep reverted a switch");
+                assert_eq!(rules.reverts, rules.spent_rollbacks);
+                let epoch = if committed { 2 } else { 1 };
+                for st in fleet.values() {
+                    assert_eq!(
+                        st.held(),
+                        Held {
+                            serving: epoch,
+                            staged: None
+                        }
+                    );
+                }
+                (None, Some(committed))
+            }
+            Action::Journal(_) | Action::Boundary(_) => unreachable!("handled by the walk"),
+        }
+    }
+
+    #[test]
+    fn every_step_schedule_of_a_three_target_transaction_keeps_the_rules() {
+        let (mut schedules, mut committed, mut crashes, mut recoveries, mut recommitted) =
+            (0u64, 0u64, 0u64, 0u64, 0u64);
+        let mut crash_points = [0u64; CrashPoint::ALL.len()];
+        let mut outer = Script::default();
+        loop {
+            let (mut fleet, mut tx, mut rules) = (fleet(), live(), Rules::default());
+            let (mut journal, mut observed) = (Vec::new(), None);
+            let crashed = loop {
+                let held = |sw: &str| fleet.get(sw).map(SwitchState::held);
+                let action = tx.step(observed.take(), held).unwrap();
+                match action.expect("a live rollout concludes before it ends") {
+                    Action::Journal(record) => {
+                        let sent = matches!(record, IntentRecord::Sent { .. });
+                        journal.push(record);
+                        if sent && outer.pick(2) == 1 {
+                            break true;
+                        }
+                    }
+                    Action::Boundary(point) => {
+                        if outer.pick(2) == 1 {
+                            crash_points
+                                [CrashPoint::ALL.iter().position(|p| *p == point).unwrap()] += 1;
+                            break true;
+                        }
+                    }
+                    action => match act(action, &mut fleet, &mut outer, &mut rules) {
+                        (_, Some(c)) => {
+                            committed += u64::from(c);
+                            assert!(tx.step(None, |_| None).unwrap().is_some(), "End");
+                            assert!(tx.step(None, |_| None).unwrap().is_none());
+                            break false;
+                        }
+                        (sent, None) => observed = sent,
+                    },
+                }
+            };
+            schedules += 1;
+            if crashed {
+                crashes += 1;
+                let decision = journal.iter().rev().find_map(|r| match r {
+                    IntentRecord::Decision { commit, .. } => Some(*commit),
+                    _ => None,
+                });
+                let mut inner = Script::default();
+                loop {
+                    let mut fleet = fleet.clone();
+                    if let Some(dead) = DEAD[usize::from(inner.pick(DEAD.len() as u8))] {
+                        fleet.remove(dead);
+                    }
+                    let mut tx = Txn::recovery(&journal, ATTEMPTS).expect("in flight");
+                    let mut rules = Rules {
+                        recovering: Some(decision),
+                        ..Default::default()
+                    };
+                    let mut observed = None;
+                    loop {
+                        let held = |sw: &str| fleet.get(sw).map(SwitchState::held);
+                        match tx.step(observed.take(), held).unwrap() {
+                            Some(Action::Journal(_)) => {}
+                            Some(Action::Boundary(p)) => panic!("a recovery crashed at {p:?}"),
+                            Some(action) => {
+                                let (sent, end) = act(action, &mut fleet, &mut inner, &mut rules);
+                                recommitted += u64::from(end == Some(true));
+                                observed = sent;
+                            }
+                            None => break,
+                        }
+                    }
+                    recoveries += 1;
+                    if !inner.advance() {
+                        break;
+                    }
+                }
+            }
+            if !outer.advance() {
+                break;
+            }
+        }
+        println!(
+            "step_walk: {schedules} live schedule(s) ({committed} committed) + {crashes} \
+             crash(es), recovered over {recoveries} schedule(s) ({recommitted} committed); \
+             crash points hit {crash_points:?}"
+        );
+        assert!(committed > 0 && committed < schedules);
+        assert!(recommitted > 0 && recommitted < recoveries);
+        assert!(crash_points.iter().all(|&n| n > 0), "{crash_points:?}");
     }
 }

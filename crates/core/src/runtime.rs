@@ -285,7 +285,7 @@ pub(crate) struct StagedLayout {
 /// Every live switch's next-epoch state starts as an O(1) clone of the
 /// shards it already serves. A shard is *kept* iff the placement still
 /// hosts its table on that switch with capacity for what the shard holds;
-/// any other shard — and every shard of `lost`, a switch that just died —
+/// any other shard — and every shard of `lost`, switches that just died —
 /// is dropped and only contributes its entries.
 ///
 /// Shards of a table that share every page are one *replica group*: they
@@ -313,7 +313,7 @@ pub(crate) fn stage_layout(
     output: &CompileOutput,
     faults: &FaultSet,
     serving: &BTreeMap<String, SwitchState>,
-    lost: Option<(&str, &DataPlaneState)>,
+    lost: &[(String, DataPlaneState)],
     reset_globals: bool,
 ) -> Result<StagedLayout, RuntimeError> {
     let fresh = SwitchState::fresh(output, 0).dp;
@@ -339,7 +339,7 @@ pub(crate) fn stage_layout(
         .iter()
         .map(|(sw, st)| (sw.as_str(), &st.dp))
         .collect();
-    sources.extend(lost);
+    sources.extend(lost.iter().map(|(sw, dp)| (sw.as_str(), dp)));
     let mut shards: BTreeMap<&str, Vec<Shard<'_>>> = BTreeMap::new();
     let mut touched: BTreeSet<String> = BTreeSet::new();
     for (&switch, &dp) in &sources {
@@ -534,10 +534,20 @@ impl<'a> Runtime<'a> {
 
     /// The controller declares `faults` the deployment's fault set. A
     /// failed switch holds no state, so a rollout neither messages it nor
-    /// counts it toward epoch coherence.
-    pub(crate) fn declare_faults(&mut self, faults: FaultSet) {
-        self.states.retain(|sw, _| !faults.switch_failed(sw));
+    /// counts it toward epoch coherence. Returns what each newly failed
+    /// switch held: its shards survive only as entries for the next
+    /// rollout to re-home.
+    pub(crate) fn declare_faults(&mut self, faults: FaultSet) -> Vec<(String, DataPlaneState)> {
+        let dead: Vec<String> = self
+            .states
+            .keys()
+            .filter(|sw| faults.switch_failed(sw))
+            .cloned()
+            .collect();
         self.faults = faults;
+        dead.into_iter()
+            .filter_map(|sw| self.states.remove(&sw).map(|st| (sw, st.dp)))
+            .collect()
     }
 
     /// The compilation this runtime currently serves (flips to the new

@@ -1055,9 +1055,9 @@ fn recovery_under_live_replay_sees_no_mixed_epochs() {
             "scenario {scenario}: no packet survived the recovery window"
         );
         assert!(
-            outcome.recovery.committed ^ outcome.recovery.rolled_back,
+            outcome.rollout.committed ^ outcome.rollout.rolled_back,
             "scenario {scenario}: recovery was not all-or-nothing: {:?}",
-            outcome.recovery
+            outcome.rollout
         );
         assert!(
             rt.epochs_coherent(),

@@ -391,7 +391,8 @@ fn declared_metadata(code: &str) -> Vec<&str> {
 /// local `t1`; `a`'s local `b_c` and `a_b`'s local `c` (both `a_b_c`); an
 /// inlined `load_balancing$1$hash` and a local `load_balancing_1_hash`.
 /// Each backend then read the wrong value (`LYR0601`), and P4₁₆ and NPL
-/// declared `a_b_c` twice.
+/// declared `a_b_c` twice. The fourth gives `lyra`'s local `cmp_a` the
+/// name of P4₁₄'s comparison scratch field `lyra_cmp_a`.
 #[test]
 fn storage_names_are_injective() {
     let programs = [
@@ -429,6 +430,16 @@ fn storage_names_are_injective() {
                  ipv4.dstAddr = hash;
              }",
             "lb: [ S1 | PER-SW | - ]",
+        ),
+        (
+            "pipeline[P]{lyra};
+             algorithm lyra {
+                 bit[8] cmp_a; bit[8] x;
+                 cmp_a = ipv4.ttl + 1;
+                 x = ipv4.protocol == 6;
+                 ipv4.protocol = cmp_a + x;
+             }",
+            "lyra: [ S1 | PER-SW | - ]",
         ),
     ];
     let cfg = OracleConfig {

@@ -1,5 +1,12 @@
 //! Exhaustive small-scope check of the rollout / recovery protocol.
 //!
+//! This walk runs the protocol end to end: the one transaction machine
+//! (`Txn::step`: prepares, commit round, rollback round, a recovery's
+//! state queries) behind the one driver, over a channel and the switch
+//! agents, through the public `apply_rollout_logged` and `recover`. The
+//! machine alone, on three targets and with no channel, is walked by
+//! `crates/core/src/rollout.rs`'s `step_walk` test.
+//!
 //! The chaos suites in `fault_injection.rs` *sample* fault schedules on
 //! 4-switch fleets with real loss rates and switch death. This file
 //! *enumerates* them on the smallest fleet that still has a second switch
