@@ -246,7 +246,7 @@ impl ProgramLayout {
 }
 
 /// A compiled operand: a constant or a register slot.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Src {
     /// Immediate.
     Const(u64),
@@ -308,17 +308,22 @@ enum Op {
         action: u32,
         args: Box<[Src]>,
     },
-    /// Sticky membership test (`dst |= key in table`).
+    /// Sticky membership test (`dst |= key in table`). Its search also
+    /// leaves the table's [`Probe`] for a linked `Lookup`.
     Member {
         dst: Dst,
         table: u32,
         key: Src,
     },
     /// Sticky lookup (`dst = table[key]` on hit, unchanged on miss).
+    /// `probe` is the index of the latest `Member` before it on the same
+    /// table and key, when no op in between rewrites the key's slot: the
+    /// lanes that `Member` searched this run take its answer.
     Lookup {
         dst: Dst,
         table: u32,
         key: Src,
+        probe: Option<u32>,
     },
     GlobalRead {
         dst: Dst,
@@ -375,6 +380,9 @@ impl CompiledAlgorithm {
         };
         let mut ops: Vec<Op> = Vec::with_capacity(subset.len());
         let mut written: Vec<bool> = vec![false; layout.slots()];
+        // Per table handle, the latest `Member`'s op index and key, while
+        // its key slot has not been rewritten.
+        let mut members: Vec<Option<(u32, Src)>> = vec![None; layout.table_names.len()];
         let mut live_in: Vec<u32> = Vec::new();
         // Open guard: (pred slot, index of the Guard op).
         let mut guard: Option<(u32, usize)> = None;
@@ -502,19 +510,21 @@ impl CompiledAlgorithm {
                     let dst = dst.expect("member has a destination");
                     // Sticky OR reads the previous destination value.
                     note_read(Src::Slot(dst.slot), &written, &mut live_in);
-                    Op::Member {
-                        dst,
-                        table: layout.table(table).expect("layout covers tables"),
-                        key,
-                    }
+                    let table = layout.table(table).expect("layout covers tables");
+                    members[table as usize] = Some((ops.len() as u32, key));
+                    Op::Member { dst, table, key }
                 }
                 IrOp::TableLookup { table, key } => {
                     let key = src_of(key);
                     note_read(key, &written, &mut live_in);
+                    let table = layout.table(table).expect("layout covers tables");
                     Op::Lookup {
                         dst: dst.expect("lookup has a destination"),
-                        table: layout.table(table).expect("layout covers tables"),
+                        table,
                         key,
+                        probe: members[table as usize]
+                            .filter(|&(_, k)| k == key)
+                            .map(|(at, _)| at),
                     }
                 }
                 IrOp::GlobalRead { global, index } => {
@@ -555,6 +565,12 @@ impl CompiledAlgorithm {
             if let Some(d) = instr.dst {
                 let slot = slot_of(d) as usize;
                 written[slot] = true;
+                // A rewritten key unlinks the probes searched with it.
+                for m in members.iter_mut() {
+                    if matches!(m, Some((_, Src::Slot(k))) if *k as usize == slot) {
+                        *m = None;
+                    }
+                }
                 // A write to the open guard's own predicate base ends the
                 // run: later instructions must re-evaluate the guard.
                 if let Some((open, _)) = guard {
@@ -571,12 +587,6 @@ impl CompiledAlgorithm {
             ops,
             live_in,
         }
-    }
-
-    /// Compile the whole algorithm.
-    pub fn compile_all(alg: &IrAlgorithm, layout: &ProgramLayout) -> Self {
-        let ids: Vec<InstrId> = alg.instr_ids().collect();
-        Self::compile(alg, &ids, layout)
     }
 
     /// Slots this stream reads before writing (its packet inputs).
@@ -807,6 +817,18 @@ struct EffectRec {
     len: u32,
 }
 
+/// What the latest `Member` on one table left for a linked `Lookup`:
+/// the lanes it searched, those that hit, and the values they hit.
+#[derive(Debug, Clone)]
+struct Probe {
+    /// The [`Machine::run`] and op index of that `Member`.
+    run: u64,
+    at: u32,
+    probed: u64,
+    found: u64,
+    values: Column,
+}
+
 /// An operand's column in a register file of `n` lanes per slot: the
 /// slot's own, or the constant splatted into `splat`.
 #[inline(always)]
@@ -846,10 +868,13 @@ fn map2(out: &mut [u64], x: &[u64], y: &[u64], f: impl Fn(u64, u64) -> u64) {
 /// opens the next), so one mask suffices. Every write is recorded once
 /// per lane in a batch-level touch log of `(slot, newly-touched lanes)`,
 /// which is what `begin` clears and what [`Machine::digests`] folds.
+/// Each table's latest `Member` leaves its search in a per-table probe
+/// that a linked `Lookup` of the same run reads instead of searching
+/// again; a probe from an earlier run is never read.
 ///
 /// The one-packet calls (`reset`, `set_slot`, `slot`, `digest`,
-/// `load_packet`, `store_packet`, `effects_vec`) are the one-lane batch:
-/// they read and write lane 0, and kernels only do the live lanes' work.
+/// `load_packet`, `store_packet`) are the one-lane batch: they read and
+/// write lane 0, and kernels only do the live lanes' work.
 #[derive(Debug)]
 pub struct Machine {
     /// Live lanes of the current batch, and their mask.
@@ -863,6 +888,10 @@ pub struct Machine {
     log: Vec<(u32, u64)>,
     effect_args: Vec<u64>,
     effects: Vec<EffectRec>,
+    /// Per table handle, the latest `Member`'s probe.
+    probes: Vec<Probe>,
+    /// Calls to `run` so far: stamps the probes of the current one.
+    runs: u64,
     /// Kernel scratch: two constant splats and the result column.
     splat_a: Column,
     splat_b: Column,
@@ -881,6 +910,17 @@ impl Machine {
             log: Vec::with_capacity(n),
             effect_args: Vec::new(),
             effects: Vec::new(),
+            probes: vec![
+                Probe {
+                    run: 0,
+                    at: 0,
+                    probed: 0,
+                    found: 0,
+                    values: [0; LANES],
+                };
+                layout.table_names.len()
+            ],
+            runs: 0,
             splat_a: [0; LANES],
             splat_b: [0; LANES],
             out: [0; LANES],
@@ -1020,6 +1060,7 @@ impl Machine {
             self.lanes == 1 || !matches!(globals, GlobalAccess::Persistent(_)),
             "persistent globals are sequential: run them one lane at a time"
         );
+        self.runs += 1;
         // The same kernels, compiled three times: for one lane and for a
         // full batch the lane count is a constant, so their loops lose
         // their trip-count checks.
@@ -1158,17 +1199,40 @@ impl Machine {
                     let t = snap.table(*table);
                     let keys = column(&self.regs, *key, &mut self.splat_a, n);
                     let prev = &self.regs[dst.slot as usize * n..][..n];
+                    let p = &mut self.probes[*table as usize];
+                    let mut found = 0u64;
                     for lane in set_lanes(mask) {
-                        self.out[lane] = prev[lane] | t.get(keys[lane]).is_some() as u64;
+                        let hit = t.get(keys[lane]);
+                        if let Some(v) = hit {
+                            p.values[lane] = v;
+                            found |= 1 << lane;
+                        }
+                        self.out[lane] = prev[lane] | hit.is_some() as u64;
                     }
+                    (p.run, p.at, p.probed, p.found) = (self.runs, ip as u32, mask, found);
                     self.commit(*dst, mask, n);
                 }
-                Op::Lookup { dst, table, key } => {
-                    // Sticky: a miss leaves the destination unchanged.
+                Op::Lookup {
+                    dst,
+                    table,
+                    key,
+                    probe,
+                } => {
+                    // Sticky: a miss leaves the destination unchanged. The
+                    // lanes the linked `Member` searched this run take its
+                    // answer; only the others search.
                     let t = snap.table(*table);
                     let keys = column(&self.regs, *key, &mut self.splat_a, n);
-                    let mut hits = 0u64;
-                    for lane in set_lanes(mask) {
+                    let p = &self.probes[*table as usize];
+                    let probed = match probe {
+                        Some(at) if p.run == self.runs && p.at == *at => mask & p.probed,
+                        _ => 0,
+                    };
+                    let mut hits = probed & p.found;
+                    for lane in set_lanes(hits) {
+                        self.out[lane] = p.values[lane];
+                    }
+                    for lane in set_lanes(mask & !probed) {
                         if let Some(v) = t.get(keys[lane]) {
                             self.out[lane] = v;
                             hits |= 1 << lane;
@@ -1222,11 +1286,6 @@ impl Machine {
                 args: self.effect_args[e.start as usize..(e.start + e.len) as usize].to_vec(),
             })
             .collect()
-    }
-
-    /// Lane 0's recorded effects.
-    pub fn effects_vec(&self, layout: &ProgramLayout) -> Vec<Effect> {
-        self.lane_effects(layout, 0)
     }
 
     /// Fingerprint the outcome of lanes `0 .. out.len()`, one pass over
@@ -1292,13 +1351,19 @@ mod tests {
         frontend(src).unwrap()
     }
 
+    /// Compile the whole algorithm.
+    fn compile_all(alg: &IrAlgorithm, layout: &ProgramLayout) -> CompiledAlgorithm {
+        let ids: Vec<InstrId> = alg.instr_ids().collect();
+        CompiledAlgorithm::compile(alg, &ids, layout)
+    }
+
     /// Run one packet both ways (interpreter vs compiled, persistent
     /// globals) and assert identical observable state.
     fn check(src: &str, fields: &[(&str, u64)], dp: &DataPlaneState) {
         let ir = program(src);
         let layout = ProgramLayout::new(&ir);
         let alg = &ir.algorithms[0];
-        let compiled = CompiledAlgorithm::compile_all(alg, &layout);
+        let compiled = compile_all(alg, &layout);
 
         let mut ref_pkt = PacketState::new();
         for &(k, v) in fields {
@@ -1321,7 +1386,7 @@ mod tests {
         for (name, &v) in &ref_pkt.values {
             assert_eq!(pkt.get(name), v, "field `{name}` diverged");
         }
-        assert_eq!(m.effects_vec(&layout), ref_fx, "effects diverged");
+        assert_eq!(m.lane_effects(&layout, 0), ref_fx, "effects diverged");
         let mut out_dp = dp.clone();
         layout.globals_into(&store, &mut out_dp);
         for (g, arr) in &ref_dp.globals {
@@ -1367,7 +1432,7 @@ mod tests {
         // The stream has guards and executes the right arm.
         let ir = program(src);
         let layout = ProgramLayout::new(&ir);
-        let compiled = CompiledAlgorithm::compile_all(&ir.algorithms[0], &layout);
+        let compiled = compile_all(&ir.algorithms[0], &layout);
         assert!(
             compiled.ops.iter().any(|o| matches!(o, Op::Guard { .. })),
             "predicated code must compile to guard skips"
@@ -1389,6 +1454,79 @@ mod tests {
         dp.install("t", 7, 111);
         for key in [42u64, 7, 9] {
             check(src, &[("key", key)], &dp);
+        }
+    }
+
+    /// The load balancer of Figure 1(c), optionally rewriting the
+    /// `conn_table` key between its `in` test and its read.
+    fn lb(rewrite: &str) -> String {
+        format!(
+            r#"
+            pipeline[LB]{{lb}};
+            algorithm lb {{
+                extern dict<bit[32] hash, bit[32] ip>[64] conn_table;
+                extern dict<bit[32] vip, bit[8] group>[64] vip_table;
+                hash = crc32_hash(ipv4.srcAddr, ipv4.dstAddr);
+                if (hash in conn_table) {{
+                    {rewrite}
+                    ipv4.dstAddr = conn_table[hash];
+                }} else {{
+                    if (ipv4.dstAddr in vip_table) {{
+                        dip_group = vip_table[ipv4.dstAddr];
+                        copy_to_cpu();
+                    }}
+                }}
+            }}
+        "#
+        )
+    }
+
+    /// Per `Lookup` of `src`, in order: its table, and the table of the
+    /// `Member` it is linked to.
+    fn lookup_links(src: &str) -> Vec<(u32, Option<u32>)> {
+        let ir = program(src);
+        let layout = ProgramLayout::new(&ir);
+        let compiled = compile_all(&ir.algorithms[0], &layout);
+        let ops = &compiled.ops;
+        ops.iter()
+            .filter_map(|op| match op {
+                Op::Lookup { table, probe, .. } => Some((
+                    *table,
+                    probe.map(|at| match ops[at as usize] {
+                        Op::Member { table, .. } => table,
+                        ref other => panic!("a lookup is linked to {other:?}"),
+                    }),
+                )),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lookups_reuse_their_members_probe_until_the_key_is_rewritten() {
+        // Both reads follow an `in` test of their own table and key.
+        let links = lookup_links(&lb(""));
+        assert_eq!(links.len(), 2);
+        assert!(links.iter().all(|&(t, m)| m == Some(t)), "{links:?}");
+        // A rewritten `hash` unlinks the `conn_table` read alone.
+        let links = lookup_links(&lb("hash = hash + 1;"));
+        assert_eq!(links[0].1, None, "{links:?}");
+        assert_eq!(links[1].1, Some(links[1].0), "{links:?}");
+        // Either way the engine answers as the interpreter does, on
+        // hits and misses of both tables.
+        let mut dp = DataPlaneState::new();
+        let hash = |src: u64, dst: u64| crate::interp::reference_hash(&[src, dst]) & 0xffff_ffff;
+        dp.install("conn_table", hash(1, 2), 0xc0de);
+        dp.install("conn_table", hash(1, 2) + 1, 0xfeed);
+        dp.install("vip_table", 4, 7);
+        for rewrite in ["", "hash = hash + 1;"] {
+            for (src, dst) in [(1, 2), (1, 3), (1, 4), (5, 6)] {
+                check(
+                    &lb(rewrite),
+                    &[("ipv4.srcAddr", src), ("ipv4.dstAddr", dst)],
+                    &dp,
+                );
+            }
         }
     }
 
@@ -1415,7 +1553,7 @@ mod tests {
         let ir =
             program("pipeline[P]{a}; algorithm a { global bit[32][4] ctr; ctr[0] = ctr[0] + 1; }");
         let layout = ProgramLayout::new(&ir);
-        let compiled = CompiledAlgorithm::compile_all(&ir.algorithms[0], &layout);
+        let compiled = compile_all(&ir.algorithms[0], &layout);
         let mut dp = DataPlaneState::new();
         dp.global("ctr", 4);
         let snap = TableSnapshot::build(&layout, &dp);
@@ -1434,7 +1572,7 @@ mod tests {
         let ir =
             program("pipeline[P]{a}; algorithm a { global bit[32][4] ctr; ctr[0] = ctr[0] + 1; }");
         let layout = ProgramLayout::new(&ir);
-        let compiled = CompiledAlgorithm::compile_all(&ir.algorithms[0], &layout);
+        let compiled = compile_all(&ir.algorithms[0], &layout);
         let dp = DataPlaneState::new();
         let snap = TableSnapshot::build(&layout, &dp);
         let mut store = layout.globals_from(&dp);
@@ -1449,7 +1587,7 @@ mod tests {
             "pipeline[P]{a}; algorithm a { global bit[32][4] ctr; ctr[0] = ctr[0] + 1; out = ctr[0]; }",
         );
         let layout = ProgramLayout::new(&ir);
-        let compiled = CompiledAlgorithm::compile_all(&ir.algorithms[0], &layout);
+        let compiled = compile_all(&ir.algorithms[0], &layout);
         let mut dp = DataPlaneState::new();
         dp.global("ctr", 4);
         let snap = TableSnapshot::build(&layout, &dp);
@@ -1534,7 +1672,7 @@ mod tests {
         let (first, second) = ids.split_at(ids.len() / 2);
         let c1 = CompiledAlgorithm::compile(alg, first, &layout);
         let c2 = CompiledAlgorithm::compile(alg, second, &layout);
-        let whole = CompiledAlgorithm::compile_all(alg, &layout);
+        let whole = compile_all(alg, &layout);
         let dp = DataPlaneState::new();
         let snap = TableSnapshot::build(&layout, &dp);
 
@@ -1555,7 +1693,7 @@ mod tests {
         let src = "pipeline[P]{a}; algorithm a { x = f + 1; if (x > 10) { drop(); } }";
         let ir = program(src);
         let layout = ProgramLayout::new(&ir);
-        let compiled = CompiledAlgorithm::compile_all(&ir.algorithms[0], &layout);
+        let compiled = compile_all(&ir.algorithms[0], &layout);
         let dp = DataPlaneState::new();
         let snap = TableSnapshot::build(&layout, &dp);
         let run = |f: u64| -> u64 {

@@ -5,11 +5,13 @@
 //! effect streams (drops, CPU punts), and persistent global state. This
 //! suite drives that equivalence three ways:
 //!
-//! * **sequence differential** — ten program templates spanning the
+//! * **sequence differential** — fifteen program templates spanning the
 //!   surface the compiler lowers (arithmetic/masking, predicate guards,
 //!   switch dispatch, table membership + lookup, builtins, persistent
-//!   counters, hash-indexed sketches, actions, bit slices, and a
-//!   NetCache-style mix) each run a seeded packet *sequence* through both
+//!   counters, hash-indexed sketches, actions, bit slices, a
+//!   NetCache-style mix, and five shapes where a `t[k]` may not reuse
+//!   the search of the `k in t` before it, one of them split into two
+//!   per-switch streams) each run a seeded packet *sequence* through both
 //!   engines in persistent-global mode and compare every packet
 //!   (≥ 200 program × packet cases in total);
 //! * **worker partitioning** — the same packet set is executed in
@@ -42,8 +44,8 @@ use lyra::{
     LossyChannel, ReplayConfig, RolloutConfig, Runtime,
 };
 use lyra_ir::{
-    execute_all, frontend, CompiledAlgorithm, DataPlaneState, GlobalAccess, GlobalOverlay,
-    IrProgram, Machine, PacketState, ProgramLayout, TableSnapshot, LANES,
+    execute_all, frontend, CompiledAlgorithm, DataPlaneState, GlobalAccess, GlobalOverlay, InstrId,
+    IrOp, IrProgram, Machine, PacketState, ProgramLayout, TableSnapshot, LANES,
 };
 use lyra_topo::figure1_network;
 
@@ -52,6 +54,9 @@ use lyra_topo::figure1_network;
 struct Template {
     name: &'static str,
     src: &'static str,
+    /// Compile the algorithm as two streams cut before its first table
+    /// lookup, as two per-switch subsets run one after the other.
+    split: bool,
     fields: &'static [&'static str],
 }
 
@@ -73,6 +78,7 @@ const TEMPLATES: &[Template] = &[
                 v = a | b;
             }
         "#,
+        split: false,
         fields: &["a", "b"],
     },
     Template {
@@ -92,6 +98,7 @@ const TEMPLATES: &[Template] = &[
                 if (x <= 40) { y = 1; } else { y = 2; }
             }
         "#,
+        split: false,
         fields: &["a", "b", "c"],
     },
     Template {
@@ -107,6 +114,7 @@ const TEMPLATES: &[Template] = &[
                 }
             }
         "#,
+        split: false,
         fields: &["op", "a", "b"],
     },
     Template {
@@ -125,6 +133,7 @@ const TEMPLATES: &[Template] = &[
                 if (key in acl) { blocked = acl[key]; }
             }
         "#,
+        split: false,
         fields: &["key"],
     },
     Template {
@@ -139,6 +148,7 @@ const TEMPLATES: &[Template] = &[
                 q = get_queue_len();
             }
         "#,
+        split: false,
         fields: &["ipv4.srcAddr", "ipv4.dstAddr"],
     },
     Template {
@@ -152,6 +162,7 @@ const TEMPLATES: &[Template] = &[
                 out = ctr[i];
             }
         "#,
+        split: false,
         fields: &["key"],
     },
     Template {
@@ -168,6 +179,7 @@ const TEMPLATES: &[Template] = &[
                 est = min(row0[h0], row1[h1]);
             }
         "#,
+        split: false,
         fields: &["key"],
     },
     Template {
@@ -183,6 +195,7 @@ const TEMPLATES: &[Template] = &[
                 }
             }
         "#,
+        split: false,
         fields: &["ttl"],
     },
     Template {
@@ -197,6 +210,7 @@ const TEMPLATES: &[Template] = &[
                 out = (top ^ mid) + lo;
             }
         "#,
+        split: false,
         fields: &["a"],
     },
     Template {
@@ -220,12 +234,107 @@ const TEMPLATES: &[Template] = &[
                 }
             }
         "#,
+        split: false,
         fields: &["op", "key"],
+    },
+    // A `t[k]` reuses the search of the `k in t` before it; the
+    // templates below are the shapes where it must not, or only in part.
+    Template {
+        name: "key_rewritten_between_in_and_lookup",
+        src: r#"
+            pipeline[P]{a};
+            algorithm a {
+                extern dict<bit[32] k, bit[32] v>[16] t;
+                hit = key in t;
+                if (key > 7) { key = key - 8; }
+                if (hit) { out = t[key]; }
+            }
+        "#,
+        split: false,
+        fields: &["key"],
+    },
+    Template {
+        name: "lookup_without_in",
+        src: r#"
+            pipeline[P]{a};
+            algorithm a {
+                extern dict<bit[32] k, bit[32] v>[16] t;
+                out = t[key];
+                if (key2 in t) { seen = 1; }
+                other = t[key];
+            }
+        "#,
+        split: false,
+        fields: &["key", "key2"],
+    },
+    Template {
+        name: "in_under_a_narrower_guard",
+        src: r#"
+            pipeline[P]{a};
+            algorithm a {
+                extern dict<bit[32] k, bit[32] v>[16] t;
+                if (c > 7) { h = key in t; }
+                if (h == 1 || d > 7) { v = t[key]; }
+            }
+        "#,
+        split: false,
+        fields: &["c", "d", "key"],
+    },
+    Template {
+        name: "one_key_two_tables",
+        src: r#"
+            pipeline[P]{a};
+            algorithm a {
+                extern dict<bit[32] k, bit[32] v>[16] t;
+                extern dict<bit[32] k, bit[32] v>[16] u;
+                a = key in t;
+                b = key in u;
+                if (a) { x = t[key]; }
+                if (b) { y = u[key]; }
+                if (key2 in t) { z = u[key2]; }
+                w = t[key];
+            }
+        "#,
+        split: false,
+        fields: &["key", "key2"],
+    },
+    Template {
+        name: "in_and_lookup_in_two_streams",
+        src: r#"
+            pipeline[P]{a};
+            algorithm a {
+                extern dict<bit[32] k, bit[32] v>[16] t;
+                hit = key in t;
+                if (hit) { out = t[key]; } else { copy_to_cpu(); }
+            }
+        "#,
+        split: true,
+        fields: &["key"],
     },
 ];
 
 fn program(src: &str) -> IrProgram {
     frontend(src).unwrap()
+}
+
+/// The streams a template's packets run through, in order: the whole
+/// algorithm, or for a split template the instructions before its first
+/// table lookup and the rest.
+fn streams(template: &Template, ir: &IrProgram, layout: &ProgramLayout) -> Vec<CompiledAlgorithm> {
+    let alg = &ir.algorithms[0];
+    let ids: Vec<InstrId> = alg.instr_ids().collect();
+    if !template.split {
+        return vec![CompiledAlgorithm::compile(alg, &ids, layout)];
+    }
+    let cut = ids
+        .iter()
+        .position(|&id| matches!(alg.instr(id).op, IrOp::TableLookup { .. }))
+        .expect("a split template reads a table");
+    let (first, second) = ids.split_at(cut);
+    vec![
+        CompiledAlgorithm::compile(alg, first, layout),
+        CompiledAlgorithm::compile(alg, second, layout),
+    ]
 }
 
 /// Seed a data-plane state for a program: a handful of entries in every
@@ -263,7 +372,7 @@ fn check_packet(
     idx: usize,
     alg: &lyra_ir::IrAlgorithm,
     layout: &ProgramLayout,
-    compiled: &CompiledAlgorithm,
+    compiled: &[CompiledAlgorithm],
     snap: &TableSnapshot,
     fields: &[(&str, u64)],
     ref_dp: &mut DataPlaneState,
@@ -282,7 +391,9 @@ fn check_packet(
         pkt.set(k, v);
     }
     machine.load_packet(layout, &pkt);
-    machine.run(compiled, snap, &mut GlobalAccess::Persistent(store));
+    for stream in compiled {
+        machine.run(stream, snap, &mut GlobalAccess::Persistent(store));
+    }
     machine.store_packet(layout, &mut pkt);
 
     for (field, &v) in &ref_pkt.values {
@@ -293,7 +404,7 @@ fn check_packet(
         );
     }
     assert_eq!(
-        machine.effects_vec(layout),
+        machine.lane_effects(layout, 0),
         ref_fx,
         "template `{name}` packet {idx}: effects diverged"
     );
@@ -313,7 +424,7 @@ fn compiled_engine_matches_interpreter_across_200_seeded_cases() {
         let ir = program(template.src);
         let layout = ProgramLayout::new(&ir);
         let alg = &ir.algorithms[0];
-        let compiled = CompiledAlgorithm::compile_all(alg, &layout);
+        let compiled = streams(template, &ir, &layout);
 
         let dp = seeded_dp(&ir, &mut rng);
         let snap = TableSnapshot::build(&layout, &dp);
@@ -379,7 +490,7 @@ fn packet_fields(template: &Template, seed: u64, idx: u64) -> Vec<(&'static str,
 /// per-packet machine digests.
 fn isolated_digest(
     layout: &ProgramLayout,
-    compiled: &CompiledAlgorithm,
+    compiled: &[CompiledAlgorithm],
     snap: &TableSnapshot,
     template: &Template,
     seed: u64,
@@ -406,14 +517,13 @@ fn isolated_digest(
                             pkt.set(k, v);
                         }
                         machine.load_packet(layout, &pkt);
-                        machine.run(
-                            compiled,
-                            snap,
-                            &mut GlobalAccess::Isolated {
-                                baseline: &snap.globals,
-                                overlay: &mut overlay,
-                            },
-                        );
+                        let mut globals = GlobalAccess::Isolated {
+                            baseline: &snap.globals,
+                            overlay: &mut overlay,
+                        };
+                        for stream in compiled {
+                            machine.run(stream, snap, &mut globals);
+                        }
                         acc ^= machine.digest().wrapping_mul(idx | 1);
                     }
                 })
@@ -433,7 +543,7 @@ fn worker_partitioning_is_digest_invariant() {
     for template in TEMPLATES {
         let ir = program(template.src);
         let layout = ProgramLayout::new(&ir);
-        let compiled = CompiledAlgorithm::compile_all(&ir.algorithms[0], &layout);
+        let compiled = streams(template, &ir, &layout);
         let mut rng = Rng::new(0xba7c_4ed0 ^ template.name.len() as u64);
         let dp = seeded_dp(&ir, &mut rng);
         let snap = TableSnapshot::build(&layout, &dp);
@@ -461,7 +571,7 @@ fn lane_batches_match_one_lane_runs() {
     for template in TEMPLATES {
         let ir = program(template.src);
         let layout = ProgramLayout::new(&ir);
-        let compiled = CompiledAlgorithm::compile_all(&ir.algorithms[0], &layout);
+        let compiled = streams(template, &ir, &layout);
         let mut rng = Rng::new(0x1a4e ^ template.name.len() as u64);
         let dp = seeded_dp(&ir, &mut rng);
         let snap = TableSnapshot::build(&layout, &dp);
@@ -477,7 +587,9 @@ fn lane_batches_match_one_lane_runs() {
                 baseline: &snap.globals,
                 overlay: &mut overlay,
             };
-            machine.run(&compiled, &snap, &mut globals);
+            for stream in &compiled {
+                machine.run(stream, &snap, &mut globals);
+            }
         };
         let (mut batch, mut single) = (Machine::new(&layout), Machine::new(&layout));
         let mut idx = 0u64;
@@ -506,7 +618,7 @@ fn lane_batches_match_one_lane_runs() {
                 assert_eq!(digests[lane], single.digest(), "{at}: digest");
                 assert_eq!(
                     batch.lane_effects(&layout, lane),
-                    single.effects_vec(&layout),
+                    single.lane_effects(&layout, 0),
                     "{at}: effects"
                 );
                 let mut pkt = PacketState::new();
@@ -557,7 +669,9 @@ fn lane_batches_match_one_lane_runs() {
     let layout = ProgramLayout::unioned(&[&once, &again]);
     let snap = TableSnapshot::build(&layout, &DataPlaneState::new());
     let digests = |ir: &IrProgram| {
-        let compiled = CompiledAlgorithm::compile_all(&ir.algorithms[0], &layout);
+        let alg = &ir.algorithms[0];
+        let ids: Vec<InstrId> = alg.instr_ids().collect();
+        let compiled = CompiledAlgorithm::compile(alg, &ids, &layout);
         let mut machine = Machine::new(&layout);
         machine.begin(LANES);
         let column: Vec<u64> = (0..LANES as u64).collect();
