@@ -1404,6 +1404,37 @@ mod tests {
         assert!(matches!(healer.plan(10), PlanOutcome::Idle));
     }
 
+    /// The cooldown schedule in ticks: 4 after a success, doubled by each
+    /// failure, and never past 64.
+    #[test]
+    fn healer_cooldown_is_four_ticks_doubling_to_sixty_four() {
+        let mut healer = SelfHealer::new();
+        let go = |healer: &mut SelfHealer, tick: u64, confirm: &str| {
+            healer.confirm(Target::switch(confirm), tick);
+            match healer.plan(tick) {
+                PlanOutcome::Go(p) => p,
+                other => panic!("expected Go at tick {tick}, got {other:?}"),
+            }
+        };
+        let plan = go(&mut healer, 10, "A");
+        healer.complete(10, &plan, true);
+        // Pending work waits out the cooldown after a success.
+        healer.confirm(Target::switch("B"), 10);
+        assert!(matches!(healer.plan(13), PlanOutcome::Deferred { .. }));
+        let mut tick = 14;
+        for cooldown in [8, 16, 32, 64, 64, 64] {
+            let plan = go(&mut healer, tick, "B");
+            healer.complete(tick, &plan, false);
+            let deferred = healer.plan(tick + cooldown - 1);
+            assert!(
+                matches!(deferred, PlanOutcome::Deferred { .. }),
+                "a cooldown of {cooldown} from tick {tick}: {deferred:?}"
+            );
+            tick += cooldown;
+        }
+        assert!(matches!(healer.plan(tick), PlanOutcome::Go(_)));
+    }
+
     #[test]
     fn chaos_schedule_is_ground_truth() {
         let s = Target::switch("S");

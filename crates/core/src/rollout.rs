@@ -34,19 +34,20 @@
 //! message from an abandoned attempt can never corrupt a later one.
 //!
 //! The transaction is one plain-data `Txn`, advanced by one pure step that
-//! takes what the last action returned and names the next: journal a
-//! record, pass a crash boundary, send an op to a switch with a budget,
-//! revert a switch out-of-band, or conclude. `Runtime::drive` carries the
-//! actions out; it is the only code that touches the channel, the intent
-//! log, the crash plan, the clock and the switch agents (`crate::agent`,
-//! the one per-switch state machine). A placement rollout and a failover
-//! re-sync ([`Runtime::fail_switch`] / [`Runtime::fail_link`], staged from
-//! the shards the switches already serve) start the machine at its
-//! prepares; restart recovery ([`crate::recovery`]) starts it at its state
+//! takes what the last action returned and decides the next: journal a
+//! record, send an op to a switch with a budget (its intent journaled
+//! first), revert a switch out-of-band, or conclude. Crash points are
+//! positions around journal records and the conclusion. `Runtime::drive`
+//! carries the actions out; it is the only code that touches the channel,
+//! the intent log, the crash plan, the clock and the switch agents
+//! (`crate::agent`, the one per-switch state machine). A placement rollout
+//! and a failover re-sync ([`Runtime::fail_switch`] / [`Runtime::fail_link`],
+//! staged from the shards the switches already serve) start the machine at
+//! its `begin` record; restart recovery ([`crate::recovery`]) at its state
 //! queries, with the journaled tokens and decision. All of them report a
 //! [`RolloutReport`].
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -457,8 +458,8 @@ impl IntentStore for FileIntentStore {
 // Controller crash injection
 // ---------------------------------------------------------------------------
 
-/// A named boundary of the rollout transaction where a [`CrashPlan`] can
-/// kill the controller.
+/// A named position of the rollout transaction, next to a journal record
+/// or the conclusion, where a [`CrashPlan`] can kill the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
     /// After the `Begin` record is journaled, before any message is sent.
@@ -478,7 +479,7 @@ pub enum CrashPoint {
 }
 
 impl CrashPoint {
-    /// Every boundary, in transaction order — chaos sweeps iterate this.
+    /// Every named point, in transaction order — chaos sweeps iterate this.
     pub const ALL: [CrashPoint; 5] = [
         CrashPoint::BeforePrepare,
         CrashPoint::AfterPrepare,
@@ -500,7 +501,7 @@ pub struct CrashPlan {
 }
 
 impl CrashPlan {
-    /// Crash at the named transaction boundary.
+    /// Crash at the named transaction point.
     pub fn at(point: CrashPoint) -> Self {
         CrashPlan {
             at: Some(point),
@@ -736,19 +737,41 @@ pub(crate) struct Sent {
 pub(crate) enum Action {
     /// Append a record to the intent log.
     Journal(IntentRecord),
-    /// Pass a named boundary, where a crash plan may kill the controller.
-    Boundary(CrashPoint),
-    /// Send `msg` until it is acknowledged or `attempts` are spent.
-    Send { msg: ControlMsg, attempts: u32 },
+    /// Journal `intent`, if any (write-ahead: a crash finds the token), then
+    /// send `msg` until it is acknowledged or `attempts` are spent.
+    Send {
+        msg: ControlMsg,
+        attempts: u32,
+        intent: Option<IntentRecord>,
+    },
     /// Revert a switch out-of-band: even its rollback budget was spent.
     Revert(String),
-    /// Settle every switch on the epoch that won, and serve it.
+    /// Settle every switch on the epoch that won, serve it, journal `End`.
     Conclude { committed: bool },
 }
 
-/// The round a transaction is in; each walks the targets in order.
+impl Action {
+    /// The named crash points passed before this action is carried out and
+    /// once its record is journaled. A journaled send's position
+    /// ([`CrashPlan::after_sends`]) is right after its intent.
+    pub(crate) fn crash_points(&self) -> [Option<CrashPoint>; 2] {
+        use CrashPoint::*;
+        match *self {
+            Action::Journal(IntentRecord::Begin { .. }) => [None, Some(BeforePrepare)],
+            Action::Journal(IntentRecord::Decision { commit, .. }) => match commit {
+                true => [Some(AfterPrepare), Some(AfterCommitDecision)],
+                false => [None, Some(AfterRollbackDecision)],
+            },
+            Action::Conclude { committed } => [committed.then_some(BeforeFinalize), None],
+            _ => [None, None],
+        }
+    }
+}
+
+/// The round a transaction is in; all but `Begin` walk the targets in order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Round {
+    Begin,
     Prepare,
     #[default]
     Query,
@@ -770,7 +793,7 @@ pub(crate) struct Staged {
 
 /// One transaction as plain data — a live rollout, a failover re-sync or a
 /// restart recovery — advanced only by [`Txn::step`]. A live rollout starts
-/// at its prepares; a recovery at its state queries, with the tokens and
+/// at its `begin` record; a recovery at its state queries, with the tokens and
 /// the decision the crashed controller journaled. Both then run the same
 /// commit round, rollback round and conclusion.
 #[derive(Default)]
@@ -788,8 +811,6 @@ pub(crate) struct Txn {
     staged: Vec<Staged>,
     /// The current target's prepare batches not yet sent, last first.
     batches: Vec<ControlOp>,
-    /// Actions decided and not yet handed out; a send is always last.
-    queued: VecDeque<Action>,
     /// Where idempotency tokens come from: the highest sequence number
     /// journaled or minted so far, and `(switch, op name, token)` of every
     /// message journaled before a crash, oldest first. A recovery re-drives
@@ -816,7 +837,6 @@ impl Txn {
             targets,
             attempts,
             confirmed: true,
-            recovering: true,
             report: RolloutReport {
                 in_flight: true,
                 ..report
@@ -834,18 +854,8 @@ impl Txn {
         attempts: u32,
         report: RolloutReport,
     ) -> Self {
-        let begin = IntentRecord::Begin {
-            epoch: report.epoch,
-            prior_epoch,
-            targets: targets.clone(),
-        };
         let mut tx = Txn::new(prior_epoch, targets, attempts, report);
-        (tx.round, tx.staged, tx.recovering) = (Round::Prepare, staged, false);
-        tx.queued.reserve(4); // the longest run of actions one step queues
-        tx.queued.extend([
-            Action::Journal(begin),
-            Action::Boundary(CrashPoint::BeforePrepare),
-        ]);
+        (tx.round, tx.staged) = (Round::Begin, staged);
         tx
     }
 
@@ -887,7 +897,7 @@ impl Txn {
             ..Default::default()
         };
         let mut tx = Txn::new(prior_epoch, targets.clone(), attempts, report);
-        (tx.seq, tx.logged, tx.decision) = (seq, logged, decision);
+        (tx.seq, tx.logged, tx.decision, tx.recovering) = (seq, logged, decision, true);
         Some(tx)
     }
 
@@ -900,17 +910,69 @@ impl Txn {
         observed: Option<Sent>,
         held: impl Fn(&str) -> Option<Held>,
     ) -> Result<Option<Action>, RuntimeError> {
-        if let Some(sent) = observed {
-            self.observe(sent, &held);
+        let mut next = observed.and_then(|sent| self.observe(sent, &held));
+        while next.is_none() && self.round != Round::Done {
+            let (epoch, i, n) = (self.epoch, self.at, self.targets.len());
+            let target = |i: usize| held(&self.targets[i]);
+            next = match self.round {
+                Round::Begin => {
+                    self.round = Round::Prepare;
+                    let (prior_epoch, targets) = (self.prior_epoch, self.targets.clone());
+                    Some(Action::Journal(IntentRecord::Begin {
+                        epoch,
+                        prior_epoch,
+                        targets,
+                    }))
+                }
+                Round::Prepare if i < n => match self.prepare_batch(i, target(i)) {
+                    Some(op) => Some(self.send(op, self.attempts)?),
+                    None => self.goto(self.round, i + 1),
+                },
+                Round::Prepare => {
+                    (self.round, self.at) = (Round::Commit, 0);
+                    let commit = true;
+                    Some(Action::Journal(IntentRecord::Decision { epoch, commit }))
+                }
+                // A target gone since the crash cannot confirm anything.
+                Round::Query if i < n && target(i).is_none() => {
+                    self.report.query_failures += 1;
+                    self.confirmed = false;
+                    self.goto(self.round, i + 1)
+                }
+                Round::Query if i < n => Some(self.send(ControlOp::Query, self.attempts)?),
+                Round::Query if self.decision == Some(true) && self.confirmed => {
+                    self.goto(Round::Commit, 0)
+                }
+                Round::Query => self.goto(Round::Rollback, 0),
+                // A target that flipped before a crash needs no commit.
+                Round::Commit if i < n && target(i).is_some_and(|h| h.serving == epoch) => {
+                    self.goto(self.round, i + 1)
+                }
+                Round::Commit if i < n => Some(self.send(ControlOp::Commit, self.attempts)?),
+                // Every commit was acknowledged — but the acknowledgement of a
+                // reused token the switch recorded without ever staging flips
+                // nothing, so a target still off the epoch fails the round.
+                Round::Commit => {
+                    match (0..n).find(|&i| target(i).is_some_and(|h| h.serving != epoch)) {
+                        Some(i) => self.fail(i),
+                        None => Some(self.conclude(true)),
+                    }
+                }
+                // A target gone has nothing to revert.
+                Round::Rollback if i < n && target(i).is_none() => self.goto(self.round, i + 1),
+                Round::Rollback if i < n => {
+                    Some(self.send(ControlOp::Rollback, self.attempts.saturating_mul(4))?)
+                }
+                Round::Rollback => Some(self.conclude(false)),
+                Round::Done => None,
+            };
         }
-        while self.queued.is_empty() && self.round != Round::Done {
-            self.advance(&held)?;
-        }
-        Ok(self.queued.pop_front())
+        Ok(next)
     }
 
-    /// Fold the outcome of the send the round made to its current target.
-    fn observe(&mut self, sent: Sent, held: &impl Fn(&str) -> Option<Held>) {
+    /// Fold the outcome of the send the round made to its current target,
+    /// which may decide a rollback, or an out-of-band revert.
+    fn observe(&mut self, sent: Sent, held: &impl Fn(&str) -> Option<Held>) -> Option<Action> {
         let (r, i, sw) = (&mut self.report, self.at, &self.targets[self.at]);
         let retries = u64::from(sent.attempts.saturating_sub(1));
         // A switch's own record counts its prepares and its commit.
@@ -924,7 +986,7 @@ impl Txn {
         match self.round {
             Round::Prepare | Round::Commit if !sent.acked => return self.fail(i),
             // A target's last prepare batch, or its commit, went through.
-            Round::Prepare | Round::Commit if !self.batches.is_empty() => return,
+            Round::Prepare | Round::Commit if !self.batches.is_empty() => return None,
             Round::Query if !sent.acked => {
                 r.query_failures += 1;
                 r.diagnostics.push(Diagnostic::warning(
@@ -953,133 +1015,67 @@ impl Txn {
                         self.attempts.saturating_mul(4)
                     ),
                 ));
-                self.queued.push_back(Action::Revert(sw.clone()));
+                self.at += 1;
+                return Some(Action::Revert(sw.clone()));
             }
             _ => {}
         }
-        self.at += 1;
+        self.goto(self.round, i + 1)
     }
 
-    /// Queue what the round does next at its current target.
-    fn advance(&mut self, held: &impl Fn(&str) -> Option<Held>) -> Result<(), RuntimeError> {
-        let (epoch, i, n) = (self.epoch, self.at, self.targets.len());
-        let target = |i: usize| held(&self.targets[i]);
-        match self.round {
-            Round::Prepare if i < n => {
-                if self.batches.is_empty() {
-                    self.open_prepare(i, target(i));
-                }
-                match self.batches.pop() {
-                    Some(op) => self.send(op, self.attempts)?,
-                    None => self.at += 1,
-                }
+    /// Move on to target `at` of `round`, asking nothing yet.
+    fn goto(&mut self, round: Round, at: usize) -> Option<Action> {
+        (self.round, self.at) = (round, at);
+        None
+    }
+
+    /// Target `i`'s next prepare batch. Its batches are laid out as its
+    /// turn comes: a delta against its serving state, or a full snapshot
+    /// when that state is not a base the controller trusts — including
+    /// when the switch is off the prior epoch by then.
+    fn prepare_batch(&mut self, i: usize, held: Option<Held>) -> Option<ControlOp> {
+        if self.batches.is_empty() {
+            let staged = self.staged.get_mut(i)?;
+            if staged.trusted && held.is_some_and(|h| h.serving == self.prior_epoch) {
+                self.report.delta_prepares += 1;
+                let delta = std::mem::take(&mut staged.delta);
+                delta_batches(
+                    self.prior_epoch,
+                    delta,
+                    &staged.state.globals,
+                    &mut self.batches,
+                );
+            } else {
+                self.report.snapshot_prepares += 1;
+                let staged = std::mem::take(&mut staged.state);
+                self.batches.push(ControlOp::Prepare { staged });
             }
-            Round::Prepare => {
-                let commit = IntentRecord::Decision {
-                    epoch,
-                    commit: true,
-                };
-                self.queued.extend([
-                    Action::Boundary(CrashPoint::AfterPrepare),
-                    Action::Journal(commit),
-                    Action::Boundary(CrashPoint::AfterCommitDecision),
-                ]);
-                (self.round, self.at) = (Round::Commit, 0);
-            }
-            // Read-only, so never journaled: a fresh token each time. A
-            // target gone since the crash cannot confirm anything.
-            Round::Query if i < n && target(i).is_none() => {
-                self.report.query_failures += 1;
-                self.confirmed = false;
-                self.at += 1;
-            }
-            Round::Query if i < n => {
-                let msg = ControlMsg {
-                    switch: self.targets[i].clone(),
-                    epoch,
-                    token: self.mint()?,
-                    op: ControlOp::Query,
-                };
-                let attempts = self.attempts;
-                self.queued.push_back(Action::Send { msg, attempts });
-            }
-            Round::Query if self.decision == Some(true) && self.confirmed => {
-                (self.round, self.at) = (Round::Commit, 0);
-            }
-            Round::Query => (self.round, self.at) = (Round::Rollback, 0),
-            // A target that flipped before a crash needs no commit.
-            Round::Commit if i < n && target(i).is_some_and(|h| h.serving == epoch) => {
-                self.at += 1;
-            }
-            Round::Commit if i < n => self.send(ControlOp::Commit, self.attempts)?,
-            // Every commit was acknowledged — but the acknowledgement of a
-            // reused token the switch recorded without ever staging flips
-            // nothing, so a target still off the epoch fails the round.
-            Round::Commit => {
-                match (0..n).find(|&i| target(i).is_some_and(|h| h.serving != epoch)) {
-                    Some(i) => self.fail(i),
-                    None => self.conclude(true),
-                }
-            }
-            Round::Rollback if i < n && target(i).is_none() => self.at += 1, // nothing to revert
-            Round::Rollback if i < n => {
-                self.send(ControlOp::Rollback, self.attempts.saturating_mul(4))?;
-            }
-            Round::Rollback => self.conclude(false),
-            Round::Done => {}
         }
-        Ok(())
+        self.batches.pop()
     }
 
-    /// Lay out target `i`'s prepare batches: a delta against its serving
-    /// state, or a full snapshot when that state is not a base the
-    /// controller trusts — including when the switch is off the prior
-    /// epoch as its turn comes.
-    fn open_prepare(&mut self, i: usize, held: Option<Held>) {
-        let Some(staged) = self.staged.get_mut(i) else {
-            return;
-        };
-        if staged.trusted && held.is_some_and(|h| h.serving == self.prior_epoch) {
-            self.report.delta_prepares += 1;
-            let delta = std::mem::take(&mut staged.delta);
-            delta_batches(
-                self.prior_epoch,
-                delta,
-                &staged.state.globals,
-                &mut self.batches,
-            );
-        } else {
-            self.report.snapshot_prepares += 1;
-            let staged = std::mem::take(&mut staged.state);
-            self.batches.push(ControlOp::Prepare { staged });
+    /// The token of `op` to `switch`: the latest one journaled before a
+    /// crash, else one no message of this epoch has worn.
+    fn token(&mut self, switch: &str, op: &str) -> Result<u64, RuntimeError> {
+        let journaled = |(s, o, _): &&(String, String, u64)| s == switch && o == op;
+        if let Some(&(.., token)) = self.logged.iter().rev().find(journaled) {
+            return Ok(token);
         }
-    }
-
-    /// A token no message of this epoch has worn.
-    fn mint(&mut self) -> Result<u64, RuntimeError> {
         self.seq += 1;
         mint_token(self.epoch, self.seq)
     }
 
-    fn reuse_or_mint(&mut self, switch: &str, op: &str) -> Result<u64, RuntimeError> {
-        let journaled = |(s, o, _): &&(String, String, u64)| s == switch && o == op;
-        match self.logged.iter().rev().find(journaled) {
-            Some(&(.., token)) => Ok(token),
-            None => self.mint(),
-        }
-    }
-
-    /// Queue one protocol message to the current target, its intent
-    /// journaled first: write-ahead, so a crash after it finds the token.
-    fn send(&mut self, op: ControlOp, attempts: u32) -> Result<(), RuntimeError> {
+    /// One protocol message to the current target. A state query is
+    /// read-only, so never journaled: it wears a fresh token each time.
+    fn send(&mut self, op: ControlOp, attempts: u32) -> Result<Action, RuntimeError> {
         let (epoch, switch) = (self.epoch, self.targets[self.at].clone());
-        let token = self.reuse_or_mint(&switch, op.name())?;
-        let intent = IntentRecord::Sent {
+        let token = self.token(&switch, op.name())?;
+        let intent = (!matches!(op, ControlOp::Query)).then(|| IntentRecord::Sent {
             epoch,
             switch: switch.clone(),
             token,
             op: op.name().to_string(),
-        };
+        });
         let msg = ControlMsg {
             switch,
             epoch,
@@ -1089,25 +1085,27 @@ impl Txn {
         if msg.op.is_prepare() {
             self.report.prepare_bytes += msg.wire_bytes() as u64;
         }
-        self.queued
-            .extend([Action::Journal(intent), Action::Send { msg, attempts }]);
-        Ok(())
+        Ok(Action::Send {
+            msg,
+            attempts,
+            intent,
+        })
     }
 
     /// Target `i` did not take its prepare or commit: roll everything
     /// back. A live rollout says why and journals the decision; a recovery
     /// that cannot complete its commit rolls back without a record.
-    fn fail(&mut self, i: usize) {
+    fn fail(&mut self, i: usize) -> Option<Action> {
         let (sw, epoch, attempts) = (&self.targets[i], self.epoch, self.attempts);
-        let (code, message) = match self.round {
-            Round::Prepare => (
+        let error = match self.round {
+            Round::Prepare => Diagnostic::error(
                 codes::ROLLOUT_PREPARE_FAILED,
                 format!(
                     "switch `{sw}` failed to prepare epoch {epoch}: control channel exhausted \
                      after {attempts} attempts"
                 ),
             ),
-            _ => (
+            _ => Diagnostic::error(
                 codes::ROLLOUT_COMMIT_TIMEOUT,
                 format!(
                     "switch `{sw}` did not acknowledge commit of epoch {epoch} within \
@@ -1117,27 +1115,18 @@ impl Txn {
         };
         self.batches.clear();
         (self.round, self.at) = (Round::Rollback, 0);
-        if !self.recovering {
-            let error = Diagnostic::error(code, message);
-            self.report.diagnostics.push(error);
-            let rollback = IntentRecord::Decision {
-                epoch,
-                commit: false,
-            };
-            self.queued.extend([
-                Action::Journal(rollback),
-                Action::Boundary(CrashPoint::AfterRollbackDecision),
-            ]);
+        if self.recovering {
+            return None;
         }
+        self.report.diagnostics.push(error);
+        let commit = false;
+        Some(Action::Journal(IntentRecord::Decision { epoch, commit }))
     }
 
     /// The one outcome tail of live rollouts and recoveries alike.
-    fn conclude(&mut self, committed: bool) {
+    fn conclude(&mut self, committed: bool) -> Action {
         let (epoch, prior, r) = (self.epoch, self.prior_epoch, &mut self.report);
-        if committed && !self.recovering {
-            self.queued
-                .push_back(Action::Boundary(CrashPoint::BeforeFinalize));
-        } else if committed {
+        if committed && self.recovering {
             r.diagnostics.push(Diagnostic::warning(
                 codes::RECOVERY_COMMITTED,
                 format!(
@@ -1145,7 +1134,7 @@ impl Txn {
                      on every switch"
                 ),
             ));
-        } else {
+        } else if !committed {
             let (code, what) = match self.recovering {
                 true => (
                     codes::RECOVERY_ROLLED_BACK,
@@ -1171,10 +1160,8 @@ impl Txn {
             }
         }
         (r.committed, r.rolled_back) = (committed, !committed);
-        let end = IntentRecord::End { epoch, committed };
-        self.queued
-            .extend([Action::Conclude { committed }, Action::Journal(end)]);
         self.round = Round::Done;
+        Action::Conclude { committed }
     }
 }
 
@@ -1242,6 +1229,13 @@ impl Driver<'_, '_> {
         let now = Instant::now();
         sent.elapsed = now - std::mem::replace(&mut self.clock, now);
         sent
+    }
+
+    /// Append `record` to the intent log, when there is one.
+    fn journal(&mut self, record: &IntentRecord) -> Result<(), RuntimeError> {
+        self.store
+            .as_deref_mut()
+            .map_or(Ok(()), |log| log.append(record))
     }
 }
 
@@ -1488,12 +1482,14 @@ impl<'a> Runtime<'a> {
 
     /// The one driver: carry out what [`Txn::step`] asks — through `io`, on
     /// the switch agents — and feed back what came of it, until the
-    /// transaction is over; then refresh the controller's shadow of
-    /// switch-held state (what `audit_switches` diffs against). A channel
-    /// failure *is* a result, reported through [`RolloutReport::rolled_back`];
-    /// `Err` means the *controller* died — an injected crash (`LYR0570`), an
-    /// intent-store fault (`LYR0577`) or an exhausted token space
-    /// (`LYR0590`) — leaving switches and journal for [`Runtime::recover`].
+    /// transaction is over, dying where the crash plan names a position
+    /// ([`Action::crash_points`], or a journaled send); then refresh the
+    /// controller's shadow of switch-held state (what `audit_switches` diffs
+    /// against). A channel failure *is* a result, reported through
+    /// [`RolloutReport::rolled_back`]; `Err` means the *controller* died — an
+    /// injected crash (`LYR0570`), an intent-store fault (`LYR0577`) or an
+    /// exhausted token space (`LYR0590`) — leaving switches and journal for
+    /// [`Runtime::recover`].
     pub(crate) fn drive(
         &mut self,
         mut tx: Txn,
@@ -1502,10 +1498,11 @@ impl<'a> Runtime<'a> {
     ) -> Result<RolloutReport, RuntimeError> {
         let (mut observed, mut sends) = (None, 0);
         let crash = io.crash.take().unwrap_or_default();
-        let crashed = || {
-            let what = "controller crashed (injected by crash plan); the intent log and \
-                        switch-held state are the only surviving record — run recovery";
-            RuntimeError::new(what.to_string()).with_code(codes::CONTROLLER_CRASHED)
+        let what = "controller crashed (injected by crash plan); the intent log and \
+                    switch-held state are the only surviving record — run recovery";
+        let die = |planned: bool| match planned {
+            false => Ok(()),
+            true => Err(RuntimeError::new(what.to_string()).with_code(codes::CONTROLLER_CRASHED)),
         };
         loop {
             let states = &self.states;
@@ -1514,21 +1511,20 @@ impl<'a> Runtime<'a> {
                 self.refresh_expected();
                 return Ok(tx.report);
             };
+            let [before, after] = action.crash_points().map(|p| p.is_some() && p == crash.at);
+            die(before)?;
             match action {
-                Action::Journal(record) => {
-                    if let Some(store) = io.store.as_deref_mut() {
-                        store.append(&record)?;
+                Action::Journal(record) => io.journal(&record)?,
+                Action::Send {
+                    msg,
+                    attempts,
+                    intent,
+                } => {
+                    if let Some(record) = intent {
+                        io.journal(&record)?;
+                        sends += 1; // `CrashPlan::after_sends(n)` counts intents
+                        die(crash.after_sends == Some(sends))?;
                     }
-                    // `CrashPlan::after_sends(n)` fires right after the n-th
-                    // message intent is journaled.
-                    sends += u64::from(matches!(record, IntentRecord::Sent { .. }));
-                    if crash.after_sends == Some(sends) {
-                        return Err(crashed());
-                    }
-                }
-                Action::Boundary(point) if crash.at == Some(point) => return Err(crashed()),
-                Action::Boundary(_) => {}
-                Action::Send { msg, attempts } => {
                     let (report, plane) = (&mut tx.report, self.plane.as_deref());
                     observed = Some(io.send(report, &mut self.states, plane, &msg, attempts));
                 }
@@ -1536,11 +1532,12 @@ impl<'a> Runtime<'a> {
                     force_rollback(&mut self.states, self.plane.as_deref(), &sw, tx.epoch);
                 }
                 Action::Conclude { committed } => {
-                    let abandoned = (!committed).then_some(tx.epoch);
+                    let epoch = tx.epoch;
+                    let abandoned = (!committed).then_some(epoch);
                     tx.report.forced_rollbacks +=
                         settle(&mut self.states, self.plane.as_deref(), abandoned);
                     if committed {
-                        self.epoch = tx.epoch;
+                        self.epoch = epoch;
                         self.output = next;
                         // The committed switches hold exactly what the
                         // controller staged: deltas are trustworthy again.
@@ -1554,8 +1551,10 @@ impl<'a> Runtime<'a> {
                         self.states.values().all(|st| st.epoch() == self.epoch),
                         "a settled deployment serves one epoch"
                     );
+                    io.journal(&IntentRecord::End { epoch, committed })?;
                 }
             }
+            die(after)?;
         }
     }
 }
@@ -2104,7 +2103,7 @@ mod tests {
 /// the fleet. A live rollout (target A prepares in two delta batches, B in
 /// one, C with a snapshot) runs each send to one of three outcomes —
 /// acknowledged, spent undelivered, spent delivered with every ack lost —
-/// and may crash at every boundary and after every journaled send; each
+/// and may crash at every named point and after every journaled send; each
 /// crash is then recovered from its journal under every schedule of query
 /// (answered or spent) and message outcomes, with every fleet intact and
 /// with one target dead since the crash (release builds kill each target
@@ -2231,10 +2230,15 @@ mod step_walk {
     ) -> (Option<Sent>, Option<bool>) {
         let index = |sw: &str| TARGETS.iter().position(|t| *t == sw).unwrap();
         match action {
-            Action::Send { msg, attempts } => {
+            Action::Send {
+                msg,
+                attempts,
+                intent,
+            } => {
                 let (i, op) = (index(&msg.switch), msg.op.name());
                 let budget = if op == "rollback" { 4 } else { 1 } * ATTEMPTS;
                 assert_eq!(attempts, budget, "{op} budget");
+                assert_eq!(intent.is_some(), op != "query", "{op} journaled");
                 if op == "commit" {
                     rules.may_commit();
                 }
@@ -2286,8 +2290,19 @@ mod step_walk {
                 }
                 (None, Some(committed))
             }
-            Action::Journal(_) | Action::Boundary(_) => unreachable!("handled by the walk"),
+            Action::Journal(_) => unreachable!("a recovery journals no decision"),
         }
+    }
+
+    /// Offer a crash at `point`, when the action passes one; true when the
+    /// script takes it.
+    fn crash_at(point: Option<CrashPoint>, script: &mut Script, hits: &mut [u64; 5]) -> bool {
+        let Some(point) = point else {
+            return false;
+        };
+        let crashed = script.pick(2) == 1;
+        hits[CrashPoint::ALL.iter().position(|p| *p == point).unwrap()] += u64::from(crashed);
+        crashed
     }
 
     #[test]
@@ -2302,30 +2317,34 @@ mod step_walk {
             let crashed = loop {
                 let held = |sw: &str| fleet.get(sw).map(SwitchState::held);
                 let action = tx.step(observed.take(), held).unwrap();
-                match action.expect("a live rollout concludes before it ends") {
-                    Action::Journal(record) => {
-                        let sent = matches!(record, IntentRecord::Sent { .. });
-                        journal.push(record);
-                        if sent && outer.pick(2) == 1 {
-                            break true;
-                        }
+                let action = action.expect("a live rollout concludes before it ends");
+                let [before, after] = action.crash_points();
+                if crash_at(before, &mut outer, &mut crash_points) {
+                    break true;
+                }
+                if let Action::Send {
+                    intent: Some(record),
+                    ..
+                } = &action
+                {
+                    journal.push(record.clone());
+                    if outer.pick(2) == 1 {
+                        break true;
                     }
-                    Action::Boundary(point) => {
-                        if outer.pick(2) == 1 {
-                            crash_points
-                                [CrashPoint::ALL.iter().position(|p| *p == point).unwrap()] += 1;
-                            break true;
-                        }
-                    }
+                }
+                match action {
+                    Action::Journal(record) => journal.push(record),
                     action => match act(action, &mut fleet, &mut outer, &mut rules) {
                         (_, Some(c)) => {
                             committed += u64::from(c);
-                            assert!(tx.step(None, |_| None).unwrap().is_some(), "End");
                             assert!(tx.step(None, |_| None).unwrap().is_none());
                             break false;
                         }
                         (sent, None) => observed = sent,
                     },
+                }
+                if crash_at(after, &mut outer, &mut crash_points) {
+                    break true;
                 }
             };
             schedules += 1;
@@ -2350,8 +2369,6 @@ mod step_walk {
                     loop {
                         let held = |sw: &str| fleet.get(sw).map(SwitchState::held);
                         match tx.step(observed.take(), held).unwrap() {
-                            Some(Action::Journal(_)) => {}
-                            Some(Action::Boundary(p)) => panic!("a recovery crashed at {p:?}"),
                             Some(action) => {
                                 let (sent, end) = act(action, &mut fleet, &mut inner, &mut rules);
                                 recommitted += u64::from(end == Some(true));
@@ -2378,5 +2395,120 @@ mod step_walk {
         assert!(committed > 0 && committed < schedules);
         assert!(recommitted > 0 && recommitted < recoveries);
         assert!(crash_points.iter().all(|&n| n > 0), "{crash_points:?}");
+        // A count that moves means the machine sends, journals or passes a
+        // crash position somewhere else. Debug builds kill one target.
+        let recovered = if cfg!(debug_assertions) {
+            52_520
+        } else {
+            67_424
+        };
+        assert_eq!(
+            (schedules, committed, crashes, crash_points),
+            (586, 1, 207, [1, 1, 1, 1, 14])
+        );
+        assert_eq!((recoveries, recommitted), (recovered, 5));
+    }
+
+    /// What an action does, in a word or three.
+    fn name(action: &Action) -> String {
+        match action {
+            Action::Journal(record) => format!(
+                "journal {}",
+                record.to_json().get("t").unwrap().as_str().unwrap()
+            ),
+            Action::Send { msg, intent, .. } => {
+                let wal = ["unjournaled", "journaled"][usize::from(intent.is_some())];
+                format!("send {} {} {wal}", msg.op.name(), msg.switch)
+            }
+            Action::Revert(sw) => format!("revert {sw}"),
+            Action::Conclude { committed } => format!("conclude {committed}"),
+        }
+    }
+
+    /// Carry `tx` out on `fleet` with every send acknowledged at once,
+    /// until `stop` holds for an action carried out or the transaction is
+    /// over. Returns the actions, the `step` calls made and the journal.
+    fn clean_run(
+        tx: &mut Txn,
+        fleet: &mut BTreeMap<String, SwitchState>,
+        stop: impl Fn(&Action) -> bool,
+    ) -> (Vec<String>, usize, Vec<IntentRecord>) {
+        let (mut actions, mut steps, mut journal, mut observed) = (vec![], 0, vec![], None);
+        loop {
+            let held = |sw: &str| fleet.get(sw).map(SwitchState::held);
+            steps += 1;
+            let Some(action) = tx.step(observed.take(), held).unwrap() else {
+                return (actions, steps, journal);
+            };
+            actions.push(name(&action));
+            match &action {
+                Action::Journal(record) => journal.push(record.clone()),
+                Action::Send { msg, intent, .. } => {
+                    journal.extend(intent.clone());
+                    deliver(fleet, None, msg);
+                    let (acked, attempts, elapsed) = (true, 1, Duration::ZERO);
+                    observed = Some(Sent {
+                        acked,
+                        attempts,
+                        elapsed,
+                    });
+                }
+                Action::Revert(sw) => force_rollback(fleet, None, sw, tx.epoch),
+                Action::Conclude { committed } => {
+                    settle(fleet, None, (!committed).then_some(tx.epoch));
+                }
+            }
+            if stop(&action) {
+                return (actions, steps, journal);
+            }
+        }
+    }
+
+    /// One action per step: a clean one-target, one-batch rollout is five
+    /// actions, and a clean recovery of a journaled commit queries every
+    /// target (unjournaled), commits the targets not yet serving
+    /// (journaled) and concludes.
+    #[test]
+    fn a_clean_transaction_takes_one_step_per_action() {
+        let mut one = fleet();
+        one.retain(|sw, _| sw == "A");
+        let staged = vec![Staged {
+            trusted: true,
+            ..Default::default()
+        }];
+        let report = RolloutReport {
+            epoch: 2,
+            switches: vec![SwitchRollout::default()],
+            ..Default::default()
+        };
+        let mut tx = Txn::rollout(1, vec!["A".into()], staged, ATTEMPTS, report);
+        let (actions, steps, _) = clean_run(&mut tx, &mut one, |_| false);
+        let expected = [
+            "journal begin",
+            "send prepare-delta A journaled",
+            "journal decision",
+            "send commit A journaled",
+            "conclude true",
+        ];
+        assert_eq!((actions, steps), (expected.map(String::from).to_vec(), 6));
+        assert_eq!(one["A"].held().serving, 2);
+
+        // Three targets, the controller gone right after A's commit.
+        let mut three = fleet();
+        let mut tx = live();
+        let a_commit = |a: &Action| name(a) == "send commit A journaled";
+        let (_, _, journal) = clean_run(&mut tx, &mut three, a_commit);
+        let mut tx = Txn::recovery(&journal, ATTEMPTS).expect("in flight");
+        let (actions, steps, _) = clean_run(&mut tx, &mut three, |_| false);
+        let expected = [
+            "send query A unjournaled",
+            "send query B unjournaled",
+            "send query C unjournaled",
+            "send commit B journaled",
+            "send commit C journaled",
+            "conclude true",
+        ];
+        assert_eq!((actions, steps), (expected.map(String::from).to_vec(), 7));
+        assert!(three.values().all(|st| st.held().serving == 2));
     }
 }

@@ -348,7 +348,10 @@ impl Scope {
 }
 
 /// The crashes a finished schedule reaches, each with the number of
-/// transmissions it depends on, read off the clocked journal.
+/// transmissions it depends on, read off the clocked journal: the named
+/// points sit around the `begin` record, the decisions and a committed
+/// conclusion (the `end` record that follows it), and one crash follows
+/// each journaled send.
 fn crashes_reached(records: &[(IntentRecord, usize)]) -> Vec<(CrashPlan, usize)> {
     let mut crashes = vec![(CrashPlan::at(CrashPoint::BeforePrepare), 0)];
     let mut sends = 0;
@@ -519,5 +522,23 @@ fn every_schedule_of_a_two_switch_rollout_is_all_or_nothing() {
     assert!(
         crash_points_hit.iter().all(|&n| n > 0),
         "a crash point was never reached: {crash_points_hit:?}"
+    );
+    // A count that moves means the protocol sends a different number of
+    // messages, or journals or passes a crash position somewhere else.
+    // Debug builds walk no late copies.
+    let expected = if cfg!(debug_assertions) {
+        (63_496, 16, 12, 1_480, [1, 4, 4, 16, 30])
+    } else {
+        (685_792, 208, 12, 15_934, [1, 28, 28, 208, 324])
+    };
+    assert_eq!(
+        (
+            schedules,
+            committed_runs,
+            longest,
+            crashed,
+            crash_points_hit
+        ),
+        expected
     );
 }
