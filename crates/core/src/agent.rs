@@ -110,10 +110,9 @@ impl SwitchState {
     /// switch already knows — never the sender's intent — which is why the
     /// epoch guards exist: stale late replays must lose.
     fn apply(&mut self, msg: &ControlMsg) -> bool {
-        if matches!(msg.op, ControlOp::Query | ControlOp::Probe) {
-            // Read-only: the switch reports its epochs (query) or its
-            // liveness (probe) in the ack. Records no token, so a retried
-            // copy is never suppressed.
+        if matches!(msg.op, ControlOp::Query) {
+            // Read-only: the switch reports its liveness and epochs in the
+            // ack. Records no token, so a retried copy is never suppressed.
             return false;
         }
         if !self.tokens.insert(msg.token) {
@@ -125,11 +124,6 @@ impl SwitchState {
         let may_open =
             msg.epoch > self.epoch && self.staged.as_ref().is_none_or(|(e, _)| msg.epoch >= *e);
         match &msg.op {
-            ControlOp::Prepare { staged } => {
-                if may_open {
-                    self.staged = Some((msg.epoch, staged.clone()));
-                }
-            }
             ControlOp::PrepareDelta {
                 base_epoch,
                 ops,
@@ -137,14 +131,16 @@ impl SwitchState {
                 batch_index: 0,
                 ..
             } => {
-                // The first batch opens the staged epoch: an O(1)
-                // copy-on-write clone of the serving state with the new
-                // epoch's globals swapped in. One guard more than a
-                // snapshot prepare: the switch must still be on the epoch
-                // the delta was computed against, or applying it would
-                // converge on the wrong state.
-                if may_open && *base_epoch == self.epoch {
-                    let mut dp = self.dp.clone();
+                // The first batch opens the staged epoch from its base — an
+                // O(1) copy-on-write clone of the serving state, or an empty
+                // switch — with the new epoch's globals swapped in. A delta
+                // against another epoch would converge on the wrong state.
+                let base = match *base_epoch {
+                    _ if !may_open => None,
+                    None => Some(DataPlaneState::new()),
+                    Some(e) => (e == self.epoch).then(|| self.dp.clone()),
+                };
+                if let Some(mut dp) = base {
                     dp.globals = globals.clone();
                     apply_entry_ops(&mut dp, ops);
                     self.staged = Some((msg.epoch, dp));
@@ -171,7 +167,7 @@ impl SwitchState {
                 self.staged.take_if(|(e, _)| *e == msg.epoch);
                 return self.revert(msg.epoch);
             }
-            ControlOp::Query | ControlOp::Probe => {}
+            ControlOp::Query => {}
         }
         false
     }
@@ -200,6 +196,9 @@ fn apply_entry_ops(dp: &mut DataPlaneState, ops: &[EntryOp]) {
             }
             EntryOp::Remove { table, key } => {
                 dp.uninstall(table, *key);
+            }
+            EntryOp::Table { table, entries } => {
+                dp.externs.insert(table.clone(), entries.clone());
             }
         }
     }
@@ -273,6 +272,7 @@ pub(crate) fn settle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lyra_ir::ExternTable;
 
     fn msg(epoch: u64, token: u64, op: ControlOp) -> ControlMsg {
         ControlMsg {
@@ -283,11 +283,19 @@ mod tests {
         }
     }
 
-    /// A snapshot prepare whose state is recognisable by `marker`.
+    /// A prepare from an empty switch whose state is recognisable by
+    /// `marker`.
     fn prepare(marker: u64) -> ControlOp {
-        let mut staged = DataPlaneState::new();
-        staged.install("t", 1, marker);
-        ControlOp::Prepare { staged }
+        ControlOp::PrepareDelta {
+            base_epoch: None,
+            ops: vec![EntryOp::Table {
+                table: "t".into(),
+                entries: ExternTable::from_sorted(vec![(1, marker)]),
+            }],
+            globals: BTreeMap::new(),
+            batch_index: 0,
+            batches_total: 1,
+        }
     }
 
     fn marker(dp: &DataPlaneState) -> Option<u64> {
@@ -343,7 +351,6 @@ mod tests {
     fn a_seen_token_gets_no_second_ruling_and_queries_record_none() {
         let mut st = switch_at(5);
         assert!(!st.apply(&msg(6, 9, ControlOp::Query)));
-        assert!(!st.apply(&msg(6, 9, ControlOp::Probe)));
         st.apply(&msg(6, 9, prepare(60))); // the query did not burn token 9
         assert_eq!(st.staged().map(|(e, _)| e), Some(6));
         // A refused commit still records its token: the replay of it is

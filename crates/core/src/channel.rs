@@ -1,11 +1,13 @@
 //! The control channel between the rollout engine and each switch.
 //!
 //! A transactional rollout ([`crate::rollout`]) converges a running
-//! deployment onto a new placement by sending per-switch prepare / commit /
-//! rollback messages. Real control channels lose, delay, and duplicate
-//! those messages; this module interposes a [`ControlChannel`] trait that
-//! decides the *fate* of every transmission so tests can inject a
-//! deterministic, seeded fault model ([`LossyChannel`]) while production
+//! deployment onto a new placement by sending each switch four kinds of
+//! [`ControlOp`]: prepare (a delta against its serving state or against an
+//! empty switch), commit, rollback, and a read-only query that is also the
+//! health monitor's heartbeat. Real control channels lose, delay, and
+//! duplicate those messages; this module interposes a [`ControlChannel`]
+//! trait that decides the *fate* of every transmission so tests can inject
+//! a deterministic, seeded fault model ([`LossyChannel`]) while production
 //! callers use the in-process [`ReliableChannel`].
 //!
 //! The channel never applies a message itself — it only rules on delivery.
@@ -17,11 +19,11 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use lyra_ir::DataPlaneState;
+use lyra_ir::ExternTable;
 
 /// One entry-level change in a delta prepare: the unit of a batched
 /// install message. A rollout that touched 1% of a million-entry table
-/// ships ~10⁴ of these instead of the 10⁶-entry snapshot.
+/// ships ~10⁴ of these instead of the 10⁶-entry table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EntryOp {
     /// Install or overwrite `table[key] = value` in the staged epoch.
@@ -40,17 +42,26 @@ pub enum EntryOp {
         /// Entry key.
         key: u64,
     },
+    /// Install a whole table the base does not hold; in-process it shares
+    /// the staged table's pages.
+    Table {
+        /// Extern table name.
+        table: String,
+        /// Every entry of the table in the staged epoch.
+        entries: ExternTable,
+    },
 }
 
 impl EntryOp {
     /// Estimated wire size: a one-byte opcode, the 8-byte key (and value
-    /// for sets), plus the table name (amortized to a 2-byte table id on
-    /// a real SDK wire; we charge the name once per op to stay
-    /// conservative).
+    /// for sets; every entry's 16 bytes for a whole table), plus the table
+    /// name (amortized to a 2-byte table id on a real SDK wire; we charge
+    /// the name once per op to stay conservative).
     pub fn wire_bytes(&self) -> usize {
         match self {
             EntryOp::Set { table, .. } => 1 + table.len() + 16,
             EntryOp::Remove { table, .. } => 1 + table.len() + 8,
+            EntryOp::Table { table, entries } => 1 + table.len() + 16 * entries.len(),
         }
     }
 }
@@ -58,28 +69,18 @@ impl EntryOp {
 /// The operation a control message carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ControlOp {
-    /// Stage the full per-switch state of the next epoch. Carries the
-    /// payload so a duplicated or late prepare re-delivers *its own*
-    /// (possibly stale) snapshot, as on a real wire. This is the
-    /// fallback path — fresh switches, drift-repaired switches, and
-    /// base-epoch mismatches take it; everything else prepares via
-    /// [`ControlOp::PrepareDelta`].
-    Prepare {
-        /// The staged data-plane state for the new epoch.
-        staged: DataPlaneState,
-    },
-    /// Stage the next epoch as a batch of entry-level changes against the
-    /// switch's *serving* state. Batch 0 opens the staged epoch (cloning
-    /// the serving state and replacing the globals); later batches append
-    /// to it. Each batch is its own message with its own idempotency
-    /// token, so the lossy-channel fault model rules on every batch
-    /// independently — exactly like a real SDK's bounded-size install
-    /// RPCs.
+    /// Stage the next epoch as a batch of entry-level changes against a
+    /// base: the switch's *serving* state, or an empty switch. Batch 0
+    /// opens the staged epoch (a copy of the base with the globals
+    /// replaced); later batches append to it. Each batch is its own
+    /// message with its own idempotency token, so the lossy-channel fault
+    /// model rules on every batch independently — exactly like a real
+    /// SDK's bounded-size install RPCs.
     PrepareDelta {
-        /// The serving epoch this delta was diffed against. A switch
-        /// whose serving epoch differs must refuse the batch (the
-        /// controller falls back to a snapshot prepare).
-        base_epoch: u64,
+        /// The serving epoch this delta was diffed against, which a switch
+        /// serving any other epoch must refuse; `None` opens the staged
+        /// epoch from an empty switch, whatever epoch it serves.
+        base_epoch: Option<u64>,
         /// Entry-level changes, applied in order.
         ops: Vec<EntryOp>,
         /// The complete global register arrays of the new epoch, whole
@@ -101,62 +102,37 @@ pub enum ControlOp {
     /// Abandon the staged epoch; if the switch already committed, revert
     /// to the retained prior epoch.
     Rollback,
-    /// Ask the switch to report its serving epoch and any staged/prior
-    /// epoch it retains. Read-only: a restarted controller sends this
-    /// during [`crate::Runtime::recover`] to learn how far an in-flight
-    /// rollout got before the crash. Queries carry no idempotency token
-    /// state — they never mutate the switch.
+    /// Ask the switch for its liveness, its serving epoch and any staged
+    /// epoch. Read-only: it records no idempotency token. A restarted
+    /// controller sends it during [`crate::Runtime::recover`] to learn how
+    /// far an in-flight rollout got; the health monitor (`crate::health`)
+    /// sends it as a heartbeat, so a dropped one is evidence, not state.
     Query,
-    /// A heartbeat from the health monitor (`crate::health`): the
-    /// switch (or the agent at one end of a probed link) answers with its
-    /// liveness and epoch tags (`lyra_health_probe()` in the emitted
-    /// control stub). Read-only like [`ControlOp::Query`] — it never
-    /// mutates the switch and records no idempotency token, so a dropped
-    /// probe is pure evidence, not protocol state.
-    Probe,
 }
 
 impl ControlOp {
     /// Short wire name (for reports and logs).
     pub fn name(&self) -> &'static str {
         match self {
-            ControlOp::Prepare { .. } => "prepare",
             ControlOp::PrepareDelta { .. } => "prepare-delta",
             ControlOp::Commit => "commit",
             ControlOp::Rollback => "rollback",
             ControlOp::Query => "query",
-            ControlOp::Probe => "probe",
         }
     }
 
-    /// True for either prepare flavor (snapshot or delta).
+    /// True for a prepare.
     pub fn is_prepare(&self) -> bool {
-        matches!(
-            self,
-            ControlOp::Prepare { .. } | ControlOp::PrepareDelta { .. }
-        )
+        matches!(self, ControlOp::PrepareDelta { .. })
     }
 
-    /// Estimated payload size on a real wire, in bytes. Snapshot prepares
-    /// charge every entry and global word; delta prepares charge only
-    /// their ops (plus globals in batch 0); control-only ops are a fixed
-    /// header. This is the number the bench harness tracks to prove
-    /// prepare cost scales with the delta, not the state.
+    /// Estimated payload size on a real wire, in bytes. A prepare charges
+    /// its ops (a whole table by its entries) plus the globals in batch 0;
+    /// control-only ops are a fixed header. This is the number the bench
+    /// harness tracks to prove prepare cost scales with the delta, not
+    /// the state.
     pub fn wire_bytes(&self) -> usize {
         match self {
-            ControlOp::Prepare { staged } => {
-                let entries: usize = staged
-                    .externs
-                    .iter()
-                    .map(|(name, t)| t.len() * 16 + name.len())
-                    .sum();
-                let globals: usize = staged
-                    .globals
-                    .iter()
-                    .map(|(name, arr)| name.len() + arr.len() * 8)
-                    .sum();
-                entries + globals
-            }
             ControlOp::PrepareDelta { ops, globals, .. } => {
                 let ops: usize = ops.iter().map(|o| o.wire_bytes()).sum();
                 let globals: usize = globals
@@ -166,7 +142,7 @@ impl ControlOp {
                 // base_epoch + batch_index + batches_total.
                 ops + globals + 16
             }
-            ControlOp::Commit | ControlOp::Rollback | ControlOp::Query | ControlOp::Probe => 0,
+            ControlOp::Commit | ControlOp::Rollback | ControlOp::Query => 0,
         }
     }
 }
@@ -444,25 +420,34 @@ mod tests {
 
     #[test]
     fn wire_bytes_charge_delta_by_ops_and_snapshot_by_state() {
-        let mut staged = DataPlaneState::new();
-        for k in 0..10_000u64 {
-            staged.install("t", k, k);
-        }
-        let snapshot = ControlOp::Prepare { staged };
-        let delta = ControlOp::PrepareDelta {
-            base_epoch: 1,
-            ops: (0..100u64)
+        // A snapshot is a prepare from an empty switch that ships each
+        // table whole; it is charged by the entries it carries.
+        let entries = ExternTable::from_sorted((0..10_000u64).map(|k| (k, k)).collect());
+        let prepare = |base_epoch, ops| ControlOp::PrepareDelta {
+            base_epoch,
+            ops,
+            globals: BTreeMap::new(),
+            batch_index: 0,
+            batches_total: 1,
+        };
+        let snapshot = prepare(
+            None,
+            vec![EntryOp::Table {
+                table: "t".into(),
+                entries,
+            }],
+        );
+        let delta = prepare(
+            Some(1),
+            (0..100u64)
                 .map(|k| EntryOp::Set {
                     table: "t".into(),
                     key: k,
                     value: k,
                 })
                 .collect(),
-            globals: BTreeMap::new(),
-            batch_index: 0,
-            batches_total: 1,
-        };
-        assert!(snapshot.wire_bytes() >= 10_000 * 16);
+        );
+        assert_eq!(snapshot.wire_bytes(), 1 + 1 + 10_000 * 16 + 16);
         assert!(delta.wire_bytes() < snapshot.wire_bytes() / 50);
         assert_eq!(ControlOp::Commit.wire_bytes(), 0);
     }

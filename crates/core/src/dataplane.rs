@@ -1062,12 +1062,24 @@ mod tests {
             epoch: rt.epoch() + 1,
             token,
             op: ControlOp::PrepareDelta {
-                base_epoch: rt.epoch(),
+                base_epoch: Some(rt.epoch()),
                 ops,
                 globals: rt.states[sw].dp.globals.clone(),
                 batch_index: 0,
                 batches_total: 1,
             },
+        }
+    }
+
+    /// A one-message prepare that stages `staged` from an empty switch.
+    fn from_empty(staged: DataPlaneState) -> ControlOp {
+        let whole = |(table, entries)| EntryOp::Table { table, entries };
+        ControlOp::PrepareDelta {
+            base_epoch: None,
+            ops: staged.externs.into_iter().map(whole).collect(),
+            globals: staged.globals,
+            batch_index: 0,
+            batches_total: 1,
         }
     }
 
@@ -1136,15 +1148,9 @@ mod tests {
         };
         let staged = rt.states["ToR1"].dp.clone();
         for msg in [
-            park(
-                1,
-                1,
-                ControlOp::Prepare {
-                    staged: staged.clone(),
-                },
-            ),
+            park(1, 1, from_empty(staged.clone())),
             park(1, 2, ControlOp::Commit),
-            park(7, 3, ControlOp::Prepare { staged }),
+            park(7, 3, from_empty(staged)),
         ] {
             deliver(&mut rt.states, None, &msg);
         }
@@ -1291,7 +1297,7 @@ mod tests {
             io.send(report, &mut rt.states, rt.plane.as_deref(), &msg, 1)
         };
         let staged = DataPlaneState::new();
-        assert!(send(&mut rt, &mut report, 1, ControlOp::Prepare { staged }).acked);
+        assert!(send(&mut rt, &mut report, 1, from_empty(staged)).acked);
         assert_eq!(plane.serving_epoch("Agg3"), Some(epoch0), "prepare stages");
         assert!(!send(&mut rt, &mut report, 2, ControlOp::Commit).acked);
         assert_eq!(

@@ -6,13 +6,13 @@
 //! to a failure once it is known (fault-set recompiles, two-phase rollouts,
 //! crash recovery, anti-entropy audit). This module closes the loop:
 //!
-//! 1. **Detection** — a `HealthMonitor` drives seeded heartbeat probes
-//!    ([`ControlOp::Probe`]) over the existing [`ControlChannel`] and folds
-//!    in passive evidence from rollout sends, one sample at a time through
-//!    the pure per-target `step`. It tells *dead* (consecutive missed
-//!    probes) from *gray* (slow or lossy — answering, but badly) from
-//!    *flapping* (oscillating), with hysteresis so one dropped packet never
-//!    triggers a recompile.
+//! 1. **Detection** — a `HealthMonitor` drives seeded heartbeat probes (a
+//!    read-only [`ControlOp::Query`] each) over the existing
+//!    [`ControlChannel`] and folds in passive evidence from rollout sends,
+//!    one sample at a time through the pure per-target `step`. It tells
+//!    *dead* (consecutive missed probes) from *gray* (slow or lossy —
+//!    answering, but badly) from *flapping* (oscillating), with hysteresis
+//!    so one dropped packet never triggers a recompile.
 //! 2. **Remediation** — a `SelfHealer` turns the monitor's verdicts into
 //!    a [`FaultSet`] delta and drives `recompile_for_faults → apply_rollout
 //!    → audit_switches` automatically: rate-limited, damped backoff on
@@ -393,7 +393,7 @@ impl HealthMonitor {
                 switch: target.wire(),
                 epoch: 0,
                 token: self.probe_seq,
-                op: ControlOp::Probe,
+                op: ControlOp::Query,
             };
             let outcome = match channel.transmit(&msg) {
                 Delivery::Delivered | Delivery::Duplicated => ProbeOutcome::Ok,
@@ -1468,7 +1468,7 @@ mod tests {
                 switch: wire.into(),
                 epoch: 0,
                 token: 1,
-                op: ControlOp::Probe,
+                op: ControlOp::Query,
             })
         };
         assert_eq!(probe(&mut ch, "Agg3"), Delivery::Dropped);

@@ -243,11 +243,6 @@ impl<'a> Runtime<'a> {
                 report.drifted_switches.push(sw.clone());
             }
         }
-        // A repaired switch's page structure no longer matches the
-        // controller's retained base: its next prepare falls back to a
-        // full snapshot instead of a delta.
-        self.needs_snapshot
-            .extend(report.drifted_switches.iter().cloned());
         if !report.findings.is_empty() {
             let counts = report
                 .counts()

@@ -14,9 +14,9 @@
 //!    └────── rollback (abandon N+1; committed switches revert to N)
 //! ```
 //!
-//! * **Prepare** stages the complete per-switch table state of the next
-//!   epoch (validated against shard capacity and, when provided, scope
-//!   health) without touching the serving state.
+//! * **Prepare** stages each switch's next-epoch table state (validated
+//!   against shard capacity and, when provided, scope health) as a delta
+//!   against what it serves, without touching the serving state.
 //! * **Commit** flips each switch to its staged epoch; the old state is
 //!   retained switch-side until the rollout finalizes, so a later failure
 //!   can still revert it.
@@ -91,10 +91,10 @@ pub struct RolloutConfig {
     /// intent log exactly as they were — [`crate::Runtime::recover`]
     /// must then finish the transaction. `None` = never crash.
     pub crash: Option<CrashPlan>,
-    /// Force every prepare to carry a full state snapshot even where a
-    /// delta would do. The escape hatch for operators who distrust a
-    /// switch's held state, and the bench baseline that the O(delta)
-    /// path is measured against.
+    /// Force every prepare to carry every table whole from an empty
+    /// switch, even where a delta would do. The escape hatch for operators
+    /// who distrust a switch's held state, and the bench baseline that the
+    /// O(delta) path is measured against.
     pub force_snapshot: bool,
 }
 
@@ -131,7 +131,7 @@ impl RolloutConfig {
         self
     }
 
-    /// Force full-snapshot prepares (disable the O(delta) path).
+    /// Force from-empty prepares (disable the O(delta) path).
     pub fn with_force_snapshot(mut self, force: bool) -> Self {
         self.force_snapshot = force;
         self
@@ -174,7 +174,7 @@ pub enum IntentRecord {
         /// already applied it before the crash acknowledges without
         /// re-applying.
         token: u64,
-        /// Wire name of the operation (`prepare` / `commit` / `rollback`).
+        /// Wire name of the operation (`prepare-delta` / `commit` / `rollback`).
         op: String,
     },
     /// The controller decided the transaction's outcome (journaled before
@@ -203,6 +203,20 @@ impl IntentRecord {
             | IntentRecord::Sent { epoch, .. }
             | IntentRecord::Decision { epoch, .. }
             | IntentRecord::End { epoch, .. } => *epoch,
+        }
+    }
+
+    /// The named crash points just before and just after this record is
+    /// journaled; a committed `end`'s sits before the switches settle. A
+    /// journaled send is followed by [`CrashPlan::after_sends`] instead.
+    pub fn crash_points(&self) -> [Option<CrashPoint>; 2] {
+        use CrashPoint::*;
+        match *self {
+            Self::Begin { .. } => [None, Some(BeforePrepare)],
+            Self::Sent { .. } => [None, None],
+            Self::Decision { commit: true, .. } => [Some(AfterPrepare), Some(AfterCommitDecision)],
+            Self::Decision { commit: false, .. } => [None, Some(AfterRollbackDecision)],
+            Self::End { committed, .. } => [committed.then_some(BeforeFinalize), None],
         }
     }
 
@@ -588,9 +602,9 @@ pub struct RolloutReport {
     /// Switches prepared with a delta (add/remove/modify records against
     /// their serving state).
     pub delta_prepares: u64,
-    /// Switches prepared with a full state snapshot — the fallback for
-    /// fresh switches and for switches whose retained base the
-    /// controller no longer trusts (e.g. after a drift repair).
+    /// Switches prepared from an empty switch, every table whole — under
+    /// [`RolloutConfig::force_snapshot`], or for a switch off the prior
+    /// epoch when its prepare was sent.
     pub snapshot_prepares: u64,
     /// Logical entries staging handed to the first-fit planner: those some
     /// surviving flow path had lost sight of. Everything else stayed in the
@@ -639,18 +653,23 @@ struct SwitchDelta {
     modified: u64,
 }
 
-/// Diff two per-switch data-plane states. Built on
-/// [`ExternTable::for_each_delta`], so the cost is O(pages + changed
-/// entries) when `next` was derived from `current` by copy-on-write
-/// mutation — the common staged-epoch case — never worse than one sorted
-/// merge.
+/// Diff two per-switch data-plane states: a table `current` lacks ships
+/// whole, sharing `next`'s pages, the rest through
+/// [`ExternTable::for_each_delta`]. The cost is O(pages + changed entries)
+/// when `next` was derived from `current` by copy-on-write mutation — the
+/// common staged-epoch case — never worse than one sorted merge.
 fn entry_delta(current: &DataPlaneState, next: &DataPlaneState) -> SwitchDelta {
     let mut d = SwitchDelta::default();
     let empty = ExternTable::new();
     let tables: BTreeSet<&String> = current.externs.keys().chain(next.externs.keys()).collect();
     for table in tables {
-        let base = current.externs.get(table).unwrap_or(&empty);
         let target = next.externs.get(table).unwrap_or(&empty);
+        let Some(base) = current.externs.get(table) else {
+            d.added += target.len() as u64;
+            let (table, entries) = (table.clone(), target.clone());
+            d.ops.push(EntryOp::Table { table, entries });
+            continue;
+        };
         base.for_each_delta(target, |key, old, new| {
             match (old, new) {
                 (None, Some(_)) => d.added += 1,
@@ -681,7 +700,7 @@ const DELTA_BATCH_OPS: usize = 4096;
 /// delta still produces batch 0, so an untouched switch opens the staged
 /// epoch and takes part in the commit.
 fn delta_batches(
-    base_epoch: u64,
+    base_epoch: Option<u64>,
     mut ops: Vec<EntryOp>,
     globals: &BTreeMap<String, Arc<Vec<u64>>>,
     out: &mut Vec<ControlOp>,
@@ -752,17 +771,18 @@ pub(crate) enum Action {
 
 impl Action {
     /// The named crash points passed before this action is carried out and
-    /// once its record is journaled. A journaled send's position
-    /// ([`CrashPlan::after_sends`]) is right after its intent.
+    /// once it is done ([`IntentRecord::crash_points`]); a conclusion is
+    /// carried out before its `end` is journaled.
     pub(crate) fn crash_points(&self) -> [Option<CrashPoint>; 2] {
-        use CrashPoint::*;
         match *self {
-            Action::Journal(IntentRecord::Begin { .. }) => [None, Some(BeforePrepare)],
-            Action::Journal(IntentRecord::Decision { commit, .. }) => match commit {
-                true => [Some(AfterPrepare), Some(AfterCommitDecision)],
-                false => [None, Some(AfterRollbackDecision)],
-            },
-            Action::Conclude { committed } => [committed.then_some(BeforeFinalize), None],
+            Action::Journal(ref record) => record.crash_points(),
+            Action::Conclude { committed } => {
+                let epoch = 0; // any: the points do not depend on it
+                [
+                    IntentRecord::End { epoch, committed }.crash_points()[0],
+                    None,
+                ]
+            }
             _ => [None, None],
         }
     }
@@ -780,10 +800,9 @@ enum Round {
     Done,
 }
 
-/// One target's next epoch as staged: the state a snapshot prepare carries,
-/// the diff a delta prepare carries, and whether the serving state may be
-/// that diff's base (not on a fresh or drift-repaired switch, nor under
-/// [`RolloutConfig::force_snapshot`]).
+/// One target's next epoch as staged: the state, its diff against the
+/// serving state, and whether the serving state may be that diff's base
+/// (not under [`RolloutConfig::force_snapshot`]).
 #[derive(Debug, Default)]
 pub(crate) struct Staged {
     pub(crate) state: DataPlaneState,
@@ -1029,27 +1048,21 @@ impl Txn {
         None
     }
 
-    /// Target `i`'s next prepare batch. Its batches are laid out as its
-    /// turn comes: a delta against its serving state, or a full snapshot
-    /// when that state is not a base the controller trusts — including
-    /// when the switch is off the prior epoch by then.
+    /// Target `i`'s next prepare batch, its batches laid out as its turn
+    /// comes: the delta against its serving state, or — forced, or off the
+    /// prior epoch by then — every table whole from an empty switch.
     fn prepare_batch(&mut self, i: usize, held: Option<Held>) -> Option<ControlOp> {
         if self.batches.is_empty() {
             let staged = self.staged.get_mut(i)?;
-            if staged.trusted && held.is_some_and(|h| h.serving == self.prior_epoch) {
-                self.report.delta_prepares += 1;
-                let delta = std::mem::take(&mut staged.delta);
-                delta_batches(
-                    self.prior_epoch,
-                    delta,
-                    &staged.state.globals,
-                    &mut self.batches,
-                );
-            } else {
-                self.report.snapshot_prepares += 1;
-                let staged = std::mem::take(&mut staged.state);
-                self.batches.push(ControlOp::Prepare { staged });
-            }
+            let (base_epoch, ops) =
+                if staged.trusted && held.is_some_and(|h| h.serving == self.prior_epoch) {
+                    self.report.delta_prepares += 1;
+                    (Some(self.prior_epoch), std::mem::take(&mut staged.delta))
+                } else {
+                    self.report.snapshot_prepares += 1;
+                    (None, entry_delta(&DataPlaneState::new(), &staged.state).ops)
+                };
+            delta_batches(base_epoch, ops, &staged.state.globals, &mut self.batches);
         }
         self.batches.pop()
     }
@@ -1324,17 +1337,6 @@ impl<'a> Runtime<'a> {
                 RuntimeError::new(format!("prepare validation failed: {}", e.message))
                     .with_code(codes::ROLLOUT_PREPARE_FAILED)
             })?;
-        // A switch the placement adds gets a live (empty) state first, at
-        // the current epoch, so it participates in the transaction.
-        for sw in layout.states.keys() {
-            if !self.states.contains_key(sw) {
-                self.states
-                    .insert(sw.clone(), SwitchState::fresh(output, self.epoch));
-                // A fresh switch has no retained base to delta against;
-                // its first prepare carries a full snapshot.
-                self.needs_snapshot.insert(sw.clone());
-            }
-        }
         // Allocate the next epoch. Rolled-back epochs are burned: the
         // counter never rewinds, so message epochs are unique per attempt.
         self.epoch_counter += 1;
@@ -1347,13 +1349,15 @@ impl<'a> Runtime<'a> {
         };
         // One structural diff per switch drives both the report counters
         // and the delta prepares — O(pages + changed entries) per switch,
-        // because the staged states share pages with the serving ones.
-        let n = layout.states.len();
+        // because the staged states share pages with the serving ones. A
+        // switch the placement adds joins empty, at the serving epoch.
+        let (n, serving) = (layout.states.len(), self.epoch);
         let (mut targets, mut staged) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        let empty = DataPlaneState::default();
         for (switch, state) in layout.states {
-            let d = entry_delta(self.states.get(&switch).map_or(&empty, |st| &st.dp), &state);
-            let trusted = !config.force_snapshot && !self.needs_snapshot.contains(&switch);
+            let fresh = || SwitchState::fresh(output, serving);
+            let held = self.states.entry(switch.clone()).or_insert_with(fresh);
+            let d = entry_delta(&held.dp, &state);
+            let trusted = !config.force_snapshot;
             report.switches.push(SwitchRollout {
                 switch: switch.clone(),
                 entries_added: d.added,
@@ -1539,11 +1543,6 @@ impl<'a> Runtime<'a> {
                     if committed {
                         self.epoch = epoch;
                         self.output = next;
-                        // The committed switches hold exactly what the
-                        // controller staged: deltas are trustworthy again.
-                        for sw in &tx.targets {
-                            self.needs_snapshot.remove(sw);
-                        }
                     } else {
                         self.epoch = tx.prior_epoch;
                     }
@@ -1880,6 +1879,43 @@ mod tests {
         assert_eq!(d.ops.len(), 3, "{:?}", d.ops);
     }
 
+    /// A table the base lacks ships as one whole-table op that shares the
+    /// staged pages; a table it holds is diffed entry by entry.
+    #[test]
+    fn entry_delta_ships_a_table_the_base_lacks_whole() {
+        let mut current = DataPlaneState::new();
+        current.install("held", 1, 10).install("held", 2, 20);
+        let mut next = current.clone();
+        next.uninstall("held", 1);
+        next.install("held", 2, 99).install("held", 3, 30);
+        for k in 0..1000 {
+            next.install("gained", k, k);
+        }
+        let d = entry_delta(&current, &next);
+        assert_eq!((d.added, d.removed, d.modified), (1001, 1, 1), "{d:?}");
+        let whole: Vec<_> = d
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                EntryOp::Table { table, entries } => Some((table.as_str(), entries)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(whole.len(), 1, "{:?}", d.ops);
+        assert_eq!(whole[0].0, "gained");
+        assert!(whole[0].1.same_pages(&next.externs["gained"]));
+        let set = |key, value| EntryOp::Set {
+            table: "held".into(),
+            key,
+            value,
+        };
+        let removed = EntryOp::Remove {
+            table: "held".into(),
+            key: 1,
+        };
+        assert_eq!(d.ops[1..], [removed, set(2, 99), set(3, 30)], "{:?}", d.ops);
+    }
+
     #[test]
     fn value_only_divergence_converges_under_delta_prepares() {
         let compiler = Compiler::new();
@@ -1988,7 +2024,7 @@ mod tests {
             epoch,
             token,
             op: ControlOp::PrepareDelta {
-                base_epoch,
+                base_epoch: Some(base_epoch),
                 ops,
                 globals: BTreeMap::new(),
                 batch_index,
@@ -2029,7 +2065,7 @@ mod tests {
     }
 
     #[test]
-    fn audit_repaired_switches_fall_back_to_snapshot_prepares() {
+    fn audit_repaired_switches_converge_through_delta_prepares() {
         let compiler = Compiler::new();
         let req = lb_request();
         let prior = compiler.compile(&req).unwrap();
@@ -2058,9 +2094,9 @@ mod tests {
         .unwrap();
         let audit = rt.audit_switches();
         assert!(audit.drifted_switches.contains(&victim));
-        // The repaired switch's page structure no longer matches what a
-        // COW-derived delta assumes, so its next prepare is a snapshot;
-        // untouched switches still take the delta path.
+        // The repaired switch still serves the prior epoch, so its next
+        // prepare is a delta against its repaired state, like every other
+        // switch's.
         let report = rt
             .apply_rollout(
                 &prior,
@@ -2069,11 +2105,10 @@ mod tests {
             )
             .unwrap();
         assert!(report.committed, "{report:?}");
-        assert!(report.snapshot_prepares >= 1, "{report:?}");
-        assert!(
-            report.snapshot_prepares + report.delta_prepares >= 2,
-            "{report:?}"
-        );
+        assert_eq!(report.snapshot_prepares, 0, "{report:?}");
+        assert!(report.delta_prepares >= 2, "{report:?}");
+        let after = rt.audit_switches();
+        assert!(after.clean(), "{after:?}");
     }
 
     #[test]
@@ -2101,7 +2136,7 @@ mod tests {
 /// a three-target transaction, driven through [`Txn::step`] with no
 /// `Runtime`, no channel and no compile — the switch agents stand in for
 /// the fleet. A live rollout (target A prepares in two delta batches, B in
-/// one, C with a snapshot) runs each send to one of three outcomes —
+/// one, C from an empty switch) runs each send to one of three outcomes —
 /// acknowledged, spent undelivered, spent delivered with every ack lost —
 /// and may crash at every named point and after every journaled send; each
 /// crash is then recovered from its journal under every schedule of query
@@ -2510,5 +2545,48 @@ mod step_walk {
         ];
         assert_eq!((actions, steps), (expected.map(String::from).to_vec(), 7));
         assert!(three.values().all(|st| st.held().serving == 2));
+    }
+
+    /// A switch off the prior epoch when its prepare is sent cannot take a
+    /// delta against that epoch: it is prepared from an empty switch, and
+    /// the transaction commits.
+    #[test]
+    fn a_target_off_the_prior_epoch_is_prepared_from_empty() {
+        let mut fleet = fleet();
+        fleet.retain(|sw, _| sw != "C");
+        fleet.get_mut("B").unwrap().reset_epoch(2);
+        let mut next = DataPlaneState::new();
+        next.install("t", 1, 10);
+        let staged = ["A", "B"].map(|sw| Staged {
+            delta: entry_delta(&fleet[sw].dp, &next).ops,
+            state: next.clone(),
+            trusted: true,
+        });
+        let report = RolloutReport {
+            epoch: 3,
+            switches: vec![SwitchRollout::default(); 2],
+            ..Default::default()
+        };
+        let targets = vec!["A".into(), "B".into()];
+        let mut tx = Txn::rollout(1, targets, staged.into(), ATTEMPTS, report);
+        let bases = std::cell::RefCell::new(Vec::new());
+        let base_of = |action: &Action| {
+            if let Action::Send { msg, .. } = action {
+                if let ControlOp::PrepareDelta { base_epoch, .. } = msg.op {
+                    bases.borrow_mut().push((msg.switch.clone(), base_epoch));
+                }
+            }
+            false
+        };
+        let (actions, ..) = clean_run(&mut tx, &mut fleet, base_of);
+        assert_eq!(actions.last().map(String::as_str), Some("conclude true"));
+        let expected = [("A".to_string(), Some(1)), ("B".to_string(), None)];
+        assert_eq!(bases.into_inner(), expected);
+        let r = &tx.report;
+        assert_eq!((r.snapshot_prepares, r.delta_prepares), (1, 1), "{r:?}");
+        for st in fleet.values() {
+            assert_eq!(st.held().serving, 3);
+            assert_eq!(st.dp.externs["t"].get(1), Some(10));
+        }
     }
 }

@@ -91,13 +91,6 @@ pub struct Runtime<'a> {
     /// traffic-mutable and outside the audit's scope; only extern tables
     /// (control-plane-owned) are compared.
     pub(crate) expected: BTreeMap<String, DataPlaneState>,
-    /// Switches whose next prepare must carry a full state snapshot
-    /// instead of a delta: fresh switches the placement just added, and
-    /// switches the anti-entropy audit repaired (their page structure no
-    /// longer matches the controller's retained base, so a delta computed
-    /// against it cannot be trusted to be minimal). Cleared when a
-    /// rollout touching them finalizes.
-    pub(crate) needs_snapshot: BTreeSet<String>,
     /// The traffic plane serving this runtime's switches, attached by the
     /// replay-under-a-transaction harness for the duration of one call so
     /// the switch agents can publish their epoch flips to it.
@@ -516,7 +509,6 @@ impl<'a> Runtime<'a> {
             epoch: 0,
             epoch_counter: 0,
             expected,
-            needs_snapshot: BTreeSet::new(),
             plane: None,
         }
     }

@@ -349,31 +349,20 @@ impl Scope {
 
 /// The crashes a finished schedule reaches, each with the number of
 /// transmissions it depends on, read off the clocked journal: the named
-/// points sit around the `begin` record, the decisions and a committed
-/// conclusion (the `end` record that follows it), and one crash follows
-/// each journaled send.
+/// points around each record ([`IntentRecord::crash_points`]), and one
+/// crash after each journaled send.
 fn crashes_reached(records: &[(IntentRecord, usize)]) -> Vec<(CrashPlan, usize)> {
-    let mut crashes = vec![(CrashPlan::at(CrashPoint::BeforePrepare), 0)];
-    let mut sends = 0;
+    let (mut crashes, mut sends) = (Vec::new(), 0);
     for (record, at) in records {
-        let at = *at;
-        match record {
-            IntentRecord::Sent { .. } => {
-                sends += 1;
-                crashes.push((CrashPlan::after_sends(sends), at));
-            }
-            IntentRecord::Decision { commit: true, .. } => {
-                crashes.push((CrashPlan::at(CrashPoint::AfterPrepare), at));
-                crashes.push((CrashPlan::at(CrashPoint::AfterCommitDecision), at));
-            }
-            IntentRecord::Decision { commit: false, .. } => {
-                crashes.push((CrashPlan::at(CrashPoint::AfterRollbackDecision), at));
-            }
-            IntentRecord::End {
-                committed: true, ..
-            } => crashes.push((CrashPlan::at(CrashPoint::BeforeFinalize), at)),
-            IntentRecord::Begin { .. } | IntentRecord::End { .. } => {}
+        let [before, after] = record
+            .crash_points()
+            .map(|p| p.map(|p| (CrashPlan::at(p), *at)));
+        crashes.extend(before);
+        if let IntentRecord::Sent { .. } = record {
+            sends += 1;
+            crashes.push((CrashPlan::after_sends(sends), *at));
         }
+        crashes.extend(after);
     }
     crashes
 }
