@@ -220,8 +220,8 @@ impl ControlChannel for ReliableChannel {
 }
 
 /// Deterministic xorshift64* generator (the workspace builds offline; all
-/// randomness is seeded and in-tree). Shared with the rollout engine's
-/// backoff jitter.
+/// randomness is seeded and in-tree). Shared with the self-healing chaos
+/// channel's loss draws.
 #[derive(Debug, Clone)]
 pub(crate) struct Rng(u64);
 
@@ -257,14 +257,14 @@ impl Rng {
 pub struct LossyChannel {
     rng: Rng,
     /// Probability the message never arrives.
-    pub drop_p: f64,
+    drop_p: f64,
     /// Probability the message arrives but its acknowledgement is lost.
-    pub ack_loss_p: f64,
+    ack_loss_p: f64,
     /// Probability the message is delivered twice.
-    pub dup_p: f64,
+    dup_p: f64,
     /// Probability a copy of the message is also delivered *late*, after
     /// a few more transmissions (reordering).
-    pub late_p: f64,
+    late_p: f64,
     /// `(switch, after_n_messages)` — the switch stops answering entirely
     /// once this many messages (to anyone) have been transmitted. Models a
     /// switch dying in the middle of a rollout.

@@ -827,9 +827,7 @@ pub fn replay_under_recovery<'a>(
 mod tests {
     use super::*;
     use crate::agent::deliver;
-    use crate::channel::{
-        ControlMsg, ControlOp, Delivery, EntryOp, LossyChannel, ReliableChannel, Rng,
-    };
+    use crate::channel::{ControlMsg, ControlOp, Delivery, EntryOp, LossyChannel, ReliableChannel};
     use crate::rollout::{CrashPlan, Driver, MemIntentStore};
     use crate::{CompileRequest, Compiler, FaultSet};
     use lyra_topo::figure1_network;
@@ -934,8 +932,6 @@ mod tests {
         let mut chan = LossyChannel::new(3).with_switch_death("Agg4", 1);
         let config = RolloutConfig {
             max_attempts: 3,
-            base_backoff: Duration::from_micros(5),
-            max_backoff: Duration::from_micros(50),
             ..Default::default()
         };
         let outcome = replay_under_rollout(
@@ -1277,13 +1273,10 @@ mod tests {
             script: [Delivery::Delivered, Delivery::Dropped, Delivery::Duplicated].into(),
             then: Delivery::Delivered,
         };
-        let config = RolloutConfig::default();
         let mut io = Driver {
             channel: &mut channel,
             store: None,
             crash: None,
-            config: &config,
-            rng: Rng::new(1),
             clock: Instant::now(),
         };
         let mut report = RolloutReport::default();
@@ -1334,8 +1327,6 @@ mod tests {
         };
         let config = RolloutConfig {
             max_attempts: 2,
-            base_backoff: Duration::from_micros(1),
-            max_backoff: Duration::from_micros(5),
             ..Default::default()
         };
         let replay_cfg = ReplayConfig::default().with_packets(20_000).with_workers(2);

@@ -941,7 +941,7 @@ impl ControlChannel for ChaosChannel {
 /// Tuning for one [`run_selfheal`] run.
 #[derive(Debug, Clone)]
 pub struct SelfHealConfig {
-    /// Seed behind chaos loss draws, rollout channels and replay traffic.
+    /// Seed behind the chaos channel's loss draws and the replay traffic.
     pub seed: u64,
     /// Rollout tuning for remediation rounds.
     pub rollout: RolloutConfig,
@@ -1152,8 +1152,7 @@ pub fn run_selfheal(
         let rollout_cfg = cfg
             .rollout
             .clone()
-            .with_scope_health(rec.scope_health.clone())
-            .with_seed(cfg.seed ^ (round << 8));
+            .with_scope_health(rec.scope_health.clone());
         let rollout_res = if cfg.traffic_packets > 0 {
             replay_under(&mut rt, &rec.output, &replay_cfg(round), |rt| {
                 rt.stage(&rec.output, &lost, true, &mut chaos, &rollout_cfg, None)

@@ -29,7 +29,7 @@ use lyra_diag::{codes, Diagnostic};
 use lyra_ir::ExternTable;
 
 use crate::agent::settle;
-use crate::channel::{ControlChannel, Rng};
+use crate::channel::ControlChannel;
 use crate::fault::{DriftFinding, DriftKind, DriftOp};
 use crate::rollout::{Driver, IntentRecord, IntentStore, RolloutConfig, RolloutReport, Txn};
 use crate::runtime::{Runtime, RuntimeError};
@@ -148,8 +148,6 @@ impl<'a> Runtime<'a> {
             channel,
             store: Some(store),
             crash: None,
-            config,
-            rng: Rng::new(config.seed ^ tx.epoch.rotate_left(23) ^ 0x5eed_c0de),
             clock: t0,
         };
         let mut report = self.drive(tx, io, new_output)?;

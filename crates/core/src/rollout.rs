@@ -27,9 +27,10 @@
 //!   the new one, never mixed. [`Runtime::inject`] enforces the same
 //!   invariant at the data plane by refusing mixed-epoch paths.
 //!
-//! Messages travel through a fault-injectable [`ControlChannel`] with
-//! bounded retry, exponential backoff and seeded jitter; idempotency
-//! tokens make retransmissions, network duplicates and late replays safe.
+//! Messages travel through a fault-injectable [`ControlChannel`] with a
+//! bounded retry budget and no wait between attempts (every channel rules
+//! each attempt's fate without a clock); idempotency tokens make
+//! retransmissions, network duplicates and late replays safe.
 //! Epoch numbers are *burned* on rollback (never reused), so a stale
 //! message from an abandoned attempt can never corrupt a later one.
 //!
@@ -59,28 +60,19 @@ use lyra_ir::{DataPlaneState, ExternTable};
 use lyra_topo::ScopeHealth;
 
 use crate::agent::{deliver, force_rollback, settle, Held, SwitchState};
-use crate::channel::{
-    ControlChannel, ControlMsg, ControlOp, Delivery, EntryOp, ReliableChannel, Rng,
-};
+use crate::channel::{ControlChannel, ControlMsg, ControlOp, Delivery, EntryOp, ReliableChannel};
 use crate::dataplane::LiveTrafficPlane;
 use crate::runtime::{stage_layout, Runtime, RuntimeError};
 use crate::CompileOutput;
 
-/// Tuning knobs for one rollout: retry budget, backoff shape, jitter seed,
-/// and an optional scope-health gate.
+/// Tuning knobs for one rollout: retry budget, an optional scope-health
+/// gate, crash injection and forced from-empty prepares.
 #[derive(Debug, Clone)]
 pub struct RolloutConfig {
     /// Transmission attempts per control message before giving up
     /// (rollback messages get 4× this budget — abandoning a rollback is
     /// worse than abandoning a rollout).
     pub max_attempts: u32,
-    /// First retry backoff; doubles per attempt.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-    /// Seed for backoff jitter (mixed with the epoch, so retries of
-    /// successive rollouts do not synchronize).
-    pub seed: u64,
     /// Per-algorithm scope health under the fault set being rolled out
     /// (from [`crate::fault::FaultRecompile::scope_health`]). Any
     /// non-survivable entry gates the rollout with `LYR0564` before a
@@ -102,9 +94,6 @@ impl Default for RolloutConfig {
     fn default() -> Self {
         RolloutConfig {
             max_attempts: 8,
-            base_backoff: Duration::from_micros(20),
-            max_backoff: Duration::from_millis(1),
-            seed: 1,
             scope_health: BTreeMap::new(),
             crash: None,
             force_snapshot: false,
@@ -116,12 +105,6 @@ impl RolloutConfig {
     /// Gate this rollout on the given per-algorithm scope health.
     pub fn with_scope_health(mut self, health: BTreeMap<String, ScopeHealth>) -> Self {
         self.scope_health = health;
-        self
-    }
-
-    /// Set the jitter seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -743,7 +726,7 @@ pub(crate) fn mint_token(epoch: u64, seq: u64) -> Result<u64, RuntimeError> {
 
 /// What one send came back with: acknowledged within its budget or not,
 /// after how many attempts, and the wall clock since the previous send
-/// ended (its journaling, retries and backoff included).
+/// ended (its journaling and retries included).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Sent {
     pub(crate) acked: bool,
@@ -800,14 +783,13 @@ enum Round {
     Done,
 }
 
-/// One target's next epoch as staged: the state, its diff against the
-/// serving state, and whether the serving state may be that diff's base
-/// (not under [`RolloutConfig::force_snapshot`]).
+/// One target's next epoch as staged: the state, and its diff against the
+/// serving state — `None` under [`RolloutConfig::force_snapshot`], which
+/// prepares every target from an empty switch.
 #[derive(Debug, Default)]
 pub(crate) struct Staged {
     pub(crate) state: DataPlaneState,
-    pub(crate) delta: Vec<EntryOp>,
-    pub(crate) trusted: bool,
+    pub(crate) delta: Option<Vec<EntryOp>>,
 }
 
 /// One transaction as plain data — a live rollout, a failover re-sync or a
@@ -1054,14 +1036,16 @@ impl Txn {
     fn prepare_batch(&mut self, i: usize, held: Option<Held>) -> Option<ControlOp> {
         if self.batches.is_empty() {
             let staged = self.staged.get_mut(i)?;
-            let (base_epoch, ops) =
-                if staged.trusted && held.is_some_and(|h| h.serving == self.prior_epoch) {
+            let (base_epoch, ops) = match staged.delta.take() {
+                Some(ops) if held.is_some_and(|h| h.serving == self.prior_epoch) => {
                     self.report.delta_prepares += 1;
-                    (Some(self.prior_epoch), std::mem::take(&mut staged.delta))
-                } else {
+                    (Some(self.prior_epoch), ops)
+                }
+                _ => {
                     self.report.snapshot_prepares += 1;
                     (None, entry_delta(&DataPlaneState::new(), &staged.state).ops)
-                };
+                }
+            };
             delta_batches(base_epoch, ops, &staged.state.globals, &mut self.batches);
         }
         self.batches.pop()
@@ -1183,24 +1167,22 @@ impl Txn {
 // ---------------------------------------------------------------------------
 
 /// The I/O half of one transaction: the channel, the intent store, the
-/// crash plan and the backoff clock. [`Runtime::drive`] carries out what a
+/// crash plan and the phase clock. [`Runtime::drive`] carries out what a
 /// [`Txn`] asks through it, on the switch agents.
 pub(crate) struct Driver<'c, 's> {
     pub(crate) channel: &'c mut dyn ControlChannel,
     pub(crate) store: Option<&'s mut dyn IntentStore>,
     pub(crate) crash: Option<CrashPlan>,
-    pub(crate) config: &'c RolloutConfig,
-    /// Backoff jitter.
-    pub(crate) rng: Rng,
-    /// When the previous send ended: one clock read per send.
+    /// When the previous send ended: one clock read per send, for the
+    /// report's phase timings only — no decision reads it.
     pub(crate) clock: Instant,
 }
 
 impl Driver<'_, '_> {
-    /// Transmit one logical message with bounded retry, exponential backoff
-    /// and jitter, handing every delivery (including duplicates and drained
-    /// late replays) to the switch agents, and counting what the channel
-    /// did with each attempt in `report`.
+    /// Transmit one logical message up to `attempts` times, retrying at
+    /// once, handing every delivery (including duplicates and drained late
+    /// replays) to the switch agents, and counting what the channel did
+    /// with each attempt in `report`.
     pub(crate) fn send(
         &mut self,
         report: &mut RolloutReport,
@@ -1213,7 +1195,6 @@ impl Driver<'_, '_> {
         while !sent.acked && sent.attempts < attempts.max(1) {
             if sent.attempts > 0 {
                 report.retries += 1;
-                std::thread::sleep(backoff(self.config, sent.attempts, &mut self.rng));
             }
             // Reordered copies of earlier messages may arrive at any time;
             // deliver the due ones first. Their acks go nowhere.
@@ -1250,17 +1231,6 @@ impl Driver<'_, '_> {
             .as_deref_mut()
             .map_or(Ok(()), |log| log.append(record))
     }
-}
-
-/// Exponential backoff for retry `attempt` (≥ 1), with seeded jitter of up
-/// to +50% so racing rollouts do not retry in lockstep.
-fn backoff(config: &RolloutConfig, attempt: u32, rng: &mut Rng) -> Duration {
-    let factor = 1u32.checked_shl(attempt - 1).unwrap_or(u32::MAX);
-    let base = config
-        .base_backoff
-        .saturating_mul(factor)
-        .min(config.max_backoff);
-    base.mul_f64(1.0 + 0.5 * rng.next_f64())
 }
 
 impl<'a> Runtime<'a> {
@@ -1357,7 +1327,6 @@ impl<'a> Runtime<'a> {
             let fresh = || SwitchState::fresh(output, serving);
             let held = self.states.entry(switch.clone()).or_insert_with(fresh);
             let d = entry_delta(&held.dp, &state);
-            let trusted = !config.force_snapshot;
             report.switches.push(SwitchRollout {
                 switch: switch.clone(),
                 entries_added: d.added,
@@ -1365,12 +1334,8 @@ impl<'a> Runtime<'a> {
                 entries_modified: d.modified,
                 ..Default::default()
             });
-            let delta = d.ops;
-            staged.push(Staged {
-                state,
-                delta,
-                trusted,
-            });
+            let delta = (!config.force_snapshot).then_some(d.ops);
+            staged.push(Staged { state, delta });
             targets.push(switch);
         }
         let staged_at = Instant::now();
@@ -1381,8 +1346,6 @@ impl<'a> Runtime<'a> {
             channel,
             store,
             crash: config.crash.clone(),
-            config,
-            rng: Rng::new(config.seed ^ epoch.rotate_left(17)),
             clock: staged_at,
         };
         let mut report = self.drive(tx, io, output)?;
@@ -1639,8 +1602,6 @@ mod tests {
         let mut chan = LossyChannel::new(3).with_switch_death("Agg4", 1);
         let config = RolloutConfig {
             max_attempts: 3,
-            base_backoff: Duration::from_micros(5),
-            max_backoff: Duration::from_micros(50),
             ..Default::default()
         };
         let report = rt.apply_rollout(&r.output, &mut chan, &config).unwrap();
@@ -1711,12 +1672,9 @@ mod tests {
         // Every message loses its first ack, so every logical message is
         // applied + retried + token-acknowledged. Duplicates galore.
         let mut chan = LossyChannel::new(5).with_ack_loss_p(0.6).with_dup_p(0.3);
-        let config = RolloutConfig {
-            base_backoff: Duration::from_micros(5),
-            max_backoff: Duration::from_micros(50),
-            ..Default::default()
-        };
-        let report = rt.apply_rollout(&r.output, &mut chan, &config).unwrap();
+        let report = rt
+            .apply_rollout(&r.output, &mut chan, &RolloutConfig::default())
+            .unwrap();
         assert!(report.committed, "{report:?}");
         assert!(
             report.retries > 0,
@@ -1728,6 +1686,105 @@ mod tests {
         pkt.set("flow_h", 9);
         let (end, _) = rt.inject(&["Agg4", "ToR4"], pkt).unwrap();
         assert_eq!(end.get("ipv4.dstAddr"), 0x0b00);
+    }
+
+    /// A channel that rules scripted fates in order, then `Delivered`
+    /// forever, and holds a copy of each dropped transmission back until
+    /// the next `drain_late`.
+    #[derive(Default)]
+    struct Scripted {
+        fates: std::collections::VecDeque<Delivery>,
+        late: Vec<ControlMsg>,
+        transmitted: u32,
+    }
+
+    impl ControlChannel for Scripted {
+        fn transmit(&mut self, msg: &ControlMsg) -> Delivery {
+            self.transmitted += 1;
+            let fate = self.fates.pop_front().unwrap_or(Delivery::Delivered);
+            if fate == Delivery::Dropped {
+                self.late.push(msg.clone());
+            }
+            fate
+        }
+
+        fn drain_late(&mut self) -> Vec<ControlMsg> {
+            std::mem::take(&mut self.late)
+        }
+    }
+
+    /// The retry loop's accounting: retries go out at once, each one an
+    /// attempt that is counted, and a held-back copy reaches its switch
+    /// before the next attempt does.
+    #[test]
+    fn send_counts_every_attempt_and_delivers_late_copies_first() {
+        let msg = |token, op| ControlMsg {
+            switch: "A".into(),
+            epoch: 1,
+            token,
+            op,
+        };
+        let mut states = BTreeMap::from([("A".to_string(), SwitchState::default())]);
+        let mut send = |fates: Vec<Delivery>, msg: &ControlMsg, budget: u32| {
+            let mut channel = Scripted {
+                fates: fates.into(),
+                ..Default::default()
+            };
+            let mut io = Driver {
+                channel: &mut channel,
+                store: None,
+                crash: None,
+                clock: Instant::now(),
+            };
+            let mut report = RolloutReport::default();
+            let sent = io.send(&mut report, &mut states, None, msg, budget);
+            let counts = (report.retries, report.dropped, report.messages_sent);
+            (sent, counts, channel.transmitted)
+        };
+        let query = msg(1, ControlOp::Query);
+        for k in 1..=4u32 {
+            let drops = vec![Delivery::Dropped; k as usize];
+            // Dropped k times, acknowledged on attempt k + 1.
+            let (sent, counts, transmitted) = send(drops.clone(), &query, k + 1);
+            let k64 = u64::from(k);
+            assert!(sent.acked, "k = {k}");
+            assert_eq!((sent.attempts, transmitted), (k + 1, k + 1), "k = {k}");
+            assert_eq!(counts, (k64, k64, k64 + 1), "k = {k}");
+            // A budget of k is spent on exactly k attempts.
+            let (sent, counts, transmitted) = send(drops, &query, k);
+            assert!(!sent.acked, "k = {k}");
+            assert_eq!((sent.attempts, transmitted), (k, k), "k = {k}");
+            assert_eq!(counts, (k64 - 1, k64, k64), "k = {k}");
+        }
+        // The prepare is dropped with its one attempt, but the channel
+        // holds a copy back. The commit finds the switch staged — and
+        // flips it — only if that copy was delivered before the commit
+        // went out.
+        let prepare = ControlOp::PrepareDelta {
+            base_epoch: None,
+            ops: Vec::new(),
+            globals: BTreeMap::new(),
+            batch_index: 0,
+            batches_total: 1,
+        };
+        let mut channel = Scripted {
+            fates: [Delivery::Dropped].into(),
+            ..Default::default()
+        };
+        let mut io = Driver {
+            channel: &mut channel,
+            store: None,
+            crash: None,
+            clock: Instant::now(),
+        };
+        let mut report = RolloutReport::default();
+        let sent = io.send(&mut report, &mut states, None, &msg(2, prepare), 1);
+        assert!(!sent.acked);
+        assert_eq!(states["A"].held().staged, None);
+        let commit = msg(3, ControlOp::Commit);
+        let sent = io.send(&mut report, &mut states, None, &commit, 1);
+        assert!(sent.acked);
+        assert_eq!(states["A"].held().serving, 1);
     }
 
     #[test]
@@ -2207,14 +2264,10 @@ mod step_walk {
             };
             (0..n).map(remove).collect()
         };
-        let staged =
-            [(DELTA_BATCH_OPS as u64 + 1, true), (0, true), (0, false)].map(|(n, trusted)| {
-                Staged {
-                    delta: delta(n),
-                    trusted,
-                    ..Default::default()
-                }
-            });
+        let staged = [Some(DELTA_BATCH_OPS as u64 + 1), Some(0), None].map(|n| Staged {
+            delta: n.map(delta),
+            ..Default::default()
+        });
         let report = RolloutReport {
             epoch: 2,
             switches: vec![SwitchRollout::default(); TARGETS.len()],
@@ -2508,7 +2561,7 @@ mod step_walk {
         let mut one = fleet();
         one.retain(|sw, _| sw == "A");
         let staged = vec![Staged {
-            trusted: true,
+            delta: Some(Vec::new()),
             ..Default::default()
         }];
         let report = RolloutReport {
@@ -2558,9 +2611,8 @@ mod step_walk {
         let mut next = DataPlaneState::new();
         next.install("t", 1, 10);
         let staged = ["A", "B"].map(|sw| Staged {
-            delta: entry_delta(&fleet[sw].dp, &next).ops,
+            delta: Some(entry_delta(&fleet[sw].dp, &next).ops),
             state: next.clone(),
-            trusted: true,
         });
         let report = RolloutReport {
             epoch: 3,

@@ -757,9 +757,6 @@ fn lossy_rollout_replay_has_zero_mixed_epoch_exposure() {
         .with_dup_p(0.05);
     let config = RolloutConfig {
         max_attempts: 4,
-        base_backoff: std::time::Duration::from_micros(5),
-        max_backoff: std::time::Duration::from_micros(50),
-        seed: 0x70a5,
         scope_health: r.scope_health.clone(),
         crash: None,
         force_snapshot: false,

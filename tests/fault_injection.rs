@@ -391,11 +391,11 @@ fn rollout_chaos_commits_fully_or_rolls_back_fully_across_200_scenarios() {
                 chan = chan.with_switch_death(victim.clone(), 1 + rng.below(4));
             }
         }
+        // An unused draw: it keeps every later draw of the scenario stream,
+        // and so every scenario, where it is.
+        rng.next();
         let config = RolloutConfig {
             max_attempts: 4,
-            base_backoff: Duration::from_micros(1),
-            max_backoff: Duration::from_micros(10),
-            seed: rng.next(),
             scope_health: r.scope_health.clone(),
             crash: None,
             force_snapshot: false,
@@ -474,8 +474,6 @@ fn lossy_fail_switch_resync_commits_or_rolls_back_cleanly() {
             .with_dup_p(0.2);
         let config = RolloutConfig {
             max_attempts: 3,
-            base_backoff: Duration::from_micros(1),
-            max_backoff: Duration::from_micros(10),
             ..RolloutConfig::default()
         };
         let old_epoch = rt.epoch();
@@ -533,9 +531,6 @@ fn rollout_outcome_is_deterministic_for_a_fixed_seed() {
             .with_switch_death(victim, 2);
         let config = RolloutConfig {
             max_attempts: 3,
-            base_backoff: Duration::from_micros(1),
-            max_backoff: Duration::from_micros(10),
-            seed: 99,
             scope_health: r.scope_health.clone(),
             crash: None,
             force_snapshot: false,
@@ -860,11 +855,11 @@ fn controller_crash_recovery_converges_across_150_scenarios() {
                 chan = chan.with_switch_death(victim.clone(), 1 + rng.below(4));
             }
         }
+        // An unused draw: it keeps every later draw of the scenario stream,
+        // and so every scenario, where it is.
+        rng.next();
         let config = RolloutConfig {
             max_attempts: 4,
-            base_backoff: Duration::from_micros(1),
-            max_backoff: Duration::from_micros(10),
-            seed: rng.next(),
             scope_health: r.scope_health.clone(),
             crash: None,
             force_snapshot: false,
@@ -896,12 +891,11 @@ fn controller_crash_recovery_converges_across_150_scenarios() {
                 crashed_by_pick[pick] += 1;
 
                 // Restart: a fresh controller process replays the journal
-                // over the same (still lossy) network.
+                // over the same (still lossy) network. An unused draw keeps
+                // every later draw of the scenario stream where it is.
+                rng.next();
                 let recover_cfg = RolloutConfig {
                     max_attempts: 4,
-                    base_backoff: Duration::from_micros(1),
-                    max_backoff: Duration::from_micros(10),
-                    seed: rng.next(),
                     scope_health: r.scope_health.clone(),
                     crash: None,
                     force_snapshot: false,
@@ -1003,11 +997,11 @@ fn recovery_under_live_replay_sees_no_mixed_epochs() {
         let mut chan = LossyChannel::new(1 + rng.next())
             .with_drop_p(0.15)
             .with_ack_loss_p(0.1);
+        // An unused draw: it keeps every later draw of the scenario stream,
+        // and so every scenario, where it is.
+        rng.next();
         let config = RolloutConfig {
             max_attempts: 4,
-            base_backoff: Duration::from_micros(1),
-            max_backoff: Duration::from_micros(10),
-            seed: rng.next(),
             scope_health: r.scope_health.clone(),
             crash: None,
             force_snapshot: false,
@@ -1023,11 +1017,11 @@ fn recovery_under_live_replay_sees_no_mixed_epochs() {
         }
         fired += 1;
 
+        // An unused draw: it keeps every later draw of the scenario stream,
+        // and so every scenario, where it is.
+        rng.next();
         let recover_cfg = RolloutConfig {
             max_attempts: 4,
-            base_backoff: Duration::from_micros(1),
-            max_backoff: Duration::from_micros(10),
-            seed: rng.next(),
             scope_health: r.scope_health.clone(),
             crash: None,
             force_snapshot: false,

@@ -12,7 +12,7 @@
 //! *enumerates* them on the smallest fleet that still has a second switch
 //! to disagree with: a 2-target load-balancer rollout with
 //! `max_attempts = 1` (so a prepare or commit is one transmission and a
-//! rollback message gets its 4× budget of four) and zero backoff.
+//! rollback message gets its 4× budget of four).
 //!
 //! A scripted [`ControlChannel`] rules transmission *i* by step *i* of a
 //! script. Past the end of the script it takes the first alternative and
@@ -61,7 +61,6 @@
 use std::cell::Cell;
 use std::fmt::Debug;
 use std::rc::Rc;
-use std::time::Duration;
 
 use lyra::{
     CompileOutput, CompileRequest, Compiler, ControlChannel, ControlMsg, CrashPlan, CrashPoint,
@@ -290,8 +289,6 @@ impl Scope {
     fn config(crash: Option<CrashPlan>) -> RolloutConfig {
         RolloutConfig {
             max_attempts: 1,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
             crash,
             ..Default::default()
         }

@@ -28,7 +28,6 @@
 mod common;
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use common::{
     assert_layout_sound, lb_program, replan_from_scratch, scaled_entries, Rng, LB_SCOPES,
@@ -322,8 +321,6 @@ fn run_case(pod: &Pod, fx: &Fixtures, kind: Kind, seed: u64) -> Ended {
                 let mut chan = LossyChannel::new(seed + 3).with_switch_death(victim, 1);
                 let config = RolloutConfig {
                     max_attempts: 3,
-                    base_backoff: Duration::from_micros(5),
-                    max_backoff: Duration::from_micros(50),
                     ..Default::default()
                 };
                 rt.apply_rollout(to, &mut chan, &config)
